@@ -94,11 +94,11 @@ class BlockCache:
     def __init__(self, options: Optional[BlockCacheOptions] = None) -> None:
         self.options = options or BlockCacheOptions()
         self._lru: "OrderedDict[Tuple[str, str, str], None]" = OrderedDict()
-        #: tablet id -> resident (source, block) pairs, for
+        #: tablet id -> its resident LRU keys ``(tablet, source, block)``, for
         #: O(blocks-of-tablet) invalidation.  ``source`` is the SSTable run
         #: id the block belongs to, or :data:`MEMTABLE_SOURCE` for blocks of
         #: the live memtable.
-        self._by_tablet: Dict[str, Set[Tuple[str, str]]] = {}
+        self._by_tablet: Dict[str, Set[Tuple[str, str, str]]] = {}
         self._hits: Dict[str, int] = {}
         self._misses: Dict[str, int] = {}
 
@@ -132,16 +132,19 @@ class BlockCache:
             return True
         self._misses[tablet_id] = self._misses.get(tablet_id, 0) + 1
         self._lru[key] = None
-        self._by_tablet.setdefault(tablet_id, set()).add((source, block))
+        # get-then-insert: a miss per storage row must not build a throwaway
+        # set() for setdefault to discard.
+        resident = self._by_tablet.get(tablet_id)
+        if resident is None:
+            resident = self._by_tablet[tablet_id] = set()
+        resident.add(key)
         if len(self._lru) > self.options.capacity_blocks:
-            evicted_tablet, evicted_source, evicted_block = self._lru.popitem(
-                last=False
-            )[0]
-            resident = self._by_tablet.get(evicted_tablet)
+            evicted = self._lru.popitem(last=False)[0]
+            resident = self._by_tablet.get(evicted[0])
             if resident is not None:
-                resident.discard((evicted_source, evicted_block))
+                resident.discard(evicted)
                 if not resident:
-                    del self._by_tablet[evicted_tablet]
+                    del self._by_tablet[evicted[0]]
         return False
 
     # ------------------------------------------------------------------
@@ -155,12 +158,12 @@ class BlockCache:
         resident = self._by_tablet.get(tablet_id)
         if resident is None:
             return
-        pair = (MEMTABLE_SOURCE, self.block_of(row_key))
-        if pair in resident:
-            resident.discard(pair)
+        key = (tablet_id, MEMTABLE_SOURCE, self.block_of(row_key))
+        if key in resident:
+            resident.discard(key)
             if not resident:
                 del self._by_tablet[tablet_id]
-            del self._lru[(tablet_id,) + pair]
+            del self._lru[key]
 
     def invalidate_source(self, tablet_id: str, source: str) -> None:
         """Evict every block served from one source of a tablet.
@@ -172,10 +175,10 @@ class BlockCache:
         resident = self._by_tablet.get(tablet_id)
         if not resident:
             return
-        stale = [pair for pair in resident if pair[0] == source]
-        for pair in stale:
-            resident.discard(pair)
-            del self._lru[(tablet_id,) + pair]
+        stale = [key for key in resident if key[1] == source]
+        for key in stale:
+            resident.discard(key)
+            del self._lru[key]
         if not resident:
             del self._by_tablet[tablet_id]
 
@@ -184,8 +187,8 @@ class BlockCache:
         resident = self._by_tablet.pop(tablet_id, None)
         if not resident:
             return
-        for pair in resident:
-            del self._lru[(tablet_id,) + pair]
+        for key in resident:
+            del self._lru[key]
 
     # ------------------------------------------------------------------
     # Accounting
@@ -243,9 +246,9 @@ class BlockCache:
         self._lru.clear()
         self._by_tablet.clear()
         for key in state["lru"]:
-            tablet_id, source, block = key
-            self._lru[(tablet_id, source, block)] = None
-            self._by_tablet.setdefault(tablet_id, set()).add((source, block))
+            key = tuple(key)
+            self._lru[key] = None
+            self._by_tablet.setdefault(key[0], set()).add(key)
         self._hits = dict(state["hits"])
         self._misses = dict(state["misses"])
 
@@ -290,7 +293,7 @@ class Scanner:
         self.locator = locator
         self.cache = cache
 
-    def execute(self, plan: ScanPlan) -> List[Tuple["Tablet", str, object]]:
+    def execute(self, plan: ScanPlan) -> List[Tuple[str, object]]:
         """Run a compiled plan.
 
         Routing is re-resolved through the locator at execution time: the
@@ -307,9 +310,10 @@ class Scanner:
         start_key: Optional[str] = None,
         end_key: Optional[str] = None,
         limit: Optional[int] = None,
-    ) -> List[Tuple["Tablet", str, object]]:
-        """Scan ``[start_key, end_key)``, returning ``(tablet, row_key,
-        row)`` in key order.
+    ) -> List[Tuple[str, object]]:
+        """Scan ``[start_key, end_key)``, returning ``(row_key, row)`` in
+        key order.  The rows are the stored ones, not copies: the table
+        projects or copies what its caller asked for.
 
         Charging: the shared ledger gets one ``SCAN`` RPC whose row count is
         the *cold* rows (rows in blocks the cache had to fault in) plus one
@@ -323,7 +327,7 @@ class Scanner:
         prices each row by the ``(tablet, source, block)`` it was served
         from, where the source is the run holding the winning version.
         """
-        results: List[Tuple["Tablet", str, object]] = []
+        results: List[Tuple[str, object]] = []
         remaining = limit
         charges: List[Tuple["Tablet", int, int]] = []
         cache = self.cache
@@ -363,7 +367,7 @@ class Scanner:
                             cold += 1
                     else:
                         cold += 1
-                    append((tablet, row_key, row))
+                    append((row_key, row))
                     if remaining is not None:
                         remaining -= 1
                 charges.append((tablet, cold, warm))
@@ -383,7 +387,7 @@ class Scanner:
                         cold += 1
                 else:
                     cold += 1
-                append((tablet, row_key, row))
+                append((row_key, row))
                 if remaining is not None:
                     remaining -= 1
             charges.append((tablet, cold, warm))

@@ -14,6 +14,15 @@ split/merge checks are buffered per tablet and flushed in bulk when the
 block ends.  The simulated cost of a group-committed batch is identical to
 the same mutations issued one at a time; what is amortised is the
 bookkeeping itself.
+
+The multi-row reads (:meth:`Table.scan`, :meth:`Table.batch_read`) take the
+one column family their caller wants and return ``qualifier -> newest value``
+per row, read straight off the stored version chains — a query never pays
+for copying families, qualifiers and versions it is about to drop.  The
+whole-row copy (``family -> qualifier -> cells``) remains for
+:meth:`Table.read_row` and for family-less reads (dumps, tests).  Projection
+changes what is built, never what is charged: every shape of a read prices
+the same rows through the same scanner and ledgers.
 """
 
 from __future__ import annotations
@@ -40,7 +49,13 @@ from repro.bigtable.scan import (
     Scanner,
     TabletCacheStats,
 )
-from repro.bigtable.tablet import Tablet, TabletLocator, TabletOptions, TabletStats
+from repro.bigtable.tablet import (
+    OPEN_START,
+    Tablet,
+    TabletLocator,
+    TabletOptions,
+    TabletStats,
+)
 from repro.errors import ColumnFamilyError, RowNotFoundError
 
 
@@ -84,17 +99,43 @@ class _Row:
             cells for qualifiers in self.families.values() for cells in qualifiers.values()
         )
 
-    def copy(self) -> "_Row":
-        """Structural copy for pulling a run-resident row back into the
-        memtable (cells are immutable and shared)."""
-        clone = _Row()
-        clone.families = {
+    def copy_families(self) -> Dict[str, Dict[str, List[Cell]]]:
+        """Structural copy of the whole row, ``family -> qualifier -> cells``
+        (cells are immutable and shared): the public full-row shape."""
+        return {
             family: {
                 qualifier: list(cells) for qualifier, cells in qualifiers.items()
             }
             for family, qualifiers in self.families.items()
         }
+
+    def copy(self) -> "_Row":
+        """Structural copy for pulling a run-resident row back into the
+        memtable."""
+        clone = _Row()
+        clone.families = self.copy_families()
         return clone
+
+    def newest_values(self, family: str) -> Dict[str, object]:
+        """The projected read shape: ``qualifier -> newest value`` of one
+        family, built straight from the stored chains (a qualifier whose
+        chain aged out entirely is absent, a row without the family is
+        ``{}``)."""
+        values: Dict[str, object] = {}
+        qualifiers = self.families.get(family)
+        if qualifiers:
+            # A plain loop: rows hold a column or two, and a comprehension's
+            # call frame costs more than it saves at that size.
+            for qualifier, cells in qualifiers.items():
+                if cells:
+                    values[qualifier] = cells[0].value
+        return values
+
+    def version_chains(self, family: str) -> Dict[str, List[Cell]]:
+        """``qualifier -> newest-first cells`` of one family (the chains are
+        copied, the immutable cells shared)."""
+        qualifiers = self.families.get(family) or {}
+        return {qualifier: list(cells) for qualifier, cells in qualifiers.items()}
 
 
 class _TabletTally:
@@ -653,10 +694,7 @@ class Table:
         row = tablet.live_row(row_key)
         if row is None:
             raise RowNotFoundError(f"row {row_key!r} not found in table {self.name!r}")
-        return {
-            family: {qualifier: list(cells) for qualifier, cells in qualifiers.items()}
-            for family, qualifiers in row.families.items()
-        }
+        return row.copy_families()
 
     def row_exists(self, row_key: str, _charge: bool = True) -> bool:
         """Existence check (charged as a read)."""
@@ -694,25 +732,14 @@ class Table:
 
     @staticmethod
     def _public_rows(scanned) -> List[Tuple[str, Dict[str, Dict[str, List[Cell]]]]]:
-        """Convert scanner output to the public row representation."""
-        return [
-            (
-                row_key,
-                {
-                    family: {
-                        qualifier: list(cells)
-                        for qualifier, cells in qualifiers.items()
-                    }
-                    for family, qualifiers in row.families.items()
-                },
-            )
-            for _, row_key, row in scanned
-        ]
+        """Convert scanner output to the public full-row representation."""
+        return [(row_key, row.copy_families()) for row_key, row in scanned]
 
     def execute_plan(
         self, plan: ScanPlan
     ) -> List[Tuple[str, Dict[str, Dict[str, List[Cell]]]]]:
-        """Execute a compiled scan plan through the scanner/block cache."""
+        """Execute a compiled scan plan through the scanner/block cache,
+        returning whole rows."""
         return self._public_rows(self._scanner.execute(plan))
 
     def scan(
@@ -720,17 +747,31 @@ class Table:
         start_key: Optional[str] = None,
         end_key: Optional[str] = None,
         limit: Optional[int] = None,
-    ) -> List[Tuple[str, Dict[str, Dict[str, List[Cell]]]]]:
+        family: Optional[str] = None,
+        versions: bool = False,
+    ) -> List[Tuple[str, Dict[str, object]]]:
         """Range scan over ``[start_key, end_key)``, charged per row returned.
 
         Cold rows cost ``scan_row`` each; rows in blocks the block cache
         holds warm cost ``cache_read_row`` and are recorded as
         ``CACHE_READ`` instead of scan rows.  (Routes the range directly —
         compiling a :class:`ScanPlan` is only for callers that inspect it.)
+
+        With ``family`` the read is projected: each row is ``(row_key,
+        {qualifier: newest value})`` of that one family, and nothing else
+        of the row is copied — the shape every index and query path
+        consumes.  ``versions`` keeps each qualifier's whole newest-first
+        cell chain instead (``{qualifier: [Cell, ...]}``), which the aging
+        drain needs.  Without ``family`` every row is a full structural
+        copy, ``family -> qualifier -> cells``, for dumps and tests.  The
+        charging, and ``len()`` of the result, are the same in all three.
         """
-        return self._public_rows(
-            self._scanner.execute_range(start_key, end_key, limit)
-        )
+        scanned = self._scanner.execute_range(start_key, end_key, limit)
+        if family is None:
+            return self._public_rows(scanned)
+        self.family(family)
+        project = _Row.version_chains if versions else _Row.newest_values
+        return [(row_key, project(row, family)) for row_key, row in scanned]
 
     def scan_keys(
         self, start_key: Optional[str] = None, end_key: Optional[str] = None
@@ -738,7 +779,7 @@ class Table:
         """Keys-only range scan (still charged per row)."""
         return [
             row_key
-            for _, row_key, _ in self._scanner.execute_range(start_key, end_key)
+            for row_key, _ in self._scanner.execute_range(start_key, end_key)
         ]
 
     def count_range(
@@ -750,26 +791,32 @@ class Table:
         metadata without streaming every row back).
         """
         self.counter.record(OpKind.SCAN, rows=1)
-        probe = self._tablets.locate(start_key) if start_key else self._tablets.tablets()[0]
+        probe = self._tablets.locate(start_key or OPEN_START)
         probe.counter.record(OpKind.SCAN, rows=1)
         return self._tablets.count_range(start_key, end_key)
 
     def batch_read(
-        self, row_keys: Sequence[str]
-    ) -> Dict[str, Dict[str, Dict[str, List[Cell]]]]:
-        """Read several rows in one RPC; absent rows are simply missing."""
-        results: Dict[str, Dict[str, Dict[str, List[Cell]]]] = {}
+        self, row_keys: Sequence[str], family: Optional[str] = None
+    ) -> Dict[str, Dict[str, object]]:
+        """Read several rows in one RPC; absent rows are simply missing.
+
+        With ``family`` each found row is ``{qualifier: newest value}`` of
+        that family (see :meth:`scan`); without, a full structural copy.
+        """
+        if family is not None:
+            self.family(family)
+        results: Dict[str, Dict[str, object]] = {}
         tally = _TabletTally()
+        locate = self._tablets.locate
         for row_key in row_keys:
-            tablet = self._tablets.locate(row_key)
+            tablet = locate(row_key)
             tally.add(tablet)
             row = tablet.live_row(row_key)
             if row is None:
                 continue
-            results[row_key] = {
-                family: {qualifier: list(cells) for qualifier, cells in qualifiers.items()}
-                for family, qualifiers in row.families.items()
-            }
+            results[row_key] = (
+                row.copy_families() if family is None else row.newest_values(family)
+            )
         self.counter.record(OpKind.BATCH_READ, rows=max(len(row_keys), 1))
         tally.charge(self._tablets, OpKind.BATCH_READ)
         return results

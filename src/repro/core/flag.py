@@ -7,13 +7,18 @@ containing the query location, and moves the level by ``δ = 1/2 · log2(m/σ)``
 until the bracket closes.  Algorithm 4 caches the chosen level per spatial
 key range with a timestamp so repeated queries in the same area skip the
 probing entirely.
+
+The cache keeps its records in insertion order (which decides among several
+covering records, and is what a checkpoint ships) and indexes them per level
+by cell position: a lookup probes each level present — at most
+``storage_level`` — once or twice, however many ranges are cached.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import MoistConfig
 from repro.geometry.point import Point
@@ -33,7 +38,14 @@ class LevelCacheRecord:
     created_time: float
 
     def covers(self, key: str) -> bool:
-        """True when ``key`` falls inside the cached range."""
+        """True when ``key`` falls inside the cached range, right bound
+        *included*: ``right_key`` is the exclusive end of the cell's key
+        range, so a record also answers for the first storage cell of the
+        next same-level cell.  Deliberate by invariant — which lookups hit
+        decides which recompute, hence the probe reads charged and every
+        simulated number downstream.  :class:`FlagTuner`'s index reproduces
+        it exactly; tightening the bound is a behaviour change of its own.
+        """
         return self.left_key <= key <= self.right_key
 
 
@@ -70,7 +82,14 @@ class FlagTuner:
         #: fixed hint.
         self.total_objects_hint = total_objects_hint
         self.stats = FlagStats()
+        #: Every cached record, in insertion order.
         self._cache: List[LevelCacheRecord] = []
+        #: ``level -> cell position at that level -> (rank, record)`` over
+        #: ``_cache``; the rank is the record's insertion order.
+        self._index: Dict[int, Dict[int, Tuple[int, LevelCacheRecord]]] = {}
+        #: Smallest ``created_time`` held: no record is stale before
+        #: ``now - _oldest_created`` exceeds the TTL.
+        self._oldest_created = math.inf
 
     # ------------------------------------------------------------------
     # Algorithm 4: cache
@@ -78,49 +97,64 @@ class FlagTuner:
     def best_level(self, location: Point, now: float) -> int:
         """Cached NN level for ``location``, recomputing when stale/missing."""
         self.stats.lookups += 1
-        key = CellId.from_point(
+        storage_cell = CellId.from_point(
             location, self.config.storage_level, self.config.world
-        ).key()
-        record = self._find_cached(key, now)
+        )
+        record = self._find_cached(storage_cell.pos, now)
         if record is not None:
             self.stats.cache_hits += 1
             return record.level
         level = self.compute_level(location)
         cell = CellId.from_point(location, level, self.config.world)
-        left, right = cell.key_range()
-        self._cache.append(
-            LevelCacheRecord(
-                level=level, left_key=left, right_key=right, created_time=now
-            )
-        )
+        self._insert(LevelCacheRecord(level, *cell.key_range(), now), cell.pos)
         return level
 
-    def _find_cached(self, key: str, now: float) -> Optional[LevelCacheRecord]:
+    def _insert(self, record: LevelCacheRecord, pos: int) -> None:
+        """Append ``record`` (the level-``record.level`` cell at ``pos``).
+        An equal cell already indexed keeps answering: first inserted wins."""
+        self._index.setdefault(record.level, {}).setdefault(
+            pos, (len(self._cache), record)
+        )
+        self._cache.append(record)
+        if record.created_time < self._oldest_created:
+            self._oldest_created = record.created_time
+
+    def _rebuild(self, records: List[LevelCacheRecord]) -> None:
+        """Replace the cache with ``records``, keeping their order."""
+        self._cache = []
+        self._index = {}
+        self._oldest_created = math.inf
+        for record in records:
+            self._insert(record, CellId.from_token(record.left_key, record.level).pos)
+
+    def _find_cached(
+        self, storage_pos: int, now: float
+    ) -> Optional[LevelCacheRecord]:
+        """The first-inserted fresh record covering the storage cell at
+        ``storage_pos``; stale records are purged first.  ``now`` is not
+        monotone (predictive queries move it), so staleness is judged
+        against this lookup's ``now`` only."""
         ttl = self.config.flag_cache_ttl_s
-        found: Optional[LevelCacheRecord] = None
-        stale = False
-        # One pass: find the first fresh covering record and note whether any
-        # record aged out.  The pass always runs to the end (entries are not
-        # appended in created_time order — predictive queries move ``now``
-        # around), but the common no-stale lookup no longer rebuilds the
-        # cache list the way the seed did on every call.
-        for record in self._cache:
-            if now - record.created_time > ttl:
-                stale = True
-            elif found is None and record.left_key <= key <= record.right_key:
-                found = record
-        if stale:
-            self._cache = [
-                record
-                for record in self._cache
-                if now - record.created_time <= ttl
-            ]
-        return found
+        if now - self._oldest_created > ttl:
+            self._rebuild([r for r in self._cache if now - r.created_time <= ttl])
+        covering: List[Tuple[int, LevelCacheRecord]] = []
+        storage_level = self.config.storage_level
+        for level, cells in self._index.items():
+            shift = 2 * (storage_level - level)
+            pos = storage_pos >> shift
+            if pos in cells:
+                covering.append(cells[pos])
+            # The first storage cell of a level-``level`` cell carries the
+            # previous cell's ``right_key``, which ``covers`` includes.
+            if storage_pos == pos << shift and pos - 1 in cells:
+                covering.append(cells[pos - 1])
+        # Ranks are unique, so the records themselves are never compared.
+        return min(covering)[1] if covering else None
 
     def invalidate(self) -> None:
         """Drop every cached level (e.g. after a clustering pass changed
         leader density substantially)."""
-        self._cache.clear()
+        self._rebuild([])
 
     # ------------------------------------------------------------------
     # Accounting checkpoints (supervised respawn)
@@ -152,15 +186,7 @@ class FlagTuner:
             recomputations=recomputations,
             probe_reads=probe_reads,
         )
-        self._cache = [
-            LevelCacheRecord(
-                level=level,
-                left_key=left_key,
-                right_key=right_key,
-                created_time=created_time,
-            )
-            for level, left_key, right_key, created_time in state["cache"]
-        ]
+        self._rebuild([LevelCacheRecord(*fields) for fields in state["cache"]])
         self.total_objects_hint = state["total_objects_hint"]
 
     def cache_size(self) -> int:

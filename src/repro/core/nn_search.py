@@ -14,12 +14,20 @@ Affiliation Table is batch-read for the candidate leaders and follower
 locations are derived from the leader location plus the stored displacement
 (Section 3.4, step iii-iv).
 
+A cell's candidates are ranked from a :class:`CandidateBlock` — parallel
+columns of ids, x / y coordinates and leader ids.  No per-candidate object
+exists: a follower is ``leader x + dx, leader y + dy`` in the coordinate
+columns, a candidate strictly farther than the current ``k``-th neighbour
+never touches the heap, and ``Point`` / ``NeighborResult`` objects are
+built for the ``k`` survivors only.
+
 Queries executed together can share their reads: a
-:class:`QueryBatchContext` memoises cell scans, Follower Info batch reads
-and (for predictive queries) Location Table batch reads across the batch.
-Queries are read-only, so sharing never changes a result — it only removes
-the repeat RPCs two overlapping queries would otherwise both issue, which
-is what makes the server's ``handle_query_batch`` strictly cheaper than
+:class:`QueryBatchContext` memoises cell scans, Follower Info batch reads,
+(for predictive queries) Location Table batch reads and the assembled
+candidate blocks across the batch.  Queries are read-only, so sharing never
+changes a result — it only removes the repeat RPCs (and the repeat block
+building) two overlapping queries would otherwise both pay for, which is
+what makes the server's ``handle_query_batch`` strictly cheaper than
 sequential execution on overlapping workloads.
 """
 
@@ -27,7 +35,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from array import array
 from dataclasses import dataclass, field
+from math import hypot
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.config import MoistConfig
@@ -52,11 +62,22 @@ class NNQueryStats:
     nn_level: int = 0
 
 
-#: One NN candidate before ranking: ``(object_id, location, is_leader,
-#: leader_id)``.  Plain tuples keep the per-candidate inner loop free of
-#: dataclass construction; :class:`~repro.model.NeighborResult` objects are
-#: only built for the ``k`` survivors.
-_Candidate = Tuple[ObjectId, Point, bool, Optional[ObjectId]]
+class CandidateBlock:
+    """The candidates of one NN cell as parallel columns.
+
+    Row ``i`` is the object ``ids[i]`` at ``(xs[i], ys[i])``; the first
+    ``n_leaders`` rows are the cell's leaders (``leader_ids[i]`` is
+    ``None``), the rest their followers, grouped by leader in leader order.
+    """
+
+    __slots__ = ("ids", "xs", "ys", "leader_ids", "n_leaders")
+
+    def __init__(self, leader_object_ids: List[ObjectId]) -> None:
+        self.ids = leader_object_ids
+        self.n_leaders = len(leader_object_ids)
+        self.xs = array("d")
+        self.ys = array("d")
+        self.leader_ids: List[Optional[ObjectId]] = [None] * self.n_leaders
 
 
 @dataclass
@@ -68,11 +89,12 @@ class QueryBatchContext:
     followers) share one storage access instead of issuing it twice.  The
     ``*_shared`` counters report how many RPCs the sharing saved.
 
-    ``cell_candidates`` additionally memoises the fully assembled candidate
-    list of a cell (non-predictive queries only): the second query probing
-    the same cell skips rebuilding candidates from the raw leader/follower
-    maps while tallying exactly the ``scans_shared``/``rows_shared`` the
-    underlying memo hits would have produced.
+    ``cell_blocks`` additionally memoises the assembled candidate columns
+    of a cell per ``(cell, include_followers, at_time)`` — every query of
+    one batch shares ``at_time``, so the predictive variant shares too.
+    The second query probing the same cell skips rebuilding the block while
+    tallying exactly the ``scans_shared``/``rows_shared`` the underlying
+    memo hits would have produced.
     """
 
     cell_objects: Dict[CellId, Dict[ObjectId, Point]] = field(default_factory=dict)
@@ -80,9 +102,8 @@ class QueryBatchContext:
     latest_records: Dict[ObjectId, Optional[LocationRecord]] = field(
         default_factory=dict
     )
-    #: ``(cell, include_followers) -> (candidates, n_leaders, n_followers)``.
-    cell_candidates: Dict[
-        Tuple[CellId, bool], Tuple[List[_Candidate], int, int]
+    cell_blocks: Dict[
+        Tuple[CellId, bool, Optional[float]], CandidateBlock
     ] = field(default_factory=dict)
     scans_shared: int = 0
     rows_shared: int = 0
@@ -143,41 +164,45 @@ class NearestNeighborSearcher:
         tiebreak = counter.__next__
         heappush = heapq.heappush
         heappop = heapq.heappop
+        heappushpop = heapq.heappushpop
         cell_queue: List[Tuple[float, int, CellId]] = [
             (start_cell.distance_to_point(location, world), tiebreak(), start_cell)
         ]
         seen_cells: Set[CellId] = {start_cell}
-        # Max-heap of the best k candidates, as flat tuples:
-        # (-distance, tiebreak, object_id, location, is_leader, leader_id).
-        # NeighborResult objects are only materialised for the k survivors.
-        best: List[Tuple[float, int, ObjectId, Point, bool, Optional[ObjectId]]] = []
+        # Max-heap of the best k candidates as (-distance, tiebreak, block,
+        # row); the tiebreak is unique, so blocks are never compared.
+        best: List[Tuple[float, int, CandidateBlock, int]] = []
+        # Beyond dist_max a candidate cannot enter the result: the range
+        # limit until k candidates are held, then also the k-th distance.
         dist_max = range_limit if range_limit is not None else float("inf")
         max_cells = self.config.max_nn_cells_per_query
+        query_x = location.x
+        query_y = location.y
 
         while cell_queue and stats.cells_visited < max_cells:
             cell_distance, _, cell = heappop(cell_queue)
             if cell_distance > dist_max:
                 break
             stats.cells_visited += 1
-            for object_id, position, is_leader, leader_id in self._candidates_in_cell(
+            block = self._candidate_block(
                 cell, at_time, include_followers, stats, context
-            ):
-                distance = position.distance_to(location)
-                if range_limit is not None and distance > range_limit:
+            )
+            xs = block.xs
+            for row, x, y in zip(range(len(xs)), xs, block.ys):
+                distance = hypot(x - query_x, y - query_y)
+                # Strictly farther only: at equal distance the newer entry
+                # displaces the older one (the tiebreak grows).
+                if distance > dist_max:
                     continue
-                heappush(
-                    best,
-                    (-distance, tiebreak(), object_id, position, is_leader, leader_id),
-                )
-                if len(best) > k:
-                    heappop(best)
                 if len(best) == k:
-                    kth_distance = -best[0][0]
-                    dist_max = (
-                        min(kth_distance, range_limit)
-                        if range_limit is not None
-                        else kth_distance
-                    )
+                    heappushpop(best, (-distance, tiebreak(), block, row))
+                else:
+                    heappush(best, (-distance, tiebreak(), block, row))
+                    if len(best) < k:
+                        continue
+                dist_max = -best[0][0]
+                if range_limit is not None and range_limit < dist_max:
+                    dist_max = range_limit
             for neighbor in cell.edge_neighbors():
                 if neighbor in seen_cells:
                     continue
@@ -186,16 +211,18 @@ class NearestNeighborSearcher:
                 if neighbor_distance <= dist_max:
                     heappush(cell_queue, (neighbor_distance, tiebreak(), neighbor))
 
-        results = [
-            NeighborResult(
-                object_id=object_id,
-                location=position,
-                distance=-neg_distance,
-                is_leader=is_leader,
-                leader_id=leader_id,
+        results = []
+        for neg_distance, _, block, row in best:
+            leader_id = block.leader_ids[row]
+            results.append(
+                NeighborResult(
+                    object_id=block.ids[row],
+                    location=Point(block.xs[row], block.ys[row]),
+                    distance=-neg_distance,
+                    is_leader=leader_id is None,
+                    leader_id=leader_id,
+                )
             )
-            for neg_distance, _, object_id, position, is_leader, leader_id in best
-        ]
         results.sort(key=lambda item: (item.distance, item.object_id))
         return results
 
@@ -328,78 +355,80 @@ class NearestNeighborSearcher:
             {},
         )
 
-    def _candidates_in_cell(
+    def _candidate_block(
         self,
         cell: CellId,
         at_time: Optional[float],
         include_followers: bool,
         stats: NNQueryStats,
         context: Optional[QueryBatchContext] = None,
-    ) -> List[_Candidate]:
+    ) -> CandidateBlock:
         """Leaders (and optionally their followers) located in ``cell``.
 
         Every storage access is a key-range scan or a batch read — never a
         per-row point read — and all of them share through ``context`` when
-        the query runs as part of a batch.  Non-predictive probes memoise
-        the assembled candidate list per ``(cell, include_followers)`` in
-        the context, so overlapping queries of one batch skip rebuilding it;
-        the memo hit tallies the same ``scans_shared``/``rows_shared`` the
-        underlying leader/follower memo hits would have recorded, keeping
-        the sharing report independent of this shortcut.
+        the query runs as part of a batch, as does the assembled block
+        itself, per ``(cell, include_followers, at_time)``.  A block hit
+        tallies the same ``scans_shared``/``rows_shared`` the underlying
+        scan / latest-record / follower memo hits would have recorded,
+        keeping the sharing report independent of this shortcut.
         """
-        cache_key = None
-        if context is not None and at_time is None:
-            cache_key = (cell, include_followers)
-            cached = context.cell_candidates.get(cache_key)
-            if cached is not None:
-                candidates, n_leaders, n_followers = cached
+        if context is not None:
+            cache_key = (cell, include_followers, at_time)
+            block = context.cell_blocks.get(cache_key)
+            if block is not None:
+                n_leaders = block.n_leaders
                 stats.leaders_scanned += n_leaders
-                stats.followers_considered += n_followers
+                stats.followers_considered += len(block.ids) - n_leaders
                 context.scans_shared += 1
-                if include_followers and n_leaders:
+                if at_time is not None:
                     context.rows_shared += n_leaders
-                return candidates
+                if include_followers:
+                    context.rows_shared += n_leaders
+                return block
 
         leaders = self._scan_cell(cell, context)
-        stats.leaders_scanned += len(leaders)
-        candidates: List[_Candidate] = []
-        append = candidates.append
-        leader_positions: Dict[ObjectId, Point]
+        block = CandidateBlock(list(leaders))
+        ids = block.ids
+        n_leaders = block.n_leaders
+        stats.leaders_scanned += n_leaders
+        xs = block.xs
+        ys = block.ys
         if at_time is not None and leaders:
             # Predictive variant: dead-reckon each leader to the query time
-            # from its latest Location record.
-            leader_positions = {}
-            records = self._latest_records(list(leaders), context)
+            # from its latest Location record (LocationRecord.extrapolated,
+            # inlined so no Point is built).
+            records = self._latest_records(ids, context)
             for object_id, stored in leaders.items():
-                record = records.get(object_id)
-                leader_positions[object_id] = (
-                    record.extrapolated(at_time) if record is not None else stored
-                )
+                record = records[object_id]
+                if record is None:
+                    xs.append(stored.x)
+                    ys.append(stored.y)
+                else:
+                    elapsed = at_time - record.timestamp
+                    xs.append(record.location.x + record.velocity.dx * elapsed)
+                    ys.append(record.location.y + record.velocity.dy * elapsed)
         else:
-            leader_positions = leaders
-
-        for object_id, position in leader_positions.items():
-            append((object_id, position, True, None))
-        n_followers = 0
+            for stored in leaders.values():
+                xs.append(stored.x)
+                ys.append(stored.y)
         if include_followers and leaders:
-            follower_info = self._followers_of(list(leaders), context)
-            for leader_id, followers in follower_info.items():
-                leader_position = leader_positions[leader_id]
+            # One entry per leader, in row order; the rows appended below
+            # are the followers.
+            follower_info = self._followers_of(ids, context)
+            leader_ids = block.leader_ids
+            for row, followers in enumerate(follower_info.values()):
+                if not followers:
+                    continue
+                leader_id = ids[row]
+                leader_x = xs[row]
+                leader_y = ys[row]
                 for follower_id, displacement in followers.items():
-                    n_followers += 1
-                    append(
-                        (
-                            follower_id,
-                            leader_position.displaced(displacement),
-                            False,
-                            leader_id,
-                        )
-                    )
-            stats.followers_considered += n_followers
-        if cache_key is not None:
-            context.cell_candidates[cache_key] = (
-                candidates,
-                len(leaders),
-                n_followers,
-            )
-        return candidates
+                    ids.append(follower_id)
+                    xs.append(leader_x + displacement.dx)
+                    ys.append(leader_y + displacement.dy)
+                    leader_ids.append(leader_id)
+            stats.followers_considered += len(ids) - n_leaders
+        if context is not None:
+            context.cell_blocks[cache_key] = block
+        return block

@@ -108,13 +108,12 @@ class AffiliationTable:
 
     def batch_roles(self, object_ids: Sequence[ObjectId]) -> Dict[ObjectId, LFRecord]:
         """L/F records of several objects in one batch read."""
-        rows = self._table.batch_read(list(object_ids))
-        results: Dict[ObjectId, LFRecord] = {}
-        for object_id, families in rows.items():
-            cells = families.get(LF_FAMILY, {}).get(LF_QUALIFIER, [])
-            if cells:
-                results[object_id] = cells[0].value
-        return results
+        rows = self._table.batch_read(object_ids, family=LF_FAMILY)
+        return {
+            object_id: columns[LF_QUALIFIER]
+            for object_id, columns in rows.items()
+            if LF_QUALIFIER in columns
+        }
 
     def age_lf_records(self, cutoff_timestamp: float) -> int:
         """Move aged L/F records from the in-memory family to the disk family."""
@@ -160,17 +159,9 @@ class AffiliationTable:
     def batch_followers(
         self, leader_ids: Sequence[ObjectId]
     ) -> Dict[ObjectId, Dict[ObjectId, Vector]]:
-        """Follower Info of several leaders in one batch read."""
-        rows = self._table.batch_read(list(leader_ids))
-        results: Dict[ObjectId, Dict[ObjectId, Vector]] = {}
-        for leader_id, families in rows.items():
-            followers = families.get(FOLLOWERS_FAMILY, {})
-            results[leader_id] = {
-                follower_id: cells[0].value
-                for follower_id, cells in followers.items()
-                if cells
-            }
-        return results
+        """Follower Info of several leaders in one batch read (the
+        projected read already is ``leader -> follower -> displacement``)."""
+        return self._table.batch_read(leader_ids, family=FOLLOWERS_FAMILY)
 
     def clear_followers(self, leader_id: ObjectId) -> int:
         """Remove every Follower Info column of a leader.

@@ -109,13 +109,12 @@ class LocationTable:
         self, object_ids: Sequence[ObjectId]
     ) -> Dict[ObjectId, LocationRecord]:
         """Latest records of several objects in one batch read."""
-        rows = self._table.batch_read(list(object_ids))
-        results: Dict[ObjectId, LocationRecord] = {}
-        for object_id, families in rows.items():
-            cells = families.get(FRESH_FAMILY, {}).get(RECORD_QUALIFIER, [])
-            if cells:
-                results[object_id] = cells[0].value
-        return results
+        rows = self._table.batch_read(object_ids, family=FRESH_FAMILY)
+        return {
+            object_id: columns[RECORD_QUALIFIER]
+            for object_id, columns in rows.items()
+            if RECORD_QUALIFIER in columns
+        }
 
     def aged_history(self, object_id: ObjectId) -> List[LocationRecord]:
         """Records of ``object_id`` living in the disk columns, newest first."""
@@ -162,8 +161,10 @@ class LocationTable:
         family = self.disk_family(disk_index)
         drained: List[tuple] = []
         rewrites: List[tuple] = []
-        for object_id, families in self._table.scan(None, None):
-            cells = families.get(family, {}).get(RECORD_QUALIFIER, [])
+        for object_id, columns in self._table.scan(
+            None, None, family=family, versions=True
+        ):
+            cells = columns.get(RECORD_QUALIFIER, ())
             aged = [cell for cell in cells if cell.timestamp < cutoff_timestamp]
             if not aged:
                 continue

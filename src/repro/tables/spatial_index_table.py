@@ -183,12 +183,9 @@ class SpatialIndexTable:
         probes of a quiet cell are priced through the block cache.
         """
         start, end = cell.key_range()
-        rows = self._table.scan(start, end)
         results: Dict[ObjectId, Point] = {}
-        for _, families in rows:
-            for object_id, cells in families.get(family, {}).items():
-                if cells:
-                    results[object_id] = cells[0].value
+        for _, objects in self._table.scan(start, end, family=family):
+            results.update(objects)
         return results
 
     def count_in_cell(self, cell: CellId, family: str = ID_FAMILY) -> int:
@@ -198,8 +195,8 @@ class SpatialIndexTable:
         rows' columns via a metadata-priced scan.
         """
         start, end = cell.key_range()
-        rows = self._table.scan(start, end)
-        return sum(len(families.get(family, {})) for _, families in rows)
+        rows = self._table.scan(start, end, family=family)
+        return sum(len(objects) for _, objects in rows)
 
     def approximate_count_in_cell(self, cell: CellId) -> int:
         """Cheap density probe: number of non-empty storage rows in ``cell``.
@@ -212,8 +209,8 @@ class SpatialIndexTable:
 
     def total_objects(self, family: str = ID_FAMILY) -> int:
         """Total number of indexed objects (administrative helper)."""
-        rows = self._table.scan(None, None)
-        return sum(len(families.get(family, {})) for _, families in rows)
+        rows = self._table.scan(None, None, family=family)
+        return sum(len(objects) for _, objects in rows)
 
     def row_count(self) -> int:
         """Number of non-empty storage cells."""

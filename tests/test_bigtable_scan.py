@@ -1,12 +1,13 @@
 """Tests for scan plans, the scanner and the tablet-server block cache."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bigtable.cost import OpKind
 from repro.bigtable.scan import BlockCache, BlockCacheOptions
 from repro.bigtable.table import ColumnFamily, Table
 from repro.bigtable.tablet import TabletOptions
-from repro.errors import ConfigurationError
+from repro.errors import ColumnFamilyError, ConfigurationError
 
 
 def make_table(split_threshold=512, cache_options=None):
@@ -199,3 +200,171 @@ class TestScannerCharging:
         delta = table.counter.snapshot().delta(before)
         assert delta.rows.get(OpKind.CACHE_READ) == 16
         assert table.cache_hit_rate() == 1.0
+
+
+# ----------------------------------------------------------------------
+# Projected reads: one family's newest values, same ledger as whole rows
+# ----------------------------------------------------------------------
+def lsm_table():
+    """Tiny memtables, tight split/merge thresholds and a two-block cache
+    line: flushes, runs, tombstones, pull-backs, splits and merges all
+    happen within a few dozen mutations."""
+    return Table(
+        "projected",
+        [ColumnFamily("a", max_versions=3), ColumnFamily("b", max_versions=5)],
+        options=TabletOptions(
+            split_threshold=8,
+            merge_threshold=3,
+            memtable_flush_rows=4,
+            compaction_max_runs=2,
+        ),
+        cache_options=BlockCacheOptions(capacity_blocks=6, block_prefix_len=2),
+    )
+
+
+def newest_of(full_row, family):
+    """What a projected read must return for a whole-row copy."""
+    return {
+        qualifier: cells[0].value
+        for qualifier, cells in full_row.get(family, {}).items()
+        if cells
+    }
+
+
+def ledgers(table):
+    """Everything a read charges, compared with ``==`` — floats included."""
+    def ledger(counter):
+        return (
+            counter.counts,
+            counter.rows,
+            counter.simulated_seconds,
+            counter.read_seconds,
+            counter.write_seconds,
+        )
+    return (
+        ledger(table.counter),
+        [(t.tablet_id, t.start_key, ledger(t.counter)) for t in table.tablets()],
+        table.cache_stats(),
+        table.cache.export_state(),
+    )
+
+
+_KEYS = st.integers(0, 29).map(lambda n: f"k{n:02d}")
+_FAMILIES = st.sampled_from(["a", "b"])
+_BOUNDS = st.one_of(st.none(), _KEYS)
+_PROGRAM = st.lists(
+    st.one_of(
+        st.tuples(st.just("write"), _KEYS, _FAMILIES, st.integers(0, 2), st.integers(0, 99)),
+        st.tuples(st.just("write"), _KEYS, _FAMILIES, st.integers(0, 2), st.integers(0, 99)),
+        st.tuples(st.just("delete_cell"), _KEYS, _FAMILIES, st.integers(0, 2)),
+        st.tuples(st.just("delete_row"), _KEYS),
+        st.tuples(st.just("age_out"), st.integers(0, 60)),
+        st.tuples(st.just("flush")),
+        st.tuples(st.just("compact")),
+        st.tuples(
+            st.just("scan"), _BOUNDS, _BOUNDS, st.one_of(st.none(), st.integers(0, 6)),
+            _FAMILIES, st.booleans(),
+        ),
+        st.tuples(st.just("batch_read"), st.lists(_KEYS, max_size=6), _FAMILIES),
+    ),
+    max_size=80,
+)
+
+
+def run_program(program, projected_table, full_table):
+    """Apply ``program`` to both tables; reads are projected on the first
+    and whole-row on the second.  Yields after every read."""
+    for step, op in enumerate(program):
+        kind = op[0]
+        if kind in ("scan", "batch_read"):
+            if kind == "scan":
+                _, start, end, limit, family, versions = op
+                got = projected_table.scan(
+                    start, end, limit, family=family, versions=versions
+                )
+                whole = full_table.scan(start, end, limit)
+                if versions:
+                    expected = [(key, row.get(family, {})) for key, row in whole]
+                else:
+                    expected = [(key, newest_of(row, family)) for key, row in whole]
+            else:
+                _, keys, family = op
+                got = projected_table.batch_read(keys, family=family)
+                whole = full_table.batch_read(keys)
+                expected = {key: newest_of(row, family) for key, row in whole.items()}
+                assert list(got) == list(expected)
+            assert got == expected
+            assert len(got) == len(whole)
+            assert ledgers(projected_table) == ledgers(full_table)
+            continue
+        for table in (projected_table, full_table):
+            if kind == "write":
+                _, key, family, qualifier, value = op
+                table.write(key, family, f"q{qualifier}", value, float(step))
+            elif kind == "delete_cell":
+                table.delete_cell(op[1], op[2], f"q{op[3]}")
+            elif kind == "delete_row":
+                table.delete_row(op[1])
+            elif kind == "age_out":
+                table.age_out("a", "b", float(op[1]))
+            elif kind == "flush":
+                table.flush_memtables()
+            else:
+                table.compact_runs()
+
+
+class TestProjectedReads:
+    @settings(max_examples=150, deadline=None)
+    @given(program=_PROGRAM)
+    def test_projected_reads_match_whole_rows_and_charge_the_same(self, program):
+        projected_table, full_table = lsm_table(), lsm_table()
+        run_program(program, projected_table, full_table)
+        assert ledgers(projected_table) == ledgers(full_table)
+        assert projected_table.all_keys() == full_table.all_keys()
+
+    def test_holds_across_runs_tombstones_pull_backs_split_and_merge(self):
+        projected_table, full_table = lsm_table(), lsm_table()
+        everything = ("scan", None, None, None, "a", False)
+        load = [("write", f"k{n:02d}", "a", n % 3, n) for n in range(30)]
+        churn = [
+            ("delete_row", "k03"),                 # tombstone over a run row
+            ("write", "k04", "b", 0, 7),           # pulls a run row back
+            ("age_out", 10),                       # leaves emptied chains behind
+            everything,
+            ("batch_read", ["k04", "k03", "k29", "zz"], "b"),
+        ]
+        shrink = [("delete_row", f"k{n:02d}") for n in range(5, 30)]
+        program = load + [everything] + churn + shrink + [everything, everything]
+        run_program(program, projected_table, full_table)
+        assert projected_table.split_count > 0 and projected_table.merge_count > 0
+        assert projected_table.counter.durability_count(OpKind.COMPACTION_WRITE) > 0
+        # The survivors' "a" chains aged out entirely: present rows, no values.
+        assert projected_table.scan(family="a") == [
+            ("k00", {}), ("k01", {}), ("k02", {}), ("k04", {}),
+        ]
+        assert projected_table.scan("k02", family="b") == [
+            ("k02", {"q2": 2}), ("k04", {"q0": 7, "q1": 4}),
+        ]
+
+    def test_row_without_the_family_still_counts_as_a_row(self):
+        table = make_table()
+        table.add_family(ColumnFamily("other"))
+        table.write("0001", "other", "q", 1, 0.0)
+        assert table.scan(family="mem") == [("0001", {})]
+        assert table.batch_read(["0001", "0002"], family="mem") == {"0001": {}}
+
+    def test_unknown_family_rejected(self):
+        table = make_table()
+        with pytest.raises(ColumnFamilyError):
+            table.scan(family="nope")
+        with pytest.raises(ColumnFamilyError):
+            table.batch_read(["0001"], family="nope")
+
+    def test_count_range_with_open_start_charges_the_first_tablet(self):
+        table = make_table(split_threshold=8)
+        fill(table, 40)
+        first = table.tablets()[0]
+        before = first.counter.counts.get(OpKind.SCAN, 0)
+        assert table.count_range(None, "0010") == 10
+        assert table.count_range("", "0010") == 10
+        assert first.counter.counts[OpKind.SCAN] == before + 2

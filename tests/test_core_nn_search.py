@@ -5,12 +5,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.config import MoistConfig
 from repro.core.moist import MoistIndexer
-from repro.core.nn_search import NNQueryStats
+from repro.core.nn_search import NNQueryStats, QueryBatchContext
+from repro.geometry.bbox import BoundingBox
 from repro.errors import QueryError
 from repro.geometry.point import Point
 from repro.geometry.vector import Vector
 from repro.model import UpdateMessage, format_object_id
+from repro.workload.queries import NNQuery
 
 from helpers import make_update
 
@@ -108,6 +111,24 @@ class TestCorrectness:
         assert [r.object_id for r in results] == brute_force_knn(positions, query, 3)
 
 
+class TestTies:
+    """The candidate heap keeps the *newer* of two equidistant entries, so a
+    candidate may only be skipped when it is strictly farther than the
+    current k-th."""
+
+    def test_equidistant_candidate_displaces_the_older_one(self, indexer):
+        # Same storage cell, so candidate order is insertion order.
+        indexer.update(make_update(1, 9.875, 10.0))
+        indexer.update(make_update(2, 10.125, 10.0))
+        results = indexer.nearest_neighbors(Point(10.0, 10.0), 1)
+        assert [(r.object_id, r.distance) for r in results] == [("obj0000000002", 0.125)]
+
+    def test_candidate_exactly_at_the_range_limit_is_kept(self, indexer):
+        indexer.update(make_update(1, 9.875, 10.0))
+        results = indexer.nearest_neighbors(Point(10.0, 10.0), 3, range_limit=0.125)
+        assert [r.object_id for r in results] == ["obj0000000001"]
+
+
 class TestSchoolsInResults:
     def test_followers_are_returned(self, indexer):
         indexer.update(make_update(1, 10.0, 10.0, vx=1.0, vy=0.0))
@@ -151,3 +172,100 @@ class TestStats:
         indexer.nearest_neighbors(Point(50.0, 50.0), 5, nn_level=3, stats=coarse_stats)
         indexer.nearest_neighbors(Point(50.0, 50.0), 5, nn_level=7, stats=fine_stats)
         assert coarse_stats.cells_visited <= fine_stats.cells_visited
+
+
+# ----------------------------------------------------------------------
+# The per-batch candidate-block memo (predictive variant, followers on)
+# ----------------------------------------------------------------------
+SCHOOL_CONFIG = MoistConfig(
+    world=BoundingBox(0.0, 0.0, 100.0, 100.0),
+    storage_level=8,
+    clustering_cell_level=2,
+    sigma=4,
+)
+
+
+def school_indexer():
+    """Twelve co-moving schools of four plus scattered loners, clustered:
+    leaders carry Follower Info, everything moves (so ``at_time`` matters)."""
+    indexer = MoistIndexer(SCHOOL_CONFIG)
+    rng = random.Random(23)
+    number = 0
+    for _ in range(12):
+        cx, cy = rng.uniform(10.0, 90.0), rng.uniform(10.0, 90.0)
+        vx, vy = rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)
+        for _ in range(4):
+            indexer.update(
+                make_update(
+                    number, cx + rng.uniform(-2.0, 2.0), cy + rng.uniform(-2.0, 2.0),
+                    vx=vx, vy=vy,
+                )
+            )
+            number += 1
+    for _ in range(30):
+        indexer.update(
+            make_update(
+                number, rng.uniform(1.0, 99.0), rng.uniform(1.0, 99.0),
+                vx=rng.uniform(-2.0, 2.0), vy=rng.uniform(-2.0, 2.0),
+            )
+        )
+        number += 1
+    indexer.run_clustering(now=0.5)
+    assert 0 < indexer.school_count < number
+    return indexer
+
+
+def as_tuples(batches):
+    return [
+        [(r.object_id, r.location, r.distance, r.is_leader, r.leader_id) for r in batch]
+        for batch in batches
+    ]
+
+
+_COORDS = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
+_QUERIES = st.lists(
+    st.builds(
+        NNQuery,
+        location=st.builds(Point, _COORDS, _COORDS),
+        k=st.integers(1, 12),
+        range_limit=st.one_of(st.none(), st.floats(min_value=0.0, max_value=60.0)),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(queries=_QUERIES, at_time=st.sampled_from([0.5, 3.0, 7.25]))
+def test_predictive_batch_through_the_block_memo_equals_per_query_search(
+    queries, at_time
+):
+    # Three identically built indexers: FLAG caches its levels as it goes,
+    # so each pass gets a tuner in the same starting state.
+    alone, batched, unmemoised = school_indexer(), school_indexer(), school_indexer()
+    expected = [
+        alone.searcher.query(
+            q.location, q.k, range_limit=q.range_limit, at_time=at_time
+        )
+        for q in queries
+    ]
+    context = QueryBatchContext()
+    actual = batched.searcher.query_many(queries, at_time=at_time, context=context)
+    assert as_tuples(actual) == as_tuples(expected)
+
+    # The same batch with the block memo emptied between queries: every
+    # probe goes to the scan / latest-record / follower memos underneath,
+    # whose tallies the block memo must reproduce on a hit.
+    reference = QueryBatchContext()
+    for q in queries:
+        unmemoised.searcher.query(
+            q.location, q.k, range_limit=q.range_limit, at_time=at_time,
+            context=reference,
+        )
+        reference.cell_blocks.clear()
+    assert context.scans_shared == reference.scans_shared
+    assert context.rows_shared == reference.rows_shared
+    assert (
+        batched.emulator.counter.counts == unmemoised.emulator.counter.counts
+        and batched.emulator.counter.rows == unmemoised.emulator.counter.rows
+    )

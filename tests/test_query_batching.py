@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.config import MoistConfig
 from repro.core.moist import MoistIndexer
-from repro.core.nn_search import QueryBatchContext
+from repro.core.nn_search import NNQueryStats, QueryBatchContext
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import Point
 from repro.server.cluster import ServerCluster
@@ -97,6 +97,54 @@ class TestBatchEquivalence:
         assert flatten(actual) == flatten(expected)
         # Predictive positions are extrapolated: results must exist.
         assert any(batch for batch in actual)
+
+    def test_predictive_follower_batch_shares_candidate_blocks(self):
+        indexer = MoistIndexer(CONFIG)
+        # Schools of three co-moving objects around the queried quadrant.
+        for school in range(10):
+            for member in range(3):
+                indexer.update(
+                    make_update(
+                        school * 3 + member,
+                        22.0 + 1.7 * school + 0.4 * member,
+                        24.0 + 1.3 * school,
+                        vx=0.5,
+                        vy=0.25,
+                    )
+                )
+        indexer.run_clustering(now=0.5)
+        assert indexer.school_count < 30
+        queries = overlapping_queries(count=40, k=4)
+        stats = [NNQueryStats() for _ in queries]
+        context = QueryBatchContext()
+        at_time = 4.0
+        results = indexer.searcher.query_many(
+            queries, at_time=at_time, stats_list=stats, context=context
+        )
+        # The memo is hit: fewer blocks were built than queries ran, let
+        # alone cells visited.
+        builds = len(context.cell_blocks)
+        assert builds < len(queries) < sum(s.cells_visited for s in stats)
+        assert all(key[1:] == (True, at_time) for key in context.cell_blocks)
+        followers = 0
+        for query, batch in zip(queries, results):
+            for result in batch:
+                if result.is_leader:
+                    assert result.location == indexer.location_table.latest(
+                        result.object_id
+                    ).extrapolated(at_time)
+                    continue
+                followers += 1
+                leader_position = indexer.location_table.latest(
+                    result.leader_id
+                ).extrapolated(at_time)
+                displacement = indexer.affiliation_table.followers_of(
+                    result.leader_id
+                )[result.object_id]
+                # Bit for bit: no tolerance.
+                assert result.location == leader_position.displaced(displacement)
+                assert result.distance == result.location.distance_to(query.location)
+        assert followers > 0
 
     def test_empty_batch(self):
         cluster = ServerCluster(seeded_indexer(num_objects=5), num_servers=2)
