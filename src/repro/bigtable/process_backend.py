@@ -1,12 +1,20 @@
-"""Shared-nothing multiprocess storage backends.
+"""Shared-nothing multiprocess storage backends and their shard transports.
 
-:class:`ProcessShardedBackend` satisfies the existing
-:class:`~repro.bigtable.backend.ShardedBackend` /
+A *shard transport* is how one round of per-shard requests reaches the
+shard services: :class:`PipeTransport` frames them onto a
+:class:`WorkerPool`'s connections (codecs, pinned request ids, one
+``sendall`` per worker per round, per-shard stream decoders, phase
+timers); :class:`InProcessTransport` calls the services directly and
+completes synchronously — the zero-RPC baseline every scale-out run must
+match bit for bit.  The scatter-gather engine
+(:class:`repro.server.scaleout.ScatterGatherEngine`) and the control-plane
+CALL rounds below drive either one through the same three methods.
+
+:class:`ProcessShardedBackend` / :class:`LocalShardedBackend` satisfy the
+existing :class:`~repro.bigtable.backend.ShardedBackend` /
 :class:`~repro.bigtable.backend.CacheAwareBackend` protocols by federating
-a fixed set of shard groups, each a complete MOIST stack running inside a
-worker process behind the :mod:`repro.server.rpc` framing.
-:class:`LocalShardedBackend` runs the *same* shard services in-process with
-zero RPC — the baseline every scale-out run must match bit for bit.
+a fixed set of shard groups — each a complete MOIST stack — over one
+transport.
 
 Determinism model: the shard count is the unit of determinism, the worker
 count is the unit of parallelism.  Shard contents and every per-shard
@@ -20,7 +28,8 @@ Worker lifecycle: :class:`WorkerPool` spawns forked daemon workers over
 ``socket.socketpair``, health-checks them (ping + liveness), drains
 pipelined work and shuts down gracefully (shutdown frame → join →
 terminate).  Pools are context managers and register an ``atexit`` hook,
-so pytest and ``repro bench`` never leak zombie workers.
+and a build that fails after forking closes what it built, so pytest and
+``repro bench`` never leak zombie workers.
 """
 
 from __future__ import annotations
@@ -31,10 +40,11 @@ import multiprocessing
 import os
 import signal
 import socket
-import struct
 import tempfile
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
-from contextlib import contextmanager
+import time
+from collections import defaultdict
+from contextlib import ExitStack, contextmanager
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.bigtable.backend import TabletSkew
 from repro.bigtable.cost import CostModel, OpCounter, OpCounterSnapshot
@@ -43,9 +53,6 @@ from repro.codec.wire import NeighborStreamDecoder
 from repro.errors import ConfigurationError, TableNotFoundError, WorkerDiedError
 from repro.server import rpc
 from repro.server.worker import ShardRecipe, ShardService, worker_main
-
-_UPDATE_RESULT = struct.Struct("!Id")
-_MAKESPAN = struct.Struct("!d")
 
 
 def _child_main(child_sock: socket.socket, parent_sock: socket.socket) -> None:
@@ -237,134 +244,191 @@ class WorkerPool:
         return sum(connection.frames_sent for connection in self.connections)
 
 
-class _ReadyResult:
-    """Pending-result shim for the in-process client (already computed)."""
-
-    __slots__ = ("_value",)
-
-    def __init__(self, value: Any) -> None:
-        self._value = value
-
-    def result(self) -> Any:
-        return self._value
-
-
-class _RemoteResult:
-    """One in-flight pipelined request on a worker connection."""
-
-    __slots__ = ("_connection", "_request_id", "_decode")
-
-    def __init__(
-        self,
-        connection: rpc.RpcConnection,
-        request_id: int,
-        decode: Callable[[bytes], Any],
-    ) -> None:
-        self._connection = connection
-        self._request_id = request_id
-        self._decode = decode
-
-    def result(self) -> Any:
-        _opcode, body = self._connection.wait(self._request_id)
-        return self._decode(body)
+# --------------------------------------------------------------------------
+# Shard transports: how a round of per-shard requests reaches the services
+# --------------------------------------------------------------------------
+#
+# A request is ``(shard_id, opcode, payload)`` with the payload still
+# typed — a message list, a query list or a ``(method, args, kwargs)`` CALL
+# triple.  ``send(requests)`` puts one round on its way and returns a token
+# per request; ``collect(token)`` returns that request's decoded result or
+# raises :class:`WorkerDiedError` / :class:`FrameCorruptionError`;
+# ``worker_of(shard_id)`` names the failure domain a token belongs to.
 
 
-def _decode_update_result(body: bytes) -> Tuple[int, float]:
-    return _UPDATE_RESULT.unpack(body)
+def zero_phase() -> Dict[str, float]:
+    """The four wall-clock phase timers a transport keeps."""
+    return {
+        "encode_seconds": 0.0,
+        "send_seconds": 0.0,
+        "blocked_wait_seconds": 0.0,
+        "decode_seconds": 0.0,
+    }
 
 
-def _query_decoder(
-    decoder: NeighborStreamDecoder, queries: Sequence[object]
-) -> Callable[[bytes], Tuple[list, float]]:
-    """Decode one query response through the shard's stateful stream
-    decoder.  The probe set rides along because the stream never transmits
-    distances — the decoder recomputes each one from the query location."""
+class InProcessTransport:
+    """Every shard's service runs right here and a send completes
+    synchronously — the zero-transport baseline: no codec, no request ids,
+    no dedup window, identical shard computations."""
 
-    def decode(body: bytes) -> Tuple[list, float]:
-        (makespan,) = _MAKESPAN.unpack_from(body)
-        results = decoder.decode(memoryview(body)[_MAKESPAN.size:], queries)
-        return results, makespan
+    def __init__(self, num_shards: int) -> None:
+        self.services = [ShardService() for _ in range(num_shards)]
+        self.phase = zero_phase()  # nothing to time: stays zero
 
-    return decode
+    def worker_of(self, shard_id: int) -> int:
+        return 0
+
+    def send(self, requests: Sequence[Tuple[int, int, Any]]) -> List[Any]:
+        """Apply every request now; each token *is* its result."""
+        tokens = []
+        for shard_id, opcode, payload in requests:
+            service = self.services[shard_id]
+            if opcode == rpc.OP_UPDATE_BATCH:
+                tokens.append(service.update_batch(payload))
+            elif opcode == rpc.OP_QUERY_BATCH:
+                tokens.append(service.query_batch(payload))
+            else:
+                method, args, kwargs = payload
+                tokens.append(service.call(method, *args, **kwargs))
+        return tokens
+
+    def collect(self, token: Any, deadline_s: Optional[float] = None) -> Any:
+        return token
 
 
-class LocalShardClient:
-    """In-process shard client: the service runs right here, no RPC.
+_ENCODERS = {
+    rpc.OP_UPDATE_BATCH: rpc.encode_update_batch,
+    rpc.OP_QUERY_BATCH: rpc.encode_query_batch,
+    rpc.OP_CALL: lambda call: rpc.encode_call(*call),
+}
 
-    The comparison baseline: identical shard computations, zero transport.
+
+class PipeTransport:
+    """Requests frame onto the :class:`WorkerPool`'s connections.
+
+    Owns everything wire-shaped: the codecs, request-id allocation *before*
+    the send (ids must survive a send-time failure — they pin the resend
+    for the worker-side dedup window), one ``sendall`` per worker per
+    round, the per-shard neighbour-stream decoders, and the phase timers.
+    ``shard → worker`` is ``shard_id % num_workers``.
+
+    A token is ``(shard_id, opcode, request_id, body, payload)``.  A failed
+    send is not raised but remembered per worker and surfaces from
+    :meth:`collect`, so a round's failures all arrive through one door.
     """
 
-    def __init__(self) -> None:
-        self.service = ShardService()
+    def __init__(self, pool: WorkerPool) -> None:
+        self.pool = pool
+        self.phase = zero_phase()
+        #: Client-side twins of the shard services' stateful neighbour
+        #: stream encoders, per *shard* — so stream state, and therefore
+        #: wire bytes, is invariant across worker counts.
+        self._decoders: Dict[int, NeighborStreamDecoder] = defaultdict(
+            NeighborStreamDecoder
+        )
+        self._send_failed: Dict[int, str] = {}
 
-    def call(self, method: str, *args, **kwargs) -> Any:
-        return getattr(self.service, method)(*args, **kwargs)
+    def worker_of(self, shard_id: int) -> int:
+        return shard_id % self.pool.num_workers
 
-    def begin_call(self, method: str, *args, **kwargs) -> _ReadyResult:
-        return _ReadyResult(self.call(method, *args, **kwargs))
+    def send(self, requests: Sequence[Tuple[int, int, Any]]) -> List[tuple]:
+        clock = time.perf_counter
+        started = clock()
+        bodies: Dict[int, bytes] = {}  # a broadcast payload encodes once
+        for _shard_id, opcode, payload in requests:
+            if id(payload) not in bodies:
+                bodies[id(payload)] = _ENCODERS[opcode](payload)
+        encoded = clock()
+        self.phase["encode_seconds"] += encoded - started
+        by_worker: Dict[int, List[int]] = {}
+        for index, request in enumerate(requests):
+            by_worker.setdefault(self.worker_of(request[0]), []).append(index)
+        tokens: List[Any] = [None] * len(requests)
+        for worker, indices in by_worker.items():
+            ids = self.pool.connections[worker].allocate_request_ids(len(indices))
+            for index, request_id in zip(indices, ids):
+                shard_id, opcode, payload = requests[index]
+                tokens[index] = (
+                    shard_id, opcode, request_id, bodies[id(payload)], payload
+                )
+            if worker in self._send_failed:
+                continue  # known dead: only a heal makes sending useful
+            try:
+                self.transmit(worker, [tokens[index] for index in indices])
+            except WorkerDiedError as exc:
+                # The raise site already wrapped the OS error ("send
+                # failed: ..."): record it verbatim, don't wrap again.
+                self._send_failed[worker] = str(exc)
+        self.phase["send_seconds"] += clock() - encoded
+        return tokens
 
-    def begin_update_batch(self, messages) -> _ReadyResult:
-        return _ReadyResult(self.service.update_batch(messages))
+    def transmit(self, worker: int, tokens: Sequence[tuple]) -> None:
+        """Put ``tokens`` on one worker's wire, in order, in one ``sendall``
+        under their pinned request ids — the first send, and the engine's
+        resend after a heal."""
+        self.pool.connections[worker].send_requests(
+            [(token[0], token[1], token[3]) for token in tokens],
+            request_ids=[token[2] for token in tokens],
+        )
 
-    def begin_query_batch(self, queries) -> _ReadyResult:
-        return _ReadyResult(self.service.query_batch(queries))
+    def collect(self, token: tuple, deadline_s: Optional[float] = None) -> Any:
+        shard_id, opcode, request_id, _body, payload = token
+        worker = self.worker_of(shard_id)
+        if worker in self._send_failed:
+            raise WorkerDiedError(self._send_failed[worker])
+        clock = time.perf_counter
+        started = clock()
+        _opcode, body = self.pool.connections[worker].wait(
+            request_id, deadline_s=deadline_s
+        )
+        received = clock()
+        self.phase["blocked_wait_seconds"] += received - started
+        if opcode == rpc.OP_UPDATE_BATCH:
+            result = rpc.UPDATE_RESULT.unpack(body)
+        elif opcode == rpc.OP_QUERY_BATCH:
+            # The stream never transmits distances — the decoder recomputes
+            # them from the probe set — and it is looked up now, not at
+            # send time: a heal in between rebinds it.
+            (makespan,) = rpc.MAKESPAN.unpack_from(body)
+            result = (
+                self._decoders[shard_id].decode(
+                    memoryview(body)[rpc.MAKESPAN.size:], payload
+                ),
+                makespan,
+            )
+        else:
+            result = rpc.decode_result(body)
+        self.phase["decode_seconds"] += clock() - received
+        return result
 
-    def close(self) -> None:
-        pass
+    def rebind(self, worker: int) -> None:
+        """Forget a replaced worker's stream state: its fresh services
+        start fresh encoders, and its connection can be sent to again."""
+        self._send_failed.pop(worker, None)
+        for shard_id in [s for s in self._decoders if self.worker_of(s) == worker]:
+            del self._decoders[shard_id]
 
 
-class ProcessShardClient:
-    """RPC shard client: requests frame onto one worker's connection.
+class ShardClient:
+    """One shard's synchronous view of a transport (control-plane verbs,
+    supervisor rebuilds, the single-shard property suites)."""
 
-    ``begin_*`` methods only *send*; collecting the :class:`_RemoteResult`
-    later is what gives a scatter round its pipelining — every shard's
-    request is on the wire before the first response is read.
-    """
-
-    def __init__(self, connection: rpc.RpcConnection, shard_id: int) -> None:
-        self.connection = connection
+    def __init__(self, transport: object, shard_id: int) -> None:
+        self.transport = transport
         self.shard_id = shard_id
-        #: Client-side twin of the shard service's stateful neighbour
-        #: stream encoder.  The pair's dictionaries live per *shard* (one
-        #: client object per shard id), so stream state — and therefore
-        #: wire bytes — is invariant across worker counts.
-        self.neighbor_decoder = NeighborStreamDecoder()
+
+    def _request(self, opcode: int, payload: Any) -> Any:
+        (token,) = self.transport.send([(self.shard_id, opcode, payload)])
+        return self.transport.collect(token)
 
     def call(self, method: str, *args, **kwargs) -> Any:
-        return self.begin_call(method, *args, **kwargs).result()
+        return self._request(rpc.OP_CALL, (method, args, kwargs))
 
-    def begin_call(self, method: str, *args, **kwargs) -> _RemoteResult:
-        request_id = self.connection.send_request(
-            self.shard_id, rpc.OP_CALL, rpc.encode_call(method, args, kwargs)
-        )
-        return _RemoteResult(self.connection, request_id, rpc.decode_result)
+    def update_batch(self, messages) -> Tuple[int, float]:
+        return self._request(rpc.OP_UPDATE_BATCH, messages)
 
-    def begin_update_batch(self, messages) -> _RemoteResult:
-        request_id = self.connection.send_request(
-            self.shard_id, rpc.OP_UPDATE_BATCH, rpc.encode_update_batch(messages)
-        )
-        return _RemoteResult(self.connection, request_id, _decode_update_result)
-
-    def begin_query_batch(self, queries) -> _RemoteResult:
-        queries = list(queries)
-        request_id = self.connection.send_request(
-            self.shard_id, rpc.OP_QUERY_BATCH, rpc.encode_query_batch(queries)
-        )
-        return _RemoteResult(
-            self.connection,
-            request_id,
-            _query_decoder(self.neighbor_decoder, queries),
-        )
-
-    def rebind(self, connection: rpc.RpcConnection) -> None:
-        """Point this shard at a respawned worker's connection and reset
-        the stateful stream decoder — the fresh worker's service starts a
-        fresh encoder, so the decoder must forget the dead one's state."""
-        self.connection = connection
-        self.neighbor_decoder = NeighborStreamDecoder()
-
-    def close(self) -> None:
-        pass
+    def query_batch(self, queries) -> Tuple[list, float]:
+        return self._request(rpc.OP_QUERY_BATCH, list(queries))
 
 
 class FederatedTable:
@@ -392,7 +456,7 @@ class FederatedTable:
 
 
 class FederatedShardedBackend:
-    """``ShardedBackend``/``CacheAwareBackend`` over a set of shard clients.
+    """``ShardedBackend``/``CacheAwareBackend`` over one shard transport.
 
     Every aggregate is merged in fixed shard order (ledger absorption,
     tablet-stat concatenation, strict-``>`` hottest scans), mirroring the
@@ -400,48 +464,44 @@ class FederatedShardedBackend:
     bit-identical between backends and across worker counts.
     """
 
-    def __init__(self, clients: Sequence[object], recipes: Sequence[ShardRecipe]) -> None:
-        if not clients:
+    def __init__(self, transport: object, recipes: Sequence[ShardRecipe]) -> None:
+        if not recipes:
             raise ConfigurationError("a federation needs at least one shard")
-        if len(clients) != len(recipes):
-            raise ConfigurationError("one recipe per shard client required")
-        self.clients = list(clients)
+        self.transport = transport
         self.recipes = list(recipes)
+        self.clients = [
+            ShardClient(transport, shard_id) for shard_id in range(len(recipes))
+        ]
 
     @property
     def num_shards(self) -> int:
-        return len(self.clients)
+        return len(self.recipes)
 
     # ------------------------------------------------------------------
-    # Scatter helpers
+    # Control-plane rounds
     # ------------------------------------------------------------------
+    def call_round(self, calls: Sequence[Tuple[str, tuple, dict]]) -> List[Any]:
+        """One ``(method, args, kwargs)`` CALL per shard, all on the wire
+        before the first result is read; results in shard order.
+
+        Fail-fast by design: mutating CALL verbs are not dedup-protected,
+        so nothing here retries — the first failure raises, and supervised
+        callers sweep-and-heal *before* the round."""
+        tokens = self.transport.send(
+            [(shard_id, rpc.OP_CALL, call) for shard_id, call in enumerate(calls)]
+        )
+        return [self.transport.collect(token) for token in tokens]
+
     def scatter(self, method: str, *args, **kwargs) -> List[Any]:
-        """Pipelined broadcast of one call; results in shard order."""
-        pending = [
-            client.begin_call(method, *args, **kwargs) for client in self.clients
-        ]
-        return [entry.result() for entry in pending]
+        """Broadcast one call to every shard; results in shard order."""
+        return self.call_round([(method, args, kwargs)] * self.num_shards)
 
     def build_all(self) -> List[Dict[str, int]]:
-        """Build every shard's indexer from its recipe (pipelined, so a
+        """Build every shard's indexer from its recipe (one round, so a
         multi-worker pool preloads shards in parallel)."""
-        pending = [
-            client.begin_call("build_indexer", recipe)
-            for client, recipe in zip(self.clients, self.recipes)
-        ]
-        return [entry.result() for entry in pending]
-
-    def begin_query_broadcast(self, queries) -> List[Any]:
-        """One probe set to every shard; pending results in shard order."""
-        return [client.begin_query_batch(queries) for client in self.clients]
-
-    def begin_update_scatter(self, buckets) -> List[Tuple[int, Any]]:
-        """Dispatch per-shard update batches; ``(shard_id, pending)`` pairs
-        in bucket order."""
-        return [
-            (shard_id, self.clients[shard_id].begin_update_batch(messages))
-            for shard_id, messages in buckets
-        ]
+        return self.call_round(
+            [("build_indexer", (recipe,), {}) for recipe in self.recipes]
+        )
 
     # ------------------------------------------------------------------
     # StorageBackend protocol
@@ -592,8 +652,7 @@ class FederatedShardedBackend:
         return 0
 
     def close(self) -> None:
-        for client in self.clients:
-            client.close()
+        pass
 
     def __enter__(self) -> "FederatedShardedBackend":
         return self
@@ -606,7 +665,7 @@ class LocalShardedBackend(FederatedShardedBackend):
     """The same shard federation executed in-process with zero RPC."""
 
     def __init__(self, recipes: Sequence[ShardRecipe], build: bool = True) -> None:
-        super().__init__([LocalShardClient() for _ in recipes], recipes)
+        super().__init__(InProcessTransport(len(recipes)), recipes)
         if build:
             self.build_all()
 
@@ -621,74 +680,21 @@ class ProcessShardedBackend(FederatedShardedBackend):
         timeout_s: float = 120.0,
         build: bool = True,
     ) -> None:
-        if num_workers > len(recipes):
-            num_workers = len(recipes)
         #: Temporary storage root owned by this backend (the ``disk``
         #: flavour with no caller-provided directory); cleaned on close.
         self._owned_tmpdir: Optional[tempfile.TemporaryDirectory] = None
-        self.pool = WorkerPool(num_workers, timeout_s=timeout_s)
-        clients = [
-            ProcessShardClient(
-                self.pool.connections[shard_id % num_workers], shard_id
-            )
-            for shard_id in range(len(recipes))
-        ]
-        super().__init__(clients, recipes)
+        self.pool = WorkerPool(min(num_workers, len(recipes)), timeout_s=timeout_s)
+        super().__init__(PipeTransport(self.pool), recipes)
         if build:
-            self.build_all()
+            try:
+                self.build_all()
+            except BaseException:
+                self.close()  # a rejected build must not strand its workers
+                raise
 
     @property
     def num_workers(self) -> int:
         return self.pool.num_workers
-
-    def _shards_by_connection(self):
-        """Shard ids grouped by owning connection, in shard order."""
-        grouped: Dict[rpc.RpcConnection, List[int]] = {}
-        for shard_id, client in enumerate(self.clients):
-            grouped.setdefault(client.connection, []).append(shard_id)
-        return grouped.items()
-
-    def begin_query_broadcast(self, queries) -> List[Any]:
-        """Encode the probe set once for the whole federation and flush each
-        connection's share of the broadcast as one batched ``sendall``."""
-        queries = list(queries)
-        body = rpc.encode_query_batch(queries)
-        pending: List[Any] = [None] * len(self.clients)
-        for connection, shard_ids in self._shards_by_connection():
-            request_ids = connection.send_requests(
-                (shard_id, rpc.OP_QUERY_BATCH, body) for shard_id in shard_ids
-            )
-            for shard_id, request_id in zip(shard_ids, request_ids):
-                pending[shard_id] = _RemoteResult(
-                    connection,
-                    request_id,
-                    _query_decoder(
-                        self.clients[shard_id].neighbor_decoder, queries
-                    ),
-                )
-        return pending
-
-    def begin_update_scatter(self, buckets) -> List[Tuple[int, Any]]:
-        """Per-shard update batches, framed together per connection."""
-        grouped: Dict[rpc.RpcConnection, List[Tuple[int, bytes]]] = {}
-        order: List[int] = []
-        for shard_id, messages in buckets:
-            connection = self.clients[shard_id].connection
-            grouped.setdefault(connection, []).append(
-                (shard_id, rpc.encode_update_batch(messages))
-            )
-            order.append(shard_id)
-        results: Dict[int, _RemoteResult] = {}
-        for connection, entries in grouped.items():
-            request_ids = connection.send_requests(
-                (shard_id, rpc.OP_UPDATE_BATCH, body)
-                for shard_id, body in entries
-            )
-            for (shard_id, _), request_id in zip(entries, request_ids):
-                results[shard_id] = _RemoteResult(
-                    connection, request_id, _decode_update_result
-                )
-        return [(shard_id, results[shard_id]) for shard_id in order]
 
     def serialized_bytes(self) -> int:
         return self.pool.bytes_sent() + self.pool.bytes_received()
@@ -702,27 +708,21 @@ class ProcessShardedBackend(FederatedShardedBackend):
     def drain(self) -> None:
         self.pool.drain()
 
-    def worker_of(self, shard_id: int) -> int:
-        """The worker index currently hosting one shard."""
-        return shard_id % self.pool.num_workers
-
     def shards_of_worker(self, index: int) -> List[int]:
         """Shard ids hosted by one worker, in shard order."""
         return [
             shard_id
-            for shard_id in range(len(self.clients))
-            if shard_id % self.pool.num_workers == index
+            for shard_id in range(self.num_shards)
+            if self.transport.worker_of(shard_id) == index
         ]
 
-    def respawn_worker(self, index: int) -> rpc.RpcConnection:
-        """Replace one worker process and rebind its shard clients (new
-        connection, reset stream decoders).  The caller re-issues
+    def respawn_worker(self, index: int) -> None:
+        """Replace one worker process and reset the transport's state for
+        it (fresh connection, fresh stream decoders).  The caller re-issues
         ``build_indexer`` per shard to restore state — that is the
         supervisor's job, not the transport's."""
-        connection = self.pool.respawn_worker(index)
-        for shard_id in self.shards_of_worker(index):
-            self.clients[shard_id].rebind(connection)
-        return connection
+        self.pool.respawn_worker(index)
+        self.transport.rebind(index)
 
     def close(self) -> None:
         self.pool.shutdown()
@@ -769,9 +769,14 @@ def make_scaleout_backend(
     if backend == "inprocess":
         return LocalShardedBackend(recipes)
     if backend in ("process", "disk"):
-        built = ProcessShardedBackend(
-            recipes, num_workers=num_workers, timeout_s=timeout_s
-        )
+        try:
+            built = ProcessShardedBackend(
+                recipes, num_workers=num_workers, timeout_s=timeout_s
+            )
+        except BaseException:
+            if owned_tmpdir is not None:
+                owned_tmpdir.cleanup()
+            raise
         built._owned_tmpdir = owned_tmpdir
         return built
     raise ConfigurationError(
@@ -780,87 +785,48 @@ def make_scaleout_backend(
     )
 
 
-class _StorageInjectingClient:
-    """Shard-client proxy that transparently persists the shard to disk.
-
-    Wraps any shard client and rewrites the two build verbs so the shard's
-    state lands in real files under ``storage_dir`` — letting every
-    backend-parametrised property suite run its unmodified op vocabulary
-    against the ``disk`` flavour.
-    """
-
-    def __init__(self, inner: object, storage_dir: str) -> None:
-        self._inner = inner
-        self.storage_dir = storage_dir
-
-    def _rewrite(self, method: str, args: tuple, kwargs: dict):
-        if method == "build_indexer" and args:
-            recipe = args[0]
-            if recipe.storage_dir is None:
-                recipe = dataclasses.replace(
-                    recipe, storage_dir=self.storage_dir
-                )
-            args = (recipe,) + args[1:]
-        elif method == "build_table" and "storage_dir" not in kwargs:
-            if len(args) < 2:
-                kwargs = dict(
-                    kwargs,
-                    storage_dir=os.path.join(self.storage_dir, "bare-table"),
-                )
-        return args, kwargs
-
-    def call(self, method: str, *args, **kwargs) -> Any:
-        return self.begin_call(method, *args, **kwargs).result()
-
-    def begin_call(self, method: str, *args, **kwargs):
-        args, kwargs = self._rewrite(method, args, kwargs)
-        return self._inner.begin_call(method, *args, **kwargs)
-
-    def begin_update_batch(self, messages):
-        return self._inner.begin_update_batch(messages)
-
-    def begin_query_batch(self, queries):
-        return self._inner.begin_query_batch(queries)
-
-    def close(self) -> None:
-        self._inner.close()
-
-
 @contextmanager
 def single_shard_client(
-    backend: str, recipe: Optional[ShardRecipe] = None, timeout_s: float = 120.0
-) -> Iterator[object]:
+    backend: str,
+    recipe: Optional[ShardRecipe] = None,
+    table_knobs: Optional[Dict[str, Any]] = None,
+    timeout_s: float = 120.0,
+) -> Iterator[ShardClient]:
     """One shard client for the cross-backend property suites.
 
-    Yields a :class:`LocalShardClient`, a :class:`ProcessShardClient`
-    backed by a freshly spawned (and reliably shut down) single worker, or
-    — for ``backend="disk"`` — that process client wrapped in a
-    :class:`_StorageInjectingClient` over a temporary storage directory,
-    so the shard persists real bytes; when ``recipe`` is given the shard's
-    indexer is built before yielding.
+    The client sits on an :class:`InProcessTransport`, or on a
+    :class:`PipeTransport` over a freshly spawned (and reliably shut down)
+    single worker; ``backend="disk"`` additionally points the shard at a
+    temporary storage directory so it persists real bytes.  When ``recipe``
+    is given the shard's indexer is built before yielding; ``table_knobs``
+    builds the bare-table scenario instead.
     """
-    if backend == "inprocess":
-        client: object = LocalShardClient()
-        if recipe is not None:
-            client.call("build_indexer", recipe)
-        yield client
-    elif backend == "process":
-        with WorkerPool(1, timeout_s=timeout_s) as pool:
-            client = ProcessShardClient(pool.connections[0], 0)
-            if recipe is not None:
-                client.call("build_indexer", recipe)
-            yield client
-    elif backend == "disk":
-        with tempfile.TemporaryDirectory(prefix="moist-disk-") as tmpdir:
-            with WorkerPool(1, timeout_s=timeout_s) as pool:
-                client = _StorageInjectingClient(
-                    ProcessShardClient(pool.connections[0], 0), tmpdir
+    with ExitStack() as stack:
+        storage_dir = None
+        if backend == "inprocess":
+            transport: object = InProcessTransport(1)
+        elif backend in ("process", "disk"):
+            if backend == "disk":
+                storage_dir = stack.enter_context(
+                    tempfile.TemporaryDirectory(prefix="moist-disk-")
                 )
-                if recipe is not None:
-                    client.call("build_indexer", recipe)
-                yield client
-    else:
-        raise ConfigurationError(
-            f"unknown backend {backend!r} "
-            "(expected 'inprocess', 'process' or 'disk')"
-        )
+            transport = PipeTransport(
+                stack.enter_context(WorkerPool(1, timeout_s=timeout_s))
+            )
+        else:
+            raise ConfigurationError(
+                f"unknown backend {backend!r} "
+                "(expected 'inprocess', 'process' or 'disk')"
+            )
+        client = ShardClient(transport, 0)
+        if recipe is not None:
+            if storage_dir is not None and recipe.storage_dir is None:
+                recipe = dataclasses.replace(recipe, storage_dir=storage_dir)
+            client.call("build_indexer", recipe)
+        if table_knobs is not None:
+            table_dir = (
+                None if storage_dir is None
+                else os.path.join(storage_dir, "bare-table")
+            )
+            client.call("build_table", table_knobs, storage_dir=table_dir)
+        yield client

@@ -140,7 +140,6 @@ def rebalance_harness(
         cluster,
         failure_probability=0.0,
         seed=seed,
-        master=master,
         rebalance_every=rebalance_every if balanced else 0,
         fault_plan=fault_plan if balanced else None,
     )

@@ -181,7 +181,6 @@ def multiproc_load_run(
     """
     import time
 
-    from repro.server.loadtest import ScaleOutLoadTest
     from repro.server.scaleout import ScaleOutCluster
 
     cluster = ScaleOutCluster.build(
@@ -195,7 +194,7 @@ def multiproc_load_run(
     )
     try:
         messages, queries = multiproc_streams(num_objects, num_requests, seed)
-        load_test = ScaleOutLoadTest(cluster, failure_probability=0.0, seed=seed)
+        load_test = LoadTest(cluster, failure_probability=0.0, seed=seed)
         start = time.perf_counter()
         outcome = load_test.run_mixed_batches(
             messages, queries, batch_size=batch_size
@@ -237,7 +236,6 @@ def multiproc_window_run(
     """
     import time
 
-    from repro.server.loadtest import ScaleOutLoadTest
     from repro.server.scaleout import ScaleOutCluster
 
     messages, _queries = multiproc_streams(num_objects, num_updates * 2, seed)
@@ -251,7 +249,7 @@ def multiproc_window_run(
         window=window,
     )
     try:
-        load_test = ScaleOutLoadTest(cluster, failure_probability=0.0, seed=seed)
+        load_test = LoadTest(cluster, failure_probability=0.0, seed=seed)
         start = time.perf_counter()
         outcome = load_test.run_update_batches(messages, batch_size=batch_size)
         wall = time.perf_counter() - start
@@ -287,7 +285,6 @@ def multiproc_chaos_run(
     import time
 
     from repro.server.chaos import ChaosPlan
-    from repro.server.loadtest import ScaleOutLoadTest
     from repro.server.scaleout import ScaleOutCluster
 
     messages, queries = multiproc_streams(num_objects, num_requests, seed)
@@ -313,7 +310,7 @@ def multiproc_chaos_run(
         window=window,
     )
     try:
-        load_test = ScaleOutLoadTest(
+        load_test = LoadTest(
             cluster, failure_probability=0.0, seed=seed, chaos_plan=plan
         )
         start = time.perf_counter()
@@ -363,7 +360,6 @@ def multiproc_master_chaos_run(
     import time
 
     from repro.server.chaos import ChaosPlan
-    from repro.server.loadtest import ScaleOutLoadTest
     from repro.server.master import MasterOptions
     from repro.server.scaleout import ScaleOutCluster
 
@@ -394,7 +390,7 @@ def multiproc_master_chaos_run(
     )
     try:
         reference_report = (
-            ScaleOutLoadTest(
+            LoadTest(
                 reference_cluster,
                 failure_probability=0.0,
                 seed=seed,
@@ -420,7 +416,7 @@ def multiproc_master_chaos_run(
         record_service_times=True,
     )
     try:
-        load_test = ScaleOutLoadTest(
+        load_test = LoadTest(
             cluster,
             failure_probability=0.0,
             seed=seed,

@@ -47,7 +47,6 @@ from repro.server.master import (
     ReplicationRecord,
     TabletMaster,
 )
-from repro.server.loadtest import ScaleOutLoadTest
 from repro.server.worker import ShardRecipe, ShardService, shard_of
 
 
@@ -77,7 +76,6 @@ __all__ = [
     "RebalanceReport",
     "ReplicationRecord",
     "TabletMaster",
-    "ScaleOutLoadTest",
     "ScaleOutCluster",
     "ShardRecipe",
     "ShardService",

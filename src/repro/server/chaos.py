@@ -3,7 +3,8 @@
 A :class:`ChaosPlan` is the process-boundary sibling of PR 5's simulated
 ``FaultPlan``: a seeded, pre-generated schedule of *real* failures —
 SIGKILL, SIGSTOP, corrupted RPC frames — fired at batch boundaries of a
-:class:`~repro.server.loadtest.ScaleOutLoadTest`.  Batch-boundary delivery
+:class:`~repro.server.loadtest.LoadTest` over a supervised
+:class:`~repro.server.scaleout.ScaleOutCluster`.  Batch-boundary delivery
 is what makes chaos deterministic: the victim worker is idle when the
 signal lands (the previous round was fully collected, the next round's
 requests have not been sent), so the set of applied batches at every kill
@@ -72,8 +73,8 @@ class ChaosPlan:
 
     ``fault_plan`` optionally folds a simulated
     :class:`~repro.server.loadtest.FaultPlan` into the same timeline; a
-    :class:`~repro.server.loadtest.ScaleOutLoadTest` given a chaos plan
-    that carries one adopts it as its fault plan.
+    :class:`~repro.server.loadtest.LoadTest` given a chaos plan that
+    carries one adopts it as its fault plan.
     """
 
     def __init__(

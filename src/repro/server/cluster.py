@@ -115,6 +115,35 @@ class TabletRoutingTable:
         return dict(self._primary)
 
 
+class RoundMakespans:
+    """The cluster makespan *as of* each load-test round.
+
+    A running max indexed by round: valid because makespans never decrease,
+    so the max over everything recorded at or before a round is what a
+    lockstep run would have read right after it.  This is what lets the
+    load test defer its timeline arithmetic until in-flight rounds settle.
+    """
+
+    def __init__(self) -> None:
+        self._best: List[float] = []
+
+    def record(self, round_index: int, makespan: float) -> None:
+        best = self._best
+        while len(best) <= round_index:
+            best.append(best[-1] if best else 0.0)
+        # One step when rounds arrive in order (the load tests' case).
+        for index in range(round_index, len(best)):
+            if makespan <= best[index]:
+                break
+            best[index] = makespan
+
+    def at(self, round_index: int) -> float:
+        best = self._best
+        if not best:
+            return 0.0
+        return best[min(round_index, len(best) - 1)]
+
+
 @dataclass(frozen=True)
 class ServerFailoverReport:
     """Outcome of failing over one crashed front-end server."""
@@ -215,6 +244,13 @@ class ServerCluster:
         ]
         self.routing = TabletRoutingTable(num_servers)
         self._next = 0
+        #: The control plane; a :class:`~repro.server.master.TabletMaster`
+        #: registers itself here (``None`` = static hash affinity).
+        self.master = None
+        #: Messages applied through :meth:`enqueue_update_batch` since the
+        #: last metrics reset.
+        self.pipeline_processed = 0
+        self._round_makespans = RoundMakespans()
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -512,3 +548,68 @@ class ServerCluster:
             server.reset_metrics()
         if self.contention is not None:
             self.contention.invalidate()
+        self.pipeline_processed = 0
+        self._round_makespans = RoundMakespans()
+
+    # ------------------------------------------------------------------
+    # Load-test protocol (shared with ScaleOutCluster; a single cluster
+    # completes every round synchronously, so nothing is ever in flight)
+    # ------------------------------------------------------------------
+    def enqueue_update_batch(
+        self, messages: Sequence[UpdateMessage], round_index: Optional[int] = None
+    ) -> None:
+        """Apply one update round, tagging the makespan it produced."""
+        self.pipeline_processed += self.submit_update_batch(messages)
+        if round_index is not None:
+            self.record_round_makespan(round_index)
+
+    def record_round_makespan(self, round_index: int) -> None:
+        self._round_makespans.record(round_index, self.makespan_seconds())
+
+    def makespan_at_round(self, round_index: int) -> float:
+        return self._round_makespans.at(round_index)
+
+    def settle(self) -> None:
+        """Nothing is in flight and no worker can be dead."""
+
+    @property
+    def has_master(self) -> bool:
+        return self.master is not None
+
+    def _require_master(self):
+        if self.master is None:
+            raise ConfigurationError("this cluster has no tablet master")
+        return self.master
+
+    def rebalance(self) -> None:
+        self._require_master().rebalance()
+
+    def apply_fault(self, event) -> List[str]:
+        """Fire one scheduled :class:`~repro.server.loadtest.FaultEvent`
+        through the master; one description of what actually happened."""
+        outcome = self._require_master().apply_fault(
+            event.kind, event.server_id, event.crash_point
+        )
+        if outcome == "[applied]":  # a single cluster logs revivals bare
+            return [event.describe()]
+        return [f"{event.describe()} {outcome}"]
+
+    def master_action_counts(self) -> Tuple[int, int, int]:
+        """Cumulative ``(migrations, replications, failovers)``."""
+        if self.master is None:
+            return (0, 0, 0)
+        return self.master.action_counts()
+
+    def per_server_qps(self) -> List[float]:
+        return [
+            (server.requests_handled / server.busy_seconds)
+            if server.busy_seconds > 0
+            else 0.0
+            for server in self.servers
+        ]
+
+    @property
+    def storage_stats(self) -> MoistIndexer:
+        """Answers ``tablet_count`` / ``hot_tablet_share`` /
+        ``cache_hit_rate`` for result assembly."""
+        return self.indexer

@@ -7,6 +7,15 @@ the :class:`FaultPlan`'s scheduled faults (server crashes, revivals and
 migrations crashed mid-flight).  Everything is seeded and simulated, so two
 identical plans produce byte-identical :meth:`LoadTestResult.to_report`
 renderings — the determinism guard the test suite enforces.
+
+One :class:`LoadTest` drives any cluster that satisfies the small protocol
+both :class:`~repro.server.cluster.ServerCluster` and
+:class:`~repro.server.scaleout.ScaleOutCluster` implement: put an update
+round in flight, broadcast queries, settle, read the makespan now and as of
+a past round, fire a fault or a rebalance tick, and answer the
+result-assembly reads.  The admit RNG, the timeline buckets and the
+control-step cadence therefore consume state in exactly the same order on
+every backend, which is why reports are byte-comparable across them.
 """
 
 from __future__ import annotations
@@ -18,13 +27,14 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from repro.errors import ConfigurationError
 from repro.model import UpdateMessage
 from repro.server.client import ClientSimulator, build_client_fleet
-from repro.server.cluster import ServerCluster
-from repro.server.master import CRASH_AFTER_FLUSH, CRASH_AFTER_HANDOFF, TabletMaster
+from repro.server.master import (
+    CRASH_AFTER_FLUSH,
+    CRASH_AFTER_HANDOFF,
+    CRASH_SERVER,
+    MIGRATION_CRASH,
+    REVIVE_SERVER,
+)
 
-#: Fault kinds a :class:`FaultPlan` can schedule.
-CRASH_SERVER = "crash_server"
-REVIVE_SERVER = "revive_server"
-MIGRATION_CRASH = "migration_crash"
 _FAULT_KINDS = (CRASH_SERVER, REVIVE_SERVER, MIGRATION_CRASH)
 
 
@@ -233,16 +243,12 @@ class _TimelineBucket:
     Shared by every load-test loop: callers report completed/failed
     requests as they happen and count *units* (requests, batches or mixed
     rounds — whatever the loop's bucket resolution is) toward the flush
-    threshold; each flush converts the bucket into one
-    :class:`TimelinePoint` using the simulated makespan growth since the
-    previous flush.
-
-    The *deferred* variant (:meth:`defer` / :meth:`finish_deferred` /
-    :meth:`resolve`) supports the windowed scale-out engine: makespans are
-    unknowable mid-window without a barrier, so the flush *decision* is
-    taken eagerly (same thresholds, same order) while the makespan lookup
-    is parked behind a round marker and resolved after the final drain —
-    the arithmetic is identical to the eager path, point for point.
+    threshold.  A cluster with rounds in flight cannot know a makespan
+    without a barrier, so the flush *decision* is taken eagerly while the
+    makespan lookup is parked behind a round marker; :meth:`resolve` turns
+    each parked flush into a :class:`TimelinePoint` using the simulated
+    makespan growth since the previous one.  A loop over a synchronous
+    cluster simply resolves at once.
     """
 
     __slots__ = (
@@ -268,40 +274,28 @@ class _TimelineBucket:
         self._completed += completed
         self._failed += failed
 
-    def advance(self, makespan_fn: Callable[[], float]) -> None:
-        """Count one unit toward the threshold, flushing when reached."""
-        self._units += 1
-        if self._units >= self.threshold:
-            self._flush(makespan_fn())
-
-    def finish(self, makespan: float) -> None:
-        """Flush the trailing partial bucket (if it completed anything)."""
-        if self._completed > 0:
-            self._flush(makespan)
-
     def defer(self, marker: int) -> None:
-        """Count one unit; at the threshold, record a flush pending at
-        ``marker`` instead of reading a makespan now."""
+        """Count one unit; at the threshold, park a flush at ``marker``."""
         self._units += 1
         if self._units >= self.threshold:
-            self._pending.append((self._completed, self._failed, marker))
-            self._completed = 0
-            self._failed = 0
-            self._units = 0
+            self._park(marker)
 
-    def finish_deferred(self, marker: int) -> None:
-        """Deferred twin of :meth:`finish`: park the trailing partial
-        bucket behind ``marker`` (if it completed anything)."""
+    def finish(self, marker: int) -> None:
+        """Park the trailing partial bucket (if it completed anything)."""
         if self._completed > 0:
-            self._pending.append((self._completed, self._failed, marker))
-            self._completed = 0
-            self._failed = 0
-            self._units = 0
+            self._park(marker)
+
+    def _park(self, marker: int) -> None:
+        self._pending.append((self._completed, self._failed, marker))
+        self._completed = 0
+        self._failed = 0
+        self._units = 0
 
     def resolve(self, makespan_of: Callable[[int], float]) -> None:
-        """Turn every pending flush into a timeline point, in order,
-        using ``makespan_of(marker)`` — the cluster makespan *as of* that
-        round.  Exactly the eager :meth:`_flush` arithmetic."""
+        """Turn every parked flush into a timeline point, in order, using
+        ``makespan_of(marker)`` — the cluster makespan *as of* that round."""
+        if not self._pending:
+            return
         pending, self._pending = self._pending, []
         for completed, failed, marker in pending:
             makespan = makespan_of(marker)
@@ -315,132 +309,102 @@ class _TimelineBucket:
             )
             self._start_makespan = makespan
 
-    def _flush(self, makespan: float) -> None:
-        elapsed = max(makespan - self._start_makespan, 1e-12)
-        self.points.append(
-            TimelinePoint(
-                time_s=makespan,
-                qps=self._completed / elapsed,
-                failed_qps=self._failed / elapsed,
-            )
-        )
-        self._start_makespan = makespan
-        self._completed = 0
-        self._failed = 0
-        self._units = 0
-
 
 class LoadTest:
-    """Drives a server cluster with client-simulator traffic."""
+    """Drives a cluster — single or scale-out — with seeded traffic."""
 
     def __init__(
         self,
-        cluster: ServerCluster,
+        cluster,
         clients: Optional[Sequence[ClientSimulator]] = None,
         failure_probability: float = 0.002,
         seed: int = 404,
-        master: Optional[TabletMaster] = None,
         rebalance_every: int = 0,
         fault_plan: Optional[FaultPlan] = None,
+        chaos_plan=None,
     ) -> None:
         if not 0.0 <= failure_probability < 1.0:
             raise ConfigurationError("failure_probability must be in [0, 1)")
         if rebalance_every < 0:
             raise ConfigurationError("rebalance_every must be >= 0")
-        if rebalance_every > 0 and master is None:
+        if rebalance_every > 0 and not cluster.has_master:
             raise ConfigurationError("rebalance_every needs a tablet master")
-        if fault_plan is not None and master is None:
+        # A chaos plan may fold simulated control-plane faults into its
+        # timeline; adopt them so one plan object describes the whole
+        # composed schedule (the fault half also drives the reference run).
+        chaos_faults = getattr(chaos_plan, "fault_plan", None)
+        if chaos_faults is not None and chaos_faults.events:
+            if fault_plan is not None and fault_plan.events:
+                raise ConfigurationError(
+                    "pass simulated faults either as fault_plan or folded "
+                    "into the chaos plan, not both"
+                )
+            fault_plan = chaos_faults
+        if fault_plan is not None and not cluster.has_master:
             raise ConfigurationError("a fault plan needs a tablet master")
+        if chaos_plan is not None and getattr(cluster, "supervisor", None) is None:
+            raise ConfigurationError(
+                "a chaos plan needs a supervised scale-out cluster"
+            )
         self.cluster = cluster
         self.clients = list(clients) if clients is not None else []
         self.failure_probability = failure_probability
         self.rng = random.Random(seed)
-        #: Optional control plane: the batched load-test loops give the
-        #: master a rebalance tick every ``rebalance_every`` batches (0 =
-        #: never) and apply the fault plan's scheduled events at batch
-        #: boundaries.
-        self.master = master
+        #: Control plane: the batched loops give the cluster's master(s) a
+        #: rebalance tick every ``rebalance_every`` batches (0 = never) and
+        #: apply the fault plan's scheduled events at batch boundaries.
         self.rebalance_every = rebalance_every
         self.fault_plan = fault_plan
+        #: Process-level chaos (:class:`repro.server.chaos.ChaosPlan`):
+        #: SIGKILL/SIGSTOP/corrupt-frame events fired at batch boundaries,
+        #: healed by the cluster's supervisor.  Kept out of the simulated
+        #: fault log — ``to_report()`` must stay byte-identical between
+        #: chaos and fault-free runs.
+        self.chaos_plan = chaos_plan
+        self.chaos_applied: List[str] = []
         self._faults_applied: List[str] = []
         self._master_baseline = (0, 0, 0)
 
     def _begin_run(self) -> None:
         """Per-run bookkeeping reset: cluster metrics, the applied-fault
-        log, and a snapshot of the master's cumulative action counts so
-        each result reports only the actions of *its* run."""
+        and chaos logs, and a snapshot of the cumulative master action
+        counts so each result reports only the actions of *its* run."""
         self.cluster.reset_metrics()
         self._faults_applied = []
-        master = self.master
-        self._master_baseline = (
-            (len(master.migrations), len(master.replications), len(master.failovers))
-            if master is not None
-            else (0, 0, 0)
-        )
+        self.chaos_applied = []
+        self._master_baseline = self.cluster.master_action_counts()
 
     # ------------------------------------------------------------------
     # Control plane ticks
     # ------------------------------------------------------------------
-    def _apply_fault(self, event: FaultEvent) -> None:
-        """Apply one scheduled fault, recording what actually happened.
-
-        Unfireable events (crashing the last alive server, reviving an
-        alive one, a migration crash with nowhere to migrate) are recorded
-        as skipped instead of failing the run: a seeded plan cannot know
-        the cluster's state at schedule time.
-        """
-        master = self.master
-        assert master is not None  # guarded by the constructor
-        cluster = self.cluster
-        if (
-            event.server_id is not None
-            and event.server_id >= cluster.num_servers
-        ):
-            # A seeded plan built for a bigger cluster: nothing to do.
-            self._faults_applied.append(f"{event.describe()} [skipped]")
-            return
-        if event.kind == CRASH_SERVER:
-            server = cluster.servers[event.server_id]
-            if not server.alive or len(cluster.alive_server_indices()) <= 1:
-                self._faults_applied.append(f"{event.describe()} [skipped]")
-                return
-            report = master.fail_over(event.server_id)
-            self._faults_applied.append(
-                f"{event.describe()} [{report.tablets_recovered} tablets "
-                f"recovered, {report.log_records_replayed} records replayed]"
-            )
-        elif event.kind == REVIVE_SERVER:
-            if cluster.servers[event.server_id].alive:
-                self._faults_applied.append(f"{event.describe()} [skipped]")
-                return
-            cluster.revive_server(event.server_id)
-            self._faults_applied.append(event.describe())
-        else:  # MIGRATION_CRASH
-            record = master.inject_migration_crash(
-                event.crash_point or CRASH_AFTER_HANDOFF
-            )
-            if record is None:
-                self._faults_applied.append(f"{event.describe()} [skipped]")
-            else:
-                self._faults_applied.append(
-                    f"{event.describe()} [{record.tablet_id} "
-                    f"{record.source}->{record.target} aborted]"
-                )
-
     def _control_step(self, batch_index: int) -> None:
-        """One batch-boundary tick: scheduled faults, then the rebalance
-        cadence."""
-        if self.master is None:
-            return
-        if self.fault_plan is not None:
-            for event in self.fault_plan.events_at(batch_index):
-                self._apply_fault(event)
-        if (
-            self.rebalance_every > 0
-            and batch_index > 0
-            and batch_index % self.rebalance_every == 0
-        ):
-            self.master.rebalance()
+        """One batch-boundary tick: scheduled faults, the rebalance
+        cadence, then chaos.
+
+        Simulated control-plane events fire first: they are part of the
+        deterministic workload (visible in ``faults_applied``, replayed
+        identically by a reference run; unfireable ones are recorded as
+        skipped, since a seeded plan cannot know the cluster's state at
+        schedule time).  Chaos fires *last* at the same boundary — every
+        worker idle again — so a SIGKILL paired with a MIGRATION_CRASH
+        lands mid-migration, right after the aborted hand-off (master
+        record, untouched routing) hit the checkpoint, and the kill's
+        effect stays a pure function of the schedule.
+        """
+        cluster = self.cluster
+        if cluster.has_master:
+            if self.fault_plan is not None:
+                for event in self.fault_plan.events_at(batch_index):
+                    self._faults_applied.extend(cluster.apply_fault(event))
+            if (
+                self.rebalance_every > 0
+                and batch_index > 0
+                and batch_index % self.rebalance_every == 0
+            ):
+                cluster.rebalance()
+        if self.chaos_plan is not None:
+            for event in self.chaos_plan.events_at(batch_index):
+                self.chaos_applied.append(cluster.apply_chaos_event(event))
 
     def _admit(self, items: Sequence) -> Tuple[list, int]:
         """Split one request slice into ``(admitted, dropped)``.
@@ -467,7 +431,8 @@ class LoadTest:
         messages: Sequence[UpdateMessage],
         bucket_requests: int = 1000,
     ) -> LoadTestResult:
-        """Feed a fixed update stream through the cluster.
+        """Feed a fixed update stream through a single cluster, one
+        request at a time.
 
         ``bucket_requests`` controls the resolution of the QPS timeline: one
         timeline point is emitted per that many requests, using the
@@ -475,8 +440,18 @@ class LoadTest:
         """
         if bucket_requests <= 0:
             raise ConfigurationError("bucket_requests must be positive")
+        cluster = self.cluster
+        if not hasattr(cluster, "submit_update"):
+            raise ConfigurationError(
+                "single-request and client-burst tests are single-cluster "
+                "only; use the batched runs"
+            )
         self._begin_run()
         bucket = _TimelineBucket(bucket_requests)
+
+        def makespan_now(_marker: int) -> float:
+            return cluster.makespan_seconds()
+
         failed = 0
         completed = 0
         # On the single-request path one control round == one timeline
@@ -494,13 +469,22 @@ class LoadTest:
                 failed += 1
                 bucket.add(0, 1)
                 continue
-            self.cluster.submit_update(message)
+            cluster.submit_update(message)
             completed += 1
             bucket.add(1, 0)
-            bucket.advance(self.cluster.makespan_seconds)
-        makespan = self.cluster.makespan_seconds()
-        bucket.finish(makespan)
+            bucket.defer(round_index)
+            bucket.resolve(makespan_now)
+        makespan = cluster.makespan_seconds()
+        bucket.finish(control_round)
+        bucket.resolve(makespan_now)
         return self._build_result(completed, failed, makespan, bucket.points)
+
+    # The batched loops put update rounds in flight through
+    # ``enqueue_update_batch`` and park timeline flushes behind round
+    # markers, resolved from the cluster's per-round makespan record after
+    # the final settle.  A single cluster — or a scale-out window of 1 —
+    # completes each round before the next, which is why reports stay
+    # byte-identical across backends and window sizes.
 
     def run_update_batches(
         self,
@@ -511,307 +495,11 @@ class LoadTest:
         """Feed the update stream through the tablet-routed batched path.
 
         The stream is cut into client-side batches of ``batch_size``
-        messages; each batch is partitioned by owning tablet and dispatched
-        to the tablet's pinned server (``ServerCluster.submit_update_batch``),
-        exercising the group-commit write path end to end.  One timeline
-        point is emitted every ``bucket_batches`` batches.
+        messages; each batch is partitioned by owning tablet (and, on a
+        federation, owning shard first) and dispatched to the tablet's
+        pinned server, exercising the group-commit write path end to end.
+        One timeline point is emitted every ``bucket_batches`` batches.
         """
-        if batch_size <= 0:
-            raise ConfigurationError("batch_size must be positive")
-        if bucket_batches <= 0:
-            raise ConfigurationError("bucket_batches must be positive")
-        self._begin_run()
-        bucket = _TimelineBucket(bucket_batches)
-        failed = 0
-        completed = 0
-        for batch_index, start in enumerate(range(0, len(messages), batch_size)):
-            self._control_step(batch_index)
-            batch, dropped = self._admit(messages[start : start + batch_size])
-            failed += dropped
-            completed += self.cluster.submit_update_batch(batch)
-            bucket.add(len(batch), dropped)
-            bucket.advance(self.cluster.makespan_seconds)
-        makespan = self.cluster.makespan_seconds()
-        bucket.finish(makespan)
-        return self._build_result(completed, failed, makespan, bucket.points)
-
-    def run_mixed_batches(
-        self,
-        messages: Sequence[UpdateMessage],
-        queries: Sequence[object],
-        batch_size: int = 256,
-        bucket_batches: int = 4,
-    ) -> LoadTestResult:
-        """Drive interleaved update and query batches through the cluster.
-
-        Each round sends one update batch through the tablet-routed
-        group-commit path and one query batch through the tablet-pinned
-        shared-read path, until both streams are exhausted — the read/write
-        mix is therefore set by the relative lengths of ``messages`` and
-        ``queries``.  ``queries`` carry ``location``/``k``/``range_limit``
-        attributes (:class:`repro.workload.queries.NNQuery` fits).  Client
-        RPC failures hit updates and queries alike.
-        """
-        if batch_size <= 0:
-            raise ConfigurationError("batch_size must be positive")
-        if bucket_batches <= 0:
-            raise ConfigurationError("bucket_batches must be positive")
-        self._begin_run()
-        bucket = _TimelineBucket(bucket_batches)
-        failed = 0
-        completed = 0
-        update_offset = 0
-        query_offset = 0
-        batch_index = 0
-        while update_offset < len(messages) or query_offset < len(queries):
-            self._control_step(batch_index)
-            batch_index += 1
-            update_batch, dropped_updates = self._admit(
-                messages[update_offset : update_offset + batch_size]
-            )
-            update_offset += batch_size
-            query_batch, dropped_queries = self._admit(
-                queries[query_offset : query_offset + batch_size]
-            )
-            query_offset += batch_size
-            failed += dropped_updates + dropped_queries
-            completed += self.cluster.submit_update_batch(update_batch)
-            completed += len(self.cluster.submit_query_batch(query_batch))
-            bucket.add(
-                len(update_batch) + len(query_batch),
-                dropped_updates + dropped_queries,
-            )
-            bucket.advance(self.cluster.makespan_seconds)
-        makespan = self.cluster.makespan_seconds()
-        bucket.finish(makespan)
-        return self._build_result(completed, failed, makespan, bucket.points)
-
-    def _build_result(
-        self,
-        completed: int,
-        failed: int,
-        makespan: float,
-        timeline: List[TimelinePoint],
-    ) -> LoadTestResult:
-        per_server = [
-            (server.requests_handled / server.busy_seconds)
-            if server.busy_seconds > 0
-            else 0.0
-            for server in self.cluster.servers
-        ]
-        indexer = self.cluster.indexer
-        master = self.master
-        return LoadTestResult(
-            total_requests=completed,
-            failed_requests=failed,
-            simulated_seconds=makespan,
-            qps=completed / makespan if makespan > 0 else 0.0,
-            per_server_qps=per_server,
-            timeline=timeline,
-            tablet_count=indexer.tablet_count(),
-            hot_tablet_share=indexer.hot_tablet_share(),
-            cache_hit_rate=indexer.cache_hit_rate(),
-            p99_service_time_s=self.cluster.service_time_percentile(0.99),
-            migrations=(
-                len(master.migrations) - self._master_baseline[0]
-                if master is not None
-                else 0
-            ),
-            replications=(
-                len(master.replications) - self._master_baseline[1]
-                if master is not None
-                else 0
-            ),
-            failovers=(
-                len(master.failovers) - self._master_baseline[2]
-                if master is not None
-                else 0
-            ),
-            faults_applied=list(self._faults_applied),
-        )
-
-    def run_client_bursts(
-        self,
-        duration_s: float,
-        requests_per_burst: int = 100,
-        burst_interval_s: float = 1.0,
-    ) -> LoadTestResult:
-        """Drive the cluster with bursts from every client simulator.
-
-        Each burst models the client's concurrent in-flight RPCs (the
-        paper's "100 concurrent RPC for each client").
-        """
-        if not self.clients:
-            raise ConfigurationError("run_client_bursts needs client simulators")
-        if duration_s <= 0 or burst_interval_s <= 0:
-            raise ConfigurationError("duration and burst interval must be positive")
-        messages: List[UpdateMessage] = []
-        now = 0.0
-        while now < duration_s:
-            for client in self.clients:
-                messages.extend(client.burst(now, requests_per_burst))
-            now += burst_interval_s
-        return self.run_updates(messages)
-
-    # ------------------------------------------------------------------
-    # Convenience constructors
-    # ------------------------------------------------------------------
-    @classmethod
-    def with_fleet(
-        cls,
-        cluster: ServerCluster,
-        num_clients: int,
-        total_objects: int,
-        threads: int = 100,
-        failure_probability: float = 0.002,
-        seed: int = 404,
-    ) -> "LoadTest":
-        """Build a load test with an evenly partitioned client fleet."""
-        clients = build_client_fleet(
-            num_clients=num_clients,
-            total_objects=total_objects,
-            region=cluster.indexer.config.world,
-            threads=threads,
-            seed=seed,
-        )
-        return cls(
-            cluster,
-            clients=clients,
-            failure_probability=failure_probability,
-            seed=seed,
-        )
-
-
-class ScaleOutLoadTest(LoadTest):
-    """The load-test loops, pointed at a shared-nothing shard federation.
-
-    Takes a :class:`repro.server.scaleout.ScaleOutCluster` (duck-typed —
-    anything with the batched submit surface plus the scale-out control
-    hooks fits) and reuses the parent's batch loops verbatim: the admit
-    RNG, the timeline buckets and the control-step cadence consume state
-    in *exactly* the same order as the single-cluster
-    :class:`LoadTest`, so reports are byte-comparable across backends and
-    bit-identical across worker counts.
-
-    Differences from the single-cluster build are confined to the result
-    assembly: per-server QPS flattens the shard clusters in
-    ``(shard, server)`` order, control-plane counts sum over the shard
-    masters, and ``p99_service_time_s`` merges every shard's samples in
-    fixed shard order through one read-only scatter at result time (0.0
-    unless the recipes set ``record_service_times``, exactly like the
-    single-cluster build).
-    """
-
-    def __init__(
-        self,
-        cluster,
-        failure_probability: float = 0.002,
-        seed: int = 404,
-        rebalance_every: int = 0,
-        fault_plan: Optional[FaultPlan] = None,
-        chaos_plan=None,
-        window: Optional[int] = None,
-    ) -> None:
-        if not 0.0 <= failure_probability < 1.0:
-            raise ConfigurationError("failure_probability must be in [0, 1)")
-        if rebalance_every < 0:
-            raise ConfigurationError("rebalance_every must be >= 0")
-        if rebalance_every > 0 and not cluster.has_master:
-            raise ConfigurationError("rebalance_every needs shard tablet masters")
-        # A chaos plan may fold simulated control-plane faults into its
-        # timeline; adopt them so one plan object describes the whole
-        # composed schedule (the fault half also drives the reference run).
-        chaos_faults = getattr(chaos_plan, "fault_plan", None)
-        if chaos_faults is not None and chaos_faults.events:
-            if fault_plan is not None and fault_plan.events:
-                raise ConfigurationError(
-                    "pass simulated faults either as fault_plan or folded "
-                    "into the chaos plan, not both"
-                )
-            fault_plan = chaos_faults
-        if fault_plan is not None and not cluster.has_master:
-            raise ConfigurationError("a fault plan needs shard tablet masters")
-        if chaos_plan is not None and getattr(cluster, "supervisor", None) is None:
-            raise ConfigurationError(
-                "a chaos plan needs a supervised scale-out cluster"
-            )
-        self.cluster = cluster
-        self.clients = []
-        self.failure_probability = failure_probability
-        self.rng = random.Random(seed)
-        self.master = None
-        self.rebalance_every = rebalance_every
-        self.fault_plan = fault_plan
-        #: Process-level chaos (:class:`repro.server.chaos.ChaosPlan`):
-        #: SIGKILL/SIGSTOP/corrupt-frame events fired at batch boundaries,
-        #: healed by the cluster's supervisor.  Kept out of the simulated
-        #: fault log — ``to_report()`` must stay byte-identical between
-        #: chaos and fault-free runs.
-        self.chaos_plan = chaos_plan
-        self.chaos_applied: List[str] = []
-        self._faults_applied: List[str] = []
-        self._master_baseline = (0, 0, 0)
-        if window is not None:
-            cluster.set_window(window)
-
-    def _begin_run(self) -> None:
-        self.cluster.reset_metrics()
-        self._faults_applied = []
-        self.chaos_applied = []
-        self._master_baseline = self.cluster.master_action_counts()
-
-    def _apply_fault(self, event: FaultEvent) -> None:
-        """Broadcast the fault to every shard; each shard applies its own
-        skip semantics and reports what actually happened there."""
-        self._faults_applied.extend(
-            self.cluster.apply_fault(
-                event.kind,
-                server_id=event.server_id,
-                crash_point=event.crash_point,
-                describe_prefix=f"{event.describe()} ",
-            )
-        )
-
-    def _control_step(self, batch_index: int) -> None:
-        # Simulated control-plane events fire first: they are part of the
-        # deterministic workload (visible in ``faults_applied``, replayed
-        # identically by the reference run), and each verb barriers and
-        # checkpoints shard-side.  Chaos fires *last* at the same boundary
-        # — every worker idle again — so a SIGKILL paired with a
-        # MIGRATION_CRASH lands mid-migration, right after the aborted
-        # hand-off (master record, untouched routing) hit the checkpoint,
-        # and the kill's effect stays a pure function of the schedule.
-        if self.cluster.has_master:
-            if self.fault_plan is not None:
-                for event in self.fault_plan.events_at(batch_index):
-                    self._apply_fault(event)
-            if (
-                self.rebalance_every > 0
-                and batch_index > 0
-                and batch_index % self.rebalance_every == 0
-            ):
-                self.cluster.rebalance()
-        if self.chaos_plan is not None:
-            for event in self.chaos_plan.events_at(batch_index):
-                self.chaos_applied.append(self.cluster.apply_chaos_event(event))
-
-    # ------------------------------------------------------------------
-    # Windowed batch loops
-    # ------------------------------------------------------------------
-    # Same admit RNG order, same control-step cadence, same timeline
-    # thresholds as the base loops — but batches go in flight through
-    # ``enqueue_update_batch`` and timeline flushes are deferred behind
-    # round markers, resolved from the per-round makespan history after
-    # the final drain.  At window=1 the schedule degenerates to the base
-    # loop's (one enqueue, one drain, per round), which is why reports
-    # stay byte-identical across window sizes.
-
-    def run_update_batches(
-        self,
-        messages: Sequence[UpdateMessage],
-        batch_size: int = 256,
-        bucket_batches: int = 4,
-    ) -> LoadTestResult:
         if batch_size <= 0:
             raise ConfigurationError("batch_size must be positive")
         if bucket_batches <= 0:
@@ -831,12 +519,15 @@ class ScaleOutLoadTest(LoadTest):
             cluster.enqueue_update_batch(batch, round_index=batch_index)
             bucket.add(len(batch), dropped)
             bucket.defer(batch_index)
-        cluster.drain_update_window()
-        completed = cluster.pipeline_processed
-        makespan = cluster.makespan_seconds()
-        bucket.finish_deferred(last_index)
+        cluster.settle()
+        bucket.finish(last_index)
         bucket.resolve(cluster.makespan_at_round)
-        return self._build_result(completed, failed, makespan, bucket.points)
+        return self._build_result(
+            cluster.pipeline_processed,
+            failed,
+            cluster.makespan_seconds(),
+            bucket.points,
+        )
 
     def run_mixed_batches(
         self,
@@ -845,6 +536,16 @@ class ScaleOutLoadTest(LoadTest):
         batch_size: int = 256,
         bucket_batches: int = 4,
     ) -> LoadTestResult:
+        """Drive interleaved update and query batches through the cluster.
+
+        Each round sends one update batch through the tablet-routed
+        group-commit path and one query batch through the tablet-pinned
+        shared-read path, until both streams are exhausted — the read/write
+        mix is therefore set by the relative lengths of ``messages`` and
+        ``queries``.  ``queries`` carry ``location``/``k``/``range_limit``
+        attributes (:class:`repro.workload.queries.NNQuery` fits).  Client
+        RPC failures hit updates and queries alike.
+        """
         if batch_size <= 0:
             raise ConfigurationError("batch_size must be positive")
         if bucket_batches <= 0:
@@ -870,9 +571,9 @@ class ScaleOutLoadTest(LoadTest):
             failed += dropped_updates + dropped_queries
             cluster.enqueue_update_batch(update_batch, round_index=batch_index)
             if query_batch:
-                # The broadcast drains the window (explicit barrier), then
-                # the settled makespan — update *and* query growth — is
-                # pinned to this round for the deferred timeline.
+                # The broadcast settles the round (an explicit barrier on
+                # a federation), then the makespan — update *and* query
+                # growth — is pinned to this round for the timeline.
                 completed_queries += len(cluster.submit_query_batch(query_batch))
                 cluster.record_round_makespan(batch_index)
             bucket.add(
@@ -881,12 +582,15 @@ class ScaleOutLoadTest(LoadTest):
             )
             bucket.defer(batch_index)
             batch_index += 1
-        cluster.drain_update_window()
-        completed = completed_queries + cluster.pipeline_processed
-        makespan = cluster.makespan_seconds()
-        bucket.finish_deferred(max(batch_index - 1, 0))
+        cluster.settle()
+        bucket.finish(max(batch_index - 1, 0))
         bucket.resolve(cluster.makespan_at_round)
-        return self._build_result(completed, failed, makespan, bucket.points)
+        return self._build_result(
+            completed_queries + cluster.pipeline_processed,
+            failed,
+            cluster.makespan_seconds(),
+            bucket.points,
+        )
 
     def _build_result(
         self,
@@ -895,18 +599,10 @@ class ScaleOutLoadTest(LoadTest):
         makespan: float,
         timeline: List[TimelinePoint],
     ) -> LoadTestResult:
-        # Failures injected with no dispatch round left to detect them
-        # would crash the unsupervised metrics scatter below.
-        if getattr(self.cluster, "supervisor", None) is not None:
-            self.cluster.heal_dead_workers()
-        per_server: List[float] = []
-        for entry in self.cluster.metrics():
-            for updates, queries, update_busy, query_busy, _alive in entry["servers"]:
-                busy = update_busy + query_busy
-                requests = updates + queries
-                per_server.append(requests / busy if busy > 0 else 0.0)
-        backend = self.cluster.backend
-        migrations, replications, failovers = self.cluster.master_action_counts()
+        cluster = self.cluster
+        per_server = cluster.per_server_qps()
+        migrations, replications, failovers = cluster.master_action_counts()
+        storage = cluster.storage_stats
         return LoadTestResult(
             total_requests=completed,
             failed_requests=failed,
@@ -914,17 +610,63 @@ class ScaleOutLoadTest(LoadTest):
             qps=completed / makespan if makespan > 0 else 0.0,
             per_server_qps=per_server,
             timeline=timeline,
-            tablet_count=backend.tablet_count(),
-            hot_tablet_share=backend.hot_tablet_share(),
-            cache_hit_rate=backend.cache_hit_rate(),
-            p99_service_time_s=self.cluster.service_time_percentile(0.99),
+            tablet_count=storage.tablet_count(),
+            hot_tablet_share=storage.hot_tablet_share(),
+            cache_hit_rate=storage.cache_hit_rate(),
+            p99_service_time_s=cluster.service_time_percentile(0.99),
             migrations=migrations - self._master_baseline[0],
             replications=replications - self._master_baseline[1],
             failovers=failovers - self._master_baseline[2],
             faults_applied=list(self._faults_applied),
         )
 
-    def run_client_bursts(self, *args, **kwargs) -> LoadTestResult:
-        raise ConfigurationError(
-            "client-burst tests are single-cluster only; use the batched runs"
+    def run_client_bursts(
+        self,
+        duration_s: float,
+        requests_per_burst: int = 100,
+        burst_interval_s: float = 1.0,
+    ) -> LoadTestResult:
+        """Drive a single cluster with bursts from every client simulator.
+
+        Each burst models the client's concurrent in-flight RPCs (the
+        paper's "100 concurrent RPC for each client").
+        """
+        if not self.clients:
+            raise ConfigurationError("run_client_bursts needs client simulators")
+        if duration_s <= 0 or burst_interval_s <= 0:
+            raise ConfigurationError("duration and burst interval must be positive")
+        messages: List[UpdateMessage] = []
+        now = 0.0
+        while now < duration_s:
+            for client in self.clients:
+                messages.extend(client.burst(now, requests_per_burst))
+            now += burst_interval_s
+        return self.run_updates(messages)
+
+    # ------------------------------------------------------------------
+    # Convenience constructors
+    # ------------------------------------------------------------------
+    @classmethod
+    def with_fleet(
+        cls,
+        cluster,
+        num_clients: int,
+        total_objects: int,
+        threads: int = 100,
+        failure_probability: float = 0.002,
+        seed: int = 404,
+    ) -> "LoadTest":
+        """Build a load test with an evenly partitioned client fleet."""
+        clients = build_client_fleet(
+            num_clients=num_clients,
+            total_objects=total_objects,
+            region=cluster.indexer.config.world,
+            threads=threads,
+            seed=seed,
+        )
+        return cls(
+            cluster,
+            clients=clients,
+            failure_probability=failure_probability,
+            seed=seed,
         )

@@ -49,6 +49,12 @@ CRASH_AFTER_FLUSH = "after_flush"
 CRASH_AFTER_HANDOFF = "after_handoff"
 _CRASH_POINTS = (CRASH_AFTER_FLUSH, CRASH_AFTER_HANDOFF)
 
+#: Fault kinds a :class:`~repro.server.loadtest.FaultPlan` can schedule
+#: (:meth:`TabletMaster.apply_fault` is where they fire).
+CRASH_SERVER = "crash_server"
+REVIVE_SERVER = "revive_server"
+MIGRATION_CRASH = "migration_crash"
+
 
 @dataclass(frozen=True)
 class MasterOptions:
@@ -146,6 +152,9 @@ class TabletMaster:
         self.migrations: List[MigrationRecord] = []
         self.replications: List[ReplicationRecord] = []
         self.failovers: List[ServerFailoverReport] = []
+        #: The cluster's control-plane verbs (``rebalance`` / ``apply_fault``
+        #: / ``master_action_counts``) reach the master through here.
+        cluster.master = self
         if cluster.contention is not None:
             cluster.contention.replica_counts = self.replica_counts
 
@@ -382,6 +391,42 @@ class TabletMaster:
         return self.migrate_tablet(
             entry.table, entry.tablet_id, targets[0], crash_point=crash_point
         )
+
+    def apply_fault(
+        self,
+        kind: str,
+        server_id: Optional[int] = None,
+        crash_point: Optional[str] = None,
+    ) -> str:
+        """Fire one scheduled fault; returns the bracketed outcome.
+
+        Unfireable events (crashing a dead or the last alive server,
+        reviving an alive one, a server id beyond this cluster, a migration
+        crash with nowhere to migrate) come back as ``"[skipped]"`` instead
+        of raising: a seeded plan cannot know the cluster's state at
+        schedule time.
+        """
+        cluster = self.cluster
+        if server_id is not None and server_id >= cluster.num_servers:
+            return "[skipped]"
+        if kind == CRASH_SERVER:
+            server = cluster.servers[server_id]
+            if not server.alive or len(cluster.alive_server_indices()) <= 1:
+                return "[skipped]"
+            report = self.fail_over(server_id)
+            return (
+                f"[{report.tablets_recovered} tablets recovered, "
+                f"{report.log_records_replayed} records replayed]"
+            )
+        if kind == REVIVE_SERVER:
+            if cluster.servers[server_id].alive:
+                return "[skipped]"
+            cluster.revive_server(server_id)
+            return "[applied]"
+        record = self.inject_migration_crash(crash_point or CRASH_AFTER_HANDOFF)
+        if record is None:
+            return "[skipped]"
+        return f"[{record.tablet_id} {record.source}->{record.target} aborted]"
 
     # ------------------------------------------------------------------
     # Rebalancing

@@ -21,9 +21,9 @@ results) ride the shared columnar codec layer (:mod:`repro.codec.wire`):
 varint-dictionary object ids, fixed-width float columns and delta-encoded
 timestamps that *reconstruct* the library's frozen dataclasses on the far
 side instead of shipping pickled object graphs.  Neighbour results
-additionally use a per-shard *stateful* stream codec (held by the shard
-service / shard client, not here) that resends only what changed since the
-last frame.  Every codec keeps a pickle fallback (flag byte 0) so exotic
+use a per-shard *stateful* stream codec (held by the shard service and
+the parent's pipe transport, not here) that resends only what changed since
+the last frame.  Every codec keeps a pickle fallback (flag byte 0) so exotic
 payloads — non-conforming object ids, subclassed queries — stay correct,
 just slower.  Control-plane verbs ride the generic ``CALL`` opcode, itself
 slimmed: argument-less calls ship the method name in UTF-8, and the hot
@@ -47,8 +47,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.codec import wire as _wire
 from repro.errors import FrameCorruptionError, RpcError, WorkerDiedError
-from repro.geometry.point import Point
-from repro.model import NeighborResult, UpdateMessage, format_object_id
+from repro.model import UpdateMessage
 from repro.workload.queries import NNQuery
 
 # --------------------------------------------------------------------------
@@ -127,13 +126,14 @@ def read_frame(sock: socket.socket) -> Tuple[int, int, int, int, bytes]:
 # Compact codecs (reconstruct-don't-store)
 # --------------------------------------------------------------------------
 
-_COUNT = struct.Struct("!I")
 _FLAG_PICKLED = _wire.FLAG_PICKLED
 _FLAG_COMPACT = _wire.FLAG_COLUMNAR
 
-#: The integer behind ``format_object_id`` ids, or ``None`` (re-exported —
-#: the implementation moved to the shared codec layer).
-_numeric_object_id = _wire.numeric_object_id
+#: Response body of ``OP_UPDATE_BATCH``: (processed, shard makespan).
+UPDATE_RESULT = struct.Struct("!Id")
+#: Prefix of an ``OP_QUERY_BATCH`` response body: the shard makespan, then
+#: the shard's neighbour-stream frame.
+MAKESPAN = struct.Struct("!d")
 
 
 def encode_update_batch(messages: Sequence[UpdateMessage]) -> bytes:
@@ -167,82 +167,6 @@ def decode_query_batch(body: bytes) -> List[NNQuery]:
     if body[0] == _FLAG_PICKLED:
         return pickle.loads(bytes(body[1:]))
     return _wire.decode_query_batch_columnar(memoryview(body)[1:])
-
-
-# Neighbour results, *stateless legacy* codec: one fixed-width record per
-# result.  The hot path uses the stateful per-shard stream codec in
-# :mod:`repro.codec.wire` instead (worker-side encoder, client-side
-# decoder); this codec remains for stateless callers and as the property
-# tests' reference twin.  Flags bit 0 = is_leader, bit 1 = has leader_id.
-_NEIGHBOR_RECORD = struct.Struct("!Q3dBQ")  # id, x, y, distance, flags, leader
-
-
-def encode_neighbor_batches(
-    batches: Sequence[Sequence[NeighborResult]],
-) -> bytes:
-    """All result lists for one probe set, in query order."""
-    parts = [bytes([_FLAG_COMPACT]), _COUNT.pack(len(batches))]
-    pack = _NEIGHBOR_RECORD.pack
-    for batch in batches:
-        parts.append(_COUNT.pack(len(batch)))
-        for result in batch:
-            numeric = _numeric_object_id(result.object_id)
-            leader = (
-                _numeric_object_id(result.leader_id)
-                if result.leader_id is not None
-                else 0
-            )
-            if (
-                numeric is None
-                or (result.leader_id is not None and leader is None)
-                or type(result) is not NeighborResult
-            ):
-                return bytes([_FLAG_PICKLED]) + pickle.dumps(
-                    [list(entry) for entry in batches], _PICKLE_PROTOCOL
-                )
-            flags = (1 if result.is_leader else 0) | (
-                2 if result.leader_id is not None else 0
-            )
-            parts.append(
-                pack(
-                    numeric,
-                    result.location.x,
-                    result.location.y,
-                    result.distance,
-                    flags,
-                    leader or 0,
-                )
-            )
-    return b"".join(parts)
-
-
-def decode_neighbor_batches(body: bytes) -> List[List[NeighborResult]]:
-    flag = body[0]
-    if flag == _FLAG_PICKLED:
-        return pickle.loads(body[1:])
-    (num_batches,) = _COUNT.unpack_from(body, 1)
-    offset = 1 + _COUNT.size
-    batches: List[List[NeighborResult]] = []
-    for _ in range(num_batches):
-        (count,) = _COUNT.unpack_from(body, offset)
-        offset += _COUNT.size
-        batch = []
-        for _ in range(count):
-            numeric, x, y, distance, flags, leader = _NEIGHBOR_RECORD.unpack_from(
-                body, offset
-            )
-            offset += _NEIGHBOR_RECORD.size
-            batch.append(
-                NeighborResult(
-                    object_id=format_object_id(numeric),
-                    location=Point(x, y),
-                    distance=distance,
-                    is_leader=bool(flags & 1),
-                    leader_id=format_object_id(leader) if flags & 2 else None,
-                )
-            )
-        batches.append(batch)
-    return batches
 
 
 def encode_call(method: str, args: tuple, kwargs: dict) -> bytes:
@@ -337,8 +261,9 @@ class RetryPolicy:
 class RpcConnection:
     """One framed, pipelined connection to a worker process.
 
-    ``send_request`` writes a frame and returns immediately with the request
-    id; ``wait`` blocks until that id's response arrives, parking any other
+    ``send_request`` writes one frame (``send_requests`` a whole round in
+    one ``sendall``) and returns immediately with the request id; ``wait``
+    blocks until that id's response arrives, parking any other
     responses it reads along the way.  This lets a round of per-shard
     requests go out back-to-back before the first response is collected —
     the round-trip cost of a scatter is one pipeline flush, not one
@@ -359,7 +284,6 @@ class RpcConnection:
         # requests never collide with an id the dedup window already saw.
         self._next_request_id = initial_request_id & 0xFFFFFFFF
         self._parked: Dict[int, Tuple[int, int, bytes]] = {}
-        self._send_queue: List[bytes] = []
         self._closed = False
         self._pending_fault: Optional[str] = None
         self.bytes_sent = 0
@@ -399,8 +323,8 @@ class RpcConnection:
     def allocate_request_ids(self, count: int) -> List[int]:
         """Reserve ``count`` ids without sending anything.
 
-        The supervised dispatch path allocates before the batched send so
-        the ids survive a send-time failure — they pin the retry frames for
+        The pipe transport allocates before the batched send so the ids
+        survive a send-time failure — they pin the retry frames for
         the worker-side dedup window."""
         return [self._allocate_id() for _ in range(count)]
 
@@ -427,45 +351,6 @@ class RpcConnection:
             self._send_bytes(b"".join(frames))
             self.frames_sent += len(frames)
         return ids
-
-    def queue_request(
-        self,
-        shard_id: int,
-        opcode: int,
-        body: bytes,
-        request_id: Optional[int] = None,
-    ) -> int:
-        """Frame a request but keep it in the local send queue.
-
-        The pipelined engine frames every per-shard request of a window
-        step here, then ships the whole step with one :meth:`flush_queued`
-        ``sendall`` — coalescing keeps the syscall count per window step at
-        one regardless of how many shards a worker hosts."""
-        if request_id is None:
-            request_id = self._allocate_id()
-        self._send_queue.append(
-            encode_frame(KIND_REQUEST, request_id, shard_id, opcode, body)
-        )
-        return request_id
-
-    def flush_queued(self) -> int:
-        """Ship every queued frame in one ``sendall`` -> frames flushed.
-
-        The queue is cleared even when the send raises: a failed flush
-        means the worker is gone, and the supervised resend path rebuilds
-        the frames from its own in-flight record with the original pinned
-        request ids rather than replaying stale queue bytes."""
-        if not self._send_queue:
-            return 0
-        frames, self._send_queue = self._send_queue, []
-        self._send_bytes(b"".join(frames))
-        self.frames_sent += len(frames)
-        return len(frames)
-
-    def has_parked(self, request_id: int) -> bool:
-        """True when ``request_id``'s response already arrived and is parked
-        (a non-blocking completion probe for the windowed drain loop)."""
-        return request_id in self._parked
 
     def inject_fault(self, mode: str) -> None:
         """Corrupt the next outgoing send (chaos harness hook).

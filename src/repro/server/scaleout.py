@@ -2,13 +2,20 @@
 
 :class:`ScaleOutCluster` is the parent-side view of a sharded MOIST
 deployment.  Each shard hosts a complete, unmodified stack (emulator,
-indexer, server cluster, optional tablet master) behind a shard client —
-either in-process (:class:`repro.bigtable.process_backend.LocalShardClient`)
-or a worker process reached over the batched RPC framing
-(:class:`repro.bigtable.process_backend.ProcessShardClient`).  The cluster
-partitions update batches by owning shard, broadcasts query batches, and
-merges results in fixed shard order, so its outputs are bit-identical for
-every worker count — including the degenerate one-shard in-process case.
+indexer, server cluster, optional tablet master) behind a shard transport
+(:mod:`repro.bigtable.process_backend`) — in-process, or worker processes
+reached over the batched RPC framing.  The cluster partitions update
+batches by owning shard, broadcasts query batches, and merges results in
+fixed shard order, so its outputs are bit-identical for every worker count
+— including the degenerate one-shard in-process case.
+
+One decision lives here and nowhere else: *how one round of per-shard
+requests is sent, collected in send order, healed and re-sent with its
+pinned request ids* — :class:`ScatterGatherEngine`.  An update window is
+``W`` rounds in flight, lockstep is ``W = 1``, a query broadcast is one
+round behind a barrier, an unsupervised cluster is the same loop with no
+supervisor (the first failed sweep raises), and the in-process federation
+is a transport whose sends complete synchronously.
 
 Determinism model: the *shard count* is the unit of determinism (it decides
 object placement and per-shard RNG consumption); the *worker count* is the
@@ -22,11 +29,10 @@ import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.bigtable.process_backend import (
-    _MAKESPAN,
     FederatedShardedBackend,
     ProcessShardedBackend,
-    _decode_update_result,
     make_scaleout_backend,
+    zero_phase,
 )
 from repro.errors import (
     ConfigurationError,
@@ -36,32 +42,131 @@ from repro.errors import (
 from repro.model import NeighborResult, UpdateMessage
 from repro.server import chaos as chaos_mod
 from repro.server import rpc
+from repro.server.cluster import RoundMakespans
 from repro.server.supervisor import Supervisor
 from repro.server.worker import shard_of
+
+
+class ScatterGatherEngine:
+    """Rounds of per-shard requests in flight over one shard transport.
+
+    :meth:`enqueue` puts a round on its way without waiting; :meth:`drain`
+    collects everything in flight **in send order**, so what the caller
+    commits never depends on arrival order.  A collect that raises
+    :class:`WorkerDiedError` / :class:`FrameCorruptionError` — dead worker,
+    failed send, expired per-call deadline, corrupt frame — marks the
+    owning worker and the sweep moves on.  After each sweep every marked
+    worker is healed through the supervisor (sorted worker order, bounded
+    by ``retry_policy`` with backoff between attempts) and its *entire*
+    uncollected in-flight set is re-sent in the original order under the
+    original request ids, which the worker-side dedup window uses to replay
+    what the dead worker had already applied and apply the rest exactly
+    once.  Without a supervisor the first failed sweep raises.
+    """
+
+    def __init__(
+        self,
+        transport: object,
+        retry_policy: rpc.RetryPolicy,
+        supervisor: Optional[Supervisor] = None,
+    ) -> None:
+        self.transport = transport
+        self.retry_policy = retry_policy
+        self.supervisor = supervisor
+        #: ``(shard_id, token, round_index)`` per outstanding request.
+        self._inflight: List[Tuple[int, Any, Optional[int]]] = []
+        self.inflight_rounds = 0
+
+    def enqueue(
+        self,
+        requests: Sequence[Tuple[int, int, Any]],
+        round_index: Optional[int] = None,
+    ) -> None:
+        """Send one round of ``(shard_id, opcode, payload)`` requests."""
+        tokens = self.transport.send(requests)
+        for request, token in zip(requests, tokens):
+            self._inflight.append((request[0], token, round_index))
+        self.inflight_rounds += 1
+
+    def drain(self) -> List[Tuple[int, Any, Optional[int]]]:
+        """Collect every in-flight request -> ``(shard_id, result,
+        round_index)`` triples in send order."""
+        entries, self._inflight = self._inflight, []
+        self.inflight_rounds = 0
+        transport = self.transport
+        policy = self.retry_policy
+        owners = [transport.worker_of(shard_id) for shard_id, _, _ in entries]
+        results: Dict[int, Any] = {}
+        failed: Dict[int, str] = {}
+        attempts = 1
+        while True:
+            for index, (shard_id, token, _round) in enumerate(entries):
+                if index in results or owners[index] in failed:
+                    continue
+                try:
+                    results[index] = transport.collect(
+                        token, policy.call_deadline_s
+                    )
+                except (WorkerDiedError, FrameCorruptionError) as exc:
+                    failed[owners[index]] = f"shard {shard_id}: {exc}"
+            if not failed:
+                break
+            if self.supervisor is None or attempts >= policy.max_attempts:
+                reasons = "; ".join(
+                    f"worker {worker}: {reason}"
+                    for worker, reason in sorted(failed.items())
+                )
+                raise WorkerDiedError(
+                    f"scatter round failed after {attempts} attempts ({reasons})"
+                )
+            time.sleep(policy.backoff_s(attempts))
+            attempts += 1
+            for worker in sorted(failed):
+                self.supervisor.handle_worker_failure(worker, failed[worker])
+                transport.transmit(
+                    worker,
+                    [
+                        entries[index][1]
+                        for index, owner in enumerate(owners)
+                        if owner == worker and index not in results
+                    ],
+                )
+            failed.clear()
+        if self.supervisor is not None:
+            for worker in set(owners):
+                self.supervisor.notify_success(worker)
+        return [
+            (shard_id, results[index], round_index)
+            for index, (shard_id, _token, round_index) in enumerate(entries)
+        ]
+
+    def discard(self) -> None:
+        """Forget everything in flight without waiting for it."""
+        self._inflight = []
+        self.inflight_rounds = 0
 
 
 class ScaleOutCluster:
     """Scatter/gather request router over a federation of shard groups.
 
-    Mirrors the :class:`repro.server.cluster.ServerCluster` surface the
-    load tests drive (``submit_update_batch`` / ``submit_query_batch`` /
-    ``makespan_seconds`` / ``reset_metrics``), plus the control-plane
-    hooks (:meth:`apply_fault`, :meth:`rebalance`) the fault injector
-    needs.  All scatters are pipelined: every shard's request is on the
-    wire before the first response is read, so one round costs one
-    round-trip regardless of shard count.
+    Satisfies the load-test cluster protocol of
+    :class:`repro.server.cluster.ServerCluster`, plus the process-level
+    hooks (:meth:`apply_chaos_event`, :meth:`heal_dead_workers`).  Every
+    round is pipelined: every shard's request is on the wire before the
+    first response is read, so one round costs one round-trip regardless
+    of shard count.
 
-    On top of the per-round pipelining sits the *windowed* engine: the
-    parent may keep up to ``window`` whole update rounds in flight before
-    blocking (:meth:`enqueue_update_batch` / :meth:`drain_update_window`),
-    overlapping parent-side columnar encode of round *k+1* and decode of
-    round *k−1* with worker-side apply of round *k*.  Per-connection FIFO
-    order is untouched — a worker applies its frames in send order — so
-    every shard sees exactly the batch stream it would have seen at
-    ``window=1`` and the simulated results stay byte-identical for every
-    window size.  Query broadcasts, control-plane verbs, chaos events and
-    metric reads all drain the window first (an explicit barrier), so
-    nothing can observe a shard mid-window.
+    The parent may keep up to ``window`` whole update rounds in flight
+    before blocking (:meth:`enqueue_update_batch` /
+    :meth:`drain_update_window`), overlapping parent-side columnar encode
+    of round *k+1* and decode of round *k−1* with worker-side apply of
+    round *k*.  Per-connection FIFO order is untouched — a worker applies
+    its frames in send order — so every shard sees exactly the batch
+    stream it would have seen at ``window=1`` and the simulated results
+    stay byte-identical for every window size.  Query broadcasts,
+    control-plane verbs, chaos events and metric reads all drain the
+    window first (an explicit barrier), so nothing can observe a shard
+    mid-window.
     """
 
     def __init__(
@@ -72,8 +177,6 @@ class ScaleOutCluster:
         max_consecutive_failures: int = 5,
         window: int = 1,
     ) -> None:
-        if backend.num_shards < 1:
-            raise ConfigurationError("a scale-out cluster needs >= 1 shard")
         self.backend = backend
         self.clients = backend.clients
         self.recipes = backend.recipes
@@ -106,31 +209,8 @@ class ScaleOutCluster:
         #: makespan is their max (shards run concurrently in wall-clock
         #: but their simulated clocks are independent).
         self._makespans = [0.0] * self.num_shards
+        self._round_makespans = RoundMakespans()
         self.retry_policy = retry_policy or rpc.RetryPolicy()
-        #: Windowed in-flight state.  ``_inflight`` holds one entry per
-        #: outstanding per-shard request in *send order*:
-        #: ``(shard_id, worker, request_id, body, round_index)`` on the
-        #: process backend, or ``(shard_id, None, handle, None,
-        #: round_index)`` in-process (the handle is already resolved — the
-        #: in-process federation has no wire to overlap, but it walks the
-        #: identical enqueue/drain schedule so the pipeline counters and
-        #: reports match the process backend exactly).
-        self.window = 1
-        self._inflight: List[Tuple[int, Optional[int], Any, Optional[bytes], Optional[int]]] = []
-        self._inflight_rounds = 0
-        self._pipeline_processed = 0
-        #: Workers whose enqueue-time send failed; the next drain heals
-        #: them (supervised) or raises (unsupervised).
-        self._send_failed: Dict[int, str] = {}
-        #: ``(round_index, shard makespan)`` per committed in-flight entry;
-        #: :meth:`makespan_at_round` resolves the cluster makespan *as of*
-        #: any past round from this, which is what lets the load test
-        #: defer its timeline arithmetic instead of barriering per bucket.
-        self._makespan_history: List[Tuple[int, float]] = []
-        self._phase = self._zero_phase()
-        #: Supervised clusters route the data plane through the
-        #: retry-after-heal scatter (:meth:`_supervised_round`); without a
-        #: policy the dispatch path is exactly the pre-supervision one.
         self.supervisor: Optional[Supervisor] = None
         if supervision_policy is not None:
             if not isinstance(backend, ProcessShardedBackend):
@@ -144,6 +224,11 @@ class ScaleOutCluster:
                 retry_policy=self.retry_policy,
                 max_consecutive_failures=max_consecutive_failures,
             )
+        self._engine = ScatterGatherEngine(
+            backend.transport, self.retry_policy, self.supervisor
+        )
+        self.window = 1
+        self._zero_pipeline_metrics()  # the build's frames are not rounds
         self.set_window(window)
 
     @classmethod
@@ -164,29 +249,34 @@ class ScaleOutCluster:
         ``backend`` selects the execution vehicle (``"inprocess"``,
         ``"process"`` or ``"disk"``); every other knob feeds the per-shard
         :class:`repro.server.worker.ShardRecipe`.  A ``supervision_policy``
-        enables the self-healing dispatch path; ``"respawn"`` (lossless)
-        additionally turns on durable accounting checkpoints so a respawned
-        shard restores its simulated tallies and dedup window.  ``window``
-        bounds the in-flight update rounds per worker; the worker-side
-        dedup window is sized to at least ``window`` so a heal-then-resend
-        of the whole in-flight window stays exactly-once.
+        enables self-healing; ``"respawn"`` (lossless) additionally turns
+        on durable accounting checkpoints so a respawned shard restores its
+        simulated tallies and dedup window.  ``window`` bounds the
+        in-flight update rounds per worker; the worker-side dedup window is
+        sized to at least ``window`` so a heal-then-resend of the whole
+        in-flight window stays exactly-once.
         """
         if supervision_policy == "respawn":
             recipe_kwargs.setdefault("durable_accounting", True)
         recipe_kwargs.setdefault("dedup_window", max(8, window))
-        return cls(
-            make_scaleout_backend(
-                backend,
-                num_shards,
-                num_workers=num_workers,
-                timeout_s=timeout_s,
-                **recipe_kwargs,
-            ),
-            supervision_policy=supervision_policy,
-            retry_policy=retry_policy,
-            max_consecutive_failures=max_consecutive_failures,
-            window=window,
+        built = make_scaleout_backend(
+            backend,
+            num_shards,
+            num_workers=num_workers,
+            timeout_s=timeout_s,
+            **recipe_kwargs,
         )
+        try:
+            return cls(
+                built,
+                supervision_policy=supervision_policy,
+                retry_policy=retry_policy,
+                max_consecutive_failures=max_consecutive_failures,
+                window=window,
+            )
+        except BaseException:
+            built.close()  # a rejected build must not strand its workers
+            raise
 
     # ------------------------------------------------------------------
     # Request routing
@@ -195,18 +285,13 @@ class ScaleOutCluster:
         """Owning shard of ``object_id`` (stable, worker-count independent)."""
         return shard_of(object_id, self.num_shards)
 
-    def submit_update(self, message: UpdateMessage) -> int:
-        """Route one update to its owning shard (single-request path)."""
-        return self.submit_update_batch([message])
-
     def submit_update_batch(self, messages: Sequence[UpdateMessage]) -> int:
         """Partition a batch by owning shard, dispatch, and wait for it.
 
-        The synchronous legacy surface: one call is one enqueued round
-        followed by a full window drain, so callers that never touch the
-        windowed API keep exact ``window=1`` semantics.  Returns the
-        number of messages processed across everything the drain
-        collected.
+        The synchronous surface: one call is one enqueued round followed by
+        a full window drain, so callers that never touch the windowed API
+        get exact ``window=1`` semantics.  Returns the number of messages
+        processed across everything the drain collected.
         """
         if not messages:
             return 0
@@ -216,20 +301,17 @@ class ScaleOutCluster:
         return self._pipeline_processed - before
 
     # ------------------------------------------------------------------
-    # Windowed pipelined engine
+    # Update windows
     # ------------------------------------------------------------------
-    @staticmethod
-    def _zero_phase() -> Dict[str, float]:
-        return {
-            "encode_seconds": 0.0,
-            "send_seconds": 0.0,
-            "blocked_wait_seconds": 0.0,
-            "decode_seconds": 0.0,
+    def _zero_pipeline_metrics(self) -> None:
+        self._pipeline_processed = 0
+        self._counters = {
             "blocking_waits": 0,
             "barrier_drains": 0,
             "rounds_enqueued": 0,
             "drains": 0,
         }
+        self.backend.transport.phase = zero_phase()
 
     def set_window(self, window: int) -> None:
         """Bound the in-flight update rounds per worker.
@@ -240,7 +322,7 @@ class ScaleOutCluster:
         """
         if window < 1:
             raise ConfigurationError("window must be >= 1")
-        dedup_depth = getattr(self.recipes[0], "dedup_window", window)
+        dedup_depth = self.recipes[0].dedup_window
         if window > dedup_depth:
             raise ConfigurationError(
                 f"window {window} exceeds the worker-side dedup depth "
@@ -251,7 +333,7 @@ class ScaleOutCluster:
 
     @property
     def pipeline_processed(self) -> int:
-        """Messages processed through the windowed engine since the last
+        """Messages processed through update windows since the last
         metrics reset (committed at drain time, in send order)."""
         return self._pipeline_processed
 
@@ -263,212 +345,91 @@ class ScaleOutCluster:
         """Put one update round in flight without waiting for it.
 
         Parent-side encode happens here — while workers are still applying
-        previously enqueued rounds — and each worker's frames for this
-        round coalesce into a single ``sendall``.  When the window is
-        full the call drains it first, so at most ``self.window`` rounds
-        are ever outstanding.  ``round_index`` tags the round for
+        previously enqueued rounds.  When the window is full the call
+        drains it first, so at most ``self.window`` rounds are ever
+        outstanding.  ``round_index`` tags the round for
         :meth:`makespan_at_round` (the load test's deferred timeline).
         """
         if not messages:
             return
-        if self._inflight_rounds >= self.window:
+        if self._engine.inflight_rounds >= self.window:
             self.drain_update_window()
         buckets: List[List[UpdateMessage]] = [[] for _ in range(self.num_shards)]
         for message in messages:
             buckets[shard_of(message.object_id, self.num_shards)].append(message)
-        backend = self.backend
-        if not isinstance(backend, ProcessShardedBackend):
-            # In-process federation: the "send" applies synchronously, but
-            # the handles join the in-flight record so the drain schedule
-            # (and every pipeline counter derived from it) matches the
-            # process backend step for step.
-            for shard_id, handle in backend.begin_update_scatter(
-                (shard_id, batch)
+        self._engine.enqueue(
+            [
+                (shard_id, rpc.OP_UPDATE_BATCH, batch)
                 for shard_id, batch in enumerate(buckets)
                 if batch
-            ):
-                self._inflight.append((shard_id, None, handle, None, round_index))
-            self._inflight_rounds += 1
-            self._phase["rounds_enqueued"] += 1
-            return
-        clock = time.perf_counter
-        started = clock()
-        sends = [
-            (shard_id, rpc.encode_update_batch(batch))
-            for shard_id, batch in enumerate(buckets)
-            if batch
-        ]
-        self._phase["encode_seconds"] += clock() - started
-        started = clock()
-        by_worker: Dict[int, List[Tuple[int, bytes]]] = {}
-        for shard_id, body in sends:
-            by_worker.setdefault(backend.worker_of(shard_id), []).append(
-                (shard_id, body)
-            )
-        for worker, entries in by_worker.items():
-            connection = backend.pool.connections[worker]
-            ids = connection.allocate_request_ids(len(entries))
-            for (shard_id, body), request_id in zip(entries, ids):
-                self._inflight.append(
-                    (shard_id, worker, request_id, body, round_index)
-                )
-            if worker in self._send_failed:
-                continue  # known-dead: the drain heals and resends
-            try:
-                for (shard_id, body), request_id in zip(entries, ids):
-                    connection.queue_request(
-                        shard_id, rpc.OP_UPDATE_BATCH, body, request_id=request_id
-                    )
-                connection.flush_queued()
-            except WorkerDiedError as exc:
-                self._send_failed[worker] = str(exc)
-        self._phase["send_seconds"] += clock() - started
-        self._inflight_rounds += 1
-        self._phase["rounds_enqueued"] += 1
+            ],
+            round_index,
+        )
+        self._counters["rounds_enqueued"] += 1
 
     def drain_update_window(self) -> int:
         """Collect every in-flight update round (the explicit barrier).
 
         Responses are committed in send order, so makespans, ack
-        accounting and the per-round makespan history are independent of
-        arrival order.  Supervised failures heal the worker and resend its
-        *entire* uncollected window with the original pinned request ids —
-        the worker-side dedup window (sized >= the engine window) replays
-        what was already applied and applies the rest exactly once.
-        Returns the messages processed by this drain.
+        accounting and the per-round makespan record are independent of
+        arrival order.  Returns the messages processed by this drain.
         """
-        entries = self._inflight
-        if not entries:
-            self._inflight_rounds = 0
-            if self._send_failed and self.supervisor is None:
-                failures, self._send_failed = self._send_failed, {}
-                raise WorkerDiedError(
-                    "; ".join(
-                        f"worker {worker}: {reason}"
-                        for worker, reason in sorted(failures.items())
-                    )
-                )
+        if not self._engine.inflight_rounds:
             return 0
-        self._inflight = []
-        self._inflight_rounds = 0
-        self._phase["drains"] += 1
-        self._phase["blocking_waits"] += 1
-        policy = self.retry_policy
-        clock = time.perf_counter
-        results: Dict[int, Tuple[int, float]] = {}
-        failed: Dict[int, str] = self._send_failed
-        self._send_failed = {}
-        attempts = 1
-        while True:
-            for index, (shard_id, worker, token, _body, _round) in enumerate(
-                entries
-            ):
-                if index in results:
-                    continue
-                if worker is None:
-                    results[index] = token.result()
-                    continue
-                if worker in failed:
-                    continue
-                connection = self.backend.pool.connections[worker]
-                try:
-                    started = clock()
-                    _opcode, body = connection.wait(
-                        token, deadline_s=policy.call_deadline_s
-                    )
-                    self._phase["blocked_wait_seconds"] += clock() - started
-                    started = clock()
-                    results[index] = _decode_update_result(body)
-                    self._phase["decode_seconds"] += clock() - started
-                except (WorkerDiedError, FrameCorruptionError) as exc:
-                    failed[worker] = f"shard {shard_id}: {exc}"
-            if not failed:
-                break
-            if self.supervisor is None or attempts >= policy.max_attempts:
-                reasons = "; ".join(
-                    f"worker {worker}: {reason}"
-                    for worker, reason in sorted(failed.items())
-                )
-                raise WorkerDiedError(
-                    f"window drain failed after {attempts} attempts ({reasons})"
-                )
-            time.sleep(policy.backoff_s(attempts))
-            attempts += 1
-            for worker in sorted(failed):
-                self.supervisor.handle_worker_failure(worker, failed[worker])
-                connection = self.backend.pool.connections[worker]
-                for index, (shard_id, owner, token, body, _round) in enumerate(
-                    entries
-                ):
-                    if owner == worker and index not in results:
-                        connection.queue_request(
-                            shard_id,
-                            rpc.OP_UPDATE_BATCH,
-                            body,
-                            request_id=token,
-                        )
-                connection.flush_queued()
-            failed.clear()
+        self._counters["drains"] += 1
+        self._counters["blocking_waits"] += 1
         processed = 0
-        touched_workers = set()
-        for index, (shard_id, worker, _token, _body, round_index) in enumerate(
-            entries
-        ):
-            count, makespan = results[index]
+        for shard_id, (count, makespan), round_index in self._engine.drain():
             processed += count
             self._makespans[shard_id] = makespan
             if round_index is not None:
-                self._makespan_history.append((round_index, makespan))
+                self._round_makespans.record(round_index, makespan)
             if self.supervisor is not None:
                 self.supervisor.note_acked_updates(shard_id, count)
-            if worker is not None:
-                touched_workers.add(worker)
-        if self.supervisor is not None:
-            for worker in touched_workers:
-                self.supervisor.notify_success(worker)
         self._pipeline_processed += processed
         return processed
 
     def _barrier(self) -> int:
         """Drain before anything that must observe settled shards (query
         broadcasts, control-plane verbs, chaos events, metric reads)."""
-        if self._inflight:
-            self._phase["barrier_drains"] += 1
+        if self._engine.inflight_rounds:
+            self._counters["barrier_drains"] += 1
         return self.drain_update_window()
+
+    def settle(self) -> None:
+        """End of a load-test run: drain the window, then sweep-and-heal so
+        a failure injected with no round left to detect it cannot crash the
+        fail-fast result-assembly scatters."""
+        self.drain_update_window()
+        self.heal_dead_workers()
 
     def record_round_makespan(self, round_index: int) -> None:
         """Pin the current *settled* makespan to a round marker.
 
         The mixed load-test loop calls this right after a barriered query
-        broadcast: queries advance shard clocks outside the windowed
-        update path, and the deferred timeline still needs
+        broadcast: queries advance shard clocks outside the update
+        windows, and the deferred timeline still needs
         :meth:`makespan_at_round` to see that growth."""
-        self._makespan_history.append((round_index, self.makespan_seconds()))
+        self._round_makespans.record(round_index, self.makespan_seconds())
 
     def makespan_at_round(self, round_index: int) -> float:
-        """The cluster-wide simulated makespan *as of* a past round.
-
-        Valid because per-shard makespans are monotonically nondecreasing:
-        the max over every committed entry tagged with a round at or
-        before ``round_index`` equals the makespan a ``window=1`` engine
-        would have reported right after that round."""
-        best = 0.0
-        for committed_round, makespan in self._makespan_history:
-            if committed_round <= round_index and makespan > best:
-                best = makespan
-        return best
+        """The cluster-wide simulated makespan *as of* a past round — what
+        a ``window=1`` engine would have reported right after it."""
+        return self._round_makespans.at(round_index)
 
     def metrics_snapshot(self) -> Dict[str, object]:
-        """Engine-side pipeline counters and phase timing breakdown.
+        """Pipeline counters and the transport's phase timing breakdown.
 
-        Phase seconds are wall-clock (parent-side) and deliberately live
-        *outside* ``to_report()``; the counter fields (``blocking_waits``,
-        ``rounds_enqueued``, ...) are machine-independent — functions of
-        the batch schedule only — which is what the CI overlap guard
-        pins."""
-        snapshot: Dict[str, object] = dict(self._phase)
+        Phase seconds are wall-clock (parent-side, every frame moved since
+        the last metrics reset) and deliberately live *outside*
+        ``to_report()``; the counter fields (``blocking_waits``,
+        ``rounds_enqueued``, ...) count update windows and are
+        machine-independent — functions of the batch schedule only — which
+        is what the CI overlap guard pins."""
+        snapshot: Dict[str, object] = dict(self.backend.transport.phase)
+        snapshot.update(self._counters)
         snapshot["window"] = self.window
-        snapshot["inflight_rounds"] = self._inflight_rounds
+        snapshot["inflight_rounds"] = self._engine.inflight_rounds
         return snapshot
 
     def submit_query_batch(
@@ -477,23 +438,25 @@ class ScaleOutCluster:
         """Broadcast a query batch to every shard and merge top-k results.
 
         Objects are spread across shards, so each NN query must probe all
-        of them; per query the shard answers are concatenated, sorted by
-        ``(distance, object_id)`` and truncated to the query's ``k`` —
-        exactly the order a single-shard indexer produces.
+        of them — one round behind the barrier; per query the shard answers
+        are concatenated, sorted by ``(distance, object_id)`` and truncated
+        to the query's ``k`` — exactly the order a single-shard indexer
+        produces.
         """
         queries = list(queries)
         if not queries:
             return []
         self._barrier()
-        if self.supervisor is not None:
-            per_shard = self._supervised_query_broadcast(queries)
-        else:
-            pending = list(enumerate(self.backend.begin_query_broadcast(queries)))
-            per_shard = []
-            for shard_id, handle in pending:
-                results, makespan = handle.result()
-                self._makespans[shard_id] = makespan
-                per_shard.append(results)
+        self._engine.enqueue(
+            [
+                (shard_id, rpc.OP_QUERY_BATCH, queries)
+                for shard_id in range(self.num_shards)
+            ]
+        )
+        per_shard: List[List[List[NeighborResult]]] = []
+        for shard_id, (results, makespan), _round in self._engine.drain():
+            self._makespans[shard_id] = makespan
+            per_shard.append(results)
         merged: List[List[NeighborResult]] = []
         for query_index, query in enumerate(queries):
             combined: List[NeighborResult] = []
@@ -502,126 +465,6 @@ class ScaleOutCluster:
             combined.sort(key=lambda result: (result.distance, result.object_id))
             merged.append(combined[: query.k])
         return merged
-
-    # ------------------------------------------------------------------
-    # Supervised dispatch (exactly-once scatter-gather)
-    # ------------------------------------------------------------------
-    def _supervised_round(self, sends, decode) -> Dict[int, Any]:
-        """Scatter ``sends`` with retry-after-heal semantics.
-
-        ``sends`` is an ordered sequence of ``(shard_id, opcode, body)``
-        triples — at most one per shard, dispatched against a drained
-        window — and ``decode(shard_id, body)`` turns a
-        response body into the caller's result.  The send phase mirrors the
-        unsupervised backend exactly: requests grouped per worker connection
-        in first-appearance order and flushed with one batched
-        ``send_requests`` each, so a chaos-free supervised run puts
-        byte-identical frames on the wire.
-
-        Failures — dead worker, expired per-call deadline, corrupt response
-        frame — mark the owning worker.  After each collect sweep every
-        marked worker is healed through the supervisor and its uncollected
-        requests are re-sent on the replacement connection *with their
-        original request ids*, which the dedup window uses to suppress
-        double application (replaying the recorded result when the dead
-        worker had already applied the batch).  Attempts are bounded by
-        ``retry_policy.max_attempts`` with exponential backoff between.
-        """
-        policy = self.retry_policy
-        backend = self.backend
-        grouped: Dict[int, List[Tuple[int, int, bytes]]] = {}
-        for entry in sends:
-            grouped.setdefault(backend.worker_of(entry[0]), []).append(entry)
-        request_ids: Dict[int, int] = {}
-        worker_of_shard: Dict[int, int] = {}
-        failed: Dict[int, str] = {}
-        for worker, entries in grouped.items():
-            connection = backend.pool.connections[worker]
-            ids = connection.allocate_request_ids(len(entries))
-            for (shard_id, _opcode, _body), request_id in zip(entries, ids):
-                request_ids[shard_id] = request_id
-                worker_of_shard[shard_id] = worker
-            try:
-                connection.send_requests(entries, request_ids=ids)
-            except WorkerDiedError as exc:
-                # The raise site already wrapped the OS error ("send
-                # failed: ..."): record it verbatim, don't wrap again.
-                failed[worker] = str(exc)
-        order = [shard_id for shard_id, _opcode, _body in sends]
-        results: Dict[int, Any] = {}
-        attempts = 1
-        while True:
-            for shard_id in order:
-                if shard_id in results:
-                    continue
-                worker = worker_of_shard[shard_id]
-                if worker in failed:
-                    continue
-                connection = backend.pool.connections[worker]
-                try:
-                    _opcode, body = connection.wait(
-                        request_ids[shard_id],
-                        deadline_s=policy.call_deadline_s,
-                    )
-                    results[shard_id] = decode(shard_id, body)
-                except (WorkerDiedError, FrameCorruptionError) as exc:
-                    failed[worker] = f"shard {shard_id}: {exc}"
-            if not failed:
-                break
-            if attempts >= policy.max_attempts:
-                reasons = "; ".join(
-                    f"worker {worker}: {reason}"
-                    for worker, reason in sorted(failed.items())
-                )
-                raise WorkerDiedError(
-                    f"scatter round failed after {attempts} attempts ({reasons})"
-                )
-            time.sleep(policy.backoff_s(attempts))
-            attempts += 1
-            for worker in sorted(failed):
-                self.supervisor.handle_worker_failure(worker, failed[worker])
-                connection = backend.pool.connections[worker]
-                resend = [
-                    (entry, request_ids[entry[0]])
-                    for entry in grouped[worker]
-                    if entry[0] not in results
-                ]
-                connection.send_requests(
-                    [entry for entry, _ in resend],
-                    request_ids=[request_id for _, request_id in resend],
-                )
-            failed.clear()
-        for worker in grouped:
-            self.supervisor.notify_success(worker)
-        return results
-
-    def _supervised_query_broadcast(
-        self, queries: Sequence[object]
-    ) -> List[List[List[NeighborResult]]]:
-        body = rpc.encode_query_batch(queries)
-        sends = [
-            (shard_id, rpc.OP_QUERY_BATCH, body)
-            for shard_id in range(self.num_shards)
-        ]
-
-        def decode(shard_id: int, response: bytes):
-            (makespan,) = _MAKESPAN.unpack_from(response)
-            # Look the stream decoder up at decode time: a heal rebinds the
-            # shard client with a fresh decoder mid-round, and a closure
-            # built at send time would keep decoding with the dead one.
-            decoder = self.clients[shard_id].neighbor_decoder
-            return (
-                decoder.decode(memoryview(response)[_MAKESPAN.size:], queries),
-                makespan,
-            )
-
-        collected = self._supervised_round(sends, decode)
-        per_shard: List[List[List[NeighborResult]]] = []
-        for shard_id in range(self.num_shards):
-            results, makespan = collected[shard_id]
-            self._makespans[shard_id] = makespan
-            per_shard.append(results)
-        return per_shard
 
     # ------------------------------------------------------------------
     # Chaos and recovery
@@ -678,9 +521,10 @@ class ScaleOutCluster:
         """Sweep-and-heal: probe every worker and respawn the failed ones.
 
         Failures injected near the end of a run may have no dispatch round
-        left to detect them; result assembly calls this so its unsupervised
-        control-plane scatters (``metrics`` etc.) meet a healthy pool.
-        Returns the number of workers healed.
+        left to detect them; :meth:`settle` and the mutating control-plane
+        verbs call this so their fail-fast CALL rounds (``metrics``,
+        ``rebalance``, ``apply_fault``) meet a healthy pool.  Returns the
+        number of workers healed (0 when unsupervised).
         """
         if self.supervisor is None:
             return 0
@@ -715,9 +559,8 @@ class ScaleOutCluster:
         self._barrier()
         self.backend.scatter("reset_metrics")
         self._makespans = [0.0] * self.num_shards
-        self._makespan_history = []
-        self._pipeline_processed = 0
-        self._phase = self._zero_phase()
+        self._round_makespans = RoundMakespans()
+        self._zero_pipeline_metrics()
 
     def metrics(self) -> List[Dict[str, object]]:
         """Per-shard metrics dicts, in shard order."""
@@ -762,6 +605,22 @@ class ScaleOutCluster:
             failovers += actions[2]
         return migrations, replications, failovers
 
+    def per_server_qps(self) -> List[float]:
+        """Per-server QPS, shard clusters flattened in ``(shard, server)``
+        order."""
+        per_server: List[float] = []
+        for entry in self.metrics():
+            for updates, queries, update_busy, query_busy, _alive in entry["servers"]:
+                busy = update_busy + query_busy
+                per_server.append((updates + queries) / busy if busy > 0 else 0.0)
+        return per_server
+
+    @property
+    def storage_stats(self) -> FederatedShardedBackend:
+        """Answers ``tablet_count`` / ``hot_tablet_share`` /
+        ``cache_hit_rate`` for result assembly (merged in shard order)."""
+        return self.backend
+
     # ------------------------------------------------------------------
     # Control plane
     # ------------------------------------------------------------------
@@ -774,45 +633,36 @@ class ScaleOutCluster:
     def rebalance(self) -> None:
         """Give every shard's master one rebalance tick."""
         self._require_master()
-        # The scatter below is the unsupervised path; sweep-and-heal first
-        # so a worker killed at an earlier boundary — possibly without any
-        # intervening dispatch to detect it — meets a healthy pool with
-        # its master state restored from the checkpoint.
-        if self.supervisor is not None:
-            self.heal_dead_workers()
+        # CALL rounds are fail-fast (mutating verbs are not
+        # dedup-protected); sweep-and-heal first so a worker killed at an
+        # earlier boundary — possibly without any intervening dispatch to
+        # detect it — meets a healthy pool with its master state restored
+        # from the checkpoint.
+        self.heal_dead_workers()
         self._barrier()
         self.backend.scatter("rebalance")
 
-    def apply_fault(
-        self,
-        kind: str,
-        server_id: Optional[int] = None,
-        crash_point: Optional[str] = None,
-        describe_prefix: str = "",
-    ) -> List[str]:
-        """Broadcast one fault to every shard, with load-test skip
-        semantics applied shard-side.  Returns one description per shard
-        (shard order), each tagged with the shard it fired on."""
+    def apply_fault(self, event) -> List[str]:
+        """Broadcast one scheduled :class:`~repro.server.loadtest.FaultEvent`
+        to every shard, skip semantics applied shard-side.  Returns one
+        description per shard (shard order), each tagged with its shard."""
         self._require_master()
-        # Same heal-before-scatter as :meth:`rebalance`: the begin_call
-        # fan-out below has no retry path of its own.
-        if self.supervisor is not None:
-            self.heal_dead_workers()
+        self.heal_dead_workers()  # same heal-before-CALL as :meth:`rebalance`
         self._barrier()
-        pending = [
-            (
-                shard_id,
-                client.begin_call(
+        return self.backend.call_round(
+            [
+                (
                     "apply_fault",
-                    kind,
-                    server_id=server_id,
-                    crash_point=crash_point,
-                    describe_prefix=f"{describe_prefix}shard {shard_id} ",
-                ),
-            )
-            for shard_id, client in enumerate(self.clients)
-        ]
-        return [handle.result() for _, handle in pending]
+                    (event.kind,),
+                    {
+                        "server_id": event.server_id,
+                        "crash_point": event.crash_point,
+                        "describe_prefix": f"{event.describe()} shard {shard_id} ",
+                    },
+                )
+                for shard_id in range(self.num_shards)
+            ]
+        )
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -820,9 +670,7 @@ class ScaleOutCluster:
     def close(self) -> None:
         # Discard (never drain) the in-flight window: close must not block
         # on workers that may already be gone.
-        self._inflight = []
-        self._inflight_rounds = 0
-        self._send_failed = {}
+        self._engine.discard()
         self.backend.close()
 
     def __enter__(self) -> "ScaleOutCluster":

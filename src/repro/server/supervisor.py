@@ -82,7 +82,7 @@ class _WorkerHealth:
 class Supervisor:
     """Failure detection and healing for one :class:`ProcessShardedBackend`.
 
-    Detection is *on-demand*: the supervised dispatch path calls
+    Detection is *on-demand*: the scatter-gather engine calls
     :meth:`handle_worker_failure` when a send or collect raises
     :class:`WorkerDiedError`, and :meth:`scan` offers a cheap waitpid sweep
     for callers that want to find corpses before committing a round of
@@ -177,7 +177,7 @@ class Supervisor:
 
         ``fail_fast`` re-raises; the respawn policies kill the remains,
         fork a replacement on a connection that continues the request-id
-        counter, rebind the worker's shard clients (fresh stream decoders)
+        counter, rebind the transport (fresh stream decoders for its shards)
         and re-issue ``build_indexer`` per shard — which for the disk
         backend re-attaches the store, replays the journal tail through
         ``recover()`` and installs the accounting checkpoint — including

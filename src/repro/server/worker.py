@@ -16,24 +16,26 @@ worker ran it, so results are worker-count-independent by construction —
 the determinism the acceptance criteria demand.  The same
 :class:`ShardService` runs in-process (zero RPC) for the baseline backend.
 
-``ShardService`` is the complete worker-side verb set: the data plane
-(batched updates/queries via the compact opcodes), the control plane
+``ShardService`` holds one shard's state; :data:`VERBS` is the complete,
+declared worker-side verb set (name → callable, read-only flag): the data
+plane (batched updates/queries via the compact opcodes), the control plane
 (migration, replication, failover, rebalance, fault injection), storage
 durability (flush/compact/recover), ledger and metrics extraction, the
 state/NN signatures the losslessness property suites compare, and a bare
 :class:`~repro.bigtable.table.Table` scenario used by the cross-process
-crash-recovery property tests.
+crash-recovery property tests.  Reachability, mutability and the
+accounting-checkpoint trigger all derive from that one table, on both
+transports.
 """
 
 from __future__ import annotations
 
 import os
 import socket
-import struct
 from collections import OrderedDict
 from dataclasses import dataclass
 from random import Random
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from zlib import crc32
 
 from repro.codec.wire import NeighborStreamEncoder
@@ -47,43 +49,50 @@ from repro.server import rpc
 from repro.server.cluster import ServerCluster
 from repro.server.master import MasterOptions, TabletMaster
 
-_UPDATE_RESULT = struct.Struct("!Id")  # processed, makespan
-_MAKESPAN = struct.Struct("!d")
-
 #: Accounting-checkpoint filename inside a shard's storage directory.
 STATE_BLOB_NAME = "SHARD_STATE.bin"
 
-#: ``CALL`` verbs that cannot change shard state; every other verb (and
-#: every data-plane batch) re-checkpoints the accounting soft state when
-#: the recipe asks for durable accounting.
-_READ_ONLY_VERBS = frozenset(
-    {
-        "ping",
-        "accounting_state",
-        "metrics",
-        "makespan",
-        "counter_snapshot",
-        "simulated_seconds",
-        "run_count",
-        "log_record_count",
-        "tablet_stats",
-        "tablet_count",
-        "block_cache_stats",
-        "cache_totals",
-        "server_index_for_tablet",
-        "alive_server_indices",
-        "servers_alive",
-        "server_requests",
-        "service_time_samples",
-        "state_signature",
-        "full_row_signature",
-        "has_table",
-        "table_names",
-        "table_keys",
-        "table_row_count",
-        "table_state",
-    }
-)
+#: The worker-side verb table: ``name -> (callable taking the service
+#: first, read-only flag)``.  The one answer to "which verbs exist and
+#: which can change shard state": ``CALL`` dispatch on both transports
+#: resolves names through :func:`lookup_verb` — anything absent, private
+#: names included, is an :class:`RpcError` — and every verb not flagged
+#: read-only (like every data-plane batch) re-checkpoints the accounting
+#: soft state when the recipe asks for durable accounting.
+VERBS: Dict[str, Tuple[Callable[..., Any], bool]] = {}
+
+
+def _verb(read_only: bool = False):
+    """Register a :class:`ShardService` method as a callable verb."""
+
+    def register(function):
+        VERBS[function.__name__] = (function, read_only)
+        return function
+
+    return register
+
+
+def _forward(
+    target: Callable[["ShardService"], object], read_only: bool, *names: str
+) -> None:
+    """Register verbs that are ``target(service).<same name>(...)``."""
+
+    def forwarder(name: str):
+        def verb(service, *args, **kwargs):
+            return getattr(target(service), name)(*args, **kwargs)
+
+        return verb
+
+    for name in names:
+        VERBS[name] = (forwarder(name), read_only)
+
+
+def lookup_verb(method: str) -> Tuple[Callable[..., Any], bool]:
+    """``(callable, read_only)`` of one verb; unknown names raise."""
+    entry = VERBS.get(method)
+    if entry is None:
+        raise RpcError(f"unknown shard service method {method!r}")
+    return entry
 
 
 def shard_of(object_id: str, num_shards: int) -> int:
@@ -219,14 +228,19 @@ def full_row_signature(indexer) -> tuple:
     return tuple(out)
 
 
-class ShardService:
-    """The worker-side verb set for one shard group.
+def _emulator(service: "ShardService"):
+    return service._require_cluster().indexer.emulator
 
-    Every public method is remotely callable through the generic ``CALL``
-    opcode; ``update_batch``/``query_batch`` additionally serve the compact
-    binary opcodes.  One instance runs per shard id, inside a worker
-    process (RPC) or inside the parent (the in-process baseline) — same
-    code either way, which is what makes the two backends bit-identical.
+
+class ShardService:
+    """The worker-side state and verbs of one shard group.
+
+    Every entry of :data:`VERBS` is callable through the generic ``CALL``
+    opcode (:meth:`call` in-process); ``update_batch``/``query_batch``
+    additionally serve the compact binary opcodes.  One instance runs per
+    shard id, inside a worker process (RPC) or inside the parent (the
+    in-process baseline) — same code either way, which is what makes the
+    two backends bit-identical.
     """
 
     def __init__(self) -> None:
@@ -235,8 +249,8 @@ class ShardService:
         self.cluster: Optional[ServerCluster] = None
         self.master: Optional[TabletMaster] = None
         self._bare_table = None
-        #: Per-shard stateful neighbour stream encoder (its client-side
-        #: decoder twin lives in the shard client).  Keeping the state per
+        #: Per-shard stateful neighbour stream encoder (its decoder twin
+        #: lives in the parent's pipe transport).  Keeping the state per
         #: *shard* — never per connection or worker — is what makes wire
         #: bytes invariant across worker counts.
         self.neighbor_encoder = NeighborStreamEncoder()
@@ -251,12 +265,18 @@ class ShardService:
             OrderedDict()
         )
 
+    def call(self, method: str, *args, **kwargs) -> Any:
+        """Run one verb by name (the in-process ``CALL``)."""
+        return lookup_verb(method)[0](self, *args, **kwargs)
+
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
+    @_verb(read_only=True)
     def ping(self) -> str:
         return "pong"
 
+    @_verb()
     def build_indexer(self, recipe: ShardRecipe) -> Dict[str, int]:
         """Build this shard's stack from a recipe (idempotence guard)."""
         if self.indexer is not None:
@@ -345,6 +365,7 @@ class ShardService:
     # ------------------------------------------------------------------
     # Accounting soft state (supervised respawn)
     # ------------------------------------------------------------------
+    @_verb(read_only=True)
     def accounting_state(self) -> Dict[str, Any]:
         """Everything simulated-but-not-durable, as one plain-data dict.
 
@@ -538,6 +559,7 @@ class ShardService:
     # ------------------------------------------------------------------
     # Data plane (compact opcodes ride these)
     # ------------------------------------------------------------------
+    @_verb()
     def update_batch(
         self, messages: Sequence[UpdateMessage]
     ) -> Tuple[int, float]:
@@ -574,12 +596,14 @@ class ShardService:
                     flushed += table.flush_tablet(tablet)
         return flushed
 
+    @_verb()
     def query_batch(self, queries: Sequence[object]) -> Tuple[list, float]:
         """Run one broadcast probe set against this shard's objects."""
         cluster = self._require_cluster()
         results = cluster.submit_query_batch(queries)
         return results, cluster.makespan_seconds()
 
+    @_verb()
     def nn_query(
         self, location: Point, k: int, range_limit: Optional[float] = None
     ) -> list:
@@ -587,41 +611,10 @@ class ShardService:
         return cluster.submit_nn_query(location, k, range_limit=range_limit)
 
     # ------------------------------------------------------------------
-    # Control plane
+    # Control plane (the plain master / cluster / emulator forwards are
+    # registered below the class, one rule each)
     # ------------------------------------------------------------------
-    def migrate_tablet(
-        self,
-        table_name: str,
-        tablet_id: str,
-        target_server: int,
-        crash_point: Optional[str] = None,
-    ):
-        return self._require_master().migrate_tablet(
-            table_name, tablet_id, target_server, crash_point=crash_point
-        )
-
-    def replicate_tablet(
-        self, table_name: str, tablet_id: str, replica_server: int
-    ):
-        return self._require_master().replicate_tablet(
-            table_name, tablet_id, replica_server
-        )
-
-    def fail_over(self, server_id: int, rebalance: bool = True):
-        return self._require_master().fail_over(server_id, rebalance=rebalance)
-
-    def fail_server(self, server_id: int):
-        return self._require_cluster().fail_server(server_id)
-
-    def revive_server(self, server_id: int) -> None:
-        self._require_cluster().revive_server(server_id)
-
-    def rebalance(self):
-        return self._require_master().rebalance()
-
-    def inject_migration_crash(self, crash_point: str):
-        return self._require_master().inject_migration_crash(crash_point)
-
+    @_verb()
     def apply_fault(
         self,
         kind: str,
@@ -629,142 +622,70 @@ class ShardService:
         crash_point: Optional[str] = None,
         describe_prefix: str = "",
     ) -> str:
-        """One scheduled fault with load-test skip semantics: unfireable
-        events (crashing the last alive server, reviving an alive one, a
-        migration with nowhere to go) are recorded as skipped, never
-        raised — a seeded plan cannot know shard state at schedule time."""
-        from repro.server.loadtest import CRASH_SERVER, REVIVE_SERVER
-
-        master = self._require_master()
-        cluster = self._require_cluster()
-        if server_id is not None and server_id >= cluster.num_servers:
-            return f"{describe_prefix}[skipped]"
-        if kind == CRASH_SERVER:
-            server = cluster.servers[server_id]
-            if not server.alive or len(cluster.alive_server_indices()) <= 1:
-                return f"{describe_prefix}[skipped]"
-            report = master.fail_over(server_id)
-            return (
-                f"{describe_prefix}[{report.tablets_recovered} tablets "
-                f"recovered, {report.log_records_replayed} records replayed]"
-            )
-        if kind == REVIVE_SERVER:
-            if cluster.servers[server_id].alive:
-                return f"{describe_prefix}[skipped]"
-            cluster.revive_server(server_id)
-            return f"{describe_prefix}[applied]"
-        record = master.inject_migration_crash(crash_point or "after_handoff")
-        if record is None:
-            return f"{describe_prefix}[skipped]"
-        return (
-            f"{describe_prefix}[{record.tablet_id} "
-            f"{record.source}->{record.target} aborted]"
+        """One scheduled fault with the master's skip semantics: unfireable
+        events are reported as skipped, never raised."""
+        return describe_prefix + self._require_master().apply_fault(
+            kind, server_id, crash_point
         )
 
     # ------------------------------------------------------------------
-    # Storage durability
+    # Table management, ledgers & metrics
     # ------------------------------------------------------------------
-    def flush(self) -> int:
-        return self._require_cluster().indexer.emulator.flush()
-
-    def compact(self, major: bool = False) -> int:
-        return self._require_cluster().indexer.emulator.compact(major=major)
-
-    def recover(self):
-        return self._require_cluster().indexer.emulator.recover()
-
-    def crash_and_recover(self):
-        return self._require_cluster().crash_and_recover()
-
-    # ------------------------------------------------------------------
-    # Table management (federation protocol surface)
-    # ------------------------------------------------------------------
+    @_verb()
     def create_table(self, name: str, families) -> None:
-        self._require_cluster().indexer.emulator.create_table(name, families)
+        _emulator(self).create_table(name, families)  # the handle stays here
 
-    def has_table(self, name: str) -> bool:
-        return self._require_cluster().indexer.emulator.has_table(name)
-
-    def drop_table(self, name: str) -> None:
-        self._require_cluster().indexer.emulator.drop_table(name)
-
-    def table_names(self) -> List[str]:
-        return self._require_cluster().indexer.emulator.table_names()
-
+    @_verb(read_only=True)
     def table_keys(self, name: str) -> List[str]:
-        return list(self._require_cluster().indexer.emulator.table(name).all_keys())
+        return list(_emulator(self).table(name).all_keys())
 
+    @_verb(read_only=True)
     def table_row_count(self, name: str) -> int:
-        return len(self._require_cluster().indexer.emulator.table(name).all_keys())
+        return len(_emulator(self).table(name).all_keys())
 
-    # ------------------------------------------------------------------
-    # Ledgers & metrics
-    # ------------------------------------------------------------------
+    @_verb(read_only=True)
     def counter_snapshot(self):
-        return self._require_cluster().indexer.emulator.counter.snapshot()
+        return _emulator(self).counter.snapshot()
 
-    def reset_counters(self) -> None:
-        self._require_cluster().indexer.emulator.reset_counters()
-
+    @_verb(read_only=True)
     def simulated_seconds(self) -> float:
-        return self._require_cluster().indexer.emulator.simulated_seconds
+        return _emulator(self).simulated_seconds
 
-    def run_count(self) -> int:
-        return self._require_cluster().indexer.emulator.run_count()
-
-    def log_record_count(self) -> int:
-        return self._require_cluster().indexer.emulator.log_record_count()
-
-    def tablet_stats(self) -> list:
-        return self._require_cluster().indexer.emulator.tablet_stats()
-
-    def tablet_count(self) -> int:
-        return self._require_cluster().indexer.emulator.tablet_count()
-
-    def block_cache_stats(self) -> list:
-        return self._require_cluster().indexer.emulator.block_cache_stats()
-
+    @_verb(read_only=True)
     def cache_totals(self) -> Tuple[int, int]:
         """(hits, lookups) over every table's block cache."""
         hits = 0
         lookups = 0
-        for entry in self.block_cache_stats():
+        for entry in _emulator(self).block_cache_stats():
             hits += entry.hits
             lookups += entry.lookups
         return hits, lookups
 
+    @_verb(read_only=True)
     def metrics(self) -> Dict[str, Any]:
         """Everything the parent needs to merge per-shard accounting."""
         cluster = self._require_cluster()
-        master = self.master
         snapshot = cluster.metrics_snapshot()
-        snapshot["master_actions"] = (
-            master.action_counts() if master is not None else (0, 0, 0)
-        )
-        snapshot["has_master"] = master is not None
+        snapshot["master_actions"] = cluster.master_action_counts()
+        snapshot["has_master"] = cluster.has_master
         return snapshot
 
-    def reset_metrics(self) -> None:
-        self._require_cluster().reset_metrics()
-
+    @_verb(read_only=True)
     def makespan(self) -> float:
         return self._require_cluster().makespan_seconds()
 
-    def server_index_for_tablet(self, tablet_id: str) -> int:
-        return self._require_cluster().server_index_for_tablet(tablet_id)
-
-    def alive_server_indices(self) -> List[int]:
-        return self._require_cluster().alive_server_indices()
-
+    @_verb(read_only=True)
     def servers_alive(self) -> List[bool]:
         return [server.alive for server in self._require_cluster().servers]
 
+    @_verb(read_only=True)
     def server_requests(self) -> List[Tuple[int, int]]:
         return [
             (server.updates_handled, server.queries_handled)
             for server in self._require_cluster().servers
         ]
 
+    @_verb(read_only=True)
     def service_time_samples(self) -> List[float]:
         """Per-request simulated service-time samples, flattened in server
         order (empty unless the recipe set ``record_service_times``).  The
@@ -778,14 +699,17 @@ class ShardService:
     # ------------------------------------------------------------------
     # Losslessness signatures
     # ------------------------------------------------------------------
+    @_verb(read_only=True)
     def state_signature(self):
         from repro.experiments.recovery import _state_signature
 
         return _state_signature(self._require_cluster().indexer)
 
+    @_verb(read_only=True)
     def full_row_signature(self):
         return full_row_signature(self._require_cluster().indexer)
 
+    @_verb()
     def nn_signature(self, queries):
         from repro.experiments.recovery import _nn_signature
 
@@ -794,6 +718,7 @@ class ShardService:
     # ------------------------------------------------------------------
     # Bare-table scenario (cross-process crash-recovery property tests)
     # ------------------------------------------------------------------
+    @_verb()
     def build_table(
         self, knobs: Dict[str, Any], storage_dir: Optional[str] = None
     ) -> None:
@@ -826,6 +751,7 @@ class ShardService:
             raise ConfigurationError("this shard has no bare table (build_table)")
         return self._bare_table
 
+    @_verb()
     def table_apply(self, ops: Sequence[tuple]) -> int:
         """Apply a mutation program (the property-test op vocabulary)."""
         table = self._require_table()
@@ -856,9 +782,11 @@ class ShardService:
                 raise ConfigurationError(f"unknown table op {kind!r}")
         return len(ops)
 
+    @_verb()
     def table_recover(self) -> float:
         return self._require_table().recover().simulated_seconds
 
+    @_verb(read_only=True)
     def table_state(self):
         table = self._require_table()
         boundaries = tuple(
@@ -868,6 +796,30 @@ class ShardService:
         keys = tuple(table.all_keys())
         rows = tuple(repr(table.read_row(key, _charge=False)) for key in keys)
         return boundaries, keys, rows
+
+
+_forward(
+    _emulator, False,
+    "flush", "compact", "recover", "drop_table", "reset_counters",
+)
+_forward(
+    _emulator, True,
+    "has_table", "table_names", "run_count", "log_record_count",
+    "tablet_stats", "tablet_count", "block_cache_stats",
+)
+_forward(
+    ShardService._require_cluster, False,
+    "fail_server", "revive_server", "crash_and_recover", "reset_metrics",
+)
+_forward(
+    ShardService._require_cluster, True,
+    "server_index_for_tablet", "alive_server_indices",
+)
+_forward(
+    ShardService._require_master, False,
+    "migrate_tablet", "replicate_tablet", "fail_over", "rebalance",
+    "inject_migration_crash",
+)
 
 
 # --------------------------------------------------------------------------
@@ -904,14 +856,13 @@ def dispatch_request(
     if opcode == rpc.OP_UPDATE_BATCH:
         recorded = service._recall_applied(request_id, opcode)
         if recorded is not None:
-            processed, makespan = recorded
-            return _UPDATE_RESULT.pack(processed, makespan)
+            return rpc.UPDATE_RESULT.pack(*recorded)
         service._reject_stale(request_id)
         messages = rpc.decode_update_batch(body)
         processed, makespan = service.update_batch(messages)
         service._record_applied(request_id, opcode, (processed, makespan))
         service._write_accounting_checkpoint()
-        return _UPDATE_RESULT.pack(processed, makespan)
+        return rpc.UPDATE_RESULT.pack(processed, makespan)
     if opcode == rpc.OP_QUERY_BATCH:
         queries = rpc.decode_query_batch(body)
         recorded = service._recall_applied(request_id, opcode)
@@ -928,15 +879,14 @@ def dispatch_request(
             service._write_accounting_checkpoint()
         # Stateful per-shard stream encoding: only what changed since this
         # shard's previous response frame actually rides the wire.
-        return _MAKESPAN.pack(makespan) + service.neighbor_encoder.encode(
+        return rpc.MAKESPAN.pack(makespan) + service.neighbor_encoder.encode(
             results, queries
         )
     if opcode == rpc.OP_CALL:
         method, args, kwargs = rpc.decode_call(body)
-        if method.startswith("_") or not hasattr(ShardService, method):
-            raise RpcError(f"unknown shard service method {method!r}")
-        result = getattr(service, method)(*args, **kwargs)
-        if method not in _READ_ONLY_VERBS:
+        verb, read_only = lookup_verb(method)
+        result = verb(service, *args, **kwargs)
+        if not read_only:
             service._write_accounting_checkpoint()
         return rpc.encode_result(result)
     raise RpcError(f"unknown opcode {opcode}")

@@ -30,7 +30,7 @@ from repro.server.chaos import (
     ChaosEvent,
     ChaosPlan,
 )
-from repro.server.loadtest import ScaleOutLoadTest
+from repro.server.loadtest import LoadTest
 from repro.server.scaleout import ScaleOutCluster
 from repro.server.worker import ShardRecipe, dispatch_request
 from repro.workload.queries import NNQuery
@@ -84,7 +84,7 @@ def _cluster(backend, workers, policy=None, retry=None, breaker=5, **kwargs):
 
 
 def _run(cluster, chaos_plan=None):
-    test = ScaleOutLoadTest(
+    test = LoadTest(
         cluster, failure_probability=0.01, seed=404, chaos_plan=chaos_plan
     )
     return test.run_mixed_batches(MESSAGES, QUERIES, batch_size=128)
@@ -300,7 +300,7 @@ class TestSupervisionGuards:
         cluster = _cluster("inprocess", 1)
         try:
             with pytest.raises(ConfigurationError, match="supervised"):
-                ScaleOutLoadTest(
+                LoadTest(
                     cluster, chaos_plan=ChaosPlan([ChaosEvent(1, 0, KILL_WORKER)])
                 )
         finally:
@@ -376,10 +376,10 @@ class TestDedupWindow:
         services = _built_service()
         body = rpc.encode_update_batch(make_messages(20, 50))
         first = dispatch_request(services, 0, rpc.OP_UPDATE_BATCH, body, 10)
-        charged = services[0].simulated_seconds()
+        charged = services[0].call("simulated_seconds")
         replay = dispatch_request(services, 0, rpc.OP_UPDATE_BATCH, body, 10)
         assert replay == first
-        assert services[0].simulated_seconds() == charged  # no double charge
+        assert services[0].call("simulated_seconds") == charged  # no double charge
 
     def test_stale_request_ids_are_rejected(self):
         services = _built_service()
@@ -411,9 +411,9 @@ class TestDedupWindow:
         queries = make_queries(6)
         body = rpc.encode_query_batch(queries)
         first = dispatch_request(services, 0, rpc.OP_QUERY_BATCH, body, 20)
-        charged = services[0].simulated_seconds()
+        charged = services[0].call("simulated_seconds")
         replay = dispatch_request(services, 0, rpc.OP_QUERY_BATCH, body, 20)
-        assert services[0].simulated_seconds() == charged
+        assert services[0].call("simulated_seconds") == charged
         # The replay is re-encoded through the stateful stream encoder, so
         # the bytes differ — but a decoder tracking the stream recovers the
         # exact same results.

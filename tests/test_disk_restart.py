@@ -24,7 +24,7 @@ import tempfile
 
 import pytest
 
-from repro.bigtable.process_backend import ProcessShardClient, WorkerPool
+from repro.bigtable.process_backend import PipeTransport, ShardClient, WorkerPool
 from repro.bigtable.table import ColumnFamily, Table
 from repro.bigtable.tablet import TabletOptions
 from repro.experiments.common import uniform_leader_indexer
@@ -78,10 +78,10 @@ def test_killed_worker_restarts_bit_identical_indexer(tmp_path):
     ).batch(20)
 
     pool = WorkerPool(1)
-    client = ProcessShardClient(pool.connections[0], 0)
+    client = ShardClient(PipeTransport(pool), 0)
     client.call("build_indexer", recipe)
-    client.begin_update_batch(messages).result()
-    client.begin_query_batch(queries).result()
+    client.update_batch(messages)
+    client.query_batch(queries)
     before_state = client.call("state_signature")
     before_rows = client.call("full_row_signature")
     before_nn = client.call("nn_signature", queries)
@@ -97,7 +97,7 @@ def test_killed_worker_restarts_bit_identical_indexer(tmp_path):
 
     pool = WorkerPool(1)
     try:
-        client = ProcessShardClient(pool.connections[0], 0)
+        client = ShardClient(PipeTransport(pool), 0)
         client.call("build_indexer", recipe)
         assert client.call("state_signature") == before_state
         assert client.call("full_row_signature") == before_rows
@@ -125,14 +125,14 @@ def test_killed_worker_resumes_mutation_program_losslessly(tmp_path, seed):
         apply_op(reference, op)
 
     pool = WorkerPool(1)
-    client = ProcessShardClient(pool.connections[0], 0)
+    client = ShardClient(PipeTransport(pool), 0)
     client.call("build_table", knobs, storage_dir=storage_dir)
     client.call("table_apply", ops[:kill_at])
     _kill_hard(pool)
 
     pool = WorkerPool(1)
     try:
-        client = ProcessShardClient(pool.connections[0], 0)
+        client = ShardClient(PipeTransport(pool), 0)
         # The knobs ride along but are ignored on restore: a restored
         # table takes its options from its own manifest.
         client.call("build_table", knobs, storage_dir=storage_dir)
@@ -155,12 +155,12 @@ def test_restart_after_graceful_close_also_restores(tmp_path):
     messages = _update_stream(rng, 120, 150)
 
     with WorkerPool(1) as pool:
-        client = ProcessShardClient(pool.connections[0], 0)
+        client = ShardClient(PipeTransport(pool), 0)
         client.call("build_indexer", recipe)
-        client.begin_update_batch(messages).result()
+        client.update_batch(messages)
         before = client.call("full_row_signature")
 
     with WorkerPool(1) as pool:
-        client = ProcessShardClient(pool.connections[0], 0)
+        client = ShardClient(PipeTransport(pool), 0)
         client.call("build_indexer", recipe)
         assert client.call("full_row_signature") == before

@@ -162,8 +162,7 @@ def test_crash_recovery_property_holds_across_process_boundary(backend, seed):
     for op in ops:
         apply_op(reference, op)
 
-    with single_shard_client(backend) as client:
-        client.call("build_table", knobs)
+    with single_shard_client(backend, table_knobs=knobs) as client:
         client.call("table_apply", ops[:crash_at])
         assert client.call("table_recover") >= 0.0
         client.call("table_apply", ops[crash_at:])

@@ -27,7 +27,7 @@ from repro.geometry.vector import Vector
 from repro.model import UpdateMessage, format_object_id
 from repro.server import rpc
 from repro.server.chaos import ChaosPlan
-from repro.server.loadtest import ScaleOutLoadTest
+from repro.server.loadtest import MIGRATION_CRASH, FaultEvent, LoadTest
 from repro.server.master import MasterOptions
 from repro.server.scaleout import ScaleOutCluster
 from repro.bigtable.process_backend import make_scaleout_backend
@@ -101,7 +101,7 @@ def _cluster(backend, workers, policy=None, retry=None, window=1, **kwargs):
 
 
 def _run(cluster, chaos_plan=None, fault_plan=None):
-    test = ScaleOutLoadTest(
+    test = LoadTest(
         cluster,
         failure_probability=0.01,
         seed=404,
@@ -209,7 +209,9 @@ class TestMasterStateSurvivesRespawn:
             cluster.submit_query_batch(QUERIES[:20])
             # Force a recorded control-plane decision on every shard: the
             # aborted migration appends a MigrationRecord.
-            cluster.apply_fault("migration_crash", crash_point="after_flush")
+            cluster.apply_fault(
+                FaultEvent(0, MIGRATION_CRASH, crash_point="after_flush")
+            )
             cluster.rebalance()
             before = cluster.master_action_counts()
             assert sum(before) > 0
@@ -337,7 +339,7 @@ class TestFaultFoldingGuards:
         )
         try:
             with pytest.raises(ConfigurationError, match="not both"):
-                ScaleOutLoadTest(
+                LoadTest(
                     cluster,
                     chaos_plan=plan,
                     fault_plan=plan.fault_plan,

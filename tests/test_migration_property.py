@@ -246,8 +246,8 @@ def test_control_plane_is_lossless_across_the_rpc_boundary(backend, seed):
     with single_shard_client(backend, recipe=recipe) as client:
         for batch in batches:
             control_actions_via_client(rng, client, num_servers)
-            client.begin_update_batch(batch).result()
-            client.begin_query_batch(queries[:5]).result()
+            client.update_batch(batch)
+            client.query_batch(queries[:5])
         assert client.call("state_signature") == _state_signature(reference), (
             f"seed {seed} ({backend}): boundaries/keys diverged"
         )

@@ -6,7 +6,11 @@ merged ledgers — whether the shard federation runs in-process or across
 1, 2 or 4 forked workers.
 """
 
+import glob
+import multiprocessing
+import os
 import random
+import tempfile
 
 import pytest
 
@@ -21,12 +25,13 @@ from repro.bigtable.process_backend import (
     WorkerPool,
     build_recipes,
     make_scaleout_backend,
+    single_shard_client,
 )
-from repro.errors import ConfigurationError, WorkerDiedError
+from repro.errors import ConfigurationError, RpcError, WorkerDiedError
 from repro.geometry.point import Point
 from repro.geometry.vector import Vector
 from repro.model import UpdateMessage, format_object_id
-from repro.server.loadtest import FaultPlan, ScaleOutLoadTest
+from repro.server.loadtest import FaultPlan, LoadTest
 from repro.server.scaleout import ScaleOutCluster
 from repro.workload.queries import NNQuery
 
@@ -107,6 +112,90 @@ class TestWorkerPoolLifecycle:
             backend.health_check()
         backend.close()  # after __exit__ already closed it
         assert backend.pool.closed
+
+
+class TestRejectedBuildsLeaveNothingBehind:
+    """A build that fails validation *after* forking its pool must close
+    what it built: no live worker processes, no stranded ``moist-disk-*``
+    temp directory."""
+
+    @staticmethod
+    def _leftovers():
+        """Live child pids and ``moist-disk-*`` temp directories."""
+        return (
+            sorted(child.pid for child in multiprocessing.active_children()),
+            sorted(glob.glob(os.path.join(tempfile.gettempdir(), "moist-disk-*"))),
+        )
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            # lossless respawn without durable disk state
+            dict(backend="process", num_workers=2, supervision_policy="respawn"),
+            # window deeper than the worker-side dedup depth
+            dict(backend="disk", num_workers=2, window=64, dedup_window=8),
+            # supervision policy typo, checked after the backend exists
+            dict(backend="disk", num_workers=2, supervision_policy="reboot"),
+        ],
+    )
+    def test_rejected_cluster_build_closes_its_backend(self, options):
+        before = self._leftovers()
+        with pytest.raises(ConfigurationError):
+            ScaleOutCluster.build(4, num_objects=200, **options)
+        assert self._leftovers() == before
+
+    def test_failed_build_all_closes_the_pool_and_owned_tmpdir(self):
+        before = self._leftovers()
+        # ``build_indexer`` raises worker-side, after the pool forked and
+        # the backend-owned temp directory was created.
+        with pytest.raises(ConfigurationError, match="storage_level"):
+            make_scaleout_backend(
+                "disk", 2, num_workers=2, num_objects=40, storage_level=99
+            )
+        assert self._leftovers() == before
+
+
+class TestVerbTable:
+    """One table answers which verbs exist — on both transports."""
+
+    @pytest.mark.parametrize("backend", ["inprocess", "process"])
+    @pytest.mark.parametrize(
+        "method", ["no_such_verb", "_require_cluster", "_write_accounting_checkpoint", "call"]
+    )
+    def test_unknown_and_private_verbs_raise_rpc_error(self, backend, method):
+        with single_shard_client(backend) as client:
+            with pytest.raises(RpcError, match="unknown shard service method"):
+                client.call(method)
+
+    @pytest.mark.parametrize("backend", ["inprocess", "process"])
+    def test_forwarded_and_declared_verbs_resolve(self, backend):
+        from repro.server.worker import ShardRecipe
+
+        recipe = ShardRecipe(num_objects=30, num_servers=2, with_master=True)
+        with single_shard_client(backend, recipe=recipe) as client:
+            assert client.call("ping") == "pong"
+            assert client.call("has_table", "location")  # emulator forward
+            assert client.call("alive_server_indices") == [0, 1]  # cluster
+            client.call("rebalance")  # master forward
+            assert client.call("tablet_count") >= 1
+            assert client.call("simulated_seconds") >= 0.0
+
+    def test_read_only_flags_cover_exactly_the_non_mutating_verbs(self):
+        from repro.server.worker import VERBS
+
+        read_only = {name for name, (_verb, flag) in VERBS.items() if flag}
+        assert read_only == {
+            "ping", "accounting_state", "metrics", "makespan",
+            "counter_snapshot", "simulated_seconds", "run_count",
+            "log_record_count", "tablet_stats", "tablet_count",
+            "block_cache_stats", "cache_totals", "server_index_for_tablet",
+            "alive_server_indices", "servers_alive", "server_requests",
+            "service_time_samples", "state_signature", "full_row_signature",
+            "has_table", "table_names", "table_keys", "table_row_count",
+            "table_state",
+        }
+        assert not any(name.startswith("_") for name in VERBS)
+        assert {"update_batch", "query_batch", "build_indexer"} <= set(VERBS)
 
 
 # --------------------------------------------------------------------------
@@ -202,7 +291,7 @@ class TestScaleOutReportDeterminism:
             with_master=True,
         )
         plan = FaultPlan.seeded(5, num_batches=6, num_servers=3)
-        test = ScaleOutLoadTest(
+        test = LoadTest(
             cluster,
             failure_probability=0.01,
             seed=404,
@@ -231,7 +320,7 @@ class TestScaleOutReportDeterminism:
             with_master=True,
         )
         try:
-            test = ScaleOutLoadTest(
+            test = LoadTest(
                 cluster,
                 failure_probability=0.0,
                 fault_plan=FaultPlan.seeded(1, num_batches=2, num_servers=2),
@@ -249,12 +338,12 @@ class TestScaleOutReportDeterminism:
         )
         try:
             with pytest.raises(ConfigurationError):
-                ScaleOutLoadTest(cluster, rebalance_every=2)
+                LoadTest(cluster, rebalance_every=2)
             with pytest.raises(ConfigurationError):
-                ScaleOutLoadTest(
+                LoadTest(
                     cluster, fault_plan=FaultPlan.seeded(1, 2, 2)
                 )
             with pytest.raises(ConfigurationError):
-                ScaleOutLoadTest(cluster).run_client_bursts(1.0)
+                LoadTest(cluster).run_client_bursts(1.0)
         finally:
             cluster.close()

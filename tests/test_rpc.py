@@ -20,7 +20,7 @@ from repro.errors import (
 )
 from repro.geometry.point import Point
 from repro.geometry.vector import Vector
-from repro.model import NeighborResult, UpdateMessage
+from repro.model import UpdateMessage
 from repro.server import rpc
 from repro.workload.queries import NNQuery
 
@@ -131,19 +131,6 @@ def test_query_batch_codec_round_trips():
         NNQuery(location=Point(1.0, 1.0), k=2, range_limit=50.0),
     ]
     assert rpc.decode_query_batch(rpc.encode_query_batch(queries)) == queries
-
-
-def test_neighbor_batches_codec_round_trips_leader_flags():
-    batches = [
-        [
-            NeighborResult("obj%010d" % 1, Point(0.0, 1.0), 2.0, True, None),
-            NeighborResult(
-                "obj%010d" % 2, Point(3.0, 4.0), 5.0, False, "obj%010d" % 1
-            ),
-        ],
-        [],
-    ]
-    assert rpc.decode_neighbor_batches(rpc.encode_neighbor_batches(batches)) == batches
 
 
 def test_call_codec_round_trips_args_and_kwargs():
@@ -405,28 +392,38 @@ def test_stale_request_errors_cross_the_wire_typed():
 
 def test_serve_exits_on_corrupt_request_frame():
     left, right = socket.socketpair()
-    thread = threading.Thread(target=rpc.serve, args=(right, _echo_dispatch))
+
+    def serve_then_close():
+        # Mirror ``worker_main``: the worker's end closes when the serve
+        # loop returns, which is what turns its exit into EOF for the
+        # parent instead of a silent peer.
+        try:
+            rpc.serve(right, _echo_dispatch)
+        finally:
+            right.close()
+
+    thread = threading.Thread(target=serve_then_close)
     thread.start()
     try:
         connection = rpc.RpcConnection(left, timeout_s=10.0)
         connection.inject_fault("bitflip")
         request_id = connection.send_request(0, rpc.OP_CALL, b"abc")
         # The worker cannot trust the corrupt header enough to address an
-        # error frame, so it exits; the parent sees EOF.
-        with pytest.raises(WorkerDiedError):
-            connection.wait(request_id, deadline_s=5.0)
-        thread.join(timeout=5.0)
+        # error frame, so it exits; the parent sees EOF — promptly, so the
+        # deadline only bounds a regression.
+        with pytest.raises(WorkerDiedError, match="closed mid-frame|receive failed"):
+            connection.wait(request_id, deadline_s=1.0)
+        thread.join(timeout=1.0)
         assert not thread.is_alive()
         connection.close()
     finally:
         left.close()
-        right.close()
 
 
 # --------------------------------------------------------------------------
-# Queued (windowed) sends: coalescing, parked lookups, error shape
+# Batched sends: coalescing, error shape
 # --------------------------------------------------------------------------
-def test_queued_requests_coalesce_into_one_send(served_connection):
+def test_send_requests_coalesce_into_one_send(served_connection):
     sends = []
     original = served_connection._send_bytes
 
@@ -435,43 +432,26 @@ def test_queued_requests_coalesce_into_one_send(served_connection):
         original(payload)
 
     served_connection._send_bytes = counting_send
-    first = served_connection.queue_request(0, rpc.OP_CALL, b"a")
-    second = served_connection.queue_request(1, rpc.OP_CALL, b"b")
-    third = served_connection.queue_request(2, rpc.OP_CALL, b"c")
-    assert sends == []  # nothing on the wire until the flush
     frames_before = served_connection.frames_sent
-    assert served_connection.flush_queued() == 3
+    ids = served_connection.send_requests(
+        [(0, rpc.OP_CALL, b"a"), (1, rpc.OP_CALL, b"b"), (2, rpc.OP_CALL, b"c")]
+    )
     served_connection._send_bytes = original
-    # One sendall carried all three frames; the frame counter still
-    # advances per frame so wire accounting stays comparable.
+    # One sendall carried all three frames (one per worker per window
+    # step); the frame counter still advances per frame so wire accounting
+    # stays comparable.
     assert len(sends) == 1
     assert served_connection.frames_sent - frames_before == 3
-    bodies = [served_connection.wait(rid)[1] for rid in (first, second, third)]
+    bodies = [served_connection.wait(rid)[1] for rid in ids]
     assert bodies == [b"\x00a", b"\x01b", b"\x02c"]
 
 
-def test_flush_queued_is_a_noop_when_empty(served_connection):
+def test_send_requests_is_a_noop_when_empty(served_connection):
     frames_before = served_connection.frames_sent
-    assert served_connection.flush_queued() == 0
+    bytes_before = served_connection.bytes_sent
+    assert served_connection.send_requests([]) == []
     assert served_connection.frames_sent == frames_before
-
-
-def test_queue_request_pins_explicit_ids(served_connection):
-    (pinned,) = served_connection.allocate_request_ids(1)
-    assert served_connection.queue_request(0, rpc.OP_CALL, b"x", request_id=pinned) == pinned
-    served_connection.flush_queued()
-    assert served_connection.wait(pinned) == (rpc.OP_CALL, b"\x00x")
-
-
-def test_has_parked_reports_out_of_order_arrivals(served_connection):
-    first = served_connection.send_request(1, rpc.OP_CALL, b"a")
-    second = served_connection.send_request(2, rpc.OP_CALL, b"b")
-    assert not served_connection.has_parked(first)
-    # Waiting on the later id parks the earlier response.
-    served_connection.wait(second)
-    assert served_connection.has_parked(first)
-    served_connection.wait(first)
-    assert not served_connection.has_parked(first)
+    assert served_connection.bytes_sent == bytes_before
 
 
 def test_send_failure_is_wrapped_exactly_once():

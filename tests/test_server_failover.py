@@ -142,7 +142,7 @@ class TestFailoverAcrossRpcBoundary:
 
         with single_shard_client(backend, recipe=self._recipe()) as client:
             for index, batch in enumerate(batches):
-                client.begin_update_batch(batch).result()
+                client.update_batch(batch)
                 if index == crash_after_batch:
                     client.call("fail_over", 1)
             assert client.call("state_signature") == _state_signature(ref_indexer)

@@ -20,7 +20,7 @@ from repro.geometry.vector import Vector
 from repro.model import UpdateMessage, format_object_id
 from repro.server import rpc
 from repro.server.chaos import ChaosPlan
-from repro.server.loadtest import ScaleOutLoadTest
+from repro.server.loadtest import LoadTest
 from repro.server.scaleout import ScaleOutCluster
 from repro.server.worker import ShardRecipe, dispatch_request
 from repro.workload.queries import NNQuery
@@ -75,14 +75,14 @@ def _cluster(backend, workers, window=1, policy=None, retry=None, **kwargs):
 
 
 def _run_updates(cluster, chaos_plan=None):
-    test = ScaleOutLoadTest(
+    test = LoadTest(
         cluster, failure_probability=0.0, seed=404, chaos_plan=chaos_plan
     )
     return test.run_update_batches(MESSAGES, batch_size=BATCH_SIZE)
 
 
 def _run_mixed(cluster, chaos_plan=None):
-    test = ScaleOutLoadTest(
+    test = LoadTest(
         cluster, failure_probability=0.01, seed=404, chaos_plan=chaos_plan
     )
     return test.run_mixed_batches(MESSAGES, QUERIES, batch_size=BATCH_SIZE)
@@ -301,13 +301,13 @@ class TestDedupDepth:
             dispatch_request(services, 0, rpc.OP_UPDATE_BATCH, body, 10 + index)
             for index, body in enumerate(bodies)
         ]
-        charged = services[0].simulated_seconds()
+        charged = services[0].call("simulated_seconds")
         for index, body in enumerate(bodies):
             replay = dispatch_request(
                 services, 0, rpc.OP_UPDATE_BATCH, body, 10 + index
             )
             assert replay == firsts[index]
-        assert services[0].simulated_seconds() == charged
+        assert services[0].call("simulated_seconds") == charged
 
     def test_requests_fall_out_of_a_bounded_window(self):
         from repro.errors import StaleRequestError
