@@ -15,6 +15,22 @@ block ends.  The simulated cost of a group-committed batch is identical to
 the same mutations issued one at a time; what is amortised is the
 bookkeeping itself.
 
+**What is stored, and what the public edge builds.**  A stored row is a plain
+mapping ``family -> qualifier -> chain`` (:class:`_Row`, a ``dict`` with
+methods), and a chain is one flat list ``[ts0, v0, ts1, v1, ...]``, newest
+first, however many versions it holds.  No object exists per version: a
+write prepends a timestamp and a value to a list, aging moves a suffix of it,
+and a projected read takes ``chain[1]``.  :class:`Cell` objects are built on
+demand, only where a caller asked for timestamps — :meth:`Table.read_latest`,
+:meth:`Table.read_versions`, :meth:`Table.read_row`, family-less
+``scan``/``batch_read`` and ``scan(versions=True)`` — and belong to that
+caller.  The same goes for the commit log, which keeps columns, not record
+tuples (:class:`~repro.bigtable.lsm.CommitLog`).  The reason is the garbage
+collector: every retained container is walked by every full collection, and
+with the default engine nothing a tablet stores or logs is ever dropped, so
+an object per version and per log record made collection time grow with the
+length of the run (``tests/test_heap_budget.py`` holds the line).
+
 The multi-row reads (:meth:`Table.scan`, :meth:`Table.batch_read`) take the
 one column family their caller wants and return ``qualifier -> newest value``
 per row, read straight off the stored version chains — a query never pays
@@ -29,7 +45,8 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.bigtable.cost import OpCounter, OpKind
 from repro.bigtable.lsm import (
@@ -76,66 +93,73 @@ class ColumnFamily:
     max_versions: int = 1
 
 
-@dataclass(frozen=True)
-class Cell:
-    """One timestamped value."""
+class Cell(NamedTuple):
+    """One timestamped value, as the public read edge hands it out.
 
-    __slots__ = ("timestamp", "value")
+    Cells are built on demand from the stored version chains and never
+    stored themselves (see the module docstring)."""
 
     timestamp: float
     value: object
 
 
-class _Row:
-    """Internal row representation: family -> qualifier -> newest-first cells."""
+def _cells(chain: list) -> List[Cell]:
+    """The public shape of one stored chain: newest-first cells."""
+    return list(map(Cell, chain[0::2], chain[1::2]))
 
-    __slots__ = ("families",)
 
-    def __init__(self) -> None:
-        self.families: Dict[str, Dict[str, List[Cell]]] = {}
+class _Row(dict):
+    """Internal row representation: ``family -> qualifier -> chain``, where a
+    chain is the flat newest-first list ``[ts0, v0, ts1, v1, ...]``.  The row
+    *is* the families dict — no wrapper object, no attribute dict."""
+
+    __slots__ = ()
 
     def is_empty(self) -> bool:
-        return not any(
-            cells for qualifiers in self.families.values() for cells in qualifiers.values()
-        )
-
-    def copy_families(self) -> Dict[str, Dict[str, List[Cell]]]:
-        """Structural copy of the whole row, ``family -> qualifier -> cells``
-        (cells are immutable and shared): the public full-row shape."""
-        return {
-            family: {
-                qualifier: list(cells) for qualifier, cells in qualifiers.items()
-            }
-            for family, qualifiers in self.families.items()
-        }
+        for qualifiers in self.values():
+            for chain in qualifiers.values():
+                if chain:
+                    return False
+        return True
 
     def copy(self) -> "_Row":
-        """Structural copy for pulling a run-resident row back into the
-        memtable."""
+        """Deep structural copy (values shared), for pulling a run-resident
+        row back into the memtable: the run's chains must stay frozen."""
         clone = _Row()
-        clone.families = self.copy_families()
+        for family, qualifiers in self.items():
+            clone[family] = {
+                qualifier: chain[:] for qualifier, chain in qualifiers.items()
+            }
         return clone
+
+    def cells(self) -> Dict[str, Dict[str, List[Cell]]]:
+        """The public full-row shape, ``family -> qualifier -> cells``."""
+        return {
+            family: {
+                qualifier: _cells(chain) for qualifier, chain in qualifiers.items()
+            }
+            for family, qualifiers in self.items()
+        }
 
     def newest_values(self, family: str) -> Dict[str, object]:
         """The projected read shape: ``qualifier -> newest value`` of one
-        family, built straight from the stored chains (a qualifier whose
+        family, read straight off the stored chains (a qualifier whose
         chain aged out entirely is absent, a row without the family is
         ``{}``)."""
         values: Dict[str, object] = {}
-        qualifiers = self.families.get(family)
+        qualifiers = self.get(family)
         if qualifiers:
             # A plain loop: rows hold a column or two, and a comprehension's
             # call frame costs more than it saves at that size.
-            for qualifier, cells in qualifiers.items():
-                if cells:
-                    values[qualifier] = cells[0].value
+            for qualifier, chain in qualifiers.items():
+                if chain:
+                    values[qualifier] = chain[1]
         return values
 
-    def version_chains(self, family: str) -> Dict[str, List[Cell]]:
-        """``qualifier -> newest-first cells`` of one family (the chains are
-        copied, the immutable cells shared)."""
-        qualifiers = self.families.get(family) or {}
-        return {qualifier: list(cells) for qualifier, cells in qualifiers.items()}
+    def version_cells(self, family: str) -> Dict[str, List[Cell]]:
+        """``qualifier -> newest-first cells`` of one family."""
+        qualifiers = self.get(family) or {}
+        return {qualifier: _cells(chain) for qualifier, chain in qualifiers.items()}
 
 
 class _TabletTally:
@@ -190,14 +214,6 @@ class _GroupCommit:
         #: Commit-log records appended per tablet inside this block: the
         #: block's exit is the group fsync, charged once per tablet log.
         self.log_appends: Dict[str, int] = {}
-
-    def add(self, tablet: Tablet, kind: OpKind, structural: bool) -> None:
-        key = (tablet.tablet_id, kind)
-        self.pending[key] = self.pending.get(key, 0) + 1
-        self.tablets[tablet.tablet_id] = tablet
-        if structural:
-            self.dirty[tablet.tablet_id] = tablet
-        self.calls += 1
 
 
 class Table:
@@ -323,7 +339,13 @@ class Table:
         tablet's row count (and therefore require a split/merge check)."""
         group = self._group
         if group is not None:
-            group.add(tablet, kind, structural)
+            tablet_id = tablet.tablet_id
+            key = (tablet_id, kind)
+            group.pending[key] = group.pending.get(key, 0) + 1
+            group.tablets[tablet_id] = tablet
+            if structural:
+                group.dirty[tablet_id] = tablet
+            group.calls += 1
             if group.calls >= self.options.group_commit_size:
                 self._flush_group()
             return
@@ -334,6 +356,30 @@ class Table:
             self._tablets.maybe_merge(tablet)
         self._maybe_flush(tablet)
         self._maybe_checkpoint()
+
+    def _log_append(
+        self, tablet: Tablet, opcode: str, row_key: str, payload: tuple
+    ) -> bool:
+        """Stamp one logical mutation and append it to the tablet's commit
+        log — the log's single writer.  Returns whether a record was
+        appended (False with the log disabled).  The record tuple is only
+        built for a disk store's journal; the log itself stores columns."""
+        self._seq += 1
+        self.counter.logical_write_rows += 1
+        tablet.counter.logical_write_rows += 1
+        if not self.options.commit_log_enabled:
+            return False
+        tablet.log.write(self._seq, opcode, row_key, payload)
+        if self._store is not None:
+            self._store.journal_append((self._seq, opcode, row_key) + payload)
+        return True
+
+    @staticmethod
+    def _tally_log_sync(
+        appended: Dict[str, Tuple[Tablet, int]], tablet: Tablet
+    ) -> None:
+        entry = appended.get(tablet.tablet_id)
+        appended[tablet.tablet_id] = (tablet, 1 if entry is None else entry[1] + 1)
 
     def _log_mutation(
         self, tablet: Tablet, opcode: str, row_key: str, *payload: object
@@ -346,27 +392,15 @@ class Table:
         record was appended (False with the log disabled); callers batching
         their own fsyncs use :meth:`_log_batch_record` instead.
         """
-        self._seq += 1
-        self.counter.logical_write_rows += 1
-        tablet.counter.logical_write_rows += 1
-        if not self.options.commit_log_enabled:
+        if not self._log_append(tablet, opcode, row_key, payload):
             return False
-        record = (self._seq, opcode, row_key) + payload
-        tablet.log.append(record)
-        if self._store is not None:
-            self._store.journal_append(record)
         group = self._group
         if group is not None:
             tablet_id = tablet.tablet_id
             group.log_appends[tablet_id] = group.log_appends.get(tablet_id, 0) + 1
             group.tablets[tablet_id] = tablet
         elif self._log_sync_tally is not None:
-            tally = self._log_sync_tally
-            entry = tally.get(tablet.tablet_id)
-            tally[tablet.tablet_id] = (
-                tablet,
-                1 if entry is None else entry[1] + 1,
-            )
+            self._tally_log_sync(self._log_sync_tally, tablet)
         else:
             self.counter.record_durability(OpKind.LOG_APPEND, rows=1)
             tablet.counter.record_durability(OpKind.LOG_APPEND, rows=1)
@@ -407,20 +441,8 @@ class Table:
         is tallied into ``appended`` (tablet -> record count) and
         :meth:`_charge_log_syncs` later charges one group fsync per tablet
         (the batch-RPC paths' group commit)."""
-        self._seq += 1
-        self.counter.logical_write_rows += 1
-        tablet.counter.logical_write_rows += 1
-        if not self.options.commit_log_enabled:
-            return
-        record = (self._seq, opcode, row_key) + payload
-        tablet.log.append(record)
-        if self._store is not None:
-            self._store.journal_append(record)
-        entry = appended.get(tablet.tablet_id)
-        appended[tablet.tablet_id] = (
-            tablet,
-            1 if entry is None else entry[1] + 1,
-        )
+        if self._log_append(tablet, opcode, row_key, payload):
+            self._tally_log_sync(appended, tablet)
 
     def _charge_log_syncs(self, appended: Dict[str, Tuple[Tablet, int]]) -> None:
         """Charge one group fsync per tablet for deferred log appends."""
@@ -507,8 +529,9 @@ class Table:
             self._tablets.maybe_split(tablet)
             while self._tablets.maybe_merge(tablet):
                 pass
-        for tablet in group.tablets.values():
-            self._maybe_flush(tablet)
+        if self.options.memtable_flush_rows is not None:
+            for tablet in group.tablets.values():
+                self._maybe_flush(tablet)
         self._maybe_checkpoint()
         # Re-arm the buffer: the block may still be open (early flush).
         self._group = _GroupCommit() if self._group_depth > 0 else None
@@ -535,16 +558,26 @@ class Table:
         if row is None:
             row = _Row()
             tablet.memtable_put(row_key, row)
-        qualifiers = row.families.setdefault(family, {})
-        cells = qualifiers.setdefault(qualifier, [])
-        cells.insert(0, Cell(timestamp=timestamp, value=value))
-        if len(cells) > 1 and timestamp < cells[1].timestamp:
-            # Out-of-order arrival: restore newest-first order.  In-order
-            # timestamps (the overwhelmingly common case) skip the sort —
-            # the stable sort would leave the list exactly as inserted.
-            cells.sort(key=lambda cell: cell.timestamp, reverse=True)
-        if declared.max_versions > 0 and len(cells) > declared.max_versions:
-            del cells[declared.max_versions:]
+        qualifiers = row.get(family)
+        if qualifiers is None:
+            qualifiers = row[family] = {}
+        chain = qualifiers.get(qualifier)
+        if chain is None:
+            qualifiers[qualifier] = [timestamp, value]
+            return added_row
+        if not chain or timestamp >= chain[0]:
+            # In-order timestamps, the overwhelmingly common case.
+            chain[0:0] = (timestamp, value)
+        else:
+            # Out-of-order arrival: behind every strictly newer version, in
+            # front of versions of equal timestamp.
+            index = 2
+            while index < len(chain) and chain[index] > timestamp:
+                index += 2
+            chain[index:index] = (timestamp, value)
+        limit = 2 * declared.max_versions
+        if 0 < limit < len(chain):
+            del chain[limit:]
         return added_row
 
     def _delete_cell_from(
@@ -570,12 +603,12 @@ class Table:
             if (
                 value is not None
                 and value is not TOMBSTONE
-                and qualifier in value.families.get(family, ())
+                and qualifier in value.get(family, ())
             ):
                 row = tablet.pull_back(row_key, value)
         if row is None or row is TOMBSTONE:
             return False, False
-        qualifiers = row.families.get(family)
+        qualifiers = row.get(family)
         if not qualifiers or qualifier not in qualifiers:
             return False, False
         del qualifiers[qualifier]
@@ -663,10 +696,13 @@ class Table:
         row = tablet.live_row(row_key)
         if row is None:
             return None
-        cells = row.families.get(family, {}).get(qualifier)
-        if not cells:
+        qualifiers = row.get(family)
+        chain = qualifiers.get(qualifier) if qualifiers else None
+        if not chain:
             return None
-        return cells[0]
+        # One point read per update message: skip the NamedTuple's
+        # Python-level ``__new__`` and fill the tuple directly.
+        return tuple.__new__(Cell, (chain[0], chain[1]))
 
     def read_versions(
         self, row_key: str, family: str, qualifier: str, _charge: bool = True
@@ -679,7 +715,9 @@ class Table:
         row = tablet.live_row(row_key)
         if row is None:
             return []
-        return list(row.families.get(family, {}).get(qualifier, []))
+        qualifiers = row.get(family)
+        chain = qualifiers.get(qualifier) if qualifiers else None
+        return _cells(chain) if chain else []
 
     def read_row(
         self, row_key: str, _charge: bool = True
@@ -694,7 +732,7 @@ class Table:
         row = tablet.live_row(row_key)
         if row is None:
             raise RowNotFoundError(f"row {row_key!r} not found in table {self.name!r}")
-        return row.copy_families()
+        return row.cells()
 
     def row_exists(self, row_key: str, _charge: bool = True) -> bool:
         """Existence check (charged as a read)."""
@@ -733,7 +771,7 @@ class Table:
     @staticmethod
     def _public_rows(scanned) -> List[Tuple[str, Dict[str, Dict[str, List[Cell]]]]]:
         """Convert scanner output to the public full-row representation."""
-        return [(row_key, row.copy_families()) for row_key, row in scanned]
+        return [(row_key, row.cells()) for row_key, row in scanned]
 
     def execute_plan(
         self, plan: ScanPlan
@@ -770,7 +808,7 @@ class Table:
         if family is None:
             return self._public_rows(scanned)
         self.family(family)
-        project = _Row.version_chains if versions else _Row.newest_values
+        project = _Row.version_cells if versions else _Row.newest_values
         return [(row_key, project(row, family)) for row_key, row in scanned]
 
     def scan_keys(
@@ -815,7 +853,7 @@ class Table:
             if row is None:
                 continue
             results[row_key] = (
-                row.copy_families() if family is None else row.newest_values(family)
+                row.cells() if family is None else row.newest_values(family)
             )
         self.counter.record(OpKind.BATCH_READ, rows=max(len(row_keys), 1))
         tally.charge(self._tablets, OpKind.BATCH_READ)
@@ -920,13 +958,12 @@ class Table:
 
     @staticmethod
     def _has_aged_cells(row, source_family: str, cutoff_timestamp: float) -> bool:
-        qualifiers = row.families.get(source_family)
+        qualifiers = row.get(source_family)
         if not qualifiers:
             return False
+        # Chains are newest first: the oldest version is the last pair.
         return any(
-            cell.timestamp < cutoff_timestamp
-            for cells in qualifiers.values()
-            for cell in cells
+            chain and chain[-2] < cutoff_timestamp for chain in qualifiers.values()
         )
 
     def _age_row(
@@ -943,24 +980,31 @@ class Table:
         row = tablet.ensure_writable(row_key)
         if row is None:
             return 0
-        qualifiers = row.families.get(source_family)
+        qualifiers = row.get(source_family)
         if not qualifiers:
             return 0
+        limit = 2 * target.max_versions
         moved = 0
-        for qualifier, cells in qualifiers.items():
-            fresh = [cell for cell in cells if cell.timestamp >= cutoff_timestamp]
-            aged = [cell for cell in cells if cell.timestamp < cutoff_timestamp]
-            if not aged:
+        for qualifier, chain in qualifiers.items():
+            # Chains are newest first, so the aged versions are a suffix.
+            split = len(chain)
+            while split and chain[split - 2] < cutoff_timestamp:
+                split -= 2
+            if split == len(chain):
                 continue
-            cells[:] = fresh
-            destination = row.families.setdefault(target_family, {}).setdefault(
-                qualifier, []
+            aged = chain[split:]
+            del chain[split:]
+            destination = row.setdefault(target_family, {}).setdefault(qualifier, [])
+            # Stable newest-first merge: on equal timestamps the versions
+            # already in the target stay in front of the arrivals.
+            both = destination + aged
+            merged = sorted(
+                zip(both[0::2], both[1::2]), key=itemgetter(0), reverse=True
             )
-            destination.extend(aged)
-            destination.sort(key=lambda cell: cell.timestamp, reverse=True)
-            if target.max_versions > 0 and len(destination) > target.max_versions:
-                del destination[target.max_versions:]
-            moved += len(aged)
+            destination[:] = [item for pair in merged for item in pair]
+            if 0 < limit < len(destination):
+                del destination[limit:]
+            moved += len(aged) // 2
         if moved:
             self.cache.invalidate_row(tablet.tablet_id, row_key)
         return moved
@@ -1051,7 +1095,7 @@ class Table:
             run_rows += sum(len(run) for run in tablet.runs)
             for record in tablet.log.records:
                 self._apply_log_record(tablet, record)
-            replayed += len(tablet.log.records)
+            replayed += len(tablet.log)
         # Recovery time = per-run open overhead (index + Bloom metadata, not
         # the data blocks — those fault in lazily afterwards) plus the log
         # replay.  It is reported through the RecoveryReport; the durability
@@ -1084,7 +1128,7 @@ class Table:
         for record in tablet.log.records:
             self._apply_log_record(tablet, record)
         model = self.counter.model
-        replayed = len(tablet.log.records)
+        replayed = len(tablet.log)
         simulated = (
             len(tablet.runs) * model.run_open_rpc + replayed * model.log_replay_row
         )
@@ -1221,11 +1265,11 @@ class Table:
     def _count_cells(self, in_memory: bool) -> int:
         total = 0
         for _, _, row in self._tablets.scan(None, None):
-            for family_name, qualifiers in row.families.items():
+            for family_name, qualifiers in row.items():
                 if self._families[family_name].in_memory != in_memory:
                     continue
-                for cells in qualifiers.values():
-                    total += len(cells)
+                for chain in qualifiers.values():
+                    total += len(chain) // 2
         return total
 
     def clear(self) -> None:

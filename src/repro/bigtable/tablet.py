@@ -531,8 +531,9 @@ class TabletLocator:
         return bisect_right(self._starts, key) - 1
 
     def locate(self, key: str) -> Tablet:
-        """The tablet whose key range contains ``key``."""
-        return self._tablets[self._index_for(key)]
+        """The tablet whose key range contains ``key`` (:meth:`_index_for`
+        inlined: every point operation routes through here)."""
+        return self._tablets[bisect_right(self._starts, key) - 1]
 
     def end_key_of(self, tablet: Tablet) -> Optional[str]:
         """Exclusive upper bound of a tablet's range (``None`` = open)."""
@@ -595,6 +596,8 @@ class TabletLocator:
         are split again immediately (a group commit can overshoot the
         threshold by a whole buffer before the check runs).
         """
+        if tablet.row_count <= self.options.split_threshold:
+            return False
         split_any = False
         queue = [tablet]
         while queue:
@@ -644,7 +647,16 @@ class TabletLocator:
         the survivor absorbs the neighbour's counter so load history is not
         lost.  Returns ``True`` when a merge happened.
         """
-        if len(self._tablets) <= 1:
+        # Both candidate pairs contain ``tablet``: when it alone exceeds the
+        # threshold neither sum can fit, so skip the neighbour lookup.  (A
+        # tablet already merged away — callers loop until nothing merges —
+        # went with at most ``merge_threshold`` rows and keeps that stale
+        # count, so it still reaches the lookup, which resolves its start
+        # key to the tablet that absorbed it.)
+        if (
+            len(self._tablets) <= 1
+            or tablet.row_count > self.options.merge_threshold
+        ):
             return False
         index = self._index_for(tablet.start_key)
         for left_index in (index, index - 1):

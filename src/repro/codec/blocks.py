@@ -28,7 +28,7 @@ import zlib
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.bigtable.lsm import TOMBSTONE
-from repro.bigtable.table import Cell, _Row
+from repro.bigtable.table import _Row
 from repro.codec.columns import (
     read_f64_delta_column,
     read_key_column,
@@ -119,17 +119,16 @@ def iter_journal_records(data) -> Iterator[tuple]:
 
 
 def _encode_row(out: bytearray, row: _Row) -> None:
-    families = row.families
-    write_uvarint(out, len(families))
-    for family, qualifiers in families.items():
+    write_uvarint(out, len(row))
+    for family, qualifiers in row.items():
         write_str(out, family)
         write_uvarint(out, len(qualifiers))
-        for qualifier, cells in qualifiers.items():
+        for qualifier, chain in qualifiers.items():
             write_str(out, qualifier)
-            write_uvarint(out, len(cells))
-            write_f64_delta_column(out, [cell.timestamp for cell in cells])
-            for cell in cells:
-                encode_value(out, cell.value)
+            write_uvarint(out, len(chain) // 2)
+            write_f64_delta_column(out, chain[0::2])
+            for value in chain[1::2]:
+                encode_value(out, value)
 
 
 def _decode_row(buf, pos: int) -> Tuple[_Row, int]:
@@ -143,12 +142,12 @@ def _decode_row(buf, pos: int) -> Tuple[_Row, int]:
             qualifier, pos = read_str(buf, pos)
             ncells, pos = read_uvarint(buf, pos)
             timestamps, pos = read_f64_delta_column(buf, pos, ncells)
-            cells = []
+            chain = []
             for timestamp in timestamps:
                 value, pos = decode_value(buf, pos)
-                cells.append(Cell(timestamp=timestamp, value=value))
-            qualifiers[qualifier] = cells
-        row.families[family] = qualifiers
+                chain += (timestamp, value)
+            qualifiers[qualifier] = chain
+        row[family] = qualifiers
     return row, pos
 
 

@@ -136,7 +136,7 @@ class DiskTableStore:
                     "start": tablet.start_key,
                     "next_run": tablet._next_run,
                     "runs": runs,
-                    "log": list(tablet.log.records),
+                    "log": tablet.log.records,
                 }
             )
         manifest = {

@@ -1,5 +1,7 @@
 """Tests for the tablet layer: options, splits, merges, routing, group commit."""
 
+import random
+
 import pytest
 
 from repro.bigtable.cost import CostModel, OpKind
@@ -292,3 +294,87 @@ class TestGroupCommit:
             # Inner exit must not flush yet.
             assert table.counter.count(OpKind.WRITE) == 0
         assert table.counter.count(OpKind.WRITE) == 1
+
+
+class TestStructuralChecksThatCannotFire:
+    """``maybe_merge`` / ``maybe_split`` return early when the tablet's own
+    row count already rules the change out.  The early-outs must never skip a
+    merge or split the exhaustive neighbour walk would have made."""
+
+    @staticmethod
+    def watch(table):
+        """Wrap the table's locator so every structural check is compared
+        with a decision computed the long way, from both neighbour pairs."""
+        locator = table._tablets
+        options = locator.options
+        merge, split = locator.maybe_merge, locator.maybe_split
+        calls = {"merge": 0, "split": 0}
+
+        def merge_due(tablet):
+            # A tablet merged away earlier in the same flush still gets
+            # checked: its start key resolves to whoever absorbed it.
+            tablets = locator.tablets()
+            index = locator._index_for(tablet.start_key)
+            return any(
+                tablets[left].row_count + tablets[left + 1].row_count
+                <= options.merge_threshold
+                for left in (index, index - 1)
+                if left >= 0 and left + 1 < len(tablets)
+            )
+
+        def checked_merge(tablet):
+            due = merge_due(tablet)
+            calls["merge"] += 1
+            assert merge(tablet) == due
+            return due
+
+        def checked_split(tablet):
+            due = (
+                tablet.row_count > options.split_threshold
+                and len(locator) < options.max_tablets
+            )
+            calls["split"] += 1
+            assert split(tablet) == due
+            return due
+
+        locator.maybe_merge = checked_merge
+        locator.maybe_split = checked_split
+        return calls
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_streams_make_the_same_decisions(self, seed):
+        rng = random.Random(seed)
+        options = TabletOptions(
+            split_threshold=rng.choice([4, 8, 16]),
+            merge_threshold=rng.choice([1, 3]),
+            group_commit_size=rng.choice([2, 16]),
+            max_tablets=rng.choice([4, 128]),
+        )
+        plain, watched = make_table(options), make_table(options)
+        calls = self.watch(watched)
+        keys = [f"k{index:03d}" for index in range(60)]
+        for step in range(600):
+            # Grow, then shrink, then churn: splits first, merges after.
+            write_odds = (0.9, 0.03, 0.5)[step // 200]
+            batch = [
+                (rng.choice(keys), rng.random() < write_odds)
+                for _ in range(rng.randrange(1, 6))
+            ]
+            for table in (plain, watched):
+                with table.group_commit():
+                    for key, is_write in batch:
+                        if is_write:
+                            table.write(key, "f", "q", step, float(step))
+                        else:
+                            table.delete_cell(key, "f", "q")
+        assert calls["merge"] > 0 and calls["split"] > 0
+        assert watched.merge_count > 0 and watched.split_count > 0
+        for table in (plain, watched):
+            assert sum(t.row_count for t in table.tablets()) == table.row_count()
+        assert [(t.start_key, t.row_count) for t in plain.tablets()] == [
+            (t.start_key, t.row_count) for t in watched.tablets()
+        ]
+        assert (plain.split_count, plain.merge_count) == (
+            watched.split_count,
+            watched.merge_count,
+        )

@@ -1,0 +1,93 @@
+"""Heap budget: garbage-collector-tracked objects per stored leader and per
+update.
+
+A full collection walks every tracked object, so on the write-heavy stream
+workloads its cost is set by how many objects the storage engine *retains* —
+the heap, not the allocation rate.  The engine keeps values in flat chains
+and typed-array log columns precisely so that a stored version costs no
+object of its own; this test fails the next change that stores one again,
+instead of leaving it to a benchmark to notice.  Run with ``-s`` to see the
+numbers (CI does).
+
+Per leader the budget covers three rows (Location, Affiliation, Spatial
+Index: a row dict, a qualifier dict and a chain each), the ``LocationRecord``
+and ``LFRecord`` values and their share of tablets and memos.  Per update it
+covers the new ``LocationRecord`` and the message's ``Point`` and ``Vector``,
+which the stored record shares — and nothing else, although the commit log,
+never truncated by default, keeps a record of every mutation.
+"""
+
+import gc
+
+from repro import (
+    BoundingBox,
+    MoistConfig,
+    MoistIndexer,
+    Point,
+    UpdateMessage,
+    Vector,
+    format_object_id,
+)
+
+LEADERS = 2000
+#: The commit before flat chains (a ``Cell`` per version, a tuple per log
+#: record, a ``_Row`` wrapper per row) measured 24.1 and 6.0 here; this
+#: storage shape measures 15.1 and 3.0.
+MAX_TRACKED_PER_LEADER = 18.0
+MAX_TRACKED_PER_UPDATE = 3.5
+
+
+def tracked_objects():
+    gc.collect()
+    return len(gc.get_objects())
+
+
+def position(number, timestamp):
+    return Point((number * 7.3 + timestamp * 11.0) % 1000.0, (number * 3.1) % 1000.0)
+
+
+def report_all(indexer, timestamp):
+    """Every leader reports once, at a position that depends on the time."""
+    for start in range(0, LEADERS, 256):
+        batch = [
+            UpdateMessage(
+                format_object_id(number),
+                position(number, timestamp),
+                Vector(1.0, -1.0),
+                timestamp,
+            )
+            for number in range(start, min(start + 256, LEADERS))
+        ]
+        indexer.update_many(batch)
+
+
+def test_tracked_objects_per_leader_and_per_update():
+    config = MoistConfig(
+        world=BoundingBox(0.0, 0.0, 1000.0, 1000.0),
+        storage_level=12,
+        enable_schools=False,
+        deviation_threshold=0.0,
+    )
+    indexer = MoistIndexer(config)
+    report_all(indexer, 0.0)  # warm every lazily built table, memo and cache
+    indexer = MoistIndexer(config)
+    empty = tracked_objects()
+    report_all(indexer, 0.0)
+    # The location -> cell memo is a bounded cache, not storage: fill it for
+    # the positions of the second round now, so that round measures what the
+    # tables retain per update and not a cache that has yet to reach its cap.
+    for number in range(LEADERS):
+        indexer.spatial_table.cell_for(position(number, 1.0))
+    preloaded = tracked_objects()
+    report_all(indexer, 1.0)
+    updated = tracked_objects()
+    per_leader = (preloaded - empty) / LEADERS
+    per_update = (updated - preloaded) / LEADERS
+    print(
+        f"\ntracked objects: {per_leader:.2f} per preloaded leader "
+        f"(budget {MAX_TRACKED_PER_LEADER}), {per_update:.2f} per update "
+        f"(budget {MAX_TRACKED_PER_UPDATE})"
+    )
+    assert indexer.object_count == LEADERS
+    assert per_leader <= MAX_TRACKED_PER_LEADER
+    assert per_update <= MAX_TRACKED_PER_UPDATE

@@ -1,9 +1,12 @@
 """Tests for the Hilbert and Z-order curve encodings."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SpatialError
+from repro.spatial.cell import MAX_LEVEL
 from repro.spatial.hilbert import hilbert_index, hilbert_point
 from repro.spatial.zcurve import z_index, z_point
 
@@ -38,6 +41,85 @@ class TestHilbertSmall:
     def test_decode_out_of_range_rejected(self):
         with pytest.raises(SpatialError):
             hilbert_point(2, 16)
+
+
+def loop_hilbert_index(order, x, y):
+    """The classical per-level loop (rotate the low bits after every digit)
+    that ``hilbert_index`` was before it became table-driven: the reference
+    the tables must reproduce bit for bit."""
+    d = 0
+    s = 1 << (order - 1) if order > 0 else 0
+    while s > 0:
+        rx = 1 if (x & s) > 0 else 0
+        ry = 1 if (y & s) > 0 else 0
+        d += s * s * ((3 * rx) ^ ry)
+        x, y = _rotate(s, x, y, rx, ry)
+        s //= 2
+    return d
+
+
+def loop_hilbert_point(order, d):
+    x = y = 0
+    t = d
+    s = 1
+    while s < 1 << order:
+        rx = 1 & (t // 2)
+        ry = 1 & (t ^ rx)
+        x, y = _rotate(s, x, y, rx, ry)
+        x += s * rx
+        y += s * ry
+        t //= 4
+        s *= 2
+    return x, y
+
+
+def _rotate(s, x, y, rx, ry):
+    if ry == 0:
+        if rx == 1:
+            x = s - 1 - x
+            y = s - 1 - y
+        x, y = y, x
+    return x, y
+
+
+class TestTableDrivenMatchesTheLoop:
+    @pytest.mark.parametrize("order", range(0, 7))
+    def test_every_cell_of_the_small_orders(self, order):
+        side = 1 << order
+        for x in range(side):
+            for y in range(side):
+                d = loop_hilbert_index(order, x, y)
+                assert hilbert_index(order, x, y) == d
+                assert hilbert_point(order, d) == loop_hilbert_point(order, d) == (x, y)
+
+    def test_seeded_draws_of_the_large_orders(self):
+        rng = random.Random(20120827)
+        for _ in range(10_000):
+            order = rng.randrange(7, MAX_LEVEL + 1)
+            x = rng.randrange(1 << order)
+            y = rng.randrange(1 << order)
+            d = loop_hilbert_index(order, x, y)
+            assert hilbert_index(order, x, y) == d
+            assert hilbert_point(order, d) == (x, y)
+
+    def test_corners_of_every_order(self):
+        # All-zero and all-one coordinates drive the padded leading levels
+        # and every state of the automaton.
+        for order in range(MAX_LEVEL + 1):
+            top = (1 << order) - 1
+            for x, y in ((0, 0), (0, top), (top, 0), (top, top)):
+                d = loop_hilbert_index(order, x, y)
+                assert hilbert_index(order, x, y) == d
+                assert hilbert_point(order, d) == (x, y)
+
+    def test_out_of_range_arguments_raise_on_every_call(self):
+        for _ in range(3):  # an error must never be memoized
+            for order, x, y in ((3, 8, 0), (3, 0, 8), (3, -1, 0), (0, 1, 0), (-1, 0, 0)):
+                with pytest.raises(SpatialError):
+                    hilbert_index(order, x, y)
+            for order, d in ((3, 64), (3, -1), (0, 1), (-2, 0)):
+                with pytest.raises(SpatialError):
+                    hilbert_point(order, d)
 
 
 class TestHilbertProperties:
