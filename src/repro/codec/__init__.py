@@ -14,7 +14,8 @@ encoding — shared by the two consumers that used to each invent their own:
 
 Everything is pure ``struct``/``array``/``memoryview`` Python — no new
 dependencies — and every codec keeps a pickle fallback for exotic payloads
-so correctness never hinges on the compact path.
+so correctness never hinges on the compact path (the domain records have
+typed value tags, so the persistence path itself never takes it).
 """
 
 from repro.codec.columns import (

@@ -77,7 +77,7 @@ def encode_journal_record(record: tuple) -> bytes:
     write_uvarint(body, len(record) - 2)
     for field in record[2:]:
         encode_value(body, field)
-    return _JOURNAL_HEADER.pack(len(body), zlib.crc32(bytes(body))) + bytes(body)
+    return _JOURNAL_HEADER.pack(len(body), zlib.crc32(body)) + body
 
 
 def iter_journal_records(data) -> Iterator[tuple]:

@@ -1,15 +1,40 @@
 """Tagged binary value encoding with a per-value pickle fallback.
 
 Cell values, commit-log payloads and manifest metadata are *mostly* simple
-— strings, floats, tuples, :class:`~repro.geometry.point.Point`s — but the
-table API accepts arbitrary objects.  This codec writes the common shapes
-as one tag byte plus a compact body and quietly pickles anything else, so
-the disk and wire layers stay byte-frugal without ever restricting what a
-caller may store.
+— strings, floats, tuples, :class:`~repro.geometry.point.Point`s and the
+three domain records below — but the table API accepts arbitrary objects.
+This codec writes the known shapes as one tag byte plus a compact body and
+quietly pickles anything else, so the disk and wire layers stay byte-frugal
+without ever restricting what a caller may store.
 
-Type dispatch is on ``type(obj)`` exactly (no ``isinstance``): a subclass
-may carry extra state a structural re-encode would drop, so subclasses take
-the pickle path, which preserves them faithfully.
+====  =================  ==============================================
+tag   type               body
+====  =================  ==============================================
+0     (pickle fallback)  uvarint length, pickle bytes — foreign types,
+                         subclasses, and every record in files written
+                         before tags 13–15 existed
+1–3   None, False, True  —
+4     int                zigzag varint
+5     float              f64
+6     str                uvarint length, utf-8
+7     bytes              uvarint length, raw
+8, 9  tuple, list        uvarint count, tagged items
+10    dict               uvarint count, tagged key/value pairs
+11    Point              2 x f64
+12    Vector             2 x f64
+13    LocationRecord     5 x f64: x, y, dx, dy, timestamp
+14    LFRecord           role byte, f64 timestamp; a follower adds its
+                         leader id (str) and displacement (2 x f64)
+15    NeighborResult     id (str), 3 x f64: x, y, distance; flag byte
+                         (bit 0 is_leader, bit 1 has a leader id), then
+                         the leader id (str) when flagged
+====  =================  ==============================================
+
+Type dispatch is on ``type(obj)`` exactly (no ``isinstance``), for records
+down to their fields: a subclass may carry extra state a structural
+re-encode would drop, and an ``int`` timestamp would come back a ``float``,
+so anything off the declared shape takes the pickle path, which preserves
+it faithfully.  Tags are append-only: existing tags keep their bytes.
 """
 
 from __future__ import annotations
@@ -21,8 +46,13 @@ from typing import Tuple
 from repro.codec.columns import read_str, read_svarint, read_uvarint, write_str, write_svarint, write_uvarint
 from repro.geometry.point import Point
 from repro.geometry.vector import Vector
+from repro.model import LocationRecord, NeighborResult
+from repro.tables.affiliation_table import LFRecord, Role
 
 _F64 = struct.Struct("<d")
+_2F64 = struct.Struct("<2d")
+_3F64 = struct.Struct("<3d")
+_5F64 = struct.Struct("<5d")
 _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 
 TAG_PICKLE = 0
@@ -38,6 +68,9 @@ TAG_LIST = 9
 TAG_DICT = 10
 TAG_POINT = 11
 TAG_VECTOR = 12
+TAG_LOCATION_RECORD = 13
+TAG_LF_RECORD = 14
+TAG_NEIGHBOR = 15
 
 
 def encode_value(out: bytearray, obj: object) -> None:
@@ -78,11 +111,61 @@ def encode_value(out: bytearray, obj: object) -> None:
         out.append(TAG_VECTOR)
         out += _F64.pack(obj.dx)
         out += _F64.pack(obj.dy)
+    elif (
+        kind is LocationRecord
+        and type(obj.location) is Point
+        and type(obj.velocity) is Vector
+        and type(obj.timestamp) is float
+    ):
+        location = obj.location
+        velocity = obj.velocity
+        out.append(TAG_LOCATION_RECORD)
+        out += _5F64.pack(
+            location.x, location.y, velocity.dx, velocity.dy, obj.timestamp
+        )
+    elif kind is LFRecord and _plain_lf_record(obj):
+        out.append(TAG_LF_RECORD)
+        out.append(0 if obj.role is Role.LEADER else 1)
+        out += _F64.pack(obj.timestamp)
+        if obj.role is Role.FOLLOWER:
+            write_str(out, obj.leader_id)
+            out += _2F64.pack(obj.displacement.dx, obj.displacement.dy)
+    elif kind is NeighborResult and _plain_neighbor(obj):
+        out.append(TAG_NEIGHBOR)
+        write_str(out, obj.object_id)
+        out += _3F64.pack(obj.location.x, obj.location.y, obj.distance)
+        if obj.leader_id is None:
+            out.append(1 if obj.is_leader else 0)
+        else:
+            out.append(3 if obj.is_leader else 2)
+            write_str(out, obj.leader_id)
     else:
         payload = pickle.dumps(obj, _PICKLE_PROTOCOL)
         out.append(TAG_PICKLE)
         write_uvarint(out, len(payload))
         out += payload
+
+
+def _plain_lf_record(record: LFRecord) -> bool:
+    if type(record.timestamp) is not float:
+        return False
+    if record.role is Role.LEADER:
+        return True  # the constructor already refused follower fields
+    return (
+        record.role is Role.FOLLOWER
+        and type(record.leader_id) is str
+        and type(record.displacement) is Vector
+    )
+
+
+def _plain_neighbor(result: NeighborResult) -> bool:
+    return (
+        type(result.object_id) is str
+        and type(result.location) is Point
+        and type(result.distance) is float
+        and type(result.is_leader) is bool
+        and (result.leader_id is None or type(result.leader_id) is str)
+    )
 
 
 def decode_value(buf, pos: int) -> Tuple[object, int]:
@@ -119,11 +202,32 @@ def decode_value(buf, pos: int) -> Tuple[object, int]:
             result[key] = value
         return result, pos
     if tag == TAG_POINT:
-        x, y = struct.unpack_from("<2d", buf, pos)
+        x, y = _2F64.unpack_from(buf, pos)
         return Point(x, y), pos + 16
     if tag == TAG_VECTOR:
-        dx, dy = struct.unpack_from("<2d", buf, pos)
+        dx, dy = _2F64.unpack_from(buf, pos)
         return Vector(dx, dy), pos + 16
+    if tag == TAG_LOCATION_RECORD:
+        x, y, dx, dy, timestamp = _5F64.unpack_from(buf, pos)
+        return LocationRecord(Point(x, y), Vector(dx, dy), timestamp), pos + 40
+    if tag == TAG_LF_RECORD:
+        follower = buf[pos]
+        (timestamp,) = _F64.unpack_from(buf, pos + 1)
+        pos += 9
+        if not follower:
+            return LFRecord(Role.LEADER, timestamp), pos
+        leader_id, pos = read_str(buf, pos)
+        dx, dy = _2F64.unpack_from(buf, pos)
+        return LFRecord(Role.FOLLOWER, timestamp, leader_id, Vector(dx, dy)), pos + 16
+    if tag == TAG_NEIGHBOR:
+        object_id, pos = read_str(buf, pos)
+        x, y, distance = _3F64.unpack_from(buf, pos)
+        flags = buf[pos + 24]
+        pos += 25
+        leader_id = None
+        if flags & 2:
+            leader_id, pos = read_str(buf, pos)
+        return NeighborResult(object_id, Point(x, y), distance, bool(flags & 1), leader_id), pos
     if tag == TAG_PICKLE:
         length, pos = read_uvarint(buf, pos)
         return pickle.loads(bytes(buf[pos : pos + length])), pos + length

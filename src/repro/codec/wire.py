@@ -405,7 +405,9 @@ RESULT_TABLET_STATS = 9
 _OPKIND_LIST = list(OpKind)
 _OPKIND_INDEX = {kind: index for index, kind in enumerate(_OPKIND_LIST)}
 
-_METRICS_KEYS = frozenset(("makespan", "servers", "master_actions", "has_master"))
+_METRICS_KEYS = frozenset(
+    ("makespan", "servers", "master_actions", "has_master", "worker_phase")
+)
 
 
 def _is_metrics_snapshot(value: Any) -> bool:
@@ -414,6 +416,12 @@ def _is_metrics_snapshot(value: Any) -> bool:
     if type(value["makespan"]) is not float:
         return False
     if type(value["has_master"]) is not bool:
+        return False
+    phase = value["worker_phase"]
+    if type(phase) is not dict or not all(
+        type(name) is str and type(seconds) is float
+        for name, seconds in phase.items()
+    ):
         return False
     actions = value["master_actions"]
     if type(actions) is not tuple or len(actions) != 3:
@@ -569,6 +577,10 @@ def encode_result_compact(value: Any) -> Optional[bytes]:
         for entry in value["master_actions"]:
             write_uvarint(out, entry)
         out.append(1 if value["has_master"] else 0)
+        write_uvarint(out, len(value["worker_phase"]))
+        for name, seconds in value["worker_phase"].items():
+            write_str(out, name)
+            out += _F64.pack(seconds)
         return bytes(out)
     return None
 
@@ -666,10 +678,17 @@ def decode_result_compact(body) -> Any:
             entry, pos = read_uvarint(body, pos)
             actions.append(entry)
         has_master = bool(body[pos])
+        count, pos = read_uvarint(body, pos + 1)
+        phase = {}
+        for _ in range(count):
+            name, pos = read_str(body, pos)
+            (phase[name],) = _F64.unpack_from(body, pos)
+            pos += 8
         return {
             "makespan": makespan,
             "servers": servers,
             "master_actions": tuple(actions),
             "has_master": has_master,
+            "worker_phase": phase,
         }
     raise RpcError(f"unknown compact result tag {tag}")

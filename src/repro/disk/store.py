@@ -17,12 +17,18 @@ happen exactly once — in :func:`restore_table`, after a process death.
 
 Crash-consistency protocol (all orderings enforced here):
 
-* every commit-log append lands in ``journal.bin`` before its fsync point;
+* commit-log appends are framed into an in-process buffer and reach
+  ``journal.bin`` *at* their fsync point — one ``write`` and one ``fsync``
+  where the simulation charges the commit's LOG_APPEND — never before it:
+  a record the process died holding was by construction never synced, so
+  never acknowledged (``read_journal`` and ``close`` also write the buffer
+  out);
 * a checkpoint first writes any run files the manifest will reference
   (fsynced), then atomically replaces the manifest (which carries the
-  journal sequence watermark), then truncates the journal — a crash
-  between the last two steps leaves stale journal records that the
-  watermark filters out on restore;
+  journal sequence watermark), then truncates the journal and drops the
+  buffered frames (the manifest's per-tablet logs own those records now) —
+  a crash between the last two steps leaves stale journal records that
+  the watermark filters out on restore;
 * structural events (split, merge, flush, compaction, family addition)
   always checkpoint, so the journal tail never spans a tablet-boundary
   change and replaying it through the *restored* boundaries is exact.
@@ -43,6 +49,7 @@ import pickle
 import shutil
 import struct
 import zlib
+from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import UnrecoverableShardError
@@ -81,6 +88,8 @@ class DiskTableStore:
         self._journal_path = os.path.join(root, _JOURNAL_NAME)
         self._manifest_path = os.path.join(root, _MANIFEST_NAME)
         self._journal = open(self._journal_path, "ab", buffering=0)
+        #: Frames appended since the last sync point (see module doc).
+        self._pending = bytearray()
         #: run_id -> filename for every run known to be on disk.
         self._persisted: Dict[str, str] = {
             name[: -len(".run")].replace("__", "/"): name
@@ -92,6 +101,9 @@ class DiskTableStore:
         self.manifest_bytes = 0
         self.journal_syncs = 0
         self.checkpoints = 0
+        #: Wall seconds spent in each persistence step (observability only;
+        #: ``run_encode`` is the part of ``checkpoint`` spent encoding runs).
+        self.seconds = {"journal_sync": 0.0, "checkpoint": 0.0, "run_encode": 0.0}
 
     @property
     def bytes_written(self) -> int:
@@ -104,15 +116,23 @@ class DiskTableStore:
     # Journal
     # ------------------------------------------------------------------
     def journal_append(self, record: tuple) -> None:
-        frame = encode_journal_record(record)
-        self._journal.write(frame)
-        self.journal_bytes += len(frame)
+        self._pending += encode_journal_record(record)
+
+    def _write_pending(self) -> None:
+        if self._pending:
+            self._journal.write(self._pending)
+            self.journal_bytes += len(self._pending)
+            self._pending.clear()
 
     def journal_sync(self) -> None:
+        started = perf_counter()
+        self._write_pending()
         os.fsync(self._journal.fileno())
         self.journal_syncs += 1
+        self.seconds["journal_sync"] += perf_counter() - started
 
     def read_journal(self) -> List[tuple]:
+        self._write_pending()
         with open(self._journal_path, "rb") as handle:
             return list(iter_journal_records(handle.read()))
 
@@ -123,6 +143,7 @@ class DiskTableStore:
         """Persist the table's durable skeleton: run files for every run
         the manifest references, then the manifest itself, then truncate
         the journal (its records are all reflected in the manifest now)."""
+        started = perf_counter()
         locator = table._tablets
         tablets = []
         for tablet in locator._tablets:
@@ -162,11 +183,14 @@ class DiskTableStore:
         os.replace(tmp_path, self._manifest_path)
         self.manifest_bytes += len(blob)
         self.checkpoints += 1
-        # The manifest now owns every record below the watermark; drop them.
+        # The manifest now owns every record below the watermark; drop
+        # them, buffered or written.
+        self._pending.clear()
         os.ftruncate(self._journal.fileno(), 0)
         self._gc_runs(
             {run[0] for entry in tablets for run in entry["runs"]}
         )
+        self.seconds["checkpoint"] += perf_counter() - started
 
     def _ensure_run_file(self, run: SSTable) -> None:
         if run.run_id in self._persisted:
@@ -174,7 +198,9 @@ class DiskTableStore:
         filename = _run_filename(run.run_id)
         # Run files store the FULL backing arrays; sliced tablets reference
         # [lo, hi) windows of the shared file via the manifest.
+        started = perf_counter()
         blob = encode_run_block(run._keys, run._values, run.max_seqno)
+        self.seconds["run_encode"] += perf_counter() - started
         path = os.path.join(self._runs_dir, filename)
         tmp_path = path + ".tmp"
         with open(tmp_path, "wb") as handle:
@@ -223,6 +249,7 @@ class DiskTableStore:
     # ------------------------------------------------------------------
     def close(self) -> None:
         if not self._journal.closed:
+            self._write_pending()
             self._journal.close()
 
     def destroy(self) -> None:
@@ -330,17 +357,24 @@ def restore_table(
 # Soft-state blobs (shard accounting checkpoints)
 # --------------------------------------------------------------------------
 
-_STATE_HEADER = struct.Struct("<II")  # payload length, crc32(payload)
+#: Bumped whenever the payload's shape changes: a blob never outlives one
+#: run, so a mismatch is damage, not something to migrate.
+STATE_FORMAT = 2
+
+_STATE_HEADER = struct.Struct("<III")  # format, payload length, crc32(payload)
 
 
 def write_state_blob(path: str, payload: dict) -> int:
     """Atomically persist a pickled accounting snapshot (tmp + os.replace).
 
-    No fsync: the blob only needs to survive *process* death, not power
-    loss — the durable LSM state underneath carries its own fsync protocol.
-    Returns the byte count written (for accounting)."""
+    The snapshot's big member — the dedup window — arrives as ``bytes`` the
+    shard encoded once per applied request, so pickling it is a copy, not
+    a re-serialisation.  No fsync: the blob only needs to survive
+    *process* death, not power loss — the durable LSM state underneath
+    carries its own fsync protocol.  Returns the byte count written (for
+    accounting)."""
     body = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
-    blob = _STATE_HEADER.pack(len(body), zlib.crc32(body)) + body
+    blob = _STATE_HEADER.pack(STATE_FORMAT, len(body), zlib.crc32(body)) + body
     tmp_path = path + ".tmp"
     with open(tmp_path, "wb") as handle:
         handle.write(blob)
@@ -349,19 +383,31 @@ def write_state_blob(path: str, payload: dict) -> int:
 
 
 def read_state_blob(path: str) -> Optional[dict]:
-    """Load a snapshot written by :func:`write_state_blob`, or ``None`` when
-    the file is absent, torn or corrupt (caller falls back to a cold
-    rebuild)."""
+    """Load a snapshot written by :func:`write_state_blob`; ``None`` when
+    the file is absent.  A file that is present but torn, corrupt or of
+    another format raises :class:`UnrecoverableShardError`: the ledgers and
+    the dedup window it held are gone, and restoring without them would
+    silently zero the accounting and re-apply an unacked batch."""
     try:
         with open(path, "rb") as handle:
             data = handle.read()
     except FileNotFoundError:
         return None
+    payload = _decode_state_blob(data)
+    if payload is None:
+        raise UnrecoverableShardError(
+            f"accounting checkpoint {path!r} is torn, corrupt or not format "
+            f"{STATE_FORMAT}: the shard cannot be restored losslessly"
+        )
+    return payload
+
+
+def _decode_state_blob(data: bytes) -> Optional[dict]:
     if len(data) < _STATE_HEADER.size:
         return None
-    length, crc = _STATE_HEADER.unpack_from(data)
-    body = data[_STATE_HEADER.size:_STATE_HEADER.size + length]
-    if len(body) != length or zlib.crc32(body) != crc:
+    version, length, crc = _STATE_HEADER.unpack_from(data)
+    body = data[_STATE_HEADER.size:]
+    if version != STATE_FORMAT or len(body) != length or zlib.crc32(body) != crc:
         return None
     try:
         payload = pickle.loads(body)

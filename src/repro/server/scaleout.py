@@ -44,7 +44,7 @@ from repro.server import chaos as chaos_mod
 from repro.server import rpc
 from repro.server.cluster import RoundMakespans
 from repro.server.supervisor import Supervisor
-from repro.server.worker import shard_of
+from repro.server.worker import WORKER_PHASES, shard_of
 
 
 class ScatterGatherEngine:
@@ -228,6 +228,8 @@ class ScaleOutCluster:
             backend.transport, self.retry_policy, self.supervisor
         )
         self.window = 1
+        #: See :meth:`metrics_snapshot`.
+        self._worker_phase: Optional[Dict[str, float]] = None
         self._zero_pipeline_metrics()  # the build's frames are not rounds
         self.set_window(window)
 
@@ -425,11 +427,19 @@ class ScaleOutCluster:
         ``to_report()``; the counter fields (``blocking_waits``,
         ``rounds_enqueued``, ...) count update windows and are
         machine-independent — functions of the batch schedule only — which
-        is what the CI overlap guard pins."""
+        is what the CI overlap guard pins.
+
+        ``worker_phase`` is the other side of ``blocked_wait_seconds``:
+        the workers' own wall seconds per
+        :data:`~repro.server.worker.WORKER_PHASES` step, summed in shard
+        order *as of the last* :meth:`metrics` *round* (``None`` before
+        one).  The snapshot itself never moves a frame — it stays callable
+        with a window in flight and leaves pinned frame counts alone."""
         snapshot: Dict[str, object] = dict(self.backend.transport.phase)
         snapshot.update(self._counters)
         snapshot["window"] = self.window
         snapshot["inflight_rounds"] = self._engine.inflight_rounds
+        snapshot["worker_phase"] = self._worker_phase
         return snapshot
 
     def submit_query_batch(
@@ -565,7 +575,13 @@ class ScaleOutCluster:
     def metrics(self) -> List[Dict[str, object]]:
         """Per-shard metrics dicts, in shard order."""
         self._barrier()
-        return self.backend.scatter("metrics")
+        per_shard = self.backend.scatter("metrics")
+        total = dict.fromkeys(WORKER_PHASES, 0.0)
+        for entry in per_shard:
+            for step, seconds in entry["worker_phase"].items():
+                total[step] += seconds
+        self._worker_phase = total
+        return per_shard
 
     def service_time_percentile(self, quantile: float) -> float:
         """Simulated per-request service-time percentile over every shard.

@@ -31,13 +31,16 @@ transports.
 from __future__ import annotations
 
 import os
+import shutil
 import socket
 from collections import OrderedDict
 from dataclasses import dataclass
 from random import Random
+from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from zlib import crc32
 
+from repro.codec.values import decode_value, encode_value
 from repro.codec.wire import NeighborStreamEncoder
 from repro.core.config import MoistConfig
 from repro.errors import ConfigurationError, RpcError, StaleRequestError
@@ -51,6 +54,12 @@ from repro.server.master import MasterOptions, TabletMaster
 
 #: Accounting-checkpoint filename inside a shard's storage directory.
 STATE_BLOB_NAME = "SHARD_STATE.bin"
+
+#: Where a worker's wall time goes, per shard: the steps of
+#: :func:`dispatch_request`, then the disk store's share of ``apply``
+#: (``run_encode`` is in turn part of ``checkpoint``).
+DISPATCH_PHASES = ("decode", "dedup", "apply", "state_blob", "encode")
+WORKER_PHASES = DISPATCH_PHASES + ("journal_sync", "checkpoint", "run_encode")
 
 #: The worker-side verb table: ``name -> (callable taking the service
 #: first, read-only flag)``.  The one answer to "which verbs exist and
@@ -248,6 +257,9 @@ class ShardService:
         self.indexer = None
         self.cluster: Optional[ServerCluster] = None
         self.master: Optional[TabletMaster] = None
+        #: Where the built recipe checkpoints its accounting soft state
+        #: (``None``: no indexer yet, or the recipe keeps no checkpoint).
+        self._state_blob_path: Optional[str] = None
         self._bare_table = None
         #: Per-shard stateful neighbour stream encoder (its decoder twin
         #: lives in the parent's pipe transport).  Keeping the state per
@@ -255,15 +267,21 @@ class ShardService:
         #: bytes invariant across worker counts.
         self.neighbor_encoder = NeighborStreamEncoder()
         #: Exactly-once dedup window: ``request_id -> (opcode, recorded
-        #: result)`` for the most recent applied data-plane requests, in
-        #: application order.  The pipelined parent keeps up to ``W``
-        #: batches in flight per worker and a heal-then-resend replays the
-        #: *whole* window with original pinned ids, so the window holds
-        #: ``recipe.dedup_window >= W`` entries — a replayed id anywhere in
-        #: the window returns its recorded result without touching state.
-        self._applied_window: "OrderedDict[int, Tuple[int, tuple]]" = (
-            OrderedDict()
-        )
+        #: result, encoded entry)`` for the most recent applied data-plane
+        #: requests, in application order.  The pipelined parent keeps up
+        #: to ``W`` batches in flight per worker and a heal-then-resend
+        #: replays the *whole* window with original pinned ids, so the
+        #: window holds ``recipe.dedup_window >= W`` entries — a replayed id
+        #: anywhere in the window returns its recorded result without
+        #: touching state.  The encoded entry is the tagged-value bytes of
+        #: ``(request_id, opcode, result)``, filled in by the first
+        #: :meth:`accounting_state` that includes it (``None`` until then).
+        self._applied_window: (
+            "OrderedDict[int, Tuple[int, tuple, Optional[bytes]]]"
+        ) = OrderedDict()
+        #: Wall seconds per :func:`dispatch_request` step since this
+        #: process first served the shard (observability only).
+        self.phase: Dict[str, float] = dict.fromkeys(DISPATCH_PHASES, 0.0)
 
     def call(self, method: str, *args, **kwargs) -> Any:
         """Run one verb by name (the in-process ``CALL``)."""
@@ -289,15 +307,24 @@ class ShardService:
         )
         storage_dir = recipe.shard_storage_dir
         restoring = storage_dir is not None and _has_disk_checkpoint(storage_dir)
+        state_blob_path = None
+        if storage_dir is not None and recipe.durable_accounting:
+            state_blob_path = os.path.join(storage_dir, STATE_BLOB_NAME)
         accounting = None
         restore_seq_bounds = None
-        if restoring and recipe.durable_accounting:
+        if restoring and state_blob_path is not None:
             from repro.disk.store import read_state_blob
 
-            accounting = read_state_blob(
-                os.path.join(storage_dir, STATE_BLOB_NAME)
-            )
-            if accounting is not None:
+            # An unreadable blob raises: restoring without its ledgers and
+            # dedup window would not be the lossless respawn it claims.
+            accounting = read_state_blob(state_blob_path)
+            if accounting is None:
+                # The first build writes the blob before anything is acked,
+                # so a manifest without one is that build, killed: nothing
+                # to lose — start it over from the recipe.
+                shutil.rmtree(storage_dir)
+                restoring = False
+            else:
                 # Cap journal replay at the last *acked* sequence per table:
                 # anything past it was never acknowledged to the parent, so
                 # the supervisor's retry re-sends it exactly once.
@@ -353,6 +380,7 @@ class ShardService:
         self.indexer = indexer
         self.cluster = cluster
         self.master = master
+        self._state_blob_path = state_blob_path
         if accounting is not None:
             self._install_accounting(accounting)
         return {"objects_loaded": loaded, "tablets": indexer.tablet_count()}
@@ -396,11 +424,16 @@ class ShardService:
                 cluster.contention._requests_since_refresh,
                 cluster.contention._cached_factor,
             )
+        # The window is most of the snapshot, so each entry is serialised
+        # once — the first time a snapshot includes it — and copied after.
+        window = self._applied_window
+        for request_id, (opcode, result, encoded) in window.items():
+            if encoded is None:
+                buffer = bytearray()
+                encode_value(buffer, (request_id, opcode, result))
+                window[request_id] = (opcode, result, bytes(buffer))
         return {
-            "dedup": tuple(
-                (request_id, entry[0], entry[1])
-                for request_id, entry in self._applied_window.items()
-            ),
+            "dedup": tuple(entry[2] for entry in window.values()),
             "counter": emulator.counter.snapshot(),
             "tablet_counters": tablet_counters,
             "block_caches": block_caches,
@@ -481,39 +514,25 @@ class ShardService:
             requests_since, factor = state["contention"]
             cluster.contention._requests_since_refresh = requests_since
             cluster.contention._cached_factor = factor
-        # ``.get``: pre-master checkpoints (or masterless recipes) simply
-        # leave the freshly built master's empty histories in place.
-        master_state = state.get("master")
-        if self.master is not None and master_state is not None:
-            migrations, replications, failovers = master_state
+        if self.master is not None and state["master"] is not None:
+            migrations, replications, failovers = state["master"]
             self.master.migrations = list(migrations)
             self.master.replications = list(replications)
             self.master.failovers = list(failovers)
-        dedup = state["dedup"]
         self._applied_window = OrderedDict()
-        if dedup is not None:
-            if dedup and isinstance(dedup[0], int):
-                # Pre-window checkpoint shape: one (id, opcode, result)
-                # triple for the single last applied request.
-                dedup = (dedup,)
-            for request_id, opcode, result in dedup:
-                self._applied_window[request_id] = (opcode, result)
+        for encoded in state["dedup"]:
+            (request_id, opcode, result), _ = decode_value(encoded, 0)
+            self._applied_window[request_id] = (opcode, result, encoded)
 
     def _write_accounting_checkpoint(self) -> None:
         """Persist :meth:`accounting_state` atomically (when the recipe asks
         for it) — called after every state-changing verb, so the blob on
         disk always describes the last *completed* request."""
-        recipe = self.recipe
-        if recipe is None or not recipe.durable_accounting:
-            return
-        storage_dir = recipe.shard_storage_dir
-        if storage_dir is None or self.cluster is None:
+        if self._state_blob_path is None:
             return
         from repro.disk.store import write_state_blob
 
-        write_state_blob(
-            os.path.join(storage_dir, STATE_BLOB_NAME), self.accounting_state()
-        )
+        write_state_blob(self._state_blob_path, self.accounting_state())
 
     def _recall_applied(self, request_id: int, opcode: int) -> Optional[tuple]:
         """The recorded result when ``request_id`` was already applied.
@@ -537,7 +556,7 @@ class ShardService:
     ) -> None:
         """Remember one applied request, evicting beyond the window depth."""
         window = self._applied_window
-        window[request_id] = (opcode, result)
+        window[request_id] = (opcode, result, None)
         depth = self.recipe.dedup_window if self.recipe is not None else 8
         while len(window) > depth:
             window.popitem(last=False)
@@ -668,7 +687,22 @@ class ShardService:
         snapshot = cluster.metrics_snapshot()
         snapshot["master_actions"] = cluster.master_action_counts()
         snapshot["has_master"] = cluster.has_master
+        snapshot["worker_phase"] = self.worker_phase()
         return snapshot
+
+    def worker_phase(self) -> Dict[str, float]:
+        """Wall seconds per :data:`WORKER_PHASES` entry: this shard's
+        dispatch steps plus its tables' disk-store timers (zero without a
+        store).  Wall-clock, so never part of a report."""
+        phase = dict.fromkeys(WORKER_PHASES, 0.0)
+        phase.update(self.phase)
+        emulator = self.indexer.emulator
+        for name in emulator.table_names():
+            store = emulator.table(name)._store
+            if store is not None:
+                for step, seconds in store.seconds.items():
+                    phase[step] += seconds
+        return phase
 
     @_verb(read_only=True)
     def makespan(self) -> float:
@@ -827,6 +861,21 @@ _forward(
 # --------------------------------------------------------------------------
 
 
+class _Laps:
+    """Adds the wall time between consecutive marks to named totals."""
+
+    __slots__ = ("totals", "last")
+
+    def __init__(self, totals: Dict[str, float]) -> None:
+        self.totals = totals
+        self.last = perf_counter()
+
+    def mark(self, name: str) -> None:
+        now = perf_counter()
+        self.totals[name] += now - self.last
+        self.last = now
+
+
 def dispatch_request(
     services: Dict[int, ShardService],
     shard_id: int,
@@ -853,43 +902,58 @@ def dispatch_request(
         services[shard_id] = service
     if opcode == rpc.OP_PING:
         return b""
+    lap = _Laps(service.phase)
     if opcode == rpc.OP_UPDATE_BATCH:
         recorded = service._recall_applied(request_id, opcode)
-        if recorded is not None:
-            return rpc.UPDATE_RESULT.pack(*recorded)
-        service._reject_stale(request_id)
-        messages = rpc.decode_update_batch(body)
-        processed, makespan = service.update_batch(messages)
-        service._record_applied(request_id, opcode, (processed, makespan))
-        service._write_accounting_checkpoint()
-        return rpc.UPDATE_RESULT.pack(processed, makespan)
-    if opcode == rpc.OP_QUERY_BATCH:
-        queries = rpc.decode_query_batch(body)
-        recorded = service._recall_applied(request_id, opcode)
-        if recorded is not None:
-            # Replay re-encodes the recorded *results* with the current
-            # stream encoder: a respawned worker starts a fresh encoder and
-            # the parent resets its decoder twin, so recorded raw bytes
-            # from the previous process would not decode.
-            results, makespan = recorded
-        else:
+        if recorded is None:
             service._reject_stale(request_id)
-            results, makespan = service.query_batch(queries)
-            service._record_applied(request_id, opcode, (results, makespan))
+            lap.mark("dedup")
+            messages = rpc.decode_update_batch(body)
+            lap.mark("decode")
+            recorded = service.update_batch(messages)
+            lap.mark("apply")
+            service._record_applied(request_id, opcode, recorded)
+            lap.mark("dedup")
             service._write_accounting_checkpoint()
+            lap.mark("state_blob")
+        response = rpc.UPDATE_RESULT.pack(*recorded)
+    elif opcode == rpc.OP_QUERY_BATCH:
+        queries = rpc.decode_query_batch(body)
+        lap.mark("decode")
+        recorded = service._recall_applied(request_id, opcode)
+        if recorded is None:
+            service._reject_stale(request_id)
+            lap.mark("dedup")
+            recorded = service.query_batch(queries)
+            lap.mark("apply")
+            service._record_applied(request_id, opcode, recorded)
+            lap.mark("dedup")
+            service._write_accounting_checkpoint()
+            lap.mark("state_blob")
         # Stateful per-shard stream encoding: only what changed since this
-        # shard's previous response frame actually rides the wire.
-        return rpc.MAKESPAN.pack(makespan) + service.neighbor_encoder.encode(
+        # shard's previous response frame actually rides the wire.  A
+        # replay re-encodes the recorded *results* with the current stream
+        # encoder: a respawned worker starts a fresh encoder and the parent
+        # resets its decoder twin, so recorded raw bytes from the previous
+        # process would not decode.
+        results, makespan = recorded
+        response = rpc.MAKESPAN.pack(makespan) + service.neighbor_encoder.encode(
             results, queries
         )
-    if opcode == rpc.OP_CALL:
+    elif opcode == rpc.OP_CALL:
         method, args, kwargs = rpc.decode_call(body)
         verb, read_only = lookup_verb(method)
+        lap.mark("decode")
         result = verb(service, *args, **kwargs)
+        lap.mark("apply")
         if not read_only:
             service._write_accounting_checkpoint()
-        return rpc.encode_result(result)
-    raise RpcError(f"unknown opcode {opcode}")
+            lap.mark("state_blob")
+        response = rpc.encode_result(result)
+    else:
+        raise RpcError(f"unknown opcode {opcode}")
+    lap.mark("encode")
+    return response
 
 
 def worker_main(sock: socket.socket) -> None:

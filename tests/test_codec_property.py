@@ -18,19 +18,22 @@ single-record batches) and assert:
 from __future__ import annotations
 
 import math
+import pickle
 import random
 import struct
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.bigtable.cost import CostModel, OpCounter
 from repro.bigtable.tablet import TabletStats
-from repro.codec import wire
+from repro.codec import values, wire
 from repro.errors import RpcError
 from repro.geometry.point import Point
 from repro.geometry.vector import Vector
-from repro.model import NeighborResult, UpdateMessage, format_object_id
+from repro.model import LocationRecord, NeighborResult, UpdateMessage, format_object_id
 from repro.server import rpc
+from repro.tables.affiliation_table import LFRecord, Role
 from repro.workload.queries import NNQuery
 
 _F64 = struct.Struct("<d")
@@ -374,12 +377,19 @@ RESULT_VALUES = [
     "tøg-ünïcode",
     "",
     (1, 2, 3),  # tuples defer to pickle
-    {"makespan": 1.5, "servers": [], "master_actions": (0, 0, 0), "has_master": False},
+    {
+        "makespan": 1.5,
+        "servers": [],
+        "master_actions": (0, 0, 0),
+        "has_master": False,
+        "worker_phase": {},
+    },
     {
         "makespan": 0.25,
         "servers": [(3, 4, 0.1, 0.2, True), (0, 0, 0.0, 0.0, False)],
         "master_actions": (1, 2, 3),
         "has_master": True,
+        "worker_phase": {"decode": 0.5, "apply": 1.25},
     },
     [],
     [
@@ -466,3 +476,111 @@ def test_exotic_results_still_round_trip_via_pickle():
         body = rpc.encode_result(value)
         assert body[0] == wire.FLAG_PICKLED
         assert rpc.decode_result(body) == value
+
+
+# --------------------------------------------------------------------------
+# Tagged values: the three domain records (tags 13-15)
+# --------------------------------------------------------------------------
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_ids = st.one_of(
+    st.integers(0, 10**9).map(format_object_id), st.text(max_size=12)
+)
+_points = st.builds(Point, _finite, _finite)
+_vectors = st.builds(Vector, _finite, _finite)
+_location_records = st.builds(LocationRecord, _points, _vectors, st.floats())
+_lf_records = st.one_of(
+    st.builds(LFRecord, st.just(Role.LEADER), st.floats()),
+    st.builds(LFRecord, st.just(Role.FOLLOWER), st.floats(), _ids, _vectors),
+)
+_neighbors = st.builds(
+    NeighborResult, _ids, _points, st.floats(), st.booleans(),
+    st.one_of(st.none(), _ids),
+)
+_TAG_OF = {
+    LocationRecord: values.TAG_LOCATION_RECORD,
+    LFRecord: values.TAG_LF_RECORD,
+    NeighborResult: values.TAG_NEIGHBOR,
+}
+
+
+def _float_bits(obj) -> list:
+    """Every float reachable from a record, as bit patterns (-0.0 != 0.0,
+    NaN == NaN) — dataclass equality alone cannot tell those apart."""
+    if isinstance(obj, float):
+        return [_bits(obj)]
+    if isinstance(obj, (str, bool, type(None), Role)):
+        return []
+    fields = getattr(obj, "__dataclass_fields__", None)
+    return [
+        bits
+        for name in fields
+        for bits in _float_bits(getattr(obj, name))
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_location_records, _lf_records, _neighbors))
+@example(LocationRecord(Point(-0.0, 0.0), Vector(0.0, -0.0), -0.0))
+@example(LFRecord(Role.FOLLOWER, 0.0, "", Vector(-0.0, 5e-324)))
+@example(NeighborResult("obj0000000001", Point(1.0, 2.0), 0.0, False, None))
+def test_domain_records_round_trip_typed(record):
+    out = bytearray(b"\xff")  # decode from a non-zero offset
+    values.encode_value(out, record)
+    assert out[1] == _TAG_OF[type(record)]
+    decoded, end = values.decode_value(bytes(out), 1)
+    assert end == len(out)
+    assert type(decoded) is type(record)
+    assert repr(decoded) == repr(record)  # NaN-proof, field by field
+    assert _float_bits(decoded) == _float_bits(record)
+    again = bytearray(b"\xff")
+    values.encode_value(again, decoded)
+    assert again == out  # byte-deterministic
+
+
+def test_typed_records_are_several_times_smaller_than_pickle():
+    record = LocationRecord(Point(1.5, 2.5), Vector(0.25, -1.0), 3.0)
+    typed = bytearray()
+    values.encode_value(typed, record)
+    assert len(typed) == 41
+    assert len(pickle.dumps(record, pickle.HIGHEST_PROTOCOL)) > 3 * len(typed)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        LocationRecord(Point(1.0, 2.0), Vector(0.0, 0.0), 3),  # int timestamp
+        LFRecord(Role.LEADER, 7),
+        LFRecord(Role.FOLLOWER, 1.0, 42, Vector(0.0, 0.0)),  # non-str leader
+        NeighborResult("a", Point(0.0, 0.0), 1, True),  # int distance
+        NeighborResult("a", Point(0.0, 0.0), 1.0, 1),  # int flag
+    ],
+)
+def test_off_shape_records_keep_the_faithful_pickle_path(record):
+    out = bytearray()
+    values.encode_value(out, record)
+    assert out[0] == values.TAG_PICKLE
+    decoded, end = values.decode_value(bytes(out), 0)
+    assert end == len(out)
+    assert decoded == record and repr(decoded) == repr(record)
+
+
+def test_nested_dedup_entry_round_trips_without_pickle(monkeypatch):
+    monkeypatch.setattr(values, "pickle", None)  # any fallback would crash
+    entry = (
+        17,
+        rpc.OP_QUERY_BATCH,
+        (
+            [
+                [
+                    NeighborResult("obj0000000003", Point(1.0, 2.0), 0.5, True),
+                    NeighborResult("obj0000000004", Point(3.0, 4.0), 1.5, False,
+                                   "obj0000000003"),
+                ],
+                [],
+            ],
+            0.125,
+        ),
+    )
+    out = bytearray()
+    values.encode_value(out, entry)
+    assert values.decode_value(bytes(out), 0) == (entry, len(out))
