@@ -17,19 +17,29 @@ bookkeeping itself.
 
 **What is stored, and what the public edge builds.**  A stored row is a plain
 mapping ``family -> qualifier -> chain`` (:class:`_Row`, a ``dict`` with
-methods), and a chain is one flat list ``[ts0, v0, ts1, v1, ...]``, newest
-first, however many versions it holds.  No object exists per version: a
-write prepends a timestamp and a value to a list, aging moves a suffix of it,
-and a projected read takes ``chain[1]``.  :class:`Cell` objects are built on
-demand, only where a caller asked for timestamps — :meth:`Table.read_latest`,
+methods), and a chain is one flat *tuple* ``(ts0, v0, ts1, v1, ...)``, newest
+first, however many versions it holds.  No object exists per version and a
+chain is never mutated: a write binds ``(ts, v) + chain[:limit - 2]`` to the
+qualifier, aging slices the chain in two, a projected read takes
+``chain[1]``, and a row pulled back from a frozen run shares the run's chains
+instead of copying them.  :class:`Cell` objects are built on demand, only
+where a caller asked for timestamps — :meth:`Table.read_latest`,
 :meth:`Table.read_versions`, :meth:`Table.read_row`, family-less
 ``scan``/``batch_read`` and ``scan(versions=True)`` — and belong to that
 caller.  The same goes for the commit log, which keeps columns, not record
-tuples (:class:`~repro.bigtable.lsm.CommitLog`).  The reason is the garbage
-collector: every retained container is walked by every full collection, and
-with the default engine nothing a tablet stores or logs is ever dropped, so
-an object per version and per log record made collection time grow with the
-length of the run (``tests/test_heap_budget.py`` holds the line).
+tuples (:class:`~repro.bigtable.lsm.CommitLog`).
+
+The reason is the garbage collector: every container it tracks is walked by
+every full collection, and with the default engine nothing a tablet stores
+or logs is ever dropped, so an object per version and per log record made
+collection time grow with the length of the run.  CPython stops tracking an
+exact ``tuple`` at the first collection that finds only untracked items in
+it — strings, numbers, ``None``, tuples already untracked — so the schema
+classes in :mod:`repro.tables` store exact tuples of atoms, and the value,
+then the chain around it, leave the collector's lists for good.  Any other
+item keeps a tuple tracked for life: a ``list``, a ``dict``, any class
+instance (``Enum`` members and ``tuple`` *subclasses* included).
+``tests/test_heap_budget.py`` and ``tests/test_rows_at_rest.py`` hold the line.
 
 The multi-row reads (:meth:`Table.scan`, :meth:`Table.batch_read`) take the
 one column family their caller wants and return ``qualifier -> newest value``
@@ -103,14 +113,14 @@ class Cell(NamedTuple):
     value: object
 
 
-def _cells(chain: list) -> List[Cell]:
+def _cells(chain: tuple) -> List[Cell]:
     """The public shape of one stored chain: newest-first cells."""
     return list(map(Cell, chain[0::2], chain[1::2]))
 
 
 class _Row(dict):
     """Internal row representation: ``family -> qualifier -> chain``, where a
-    chain is the flat newest-first list ``[ts0, v0, ts1, v1, ...]``.  The row
+    chain is the flat newest-first tuple ``(ts0, v0, ts1, v1, ...)``.  The row
     *is* the families dict — no wrapper object, no attribute dict."""
 
     __slots__ = ()
@@ -123,13 +133,12 @@ class _Row(dict):
         return True
 
     def copy(self) -> "_Row":
-        """Deep structural copy (values shared), for pulling a run-resident
-        row back into the memtable: the run's chains must stay frozen."""
+        """Copy of the two dict levels (the immutable chains are shared), for
+        pulling a run-resident row back into the memtable: the run's row must
+        stay frozen."""
         clone = _Row()
         for family, qualifiers in self.items():
-            clone[family] = {
-                qualifier: chain[:] for qualifier, chain in qualifiers.items()
-            }
+            clone[family] = dict(qualifiers)
         return clone
 
     def cells(self) -> Dict[str, Dict[str, List[Cell]]]:
@@ -562,22 +571,22 @@ class Table:
         if qualifiers is None:
             qualifiers = row[family] = {}
         chain = qualifiers.get(qualifier)
-        if chain is None:
-            qualifiers[qualifier] = [timestamp, value]
-            return added_row
-        if not chain or timestamp >= chain[0]:
+        limit = 2 * declared.max_versions
+        if not chain:
+            chain = (timestamp, value)
+        elif timestamp >= chain[0]:
             # In-order timestamps, the overwhelmingly common case.
-            chain[0:0] = (timestamp, value)
+            chain = (timestamp, value) + (chain[: limit - 2] if limit > 0 else chain)
         else:
             # Out-of-order arrival: behind every strictly newer version, in
             # front of versions of equal timestamp.
             index = 2
             while index < len(chain) and chain[index] > timestamp:
                 index += 2
-            chain[index:index] = (timestamp, value)
-        limit = 2 * declared.max_versions
-        if 0 < limit < len(chain):
-            del chain[limit:]
+            chain = chain[:index] + (timestamp, value) + chain[index:]
+            if limit > 0:
+                chain = chain[:limit]
+        qualifiers[qualifier] = chain
         return added_row
 
     def _delete_cell_from(
@@ -702,7 +711,7 @@ class Table:
             return None
         # One point read per update message: skip the NamedTuple's
         # Python-level ``__new__`` and fill the tuple directly.
-        return tuple.__new__(Cell, (chain[0], chain[1]))
+        return tuple.__new__(Cell, chain[:2])
 
     def read_versions(
         self, row_key: str, family: str, qualifier: str, _charge: bool = True
@@ -993,17 +1002,16 @@ class Table:
             if split == len(chain):
                 continue
             aged = chain[split:]
-            del chain[split:]
-            destination = row.setdefault(target_family, {}).setdefault(qualifier, [])
+            qualifiers[qualifier] = chain[:split]
+            targets = row.setdefault(target_family, {})
             # Stable newest-first merge: on equal timestamps the versions
             # already in the target stay in front of the arrivals.
-            both = destination + aged
+            both = targets.get(qualifier, ()) + aged
             merged = sorted(
                 zip(both[0::2], both[1::2]), key=itemgetter(0), reverse=True
             )
-            destination[:] = [item for pair in merged for item in pair]
-            if 0 < limit < len(destination):
-                del destination[limit:]
+            destination = tuple(item for pair in merged for item in pair)
+            targets[qualifier] = destination[:limit] if limit > 0 else destination
             moved += len(aged) // 2
         if moved:
             self.cache.invalidate_row(tablet.tablet_id, row_key)

@@ -146,7 +146,7 @@ def _decode_row(buf, pos: int) -> Tuple[_Row, int]:
             for timestamp in timestamps:
                 value, pos = decode_value(buf, pos)
                 chain += (timestamp, value)
-            qualifiers[qualifier] = chain
+            qualifiers[qualifier] = tuple(chain)
         row[family] = qualifiers
     return row, pos
 

@@ -28,6 +28,9 @@ tag   type               body
 15    NeighborResult     id (str), 3 x f64: x, y, distance; flag byte
                          (bit 0 is_leader, bit 1 has a leader id), then
                          the leader id (str) when flagged
+16    tuple of floats    uvarint count, count x f64 — rows at rest; only
+                         when every item is exactly ``float`` (an ``int``
+                         or ``bool`` inside keeps tag 8, and its type)
 ====  =================  ==============================================
 
 Type dispatch is on ``type(obj)`` exactly (no ``isinstance``), for records
@@ -47,7 +50,7 @@ from repro.codec.columns import read_str, read_svarint, read_uvarint, write_str,
 from repro.geometry.point import Point
 from repro.geometry.vector import Vector
 from repro.model import LocationRecord, NeighborResult
-from repro.tables.affiliation_table import LFRecord, Role
+from repro.tables.affiliation_table import LEADER_CODE, LFRecord, Role
 
 _F64 = struct.Struct("<d")
 _2F64 = struct.Struct("<2d")
@@ -71,29 +74,49 @@ TAG_VECTOR = 12
 TAG_LOCATION_RECORD = 13
 TAG_LF_RECORD = 14
 TAG_NEIGHBOR = 15
+TAG_FLOAT_TUPLE = 16
+
+_ALL_FLOAT = {float}
+_ROW_PACKERS = {2: _2F64.pack, 5: _5F64.pack}
+_NONE = type(None)
+_LEADER_KINDS = (str, float, _NONE, _NONE, _NONE)
+_FOLLOWER_KINDS = (str, float, str, float, float)
 
 
 def encode_value(out: bytearray, obj: object) -> None:
     kind = type(obj)
-    if obj is None:
-        out.append(TAG_NONE)
-    elif kind is bool:
-        out.append(TAG_TRUE if obj else TAG_FALSE)
-    elif kind is int:
-        out.append(TAG_INT)
-        write_svarint(out, obj)
+    # Rows at rest (tuples), timestamps and keys are the hot shapes.
+    if kind is tuple:
+        if set(map(type, obj)) == _ALL_FLOAT:
+            count = len(obj)
+            pack = _ROW_PACKERS.get(count)  # the two row widths, precompiled
+            out.append(TAG_FLOAT_TUPLE)
+            write_uvarint(out, count)
+            out += pack(*obj) if pack else struct.pack(f"<{count}d", *obj)
+        else:
+            out.append(TAG_TUPLE)
+            write_uvarint(out, len(obj))
+            for item in obj:
+                encode_value(out, item)
     elif kind is float:
         out.append(TAG_FLOAT)
         out += _F64.pack(obj)
     elif kind is str:
         out.append(TAG_STR)
         write_str(out, obj)
+    elif obj is None:
+        out.append(TAG_NONE)
+    elif kind is bool:
+        out.append(TAG_TRUE if obj else TAG_FALSE)
+    elif kind is int:
+        out.append(TAG_INT)
+        write_svarint(out, obj)
     elif kind is bytes:
         out.append(TAG_BYTES)
         write_uvarint(out, len(obj))
         out += obj
-    elif kind is tuple or kind is list:
-        out.append(TAG_TUPLE if kind is tuple else TAG_LIST)
+    elif kind is list:
+        out.append(TAG_LIST)
         write_uvarint(out, len(obj))
         for item in obj:
             encode_value(out, item)
@@ -111,25 +134,17 @@ def encode_value(out: bytearray, obj: object) -> None:
         out.append(TAG_VECTOR)
         out += _F64.pack(obj.dx)
         out += _F64.pack(obj.dy)
-    elif (
-        kind is LocationRecord
-        and type(obj.location) is Point
-        and type(obj.velocity) is Vector
-        and type(obj.timestamp) is float
-    ):
-        location = obj.location
-        velocity = obj.velocity
+    elif kind is LocationRecord and set(map(type, obj)) == _ALL_FLOAT:
         out.append(TAG_LOCATION_RECORD)
-        out += _5F64.pack(
-            location.x, location.y, velocity.dx, velocity.dy, obj.timestamp
-        )
+        out += _5F64.pack(*obj)
     elif kind is LFRecord and _plain_lf_record(obj):
+        code, timestamp, leader_id, dx, dy = obj
         out.append(TAG_LF_RECORD)
-        out.append(0 if obj.role is Role.LEADER else 1)
-        out += _F64.pack(obj.timestamp)
-        if obj.role is Role.FOLLOWER:
-            write_str(out, obj.leader_id)
-            out += _2F64.pack(obj.displacement.dx, obj.displacement.dy)
+        out.append(0 if code == LEADER_CODE else 1)
+        out += _F64.pack(timestamp)
+        if code != LEADER_CODE:
+            write_str(out, leader_id)
+            out += _2F64.pack(dx, dy)
     elif kind is NeighborResult and _plain_neighbor(obj):
         out.append(TAG_NEIGHBOR)
         write_str(out, obj.object_id)
@@ -147,15 +162,9 @@ def encode_value(out: bytearray, obj: object) -> None:
 
 
 def _plain_lf_record(record: LFRecord) -> bool:
-    if type(record.timestamp) is not float:
-        return False
-    if record.role is Role.LEADER:
-        return True  # the constructor already refused follower fields
-    return (
-        record.role is Role.FOLLOWER
-        and type(record.leader_id) is str
-        and type(record.displacement) is Vector
-    )
+    """Whether the five fields have exactly the declared types."""
+    kinds = tuple(map(type, record))
+    return kinds == _LEADER_KINDS or kinds == _FOLLOWER_KINDS
 
 
 def _plain_neighbor(result: NeighborResult) -> bool:
@@ -186,6 +195,9 @@ def decode_value(buf, pos: int) -> Tuple[object, int]:
     if tag == TAG_BYTES:
         length, pos = read_uvarint(buf, pos)
         return bytes(buf[pos : pos + length]), pos + length
+    if tag == TAG_FLOAT_TUPLE:
+        count, pos = read_uvarint(buf, pos)
+        return struct.unpack_from(f"<{count}d", buf, pos), pos + 8 * count
     if tag == TAG_TUPLE or tag == TAG_LIST:
         count, pos = read_uvarint(buf, pos)
         items = []

@@ -68,9 +68,9 @@ class _MergePlan:
 
     survivor_id: ObjectId
     absorbed_id: ObjectId
-    survivor_location: Point
-    absorbed_location: Point
-    absorbed_followers: Dict[ObjectId, Vector]
+    survivor_location: Tuple[float, float]
+    absorbed_location: Tuple[float, float]
+    absorbed_followers: Dict[ObjectId, Tuple[float, float]]
 
 
 class SchoolClusterer:
@@ -194,9 +194,9 @@ class SchoolClusterer:
     def _plan_merges(
         self,
         leader_ids: Sequence[ObjectId],
-        leader_locations: Dict[ObjectId, Point],
+        leader_locations: Dict[ObjectId, Tuple[float, float]],
         records: Dict[ObjectId, object],
-        follower_info: Dict[ObjectId, Dict[ObjectId, Vector]],
+        follower_info: Dict[ObjectId, Dict[ObjectId, Tuple[float, float]]],
     ) -> List[_MergePlan]:
         """Group leaders by velocity hexagon and plan the merges.
 
@@ -252,9 +252,12 @@ class SchoolClusterer:
         reassigned = 0
 
         for plan in plans:
-            displacement_to_absorbed = plan.survivor_location.displacement_to(
-                plan.absorbed_location
-            )
+            # The tables hand out bare (x, y) / (dx, dy) pairs; a Point or
+            # Vector is built only for what is written back.
+            survivor_x, survivor_y = plan.survivor_location
+            absorbed_x, absorbed_y = plan.absorbed_location
+            offset_x, offset_y = absorbed_x - survivor_x, absorbed_y - survivor_y
+            displacement_to_absorbed = Vector(offset_x, offset_y)
             # The absorbed leader becomes a follower of the survivor.
             lf_updates.append(
                 (
@@ -270,12 +273,12 @@ class SchoolClusterer:
             follower_updates.append(
                 (plan.survivor_id, plan.absorbed_id, displacement_to_absorbed)
             )
-            spatial_removals.append((plan.absorbed_id, plan.absorbed_location))
+            spatial_removals.append((plan.absorbed_id, Point(absorbed_x, absorbed_y)))
             reassigned += 1
             # Its followers transfer to the survivor with composed
             # displacements: i->f = (i->j) + (j->f).
-            for follower_id, displacement in plan.absorbed_followers.items():
-                composed = displacement_to_absorbed + displacement
+            for follower_id, (dx, dy) in plan.absorbed_followers.items():
+                composed = Vector(offset_x + dx, offset_y + dy)
                 lf_updates.append(
                     (
                         follower_id,

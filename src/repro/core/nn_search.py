@@ -44,7 +44,6 @@ from repro.core.config import MoistConfig
 from repro.core.flag import FlagTuner
 from repro.errors import QueryError
 from repro.geometry.point import Point
-from repro.geometry.vector import Vector
 from repro.model import LocationRecord, NeighborResult, ObjectId
 from repro.spatial.cell import CellId
 from repro.tables.affiliation_table import AffiliationTable
@@ -97,8 +96,12 @@ class QueryBatchContext:
     memo hits would have produced.
     """
 
-    cell_objects: Dict[CellId, Dict[ObjectId, Point]] = field(default_factory=dict)
-    followers: Dict[ObjectId, Dict[ObjectId, Vector]] = field(default_factory=dict)
+    cell_objects: Dict[CellId, Dict[ObjectId, Tuple[float, float]]] = field(
+        default_factory=dict
+    )
+    followers: Dict[ObjectId, Dict[ObjectId, Tuple[float, float]]] = field(
+        default_factory=dict
+    )
     latest_records: Dict[ObjectId, Optional[LocationRecord]] = field(
         default_factory=dict
     )
@@ -286,7 +289,7 @@ class NearestNeighborSearcher:
 
     def _scan_cell(
         self, cell: CellId, context: Optional[QueryBatchContext]
-    ) -> Dict[ObjectId, Point]:
+    ) -> Dict[ObjectId, Tuple[float, float]]:
         """Key-range scan of one NN cell's spatial-index rows, shared
         across the batch when a context is present."""
         if context is not None:
@@ -343,7 +346,7 @@ class NearestNeighborSearcher:
         self,
         leader_ids: List[ObjectId],
         context: Optional[QueryBatchContext],
-    ) -> Dict[ObjectId, Dict[ObjectId, Vector]]:
+    ) -> Dict[ObjectId, Dict[ObjectId, Tuple[float, float]]]:
         """Follower Info of ``leader_ids``, batch-read once per batch
         (leaders without an affiliation row map to an empty dict; the
         shared empty default is never mutated by readers)."""
@@ -402,16 +405,17 @@ class NearestNeighborSearcher:
             for object_id, stored in leaders.items():
                 record = records[object_id]
                 if record is None:
-                    xs.append(stored.x)
-                    ys.append(stored.y)
+                    xs.append(stored[0])
+                    ys.append(stored[1])
                 else:
-                    elapsed = at_time - record.timestamp
-                    xs.append(record.location.x + record.velocity.dx * elapsed)
-                    ys.append(record.location.y + record.velocity.dy * elapsed)
+                    x, y, dx, dy, timestamp = record
+                    elapsed = at_time - timestamp
+                    xs.append(x + dx * elapsed)
+                    ys.append(y + dy * elapsed)
         else:
-            for stored in leaders.values():
-                xs.append(stored.x)
-                ys.append(stored.y)
+            for x, y in leaders.values():
+                xs.append(x)
+                ys.append(y)
         if include_followers and leaders:
             # One entry per leader, in row order; the rows appended below
             # are the followers.
@@ -423,10 +427,10 @@ class NearestNeighborSearcher:
                 leader_id = ids[row]
                 leader_x = xs[row]
                 leader_y = ys[row]
-                for follower_id, displacement in followers.items():
+                for follower_id, (dx, dy) in followers.items():
                     ids.append(follower_id)
-                    xs.append(leader_x + displacement.dx)
-                    ys.append(leader_y + displacement.dy)
+                    xs.append(leader_x + dx)
+                    ys.append(leader_y + dy)
                     leader_ids.append(leader_id)
             stats.followers_considered += len(ids) - n_leaders
         if context is not None:

@@ -11,6 +11,7 @@ finally filters the retrieved leaders/followers against the exact region.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import hypot
 from typing import List, Optional
 
 from repro.core.config import MoistConfig
@@ -128,57 +129,55 @@ class RegionSearcher:
             stats = RegionQueryStats()
         stats.cells_covered = len(cells)
         center = box.center()
+        center_x = center.x
+        center_y = center.y
         results: List[NeighborResult] = []
         seen = set()
         for cell in cells:
+            # Bare (x, y) pairs throughout, as the tables store them; a Point
+            # and a NeighborResult are built for the hits only.
             leaders = self.spatial_table.objects_in_cell(cell)
             stats.leaders_scanned += len(leaders)
             positions = dict(leaders)
             if at_time is not None and leaders:
                 records = self.location_table.batch_latest(list(leaders))
-                for object_id, stored in leaders.items():
-                    record = records.get(object_id)
-                    if record is not None:
-                        positions[object_id] = record.extrapolated(at_time)
+                for object_id, (x, y, dx, dy, timestamp) in records.items():
+                    elapsed = at_time - timestamp
+                    positions[object_id] = (x + dx * elapsed, y + dy * elapsed)
             candidates = [
-                NeighborResult(
-                    object_id=object_id,
-                    location=position,
-                    distance=position.distance_to(center),
-                    is_leader=True,
-                )
-                for object_id, position in positions.items()
+                (object_id, x, y, None) for object_id, (x, y) in positions.items()
             ]
             if include_followers and leaders:
                 follower_info = self.affiliation_table.batch_followers(list(leaders))
                 for leader_id, followers in follower_info.items():
-                    leader_position = positions[leader_id]
-                    for follower_id, displacement in followers.items():
-                        stats.followers_considered += 1
-                        position = leader_position.displaced(displacement)
+                    leader_x, leader_y = positions[leader_id]
+                    stats.followers_considered += len(followers)
+                    for follower_id, (dx, dy) in followers.items():
                         candidates.append(
-                            NeighborResult(
-                                object_id=follower_id,
-                                location=position,
-                                distance=position.distance_to(center),
-                                is_leader=False,
-                                leader_id=leader_id,
-                            )
+                            (follower_id, leader_x + dx, leader_y + dy, leader_id)
                         )
-            for candidate in candidates:
-                if candidate.object_id in seen:
+            for object_id, x, y, leader_id in candidates:
+                if object_id in seen:
                     continue
-                if not self._inside(candidate.location, box, circle):
+                if circle is not None:
+                    circle_center, radius = circle
+                    inside = hypot(x - circle_center.x, y - circle_center.y) <= radius
+                else:
+                    inside = (
+                        box.min_x <= x <= box.max_x and box.min_y <= y <= box.max_y
+                    )
+                if not inside:
                     continue
-                seen.add(candidate.object_id)
-                results.append(candidate)
+                seen.add(object_id)
+                results.append(
+                    NeighborResult(
+                        object_id=object_id,
+                        location=Point(x, y),
+                        distance=hypot(x - center_x, y - center_y),
+                        is_leader=leader_id is None,
+                        leader_id=leader_id,
+                    )
+                )
         results.sort(key=lambda item: (item.distance, item.object_id))
         stats.results = len(results)
         return results
-
-    @staticmethod
-    def _inside(location: Point, box: BoundingBox, circle) -> bool:
-        if circle is not None:
-            center, radius = circle
-            return location.distance_to(center) <= radius
-        return box.contains_point(location)

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from math import hypot
 from typing import List, Optional, Sequence
 
 from repro.core.config import MoistConfig
 from repro.model import ObjectId, UpdateMessage
-from repro.tables.affiliation_table import AffiliationTable, Role
+from repro.tables.affiliation_table import LEADER_CODE, AffiliationTable
 from repro.tables.location_table import LocationTable
 from repro.tables.spatial_index_table import SpatialIndexTable
 
@@ -139,7 +140,7 @@ class UpdateProcessor:
         lf_record = self.affiliation_table.role_of(message.object_id)
         if lf_record is None:
             return self._register_new_leader(message)
-        if lf_record.role is Role.LEADER:
+        if lf_record[0] == LEADER_CODE:
             return self._update_leader(message)
         return self._update_follower(message, lf_record)
 
@@ -157,7 +158,7 @@ class UpdateProcessor:
         """Algorithm 1, lines 2-3."""
         previous = self.location_table.latest(message.object_id)
         self.location_table.add_record(message.object_id, message.as_record())
-        previous_location = previous.location if previous is not None else None
+        previous_location = previous[:2] if previous is not None else None
         self.spatial_table.move(
             message.object_id,
             previous_location,
@@ -168,13 +169,19 @@ class UpdateProcessor:
 
     def _update_follower(self, message: UpdateMessage, lf_record) -> UpdateResult:
         """Algorithm 1, lines 5-14."""
-        leader_record = self.location_table.latest(lf_record.leader_id)
+        _, _, leader_id, offset_x, offset_y = lf_record
+        leader_record = self.location_table.latest(leader_id)
         estimation_error: Optional[float] = None
         if leader_record is not None:
-            estimated = leader_record.extrapolated(message.timestamp).displaced(
-                lf_record.displacement
+            # record.extrapolated(t).displaced(d).distance_to(p) on the bare
+            # rows, float operation for float operation.
+            x, y, dx, dy, timestamp = leader_record
+            elapsed = message.timestamp - timestamp
+            location = message.location
+            estimation_error = hypot(
+                ((x + dx * elapsed) + offset_x) - location.x,
+                ((y + dy * elapsed) + offset_y) - location.y,
             )
-            estimation_error = estimated.distance_to(message.location)
             within_school = (
                 self.config.enable_schools
                 and estimation_error <= self.config.deviation_threshold
@@ -185,7 +192,7 @@ class UpdateProcessor:
                 )
         # The follower departed its school (or the leader vanished): promote
         # it to the leader of a new school.
-        self.affiliation_table.remove_follower(lf_record.leader_id, message.object_id)
+        self.affiliation_table.remove_follower(leader_id, message.object_id)
         self.affiliation_table.set_leader(message.object_id, message.timestamp)
         self.location_table.add_record(message.object_id, message.as_record())
         self.spatial_table.add(message.object_id, message.location, message.timestamp)

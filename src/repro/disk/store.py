@@ -67,7 +67,10 @@ from repro.codec.blocks import (
     iter_journal_records,
 )
 
-MANIFEST_FORMAT = 1
+#: Bumped when what the files *mean* changes; a manifest of another format
+#: reads as "no checkpoint".  2: cell values are rows at rest (exact tuples)
+#: where format 1 held the ``Point`` / ``Vector`` / record objects themselves.
+MANIFEST_FORMAT = 2
 
 _JOURNAL_NAME = "journal.bin"
 _MANIFEST_NAME = "MANIFEST.bin"
@@ -359,7 +362,7 @@ def restore_table(
 
 #: Bumped whenever the payload's shape changes: a blob never outlives one
 #: run, so a mismatch is damage, not something to migrate.
-STATE_FORMAT = 2
+STATE_FORMAT = 3
 
 _STATE_HEADER = struct.Struct("<III")  # format, payload length, crc32(payload)
 

@@ -9,6 +9,7 @@ timestamped location record and the update message of Algorithm 1
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from repro.errors import SchemaError
@@ -28,29 +29,50 @@ def format_object_id(number: int) -> ObjectId:
     return f"obj{number:010d}"
 
 
-@dataclass(frozen=True)
-class LocationRecord:
+class LocationRecord(tuple):
     """One timestamped location/velocity observation of an object.
 
     This is what the Location Table stores per row version (Section 3.1.2):
     "each location record includes various information such as location,
     velocity, etc of the object".
+
+    A record *is* the tuple ``(x, y, dx, dy, timestamp)``; ``location`` and
+    ``velocity`` are built on demand.  The Location Table stores the exact
+    ``tuple(record)`` and re-brands what it reads with
+    ``tuple.__new__(LocationRecord, row)`` — no second validation.
     """
 
-    __slots__ = ("location", "velocity", "timestamp")
+    __slots__ = ()
 
-    location: Point
-    velocity: Vector
-    timestamp: float
-
-    def __post_init__(self) -> None:
-        if not self.location.is_finite() or not self.velocity.is_finite():
+    def __new__(
+        cls, location: Point, velocity: Vector, timestamp: float
+    ) -> "LocationRecord":
+        if not location.is_finite() or not velocity.is_finite():
             raise SchemaError("location records require finite coordinates")
+        return tuple.__new__(
+            cls, (location.x, location.y, velocity.dx, velocity.dy, timestamp)
+        )
+
+    @property
+    def location(self) -> Point:
+        return Point(self[0], self[1])
+
+    @property
+    def velocity(self) -> Vector:
+        return Vector(self[2], self[3])
+
+    timestamp = property(itemgetter(4))
+
+    def __repr__(self) -> str:
+        return (
+            f"LocationRecord(location={self.location!r}, "
+            f"velocity={self.velocity!r}, timestamp={self[4]!r})"
+        )
 
     def __reduce__(self):
-        # Frozen + __slots__ defeats default pickling; reconstruct through
-        # the constructor so records survive the multiprocess RPC boundary.
-        return (LocationRecord, (self.location, self.velocity, self.timestamp))
+        # Reconstruct through the constructor so records survive the
+        # multiprocess RPC boundary (and are re-validated on the far side).
+        return (LocationRecord, (self.location, self.velocity, self[4]))
 
     def extrapolated(self, at_time: float) -> Point:
         """Linear dead-reckoning of the object's position at ``at_time``.
@@ -59,11 +81,9 @@ class LocationRecord:
         latest record is advanced to the follower's update time before the
         stored displacement is applied (Section 3.3.1, step iii).
         """
-        dt = at_time - self.timestamp
-        return Point(
-            self.location.x + self.velocity.dx * dt,
-            self.location.y + self.velocity.dy * dt,
-        )
+        x, y, dx, dy, timestamp = self
+        dt = at_time - timestamp
+        return Point(x + dx * dt, y + dy * dt)
 
 
 @dataclass(frozen=True)
@@ -90,9 +110,13 @@ class UpdateMessage:
         )
 
     def as_record(self) -> LocationRecord:
-        """The location record this update contributes."""
-        return LocationRecord(
-            location=self.location, velocity=self.velocity, timestamp=self.timestamp
+        """The location record this update contributes (filled directly:
+        the message constructor already checked finiteness)."""
+        location = self.location
+        velocity = self.velocity
+        return tuple.__new__(
+            LocationRecord,
+            (location.x, location.y, velocity.dx, velocity.dy, self.timestamp),
         )
 
 

@@ -91,14 +91,19 @@ class CellId:
         """Cell at ``level`` containing ``point`` (points outside the world
         are clamped onto its border, mirroring how a GPS fix just outside the
         indexed region would be snapped to the nearest indexed cell)."""
+        return cls.from_xy(point.x, point.y, level, world)
+
+    @classmethod
+    def from_xy(
+        cls, x: float, y: float, level: int, world: BoundingBox = WORLD_UNIT_BOX
+    ) -> "CellId":
+        """:meth:`from_point` on bare coordinates — the tables store
+        ``(x, y)`` pairs, and the hot update/query paths call this per
+        message, where a ``Point`` per call is pure allocator traffic."""
         if not 0 <= level <= MAX_LEVEL:
             raise SpatialError(f"cell level {level} outside [0, {MAX_LEVEL}]")
         if level == 0:
             return cls(0, 0)
-        # Clamp inline: the hot update/query paths call this per message and
-        # an intermediate clamped Point per call is pure allocator traffic.
-        x = point.x
-        y = point.y
         min_x = world.min_x
         min_y = world.min_y
         max_x = world.max_x

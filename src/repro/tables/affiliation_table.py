@@ -9,12 +9,28 @@ Row key: object id.  Two column families:
   completeness.
 * ``followers`` — present only on leader rows: one column per follower id
   whose value is the leader->follower displacement ("Follower Info").
+
+What a cell value is at rest — an exact ``tuple`` of atoms, which the cycle
+collector stops tracking (see :mod:`repro.bigtable.table`) — and at the edge:
+
+===============  ================================  ==========================
+column           at rest                           at the edge
+===============  ================================  ==========================
+``lf:record``    ``("L", ts, None, None, None)``   :class:`LFRecord`, the same
+                 ``("F", ts, leader_id, dx, dy)``  tuple re-branded
+``followers:*``  ``(dx, dy)``                      ``Vector`` (``followers_of``)
+                                                   or the stored pair
+                                                   (``batch_followers``)
+===============  ================================  ==========================
+
+``batch_followers`` is scan-shaped (~45 displacements per NN query):
+re-branding each pair would cost what storing rows saves.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bigtable.backend import StorageBackend
@@ -36,21 +52,57 @@ class Role(enum.Enum):
     FOLLOWER = "follower"
 
 
-@dataclass(frozen=True)
-class LFRecord:
-    """Decoded L/F record of one object."""
+#: Role codes of the stored L/F row.  Strings, not :class:`Role` members:
+#: an ``Enum`` member is a class instance, and a tuple holding one stays
+#: tracked by the cycle collector for as long as it lives.
+LEADER_CODE = "L"
+FOLLOWER_CODE = "F"
 
-    role: Role
-    timestamp: float
-    leader_id: Optional[ObjectId] = None
-    displacement: Optional[Vector] = None
 
-    def __post_init__(self) -> None:
-        if self.role is Role.FOLLOWER:
-            if self.leader_id is None or self.displacement is None:
+class LFRecord(tuple):
+    """Decoded L/F record of one object: the tuple ``(role code, timestamp,
+    leader_id, dx, dy)``, the last three ``None`` for a leader.  ``role`` and
+    ``displacement`` are built on demand; the table stores ``tuple(record)``
+    and re-brands what it reads."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        role: Role,
+        timestamp: float,
+        leader_id: Optional[ObjectId] = None,
+        displacement: Optional[Vector] = None,
+    ) -> "LFRecord":
+        if role is Role.FOLLOWER:
+            if leader_id is None or displacement is None:
                 raise SchemaError("follower L/F records need a leader and displacement")
-        elif self.leader_id is not None or self.displacement is not None:
+            row = (FOLLOWER_CODE, timestamp, leader_id, *displacement.as_tuple())
+        elif leader_id is not None or displacement is not None:
             raise SchemaError("leader L/F records must not carry follower fields")
+        else:
+            row = (LEADER_CODE, timestamp, None, None, None)
+        return tuple.__new__(cls, row)
+
+    @property
+    def role(self) -> Role:
+        return Role.LEADER if self[0] == LEADER_CODE else Role.FOLLOWER
+
+    timestamp = property(itemgetter(1))
+    leader_id = property(itemgetter(2))
+
+    @property
+    def displacement(self) -> Optional[Vector]:
+        return None if self[0] == LEADER_CODE else Vector(self[3], self[4])
+
+    def __repr__(self) -> str:
+        return (
+            f"LFRecord(role={self.role!r}, timestamp={self[1]!r}, "
+            f"leader_id={self[2]!r}, displacement={self.displacement!r})"
+        )
+
+    def __reduce__(self):
+        return (LFRecord, (self.role, self[1], self[2], self.displacement))
 
 
 class AffiliationTable:
@@ -74,8 +126,8 @@ class AffiliationTable:
     # ------------------------------------------------------------------
     def set_leader(self, object_id: ObjectId, timestamp: float) -> None:
         """Label ``object_id`` as a leader (Algorithm 1, line 11)."""
-        record = LFRecord(role=Role.LEADER, timestamp=timestamp)
-        self._table.write(object_id, LF_FAMILY, LF_QUALIFIER, record, timestamp)
+        row = (LEADER_CODE, timestamp, None, None, None)
+        self._table.write(object_id, LF_FAMILY, LF_QUALIFIER, row, timestamp)
 
     def set_follower(
         self,
@@ -93,7 +145,7 @@ class AffiliationTable:
             leader_id=leader_id,
             displacement=displacement,
         )
-        self._table.write(object_id, LF_FAMILY, LF_QUALIFIER, record, timestamp)
+        self._table.write(object_id, LF_FAMILY, LF_QUALIFIER, tuple(record), timestamp)
 
     def role_of(self, object_id: ObjectId) -> Optional[LFRecord]:
         """L/F record of an object, or ``None`` for never-seen objects.
@@ -104,13 +156,13 @@ class AffiliationTable:
         cell = self._table.read_latest(object_id, LF_FAMILY, LF_QUALIFIER)
         if cell is None:
             return None
-        return cell.value
+        return tuple.__new__(LFRecord, cell[1])
 
     def batch_roles(self, object_ids: Sequence[ObjectId]) -> Dict[ObjectId, LFRecord]:
         """L/F records of several objects in one batch read."""
         rows = self._table.batch_read(object_ids, family=LF_FAMILY)
         return {
-            object_id: columns[LF_QUALIFIER]
+            object_id: tuple.__new__(LFRecord, columns[LF_QUALIFIER])
             for object_id, columns in rows.items()
             if LF_QUALIFIER in columns
         }
@@ -133,7 +185,7 @@ class AffiliationTable:
         if leader_id == follower_id:
             raise SchemaError(f"object {leader_id!r} cannot follow itself")
         self._table.write(
-            leader_id, FOLLOWERS_FAMILY, follower_id, displacement, timestamp
+            leader_id, FOLLOWERS_FAMILY, follower_id, displacement.as_tuple(), timestamp
         )
 
     def remove_follower(self, leader_id: ObjectId, follower_id: ObjectId) -> bool:
@@ -151,16 +203,17 @@ class AffiliationTable:
             return {}
         followers = row.get(FOLLOWERS_FAMILY, {})
         return {
-            follower_id: cells[0].value
+            follower_id: Vector(*cells[0].value)
             for follower_id, cells in followers.items()
             if cells
         }
 
     def batch_followers(
         self, leader_ids: Sequence[ObjectId]
-    ) -> Dict[ObjectId, Dict[ObjectId, Vector]]:
-        """Follower Info of several leaders in one batch read (the
-        projected read already is ``leader -> follower -> displacement``)."""
+    ) -> Dict[ObjectId, Dict[ObjectId, Tuple[float, float]]]:
+        """Follower Info of several leaders in one batch read: ``leader ->
+        follower -> (dx, dy)``, the stored pairs exactly as the projected
+        read returns them."""
         return self._table.batch_read(leader_ids, family=FOLLOWERS_FAMILY)
 
     def clear_followers(self, leader_id: ObjectId) -> int:
@@ -196,11 +249,11 @@ class AffiliationTable:
         drops ``(leader, follower)`` columns.
         """
         mutations = [
-            (object_id, LF_FAMILY, LF_QUALIFIER, record, timestamp)
+            (object_id, LF_FAMILY, LF_QUALIFIER, tuple(record), timestamp)
             for object_id, record in lf_updates
         ]
         mutations.extend(
-            (leader_id, FOLLOWERS_FAMILY, follower_id, displacement, timestamp)
+            (leader_id, FOLLOWERS_FAMILY, follower_id, displacement.as_tuple(), timestamp)
             for leader_id, follower_id, displacement in follower_updates
         )
         if mutations:
@@ -222,7 +275,7 @@ class AffiliationTable:
             cell = self._table.read_latest(
                 object_id, LF_FAMILY, LF_QUALIFIER, _charge=False
             )
-            if cell is not None and cell.value.role is Role.LEADER:
+            if cell is not None and cell.value[0] == LEADER_CODE:
                 leaders.append(object_id)
         return leaders
 

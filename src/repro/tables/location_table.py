@@ -4,6 +4,20 @@ Row key: object id.  One in-memory column family holds the ``m`` most recent
 location records; aged records are periodically compressed into a chain of
 disk column families (``aged-0``, ``aged-1``, ...) by :meth:`age_out`, and the
 oldest disk column is drained to the PPP archiver.
+
+What a cell value is at rest — an exact ``tuple`` of atoms, which the cycle
+collector stops tracking (see :mod:`repro.bigtable.table`; the table keeps
+``m`` versions per object and the commit log a reference to each) — and at
+the edge:
+
+==========  ==============================  ================================
+column      at rest                         at the edge
+==========  ==============================  ================================
+``record``  ``(x, y, dx, dy, timestamp)``,  :class:`LocationRecord`, the same
+            fresh and aged families alike   tuple re-branded by every read
+                                            method (``tuple.__new__``: no
+                                            validation, no ``Point``)
+==========  ==============================  ================================
 """
 
 from __future__ import annotations
@@ -74,13 +88,13 @@ class LocationTable:
         repeats by pointer instead of by characters.
         """
         self._table.write(
-            _intern(object_id), FRESH_FAMILY, RECORD_QUALIFIER, record, record.timestamp
+            _intern(object_id), FRESH_FAMILY, RECORD_QUALIFIER, tuple(record), record[4]
         )
 
     def batch_add(self, entries: Sequence[tuple]) -> None:
         """Batch-append ``(object_id, record)`` pairs in one RPC."""
         mutations = [
-            (_intern(object_id), FRESH_FAMILY, RECORD_QUALIFIER, record, record.timestamp)
+            (_intern(object_id), FRESH_FAMILY, RECORD_QUALIFIER, tuple(record), record[4])
             for object_id, record in entries
         ]
         if mutations:
@@ -98,12 +112,12 @@ class LocationTable:
         cell = self._table.read_latest(object_id, FRESH_FAMILY, RECORD_QUALIFIER)
         if cell is None:
             return None
-        return cell.value
+        return tuple.__new__(LocationRecord, cell[1])
 
     def recent_history(self, object_id: ObjectId) -> List[LocationRecord]:
         """All in-memory records of ``object_id``, newest first."""
         cells = self._table.read_versions(object_id, FRESH_FAMILY, RECORD_QUALIFIER)
-        return [cell.value for cell in cells]
+        return [tuple.__new__(LocationRecord, cell.value) for cell in cells]
 
     def batch_latest(
         self, object_ids: Sequence[ObjectId]
@@ -111,7 +125,7 @@ class LocationTable:
         """Latest records of several objects in one batch read."""
         rows = self._table.batch_read(object_ids, family=FRESH_FAMILY)
         return {
-            object_id: columns[RECORD_QUALIFIER]
+            object_id: tuple.__new__(LocationRecord, columns[RECORD_QUALIFIER])
             for object_id, columns in rows.items()
             if RECORD_QUALIFIER in columns
         }
@@ -125,7 +139,7 @@ class LocationTable:
             return records
         for index in range(self.disk_columns):
             cells = row.get(self.disk_family(index), {}).get(RECORD_QUALIFIER, [])
-            records.extend(cell.value for cell in cells)
+            records.extend(tuple.__new__(LocationRecord, cell.value) for cell in cells)
         records.sort(key=lambda record: record.timestamp, reverse=True)
         return records
 
@@ -169,7 +183,7 @@ class LocationTable:
             if not aged:
                 continue
             for cell in aged:
-                drained.append((object_id, cell.value))
+                drained.append((object_id, tuple.__new__(LocationRecord, cell.value)))
             rewrites.append((object_id, cutoff_timestamp))
         # The rewrite loop manages its own storage charging (one batch write
         # below); batch its commit-log fsync accounting the same way —

@@ -5,11 +5,22 @@ object.  Columns: one qualifier per object id stored under a category family
 (the paper's Figure 5 shows "Bus" and "User" columns; we default everything
 to the ``id`` family but allow a category).  Only *leaders* are stored here
 once object schools are active (Section 3.1.3).
+
+What a cell value is at rest — an exact ``tuple`` of atoms, which the cycle
+collector stops tracking (see :mod:`repro.bigtable.table`) — and at the edge:
+
+============  ==========  ===================================================
+column        at rest     at the edge
+============  ==========  ===================================================
+``id:<oid>``  ``(x, y)``  the stored pair (``objects_in_cell``): NN probes,
+                          clustering and region queries rank on bare
+                          coordinates and build a ``Point`` per result only
+============  ==========  ===================================================
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.bigtable.backend import StorageBackend
 from repro.bigtable.scan import ScanPlan
@@ -72,14 +83,16 @@ class SpatialIndexTable:
     # ------------------------------------------------------------------
     def cell_for(self, location: Point) -> CellId:
         """Storage-level cell containing ``location`` (memoized)."""
+        return self._cell_at((location.x, location.y))
+
+    def _cell_at(self, xy: Tuple[float, float]) -> CellId:
         memo = self._cell_memo
-        memo_key = (location.x, location.y)
-        cell = memo.get(memo_key)
+        cell = memo.get(xy)
         if cell is None:
-            cell = CellId.from_point(location, self.storage_level, self.world)
+            cell = CellId.from_xy(xy[0], xy[1], self.storage_level, self.world)
             if len(memo) >= _CELL_MEMO_MAX:
                 memo.clear()
-            memo[memo_key] = cell
+            memo[xy] = cell
         return cell
 
     def row_key_for(self, location: Point) -> str:
@@ -117,8 +130,9 @@ class SpatialIndexTable:
         family: str = ID_FAMILY,
     ) -> CellId:
         """Insert (or move within the same cell) an object at ``location``."""
-        cell = self.cell_for(location)
-        self._table.write(cell.key(), family, object_id, location, timestamp)
+        xy = (location.x, location.y)
+        cell = self._cell_at(xy)
+        self._table.write(cell.key(), family, object_id, xy, timestamp)
         return cell
 
     def remove(
@@ -137,7 +151,7 @@ class SpatialIndexTable:
     def move(
         self,
         object_id: ObjectId,
-        old_location: Optional[Point],
+        old_location: Optional[Iterable[float]],
         new_location: Point,
         timestamp: float,
         family: str = ID_FAMILY,
@@ -146,15 +160,17 @@ class SpatialIndexTable:
 
         When the object stays inside the same storage cell the delete is
         skipped and the existing column value is simply overwritten.
+        ``old_location`` is a ``Point`` or a stored ``(x, y)`` pair.
         Returns ``(old_cell, new_cell)``.
         """
-        new_cell = self.cell_for(new_location)
+        new_xy = (new_location.x, new_location.y)
+        new_cell = self._cell_at(new_xy)
         old_cell = None
         if old_location is not None:
-            old_cell = self.cell_for(old_location)
+            old_cell = self._cell_at(tuple(old_location))
             if old_cell != new_cell:
                 self._table.delete_cell(old_cell.key(), family, object_id)
-        self._table.write(new_cell.key(), family, object_id, new_location, timestamp)
+        self._table.write(new_cell.key(), family, object_id, new_xy, timestamp)
         return old_cell, new_cell
 
     def batch_remove(
@@ -173,8 +189,9 @@ class SpatialIndexTable:
     # ------------------------------------------------------------------
     def objects_in_cell(
         self, cell: CellId, family: str = ID_FAMILY
-    ) -> Dict[ObjectId, Point]:
-        """Objects stored under any storage-level row inside ``cell``.
+    ) -> Dict[ObjectId, Tuple[float, float]]:
+        """Objects stored under any storage-level row inside ``cell``, as
+        ``object id -> (x, y)``.
 
         ``cell`` may be at the storage level (single row) or coarser (range
         scan over the cell's contiguous key range) — the access path behind
@@ -183,7 +200,7 @@ class SpatialIndexTable:
         probes of a quiet cell are priced through the block cache.
         """
         start, end = cell.key_range()
-        results: Dict[ObjectId, Point] = {}
+        results: Dict[ObjectId, Tuple[float, float]] = {}
         for _, objects in self._table.scan(start, end, family=family):
             results.update(objects)
         return results

@@ -21,7 +21,8 @@ from repro.bigtable.lsm import (
 )
 from repro.bigtable.table import Cell, ColumnFamily, Table
 from repro.bigtable.tablet import TabletOptions
-from repro.disk.store import DiskTableStore, restore_table
+from repro.codec.blocks import decode_manifest, encode_manifest
+from repro.disk.store import MANIFEST_FORMAT, DiskTableStore, restore_table
 from repro.errors import ConfigurationError
 from repro.geometry.point import Point
 
@@ -477,9 +478,16 @@ class TestLogReplayAndDiskBytes:
             for name in names:
                 path = os.path.join(folder, name)
                 with open(path, "rb") as handle:
-                    found[os.path.relpath(path, root)] = hashlib.sha256(
-                        handle.read()
-                    ).hexdigest()
+                    data = handle.read()
+                if name == "MANIFEST.bin":
+                    # The format number moved on purpose (2: cell values are
+                    # rows at rest); with it put back, every other byte must
+                    # still be the golden one.
+                    manifest = decode_manifest(data)
+                    assert manifest["format"] == MANIFEST_FORMAT == 2
+                    manifest["format"] = 1
+                    data = encode_manifest(manifest)
+                found[os.path.relpath(path, root)] = hashlib.sha256(data).hexdigest()
         return found
 
     #: sha256 of the files the parent commit (list-of-Cell rows, tuple log)

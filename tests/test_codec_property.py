@@ -505,17 +505,18 @@ _TAG_OF = {
 
 def _float_bits(obj) -> list:
     """Every float reachable from a record, as bit patterns (-0.0 != 0.0,
-    NaN == NaN) — dataclass equality alone cannot tell those apart."""
+    NaN == NaN) — equality alone cannot tell those apart.  Records are
+    tuples (``LocationRecord``, ``LFRecord``, rows at rest) or dataclasses
+    (``NeighborResult``, ``Point``, ``Vector``)."""
     if isinstance(obj, float):
         return [_bits(obj)]
-    if isinstance(obj, (str, bool, type(None), Role)):
+    if isinstance(obj, (str, bool, int, type(None), Role)):
         return []
-    fields = getattr(obj, "__dataclass_fields__", None)
-    return [
-        bits
-        for name in fields
-        for bits in _float_bits(getattr(obj, name))
-    ]
+    if isinstance(obj, tuple):
+        items = obj
+    else:
+        items = [getattr(obj, name) for name in obj.__dataclass_fields__]
+    return [bits for item in items for bits in _float_bits(item)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -584,3 +585,67 @@ def test_nested_dedup_entry_round_trips_without_pickle(monkeypatch):
     out = bytearray()
     values.encode_value(out, entry)
     assert values.decode_value(bytes(out), 0) == (entry, len(out))
+
+
+# --------------------------------------------------------------------------
+# Tagged values: rows at rest (tag 16, a tuple of floats)
+# --------------------------------------------------------------------------
+_any_float = st.floats(allow_nan=True, allow_infinity=True)
+_nan_payloads = st.integers(1, (1 << 51) - 1).map(
+    lambda payload: struct.unpack("<d", struct.pack("<Q", 0x7FF8 << 48 | payload))[0]
+)
+_float_rows = st.lists(
+    st.one_of(_any_float, _nan_payloads), min_size=1, max_size=9
+).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_float_rows)
+@example((-0.0, 0.0))
+@example((float("inf"), float("-inf"), float("nan"), 5e-324, -1e300))
+def test_float_rows_round_trip_by_bit_pattern(row):
+    out = bytearray(b"\xff")  # decode from a non-zero offset
+    values.encode_value(out, row)
+    assert out[1] == values.TAG_FLOAT_TUPLE
+    assert len(out) == 3 + 8 * len(row)  # pad, tag, one-byte count, n x f64
+    decoded, end = values.decode_value(bytes(out), 1)
+    assert end == len(out)
+    assert type(decoded) is tuple
+    assert _float_bits(decoded) == _float_bits(row)
+    again = bytearray(b"\xff")
+    values.encode_value(again, decoded)
+    assert again == out  # byte-deterministic
+
+
+_atoms = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2**40), 2**40), _finite, st.text(max_size=6)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_atoms, max_size=7).map(tuple))
+@example(())
+@example((1.0, 2))  # pack("d", 2) would bring the int back as 2.0
+@example((True, 0.0))
+@example(("L", 1.0, None, None, None))  # a leader's L/F row
+@example(("F", 1.0, "obj0000000001", -0.0, 5e-324))  # a follower's
+def test_mixed_tuples_keep_the_generic_tag_and_their_types(row):
+    out = bytearray()
+    values.encode_value(out, row)
+    all_float = bool(row) and all(type(item) is float for item in row)
+    assert out[0] == (values.TAG_FLOAT_TUPLE if all_float else values.TAG_TUPLE)
+    decoded, end = values.decode_value(bytes(out), 0)
+    assert end == len(out)
+    assert decoded == row
+    assert [type(item) for item in decoded] == [type(item) for item in row]
+    assert _float_bits(decoded) == _float_bits(row)
+
+
+def test_float_rows_cost_one_count_byte_over_the_typed_record():
+    record = LocationRecord(Point(1.5, 2.5), Vector(0.25, -1.0), 3.0)
+    typed, row = bytearray(), bytearray()
+    values.encode_value(typed, record)
+    values.encode_value(row, tuple(record))
+    assert typed[0] == values.TAG_LOCATION_RECORD and row[0] == values.TAG_FLOAT_TUPLE
+    assert len(row) == len(typed) + 1 == 42
+    assert row[2:] == typed[1:]  # the same five doubles

@@ -3,18 +3,23 @@ update.
 
 A full collection walks every tracked object, so on the write-heavy stream
 workloads its cost is set by how many objects the storage engine *retains* —
-the heap, not the allocation rate.  The engine keeps values in flat chains
-and typed-array log columns precisely so that a stored version costs no
-object of its own; this test fails the next change that stores one again,
-instead of leaving it to a benchmark to notice.  Run with ``-s`` to see the
-numbers (CI does).
+the heap, not the allocation rate.  The engine keeps every value as an exact
+tuple of atoms (a location row is five floats, a spatial-index entry a pair,
+an L/F row a code, a timestamp and three ``None``) inside version chains that
+are themselves tuples, next to typed-array log columns — precisely so that a
+stored version costs the collector nothing: CPython drops a tuple from its
+lists once it holds only strings, numbers, ``None`` and other such tuples.
+This test fails the next change that stores an object again (a ``Point``, a
+record instance, an ``Enum`` member, a list), instead of leaving it to a
+benchmark to notice.  Run with ``-s`` to see the numbers (CI does, on every
+interpreter of the matrix: untracking is CPython behaviour, and this is its
+guard).
 
-Per leader the budget covers three rows (Location, Affiliation, Spatial
-Index: a row dict, a qualifier dict and a chain each), the ``LocationRecord``
-and ``LFRecord`` values and their share of tablets and memos.  Per update it
-covers the new ``LocationRecord`` and the message's ``Point`` and ``Vector``,
-which the stored record shares — and nothing else, although the commit log,
-never truncated by default, keeps a record of every mutation.
+Per leader the budget covers three rows — Location, Affiliation and Spatial
+Index, a row dict and a qualifier dict each — and their share of tablets and
+memos; no value and no chain.  Per update it covers nothing: the new row, the
+new chain and the commit log's record of the write (never truncated by
+default) are all invisible to the collector.
 """
 
 import gc
@@ -30,11 +35,11 @@ from repro import (
 )
 
 LEADERS = 2000
-#: The commit before flat chains (a ``Cell`` per version, a tuple per log
-#: record, a ``_Row`` wrapper per row) measured 24.1 and 6.0 here; this
-#: storage shape measures 15.1 and 3.0.
-MAX_TRACKED_PER_LEADER = 18.0
-MAX_TRACKED_PER_UPDATE = 3.5
+#: Measured 24.1 and 6.0 with a ``Cell`` per version and a tuple per log
+#: record, 15.1 and 3.0 with flat list chains holding record objects; rows at
+#: rest in tuple chains measure 5.13 and 0.00.
+MAX_TRACKED_PER_LEADER = 6.0
+MAX_TRACKED_PER_UPDATE = 0.25
 
 
 def tracked_objects():

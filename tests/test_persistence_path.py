@@ -28,6 +28,7 @@ from repro.bigtable.tablet import TabletOptions
 from repro.codec import blocks, values
 from repro.codec.columns import write_uvarint
 from repro.disk.store import (
+    MANIFEST_FORMAT,
     STATE_FORMAT,
     DiskTableStore,
     read_state_blob,
@@ -451,6 +452,54 @@ class TestRespawn:
         ) == reference
         assert os.path.exists(os.path.join(recipe.shard_storage_dir, STATE_BLOB_NAME))
         _close_stores(second)
+
+    @staticmethod
+    def _built_by_the_parent_commit(recipe, monkeypatch) -> None:
+        """Leave a shard directory stamped with the previous formats — the
+        ones whose cell values were ``Point`` / ``Vector`` / record objects
+        where the tables now expect rows."""
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.disk.store.MANIFEST_FORMAT", MANIFEST_FORMAT - 1)
+            patch.setattr("repro.disk.store.STATE_FORMAT", STATE_FORMAT - 1)
+            services = _build(recipe)
+            dispatch_request(
+                services, 0, rpc.OP_UPDATE_BATCH,
+                rpc.encode_update_batch(_messages(1)), 10,
+            )
+            _close_stores(services)
+
+    def test_previous_format_blob_refuses_to_restore(self, tmp_path, monkeypatch):
+        recipe = _recipe(tmp_path)
+        self._built_by_the_parent_commit(recipe, monkeypatch)
+        with pytest.raises(UnrecoverableShardError):
+            _build(recipe)
+
+    def test_previous_format_manifests_are_no_checkpoint(self, tmp_path, monkeypatch):
+        recipe = _recipe(tmp_path / "old")
+        self._built_by_the_parent_commit(recipe, monkeypatch)
+        os.remove(os.path.join(recipe.shard_storage_dir, STATE_BLOB_NAME))
+        location_dir = os.path.join(recipe.shard_storage_dir, "location")
+        assert os.listdir(os.path.join(location_dir, "runs"))
+        # Table by table the old manifest reads as "no checkpoint" ...
+        store = DiskTableStore(location_dir)
+        assert store.has_checkpoint() and store.load_manifest() is None
+        store.close()
+        # ... and the shard starts over from its recipe in a clean directory.
+        second = _build(recipe)
+        fresh = _build(_recipe(tmp_path / "fresh"))
+        for verb in ("full_row_signature", "counter_snapshot", "tablet_count"):
+            assert second[0].call(verb) == fresh[0].call(verb)
+        _close_stores(second)
+        _close_stores(fresh)
+        listings = [
+            sorted(
+                os.path.relpath(os.path.join(folder, name), root)
+                for folder, _, names in os.walk(root)
+                for name in names
+            )
+            for root in (str(tmp_path / "old"), str(tmp_path / "fresh"))
+        ]
+        assert listings[0] == listings[1]
 
 
 # --------------------------------------------------------------------------

@@ -98,8 +98,8 @@ class TestFollowerInfo:
         table.add_follower("L1", "F1", Vector(1.0, 0.0), timestamp=1.0)
         table.add_follower("L2", "F2", Vector(0.0, 1.0), timestamp=1.0)
         info = table.batch_followers(["L1", "L2"])
-        assert info["L1"] == {"F1": Vector(1.0, 0.0)}
-        assert info["L2"] == {"F2": Vector(0.0, 1.0)}
+        assert info["L1"] == {"F1": (1.0, 0.0)}
+        assert info["L2"] == {"F2": (0.0, 1.0)}
 
     def test_clear_followers(self, table):
         table.add_follower("L", "F1", Vector(1.0, 0.0), timestamp=1.0)
