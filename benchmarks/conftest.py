@@ -2,13 +2,14 @@
 
 Every benchmark regenerates one table/figure of the paper through the
 harnesses in ``repro.experiments`` and prints the resulting series, so the
-console output of ``pytest benchmarks/ --benchmark-only`` doubles as the
-reproduction report recorded in EXPERIMENTS.md.
+console output of ``pytest benchmarks/ -s`` doubles as the reproduction
+report.
 
 Benchmarks are run with ``benchmark.pedantic(rounds=1, iterations=1)``: the
 interesting measurements are the *simulated* costs computed inside each
 experiment, not the wall-clock time of the harness itself, so repeating the
-harness many times would only slow the suite down.
+harness many times would only slow the suite down.  Nothing here reads the
+wall clock (CI greps for it); wall-clock performance is ``moistbench/``'s job.
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 This is the quick, interactive counterpart to the benchmark suite: each
 harness runs at a reduced scale (a few seconds each) and prints the same
-table the corresponding benchmark produces at full scale.
+table the corresponding benchmark produces at full scale.  The catalogue
+is ``repro figures``'s own (``repro.cli``); this script only forwards to it.
 
 Run with::
 
@@ -13,72 +14,8 @@ Run with::
 from __future__ import annotations
 
 import sys
-from typing import Callable, Dict, List
 
-from repro.experiments.fig09_schools import run_fig09a, run_fig09b, run_fig09c
-from repro.experiments.fig10_clustering import run_fig10a, run_fig10b
-from repro.experiments.fig11_cluster_frequency import run_fig11
-from repro.experiments.fig12_flag import run_fig12_density, run_fig12_range
-from repro.experiments.fig13_qps import measure_speedup, run_fig13a, run_fig13b
-from repro.experiments.headline import run_headline
-
-
-def _fig09() -> None:
-    run_fig09a(epsilons=(1.0, 10.0, 40.0), num_objects=60, duration_s=30.0).print()
-    run_fig09b(object_counts=(50, 150, 300), duration_s=30.0).print()
-    run_fig09c(duration_s=60.0, num_objects=60).print()
-
-
-def _fig10() -> None:
-    run_fig10a(pre_leader_counts=(200, 500, 1000), post_leaders=50).print()
-    run_fig10b(post_leader_counts=(20, 100, 500), pre_leaders=1000).print()
-
-
-def _fig11() -> None:
-    run_fig11(
-        frequencies_hz=(0.0, 0.05, 0.1, 0.5, 1.0),
-        initial_leaders=200,
-        total_objects=2000,
-    ).print()
-
-
-def _fig12() -> None:
-    run_fig12_range(range_limits=(20.0, 60.0, 100.0), num_objects=5000).print()
-    run_fig12_density(object_counts=(1000, 10000, 50000)).print()
-
-
-def _fig13() -> None:
-    run_fig13a(object_counts=(5000, 20000), num_updates=3000).print()
-    run_fig13b(num_objects=5000, num_updates=8000, num_clients=10).print()
-    measure_speedup(num_objects=5000, num_updates=3000).print()
-
-
-def _headline() -> None:
-    run_headline(num_objects=5000, num_updates=3000, shed_objects=400).print()
-
-
-FIGURES: Dict[str, Callable[[], None]] = {
-    "fig09": _fig09,
-    "fig10": _fig10,
-    "fig11": _fig11,
-    "fig12": _fig12,
-    "fig13": _fig13,
-    "headline": _headline,
-}
-
-
-def main(arguments: List[str]) -> None:
-    requested = arguments or list(FIGURES)
-    unknown = [name for name in requested if name not in FIGURES]
-    if unknown:
-        print(f"unknown figure(s): {', '.join(unknown)}")
-        print(f"available: {', '.join(FIGURES)}")
-        raise SystemExit(1)
-    for name in requested:
-        print(f"=== {name} " + "=" * (70 - len(name)))
-        FIGURES[name]()
-        print()
-
+from repro.cli import main
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    raise SystemExit(main(["figures", *sys.argv[1:]]))

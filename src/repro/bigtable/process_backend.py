@@ -29,7 +29,7 @@ Worker lifecycle: :class:`WorkerPool` spawns forked daemon workers over
 pipelined work and shuts down gracefully (shutdown frame → join →
 terminate).  Pools are context managers and register an ``atexit`` hook,
 and a build that fails after forking closes what it built, so pytest and
-``repro bench`` never leak zombie workers.
+moistbench never leak zombie workers.
 """
 
 from __future__ import annotations

@@ -1,10 +1,9 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Four commands cover the common entry points without writing any code:
+Three commands cover the common entry points without writing any code:
 
 * ``demo``     — run the quickstart scenario and print its summary;
 * ``figures``  — regenerate (scaled-down) evaluation figures;
-* ``bench``    — run the wall-clock hot-path benchmarks (``BENCH_*.json``);
 * ``info``     — print the library version and the active default config.
 """
 
@@ -65,42 +64,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     print("3 nearest objects to the map centre:")
     for neighbor in nearest:
         print(f"  {neighbor.object_id}  distance {neighbor.distance:.1f}")
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.experiments.bench import (
-        compare_with_baseline,
-        format_bench,
-        run_bench,
-        write_bench,
-    )
-
-    worker_counts = tuple(
-        int(entry) for entry in args.workers.split(",") if entry.strip()
-    )
-    payload = run_bench(
-        quick=args.quick,
-        label=args.label,
-        repeats=args.repeats,
-        seed=args.seed,
-        worker_counts=worker_counts,
-    )
-    if args.baseline:
-        compare_with_baseline(payload, args.baseline)
-    # Quick runs get their own default filename so a casual `bench --quick`
-    # can never clobber the committed full-profile BENCH_*.json record.
-    output = args.output
-    if output is None:
-        output = (
-            f"BENCH_{args.label}.quick.json"
-            if args.quick
-            else f"BENCH_{args.label}.json"
-        )
-    print(format_bench(payload))
-    if output:
-        write_bench(payload, output)
-        print(f"wrote {output}")
     return 0
 
 
@@ -222,58 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     figures.set_defaults(handler=lambda args: _run_figures_inline(args.names))
-
-    bench = subparsers.add_parser(
-        "bench",
-        help="run the wall-clock hot-path benchmarks and emit BENCH_*.json",
-    )
-    bench.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI-sized workloads (fewer objects/requests/repeats)",
-    )
-    bench.add_argument(
-        "--output",
-        default=None,
-        help=(
-            "JSON output path (default: BENCH_<label>.json, or "
-            "BENCH_<label>.quick.json with --quick; empty string skips writing)"
-        ),
-    )
-    bench.add_argument(
-        "--label",
-        default="dev",
-        help=(
-            "label recorded in the payload and used in the default output "
-            "filename; the default keeps casual runs (BENCH_dev*.json) from "
-            "overwriting committed BENCH_PR*.json trajectory records"
-        ),
-    )
-    bench.add_argument(
-        "--baseline",
-        default=None,
-        help=(
-            "path to an earlier bench payload to compare against (adds "
-            "baseline_main / speedup_vs_main sections)"
-        ),
-    )
-    bench.add_argument(
-        "--repeats",
-        type=int,
-        default=None,
-        help="wall-clock repeats per workload (default: profile-dependent)",
-    )
-    bench.add_argument("--seed", type=int, default=59, help="workload random seed")
-    bench.add_argument(
-        "--workers",
-        default="1,2,4",
-        help=(
-            "comma-separated worker counts for the scaleout_multiproc "
-            "workload (each runs the same seeded stream; results must be "
-            "bit-identical, only wall-clock may move)"
-        ),
-    )
-    bench.set_defaults(handler=_cmd_bench)
 
     return parser
 

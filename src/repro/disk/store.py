@@ -108,10 +108,6 @@ class DiskTableStore:
         #: ``run_encode`` is the part of ``checkpoint`` spent encoding runs).
         self.seconds = {"journal_sync": 0.0, "checkpoint": 0.0, "run_encode": 0.0}
 
-    @property
-    def bytes_written(self) -> int:
-        return self.journal_bytes + self.run_bytes + self.manifest_bytes
-
     def has_checkpoint(self) -> bool:
         return os.path.exists(self._manifest_path)
 

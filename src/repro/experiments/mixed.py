@@ -26,7 +26,7 @@ from typing import List, Sequence
 from repro.experiments.common import uniform_leader_indexer
 from repro.experiments.report import FigureResult, cache_hit_report
 from repro.server.cluster import ServerCluster
-from repro.server.loadtest import LoadTest, LoadTestResult
+from repro.server.loadtest import LoadTest
 from repro.workload.queries import NNQueryWorkload
 
 
@@ -46,27 +46,19 @@ def _mixed_harness(
     query_fraction: float,
     num_clients: int,
     k: int,
-    failure_probability: float,
     seed: int,
-    tablet_options=None,
 ):
     """Preloaded indexer, tablet-routing cluster and the two request
-    streams whose relative sizes realise ``query_fraction``.
-
-    ``tablet_options`` tunes the storage engine (the benchmark's
-    compaction-stress workload dials the memtable flush threshold down).
-    """
+    streams whose relative sizes realise ``query_fraction``."""
     if not 0.0 <= query_fraction <= 1.0:
         raise ValueError("query_fraction must be in [0, 1]")
-    indexer = uniform_leader_indexer(
-        num_objects, seed=seed, tablet_options=tablet_options
-    )
+    indexer = uniform_leader_indexer(num_objects, seed=seed)
     cluster = ServerCluster(indexer, num_servers=num_servers)
     load_test = LoadTest.with_fleet(
         cluster,
         num_clients=num_clients,
         total_objects=num_objects,
-        failure_probability=failure_probability,
+        failure_probability=0.0,
         seed=seed,
     )
     num_queries = int(num_requests * query_fraction)
@@ -87,31 +79,6 @@ def _mixed_harness(
         else []
     )
     return indexer, load_test, messages, queries
-
-
-def measure_mixed_qps(
-    num_objects: int,
-    query_fraction: float,
-    num_servers: int = 5,
-    num_requests: int = 4000,
-    num_clients: int = 10,
-    batch_size: int = 256,
-    k: int = 10,
-    failure_probability: float = 0.0,
-    seed: int = 59,
-) -> LoadTestResult:
-    """Drive one mixed update/query workload through the batched paths."""
-    _, load_test, messages, queries = _mixed_harness(
-        num_objects,
-        num_servers,
-        num_requests,
-        query_fraction,
-        num_clients,
-        k,
-        failure_probability,
-        seed,
-    )
-    return load_test.run_mixed_batches(messages, queries, batch_size=batch_size)
 
 
 def run_mixed_sweep(
@@ -149,7 +116,6 @@ def run_mixed_sweep(
             fraction,
             num_clients,
             k,
-            0.0,
             seed,
         )
         outcome = load_test.run_mixed_batches(

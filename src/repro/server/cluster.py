@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from zlib import crc32
 
 from repro.bigtable.backend import ShardedBackend
@@ -76,10 +76,6 @@ class TabletRoutingTable:
         self._replicas[tablet_id] = existing + (server_index,)
         return True
 
-    def drop_replicas(self, tablet_id: str) -> None:
-        """Remove every replica of one tablet (primary keeps serving)."""
-        self._replicas.pop(tablet_id, None)
-
     def read_indices(self, tablet_id: str) -> Tuple[int, ...]:
         """Every server serving this tablet's reads: primary first, then
         replicas in registration order."""
@@ -142,6 +138,25 @@ class RoundMakespans:
         if not best:
             return 0.0
         return best[min(round_index, len(best) - 1)]
+
+
+def percentile_of(
+    sample_groups: Iterable[Sequence[float]], quantile: float
+) -> float:
+    """The one service-time percentile rule: validate ``quantile`` in
+    (0, 1], concatenate ``sample_groups`` in the order given, sort, and
+    take rank ``max(int(n * quantile) - 1, 0)`` — 0.0 when nothing was
+    recorded.  ``ServerCluster`` feeds it per-server samples and the
+    federation per-shard ones, so both report bit-identical percentiles."""
+    if not 0.0 < quantile <= 1.0:
+        raise ConfigurationError("quantile must be in (0, 1]")
+    samples: List[float] = []
+    for group in sample_groups:
+        samples.extend(group)
+    if not samples:
+        return 0.0
+    samples.sort()
+    return samples[max(int(len(samples) * quantile) - 1, 0)]
 
 
 @dataclass(frozen=True)
@@ -522,16 +537,9 @@ class ServerCluster:
         mean.  ``quantile`` is in (0, 1] — 0.99 is the p99 the rebalance
         experiment reports.
         """
-        if not 0.0 < quantile <= 1.0:
-            raise ConfigurationError("quantile must be in (0, 1]")
-        samples: List[float] = []
-        for server in self.servers:
-            samples.extend(server.service_time_samples)
-        if not samples:
-            return 0.0
-        samples.sort()
-        rank = max(int(len(samples) * quantile) - 1, 0)
-        return samples[rank]
+        return percentile_of(
+            (server.service_time_samples for server in self.servers), quantile
+        )
 
     def metrics_snapshot(self) -> Dict[str, object]:
         """Plain-data accounting view (makespan plus one

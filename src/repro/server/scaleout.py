@@ -42,7 +42,7 @@ from repro.errors import (
 from repro.model import NeighborResult, UpdateMessage
 from repro.server import chaos as chaos_mod
 from repro.server import rpc
-from repro.server.cluster import RoundMakespans
+from repro.server.cluster import RoundMakespans, percentile_of
 from repro.server.supervisor import Supervisor
 from repro.server.worker import WORKER_PHASES, shard_of
 
@@ -283,10 +283,6 @@ class ScaleOutCluster:
     # ------------------------------------------------------------------
     # Request routing
     # ------------------------------------------------------------------
-    def shard_for(self, object_id: str) -> int:
-        """Owning shard of ``object_id`` (stable, worker-count independent)."""
-        return shard_of(object_id, self.num_shards)
-
     def submit_update_batch(self, messages: Sequence[UpdateMessage]) -> int:
         """Partition a batch by owning shard, dispatch, and wait for it.
 
@@ -588,27 +584,19 @@ class ScaleOutCluster:
 
         One read-only scatter collects each shard's samples (flattened in
         server order worker-side); the parent concatenates them in fixed
-        shard order and applies exactly
-        :meth:`repro.server.cluster.ServerCluster.service_time_percentile`'s
-        arithmetic, so the result is identical for every worker count,
-        backend and window size — and 0.0 unless the recipes set
-        ``record_service_times``, matching the single-cluster build.
+        shard order through :func:`repro.server.cluster.percentile_of` (the
+        rule the single cluster uses), so the result is identical for every
+        worker count, backend and window size — and 0.0 unless the recipes
+        set ``record_service_times``, matching the single-cluster build.
         """
-        if not 0.0 < quantile <= 1.0:
-            raise ConfigurationError("quantile must be in (0, 1]")
         if not self.recipes[0].record_service_times:
             # No shard has samples; skip the scatter so non-recording runs
             # keep their exact pre-p99 wire-frame counts.
-            return 0.0
+            return percentile_of((), quantile)
         self._barrier()
-        samples: List[float] = []
-        for shard_samples in self.backend.scatter("service_time_samples"):
-            samples.extend(shard_samples)
-        if not samples:
-            return 0.0
-        samples.sort()
-        rank = max(int(len(samples) * quantile) - 1, 0)
-        return samples[rank]
+        return percentile_of(
+            self.backend.scatter("service_time_samples"), quantile
+        )
 
     def master_action_counts(self) -> Tuple[int, int, int]:
         """Cumulative ``(migrations, replications, failovers)`` summed

@@ -622,13 +622,6 @@ class ShardService:
         results = cluster.submit_query_batch(queries)
         return results, cluster.makespan_seconds()
 
-    @_verb()
-    def nn_query(
-        self, location: Point, k: int, range_limit: Optional[float] = None
-    ) -> list:
-        cluster = self._require_cluster()
-        return cluster.submit_nn_query(location, k, range_limit=range_limit)
-
     # ------------------------------------------------------------------
     # Control plane (the plain master / cluster / emulator forwards are
     # registered below the class, one rule each)

@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.bigtable.backend import StorageBackend
-from repro.bigtable.scan import ScanPlan
 from repro.bigtable.table import ColumnFamily, Table
 from repro.bigtable.tablet import Tablet
 from repro.errors import SchemaError
@@ -102,14 +101,6 @@ class SpatialIndexTable:
         the key token through the cell codec cache (interned strings).
         """
         return self.cell_for(location).key()
-
-    def scan_plan_for_cell(self, cell: CellId) -> ScanPlan:
-        """Compile the key-range scan a probe of ``cell`` will execute.
-
-        Routing only — nothing is charged until the plan runs.
-        """
-        start, end = cell.key_range()
-        return self._table.plan_scan(start, end)
 
     def tablet_for_location(self, location: Point) -> Tablet:
         """The spatial-index tablet owning ``location``'s storage row.

@@ -118,7 +118,7 @@ class TestChaosLossless:
         finally:
             cluster.close()
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_sigkill_every_worker_is_byte_invisible(
         self, workers, reference_report
     ):

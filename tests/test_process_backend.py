@@ -240,6 +240,17 @@ class TestFederationProtocol:
 # Ledger merge: bit-identical across backends and worker counts
 # --------------------------------------------------------------------------
 class TestLedgerMergeDeterminism:
+    NUM_UPDATES = 400
+    NUM_QUERIES = 60
+    #: Framing is structural — one frame per shard per scatter leg: 4 shards
+    #: x (1 build + 4 update rounds + 1 query broadcast + the 4 accounting
+    #: scatters behind the fingerprint).  A batching regression that
+    #: splinters scatters moves this on every machine.
+    EXPECTED_FRAMES = 40
+    #: 31 901 B over the 460 requests when recorded, + 5 %.  A ceiling, not
+    #: an equality: pickled CALL bodies may differ between interpreters.
+    MAX_WIRE_BYTES_PER_REQUEST = 72.8
+
     def _drive(self, backend_kind, num_workers):
         cluster = ScaleOutCluster.build(
             4,
@@ -249,8 +260,8 @@ class TestLedgerMergeDeterminism:
             seed=17,
             num_servers=2,
         )
-        messages = make_messages(400, 300)
-        queries = make_queries(60)
+        messages = make_messages(self.NUM_UPDATES, 300)
+        queries = make_queries(self.NUM_QUERIES)
         for start in range(0, len(messages), 128):
             cluster.submit_update_batch(messages[start : start + 128])
         cluster.submit_query_batch(queries)
@@ -263,17 +274,32 @@ class TestLedgerMergeDeterminism:
             cluster.backend.log_record_count(),
             cluster.makespan_seconds(),
         )
+        wire = (
+            cluster.backend.serialized_bytes(),
+            cluster.backend.rpc_frame_count(),
+        )
         results = cluster.submit_query_batch(queries[:10])
         nn = tuple(
             tuple((n.object_id, n.distance) for n in batch) for batch in results
         )
         cluster.close()
-        return fingerprint, nn
+        return (fingerprint, nn), wire
 
     def test_ledgers_and_results_bit_identical_across_worker_counts(self):
-        reference = self._drive("inprocess", 1)
-        for workers in (1, 2, 4):
-            assert self._drive("process", workers) == reference
+        reference, _ = self._drive("inprocess", 1)
+        wires = {}
+        for variant in (("process", 1), ("process", 2), ("process", 4), ("disk", 2)):
+            simulated, wires[variant] = self._drive(*variant)
+            assert simulated == reference, f"{variant} diverged from in-process"
+        # Which OS process executes a shard never shows on the wire.
+        wire_bytes, frames = wires["process", 1]
+        assert wires["process", 2] == wires["process", 4] == (wire_bytes, frames)
+        # Disk sends the same frames; its bytes differ by exactly the
+        # storage paths pickled into the build recipes.
+        assert wires["disk", 2][1] == frames
+        assert frames == self.EXPECTED_FRAMES
+        requests = self.NUM_UPDATES + self.NUM_QUERIES
+        assert wire_bytes / requests <= self.MAX_WIRE_BYTES_PER_REQUEST
 
 
 # --------------------------------------------------------------------------
