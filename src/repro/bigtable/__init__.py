@@ -46,8 +46,6 @@ from repro.bigtable.lsm import (
 from repro.bigtable.scan import (
     BlockCache,
     BlockCacheOptions,
-    ScanPlan,
-    ScanSegment,
     Scanner,
     TabletCacheStats,
 )
@@ -96,8 +94,6 @@ __all__ = [
     "RecoveryReport",
     "BlockCache",
     "BlockCacheOptions",
-    "ScanPlan",
-    "ScanSegment",
     "Scanner",
     "TabletCacheStats",
     "ColumnFamily",

@@ -1,12 +1,11 @@
-"""Scan plans, the scanner and the tablet-server block cache.
+"""The scanner and the tablet-server block cache.
 
-The write path (PR 1) is tablet-routed and batched; this module gives the
-read path the same machinery.  A range read is no longer an opaque walk over
-the locator: it is *compiled* into a :class:`ScanPlan` — the ordered list of
-tablets whose key ranges intersect the requested interval — and *executed*
-by a :class:`Scanner`, which charges every planned tablet's ledger (empty
-probes included, so cold tablets show up in ``tablet_load_report``) and
-consults the table's :class:`BlockCache` while streaming rows.
+The write path is tablet-routed and batched; this module gives the read path
+the same machinery.  A range read is routed to the tablets whose key ranges
+intersect the requested interval and executed by a :class:`Scanner`, which
+charges every scanned tablet's ledger (empty probes included, so cold
+tablets show up in ``tablet_load_report``) and consults the table's
+:class:`BlockCache` while streaming rows.
 
 The block cache models BigTable's tablet-server block cache (the SSTable
 block LRU of the original paper's Section 6.3): rows live in fixed-size
@@ -253,35 +252,9 @@ class BlockCache:
         self._misses = dict(state["misses"])
 
 
-@dataclass(frozen=True)
-class ScanSegment:
-    """One tablet's slice of a scan plan (bounds are the plan's globals —
-    the tablet's own range already clips them)."""
-
-    tablet: "Tablet"
-    start_key: Optional[str]
-    end_key: Optional[str]
-
-
-@dataclass(frozen=True)
-class ScanPlan:
-    """A compiled range read: the tablets ``[start_key, end_key)`` touches,
-    in key order.  Compiling is routing; executing is the Scanner's job."""
-
-    table: str
-    start_key: Optional[str]
-    end_key: Optional[str]
-    limit: Optional[int]
-    segments: Tuple[ScanSegment, ...]
-
-    def tablet_ids(self) -> List[str]:
-        """Ids of every tablet the plan will touch."""
-        return [segment.tablet.tablet_id for segment in self.segments]
-
-
 class Scanner:
-    """Executes scan plans: streams rows, prices them through the block
-    cache and mirrors the work onto every planned tablet's ledger."""
+    """Executes range scans: streams rows, prices them through the block
+    cache and mirrors the work onto every scanned tablet's ledger."""
 
     def __init__(
         self,
@@ -292,18 +265,6 @@ class Scanner:
         self.counter = counter
         self.locator = locator
         self.cache = cache
-
-    def execute(self, plan: ScanPlan) -> List[Tuple[str, object]]:
-        """Run a compiled plan.
-
-        Routing is re-resolved through the locator at execution time: the
-        plan's captured segments are a routing *hint* (what callers inspect
-        to partition work), but tablets split and merge between compile and
-        execute, and trusting a stale segment list would silently drop the
-        rows that moved to a new sibling tablet.  The key range is the
-        plan's contract; the tablet list is not.
-        """
-        return self.execute_range(plan.start_key, plan.end_key, plan.limit)
 
     def execute_range(
         self,

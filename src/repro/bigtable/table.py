@@ -71,8 +71,6 @@ from repro.bigtable.lsm import (
 from repro.bigtable.scan import (
     BlockCache,
     BlockCacheOptions,
-    ScanPlan,
-    ScanSegment,
     Scanner,
     TabletCacheStats,
 )
@@ -342,46 +340,75 @@ class Table:
         self.counter.record(kind, rows=rows)
         tablet.counter.record(kind, rows=rows)
 
-    def _charge_write(self, kind: OpKind, tablet: Tablet, structural: bool) -> None:
-        """Charge a point mutation, deferring into the group commit if one
-        is active.  ``structural`` marks mutations that can change a
-        tablet's row count (and therefore require a split/merge check)."""
+    def _commit(
+        self,
+        tablet: Tablet,
+        kind: OpKind,
+        structural: bool,
+        charge: bool,
+        opcode: Optional[str],
+        row_key: str,
+        payload: tuple = (),
+    ) -> None:
+        """Log and charge one point mutation already applied to ``tablet`` —
+        one frame for both, because every update message issues several.
+
+        ``(opcode, row_key, *payload)`` is the mutation's log record; with
+        ``opcode`` ``None`` nothing changed and nothing is logged (a delete
+        of an absent cell is still charged).  The record's fsync is charged
+        to the durability ledger at once, or per tablet when the open
+        :meth:`deferred_log_syncs` block or group commit ends.
+        ``structural`` marks a mutation that changed the tablet's row count
+        and so needs a split/merge check.  Without ``charge`` the caller owns
+        the charging and its split checks (``batch_write``, the aging
+        rewrites); what is left here is the deferral into an open group
+        commit and the merge check after a delete — aging drains delete rows
+        outside any batch, and without it emptied tablets accumulate.
+        """
+        appended = False
+        if opcode is not None:
+            seqno = self._seq = self._seq + 1
+            self.counter.logical_write_rows += 1
+            tablet.counter.logical_write_rows += 1
+            if self.options.commit_log_enabled:
+                tablet.log.write(seqno, opcode, row_key, payload)
+                if self._store is not None:
+                    self._store.journal_append((seqno, opcode, row_key) + payload)
+                appended = True
         group = self._group
         if group is not None:
             tablet_id = tablet.tablet_id
-            key = (tablet_id, kind)
-            group.pending[key] = group.pending.get(key, 0) + 1
-            group.tablets[tablet_id] = tablet
+            if appended:
+                group.log_appends[tablet_id] = group.log_appends.get(tablet_id, 0) + 1
+                group.tablets[tablet_id] = tablet
             if structural:
                 group.dirty[tablet_id] = tablet
-            group.calls += 1
-            if group.calls >= self.options.group_commit_size:
-                self._flush_group()
+            if charge:
+                key = (tablet_id, kind)
+                group.pending[key] = group.pending.get(key, 0) + 1
+                group.tablets[tablet_id] = tablet
+                group.calls += 1
+                if group.calls >= self.options.group_commit_size:
+                    self._flush_group()
             return
-        self.counter.record(kind)
-        tablet.counter.record(kind)
-        if structural:
-            self._tablets.maybe_split(tablet)
+        if appended:
+            if self._log_sync_tally is not None:
+                self._tally_log_sync(self._log_sync_tally, tablet)
+            else:
+                self.counter.record_durability(OpKind.LOG_APPEND, rows=1)
+                tablet.counter.record_durability(OpKind.LOG_APPEND, rows=1)
+                if self._store is not None:
+                    self._store.journal_sync()
+        if charge:
+            self.counter.record(kind)
+            tablet.counter.record(kind)
+            if structural:
+                self._tablets.maybe_split(tablet)
+                self._tablets.maybe_merge(tablet)
+            self._maybe_flush(tablet)
+            self._maybe_checkpoint()
+        elif structural and kind is OpKind.DELETE:
             self._tablets.maybe_merge(tablet)
-        self._maybe_flush(tablet)
-        self._maybe_checkpoint()
-
-    def _log_append(
-        self, tablet: Tablet, opcode: str, row_key: str, payload: tuple
-    ) -> bool:
-        """Stamp one logical mutation and append it to the tablet's commit
-        log — the log's single writer.  Returns whether a record was
-        appended (False with the log disabled).  The record tuple is only
-        built for a disk store's journal; the log itself stores columns."""
-        self._seq += 1
-        self.counter.logical_write_rows += 1
-        tablet.counter.logical_write_rows += 1
-        if not self.options.commit_log_enabled:
-            return False
-        tablet.log.write(self._seq, opcode, row_key, payload)
-        if self._store is not None:
-            self._store.journal_append((self._seq, opcode, row_key) + payload)
-        return True
 
     @staticmethod
     def _tally_log_sync(
@@ -389,33 +416,6 @@ class Table:
     ) -> None:
         entry = appended.get(tablet.tablet_id)
         appended[tablet.tablet_id] = (tablet, 1 if entry is None else entry[1] + 1)
-
-    def _log_mutation(
-        self, tablet: Tablet, opcode: str, row_key: str, *payload: object
-    ) -> bool:
-        """Append one logical mutation to the tablet's commit log.
-
-        The fsync is charged to the durability ledger: immediately (one
-        record per sync) outside a group commit, or batched per tablet at
-        group-commit flush — BigTable's group commit.  Returns whether a
-        record was appended (False with the log disabled); callers batching
-        their own fsyncs use :meth:`_log_batch_record` instead.
-        """
-        if not self._log_append(tablet, opcode, row_key, payload):
-            return False
-        group = self._group
-        if group is not None:
-            tablet_id = tablet.tablet_id
-            group.log_appends[tablet_id] = group.log_appends.get(tablet_id, 0) + 1
-            group.tablets[tablet_id] = tablet
-        elif self._log_sync_tally is not None:
-            self._tally_log_sync(self._log_sync_tally, tablet)
-        else:
-            self.counter.record_durability(OpKind.LOG_APPEND, rows=1)
-            tablet.counter.record_durability(OpKind.LOG_APPEND, rows=1)
-            if self._store is not None:
-                self._store.journal_sync()
-        return True
 
     @contextmanager
     def deferred_log_syncs(self):
@@ -446,11 +446,18 @@ class Table:
         row_key: str,
         *payload: object,
     ) -> None:
-        """Append a log record whose fsync the caller batches: the record
-        is tallied into ``appended`` (tablet -> record count) and
-        :meth:`_charge_log_syncs` later charges one group fsync per tablet
-        (the batch-RPC paths' group commit)."""
-        if self._log_append(tablet, opcode, row_key, payload):
+        """Stamp and append a log record whose fsync the caller batches (the
+        batch-RPC paths' group commit, whatever block is open around them):
+        the record is tallied into ``appended`` (tablet -> record count) and
+        :meth:`_charge_log_syncs` later charges one group fsync per tablet.
+        (The stamp is :meth:`_commit`'s, repeated so that stays one frame.)"""
+        self._seq += 1
+        self.counter.logical_write_rows += 1
+        tablet.counter.logical_write_rows += 1
+        if self.options.commit_log_enabled:
+            tablet.log.write(self._seq, opcode, row_key, payload)
+            if self._store is not None:
+                self._store.journal_append((self._seq, opcode, row_key) + payload)
             self._tally_log_sync(appended, tablet)
 
     def _charge_log_syncs(self, appended: Dict[str, Tuple[Tablet, int]]) -> None:
@@ -627,16 +634,6 @@ class Table:
             removed_row = True
         return True, removed_row
 
-    def _note_uncharged_structural(self, tablet: Tablet, merge: bool) -> None:
-        """Structural bookkeeping for a mutation whose charging the caller
-        owns: defer the split/merge check into an active group commit, or
-        (for deletes) run the merge check now — aging drains delete rows
-        outside any batch, and without this emptied tablets accumulate."""
-        if self._group is not None:
-            self._group.dirty[tablet.tablet_id] = tablet
-        elif merge:
-            self._tablets.maybe_merge(tablet)
-
     def write(
         self,
         row_key: str,
@@ -651,15 +648,10 @@ class Table:
         added_row = self._write_into(
             tablet, row_key, family, qualifier, value, timestamp
         )
-        self._log_mutation(
-            tablet, LOG_WRITE, row_key, family, qualifier, value, timestamp
+        self._commit(
+            tablet, OpKind.WRITE, added_row, _charge,
+            LOG_WRITE, row_key, (family, qualifier, value, timestamp),
         )
-        if _charge:
-            self._charge_write(OpKind.WRITE, tablet, structural=added_row)
-        elif added_row:
-            # batch_write and the aging rewrites run their own split checks
-            # once per touched tablet; only group mode needs the deferral.
-            self._note_uncharged_structural(tablet, merge=False)
 
     def delete_cell(
         self, row_key: str, family: str, qualifier: str, _charge: bool = True
@@ -669,12 +661,10 @@ class Table:
         existed, removed_row = self._delete_cell_from(
             tablet, row_key, family, qualifier
         )
-        if existed:
-            self._log_mutation(tablet, LOG_DELETE_CELL, row_key, family, qualifier)
-        if _charge:
-            self._charge_write(OpKind.DELETE, tablet, structural=removed_row)
-        elif removed_row:
-            self._note_uncharged_structural(tablet, merge=True)
+        self._commit(
+            tablet, OpKind.DELETE, removed_row, _charge,
+            LOG_DELETE_CELL if existed else None, row_key, (family, qualifier),
+        )
         return existed
 
     def delete_row(self, row_key: str, _charge: bool = True) -> bool:
@@ -683,12 +673,10 @@ class Table:
         tablet = self._tablets.locate(row_key)
         self.cache.invalidate_row(tablet.tablet_id, row_key)
         removed = tablet.drop_row(row_key)
-        if removed:
-            self._log_mutation(tablet, LOG_DELETE_ROW, row_key)
-        if _charge:
-            self._charge_write(OpKind.DELETE, tablet, structural=removed)
-        elif removed:
-            self._note_uncharged_structural(tablet, merge=True)
+        self._commit(
+            tablet, OpKind.DELETE, removed, _charge,
+            LOG_DELETE_ROW if removed else None, row_key,
+        )
         return removed
 
     # ------------------------------------------------------------------
@@ -753,41 +741,10 @@ class Table:
     # ------------------------------------------------------------------
     # Scans and batches
     # ------------------------------------------------------------------
-    def plan_scan(
-        self,
-        start_key: Optional[str] = None,
-        end_key: Optional[str] = None,
-        limit: Optional[int] = None,
-    ) -> ScanPlan:
-        """Compile a range read into a scan plan (routing only, no charge).
-
-        The plan names every tablet whose range intersects
-        ``[start_key, end_key)``; callers can inspect it to partition work
-        (e.g. pin a query batch to its owning tablet's server) before
-        handing it to :meth:`execute_plan`.
-        """
-        return ScanPlan(
-            table=self.name,
-            start_key=start_key,
-            end_key=end_key,
-            limit=limit,
-            segments=tuple(
-                ScanSegment(tablet=tablet, start_key=start_key, end_key=end_key)
-                for tablet in self._tablets.tablets_in_range(start_key, end_key)
-            ),
-        )
-
     @staticmethod
     def _public_rows(scanned) -> List[Tuple[str, Dict[str, Dict[str, List[Cell]]]]]:
         """Convert scanner output to the public full-row representation."""
         return [(row_key, row.cells()) for row_key, row in scanned]
-
-    def execute_plan(
-        self, plan: ScanPlan
-    ) -> List[Tuple[str, Dict[str, Dict[str, List[Cell]]]]]:
-        """Execute a compiled scan plan through the scanner/block cache,
-        returning whole rows."""
-        return self._public_rows(self._scanner.execute(plan))
 
     def scan(
         self,
@@ -801,8 +758,7 @@ class Table:
 
         Cold rows cost ``scan_row`` each; rows in blocks the block cache
         holds warm cost ``cache_read_row`` and are recorded as
-        ``CACHE_READ`` instead of scan rows.  (Routes the range directly —
-        compiling a :class:`ScanPlan` is only for callers that inspect it.)
+        ``CACHE_READ`` instead of scan rows.
 
         With ``family`` the read is projected: each row is ``(row_key,
         {qualifier: newest value})`` of that one family, and nothing else

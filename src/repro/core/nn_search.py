@@ -7,12 +7,11 @@ object it contains, so the search stops as soon as the closest unexplored
 cell is farther than the current ``k``-th neighbour.
 
 Each NN cell spans a contiguous range of Spatial Index Table rows (storage
-cells), so fetching a cell's objects is one key-range scan compiled to a
-:class:`~repro.bigtable.scan.ScanPlan` and executed tablet by tablet.  Only
-leaders are stored in the table; when ``include_followers`` is set, the
-Affiliation Table is batch-read for the candidate leaders and follower
-locations are derived from the leader location plus the stored displacement
-(Section 3.4, step iii-iv).
+cells), so fetching a cell's objects is one key-range scan, executed tablet
+by tablet.  Only leaders are stored in the table; when ``include_followers``
+is set, the Affiliation Table is batch-read for the candidate leaders and
+follower locations are derived from the leader location plus the stored
+displacement (Section 3.4, step iii-iv).
 
 A cell's candidates are ranked from a :class:`CandidateBlock` — parallel
 columns of ids, x / y coordinates and leader ids.  No per-candidate object

@@ -21,6 +21,13 @@ times (key range for the scan, box for the distance bound, neighbours for
 expansion), and the caches turn each re-derivation into a dict hit.  Key
 tokens are additionally ``sys.intern``-ed so the row-key dictionaries of the
 storage layer compare them by pointer.
+
+The opposite direction — a location to its cell or storage row key — is
+memoized nowhere: fresh locations never repeat, so the write path derives
+its key directly.  :func:`_xy_encoder` is the one implementation of clamp →
+grid coordinate → Hilbert walk, built (and its level and world validated)
+once per ``(level, world)``; :meth:`CellId.from_xy` and
+:func:`row_key_encoder` both sit on it.
 """
 
 from __future__ import annotations
@@ -29,12 +36,18 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.errors import SpatialError
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import Point
-from repro.spatial.hilbert import hilbert_index, hilbert_point
+from repro.spatial.hilbert import (
+    _INDEX_STEPS,
+    _STATE_MASK,
+    _STATE_SHIFT,
+    hilbert_index,
+    hilbert_point,
+)
 
 #: Finest decomposition level supported.  2^24 cells per side is ~6 cm
 #: resolution on a 1,000 km world edge, far finer than any experiment needs.
@@ -47,6 +60,9 @@ WORLD_UNIT_BOX = BoundingBox(0.0, 0.0, 1.0, 1.0)
 #: Width of the zero-padded hexadecimal row-key token.  4^24 fits in 48 bits,
 #: i.e. 12 hex digits.
 _KEY_WIDTH = (2 * MAX_LEVEL + 3) // 4
+
+#: ``_KEY_FORMAT % position`` is the row-key token of a MAX_LEVEL position.
+_KEY_FORMAT = f"%0{_KEY_WIDTH}x"
 
 #: Bound on the memoized codec caches (distinct cells seen by a run).
 _CACHE_SIZE = 1 << 16
@@ -100,26 +116,7 @@ class CellId:
         """:meth:`from_point` on bare coordinates — the tables store
         ``(x, y)`` pairs, and the hot update/query paths call this per
         message, where a ``Point`` per call is pure allocator traffic."""
-        if not 0 <= level <= MAX_LEVEL:
-            raise SpatialError(f"cell level {level} outside [0, {MAX_LEVEL}]")
-        if level == 0:
-            return cls(0, 0)
-        min_x = world.min_x
-        min_y = world.min_y
-        max_x = world.max_x
-        max_y = world.max_y
-        if x < min_x:
-            x = min_x
-        elif x > max_x:
-            x = max_x
-        if y < min_y:
-            y = min_y
-        elif y > max_y:
-            y = max_y
-        side = 1 << level
-        gx = _grid_coordinate(x, min_x, max_x - min_x, side)
-        gy = _grid_coordinate(y, min_y, max_y - min_y, side)
-        return cls(level, hilbert_index(level, gx, gy))
+        return cls(level, _position_encoder(level, world)(x, y))
 
     @classmethod
     def from_token(cls, token: str, level: int) -> "CellId":
@@ -260,15 +257,14 @@ class CellId:
 def _key_codec(level: int, pos: int) -> Tuple[str, str]:
     """Interned ``(start_key, end_key)`` of the cell's row-key interval."""
     shift = 2 * (MAX_LEVEL - level)
-    range_min = pos << shift
-    start = sys.intern(format(range_min, f"0{_KEY_WIDTH}x"))
+    start = sys.intern(_KEY_FORMAT % (pos << shift))
     end_pos = (pos + 1) << shift
     if end_pos >= (1 << (2 * MAX_LEVEL)):
         # The last cell of the curve: use a sentinel that sorts after
         # every valid fixed-width hexadecimal key.
         end = sys.intern("g" * _KEY_WIDTH)
     else:
-        end = sys.intern(format(end_pos, f"0{_KEY_WIDTH}x"))
+        end = sys.intern(_KEY_FORMAT % end_pos)
     return start, end
 
 
@@ -330,14 +326,92 @@ def cell_codec_cache_clear() -> None:
     _all_neighbors_codec.cache_clear()
 
 
-def _grid_coordinate(value: float, origin: float, extent: float, side: int) -> int:
-    """Map a world coordinate onto a grid index in ``[0, side)``."""
-    if extent <= 0:
-        raise SpatialError("world box has zero extent")
-    fraction = (value - origin) / extent
-    index = int(fraction * side)
-    if index >= side:
-        index = side - 1
-    if index < 0:
-        index = 0
-    return index
+def _xy_encoder(
+    level: int, world: BoundingBox, as_key: bool
+) -> Callable[[float, float], object]:
+    """Build ``encode(x, y)`` for one decomposition level of one world.
+
+    ``encode`` clamps the location onto the world (a GPS fix just outside the
+    indexed region snaps to the nearest indexed cell; a coordinate that is
+    not a number raises :class:`SpatialError`), maps it onto the
+    ``2^level x 2^level`` grid and walks the Hilbert automaton of
+    :mod:`repro.spatial.hilbert` four levels per table lookup.  It returns
+    the level-``level`` curve position, or with ``as_key`` the interned
+    row-key token of that cell — ``CellId(level, position).key()`` without
+    the cell.  The level and the world are validated here, once.
+    """
+    if not 0 <= level <= MAX_LEVEL:
+        raise SpatialError(f"cell level {level} outside [0, {MAX_LEVEL}]")
+    min_x = world.min_x
+    min_y = world.min_y
+    max_x = world.max_x
+    max_y = world.max_y
+    width = max_x - min_x
+    height = max_y - min_y
+    if not (0 < width < math.inf and 0 < height < math.inf):
+        raise SpatialError(f"world box {world} has no positive finite extent")
+    side = 1 << level
+    last = side - 1
+    steps = _INDEX_STEPS
+    # Orders that are not a multiple of four start in the state their
+    # leading zero padding would have reached (see the hilbert module).
+    start_state = (level & 1) << _STATE_SHIFT
+    shifts = tuple(range(((level + 3) & ~3) - 4, -1, -4))
+    key_shift = 2 * (MAX_LEVEL - level)
+    intern = sys.intern
+
+    def encode(x: float, y: float):
+        if not min_x <= x <= max_x:
+            x = _clamp(x, min_x, max_x)
+        if not min_y <= y <= max_y:
+            y = _clamp(y, min_y, max_y)
+        # Divide first, then scale: the float order every stored key was
+        # derived with.  A location on the far border lands one past the
+        # last cell and is pulled back in.
+        gx = int((x - min_x) / width * side)
+        if gx > last:
+            gx = last
+        gy = int((y - min_y) / height * side)
+        if gy > last:
+            gy = last
+        state = start_state
+        position = 0
+        for shift in shifts:
+            entry = steps[state | ((gx >> shift) & 15) << 4 | (gy >> shift) & 15]
+            position = position << 8 | entry >> 10
+            state = entry & _STATE_MASK
+        if as_key:
+            return intern(_KEY_FORMAT % (position << key_shift))
+        return position
+
+    return encode
+
+
+def _clamp(value: float, low: float, high: float) -> float:
+    """Snap an out-of-world coordinate onto the border it lies beyond."""
+    if value < low:
+        return low
+    if value > high:
+        return high
+    raise SpatialError(f"coordinate {value!r} is not a number")
+
+
+@lru_cache(maxsize=256)
+def _position_encoder(
+    level: int, world: BoundingBox
+) -> Callable[[float, float], int]:
+    """The ``(x, y) -> curve position`` encoder behind
+    :meth:`CellId.from_xy`, kept per ``(level, world)``: a handful of worlds
+    times at most ``MAX_LEVEL + 1`` levels."""
+    return _xy_encoder(level, world, False)
+
+
+def row_key_encoder(
+    level: int, world: BoundingBox = WORLD_UNIT_BOX
+) -> Callable[[float, float], str]:
+    """``encode(x, y)`` returning the interned row key of the level-``level``
+    cell containing ``(x, y)`` — equal to, and the same string object as,
+    ``CellId.from_xy(x, y, level, world).key()``.  Raises
+    :class:`SpatialError` for a level outside ``[0, MAX_LEVEL]`` or a world
+    without extent."""
+    return _xy_encoder(level, world, True)

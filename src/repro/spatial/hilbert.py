@@ -32,7 +32,9 @@ re-encodes the same handful of cells over and over (every NN probe converts
 its cell and its neighbours, every FLAG lookup re-keys the query's storage
 cell) and an LRU hit is cheaper still than three lookups.  The functions are
 pure, so memoization is invisible to callers; invalid arguments still raise
-on every call because errors are never cached.
+on every call because errors are never cached.  The write path does not come
+through here: update locations never repeat, so the location encoder of
+:mod:`repro.spatial.cell` walks ``_INDEX_STEPS`` itself, after its own clamp.
 """
 
 from __future__ import annotations

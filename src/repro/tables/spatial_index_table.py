@@ -16,6 +16,13 @@ column        at rest     at the edge
                           clustering and region queries rank on bare
                           coordinates and build a ``Point`` per result only
 ============  ==========  ===================================================
+
+Mutations take a location and derive its row key directly, through the one
+encoder :func:`~repro.spatial.cell.row_key_encoder` built for this table's
+storage level and world when the table is constructed (which is also where a
+bad level or a world without extent is rejected).  Nothing on the write path
+is cached: uniform traffic never repeats a location.  Reads take a
+:class:`~repro.spatial.cell.CellId`, whose key range the query side memoizes.
 """
 
 from __future__ import annotations
@@ -29,16 +36,10 @@ from repro.errors import SchemaError
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import Point
 from repro.model import ObjectId
-from repro.spatial.cell import CellId, WORLD_UNIT_BOX
+from repro.spatial.cell import CellId, WORLD_UNIT_BOX, row_key_encoder
 
 #: Default column family for object-id columns.
 ID_FAMILY = "id"
-
-#: Bound on the per-table location -> storage-cell memo.  8k entries cover a
-#: whole client batch of repeated object locations many times over; when the
-#: memo fills it is simply dropped (re-deriving a cell is cheap, keeping an
-#: LRU order is not).
-_CELL_MEMO_MAX = 8192
 
 
 class SpatialIndexTable:
@@ -56,21 +57,13 @@ class SpatialIndexTable:
             raise SchemaError("storage_level must be positive")
         self.storage_level = storage_level
         self.world = world
+        self._row_key = row_key_encoder(storage_level, world)
         families = [ColumnFamily(ID_FAMILY, in_memory=True, max_versions=1)]
         families.extend(
             ColumnFamily(extra, in_memory=True, max_versions=1)
             for extra in extra_families
         )
         self._table = emulator.create_table(name, families)
-        #: Memo of ``(x, y) -> CellId`` for the fixed storage level/world of
-        #: this table.  One update message derives its storage cell several
-        #: times on the way down (server routing, the spatial-index write,
-        #: the move's old-cell lookup), and every derivation inside a commit
-        #: buffer or a :class:`~repro.core.nn_search.QueryBatchContext`
-        #: repeats locations across messages; the memo collapses them all to
-        #: a dict hit.  Entries never go stale — the mapping is a pure
-        #: function of the location.
-        self._cell_memo: Dict[Tuple[float, float], CellId] = {}
 
     @property
     def table(self) -> Table:
@@ -81,26 +74,13 @@ class SpatialIndexTable:
     # Key helpers
     # ------------------------------------------------------------------
     def cell_for(self, location: Point) -> CellId:
-        """Storage-level cell containing ``location`` (memoized)."""
-        return self._cell_at((location.x, location.y))
-
-    def _cell_at(self, xy: Tuple[float, float]) -> CellId:
-        memo = self._cell_memo
-        cell = memo.get(xy)
-        if cell is None:
-            cell = CellId.from_xy(xy[0], xy[1], self.storage_level, self.world)
-            if len(memo) >= _CELL_MEMO_MAX:
-                memo.clear()
-            memo[xy] = cell
-        return cell
+        """Storage-level cell containing ``location``."""
+        return CellId.from_xy(location.x, location.y, self.storage_level, self.world)
 
     def row_key_for(self, location: Point) -> str:
-        """Row key of the storage-level cell containing ``location``.
-
-        Both hops are cached: the cell through the table's location memo and
-        the key token through the cell codec cache (interned strings).
-        """
-        return self.cell_for(location).key()
+        """Row key of the storage-level cell containing ``location`` (the
+        interned token ``cell_for(location).key()`` returns)."""
+        return self._row_key(location.x, location.y)
 
     def tablet_for_location(self, location: Point) -> Tablet:
         """The spatial-index tablet owning ``location``'s storage row.
@@ -119,19 +99,20 @@ class SpatialIndexTable:
         location: Point,
         timestamp: float,
         family: str = ID_FAMILY,
-    ) -> CellId:
-        """Insert (or move within the same cell) an object at ``location``."""
-        xy = (location.x, location.y)
-        cell = self._cell_at(xy)
-        self._table.write(cell.key(), family, object_id, xy, timestamp)
-        return cell
+    ) -> str:
+        """Insert (or move within the same cell) an object at ``location``;
+        returns the row key it is stored under."""
+        x = location.x
+        y = location.y
+        row_key = self._row_key(x, y)
+        self._table.write(row_key, family, object_id, (x, y), timestamp)
+        return row_key
 
     def remove(
         self, object_id: ObjectId, location: Point, family: str = ID_FAMILY
     ) -> bool:
         """Remove an object from the cell containing ``location``."""
-        cell = self.cell_for(location)
-        return self._table.delete_cell(cell.key(), family, object_id)
+        return self._table.delete_cell(self.row_key_for(location), family, object_id)
 
     def remove_from_cell(
         self, object_id: ObjectId, cell: CellId, family: str = ID_FAMILY
@@ -146,30 +127,33 @@ class SpatialIndexTable:
         new_location: Point,
         timestamp: float,
         family: str = ID_FAMILY,
-    ) -> Tuple[Optional[CellId], CellId]:
+    ) -> Tuple[Optional[str], str]:
         """Algorithm 1 line 3: delete the old spatial-index entry, add the new.
 
         When the object stays inside the same storage cell the delete is
         skipped and the existing column value is simply overwritten.
         ``old_location`` is a ``Point`` or a stored ``(x, y)`` pair.
-        Returns ``(old_cell, new_cell)``.
+        Returns ``(old_row_key, new_row_key)``.
         """
-        new_xy = (new_location.x, new_location.y)
-        new_cell = self._cell_at(new_xy)
-        old_cell = None
+        x = new_location.x
+        y = new_location.y
+        new_key = self._row_key(x, y)
+        old_key = None
         if old_location is not None:
-            old_cell = self._cell_at(tuple(old_location))
-            if old_cell != new_cell:
-                self._table.delete_cell(old_cell.key(), family, object_id)
-        self._table.write(new_cell.key(), family, object_id, new_xy, timestamp)
-        return old_cell, new_cell
+            old_x, old_y = old_location
+            old_key = self._row_key(old_x, old_y)
+            if old_key != new_key:
+                self._table.delete_cell(old_key, family, object_id)
+        self._table.write(new_key, family, object_id, (x, y), timestamp)
+        return old_key, new_key
 
     def batch_remove(
         self, entries: Sequence[Tuple[ObjectId, Point]], family: str = ID_FAMILY
     ) -> None:
         """Batch-delete several objects (used by the clustering pass)."""
+        row_key = self._row_key
         deletes = [
-            (self.cell_for(location).key(), family, object_id)
+            (row_key(location.x, location.y), family, object_id)
             for object_id, location in entries
         ]
         if deletes:

@@ -1,4 +1,4 @@
-"""Tests for scan plans, the scanner and the tablet-server block cache."""
+"""Tests for the scanner and the tablet-server block cache."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -77,24 +77,6 @@ class TestBlockCache:
         assert cache.hit_rate() == 0.0
 
 
-class TestScanPlan:
-    def test_plan_covers_intersecting_tablets(self):
-        table = make_table(split_threshold=8)
-        fill(table, 40)
-        assert table.tablet_count() > 1
-        plan = table.plan_scan(None, None)
-        assert plan.tablet_ids() == [t.tablet_id for t in table.tablets()]
-        narrow = table.plan_scan("0000", "0002")
-        assert len(narrow.segments) == 1
-
-    def test_execute_plan_matches_scan(self):
-        table = make_table(split_threshold=8)
-        fill(table, 40)
-        plan = table.plan_scan("0005", "0015")
-        rows = table.execute_plan(plan)
-        assert [key for key, _ in rows] == [f"{i:04d}" for i in range(5, 15)]
-
-
 class TestScannerCharging:
     def test_cold_scan_charges_scan_rows(self):
         table = make_table()
@@ -150,6 +132,24 @@ class TestScannerCharging:
         assert table.counter.storage_rpc_count() == writes + 2
         assert table.counter.count(OpKind.CACHE_READ) >= 1
         assert table.counter.total_calls() > table.counter.storage_rpc_count()
+
+    def test_range_scan_spans_tablets_and_charges_only_those_it_touches(self):
+        table = make_table(split_threshold=8)
+        fill(table, 40)
+        assert table.tablet_count() > 2
+        table.reset_tablet_counters()
+        rows = table.scan("0005", "0015")
+        assert [key for key, _ in rows] == [f"{i:04d}" for i in range(5, 15)]
+        charged = [t for t in table.tablets() if t.counter.count(OpKind.SCAN)]
+        owners = {table.tablet_for_key(f"{i:04d}").tablet_id for i in range(5, 15)}
+        assert len(owners) > 1
+        assert {t.tablet_id for t in charged} == owners
+        assert sum(t.counter.rows_touched(OpKind.SCAN) for t in charged) == 10
+        # A range inside one tablet is served, and charged, by that one.
+        table.reset_tablet_counters()
+        table.scan("0000", "0002")
+        assert [t.counter.count(OpKind.SCAN) for t in table.tablets()][0] == 1
+        assert sum(t.counter.count(OpKind.SCAN) for t in table.tablets()) == 1
 
     def test_empty_scan_attributes_to_owning_tablet(self):
         table = make_table(split_threshold=8)

@@ -1,14 +1,17 @@
 """Tests for the memoized spatial key codecs and covering caches (PR 3).
 
 The caches must be pure accelerators: clearing them can never change a
-result, cached values must be safe against caller mutation, and the bounded
-memos must keep answering correctly after overflowing.
+result, and cached values must be safe against caller mutation.
 """
+
+import random
 
 import pytest
 
+from repro import MoistConfig, MoistIndexer, UpdateMessage, Vector
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import Point
+from repro.spatial import cell as cell_module
 from repro.spatial.cell import CellId, cell_codec_cache_clear
 from repro.spatial.covering import (
     cover_box,
@@ -25,7 +28,6 @@ from repro.spatial.hilbert import (
 from repro.errors import SpatialError
 
 from repro.bigtable.emulator import BigtableEmulator
-from repro.tables import spatial_index_table as sit_module
 from repro.tables.spatial_index_table import SpatialIndexTable
 
 
@@ -125,21 +127,52 @@ class TestCoveringCache:
                 cover_circle(Point(0.0, 0.0), -1.0, 4)
 
 
-class TestSpatialIndexCellMemo:
-    def test_memo_returns_consistent_cells(self):
+class TestSpatialIndexRowKey:
+    def test_row_key_is_the_cell_key_token(self):
+        # The write path derives its key without building a cell; it must
+        # still be the very string object the query side's codec interns.
         table = SpatialIndexTable(BigtableEmulator(), storage_level=8)
-        location = Point(0.31, 0.64)
-        first = table.cell_for(location)
-        assert table.cell_for(location) is first  # memo hit: same object
-        assert first == CellId.from_point(location, 8)
-        assert table.row_key_for(location) == first.key()
+        for point in [Point(0.31, 0.64)] + [Point(i / 16.0, i / 16.0) for i in range(17)]:
+            cell = table.cell_for(point)
+            assert cell == CellId.from_point(point, 8)
+            assert cell.key() is table.row_key_for(point)
 
-    def test_memo_survives_overflow_reset(self, monkeypatch):
-        monkeypatch.setattr(sit_module, "_CELL_MEMO_MAX", 4)
-        table = SpatialIndexTable(BigtableEmulator(), storage_level=8)
-        points = [Point(i / 16.0, i / 16.0) for i in range(12)]
-        expected = [CellId.from_point(point, 8) for point in points]
-        assert [table.cell_for(point) for point in points] == expected
-        assert len(table._cell_memo) <= 4 + 1
-        # Overflow dropped entries, never correctness.
-        assert [table.cell_for(point) for point in points] == expected
+    def test_update_path_leaves_the_codec_caches_alone(self):
+        # The 65 536-entry key codec and the Hilbert LRU belong to the query
+        # side; a write-heavy run must not fill them with keys nobody reads.
+        cell_codec_cache_clear()
+        hilbert_cache_clear()
+        indexer = MoistIndexer(
+            MoistConfig(
+                world=BoundingBox(0.0, 0.0, 1000.0, 1000.0),
+                storage_level=12,
+                enable_schools=False,
+                deviation_threshold=0.0,
+            )
+        )
+        rng = random.Random(21)
+
+        def report(timestamp):
+            indexer.update_many(
+                [
+                    UpdateMessage(
+                        f"obj{number}",
+                        Point(rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)),
+                        Vector(1.0, 0.0),
+                        timestamp,
+                    )
+                    for number in range(2000)
+                ]
+            )
+
+        report(0.0)
+        before = (
+            cell_module._key_codec.cache_info().currsize,
+            hilbert_index.cache_info().currsize,
+        )
+        report(1.0)  # 2 000 moves: a delete at the old key, a write at the new
+        assert indexer.update_stats.total == 4000
+        assert (
+            cell_module._key_codec.cache_info().currsize,
+            hilbert_index.cache_info().currsize,
+        ) == before

@@ -1,12 +1,13 @@
 """Tests for repro.spatial.cell."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.errors import SpatialError
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import Point
-from repro.spatial.cell import CellId, MAX_LEVEL
+from repro.spatial.cell import CellId, MAX_LEVEL, row_key_encoder
+from repro.spatial.hilbert import hilbert_index
 
 WORLD = BoundingBox(0.0, 0.0, 100.0, 100.0)
 
@@ -35,6 +36,30 @@ class TestConstruction:
         inside = CellId.from_point(Point(100.0, 0.0), 4, WORLD)
         assert outside == inside
 
+    def test_level_and_world_are_validated_where_the_encoder_is_built(self):
+        for level in (-1, MAX_LEVEL + 1):
+            with pytest.raises(SpatialError):
+                CellId.from_xy(0.5, 0.5, level)
+            with pytest.raises(SpatialError):
+                row_key_encoder(level)
+        flat = BoundingBox(0.0, 0.0, 10.0, 0.0)
+        unbounded = BoundingBox(0.0, 0.0, float("inf"), 1.0)
+        for world in (flat, unbounded):
+            with pytest.raises(SpatialError):
+                CellId.from_xy(0.0, 0.0, 4, world)
+            with pytest.raises(SpatialError):
+                row_key_encoder(4, world)
+
+    def test_coordinate_that_is_not_a_number_is_a_typed_error(self):
+        nan = float("nan")
+        encode = row_key_encoder(6, WORLD)
+        for x, y in ((nan, 1.0), (1.0, nan), (nan, nan)):
+            for _ in range(2):  # the error is raised on every call
+                with pytest.raises(SpatialError):
+                    CellId.from_xy(x, y, 6, WORLD)
+                with pytest.raises(SpatialError):
+                    encode(x, y)
+
     def test_from_token_round_trip(self):
         cell = CellId.from_point(Point(42.0, 17.0), 6, WORLD)
         assert CellId.from_token(cell.key(), 6) == cell
@@ -44,6 +69,63 @@ class TestConstruction:
         child = cell.children()[1]
         with pytest.raises(SpatialError):
             CellId.from_token(child.key(), 5)
+
+
+def _reference_grid(value, low, high, side):
+    """Clamp and grid step of the derivation every stored key was made with
+    (``CellId.from_xy`` before the fused encoder): clamp, divide, scale."""
+    if value < low:
+        value = low
+    elif value > high:
+        value = high
+    index = int((value - low) / (high - low) * side)
+    return max(0, min(index, side - 1))
+
+
+@st.composite
+def worlds_and_locations(draw):
+    origin = st.floats(min_value=-1e9, max_value=1e9)
+    extent = st.floats(min_value=1e-6, max_value=1e9)
+    min_x, min_y = draw(origin), draw(origin)
+    world = BoundingBox(min_x, min_y, min_x + draw(extent), min_y + draw(extent))
+    assume(world.max_x > world.min_x and world.max_y > world.min_y)
+
+    def coordinate(low, high):
+        return draw(
+            st.one_of(
+                st.floats(min_value=low, max_value=high),  # inside
+                st.sampled_from([low, high]),  # on a border
+                st.floats(allow_nan=False, allow_infinity=False),  # anywhere
+                st.sampled_from([0.0, -0.0, float("inf"), -float("inf")]),
+            )
+        )
+
+    return (
+        world,
+        coordinate(world.min_x, world.max_x),
+        coordinate(world.min_y, world.max_y),
+    )
+
+
+class TestEncoder:
+    """The fused clamp -> grid -> Hilbert walk is the old three-step route."""
+
+    @settings(max_examples=400)
+    @given(st.integers(min_value=1, max_value=MAX_LEVEL), worlds_and_locations())
+    def test_encoder_is_the_old_derivation(self, level, case):
+        world, x, y = case
+        side = 1 << level
+        gx = _reference_grid(x, world.min_x, world.max_x, side)
+        gy = _reference_grid(y, world.min_y, world.max_y, side)
+        cell = CellId.from_xy(x, y, level, world)
+        assert cell == CellId(level, hilbert_index(level, gx, gy))
+        encode = row_key_encoder(level, world)
+        key = encode(x, y)
+        assert key == cell.key()
+        # Interned: the same string object from either route, every time.
+        assert key is cell.key()
+        assert encode(x, y) is key
+        assert row_key_encoder(level, world)(x, y) is key
 
 
 class TestHierarchy:

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.bigtable.emulator import BigtableEmulator
-from repro.errors import SchemaError
+from repro.errors import SchemaError, SpatialError
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import Point
-from repro.spatial.cell import CellId
+from repro.spatial.cell import MAX_LEVEL, CellId
 from repro.tables.spatial_index_table import SpatialIndexTable
 
 WORLD = BoundingBox(0.0, 0.0, 100.0, 100.0)
@@ -22,18 +22,58 @@ class TestConfiguration:
         with pytest.raises(SchemaError):
             SpatialIndexTable(BigtableEmulator(), storage_level=0)
 
+    def test_level_beyond_the_curve_fails_at_construction(self):
+        emulator = BigtableEmulator()
+        with pytest.raises(SpatialError):
+            SpatialIndexTable(emulator, storage_level=MAX_LEVEL + 1)
+        # Nothing half-built is left behind: the name is still free.
+        SpatialIndexTable(emulator, storage_level=MAX_LEVEL)
+
+    def test_world_without_extent_fails_at_construction(self):
+        for world in (
+            BoundingBox(5.0, 0.0, 5.0, 10.0),
+            BoundingBox(0.0, 5.0, 10.0, 5.0),
+        ):
+            with pytest.raises(SpatialError):
+                SpatialIndexTable(BigtableEmulator(), storage_level=8, world=world)
+
+    @pytest.mark.parametrize("bad", [float("nan"), -float("nan")])
+    def test_coordinate_that_is_not_a_number_is_a_typed_error(self, table, bad):
+        home = Point(10.0, 20.0)
+        table.add("obj1", home, timestamp=1.0)
+        for location in (Point(bad, 1.0), Point(1.0, bad)):
+            with pytest.raises(SpatialError):
+                table.add("obj2", location, timestamp=2.0)
+            with pytest.raises(SpatialError):
+                table.move("obj1", home, location, timestamp=2.0)
+            with pytest.raises(SpatialError):
+                table.move("obj1", location, home, timestamp=2.0)
+            with pytest.raises(SpatialError):
+                table.remove("obj1", location)
+            with pytest.raises(SpatialError):
+                table.cell_for(location)
+        # The failed mutations wrote nothing.
+        assert table.objects_in_cell(table.cell_for(home)) == {"obj1": (10.0, 20.0)}
+        assert table.total_objects() == 1
+
+    def test_infinite_coordinates_clamp_onto_the_border(self, table):
+        inf = float("inf")
+        assert table.row_key_for(Point(inf, -inf)) is table.row_key_for(
+            Point(100.0, 0.0)
+        )
+
     def test_cell_and_row_key(self, table):
         point = Point(10.0, 20.0)
         cell = table.cell_for(point)
         assert cell.level == 8
-        assert table.row_key_for(point) == cell.key()
+        assert table.row_key_for(point) is cell.key()
 
 
 class TestMutations:
     def test_add_and_lookup(self, table):
         point = Point(10.0, 20.0)
-        cell = table.add("obj1", point, timestamp=1.0)
-        objects = table.objects_in_cell(cell)
+        assert table.add("obj1", point, timestamp=1.0) is table.row_key_for(point)
+        objects = table.objects_in_cell(table.cell_for(point))
         assert objects == {"obj1": (10.0, 20.0)}
 
     def test_remove(self, table):
@@ -44,7 +84,8 @@ class TestMutations:
 
     def test_remove_from_cell(self, table):
         point = Point(10.0, 20.0)
-        cell = table.add("obj1", point, timestamp=1.0)
+        table.add("obj1", point, timestamp=1.0)
+        cell = table.cell_for(point)
         assert table.remove_from_cell("obj1", cell)
         assert not table.remove_from_cell("obj1", cell)
 
@@ -52,23 +93,32 @@ class TestMutations:
         old = Point(1.0, 1.0)
         new = Point(90.0, 90.0)
         table.add("obj1", old, timestamp=1.0)
-        old_cell, new_cell = table.move("obj1", old, new, timestamp=2.0)
-        assert old_cell != new_cell
-        assert table.objects_in_cell(old_cell) == {}
-        assert table.objects_in_cell(new_cell) == {"obj1": (90.0, 90.0)}
+        keys = table.move("obj1", old, new, timestamp=2.0)
+        assert keys == (table.row_key_for(old), table.row_key_for(new))
+        assert keys[0] != keys[1]
+        assert table.objects_in_cell(table.cell_for(old)) == {}
+        assert table.objects_in_cell(table.cell_for(new)) == {"obj1": (90.0, 90.0)}
+
+    def test_move_takes_a_stored_pair_as_old_location(self, table):
+        table.add("obj1", Point(1.0, 1.0), timestamp=1.0)
+        keys = table.move("obj1", (1.0, 1.0), Point(90.0, 90.0), timestamp=2.0)
+        assert keys[0] is table.row_key_for(Point(1.0, 1.0))
+        assert table.total_objects() == 1
 
     def test_move_within_same_cell_overwrites(self, table):
         old = Point(10.0, 10.0)
         new = Point(10.01, 10.01)
         table.add("obj1", old, timestamp=1.0)
-        old_cell, new_cell = table.move("obj1", old, new, timestamp=2.0)
-        assert old_cell == new_cell
-        assert table.objects_in_cell(new_cell)["obj1"] == (10.01, 10.01)
+        old_key, new_key = table.move("obj1", old, new, timestamp=2.0)
+        assert old_key is new_key
+        assert table.objects_in_cell(table.cell_for(new))["obj1"] == (10.01, 10.01)
 
     def test_move_without_previous_location(self, table):
-        old_cell, new_cell = table.move("obj1", None, Point(5.0, 5.0), timestamp=1.0)
-        assert old_cell is None
-        assert table.objects_in_cell(new_cell) == {"obj1": (5.0, 5.0)}
+        new = Point(5.0, 5.0)
+        old_key, new_key = table.move("obj1", None, new, timestamp=1.0)
+        assert old_key is None
+        assert new_key is table.row_key_for(new)
+        assert table.objects_in_cell(table.cell_for(new)) == {"obj1": (5.0, 5.0)}
 
     def test_batch_remove(self, table):
         a = Point(10.0, 10.0)
