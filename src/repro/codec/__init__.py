@@ -13,44 +13,10 @@ encoding — shared by the two consumers that used to each invent their own:
   records behind the :mod:`repro.disk.store` backend.
 
 Everything is pure ``struct``/``array``/``memoryview`` Python — no new
-dependencies — and every codec keeps a pickle fallback for exotic payloads
-so correctness never hinges on the compact path (the domain records have
-typed value tags, so the persistence path itself never takes it).
+dependencies.  The tagged value encoding (:mod:`repro.codec.values`, with
+the closed record table of :mod:`repro.codec.records`) is the only
+self-describing form: batches the columnar layouts cannot carry ride it as
+the *general* frame, and a value it has no tag for is a
+:class:`~repro.errors.CodecError` where it is encoded.  Every reader raises
+the same error for truncated, inflated or unknown input.
 """
-
-from repro.codec.columns import (
-    read_bitmap,
-    read_f64_column,
-    read_f64_delta_column,
-    read_key_column,
-    read_str,
-    read_svarint,
-    read_uvarint,
-    write_bitmap,
-    write_f64_column,
-    write_f64_delta_column,
-    write_key_column,
-    write_str,
-    write_svarint,
-    write_uvarint,
-)
-from repro.codec.values import decode_value, encode_value
-
-__all__ = [
-    "read_bitmap",
-    "read_f64_column",
-    "read_f64_delta_column",
-    "read_key_column",
-    "read_str",
-    "read_svarint",
-    "read_uvarint",
-    "write_bitmap",
-    "write_f64_column",
-    "write_f64_delta_column",
-    "write_key_column",
-    "write_str",
-    "write_svarint",
-    "write_uvarint",
-    "encode_value",
-    "decode_value",
-]

@@ -65,8 +65,8 @@ def encode_journal_record(record: tuple) -> bytes:
     """Frame one commit-log record ``(seq, opcode, *fields)``.
 
     The known opcodes get a one-byte tag; anything else (a future opcode)
-    ships its string.  Fields ride the tagged value codec, so the journal
-    never restricts what a mutation may carry."""
+    ships its string.  Fields ride the tagged value codec: a field it has
+    no tag for is a :class:`~repro.errors.CodecError` here, at the append."""
     seq, opcode = record[0], record[1]
     body = bytearray()
     write_uvarint(body, seq)

@@ -13,12 +13,19 @@ trip would move merged simulated seconds).  Delta columns XOR consecutive
 bit patterns and store only the significant bytes, so repeated or slowly
 moving values (timestamps, Hilbert keys) cost one or two bytes instead of
 eight.
+
+Readers trust nothing: a read past the end of the buffer, or a count or
+length larger than the bytes that remain, raises
+:class:`~repro.errors.CodecError` before anything is looped over or
+allocated.
 """
 
 from __future__ import annotations
 
 import struct
 from typing import List, Sequence, Tuple
+
+from repro.errors import CodecError
 
 _F64 = struct.Struct("<d")
 _U64 = struct.Struct("<Q")
@@ -42,13 +49,26 @@ def write_uvarint(out: bytearray, value: int) -> None:
 def read_uvarint(buf, pos: int) -> Tuple[int, int]:
     result = 0
     shift = 0
-    while True:
-        byte = buf[pos]
-        pos += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, pos
-        shift += 7
+    try:
+        while True:
+            byte = buf[pos]
+            pos += 1
+            result |= (byte & 0x7F) << shift
+            if not byte & 0x80:
+                return result, pos
+            shift += 7
+    except IndexError:
+        raise CodecError(f"varint runs past the buffer at byte {pos}") from None
+
+
+def check_count(buf, pos: int, count: int, width: int = 1) -> None:
+    """Reject a decoded ``count`` of items at least ``width`` bytes each
+    that the bytes after ``pos`` cannot hold."""
+    if count * width > len(buf) - pos:
+        raise CodecError(
+            f"{count} items of {width}+ bytes claimed at byte {pos}, "
+            f"{max(len(buf) - pos, 0)} bytes remain"
+        )
 
 
 def write_svarint(out: bytearray, value: int) -> None:
@@ -72,6 +92,7 @@ def write_f64_column(out: bytearray, values: Sequence[float]) -> None:
 
 
 def read_f64_column(buf, pos: int, count: int) -> Tuple[Tuple[float, ...], int]:
+    check_count(buf, pos, count, 8)
     return struct.unpack_from(f"<{count}d", buf, pos), pos + 8 * count
 
 
@@ -99,17 +120,24 @@ def write_f64_delta_column(out: bytearray, values: Sequence[float]) -> None:
 
 
 def read_f64_delta_column(buf, pos: int, count: int) -> Tuple[List[float], int]:
+    check_count(buf, pos, count)
     prev = 0
     out = []
     pack = _U64.pack
     unpack = _F64.unpack
-    for _ in range(count):
-        nbytes = buf[pos]
-        pos += 1
-        if nbytes:
-            prev ^= int.from_bytes(bytes(buf[pos : pos + nbytes]), "big")
-            pos += nbytes
-        out.append(unpack(pack(prev))[0])
+    end = len(buf)
+    try:
+        for _ in range(count):
+            nbytes = buf[pos]
+            pos += 1
+            if nbytes:
+                if nbytes > 8 or pos + nbytes > end:
+                    raise CodecError(f"bad {nbytes}-byte delta at byte {pos - 1}")
+                prev ^= int.from_bytes(bytes(buf[pos : pos + nbytes]), "big")
+                pos += nbytes
+            out.append(unpack(pack(prev))[0])
+    except IndexError:
+        raise CodecError("delta column runs past the buffer") from None
     return out, pos
 
 
@@ -132,6 +160,7 @@ def write_bitmap(out: bytearray, flags: Sequence[bool]) -> None:
 
 
 def read_bitmap(buf, pos: int, count: int) -> Tuple[List[bool], int]:
+    check_count(buf, pos, (count + 7) >> 3)
     out = []
     for index in range(count):
         if index & 7 == 0:
@@ -154,7 +183,11 @@ def write_str(out: bytearray, text: str) -> None:
 
 def read_str(buf, pos: int) -> Tuple[str, int]:
     length, pos = read_uvarint(buf, pos)
-    return bytes(buf[pos : pos + length]).decode("utf-8"), pos + length
+    check_count(buf, pos, length)
+    try:
+        return bytes(buf[pos : pos + length]).decode("utf-8"), pos + length
+    except UnicodeDecodeError as exc:
+        raise CodecError(f"string at byte {pos} is not utf-8: {exc}") from None
 
 
 def write_key_column(out: bytearray, keys: Sequence[str]) -> None:
@@ -177,11 +210,13 @@ def write_key_column(out: bytearray, keys: Sequence[str]) -> None:
 
 
 def read_key_column(buf, pos: int, count: int) -> Tuple[List[str], int]:
+    check_count(buf, pos, count, 2)
     keys = []
     prev = b""
     for _ in range(count):
         shared, pos = read_uvarint(buf, pos)
         length, pos = read_uvarint(buf, pos)
+        check_count(buf, pos, length)
         encoded = prev[:shared] + bytes(buf[pos : pos + length])
         pos += length
         keys.append(encoded.decode("utf-8"))

@@ -1,18 +1,15 @@
-"""Tagged binary value encoding with a per-value pickle fallback.
+"""The one self-describing value encoding: a tag byte, then a compact body.
 
-Cell values, commit-log payloads and manifest metadata are *mostly* simple
-— strings, floats, tuples, :class:`~repro.geometry.point.Point`s and the
-three domain records below — but the table API accepts arbitrary objects.
-This codec writes the known shapes as one tag byte plus a compact body and
-quietly pickles anything else, so the disk and wire layers stay byte-frugal
-without ever restricting what a caller may store.
+Cell values, commit-log payloads, manifest metadata, dedup-window entries
+and every generic RPC body (CALL arguments and results, the general update /
+query / neighbour frames) are this codec and nothing else.  What it cannot
+tag it refuses: there is no fallback encoding.
 
 ====  =================  ==============================================
 tag   type               body
 ====  =================  ==============================================
-0     (pickle fallback)  uvarint length, pickle bytes — foreign types,
-                         subclasses, and every record in files written
-                         before tags 13–15 existed
+0     (retired)          was the opaque any-object fallback; never
+                         written, rejected when read, never reused
 1–3   None, False, True  —
 4     int                zigzag varint
 5     float              f64
@@ -31,22 +28,32 @@ tag   type               body
 16    tuple of floats    uvarint count, count x f64 — rows at rest; only
                          when every item is exactly ``float`` (an ``int``
                          or ``bool`` inside keeps tag 8, and its type)
+17    record             uvarint type id, then the dataclass's fields in
+                         declared order, each a tagged value
+18    enum member        uvarint type id, uvarint index in definition order
 ====  =================  ==============================================
+
+Tags 17 and 18 resolve their type ids against the closed table in
+:mod:`repro.codec.records` — the frozen dataclasses that cross a CALL — and
+a decoder can instantiate nothing outside it.
 
 Type dispatch is on ``type(obj)`` exactly (no ``isinstance``), for records
 down to their fields: a subclass may carry extra state a structural
 re-encode would drop, and an ``int`` timestamp would come back a ``float``,
-so anything off the declared shape takes the pickle path, which preserves
-it faithfully.  Tags are append-only: existing tags keep their bytes.
+so anything off the declared shapes is a :class:`~repro.errors.CodecError`
+raised where it is encoded — at the sender, never on the far side.  The
+decoder raises the same error for truncated bytes, a count larger than the
+bytes that remain, an unknown tag or tag 0.  Tags are append-only: existing
+tags keep their bytes.
 """
 
 from __future__ import annotations
 
-import pickle
 import struct
 from typing import Tuple
 
-from repro.codec.columns import read_str, read_svarint, read_uvarint, write_str, write_svarint, write_uvarint
+from repro.codec.columns import check_count, read_str, read_svarint, read_uvarint, write_str, write_svarint, write_uvarint
+from repro.errors import CodecError
 from repro.geometry.point import Point
 from repro.geometry.vector import Vector
 from repro.model import LocationRecord, NeighborResult
@@ -56,9 +63,7 @@ _F64 = struct.Struct("<d")
 _2F64 = struct.Struct("<2d")
 _3F64 = struct.Struct("<3d")
 _5F64 = struct.Struct("<5d")
-_PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 
-TAG_PICKLE = 0
 TAG_NONE = 1
 TAG_FALSE = 2
 TAG_TRUE = 3
@@ -75,6 +80,8 @@ TAG_LOCATION_RECORD = 13
 TAG_LF_RECORD = 14
 TAG_NEIGHBOR = 15
 TAG_FLOAT_TUPLE = 16
+TAG_RECORD = 17
+TAG_ENUM = 18
 
 _ALL_FLOAT = {float}
 _ROW_PACKERS = {2: _2F64.pack, 5: _5F64.pack}
@@ -155,10 +162,11 @@ def encode_value(out: bytearray, obj: object) -> None:
             out.append(3 if obj.is_leader else 2)
             write_str(out, obj.leader_id)
     else:
-        payload = pickle.dumps(obj, _PICKLE_PROTOCOL)
-        out.append(TAG_PICKLE)
-        write_uvarint(out, len(payload))
-        out += payload
+        # Imported here: the table lists server-layer classes whose modules
+        # import this one.
+        from repro.codec.records import encode_record
+
+        encode_record(out, obj)
 
 
 def _plain_lf_record(record: LFRecord) -> bool:
@@ -177,7 +185,30 @@ def _plain_neighbor(result: NeighborResult) -> bool:
     )
 
 
+def pack_value(obj: object, prefix: bytes = b"") -> bytes:
+    """``prefix`` plus the tagged encoding of ``obj``, as ``bytes``."""
+    out = bytearray(prefix)
+    encode_value(out, obj)
+    return bytes(out)
+
+
+def unpack_value(buf, pos: int = 0) -> object:
+    """The one tagged value that fills ``buf[pos:]`` exactly."""
+    value, end = decode_value(buf, pos)
+    if end != len(buf):
+        raise CodecError(f"{len(buf) - end} stray bytes after a tagged value")
+    return value
+
+
 def decode_value(buf, pos: int) -> Tuple[object, int]:
+    """``(value, next position)`` of the tagged value at ``buf[pos]``."""
+    try:
+        return _decode(buf, pos)
+    except (IndexError, struct.error, RecursionError) as exc:
+        raise CodecError(f"damaged value at byte {pos}: {exc!r}") from None
+
+
+def _decode(buf, pos: int) -> Tuple[object, int]:
     tag = buf[pos]
     pos += 1
     if tag == TAG_NONE:
@@ -194,24 +225,31 @@ def decode_value(buf, pos: int) -> Tuple[object, int]:
         return read_str(buf, pos)
     if tag == TAG_BYTES:
         length, pos = read_uvarint(buf, pos)
+        check_count(buf, pos, length)
         return bytes(buf[pos : pos + length]), pos + length
     if tag == TAG_FLOAT_TUPLE:
         count, pos = read_uvarint(buf, pos)
+        check_count(buf, pos, count, 8)
         return struct.unpack_from(f"<{count}d", buf, pos), pos + 8 * count
     if tag == TAG_TUPLE or tag == TAG_LIST:
         count, pos = read_uvarint(buf, pos)
+        check_count(buf, pos, count)
         items = []
         for _ in range(count):
-            item, pos = decode_value(buf, pos)
+            item, pos = _decode(buf, pos)
             items.append(item)
         return (tuple(items) if tag == TAG_TUPLE else items), pos
     if tag == TAG_DICT:
         count, pos = read_uvarint(buf, pos)
+        check_count(buf, pos, count, 2)
         result = {}
         for _ in range(count):
-            key, pos = decode_value(buf, pos)
-            value, pos = decode_value(buf, pos)
-            result[key] = value
+            key, pos = _decode(buf, pos)
+            value, pos = _decode(buf, pos)
+            try:
+                result[key] = value
+            except TypeError:
+                raise CodecError(f"unhashable dict key before byte {pos}") from None
         return result, pos
     if tag == TAG_POINT:
         x, y = _2F64.unpack_from(buf, pos)
@@ -240,7 +278,8 @@ def decode_value(buf, pos: int) -> Tuple[object, int]:
         if flags & 2:
             leader_id, pos = read_str(buf, pos)
         return NeighborResult(object_id, Point(x, y), distance, bool(flags & 1), leader_id), pos
-    if tag == TAG_PICKLE:
-        length, pos = read_uvarint(buf, pos)
-        return pickle.loads(bytes(buf[pos : pos + length])), pos + length
-    raise ValueError(f"unknown value tag {tag}")
+    if tag == TAG_RECORD or tag == TAG_ENUM:
+        from repro.codec.records import decode_record
+
+        return decode_record(buf, pos, tag)
+    raise CodecError(f"unknown value tag {tag} at byte {pos - 1}")

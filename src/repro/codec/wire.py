@@ -1,6 +1,6 @@
 """Columnar wire codecs for the multiprocess RPC path.
 
-Three stateless batch codecs (updates, queries, generic CALL results) and
+Two stateless batch codecs (updates, queries) and
 one *stateful* pair — :class:`NeighborStreamEncoder` /
 :class:`NeighborStreamDecoder` — that together replace the fixed-width
 per-record structs of PR 6.
@@ -19,10 +19,14 @@ Distances are never transmitted: ``NeighborResult.distance`` is exactly
 ``result.location.distance_to(query.location)`` (the searcher computes it
 from those same operands), so the decoder reconstructs it bit-for-bit from
 the query it already holds.  The encoder *verifies* that identity per
-record and falls back to pickling the whole frame when it does not hold
-(NaN positions, subclassed results, non-conforming ids) — fallback frames
-leave the dictionary untouched on both sides, so the stream
-self-resynchronises.  Both sides carry a frame sequence number; decoding
+record and, when it does not hold or a record is otherwise off the columnar
+shape (NaN positions, non-conforming ids), ships the whole frame in the
+*general* form instead: flag byte 0, then the same list of batches as one
+tagged value (:mod:`repro.codec.values`).  General frames leave the
+dictionary untouched on both sides, so the stream self-resynchronises; a
+record the tagged codec cannot carry either (a subclass) is a
+:class:`~repro.errors.CodecError` at the encoder, and the frame is not
+counted.  Both sides carry a frame sequence number; decoding
 out of order raises instead of silently desynchronising the caches.
 
 Encoder and decoder state is **per shard**, never per connection: the byte
@@ -32,25 +36,22 @@ what keeps total wire bytes invariant across worker counts.
 
 from __future__ import annotations
 
-import pickle
 import struct
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.bigtable.cost import OpCounterSnapshot, OpKind
-from repro.bigtable.tablet import TabletStats
 from repro.codec.columns import (
+    check_count,
     read_bitmap,
     read_f64_column,
     read_f64_delta_column,
-    read_str,
     read_uvarint,
     write_bitmap,
     write_f64_column,
     write_f64_delta_column,
-    write_str,
     write_uvarint,
 )
-from repro.errors import RpcError
+from repro.codec.values import encode_value, pack_value, unpack_value
+from repro.errors import CodecError, RpcError
 from repro.geometry.point import Point
 from repro.geometry.vector import Vector
 from repro.model import NeighborResult, UpdateMessage, format_object_id
@@ -58,10 +59,14 @@ from repro.workload.queries import NNQuery
 
 _F64 = struct.Struct("<d")
 _2F64 = struct.Struct("<2d")
-_PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 
-FLAG_PICKLED = 0
+#: First byte of an update / query / neighbour body: the columnar layout,
+#: or the *general* frame — the same list as one tagged value — for inputs
+#: the columns cannot carry.
+FLAG_GENERAL = 0
 FLAG_COLUMNAR = 1
+_GENERAL = bytes([FLAG_GENERAL])
+_COLUMNAR = bytes([FLAG_COLUMNAR])
 
 _OBJ_PREFIX = "obj"
 _OBJ_DIGITS = 10
@@ -79,25 +84,39 @@ def numeric_object_id(object_id: str) -> Optional[int]:
     return None
 
 
+def _general_items(body, kind: type) -> Optional[list]:
+    """The list a general frame carries — every item exactly a ``kind`` —
+    or ``None`` when the body is columnar."""
+    flag = body[0] if len(body) else None
+    if flag == FLAG_COLUMNAR:
+        return None
+    if flag != FLAG_GENERAL:
+        raise CodecError(f"unknown batch flag {flag}")
+    items = unpack_value(body, 1)
+    if type(items) is not list or any(type(item) is not kind for item in items):
+        raise CodecError(f"general frame is not a list of {kind.__name__}")
+    return items
+
+
 # --------------------------------------------------------------------------
-# Update batches (columnar, stateless)
+# Update batches (stateless)
 # --------------------------------------------------------------------------
 
 
-def encode_update_batch_columnar(
-    messages: Sequence[UpdateMessage],
-) -> Optional[bytes]:
-    """Columnar payload for one group-commit buffer, or ``None`` when any
-    message needs the pickle fallback (non-conforming id, subclass)."""
+def encode_update_batch(messages: Sequence[UpdateMessage]) -> bytes:
+    """One group-commit buffer: columnar, or the general frame when an
+    object id does not follow the ``obj%010d`` convention."""
     ids = []
     for message in messages:
-        if type(message) is not UpdateMessage:
-            return None
-        numeric = numeric_object_id(message.object_id)
+        numeric = (
+            numeric_object_id(message.object_id)
+            if type(message) is UpdateMessage
+            else None
+        )
         if numeric is None:
-            return None
+            return pack_value(list(messages), _GENERAL)
         ids.append(numeric)
-    out = bytearray()
+    out = bytearray(_COLUMNAR)
     write_uvarint(out, len(messages))
     for numeric in ids:
         write_uvarint(out, numeric)
@@ -109,17 +128,21 @@ def encode_update_batch_columnar(
     return bytes(out)
 
 
-def decode_update_batch_columnar(buf) -> List[UpdateMessage]:
-    count, pos = read_uvarint(buf, 0)
+def decode_update_batch(body) -> List[UpdateMessage]:
+    general = _general_items(body, UpdateMessage)
+    if general is not None:
+        return general
+    count, pos = read_uvarint(body, 1)
+    check_count(body, pos, count)
     ids = []
     for _ in range(count):
-        numeric, pos = read_uvarint(buf, pos)
+        numeric, pos = read_uvarint(body, pos)
         ids.append(numeric)
-    xs, pos = read_f64_column(buf, pos, count)
-    ys, pos = read_f64_column(buf, pos, count)
-    dxs, pos = read_f64_column(buf, pos, count)
-    dys, pos = read_f64_column(buf, pos, count)
-    timestamps, pos = read_f64_delta_column(buf, pos, count)
+    xs, pos = read_f64_column(body, pos, count)
+    ys, pos = read_f64_column(body, pos, count)
+    dxs, pos = read_f64_column(body, pos, count)
+    dys, pos = read_f64_column(body, pos, count)
+    timestamps, pos = read_f64_delta_column(body, pos, count)
     return [
         UpdateMessage(
             object_id=format_object_id(ids[i]),
@@ -132,17 +155,16 @@ def decode_update_batch_columnar(buf) -> List[UpdateMessage]:
 
 
 # --------------------------------------------------------------------------
-# Query batches (columnar, stateless)
+# Query batches (stateless)
 # --------------------------------------------------------------------------
 
 
-def encode_query_batch_columnar(queries: Sequence[NNQuery]) -> Optional[bytes]:
+def encode_query_batch(queries: Sequence[NNQuery]) -> bytes:
+    """One probe set: columnar, or the general frame for a negative ``k``."""
     for query in queries:
-        if type(query) is not NNQuery:
-            return None
-        if query.k < 0:
-            return None
-    out = bytearray()
+        if type(query) is not NNQuery or query.k < 0:
+            return pack_value(list(queries), _GENERAL)
+    out = bytearray(_COLUMNAR)
     write_uvarint(out, len(queries))
     write_f64_column(out, [q.location.x for q in queries])
     write_f64_column(out, [q.location.y for q in queries])
@@ -156,16 +178,20 @@ def encode_query_batch_columnar(queries: Sequence[NNQuery]) -> Optional[bytes]:
     return bytes(out)
 
 
-def decode_query_batch_columnar(buf) -> List[NNQuery]:
-    count, pos = read_uvarint(buf, 0)
-    xs, pos = read_f64_column(buf, pos, count)
-    ys, pos = read_f64_column(buf, pos, count)
+def decode_query_batch(body) -> List[NNQuery]:
+    general = _general_items(body, NNQuery)
+    if general is not None:
+        return general
+    count, pos = read_uvarint(body, 1)
+    xs, pos = read_f64_column(body, pos, count)
+    ys, pos = read_f64_column(body, pos, count)
+    check_count(body, pos, count)
     ks = []
     for _ in range(count):
-        k, pos = read_uvarint(buf, pos)
+        k, pos = read_uvarint(body, pos)
         ks.append(k)
-    has_range, pos = read_bitmap(buf, pos, count)
-    ranges, pos = read_f64_column(buf, pos, sum(has_range))
+    has_range, pos = read_bitmap(body, pos, count)
+    ranges, pos = read_f64_column(body, pos, sum(has_range))
     ranged = iter(ranges)
     return [
         NNQuery(
@@ -191,7 +217,7 @@ _REC_NEW = 2
 class NeighborStreamEncoder:
     """Worker-side half of the per-shard neighbour stream (see module
     docstring).  One instance per shard service; every encoded frame —
-    columnar or pickled — advances the frame sequence number."""
+    columnar or general — advances the frame sequence number."""
 
     __slots__ = ("_tokens", "_state", "_seq")
 
@@ -209,16 +235,15 @@ class NeighborStreamEncoder:
         """One response frame for one probe set (``len(batches)`` ==
         ``len(queries)``), flag byte included."""
         seq = self._seq
-        self._seq = seq + 1
         plan = self._plan(batches, queries)
         if plan is None:
-            out = bytearray([FLAG_PICKLED])
+            out = bytearray(_GENERAL)
             write_uvarint(out, seq)
-            out += pickle.dumps(
-                [list(batch) for batch in batches], _PICKLE_PROTOCOL
-            )
+            encode_value(out, [list(batch) for batch in batches])
+            self._seq = seq + 1  # only a frame that exists is counted
             return bytes(out)
-        out = bytearray([FLAG_COLUMNAR])
+        self._seq = seq + 1
+        out = bytearray(_COLUMNAR)
         write_uvarint(out, seq)
         write_uvarint(out, len(batches))
         tokens = self._tokens
@@ -262,9 +287,9 @@ class NeighborStreamEncoder:
         queries: Sequence[Any],
     ) -> Optional[Dict[Tuple[int, int], Tuple[int, int, int, int]]]:
         """Validate that every record is columnar-encodable *before*
-        touching the dictionary, so a fallback frame mutates no state.
+        touching the dictionary, so a general frame mutates no state.
         Returns per-record ``(numeric_id, leader_numeric, x_bits, y_bits)``
-        or ``None`` to request the pickle fallback."""
+        or ``None`` to request the general frame."""
         if len(batches) != len(queries):
             return None
         plan: Dict[Tuple[int, int], Tuple[int, int, int, int]] = {}
@@ -292,7 +317,7 @@ class NeighborStreamEncoder:
                     leader_numeric = 0
                 # The reconstruction identity the decoder relies on.  A
                 # bit-compare (not ==) so NaN distances honestly fail into
-                # the pickle fallback instead of silently "matching".
+                # the general frame instead of silently "matching".
                 recomputed = position.distance_to(location)
                 if _F64.pack(recomputed) != _F64.pack(result.distance):
                     return None
@@ -320,6 +345,14 @@ class NeighborStreamDecoder:
     def decode(
         self, body, queries: Sequence[Any]
     ) -> List[List[NeighborResult]]:
+        try:
+            return self._decode(body, queries)
+        except (IndexError, struct.error) as exc:
+            raise CodecError(f"damaged neighbour stream frame: {exc!r}") from None
+
+    def _decode(
+        self, body, queries: Sequence[Any]
+    ) -> List[List[NeighborResult]]:
         flag = body[0]
         raw_seq, pos = read_uvarint(body, 1)
         expected = self._seq
@@ -329,8 +362,15 @@ class NeighborStreamDecoder:
                 f"expected {expected}"
             )
         self._seq = expected + 1
-        if flag == FLAG_PICKLED:
-            return pickle.loads(bytes(body[pos:]))
+        if flag == FLAG_GENERAL:
+            batches = unpack_value(body, pos)
+            if type(batches) is not list or any(
+                type(batch) is not list
+                or any(type(result) is not NeighborResult for result in batch)
+                for batch in batches
+            ):
+                raise CodecError("general frame is not a list of result batches")
+            return batches
         if flag != FLAG_COLUMNAR:
             raise RpcError(f"unknown neighbour stream flag {flag}")
         num_batches, pos = read_uvarint(body, pos)
@@ -346,6 +386,7 @@ class NeighborStreamDecoder:
         for query in queries:
             location = query.location
             count, pos = read_uvarint(body, pos)
+            check_count(body, pos, count)
             batch = []
             for _ in range(count):
                 control, pos = read_uvarint(body, pos)
@@ -383,312 +424,3 @@ class NeighborStreamDecoder:
                 )
             batches.append(batch)
         return batches
-
-
-# --------------------------------------------------------------------------
-# Generic CALL / RESULT slimming (hot metrics + ledger-merge calls)
-# --------------------------------------------------------------------------
-
-RESULT_PICKLE = 0
-RESULT_NONE = 1
-RESULT_TRUE = 2
-RESULT_FALSE = 3
-RESULT_INT = 4
-RESULT_FLOAT = 5
-RESULT_STR = 6
-RESULT_METRICS = 7
-RESULT_COUNTER_SNAPSHOT = 8
-RESULT_TABLET_STATS = 9
-
-#: Stable OpKind numbering for the wire (enum definition order; both sides
-#: run the same module, the worker being a fork of the client).
-_OPKIND_LIST = list(OpKind)
-_OPKIND_INDEX = {kind: index for index, kind in enumerate(_OPKIND_LIST)}
-
-_METRICS_KEYS = frozenset(
-    ("makespan", "servers", "master_actions", "has_master", "worker_phase")
-)
-
-
-def _is_metrics_snapshot(value: Any) -> bool:
-    if type(value) is not dict or set(value) != _METRICS_KEYS:
-        return False
-    if type(value["makespan"]) is not float:
-        return False
-    if type(value["has_master"]) is not bool:
-        return False
-    phase = value["worker_phase"]
-    if type(phase) is not dict or not all(
-        type(name) is str and type(seconds) is float
-        for name, seconds in phase.items()
-    ):
-        return False
-    actions = value["master_actions"]
-    if type(actions) is not tuple or len(actions) != 3:
-        return False
-    if any(type(entry) is not int or entry < 0 for entry in actions):
-        return False
-    servers = value["servers"]
-    if type(servers) is not list:
-        return False
-    for row in servers:
-        if type(row) is not tuple or len(row) != 5:
-            return False
-        updates, queries, update_busy, query_busy, alive = row
-        if type(updates) is not int or updates < 0:
-            return False
-        if type(queries) is not int or queries < 0:
-            return False
-        if type(update_busy) is not float or type(query_busy) is not float:
-            return False
-        if type(alive) is not bool:
-            return False
-    return True
-
-
-def _write_kind_dict(out: bytearray, entries: Dict[OpKind, int]) -> bool:
-    items = list(entries.items())
-    for kind, value in items:
-        if _OPKIND_INDEX.get(kind) is None or type(value) is not int or value < 0:
-            return False
-    write_uvarint(out, len(items))
-    for kind, value in items:
-        out.append(_OPKIND_INDEX[kind])
-        write_uvarint(out, value)
-    return True
-
-
-def _read_kind_dict(buf, pos: int) -> Tuple[Dict[OpKind, int], int]:
-    count, pos = read_uvarint(buf, pos)
-    entries: Dict[OpKind, int] = {}
-    for _ in range(count):
-        index = buf[pos]
-        pos += 1
-        value, pos = read_uvarint(buf, pos)
-        entries[_OPKIND_LIST[index]] = value
-    return entries, pos
-
-
-def encode_result_compact(value: Any) -> Optional[bytes]:
-    """Typed fast paths for the hot CALL results (metrics snapshots, ledger
-    merges, scalars); ``None`` defers to the caller's pickle fallback."""
-    if value is None:
-        return bytes([RESULT_NONE])
-    kind = type(value)
-    if kind is bool:
-        return bytes([RESULT_TRUE if value else RESULT_FALSE])
-    if kind is int:
-        out = bytearray([RESULT_INT])
-        if value < 0:
-            return None
-        write_uvarint(out, value)
-        return bytes(out)
-    if kind is float:
-        return bytes([RESULT_FLOAT]) + _F64.pack(value)
-    if kind is str:
-        out = bytearray([RESULT_STR])
-        write_str(out, value)
-        return bytes(out)
-    if kind is OpCounterSnapshot:
-        out = bytearray([RESULT_COUNTER_SNAPSHOT])
-        if not _write_kind_dict(out, value.counts):
-            return None
-        if not _write_kind_dict(out, value.rows):
-            return None
-        if not _write_kind_dict(out, value.durability_counts):
-            return None
-        if not _write_kind_dict(out, value.durability_rows):
-            return None
-        out += struct.pack(
-            "<4d",
-            value.simulated_seconds,
-            value.read_seconds,
-            value.write_seconds,
-            value.durability_seconds,
-        )
-        if type(value.logical_write_rows) is not int or value.logical_write_rows < 0:
-            return None
-        write_uvarint(out, value.logical_write_rows)
-        return bytes(out)
-    if kind is list and all(type(entry) is TabletStats for entry in value):
-        # The per-tablet accounting merge (``tablet_stats``) — encoded
-        # field-typed rather than pickled, which also keeps the byte count
-        # independent of CPython string-interning accidents (pickle's memo
-        # makes equal payloads encode to different sizes depending on
-        # whether equal strings are the same object).
-        out = bytearray([RESULT_TABLET_STATS])
-        write_uvarint(out, len(value))
-        for entry in value:
-            if (
-                type(entry.table) is not str
-                or type(entry.tablet_id) is not str
-                or type(entry.start_key) is not str
-                or not (entry.end_key is None or type(entry.end_key) is str)
-            ):
-                return None
-            for field in (
-                entry.row_count,
-                entry.op_calls,
-                entry.run_count,
-                entry.log_records,
-            ):
-                if type(field) is not int or field < 0:
-                    return None
-            for field in (
-                entry.simulated_seconds,
-                entry.read_seconds,
-                entry.write_seconds,
-                entry.durability_seconds,
-                entry.write_amplification,
-            ):
-                if type(field) is not float:
-                    return None
-            write_str(out, entry.table)
-            write_str(out, entry.tablet_id)
-            write_str(out, entry.start_key)
-            if entry.end_key is None:
-                out.append(0)
-            else:
-                out.append(1)
-                write_str(out, entry.end_key)
-            write_uvarint(out, entry.row_count)
-            write_uvarint(out, entry.op_calls)
-            write_uvarint(out, entry.run_count)
-            write_uvarint(out, entry.log_records)
-            out += struct.pack(
-                "<5d",
-                entry.simulated_seconds,
-                entry.read_seconds,
-                entry.write_seconds,
-                entry.durability_seconds,
-                entry.write_amplification,
-            )
-        return bytes(out)
-    if _is_metrics_snapshot(value):
-        out = bytearray([RESULT_METRICS])
-        out += _F64.pack(value["makespan"])
-        servers = value["servers"]
-        write_uvarint(out, len(servers))
-        for updates, queries, update_busy, query_busy, alive in servers:
-            write_uvarint(out, updates)
-            write_uvarint(out, queries)
-            out += _2F64.pack(update_busy, query_busy)
-            out.append(1 if alive else 0)
-        for entry in value["master_actions"]:
-            write_uvarint(out, entry)
-        out.append(1 if value["has_master"] else 0)
-        write_uvarint(out, len(value["worker_phase"]))
-        for name, seconds in value["worker_phase"].items():
-            write_str(out, name)
-            out += _F64.pack(seconds)
-        return bytes(out)
-    return None
-
-
-def decode_result_compact(body) -> Any:
-    tag = body[0]
-    if tag == RESULT_NONE:
-        return None
-    if tag == RESULT_TRUE:
-        return True
-    if tag == RESULT_FALSE:
-        return False
-    if tag == RESULT_INT:
-        return read_uvarint(body, 1)[0]
-    if tag == RESULT_FLOAT:
-        return _F64.unpack_from(body, 1)[0]
-    if tag == RESULT_STR:
-        return read_str(body, 1)[0]
-    if tag == RESULT_COUNTER_SNAPSHOT:
-        counts, pos = _read_kind_dict(body, 1)
-        rows, pos = _read_kind_dict(body, pos)
-        durability_counts, pos = _read_kind_dict(body, pos)
-        durability_rows, pos = _read_kind_dict(body, pos)
-        simulated, read, write, durability = struct.unpack_from("<4d", body, pos)
-        pos += 32
-        logical, pos = read_uvarint(body, pos)
-        return OpCounterSnapshot(
-            counts=counts,
-            rows=rows,
-            simulated_seconds=simulated,
-            read_seconds=read,
-            write_seconds=write,
-            durability_counts=durability_counts,
-            durability_rows=durability_rows,
-            durability_seconds=durability,
-            logical_write_rows=logical,
-        )
-    if tag == RESULT_TABLET_STATS:
-        count, pos = read_uvarint(body, 1)
-        stats = []
-        for _ in range(count):
-            table, pos = read_str(body, pos)
-            tablet_id, pos = read_str(body, pos)
-            start_key, pos = read_str(body, pos)
-            end_key = None
-            has_end = body[pos]
-            pos += 1
-            if has_end:
-                end_key, pos = read_str(body, pos)
-            row_count, pos = read_uvarint(body, pos)
-            op_calls, pos = read_uvarint(body, pos)
-            run_count, pos = read_uvarint(body, pos)
-            log_records, pos = read_uvarint(body, pos)
-            (
-                simulated,
-                read_s,
-                write_s,
-                durability,
-                amplification,
-            ) = struct.unpack_from("<5d", body, pos)
-            pos += 40
-            stats.append(
-                TabletStats(
-                    table=table,
-                    tablet_id=tablet_id,
-                    start_key=start_key,
-                    end_key=end_key,
-                    row_count=row_count,
-                    op_calls=op_calls,
-                    simulated_seconds=simulated,
-                    read_seconds=read_s,
-                    write_seconds=write_s,
-                    run_count=run_count,
-                    log_records=log_records,
-                    durability_seconds=durability,
-                    write_amplification=amplification,
-                )
-            )
-        return stats
-    if tag == RESULT_METRICS:
-        (makespan,) = _F64.unpack_from(body, 1)
-        pos = 9
-        count, pos = read_uvarint(body, pos)
-        servers = []
-        for _ in range(count):
-            updates, pos = read_uvarint(body, pos)
-            queries, pos = read_uvarint(body, pos)
-            update_busy, query_busy = _2F64.unpack_from(body, pos)
-            pos += 16
-            alive = bool(body[pos])
-            pos += 1
-            servers.append((updates, queries, update_busy, query_busy, alive))
-        actions = []
-        for _ in range(3):
-            entry, pos = read_uvarint(body, pos)
-            actions.append(entry)
-        has_master = bool(body[pos])
-        count, pos = read_uvarint(body, pos + 1)
-        phase = {}
-        for _ in range(count):
-            name, pos = read_str(body, pos)
-            (phase[name],) = _F64.unpack_from(body, pos)
-            pos += 8
-        return {
-            "makespan": makespan,
-            "servers": servers,
-            "master_actions": tuple(actions),
-            "has_master": has_master,
-            "worker_phase": phase,
-        }
-    raise RpcError(f"unknown compact result tag {tag}")

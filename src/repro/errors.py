@@ -56,6 +56,15 @@ class QueryError(ReproError):
     """A query (NN, history, point) was malformed or unanswerable."""
 
 
+class CodecError(ReproError):
+    """A value cannot be encoded, or bytes cannot be decoded.
+
+    Raised at the *sender* for a value the tagged codec has no tag for (a
+    subclass, a foreign type, a record off its declared field types), and
+    at the reader for truncated input, a count larger than the bytes that
+    remain, an unknown tag or the retired tag 0."""
+
+
 class RpcError(ReproError):
     """A cross-process RPC failed (framing, dispatch or transport)."""
 

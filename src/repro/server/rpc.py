@@ -20,35 +20,39 @@ Bodies for the hot opcodes (update batches, query batches, neighbour
 results) ride the shared columnar codec layer (:mod:`repro.codec.wire`):
 varint-dictionary object ids, fixed-width float columns and delta-encoded
 timestamps that *reconstruct* the library's frozen dataclasses on the far
-side instead of shipping pickled object graphs.  Neighbour results
-use a per-shard *stateful* stream codec (held by the shard service and
-the parent's pipe transport, not here) that resends only what changed since
-the last frame.  Every codec keeps a pickle fallback (flag byte 0) so exotic
-payloads — non-conforming object ids, subclassed queries — stay correct,
-just slower.  Control-plane verbs ride the generic ``CALL`` opcode, itself
-slimmed: argument-less calls ship the method name in UTF-8, and the hot
-result shapes (metrics snapshots, op-counter ledgers, scalars) have typed
-compact encodings.
+side.  Neighbour results use a per-shard *stateful* stream codec (held by
+the shard service and the parent's pipe transport, not here) that resends
+only what changed since the last frame.  Batches the columnar layout cannot carry — non-conforming
+object ids, a negative ``k``, NaN distances — ride the *general* frame
+(flag byte 0): the same list as one tagged value
+(:mod:`repro.codec.values`).  Control-plane verbs ride the generic ``CALL``
+opcode: the body is the tagged tuple ``(method, args, kwargs)``, the result
+one tagged value.  There is no other encoding: a value the tagged codec has
+no tag for is a :class:`~repro.errors.CodecError` at the sender.
 
-Errors raised inside a worker are pickled and re-raised client-side with
-their original type so ``pytest.raises`` and library ``except`` clauses
-behave identically across the process boundary.
+An error raised inside a worker crosses as ``(class name, message)``.  The
+name is resolved against :mod:`repro.errors` **only** — a library error
+re-raises client-side as itself, so ``except`` clauses behave identically
+across the process boundary — and anything else (``ValueError``,
+``KeyError``, a foreign class) re-raises as
+``RpcError("<RemoteType>: <message>")``.  Nothing that arrives over the
+socket is instantiated outside :mod:`repro.errors` and the codec's closed
+record table, and none of it is ever executed.
 """
 
 from __future__ import annotations
 
-import pickle
 import socket
 import struct
 import time
 import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro import errors as _errors
 from repro.codec import wire as _wire
-from repro.errors import FrameCorruptionError, RpcError, WorkerDiedError
-from repro.model import UpdateMessage
-from repro.workload.queries import NNQuery
+from repro.codec.values import pack_value, unpack_value
+from repro.errors import CodecError, FrameCorruptionError, ReproError, RpcError, WorkerDiedError
 
 # --------------------------------------------------------------------------
 # Frame layout
@@ -69,9 +73,8 @@ OP_UPDATE_BATCH = 2
 OP_QUERY_BATCH = 3
 OP_SHUTDOWN = 4
 
-_PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
-
 MAX_FRAME_BYTES = 1 << 30  # sanity bound against corrupted length prefixes
+_RECV_CHUNK = 1 << 20
 
 
 def encode_frame(kind: int, request_id: int, shard_id: int, opcode: int, body: bytes) -> bytes:
@@ -90,20 +93,22 @@ def encode_frame(kind: int, request_id: int, shard_id: int, opcode: int, body: b
 
 
 def _recv_exact(sock: socket.socket, count: int) -> bytes:
-    buffer = bytearray(count)
-    view = memoryview(buffer)
-    received = 0
-    while received < count:
+    # Collected as the bytes arrive, never allocated from the length prefix:
+    # a damaged prefix may claim a gigabyte that is not coming.
+    parts = []
+    remaining = count
+    while remaining:
         try:
-            chunk = sock.recv_into(view[received:], count - received)
+            chunk = sock.recv(min(remaining, _RECV_CHUNK))
         except socket.timeout:
             raise WorkerDiedError(
-                f"timed out waiting for {count - received} more frame bytes"
+                f"timed out waiting for {remaining} more frame bytes"
             ) from None
-        if chunk == 0:
+        if not chunk:
             raise WorkerDiedError("connection closed mid-frame")
-        received += chunk
-    return bytes(buffer)
+        parts.append(chunk)
+        remaining -= len(chunk)
+    return b"".join(parts)
 
 
 def read_frame(sock: socket.socket) -> Tuple[int, int, int, int, bytes]:
@@ -123,11 +128,8 @@ def read_frame(sock: socket.socket) -> Tuple[int, int, int, int, bytes]:
 
 
 # --------------------------------------------------------------------------
-# Compact codecs (reconstruct-don't-store)
+# Body codecs
 # --------------------------------------------------------------------------
-
-_FLAG_PICKLED = _wire.FLAG_PICKLED
-_FLAG_COMPACT = _wire.FLAG_COLUMNAR
 
 #: Response body of ``OP_UPDATE_BATCH``: (processed, shard makespan).
 UPDATE_RESULT = struct.Struct("!Id")
@@ -136,88 +138,49 @@ UPDATE_RESULT = struct.Struct("!Id")
 MAKESPAN = struct.Struct("!d")
 
 
-def encode_update_batch(messages: Sequence[UpdateMessage]) -> bytes:
-    """Columnar encoding of one group-commit buffer; pickle fallback when
-    an object id does not follow the ``obj%010d`` convention."""
-    compact = _wire.encode_update_batch_columnar(messages)
-    if compact is None:
-        return bytes([_FLAG_PICKLED]) + pickle.dumps(
-            list(messages), _PICKLE_PROTOCOL
-        )
-    return bytes([_FLAG_COMPACT]) + compact
-
-
-def decode_update_batch(body: bytes) -> List[UpdateMessage]:
-    if body[0] == _FLAG_PICKLED:
-        return pickle.loads(bytes(body[1:]))
-    return _wire.decode_update_batch_columnar(memoryview(body)[1:])
-
-
-def encode_query_batch(queries: Sequence[NNQuery]) -> bytes:
-    """Columnar encoding of one probe set; pickle fallback for subclasses."""
-    compact = _wire.encode_query_batch_columnar(queries)
-    if compact is None:
-        return bytes([_FLAG_PICKLED]) + pickle.dumps(
-            list(queries), _PICKLE_PROTOCOL
-        )
-    return bytes([_FLAG_COMPACT]) + compact
-
-
-def decode_query_batch(body: bytes) -> List[NNQuery]:
-    if body[0] == _FLAG_PICKLED:
-        return pickle.loads(bytes(body[1:]))
-    return _wire.decode_query_batch_columnar(memoryview(body)[1:])
+#: The data-plane batch bodies (columnar, or the general frame).
+encode_update_batch = _wire.encode_update_batch
+decode_update_batch = _wire.decode_update_batch
+encode_query_batch = _wire.encode_query_batch
+decode_query_batch = _wire.decode_query_batch
 
 
 def encode_call(method: str, args: tuple, kwargs: dict) -> bytes:
-    """Generic CALL body.  The overwhelmingly common shape — no arguments —
-    ships as the UTF-8 method name behind the compact flag; anything else
-    pickles the whole triple."""
-    if not args and not kwargs:
-        return bytes([_FLAG_COMPACT]) + method.encode("utf-8")
-    return bytes([_FLAG_PICKLED]) + pickle.dumps(
-        (method, args, kwargs), _PICKLE_PROTOCOL
-    )
+    """Generic CALL body: the tagged tuple ``(method, args, kwargs)``."""
+    return pack_value((method, tuple(args), kwargs))
 
 
 def decode_call(body: bytes) -> Tuple[str, tuple, dict]:
-    if body[0] == _FLAG_COMPACT:
-        return bytes(body[1:]).decode("utf-8"), (), {}
-    return pickle.loads(bytes(body[1:]))
+    call = unpack_value(body)
+    if (
+        type(call) is not tuple
+        or tuple(map(type, call)) != (str, tuple, dict)
+        or any(type(name) is not str for name in call[2])
+    ):
+        raise CodecError("CALL body is not (method, args, kwargs)")
+    return call
 
 
-def encode_result(value: Any) -> bytes:
-    """Generic CALL result: typed compact encodings for the hot shapes
-    (scalars, metrics snapshots, op-counter ledgers), pickle otherwise."""
-    compact = _wire.encode_result_compact(value)
-    if compact is not None:
-        return bytes([_FLAG_COMPACT]) + compact
-    return bytes([_FLAG_PICKLED]) + pickle.dumps(value, _PICKLE_PROTOCOL)
-
-
-def decode_result(body: bytes) -> Any:
-    if body[0] == _FLAG_COMPACT:
-        return _wire.decode_result_compact(memoryview(body)[1:])
-    return pickle.loads(bytes(body[1:]))
+#: Generic CALL result: one tagged value filling the body.
+encode_result = pack_value
+decode_result = unpack_value
 
 
 def encode_error(error: BaseException) -> bytes:
-    try:
-        return pickle.dumps(error, _PICKLE_PROTOCOL)
-    except Exception:  # unpicklable exception -> ship the description
-        return pickle.dumps(
-            RpcError(f"{type(error).__name__}: {error}"), _PICKLE_PROTOCOL
-        )
+    return pack_value((type(error).__name__, str(error)))
 
 
 def decode_error(body: bytes) -> BaseException:
+    """The exception an error frame stands for: the named
+    :mod:`repro.errors` class, or :class:`RpcError` naming the remote type."""
     try:
-        error = pickle.loads(body)
-    except Exception as exc:
+        name, message = unpack_value(body)
+    except (CodecError, TypeError, ValueError) as exc:
         return RpcError(f"undecodable remote error: {exc!r}")
-    if isinstance(error, BaseException):
-        return error
-    return RpcError(f"remote error payload was not an exception: {error!r}")
+    kind = getattr(_errors, name, None) if type(name) is str else None
+    if isinstance(kind, type) and issubclass(kind, ReproError):
+        return kind(message)
+    return RpcError(f"{name}: {message}")
 
 
 # --------------------------------------------------------------------------
@@ -450,7 +413,7 @@ def serve(sock: socket.socket, dispatch) -> None:
 
     ``dispatch(shard_id, opcode, body, request_id) -> bytes`` runs the
     request (the id feeds the worker-side exactly-once dedup window);
-    exceptions become error frames with the original exception pickled in.
+    exceptions become error frames naming the exception's class and message.
     """
     sock.settimeout(None)
     while True:

@@ -34,13 +34,14 @@ import os
 import shutil
 import socket
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from random import Random
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from zlib import crc32
 
-from repro.codec.values import decode_value, encode_value
+from repro.bigtable.tablet import TabletOptions
+from repro.codec.values import pack_value, unpack_value
 from repro.codec.wire import NeighborStreamEncoder
 from repro.core.config import MoistConfig
 from repro.errors import ConfigurationError, RpcError, StaleRequestError
@@ -136,7 +137,7 @@ class ShardRecipe:
     record_service_times: bool = False
     with_master: bool = False
     master_options: Optional[MasterOptions] = None
-    tablet_options: Optional[object] = None
+    tablet_options: Optional[TabletOptions] = None
     #: Base directory for real-bytes persistence; each shard stores its
     #: tables under ``<storage_dir>/shard-<id>``.  When the directory holds
     #: a checkpoint from a previous process, ``build_indexer`` *restores*
@@ -154,14 +155,6 @@ class ShardRecipe:
     #: resend replays the *whole* window with original pinned ids, so the
     #: window must remember at least ``W`` applied requests per shard.
     dedup_window: int = 8
-    #: Opt-in idle-window maintenance: after each applied update batch —
-    #: while the pipelined parent is busy encoding the next one — flush any
-    #: memtable already at this fraction of its flush threshold, so the
-    #: *next* foreground batch stops paying the minor-flush stall mid-
-    #: apply.  Deterministic (a pure function of the per-shard batch
-    #: stream), hence identical across window sizes, worker counts and
-    #: backends.  ``None`` disables the hint entirely.
-    idle_flush_fraction: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.num_objects < 0:
@@ -176,34 +169,10 @@ class ShardRecipe:
             raise ConfigurationError("num_servers must be >= 1")
         if self.dedup_window < 1:
             raise ConfigurationError("dedup_window must be >= 1")
-        if self.idle_flush_fraction is not None and not (
-            0.0 < self.idle_flush_fraction <= 1.0
-        ):
-            raise ConfigurationError(
-                "idle_flush_fraction must be in (0.0, 1.0]"
-            )
 
     def sibling(self, shard_id: int) -> "ShardRecipe":
         """The same recipe for another shard id."""
-        return ShardRecipe(
-            num_objects=self.num_objects,
-            num_shards=self.num_shards,
-            shard_id=shard_id,
-            seed=self.seed,
-            region_size=self.region_size,
-            storage_level=self.storage_level,
-            num_servers=self.num_servers,
-            request_overhead_s=self.request_overhead_s,
-            contention_alpha=self.contention_alpha,
-            record_service_times=self.record_service_times,
-            with_master=self.with_master,
-            master_options=self.master_options,
-            tablet_options=self.tablet_options,
-            storage_dir=self.storage_dir,
-            durable_accounting=self.durable_accounting,
-            dedup_window=self.dedup_window,
-            idle_flush_fraction=self.idle_flush_fraction,
-        )
+        return replace(self, shard_id=shard_id)
 
     @property
     def shard_storage_dir(self) -> Optional[str]:
@@ -429,9 +398,8 @@ class ShardService:
         window = self._applied_window
         for request_id, (opcode, result, encoded) in window.items():
             if encoded is None:
-                buffer = bytearray()
-                encode_value(buffer, (request_id, opcode, result))
-                window[request_id] = (opcode, result, bytes(buffer))
+                encoded = pack_value((request_id, opcode, result))
+                window[request_id] = (opcode, result, encoded)
         return {
             "dedup": tuple(entry[2] for entry in window.values()),
             "counter": emulator.counter.snapshot(),
@@ -521,7 +489,7 @@ class ShardService:
             self.master.failovers = list(failovers)
         self._applied_window = OrderedDict()
         for encoded in state["dedup"]:
-            (request_id, opcode, result), _ = decode_value(encoded, 0)
+            request_id, opcode, result = unpack_value(encoded)
             self._applied_window[request_id] = (opcode, result, encoded)
 
     def _write_accounting_checkpoint(self) -> None:
@@ -587,33 +555,7 @@ class ShardService:
         makespan without an extra round trip."""
         cluster = self._require_cluster()
         processed = cluster.submit_update_batch(messages)
-        makespan = cluster.makespan_seconds()
-        self._idle_flush_hint()
-        return processed, makespan
-
-    def _idle_flush_hint(self) -> int:
-        """Opt-in maintenance between applies: flush memtables already near
-        their threshold while the parent is busy encoding the next window
-        step, so the next foreground batch does not stall mid-apply on a
-        minor flush.  Runs after the makespan is read — the flush cost
-        rides the separate durability ledger either way — and evolves as a
-        pure function of the per-shard batch stream, so every window size,
-        worker count and backend flushes identically."""
-        recipe = self.recipe
-        if recipe is None or recipe.idle_flush_fraction is None:
-            return 0
-        emulator = self.indexer.emulator
-        flushed = 0
-        for name in emulator.table_names():
-            table = emulator.table(name)
-            threshold = table.options.memtable_flush_rows
-            if threshold is None:
-                continue
-            hint_rows = max(1, int(threshold * recipe.idle_flush_fraction))
-            for tablet in list(table.tablets()):
-                if len(tablet.rows) >= hint_rows or len(tablet.log) >= hint_rows:
-                    flushed += table.flush_tablet(tablet)
-        return flushed
+        return processed, cluster.makespan_seconds()
 
     @_verb()
     def query_batch(self, queries: Sequence[object]) -> Tuple[list, float]:
@@ -751,7 +693,6 @@ class ShardService:
     ) -> None:
         from repro.bigtable.cost import OpCounter
         from repro.bigtable.table import ColumnFamily, Table
-        from repro.bigtable.tablet import TabletOptions
 
         if self._bare_table is not None:
             raise ConfigurationError("this shard already built its bare table")

@@ -1,18 +1,25 @@
-"""Property tests: every columnar codec against its pickle-fallback twin.
+"""Property tests: every codec round-trips exactly, every decoder is fuzzed.
 
-Each wire codec has two paths — a columnar fast path and a pickle
-fallback behind the same one-byte flag — and the decoder cannot tell the
-difference.  These tests drive both paths over adversarial inputs
-(non-numeric and unicode object ids, NaN/inf coordinates, empty and
-single-record batches) and assert:
+Each batch codec has two layouts behind one flag byte — columnar, and the
+*general* frame (the same list as one tagged value) for inputs the columns
+cannot carry.  These tests drive both over adversarial inputs (non-numeric
+and unicode object ids, NaN/inf coordinates, empty and single-record
+batches) and assert:
 
-* **round-trip equality** — decode(encode(x)) reproduces x bit-for-bit
-  (floats compared by bit pattern, so NaN payloads count too);
-* **fallback correctness** — inputs the columnar layout cannot carry
-  produce a pickled frame that still round-trips exactly;
+* **round-trip equality** — decode(encode(x)) reproduces x bit-for-bit and
+  type-exact (floats compared by bit pattern, so NaN payloads count too),
+  for every record in the codec's closed table;
+* **general-frame correctness** — inputs the columnar layout cannot carry
+  still round-trip exactly, and a value with no tag at all is a
+  ``CodecError`` where it is encoded;
 * **byte determinism** — encoding the same seeded input twice, or through
   two fresh encoder instances, yields byte-identical output (the property
-  the wire-bytes CI guard and the worker-count invariance both rest on).
+  the exact wire-bytes assertion and the worker-count invariance rest on);
+* **hostile bytes** — truncated, bit-flipped, length-inflated, wrong-tag
+  and tag-0 input yields the original value or a typed ``repro.errors``
+  exception, never anything else.
+
+``pickle`` appears here only as a size yardstick.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from __future__ import annotations
 import math
 import pickle
 import random
+import socket
 import struct
 
 import pytest
@@ -28,7 +36,8 @@ from hypothesis import example, given, settings, strategies as st
 from repro.bigtable.cost import CostModel, OpCounter
 from repro.bigtable.tablet import TabletStats
 from repro.codec import values, wire
-from repro.errors import RpcError
+from repro.codec.columns import write_uvarint
+from repro.errors import CodecError, ReproError, RpcError
 from repro.geometry.point import Point
 from repro.geometry.vector import Vector
 from repro.model import LocationRecord, NeighborResult, UpdateMessage, format_object_id
@@ -151,19 +160,16 @@ def test_update_batch_round_trips_adversarial_inputs(index):
         assert _update_equal(a, b)
 
 
-def test_update_batch_non_numeric_ids_take_the_pickle_fallback():
+def test_update_batch_non_numeric_ids_take_the_general_frame():
     numeric = _seeded_updates(3, 10, ids="numeric")
     unicode_ids = _seeded_updates(3, 10, ids="unicode")
     assert rpc.encode_update_batch(numeric)[0] == wire.FLAG_COLUMNAR
-    assert rpc.encode_update_batch(unicode_ids)[0] == wire.FLAG_PICKLED
-    assert wire.encode_update_batch_columnar(unicode_ids) is None
+    assert rpc.encode_update_batch(unicode_ids)[0] == wire.FLAG_GENERAL
 
 
 def test_update_batch_columnar_beats_pickle_on_the_hot_shape():
     messages = _seeded_updates(4, 256, ids="numeric")
     columnar = rpc.encode_update_batch(messages)
-    import pickle
-
     # Five f64 columns dominate the columnar size (~41 bytes/record);
     # pickle spends roughly double that on the same content.
     assert len(columnar) * 1.8 < len(pickle.dumps(messages))
@@ -204,12 +210,11 @@ def test_query_batch_round_trips_adversarial_inputs(index):
         assert _query_equal(a, b)
 
 
-def test_query_batch_negative_k_takes_the_pickle_fallback():
+def test_query_batch_negative_k_takes_the_general_frame():
     queries = [NNQuery(location=Point(1.0, 1.0), k=-1)]
-    assert wire.encode_query_batch_columnar(queries) is None
     body = rpc.encode_query_batch(queries)
-    assert body[0] == wire.FLAG_PICKLED
-    assert rpc.decode_query_batch(body)[0].k == -1
+    assert body[0] == wire.FLAG_GENERAL
+    assert rpc.decode_query_batch(body) == queries
 
 
 def test_query_batch_encoding_is_deterministic():
@@ -282,7 +287,7 @@ def test_neighbor_stream_round_trips_and_shrinks_repeats():
     assert len(second) < len(first) / 3
 
 
-def test_neighbor_stream_falls_back_on_non_numeric_ids_and_resyncs():
+def test_neighbor_stream_ships_non_numeric_ids_general_and_resyncs():
     encoder, decoder = _stream_pair()
     queries = [NNQuery(location=Point(0.0, 0.0), k=3)]
     good = _results_for(queries, [(format_object_id(1), Point(3.0, 4.0), None)])
@@ -292,11 +297,11 @@ def test_neighbor_stream_falls_back_on_non_numeric_ids_and_resyncs():
     assert frame[0] == wire.FLAG_COLUMNAR
     _assert_batches_equal(decoder.decode(frame, queries), good)
 
-    fallback = encoder.encode(weird, queries)
-    assert fallback[0] == wire.FLAG_PICKLED
-    _assert_batches_equal(decoder.decode(fallback, queries), weird)
+    general = encoder.encode(weird, queries)
+    assert general[0] == wire.FLAG_GENERAL
+    _assert_batches_equal(decoder.decode(general, queries), weird)
 
-    # The fallback frame left both dictionaries untouched: the stream
+    # The general frame left both dictionaries untouched: the stream
     # carries on columnar with the tokens it already assigned.
     resumed = encoder.encode(good, queries)
     assert resumed[0] == wire.FLAG_COLUMNAR
@@ -349,8 +354,21 @@ def test_neighbor_stream_bytes_are_deterministic_across_fresh_pairs():
     assert frames_a == frames_b
 
 
+def test_neighbor_stream_refuses_a_subclassed_result_without_losing_sync():
+    class Decorated(NeighborResult):
+        pass
+
+    encoder, decoder = _stream_pair()
+    queries = [NNQuery(location=Point(0.0, 0.0), k=1)]
+    good = _results_for(queries, [(format_object_id(1), Point(3.0, 4.0), None)])
+    with pytest.raises(CodecError, match="no value tag"):
+        encoder.encode([[Decorated("obj0000000001", Point(3.0, 4.0), 5.0, True)]], queries)
+    # The refused frame was never counted: the next one is still frame 0.
+    _assert_batches_equal(decoder.decode(encoder.encode(good, queries), queries), good)
+
+
 # --------------------------------------------------------------------------
-# Compact CALL results vs their pickle twins
+# CALL results: one tagged value, exact
 # --------------------------------------------------------------------------
 
 
@@ -364,19 +382,48 @@ def _counter_snapshot():
     return counter.snapshot()
 
 
+_TABLET_STATS = [
+    TabletStats(
+        table="location",
+        tablet_id="location/tablet-0001",
+        start_key="",
+        end_key=None,
+        row_count=10,
+        op_calls=4,
+        simulated_seconds=0.5,
+        read_seconds=0.25,
+        write_seconds=0.25,
+        run_count=2,
+        log_records=7,
+        durability_seconds=0.125,
+        write_amplification=1.5,
+    ),
+    TabletStats(
+        table="location",
+        tablet_id="location/tablet-0002",
+        start_key="8000",
+        end_key="c000",
+        row_count=0,
+        op_calls=0,
+        simulated_seconds=0.0,
+        read_seconds=0.0,
+        write_seconds=0.0,
+    ),
+]
+
 RESULT_VALUES = [
     None,
     True,
     False,
     0,
     12345678901234567890,
-    -1,  # negative ints defer to pickle
+    -1,
     3.25,
     float("nan"),
     "plain string",
     "tøg-ünïcode",
     "",
-    (1, 2, 3),  # tuples defer to pickle
+    (1, 2, 3),
     {
         "makespan": 1.5,
         "servers": [],
@@ -392,39 +439,13 @@ RESULT_VALUES = [
         "worker_phase": {"decode": 0.5, "apply": 1.25},
     },
     [],
-    [
-        TabletStats(
-            table="location",
-            tablet_id="location/tablet-0001",
-            start_key="",
-            end_key=None,
-            row_count=10,
-            op_calls=4,
-            simulated_seconds=0.5,
-            read_seconds=0.25,
-            write_seconds=0.25,
-            run_count=2,
-            log_records=7,
-            durability_seconds=0.125,
-            write_amplification=1.5,
-        ),
-        TabletStats(
-            table="location",
-            tablet_id="location/tablet-0002",
-            start_key="8000",
-            end_key="c000",
-            row_count=0,
-            op_calls=0,
-            simulated_seconds=0.0,
-            read_seconds=0.0,
-            write_seconds=0.0,
-        ),
-    ],
+    _TABLET_STATS,
+    _counter_snapshot(),
 ]
 
 
 @pytest.mark.parametrize("index", range(len(RESULT_VALUES)))
-def test_result_codec_round_trips_against_pickle_twin(index):
+def test_result_codec_round_trips_exactly(index):
     value = RESULT_VALUES[index]
     body = rpc.encode_result(value)
     decoded = rpc.decode_result(body)
@@ -433,18 +454,13 @@ def test_result_codec_round_trips_against_pickle_twin(index):
     else:
         assert decoded == value
         assert type(decoded) is type(value)
-
-
-def test_counter_snapshot_result_is_compact_and_exact():
-    snapshot = _counter_snapshot()
-    compact = wire.encode_result_compact(snapshot)
-    assert compact is not None and compact[0] == wire.RESULT_COUNTER_SNAPSHOT
-    assert wire.decode_result_compact(compact) == snapshot
+        assert repr(decoded) == repr(value)  # nested types too
+    assert rpc.encode_result(decoded) == body  # byte-deterministic
 
 
 def test_tablet_stats_result_bytes_are_interning_independent():
-    """The pickle twin's size depends on whether equal strings are the
-    same object (memoisation); the columnar encoding must not."""
+    """Equal payloads encode to equal bytes whether or not equal strings
+    are the same object (a memoising serialiser's sizes depend on it)."""
     shared = "location"
     rows_shared = [
         TabletStats(shared, f"{shared}/tablet-000{i}", "", None, 1, 1, 0.0, 0.0, 0.0)
@@ -464,18 +480,121 @@ def test_tablet_stats_result_bytes_are_interning_independent():
         )
         for i in range(3)
     ]
-    a = wire.encode_result_compact(rows_shared)
-    b = wire.encode_result_compact(rows_distinct)
-    assert a is not None and a[0] == wire.RESULT_TABLET_STATS
-    assert a == b
-    assert wire.decode_result_compact(a) == rows_shared
+    assert rpc.encode_result(rows_shared) == rpc.encode_result(rows_distinct)
 
 
-def test_exotic_results_still_round_trip_via_pickle():
-    for value in [{"arbitrary": [1, 2, {3}]}, object, Ellipsis]:
-        body = rpc.encode_result(value)
-        assert body[0] == wire.FLAG_PICKLED
-        assert rpc.decode_result(body) == value
+def test_untagged_results_are_a_codec_error_at_the_sender():
+    for value in [{"arbitrary": [1, 2, {3}]}, object, Ellipsis, 1 + 2j, frozenset()]:
+        with pytest.raises(CodecError, match="no value tag"):
+            rpc.encode_result(value)
+
+
+# --------------------------------------------------------------------------
+# The closed record table (tags 17 and 18)
+# --------------------------------------------------------------------------
+def _record_samples() -> list:
+    from repro.bigtable.cost import OpKind
+    from repro.bigtable.lsm import RecoveryReport, TableRecovery
+    from repro.bigtable.scan import TabletCacheStats
+    from repro.bigtable.table import ColumnFamily
+    from repro.bigtable.tablet import TabletOptions
+    from repro.server.cluster import ServerFailoverReport
+    from repro.server.master import (
+        MasterOptions,
+        MigrationRecord,
+        RebalanceReport,
+        ReplicationRecord,
+    )
+    from repro.server.worker import ShardRecipe
+
+    recovery = TableRecovery("location", 3, 2, 40, 17, 0.0125)
+    migration = MigrationRecord("spatial", "spatial/tablet-0002", 0, 1, 96, 12, True)
+    crashed = MigrationRecord("spatial", "spatial/tablet-0003", 1, 0, 0, 0, False, "handoff")
+    replication = ReplicationRecord("location", "location/tablet-0001", 2, 64)
+    return [
+        ShardRecipe(num_objects=10),
+        ShardRecipe(
+            num_objects=300,
+            num_shards=4,
+            shard_id=3,
+            with_master=True,
+            master_options=MasterOptions(max_replicas=2),
+            tablet_options=TabletOptions(memtable_flush_rows=16),
+            storage_dir="/tmp/moist-disk-x",
+            durable_accounting=True,
+        ),
+        MasterOptions(),
+        TabletOptions(),
+        ColumnFamily("mem", max_versions=3),
+        _counter_snapshot(),
+        *_TABLET_STATS,
+        TabletCacheStats("location", "location/tablet-0001", 7, 2),
+        RecoveryReport(),
+        RecoveryReport((recovery, recovery)),
+        recovery,
+        migration,
+        crashed,
+        replication,
+        RebalanceReport((migration, crashed), (replication,), 1.75, 1.125),
+        ServerFailoverReport(1, (recovery,), (("location/tablet-0001", 0),), ("spatial/tablet-0002",)),
+        *_seeded_updates(2, 3, ids="mixed"),
+        NNQuery(Point(1.0, 2.0), 5),
+        NNQuery(Point(float("nan"), -0.0), -1, 12.5),
+        *OpKind,
+    ]
+
+
+def test_every_registered_record_round_trips_type_exact():
+    from repro.codec import records
+
+    samples = _record_samples()
+    registered = {kind for _, kind in records.TYPES}
+    assert {type(sample) for sample in samples} == registered
+    for sample in samples:
+        out = bytearray(b"\xff")  # decode from a non-zero offset
+        values.encode_value(out, sample)
+        assert out[1] in (values.TAG_RECORD, values.TAG_ENUM)
+        decoded, end = values.decode_value(bytes(out), 1)
+        assert end == len(out)
+        assert type(decoded) is type(sample)
+        assert repr(decoded) == repr(sample)  # NaN-proof, nested types too
+        again = bytearray(b"\xff")
+        values.encode_value(again, decoded)
+        assert again == out  # byte-deterministic, so float bits survived
+        # ... and the same through a CALL, as an argument and as a result.
+        assert repr(rpc.decode_call(rpc.encode_call("verb", (sample,), {"x": sample}))) == repr(
+            ("verb", (sample,), {"x": sample})
+        )
+        assert repr(rpc.decode_result(rpc.encode_result([sample]))) == repr([sample])
+
+
+def test_record_table_is_closed_and_rejects_duplicates():
+    from repro.codec import records
+    from repro.server.worker import ShardRecipe
+
+    class Lookalike(ShardRecipe):
+        pass
+
+    with pytest.raises(CodecError, match="no value tag"):
+        values.encode_value(bytearray(), Lookalike(num_objects=1))
+    ids = [type_id for type_id, _ in records.TYPES]
+    assert ids == list(range(1, len(ids) + 1))  # append-only, never renumbered
+    with pytest.raises(AssertionError):
+        records._index(records.TYPES + ((1, TabletStats),))
+    with pytest.raises(AssertionError):
+        records._index(records.TYPES + ((99, ShardRecipe),))
+    # An id outside the table, a record id behind the enum tag (and the
+    # reverse), a member outside the enum, and fields the record's own
+    # validation refuses are all the reader's CodecError.
+    for body in (
+        bytes([values.TAG_RECORD, 99]),
+        bytes([values.TAG_ENUM, 3, 0]),
+        bytes([values.TAG_RECORD, 16]),
+        bytes([values.TAG_ENUM, 16, 200]),
+        bytes([values.TAG_RECORD, 3]) + bytes([values.TAG_STR, 0]) * 7,  # TabletOptions("", ...)
+    ):
+        with pytest.raises(CodecError):
+            values.decode_value(body, 0)
 
 
 # --------------------------------------------------------------------------
@@ -556,17 +675,15 @@ def test_typed_records_are_several_times_smaller_than_pickle():
         NeighborResult("a", Point(0.0, 0.0), 1.0, 1),  # int flag
     ],
 )
-def test_off_shape_records_keep_the_faithful_pickle_path(record):
+def test_off_shape_records_are_a_codec_error_at_the_sender(record):
+    # A structural re-encode would bring the int back a float (or drop a
+    # subclass's state), so the sender hears about it instead.
     out = bytearray()
-    values.encode_value(out, record)
-    assert out[0] == values.TAG_PICKLE
-    decoded, end = values.decode_value(bytes(out), 0)
-    assert end == len(out)
-    assert decoded == record and repr(decoded) == repr(record)
+    with pytest.raises(CodecError, match="no value tag"):
+        values.encode_value(out, record)
 
 
-def test_nested_dedup_entry_round_trips_without_pickle(monkeypatch):
-    monkeypatch.setattr(values, "pickle", None)  # any fallback would crash
+def test_nested_dedup_entry_round_trips():
     entry = (
         17,
         rpc.OP_QUERY_BATCH,
@@ -649,3 +766,158 @@ def test_float_rows_cost_one_count_byte_over_the_typed_record():
     assert typed[0] == values.TAG_LOCATION_RECORD and row[0] == values.TAG_FLOAT_TUPLE
     assert len(row) == len(typed) + 1 == 42
     assert row[2:] == typed[1:]  # the same five doubles
+
+
+# --------------------------------------------------------------------------
+# Hostile bytes: every decoder, one property
+# --------------------------------------------------------------------------
+_FUZZ_QUERIES = [NNQuery(Point(10.0, 20.0), 3), NNQuery(Point(0.0, 0.0), 2)]
+_FUZZ_OBJECTS = [
+    (format_object_id(1), Point(3.0, 4.0), None),
+    (format_object_id(2), Point(-1.5, 0.25), format_object_id(1)),
+]
+_INFLATED_COUNT = bytearray()
+write_uvarint(_INFLATED_COUNT, 2**60)
+
+
+def _decode_error(data):
+    error = rpc.decode_error(data)
+    assert isinstance(error, ReproError)  # it *returns* the typed exception
+    return error
+
+
+def _read_frame(data):
+    left, right = socket.socketpair()
+    try:
+        right.settimeout(5.0)
+        left.sendall(data)
+        left.close()  # EOF after the bytes: a short frame cannot block
+        return rpc.read_frame(right)
+    finally:
+        left.close()
+        right.close()
+
+
+def _fuzz_cases() -> dict:
+    """``name -> (decoder, well-formed bytes)`` for every decoder that
+    reads bytes from a socket or a file."""
+    value = bytearray()
+    values.encode_value(
+        value,
+        (
+            17,
+            {"k": [1.5, None, True, b"raw", -3], "row": (1.0, -0.0)},
+            [_results_for(_FUZZ_QUERIES, _FUZZ_OBJECTS), 0.125],
+            LocationRecord(Point(1.0, 2.0), Vector(0.5, -0.5), 3.0),
+            LFRecord(Role.FOLLOWER, 1.0, "obj0000000001", Vector(1.0, 2.0)),
+            _record_samples()[1],
+            _counter_snapshot(),
+        ),
+    )
+    weird = [("bus-17", Point(1.0, 1.0), None)]
+    return {
+        "value": (lambda data: values.decode_value(data, 0), bytes(value)),
+        "update_columnar": (
+            rpc.decode_update_batch,
+            rpc.encode_update_batch(_seeded_updates(6, 5, ids="numeric")),
+        ),
+        "update_general": (
+            rpc.decode_update_batch,
+            rpc.encode_update_batch(_seeded_updates(6, 3, ids="unicode")),
+        ),
+        "query_columnar": (
+            rpc.decode_query_batch,
+            rpc.encode_query_batch(ADVERSARIAL_QUERIES[4][-4:]),
+        ),
+        "query_general": (
+            rpc.decode_query_batch,
+            rpc.encode_query_batch([NNQuery(Point(1.0, 1.0), -1, 4.5)]),
+        ),
+        "neighbor_columnar": (
+            lambda data: wire.NeighborStreamDecoder().decode(data, _FUZZ_QUERIES),
+            wire.NeighborStreamEncoder().encode(
+                _results_for(_FUZZ_QUERIES, _FUZZ_OBJECTS), _FUZZ_QUERIES
+            ),
+        ),
+        "neighbor_general": (
+            lambda data: wire.NeighborStreamDecoder().decode(data, _FUZZ_QUERIES),
+            wire.NeighborStreamEncoder().encode(
+                _results_for(_FUZZ_QUERIES, weird), _FUZZ_QUERIES
+            ),
+        ),
+        "call": (
+            rpc.decode_call,
+            rpc.encode_call("build_indexer", (_record_samples()[1],), {"x": 1}),
+        ),
+        "result": (rpc.decode_result, rpc.encode_result(RESULT_VALUES[13])),
+        "error": (_decode_error, rpc.encode_error(RpcError("no such server"))),
+        "frame": (
+            _read_frame,
+            rpc.encode_frame(rpc.KIND_RESPONSE, 7, 3, rpc.OP_CALL, rpc.encode_result("pong")),
+        ),
+    }
+
+
+_FUZZ_CASES = _fuzz_cases()
+_positions = st.integers(0, 10_000)  # taken modulo the sample's length
+_mutations = st.one_of(
+    st.tuples(st.just("none"), st.none()),
+    st.tuples(st.just("truncate"), _positions),
+    st.tuples(
+        st.just("flip"),
+        st.lists(st.tuples(_positions, st.integers(0, 7)), min_size=1, max_size=3),
+    ),
+    st.tuples(st.just("inflate"), _positions),
+    st.tuples(st.just("tag"), st.tuples(_positions, st.integers(0, 255))),
+    st.tuples(st.just("garbage"), st.binary(max_size=48)),
+)
+
+
+def _mutate(good: bytes, mutation) -> bytes:
+    kind, argument = mutation
+    data = bytearray(good)
+    if kind == "truncate":
+        del data[argument % len(data):]
+    elif kind == "flip":
+        for position, bit in argument:
+            data[position % len(data)] ^= 1 << bit
+    elif kind == "inflate":  # a count or length becomes 2^60
+        position = argument % len(data)
+        data[position : position + 1] = _INFLATED_COUNT
+    elif kind == "tag":
+        data[argument[0] % len(data)] = argument[1]
+    elif kind == "garbage":
+        data = argument
+    return bytes(data)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from(sorted(_FUZZ_CASES)), _mutations)
+@example("value", ("tag", (0, 0)))  # the retired tag, outermost ...
+@example("value", ("tag", (2, 0)))  # ... and nested
+@example("result", ("tag", (0, 0)))
+@example("call", ("tag", (0, 0)))
+@example("error", ("tag", (0, 0)))
+@example("update_general", ("tag", (1, 0)))
+@example("neighbor_general", ("tag", (2, 0)))
+@example("value", ("tag", (0, 19)))  # the first unassigned tag
+@example("value", ("inflate", 1))  # the outer tuple's count
+@example("update_columnar", ("inflate", 1))
+@example("query_columnar", ("inflate", 1))
+@example("neighbor_columnar", ("inflate", 2))  # the batch count
+@example("neighbor_columnar", ("inflate", 3))  # a batch's record count
+@example("frame", ("inflate", 0))
+@example("frame", ("flip", [(0, 5)]))  # a length prefix of half a gigabyte
+def test_every_decoder_answers_hostile_bytes_with_a_value_or_a_typed_error(name, mutation):
+    decode, good = _FUZZ_CASES[name]
+    try:
+        outcome = decode(_mutate(good, mutation))
+    except ReproError:
+        return  # typed: the only exception a decoder may raise
+    if mutation[0] == "none":
+        assert repr(outcome) == repr(decode(good))
+
+
+def test_nesting_deeper_than_the_interpreter_stack_is_a_typed_error():
+    with pytest.raises(CodecError):
+        values.decode_value(bytes([values.TAG_LIST, 1]) * 50_000, 0)

@@ -4,8 +4,9 @@ Three layers put bytes on disk for a disk-backed shard, and each is pinned
 here at its own boundary:
 
 * **values** — run blocks, journal records and dedup entries carry typed
-  tags for the domain records, so the hot path never reaches the pickle
-  fallback, while files written before the tags existed still restore;
+  tags for the domain records; a value without a tag is a ``CodecError``
+  where it is encoded, and a file holding the retired tag 0 is the same
+  typed error on restore;
 * **journal** — frames are buffered and reach ``journal.bin`` *at* their
   fsync point: one ``write`` + one ``fsync`` per simulated ``LOG_APPEND``;
 * **accounting blob** — ``SHARD_STATE.bin`` is versioned, splices the
@@ -35,7 +36,7 @@ from repro.disk.store import (
     restore_table,
     write_state_blob,
 )
-from repro.errors import UnrecoverableShardError
+from repro.errors import CodecError, UnrecoverableShardError
 from repro.geometry.point import Point
 from repro.geometry.vector import Vector
 from repro.model import LocationRecord, UpdateMessage, format_object_id
@@ -78,26 +79,15 @@ def _queries(seed: int, count: int = 6):
     ]
 
 
-def _no_pickle_dumps(monkeypatch) -> None:
-    """Make the value codec's pickle *encoder* raise (its decoder and every
-    other module's ``pickle`` stay real)."""
-
-    def dumps(obj, protocol=None):
-        raise AssertionError(f"encode_value fell back to pickle for {obj!r}")
-
-    monkeypatch.setattr(
-        values, "pickle", types.SimpleNamespace(dumps=dumps, loads=pickle.loads)
-    )
-
-
 # --------------------------------------------------------------------------
-# Values: typed on the way out, pickle still readable on the way in
+# Values: typed on the way out, tag 0 refused on the way in
 # --------------------------------------------------------------------------
-def _encode_value_as_parent_commit(out: bytearray, obj: object) -> None:
-    """The value encoder before tags 13-15: domain records are pickled."""
+def _encode_value_with_tag_zero(out: bytearray, obj: object) -> None:
+    """The value encoder before tags 13-15: domain records are pickled
+    behind tag 0 (``pickle`` here is only the fixture's writer)."""
     if type(obj) in (LocationRecord, LFRecord):
         payload = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
-        out.append(values.TAG_PICKLE)
+        out.append(0)
         write_uvarint(out, len(payload))
         out += payload
     else:
@@ -130,57 +120,66 @@ def _file_bytes(root: str) -> bytes:
     return found
 
 
-def test_files_written_with_pickled_records_still_restore(tmp_path, monkeypatch):
-    options = TabletOptions(split_threshold=16, merge_threshold=4, memtable_flush_rows=16)
-    old_root, new_root = str(tmp_path / "old"), str(tmp_path / "new")
-    with monkeypatch.context() as patch:
-        patch.setattr(blocks, "encode_value", _encode_value_as_parent_commit)
-        old = Table("t", FAMILIES, options=options, store=DiskTableStore(old_root))
-        _record_program(old)
-        old._store.close()
-    new = Table("t", FAMILIES, options=options, store=DiskTableStore(new_root))
-    _record_program(new)
-    new._store.close()
-    # The fixture really is the old format (pickle names the class it
-    # rebuilds), runs and journal tail alike; today's files never do.
-    assert b"LocationRecord" in _file_bytes(os.path.join(old_root, "runs"))
-    assert b"LFRecord" in _file_bytes(old_root)
-    assert b"Record" not in _file_bytes(new_root)
-    assert len(_file_bytes(new_root)) < len(_file_bytes(old_root)) / 2
+class TestTagZeroIsRefusedOnRestore:
+    """Each artifact on its own (the crc is valid — the bytes are exactly
+    what an old writer produced), then a whole table directory."""
 
-    restored_old = restore_table(DiskTableStore(old_root), "t", FAMILIES, OpCounter())
-    restored_new = restore_table(DiskTableStore(new_root), "t", FAMILIES, OpCounter())
-    assert restored_old.scan() == new.scan() == restored_new.scan()
-    assert repr(restored_old.scan()) == repr(new.scan())
-    restored_old._store.close()
-    restored_new._store.close()
+    RECORD = LocationRecord(Point(1.5, 2.5), Vector(0.25, -1.0), 3.0)
+
+    def test_journal_record(self, monkeypatch):
+        monkeypatch.setattr(blocks, "encode_value", _encode_value_with_tag_zero)
+        frame = blocks.encode_journal_record((1, "w", "k", "mem", "q", 3.0, self.RECORD))
+        with pytest.raises(CodecError, match="tag 0"):
+            list(blocks.iter_journal_records(frame))
+
+    def test_run_block(self, monkeypatch):
+        monkeypatch.setattr(blocks, "encode_value", _encode_value_with_tag_zero)
+        row = blocks._Row({"mem": {"q": (3.0, self.RECORD)}})
+        with pytest.raises(CodecError, match="tag 0"):
+            blocks.decode_run_block(blocks.encode_run_block(["k"], [row], 1))
+
+    def test_manifest(self, monkeypatch):
+        monkeypatch.setattr(blocks, "encode_value", _encode_value_with_tag_zero)
+        with pytest.raises(CodecError, match="tag 0"):
+            blocks.decode_manifest(blocks.encode_manifest(self.RECORD))
+
+    def test_table_directory(self, tmp_path, monkeypatch):
+        options = TabletOptions(
+            split_threshold=16, merge_threshold=4, memtable_flush_rows=16
+        )
+        old_root, new_root = str(tmp_path / "old"), str(tmp_path / "new")
+        with monkeypatch.context() as patch:
+            patch.setattr(blocks, "encode_value", _encode_value_with_tag_zero)
+            old = Table("t", FAMILIES, options=options, store=DiskTableStore(old_root))
+            _record_program(old)
+            old._store.close()
+        new = Table("t", FAMILIES, options=options, store=DiskTableStore(new_root))
+        _record_program(new)
+        new._store.close()
+        # The fixture really is the old format (pickle names the class it
+        # rebuilds), runs and journal tail alike; today's files never do.
+        assert b"LocationRecord" in _file_bytes(os.path.join(old_root, "runs"))
+        assert b"LFRecord" in _file_bytes(old_root)
+        assert b"Record" not in _file_bytes(new_root)
+
+        with pytest.raises(CodecError):
+            restore_table(DiskTableStore(old_root), "t", FAMILIES, OpCounter())
+        restored = restore_table(DiskTableStore(new_root), "t", FAMILIES, OpCounter())
+        assert restored.scan() == new.scan()
+        assert repr(restored.scan()) == repr(new.scan())
+        restored._store.close()
 
 
-def test_disk_federation_hot_path_never_pickles_a_value(tmp_path, monkeypatch):
-    # Forked workers inherit the patched codec: a single fallback inside
-    # a run block, a journal record or a dedup entry fails the batch.
-    _no_pickle_dumps(monkeypatch)
-    cluster = ScaleOutCluster.build(
-        2,
-        backend="disk",
-        num_workers=1,
-        supervision_policy="respawn",
-        num_objects=NUM_OBJECTS,
-        num_servers=2,
-        tablet_options=TabletOptions(memtable_flush_rows=16, compaction_max_runs=2),
-        storage_dir=str(tmp_path),
-    )
-    try:
-        for step in range(4):
-            messages = _messages(step, timestamp=float(step + 1))
-            assert cluster.submit_update_batch(messages) == len(messages)
-            answers = cluster.submit_query_batch(_queries(step))
-            assert all(len(answer) == 5 for answer in answers)
-        assert cluster.backend.run_count() > 0  # run blocks were written
-    finally:
-        cluster.close()
-    with pytest.raises(AssertionError):  # the patch does bite
+def test_an_unencodable_value_is_a_codec_error_at_the_sender(tmp_path):
+    with pytest.raises(CodecError, match="no value tag"):
         values.encode_value(bytearray(), object())
+    # ... and a table backed by real files refuses it at the write, before
+    # a run block or journal record could carry it.
+    store = DiskTableStore(str(tmp_path))
+    table = Table("t", FAMILIES, store=store)
+    with pytest.raises(CodecError, match="no value tag"):
+        table.write("k", "mem", "q", {1, 2}, 1.0)
+    store.close()
 
 
 # --------------------------------------------------------------------------

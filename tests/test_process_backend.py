@@ -27,6 +27,7 @@ from repro.bigtable.process_backend import (
     make_scaleout_backend,
     single_shard_client,
 )
+from repro.codec.columns import write_str
 from repro.errors import ConfigurationError, RpcError, WorkerDiedError
 from repro.geometry.point import Point
 from repro.geometry.vector import Vector
@@ -180,6 +181,19 @@ class TestVerbTable:
             assert client.call("tablet_count") >= 1
             assert client.call("simulated_seconds") >= 0.0
 
+    def test_worker_errors_cross_as_library_types_or_named_rpc_errors(self):
+        with single_shard_client("process") as client:
+            client.call("build_table", {})
+            # A library error arrives as itself ...
+            with pytest.raises(ConfigurationError, match="unknown table op 'rename'"):
+                client.call("table_apply", [("rename", "k")])
+            # ... anything else as an RpcError naming the remote type: the
+            # parent never instantiates a class an error frame names.
+            with pytest.raises(RpcError, match="^ValueError: not enough values") as caught:
+                client.call("table_apply", [("write", "k")])
+            assert type(caught.value) is RpcError
+            assert client.call("table_apply", [("write", "k", "v", 1.0)]) == 1
+
     def test_read_only_flags_cover_exactly_the_non_mutating_verbs(self):
         from repro.server.worker import VERBS
 
@@ -247,9 +261,10 @@ class TestLedgerMergeDeterminism:
     #: scatters behind the fingerprint).  A batching regression that
     #: splinters scatters moves this on every machine.
     EXPECTED_FRAMES = 40
-    #: 31 901 B over the 460 requests when recorded, + 5 %.  A ceiling, not
-    #: an equality: pickled CALL bodies may differ between interpreters.
-    MAX_WIRE_BYTES_PER_REQUEST = 72.8
+    #: Every byte of those frames, both directions (67 B per request over
+    #: the 460).  An equality: every body is a deterministic codec's output,
+    #: so nothing on the wire depends on the interpreter or the machine.
+    EXPECTED_WIRE_BYTES = 30836
 
     def _drive(self, backend_kind, num_workers):
         cluster = ScaleOutCluster.build(
@@ -283,23 +298,29 @@ class TestLedgerMergeDeterminism:
             tuple((n.object_id, n.distance) for n in batch) for batch in results
         )
         cluster.close()
-        return (fingerprint, nn), wire
+        return (fingerprint, nn), wire, cluster.recipes
 
     def test_ledgers_and_results_bit_identical_across_worker_counts(self):
-        reference, _ = self._drive("inprocess", 1)
+        reference, _, _ = self._drive("inprocess", 1)
         wires = {}
         for variant in (("process", 1), ("process", 2), ("process", 4), ("disk", 2)):
-            simulated, wires[variant] = self._drive(*variant)
+            simulated, wires[variant], recipes = self._drive(*variant)
             assert simulated == reference, f"{variant} diverged from in-process"
         # Which OS process executes a shard never shows on the wire.
-        wire_bytes, frames = wires["process", 1]
-        assert wires["process", 2] == wires["process", 4] == (wire_bytes, frames)
+        assert wires["process", 1] == wires["process", 2] == wires["process", 4]
+        assert wires["process", 1] == (self.EXPECTED_WIRE_BYTES, self.EXPECTED_FRAMES)
         # Disk sends the same frames; its bytes differ by exactly the
-        # storage paths pickled into the build recipes.
-        assert wires["disk", 2][1] == frames
-        assert frames == self.EXPECTED_FRAMES
-        requests = self.NUM_UPDATES + self.NUM_QUERIES
-        assert wire_bytes / requests <= self.MAX_WIRE_BYTES_PER_REQUEST
+        # storage path in each build recipe — a length-prefixed string
+        # where the process recipes say ``None`` in one byte.
+        path_bytes = 0
+        for recipe in recipes:
+            encoded = bytearray()
+            write_str(encoded, recipe.storage_dir)
+            path_bytes += len(encoded)
+        assert wires["disk", 2] == (
+            self.EXPECTED_WIRE_BYTES + path_bytes,
+            self.EXPECTED_FRAMES,
+        )
 
 
 # --------------------------------------------------------------------------

@@ -5,13 +5,13 @@ Everything here runs over a plain ``socketpair`` with a thread serving
 at the transport, not at the shard stacks built on top of it.
 """
 
-import pickle
 import socket
 import threading
 
 import pytest
 
 from repro.errors import (
+    CodecError,
     ConfigurationError,
     FrameCorruptionError,
     RpcError,
@@ -112,17 +112,22 @@ def _messages():
 def test_update_batch_codec_round_trips_compact():
     messages = _messages()
     body = rpc.encode_update_batch(messages)
-    assert body[0] == 1  # compact flag: ids reconstruct, nothing pickled
+    assert body[0] == 1  # columnar flag: ids reconstruct from their numbers
     assert rpc.decode_update_batch(body) == messages
 
 
-def test_update_batch_codec_falls_back_to_pickle_for_odd_ids():
+def test_update_batch_codec_rides_the_general_frame_for_odd_ids():
     odd = [
         UpdateMessage("weird-id", Point(1.0, 2.0), Vector(0.0, 0.0), 0.0),
     ]
     body = rpc.encode_update_batch(odd)
-    assert body[0] == 0  # pickled flag
+    assert body[0] == 0  # general flag: the list as one tagged value
     assert rpc.decode_update_batch(body) == odd
+    # A general frame carries updates and nothing else.
+    queries = rpc.encode_query_batch([NNQuery(location=Point(1.0, 1.0), k=-1)])
+    assert queries[0] == 0
+    with pytest.raises(CodecError):
+        rpc.decode_update_batch(queries)
 
 
 def test_query_batch_codec_round_trips():
@@ -145,13 +150,30 @@ def test_error_codec_preserves_exception_type():
     assert str(decoded) == "no such server"
 
 
-def test_error_codec_degrades_to_rpc_error_for_unpicklable_payloads():
-    class Unpicklable(Exception):
-        def __reduce__(self):
-            raise pickle.PicklingError("nope")
+def test_call_codec_rejects_bodies_that_are_not_a_call():
+    for value in ["ping", ("ping", (), {}, 1), ("ping", [], {}), ("ping", (), {1: 2})]:
+        with pytest.raises(CodecError):
+            rpc.decode_call(rpc.encode_result(value))
+    with pytest.raises(CodecError, match="stray"):
+        rpc.decode_call(rpc.encode_call("ping", (), {}) + b"\x01")
+    with pytest.raises(CodecError, match="no value tag"):
+        rpc.encode_call("create_table", (object(),), {})
 
-    decoded = rpc.decode_error(rpc.encode_error(Unpicklable("boom")))
-    assert isinstance(decoded, RpcError)
+
+def test_error_codec_resolves_names_against_repro_errors_only():
+    class Foreign(Exception):
+        pass
+
+    for original in (ValueError("bad literal"), Foreign("boom"), KeyError("k")):
+        decoded = rpc.decode_error(rpc.encode_error(original))
+        assert type(decoded) is RpcError
+        assert str(decoded) == f"{type(original).__name__}: {original}"
+    # A name that is an attribute of the module but not one of its errors.
+    for name in ("annotations", "__doc__", "ReproError.__init__"):
+        decoded = rpc.decode_error(rpc.encode_result((name, "x")))
+        assert type(decoded) is RpcError and str(decoded) == f"{name}: x"
+    for body in (b"", b"\x00", rpc.encode_result(7), rpc.encode_result((1, 2, 3))):
+        assert type(rpc.decode_error(body)) is RpcError
 
 
 # --------------------------------------------------------------------------

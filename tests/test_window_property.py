@@ -14,7 +14,6 @@ import random
 
 import pytest
 
-from repro.bigtable.tablet import TabletOptions
 from repro.geometry.point import Point
 from repro.geometry.vector import Vector
 from repro.model import UpdateMessage, format_object_id
@@ -347,73 +346,8 @@ class TestDedupDepth:
         finally:
             cluster.close()
 
-
-# --------------------------------------------------------------------------
-# Idle flush hints: deterministic maintenance between applies
-# --------------------------------------------------------------------------
-class TestIdleFlushHint:
-    OPTIONS = TabletOptions(memtable_flush_rows=512)
-
-    def test_hint_flushes_memtables_near_threshold(self):
-        services = _built_service(
-            tablet_options=self.OPTIONS, idle_flush_fraction=0.1
-        )
-        baseline_runs = services[0].indexer.emulator.run_count()
-        # 40 updates leave ~90-130 log records per tablet: above the hint
-        # threshold (51) but far below the flush threshold (512) — only
-        # the idle hint can have flushed these.
-        dispatch_request(
-            services,
-            0,
-            rpc.OP_UPDATE_BATCH,
-            rpc.encode_update_batch(make_messages(40, 50)),
-            10,
-        )
-        assert services[0].indexer.emulator.run_count() > baseline_runs
-
-    def test_hint_is_off_by_default(self):
-        services = _built_service(tablet_options=self.OPTIONS)
-        dispatch_request(
-            services,
-            0,
-            rpc.OP_UPDATE_BATCH,
-            rpc.encode_update_batch(make_messages(40, 50)),
-            10,
-        )
-        assert services[0].indexer.emulator.run_count() == 0
-
-    @pytest.mark.parametrize("window", [1, 8])
-    def test_hinted_reports_stay_byte_identical_across_windows(self, window):
-        reference = None
-        cluster = _cluster(
-            "inprocess",
-            1,
-            window=1,
-            tablet_options=self.OPTIONS,
-            idle_flush_fraction=0.5,
-        )
-        try:
-            reference = _run_updates(cluster).to_report()
-        finally:
-            cluster.close()
-        cluster = _cluster(
-            "process",
-            2,
-            window=window,
-            tablet_options=self.OPTIONS,
-            idle_flush_fraction=0.5,
-        )
-        try:
-            assert _run_updates(cluster).to_report() == reference
-        finally:
-            cluster.close()
-
-    def test_fraction_validation(self):
+    def test_dedup_window_must_hold_at_least_one_request(self):
         from repro.errors import ConfigurationError
 
-        with pytest.raises(ConfigurationError):
-            ShardRecipe(num_objects=10, idle_flush_fraction=0.0)
-        with pytest.raises(ConfigurationError):
-            ShardRecipe(num_objects=10, idle_flush_fraction=1.5)
         with pytest.raises(ConfigurationError):
             ShardRecipe(num_objects=10, dedup_window=0)
