@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence
 
 from repro.bigtable.backend import TabletSkew
@@ -48,6 +49,8 @@ class BigtableEmulator:
         #: are dropped (the retry path re-sends them exactly once).
         self.restore_seq_bounds = restore_seq_bounds
         self._tables: Dict[str, Table] = {}
+        #: True inside :meth:`durability_barrier`; the stores read it.
+        self.barrier_open = False
 
     def create_table(self, name: str, families: Sequence[ColumnFamily]) -> Table:
         """Create a table; fails if the name is already taken.
@@ -63,7 +66,7 @@ class BigtableEmulator:
             from repro.disk.store import DiskTableStore, restore_table
 
             store = DiskTableStore(
-                os.path.join(self.storage_dir, name.replace("/", "__"))
+                os.path.join(self.storage_dir, name.replace("/", "__")), self
             )
             max_seq = None
             if self.restore_seq_bounds is not None:
@@ -89,6 +92,23 @@ class BigtableEmulator:
         )
         self._tables[name] = table
         return table
+
+    @contextmanager
+    def durability_barrier(self):
+        """One request's journal fsyncs, paid together (re-entrant): commits
+        inside the block only mark their store as owing durability, and
+        leaving the outermost block pays one ``write`` + ``fsync`` per store
+        still in debt (see :mod:`repro.disk.store`).  No ledger moves."""
+        if self.barrier_open or self.storage_dir is None:
+            yield
+            return
+        self.barrier_open = True
+        try:
+            yield
+        finally:
+            self.barrier_open = False
+            for table in self._tables.values():
+                table._store.settle()
 
     def table(self, name: str) -> Table:
         """Look up an existing table."""

@@ -279,8 +279,8 @@ class Table:
     # ------------------------------------------------------------------
     def attach_store(self, store: object) -> None:
         """Attach a write-through persistent store.  Commit-log records are
-        journalled at append time and fsynced exactly where the simulation
-        charges LOG_APPEND; structural events (split, merge, flush,
+        journalled at append time and committed (see the store) where the
+        simulation charges LOG_APPEND; structural events (split, merge, flush,
         compaction, family addition) checkpoint the full durable skeleton.
         A fresh store is checkpointed immediately so a zero-mutation table
         already survives a restart."""
@@ -398,7 +398,7 @@ class Table:
                 self.counter.record_durability(OpKind.LOG_APPEND, rows=1)
                 tablet.counter.record_durability(OpKind.LOG_APPEND, rows=1)
                 if self._store is not None:
-                    self._store.journal_sync()
+                    self._store.journal_commit()
         if charge:
             self.counter.record(kind)
             tablet.counter.record(kind)
@@ -466,7 +466,7 @@ class Table:
             self.counter.record_durability(OpKind.LOG_APPEND, rows=count)
             tablet.counter.record_durability(OpKind.LOG_APPEND, rows=count)
         if appended and self._store is not None:
-            self._store.journal_sync()
+            self._store.journal_commit()
 
     def _maybe_flush(self, tablet: Tablet) -> None:
         """Flush the memtable once it outgrew the configured threshold.
@@ -540,7 +540,7 @@ class Table:
             self.counter.record_durability(OpKind.LOG_APPEND, rows=appends)
             tablet.counter.record_durability(OpKind.LOG_APPEND, rows=appends)
         if group.log_appends and self._store is not None:
-            self._store.journal_sync()
+            self._store.journal_commit()
         for tablet in group.dirty.values():
             self._tablets.maybe_split(tablet)
             while self._tablets.maybe_merge(tablet):

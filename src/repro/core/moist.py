@@ -15,6 +15,7 @@ archiver, and exposes the operations an LBS front-end server needs:
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -82,6 +83,8 @@ class MoistIndexer:
             storage_dir=storage_dir,
             restore_seq_bounds=restore_seq_bounds,
         )
+        #: Request-scoped journal-fsync barrier of a disk-backed emulator.
+        self._barrier = getattr(self.emulator, "durability_barrier", nullcontext)
         self.location_table = LocationTable(
             self.emulator,
             name=f"{table_prefix}location",
@@ -190,7 +193,8 @@ class MoistIndexer:
         message, but the Python-level accounting work is amortised across
         the whole batch.
         """
-        results = self._processor.process_batch(messages)
+        with self._barrier():
+            results = self._processor.process_batch(messages)
         for message, result in zip(messages, results):
             self._absorb_outcome(message, result)
         if self.flag is not None and messages:
@@ -379,7 +383,8 @@ class MoistIndexer:
 
     def run_due_clustering(self, now: float) -> ClusteringReport:
         """Cluster only the cells whose interval Tc has elapsed."""
-        report = self.clusterer.cluster_due(now)
+        with self._barrier():
+            report = self.clusterer.cluster_due(now)
         self._absorb_clustering(report)
         return report
 
@@ -398,10 +403,10 @@ class MoistIndexer:
         from the disk column into the PPP archive.  Returns counts of both
         movements.
         """
-        aged_to_disk = self.location_table.age_out(now - self.config.aging_interval_s)
-        drained = self.location_table.drain_aged(
-            0, now - 2 * self.config.aging_interval_s
-        )
+        interval = self.config.aging_interval_s
+        with self._barrier():
+            aged_to_disk = self.location_table.age_out(now - interval)
+            drained = self.location_table.drain_aged(0, now - 2 * interval)
         for object_id, record in drained:
             self.archiver.archive(
                 HistoryRecord(

@@ -3,8 +3,8 @@
 Layout of one table's directory::
 
     <root>/
-      journal.bin     append-only framed commit-log records, fsynced at the
-                      same points the simulation charges LOG_APPEND
+      journal.bin     append-only framed commit-log records, written and
+                      fsynced when their durability is paid (below)
       MANIFEST.bin    checksummed tagged-value blob, atomically replaced
                       (tmp + fsync + os.replace) at every checkpoint
       runs/<id>.run   one immutable block file per SSTable run, written
@@ -15,23 +15,29 @@ in-memory LSM engine never reads these files while alive, so attaching a
 store changes no simulated ledger, split decision or query result.  Reads
 happen exactly once — in :func:`restore_table`, after a process death.
 
-Crash-consistency protocol (all orderings enforced here):
+Crash consistency — **durable at the acknowledgement** (all orderings
+enforced here; every real ``fsync`` is ``journal_sync``'s or a checkpoint's):
 
-* commit-log appends are framed into an in-process buffer and reach
-  ``journal.bin`` *at* their fsync point — one ``write`` and one ``fsync``
-  where the simulation charges the commit's LOG_APPEND — never before it:
-  a record the process died holding was by construction never synced, so
-  never acknowledged (``read_journal`` and ``close`` also write the buffer
-  out);
+* commit-log appends are framed into an in-process buffer; where the
+  simulation charges the commit's LOG_APPEND, ``journal_commit`` marks them
+  as *owed* durability.  The debt is paid (one ``write`` + one ``fsync``)
+  on the spot, or — inside :meth:`BigtableEmulator.durability_barrier` —
+  once, when the request's outermost barrier closes: before the accounting
+  checkpoint and the response frame.  Journal bytes reach the file only
+  there: a record the process died holding was never synced, so never
+  acknowledged (``read_journal`` and ``close`` also write the buffer out);
 * a checkpoint first writes any run files the manifest will reference
   (fsynced), then atomically replaces the manifest (which carries the
-  journal sequence watermark), then truncates the journal and drops the
-  buffered frames (the manifest's per-tablet logs own those records now) —
-  a crash between the last two steps leaves stale journal records that
-  the watermark filters out on restore;
+  journal sequence watermark), then truncates the journal, drops the
+  buffered frames and cancels their debt (the manifest's per-tablet logs
+  own those records now) — a crash between the last two steps leaves stale
+  journal records that the watermark filters out on restore;
 * structural events (split, merge, flush, compaction, family addition)
   always checkpoint, so the journal tail never spans a tablet-boundary
   change and replaying it through the *restored* boundaries is exact.
+
+Not promised: the accounting blob is not fsynced and no ``os.replace`` is
+followed by a directory fsync — both survive process death, not power loss.
 
 Restore rebuilds the locator surgically — each distinct run file is loaded
 once and its key/value arrays (and Bloom filter) are shared across every
@@ -84,8 +90,10 @@ def _run_filename(run_id: str) -> str:
 class DiskTableStore:
     """Write-through persistence for one :class:`Table` (see module doc)."""
 
-    def __init__(self, root: str) -> None:
+    def __init__(self, root: str, barrier: Optional[object] = None) -> None:
         self.root = root
+        #: The emulator: while its ``barrier_open``, commits wait for ``settle``.
+        self._barrier = barrier
         self._runs_dir = os.path.join(root, _RUNS_DIR)
         os.makedirs(self._runs_dir, exist_ok=True)
         self._journal_path = os.path.join(root, _JOURNAL_NAME)
@@ -99,11 +107,10 @@ class DiskTableStore:
             for name in os.listdir(self._runs_dir)
             if name.endswith(".run")
         }
+        #: Committed records still await their fsync.
+        self._owed = False
         self.journal_bytes = 0
-        self.run_bytes = 0
-        self.manifest_bytes = 0
-        self.journal_syncs = 0
-        self.checkpoints = 0
+        self.journal_syncs = 0  # real fsyncs issued
         #: Wall seconds spent in each persistence step (observability only;
         #: ``run_encode`` is the part of ``checkpoint`` spent encoding runs).
         self.seconds = {"journal_sync": 0.0, "checkpoint": 0.0, "run_encode": 0.0}
@@ -123,10 +130,24 @@ class DiskTableStore:
             self.journal_bytes += len(self._pending)
             self._pending.clear()
 
+    def journal_commit(self) -> None:
+        """The table's commit point: the buffered records are owed
+        durability — now, or at :meth:`settle` while a barrier is open."""
+        if self._barrier is not None and self._barrier.barrier_open:
+            self._owed = True
+        else:
+            self.journal_sync()
+
+    def settle(self) -> None:
+        """The barrier closed: pay the fsync still owed, if any."""
+        if self._owed:
+            self.journal_sync()
+
     def journal_sync(self) -> None:
         started = perf_counter()
         self._write_pending()
         os.fsync(self._journal.fileno())
+        self._owed = False
         self.journal_syncs += 1
         self.seconds["journal_sync"] += perf_counter() - started
 
@@ -180,11 +201,10 @@ class DiskTableStore:
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_path, self._manifest_path)
-        self.manifest_bytes += len(blob)
-        self.checkpoints += 1
         # The manifest now owns every record below the watermark; drop
-        # them, buffered or written.
+        # them, buffered or written, and the fsync they were owed.
         self._pending.clear()
+        self._owed = False
         os.ftruncate(self._journal.fileno(), 0)
         self._gc_runs(
             {run[0] for entry in tablets for run in entry["runs"]}
@@ -208,7 +228,6 @@ class DiskTableStore:
             os.fsync(handle.fileno())
         os.replace(tmp_path, path)
         self._persisted[run.run_id] = filename
-        self.run_bytes += len(blob)
 
     def _gc_runs(self, live_run_ids: set) -> None:
         """Delete run files no manifest references anymore (compaction and
@@ -217,11 +236,11 @@ class DiskTableStore:
             return
         for run_id in list(self._persisted):
             if run_id not in live_run_ids:
-                filename = self._persisted.pop(run_id)
                 try:
-                    os.remove(os.path.join(self._runs_dir, filename))
-                except OSError:  # pragma: no cover - best-effort GC
-                    pass
+                    os.remove(os.path.join(self._runs_dir, self._persisted[run_id]))
+                except OSError:
+                    continue  # best-effort: the next checkpoint retries it
+                del self._persisted[run_id]
 
     # ------------------------------------------------------------------
     # Restore-side reads

@@ -35,6 +35,7 @@ import shutil
 import socket
 from collections import OrderedDict
 from dataclasses import dataclass, replace
+from functools import wraps
 from random import Random
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -57,8 +58,8 @@ from repro.server.master import MasterOptions, TabletMaster
 STATE_BLOB_NAME = "SHARD_STATE.bin"
 
 #: Where a worker's wall time goes, per shard: the steps of
-#: :func:`dispatch_request`, then the disk store's share of ``apply``
-#: (``run_encode`` is in turn part of ``checkpoint``).
+#: :func:`dispatch_request`, then the disk store's share of ``apply`` (the
+#: barrier closes' ``journal_sync``; ``run_encode`` is part of ``checkpoint``).
 DISPATCH_PHASES = ("decode", "dedup", "apply", "state_blob", "encode")
 WORKER_PHASES = DISPATCH_PHASES + ("journal_sync", "checkpoint", "run_encode")
 
@@ -68,18 +69,27 @@ WORKER_PHASES = DISPATCH_PHASES + ("journal_sync", "checkpoint", "run_encode")
 #: resolves names through :func:`lookup_verb` — anything absent, private
 #: names included, is an :class:`RpcError` — and every verb not flagged
 #: read-only (like every data-plane batch) re-checkpoints the accounting
-#: soft state when the recipe asks for durable accounting.
+#: soft state when the recipe asks for durable accounting — once the
+#: durability barrier it ran under has paid the journal fsyncs it owed.
 VERBS: Dict[str, Tuple[Callable[..., Any], bool]] = {}
 
 
+def _register(name: str, function: Callable[..., Any], read_only: bool):
+    @wraps(function)
+    def barriered(service, *args, **kwargs):
+        if service.indexer is None:  # nothing built yet: no store to hold
+            return function(service, *args, **kwargs)
+        with service.indexer.emulator.durability_barrier():
+            return function(service, *args, **kwargs)
+
+    verb = function if read_only else barriered
+    VERBS[name] = (verb, read_only)
+    return verb
+
+
 def _verb(read_only: bool = False):
-    """Register a :class:`ShardService` method as a callable verb."""
-
-    def register(function):
-        VERBS[function.__name__] = (function, read_only)
-        return function
-
-    return register
+    """Register (and replace) a :class:`ShardService` method as a callable verb."""
+    return lambda function: _register(function.__name__, function, read_only)
 
 
 def _forward(
@@ -94,7 +104,7 @@ def _forward(
         return verb
 
     for name in names:
-        VERBS[name] = (forwarder(name), read_only)
+        _register(name, forwarder(name), read_only)
 
 
 def lookup_verb(method: str) -> Tuple[Callable[..., Any], bool]:
@@ -312,26 +322,29 @@ class ShardService:
         else:
             rng = Random(recipe.seed)
             loaded = 0
-            for index in range(recipe.num_objects):
-                # Consume the rng for every index — owned or not — so shard
-                # contents are independent of how many shards exist.
-                location = Point(
-                    rng.uniform(0.0, recipe.region_size),
-                    rng.uniform(0.0, recipe.region_size),
-                )
-                velocity = Vector(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
-                object_id = format_object_id(index)
-                if shard_of(object_id, recipe.num_shards) != recipe.shard_id:
-                    continue
-                indexer.update(
-                    UpdateMessage(
-                        object_id=object_id,
-                        location=location,
-                        velocity=velocity,
-                        timestamp=0.0,
+            # Nothing is acknowledged before this verb returns and a killed
+            # first build starts over (above): one barrier, one fsync a store.
+            with indexer.emulator.durability_barrier():
+                for index in range(recipe.num_objects):
+                    # Consume the rng for every index — owned or not — so
+                    # shard contents are independent of how many shards exist.
+                    location = Point(
+                        rng.uniform(0.0, recipe.region_size),
+                        rng.uniform(0.0, recipe.region_size),
                     )
-                )
-                loaded += 1
+                    velocity = Vector(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+                    object_id = format_object_id(index)
+                    if shard_of(object_id, recipe.num_shards) != recipe.shard_id:
+                        continue
+                    indexer.update(
+                        UpdateMessage(
+                            object_id=object_id,
+                            location=location,
+                            velocity=velocity,
+                            timestamp=0.0,
+                        )
+                    )
+                    loaded += 1
         indexer.emulator.reset_counters()
         cluster = ServerCluster(
             indexer,
@@ -824,10 +837,11 @@ def dispatch_request(
     without touching state (the parent resent a whole in-flight window
     after a respawn), an id older than the newest applied request that has
     fallen out of the window is rejected with :class:`StaleRequestError`,
-    and a fresh id applies, records its result, then re-checkpoints the
-    accounting soft state — *before* the response frame goes out, so a
-    kill at any point leaves the shard either unaware of the batch (the
-    resend applies it) or able to replay the ack (the resend is
+    and a fresh id applies under the verb's durability barrier (journal
+    bytes reach the disk as it returns), records its result, then
+    re-checkpoints the accounting soft state — *before* the response frame
+    goes out, so a kill at any point leaves the shard either unaware of the
+    batch (the resend applies it) or able to replay the ack (the resend is
     suppressed).
     """
     service = services.get(shard_id)

@@ -8,7 +8,9 @@ accounting checkpoints + the exactly-once retry protocol together make a
 worker death invisible to every simulated number.
 """
 
+import os
 import random
+import signal
 
 import pytest
 
@@ -19,6 +21,7 @@ from repro.errors import (
     WorkerDiedError,
 )
 from repro.codec.wire import NeighborStreamDecoder
+from repro.disk.store import DiskTableStore
 from repro.geometry.point import Point
 from repro.geometry.vector import Vector
 from repro.model import UpdateMessage, format_object_id
@@ -144,6 +147,46 @@ class TestChaosLossless:
             assert snapshot["recovery_seconds_max"] >= (
                 snapshot["recovery_seconds_mean"]
             )
+        finally:
+            cluster.close()
+
+    def test_sigkill_inside_the_durability_barrier_is_byte_invisible(
+        self, reference_report, tmp_path, monkeypatch
+    ):
+        # Chaos plans fire between rounds, when the victim is idle.  This
+        # kill lands *inside* a request: the first worker to reach the
+        # second commit point of an update batch — barrier open, the batch
+        # half applied, none of it in a journal — SIGKILLs itself, once.
+        armed, fired = str(tmp_path / "armed"), str(tmp_path / "fired")
+        real_commit = DiskTableStore.journal_commit
+        commits = []
+
+        def dying_commit(store):
+            assert store._barrier.barrier_open  # no worker commits outside one
+            if os.path.exists(armed):
+                commits.append(store.root)
+                if len(commits) == 2:
+                    try:
+                        os.close(os.open(fired, os.O_CREAT | os.O_EXCL))
+                    except FileExistsError:
+                        pass  # a respawned worker, or the other one won
+                    else:
+                        os.kill(os.getpid(), signal.SIGKILL)
+            real_commit(store)
+
+        # Workers are forked, so they (and their respawns) inherit the patch.
+        monkeypatch.setattr(DiskTableStore, "journal_commit", dying_commit)
+        cluster = _cluster(
+            "disk", 2, policy="respawn", retry=rpc.RetryPolicy(call_deadline_s=15.0)
+        )
+        try:
+            open(armed, "w").close()  # the preload is over: arm the kill
+            result = _run(cluster)
+            assert os.path.exists(fired)
+            assert result.to_report() == reference_report
+            snapshot = cluster.recovery_snapshot()
+            assert snapshot["recoveries"] == snapshot["lossless_recoveries"] == 1
+            assert snapshot["lost_updates"] == 0
         finally:
             cluster.close()
 

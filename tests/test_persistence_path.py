@@ -19,6 +19,7 @@ from __future__ import annotations
 import os
 import pickle
 import random
+import signal
 import types
 
 import pytest
@@ -451,6 +452,43 @@ class TestRespawn:
         ) == reference
         assert os.path.exists(os.path.join(recipe.shard_storage_dir, STATE_BLOB_NAME))
         _close_stores(second)
+
+    def test_first_build_killed_inside_its_barrier_starts_over(self, tmp_path):
+        recipe = _recipe(tmp_path / "killed")
+        pid = os.fork()
+        if pid == 0:  # the first build, SIGKILLed at its 50th commit point
+            try:
+                real_commit = DiskTableStore.journal_commit
+                commits = []
+
+                def dying_commit(store):
+                    commits.append(store.root)
+                    if len(commits) == 50 and store._barrier.barrier_open:
+                        os.kill(os.getpid(), signal.SIGKILL)
+                    real_commit(store)
+
+                DiskTableStore.journal_commit = dying_commit
+                _build(recipe)
+            finally:
+                os._exit(1)  # only reached if the kill never landed
+        _, status = os.waitpid(pid, 0)
+        assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+        # What the preload had committed was owed at the acknowledgement it
+        # never gave: manifests, no blob, and not one journal byte.
+        shard_dir = recipe.shard_storage_dir
+        assert not os.path.exists(os.path.join(shard_dir, STATE_BLOB_NAME))
+        tables = sorted(os.listdir(shard_dir))
+        assert len(tables) == 3
+        for name in tables:
+            assert os.path.exists(os.path.join(shard_dir, name, "MANIFEST.bin"))
+            assert os.path.getsize(os.path.join(shard_dir, name, "journal.bin")) == 0
+        second = _build(recipe)  # starts over from the recipe
+        fresh = _build(_recipe(tmp_path / "fresh"))
+        for verb in ("full_row_signature", "counter_snapshot", "tablet_count"):
+            assert second[0].call(verb) == fresh[0].call(verb)
+        assert os.path.exists(os.path.join(shard_dir, STATE_BLOB_NAME))
+        _close_stores(second)
+        _close_stores(fresh)
 
     @staticmethod
     def _built_by_the_parent_commit(recipe, monkeypatch) -> None:

@@ -211,7 +211,7 @@ class _SixFrameTable(Table):
             self.counter.record_durability(OpKind.LOG_APPEND, rows=1)
             tablet.counter.record_durability(OpKind.LOG_APPEND, rows=1)
             if self._store is not None:
-                self._store.journal_sync()
+                self._store.journal_commit()
         return True
 
     def _note_uncharged_structural(self, tablet, merge):
@@ -274,7 +274,7 @@ class _RecordingStore:
     def journal_append(self, record):
         self.events.append(("append", record))
 
-    def journal_sync(self):
+    def journal_commit(self):
         self.events.append(("sync",))
 
     def records(self):
