@@ -279,10 +279,6 @@ class OpCounter:
         """Durability calls (fsyncs, compactions) of the given kind."""
         return self.durability_counts.get(kind, 0)
 
-    def durability_rows_touched(self, kind: OpKind) -> int:
-        """Rows written/read by durability work of the given kind."""
-        return self.durability_rows.get(kind, 0)
-
     def write_amplification(self) -> float:
         """Physical rows written per logical row written.
 
@@ -303,35 +299,12 @@ class OpCounter:
             return 1.0
         return physical / logical
 
-    def absorb_snapshot(self, snapshot: "OpCounterSnapshot") -> None:
-        """Fold a frozen snapshot's totals into this counter.
-
-        The per-worker ledger merge of the multiprocess backend: each worker
-        ships an :class:`OpCounterSnapshot` of its shard's counter and the
-        parent folds them, in fixed shard order, into one cluster-wide
-        ledger.  Summation order is deterministic, so merged simulated
-        seconds are bit-identical run to run.
-        """
-        for kind, count in snapshot.counts.items():
-            self.counts[kind] = self.counts.get(kind, 0) + count
-        for kind, rows in snapshot.rows.items():
-            self.rows[kind] = self.rows.get(kind, 0) + rows
-        for kind, count in snapshot.durability_counts.items():
-            self.durability_counts[kind] = self.durability_counts.get(kind, 0) + count
-        for kind, rows in snapshot.durability_rows.items():
-            self.durability_rows[kind] = self.durability_rows.get(kind, 0) + rows
-        self.simulated_seconds += snapshot.simulated_seconds
-        self.read_seconds += snapshot.read_seconds
-        self.write_seconds += snapshot.write_seconds
-        self.durability_seconds += snapshot.durability_seconds
-        self.logical_write_rows += snapshot.logical_write_rows
-
-    def absorb(self, other: "OpCounter") -> None:
-        """Fold another counter's totals into this one.
-
-        Used when two tablets merge: the surviving tablet keeps the combined
-        load history so cluster-level skew reports stay consistent.
-        """
+    def absorb(self, other: "OpCounter | OpCounterSnapshot") -> None:
+        """Fold another ledger's totals — a live counter or a frozen
+        snapshot, they name their fields alike — into this one: a merged
+        tablet's history into the survivor's, or each worker's snapshot, in
+        fixed shard order (so merged seconds are bit-identical run to run),
+        into the multiprocess backend's cluster-wide ledger."""
         for kind, count in other.counts.items():
             self.counts[kind] = self.counts.get(kind, 0) + count
         for kind, rows in other.rows.items():
@@ -349,10 +322,6 @@ class OpCounter:
     def count(self, kind: OpKind) -> int:
         """Number of calls of the given kind recorded so far."""
         return self.counts.get(kind, 0)
-
-    def rows_touched(self, kind: OpKind) -> int:
-        """Total rows touched by calls of the given kind."""
-        return self.rows.get(kind, 0)
 
     def total_calls(self) -> int:
         """Total number of storage calls of any kind."""
@@ -385,6 +354,14 @@ class OpCounter:
             durability_seconds=self.durability_seconds,
             logical_write_rows=self.logical_write_rows,
         )
+
+    export_state = snapshot  # its name in the accounting-checkpoint protocol
+
+    def install_state(self, state: "OpCounterSnapshot") -> None:
+        """Make this ledger equal a :meth:`snapshot` (zero, then absorb:
+        ``0.0 + x`` is ``x``, so float totals install bit-exactly)."""
+        self.reset()
+        self.absorb(state)
 
     def reset(self) -> None:
         """Zero every counter."""

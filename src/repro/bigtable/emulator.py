@@ -12,7 +12,7 @@ from repro.bigtable.lsm import RecoveryReport
 from repro.bigtable.scan import BlockCacheOptions, TabletCacheStats
 from repro.bigtable.table import ColumnFamily, Table
 from repro.bigtable.tablet import TabletOptions, TabletStats
-from repro.errors import StorageError, TableNotFoundError
+from repro.errors import StorageError, TableNotFoundError, UnrecoverableShardError
 
 
 class BigtableEmulator:
@@ -109,6 +109,28 @@ class BigtableEmulator:
             self.barrier_open = False
             for table in self._tables.values():
                 table._store.settle()
+
+    def export_state(self) -> dict:
+        """Plain-data snapshot of the shared ledger and every table's soft
+        state (:meth:`Table.export_state`), tables in name order."""
+        tables = {name: self._tables[name].export_state() for name in sorted(self._tables)}
+        return {"counter": self.counter.snapshot(), "tables": tables}
+
+    def install_state(self, state: dict) -> None:
+        """Apply :meth:`export_state` to an emulator restored from disk."""
+        if set(state["tables"]) != set(self._tables):
+            raise UnrecoverableShardError(
+                f"snapshot has tables {sorted(state['tables'])}, not {sorted(self._tables)}"
+            )
+        self.counter.install_state(state["counter"])
+        for name, table_state in state["tables"].items():
+            self._tables[name].install_state(table_state)
+
+    @staticmethod
+    def acked_seqs(state: dict) -> Dict[str, int]:
+        """``table -> acked journal seq`` of an :meth:`export_state`: the
+        ``restore_seq_bounds`` to rebuild the emulator it came from with."""
+        return {name: table["seq"] for name, table in state["tables"].items()}
 
     def table(self, name: str) -> Table:
         """Look up an existing table."""

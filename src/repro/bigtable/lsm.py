@@ -380,22 +380,6 @@ class RecoveryReport:
     def simulated_seconds(self) -> float:
         return sum(entry.simulated_seconds for entry in self.tables)
 
-    def to_text(self) -> str:
-        """One-line-per-table console rendering."""
-        lines = ["crash recovery"]
-        for entry in self.tables:
-            lines.append(
-                f"  {entry.table}: {entry.tablets} tablets, "
-                f"{entry.runs_opened} runs ({entry.run_rows_loaded} rows) opened, "
-                f"{entry.log_records_replayed} log records replayed, "
-                f"{entry.simulated_seconds * 1e3:.3f} ms"
-            )
-        lines.append(
-            f"  total: {self.log_records_replayed} records replayed over "
-            f"{self.runs_opened} runs in {self.simulated_seconds * 1e3:.3f} ms"
-        )
-        return "\n".join(lines) + "\n"
-
 
 def merge_runs(
     selected: Sequence[SSTable],

@@ -511,7 +511,7 @@ class FederatedShardedBackend:
         """Merged cluster-wide ledger (snapshot merge in shard order)."""
         merged = OpCounter(model=CostModel())
         for snapshot in self.counter_snapshots():
-            merged.absorb_snapshot(snapshot)
+            merged.absorb(snapshot)
         return merged
 
     def counter_snapshots(self) -> List[OpCounterSnapshot]:

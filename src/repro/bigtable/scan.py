@@ -26,6 +26,7 @@ return stale results.
 
 from __future__ import annotations
 
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple, TYPE_CHECKING
@@ -232,9 +233,25 @@ class BlockCache:
 
         The cache is pure accounting — ``(tablet, source, block)`` string
         keys in LRU order plus hit/miss counts, no row data — so the whole
-        warmth model serialises exactly."""
+        warmth model serialises exactly.  Every key repeats one of a few
+        tablet and run ids, so each is named once and the LRU is parallel
+        columns (``array("I")`` bytes): an index into either name tuple and
+        each block's length in ``blocks``, the blocks end to end — a few
+        values to encode where the keys would be thousands of strings."""
+        tablets: Dict[str, int] = {}
+        sources: Dict[str, int] = {}
+        tablet_at, source_at, blocks = [], [], []
+        for tablet_id, source, block in self._lru:
+            tablet_at.append(tablets.setdefault(tablet_id, len(tablets)))
+            source_at.append(sources.setdefault(source, len(sources)))
+            blocks.append(block)
         return {
-            "lru": list(self._lru.keys()),
+            "tablets": tuple(tablets),
+            "sources": tuple(sources),
+            "tablet_at": array("I", tablet_at).tobytes(),
+            "source_at": array("I", source_at).tobytes(),
+            "blocks": "".join(blocks),
+            "block_len": array("I", map(len, blocks)).tobytes(),
             "hits": dict(self._hits),
             "misses": dict(self._misses),
         }
@@ -242,10 +259,18 @@ class BlockCache:
     def install_state(self, state: dict) -> None:
         """Restore a snapshot from :meth:`export_state` (``_by_tablet`` is
         an index over the LRU keys and is rebuilt, not shipped)."""
+        tablets, sources, blocks = state["tablets"], state["sources"], state["blocks"]
+        tablet_at = array("I", state["tablet_at"])
+        source_at = array("I", state["source_at"])
+        block_len = array("I", state["block_len"])
+        if not len(tablet_at) == len(source_at) == len(block_len):
+            raise ValueError("block-cache snapshot columns differ in length")
         self._lru.clear()
         self._by_tablet.clear()
-        for key in state["lru"]:
-            key = tuple(key)
+        start = 0
+        for tablet, source, length in zip(tablet_at, source_at, block_len):
+            key = (tablets[tablet], sources[source], blocks[start : start + length])
+            start += length
             self._lru[key] = None
             self._by_tablet.setdefault(key[0], set()).add(key)
         self._hits = dict(state["hits"])

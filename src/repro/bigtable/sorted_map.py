@@ -161,34 +161,6 @@ class SortedMap:
         hi = len(self._keys) if end is None else bisect_left(self._keys, end)
         return max(hi - lo, 0)
 
-    def first_key(self) -> Optional[str]:
-        """Smallest key, or ``None`` when empty."""
-        self._merge()
-        return self._keys[0] if self._keys else None
-
-    def last_key(self) -> Optional[str]:
-        """Largest key, or ``None`` when empty."""
-        self._merge()
-        return self._keys[-1] if self._keys else None
-
-    def floor_key(self, key: str) -> Optional[str]:
-        """Largest stored key ``<= key``, or ``None``."""
-        self._merge()
-        index = bisect_left(self._keys, key)
-        if index < len(self._keys) and self._keys[index] == key:
-            return key
-        if index == 0:
-            return None
-        return self._keys[index - 1]
-
-    def ceiling_key(self, key: str) -> Optional[str]:
-        """Smallest stored key ``>= key``, or ``None``."""
-        self._merge()
-        index = bisect_left(self._keys, key)
-        if index >= len(self._keys):
-            return None
-        return self._keys[index]
-
     def split_off(self, key: str) -> "SortedMap":
         """Remove every entry with a key ``>= key`` and return them as a new map.
 

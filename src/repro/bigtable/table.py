@@ -81,7 +81,7 @@ from repro.bigtable.tablet import (
     TabletOptions,
     TabletStats,
 )
-from repro.errors import ColumnFamilyError, RowNotFoundError
+from repro.errors import ColumnFamilyError, RowNotFoundError, UnrecoverableShardError
 
 
 @dataclass(frozen=True)
@@ -301,14 +301,39 @@ class Table:
             self._store_dirty = False
             store.checkpoint(self)
 
+    def store_seconds(self) -> Dict[str, float]:
+        """Wall seconds the disk store spent per step (empty without one)."""
+        return {} if self._store is None else self._store.seconds
+
+    def export_state(self) -> dict:
+        """What the store's files do not hold: the journal sequence reached
+        (the *acked* watermark, in a snapshot taken after the request is
+        answered), block-cache residency and every tablet's ledger."""
+        return {
+            "seq": self._seq,
+            "cache": self.cache.export_state(),
+            "tablets": {
+                tablet.tablet_id: tablet.counter.snapshot()
+                for tablet in self._tablets.tablets()
+            },
+        }
+
+    def install_state(self, state: dict) -> None:
+        """Apply :meth:`export_state` to this table as restored from its
+        store.  ``seq`` is not applied: it bounded the restore's journal
+        replay (:meth:`BigtableEmulator.acked_seqs`) before this existed."""
+        tablets = {tablet.tablet_id: tablet for tablet in self._tablets.tablets()}
+        if set(state["tablets"]) != set(tablets):
+            raise UnrecoverableShardError(
+                f"{self.name!r} snapshot has tablets {sorted(state['tablets'])}, not {sorted(tablets)}"
+            )
+        self.cache.install_state(state["cache"])
+        for tablet_id, snapshot in state["tablets"].items():
+            tablets[tablet_id].counter.install_state(snapshot)
+
     # ------------------------------------------------------------------
     # Schema
     # ------------------------------------------------------------------
-    @property
-    def family_names(self) -> List[str]:
-        """Declared column family names."""
-        return list(self._families)
-
     def family(self, name: str) -> ColumnFamily:
         """Declared family, raising :class:`ColumnFamilyError` when unknown."""
         try:
@@ -730,13 +755,6 @@ class Table:
         if row is None:
             raise RowNotFoundError(f"row {row_key!r} not found in table {self.name!r}")
         return row.cells()
-
-    def row_exists(self, row_key: str, _charge: bool = True) -> bool:
-        """Existence check (charged as a read)."""
-        tablet = self._tablets.locate(row_key)
-        if _charge:
-            self._charge_read(OpKind.READ, tablet)
-        return tablet.live_row(row_key) is not None
 
     # ------------------------------------------------------------------
     # Scans and batches

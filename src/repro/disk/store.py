@@ -36,6 +36,11 @@ enforced here; every real ``fsync`` is ``journal_sync``'s or a checkpoint's):
   always checkpoint, so the journal tail never spans a tablet-boundary
   change and replaying it through the *restored* boundaries is exact.
 
+The shard's accounting checkpoint (``SHARD_STATE.bin``, beside the table
+directories) is written here too: a ``<III`` header (format, body length,
+crc32 of the body), then one tagged dict of :data:`STATE_SECTIONS`, replaced
+whole (tmp + ``os.replace``) after every mutating request.
+
 Not promised: the accounting blob is not fsynced and no ``os.replace`` is
 followed by a directory fsync — both survive process death, not power loss.
 
@@ -51,14 +56,13 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import pickle
 import shutil
 import struct
 import zlib
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import UnrecoverableShardError
+from repro.errors import CodecError, UnrecoverableShardError
 
 from repro.bigtable.lsm import BloomFilter, SSTable
 from repro.bigtable.scan import BlockCacheOptions
@@ -72,6 +76,7 @@ from repro.codec.blocks import (
     encode_run_block,
     iter_journal_records,
 )
+from repro.codec.values import pack_value, unpack_value
 
 #: Bumped when what the files *mean* changes; a manifest of another format
 #: reads as "no checkpoint".  2: cell values are rows at rest (exact tuples)
@@ -375,23 +380,28 @@ def restore_table(
 # Soft-state blobs (shard accounting checkpoints)
 # --------------------------------------------------------------------------
 
-#: Bumped whenever the payload's shape changes: a blob never outlives one
-#: run, so a mismatch is damage, not something to migrate.
-STATE_FORMAT = 3
+#: Bumped whenever the body's shape changes: a blob never outlives one
+#: run, so a mismatch is damage, not something to migrate.  4: the body is
+#: one tagged value (:mod:`repro.codec.values`), like every other file here.
+STATE_FORMAT = 4
 
-_STATE_HEADER = struct.Struct("<III")  # format, payload length, crc32(payload)
+#: The body's keys, in order: one section per owner of soft state, each that
+#: owner's ``export_state()`` (``ShardService.accounting_state`` walks them).
+STATE_SECTIONS = ("dedup", "emulator", "flag", "cluster", "master")
+
+_STATE_HEADER = struct.Struct("<III")  # format, body length, crc32(body)
 
 
 def write_state_blob(path: str, payload: dict) -> int:
-    """Atomically persist a pickled accounting snapshot (tmp + os.replace).
+    """Atomically persist an accounting snapshot (tmp + os.replace).
 
     The snapshot's big member — the dedup window — arrives as ``bytes`` the
-    shard encoded once per applied request, so pickling it is a copy, not
+    shard encoded once per applied request, so encoding it is a copy, not
     a re-serialisation.  No fsync: the blob only needs to survive
     *process* death, not power loss — the durable LSM state underneath
     carries its own fsync protocol.  Returns the byte count written (for
     accounting)."""
-    body = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
+    body = pack_value(payload)
     blob = _STATE_HEADER.pack(STATE_FORMAT, len(body), zlib.crc32(body)) + body
     tmp_path = path + ".tmp"
     with open(tmp_path, "wb") as handle:
@@ -402,10 +412,11 @@ def write_state_blob(path: str, payload: dict) -> int:
 
 def read_state_blob(path: str) -> Optional[dict]:
     """Load a snapshot written by :func:`write_state_blob`; ``None`` when
-    the file is absent.  A file that is present but torn, corrupt or of
-    another format raises :class:`UnrecoverableShardError`: the ledgers and
-    the dedup window it held are gone, and restoring without them would
-    silently zero the accounting and re-apply an unacked batch."""
+    the file is absent.  A file that is present but torn, corrupt, of
+    another format or not the section dict raises
+    :class:`UnrecoverableShardError`: its ledgers and dedup window are gone,
+    and restoring without them would silently zero the accounting and
+    re-apply an unacked batch."""
     try:
         with open(path, "rb") as handle:
             data = handle.read()
@@ -428,7 +439,8 @@ def _decode_state_blob(data: bytes) -> Optional[dict]:
     if version != STATE_FORMAT or len(body) != length or zlib.crc32(body) != crc:
         return None
     try:
-        payload = pickle.loads(body)
-    except Exception:
+        payload = unpack_value(body)
+    except CodecError:
         return None
-    return payload if isinstance(payload, dict) else None
+    fits = type(payload) is dict and tuple(payload) == STATE_SECTIONS
+    return payload if fits else None

@@ -111,10 +111,6 @@ class ChaosPlan:
         """Events scheduled for one batch boundary (worker order)."""
         return self._by_batch.get(batch_index, [])
 
-    def workers_hit(self) -> Tuple[int, ...]:
-        """Distinct worker indices the plan targets, sorted."""
-        return tuple(sorted({event.worker_index for event in self.events}))
-
     def describe(self) -> List[str]:
         return [event.describe() for event in self.events]
 

@@ -11,7 +11,7 @@ from repro.bigtable.lsm import RecoveryReport, TableRecovery
 from repro.core.moist import MoistIndexer
 from repro.core.nn_search import NNQueryStats
 from repro.core.update import UpdateResult
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, UnrecoverableShardError
 from repro.geometry.point import Point
 from repro.model import NeighborResult, UpdateMessage
 from repro.server.contention import TabletContentionModel
@@ -44,10 +44,6 @@ class TabletRoutingTable:
         """Current primary assignment (explicit override or hash default)."""
         explicit = self._primary.get(tablet_id)
         return explicit if explicit is not None else self.default_index(tablet_id)
-
-    def is_pinned(self, tablet_id: str) -> bool:
-        """Whether the control plane explicitly assigned this tablet."""
-        return tablet_id in self._primary
 
     def assign(self, tablet_id: str, server_index: int) -> None:
         """Pin a tablet's primary to one server (a migration commit)."""
@@ -106,9 +102,12 @@ class TabletRoutingTable:
             else:
                 del self._replicas[tablet_id]
 
-    def assignments(self) -> Dict[str, int]:
-        """Copy of the explicit (non-default) primary assignments."""
-        return dict(self._primary)
+    def export_state(self) -> tuple:
+        """``(primary pins, replica placement)`` as plain dicts."""
+        return (dict(self._primary), dict(self._replicas))
+
+    def install_state(self, state: tuple) -> None:
+        self._primary, self._replicas = map(dict, state)
 
 
 class RoundMakespans:
@@ -518,17 +517,6 @@ class ServerCluster:
         server determines when the cluster is done."""
         return max(server.busy_seconds for server in self.servers)
 
-    def total_requests(self) -> int:
-        """Requests handled across all servers."""
-        return sum(server.requests_handled for server in self.servers)
-
-    def throughput_qps(self) -> float:
-        """Aggregate requests per simulated second."""
-        makespan = self.makespan_seconds()
-        if makespan <= 0:
-            return 0.0
-        return self.total_requests() / makespan
-
     def service_time_percentile(self, quantile: float) -> float:
         """Simulated per-request service-time percentile across servers.
 
@@ -542,13 +530,40 @@ class ServerCluster:
         )
 
     def metrics_snapshot(self) -> Dict[str, object]:
-        """Plain-data accounting view (makespan plus one
-        :meth:`FrontendServer.metrics_snapshot` row per server), shippable
+        """Plain-data accounting view (makespan plus the five metrics
+        fields of each :meth:`FrontendServer.export_state` row), shippable
         over the multiprocess RPC boundary for the per-shard merge."""
         return {
             "makespan": self.makespan_seconds(),
-            "servers": [server.metrics_snapshot() for server in self.servers],
+            "servers": [server.export_state()[:5] for server in self.servers],
         }
+
+    def export_state(self) -> dict:
+        """Plain-data snapshot of everything simulated the cluster holds:
+        one row per server, the round-robin cursor, the routing table, the
+        contention model's scalars (``None`` without a model)."""
+        contention = self.contention
+        return {
+            "servers": [server.export_state() for server in self.servers],
+            "next": self._next,
+            "routing": self.routing.export_state(),
+            "contention": None if contention is None else contention.export_state(),
+        }
+
+    def install_state(self, state: dict) -> None:
+        """Apply :meth:`export_state` to a cluster built from the same
+        recipe; any other server count is not this cluster's snapshot."""
+        rows = state["servers"]
+        if len(rows) != len(self.servers):
+            raise UnrecoverableShardError(
+                f"snapshot holds {len(rows)} servers, the cluster has {len(self.servers)}"
+            )
+        for server, row in zip(self.servers, rows):
+            server.install_state(row)
+        self._next = state["next"]
+        self.routing.install_state(state["routing"])
+        if self.contention is not None:
+            self.contention.install_state(state["contention"])
 
     def reset_metrics(self) -> None:
         """Zero every server's accounting."""

@@ -107,3 +107,11 @@ class TabletContentionModel:
     def invalidate(self) -> None:
         """Force a re-sample on the next request (e.g. after counter resets)."""
         self._requests_since_refresh = None
+
+    def export_state(self) -> tuple:
+        """``(requests since the last re-sample, cached factor)``: where the
+        next re-sample falls decides every later service time."""
+        return (self._requests_since_refresh, self._cached_factor)
+
+    def install_state(self, state: tuple) -> None:
+        self._requests_since_refresh, self._cached_factor = state

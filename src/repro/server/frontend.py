@@ -193,40 +193,29 @@ class FrontendServer:
         """Total requests (updates + queries) handled so far."""
         return self.updates_handled + self.queries_handled
 
-    def mean_service_time(self) -> float:
-        """Average simulated service time per request (both classes
-        blended; see the per-class means for the read/write asymmetry)."""
-        if self.requests_handled == 0:
-            return 0.0
-        return self.busy_seconds / self.requests_handled
-
-    def mean_update_service_time(self) -> float:
-        """Average simulated service time per update request."""
-        if self.updates_handled == 0:
-            return 0.0
-        return self.update_busy_seconds / self.updates_handled
-
-    def mean_query_service_time(self) -> float:
-        """Average simulated service time per NN query."""
-        if self.queries_handled == 0:
-            return 0.0
-        return self.query_busy_seconds / self.queries_handled
-
-    def metrics_snapshot(self) -> tuple:
-        """Plain-data view of this server's accounting, shippable over the
-        multiprocess RPC boundary for the per-worker metrics merge."""
+    def export_state(self) -> tuple:
+        """This server's accounting as one plain-data row; its first five
+        fields are the metrics row the per-shard merge ships over RPC."""
         return (
             self.updates_handled,
             self.queries_handled,
             self.update_busy_seconds,
             self.query_busy_seconds,
             self.alive,
+            tuple(self.service_time_samples),
         )
+
+    def install_state(self, state: tuple) -> None:
+        (
+            self.updates_handled,
+            self.queries_handled,
+            self.update_busy_seconds,
+            self.query_busy_seconds,
+            self.alive,
+            samples,
+        ) = state
+        self.service_time_samples = list(samples)
 
     def reset_metrics(self) -> None:
         """Zero the per-server accounting (between experiment intervals)."""
-        self.update_busy_seconds = 0.0
-        self.query_busy_seconds = 0.0
-        self.updates_handled = 0
-        self.queries_handled = 0
-        self.service_time_samples.clear()
+        self.install_state((0, 0, 0.0, 0.0, self.alive, ()))

@@ -361,17 +361,15 @@ class LoadTest:
         #: fault log — ``to_report()`` must stay byte-identical between
         #: chaos and fault-free runs.
         self.chaos_plan = chaos_plan
-        self.chaos_applied: List[str] = []
         self._faults_applied: List[str] = []
         self._master_baseline = (0, 0, 0)
 
     def _begin_run(self) -> None:
         """Per-run bookkeeping reset: cluster metrics, the applied-fault
-        and chaos logs, and a snapshot of the cumulative master action
-        counts so each result reports only the actions of *its* run."""
+        log, and a snapshot of the cumulative master action counts so each
+        result reports only the actions of *its* run."""
         self.cluster.reset_metrics()
         self._faults_applied = []
-        self.chaos_applied = []
         self._master_baseline = self.cluster.master_action_counts()
 
     # ------------------------------------------------------------------
@@ -404,7 +402,7 @@ class LoadTest:
                 cluster.rebalance()
         if self.chaos_plan is not None:
             for event in self.chaos_plan.events_at(batch_index):
-                self.chaos_applied.append(cluster.apply_chaos_event(event))
+                cluster.apply_chaos_event(event)
 
     def _admit(self, items: Sequence) -> Tuple[list, int]:
         """Split one request slice into ``(admitted, dropped)``.

@@ -123,10 +123,6 @@ class RebalanceReport:
     imbalance_before: float = 1.0
     imbalance_after: float = 1.0
 
-    @property
-    def actions(self) -> int:
-        return len(self.migrations) + len(self.replications)
-
 
 class TabletMaster:
     """Master-coordinated tablet placement over one :class:`ServerCluster`.
@@ -174,16 +170,23 @@ class TabletMaster:
             len(self.failovers),
         )
 
-    def server_loads(self) -> Dict[int, float]:
+    def export_state(self) -> tuple:
+        """The decision histories ``(migrations, replications, failovers)``
+        — frozen records, the ones the control verbs already ship — so a
+        respawned shard's master continues instead of forgetting them.  The
+        routing they produced is the cluster's to export."""
+        return (list(self.migrations), list(self.replications), list(self.failovers))
+
+    def install_state(self, state: tuple) -> None:
+        self.migrations, self.replications, self.failovers = map(list, state)
+
+    def _server_loads(self, stats: List[TabletStats]) -> Dict[int, float]:
         """Simulated storage seconds attributed to each alive server.
 
         A tablet's write time (and unreplicated read time) lands on its
         primary; a replicated tablet's read time is split evenly over its
         serving copies — exactly how the query fan-out divides the work.
         """
-        return self._server_loads(self.backend.tablet_stats())
-
-    def _server_loads(self, stats: List[TabletStats]) -> Dict[int, float]:
         loads: Dict[int, float] = {
             index: 0.0 for index in self.cluster.alive_server_indices()
         }

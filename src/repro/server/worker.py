@@ -26,6 +26,12 @@ state/NN signatures the losslessness property suites compare, and a bare
 crash-recovery property tests.  Reachability, mutability and the
 accounting-checkpoint trigger all derive from that one table, on both
 transports.
+
+The checkpoint itself is a fixed-order walk (``accounting_state`` /
+``_install_accounting``) over the owners of simulated-but-not-durable
+state — this service's dedup window, the emulator, the FLAG tuner, the
+cluster, the master — each exporting and installing its own section; this
+module names the sections and reads nobody's private attributes.
 """
 
 from __future__ import annotations
@@ -41,11 +47,18 @@ from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from zlib import crc32
 
+from repro.bigtable.emulator import BigtableEmulator
 from repro.bigtable.tablet import TabletOptions
 from repro.codec.values import pack_value, unpack_value
 from repro.codec.wire import NeighborStreamEncoder
 from repro.core.config import MoistConfig
-from repro.errors import ConfigurationError, RpcError, StaleRequestError
+from repro.errors import (
+    CodecError,
+    ConfigurationError,
+    RpcError,
+    StaleRequestError,
+    UnrecoverableShardError,
+)
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import Point
 from repro.geometry.vector import Vector
@@ -307,7 +320,9 @@ class ShardService:
                 # Cap journal replay at the last *acked* sequence per table:
                 # anything past it was never acknowledged to the parent, so
                 # the supervisor's retry re-sends it exactly once.
-                restore_seq_bounds = dict(accounting["table_seqs"])
+                restore_seq_bounds = BigtableEmulator.acked_seqs(
+                    accounting["emulator"]
+                )
         indexer = build_no_school_indexer(
             config,
             tablet_options=recipe.tablet_options,
@@ -375,133 +390,62 @@ class ShardService:
     # ------------------------------------------------------------------
     # Accounting soft state (supervised respawn)
     # ------------------------------------------------------------------
+    def _state_owners(self) -> Dict[str, object]:
+        """``section -> its owner`` in blob order (``STATE_SECTIONS`` in
+        :mod:`repro.disk.store`); ``None`` where the recipe builds none."""
+        return {
+            "dedup": self,
+            "emulator": self._require_cluster().indexer.emulator,
+            "flag": self.indexer.flag,
+            "cluster": self.cluster,
+            "master": self.master,
+        }
+
     @_verb(read_only=True)
     def accounting_state(self) -> Dict[str, Any]:
-        """Everything simulated-but-not-durable, as one plain-data dict.
+        """Everything simulated-but-not-durable: one named section per
+        owner, each that owner's ``export_state()``.  The LSM state already
+        survives SIGKILL exactly (manifest + runs + journal tail); this is
+        the rest of what :meth:`metrics`/``to_report`` can observe, plus the
+        exactly-once dedup window and the per-table acked journal
+        watermarks that bound the restore."""
+        return {
+            name: None if owner is None else owner.export_state()
+            for name, owner in self._state_owners().items()
+        }
 
-        The LSM state under the shard already survives SIGKILL exactly
-        (manifest + runs + journal tail); this snapshot covers the rest of
-        what :meth:`metrics`/``to_report`` can observe — op ledgers, cache
-        residency and tallies, FLAG levels, per-server metrics, routing
-        (primary pins *and* replica placement), contention scalars, the
-        tablet master's decision history — plus the exactly-once dedup
-        window and the per-table acked journal watermarks that bound the
-        restore."""
-        cluster = self._require_cluster()
-        emulator = self.indexer.emulator
-        tablet_counters: Dict[Tuple[str, str], Any] = {}
-        block_caches: Dict[str, dict] = {}
-        table_seqs: Dict[str, int] = {}
-        for name in emulator.table_names():
-            table = emulator.table(name)
-            table_seqs[name] = table._seq
-            block_caches[name] = table.cache.export_state()
-            for tablet in table.tablets():
-                tablet_counters[(name, tablet.tablet_id)] = (
-                    tablet.counter.snapshot()
-                )
-        contention = None
-        if cluster.contention is not None:
-            contention = (
-                cluster.contention._requests_since_refresh,
-                cluster.contention._cached_factor,
-            )
-        # The window is most of the snapshot, so each entry is serialised
-        # once — the first time a snapshot includes it — and copied after.
+    def _install_accounting(self, state: Dict[str, Any]) -> None:
+        """Hand each section to its owner on a freshly restored stack.  A
+        snapshot that does not fit — a section missing, an owner this recipe
+        does not build, a refusal by the owner — fails the build with a
+        typed error instead of continuing on a partial install."""
+        try:
+            for name, owner in self._state_owners().items():
+                if (owner is None) != (state[name] is None):
+                    raise UnrecoverableShardError(
+                        f"section {name!r} is not what this recipe builds"
+                    )
+                if owner is not None:
+                    owner.install_state(state[name])
+        except (KeyError, IndexError, TypeError, ValueError, CodecError) as exc:
+            raise UnrecoverableShardError(
+                f"accounting snapshot does not fit this shard: {exc!r}"
+            ) from exc
+
+    def export_state(self) -> Tuple[bytes, ...]:
+        """The dedup window, oldest first, as each entry's encoded bytes.
+        The window is most of a snapshot, so an entry is serialised once —
+        by the first export that includes it — and copied after."""
         window = self._applied_window
         for request_id, (opcode, result, encoded) in window.items():
             if encoded is None:
                 encoded = pack_value((request_id, opcode, result))
                 window[request_id] = (opcode, result, encoded)
-        return {
-            "dedup": tuple(entry[2] for entry in window.values()),
-            "counter": emulator.counter.snapshot(),
-            "tablet_counters": tablet_counters,
-            "block_caches": block_caches,
-            "flag": (
-                self.indexer.flag.export_state()
-                if self.indexer.flag is not None
-                else None
-            ),
-            "servers": [
-                (
-                    server.updates_handled,
-                    server.queries_handled,
-                    server.update_busy_seconds,
-                    server.query_busy_seconds,
-                    server.alive,
-                    list(server.service_time_samples),
-                )
-                for server in cluster.servers
-            ],
-            "cluster_next": cluster._next,
-            "routing": (
-                dict(cluster.routing._primary),
-                dict(cluster.routing._replicas),
-            ),
-            "contention": contention,
-            "table_seqs": table_seqs,
-            # Tablet-master decision state: the migration / replication /
-            # failover histories (plain frozen dataclasses, the same
-            # objects the control verbs already ship over RPC).  Routing
-            # overrides and replica placement ride the "routing" key above;
-            # together they let a respawned shard's master continue
-            # byte-identically instead of forgetting every decision.
-            "master": (
-                None
-                if self.master is None
-                else (
-                    list(self.master.migrations),
-                    list(self.master.replications),
-                    list(self.master.failovers),
-                )
-            ),
-        }
+        return tuple(entry[2] for entry in window.values())
 
-    def _install_accounting(self, state: Dict[str, Any]) -> None:
-        """Apply a snapshot from :meth:`accounting_state` onto a freshly
-        restored stack (counters are all zero, so absorbing is installing)."""
-        cluster = self.cluster
-        emulator = self.indexer.emulator
-        emulator.reset_counters()
-        emulator.counter.absorb_snapshot(state["counter"])
-        for name in emulator.table_names():
-            table = emulator.table(name)
-            cache_state = state["block_caches"].get(name)
-            if cache_state is not None:
-                table.cache.install_state(cache_state)
-            for tablet in table.tablets():
-                snapshot = state["tablet_counters"].get((name, tablet.tablet_id))
-                if snapshot is not None:
-                    tablet.counter.absorb_snapshot(snapshot)
-        if self.indexer.flag is not None and state["flag"] is not None:
-            self.indexer.flag.install_state(state["flag"])
-        for server, fields in zip(cluster.servers, state["servers"]):
-            (
-                server.updates_handled,
-                server.queries_handled,
-                server.update_busy_seconds,
-                server.query_busy_seconds,
-                server.alive,
-            ) = fields[:5]
-            server.service_time_samples = list(fields[5])
-        cluster._next = state["cluster_next"]
-        primary, replicas = state["routing"]
-        cluster.routing._primary = dict(primary)
-        cluster.routing._replicas = {
-            tablet_id: tuple(indices) for tablet_id, indices in replicas.items()
-        }
-        if cluster.contention is not None and state["contention"] is not None:
-            requests_since, factor = state["contention"]
-            cluster.contention._requests_since_refresh = requests_since
-            cluster.contention._cached_factor = factor
-        if self.master is not None and state["master"] is not None:
-            migrations, replications, failovers = state["master"]
-            self.master.migrations = list(migrations)
-            self.master.replications = list(replications)
-            self.master.failovers = list(failovers)
+    def install_state(self, state: Tuple[bytes, ...]) -> None:
         self._applied_window = OrderedDict()
-        for encoded in state["dedup"]:
+        for encoded in state:
             request_id, opcode, result = unpack_value(encoded)
             self._applied_window[request_id] = (opcode, result, encoded)
 
@@ -538,8 +482,7 @@ class ShardService:
         """Remember one applied request, evicting beyond the window depth."""
         window = self._applied_window
         window[request_id] = (opcode, result, None)
-        depth = self.recipe.dedup_window if self.recipe is not None else 8
-        while len(window) > depth:
+        while len(window) > self.recipe.dedup_window:
             window.popitem(last=False)
 
     def _reject_stale(self, request_id: int) -> None:
@@ -646,26 +589,13 @@ class ShardService:
         phase.update(self.phase)
         emulator = self.indexer.emulator
         for name in emulator.table_names():
-            store = emulator.table(name)._store
-            if store is not None:
-                for step, seconds in store.seconds.items():
-                    phase[step] += seconds
+            for step, seconds in emulator.table(name).store_seconds().items():
+                phase[step] += seconds
         return phase
 
     @_verb(read_only=True)
     def makespan(self) -> float:
         return self._require_cluster().makespan_seconds()
-
-    @_verb(read_only=True)
-    def servers_alive(self) -> List[bool]:
-        return [server.alive for server in self._require_cluster().servers]
-
-    @_verb(read_only=True)
-    def server_requests(self) -> List[Tuple[int, int]]:
-        return [
-            (server.updates_handled, server.queries_handled)
-            for server in self._require_cluster().servers
-        ]
 
     @_verb(read_only=True)
     def service_time_samples(self) -> List[float]:

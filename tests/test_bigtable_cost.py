@@ -71,7 +71,7 @@ class TestOpCounter:
         counter = OpCounter()
         counter.record(OpKind.SCAN, rows=7)
         counter.record(OpKind.SCAN, rows=3)
-        assert counter.rows_touched(OpKind.SCAN) == 10
+        assert counter.rows.get(OpKind.SCAN, 0) == 10
         assert counter.count(OpKind.SCAN) == 2
 
     def test_total_calls(self):

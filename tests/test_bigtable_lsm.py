@@ -255,7 +255,7 @@ class TestDurabilityLedger:
         solo = make_table(TabletOptions())
         fill(solo, 10)
         # Same records durably logged, far fewer fsyncs.
-        assert grouped.counter.durability_rows_touched(OpKind.LOG_APPEND) == 10
+        assert grouped.counter.durability_rows.get(OpKind.LOG_APPEND, 0) == 10
         assert solo.counter.durability_count(OpKind.LOG_APPEND) == 10
         assert (
             grouped.counter.durability_count(OpKind.LOG_APPEND)
@@ -294,7 +294,7 @@ class TestDurabilityLedger:
         fill(table, 40)
         # Flushes rewrote rows even though nothing was logged: amplification
         # must reflect the physical writes, not fall back to 1.0.
-        assert table.counter.durability_rows_touched(OpKind.COMPACTION_WRITE) > 0
+        assert table.counter.durability_rows.get(OpKind.COMPACTION_WRITE, 0) > 0
         assert table.write_amplification() > 1.0
 
     def test_noop_cell_delete_never_pulls_run_rows_back(self):

@@ -144,7 +144,7 @@ class TestScannerCharging:
         owners = {table.tablet_for_key(f"{i:04d}").tablet_id for i in range(5, 15)}
         assert len(owners) > 1
         assert {t.tablet_id for t in charged} == owners
-        assert sum(t.counter.rows_touched(OpKind.SCAN) for t in charged) == 10
+        assert sum(t.counter.rows.get(OpKind.SCAN, 0) for t in charged) == 10
         # A range inside one tablet is served, and charged, by that one.
         table.reset_tablet_counters()
         table.scan("0000", "0002")
@@ -160,7 +160,7 @@ class TestScannerCharging:
         # must still show up on the owning tablet's ledger.
         rows = table.scan("9000", "9999")
         assert rows == []
-        assert last.counter.rows_touched(OpKind.SCAN) == 1
+        assert last.counter.rows.get(OpKind.SCAN, 0) == 1
         assert table.tablets()[0].counter.total_calls() == 0
 
     def test_warm_scan_still_attributed_to_tablet_ledger(self):
@@ -174,7 +174,7 @@ class TestScannerCharging:
         # row — its ledger must keep growing or read skew fades as the
         # cache warms.
         assert tablet.counter.count(OpKind.SCAN) == 1
-        assert tablet.counter.rows_touched(OpKind.CACHE_READ) == 16
+        assert tablet.counter.rows.get(OpKind.CACHE_READ, 0) == 16
         assert tablet.counter.read_seconds > 0
 
     def test_split_invalidates_moved_rows(self):

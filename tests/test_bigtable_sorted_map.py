@@ -86,22 +86,6 @@ class TestScans:
         assert m.count_range() == 5
         assert m.count_range("x", "z") == 0
 
-    def test_first_last(self):
-        m = self._populated()
-        assert m.first_key() == "a"
-        assert m.last_key() == "e"
-        assert SortedMap().first_key() is None
-        assert SortedMap().last_key() is None
-
-    def test_floor_and_ceiling(self):
-        m = self._populated()
-        assert m.floor_key("c") == "c"
-        assert m.floor_key("cz") == "c"
-        assert m.floor_key("0") is None
-        assert m.ceiling_key("c") == "c"
-        assert m.ceiling_key("cz") == "d"
-        assert m.ceiling_key("z") is None
-
 
 class TestProperties:
     @given(st.dictionaries(keys, st.integers(), max_size=40))
@@ -184,8 +168,7 @@ class TestMemtableProperty:
                 st.tuples(st.just("delete"), keys, st.integers()),
                 st.tuples(st.just("scan"), keys, keys),
                 st.tuples(st.just("keys"), keys, keys),
-                st.tuples(st.just("floor"), keys, keys),
-                st.tuples(st.just("ceiling"), keys, keys),
+                st.tuples(st.just("count"), keys, keys),
             ),
             max_size=60,
         )
@@ -207,12 +190,11 @@ class TestMemtableProperty:
                 assert list(m.iter_keys(low, high)) == expected
             elif op == "keys":
                 assert m.keys() == sorted(reference)
-            elif op == "floor":
-                expected_floor = max((k for k in reference if k <= a), default=None)
-                assert m.floor_key(a) == expected_floor
-            elif op == "ceiling":
-                expected_ceiling = min((k for k in reference if k >= a), default=None)
-                assert m.ceiling_key(a) == expected_ceiling
+            elif op == "count":
+                low, high = min(a, b), max(a, b)
+                assert m.count_range(low, high) == sum(
+                    low <= k < high for k in reference
+                )
             # Point invariants hold after every operation.
             assert len(m) == len(reference)
         assert m.keys() == sorted(reference)

@@ -35,7 +35,7 @@ class TestSchema:
     def test_add_family(self):
         table = make_table()
         table.add_family(ColumnFamily("extra"))
-        assert "extra" in table.family_names
+        assert table.family("extra") == ColumnFamily("extra")
         with pytest.raises(ColumnFamilyError):
             table.add_family(ColumnFamily("extra"))
 
@@ -105,12 +105,6 @@ class TestPointOperations:
         with pytest.raises(RowNotFoundError):
             table.read_row("missing")
 
-    def test_row_exists(self):
-        table = make_table()
-        assert not table.row_exists("row")
-        table.write("row", "mem", "q", 1, 0.0)
-        assert table.row_exists("row")
-
 
 class TestScansAndBatches:
     def test_scan_returns_rows_in_key_order(self):
@@ -176,7 +170,7 @@ class TestCostAccounting:
         for key in ["a", "b", "c"]:
             table.write(key, "mem", "q", key, 0.0)
         table.scan()
-        assert table.counter.rows_touched(OpKind.SCAN) == 3
+        assert table.counter.rows.get(OpKind.SCAN, 0) == 3
 
     def test_batch_cheaper_than_points(self):
         batch_table = make_table()

@@ -171,7 +171,7 @@ class TestMerging:
         table.batch_delete([(f"k{index:04d}", "f", "q") for index in range(30)])
         assert table.tablet_count() == 1
         live = table.tablets()[0]
-        assert live.counter.rows_touched(OpKind.BATCH_WRITE) == 30
+        assert live.counter.rows.get(OpKind.BATCH_WRITE, 0) == 30
 
     def test_group_mode_uncharged_deletes_merge_at_flush(self):
         table = make_table()

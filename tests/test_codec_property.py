@@ -25,10 +25,12 @@ batches) and assert:
 from __future__ import annotations
 
 import math
+import os
 import pickle
 import random
 import socket
 import struct
+import tempfile
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -37,13 +39,17 @@ from repro.bigtable.cost import CostModel, OpCounter
 from repro.bigtable.tablet import TabletStats
 from repro.codec import values, wire
 from repro.codec.columns import write_uvarint
+from repro.disk.store import read_state_blob
 from repro.errors import CodecError, ReproError, RpcError
 from repro.geometry.point import Point
 from repro.geometry.vector import Vector
 from repro.model import LocationRecord, NeighborResult, UpdateMessage, format_object_id
 from repro.server import rpc
+from repro.server.worker import ShardRecipe, ShardService
 from repro.tables.affiliation_table import LFRecord, Role
 from repro.workload.queries import NNQuery
+
+from test_persistence_path import framed
 
 _F64 = struct.Struct("<d")
 
@@ -798,6 +804,30 @@ def _read_frame(data):
         right.close()
 
 
+def _read_state_body(body: bytes):
+    """The accounting blob's body decoder, reached the way a restore reaches
+    it: length and crc recomputed around the damaged body, so the damage
+    gets past the header checks and into the decoder."""
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "SHARD_STATE.bin")
+        with open(path, "wb") as handle:
+            handle.write(framed(body))
+        return read_state_blob(path)
+
+
+def _state_body() -> bytes:
+    """What a small shard with a master checkpoints after one round."""
+    service = ShardService()
+    service.build_indexer(
+        ShardRecipe(num_objects=24, num_servers=2, with_master=True, seed=3)
+    )
+    service._record_applied(
+        7, rpc.OP_UPDATE_BATCH, service.update_batch(_seeded_updates(24, 8, ids="numeric"))
+    )
+    service._record_applied(8, rpc.OP_QUERY_BATCH, service.query_batch(_FUZZ_QUERIES))
+    return values.pack_value(service.accounting_state())
+
+
 def _fuzz_cases() -> dict:
     """``name -> (decoder, well-formed bytes)`` for every decoder that
     reads bytes from a socket or a file."""
@@ -855,6 +885,7 @@ def _fuzz_cases() -> dict:
             _read_frame,
             rpc.encode_frame(rpc.KIND_RESPONSE, 7, 3, rpc.OP_CALL, rpc.encode_result("pong")),
         ),
+        "state_blob": (_read_state_body, _state_body()),
     }
 
 
@@ -907,6 +938,10 @@ def _mutate(good: bytes, mutation) -> bytes:
 @example("neighbor_columnar", ("inflate", 2))  # the batch count
 @example("neighbor_columnar", ("inflate", 3))  # a batch's record count
 @example("frame", ("inflate", 0))
+@example("state_blob", ("tag", (0, 0)))
+@example("state_blob", ("tag", (0, 9)))  # a list where the section dict goes
+@example("state_blob", ("inflate", 1))  # the section count
+@example("state_blob", ("truncate", 4000))
 @example("frame", ("flip", [(0, 5)]))  # a length prefix of half a gigabyte
 def test_every_decoder_answers_hostile_bytes_with_a_value_or_a_typed_error(name, mutation):
     decode, good = _FUZZ_CASES[name]

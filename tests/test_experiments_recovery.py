@@ -62,7 +62,6 @@ class TestClusterCrashAndRecover:
             ref_indexer, queries
         )
         assert report.simulated_seconds >= 0.0
-        assert report.to_text().startswith("crash recovery")
 
     def test_recovery_report_accounts_runs_and_records(self):
         indexer, cluster = build(flush_rows=64)
@@ -91,7 +90,7 @@ class TestClusterCrashAndRecover:
         assert indexer.emulator.run_count() == 0
         assert indexer.write_amplification() == pytest.approx(1.0)
         counter = indexer.emulator.counter
-        assert counter.durability_rows_touched(OpKind.LOG_APPEND) > 0
+        assert counter.durability_rows.get(OpKind.LOG_APPEND, 0) > 0
         # Durability is additive: the paper-facing ledgers never see it.
         assert OpKind.LOG_APPEND not in counter.counts
         report = cluster.crash_and_recover()

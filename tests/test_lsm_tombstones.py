@@ -8,8 +8,11 @@ from the dead.  Every test drives a delete through a different
 flush/compact/split/merge interleaving and asserts the row stays gone on
 every read path (point reads, scans, batch reads, NN search)."""
 
+import pytest
+
 from repro.bigtable.table import ColumnFamily, Table
 from repro.bigtable.tablet import TabletOptions
+from repro.errors import RowNotFoundError
 from repro.experiments.common import uniform_leader_indexer
 from repro.geometry.point import Point
 
@@ -32,7 +35,8 @@ def fill(table, count, base=0, prefix="k"):
 
 def assert_gone(table, key):
     assert table.read_latest(key, "f", "q", _charge=False) is None
-    assert not table.row_exists(key, _charge=False)
+    with pytest.raises(RowNotFoundError):
+        table.read_row(key, _charge=False)
     assert key not in table.all_keys()
     assert key not in dict(table.scan())
     assert key not in table.batch_read([key])

@@ -20,7 +20,9 @@ import os
 import pickle
 import random
 import signal
+import struct
 import types
+import zlib
 
 import pytest
 
@@ -32,6 +34,7 @@ from repro.codec.columns import write_uvarint
 from repro.disk.store import (
     MANIFEST_FORMAT,
     STATE_FORMAT,
+    STATE_SECTIONS,
     DiskTableStore,
     read_state_blob,
     restore_table,
@@ -289,8 +292,17 @@ class TestBufferedJournal:
 # --------------------------------------------------------------------------
 # Accounting blob: versioned, typed failure
 # --------------------------------------------------------------------------
+def framed(body: bytes) -> bytes:
+    """A format-valid, crc-valid blob around any body bytes."""
+    return struct.pack("<III", STATE_FORMAT, len(body), zlib.crc32(body)) + body
+
+
+def _blob(body_value) -> bytes:
+    return framed(values.pack_value(body_value))
+
+
 class TestStateBlob:
-    PAYLOAD = {"dedup": (b"\x08\x00", b""), "table_seqs": {"location": 7}}
+    PAYLOAD = dict.fromkeys(STATE_SECTIONS) | {"dedup": (b"\x08\x00", b"")}
 
     def test_round_trip_and_absent(self, tmp_path):
         path = str(tmp_path / STATE_BLOB_NAME)
@@ -317,6 +329,12 @@ class TestStateBlob:
             lambda data: b"",  # created, never written
             lambda data: data[:20] + bytes([data[20] ^ 0x10]) + data[21:],
             lambda data: data + b"x",  # trailing garbage
+            lambda data: _blob(["not", "a", "section", "dict"]),
+            lambda data: _blob(TestStateBlob.PAYLOAD | {"extra": None}),
+            lambda data: _blob(
+                {name: None for name in STATE_SECTIONS if name != "flag"}
+            ),
+            lambda data: _blob(dict.fromkeys(reversed(STATE_SECTIONS))),
         ],
     )
     def test_damaged_blob_is_a_typed_error(self, tmp_path, damage):
@@ -426,6 +444,43 @@ class TestRespawn:
         path = os.path.join(recipe.shard_storage_dir, STATE_BLOB_NAME)
         with open(path, "r+b") as handle:
             handle.truncate(os.path.getsize(path) // 2)
+        with pytest.raises(UnrecoverableShardError):
+            _build(recipe)
+
+    @pytest.mark.parametrize(
+        "written_by, rebuilt_as",
+        [
+            (dict(num_servers=3), dict(num_servers=2)),  # zip() dropped a row
+            (dict(num_servers=2), dict(num_servers=3)),
+            (dict(with_master=True), dict(with_master=False)),
+            (dict(with_master=False), dict(with_master=True)),
+        ],
+    )
+    def test_snapshot_that_does_not_fit_its_owner_refuses_to_install(
+        self, tmp_path, written_by, rebuilt_as
+    ):
+        first = _build(_recipe(tmp_path, **written_by))
+        dispatch_request(
+            first, 0, rpc.OP_UPDATE_BATCH, rpc.encode_update_batch(_messages(1)), 10
+        )
+        _close_stores(first)
+        with pytest.raises(UnrecoverableShardError):
+            _build(_recipe(tmp_path, **rebuilt_as))
+
+    def test_snapshot_naming_a_tablet_the_stack_lacks_refuses_to_install(
+        self, tmp_path
+    ):
+        recipe = _recipe(tmp_path)
+        first = _build(recipe)
+        state = first[0].accounting_state()
+        _close_stores(first)
+        ledgers = state["emulator"]["tables"]["location"]["tablets"]
+        ledgers["location/t9999"] = ledgers.pop(next(iter(ledgers)))
+        write_state_blob(os.path.join(recipe.shard_storage_dir, STATE_BLOB_NAME), state)
+        with pytest.raises(UnrecoverableShardError, match="t9999"):
+            _build(recipe)
+        del state["emulator"]["tables"]["location"]
+        write_state_blob(os.path.join(recipe.shard_storage_dir, STATE_BLOB_NAME), state)
         with pytest.raises(UnrecoverableShardError):
             _build(recipe)
 

@@ -203,10 +203,9 @@ class TestVerbTable:
             "counter_snapshot", "simulated_seconds", "run_count",
             "log_record_count", "tablet_stats", "tablet_count",
             "block_cache_stats", "cache_totals", "server_index_for_tablet",
-            "alive_server_indices", "servers_alive", "server_requests",
-            "service_time_samples", "state_signature", "full_row_signature",
-            "has_table", "table_names", "table_keys", "table_row_count",
-            "table_state",
+            "alive_server_indices", "service_time_samples", "state_signature",
+            "full_row_signature", "has_table", "table_names", "table_keys",
+            "table_row_count", "table_state",
         }
         assert not any(name.startswith("_") for name in VERBS)
         assert {"update_batch", "query_batch", "build_indexer"} <= set(VERBS)

@@ -38,7 +38,6 @@ class TestFrontendServer:
         server.handle_update(make_update(1, 10.0, 10.0))
         assert server.updates_handled == 1
         assert server.busy_seconds > 0
-        assert server.mean_service_time() > 0
 
     def test_query_accumulates_busy_time(self, shared_indexer):
         server = FrontendServer(0, shared_indexer)
@@ -60,7 +59,6 @@ class TestFrontendServer:
         server.reset_metrics()
         assert server.busy_seconds == 0.0
         assert server.requests_handled == 0
-        assert server.mean_service_time() == 0.0
 
 
 class TestServerCluster:
@@ -74,13 +72,12 @@ class TestServerCluster:
             cluster.submit_update(make_update(index, 10.0 + index, 10.0))
         assert [server.requests_handled for server in cluster.servers] == [3, 3, 3]
 
-    def test_makespan_and_throughput(self, shared_indexer):
+    def test_makespan(self, shared_indexer):
         cluster = ServerCluster(shared_indexer, num_servers=2)
         for index in range(10):
             cluster.submit_update(make_update(index, 10.0 + index, 10.0))
-        assert cluster.total_requests() == 10
+        assert [server.requests_handled for server in cluster.servers] == [5, 5]
         assert cluster.makespan_seconds() > 0
-        assert cluster.throughput_qps() > 0
 
     def test_more_servers_give_higher_throughput(self):
         # Two separate deployments processing the same stream.
@@ -92,7 +89,8 @@ class TestServerCluster:
             update = make_update(index, 10.0 + (index % 80), 10.0)
             single.submit_update(update)
             multi.submit_update(update)
-        assert multi.throughput_qps() > 2 * single.throughput_qps()
+        # Same request count on both, so throughput is 1 / makespan.
+        assert single.makespan_seconds() > 2 * multi.makespan_seconds()
 
     def test_contention_makes_speedup_sublinear(self):
         single = ServerCluster(MoistIndexer(CONFIG), num_servers=1)
@@ -101,7 +99,7 @@ class TestServerCluster:
             update = make_update(index, 10.0 + (index % 80), 10.0)
             single.submit_update(update)
             ten.submit_update(update)
-        speedup = ten.throughput_qps() / single.throughput_qps()
+        speedup = single.makespan_seconds() / ten.makespan_seconds()
         assert 1.0 < speedup < 10.0
 
     def test_nn_query_dispatch(self, shared_indexer):
