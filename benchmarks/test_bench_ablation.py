@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md §5.
+"""Ablation benchmarks for the design choices of :mod:`repro.experiments.ablations`.
 
 These have no direct counterpart figure in the paper; they quantify the
 design decisions the paper asserts qualitatively (Hilbert over Z-order,

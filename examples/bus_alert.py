@@ -19,7 +19,7 @@ from typing import List, Optional
 from repro import MoistConfig, MoistIndexer, Point
 from repro.errors import QueryError
 from repro.geometry.bbox import BoundingBox
-from repro.workload import RoadNetworkWorkload, WorkloadConfig
+from repro.workload.generator import RoadNetworkWorkload, WorkloadConfig
 
 
 @dataclass

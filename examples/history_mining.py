@@ -21,7 +21,7 @@ from repro.archive.ppp import PPPArchiver
 from repro.archive.sizing import optimise_disk_count
 from repro.disk.model import DiskModel
 from repro.geometry.bbox import BoundingBox
-from repro.workload import RoadNetworkWorkload, WorkloadConfig
+from repro.workload.generator import RoadNetworkWorkload, WorkloadConfig
 
 
 def main() -> None:

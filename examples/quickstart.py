@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro import MoistConfig, MoistIndexer, Point
 from repro.geometry.bbox import BoundingBox
-from repro.workload import RoadNetworkWorkload, WorkloadConfig
+from repro.workload.generator import RoadNetworkWorkload, WorkloadConfig
 
 
 def main() -> None:

@@ -18,7 +18,7 @@ from typing import Dict, List, Set
 
 from repro import MoistConfig, MoistIndexer, Point
 from repro.geometry.bbox import BoundingBox
-from repro.workload import RoadNetworkWorkload, WorkloadConfig
+from repro.workload.generator import RoadNetworkWorkload, WorkloadConfig
 
 
 @dataclass

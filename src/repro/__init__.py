@@ -15,8 +15,8 @@ Quickstart::
     indexer.update(UpdateMessage("bus-42", Point(500.0, 500.0), Vector(1.0, 0.0), 0.0))
     nearest = indexer.nearest_neighbors(Point(500.0, 500.0), k=5)
 
-See ``DESIGN.md`` for the full system inventory and ``EXPERIMENTS.md`` for the
-paper-versus-measured results of every reproduced figure.
+See ``README.md`` (*Architecture*) for the system inventory and
+``python -m repro figures`` for every reproduced figure.
 """
 
 from repro.core.config import MoistConfig

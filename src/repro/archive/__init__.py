@@ -6,17 +6,3 @@ its twin keeps absorbing new records.  The placement hash keeps all of one
 object's history on a single disk and co-locates objects that started out
 nearby, which is what keeps on-disk history queries cheap.
 """
-
-from repro.archive.placement import PlacementHash
-from repro.archive.buffer import PingPongBuffer
-from repro.archive.ppp import ArchiveStats, PPPArchiver
-from repro.archive.sizing import SizingResult, optimise_disk_count
-
-__all__ = [
-    "PlacementHash",
-    "PingPongBuffer",
-    "ArchiveStats",
-    "PPPArchiver",
-    "SizingResult",
-    "optimise_disk_count",
-]

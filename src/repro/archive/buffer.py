@@ -32,11 +32,6 @@ class PingPongBuffer:
         #: Observed fill times of completed pages.
         self.fill_times: List[float] = []
 
-    @property
-    def active_size(self) -> int:
-        """Number of records waiting in the active buffer."""
-        return len(self._buffers[self._active])
-
     def append(self, record: HistoryRecord, now: float) -> Optional[List[HistoryRecord]]:
         """Add one record; returns a full page to flush, or ``None``.
 

@@ -85,10 +85,6 @@ class PPPArchiver:
             )
         return self._home_disk[object_id]
 
-    def home_disk(self, object_id: ObjectId) -> Optional[int]:
-        """Home disk of an object, or ``None`` if it was never registered."""
-        return self._home_disk.get(object_id)
-
     def archive(self, record: HistoryRecord, now: float) -> Optional[int]:
         """Buffer one aged record; flush the page if the buffer filled up.
 
@@ -102,14 +98,6 @@ class PPPArchiver:
             return None
         self._flush_page(disk_index, page, now)
         return disk_index
-
-    def archive_many(self, records: List[HistoryRecord], now: float) -> int:
-        """Buffer many records; returns the number of pages flushed."""
-        flushed = 0
-        for record in records:
-            if self.archive(record, now) is not None:
-                flushed += 1
-        return flushed
 
     def flush_all(self, now: float) -> int:
         """Force every partially filled buffer onto its disk (shutdown)."""

@@ -15,20 +15,3 @@
   (the paper's "worst case" configuration used in the BigTable stress
   experiments).
 """
-
-from repro.baselines.bplustree import BPlusTree
-from repro.baselines.bxtree import BxTree, BxTreeConfig
-from repro.baselines.static_clustering import StaticClusteringIndex
-from repro.baselines.dynamic_clustering import DynamicClusteringIndex
-from repro.baselines.dead_reckoning import DeadReckoningIndex
-from repro.baselines.no_school import build_no_school_indexer
-
-__all__ = [
-    "BPlusTree",
-    "BxTree",
-    "BxTreeConfig",
-    "StaticClusteringIndex",
-    "DynamicClusteringIndex",
-    "DeadReckoningIndex",
-    "build_no_school_indexer",
-]

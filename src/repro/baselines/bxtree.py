@@ -13,7 +13,7 @@ time and the phase's label time.
 
 Costs are counted in B+-tree page accesses and converted to simulated
 seconds with a per-page latency, so the baseline can be compared with
-MOIST's BigTable-op-based costs in the same units (DESIGN.md Section 2).
+MOIST's BigTable-op-based costs in the same units.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from repro.errors import ConfigurationError, QueryError
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import Point
 from repro.model import ObjectId, UpdateMessage
-from repro.spatial.hilbert import hilbert_index, hilbert_point
+from repro.spatial.hilbert import hilbert_index
 
 
 @dataclass(frozen=True)
@@ -222,7 +222,3 @@ class BxTree:
                         )
                         candidates[object_id] = region.clamp_point(position)
         return candidates
-
-    def decode_cell(self, curve_value: int) -> Tuple[int, int]:
-        """Grid coordinates of a curve value (diagnostic helper)."""
-        return hilbert_point(self.config.curve_level, curve_value)

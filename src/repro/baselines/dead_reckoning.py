@@ -96,10 +96,6 @@ class DeadReckoningIndex:
         self.stats.stored += 1
         return False
 
-    def stored_record(self, object_id: ObjectId) -> Optional[LocationRecord]:
-        """The record the predictor currently extrapolates from."""
-        return self._stored.get(object_id)
-
     @property
     def indexed_objects(self) -> int:
         """Number of objects present in the spatial index (all of them —

@@ -106,14 +106,6 @@ class DynamicClusteringIndex:
             self.stats.reclusterings += 1
         return self._assign_to_cluster(message)
 
-    def cluster_of(self, object_id: ObjectId) -> Optional[int]:
-        """Cluster id of an object, if any."""
-        return self._membership.get(object_id)
-
-    def cluster_count(self) -> int:
-        """Number of live clusters."""
-        return len(self._clusters)
-
     @property
     def simulated_seconds(self) -> float:
         """Simulated storage time consumed so far."""

@@ -44,12 +44,6 @@ class StaticClusteringStats:
     updates: int = 0
     reclassifications: int = 0
 
-    @property
-    def reclassification_ratio(self) -> float:
-        if self.updates == 0:
-            return 0.0
-        return self.reclassifications / self.updates
-
 
 class StaticClusteringIndex:
     """Moving-object index with fixed moving-pattern prototypes."""
@@ -93,10 +87,6 @@ class StaticClusteringIndex:
         )
         self.stats.updates += 1
         return prototype_index
-
-    def prototype_of(self, object_id: ObjectId) -> Optional[int]:
-        """Current prototype assignment of an object."""
-        return self._assignment.get(object_id)
 
     @property
     def simulated_seconds(self) -> float:

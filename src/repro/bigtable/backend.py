@@ -115,8 +115,8 @@ class StorageBackend(Protocol):
         ...
 
     # ------------------------------------------------------------------
-    # LSM durability plane.  Part of the protocol since PR 4, but consumed
-    # at two levels by design: ``isinstance`` checks against this protocol
+    # LSM durability plane.  Part of the protocol, but consumed at two
+    # levels by design: ``isinstance`` checks against this protocol
     # (and its ShardedBackend extension) require the methods — a durability
     # -free backend can satisfy them with no-ops returning 0 / an empty
     # RecoveryReport — while the MoistIndexer facade probes them tolerantly

@@ -228,8 +228,9 @@ class OpCounter:
             self.write_seconds += cost
         return cost
 
-    def record_many(self, kind: OpKind, calls: int, rows_per_call: int = 1) -> float:
-        """Record ``calls`` identical operations in one bookkeeping step.
+    def record_many(self, kind: OpKind, calls: int) -> float:
+        """Record ``calls`` identical one-row operations in one bookkeeping
+        step.
 
         This is the group-commit fast path: a flushed commit buffer charges
         all of its point writes at once instead of paying the per-call
@@ -243,11 +244,11 @@ class OpCounter:
         if entry is None:
             raise ConfigurationError(f"no standalone cost defined for {kind}")
         fixed, per_row, post_factor = entry
-        cost = (fixed + per_row * rows_per_call) * post_factor * calls
+        cost = (fixed + per_row) * post_factor * calls
         counts = self.counts
         counts[kind] = counts.get(kind, 0) + calls
         totals = self.rows
-        totals[kind] = totals.get(kind, 0) + rows_per_call * calls
+        totals[kind] = totals.get(kind, 0) + calls
         self.simulated_seconds += cost
         if kind in _READ_KINDS:
             self.read_seconds += cost

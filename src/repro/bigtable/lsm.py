@@ -81,9 +81,12 @@ class BloomFilter:
 
     __slots__ = ("bits", "mask")
 
-    def __init__(self, keys: Sequence[str], bits_per_key: int = 8) -> None:
+    #: Filter size per key, rounded up to a power of two in total.
+    BITS_PER_KEY = 8
+
+    def __init__(self, keys: Sequence[str]) -> None:
         size = 64
-        target = max(len(keys), 1) * bits_per_key
+        target = max(len(keys), 1) * self.BITS_PER_KEY
         while size < target:
             size <<= 1
         self.mask = size - 1
@@ -367,10 +370,6 @@ class RecoveryReport:
     @property
     def runs_opened(self) -> int:
         return sum(entry.runs_opened for entry in self.tables)
-
-    @property
-    def run_rows_loaded(self) -> int:
-        return sum(entry.run_rows_loaded for entry in self.tables)
 
     @property
     def log_records_replayed(self) -> int:

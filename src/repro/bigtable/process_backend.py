@@ -55,6 +55,10 @@ from repro.server import rpc
 from repro.server.worker import ShardRecipe, ShardService, worker_main
 
 
+#: Seconds each shutdown stage (frame, SIGTERM, SIGKILL) waits per worker.
+_JOIN_TIMEOUT_S = 5.0
+
+
 def _child_main(child_sock: socket.socket, parent_sock: socket.socket) -> None:
     # The fork duplicated the parent's end into this process; close it so
     # the pair delivers EOF when either side goes away.
@@ -83,10 +87,16 @@ class WorkerPool:
         self.connections: List[rpc.RpcConnection] = []
         self.processes: List[multiprocessing.process.BaseProcess] = []
         self._closed = False
-        for _ in range(num_workers):
-            process, connection = self._spawn_worker()
-            self.connections.append(connection)
-            self.processes.append(process)
+        try:
+            for _ in range(num_workers):
+                process, connection = self._spawn_worker()
+                self.connections.append(connection)
+                self.processes.append(process)
+        except BaseException:
+            # A spawn that fails part-way (EMFILE, ENOMEM) must not strand
+            # the workers already forked: stop them before re-raising.
+            self.shutdown()
+            raise
         atexit.register(self.shutdown)
 
     def _spawn_worker(
@@ -158,9 +168,6 @@ class WorkerPool:
     # ------------------------------------------------------------------
     # Health / drain
     # ------------------------------------------------------------------
-    def alive_workers(self) -> List[bool]:
-        return [process.is_alive() for process in self.processes]
-
     def health_check(self) -> None:
         """Ping every worker; raises :class:`WorkerDiedError` on dead or
         unresponsive ones.
@@ -197,7 +204,7 @@ class WorkerPool:
     # ------------------------------------------------------------------
     # Shutdown
     # ------------------------------------------------------------------
-    def shutdown(self, join_timeout_s: float = 5.0) -> None:
+    def shutdown(self) -> None:
         """Graceful stop: shutdown frame → join → terminate → kill.
 
         Idempotent under double invocation (``atexit`` + context manager
@@ -215,15 +222,15 @@ class WorkerPool:
             except Exception:
                 pass
         for process in self.processes:
-            process.join(timeout=join_timeout_s)
+            process.join(timeout=_JOIN_TIMEOUT_S)
         for process in self.processes:
             if process.is_alive():
                 process.terminate()
-                process.join(timeout=join_timeout_s)
+                process.join(timeout=_JOIN_TIMEOUT_S)
         for process in self.processes:
             if process.is_alive():
                 process.kill()
-                process.join(timeout=join_timeout_s)
+                process.join(timeout=_JOIN_TIMEOUT_S)
         for connection in self.connections:
             connection.close()
 

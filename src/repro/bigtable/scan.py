@@ -51,8 +51,6 @@ class BlockCacheOptions:
     #: default groups rows by their top 24 curve bits — a few hundred
     #: storage cells per block at the experiment levels.
     block_prefix_len: int = 6
-    #: Disabled caches treat every scan as cold (seed behaviour).
-    enabled: bool = True
 
     def __post_init__(self) -> None:
         if self.capacity_blocks < 1:
@@ -102,10 +100,6 @@ class BlockCache:
         self._hits: Dict[str, int] = {}
         self._misses: Dict[str, int] = {}
 
-    @property
-    def enabled(self) -> bool:
-        return self.options.enabled
-
     def block_of(self, row_key: str) -> str:
         """The key block containing ``row_key``."""
         return row_key[: self.options.block_prefix_len]
@@ -123,8 +117,6 @@ class BlockCache:
         :data:`MEMTABLE_SOURCE` — so a compaction can evict exactly the
         blocks of the runs it consumed.
         """
-        if not self.options.enabled:
-            return False
         key = (tablet_id, source, block)
         if key in self._lru:
             self._lru.move_to_end(key)
@@ -317,7 +309,6 @@ class Scanner:
         remaining = limit
         charges: List[Tuple["Tablet", int, int]] = []
         cache = self.cache
-        cache_enabled = cache.enabled
         prefix_len = cache.options.block_prefix_len
         probe = cache.probe
         append = results.append
@@ -342,15 +333,12 @@ class Scanner:
                 for row_key, row in tablet.rows.scan(
                     start_key, end_key, remaining
                 ):
-                    if cache_enabled:
-                        block = row_key[:prefix_len]
-                        if block != current_block:
-                            current_block = block
-                            block_warm = probe(tablet_id, block)
-                        if block_warm:
-                            warm += 1
-                        else:
-                            cold += 1
+                    block = row_key[:prefix_len]
+                    if block != current_block:
+                        current_block = block
+                        block_warm = probe(tablet_id, block)
+                    if block_warm:
+                        warm += 1
                     else:
                         cold += 1
                     append((row_key, row))
@@ -361,16 +349,13 @@ class Scanner:
             for row_key, row, source in tablet.merged_scan(
                 start_key, end_key, remaining
             ):
-                if cache_enabled:
-                    block = row_key[:prefix_len]
-                    if block != current_block or source != current_source:
-                        current_block = block
-                        current_source = source
-                        block_warm = probe(tablet_id, block, source)
-                    if block_warm:
-                        warm += 1
-                    else:
-                        cold += 1
+                block = row_key[:prefix_len]
+                if block != current_block or source != current_source:
+                    current_block = block
+                    current_source = source
+                    block_warm = probe(tablet_id, block, source)
+                if block_warm:
+                    warm += 1
                 else:
                     cold += 1
                 append((row_key, row))

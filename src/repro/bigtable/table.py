@@ -390,20 +390,17 @@ class Table:
         commit and the merge check after a delete — aging drains delete rows
         outside any batch, and without it emptied tablets accumulate.
         """
-        appended = False
         if opcode is not None:
             seqno = self._seq = self._seq + 1
             self.counter.logical_write_rows += 1
             tablet.counter.logical_write_rows += 1
-            if self.options.commit_log_enabled:
-                tablet.log.write(seqno, opcode, row_key, payload)
-                if self._store is not None:
-                    self._store.journal_append((seqno, opcode, row_key) + payload)
-                appended = True
+            tablet.log.write(seqno, opcode, row_key, payload)
+            if self._store is not None:
+                self._store.journal_append((seqno, opcode, row_key) + payload)
         group = self._group
         if group is not None:
             tablet_id = tablet.tablet_id
-            if appended:
+            if opcode is not None:
                 group.log_appends[tablet_id] = group.log_appends.get(tablet_id, 0) + 1
                 group.tablets[tablet_id] = tablet
             if structural:
@@ -416,7 +413,7 @@ class Table:
                 if group.calls >= self.options.group_commit_size:
                     self._flush_group()
             return
-        if appended:
+        if opcode is not None:
             if self._log_sync_tally is not None:
                 self._tally_log_sync(self._log_sync_tally, tablet)
             else:
@@ -479,11 +476,10 @@ class Table:
         self._seq += 1
         self.counter.logical_write_rows += 1
         tablet.counter.logical_write_rows += 1
-        if self.options.commit_log_enabled:
-            tablet.log.write(self._seq, opcode, row_key, payload)
-            if self._store is not None:
-                self._store.journal_append((self._seq, opcode, row_key) + payload)
-            self._tally_log_sync(appended, tablet)
+        tablet.log.write(self._seq, opcode, row_key, payload)
+        if self._store is not None:
+            self._store.journal_append((self._seq, opcode, row_key) + payload)
+        self._tally_log_sync(appended, tablet)
 
     def _charge_log_syncs(self, appended: Dict[str, Tuple[Tablet, int]]) -> None:
         """Charge one group fsync per tablet for deferred log appends."""
@@ -1186,16 +1182,6 @@ class Table:
         """Frozen per-tablet accounting, in key order."""
         return self._tablets.stats()
 
-    @property
-    def split_count(self) -> int:
-        """Tablet splits performed over this table's lifetime."""
-        return self._tablets.splits
-
-    @property
-    def merge_count(self) -> int:
-        """Tablet merges performed over this table's lifetime."""
-        return self._tablets.merges
-
     def reset_tablet_counters(self) -> None:
         """Zero every tablet ledger (the shared counter is managed by the
         backend)."""
@@ -1235,24 +1221,6 @@ class Table:
             for tablet in self._tablets.tablets()
             for key in tablet.iter_live_keys()
         ]
-
-    def memory_cell_count(self) -> int:
-        """Number of cells stored in in-memory families."""
-        return self._count_cells(in_memory=True)
-
-    def disk_cell_count(self) -> int:
-        """Number of cells stored in on-disk families."""
-        return self._count_cells(in_memory=False)
-
-    def _count_cells(self, in_memory: bool) -> int:
-        total = 0
-        for _, _, row in self._tablets.scan(None, None):
-            for family_name, qualifiers in row.items():
-                if self._families[family_name].in_memory != in_memory:
-                    continue
-                for chain in qualifiers.values():
-                    total += len(chain) // 2
-        return total
 
     def clear(self) -> None:
         """Drop every row (test helper, not charged)."""

@@ -75,11 +75,6 @@ class TabletOptions:
     #: runs into merges constantly and write amplification climbs past the
     #: ~3x budget the engine aims for.
     compaction_max_runs: int = 8
-    #: Whether mutations append to the per-tablet commit log.  On by
-    #: default: log appends charge only the separate durability ledger, so
-    #: they are invisible to the calibrated service times while making
-    #: every tablet crash-recoverable.
-    commit_log_enabled: bool = True
 
     def __post_init__(self) -> None:
         if self.split_threshold <= 1:

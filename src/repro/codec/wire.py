@@ -1,9 +1,8 @@
 """Columnar wire codecs for the multiprocess RPC path.
 
-Two stateless batch codecs (updates, queries) and
-one *stateful* pair — :class:`NeighborStreamEncoder` /
-:class:`NeighborStreamDecoder` — that together replace the fixed-width
-per-record structs of PR 6.
+Two stateless batch codecs (updates, queries) and one *stateful* pair —
+:class:`NeighborStreamEncoder` / :class:`NeighborStreamDecoder` — for the
+neighbour results.
 
 The neighbour stream is where the bytes were: every NN query returns its
 top-k as ``(id, x, y, distance, flags, leader)`` records, and the same

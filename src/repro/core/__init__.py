@@ -6,36 +6,3 @@ school clustering (Section 3.3), nearest-neighbour search with FLAG level
 adaptation (Section 3.4) and aged-data archiving through the PPP archiver
 (Sections 3.5-3.6).
 """
-
-from repro.core.config import MoistConfig
-from repro.core.update import UpdateOutcome, UpdateResult, UpdateStats, UpdateProcessor
-from repro.core.hexgrid import HexGrid
-from repro.core.clustering import ClusteringReport, SchoolClusterer
-from repro.core.nn_search import NNQueryStats, NearestNeighborSearcher
-from repro.core.flag import FlagTuner, LevelCacheRecord
-from repro.core.history import HistoryQueryEngine
-from repro.core.region import RegionQueryStats, RegionSearcher
-from repro.core.prediction import LinearPredictor, PredictedState, ViterbiSmoother
-from repro.core.moist import MoistIndexer
-
-__all__ = [
-    "MoistConfig",
-    "UpdateOutcome",
-    "UpdateResult",
-    "UpdateStats",
-    "UpdateProcessor",
-    "HexGrid",
-    "ClusteringReport",
-    "SchoolClusterer",
-    "NNQueryStats",
-    "NearestNeighborSearcher",
-    "FlagTuner",
-    "LevelCacheRecord",
-    "HistoryQueryEngine",
-    "RegionQueryStats",
-    "RegionSearcher",
-    "LinearPredictor",
-    "PredictedState",
-    "ViterbiSmoother",
-    "MoistIndexer",
-]

@@ -189,10 +189,6 @@ class FlagTuner:
         self._rebuild([LevelCacheRecord(*fields) for fields in state["cache"]])
         self.total_objects_hint = state["total_objects_hint"]
 
-    def cache_size(self) -> int:
-        """Number of cached ranges currently held."""
-        return len(self._cache)
-
     # ------------------------------------------------------------------
     # Algorithm 3: level computation
     # ------------------------------------------------------------------

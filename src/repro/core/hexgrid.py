@@ -46,18 +46,6 @@ class HexGrid:
         r = (2.0 / 3.0 * velocity.dy) / size
         return _cube_round(q, r)
 
-    def bin_center(self, axial: Tuple[int, int]) -> Vector:
-        """Velocity at the centre of the hexagon with the given axial coords."""
-        q, r = axial
-        size = self.circumradius
-        dx = size * (math.sqrt(3.0) * q + math.sqrt(3.0) / 2.0 * r)
-        dy = size * (1.5 * r)
-        return Vector(dx, dy)
-
-    def same_bin(self, first: Vector, second: Vector) -> bool:
-        """True when the two velocities fall into the same hexagon."""
-        return self.bin_of(first) == self.bin_of(second)
-
 
 def _cube_round(q: float, r: float) -> Tuple[int, int]:
     """Round fractional axial coordinates to the nearest hexagon."""

@@ -61,15 +61,6 @@ class HistoryQueryEngine:
         filtered.sort(key=lambda record: record.timestamp)
         return _dedupe(filtered)
 
-    def recent_trajectory(self, object_id: ObjectId) -> List[HistoryRecord]:
-        """The in-memory trajectory (the ``m`` freshest records), oldest first."""
-        records = [
-            _to_history(object_id, record)
-            for record in self.location_table.recent_history(object_id)
-        ]
-        records.sort(key=lambda record: record.timestamp)
-        return records
-
     # ------------------------------------------------------------------
     # Location-based history
     # ------------------------------------------------------------------

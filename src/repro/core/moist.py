@@ -23,7 +23,6 @@ from repro.archive.ppp import PPPArchiver
 from repro.bigtable.backend import ShardedBackend, StorageBackend
 from repro.bigtable.cost import CostModel
 from repro.bigtable.emulator import BigtableEmulator
-from repro.bigtable.lsm import RecoveryReport
 from repro.bigtable.scan import BlockCacheOptions, TabletCacheStats
 from repro.bigtable.tablet import TabletOptions, TabletStats
 from repro.core.clustering import ClusteringReport, SchoolClusterer
@@ -477,26 +476,6 @@ class MoistIndexer:
     # ------------------------------------------------------------------
     # Storage durability (the LSM plane)
     # ------------------------------------------------------------------
-    def flush_storage(self) -> int:
-        """Flush every memtable into SSTable runs (minor compaction); 0 for
-        backends without an LSM plane."""
-        flush = getattr(self.emulator, "flush", None)
-        return flush() if callable(flush) else 0
-
-    def compact_storage(self, major: bool = False) -> int:
-        """Compact SSTable runs across the backend; 0 for backends without
-        an LSM plane."""
-        compact = getattr(self.emulator, "compact", None)
-        return compact(major=major) if callable(compact) else 0
-
-    def recover_storage(self) -> RecoveryReport:
-        """Crash-and-recover the storage layer (see
-        :meth:`BigtableEmulator.recover`)."""
-        recover = getattr(self.emulator, "recover", None)
-        if not callable(recover):
-            return RecoveryReport()
-        return recover()
-
     def durability_seconds(self) -> float:
         """Simulated durability time (log fsyncs, flushes, compactions)
         accumulated by the backend, additive to :attr:`simulated_seconds`."""

@@ -178,17 +178,6 @@ class ViterbiSmoother:
             for step, candidate_index in enumerate(path_indexes)
         ]
 
-    def smoothed_error(
-        self, records: Sequence[LocationRecord], truth: Sequence[Point]
-    ) -> float:
-        """Mean distance between the smoothed path and a ground-truth path."""
-        smoothed = self.smooth(records)
-        if len(smoothed) != len(truth):
-            raise QueryError("truth must have one point per record")
-        if not smoothed:
-            return 0.0
-        return sum(a.distance_to(b) for a, b in zip(smoothed, truth)) / len(smoothed)
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------

@@ -81,13 +81,6 @@ class UpdateStats:
             return 0.0
         return self.shed / self.total
 
-    @property
-    def mean_estimation_error(self) -> float:
-        """Mean follower estimation error over updates that measured one."""
-        if self.error_samples == 0:
-            return 0.0
-        return self.error_sum / self.error_samples
-
 
 @dataclass
 class UpdateProcessor:

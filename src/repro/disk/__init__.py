@@ -17,15 +17,3 @@ write-through and write-only); after a hard process kill,
 :func:`repro.disk.store.restore_table` rebuilds a bit-identical table from
 the files alone.
 """
-
-from repro.disk.model import DiskModel
-from repro.disk.array import DiskArray, DiskSegment
-from repro.disk.store import DiskTableStore, restore_table
-
-__all__ = [
-    "DiskModel",
-    "DiskArray",
-    "DiskSegment",
-    "DiskTableStore",
-    "restore_table",
-]

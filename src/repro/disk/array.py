@@ -25,16 +25,6 @@ class DiskSegment:
     flush_time: float
     records: List[HistoryRecord] = field(default_factory=list)
 
-    def object_ids(self) -> List[str]:
-        """Distinct object ids present in this segment."""
-        seen = []
-        seen_set = set()
-        for record in self.records:
-            if record.object_id not in seen_set:
-                seen_set.add(record.object_id)
-                seen.append(record.object_id)
-        return seen
-
 
 class DiskArray:
     """``nd`` independent archival disks."""
@@ -88,15 +78,3 @@ class DiskArray:
     def segment_count(self) -> int:
         """Total number of segments across all disks."""
         return sum(len(segments) for segments in self._segments.values())
-
-    def record_count(self) -> int:
-        """Total number of archived records across all disks."""
-        return sum(
-            len(segment.records)
-            for segments in self._segments.values()
-            for segment in segments
-        )
-
-    def total_flush_seconds(self) -> float:
-        """Aggregate simulated flush time across all disks."""
-        return sum(self.flush_seconds.values())

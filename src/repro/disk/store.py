@@ -49,7 +49,7 @@ once and its key/value arrays (and Bloom filter) are shared across every
 tablet slice referencing it, preserving the ``try_coalesce`` identity
 checks — then replays the journal tail into the per-tablet logs and runs
 the engine's own (uncharged) crash recovery, which reconstructs the exact
-pre-kill memtables per the PR 4 recovery invariant.
+pre-kill memtables (the engine's recovery invariant).
 """
 
 from __future__ import annotations
@@ -81,7 +81,9 @@ from repro.codec.values import pack_value, unpack_value
 #: Bumped when what the files *mean* changes; a manifest of another format
 #: reads as "no checkpoint".  2: cell values are rows at rest (exact tuples)
 #: where format 1 held the ``Point`` / ``Vector`` / record objects themselves.
-MANIFEST_FORMAT = 2
+#: 3: the recorded tablet options no longer carry ``commit_log_enabled``
+#: (every mutation is logged), so format 2 options would not construct.
+MANIFEST_FORMAT = 3
 
 _JOURNAL_NAME = "journal.bin"
 _MANIFEST_NAME = "MANIFEST.bin"
@@ -370,7 +372,7 @@ def restore_table(
 
     # The engine's own crash recovery replays every log over the runs,
     # reconstructing the exact pre-kill memtables — uncharged, exactly as
-    # the PR 4 recovery property guarantees.
+    # the recovery property suite guarantees.
     table.recover()
     table.attach_store(store)
     return table

@@ -21,7 +21,3 @@ operation mix priced by ``CostModel``; wall clock is ``moistbench/``'s job.
 | ``recovery``              | —            | crash-recovery time and write amplification vs memtable size |
 | ``rebalance``             | —            | master-balanced vs static-affinity clusters under hot-school skew |
 """
-
-from repro.experiments.report import FigureResult, Series
-
-__all__ = ["FigureResult", "Series"]

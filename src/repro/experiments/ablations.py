@@ -1,4 +1,4 @@
-"""Ablations of MOIST design choices called out in DESIGN.md Section 5.
+"""Ablations of the MOIST design choices the paper asserts qualitatively.
 
 * Hilbert vs Z-order curve: scan locality of the Spatial Index Table keys.
 * Hexagonal vs square velocity partition: how tightly each respects the

@@ -22,7 +22,7 @@ def dense_road_config(num_objects: int, seed: int = 3, map_size: float = 300.0) 
     The paper's school experiments use a default population of only 100
     objects, which implies a much denser map than the 1,000 x 1,000-unit
     BigTable stress map; a 300-unit map with 30-unit blocks reproduces that
-    density regime (see EXPERIMENTS.md, E-9*).
+    density regime (the Figure 9 experiments).
     """
     return WorkloadConfig(
         num_objects=num_objects,
@@ -58,34 +58,25 @@ def drive_indexer(
     indexer: MoistIndexer,
     workload: RoadNetworkWorkload,
     duration_s: float,
-    cluster_every_s: Optional[float] = None,
-    sample_every_s: float = 1.0,
 ) -> List[Tuple[float, int]]:
     """Feed a workload into an indexer and sample the school count over time.
 
-    Returns ``(time, school_count)`` samples taken every ``sample_every_s``
-    seconds of simulation time.  Clustering runs through the indexer's
-    ``run_due_clustering`` (honouring the configured interval) unless
-    ``cluster_every_s`` forces a fixed cadence.
+    Returns ``(time, school_count)`` samples taken every second of
+    simulation time.  Clustering runs through the indexer's
+    ``run_due_clustering`` (honouring the configured interval).
     """
     samples: List[Tuple[float, int]] = []
-    next_cluster = cluster_every_s if cluster_every_s is not None else None
-    next_sample = sample_every_s
+    next_sample = 1.0
     step = 1.0
     elapsed = 0.0
     while elapsed < duration_s:
         elapsed = min(elapsed + step, duration_s)
         for message in workload.advance_to(elapsed):
             indexer.update(message)
-        if next_cluster is not None:
-            if elapsed >= next_cluster:
-                indexer.run_clustering(elapsed)
-                next_cluster += cluster_every_s
-        else:
-            indexer.run_due_clustering(elapsed)
+        indexer.run_due_clustering(elapsed)
         if elapsed >= next_sample:
             samples.append((elapsed, indexer.school_count))
-            next_sample += sample_every_s
+            next_sample += 1.0
     return samples
 
 

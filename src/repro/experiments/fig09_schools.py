@@ -36,11 +36,10 @@ def average_school_count(
     deviation_threshold: float,
     pedestrian_fraction: float = 0.5,
     duration_s: float = 60.0,
-    warmup_s: float = 20.0,
     seed: int = 3,
     clustering_interval_s: float = 10.0,
 ) -> float:
-    """Average number of schools after warm-up for one configuration."""
+    """Average number of schools after a 20 s warm-up for one configuration."""
     config = school_config(
         deviation_threshold=deviation_threshold,
         clustering_interval_s=clustering_interval_s,
@@ -52,7 +51,7 @@ def average_school_count(
     indexer = MoistIndexer(config)
     workload = RoadNetworkWorkload(workload_config)
     samples = drive_indexer(indexer, workload, duration_s)
-    settled = [count for time_s, count in samples if time_s >= warmup_s]
+    settled = [count for time_s, count in samples if time_s >= 20.0]
     return mean(settled)
 
 
@@ -82,7 +81,7 @@ def run_fig09a(
         ]
         result.add_series(label, list(epsilons), ys)
     result.add_note(
-        f"{num_objects} objects, 1 update/s, dense road map (see EXPERIMENTS.md E-9a)"
+        f"{num_objects} objects, 1 update/s, dense road map"
     )
     return result
 

@@ -12,7 +12,7 @@ throughput as a horizontal baseline.
 We reproduce the experiment the same way the paper frames it: the *leader
 growth* is the assumed linear process, while the NN query cost and the
 clustering cost at any leader count are measured on a real index built with
-that many leaders (sampled and interpolated).  See EXPERIMENTS.md E-11.
+that many leaders (sampled and interpolated).
 """
 
 from __future__ import annotations

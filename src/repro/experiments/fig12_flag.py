@@ -33,12 +33,11 @@ def _cold_start(indexer: MoistIndexer) -> None:
     """Reset warm query-path state so configurations measure independently.
 
     Every fig12 configuration replays the *same* query locations against
-    the same indexer.  The block cache (PR 2) and FLAG's level cache
-    persist across configurations, so whichever configuration ran first
-    paid the cold misses and warmed the blocks for its competitors — a
-    measurement-order bias that had ``test_fig12_density`` failing since
-    PR 2 (FLAG always ran first).  Dropping the warm state before each
-    measurement restores a fair, cold comparison.
+    the same indexer.  The block cache and FLAG's level cache persist
+    across configurations, so whichever configuration ran first would pay
+    the cold misses and warm the blocks for its competitors — a
+    measurement-order bias (FLAG always runs first).  Dropping the warm
+    state before each measurement keeps the comparison fair and cold.
     """
     clear_caches = getattr(indexer.emulator, "clear_block_caches", None)
     if callable(clear_caches):

@@ -12,7 +12,7 @@
 The experiments run MOIST in its worst-case configuration (schools disabled,
 every object a leader) exactly as the paper does for its BigTable stress
 tests.  QPS is simulated throughput: requests divided by the busiest
-server's accumulated simulated service time (DESIGN.md Section 6).
+server's accumulated simulated service time (README *Architecture*).
 """
 
 from __future__ import annotations

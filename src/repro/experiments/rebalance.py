@@ -2,10 +2,10 @@
 hot-school skew.
 
 MOIST's deployment claim is that a BigTable-style cluster absorbs skewed
-load because hot tablets can be split *and moved*.  PR 1-4 shard and split;
-this experiment exercises the missing half — the tablet master
-(:mod:`repro.server.master`) migrating hot tablets between front-ends and
-replicating read-hot tablets for query fan-out.
+load because hot tablets can be split *and moved*.  Sharding and splitting
+are the data plane's; this experiment exercises the other half — the tablet
+master (:mod:`repro.server.master`) migrating hot tablets between
+front-ends and replicating read-hot tablets for query fan-out.
 
 The workload models a *hot school*: a fraction ``hot_fraction`` of all
 updates and NN queries concentrates on one small region (one school's worth
@@ -121,8 +121,8 @@ def rebalance_harness(
 ):
     """A preloaded cluster in one of the two compared modes.
 
-    ``balanced=False`` is the PR 2-4 cluster: tablet routing by static hash
-    affinity, no control plane.  ``balanced=True`` attaches a
+    ``balanced=False`` is a cluster without a control plane: tablet routing
+    by static hash affinity.  ``balanced=True`` attaches a
     :class:`TabletMaster` that rebalances every ``rebalance_every`` batches
     (and applies ``fault_plan`` when given).  Returns
     ``(indexer, cluster, master, load_test)``.

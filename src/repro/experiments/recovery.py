@@ -1,7 +1,7 @@
 """Crash-recovery experiment: recovery time and write amplification vs
 memtable size.
 
-The LSM storage engine (PR 4) trades durability work for recovery speed
+The LSM storage engine trades durability work for recovery speed
 through one knob — the memtable flush threshold:
 
 * a **small memtable** flushes often, so the commit log stays short and a

@@ -24,13 +24,6 @@ class Series:
                 f"series {self.label!r} has {len(self.xs)} x values but {len(self.ys)} y values"
             )
 
-    def y_at(self, x: float) -> float:
-        """The y value recorded for an exact x (raises when absent)."""
-        for candidate_x, candidate_y in zip(self.xs, self.ys):
-            if candidate_x == x:
-                return candidate_y
-        raise ReproError(f"series {self.label!r} has no point at x={x}")
-
 
 @dataclass
 class FigureResult:

@@ -6,21 +6,3 @@ deliberately lightweight: immutable points/vectors with the handful of
 operations the indexer needs (displacement, distance, interpolation) plus an
 axis-aligned bounding box used for cells and map regions.
 """
-
-from repro.geometry.point import Point
-from repro.geometry.vector import Vector
-from repro.geometry.bbox import BoundingBox
-from repro.geometry.distance import (
-    euclidean_distance,
-    squared_distance,
-    point_to_box_distance,
-)
-
-__all__ = [
-    "Point",
-    "Vector",
-    "BoundingBox",
-    "euclidean_distance",
-    "squared_distance",
-    "point_to_box_distance",
-]

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 from repro.errors import SpatialError
 from repro.geometry.point import Point
@@ -39,21 +38,6 @@ class BoundingBox:
             )
 
     @staticmethod
-    def from_points(points: Iterable[Point]) -> "BoundingBox":
-        """Smallest box containing every point in ``points``.
-
-        Raises :class:`SpatialError` when ``points`` is empty.
-        """
-        xs = []
-        ys = []
-        for point in points:
-            xs.append(point.x)
-            ys.append(point.y)
-        if not xs:
-            raise SpatialError("cannot build a bounding box from zero points")
-        return BoundingBox(min(xs), min(ys), max(xs), max(ys))
-
-    @staticmethod
     def from_center(center: Point, half_width: float, half_height: float) -> "BoundingBox":
         """Box centred on ``center`` with the given half extents."""
         return BoundingBox(
@@ -79,27 +63,11 @@ class BoundingBox:
         """Centre point of the box."""
         return Point((self.min_x + self.max_x) / 2.0, (self.min_y + self.max_y) / 2.0)
 
-    def corners(self) -> Iterator[Point]:
-        """Yield the four corner points counter-clockwise from the minimum."""
-        yield Point(self.min_x, self.min_y)
-        yield Point(self.max_x, self.min_y)
-        yield Point(self.max_x, self.max_y)
-        yield Point(self.min_x, self.max_y)
-
     def contains_point(self, point: Point) -> bool:
         """True when ``point`` is inside or on the border of the box."""
         return (
             self.min_x <= point.x <= self.max_x
             and self.min_y <= point.y <= self.max_y
-        )
-
-    def contains_box(self, other: "BoundingBox") -> bool:
-        """True when ``other`` lies entirely within this box."""
-        return (
-            self.min_x <= other.min_x
-            and self.min_y <= other.min_y
-            and self.max_x >= other.max_x
-            and self.max_y >= other.max_y
         )
 
     def intersects(self, other: "BoundingBox") -> bool:
@@ -123,24 +91,6 @@ class BoundingBox:
             max(self.min_y, other.min_y),
             min(self.max_x, other.max_x),
             min(self.max_y, other.max_y),
-        )
-
-    def union(self, other: "BoundingBox") -> "BoundingBox":
-        """Smallest box containing both boxes."""
-        return BoundingBox(
-            min(self.min_x, other.min_x),
-            min(self.min_y, other.min_y),
-            max(self.max_x, other.max_x),
-            max(self.max_y, other.max_y),
-        )
-
-    def expanded(self, margin: float) -> "BoundingBox":
-        """Return a copy grown by ``margin`` on every side."""
-        return BoundingBox(
-            self.min_x - margin,
-            self.min_y - margin,
-            self.max_x + margin,
-            self.max_y + margin,
         )
 
     def clamp_point(self, point: Point) -> Point:

@@ -41,12 +41,6 @@ class Point:
         """Euclidean distance to ``other``."""
         return math.hypot(self.x - other.x, self.y - other.y)
 
-    def squared_distance_to(self, other: "Point") -> float:
-        """Squared Euclidean distance (avoids the sqrt for comparisons)."""
-        dx = self.x - other.x
-        dy = self.y - other.y
-        return dx * dx + dy * dy
-
     def displaced(self, vector: "Vector") -> "Point":
         """Return the point reached by applying ``vector`` to this point."""
         return Point(self.x + vector.dx, self.y + vector.dy)
@@ -56,10 +50,6 @@ class Point:
         from repro.geometry.vector import Vector
 
         return Vector(other.x - self.x, other.y - self.y)
-
-    def midpoint(self, other: "Point") -> "Point":
-        """Return the midpoint between this point and ``other``."""
-        return Point((self.x + other.x) / 2.0, (self.y + other.y) / 2.0)
 
     def translated(self, dx: float, dy: float) -> "Point":
         """Return a copy shifted by raw deltas."""
@@ -75,8 +65,3 @@ class Point:
     def is_finite(self) -> bool:
         """True when both coordinates are finite numbers."""
         return math.isfinite(self.x) and math.isfinite(self.y)
-
-    @staticmethod
-    def origin() -> "Point":
-        """The point ``(0, 0)``."""
-        return Point(0.0, 0.0)

@@ -52,10 +52,6 @@ class Vector:
         """Euclidean length of the vector."""
         return math.hypot(self.dx, self.dy)
 
-    def squared_magnitude(self) -> float:
-        """Squared length (cheap comparison helper)."""
-        return self.dx * self.dx + self.dy * self.dy
-
     def distance_to(self, other: "Vector") -> float:
         """Length of the difference vector.
 
@@ -64,10 +60,6 @@ class Vector:
         their difference is below the clustering threshold (Section 3.3.2).
         """
         return math.hypot(self.dx - other.dx, self.dy - other.dy)
-
-    def dot(self, other: "Vector") -> float:
-        """Dot product."""
-        return self.dx * other.dx + self.dy * other.dy
 
     def scaled(self, factor: float) -> "Vector":
         """Return a copy scaled by ``factor``."""
@@ -79,19 +71,6 @@ class Vector:
         if mag == 0.0:
             return Vector(0.0, 0.0)
         return Vector(self.dx / mag, self.dy / mag)
-
-    def rotated(self, radians: float) -> "Vector":
-        """Return a copy rotated counter-clockwise by ``radians``."""
-        cos_a = math.cos(radians)
-        sin_a = math.sin(radians)
-        return Vector(
-            self.dx * cos_a - self.dy * sin_a,
-            self.dx * sin_a + self.dy * cos_a,
-        )
-
-    def heading(self) -> float:
-        """Angle of the vector in radians, in ``[-pi, pi]``."""
-        return math.atan2(self.dy, self.dx)
 
     def is_finite(self) -> bool:
         """True when both components are finite."""

@@ -10,74 +10,17 @@ storage time, inflated by a shared-store contention factor that grows mildly
 with the number of servers), and the cluster's throughput over an interval is
 the requests completed divided by the busiest server's simulated time.
 
-Since PR 5 the cluster also carries a control plane: a
+The cluster also carries a control plane: a
 :class:`~repro.server.master.TabletMaster` that watches per-tablet load,
 migrates hot tablets between front-ends, replicates read-hot tablets for
 query fan-out and fails crashed servers over — with a deterministic
 :class:`~repro.server.loadtest.FaultPlan` injector driving crashes through
 the load tests.
 
-Since PR 6 the deployment also scales *out*: a
+The deployment also scales *out*: a
 :class:`~repro.server.scaleout.ScaleOutCluster` scatter-gathers the same
 request paths over a shared-nothing federation of shard groups — each a
 complete stack built from a :class:`~repro.server.worker.ShardRecipe`,
 in-process or in forked workers behind the :mod:`repro.server.rpc`
 framing — with worker-count-invariant, bit-identical results.
 """
-
-from repro.server.contention import TabletContentionModel
-from repro.server.frontend import FrontendServer
-from repro.server.cluster import (
-    ServerCluster,
-    ServerFailoverReport,
-    TabletRoutingTable,
-)
-from repro.server.client import ClientSimulator
-from repro.server.loadtest import (
-    FaultEvent,
-    FaultPlan,
-    LoadTest,
-    LoadTestResult,
-    TimelinePoint,
-)
-from repro.server.master import (
-    MasterOptions,
-    MigrationRecord,
-    RebalanceReport,
-    ReplicationRecord,
-    TabletMaster,
-)
-from repro.server.worker import ShardRecipe, ShardService, shard_of
-
-
-def __getattr__(name: str):
-    # Lazy (PEP 562): ``scaleout`` imports the federated backends, which
-    # import this package's RPC framing — eager import would cycle.
-    if name == "ScaleOutCluster":
-        from repro.server.scaleout import ScaleOutCluster
-
-        return ScaleOutCluster
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-__all__ = [
-    "TabletContentionModel",
-    "FrontendServer",
-    "ServerCluster",
-    "ServerFailoverReport",
-    "TabletRoutingTable",
-    "ClientSimulator",
-    "FaultEvent",
-    "FaultPlan",
-    "LoadTest",
-    "LoadTestResult",
-    "TimelinePoint",
-    "MasterOptions",
-    "MigrationRecord",
-    "RebalanceReport",
-    "ReplicationRecord",
-    "TabletMaster",
-    "ScaleOutCluster",
-    "ShardRecipe",
-    "ShardService",
-    "shard_of",
-]

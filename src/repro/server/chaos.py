@@ -1,6 +1,6 @@
 """Process-level chaos schedules for the scale-out runtime.
 
-A :class:`ChaosPlan` is the process-boundary sibling of PR 5's simulated
+A :class:`ChaosPlan` is the process-boundary sibling of the simulated
 ``FaultPlan``: a seeded, pre-generated schedule of *real* failures —
 SIGKILL, SIGSTOP, corrupted RPC frames — fired at batch boundaries of a
 :class:`~repro.server.loadtest.LoadTest` over a supervised
@@ -16,7 +16,7 @@ The plan consumes **no** randomness from the load test's admission rng; it
 draws from its own seeded generator at construction, so the workload under
 chaos is literally the same request stream as the reference run.
 
-A plan may also *fold in* PR 5's simulated control-plane faults: a
+A plan may also *fold in* the simulated control-plane faults: a
 :class:`~repro.server.loadtest.FaultPlan` attached as ``fault_plan`` rides
 the same timeline (and :meth:`seeded` can draw one from the same rng).
 Simulated faults are part of the deterministic workload — they appear in
@@ -123,36 +123,31 @@ class ChaosPlan:
         kills: int = 0,
         stops: int = 0,
         corruptions: int = 0,
-        kill_every_worker: bool = True,
         migration_crashes: int = 0,
         server_crashes: int = 0,
         num_servers: int = 0,
-        revive: bool = True,
-        kill_on_migration: bool = True,
     ) -> "ChaosPlan":
         """A reproducible schedule over ``num_batches`` rounds.
 
-        With ``kill_every_worker`` (the acceptance-criteria shape) the
-        first ``num_workers`` kills are assigned round-robin so **every**
-        worker dies at least once when ``kills >= num_workers``; remaining
-        kills, stops and corruptions draw workers uniformly.  Batches are
-        drawn from ``[1, num_batches)`` — never batch 0, so every worker
-        has served at least one round before its first failure (killing a
-        never-used worker exercises nothing).
+        The first ``num_workers`` kills are assigned round-robin so
+        **every** worker dies at least once when ``kills >= num_workers``;
+        remaining kills, stops and corruptions draw workers uniformly.
+        Batches are drawn from ``[1, num_batches)`` — never batch 0, so
+        every worker has served at least one round before its first failure
+        (killing a never-used worker exercises nothing).
 
         ``migration_crashes`` / ``server_crashes`` fold simulated
         control-plane faults into the plan (master-bearing shards only):
         migrations aborted mid-flight at a drawn crash point, and server
-        crashes on a drawn server out of ``num_servers`` (revived a few
-        rounds later when ``revive``).  The fault draws happen *before*
-        the chaos draws, so the folded :class:`FaultPlan` depends only on
-        ``(seed, num_batches, num_servers)`` and the fault counts — never
-        on the worker count — which is what lets one fault-only reference
-        run serve every worker-count matrix point.  ``kill_on_migration``
-        pairs each migration crash with a round-robin SIGKILL at the same
-        boundary: the load test fires faults before chaos, so the worker
-        dies *mid-migration*, right after the aborted hand-off was
-        checkpointed.
+        crashes on a drawn server out of ``num_servers``, each revived a few
+        rounds later.  The fault draws happen *before* the chaos draws, so
+        the folded :class:`FaultPlan` depends only on ``(seed, num_batches,
+        num_servers)`` and the fault counts — never on the worker count —
+        which is what lets one fault-only reference run serve every
+        worker-count matrix point.  Each migration crash is paired with a
+        round-robin SIGKILL at the same boundary: the load test fires faults
+        before chaos, so the worker dies *mid-migration*, right after the
+        aborted hand-off was checkpointed.
         """
         if num_workers < 1:
             raise ConfigurationError("num_workers must be >= 1")
@@ -179,16 +174,13 @@ class ChaosPlan:
                     at_batch=at_batch, kind=CRASH_SERVER, server_id=server_id
                 )
             )
-            if revive:
-                fault_events.append(
-                    FaultEvent(
-                        at_batch=min(
-                            at_batch + 1 + rng.randrange(3), num_batches - 1
-                        ),
-                        kind=REVIVE_SERVER,
-                        server_id=server_id,
-                    )
+            fault_events.append(
+                FaultEvent(
+                    at_batch=min(at_batch + 1 + rng.randrange(3), num_batches - 1),
+                    kind=REVIVE_SERVER,
+                    server_id=server_id,
                 )
+            )
         for index in range(migration_crashes):
             at_batch = draw_batch()
             fault_events.append(
@@ -200,15 +192,12 @@ class ChaosPlan:
                     ),
                 )
             )
-            if kill_on_migration:
-                # No rng draw: the paired victim is round-robin so the
-                # fault schedule above stays worker-count independent.
-                events.append(
-                    ChaosEvent(at_batch, index % num_workers, KILL_WORKER)
-                )
+            # No rng draw: the paired victim is round-robin so the fault
+            # schedule above stays worker-count independent.
+            events.append(ChaosEvent(at_batch, index % num_workers, KILL_WORKER))
         for index in range(kills):
-            if kill_every_worker and index < num_workers:
-                worker = index % num_workers
+            if index < num_workers:
+                worker = index
             else:
                 worker = rng.randrange(num_workers)
             events.append(ChaosEvent(draw_batch(), worker, KILL_WORKER))

@@ -216,10 +216,10 @@ class ServerCluster:
     when it migrates hot tablets, replicates read-hot ones or fails a
     crashed server over (:meth:`fail_server`).
 
-    Contention is tablet-aware when the backend shards: the storage-time
-    inflation scales with the hottest tablet's share of total load instead
-    of assuming every request collides (``contention_alpha`` keeps its seed
-    meaning of per-extra-server inflation in the fully-skewed worst case).
+    Contention is tablet-aware: the storage-time inflation scales with the
+    hottest tablet's share of total load instead of assuming every request
+    collides (``contention_alpha`` is the per-extra-server inflation in the
+    fully-skewed worst case).
     """
 
     def __init__(
@@ -228,7 +228,6 @@ class ServerCluster:
         num_servers: int,
         request_overhead_s: float = 12e-6,
         contention_alpha: float = 0.025,
-        tablet_aware: bool = True,
         record_service_times: bool = False,
     ) -> None:
         if num_servers <= 0:
@@ -237,21 +236,15 @@ class ServerCluster:
             raise ConfigurationError("contention_alpha must be non-negative")
         self.indexer = indexer
         self.contention_alpha = contention_alpha
-        if tablet_aware and isinstance(indexer.emulator, ShardedBackend):
-            self.contention: Optional[TabletContentionModel] = TabletContentionModel(
-                indexer.emulator, num_servers, alpha=contention_alpha
-            )
-            static_factor = 1.0
-        else:
-            self.contention = None
-            static_factor = 1.0 + contention_alpha * (num_servers - 1)
+        self.contention = TabletContentionModel(
+            indexer.emulator, num_servers, alpha=contention_alpha
+        )
         self.servers: List[FrontendServer] = [
             FrontendServer(
                 server_id=index,
                 indexer=indexer,
-                request_overhead_s=request_overhead_s,
-                storage_contention_factor=static_factor,
                 contention=self.contention,
+                request_overhead_s=request_overhead_s,
                 record_service_times=record_service_times,
             )
             for index in range(num_servers)
@@ -435,8 +428,7 @@ class ServerCluster:
                 "the storage backend does not support crash recovery"
             )
         report = recover()
-        if self.contention is not None:
-            self.contention.invalidate()
+        self.contention.invalidate()
         return report
 
     def fail_server(self, server_id: int) -> ServerFailoverReport:
@@ -488,8 +480,7 @@ class ServerCluster:
             target = self.server_index_for_tablet(tablet.tablet_id)
             self.routing.assign(tablet.tablet_id, target)
             reassigned.append((tablet.tablet_id, target))
-        if self.contention is not None:
-            self.contention.invalidate()
+        self.contention.invalidate()
         return ServerFailoverReport(
             server_id=server_id,
             tablets=tuple(recoveries),
@@ -506,8 +497,7 @@ class ServerCluster:
         if not 0 <= server_id < len(self.servers):
             raise ConfigurationError(f"no server {server_id} in the cluster")
         self.servers[server_id].alive = True
-        if self.contention is not None:
-            self.contention.invalidate()
+        self.contention.invalidate()
 
     # ------------------------------------------------------------------
     # Metrics
@@ -541,13 +531,12 @@ class ServerCluster:
     def export_state(self) -> dict:
         """Plain-data snapshot of everything simulated the cluster holds:
         one row per server, the round-robin cursor, the routing table, the
-        contention model's scalars (``None`` without a model)."""
-        contention = self.contention
+        contention model's scalars."""
         return {
             "servers": [server.export_state() for server in self.servers],
             "next": self._next,
             "routing": self.routing.export_state(),
-            "contention": None if contention is None else contention.export_state(),
+            "contention": self.contention.export_state(),
         }
 
     def install_state(self, state: dict) -> None:
@@ -562,15 +551,13 @@ class ServerCluster:
             server.install_state(row)
         self._next = state["next"]
         self.routing.install_state(state["routing"])
-        if self.contention is not None:
-            self.contention.install_state(state["contention"])
+        self.contention.install_state(state["contention"])
 
     def reset_metrics(self) -> None:
         """Zero every server's accounting."""
         for server in self.servers:
             server.reset_metrics()
-        if self.contention is not None:
-            self.contention.invalidate()
+        self.contention.invalidate()
         self.pipeline_processed = 0
         self._round_makespans = RoundMakespans()
 

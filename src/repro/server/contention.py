@@ -1,23 +1,21 @@
 """Tablet-aware contention model for the shared BigTable.
 
-The seed simulation inflated every server's storage time by one global
-``storage_contention_factor`` that grew with the cluster size — as if every
-request of every front-end collided on a single storage shard.  With the
-tablet layer in place the model can be sharper: front-ends only contend when
-they hit the *same tablet*, so the inflation scales with how concentrated
-the load actually is.
+Front-ends only contend when they hit the *same tablet*, so the inflation
+of a request's storage time scales with how concentrated the load actually
+is, rather than assuming every request of every front-end collides on a
+single storage shard.
 
 The factor applied to a request's storage time is::
 
     1 + alpha * (num_servers - 1) * hot_share
 
-where ``hot_share`` measures how concentrated load is on the hottest
-tablet, from the backend's per-tablet ledgers.  With one monolithic tablet
-``hot_share == 1`` and the formula degrades to the seed's global model;
-with load spread over many tablets it approaches 1/num_tablets and
-contention all but vanishes — which is exactly the scale-out story the
-paper's Section 4.3.3 tells ("MOIST has very little communication overhead
-with the increase in the number of machines").
+where ``hot_share`` measures how concentrated load is on the hottest tablet,
+from the backend's per-tablet ledgers.  With one monolithic tablet
+``hot_share == 1`` and every request collides; with load spread over many
+tablets it approaches 1/num_tablets and contention all but vanishes — which
+is exactly the scale-out story the paper's Section 4.3.3 tells ("MOIST has
+very little communication overhead with the increase in the number of
+machines").
 
 Reads and writes contribute symmetrically: backends exposing
 :meth:`~repro.bigtable.backend.ShardedBackend.tablet_skew` report the
@@ -25,7 +23,7 @@ hottest *read* tablet's share of read time and the hottest *write*
 tablet's share of write time separately, blended by each class's share of
 traffic.  A query storm piling onto one spatial-index tablet therefore
 inflates contention exactly as the equivalent write front on a location
-tablet would — the skew no longer hides inside a combined total where a
+tablet would — the skew does not hide inside a combined total where a
 balanced write load could dilute it.
 """
 
@@ -36,13 +34,17 @@ from typing import Callable, Mapping, Optional
 from repro.bigtable.backend import ShardedBackend
 from repro.errors import ConfigurationError
 
+#: Requests between two re-samples of the backend's tablet skew.
+REFRESH_EVERY = 32
+
 
 class TabletContentionModel:
     """Computes the storage-time inflation of a cluster from tablet skew.
 
     ``hot_share`` is re-sampled from the backend's tablet ledgers every
-    ``refresh_every`` requests: skew moves slowly relative to request rate,
-    and sampling every request would dominate the simulation's own cost.
+    :data:`REFRESH_EVERY` requests: skew moves slowly relative to request
+    rate, and sampling every request would dominate the simulation's own
+    cost.
     """
 
     def __init__(
@@ -50,14 +52,11 @@ class TabletContentionModel:
         backend,
         num_servers: int,
         alpha: float = 0.025,
-        refresh_every: int = 32,
     ) -> None:
         if num_servers < 1:
             raise ConfigurationError("num_servers must be >= 1")
         if alpha < 0:
             raise ConfigurationError("alpha must be non-negative")
-        if refresh_every < 1:
-            raise ConfigurationError("refresh_every must be >= 1")
         if not isinstance(backend, ShardedBackend):
             raise ConfigurationError(
                 "tablet-aware contention needs a backend with per-tablet "
@@ -85,7 +84,6 @@ class TabletContentionModel:
         self.replica_counts: Optional[Callable[[], Mapping[str, int]]] = None
         self.num_servers = num_servers
         self.alpha = alpha
-        self.refresh_every = refresh_every
         self._requests_since_refresh: Optional[int] = None
         self._cached_factor = 1.0
 
@@ -95,7 +93,7 @@ class TabletContentionModel:
             return 1.0
         if (
             self._requests_since_refresh is None
-            or self._requests_since_refresh >= self.refresh_every
+            or self._requests_since_refresh >= REFRESH_EVERY
         ):
             self._cached_factor = 1.0 + self.alpha * (self.num_servers - 1) * (
                 self._hot_share()

@@ -23,24 +23,18 @@ class FrontendServer:
     the requests *it* handled so the cluster can compute per-server load and
     the overall makespan.
 
-    Contention on the shared store is modelled in two layers: a static
-    ``storage_contention_factor`` (kept for direct construction and for
-    backends without tablet accounting) and an optional
-    :class:`TabletContentionModel` whose dynamic factor tracks how
-    concentrated the cluster's load is on its hottest tablet.
+    Contention on the shared store is the cluster's
+    :class:`TabletContentionModel`, whose factor tracks how concentrated the
+    cluster's load is on its hottest tablet.
     """
 
     server_id: int
     indexer: MoistIndexer
+    #: Storage-time inflation from contention on the shared BigTable.
+    contention: TabletContentionModel
     #: Fixed per-request CPU/RPC overhead on the server itself, on top of
     #: storage time (request parsing, response serialisation).
     request_overhead_s: float = 12e-6
-    #: Static multiplier applied to storage time to model contention on the
-    #: shared BigTable.
-    storage_contention_factor: float = 1.0
-    #: Dynamic tablet-aware contention; multiplies the static factor when
-    #: present.
-    contention: Optional[TabletContentionModel] = None
     #: Record one service-time sample per request (off by default — the
     #: rebalance experiments enable it to report tail latency percentiles).
     record_service_times: bool = False
@@ -61,15 +55,6 @@ class FrontendServer:
     def __post_init__(self) -> None:
         if self.request_overhead_s < 0:
             raise ConfigurationError("request_overhead_s must be non-negative")
-        if self.storage_contention_factor < 1.0:
-            raise ConfigurationError("storage_contention_factor must be >= 1")
-
-    def current_contention_factor(self) -> float:
-        """Effective storage-time multiplier for the next request."""
-        factor = self.storage_contention_factor
-        if self.contention is not None:
-            factor *= self.contention.factor()
-        return factor
 
     # ------------------------------------------------------------------
     # Request handlers
@@ -80,7 +65,7 @@ class FrontendServer:
         before = counter.simulated_seconds
         result = self.indexer.update(message)
         storage = counter.simulated_seconds - before
-        service = self.request_overhead_s + storage * self.current_contention_factor()
+        service = self.request_overhead_s + storage * self.contention.factor()
         self.update_busy_seconds += service
         self.updates_handled += 1
         if self.record_service_times:
@@ -103,7 +88,7 @@ class FrontendServer:
         storage = counter.simulated_seconds - before
         service = (
             len(messages) * self.request_overhead_s
-            + storage * self.current_contention_factor()
+            + storage * self.contention.factor()
         )
         self.update_busy_seconds += service
         self.updates_handled += len(messages)
@@ -132,7 +117,7 @@ class FrontendServer:
             stats=stats,
         )
         storage = counter.simulated_seconds - before
-        service = self.request_overhead_s + storage * self.current_contention_factor()
+        service = self.request_overhead_s + storage * self.contention.factor()
         self.query_busy_seconds += service
         self.queries_handled += 1
         if self.record_service_times:
@@ -172,7 +157,7 @@ class FrontendServer:
         storage = counter.simulated_seconds - before
         service = (
             len(queries) * self.request_overhead_s
-            + storage * self.current_contention_factor()
+            + storage * self.contention.factor()
         )
         self.query_busy_seconds += service
         self.queries_handled += len(queries)

@@ -98,11 +98,10 @@ class FaultPlan:
         num_servers: int,
         crashes: int = 1,
         migration_crashes: int = 1,
-        revive: bool = True,
     ) -> "FaultPlan":
         """A reproducible random plan: ``crashes`` server crashes (each
-        followed by a revival a few rounds later when ``revive``) and
-        ``migration_crashes`` migrations aborted mid-flight."""
+        followed by a revival a few rounds later) and ``migration_crashes``
+        migrations aborted mid-flight."""
         if num_batches < 1:
             raise ConfigurationError("num_batches must be >= 1")
         if num_servers < 1:
@@ -115,18 +114,15 @@ class FaultPlan:
             events.append(
                 FaultEvent(at_batch=at_batch, kind=CRASH_SERVER, server_id=server_id)
             )
-            if revive:
-                events.append(
-                    FaultEvent(
-                        # Clamp to the last fireable round: rounds are
-                        # 0-indexed, so num_batches itself never fires.
-                        at_batch=min(
-                            at_batch + 1 + rng.randrange(3), num_batches - 1
-                        ),
-                        kind=REVIVE_SERVER,
-                        server_id=server_id,
-                    )
+            events.append(
+                FaultEvent(
+                    # Clamp to the last fireable round: rounds are
+                    # 0-indexed, so num_batches itself never fires.
+                    at_batch=min(at_batch + 1 + rng.randrange(3), num_batches - 1),
+                    kind=REVIVE_SERVER,
+                    server_id=server_id,
                 )
+            )
         for _ in range(migration_crashes):
             events.append(
                 FaultEvent(
@@ -235,6 +231,10 @@ class LoadTestResult:
                 f"failed={point.failed_qps:.12g}"
             )
         return "\n".join(lines) + "\n"
+
+
+#: Batches (or mixed rounds) per timeline point of the batched runners.
+BUCKET_BATCHES = 4
 
 
 class _TimelineBucket:
@@ -488,7 +488,6 @@ class LoadTest:
         self,
         messages: Sequence[UpdateMessage],
         batch_size: int = 256,
-        bucket_batches: int = 4,
     ) -> LoadTestResult:
         """Feed the update stream through the tablet-routed batched path.
 
@@ -496,15 +495,13 @@ class LoadTest:
         messages; each batch is partitioned by owning tablet (and, on a
         federation, owning shard first) and dispatched to the tablet's
         pinned server, exercising the group-commit write path end to end.
-        One timeline point is emitted every ``bucket_batches`` batches.
+        One timeline point is emitted every :data:`BUCKET_BATCHES` batches.
         """
         if batch_size <= 0:
             raise ConfigurationError("batch_size must be positive")
-        if bucket_batches <= 0:
-            raise ConfigurationError("bucket_batches must be positive")
         self._begin_run()
         cluster = self.cluster
-        bucket = _TimelineBucket(bucket_batches)
+        bucket = _TimelineBucket(BUCKET_BATCHES)
         failed = 0
         last_index = 0
         for batch_index, start in enumerate(range(0, len(messages), batch_size)):
@@ -532,7 +529,6 @@ class LoadTest:
         messages: Sequence[UpdateMessage],
         queries: Sequence[object],
         batch_size: int = 256,
-        bucket_batches: int = 4,
     ) -> LoadTestResult:
         """Drive interleaved update and query batches through the cluster.
 
@@ -546,11 +542,9 @@ class LoadTest:
         """
         if batch_size <= 0:
             raise ConfigurationError("batch_size must be positive")
-        if bucket_batches <= 0:
-            raise ConfigurationError("bucket_batches must be positive")
         self._begin_run()
         cluster = self.cluster
-        bucket = _TimelineBucket(bucket_batches)
+        bucket = _TimelineBucket(BUCKET_BATCHES)
         failed = 0
         completed_queries = 0
         update_offset = 0
@@ -617,29 +611,6 @@ class LoadTest:
             failovers=failovers - self._master_baseline[2],
             faults_applied=list(self._faults_applied),
         )
-
-    def run_client_bursts(
-        self,
-        duration_s: float,
-        requests_per_burst: int = 100,
-        burst_interval_s: float = 1.0,
-    ) -> LoadTestResult:
-        """Drive a single cluster with bursts from every client simulator.
-
-        Each burst models the client's concurrent in-flight RPCs (the
-        paper's "100 concurrent RPC for each client").
-        """
-        if not self.clients:
-            raise ConfigurationError("run_client_bursts needs client simulators")
-        if duration_s <= 0 or burst_interval_s <= 0:
-            raise ConfigurationError("duration and burst interval must be positive")
-        messages: List[UpdateMessage] = []
-        now = 0.0
-        while now < duration_s:
-            for client in self.clients:
-                messages.extend(client.burst(now, requests_per_burst))
-            now += burst_interval_s
-        return self.run_updates(messages)
 
     # ------------------------------------------------------------------
     # Convenience constructors

@@ -2,16 +2,16 @@
 
 The paper's deployment story (Section 4.3.3) assumes what BigTable gives it
 for free: a *master* that watches per-tablet load and moves tablets between
-tablet servers, so a hot school never pins one front-end forever.  PR 1-4
-built the data plane — sharded tables, batched routing, a durable
-commit-log/SSTable engine — but tablet→server assignment stayed static hash
-affinity.  This module closes that gap:
+tablet servers, so a hot school never pins one front-end forever.  The
+data plane — sharded tables, batched routing, a durable commit-log/SSTable
+engine — would otherwise leave tablet→server assignment at static hash
+affinity.  This module is that master:
 
 * :class:`TabletMaster` watches the per-tablet
   :class:`~repro.bigtable.cost.OpCounter` ledgers and the cluster's
   :class:`~repro.bigtable.backend.TabletSkew` and **rebalances live**:
 
-  - *migration* — a hot tablet moves to a colder server through the PR 4
+  - *migration* — a hot tablet moves to a colder server through the LSM
     machinery: freeze the memtable → flush it into an SSTable run → hand
     off the runs plus the commit-log tail → replay the tail on the target
     → commit the routing switch (BigTable's METADATA update).  The hand-off
@@ -151,8 +151,7 @@ class TabletMaster:
         #: The cluster's control-plane verbs (``rebalance`` / ``apply_fault``
         #: / ``master_action_counts``) reach the master through here.
         cluster.master = self
-        if cluster.contention is not None:
-            cluster.contention.replica_counts = self.replica_counts
+        cluster.contention.replica_counts = self.replica_counts
 
     # ------------------------------------------------------------------
     # Observability
@@ -229,7 +228,7 @@ class TabletMaster:
     ) -> MigrationRecord:
         """Move one tablet's primary to ``target_server``, live.
 
-        The protocol is the BigTable hand-off, built on the PR 4 storage
+        The protocol is the BigTable hand-off, built on the LSM storage
         machinery:
 
         1. **freeze + flush** — the memtable is flushed into an immutable
@@ -295,8 +294,7 @@ class TabletMaster:
             # 4. Commit: METADATA switch.  The target serves from a cold
             # cache (recover_tablet evicted the tablet's blocks).
             self.cluster.routing.assign(tablet_id, target_server)
-            if self.cluster.contention is not None:
-                self.cluster.contention.invalidate()
+            self.cluster.contention.invalidate()
         record = MigrationRecord(
             table=table_name,
             tablet_id=tablet_id,
@@ -335,8 +333,7 @@ class TabletMaster:
         rows_shipped = sum(len(run) for run in tablet.runs) + len(tablet.log)
         self.backend.counter.record_durability(OpKind.MIGRATION, rows=rows_shipped)
         tablet.counter.record_durability(OpKind.MIGRATION, rows=rows_shipped)
-        if self.cluster.contention is not None:
-            self.cluster.contention.invalidate()
+        self.cluster.contention.invalidate()
         record = ReplicationRecord(
             table=table_name,
             tablet_id=tablet_id,

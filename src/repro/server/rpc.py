@@ -10,9 +10,8 @@ One frame on the wire is::
              4 bytes  crc32 over the four header fields + body
              N bytes  body
 
-The crc closes the durability gap PR 7 left open: journal records and run
-blocks are crc-framed on disk, but the wire was not.  A flipped bit or a
-truncated pipelined frame now surfaces as a typed
+The crc protects the wire as the journal and run-block crcs protect the
+disk: a flipped bit or a truncated pipelined frame surfaces as a typed
 :class:`~repro.errors.FrameCorruptionError` at the framing layer instead of
 a decode crash deep inside a codec.
 
@@ -388,11 +387,6 @@ class RpcConnection:
         self.bytes_received += _LENGTH.size + _HEADER.size + len(frame[4])
         self.frames_received += 1
         return frame
-
-    @property
-    def outstanding(self) -> int:
-        """Parked-but-unclaimed responses (diagnostics only)."""
-        return len(self._parked)
 
     def close(self) -> None:
         if not self._closed:

@@ -544,14 +544,6 @@ class ScaleOutCluster:
                 healed += 1
         return healed
 
-    def recovery_snapshot(self) -> Dict[str, object]:
-        """Supervisor recovery metrics — counts, durations, loss ledger.
-
-        Deliberately separate from the load-test report: recovery durations
-        are wall-clock, and ``to_report()`` must stay byte-identical
-        between chaos and fault-free runs."""
-        return self._require_supervision().metrics_snapshot()
-
     # ------------------------------------------------------------------
     # Metrics
     # ------------------------------------------------------------------

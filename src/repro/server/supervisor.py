@@ -1,20 +1,18 @@
 """Worker supervision: detect dead/hung workers, respawn, readmit.
 
 The supervisor is the parent-side half of the self-healing runtime.  The
-worker-side half already exists: PR 7's disk stores rebuild a shard's LSM
-state bit-identically from manifest + runs + journal tail, and PR 8's
-accounting checkpoints (``SHARD_STATE.bin``) restore every simulated tally
-plus the exactly-once dedup window.  What was missing is the control loop —
+worker-side half is the disk store, which rebuilds a shard's LSM state
+bit-identically from manifest + runs + journal tail, and the accounting
+checkpoint (``SHARD_STATE.bin``), which restores every simulated tally plus
+the exactly-once dedup window.  The supervisor is the control loop:
 *noticing* that a worker died (waitpid via ``Process.is_alive``) or hung
 (ping deadline), forking a replacement from the stored
 :class:`~repro.server.worker.ShardRecipe`, re-attaching its disk store and
 replaying recovery before the shard rejoins routing.
 
-Three policies:
-
-``fail_fast``
-    The pre-supervision behaviour: the first worker failure propagates as
-    :class:`~repro.errors.WorkerDiedError` and the run aborts.
+Without a supervisor — the default — the first worker failure propagates
+as :class:`~repro.errors.WorkerDiedError` and the run aborts.  A supervisor
+runs one of two policies:
 
 ``respawn``
     Lossless healing.  Requires the disk backend with durable accounting
@@ -56,7 +54,7 @@ from repro.errors import (
 )
 from repro.server import rpc
 
-SUPERVISION_POLICIES = ("fail_fast", "respawn", "respawn_lossy")
+SUPERVISION_POLICIES = ("respawn", "respawn_lossy")
 
 
 @dataclass(frozen=True)
@@ -84,11 +82,11 @@ class Supervisor:
 
     Detection is *on-demand*: the scatter-gather engine calls
     :meth:`handle_worker_failure` when a send or collect raises
-    :class:`WorkerDiedError`, and :meth:`scan` offers a cheap waitpid sweep
-    for callers that want to find corpses before committing a round of
-    work.  There is no watcher thread — batch boundaries are frequent
-    enough, and keeping supervision synchronous keeps recovery
-    deterministic (a property the chaos suite asserts byte-for-byte).
+    :class:`WorkerDiedError`, and the cluster's dead-worker sweep probes
+    each worker with :meth:`check_worker`.  There is no watcher thread —
+    batch boundaries are frequent enough, and keeping supervision
+    synchronous keeps recovery deterministic (a property the chaos suite
+    asserts byte-for-byte).
     """
 
     def __init__(
@@ -142,30 +140,15 @@ class Supervisor:
     # ------------------------------------------------------------------
     # Detection
     # ------------------------------------------------------------------
-    def scan(self) -> List[int]:
-        """Worker indices whose processes are dead (waitpid, no I/O)."""
-        return [
-            index
-            for index, alive in enumerate(self.backend.pool.alive_workers())
-            if not alive
-        ]
-
-    def check_worker(self, index: int, deadline_s: Optional[float] = None) -> None:
+    def check_worker(self, index: int) -> None:
         """Liveness probe for one worker: waitpid, then a ping bounded by
-        ``deadline_s`` (defaults to the retry policy's call deadline) so a
-        SIGSTOPped worker — alive by waitpid — fails the probe too."""
+        the retry policy's call deadline, so a SIGSTOPped worker — alive by
+        waitpid — fails the probe too."""
         if not self.backend.pool.processes[index].is_alive():
             raise WorkerDiedError(f"worker {index} is not running")
         connection = self.backend.pool.connections[index]
         request_id = connection.send_request(0, rpc.OP_PING, b"")
-        connection.wait(
-            request_id,
-            deadline_s=(
-                self.retry_policy.call_deadline_s
-                if deadline_s is None
-                else deadline_s
-            ),
-        )
+        connection.wait(request_id, deadline_s=self.retry_policy.call_deadline_s)
 
     # ------------------------------------------------------------------
     # Healing
@@ -175,21 +158,15 @@ class Supervisor:
     ) -> RecoveryRecord:
         """Heal one failed worker according to the policy.
 
-        ``fail_fast`` re-raises; the respawn policies kill the remains,
-        fork a replacement on a connection that continues the request-id
-        counter, rebind the transport (fresh stream decoders for its shards)
-        and re-issue ``build_indexer`` per shard — which for the disk
-        backend re-attaches the store, replays the journal tail through
-        ``recover()`` and installs the accounting checkpoint — including
-        the tablet master's decision history and routing overrides on
-        master-bearing recipes — before the shard is readmitted to
-        routing.
+        Both policies kill the remains, fork a replacement on a connection
+        that continues the request-id counter, rebind the transport (fresh
+        stream decoders for its shards) and re-issue ``build_indexer`` per
+        shard — which for the disk backend re-attaches the store, replays
+        the journal tail through ``recover()`` and installs the accounting
+        checkpoint — including the tablet master's decision history and
+        routing overrides on master-bearing recipes — before the shard is
+        readmitted to routing.
         """
-        if self.policy == "fail_fast":
-            raise WorkerDiedError(
-                f"worker {worker_index} failed ({reason}) and the "
-                "supervision policy is fail_fast"
-            )
         health = self._health.setdefault(worker_index, _WorkerHealth())
         health.consecutive_failures += 1
         health.total_failures += 1

@@ -169,7 +169,7 @@ class ShardRecipe:
     #: Checkpoint the shard's *accounting* soft state (ledgers, caches,
     #: server metrics, the exactly-once dedup window) to
     #: ``SHARD_STATE.bin`` after every mutating verb.  The durable LSM
-    #: state already survives SIGKILL bit-identically (PR 7); with this on,
+    #: state already survives SIGKILL bit-identically; with this on,
     #: a supervised respawn also restores every simulated tally, so a
     #: killed-and-healed run reports byte-identically to a fault-free one.
     durable_accounting: bool = False
@@ -594,10 +594,6 @@ class ShardService:
         return phase
 
     @_verb(read_only=True)
-    def makespan(self) -> float:
-        return self._require_cluster().makespan_seconds()
-
-    @_verb(read_only=True)
     def service_time_samples(self) -> List[float]:
         """Per-request simulated service-time samples, flattened in server
         order (empty unless the recipe set ``record_service_times``).  The
@@ -720,7 +716,7 @@ _forward(
 )
 _forward(
     ShardService._require_cluster, False,
-    "fail_server", "revive_server", "crash_and_recover", "reset_metrics",
+    "fail_server", "revive_server", "reset_metrics",
 )
 _forward(
     ShardService._require_cluster, True,
@@ -729,7 +725,6 @@ _forward(
 _forward(
     ShardService._require_master, False,
     "migrate_tablet", "replicate_tablet", "fail_over", "rebalance",
-    "inject_migration_crash",
 )
 
 

@@ -12,26 +12,6 @@ relies on throughout:
 
 ``CellId`` is the public handle; ``hilbert`` and ``zcurve`` expose the raw
 curve encodings (the Z-curve exists for the locality ablation benchmark);
-``covering`` approximates arbitrary rectangles by cell unions; ``cube``
-provides the 6-face wrapper used when indexing the surface of the Earth.
+``covering`` approximates rectangles and discs by cell unions.  The world
+is planar: the paper's S2 cells cover a sphere, every experiment here a map.
 """
-
-from repro.spatial.hilbert import hilbert_index, hilbert_point
-from repro.spatial.zcurve import z_index, z_point
-from repro.spatial.cell import CellId, MAX_LEVEL, WORLD_UNIT_BOX
-from repro.spatial.covering import cover_box, cover_circle
-from repro.spatial.cube import FaceCellId, face_for_lat_lng
-
-__all__ = [
-    "hilbert_index",
-    "hilbert_point",
-    "z_index",
-    "z_point",
-    "CellId",
-    "MAX_LEVEL",
-    "WORLD_UNIT_BOX",
-    "cover_box",
-    "cover_circle",
-    "FaceCellId",
-    "face_for_lat_lng",
-]

@@ -36,7 +36,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.errors import SpatialError
 from repro.geometry.bbox import BoundingBox
@@ -148,24 +148,9 @@ class CellId:
         base = self.pos << 2
         return [CellId(self.level + 1, base + i) for i in range(4)]
 
-    def contains(self, other: "CellId") -> bool:
-        """True when ``other`` is this cell or one of its descendants."""
-        if other.level < self.level:
-            return False
-        return (other.pos >> (2 * (other.level - self.level))) == self.pos
-
     # ------------------------------------------------------------------
     # Row keys
     # ------------------------------------------------------------------
-    def range_min(self) -> int:
-        """Smallest MAX_LEVEL curve position contained in this cell."""
-        return self.pos << (2 * (MAX_LEVEL - self.level))
-
-    def range_max(self) -> int:
-        """Largest MAX_LEVEL curve position contained in this cell."""
-        shift = 2 * (MAX_LEVEL - self.level)
-        return ((self.pos + 1) << shift) - 1
-
     def key(self) -> str:
         """Fixed-width hexadecimal row-key token (memoized and interned).
 
@@ -182,12 +167,6 @@ class CellId:
     # ------------------------------------------------------------------
     # Geometry
     # ------------------------------------------------------------------
-    def grid_coordinates(self) -> Tuple[int, int]:
-        """Grid coordinate ``(x, y)`` of this cell at its own level."""
-        if self.level == 0:
-            return (0, 0)
-        return hilbert_point(self.level, self.pos)
-
     def to_box(self, world: BoundingBox = WORLD_UNIT_BOX) -> BoundingBox:
         """The rectangle this cell occupies in world coordinates."""
         return _box_codec(self.level, self.pos, world)
@@ -234,17 +213,6 @@ class CellId:
     def all_neighbors(self) -> List["CellId"]:
         """Same-level cells sharing an edge or a corner (8-neighbourhood)."""
         return list(_all_neighbors_codec(self.level, self.pos))
-
-    def descendants_at(self, level: int) -> Iterator["CellId"]:
-        """Yield every descendant of this cell at the given finer ``level``."""
-        if level < self.level or level > MAX_LEVEL:
-            raise SpatialError(
-                f"invalid descendant level {level} for a level-{self.level} cell"
-            )
-        shift = 2 * (level - self.level)
-        base = self.pos << shift
-        for offset in range(1 << shift):
-            yield CellId(level, base + offset)
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return f"CellId(level={self.level}, pos={self.pos})"
@@ -316,14 +284,6 @@ def _all_neighbors_codec(level: int, pos: int) -> Tuple[CellId, ...]:
             if 0 <= nx < side and 0 <= ny < side:
                 neighbors.append(CellId(level, hilbert_index(level, nx, ny)))
     return tuple(neighbors)
-
-
-def cell_codec_cache_clear() -> None:
-    """Drop every memoized cell codec (test/debug hook)."""
-    _key_codec.cache_clear()
-    _box_codec.cache_clear()
-    _edge_neighbors_codec.cache_clear()
-    _all_neighbors_codec.cache_clear()
 
 
 def _xy_encoder(

@@ -10,13 +10,11 @@ workloads repeat shapes constantly (the same coupon region polled each
 round, the same probe disc around a hot venue), so the expensive grid
 enumeration is memoized in a module-level LRU.  The cached value is an
 immutable tuple; the public helpers hand each caller a fresh list so
-mutating a result can never corrupt the cache.  :func:`covering_cache_clear`
-drops the memo (test hook / long-lived processes with churning worlds).
+mutating a result can never corrupt the cache.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import List, Tuple
 
@@ -96,56 +94,6 @@ def cover_circle(
     if not 0 <= level <= MAX_LEVEL:
         raise SpatialError(f"cover level {level} outside [0, {MAX_LEVEL}]")
     return list(_cover_circle_codec(center, radius, level, world))
-
-
-def covering_cache_clear() -> None:
-    """Drop every memoized covering (test/debug hook)."""
-    _cover_box_codec.cache_clear()
-    _cover_circle_codec.cache_clear()
-
-
-def covering_cache_info() -> Tuple[object, object]:
-    """``(box_info, circle_info)`` lru_cache statistics (test/debug hook)."""
-    return _cover_box_codec.cache_info(), _cover_circle_codec.cache_info()
-
-
-def coalesce_ranges(cells: List[CellId]) -> List[tuple]:
-    """Merge curve-adjacent same-level cells into ``(start_key, end_key)`` scans.
-
-    BigTable range scans are far cheaper than repeated point reads (Section
-    3.1), so callers that fetch many cells first coalesce adjacent ones.
-    """
-    if not cells:
-        return []
-    levels = {cell.level for cell in cells}
-    if len(levels) != 1:
-        raise SpatialError("coalesce_ranges requires cells of a single level")
-    ordered = sorted(cells, key=lambda cell: cell.pos)
-    ranges = []
-    run_start = ordered[0]
-    previous = ordered[0]
-    for cell in ordered[1:]:
-        if cell.pos == previous.pos + 1:
-            previous = cell
-            continue
-        ranges.append((run_start.key_range()[0], previous.key_range()[1]))
-        run_start = cell
-        previous = cell
-    ranges.append((run_start.key_range()[0], previous.key_range()[1]))
-    return ranges
-
-
-def level_for_resolution(
-    resolution: float, world: BoundingBox = WORLD_UNIT_BOX
-) -> int:
-    """Coarsest level whose cells are no wider than ``resolution`` world units."""
-    if resolution <= 0:
-        raise SpatialError("resolution must be positive")
-    extent = max(world.width, world.height)
-    if resolution >= extent:
-        return 0
-    level = int(math.ceil(math.log2(extent / resolution)))
-    return min(max(level, 0), MAX_LEVEL)
 
 
 def _clamp_index(value: float, side: int) -> int:

@@ -139,14 +139,3 @@ def hilbert_point(order: int, d: int) -> Tuple[int, int]:
         y = y << 4 | (entry >> 10) & 15
         state = entry & _STATE_MASK
     return x, y
-
-
-def hilbert_cache_info() -> Tuple[object, object]:
-    """``(index_info, point_info)`` lru_cache statistics (test/debug hook)."""
-    return hilbert_index.cache_info(), hilbert_point.cache_info()
-
-
-def hilbert_cache_clear() -> None:
-    """Drop every memoized encoding (test/debug hook)."""
-    hilbert_index.cache_clear()
-    hilbert_point.cache_clear()

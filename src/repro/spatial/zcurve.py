@@ -9,8 +9,6 @@ same Spatial Index Table layout.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 from repro.errors import SpatialError
 
 
@@ -29,17 +27,3 @@ def z_index(order: int, x: int, y: int) -> int:
         code |= ((y >> bit) & 1) << (2 * bit + 1)
     return code
 
-
-def z_point(order: int, code: int) -> Tuple[int, int]:
-    """Inverse of :func:`z_index`."""
-    if order < 0:
-        raise SpatialError(f"curve order must be non-negative, got {order}")
-    side = 1 << order
-    if not 0 <= code < side * side:
-        raise SpatialError(f"curve index {code} out of range for order {order}")
-    x = 0
-    y = 0
-    for bit in range(order):
-        x |= ((code >> (2 * bit)) & 1) << bit
-        y |= ((code >> (2 * bit + 1)) & 1) << bit
-    return x, y

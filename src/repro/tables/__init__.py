@@ -7,15 +7,3 @@
 * :class:`AffiliationTable` — leader/follower (L/F) records plus, for each
   leader, its Follower Info (follower id -> displacement vector).
 """
-
-from repro.tables.location_table import LocationTable
-from repro.tables.spatial_index_table import SpatialIndexTable
-from repro.tables.affiliation_table import AffiliationTable, LFRecord, Role
-
-__all__ = [
-    "LocationTable",
-    "SpatialIndexTable",
-    "AffiliationTable",
-    "LFRecord",
-    "Role",
-]

@@ -5,8 +5,8 @@ Row key: object id.  Two column families:
 * ``lf`` — the L/F record.  A leader stores ``("L", chosen_timestamp)``;
   a follower stores ``("F", leader_id, displacement)`` where the displacement
   is the vector from the leader to the follower at the time it joined the
-  school.  Fresh L/F records live in memory; an aged disk family exists for
-  completeness.
+  school.  L/F records live in memory; the schema also declares an aged
+  disk family (``lf-aged``), which nothing writes.
 * ``followers`` — present only on leader rows: one column per follower id
   whose value is the leader->follower displacement ("Follower Info").
 
@@ -167,10 +167,6 @@ class AffiliationTable:
             if LF_QUALIFIER in columns
         }
 
-    def age_lf_records(self, cutoff_timestamp: float) -> int:
-        """Move aged L/F records from the in-memory family to the disk family."""
-        return self._table.age_out(LF_FAMILY, LF_AGED_FAMILY, cutoff_timestamp)
-
     # ------------------------------------------------------------------
     # Follower Info
     # ------------------------------------------------------------------
@@ -215,22 +211,6 @@ class AffiliationTable:
         follower -> (dx, dy)``, the stored pairs exactly as the projected
         read returns them."""
         return self._table.batch_read(leader_ids, family=FOLLOWERS_FAMILY)
-
-    def clear_followers(self, leader_id: ObjectId) -> int:
-        """Remove every Follower Info column of a leader.
-
-        Used when a leader is merged into another school and stops being a
-        leader itself (Section 3.3.2).  Returns the number of followers
-        removed; charged as one batch write.
-        """
-        followers = self.followers_of(leader_id)
-        if not followers:
-            return 0
-        deletes = [
-            (leader_id, FOLLOWERS_FAMILY, follower_id) for follower_id in followers
-        ]
-        self._table.batch_delete(deletes)
-        return len(deletes)
 
     # ------------------------------------------------------------------
     # Batch rewrites used by the clustering pass

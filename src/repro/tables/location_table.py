@@ -35,6 +35,8 @@ from repro.model import LocationRecord, ObjectId
 FRESH_FAMILY = "loc"
 #: Qualifier under which the record versions are stored.
 RECORD_QUALIFIER = "record"
+#: Versions each aged disk column family keeps.
+DISK_COLUMN_VERSIONS = 64
 
 
 class LocationTable:
@@ -46,7 +48,6 @@ class LocationTable:
         name: str = "location",
         memory_records: int = 8,
         disk_columns: int = 2,
-        disk_column_versions: int = 64,
     ) -> None:
         if memory_records <= 0:
             raise SchemaError("memory_records must be positive")
@@ -62,7 +63,7 @@ class LocationTable:
                 ColumnFamily(
                     self.disk_family(index),
                     in_memory=False,
-                    max_versions=disk_column_versions,
+                    max_versions=DISK_COLUMN_VERSIONS,
                 )
             )
         self._table = emulator.create_table(name, families)
@@ -99,10 +100,6 @@ class LocationTable:
         ]
         if mutations:
             self._table.batch_write(mutations)
-
-    def delete_object(self, object_id: ObjectId) -> bool:
-        """Remove every record of an object."""
-        return self._table.delete_row(object_id)
 
     # ------------------------------------------------------------------
     # Reads
@@ -213,33 +210,9 @@ class LocationTable:
             self._table.counter.record(OpKind.BATCH_WRITE, rows=len(rewrites))
         return drained
 
-    def demote_disk_column(self, index: int, cutoff_timestamp: float) -> int:
-        """Move records older than the cutoff from disk column ``index`` to
-        ``index + 1`` (the chain of progressively older disk columns in
-        Figure 3)."""
-        if index < 0 or index + 1 >= self.disk_columns:
-            raise SchemaError(
-                f"cannot demote from disk column {index}: only {self.disk_columns} exist"
-            )
-        return self._table.age_out(
-            self.disk_family(index), self.disk_family(index + 1), cutoff_timestamp
-        )
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def object_count(self) -> int:
         """Number of objects with at least one record."""
         return self._table.row_count()
-
-    def memory_record_count(self) -> int:
-        """Number of records currently held in the in-memory column."""
-        return self._table.memory_cell_count()
-
-    def disk_record_count(self) -> int:
-        """Number of records currently held in disk columns."""
-        return self._table.disk_cell_count()
-
-    def all_object_ids(self) -> List[ObjectId]:
-        """Every object id present (test helper)."""
-        return self._table.all_keys()

@@ -1,9 +1,9 @@
 """The Spatial Index Table (Section 3.2.1).
 
 Row key: the Hilbert-curve key of the storage-level cell containing an
-object.  Columns: one qualifier per object id stored under a category family
-(the paper's Figure 5 shows "Bus" and "User" columns; we default everything
-to the ``id`` family but allow a category).  Only *leaders* are stored here
+object.  Columns: one qualifier per object id under the ``id`` family (the
+paper's Figure 5 splits ids into category families such as "Bus" and "User";
+every object here has the one category).  Only *leaders* are stored here
 once object schools are active (Section 3.1.3).
 
 What a cell value is at rest — an exact ``tuple`` of atoms, which the cycle
@@ -38,7 +38,7 @@ from repro.geometry.point import Point
 from repro.model import ObjectId
 from repro.spatial.cell import CellId, WORLD_UNIT_BOX, row_key_encoder
 
-#: Default column family for object-id columns.
+#: Column family for object-id columns.
 ID_FAMILY = "id"
 
 
@@ -51,19 +51,15 @@ class SpatialIndexTable:
         name: str = "spatial_index",
         storage_level: int = 16,
         world: BoundingBox = WORLD_UNIT_BOX,
-        extra_families: Sequence[str] = (),
     ) -> None:
         if storage_level <= 0:
             raise SchemaError("storage_level must be positive")
         self.storage_level = storage_level
         self.world = world
         self._row_key = row_key_encoder(storage_level, world)
-        families = [ColumnFamily(ID_FAMILY, in_memory=True, max_versions=1)]
-        families.extend(
-            ColumnFamily(extra, in_memory=True, max_versions=1)
-            for extra in extra_families
+        self._table = emulator.create_table(
+            name, [ColumnFamily(ID_FAMILY, in_memory=True, max_versions=1)]
         )
-        self._table = emulator.create_table(name, families)
 
     @property
     def table(self) -> Table:
@@ -93,32 +89,18 @@ class SpatialIndexTable:
     # ------------------------------------------------------------------
     # Mutations
     # ------------------------------------------------------------------
-    def add(
-        self,
-        object_id: ObjectId,
-        location: Point,
-        timestamp: float,
-        family: str = ID_FAMILY,
-    ) -> str:
+    def add(self, object_id: ObjectId, location: Point, timestamp: float) -> str:
         """Insert (or move within the same cell) an object at ``location``;
         returns the row key it is stored under."""
         x = location.x
         y = location.y
         row_key = self._row_key(x, y)
-        self._table.write(row_key, family, object_id, (x, y), timestamp)
+        self._table.write(row_key, ID_FAMILY, object_id, (x, y), timestamp)
         return row_key
 
-    def remove(
-        self, object_id: ObjectId, location: Point, family: str = ID_FAMILY
-    ) -> bool:
+    def remove(self, object_id: ObjectId, location: Point) -> bool:
         """Remove an object from the cell containing ``location``."""
-        return self._table.delete_cell(self.row_key_for(location), family, object_id)
-
-    def remove_from_cell(
-        self, object_id: ObjectId, cell: CellId, family: str = ID_FAMILY
-    ) -> bool:
-        """Remove an object from an explicitly known cell."""
-        return self._table.delete_cell(cell.key(), family, object_id)
+        return self._table.delete_cell(self.row_key_for(location), ID_FAMILY, object_id)
 
     def move(
         self,
@@ -126,7 +108,6 @@ class SpatialIndexTable:
         old_location: Optional[Iterable[float]],
         new_location: Point,
         timestamp: float,
-        family: str = ID_FAMILY,
     ) -> Tuple[Optional[str], str]:
         """Algorithm 1 line 3: delete the old spatial-index entry, add the new.
 
@@ -143,17 +124,15 @@ class SpatialIndexTable:
             old_x, old_y = old_location
             old_key = self._row_key(old_x, old_y)
             if old_key != new_key:
-                self._table.delete_cell(old_key, family, object_id)
-        self._table.write(new_key, family, object_id, (x, y), timestamp)
+                self._table.delete_cell(old_key, ID_FAMILY, object_id)
+        self._table.write(new_key, ID_FAMILY, object_id, (x, y), timestamp)
         return old_key, new_key
 
-    def batch_remove(
-        self, entries: Sequence[Tuple[ObjectId, Point]], family: str = ID_FAMILY
-    ) -> None:
+    def batch_remove(self, entries: Sequence[Tuple[ObjectId, Point]]) -> None:
         """Batch-delete several objects (used by the clustering pass)."""
         row_key = self._row_key
         deletes = [
-            (row_key(location.x, location.y), family, object_id)
+            (row_key(location.x, location.y), ID_FAMILY, object_id)
             for object_id, location in entries
         ]
         if deletes:
@@ -162,9 +141,7 @@ class SpatialIndexTable:
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
-    def objects_in_cell(
-        self, cell: CellId, family: str = ID_FAMILY
-    ) -> Dict[ObjectId, Tuple[float, float]]:
+    def objects_in_cell(self, cell: CellId) -> Dict[ObjectId, Tuple[float, float]]:
         """Objects stored under any storage-level row inside ``cell``, as
         ``object id -> (x, y)``.
 
@@ -176,18 +153,18 @@ class SpatialIndexTable:
         """
         start, end = cell.key_range()
         results: Dict[ObjectId, Tuple[float, float]] = {}
-        for _, objects in self._table.scan(start, end, family=family):
+        for _, objects in self._table.scan(start, end, family=ID_FAMILY):
             results.update(objects)
         return results
 
-    def count_in_cell(self, cell: CellId, family: str = ID_FAMILY) -> int:
+    def count_in_cell(self, cell: CellId) -> int:
         """Number of objects indexed inside ``cell``.
 
         Used by FLAG to probe local density (Algorithm 3, line 6).  Counts
         rows' columns via a metadata-priced scan.
         """
         start, end = cell.key_range()
-        rows = self._table.scan(start, end, family=family)
+        rows = self._table.scan(start, end, family=ID_FAMILY)
         return sum(len(objects) for _, objects in rows)
 
     def approximate_count_in_cell(self, cell: CellId) -> int:
@@ -199,9 +176,9 @@ class SpatialIndexTable:
         start, end = cell.key_range()
         return self._table.count_range(start, end)
 
-    def total_objects(self, family: str = ID_FAMILY) -> int:
+    def total_objects(self) -> int:
         """Total number of indexed objects (administrative helper)."""
-        rows = self._table.scan(None, None, family=family)
+        rows = self._table.scan(None, None, family=ID_FAMILY)
         return sum(len(objects) for _, objects in rows)
 
     def row_count(self) -> int:

@@ -13,25 +13,5 @@ Two families:
   velocities inside a region, used for the BigTable stress experiments
   (Figures 12-13).
 
-Plus query generators (NN and history) and a trace recorder/replayer.
+Plus a nearest-neighbour query generator.
 """
-
-from repro.workload.roadnetwork import RoadNetwork
-from repro.workload.objects import MovingObject, ObjectKind
-from repro.workload.generator import RoadNetworkWorkload, WorkloadConfig
-from repro.workload.uniform import UniformWorkload
-from repro.workload.queries import NNQueryWorkload, HistoryQueryWorkload
-from repro.workload.trace import Trace, record_trace
-
-__all__ = [
-    "RoadNetwork",
-    "MovingObject",
-    "ObjectKind",
-    "RoadNetworkWorkload",
-    "WorkloadConfig",
-    "UniformWorkload",
-    "NNQueryWorkload",
-    "HistoryQueryWorkload",
-    "Trace",
-    "record_trace",
-]

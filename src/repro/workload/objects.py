@@ -71,11 +71,6 @@ class MovingObject:
     # ------------------------------------------------------------------
     # State
     # ------------------------------------------------------------------
-    @property
-    def is_inside_building(self) -> bool:
-        """True while the object is inside a building."""
-        return self._inside is not None
-
     def position(self) -> Point:
         """Current world position."""
         if self._inside is not None and self._indoor_position is not None:

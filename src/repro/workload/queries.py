@@ -1,4 +1,4 @@
-"""Query workload generators (NN queries and history queries)."""
+"""Nearest-neighbour query workload generator."""
 
 from __future__ import annotations
 
@@ -18,16 +18,6 @@ class NNQuery:
     location: Point
     k: int
     range_limit: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class HistoryQuery:
-    """One history query: either by object or by region."""
-
-    object_id: Optional[str] = None
-    region: Optional[BoundingBox] = None
-    start_time: Optional[float] = None
-    end_time: Optional[float] = None
 
 
 class NNQueryWorkload:
@@ -58,52 +48,6 @@ class NNQueryWorkload:
         return NNQuery(location=location, k=self.k, range_limit=self.range_limit)
 
     def batch(self, count: int) -> List[NNQuery]:
-        """``count`` independent queries."""
-        if count <= 0:
-            raise WorkloadError("count must be positive")
-        return [self.next_query() for _ in range(count)]
-
-
-class HistoryQueryWorkload:
-    """Generates history queries over known object ids and map regions."""
-
-    def __init__(
-        self,
-        object_ids: List[str],
-        region: BoundingBox,
-        region_fraction: float = 0.1,
-        object_query_probability: float = 0.5,
-        seed: int = 29,
-    ) -> None:
-        if not object_ids:
-            raise WorkloadError("history query workload needs at least one object id")
-        if not 0 < region_fraction <= 1.0:
-            raise WorkloadError("region_fraction must be in (0, 1]")
-        if not 0.0 <= object_query_probability <= 1.0:
-            raise WorkloadError("object_query_probability must be in [0, 1]")
-        self.object_ids = list(object_ids)
-        self.region = region
-        self.region_fraction = region_fraction
-        self.object_query_probability = object_query_probability
-        self.rng = random.Random(seed)
-
-    def next_query(
-        self, start_time: Optional[float] = None, end_time: Optional[float] = None
-    ) -> HistoryQuery:
-        """One query: by object with the configured probability, else by region."""
-        if self.rng.random() < self.object_query_probability:
-            object_id = self.object_ids[self.rng.randrange(len(self.object_ids))]
-            return HistoryQuery(
-                object_id=object_id, start_time=start_time, end_time=end_time
-            )
-        width = self.region.width * self.region_fraction
-        height = self.region.height * self.region_fraction
-        min_x = self.rng.uniform(self.region.min_x, self.region.max_x - width)
-        min_y = self.rng.uniform(self.region.min_y, self.region.max_y - height)
-        region = BoundingBox(min_x, min_y, min_x + width, min_y + height)
-        return HistoryQuery(region=region, start_time=start_time, end_time=end_time)
-
-    def batch(self, count: int) -> List[HistoryQuery]:
         """``count`` independent queries."""
         if count <= 0:
             raise WorkloadError("count must be positive")

@@ -22,7 +22,6 @@ class TestPingPongBuffer:
         buffer = PingPongBuffer(3)
         assert buffer.append(record(0.0), now=0.0) is None
         assert buffer.append(record(1.0), now=1.0) is None
-        assert buffer.active_size == 2
 
     def test_page_returned_when_full(self):
         buffer = PingPongBuffer(2)
@@ -30,7 +29,6 @@ class TestPingPongBuffer:
         page = buffer.append(record(1.0), now=1.0)
         assert page is not None
         assert len(page) == 2
-        assert buffer.active_size == 0
         assert buffer.swaps == 1
 
     def test_records_keep_arrival_order(self):
@@ -66,5 +64,4 @@ class TestPingPongBuffer:
         buffer.append(record(1.0), now=1.0)
         page = buffer.drain()
         assert len(page) == 2
-        assert buffer.active_size == 0
         assert buffer.drain() == []

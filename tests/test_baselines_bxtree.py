@@ -115,11 +115,3 @@ class TestQueries:
         object_id, distance = results[0]
         assert object_id == "mover"
         assert distance == pytest.approx(0.0, abs=1e-6)
-
-    def test_decode_cell_round_trip(self):
-        config = BxTreeConfig()
-        tree = BxTree(config)
-        value = tree._curve_value(Point(123.0, 456.0))
-        x, y = tree.decode_cell(value)
-        side = 1 << config.curve_level
-        assert 0 <= x < side and 0 <= y < side

@@ -42,7 +42,7 @@ class TestDeadReckoning:
         assert index.update(message("a", 14.0, 10.0, vx=1.0, t=4.0)) is True
         assert index.stats.shed == 2
         # The stored record is still the original one.
-        assert index.stored_record("a").timestamp == 0.0
+        assert index._stored["a"].timestamp == 0.0
 
     def test_deviating_motion_is_stored(self):
         index = DeadReckoningIndex(CONFIG, tolerance=5.0)

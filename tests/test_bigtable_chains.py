@@ -302,7 +302,6 @@ def observe(table, run_block):
         "chains": table.scan("b", "e", family="old", versions=True),
         "batch": table.batch_read(KEYS, family="new"),
         "batch_full": table.batch_read(KEYS[:3]),
-        "cells": (table.memory_cell_count(), table.disk_cell_count()),
         "tablets": [(t.start_key, t.row_count, len(t.log)) for t in table.tablets()],
         "log": [t.log.records for t in table.tablets()],
         "runs": [

@@ -69,6 +69,26 @@ class TestBloomFilter:
         bloom = BloomFilter([])
         assert not bloom.might_contain("anything")
 
+    @pytest.mark.parametrize(
+        "count, bits", [(0, 64), (1, 64), (8, 64), (9, 128), (100, 1024), (1000, 8192)]
+    )
+    def test_size_is_a_power_of_two_of_eight_bits_per_key(self, count, bits):
+        keys = [f"row-{i:05d}" for i in range(count)]
+        bloom = BloomFilter(keys)
+        assert bloom.mask == bits - 1
+        assert len(bloom.bits) == bits // 8
+        assert all(bloom.might_contain(key) for key in keys)
+
+    def test_membership_is_deterministic_across_instances(self):
+        keys = [f"row-{i:05d}" for i in range(200)]
+        probes = [f"probe-{i}" for i in range(500)]
+        first = BloomFilter(keys)
+        second = BloomFilter(list(reversed(keys)))
+        assert first.bits == second.bits
+        assert [first.might_contain(p) for p in probes] == [
+            second.might_contain(p) for p in probes
+        ]
+
 
 class TestSSTable:
     def run(self):
@@ -281,22 +301,6 @@ class TestDurabilityLedger:
         stats = table.tablet_stats()
         assert all(entry.write_amplification >= 1.0 for entry in stats)
 
-    def test_disabled_commit_log_skips_logging(self):
-        table = make_table(TabletOptions(commit_log_enabled=False))
-        fill(table, 5)
-        assert table.log_record_count() == 0
-        assert table.counter.durability_seconds == 0.0
-
-    def test_write_amplification_is_honest_with_log_disabled(self):
-        table = make_table(
-            TabletOptions(commit_log_enabled=False, memtable_flush_rows=4)
-        )
-        fill(table, 40)
-        # Flushes rewrote rows even though nothing was logged: amplification
-        # must reflect the physical writes, not fall back to 1.0.
-        assert table.counter.durability_rows.get(OpKind.COMPACTION_WRITE, 0) > 0
-        assert table.write_amplification() > 1.0
-
     def test_noop_cell_delete_never_pulls_run_rows_back(self):
         table = make_table(
             TabletOptions(memtable_flush_rows=1024, compaction_max_runs=8)
@@ -443,7 +447,7 @@ class TestLogReplayAndDiskBytes:
         table.write("k05", "g", "p", Point(1.5, -2.0), 7.0)
         table.delete_cell("k01", "f", "q")
         table.delete_row("k02")
-        assert table.split_count >= 1
+        assert table._tablets.splits >= 1
         with table.group_commit():
             table.write("k07", "f", "extra", ("a", 1, None), 7.5)
             table.write("k08", "f", "q", 8.5, 8.5)
@@ -481,11 +485,14 @@ class TestLogReplayAndDiskBytes:
                     data = handle.read()
                 if name == "MANIFEST.bin":
                     # The format number moved on purpose (2: cell values are
-                    # rows at rest); with it put back, every other byte must
+                    # rows at rest; 3: the options lost ``commit_log_enabled``,
+                    # always on); with both put back, every other byte must
                     # still be the golden one.
                     manifest = decode_manifest(data)
-                    assert manifest["format"] == MANIFEST_FORMAT == 2
+                    assert manifest["format"] == MANIFEST_FORMAT == 3
+                    assert "commit_log_enabled" not in manifest["options"]
                     manifest["format"] = 1
+                    manifest["options"]["commit_log_enabled"] = True
                     data = encode_manifest(manifest)
                 found[os.path.relpath(path, root)] = hashlib.sha256(data).hexdigest()
         return found

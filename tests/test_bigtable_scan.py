@@ -70,12 +70,6 @@ class TestBlockCache:
         assert stats["t2"].hits == 0 and stats["t2"].misses == 1
         assert stats["t1"].hit_rate == 0.5
 
-    def test_disabled_cache_never_hits(self):
-        cache = BlockCache(BlockCacheOptions(enabled=False))
-        assert cache.probe("t1", "aa") is False
-        assert cache.probe("t1", "aa") is False
-        assert cache.hit_rate() == 0.0
-
 
 class TestScannerCharging:
     def test_cold_scan_charges_scan_rows(self):
@@ -336,7 +330,7 @@ class TestProjectedReads:
         shrink = [("delete_row", f"k{n:02d}") for n in range(5, 30)]
         program = load + [everything] + churn + shrink + [everything, everything]
         run_program(program, projected_table, full_table)
-        assert projected_table.split_count > 0 and projected_table.merge_count > 0
+        assert projected_table._tablets.splits > 0 and projected_table._tablets.merges > 0
         assert projected_table.counter.durability_count(OpKind.COMPACTION_WRITE) > 0
         # The survivors' "a" chains aged out entirely: present rows, no values.
         assert projected_table.scan(family="a") == [

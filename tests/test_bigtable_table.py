@@ -190,7 +190,6 @@ class TestCostAccounting:
         before = table.counter.total_calls()
         table.row_count()
         table.all_keys()
-        table.memory_cell_count()
         assert table.counter.total_calls() == before
 
 
@@ -208,13 +207,3 @@ class TestAging:
         table = make_table()
         table.write("row", "mem", "q", "new", timestamp=10.0)
         assert table.age_out("mem", "disk", cutoff_timestamp=5.0) == 0
-
-    def test_memory_and_disk_cell_counts(self):
-        table = make_table()
-        table.write("row", "mem", "q", "old", timestamp=1.0)
-        table.write("row", "mem", "q", "new", timestamp=10.0)
-        assert table.memory_cell_count() == 2
-        assert table.disk_cell_count() == 0
-        table.age_out("mem", "disk", cutoff_timestamp=5.0)
-        assert table.memory_cell_count() == 1
-        assert table.disk_cell_count() == 1

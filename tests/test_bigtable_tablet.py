@@ -78,7 +78,7 @@ class TestSplitting:
         table = make_table()
         fill(table, 20)
         assert table.tablet_count() >= 2
-        assert table.split_count >= 1
+        assert table._tablets.splits >= 1
         assert table.row_count() == 20
 
     def test_split_preserves_scan_order(self):
@@ -148,7 +148,7 @@ class TestMerging:
         for index in range(28):
             table.delete_row(f"k{index:04d}")
         assert table.tablet_count() == 1
-        assert table.merge_count >= 1
+        assert table._tablets.merges >= 1
         assert table.row_count() == 2
 
     def test_uncharged_deletes_still_merge(self):
@@ -368,13 +368,12 @@ class TestStructuralChecksThatCannotFire:
                         else:
                             table.delete_cell(key, "f", "q")
         assert calls["merge"] > 0 and calls["split"] > 0
-        assert watched.merge_count > 0 and watched.split_count > 0
+        assert watched._tablets.splits > 0 and watched._tablets.merges > 0
         for table in (plain, watched):
             assert sum(t.row_count for t in table.tablets()) == table.row_count()
         assert [(t.start_key, t.row_count) for t in plain.tablets()] == [
             (t.start_key, t.row_count) for t in watched.tablets()
         ]
-        assert (plain.split_count, plain.merge_count) == (
-            watched.split_count,
-            watched.merge_count,
+        assert (plain._tablets.splits, plain._tablets.merges) == (
+            watched._tablets.splits, watched._tablets.merges
         )

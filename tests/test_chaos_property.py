@@ -18,7 +18,6 @@ from repro.errors import (
     ConfigurationError,
     StaleRequestError,
     WorkerCircuitOpenError,
-    WorkerDiedError,
 )
 from repro.codec.wire import NeighborStreamDecoder
 from repro.disk.store import DiskTableStore
@@ -117,7 +116,7 @@ class TestChaosLossless:
         )
         try:
             assert _run(cluster).to_report() == reference_report
-            assert cluster.recovery_snapshot()["recoveries"] == 0
+            assert cluster.supervisor.metrics_snapshot()["recoveries"] == 0
         finally:
             cluster.close()
 
@@ -138,7 +137,7 @@ class TestChaosLossless:
         try:
             result = _run(cluster, chaos_plan=plan)
             assert result.to_report() == reference_report
-            snapshot = cluster.recovery_snapshot()
+            snapshot = cluster.supervisor.metrics_snapshot()
             assert snapshot["policy"] == "respawn"
             assert snapshot["recoveries"] == workers
             assert snapshot["lossless_recoveries"] == workers
@@ -184,7 +183,7 @@ class TestChaosLossless:
             result = _run(cluster)
             assert os.path.exists(fired)
             assert result.to_report() == reference_report
-            snapshot = cluster.recovery_snapshot()
+            snapshot = cluster.supervisor.metrics_snapshot()
             assert snapshot["recoveries"] == snapshot["lossless_recoveries"] == 1
             assert snapshot["lost_updates"] == 0
         finally:
@@ -200,7 +199,7 @@ class TestChaosLossless:
         try:
             result = _run(cluster, chaos_plan=plan)
             assert result.to_report() == reference_report
-            snapshot = cluster.recovery_snapshot()
+            snapshot = cluster.supervisor.metrics_snapshot()
             assert snapshot["recoveries"] >= 1
             assert snapshot["lost_updates"] == 0
         finally:
@@ -218,7 +217,7 @@ class TestChaosLossless:
         try:
             result = _run(cluster, chaos_plan=plan)
             assert result.to_report() == reference_report
-            snapshot = cluster.recovery_snapshot()
+            snapshot = cluster.supervisor.metrics_snapshot()
             assert snapshot["recoveries"] == 2
             assert all("injected" in reason for reason in snapshot["reasons"])
         finally:
@@ -240,7 +239,7 @@ class TestLossyAndFailFast:
         try:
             result = _run(cluster, chaos_plan=plan)
             assert result.total_requests > 0
-            snapshot = cluster.recovery_snapshot()
+            snapshot = cluster.supervisor.metrics_snapshot()
             assert snapshot["policy"] == "respawn_lossy"
             assert snapshot["recoveries"] == 1
             assert snapshot["lossless_recoveries"] == 0
@@ -269,20 +268,6 @@ class TestLossyAndFailFast:
             second = supervisor.handle_worker_failure(0, "second lossy heal")
             assert second.lost_updates == 0
             assert supervisor.metrics_snapshot()["lost_updates"] == acked
-        finally:
-            cluster.close()
-
-    def test_fail_fast_propagates_the_first_worker_death(self):
-        plan = ChaosPlan([ChaosEvent(1, 0, KILL_WORKER)])
-        cluster = _cluster(
-            "process",
-            2,
-            policy="fail_fast",
-            retry=rpc.RetryPolicy(call_deadline_s=15.0),
-        )
-        try:
-            with pytest.raises(WorkerDiedError, match="fail_fast"):
-                _run(cluster, chaos_plan=plan)
         finally:
             cluster.close()
 
@@ -346,14 +331,6 @@ class TestSupervisionGuards:
                 LoadTest(
                     cluster, chaos_plan=ChaosPlan([ChaosEvent(1, 0, KILL_WORKER)])
                 )
-        finally:
-            cluster.close()
-
-    def test_recovery_snapshot_requires_supervision(self):
-        cluster = _cluster("inprocess", 1)
-        try:
-            with pytest.raises(ConfigurationError, match="supervision"):
-                cluster.recovery_snapshot()
         finally:
             cluster.close()
 

@@ -90,18 +90,18 @@ class TestLevelCache:
     def test_invalidate_clears_cache(self, indexer):
         load_cluster(indexer, 50, center=(50.0, 50.0), spread=20.0)
         indexer.flag.best_level(Point(50.0, 50.0), now=0.0)
-        assert indexer.flag.cache_size() == 1
+        assert len(indexer.flag._cache) == 1
         indexer.flag.invalidate()
-        assert indexer.flag.cache_size() == 0
+        assert len(indexer.flag._cache) == 0
 
     def test_clustering_invalidates_cache(self, indexer):
         # Two co-moving leaders that will merge.
         indexer.update(UpdateMessage("a", Point(10.0, 10.0), Vector(1.0, 0.0), 0.0))
         indexer.update(UpdateMessage("b", Point(12.0, 10.0), Vector(1.0, 0.0), 0.0))
         indexer.flag.best_level(Point(10.0, 10.0), now=0.0)
-        assert indexer.flag.cache_size() == 1
+        assert len(indexer.flag._cache) == 1
         indexer.run_clustering(now=1.0)
-        assert indexer.flag.cache_size() == 0
+        assert len(indexer.flag._cache) == 0
 
     def test_hit_ratio(self, indexer):
         load_cluster(indexer, 30, center=(50.0, 50.0), spread=10.0)
@@ -168,7 +168,7 @@ class TestCacheCoverInvariants:
         # The second one is past the bound: recomputed and cached.
         tuner.best_level(storage_cell_center(config, (6 << shift) + 1), now=1.0)
         assert (tuner.stats.cache_hits, tuner.stats.recomputations) == (1, 1)
-        assert tuner.cache_size() == 2
+        assert len(tuner._cache) == 2
 
     def test_inclusive_bound_holds_at_the_storage_level_itself(self, indexer):
         level = indexer.config.storage_level
@@ -223,7 +223,7 @@ class TestCacheCoverInvariants:
         assert clone.best_level(inside, 0.0) == 4
         assert clone.stats.cache_hits == 1
         clone.invalidate()
-        assert clone.cache_size() == 0
+        assert len(clone._cache) == 0
         clone.best_level(inside, 0.0)
         assert clone.stats.recomputations == 1
 
@@ -257,9 +257,6 @@ class LinearFlagTuner(FlagTuner):
 
     def invalidate(self):
         self._records.clear()
-
-    def cache_size(self):
-        return len(self._records)
 
     def export_state(self):
         state = super().export_state()
@@ -342,5 +339,5 @@ def test_indexed_cache_matches_linear_reference(seed, ops):
             restored.install_state(indexed.export_state())
             indexed = restored
         assert indexed.stats == linear.stats
-        assert indexed.cache_size() == linear.cache_size()
+        assert len(indexed._cache) == len(linear._records)
         assert indexed.export_state() == linear.export_state()

@@ -25,11 +25,6 @@ class TestObjectHistory:
         assert len(history) == 4
         assert [record.timestamp for record in history] == [0.0, 1.0, 2.0, 3.0]
 
-    def test_recent_trajectory_ordered_oldest_first(self, indexer):
-        feed_trajectory(indexer, steps=3)
-        trajectory = indexer.history.recent_trajectory("obj0000000001")
-        assert [record.timestamp for record in trajectory] == [0.0, 1.0, 2.0]
-
     def test_time_window_filtering(self, indexer):
         feed_trajectory(indexer, steps=6)
         window = indexer.object_history("obj0000000001", start_time=2.0, end_time=4.0)

@@ -98,7 +98,7 @@ class TestArchiveAged:
     def test_archiver_registration_on_first_update(self, indexer):
         message = make_update(1, 10.0, 10.0)
         indexer.update(message)
-        assert indexer.archiver.home_disk(message.object_id) is not None
+        assert message.object_id in indexer.archiver._home_disk
 
 
 class TestEndToEndScenario:

@@ -101,15 +101,11 @@ class TestViterbiSmoother:
             for t in range(10)
         ]
         smoother = ViterbiSmoother(world=WORLD, cell_level=6, max_speed=3.0)
-        error = smoother.smoothed_error(noisy, truth)
+        smoothed = smoother.smooth(noisy)
+        error = sum(a.distance_to(b) for a, b in zip(smoothed, truth)) / len(truth)
         # Level-6 cells on a 100-unit world are ~1.56 units wide, so the
         # smoothed path should stay within about one cell of the truth.
         assert error < 2.5
-
-    def test_smoothed_error_validates_lengths(self):
-        smoother = ViterbiSmoother(world=WORLD, cell_level=6)
-        with pytest.raises(QueryError):
-            smoother.smoothed_error(straight_records(steps=3), [Point(0.0, 0.0)])
 
     def test_implausible_jumps_are_discouraged(self):
         """An outlier observation far off the path gets pulled back toward

@@ -157,9 +157,9 @@ class TestUpdateStats:
         stats.record(UpdateResult("a", UpdateOutcome.SHED, estimation_error=2.0))
         stats.record(UpdateResult("b", UpdateOutcome.LEADER_UPDATED))
         assert stats.shed_ratio == pytest.approx(0.5)
-        assert stats.mean_estimation_error == pytest.approx(2.0)
+        assert stats.error_sum / stats.error_samples == pytest.approx(2.0)
 
     def test_empty_stats(self):
         stats = UpdateStats()
         assert stats.shed_ratio == 0.0
-        assert stats.mean_estimation_error == 0.0
+        assert stats.error_samples == 0

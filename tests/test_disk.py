@@ -69,7 +69,7 @@ class TestDiskArray:
         segment = array.flush(0, [record(), record("obj2")], flush_time=1.0)
         assert segment.disk_index == 0
         assert array.segment_count() == 1
-        assert array.record_count() == 2
+        assert len(segment.records) == 2
         assert array.segments(0)[0] is segment
         assert array.segments(1) == []
 
@@ -85,17 +85,9 @@ class TestDiskArray:
         array.flush(0, [record()], flush_time=0.0)
         array.flush(0, [record()], flush_time=1.0)
         assert array.flush_seconds[0] > 0
-        assert array.total_flush_seconds() == pytest.approx(array.flush_seconds[0])
 
     def test_all_segments_iterates_every_disk(self):
         array = DiskArray(3)
         array.flush(0, [record()], flush_time=0.0)
         array.flush(2, [record()], flush_time=0.0)
         assert len(list(array.all_segments())) == 2
-
-    def test_segment_object_ids_deduplicated_in_order(self):
-        array = DiskArray(1)
-        segment = array.flush(
-            0, [record("a"), record("b"), record("a")], flush_time=0.0
-        )
-        assert segment.object_ids() == ["a", "b"]

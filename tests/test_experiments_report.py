@@ -11,12 +11,6 @@ class TestSeries:
         with pytest.raises(ReproError):
             Series("s", [1, 2, 3], [1, 2])
 
-    def test_y_at(self):
-        series = Series("s", [1, 2, 3], [10.0, 20.0, 30.0])
-        assert series.y_at(2) == 20.0
-        with pytest.raises(ReproError):
-            series.y_at(99)
-
 
 class TestFigureResult:
     def _figure(self):

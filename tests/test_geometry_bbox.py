@@ -28,14 +28,6 @@ class TestConstruction:
         box = BoundingBox(1.0, 2.0, 1.0, 2.0)
         assert box.area == 0.0
 
-    def test_from_points(self):
-        box = BoundingBox.from_points([Point(1.0, 5.0), Point(3.0, 2.0)])
-        assert box == BoundingBox(1.0, 2.0, 3.0, 5.0)
-
-    def test_from_points_empty_raises(self):
-        with pytest.raises(SpatialError):
-            BoundingBox.from_points([])
-
     def test_from_center(self):
         box = BoundingBox.from_center(Point(5.0, 5.0), 2.0, 3.0)
         assert box == BoundingBox(3.0, 2.0, 7.0, 8.0)
@@ -47,12 +39,6 @@ class TestConstruction:
         assert box.area == 8.0
         assert box.center() == Point(2.0, 1.0)
 
-    def test_corners(self):
-        corners = list(BoundingBox(0.0, 0.0, 1.0, 1.0).corners())
-        assert len(corners) == 4
-        assert Point(0.0, 0.0) in corners
-        assert Point(1.0, 1.0) in corners
-
 
 class TestContainment:
     def test_contains_point_inside_and_on_border(self):
@@ -60,12 +46,6 @@ class TestContainment:
         assert box.contains_point(Point(5.0, 5.0))
         assert box.contains_point(Point(0.0, 10.0))
         assert not box.contains_point(Point(10.1, 5.0))
-
-    def test_contains_box(self):
-        outer = BoundingBox(0.0, 0.0, 10.0, 10.0)
-        inner = BoundingBox(2.0, 2.0, 8.0, 8.0)
-        assert outer.contains_box(inner)
-        assert not inner.contains_box(outer)
 
     @given(boxes())
     def test_box_contains_its_center(self, box):
@@ -86,16 +66,44 @@ class TestIntersection:
         with pytest.raises(SpatialError):
             a.intersection(b)
 
-    def test_union_covers_both(self):
+    def test_boxes_sharing_only_an_edge_intersect_in_a_segment(self):
         a = BoundingBox(0.0, 0.0, 1.0, 1.0)
-        b = BoundingBox(2.0, 2.0, 3.0, 3.0)
-        union = a.union(b)
-        assert union.contains_box(a)
-        assert union.contains_box(b)
+        b = BoundingBox(1.0, 0.5, 2.0, 3.0)
+        assert a.intersects(b) and b.intersects(a)
+        assert a.intersection(b) == BoundingBox(1.0, 0.5, 1.0, 1.0)
 
-    def test_expanded(self):
-        box = BoundingBox(1.0, 1.0, 2.0, 2.0).expanded(1.0)
-        assert box == BoundingBox(0.0, 0.0, 3.0, 3.0)
+    @given(boxes(), boxes())
+    def test_intersection_is_symmetric_and_inside_both(self, a, b):
+        assert a.intersects(b) == b.intersects(a)
+        if a.intersects(b):
+            overlap = a.intersection(b)
+            assert overlap == b.intersection(a)
+            for corner in (
+                Point(overlap.min_x, overlap.min_y),
+                Point(overlap.max_x, overlap.max_y),
+            ):
+                assert a.contains_point(corner) and b.contains_point(corner)
+
+
+class TestClamp:
+    @pytest.mark.parametrize(
+        "point, clamped",
+        [
+            (Point(5.0, 5.0), Point(5.0, 5.0)),
+            (Point(-3.0, -4.0), Point(0.0, 0.0)),
+            (Point(5.0, -4.0), Point(5.0, 0.0)),
+            (Point(13.0, -4.0), Point(10.0, 0.0)),
+            (Point(13.0, 5.0), Point(10.0, 5.0)),
+            (Point(13.0, 14.0), Point(10.0, 10.0)),
+            (Point(5.0, 14.0), Point(5.0, 10.0)),
+            (Point(-3.0, 14.0), Point(0.0, 10.0)),
+            (Point(-3.0, 5.0), Point(0.0, 5.0)),
+        ],
+    )
+    def test_clamp_and_distance_in_each_of_the_nine_regions(self, point, clamped):
+        box = BoundingBox(0.0, 0.0, 10.0, 10.0)
+        assert box.clamp_point(point) == clamped
+        assert box.distance_to_point(point) == pytest.approx(point.distance_to(clamped))
 
 
 class TestDistance:

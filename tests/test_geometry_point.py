@@ -17,9 +17,6 @@ class TestPointBasics:
     def test_iteration_yields_coordinates(self):
         assert list(Point(3.0, 4.0)) == [3.0, 4.0]
 
-    def test_origin_is_zero(self):
-        assert Point.origin() == Point(0.0, 0.0)
-
     def test_points_are_hashable_and_comparable(self):
         assert len({Point(1.0, 2.0), Point(1.0, 2.0), Point(2.0, 1.0)}) == 2
         assert Point(1.0, 2.0) < Point(2.0, 0.0)
@@ -33,11 +30,6 @@ class TestPointBasics:
 class TestPointDistances:
     def test_345_triangle(self):
         assert Point(0.0, 0.0).distance_to(Point(3.0, 4.0)) == pytest.approx(5.0)
-
-    def test_squared_distance_matches_distance(self):
-        a = Point(1.0, 2.0)
-        b = Point(4.0, 6.0)
-        assert a.squared_distance_to(b) == pytest.approx(a.distance_to(b) ** 2)
 
     def test_distance_is_symmetric(self):
         a = Point(1.0, 7.0)
@@ -61,9 +53,6 @@ class TestPointDisplacement:
 
     def test_displaced_adds_vector(self):
         assert Point(1.0, 1.0).displaced(Vector(2.0, 3.0)) == Point(3.0, 4.0)
-
-    def test_midpoint(self):
-        assert Point(0.0, 0.0).midpoint(Point(4.0, 6.0)) == Point(2.0, 3.0)
 
     def test_translated(self):
         assert Point(1.0, 1.0).translated(-1.0, 2.0) == Point(0.0, 3.0)

@@ -1,7 +1,5 @@
 """Tests for repro.geometry.vector."""
 
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -34,19 +32,10 @@ class TestVectorMetrics:
     def test_magnitude(self):
         assert Vector(3.0, 4.0).magnitude() == pytest.approx(5.0)
 
-    def test_squared_magnitude(self):
-        assert Vector(3.0, 4.0).squared_magnitude() == pytest.approx(25.0)
-
     def test_distance_to_is_difference_magnitude(self):
         a = Vector(1.0, 1.0)
         b = Vector(4.0, 5.0)
         assert a.distance_to(b) == pytest.approx((a - b).magnitude())
-
-    def test_dot_product(self):
-        assert Vector(1.0, 2.0).dot(Vector(3.0, 4.0)) == pytest.approx(11.0)
-
-    def test_orthogonal_vectors_have_zero_dot(self):
-        assert Vector(1.0, 0.0).dot(Vector(0.0, 5.0)) == 0.0
 
     @given(finite, finite)
     def test_distance_to_self_is_zero(self, dx, dy):
@@ -62,21 +51,6 @@ class TestVectorDirections:
 
     def test_scaled(self):
         assert Vector(1.0, -2.0).scaled(0.5) == Vector(0.5, -1.0)
-
-    def test_heading_of_axis_vectors(self):
-        assert Vector(1.0, 0.0).heading() == pytest.approx(0.0)
-        assert Vector(0.0, 1.0).heading() == pytest.approx(math.pi / 2)
-
-    def test_rotated_quarter_turn(self):
-        rotated = Vector(1.0, 0.0).rotated(math.pi / 2)
-        assert rotated.dx == pytest.approx(0.0, abs=1e-12)
-        assert rotated.dy == pytest.approx(1.0)
-
-    @given(finite, finite)
-    def test_rotation_preserves_magnitude(self, dx, dy):
-        vector = Vector(dx, dy)
-        rotated = vector.rotated(1.234)
-        assert rotated.magnitude() == pytest.approx(vector.magnitude(), rel=1e-9, abs=1e-9)
 
     def test_is_finite(self):
         assert Vector(1.0, 1.0).is_finite()

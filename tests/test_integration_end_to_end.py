@@ -1,6 +1,6 @@
 """Cross-system integration tests.
 
-These replay the *same* recorded trace into MOIST (with and without schools)
+These replay the *same* recorded update stream into MOIST (with and without schools)
 and into the baselines, then check the comparative claims that motivate the
 paper, plus a full-lifecycle test that exercises updates, clustering, all
 query kinds, archiving and the server layer together.
@@ -19,7 +19,6 @@ from repro.geometry.point import Point
 from repro.server.cluster import ServerCluster
 from repro.server.loadtest import LoadTest
 from repro.workload.generator import RoadNetworkWorkload, WorkloadConfig
-from repro.workload.trace import record_trace
 
 MAP_SIZE = 200.0
 CONFIG = MoistConfig(
@@ -43,7 +42,8 @@ def trace():
             seed=17,
         )
     )
-    return record_trace(workload, duration_s=40.0)
+    messages = [message for batch in workload.run(40.0, 1.0) for message in batch]
+    return sorted(messages, key=lambda message: (message.timestamp, message.object_id))
 
 
 def replay_into_moist(trace, config, with_clustering):

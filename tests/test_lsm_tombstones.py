@@ -158,7 +158,7 @@ class TestNeverResurrectThroughNN:
         spatial = indexer.spatial_table
         record = indexer.location_table.latest(victim.object_id)
         spatial.remove(victim.object_id, record.location)
-        indexer.location_table.delete_object(victim.object_id)
+        indexer.location_table.table.delete_row(victim.object_id)
 
         def ids(k=20):
             return {
@@ -169,12 +169,12 @@ class TestNeverResurrectThroughNN:
             }
 
         assert victim.object_id not in ids()
-        indexer.flush_storage()
+        indexer.emulator.flush()
         assert victim.object_id not in ids()
-        indexer.compact_storage()
+        indexer.emulator.compact()
         assert victim.object_id not in ids()
-        indexer.compact_storage(major=True)
+        indexer.emulator.compact(major=True)
         assert victim.object_id not in ids()
-        report = indexer.recover_storage()
+        report = indexer.emulator.recover()
         assert report.tables  # the LSM plane actually ran
         assert victim.object_id not in ids()

@@ -166,7 +166,7 @@ class TestMasterSupervisionLossless:
         try:
             result = _run(cluster, chaos_plan=plan)
             assert result.to_report() == reference_report
-            snapshot = cluster.recovery_snapshot()
+            snapshot = cluster.supervisor.metrics_snapshot()
             assert snapshot["policy"] == "respawn"
             assert snapshot["recoveries"] >= 1
             assert snapshot["lossless_recoveries"] == snapshot["recoveries"]
@@ -188,7 +188,7 @@ class TestMasterSupervisionLossless:
         try:
             report = _run(cluster, fault_plan=_plan(1).fault_plan).to_report()
             assert report == reference_report
-            assert cluster.recovery_snapshot()["recoveries"] == 0
+            assert cluster.supervisor.metrics_snapshot()["recoveries"] == 0
         finally:
             cluster.close()
 
@@ -218,7 +218,7 @@ class TestMasterStateSurvivesRespawn:
             cluster.backend.pool.kill_worker(0)
             cluster.heal_dead_workers()
             assert cluster.master_action_counts() == before
-            snapshot = cluster.recovery_snapshot()
+            snapshot = cluster.supervisor.metrics_snapshot()
             assert snapshot["recoveries"] == 1
             assert snapshot["lost_updates"] == 0
         finally:

@@ -305,7 +305,7 @@ def test_control_plane_survives_supervised_worker_death(seed):
             control_actions_via_client(rng, client, num_servers)
             cluster.submit_update_batch(batch)
             cluster.submit_query_batch(queries[:5])
-        snapshot = cluster.recovery_snapshot()
+        snapshot = cluster.supervisor.metrics_snapshot()
         assert snapshot["recoveries"] == 2
         assert snapshot["lost_updates"] == 0
         assert client.call("state_signature") == _state_signature(reference), (

@@ -6,6 +6,8 @@ merged ledgers — whether the shard federation runs in-process or across
 1, 2 or 4 forked workers.
 """
 
+import atexit
+import errno
 import glob
 import multiprocessing
 import os
@@ -67,12 +69,12 @@ def make_queries(count, seed=7, k=5):
 class TestWorkerPoolLifecycle:
     def test_spawn_health_check_drain_shutdown(self):
         pool = WorkerPool(2)
-        assert pool.alive_workers() == [True, True]
+        assert [process.is_alive() for process in pool.processes] == [True, True]
         pool.health_check()
         pool.drain()
         pool.shutdown()
         assert pool.closed
-        assert pool.alive_workers() == [False, False]
+        assert [process.is_alive() for process in pool.processes] == [False, False]
 
     def test_shutdown_is_idempotent(self):
         pool = WorkerPool(1)
@@ -84,7 +86,7 @@ class TestWorkerPoolLifecycle:
         with WorkerPool(2) as pool:
             pool.health_check()
         assert pool.closed
-        assert pool.alive_workers() == [False, False]
+        assert [process.is_alive() for process in pool.processes] == [False, False]
 
     def test_health_check_raises_after_shutdown(self):
         pool = WorkerPool(1)
@@ -105,6 +107,41 @@ class TestWorkerPoolLifecycle:
     def test_pool_requires_at_least_one_worker(self):
         with pytest.raises(ConfigurationError):
             WorkerPool(0)
+
+    def test_failed_spawn_stops_the_workers_already_forked(self, monkeypatch):
+        spawn = WorkerPool._spawn_worker
+        spawned = []
+
+        def second_spawn_fails(pool, *args):
+            if spawned:
+                raise OSError(errno.EMFILE, "Too many open files")
+            spawned.append(spawn(pool, *args))
+            return spawned[-1]
+
+        # Pool shutdown hooks registered with atexit and not unregistered.
+        hooks = []
+        register, unregister = atexit.register, atexit.unregister
+
+        def tracked_register(hook):
+            if isinstance(getattr(hook, "__self__", None), WorkerPool):
+                hooks.append(hook)
+            return register(hook)
+
+        def tracked_unregister(hook):
+            if hook in hooks:
+                hooks.remove(hook)
+            unregister(hook)
+
+        monkeypatch.setattr(WorkerPool, "_spawn_worker", second_spawn_fails)
+        monkeypatch.setattr(atexit, "register", tracked_register)
+        monkeypatch.setattr(atexit, "unregister", tracked_unregister)
+        with pytest.raises(OSError, match="Too many open files"):
+            WorkerPool(2)
+        (process, connection), = spawned
+        process.join(timeout=10.0)
+        assert not process.is_alive()
+        assert connection._sock.fileno() == -1
+        assert hooks == []
 
     def test_backend_close_is_reentrant_via_context_manager(self):
         with ProcessShardedBackend(
@@ -199,7 +236,7 @@ class TestVerbTable:
 
         read_only = {name for name, (_verb, flag) in VERBS.items() if flag}
         assert read_only == {
-            "ping", "accounting_state", "metrics", "makespan",
+            "ping", "accounting_state", "metrics",
             "counter_snapshot", "simulated_seconds", "run_count",
             "log_record_count", "tablet_stats", "tablet_count",
             "block_cache_stats", "cache_totals", "server_index_for_tablet",
@@ -389,7 +426,5 @@ class TestScaleOutReportDeterminism:
                 LoadTest(
                     cluster, fault_plan=FaultPlan.seeded(1, 2, 2)
                 )
-            with pytest.raises(ConfigurationError):
-                LoadTest(cluster).run_client_bursts(1.0)
         finally:
             cluster.close()

@@ -156,7 +156,7 @@ def test_everything_a_tablet_retains_is_an_untracked_tuple_of_atoms():
     # (x, y) / (dx, dy) pairs and five-field location and L/F rows.
     assert all(seen.values()), seen
     assert shapes == {2, 5}
-    assert emulator.table("location").disk_cell_count() > 0
+    assert any(columns for _, columns in emulator.table("location").scan(family="aged-0"))
     roles = {
         record[0]
         for record in indexer.affiliation_table.batch_roles(

@@ -210,7 +210,7 @@ def test_pipelined_requests_resolve_out_of_order(served_connection):
     # Waiting on the later id first forces the earlier response to park.
     assert served_connection.wait(second) == (rpc.OP_CALL, b"\x02b")
     assert served_connection.wait(first) == (rpc.OP_CALL, b"\x01a")
-    assert served_connection.outstanding == 0
+    assert not served_connection._parked
 
 
 def test_batched_send_requests_round_trip(served_connection):

@@ -9,6 +9,7 @@ from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import Point
 from repro.server.client import ClientSimulator, build_client_fleet
 from repro.server.cluster import ServerCluster
+from repro.server.contention import TabletContentionModel
 from repro.server.frontend import FrontendServer
 from repro.server.loadtest import LoadTest
 
@@ -26,35 +27,31 @@ def shared_indexer():
     return MoistIndexer(CONFIG)
 
 
+def frontend(indexer, **kwargs):
+    """A lone front-end: one server, so no contention inflation."""
+    return FrontendServer(0, indexer, TabletContentionModel(indexer.emulator, 1), **kwargs)
+
+
 class TestFrontendServer:
     def test_invalid_parameters(self, shared_indexer):
         with pytest.raises(ConfigurationError):
-            FrontendServer(0, shared_indexer, request_overhead_s=-1.0)
-        with pytest.raises(ConfigurationError):
-            FrontendServer(0, shared_indexer, storage_contention_factor=0.5)
+            frontend(shared_indexer, request_overhead_s=-1.0)
 
     def test_update_accumulates_busy_time(self, shared_indexer):
-        server = FrontendServer(0, shared_indexer)
+        server = frontend(shared_indexer)
         server.handle_update(make_update(1, 10.0, 10.0))
         assert server.updates_handled == 1
         assert server.busy_seconds > 0
 
     def test_query_accumulates_busy_time(self, shared_indexer):
-        server = FrontendServer(0, shared_indexer)
+        server = frontend(shared_indexer)
         server.handle_update(make_update(1, 10.0, 10.0))
         results = server.handle_nn_query(Point(10.0, 10.0), 1)
         assert len(results) == 1
         assert server.queries_handled == 1
 
-    def test_contention_factor_inflates_service_time(self, shared_indexer):
-        plain = FrontendServer(0, shared_indexer, storage_contention_factor=1.0)
-        inflated = FrontendServer(1, shared_indexer, storage_contention_factor=2.0)
-        plain.handle_update(make_update(1, 10.0, 10.0))
-        inflated.handle_update(make_update(2, 20.0, 20.0))
-        assert inflated.busy_seconds > plain.busy_seconds
-
     def test_reset_metrics(self, shared_indexer):
-        server = FrontendServer(0, shared_indexer)
+        server = frontend(shared_indexer)
         server.handle_update(make_update(1, 10.0, 10.0))
         server.reset_metrics()
         assert server.busy_seconds == 0.0
@@ -163,20 +160,6 @@ class TestLoadTest:
         result = LoadTest(cluster, failure_probability=0.2, seed=7).run_updates(messages)
         assert result.failed_requests > 0
         assert result.total_requests + result.failed_requests == 300
-
-    def test_with_fleet_and_client_bursts(self, shared_indexer):
-        cluster = ServerCluster(shared_indexer, num_servers=2)
-        load_test = LoadTest.with_fleet(
-            cluster, num_clients=4, total_objects=100, failure_probability=0.0
-        )
-        result = load_test.run_client_bursts(duration_s=2.0, requests_per_burst=10)
-        assert result.total_requests == 2 * 4 * 10
-        assert result.qps > 0
-
-    def test_client_bursts_require_clients(self, shared_indexer):
-        cluster = ServerCluster(shared_indexer, num_servers=1)
-        with pytest.raises(ConfigurationError):
-            LoadTest(cluster).run_client_bursts(duration_s=1.0)
 
     def test_invalid_bucket_requests(self, shared_indexer):
         cluster = ServerCluster(shared_indexer, num_servers=1)

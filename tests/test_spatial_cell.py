@@ -7,7 +7,7 @@ from repro.errors import SpatialError
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import Point
 from repro.spatial.cell import CellId, MAX_LEVEL, row_key_encoder
-from repro.spatial.hilbert import hilbert_index
+from repro.spatial.hilbert import hilbert_index, hilbert_point
 
 WORLD = BoundingBox(0.0, 0.0, 100.0, 100.0)
 
@@ -131,24 +131,15 @@ class TestEncoder:
 class TestHierarchy:
     def test_parent_contains_child(self):
         cell = CellId.from_point(Point(10.0, 20.0), 6, WORLD)
-        assert cell.parent().contains(cell)
-        assert cell.parent(2).contains(cell)
+        assert cell in cell.parent().children()
+        assert cell.parent(2).to_box(WORLD).contains_point(cell.center(WORLD))
 
     def test_children_are_contained_and_distinct(self):
         cell = CellId.from_point(Point(10.0, 20.0), 4, WORLD)
         children = cell.children()
         assert len(set(children)) == 4
         for child in children:
-            assert cell.contains(child)
             assert child.parent() == cell
-
-    def test_contains_self(self):
-        cell = CellId(3, 5)
-        assert cell.contains(cell)
-
-    def test_does_not_contain_coarser(self):
-        cell = CellId(3, 5)
-        assert not cell.contains(cell.parent())
 
     def test_parent_invalid_level(self):
         with pytest.raises(SpatialError):
@@ -157,12 +148,6 @@ class TestHierarchy:
     def test_children_at_max_level_rejected(self):
         with pytest.raises(SpatialError):
             CellId(MAX_LEVEL, 0).children()
-
-    def test_descendants_at(self):
-        cell = CellId(2, 3)
-        descendants = list(cell.descendants_at(4))
-        assert len(descendants) == 16
-        assert all(cell.contains(d) for d in descendants)
 
     @given(levels, unit_coords, unit_coords)
     def test_from_point_consistent_across_levels(self, level, x, y):
@@ -197,20 +182,31 @@ class TestKeys:
         start, end = last.key_range()
         assert start < end
         # Every key of its descendants still sorts below the end bound.
-        deepest = list(last.descendants_at(3))[-1]
+        deepest = CellId(3, 4**3 - 1)
         assert deepest.key() < end
 
     def test_same_level_keys_are_ordered_by_position(self):
         keys = [CellId(5, pos).key() for pos in range(32)]
         assert keys == sorted(keys)
 
-    @given(levels, st.data())
-    def test_range_min_max_consistency(self, level, data):
-        pos = data.draw(st.integers(min_value=0, max_value=(1 << (2 * level)) - 1))
-        cell = CellId(level, pos)
-        assert cell.range_min() <= cell.range_max()
-        width = cell.range_max() - cell.range_min() + 1
-        assert width == 4 ** (MAX_LEVEL - level)
+    @pytest.mark.parametrize("level", range(0, 6))
+    def test_children_key_ranges_tile_the_parent_range(self, level):
+        """The four children's ranges abut in curve order and span exactly
+        the parent's range — the last cell of the curve included."""
+        last = (1 << (2 * level)) - 1
+        for pos in sorted({0, last // 2, last}):
+            cell = CellId(level, pos)
+            ranges = [child.key_range() for child in cell.children()]
+            assert ranges[0][0] == cell.key_range()[0]
+            assert ranges[-1][1] == cell.key_range()[1]
+            for (_, end), (start, _) in zip(ranges, ranges[1:]):
+                assert end == start
+
+    @pytest.mark.parametrize("level", [0, 1, 7, 12, MAX_LEVEL - 1, MAX_LEVEL])
+    def test_from_token_round_trip_at_every_level(self, level):
+        for point in (Point(0.0, 0.0), Point(37.5, 81.25), Point(100.0, 100.0)):
+            cell = CellId.from_point(point, level, WORLD)
+            assert CellId.from_token(cell.key(), level) == cell
 
 
 class TestGeometry:
@@ -238,6 +234,31 @@ class TestGeometry:
         cell = CellId.from_point(Point(10.0, 10.0), 5, WORLD)
         assert cell.distance_to_point(Point(90.0, 90.0), WORLD) > 0.0
 
+    @pytest.mark.parametrize("level", range(0, 5))
+    def test_box_extent_follows_a_non_square_world(self, level):
+        world = BoundingBox(-40.0, 10.0, 60.0, 35.0)
+        side = 1 << level
+        for pos in range(4**level):
+            box = CellId(level, pos).to_box(world)
+            assert box.width == pytest.approx(world.width / side)
+            assert box.height == pytest.approx(world.height / side)
+            assert world.contains_point(box.center())
+
+    @given(
+        st.integers(min_value=0, max_value=10),
+        st.data(),
+        st.floats(min_value=-50.0, max_value=150.0),
+        st.floats(min_value=-50.0, max_value=150.0),
+    )
+    def test_distance_is_the_box_distance(self, level, data, x, y):
+        """The allocation-free clamp-and-measure equals the distance to the
+        cell's box, the NN pruning bound."""
+        cell = CellId(level, data.draw(st.integers(0, 4**level - 1)))
+        point = Point(x, y)
+        assert cell.distance_to_point(point, WORLD) == pytest.approx(
+            cell.to_box(WORLD).distance_to_point(point), abs=1e-9
+        )
+
 
 class TestNeighbors:
     def test_interior_cell_has_four_edge_neighbors(self):
@@ -250,14 +271,39 @@ class TestNeighbors:
 
     def test_edge_neighbors_share_an_edge(self):
         cell = CellId.from_point(Point(50.0, 50.0), 5, WORLD)
-        gx, gy = cell.grid_coordinates()
+        gx, gy = hilbert_point(cell.level, cell.pos)
         for neighbor in cell.edge_neighbors():
-            nx, ny = neighbor.grid_coordinates()
+            nx, ny = hilbert_point(neighbor.level, neighbor.pos)
             assert abs(gx - nx) + abs(gy - ny) == 1
 
     def test_all_neighbors_includes_diagonals(self):
         cell = CellId.from_point(Point(50.0, 50.0), 5, WORLD)
         assert len(cell.all_neighbors()) == 8
+
+    @pytest.mark.parametrize(
+        "gx, gy, edge, every",
+        [
+            (0, 0, 2, 3),
+            (0, 7, 2, 3),
+            (7, 0, 2, 3),
+            (7, 7, 2, 3),
+            (0, 3, 3, 5),
+            (7, 4, 3, 5),
+            (2, 0, 3, 5),
+            (5, 7, 3, 5),
+            (3, 4, 4, 8),
+        ],
+    )
+    def test_neighbor_counts_by_grid_position(self, gx, gy, edge, every):
+        """Corner, border and interior cells of a level-3 grid have the
+        4- and 8-neighbourhoods the world border leaves them."""
+        cell = CellId(3, hilbert_index(3, gx, gy))
+        assert len(cell.edge_neighbors()) == edge
+        assert len(cell.all_neighbors()) == every
+        assert set(cell.edge_neighbors()) <= set(cell.all_neighbors())
+        for neighbor in cell.all_neighbors():
+            nx, ny = hilbert_point(3, neighbor.pos)
+            assert max(abs(gx - nx), abs(gy - ny)) == 1
 
     def test_root_cell_has_no_neighbors(self):
         assert CellId(0, 0).edge_neighbors() == []

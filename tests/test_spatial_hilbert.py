@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import SpatialError
 from repro.spatial.cell import MAX_LEVEL
 from repro.spatial.hilbert import hilbert_index, hilbert_point
-from repro.spatial.zcurve import z_index, z_point
+from repro.spatial.zcurve import z_index
 
 
 class TestHilbertSmall:
@@ -150,6 +150,35 @@ class TestHilbertProperties:
             x2, y2 = hilbert_point(order, d + 1)
             assert abs(x1 - x2) + abs(y1 - y2) == 1
 
+    @pytest.mark.parametrize("order", range(1, 9))
+    def test_curve_runs_from_the_origin_to_the_far_x_corner(self, order):
+        last = (1 << (2 * order)) - 1
+        assert hilbert_point(order, 0) == (0, 0)
+        assert hilbert_point(order, last) == ((1 << order) - 1, 0)
+        assert hilbert_index(order, (1 << order) - 1, 0) == last
+
+    @pytest.mark.parametrize("order", range(1, 9))
+    def test_position_prefix_is_the_parent_cell(self, order):
+        """Dropping the last base-4 digit of a position names the cell one
+        order up that contains it — why ``CellId.parent`` is a shift and a
+        cell's descendants form one contiguous key range."""
+        rng = random.Random(order)
+        side = 1 << order
+        for _ in range(200):
+            x = rng.randrange(side)
+            y = rng.randrange(side)
+            d = hilbert_index(order, x, y)
+            assert hilbert_index(order - 1, x >> 1, y >> 1) == d >> 2
+            assert hilbert_point(order - 1, d >> 2) == (x >> 1, y >> 1)
+
+
+def interleaved(order, x, y):
+    """Morton code spelled out bit by bit: y and x alternate from the top."""
+    bits = "".join(
+        f"{(y >> bit) & 1}{(x >> bit) & 1}" for bit in reversed(range(order))
+    )
+    return int(bits or "0", 2)
+
 
 class TestZCurve:
     def test_order_one_layout(self):
@@ -158,22 +187,28 @@ class TestZCurve:
         assert z_index(1, 0, 1) == 2
         assert z_index(1, 1, 1) == 3
 
-    @given(st.integers(min_value=1, max_value=8), st.data())
-    def test_round_trip(self, order, data):
-        side = 1 << order
-        x = data.draw(st.integers(min_value=0, max_value=side - 1))
-        y = data.draw(st.integers(min_value=0, max_value=side - 1))
-        assert z_point(order, z_index(order, x, y)) == (x, y)
-
     def test_bijection_small_grid(self):
         codes = {z_index(3, x, y) for x in range(8) for y in range(8)}
         assert codes == set(range(64))
 
+    @pytest.mark.parametrize("order", range(0, 7))
+    def test_every_cell_is_the_bit_interleaving(self, order):
+        side = 1 << order
+        codes = set()
+        for x in range(side):
+            for y in range(side):
+                code = z_index(order, x, y)
+                assert code == interleaved(order, x, y)
+                codes.add(code)
+        assert codes == set(range(side * side))
+
     def test_out_of_range_rejected(self):
         with pytest.raises(SpatialError):
             z_index(2, 4, 0)
+
+    def test_negative_order_rejected(self):
         with pytest.raises(SpatialError):
-            z_point(2, 100)
+            z_index(-1, 0, 0)
 
     def test_hilbert_needs_fewer_scan_runs_than_z(self):
         """Covering a small square block of cells needs fewer contiguous key

@@ -72,11 +72,6 @@ class TestRoles:
         table.set_follower("F", "L1", Vector(1.0, 0.0), timestamp=1.0)
         assert sorted(table.leader_ids()) == ["L1", "L2"]
 
-    def test_age_lf_records(self, table):
-        table.set_leader("L", timestamp=1.0)
-        moved = table.age_lf_records(cutoff_timestamp=10.0)
-        assert moved == 1
-
 
 class TestFollowerInfo:
     def test_add_and_list_followers(self, table):
@@ -100,13 +95,6 @@ class TestFollowerInfo:
         info = table.batch_followers(["L1", "L2"])
         assert info["L1"] == {"F1": (1.0, 0.0)}
         assert info["L2"] == {"F2": (0.0, 1.0)}
-
-    def test_clear_followers(self, table):
-        table.add_follower("L", "F1", Vector(1.0, 0.0), timestamp=1.0)
-        table.add_follower("L", "F2", Vector(0.0, 1.0), timestamp=1.0)
-        assert table.clear_followers("L") == 2
-        assert table.followers_of("L") == {}
-        assert table.clear_followers("L") == 0
 
     def test_batch_apply(self, table):
         table.set_leader("L1", timestamp=0.0)

@@ -61,16 +61,10 @@ class TestReadsAndWrites:
         assert set(latest) == {"a", "b"}
         assert latest["b"].timestamp == 2.0
 
-    def test_delete_object(self, table):
-        table.add_record("obj1", record())
-        assert table.delete_object("obj1")
-        assert table.latest("obj1") is None
-
     def test_object_count(self, table):
         table.add_record("a", record())
         table.add_record("b", record())
         assert table.object_count() == 2
-        assert sorted(table.all_object_ids()) == ["a", "b"]
 
 
 class TestAging:
@@ -113,23 +107,3 @@ class TestAging:
         drained = table.drain_aged(0, cutoff_timestamp=10.0)  # only t=1 drained
         assert [r.timestamp for _, r in drained] == [1.0]
         assert [r.timestamp for r in table.aged_history("obj1")] == [40.0]
-
-    def test_demote_disk_column(self, table):
-        table.add_record("obj1", record(t=1.0))
-        table.age_out(cutoff_timestamp=50.0)
-        moved = table.demote_disk_column(0, cutoff_timestamp=100.0)
-        assert moved == 1
-        # Still visible through aged_history, now in the second disk column.
-        assert len(table.aged_history("obj1")) == 1
-
-    def test_demote_invalid_index(self, table):
-        with pytest.raises(SchemaError):
-            table.demote_disk_column(1, cutoff_timestamp=0.0)
-
-    def test_memory_and_disk_record_counts(self, table):
-        table.add_record("obj1", record(t=1.0))
-        table.add_record("obj1", record(t=100.0))
-        assert table.memory_record_count() == 2
-        table.age_out(cutoff_timestamp=50.0)
-        assert table.memory_record_count() == 1
-        assert table.disk_record_count() == 1

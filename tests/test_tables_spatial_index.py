@@ -82,13 +82,6 @@ class TestMutations:
         assert table.remove("obj1", point)
         assert table.objects_in_cell(table.cell_for(point)) == {}
 
-    def test_remove_from_cell(self, table):
-        point = Point(10.0, 20.0)
-        table.add("obj1", point, timestamp=1.0)
-        cell = table.cell_for(point)
-        assert table.remove_from_cell("obj1", cell)
-        assert not table.remove_from_cell("obj1", cell)
-
     def test_move_across_cells(self, table):
         old = Point(1.0, 1.0)
         new = Point(90.0, 90.0)
@@ -163,14 +156,3 @@ class TestQueries:
         table.add("b", Point(90.0, 90.0), timestamp=1.0)
         assert table.total_objects() == 2
         assert table.row_count() == 2
-
-    def test_categories_via_extra_families(self):
-        table = SpatialIndexTable(
-            BigtableEmulator(), storage_level=8, world=WORLD, extra_families=("bus",)
-        )
-        point = Point(10.0, 10.0)
-        table.add("bus1", point, timestamp=1.0, family="bus")
-        table.add("user1", point, timestamp=1.0)
-        cell = table.cell_for(point)
-        assert table.objects_in_cell(cell, family="bus") == {"bus1": (10.0, 10.0)}
-        assert table.objects_in_cell(cell) == {"user1": (10.0, 10.0)}

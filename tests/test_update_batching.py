@@ -109,8 +109,8 @@ class TestBatchedEquivalence:
 
     def test_location_table_state_identical(self, pair):
         sequential, batched = pair
-        seq_ids = sequential.location_table.all_object_ids()
-        assert batched.location_table.all_object_ids() == seq_ids
+        seq_ids = sequential.location_table.table.all_keys()
+        assert batched.location_table.table.all_keys() == seq_ids
         for object_id in seq_ids:
             assert batched.location_table.recent_history(
                 object_id
@@ -120,7 +120,7 @@ class TestBatchedEquivalence:
         sequential, batched = pair
         assert batched.school_count == sequential.school_count
         assert batched.object_count == sequential.object_count
-        for object_id in sequential.location_table.all_object_ids():
+        for object_id in sequential.location_table.table.all_keys():
             seq_role = sequential.affiliation_table.role_of(object_id)
             bat_role = batched.affiliation_table.role_of(object_id)
             assert (seq_role is None) == (bat_role is None)
@@ -190,16 +190,12 @@ class _SixFrameTable(Table):
         self._seq += 1
         self.counter.logical_write_rows += 1
         tablet.counter.logical_write_rows += 1
-        if not self.options.commit_log_enabled:
-            return False
         tablet.log.write(self._seq, opcode, row_key, payload)
         if self._store is not None:
             self._store.journal_append((self._seq, opcode, row_key) + payload)
-        return True
 
     def _log_mutation(self, tablet, opcode, row_key, *payload):
-        if not self._log_append(tablet, opcode, row_key, payload):
-            return False
+        self._log_append(tablet, opcode, row_key, payload)
         group = self._group
         if group is not None:
             tablet_id = tablet.tablet_id
@@ -334,7 +330,7 @@ def _apply(table, operations):
         getattr(table, name)(*arguments, _charge=charge)
 
 
-def _run(table_class, mode, log, store, flush_rows=None, structural=True):
+def _run(table_class, mode, store, flush_rows=None, structural=True):
     """Preload one mutation at a time, then apply :func:`_mutations` in
     ``mode``; returns the table and its recording store (or ``None``)."""
     recorder = _RecordingStore() if store else None
@@ -346,7 +342,6 @@ def _run(table_class, mode, log, store, flush_rows=None, structural=True):
             merge_threshold=3,
             group_commit_size=3 if mode == "small_group" else 256,
             memtable_flush_rows=flush_rows,
-            commit_log_enabled=log,
         ),
         store=recorder,
     )
@@ -378,36 +373,34 @@ MODES = ("plain", "deferred_syncs", "group", "small_group")
 class TestCommitHelper:
     @pytest.mark.parametrize("flush_rows", [None, 6])
     @pytest.mark.parametrize("store", [False, True])
-    @pytest.mark.parametrize("log", [True, False])
     @pytest.mark.parametrize("mode", MODES)
-    def test_one_frame_is_the_six_frames(self, mode, log, store, flush_rows):
+    def test_one_frame_is_the_six_frames(self, mode, store, flush_rows):
         # Same construction, same mutations, same mode: everything the two
         # paths leave behind is equal, float ledgers included (``==`` on
         # the snapshots: the additions happen in the same order).
-        table, journal = _run(Table, mode, log, store, flush_rows)
-        reference, expected = _run(_SixFrameTable, mode, log, store, flush_rows)
+        table, journal = _run(Table, mode, store, flush_rows)
+        reference, expected = _run(_SixFrameTable, mode, store, flush_rows)
         assert table.counter.snapshot() == reference.counter.snapshot()
         assert _tablet_view(table) == _tablet_view(reference)
         assert table._seq == reference._seq > 0
-        assert (table.split_count, table.merge_count) == (
-            reference.split_count, reference.merge_count
+        assert (table._tablets.splits, table._tablets.merges) == (
+            reference._tablets.splits, reference._tablets.merges
         )
         assert table.scan() == reference.scan()
         if store:
             assert journal.events == expected.events
-            assert bool(journal.records()) == log
+            assert journal.records()
         # The matrix exercised what it claims to.
         assert table.counter.count(OpKind.DELETE) > 0
         assert table.counter.logical_write_rows == table._seq
-        assert table.merge_count > 0 and table.split_count > 4
+        assert table._tablets.merges > 0 and table._tablets.splits > 4
         assert (table.run_count() > 0) == (flush_rows is not None)
         if flush_rows is None:
-            assert bool(table.log_record_count()) == log
+            assert table.log_record_count()
 
     @pytest.mark.parametrize("store", [False, True])
-    @pytest.mark.parametrize("log", [True, False])
     @pytest.mark.parametrize("mode", ["group", "small_group"])
-    def test_group_commit_is_the_sequential_run(self, mode, log, store):
+    def test_group_commit_is_the_sequential_run(self, mode, store):
         # Against the unbatched run, by this file's rule: exact for counts,
         # rows, records and sequence numbers, a tolerance where
         # ``record_many`` re-associates a float sum.  No row is added or
@@ -415,8 +408,8 @@ class TestCommitHelper:
         # ledgers are comparable one by one.  What a group commit batches on
         # purpose — one fsync per tablet per flush instead of one per
         # record — shows only in the durability call count and seconds.
-        batched, batched_journal = _run(Table, mode, log, store, structural=False)
-        plain, plain_journal = _run(Table, "plain", log, store, structural=False)
+        batched, batched_journal = _run(Table, mode, store, structural=False)
+        plain, plain_journal = _run(Table, "plain", store, structural=False)
         assert [t.start_key for t in batched.tablets()] == [
             t.start_key for t in plain.tablets()
         ]
@@ -441,7 +434,7 @@ class TestCommitHelper:
         assert batched.scan() == plain.scan()
         if store:
             assert batched_journal.records() == plain_journal.records()
-            assert bool(batched_journal.records()) == log
+            assert batched_journal.records()
 
 
 class TestTraceVisibility:

@@ -225,7 +225,7 @@ class TestWindowChaos:
         try:
             result = _run_mixed(cluster, chaos_plan=plan)
             assert result.to_report() == mixed_reference
-            snapshot = cluster.recovery_snapshot()
+            snapshot = cluster.supervisor.metrics_snapshot()
             assert snapshot["recoveries"] == workers
             assert snapshot["lost_updates"] == 0
             # Regression: the raise site wraps OS errors once; recovery
@@ -260,7 +260,7 @@ class TestWindowChaos:
                     assert cluster.metrics_snapshot()["inflight_rounds"] == 4
                     cluster.backend.pool.kill_worker(0)
             cluster.drain_update_window()
-            snapshot = cluster.recovery_snapshot()
+            snapshot = cluster.supervisor.metrics_snapshot()
             assert snapshot["recoveries"] == 1
             assert snapshot["lost_updates"] == 0
             assert cluster.pipeline_processed == len(MESSAGES)

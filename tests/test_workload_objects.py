@@ -73,7 +73,7 @@ class TestMovement:
         car = make_object(ObjectKind.CAR, seed=7, building_probability=0.0)
         for _ in range(100):
             car.step(1.0)
-            assert not car.is_inside_building
+            assert car._inside is None
 
     def test_deterministic_given_seed(self):
         a = make_object(seed=11)
@@ -90,7 +90,7 @@ class TestBuildings:
         entered = False
         for _ in range(300):
             pedestrian.step(1.0)
-            if pedestrian.is_inside_building:
+            if pedestrian._inside is not None:
                 entered = True
                 break
         assert entered
@@ -99,7 +99,7 @@ class TestBuildings:
         pedestrian = make_object(ObjectKind.PEDESTRIAN, seed=2, building_probability=0.9)
         for _ in range(300):
             pedestrian.step(1.0)
-            if pedestrian.is_inside_building:
+            if pedestrian._inside is not None:
                 assert pedestrian.velocity().magnitude() == 0.0
                 position = pedestrian.position()
                 assert pedestrian._inside.footprint.contains_point(position)
@@ -113,7 +113,7 @@ class TestBuildings:
         left_again = False
         for _ in range(600):
             pedestrian.step(1.0)
-            if pedestrian.is_inside_building:
+            if pedestrian._inside is not None:
                 was_inside = True
             elif was_inside:
                 left_again = True
