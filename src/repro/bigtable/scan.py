@@ -4,8 +4,8 @@ The write path is tablet-routed and batched; this module gives the read path
 the same machinery.  A range read is routed to the tablets whose key ranges
 intersect the requested interval and executed by a :class:`Scanner`, which
 charges every scanned tablet's ledger (empty probes included, so cold
-tablets show up in ``tablet_load_report``) and consults the table's
-:class:`BlockCache` while streaming rows.
+tablets show up in ``tablet_load_report``) and prices each tablet's rows
+through the table's :class:`BlockCache` one slice per source, in one call.
 
 The block cache models BigTable's tablet-server block cache (the SSTable
 block LRU of the original paper's Section 6.3): rows live in fixed-size
@@ -21,7 +21,9 @@ involved (their rows moved to a different server).
 
 The cache deliberately stores *no row data* — rows are always read from the
 live tablet memtables, so a stale cache entry can mis-price a scan but never
-return stale results.
+return stale results.  Its LRU of ``(tablet, source, block)`` keys is its one
+structure: a flush, compaction, split or merge evicts by sweeping it, which
+is rare next to the lookups every scan makes.
 """
 
 from __future__ import annotations
@@ -29,7 +31,9 @@ from __future__ import annotations
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple, TYPE_CHECKING
+from itertools import groupby
+from operator import itemgetter
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.bigtable.cost import OpCounter, OpKind
 from repro.bigtable.lsm import MEMTABLE_SOURCE
@@ -82,27 +86,23 @@ class TabletCacheStats:
 
 
 class BlockCache:
-    """LRU set of warm ``(tablet, key-block)`` pairs with hit/miss tallies.
+    """LRU of warm ``(tablet, source, key-block)`` triples with hit/miss
+    tallies.
 
-    The cache is a *residency* model, not a data store: :meth:`probe`
-    answers "would this block have been in the tablet server's memory?",
-    bumping it to most-recently-used on a hit and admitting it on a miss.
+    The cache is a *residency* model, not a data store: :meth:`price`
+    answers "which of these rows' blocks would have been in the tablet
+    server's memory?", bumping each warm block to most-recently-used and
+    admitting each cold one.  ``source`` names where a block's rows live —
+    an SSTable run id or :data:`MEMTABLE_SOURCE` — so a compaction can evict
+    exactly the blocks of the runs it consumed.  The LRU is the only
+    structure: evicting a source or a tablet sweeps it.
     """
 
     def __init__(self, options: Optional[BlockCacheOptions] = None) -> None:
         self.options = options or BlockCacheOptions()
         self._lru: "OrderedDict[Tuple[str, str, str], None]" = OrderedDict()
-        #: tablet id -> its resident LRU keys ``(tablet, source, block)``, for
-        #: O(blocks-of-tablet) invalidation.  ``source`` is the SSTable run
-        #: id the block belongs to, or :data:`MEMTABLE_SOURCE` for blocks of
-        #: the live memtable.
-        self._by_tablet: Dict[str, Set[Tuple[str, str, str]]] = {}
         self._hits: Dict[str, int] = {}
         self._misses: Dict[str, int] = {}
-
-    def block_of(self, row_key: str) -> str:
-        """The key block containing ``row_key``."""
-        return row_key[: self.options.block_prefix_len]
 
     def __len__(self) -> int:
         return len(self._lru)
@@ -110,34 +110,42 @@ class BlockCache:
     # ------------------------------------------------------------------
     # Lookup / admission
     # ------------------------------------------------------------------
-    def probe(self, tablet_id: str, block: str, source: str = MEMTABLE_SOURCE) -> bool:
-        """True when the block is warm; admits it (evicting LRU) otherwise.
+    def price(self, tablet_id: str, source: str, row_keys: Sequence[str]) -> int:
+        """Look up the blocks of one tablet's contiguous rows from one
+        source; returns how many of the rows are warm (the rest are cold).
 
-        ``source`` names where the block's rows live — an SSTable run id or
-        :data:`MEMTABLE_SOURCE` — so a compaction can evict exactly the
-        blocks of the runs it consumed.
+        Rows come in key order, so a block's rows are adjacent: the block is
+        looked up at its first row and all its rows share the answer.  A
+        warm block moves to most-recently-used; a cold one is admitted,
+        evicting the least recently used block past capacity.  The tallies
+        take the slice's hits and misses in one step each.
         """
-        key = (tablet_id, source, block)
-        if key in self._lru:
-            self._lru.move_to_end(key)
-            self._hits[tablet_id] = self._hits.get(tablet_id, 0) + 1
-            return True
-        self._misses[tablet_id] = self._misses.get(tablet_id, 0) + 1
-        self._lru[key] = None
-        # get-then-insert: a miss per storage row must not build a throwaway
-        # set() for setdefault to discard.
-        resident = self._by_tablet.get(tablet_id)
-        if resident is None:
-            resident = self._by_tablet[tablet_id] = set()
-        resident.add(key)
-        if len(self._lru) > self.options.capacity_blocks:
-            evicted = self._lru.popitem(last=False)[0]
-            resident = self._by_tablet.get(evicted[0])
-            if resident is not None:
-                resident.discard(evicted)
-                if not resident:
-                    del self._by_tablet[evicted[0]]
-        return False
+        lru = self._lru
+        capacity = self.options.capacity_blocks
+        prefix_len = self.options.block_prefix_len
+        hits = misses = warm = 0
+        current = None
+        for row_key in row_keys:
+            block = row_key[:prefix_len]
+            if block != current:
+                current = block
+                key = (tablet_id, source, block)
+                block_warm = key in lru
+                if block_warm:
+                    lru.move_to_end(key)
+                    hits += 1
+                else:
+                    lru[key] = None
+                    if len(lru) > capacity:
+                        lru.popitem(last=False)
+                    misses += 1
+            if block_warm:
+                warm += 1
+        if hits:
+            self._hits[tablet_id] = self._hits.get(tablet_id, 0) + hits
+        if misses:
+            self._misses[tablet_id] = self._misses.get(tablet_id, 0) + misses
+        return warm
 
     # ------------------------------------------------------------------
     # Invalidation
@@ -147,15 +155,10 @@ class BlockCache:
         dirtied it).  Run blocks are immutable — a mutated row moves into
         the memtable and shadows its run versions, so only the memtable
         block changes."""
-        resident = self._by_tablet.get(tablet_id)
-        if resident is None:
-            return
-        key = (tablet_id, MEMTABLE_SOURCE, self.block_of(row_key))
-        if key in resident:
-            resident.discard(key)
-            if not resident:
-                del self._by_tablet[tablet_id]
-            del self._lru[key]
+        lru = self._lru
+        if lru:
+            block = row_key[: self.options.block_prefix_len]
+            lru.pop((tablet_id, MEMTABLE_SOURCE, block), None)
 
     def invalidate_source(self, tablet_id: str, source: str) -> None:
         """Evict every block served from one source of a tablet.
@@ -164,29 +167,21 @@ class BlockCache:
         rows now live in the new, cold run); a compaction evicts the blocks
         of every run it consumed.
         """
-        resident = self._by_tablet.get(tablet_id)
-        if not resident:
-            return
-        stale = [key for key in resident if key[1] == source]
-        for key in stale:
-            resident.discard(key)
-            del self._lru[key]
-        if not resident:
-            del self._by_tablet[tablet_id]
+        lru = self._lru
+        for key in [key for key in lru if key[0] == tablet_id and key[1] == source]:
+            del lru[key]
 
     def invalidate_tablet(self, tablet_id: str) -> None:
         """Evict every block of a tablet (it split, merged or cleared)."""
-        resident = self._by_tablet.pop(tablet_id, None)
-        if not resident:
-            return
-        for key in resident:
-            del self._lru[key]
+        lru = self._lru
+        for key in [key for key in lru if key[0] == tablet_id]:
+            del lru[key]
 
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
     def stats(self, table_name: str) -> List[TabletCacheStats]:
-        """Per-tablet hit/miss rows for every tablet ever probed."""
+        """Per-tablet hit/miss rows for every tablet ever looked up."""
         tablet_ids = sorted(set(self._hits) | set(self._misses))
         return [
             TabletCacheStats(
@@ -214,7 +209,6 @@ class BlockCache:
     def clear(self) -> None:
         """Drop every resident block and every tally."""
         self._lru.clear()
-        self._by_tablet.clear()
         self.reset_stats()
 
     # ------------------------------------------------------------------
@@ -249,24 +243,28 @@ class BlockCache:
         }
 
     def install_state(self, state: dict) -> None:
-        """Restore a snapshot from :meth:`export_state` (``_by_tablet`` is
-        an index over the LRU keys and is rebuilt, not shipped)."""
+        """Restore a snapshot from :meth:`export_state`.  A snapshot whose
+        columns do not cut ``blocks`` into exactly one distinct key per
+        entry is refused with :class:`ValueError`, and leaves the cache as
+        it was: nothing is assigned until the whole snapshot has been read."""
         tablets, sources, blocks = state["tablets"], state["sources"], state["blocks"]
+        hits, misses = dict(state["hits"]), dict(state["misses"])
         tablet_at = array("I", state["tablet_at"])
         source_at = array("I", state["source_at"])
         block_len = array("I", state["block_len"])
         if not len(tablet_at) == len(source_at) == len(block_len):
             raise ValueError("block-cache snapshot columns differ in length")
-        self._lru.clear()
-        self._by_tablet.clear()
+        if sum(block_len) != len(blocks):
+            raise ValueError("block-cache snapshot block lengths do not cover its blocks")
+        lru: "OrderedDict[Tuple[str, str, str], None]" = OrderedDict()
         start = 0
         for tablet, source, length in zip(tablet_at, source_at, block_len):
             key = (tablets[tablet], sources[source], blocks[start : start + length])
             start += length
-            self._lru[key] = None
-            self._by_tablet.setdefault(key[0], set()).add(key)
-        self._hits = dict(state["hits"])
-        self._misses = dict(state["misses"])
+            lru[key] = None
+        if len(lru) != len(block_len):
+            raise ValueError("block-cache snapshot repeats a block key")
+        self._lru, self._hits, self._misses = lru, hits, misses
 
 
 class Scanner:
@@ -288,10 +286,13 @@ class Scanner:
         start_key: Optional[str] = None,
         end_key: Optional[str] = None,
         limit: Optional[int] = None,
+        project: Optional[Callable[[List[object]], List[object]]] = None,
     ) -> List[Tuple[str, object]]:
         """Scan ``[start_key, end_key)``, returning ``(row_key, row)`` in
-        key order.  The rows are the stored ones, not copies: the table
-        projects or copies what its caller asked for.
+        key order.  The rows are the stored ones, not copies; with
+        ``project`` each tablet's rows are replaced by ``project(rows)``
+        (one entry per row, in order) as they are collected — the table's
+        read shape, built without a second pass over the result.
 
         Charging: the shared ledger gets one ``SCAN`` RPC whose row count is
         the *cold* rows (rows in blocks the cache had to fault in) plus one
@@ -300,68 +301,36 @@ class Scanner:
         still charged one scan row (it served the probe), which is what
         makes cold tablets visible in load reports.
 
-        Rows stream through the tablet's *merged* LSM view (memtable plus
-        SSTable runs, newest version wins, tombstones skipped); the cache
-        prices each row by the ``(tablet, source, block)`` it was served
-        from, where the source is the run holding the winning version.
+        Rows come from the tablet's *merged* LSM view (memtable plus SSTable
+        runs, newest version wins, tombstones skipped); the cache prices
+        each row by the ``(tablet, source, block)`` it was served from,
+        where the source is the run holding the winning version.  A
+        run-free tablet's memtable is that view, so its rows are one slice
+        of the sorted keys from one source; otherwise each run of
+        consecutive rows from one source is priced as a slice.
         """
         results: List[Tuple[str, object]] = []
         remaining = limit
         charges: List[Tuple["Tablet", int, int]] = []
-        cache = self.cache
-        prefix_len = cache.options.block_prefix_len
-        probe = cache.probe
-        append = results.append
+        price = self.cache.price
         for tablet in self.locator.tablets_in_range(start_key, end_key):
             if remaining is not None and remaining <= 0:
                 break
-            cold = 0
-            warm = 0
-            current_block: Optional[str] = None
-            current_source: Optional[str] = None
-            block_warm = False
             tablet_id = tablet.tablet_id
             if not tablet.runs:
-                # Fast path: no SSTable runs — the memtable is the merged
-                # view (and holds no tombstones), so skip merged_scan's
-                # generator layer and stream it directly; every row's
-                # source is the memtable.  Deliberate duplication of the
-                # pricing loop below (measured ~6% on the batched query
-                # workload, whose tablets are run-free by default): any
-                # change to block keying or warm/cold accounting must be
-                # applied to BOTH loops.
-                for row_key, row in tablet.rows.scan(
-                    start_key, end_key, remaining
-                ):
-                    block = row_key[:prefix_len]
-                    if block != current_block:
-                        current_block = block
-                        block_warm = probe(tablet_id, block)
-                    if block_warm:
-                        warm += 1
-                    else:
-                        cold += 1
-                    append((row_key, row))
-                    if remaining is not None:
-                        remaining -= 1
-                charges.append((tablet, cold, warm))
-                continue
-            for row_key, row, source in tablet.merged_scan(
-                start_key, end_key, remaining
-            ):
-                block = row_key[:prefix_len]
-                if block != current_block or source != current_source:
-                    current_block = block
-                    current_source = source
-                    block_warm = probe(tablet_id, block, source)
-                if block_warm:
-                    warm += 1
-                else:
-                    cold += 1
-                append((row_key, row))
-                if remaining is not None:
-                    remaining -= 1
-            charges.append((tablet, cold, warm))
+                keys, rows = tablet.rows.scan_columns(start_key, end_key, remaining)
+                warm = price(tablet_id, MEMTABLE_SOURCE, keys)
+            else:
+                scanned = list(tablet.merged_scan(start_key, end_key, remaining))
+                keys = [entry[0] for entry in scanned]
+                rows = [entry[1] for entry in scanned]
+                warm = 0
+                for source, run in groupby(scanned, itemgetter(2)):
+                    warm += price(tablet_id, source, [entry[0] for entry in run])
+            charges.append((tablet, len(keys) - warm, warm))
+            if remaining is not None:
+                remaining -= len(keys)
+            results.extend(zip(keys, rows if project is None else project(rows)))
         cold_total = sum(cold for _, cold, _ in charges)
         warm_total = sum(warm for _, _, warm in charges)
         self.counter.record(

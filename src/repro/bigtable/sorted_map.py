@@ -62,6 +62,19 @@ class SortedMap:
             self._keys = sorted(pending)
         pending.clear()
 
+    def _span(
+        self, start: Optional[str], end: Optional[str], limit: Optional[int] = None
+    ) -> Tuple[int, int]:
+        """Merge, then the index range of the sorted run covering ``[start,
+        end)``, cut to at most ``limit`` keys."""
+        self._merge()
+        keys = self._keys
+        lo = 0 if start is None else bisect_left(keys, start)
+        hi = len(keys) if end is None else bisect_left(keys, end)
+        if limit is not None and hi - lo > limit:
+            hi = lo + limit
+        return lo, hi
+
     def __len__(self) -> int:
         return len(self._data)
 
@@ -110,10 +123,8 @@ class SortedMap:
         only walk the range once.  Mutating the map while iterating is
         undefined (exactly like iterating a dict).
         """
-        self._merge()
+        lo, hi = self._span(start, end)
         keys = self._keys
-        lo = 0 if start is None else bisect_left(keys, start)
-        hi = len(keys) if end is None else bisect_left(keys, end)
         for index in range(lo, hi):
             yield keys[index]
 
@@ -143,22 +154,28 @@ class SortedMap:
 
         ``None`` bounds are open-ended; ``limit`` caps the number of rows.
         """
-        self._merge()
+        lo, hi = self._span(start, end, limit)
         keys = self._keys
         data = self._data
-        lo = 0 if start is None else bisect_left(keys, start)
-        hi = len(keys) if end is None else bisect_left(keys, end)
-        if limit is not None and hi - lo > limit:
-            hi = lo + limit
         for index in range(lo, hi):
             key = keys[index]
             yield key, data[key]
 
+    def scan_columns(
+        self,
+        start: Optional[str] = None,
+        end: Optional[str] = None,
+        limit: Optional[int] = None,
+    ) -> Tuple[List[str], List[object]]:
+        """:meth:`scan` as two lists, the keys and their values, each built
+        in one C-level step."""
+        lo, hi = self._span(start, end, limit)
+        keys = self._keys[lo:hi]
+        return keys, list(map(self._data.__getitem__, keys))
+
     def count_range(self, start: Optional[str] = None, end: Optional[str] = None) -> int:
         """Number of keys in ``[start, end)`` without materialising them."""
-        self._merge()
-        lo = 0 if start is None else bisect_left(self._keys, start)
-        hi = len(self._keys) if end is None else bisect_left(self._keys, end)
+        lo, hi = self._span(start, end)
         return max(hi - lo, 0)
 
     def split_off(self, key: str) -> "SortedMap":

@@ -148,29 +148,33 @@ class _Row(dict):
             for family, qualifiers in self.items()
         }
 
-    def newest_values(self, family: str) -> Dict[str, object]:
-        """The projected read shape: ``qualifier -> newest value`` of one
-        family, read straight off the stored chains (a qualifier whose
-        chain aged out entirely is absent, a row without the family is
-        ``{}``)."""
-        values: Dict[str, object] = {}
-        qualifiers = self.get(family)
-        if qualifiers:
-            # A plain loop: rows hold a column or two, and a comprehension's
-            # call frame costs more than it saves at that size.
-            for qualifier, chain in qualifiers.items():
-                if chain:
-                    values[qualifier] = chain[1]
-        return values
-
     def version_cells(self, family: str) -> Dict[str, List[Cell]]:
         """``qualifier -> newest-first cells`` of one family."""
         qualifiers = self.get(family) or {}
         return {qualifier: _cells(chain) for qualifier, chain in qualifiers.items()}
 
 
+def _newest_values(rows: List[_Row], family: str) -> List[Dict[str, object]]:
+    """The projected read shape of each row: ``qualifier -> newest value`` of
+    one family, read straight off the stored chains (a qualifier whose chain
+    aged out entirely is absent, a row without the family is ``{}``).  One
+    call per list of rows: a row holds a column or two, so a call per row
+    would cost more than the row's own loop."""
+    projected = []
+    append = projected.append
+    for row in rows:
+        values = {}
+        qualifiers = row.get(family)
+        if qualifiers:
+            for qualifier, chain in qualifiers.items():
+                if chain:
+                    values[qualifier] = chain[1]
+        append(values)
+    return projected
+
+
 class _TabletTally:
-    """Per-tablet row tally of one multi-row operation (scan or batch).
+    """Per-tablet row tally of one batch write, delete or aging pass.
 
     Rows are accumulated per tablet while the operation runs and charged to
     the tablet ledgers afterwards.  Charging re-resolves each tablet through
@@ -190,9 +194,6 @@ class _TabletTally:
         tablet_id = tablet.tablet_id
         self._rows[tablet_id] = self._rows.get(tablet_id, 0) + rows
         self._tablets[tablet_id] = tablet
-
-    def __bool__(self) -> bool:
-        return bool(self._rows)
 
     def charge(self, locator: TabletLocator, kind: OpKind) -> None:
         for tablet_id, rows in self._rows.items():
@@ -755,11 +756,6 @@ class Table:
     # ------------------------------------------------------------------
     # Scans and batches
     # ------------------------------------------------------------------
-    @staticmethod
-    def _public_rows(scanned) -> List[Tuple[str, Dict[str, Dict[str, List[Cell]]]]]:
-        """Convert scanner output to the public full-row representation."""
-        return [(row_key, row.cells()) for row_key, row in scanned]
-
     def scan(
         self,
         start_key: Optional[str] = None,
@@ -775,20 +771,26 @@ class Table:
         ``CACHE_READ`` instead of scan rows.
 
         With ``family`` the read is projected: each row is ``(row_key,
-        {qualifier: newest value})`` of that one family, and nothing else
-        of the row is copied — the shape every index and query path
-        consumes.  ``versions`` keeps each qualifier's whole newest-first
-        cell chain instead (``{qualifier: [Cell, ...]}``), which the aging
-        drain needs.  Without ``family`` every row is a full structural
-        copy, ``family -> qualifier -> cells``, for dumps and tests.  The
-        charging, and ``len()`` of the result, are the same in all three.
+        {qualifier: newest value})`` of that one family, built by
+        :func:`_newest_values` as the scanner collects each tablet's rows,
+        and nothing else of the row is copied — the shape every index and
+        query path consumes.
+        ``versions`` keeps each qualifier's whole newest-first cell chain
+        instead (``{qualifier: [Cell, ...]}``), which the aging drain needs.
+        Without ``family`` every row is a full structural copy, ``family ->
+        qualifier -> cells``, for dumps and tests.  The charging, and
+        ``len()`` of the result, are the same in all three.
         """
+        if family is not None:
+            self.family(family)
+            if not versions:
+                return self._scanner.execute_range(
+                    start_key, end_key, limit, lambda rows: _newest_values(rows, family)
+                )
         scanned = self._scanner.execute_range(start_key, end_key, limit)
         if family is None:
-            return self._public_rows(scanned)
-        self.family(family)
-        project = _Row.version_cells if versions else _Row.newest_values
-        return [(row_key, project(row, family)) for row_key, row in scanned]
+            return [(row_key, row.cells()) for row_key, row in scanned]
+        return [(row_key, row.version_cells(family)) for row_key, row in scanned]
 
     def scan_keys(
         self, start_key: Optional[str] = None, end_key: Optional[str] = None
@@ -819,24 +821,33 @@ class Table:
 
         With ``family`` each found row is ``{qualifier: newest value}`` of
         that family (see :meth:`scan`); without, a full structural copy.
+
+        The shared ledger is charged one ``BATCH_READ`` over every requested
+        key, and each tablet the keys route to its own count.  A read
+        cannot split or merge a tablet, so the tablets counted while routing
+        are still the live ones when they are charged; the batch writes
+        instead re-locate through :class:`_TabletTally`, because a tablet
+        can merge away while their batch runs.
         """
         if family is not None:
             self.family(family)
-        results: Dict[str, Dict[str, object]] = {}
-        tally = _TabletTally()
+        counts: Dict[Tablet, int] = {}
+        found_keys: List[str] = []
+        found_rows: List[_Row] = []
         locate = self._tablets.locate
         for row_key in row_keys:
             tablet = locate(row_key)
-            tally.add(tablet)
+            counts[tablet] = counts.get(tablet, 0) + 1
             row = tablet.live_row(row_key)
-            if row is None:
-                continue
-            results[row_key] = (
-                row.cells() if family is None else row.newest_values(family)
-            )
+            if row is not None:
+                found_keys.append(row_key)
+                found_rows.append(row)
         self.counter.record(OpKind.BATCH_READ, rows=max(len(row_keys), 1))
-        tally.charge(self._tablets, OpKind.BATCH_READ)
-        return results
+        for tablet, rows in counts.items():
+            tablet.counter.record(OpKind.BATCH_READ, rows=rows)
+        if family is None:
+            return {key: row.cells() for key, row in zip(found_keys, found_rows)}
+        return dict(zip(found_keys, _newest_values(found_rows, family)))
 
     def batch_write(
         self, mutations: Sequence[Tuple[str, str, str, object, float]]

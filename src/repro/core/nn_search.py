@@ -37,6 +37,7 @@ import itertools
 from array import array
 from dataclasses import dataclass, field
 from math import hypot
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.config import MoistConfig
@@ -48,6 +49,9 @@ from repro.spatial.cell import CellId
 from repro.tables.affiliation_table import AffiliationTable
 from repro.tables.location_table import LocationTable
 from repro.tables.spatial_index_table import SpatialIndexTable
+
+#: Result order: nearest first, ties by object id.
+_BY_DISTANCE_THEN_ID = itemgetter(2, 0)
 
 
 @dataclass
@@ -213,19 +217,18 @@ class NearestNeighborSearcher:
                 if neighbor_distance <= dist_max:
                     heappush(cell_queue, (neighbor_distance, tiebreak(), neighbor))
 
+        new = tuple.__new__
         results = []
         for neg_distance, _, block, row in best:
             leader_id = block.leader_ids[row]
+            point = Point(block.xs[row], block.ys[row])
             results.append(
-                NeighborResult(
-                    object_id=block.ids[row],
-                    location=Point(block.xs[row], block.ys[row]),
-                    distance=-neg_distance,
-                    is_leader=leader_id is None,
-                    leader_id=leader_id,
+                new(
+                    NeighborResult,
+                    (block.ids[row], point, -neg_distance, leader_id is None, leader_id),
                 )
             )
-        results.sort(key=lambda item: (item.distance, item.object_id))
+        results.sort(key=_BY_DISTANCE_THEN_ID)
         return results
 
     def query_many(
@@ -305,26 +308,23 @@ class NearestNeighborSearcher:
     def _shared_batch_read(object_ids, fetch, context, cache, absent):
         """Batch-read ``object_ids`` through a batch-scoped memo.
 
-        ``fetch`` maps a list of ids to a dict of found rows; ids absent
-        from the store map to ``absent``.  With a context, only ids missing
-        from ``cache`` (the context dict backing this read kind) are
-        fetched and the saved rows are tallied on ``rows_shared``.  The
-        returned mapping always covers every requested id, in request
-        order — identical to an unshared fetch.
+        ``fetch`` maps a list of ids to a dict of found rows.  Without a
+        context that dict is the answer: an id missing from it is absent
+        from the store.  With one, only ids missing from ``cache`` (the
+        context dict backing this read kind) are fetched, an absent one is
+        remembered as ``absent``, the saved rows are tallied on
+        ``rows_shared`` and ``cache`` itself is the answer.  Either way,
+        look ids up with ``.get``.
         """
         if context is None:
-            fetched = fetch(object_ids)
-            return {
-                object_id: fetched.get(object_id, absent)
-                for object_id in object_ids
-            }
+            return fetch(object_ids)
         missing = [object_id for object_id in object_ids if object_id not in cache]
         if missing:
             fetched = fetch(missing)
             for object_id in missing:
                 cache[object_id] = fetched.get(object_id, absent)
         context.rows_shared += len(object_ids) - len(missing)
-        return {object_id: cache[object_id] for object_id in object_ids}
+        return cache
 
     def _latest_records(
         self,
@@ -332,7 +332,7 @@ class NearestNeighborSearcher:
         context: Optional[QueryBatchContext],
     ) -> Dict[ObjectId, Optional[LocationRecord]]:
         """Latest Location records of ``object_ids``, batch-read once per
-        batch (objects without a record map to ``None``)."""
+        batch (``.get`` of an object without a record is ``None``)."""
         return self._shared_batch_read(
             object_ids,
             self.location_table.batch_latest,
@@ -347,8 +347,9 @@ class NearestNeighborSearcher:
         context: Optional[QueryBatchContext],
     ) -> Dict[ObjectId, Dict[ObjectId, Tuple[float, float]]]:
         """Follower Info of ``leader_ids``, batch-read once per batch
-        (leaders without an affiliation row map to an empty dict; the
-        shared empty default is never mutated by readers)."""
+        (``.get`` of a leader without an affiliation row is ``None`` or an
+        empty dict; the shared empty default is never mutated by
+        readers)."""
         return self._shared_batch_read(
             leader_ids,
             self.affiliation_table.batch_followers,
@@ -402,7 +403,7 @@ class NearestNeighborSearcher:
             # inlined so no Point is built).
             records = self._latest_records(ids, context)
             for object_id, stored in leaders.items():
-                record = records[object_id]
+                record = records.get(object_id)
                 if record is None:
                     xs.append(stored[0])
                     ys.append(stored[1])
@@ -416,14 +417,15 @@ class NearestNeighborSearcher:
                 xs.append(x)
                 ys.append(y)
         if include_followers and leaders:
-            # One entry per leader, in row order; the rows appended below
-            # are the followers.
-            follower_info = self._followers_of(ids, context)
+            # Followers are appended behind the leaders, grouped by leader
+            # in leader row order.
+            follower_info = self._followers_of(ids, context).get
             leader_ids = block.leader_ids
-            for row, followers in enumerate(follower_info.values()):
+            for row in range(n_leaders):
+                leader_id = ids[row]
+                followers = follower_info(leader_id)
                 if not followers:
                     continue
-                leader_id = ids[row]
                 leader_x = xs[row]
                 leader_y = ys[row]
                 for follower_id, (dx, dy) in followers.items():

@@ -2,8 +2,8 @@
 
 These are the payloads that flow between the workload generators, the
 front-end servers and the storage tables: an object's identifier, a
-timestamped location record and the update message of Algorithm 1
-(``(ID, Loc, V, t)``).
+timestamped location record, the update message of Algorithm 1
+(``(ID, Loc, V, t)``) and a nearest-neighbour answer.
 """
 
 from __future__ import annotations
@@ -120,15 +120,43 @@ class UpdateMessage:
         )
 
 
-@dataclass(frozen=True)
-class NeighborResult:
-    """One entry returned by a nearest-neighbour query."""
+class NeighborResult(tuple):
+    """One entry returned by a nearest-neighbour query.
 
-    object_id: ObjectId
-    location: Point
-    distance: float
-    is_leader: bool
-    leader_id: Optional[ObjectId] = None
+    A result *is* the tuple ``(object_id, location, distance, is_leader,
+    leader_id)``, like :class:`LocationRecord`: the fields are read by
+    position, and the search fills the k survivors with ``tuple.__new__``.
+    So a result is equal to, hashes as and sorts as the plain tuple of its
+    fields — the one difference from a frozen dataclass, whose ``==`` only
+    matched its own class.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        object_id: ObjectId,
+        location: Point,
+        distance: float,
+        is_leader: bool,
+        leader_id: Optional[ObjectId] = None,
+    ) -> "NeighborResult":
+        return tuple.__new__(cls, (object_id, location, distance, is_leader, leader_id))
+
+    object_id = property(itemgetter(0))
+    location = property(itemgetter(1))
+    distance = property(itemgetter(2))
+    is_leader = property(itemgetter(3))
+    leader_id = property(itemgetter(4))
+
+    def __repr__(self) -> str:
+        return (
+            f"NeighborResult(object_id={self[0]!r}, location={self[1]!r}, "
+            f"distance={self[2]!r}, is_leader={self[3]!r}, leader_id={self[4]!r})"
+        )
+
+    def __reduce__(self):
+        return (NeighborResult, tuple(self))
 
 
 @dataclass(frozen=True)

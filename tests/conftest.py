@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
+from typing import Dict, Set
 
 import pytest
 
@@ -21,6 +25,72 @@ from helpers import make_update
 
 
 SMALL_WORLD = BoundingBox(0.0, 0.0, 100.0, 100.0)
+
+
+def _child_pids() -> Set[int]:
+    """This process's children, running or unreaped (``/proc`` stat field
+    4 is the parent pid; field 2, the name, may hold spaces)."""
+    me = os.getpid()
+    children = set()
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                stat = handle.read()
+        except OSError:  # exited since the listing
+            continue
+        if int(stat[stat.rindex(")") + 2 :].split()[1]) == me:
+            children.add(int(entry))
+    return children
+
+
+def _open_fds() -> Dict[int, str]:
+    """Open descriptor -> what it points at (the listing's own is left
+    out)."""
+    fds = {}
+    for entry in os.listdir("/proc/self/fd"):
+        try:
+            fds[int(entry)] = os.readlink(f"/proc/self/fd/{entry}")
+        except OSError:  # the listing's own descriptor, closed by now
+            continue
+    return fds
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_leaks(tmp_path_factory):
+    """Fail the session when a forked worker, an open descriptor or a
+    temp-directory entry outlives it — what a test (or the code it drives)
+    forgot to close.  The session gets a private temp directory
+    (``tempfile.tempdir`` and ``TMPDIR`` point at it), so only this
+    session's own files count; pytest's ``basetemp`` is placed before the
+    switch and stays outside it.  Linux only: the checks read ``/proc``."""
+    if not sys.platform.startswith("linux"):
+        yield
+        return
+    tmp_path_factory.getbasetemp()
+    saved = tempfile.tempdir, os.environ.get("TMPDIR")
+    temp = tempfile.mkdtemp(prefix="repro-tests-")
+    tempfile.tempdir = os.environ["TMPDIR"] = temp
+    children, fds = _child_pids(), _open_fds()
+    yield
+    tempfile.tempdir = saved[0]
+    if saved[1] is None:
+        del os.environ["TMPDIR"]
+    else:
+        os.environ["TMPDIR"] = saved[1]
+    leaked = {
+        "worker pids": sorted(_child_pids() - children),
+        "open fds": sorted(
+            f"{fd} -> {target}" for fd, target in _open_fds().items()
+            if fds.get(fd) != target
+        ),
+        "temp entries": sorted(os.listdir(temp)),
+    }
+    shutil.rmtree(temp)
+    leaked = {kind: found for kind, found in leaked.items() if found}
+    if leaked:
+        pytest.fail(f"the test session leaked {leaked}", pytrace=False)
 
 
 @pytest.fixture

@@ -129,7 +129,7 @@ class CellListTable(Table):
     def scan(self, start_key=None, end_key=None, limit=None, family=None, versions=False):
         scanned = self._scanner.execute_range(start_key, end_key, limit)
         if family is None:
-            return self._public_rows(scanned)
+            return [(row_key, row.cells()) for row_key, row in scanned]
         self.family(family)
         project = CellRow.version_cells if versions else CellRow.newest_values
         return [(row_key, project(row, family)) for row_key, row in scanned]
@@ -383,4 +383,4 @@ def test_mutating_a_pulled_back_row_never_changes_the_runs_copy(max_versions):
     table.delete_cell("k", "new", "q")
     assert len(tablet.rows) == 1  # the mutations all landed on the copy
     assert encode_run_block(run._keys, run._values, run.max_seqno) == frozen
-    assert run.get("k").newest_values("new") == {"q": "v2"}
+    assert run.get("k")["new"]["q"][1] == "v2"

@@ -1,9 +1,12 @@
 """Tests for the scanner and the tablet-server block cache."""
 
+from array import array
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bigtable.cost import OpKind
+from repro.bigtable.lsm import MEMTABLE_SOURCE
 from repro.bigtable.scan import BlockCache, BlockCacheOptions
 from repro.bigtable.table import ColumnFamily, Table
 from repro.bigtable.tablet import TabletOptions
@@ -31,44 +34,86 @@ class TestBlockCache:
         with pytest.raises(ConfigurationError):
             BlockCacheOptions(block_prefix_len=0)
 
-    def test_probe_miss_then_hit(self):
+    def test_price_miss_then_hit(self):
         cache = BlockCache(BlockCacheOptions(block_prefix_len=2))
-        assert cache.probe("t1", "ab") is False
-        assert cache.probe("t1", "ab") is True
+        assert cache.price("t1", MEMTABLE_SOURCE, ["ab"]) == 0
+        assert cache.price("t1", MEMTABLE_SOURCE, ["ab"]) == 1
         assert cache.hit_rate() == 0.5
+
+    def test_price_counts_rows_and_looks_each_block_up_once(self):
+        cache = BlockCache(BlockCacheOptions(block_prefix_len=2))
+        cache.price("t1", MEMTABLE_SOURCE, ["aa1"])
+        # aa is warm (3 rows), bb and cc are cold (1 + 2 rows).
+        assert cache.price("t1", MEMTABLE_SOURCE, ["aa1", "aa2", "aa3", "bb1", "cc1", "cc2"]) == 3
+        assert list(cache._lru) == [
+            ("t1", MEMTABLE_SOURCE, "aa"), ("t1", MEMTABLE_SOURCE, "bb"), ("t1", MEMTABLE_SOURCE, "cc"),
+        ]
+        assert (cache._hits, cache._misses) == ({"t1": 1}, {"t1": 3})
+        assert cache.price("t1", "run-1", ["aa1"]) == 0  # another source, another block
+
+    def test_price_of_nothing_leaves_no_tally(self):
+        cache = BlockCache()
+        assert cache.price("t1", MEMTABLE_SOURCE, []) == 0
+        assert (cache._hits, cache._misses, len(cache)) == ({}, {}, 0)
 
     def test_lru_eviction(self):
         cache = BlockCache(BlockCacheOptions(capacity_blocks=2, block_prefix_len=2))
-        cache.probe("t1", "aa")
-        cache.probe("t1", "bb")
-        cache.probe("t1", "aa")  # bump aa; bb is now LRU
-        cache.probe("t1", "cc")  # evicts bb
-        assert cache.probe("t1", "aa") is True
-        assert cache.probe("t1", "bb") is False
+        cache.price("t1", MEMTABLE_SOURCE, ["aa", "bb"])
+        cache.price("t1", MEMTABLE_SOURCE, ["aa"])  # bump aa; bb is now LRU
+        cache.price("t1", MEMTABLE_SOURCE, ["cc"])  # evicts bb
+        assert cache.price("t1", MEMTABLE_SOURCE, ["aa"]) == 1
+        assert cache.price("t1", MEMTABLE_SOURCE, ["bb"]) == 0
 
     def test_invalidate_row_evicts_block(self):
         cache = BlockCache(BlockCacheOptions(block_prefix_len=2))
-        cache.probe("t1", "ab")
+        cache.price("t1", MEMTABLE_SOURCE, ["ab"])
         cache.invalidate_row("t1", "abcd")
-        assert cache.probe("t1", "ab") is False
+        assert cache.price("t1", MEMTABLE_SOURCE, ["ab"]) == 0
 
     def test_invalidate_tablet_evicts_all_its_blocks(self):
         cache = BlockCache(BlockCacheOptions(block_prefix_len=2))
-        cache.probe("t1", "aa")
-        cache.probe("t2", "aa")
+        cache.price("t1", MEMTABLE_SOURCE, ["aa"])
+        cache.price("t1", "run-1", ["aa"])
+        cache.price("t2", MEMTABLE_SOURCE, ["aa"])
         cache.invalidate_tablet("t1")
-        assert cache.probe("t1", "aa") is False
-        assert cache.probe("t2", "aa") is True
+        assert list(cache._lru) == [("t2", MEMTABLE_SOURCE, "aa")]
+
+    def test_invalidate_source_evicts_only_that_source(self):
+        cache = BlockCache(BlockCacheOptions(block_prefix_len=2))
+        cache.price("t1", MEMTABLE_SOURCE, ["aa", "bb"])
+        cache.price("t1", "run-1", ["aa"])
+        cache.price("t2", "run-1", ["aa"])
+        cache.invalidate_source("t1", "run-1")
+        assert list(cache._lru) == [
+            ("t1", MEMTABLE_SOURCE, "aa"), ("t1", MEMTABLE_SOURCE, "bb"), ("t2", "run-1", "aa"),
+        ]
 
     def test_stats_per_tablet(self):
         cache = BlockCache(BlockCacheOptions(block_prefix_len=2))
-        cache.probe("t1", "aa")
-        cache.probe("t1", "aa")
-        cache.probe("t2", "bb")
+        cache.price("t1", MEMTABLE_SOURCE, ["aa"])
+        cache.price("t1", MEMTABLE_SOURCE, ["aa"])
+        cache.price("t2", MEMTABLE_SOURCE, ["bb"])
         stats = {entry.tablet_id: entry for entry in cache.stats("tbl")}
         assert stats["t1"].hits == 1 and stats["t1"].misses == 1
         assert stats["t2"].hits == 0 and stats["t2"].misses == 1
         assert stats["t1"].hit_rate == 0.5
+
+    @pytest.mark.parametrize("damage", ["repeated key", "short lengths"])
+    def test_refused_snapshot_leaves_the_cache_as_it_was(self, damage):
+        source = BlockCache(BlockCacheOptions(block_prefix_len=2))
+        source.price("t1", MEMTABLE_SOURCE, ["aa", "bb"])
+        snapshot = source.export_state()
+        if damage == "repeated key":
+            snapshot["blocks"] = "aaaa"  # both entries spell ("t1", memtable, "aa")
+        else:
+            snapshot["block_len"] = array("I", [2, 1]).tobytes()
+        cache = BlockCache(BlockCacheOptions(block_prefix_len=2))
+        cache.price("t2", "run-1", ["cc", "dd"])
+        cache.price("t2", "run-1", ["cc"])
+        before = cache.export_state()
+        with pytest.raises(ValueError):
+            cache.install_state(snapshot)
+        assert cache.export_state() == before
 
 
 class TestScannerCharging:

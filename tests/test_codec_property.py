@@ -31,16 +31,19 @@ import random
 import socket
 import struct
 import tempfile
+from array import array
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.bigtable.cost import CostModel, OpCounter
-from repro.bigtable.tablet import TabletStats
+from repro.bigtable.scan import BlockCache
+from repro.bigtable.table import ColumnFamily, Table
+from repro.bigtable.tablet import TabletOptions, TabletStats
 from repro.codec import values, wire
 from repro.codec.columns import write_uvarint
 from repro.disk.store import read_state_blob
-from repro.errors import CodecError, ReproError, RpcError
+from repro.errors import CodecError, ReproError, RpcError, UnrecoverableShardError
 from repro.geometry.point import Point
 from repro.geometry.vector import Vector
 from repro.model import LocationRecord, NeighborResult, UpdateMessage, format_object_id
@@ -631,8 +634,8 @@ _TAG_OF = {
 def _float_bits(obj) -> list:
     """Every float reachable from a record, as bit patterns (-0.0 != 0.0,
     NaN == NaN) — equality alone cannot tell those apart.  Records are
-    tuples (``LocationRecord``, ``LFRecord``, rows at rest) or dataclasses
-    (``NeighborResult``, ``Point``, ``Vector``)."""
+    tuples (``LocationRecord``, ``LFRecord``, ``NeighborResult``, rows at
+    rest) or dataclasses (``Point``, ``Vector``)."""
     if isinstance(obj, float):
         return [_bits(obj)]
     if isinstance(obj, (str, bool, int, type(None), Role)):
@@ -828,6 +831,38 @@ def _state_body() -> bytes:
     return values.pack_value(service.accounting_state())
 
 
+def _block_cache_body() -> bytes:
+    """A warm block cache's snapshot: blocks of several tablets, from the
+    memtable and from runs."""
+    table = Table(
+        "t", [ColumnFamily("f")],
+        options=TabletOptions(split_threshold=8, merge_threshold=2, memtable_flush_rows=6),
+    )
+    for index in range(20):
+        table.write(f"{index * 7919 % 4096:06x}", "f", "q", index, 0.0)
+    table.scan(family="f")
+    table.scan(family="f")
+    return values.pack_value(table.cache.export_state())
+
+
+def _install_block_cache(body: bytes):
+    """A block-cache snapshot installed the way the accounting walk
+    (``ShardService._install_accounting``) installs it: a refusal is the
+    walk's typed error.  An install that goes through must be exact — one
+    key per snapshot entry, each block as long as the entry says, together
+    spelling the whole blocks column."""
+    state = values.unpack_value(body)
+    cache = BlockCache()
+    try:
+        cache.install_state(state)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise UnrecoverableShardError(f"snapshot does not fit: {exc!r}") from exc
+    lengths = list(array("I", state["block_len"]))
+    assert [len(block) for _, _, block in cache._lru] == lengths
+    assert sum(lengths) == len(state["blocks"])
+    return list(cache._lru), cache._hits, cache._misses
+
+
 def _fuzz_cases() -> dict:
     """``name -> (decoder, well-formed bytes)`` for every decoder that
     reads bytes from a socket or a file."""
@@ -886,10 +921,14 @@ def _fuzz_cases() -> dict:
             rpc.encode_frame(rpc.KIND_RESPONSE, 7, 3, rpc.OP_CALL, rpc.encode_result("pong")),
         ),
         "state_blob": (_read_state_body, _state_body()),
+        "block_cache_state": (_install_block_cache, _block_cache_body()),
     }
 
 
 _FUZZ_CASES = _fuzz_cases()
+#: The first byte of the snapshot's ``block_len`` column (a tag byte and a
+#: one-byte length follow the key).
+_BLOCK_LEN_AT = _FUZZ_CASES["block_cache_state"][1].index(b"block_len") + len("block_len") + 2
 _positions = st.integers(0, 10_000)  # taken modulo the sample's length
 _mutations = st.one_of(
     st.tuples(st.just("none"), st.none()),
@@ -943,6 +982,10 @@ def _mutate(good: bytes, mutation) -> bytes:
 @example("state_blob", ("inflate", 1))  # the section count
 @example("state_blob", ("truncate", 4000))
 @example("frame", ("flip", [(0, 5)]))  # a length prefix of half a gigabyte
+# Block lengths that no longer sum to the blocks column: one too many, two
+# too few (a crc-valid snapshot that used to install the wrong keys).
+@example("block_cache_state", ("flip", [(_BLOCK_LEN_AT, 0)]))
+@example("block_cache_state", ("flip", [(_BLOCK_LEN_AT, 1)]))
 def test_every_decoder_answers_hostile_bytes_with_a_value_or_a_typed_error(name, mutation):
     decode, good = _FUZZ_CASES[name]
     try:

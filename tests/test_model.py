@@ -1,7 +1,11 @@
 """Tests for the shared domain records."""
 
+import copy
+import pickle
+
 import pytest
 
+from repro.codec import values, wire
 from repro.errors import SchemaError
 from repro.geometry.point import Point
 from repro.geometry.vector import Vector
@@ -12,6 +16,7 @@ from repro.model import (
     UpdateMessage,
     format_object_id,
 )
+from repro.workload.queries import NNQuery
 
 
 class TestObjectIds:
@@ -85,3 +90,78 @@ class TestResultRecords:
             timestamp=3.0,
         )
         assert record.timestamp == 3.0
+
+
+class TestNeighborResult:
+    """A result is the tuple of its fields; everything else a caller saw of
+    the frozen dataclass it replaced is kept."""
+
+    FIELDS = ("obj0000000001", Point(1.0, 2.0), 0.5, False, "obj0000000002")
+
+    def test_positional_and_keyword_construction_agree(self):
+        by_position = NeighborResult(*self.FIELDS)
+        by_keyword = NeighborResult(
+            object_id="obj0000000001", location=Point(1.0, 2.0), distance=0.5,
+            is_leader=False, leader_id="obj0000000002",
+        )
+        assert by_position == by_keyword
+        assert type(by_keyword) is NeighborResult
+        assert (
+            by_keyword.object_id, by_keyword.location, by_keyword.distance,
+            by_keyword.is_leader, by_keyword.leader_id,
+        ) == self.FIELDS
+        assert NeighborResult("a", Point(0.0, 0.0), 1.0, True).leader_id is None
+        with pytest.raises(TypeError):
+            NeighborResult("a", Point(0.0, 0.0), 1.0)
+
+    def test_repr_is_the_dataclass_repr(self):
+        assert repr(NeighborResult(*self.FIELDS)) == (
+            "NeighborResult(object_id='obj0000000001', location=Point(x=1.0, y=2.0), "
+            "distance=0.5, is_leader=False, leader_id='obj0000000002')"
+        )
+        assert repr(NeighborResult("a", Point(-0.0, 1.0), float("inf"), True)) == (
+            "NeighborResult(object_id='a', location=Point(x=-0.0, y=1.0), "
+            "distance=inf, is_leader=True, leader_id=None)"
+        )
+
+    def test_equal_to_and_hashed_as_the_plain_tuple(self):
+        result = NeighborResult(*self.FIELDS)
+        assert result == self.FIELDS and hash(result) == hash(self.FIELDS)
+        assert len({result, NeighborResult(*self.FIELDS)}) == 1
+        with pytest.raises(AttributeError):
+            result.distance = 1.0
+
+    def test_sorts_by_distance_then_id(self):
+        results = [
+            NeighborResult("b", Point(0.0, 0.0), 1.0, True),
+            NeighborResult("c", Point(0.0, 0.0), 0.5, True),
+            NeighborResult("a", Point(0.0, 0.0), 1.0, False, "c"),
+        ]
+        results.sort(key=lambda item: (item.distance, item.object_id))
+        assert [item.object_id for item in results] == ["c", "a", "b"]
+
+    def test_pickle_and_copy_rebuild_through_the_constructor(self):
+        result = NeighborResult(*self.FIELDS)
+        for clone in (pickle.loads(pickle.dumps(result)), copy.deepcopy(result)):
+            assert clone == result and type(clone) is NeighborResult
+
+    def test_round_trips_tag_15_and_the_neighbour_stream(self):
+        query = NNQuery(Point(0.0, 0.0), 2)
+        results = [
+            NeighborResult(format_object_id(1), Point(3.0, 4.0), 5.0, True),
+            NeighborResult(format_object_id(2), Point(6.0, 8.0), 10.0, False, format_object_id(1)),
+        ]
+        out = bytearray()
+        values.encode_value(out, results[1])
+        assert out[0] == values.TAG_NEIGHBOR
+        decoded, _ = values.decode_value(bytes(out), 0)
+        assert decoded == results[1] and type(decoded) is NeighborResult
+        odd = [NeighborResult("bus-17", Point(1.0, 1.0), 2 ** 0.5, True)]
+        encoder, decoder = wire.NeighborStreamEncoder(), wire.NeighborStreamDecoder()
+        for batch, flag in ((results, wire.FLAG_COLUMNAR), (odd, wire.FLAG_GENERAL)):
+            frame = encoder.encode([batch], [query])
+            assert frame[0] == flag
+            (got,) = decoder.decode(frame, [query])
+            assert got == batch
+            assert all(type(item) is NeighborResult for item in got)
+

@@ -23,6 +23,7 @@ import signal
 import struct
 import types
 import zlib
+from array import array
 
 import pytest
 
@@ -341,6 +342,27 @@ class TestStateBlob:
         path = self._damaged(tmp_path, damage)
         with pytest.raises(UnrecoverableShardError):
             read_state_blob(path)
+
+    @pytest.mark.parametrize("shift", [1, -1])
+    def test_block_lengths_that_miss_the_blocks_column_refuse_to_install(
+        self, tmp_path, shift
+    ):
+        # crc-valid and decodable: only the cache section's own columns
+        # disagree, so the damage shows when the walk installs it.
+        recipe = _recipe(tmp_path)
+        first = _build(recipe)
+        query_body = rpc.encode_query_batch(_queries(3))
+        dispatch_request(first, 0, rpc.OP_QUERY_BATCH, query_body, 20)
+        state = first[0].accounting_state()
+        _close_stores(first)
+        cache = state["emulator"]["tables"]["spatial_index"]["cache"]
+        lengths = array("I", cache["block_len"])
+        assert len(lengths) > 1
+        lengths[0] += shift
+        cache["block_len"] = lengths.tobytes()
+        write_state_blob(os.path.join(recipe.shard_storage_dir, STATE_BLOB_NAME), state)
+        with pytest.raises(UnrecoverableShardError, match="block lengths"):
+            _build(recipe)
 
     def test_other_format_version_is_a_typed_error(self, tmp_path, monkeypatch):
         path = str(tmp_path / STATE_BLOB_NAME)
