@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -177,13 +177,17 @@ _READ_KINDS = frozenset(
 )
 
 
-@dataclass
+@dataclass(eq=False)
 class OpCounter:
     """Accumulates operation counts and simulated time.
 
     One counter is typically shared by every table of an emulator instance;
     experiments snapshot/reset it around the measured section so read,
     compute and write time can be reported separately (Figure 10).
+    ``record_point``, ``record_group`` and ``record_syncs`` charge several
+    ledgers in one call, bit-identical (dict key order included) to the calls
+    each one names.  Tablet ledgers share their table's cost model; a ledger
+    hashes by identity, so a group commit keys its charges by it.
     """
 
     model: CostModel = field(default_factory=CostModel)
@@ -207,10 +211,9 @@ class OpCounter:
     def record(self, kind: OpKind, rows: int = 1) -> float:
         """Record one operation and return its simulated cost.
 
-        Duplicates :meth:`record_many` for ``calls=1`` — this is the single
-        hottest function of the emulator (every point operation lands here
-        twice: shared ledger and tablet ledger), so it pays to skip the
-        extra call frames (including :meth:`CostModel.cost_of`).
+        Duplicates :meth:`record_many` for ``calls=1`` rather than call it
+        (or :meth:`CostModel.cost_of`): every scan and batch lands here, and
+        the extra call frames would cost more than the arithmetic.
         """
         entry = self.model._cost_table.get(kind)
         if entry is None:
@@ -234,9 +237,9 @@ class OpCounter:
 
         This is the group-commit fast path: a flushed commit buffer charges
         all of its point writes at once instead of paying the per-call
-        dictionary and attribute work ``calls`` times.  The simulated cost is
-        identical to ``calls`` individual :meth:`record` invocations (up to
-        floating-point association).
+        dictionary and attribute work ``calls`` times.  It adds the cost
+        once, ``calls`` times over: bit-identical to ``calls`` :meth:`record`
+        calls only when ``calls`` is 1 (more additions round more often).
         """
         if calls <= 0:
             return 0.0
@@ -255,6 +258,60 @@ class OpCounter:
         else:
             self.write_seconds += cost
         return cost
+
+    def record_point(self, tablet: "OpCounter", kind: OpKind) -> None:
+        """One point operation on both of its ledgers, in one call:
+        ``self.record(kind)`` then ``tablet.record(kind)``."""
+        entry = self.model._cost_table.get(kind)
+        if entry is None:
+            raise ConfigurationError(f"no standalone cost defined for {kind}")
+        fixed, per_row, post_factor = entry
+        cost = (fixed + per_row) * post_factor
+        for ledger in (self, tablet):
+            counts = ledger.counts
+            counts[kind] = counts.get(kind, 0) + 1
+            rows = ledger.rows
+            rows[kind] = rows.get(kind, 0) + 1
+            ledger.simulated_seconds += cost
+            if kind in _READ_KINDS:
+                ledger.read_seconds += cost
+            else:
+                ledger.write_seconds += cost
+
+    def record_group(self, pending: Dict[Tuple["OpCounter", OpKind], int]) -> None:
+        """A group commit's charges, ``(tablet ledger, kind) -> calls``, in
+        one call: ``ledger.record_many(kind, calls)`` for each in order, then
+        ``self.record_many(kind, total)`` once per kind, kinds in the order
+        they first appear."""
+        totals: Dict[OpKind, int] = {}
+        for (ledger, kind), calls in pending.items():
+            ledger.record_many(kind, calls)
+            totals[kind] = totals.get(kind, 0) + calls
+        for kind, calls in totals.items():
+            self.record_many(kind, calls)
+
+    def record_syncs(self, appended: Dict["OpCounter", int]) -> None:
+        """Commit-log group fsyncs, ``tablet ledger -> records``, in one
+        call: for each in order ``self.record_durability(LOG_APPEND, rows=
+        records)``, then the same on the tablet (integers summed at once)."""
+        if not appended:
+            return
+        kind = OpKind.LOG_APPEND
+        fixed, per_row, post_factor = self.model._durability_cost_table[kind]
+        seconds = self.durability_seconds
+        for tablet, records in appended.items():
+            cost = (fixed + per_row * records) * post_factor
+            seconds += cost
+            counts = tablet.durability_counts
+            counts[kind] = counts.get(kind, 0) + 1
+            rows = tablet.durability_rows
+            rows[kind] = rows.get(kind, 0) + records
+            tablet.durability_seconds += cost
+        self.durability_seconds = seconds
+        counts = self.durability_counts
+        counts[kind] = counts.get(kind, 0) + len(appended)
+        rows = self.durability_rows
+        rows[kind] = rows.get(kind, 0) + sum(appended.values())
 
     def record_durability(self, kind: OpKind, rows: int = 1, calls: int = 1) -> float:
         """Record durability work (log fsyncs, flush/compaction I/O).

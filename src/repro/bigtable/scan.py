@@ -94,18 +94,18 @@ class BlockCache:
     server's memory?", bumping each warm block to most-recently-used and
     admitting each cold one.  ``source`` names where a block's rows live —
     an SSTable run id or :data:`MEMTABLE_SOURCE` — so a compaction can evict
-    exactly the blocks of the runs it consumed.  The LRU is the only
-    structure: evicting a source or a tablet sweeps it.
+    exactly the blocks of the runs it consumed.  The LRU, :attr:`lru` (other
+    modules only read it), is the only structure: evictions sweep it.
     """
 
     def __init__(self, options: Optional[BlockCacheOptions] = None) -> None:
         self.options = options or BlockCacheOptions()
-        self._lru: "OrderedDict[Tuple[str, str, str], None]" = OrderedDict()
+        self.lru: "OrderedDict[Tuple[str, str, str], None]" = OrderedDict()
         self._hits: Dict[str, int] = {}
         self._misses: Dict[str, int] = {}
 
     def __len__(self) -> int:
-        return len(self._lru)
+        return len(self.lru)
 
     # ------------------------------------------------------------------
     # Lookup / admission
@@ -120,7 +120,7 @@ class BlockCache:
         evicting the least recently used block past capacity.  The tallies
         take the slice's hits and misses in one step each.
         """
-        lru = self._lru
+        lru = self.lru
         capacity = self.options.capacity_blocks
         prefix_len = self.options.block_prefix_len
         hits = misses = warm = 0
@@ -155,7 +155,7 @@ class BlockCache:
         dirtied it).  Run blocks are immutable — a mutated row moves into
         the memtable and shadows its run versions, so only the memtable
         block changes."""
-        lru = self._lru
+        lru = self.lru
         if lru:
             block = row_key[: self.options.block_prefix_len]
             lru.pop((tablet_id, MEMTABLE_SOURCE, block), None)
@@ -167,13 +167,13 @@ class BlockCache:
         rows now live in the new, cold run); a compaction evicts the blocks
         of every run it consumed.
         """
-        lru = self._lru
+        lru = self.lru
         for key in [key for key in lru if key[0] == tablet_id and key[1] == source]:
             del lru[key]
 
     def invalidate_tablet(self, tablet_id: str) -> None:
         """Evict every block of a tablet (it split, merged or cleared)."""
-        lru = self._lru
+        lru = self.lru
         for key in [key for key in lru if key[0] == tablet_id]:
             del lru[key]
 
@@ -208,7 +208,7 @@ class BlockCache:
 
     def clear(self) -> None:
         """Drop every resident block and every tally."""
-        self._lru.clear()
+        self.lru.clear()
         self.reset_stats()
 
     # ------------------------------------------------------------------
@@ -227,7 +227,7 @@ class BlockCache:
         tablets: Dict[str, int] = {}
         sources: Dict[str, int] = {}
         tablet_at, source_at, blocks = [], [], []
-        for tablet_id, source, block in self._lru:
+        for tablet_id, source, block in self.lru:
             tablet_at.append(tablets.setdefault(tablet_id, len(tablets)))
             source_at.append(sources.setdefault(source, len(sources)))
             blocks.append(block)
@@ -264,7 +264,7 @@ class BlockCache:
             lru[key] = None
         if len(lru) != len(block_len):
             raise ValueError("block-cache snapshot repeats a block key")
-        self._lru, self._hits, self._misses = lru, hits, misses
+        self.lru, self._hits, self._misses = lru, hits, misses
 
 
 class Scanner:

@@ -23,11 +23,11 @@ chain is never mutated: a write binds ``(ts, v) + chain[:limit - 2]`` to the
 qualifier, aging slices the chain in two, a projected read takes
 ``chain[1]``, and a row pulled back from a frozen run shares the run's chains
 instead of copying them.  :class:`Cell` objects are built on demand, only
-where a caller asked for timestamps — :meth:`Table.read_latest`,
-:meth:`Table.read_versions`, :meth:`Table.read_row`, family-less
-``scan``/``batch_read`` and ``scan(versions=True)`` — and belong to that
-caller.  The same goes for the commit log, which keeps columns, not record
-tuples (:class:`~repro.bigtable.lsm.CommitLog`).
+where a caller asked for timestamps — :meth:`Table.read_versions`,
+:meth:`Table.read_row`, family-less ``scan``/``batch_read`` and
+``scan(versions=True)`` — and belong to that caller (:meth:`Table.read_latest`
+returns a bare value).  The same goes for the commit log, which keeps
+columns, not record tuples (:class:`~repro.bigtable.lsm.CommitLog`).
 
 The reason is the garbage collector: every container it tracks is walked by
 every full collection, and with the default engine nothing a tablet stores
@@ -208,20 +208,21 @@ class _GroupCommit:
     """Pending accounting of one group-commit block.
 
     Mutations are already applied to the tablet memtables; what is pending is
-    the counter bookkeeping (grouped as ``tablet -> kind -> calls``) and the
-    split/merge checks for the touched tablets.
+    the counter bookkeeping (``(tablet ledger, kind) -> calls``, what
+    :meth:`OpCounter.record_group` takes) and the split/merge checks for the
+    touched tablets.
     """
 
     __slots__ = ("pending", "tablets", "dirty", "calls", "log_appends")
 
     def __init__(self) -> None:
-        self.pending: Dict[Tuple[str, OpKind], int] = {}
+        self.pending: Dict[Tuple[OpCounter, OpKind], int] = {}
         self.tablets: Dict[str, Tablet] = {}
         self.dirty: Dict[str, Tablet] = {}
         self.calls = 0
-        #: Commit-log records appended per tablet inside this block: the
-        #: block's exit is the group fsync, charged once per tablet log.
-        self.log_appends: Dict[str, int] = {}
+        #: Commit-log records appended per tablet ledger inside this block:
+        #: the block's exit is the group fsync, charged once per tablet log.
+        self.log_appends: Dict[OpCounter, int] = {}
 
 
 class Table:
@@ -266,12 +267,13 @@ class Table:
         self._scanner = Scanner(self.counter, self._tablets, self.cache)
         self._group: Optional[_GroupCommit] = None
         self._group_depth = 0
+        self._group_context = Table._GroupCommitContext(self)
         #: Monotonic per-table mutation sequence: stamps commit-log records
         #: and orders SSTable runs.
         self._seq = 0
-        #: Active :meth:`deferred_log_syncs` tally (tablet -> records), or
-        #: ``None`` when point mutations sync their log individually.
-        self._log_sync_tally: Optional[Dict[str, Tuple[Tablet, int]]] = None
+        #: Active :meth:`deferred_log_syncs` tally (tablet ledger -> records),
+        #: or ``None`` when point mutations sync their log individually.
+        self._log_sync_tally: Optional[Dict[OpCounter, int]] = None
         if store is not None:
             self.attach_store(store)
 
@@ -361,11 +363,6 @@ class Table:
     # ------------------------------------------------------------------
     # Accounting helpers
     # ------------------------------------------------------------------
-    def _charge_read(self, kind: OpKind, tablet: Tablet, rows: int = 1) -> None:
-        """Charge a read-side operation immediately on both ledgers."""
-        self.counter.record(kind, rows=rows)
-        tablet.counter.record(kind, rows=rows)
-
     def _commit(
         self,
         tablet: Tablet,
@@ -400,16 +397,16 @@ class Table:
                 self._store.journal_append((seqno, opcode, row_key) + payload)
         group = self._group
         if group is not None:
-            tablet_id = tablet.tablet_id
-            if opcode is not None:
-                group.log_appends[tablet_id] = group.log_appends.get(tablet_id, 0) + 1
-                group.tablets[tablet_id] = tablet
+            ledger = tablet.counter
             if structural:
-                group.dirty[tablet_id] = tablet
+                group.dirty[tablet.tablet_id] = tablet
+            if opcode is not None or charge:
+                group.tablets[tablet.tablet_id] = tablet
+            if opcode is not None:
+                group.log_appends[ledger] = group.log_appends.get(ledger, 0) + 1
             if charge:
-                key = (tablet_id, kind)
+                key = (ledger, kind)
                 group.pending[key] = group.pending.get(key, 0) + 1
-                group.tablets[tablet_id] = tablet
                 group.calls += 1
                 if group.calls >= self.options.group_commit_size:
                     self._flush_group()
@@ -418,13 +415,11 @@ class Table:
             if self._log_sync_tally is not None:
                 self._tally_log_sync(self._log_sync_tally, tablet)
             else:
-                self.counter.record_durability(OpKind.LOG_APPEND, rows=1)
-                tablet.counter.record_durability(OpKind.LOG_APPEND, rows=1)
+                self.counter.record_syncs({tablet.counter: 1})
                 if self._store is not None:
                     self._store.journal_commit()
         if charge:
-            self.counter.record(kind)
-            tablet.counter.record(kind)
+            self.counter.record_point(tablet.counter, kind)
             if structural:
                 self._tablets.maybe_split(tablet)
                 self._tablets.maybe_merge(tablet)
@@ -434,11 +429,9 @@ class Table:
             self._tablets.maybe_merge(tablet)
 
     @staticmethod
-    def _tally_log_sync(
-        appended: Dict[str, Tuple[Tablet, int]], tablet: Tablet
-    ) -> None:
-        entry = appended.get(tablet.tablet_id)
-        appended[tablet.tablet_id] = (tablet, 1 if entry is None else entry[1] + 1)
+    def _tally_log_sync(appended: Dict[OpCounter, int], tablet: Tablet) -> None:
+        ledger = tablet.counter
+        appended[ledger] = appended.get(ledger, 0) + 1
 
     @contextmanager
     def deferred_log_syncs(self):
@@ -453,7 +446,7 @@ class Table:
         if self._log_sync_tally is not None or self._group is not None:
             yield
             return
-        tally: Dict[str, Tuple[Tablet, int]] = {}
+        tally: Dict[OpCounter, int] = {}
         self._log_sync_tally = tally
         try:
             yield
@@ -464,14 +457,14 @@ class Table:
     def _log_batch_record(
         self,
         tablet: Tablet,
-        appended: Dict[str, Tuple[Tablet, int]],
+        appended: Dict[OpCounter, int],
         opcode: str,
         row_key: str,
         *payload: object,
     ) -> None:
         """Stamp and append a log record whose fsync the caller batches (the
         batch-RPC paths' group commit, whatever block is open around them):
-        the record is tallied into ``appended`` (tablet -> record count) and
+        the record is tallied into ``appended`` (tablet ledger -> records) and
         :meth:`_charge_log_syncs` later charges one group fsync per tablet.
         (The stamp is :meth:`_commit`'s, repeated so that stays one frame.)"""
         self._seq += 1
@@ -482,11 +475,9 @@ class Table:
             self._store.journal_append((self._seq, opcode, row_key) + payload)
         self._tally_log_sync(appended, tablet)
 
-    def _charge_log_syncs(self, appended: Dict[str, Tuple[Tablet, int]]) -> None:
+    def _charge_log_syncs(self, appended: Dict[OpCounter, int]) -> None:
         """Charge one group fsync per tablet for deferred log appends."""
-        for tablet, count in appended.values():
-            self.counter.record_durability(OpKind.LOG_APPEND, rows=count)
-            tablet.counter.record_durability(OpKind.LOG_APPEND, rows=count)
+        self.counter.record_syncs(appended)
         if appended and self._store is not None:
             self._store.journal_commit()
 
@@ -514,7 +505,7 @@ class Table:
         accounting (and the tablet split/merge checks) is flushed in bulk at
         block exit — BigTable's batched commit-log flush.
         """
-        return Table._GroupCommitContext(self)
+        return self._group_context
 
     class _GroupCommitContext:
         __slots__ = ("_table",)
@@ -551,18 +542,12 @@ class Table:
             # non-structural mutations (e.g. an aging rewrite loop) must
             # not drop its pending fsync accounting.
             return
-        kind_totals: Dict[OpKind, int] = {}
-        for (tablet_id, kind), calls in group.pending.items():
-            group.tablets[tablet_id].counter.record_many(kind, calls)
-            kind_totals[kind] = kind_totals.get(kind, 0) + calls
-        for kind, calls in kind_totals.items():
-            self.counter.record_many(kind, calls)
-        for tablet_id, appends in group.log_appends.items():
-            tablet = group.tablets[tablet_id]
-            self.counter.record_durability(OpKind.LOG_APPEND, rows=appends)
-            tablet.counter.record_durability(OpKind.LOG_APPEND, rows=appends)
-        if group.log_appends and self._store is not None:
-            self._store.journal_commit()
+        if group.pending:
+            self.counter.record_group(group.pending)
+        if group.log_appends:
+            self.counter.record_syncs(group.log_appends)
+            if self._store is not None:
+                self._store.journal_commit()
         for tablet in group.dirty.values():
             self._tablets.maybe_split(tablet)
             while self._tablets.maybe_merge(tablet):
@@ -589,8 +574,9 @@ class Table:
         """Apply one cell write to an already-located tablet; returns whether
         the row is new.  Pure state transition: commit logging and charging
         are the caller's business (recovery replays through here)."""
-        declared = self.family(family)
-        self.cache.invalidate_row(tablet.tablet_id, row_key)
+        declared = self._families.get(family) or self.family(family)
+        if self.cache.lru:
+            self.cache.invalidate_row(tablet.tablet_id, row_key)
         row = tablet.ensure_writable(row_key)
         added_row = row is None
         if row is None:
@@ -630,8 +616,10 @@ class Table:
         copy would be re-flushed unchanged later, inflating write
         amplification for zero logical change).
         """
-        self.family(family)
-        self.cache.invalidate_row(tablet.tablet_id, row_key)
+        if family not in self._families:
+            self.family(family)
+        if self.cache.lru:
+            self.cache.invalidate_row(tablet.tablet_id, row_key)
         row = tablet.rows.get(row_key)
         if row is None and tablet.runs:
             # Check existence on the frozen run version before pulling it
@@ -706,22 +694,20 @@ class Table:
     # ------------------------------------------------------------------
     def read_latest(
         self, row_key: str, family: str, qualifier: str, _charge: bool = True
-    ) -> Optional[Cell]:
-        """Newest cell of ``(row, family, qualifier)`` or ``None``."""
-        self.family(family)
+    ) -> object:
+        """Newest value of ``(row, family, qualifier)``, or ``None`` when the
+        row or the cell does not exist (no :class:`Cell`: no timestamp)."""
+        if family not in self._families:
+            self.family(family)
         tablet = self._tablets.locate(row_key)
         if _charge:
-            self._charge_read(OpKind.READ, tablet)
+            self.counter.record_point(tablet.counter, OpKind.READ)
         row = tablet.live_row(row_key)
         if row is None:
             return None
         qualifiers = row.get(family)
         chain = qualifiers.get(qualifier) if qualifiers else None
-        if not chain:
-            return None
-        # One point read per update message: skip the NamedTuple's
-        # Python-level ``__new__`` and fill the tuple directly.
-        return tuple.__new__(Cell, chain[:2])
+        return chain[1] if chain else None
 
     def read_versions(
         self, row_key: str, family: str, qualifier: str, _charge: bool = True
@@ -730,7 +716,7 @@ class Table:
         self.family(family)
         tablet = self._tablets.locate(row_key)
         if _charge:
-            self._charge_read(OpKind.READ, tablet)
+            self.counter.record_point(tablet.counter, OpKind.READ)
         row = tablet.live_row(row_key)
         if row is None:
             return []
@@ -747,7 +733,7 @@ class Table:
         """
         tablet = self._tablets.locate(row_key)
         if _charge:
-            self._charge_read(OpKind.READ, tablet)
+            self.counter.record_point(tablet.counter, OpKind.READ)
         row = tablet.live_row(row_key)
         if row is None:
             raise RowNotFoundError(f"row {row_key!r} not found in table {self.name!r}")
@@ -809,9 +795,8 @@ class Table:
         Charged as a single scan RPC (BigTable answers this from tablet
         metadata without streaming every row back).
         """
-        self.counter.record(OpKind.SCAN, rows=1)
         probe = self._tablets.locate(start_key or OPEN_START)
-        probe.counter.record(OpKind.SCAN, rows=1)
+        self.counter.record_point(probe.counter, OpKind.SCAN)
         return self._tablets.count_range(start_key, end_key)
 
     def batch_read(
@@ -857,7 +842,7 @@ class Table:
         Each mutation is ``(row_key, family, qualifier, value, timestamp)``.
         """
         tally = _TabletTally()
-        appended: Dict[str, Tuple[Tablet, int]] = {}
+        appended: Dict[OpCounter, int] = {}
         for row_key, family, qualifier, value, timestamp in mutations:
             tablet = self._tablets.locate(row_key)
             self._write_into(tablet, row_key, family, qualifier, value, timestamp)
@@ -876,7 +861,7 @@ class Table:
     def batch_delete(self, deletes: Sequence[Tuple[str, str, str]]) -> None:
         """Apply several cell deletions in one RPC."""
         tally = _TabletTally()
-        appended: Dict[str, Tuple[Tablet, int]] = {}
+        appended: Dict[OpCounter, int] = {}
         for row_key, family, qualifier in deletes:
             tablet = self._tablets.locate(row_key)
             existed, _ = self._delete_cell_from(tablet, row_key, family, qualifier)
@@ -913,7 +898,7 @@ class Table:
         moved = 0
         touched_rows = 0
         tally = _TabletTally()
-        appended: Dict[str, Tuple[Tablet, int]] = {}
+        appended: Dict[OpCounter, int] = {}
         # Two passes: aging a run-resident row pulls it back into the
         # memtable, which must not happen under the merged iterator.
         candidates = [

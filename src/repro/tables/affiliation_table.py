@@ -153,10 +153,8 @@ class AffiliationTable:
         This is the first storage access of every update (Algorithm 1,
         line 1).
         """
-        cell = self._table.read_latest(object_id, LF_FAMILY, LF_QUALIFIER)
-        if cell is None:
-            return None
-        return tuple.__new__(LFRecord, cell[1])
+        value = self._table.read_latest(object_id, LF_FAMILY, LF_QUALIFIER)
+        return None if value is None else tuple.__new__(LFRecord, value)
 
     def batch_roles(self, object_ids: Sequence[ObjectId]) -> Dict[ObjectId, LFRecord]:
         """L/F records of several objects in one batch read."""
@@ -252,10 +250,10 @@ class AffiliationTable:
         """Ids of every object currently labelled a leader (test helper)."""
         leaders = []
         for object_id in self._table.all_keys():
-            cell = self._table.read_latest(
+            value = self._table.read_latest(
                 object_id, LF_FAMILY, LF_QUALIFIER, _charge=False
             )
-            if cell is not None and cell.value[0] == LEADER_CODE:
+            if value is not None and value[0] == LEADER_CODE:
                 leaders.append(object_id)
         return leaders
 

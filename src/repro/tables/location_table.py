@@ -106,10 +106,8 @@ class LocationTable:
     # ------------------------------------------------------------------
     def latest(self, object_id: ObjectId) -> Optional[LocationRecord]:
         """Most recent record of ``object_id`` or ``None`` when unknown."""
-        cell = self._table.read_latest(object_id, FRESH_FAMILY, RECORD_QUALIFIER)
-        if cell is None:
-            return None
-        return tuple.__new__(LocationRecord, cell[1])
+        value = self._table.read_latest(object_id, FRESH_FAMILY, RECORD_QUALIFIER)
+        return None if value is None else tuple.__new__(LocationRecord, value)
 
     def recent_history(self, object_id: ObjectId) -> List[LocationRecord]:
         """All in-memory records of ``object_id``, newest first."""

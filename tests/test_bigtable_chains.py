@@ -114,13 +114,14 @@ class CellListTable(Table):
 
     def read_latest(self, row_key, family, qualifier, _charge=True):
         cells = self.read_versions(row_key, family, qualifier, _charge)
-        return cells[0] if cells else None
+        return cells[0].value if cells else None
 
     def read_versions(self, row_key, family, qualifier, _charge=True):
         self.family(family)
         tablet = self._tablets.locate(row_key)
         if _charge:
-            self._charge_read(OpKind.READ, tablet)
+            self.counter.record(OpKind.READ)
+            tablet.counter.record(OpKind.READ)
         row = tablet.live_row(row_key)
         if row is None:
             return []

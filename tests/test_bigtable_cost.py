@@ -1,6 +1,7 @@
 """Tests for the cost model and operation counter."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.bigtable.cost import CostModel, OpCounter, OpKind
 from repro.errors import ConfigurationError
@@ -104,3 +105,126 @@ class TestOpCounter:
         snapshot = counter.snapshot()
         counter.record(OpKind.READ)
         assert snapshot.counts[OpKind.READ] == 1
+
+
+# ----------------------------------------------------------------------
+# The one-call entry points against the call sequences they replace
+# ----------------------------------------------------------------------
+STANDARD_KINDS = [
+    OpKind.READ, OpKind.WRITE, OpKind.DELETE, OpKind.SCAN,
+    OpKind.BATCH_READ, OpKind.BATCH_WRITE, OpKind.CACHE_READ,
+]
+
+
+def reference_point(shared, tablet, kind):
+    shared.record(kind)
+    tablet.record(kind)
+
+
+def reference_group(shared, pending):
+    totals = {}
+    for (ledger, kind), calls in pending.items():
+        ledger.record_many(kind, calls)
+        totals[kind] = totals.get(kind, 0) + calls
+    for kind, calls in totals.items():
+        shared.record_many(kind, calls)
+
+
+def reference_syncs(shared, appended):
+    for tablet, rows in appended.items():
+        shared.record_durability(OpKind.LOG_APPEND, rows=rows)
+        tablet.record_durability(OpKind.LOG_APPEND, rows=rows)
+
+
+def ledger_view(counter):
+    """Every field, dicts with their key order: ``==`` on floats is exact."""
+    return {
+        name: list(value.items()) if isinstance(value, dict) else value
+        for name, value in vars(counter).items()
+    }
+
+
+def run_program(program, model, tablets, one_call):
+    shared = OpCounter(model=model)
+    ledgers = [OpCounter(model=model) for _ in range(tablets)]
+    for op, arguments in program:
+        if op == "point":
+            index, kind = arguments
+            if one_call:
+                shared.record_point(ledgers[index], kind)
+            else:
+                reference_point(shared, ledgers[index], kind)
+        elif op == "group":
+            # A group commit's pending dict: insertion order is charge order.
+            pending = {}
+            for index, kind, calls in arguments:
+                key = (ledgers[index], kind)
+                pending[key] = pending.get(key, 0) + calls
+            if one_call:
+                shared.record_group(pending)
+            else:
+                reference_group(shared, pending)
+        else:
+            appended = {}
+            for index, rows in arguments:
+                appended[ledgers[index]] = appended.get(ledgers[index], 0) + rows
+            if one_call:
+                shared.record_syncs(appended)
+            else:
+                reference_syncs(shared, appended)
+    return [ledger_view(ledger) for ledger in [shared] + ledgers]
+
+
+TABLETS = 4
+_tablet = st.integers(0, TABLETS - 1)
+_kind = st.sampled_from(STANDARD_KINDS)
+PROGRAMS = st.lists(
+    st.one_of(
+        st.tuples(st.just("point"), st.tuples(_tablet, _kind)),
+        st.tuples(
+            st.just("group"),
+            st.lists(st.tuples(_tablet, _kind, st.integers(1, 300)), max_size=6),
+        ),
+        st.tuples(
+            st.just("syncs"),
+            st.lists(st.tuples(_tablet, st.integers(1, 300)), max_size=6),
+        ),
+    ),
+    max_size=25,
+)
+
+READ_THEN_WRITE = [("group", [(0, OpKind.READ, 3), (0, OpKind.WRITE, 7), (1, OpKind.READ, 2)])]
+WRITE_THEN_READ = [("group", [(0, OpKind.WRITE, 7), (0, OpKind.READ, 3), (1, OpKind.READ, 2)])]
+
+
+class TestOneCallEntryPoints:
+    @settings(max_examples=200, deadline=None)
+    @given(program=PROGRAMS, factor=st.sampled_from([1.0, 1.7]))
+    @example(program=READ_THEN_WRITE, factor=1.0)
+    @example(program=WRITE_THEN_READ, factor=1.0)
+    def test_bit_identical_to_the_call_sequence(self, program, factor):
+        model = CostModel(write_contention_factor=factor)
+        assert run_program(program, model, TABLETS, True) == run_program(
+            program, model, TABLETS, False
+        )
+
+    @pytest.mark.parametrize("program", [READ_THEN_WRITE, WRITE_THEN_READ])
+    def test_kind_order_is_kept_per_ledger(self, program):
+        # After a warm-up that leaves every float total non-zero, a tablet
+        # charged READ then WRITE must keep that order, and WRITE then READ
+        # its own: sorting or merging the kinds shows in key order.
+        warm_up = [("point", (0, OpKind.SCAN)), ("point", (1, OpKind.DELETE))]
+        model = CostModel()
+        ours = run_program(warm_up + program, model, 2, True)
+        assert ours == run_program(warm_up + program, model, 2, False)
+        first, second = program[0][1][0][1], program[0][1][1][1]
+        assert [kind for kind, _ in ours[1]["counts"]] == [OpKind.SCAN, first, second]
+        assert [kind for kind, _ in ours[0]["counts"]][1:] == [OpKind.DELETE, first, second]
+
+    def test_durability_kinds_are_refused(self):
+        shared, tablet = OpCounter(), OpCounter()
+        with pytest.raises(ConfigurationError):
+            shared.record_point(tablet, OpKind.LOG_APPEND)
+        with pytest.raises(ConfigurationError):
+            shared.record_group({(tablet, OpKind.COMPACTION_WRITE): 1})
+        assert ledger_view(shared) == ledger_view(tablet) == ledger_view(OpCounter())

@@ -207,7 +207,7 @@ class TestFlushAndMergedReads:
         assert table.log_record_count() == 0  # flush truncates the log
         # Reads span the run transparently.
         assert table.row_count() == 5
-        assert table.read_latest("k0003", "f", "q").value == 3
+        assert table.read_latest("k0003", "f", "q") == 3
         assert latest_values(table) == {f"k{i:04d}": i for i in range(5)}
 
     def test_overwrite_pulls_row_back_into_memtable(self):
@@ -217,7 +217,7 @@ class TestFlushAndMergedReads:
         table.write("k0002", "f", "q", 99, 10.0)
         (tablet,) = table.tablets()
         assert len(tablet.rows) == 1  # only the overwritten row came back
-        assert table.read_latest("k0002", "f", "q").value == 99
+        assert table.read_latest("k0002", "f", "q") == 99
         assert table.row_count() == 5
         # The run's frozen copy is shadowed, not modified: read through the
         # run alone it still holds the flushed value ...
@@ -225,7 +225,7 @@ class TestFlushAndMergedReads:
         # ... and with the memtable and its log tail gone, so does the table.
         tablet.log.clear()
         table.recover()
-        assert table.read_latest("k0002", "f", "q") == Cell(timestamp=2.0, value=2)
+        assert table.read_versions("k0002", "f", "q") == [Cell(timestamp=2.0, value=2)]
 
     def test_auto_flush_and_compaction_keep_run_count_tiered(self):
         table = make_table()
@@ -251,7 +251,7 @@ class TestFlushAndMergedReads:
             table.flush_memtables()
         assert table.run_count() >= 3
         for index in range(4):
-            assert table.read_latest(f"k{index:04d}", "f", "q").value == 200 + index
+            assert table.read_latest(f"k{index:04d}", "f", "q") == 200 + index
 
 
 class TestDurabilityLedger:

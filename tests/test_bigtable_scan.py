@@ -45,7 +45,7 @@ class TestBlockCache:
         cache.price("t1", MEMTABLE_SOURCE, ["aa1"])
         # aa is warm (3 rows), bb and cc are cold (1 + 2 rows).
         assert cache.price("t1", MEMTABLE_SOURCE, ["aa1", "aa2", "aa3", "bb1", "cc1", "cc2"]) == 3
-        assert list(cache._lru) == [
+        assert list(cache.lru) == [
             ("t1", MEMTABLE_SOURCE, "aa"), ("t1", MEMTABLE_SOURCE, "bb"), ("t1", MEMTABLE_SOURCE, "cc"),
         ]
         assert (cache._hits, cache._misses) == ({"t1": 1}, {"t1": 3})
@@ -76,7 +76,7 @@ class TestBlockCache:
         cache.price("t1", "run-1", ["aa"])
         cache.price("t2", MEMTABLE_SOURCE, ["aa"])
         cache.invalidate_tablet("t1")
-        assert list(cache._lru) == [("t2", MEMTABLE_SOURCE, "aa")]
+        assert list(cache.lru) == [("t2", MEMTABLE_SOURCE, "aa")]
 
     def test_invalidate_source_evicts_only_that_source(self):
         cache = BlockCache(BlockCacheOptions(block_prefix_len=2))
@@ -84,7 +84,7 @@ class TestBlockCache:
         cache.price("t1", "run-1", ["aa"])
         cache.price("t2", "run-1", ["aa"])
         cache.invalidate_source("t1", "run-1")
-        assert list(cache._lru) == [
+        assert list(cache.lru) == [
             ("t1", MEMTABLE_SOURCE, "aa"), ("t1", MEMTABLE_SOURCE, "bb"), ("t2", "run-1", "aa"),
         ]
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bigtable.cost import OpKind
-from repro.bigtable.table import Cell, ColumnFamily, Table
+from repro.bigtable.table import ColumnFamily, Table
 from repro.errors import ColumnFamilyError, RowNotFoundError
 
 
@@ -44,8 +44,7 @@ class TestPointOperations:
     def test_write_then_read_latest(self):
         table = make_table()
         table.write("row1", "mem", "q", "value", timestamp=1.0)
-        cell = table.read_latest("row1", "mem", "q")
-        assert cell == Cell(timestamp=1.0, value="value")
+        assert table.read_latest("row1", "mem", "q") == "value"
 
     def test_read_missing_returns_none(self):
         table = make_table()
@@ -70,7 +69,7 @@ class TestPointOperations:
         table = make_table()
         table.write("row", "mem", "q", "late", timestamp=5.0)
         table.write("row", "mem", "q", "early", timestamp=1.0)
-        assert table.read_latest("row", "mem", "q").value == "late"
+        assert table.read_latest("row", "mem", "q") == "late"
 
     def test_delete_cell(self):
         table = make_table()
@@ -104,6 +103,67 @@ class TestPointOperations:
         table = make_table()
         with pytest.raises(RowNotFoundError):
             table.read_row("missing")
+
+
+def ledgers(table):
+    return [table.counter.snapshot()] + [t.counter.snapshot() for t in table.tablets()]
+
+
+class TestReadLatestContract:
+    """``read_latest`` returns the newest value itself (or ``None``) and
+    charges one READ to the shared ledger and one to the owning tablet."""
+
+    def charged_read(self, table, row_key, family="mem"):
+        (tablet,) = table.tablets()
+        before = table.counter.count(OpKind.READ), tablet.counter.count(OpKind.READ)
+        value = table.read_latest(row_key, family, "q")
+        after = table.counter.count(OpKind.READ), tablet.counter.count(OpKind.READ)
+        assert after == (before[0] + 1, before[1] + 1)
+        return value
+
+    def test_memtable_hit(self):
+        table = make_table()
+        table.write("row", "mem", "q", ("x", 1), 1.0)
+        table.write("row", "mem", "q", ("x", 2), 2.0)
+        assert self.charged_read(table, "row") == ("x", 2)
+
+    def test_run_resident_row(self):
+        table = make_table()
+        table.write("row", "mem", "q", "flushed", 1.0)
+        table.flush_memtables()
+        (tablet,) = table.tablets()
+        assert len(tablet.rows) == 0 and table.run_count() == 1
+        assert self.charged_read(table, "row") == "flushed"
+
+    def test_memtable_tombstone_shadows_the_run_row(self):
+        table = make_table()
+        table.write("row", "mem", "q", "flushed", 1.0)
+        table.flush_memtables()
+        assert table.delete_row("row")
+        (tablet,) = table.tablets()
+        assert len(tablet.rows) == 1 and table.run_count() == 1
+        assert self.charged_read(table, "row") is None
+
+    def test_absent_cell_of_a_live_row(self):
+        table = make_table()
+        table.write("row", "disk", "q", "elsewhere", 1.0)
+        assert self.charged_read(table, "row") is None
+
+    def test_uncharged_read_charges_nothing(self):
+        table = make_table()
+        table.write("row", "mem", "q", "v", 1.0)
+        before = ledgers(table)
+        assert table.read_latest("row", "mem", "q", _charge=False) == "v"
+        assert table.read_latest("nope", "mem", "q", _charge=False) is None
+        assert ledgers(table) == before
+
+    def test_unknown_family_raises_before_charging(self):
+        table = make_table()
+        table.write("row", "mem", "q", "v", 1.0)
+        before = ledgers(table)
+        with pytest.raises(ColumnFamilyError):
+            table.read_latest("row", "nope", "q")
+        assert ledgers(table) == before
 
 
 class TestScansAndBatches:

@@ -247,7 +247,7 @@ class TestGroupCommit:
         table = make_table()
         with table.group_commit():
             table.write("row", "f", "q", "value", 1.0)
-            assert table.read_latest("row", "f", "q").value == "value"
+            assert table.read_latest("row", "f", "q") == "value"
 
     def test_charges_flushed_at_exit(self):
         table = make_table()

@@ -33,15 +33,15 @@ class ProbeBlockCache(BlockCache):
 
     def probe(self, tablet_id, block, source=MEMTABLE_SOURCE):
         key = (tablet_id, source, block)
-        if key in self._lru:
-            self._lru.move_to_end(key)
+        if key in self.lru:
+            self.lru.move_to_end(key)
             self._hits[tablet_id] = self._hits.get(tablet_id, 0) + 1
             return True
         self._misses[tablet_id] = self._misses.get(tablet_id, 0) + 1
-        self._lru[key] = None
+        self.lru[key] = None
         self._by_tablet.setdefault(tablet_id, set()).add(key)
-        if len(self._lru) > self.options.capacity_blocks:
-            evicted = self._lru.popitem(last=False)[0]
+        if len(self.lru) > self.options.capacity_blocks:
+            evicted = self.lru.popitem(last=False)[0]
             resident = self._by_tablet.get(evicted[0])
             if resident is not None:
                 resident.discard(evicted)
@@ -58,7 +58,7 @@ class ProbeBlockCache(BlockCache):
             resident.discard(key)
             if not resident:
                 del self._by_tablet[tablet_id]
-            del self._lru[key]
+            del self.lru[key]
 
     def invalidate_source(self, tablet_id, source):
         resident = self._by_tablet.get(tablet_id)
@@ -66,13 +66,13 @@ class ProbeBlockCache(BlockCache):
             return
         for key in [key for key in resident if key[1] == source]:
             resident.discard(key)
-            del self._lru[key]
+            del self.lru[key]
         if not resident:
             del self._by_tablet[tablet_id]
 
     def invalidate_tablet(self, tablet_id):
         for key in self._by_tablet.pop(tablet_id, ()):
-            del self._lru[key]
+            del self.lru[key]
 
     def clear(self):
         super().clear()
@@ -200,7 +200,7 @@ def observe(table):
         )
 
     return {
-        "lru": list(cache._lru),
+        "lru": list(cache.lru),
         "hits": list(cache._hits.items()),
         "misses": list(cache._misses.items()),
         "snapshot": pack_value(cache.export_state()),

@@ -858,9 +858,9 @@ def _install_block_cache(body: bytes):
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise UnrecoverableShardError(f"snapshot does not fit: {exc!r}") from exc
     lengths = list(array("I", state["block_len"]))
-    assert [len(block) for _, _, block in cache._lru] == lengths
+    assert [len(block) for _, _, block in cache.lru] == lengths
     assert sum(lengths) == len(state["blocks"])
-    return list(cache._lru), cache._hits, cache._misses
+    return list(cache.lru), cache._hits, cache._misses
 
 
 def _fuzz_cases() -> dict:

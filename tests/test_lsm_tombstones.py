@@ -93,8 +93,7 @@ class TestDeleteFlushCompactScan:
         table.flush_memtables()
         table.delete_row("k0001")
         table.write("k0001", "f", "q", 777, 99.0)
-        cell = table.read_latest("k0001", "f", "q", _charge=False)
-        assert cell.value == 777
+        assert table.read_latest("k0001", "f", "q", _charge=False) == 777
         versions = table.read_versions("k0001", "f", "q", _charge=False)
         assert [c.value for c in versions] == [777]  # old versions stay dead
         table.flush_memtables()

@@ -16,6 +16,8 @@ from repro.bigtable.tablet import TabletOptions
 from repro.core.config import MoistConfig
 from repro.core.moist import MoistIndexer
 from repro.geometry.bbox import BoundingBox
+from repro.tables.affiliation_table import AffiliationTable
+from repro.tables.location_table import LocationTable
 from repro.tables.spatial_index_table import SpatialIndexTable
 
 from helpers import make_update
@@ -169,7 +171,7 @@ class _SixFrameTable(Table):
         group = self._group
         if group is not None:
             tablet_id = tablet.tablet_id
-            key = (tablet_id, kind)
+            key = (tablet.counter, kind)
             group.pending[key] = group.pending.get(key, 0) + 1
             group.tablets[tablet_id] = tablet
             if structural:
@@ -198,9 +200,9 @@ class _SixFrameTable(Table):
         self._log_append(tablet, opcode, row_key, payload)
         group = self._group
         if group is not None:
-            tablet_id = tablet.tablet_id
-            group.log_appends[tablet_id] = group.log_appends.get(tablet_id, 0) + 1
-            group.tablets[tablet_id] = tablet
+            ledger = tablet.counter
+            group.log_appends[ledger] = group.log_appends.get(ledger, 0) + 1
+            group.tablets[tablet.tablet_id] = tablet
         elif self._log_sync_tally is not None:
             self._tally_log_sync(self._log_sync_tally, tablet)
         else:
@@ -458,6 +460,8 @@ class TestTraceVisibility:
         for name in ("write", "delete_cell", "read_latest", "_flush_group"):
             watch(Table, name)
         watch(SpatialIndexTable, "move")
+        watch(LocationTable, "latest")
+        watch(AffiliationTable, "role_of")
         counter = indexer.emulator.counter
         before = counter.snapshot()
         # Everyone reports from the far side of the world: each move deletes
@@ -470,4 +474,8 @@ class TestTraceVisibility:
         assert seen["write"] == delta.counts[OpKind.WRITE]
         assert seen["delete_cell"] == delta.counts[OpKind.DELETE] == 12
         assert seen["read_latest"] == delta.counts[OpKind.READ]
+        # Algorithm 1's two point reads per leader update, both through
+        # ``read_latest``.
+        assert seen["role_of"] == seen["latest"] == 12
+        assert seen["read_latest"] == seen["role_of"] + seen["latest"]
         assert seen["_flush_group"] >= 3  # one per table of the batch
