@@ -38,7 +38,8 @@ from repro.geometry.point import Point
 from repro.geometry.vector import Vector
 from repro.model import UpdateMessage, format_object_id
 from repro.server.cluster import ServerCluster
-from repro.server.loadtest import FaultPlan, LoadTest, LoadTestResult
+from repro.server.faults import FaultSchedule
+from repro.server.loadtest import LoadTest, LoadTestResult
 from repro.server.master import MasterOptions, TabletMaster
 from repro.workload.queries import NNQuery
 
@@ -116,7 +117,7 @@ def rebalance_harness(
     balanced: bool,
     seed: int = 59,
     rebalance_every: int = 4,
-    fault_plan: Optional[FaultPlan] = None,
+    faults: Optional[FaultSchedule] = None,
     record_service_times: bool = True,
 ):
     """A preloaded cluster in one of the two compared modes.
@@ -124,7 +125,7 @@ def rebalance_harness(
     ``balanced=False`` is a cluster without a control plane: tablet routing
     by static hash affinity.  ``balanced=True`` attaches a
     :class:`TabletMaster` that rebalances every ``rebalance_every`` batches
-    (and applies ``fault_plan`` when given).  Returns
+    (and fires ``faults`` when given).  Returns
     ``(indexer, cluster, master, load_test)``.
     """
     indexer = uniform_leader_indexer(num_objects, seed=seed)
@@ -141,7 +142,7 @@ def rebalance_harness(
         failure_probability=0.0,
         seed=seed,
         rebalance_every=rebalance_every if balanced else 0,
-        fault_plan=fault_plan if balanced else None,
+        faults=faults if balanced else None,
     )
     return indexer, cluster, master, load_test
 
@@ -154,11 +155,10 @@ def measure_rebalance(
     num_requests: int = 4000,
     batch_size: int = 256,
     seed: int = 59,
-    fault_plan: Optional[FaultPlan] = None,
 ) -> LoadTestResult:
     """One hot-school run in one cluster mode (simulated numbers only)."""
     _, _, _, load_test = rebalance_harness(
-        num_objects, num_servers, balanced, seed=seed, fault_plan=fault_plan
+        num_objects, num_servers, balanced, seed=seed
     )
     messages, queries = hot_school_streams(
         num_objects, num_requests, hot_fraction, seed=seed

@@ -13,9 +13,9 @@ the requests completed divided by the busiest server's simulated time.
 The cluster also carries a control plane: a
 :class:`~repro.server.master.TabletMaster` that watches per-tablet load,
 migrates hot tablets between front-ends, replicates read-hot tablets for
-query fan-out and fails crashed servers over — with a deterministic
-:class:`~repro.server.loadtest.FaultPlan` injector driving crashes through
-the load tests.
+query fan-out and fails crashed servers over — with one seeded
+:class:`~repro.server.faults.FaultSchedule` driving simulated crashes and
+real worker failures through the load tests.
 
 The deployment also scales *out*: a
 :class:`~repro.server.scaleout.ScaleOutCluster` scatter-gathers the same

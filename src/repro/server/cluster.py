@@ -15,6 +15,7 @@ from repro.errors import ConfigurationError, UnrecoverableShardError
 from repro.geometry.point import Point
 from repro.model import NeighborResult, UpdateMessage
 from repro.server.contention import TabletContentionModel
+from repro.server.faults import Fault
 from repro.server.frontend import FrontendServer
 
 
@@ -594,15 +595,15 @@ class ServerCluster:
     def rebalance(self) -> None:
         self._require_master().rebalance()
 
-    def apply_fault(self, event) -> List[str]:
-        """Fire one scheduled :class:`~repro.server.loadtest.FaultEvent`
-        through the master; one description of what actually happened."""
+    def apply_fault(self, fault: Fault) -> List[str]:
+        """Fire one simulated :class:`~repro.server.faults.Fault` through
+        the master; one description of what actually happened."""
         outcome = self._require_master().apply_fault(
-            event.kind, event.server_id, event.crash_point
+            fault.kind, fault.target, fault.crash_point
         )
         if outcome == "[applied]":  # a single cluster logs revivals bare
-            return [event.describe()]
-        return [f"{event.describe()} {outcome}"]
+            return [fault.describe()]
+        return [f"{fault.describe()} {outcome}"]
 
     def master_action_counts(self) -> Tuple[int, int, int]:
         """Cumulative ``(migrations, replications, failovers)``."""

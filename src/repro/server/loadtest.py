@@ -2,10 +2,10 @@
 deterministic fault injector driving the control-plane experiments.
 
 The batched load-test loops double as the cluster's "wall clock": between
-request batches they give the tablet master its rebalance ticks and apply
-the :class:`FaultPlan`'s scheduled faults (server crashes, revivals and
-migrations crashed mid-flight).  Everything is seeded and simulated, so two
-identical plans produce byte-identical :meth:`LoadTestResult.to_report`
+request batches they fire the
+:class:`~repro.server.faults.FaultSchedule`'s faults and give the tablet
+master its rebalance ticks.  Everything is seeded and simulated, so two
+identical schedules produce byte-identical :meth:`LoadTestResult.to_report`
 renderings — the determinism guard the test suite enforces.
 
 One :class:`LoadTest` drives any cluster that satisfies the small protocol
@@ -27,124 +27,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from repro.errors import ConfigurationError
 from repro.model import UpdateMessage
 from repro.server.client import ClientSimulator, build_client_fleet
-from repro.server.master import (
-    CRASH_AFTER_FLUSH,
-    CRASH_AFTER_HANDOFF,
-    CRASH_SERVER,
-    MIGRATION_CRASH,
-    REVIVE_SERVER,
-)
-
-_FAULT_KINDS = (CRASH_SERVER, REVIVE_SERVER, MIGRATION_CRASH)
-
-
-@dataclass(frozen=True)
-class FaultEvent:
-    """One scheduled fault: fires before the batch round ``at_batch``."""
-
-    at_batch: int
-    kind: str
-    server_id: Optional[int] = None
-    crash_point: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in _FAULT_KINDS:
-            raise ConfigurationError(f"unknown fault kind {self.kind!r}")
-        if self.at_batch < 0:
-            raise ConfigurationError("at_batch must be >= 0")
-        if self.kind in (CRASH_SERVER, REVIVE_SERVER):
-            if self.server_id is None:
-                raise ConfigurationError(f"{self.kind} needs a server_id")
-            if self.server_id < 0:
-                raise ConfigurationError("server_id must be >= 0")
-        if self.crash_point is not None and self.crash_point not in (
-            CRASH_AFTER_FLUSH,
-            CRASH_AFTER_HANDOFF,
-        ):
-            raise ConfigurationError(
-                f"unknown migration crash point {self.crash_point!r}"
-            )
-
-    def describe(self) -> str:
-        if self.kind == MIGRATION_CRASH:
-            return f"batch {self.at_batch}: {self.kind} ({self.crash_point})"
-        return f"batch {self.at_batch}: {self.kind} server {self.server_id}"
-
-
-class FaultPlan:
-    """A deterministic fault schedule for one load test.
-
-    Events are sorted and applied at batch-round boundaries; the same plan
-    against the same workload replays bit-identically.  Build one
-    explicitly from :class:`FaultEvent` tuples, or let :meth:`seeded`
-    derive a reproducible plan from a seed.
-    """
-
-    def __init__(self, events: Sequence[FaultEvent] = ()) -> None:
-        self.events: List[FaultEvent] = sorted(
-            events,
-            key=lambda event: (
-                event.at_batch,
-                event.kind,
-                -1 if event.server_id is None else event.server_id,
-            ),
-        )
-
-    @classmethod
-    def seeded(
-        cls,
-        seed: int,
-        num_batches: int,
-        num_servers: int,
-        crashes: int = 1,
-        migration_crashes: int = 1,
-    ) -> "FaultPlan":
-        """A reproducible random plan: ``crashes`` server crashes (each
-        followed by a revival a few rounds later) and ``migration_crashes``
-        migrations aborted mid-flight."""
-        if num_batches < 1:
-            raise ConfigurationError("num_batches must be >= 1")
-        if num_servers < 1:
-            raise ConfigurationError("num_servers must be >= 1")
-        rng = random.Random(seed)
-        events: List[FaultEvent] = []
-        for _ in range(crashes):
-            at_batch = rng.randrange(num_batches)
-            server_id = rng.randrange(num_servers)
-            events.append(
-                FaultEvent(at_batch=at_batch, kind=CRASH_SERVER, server_id=server_id)
-            )
-            events.append(
-                FaultEvent(
-                    # Clamp to the last fireable round: rounds are
-                    # 0-indexed, so num_batches itself never fires.
-                    at_batch=min(at_batch + 1 + rng.randrange(3), num_batches - 1),
-                    kind=REVIVE_SERVER,
-                    server_id=server_id,
-                )
-            )
-        for _ in range(migration_crashes):
-            events.append(
-                FaultEvent(
-                    at_batch=rng.randrange(num_batches),
-                    kind=MIGRATION_CRASH,
-                    crash_point=rng.choice(
-                        (CRASH_AFTER_FLUSH, CRASH_AFTER_HANDOFF)
-                    ),
-                )
-            )
-        return cls(events)
-
-    def events_at(self, batch_index: int) -> List[FaultEvent]:
-        """Events scheduled to fire before batch round ``batch_index``
-        (events beyond the last processed round never fire)."""
-        return [event for event in self.events if event.at_batch == batch_index]
-
-    def describe(self) -> str:
-        """One-line-per-event rendering (part of the load-test report)."""
-        if not self.events:
-            return "(no faults scheduled)"
-        return "\n".join(event.describe() for event in self.events)
+from repro.server.faults import FaultSchedule
 
 
 @dataclass(frozen=True)
@@ -183,9 +66,9 @@ class LoadTestResult:
     migrations: int = 0
     replications: int = 0
     failovers: int = 0
-    #: Human-readable log of the faults the plan actually applied (events
-    #: that could not fire — e.g. crashing the last alive server — are
-    #: recorded as skipped).
+    #: Human-readable log of the simulated faults the schedule applied
+    #: (faults that could not fire — e.g. crashing the last alive server —
+    #: are recorded as skipped).
     faults_applied: List[str] = field(default_factory=list)
 
     @property
@@ -199,7 +82,7 @@ class LoadTestResult:
         """Deterministic plain-text rendering of the whole result.
 
         Every number is simulated (no wall clock enters), so two identical
-        seeded runs — same workload, same :class:`FaultPlan` — render
+        seeded runs — same workload, same fault schedule — render
         byte-identical reports; the determinism test locks this in.
         """
         lines = [
@@ -320,8 +203,7 @@ class LoadTest:
         failure_probability: float = 0.002,
         seed: int = 404,
         rebalance_every: int = 0,
-        fault_plan: Optional[FaultPlan] = None,
-        chaos_plan=None,
+        faults: Optional[FaultSchedule] = None,
     ) -> None:
         if not 0.0 <= failure_probability < 1.0:
             raise ConfigurationError("failure_probability must be in [0, 1)")
@@ -329,22 +211,13 @@ class LoadTest:
             raise ConfigurationError("rebalance_every must be >= 0")
         if rebalance_every > 0 and not cluster.has_master:
             raise ConfigurationError("rebalance_every needs a tablet master")
-        # A chaos plan may fold simulated control-plane faults into its
-        # timeline; adopt them so one plan object describes the whole
-        # composed schedule (the fault half also drives the reference run).
-        chaos_faults = getattr(chaos_plan, "fault_plan", None)
-        if chaos_faults is not None and chaos_faults.events:
-            if fault_plan is not None and fault_plan.events:
-                raise ConfigurationError(
-                    "pass simulated faults either as fault_plan or folded "
-                    "into the chaos plan, not both"
-                )
-            fault_plan = chaos_faults
-        if fault_plan is not None and not cluster.has_master:
-            raise ConfigurationError("a fault plan needs a tablet master")
-        if chaos_plan is not None and getattr(cluster, "supervisor", None) is None:
+        faults = faults or FaultSchedule()
+        planes = {fault.plane for fault in faults}
+        if "simulated" in planes and not cluster.has_master:
+            raise ConfigurationError("simulated faults need a tablet master")
+        if "process" in planes and getattr(cluster, "supervisor", None) is None:
             raise ConfigurationError(
-                "a chaos plan needs a supervised scale-out cluster"
+                "process faults need a supervised scale-out cluster"
             )
         self.cluster = cluster
         self.clients = list(clients) if clients is not None else []
@@ -352,15 +225,9 @@ class LoadTest:
         self.rng = random.Random(seed)
         #: Control plane: the batched loops give the cluster's master(s) a
         #: rebalance tick every ``rebalance_every`` batches (0 = never) and
-        #: apply the fault plan's scheduled events at batch boundaries.
+        #: fire the schedule's faults at batch boundaries.
         self.rebalance_every = rebalance_every
-        self.fault_plan = fault_plan
-        #: Process-level chaos (:class:`repro.server.chaos.ChaosPlan`):
-        #: SIGKILL/SIGSTOP/corrupt-frame events fired at batch boundaries,
-        #: healed by the cluster's supervisor.  Kept out of the simulated
-        #: fault log — ``to_report()`` must stay byte-identical between
-        #: chaos and fault-free runs.
-        self.chaos_plan = chaos_plan
+        self.faults = faults
         self._faults_applied: List[str] = []
         self._master_baseline = (0, 0, 0)
 
@@ -376,33 +243,31 @@ class LoadTest:
     # Control plane ticks
     # ------------------------------------------------------------------
     def _control_step(self, batch_index: int) -> None:
-        """One batch-boundary tick: scheduled faults, the rebalance
-        cadence, then chaos.
+        """One batch-boundary tick: simulated faults, the rebalance
+        cadence, then process faults.
 
-        Simulated control-plane events fire first: they are part of the
-        deterministic workload (visible in ``faults_applied``, replayed
-        identically by a reference run; unfireable ones are recorded as
-        skipped, since a seeded plan cannot know the cluster's state at
-        schedule time).  Chaos fires *last* at the same boundary — every
-        worker idle again — so a SIGKILL paired with a MIGRATION_CRASH
-        lands mid-migration, right after the aborted hand-off (master
-        record, untouched routing) hit the checkpoint, and the kill's
-        effect stays a pure function of the schedule.
+        Simulated faults are part of the deterministic workload: they are
+        logged in ``faults_applied`` and replayed identically by a
+        reference run (unfireable ones are logged as skipped).  Process
+        faults fire *last*, every worker idle again, so a SIGKILL paired
+        with a MIGRATION_CRASH lands mid-migration, right after the aborted
+        hand-off hit the checkpoint; they stay out of the log, so
+        ``to_report()`` is byte-identical to a run without them.
         """
         cluster = self.cluster
-        if cluster.has_master:
-            if self.fault_plan is not None:
-                for event in self.fault_plan.events_at(batch_index):
-                    self._faults_applied.extend(cluster.apply_fault(event))
-            if (
-                self.rebalance_every > 0
-                and batch_index > 0
-                and batch_index % self.rebalance_every == 0
-            ):
-                cluster.rebalance()
-        if self.chaos_plan is not None:
-            for event in self.chaos_plan.events_at(batch_index):
-                cluster.apply_chaos_event(event)
+        faults = self.faults.at(batch_index)
+        for fault in faults:
+            if fault.plane == "simulated":
+                self._faults_applied.extend(cluster.apply_fault(fault))
+        if (
+            self.rebalance_every > 0
+            and batch_index > 0
+            and batch_index % self.rebalance_every == 0
+        ):
+            cluster.rebalance()
+        for fault in faults:
+            if fault.plane == "process":
+                cluster.apply_chaos_event(fault)
 
     def _admit(self, items: Sequence) -> Tuple[list, int]:
         """Split one request slice into ``(admitted, dropped)``.
@@ -453,8 +318,8 @@ class LoadTest:
         failed = 0
         completed = 0
         # On the single-request path one control round == one timeline
-        # bucket of requests, so fault plans and rebalance ticks work here
-        # too (at bucket granularity rather than batch granularity).
+        # bucket of requests, so fault schedules and rebalance ticks work
+        # here too (at bucket granularity rather than batch granularity).
         control_round = -1
         for index, message in enumerate(messages):
             round_index = index // bucket_requests
@@ -506,8 +371,8 @@ class LoadTest:
         last_index = 0
         for batch_index, start in enumerate(range(0, len(messages), batch_size)):
             last_index = batch_index
-            # Control-plane and chaos ticks barrier internally, so every
-            # event still observes fully settled shards.
+            # Control-plane and process-fault ticks barrier internally, so
+            # every fault still observes fully settled shards.
             self._control_step(batch_index)
             batch, dropped = self._admit(messages[start : start + batch_size])
             failed += dropped

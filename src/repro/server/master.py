@@ -43,17 +43,13 @@ from repro.bigtable.cost import OpKind
 from repro.bigtable.tablet import TabletStats
 from repro.errors import ConfigurationError
 from repro.server.cluster import ServerCluster, ServerFailoverReport
-
-#: Crash points the fault injector can arm inside a live migration.
-CRASH_AFTER_FLUSH = "after_flush"
-CRASH_AFTER_HANDOFF = "after_handoff"
-_CRASH_POINTS = (CRASH_AFTER_FLUSH, CRASH_AFTER_HANDOFF)
-
-#: Fault kinds a :class:`~repro.server.loadtest.FaultPlan` can schedule
-#: (:meth:`TabletMaster.apply_fault` is where they fire).
-CRASH_SERVER = "crash_server"
-REVIVE_SERVER = "revive_server"
-MIGRATION_CRASH = "migration_crash"
+from repro.server.faults import (
+    CRASH_AFTER_FLUSH,
+    CRASH_AFTER_HANDOFF,
+    CRASH_POINTS,
+    CRASH_SERVER,
+    REVIVE_SERVER,
+)
 
 
 @dataclass(frozen=True)
@@ -247,7 +243,7 @@ class TabletMaster:
         no write is lost — the property tests prove both abort paths are
         invisible to clients.
         """
-        if crash_point is not None and crash_point not in _CRASH_POINTS:
+        if crash_point is not None and crash_point not in CRASH_POINTS:
             raise ConfigurationError(f"unknown migration crash point {crash_point!r}")
         table = self.backend.table(table_name)
         tablet = table.find_tablet(tablet_id)
@@ -403,8 +399,8 @@ class TabletMaster:
         Unfireable events (crashing a dead or the last alive server,
         reviving an alive one, a server id beyond this cluster, a migration
         crash with nowhere to migrate) come back as ``"[skipped]"`` instead
-        of raising: a seeded plan cannot know the cluster's state at
-        schedule time.
+        of raising: a seeded :class:`~repro.server.faults.FaultSchedule`
+        cannot know the cluster's state at schedule time.
         """
         cluster = self.cluster
         if server_id is not None and server_id >= cluster.num_servers:

@@ -40,9 +40,14 @@ from repro.errors import (
     WorkerDiedError,
 )
 from repro.model import NeighborResult, UpdateMessage
-from repro.server import chaos as chaos_mod
 from repro.server import rpc
 from repro.server.cluster import RoundMakespans, percentile_of
+from repro.server.faults import (
+    CORRUPT_BITFLIP,
+    KILL_WORKER,
+    STOP_WORKER,
+    Fault,
+)
 from repro.server.supervisor import Supervisor
 from repro.server.worker import WORKER_PHASES, shard_of
 
@@ -164,7 +169,7 @@ class ScaleOutCluster:
     its frames in send order — so every shard sees exactly the batch
     stream it would have seen at ``window=1`` and the simulated results
     stay byte-identical for every window size.  Query broadcasts,
-    control-plane verbs, chaos events and metric reads all drain the
+    control-plane verbs, process faults and metric reads all drain the
     window first (an explicit barrier), so nothing can observe a shard
     mid-window.
     """
@@ -389,7 +394,7 @@ class ScaleOutCluster:
 
     def _barrier(self) -> int:
         """Drain before anything that must observe settled shards (query
-        broadcasts, control-plane verbs, chaos events, metric reads)."""
+        broadcasts, control-plane verbs, process faults, metric reads)."""
         if self._engine.inflight_rounds:
             self._counters["barrier_drains"] += 1
         return self.drain_update_window()
@@ -483,8 +488,9 @@ class ScaleOutCluster:
             )
         return self.supervisor
 
-    def apply_chaos_event(self, event: chaos_mod.ChaosEvent) -> str:
-        """Apply one process-level chaos event; returns a description.
+    def apply_chaos_event(self, fault: Fault) -> str:
+        """Apply one process :class:`~repro.server.faults.Fault`; returns a
+        description.
 
         Kills and stops are left for the next dispatch round's detection
         path (send failure, EOF, ping deadline) — that is the machinery
@@ -496,18 +502,16 @@ class ScaleOutCluster:
         supervisor = self._require_supervision()
         self._barrier()
         pool = self.backend.pool
-        worker = event.worker_index
+        worker = fault.target
         if worker >= pool.num_workers:
-            return f"{event.describe()} [skipped: no such worker]"
-        if event.kind == chaos_mod.KILL_WORKER:
+            return f"{fault.describe()} [skipped: no such worker]"
+        if fault.kind == KILL_WORKER:
             pool.kill_worker(worker)
-            return event.describe()
-        if event.kind == chaos_mod.STOP_WORKER:
+            return fault.describe()
+        if fault.kind == STOP_WORKER:
             pool.pause_worker(worker)
-            return event.describe()
-        mode = (
-            "bitflip" if event.kind == chaos_mod.CORRUPT_BITFLIP else "truncate"
-        )
+            return fault.describe()
+        mode = "bitflip" if fault.kind == CORRUPT_BITFLIP else "truncate"
         connection = pool.connections[worker]
         connection.inject_fault(mode)
         try:
@@ -521,7 +525,7 @@ class ScaleOutCluster:
         record = supervisor.handle_worker_failure(
             worker, f"injected {mode} frame"
         )
-        return f"{event.describe()} [healed in {record.duration_s:.3f}s]"
+        return f"{fault.describe()} [healed in {record.duration_s:.3f}s]"
 
     def heal_dead_workers(self) -> int:
         """Sweep-and-heal: probe every worker and respawn the failed ones.
@@ -638,9 +642,9 @@ class ScaleOutCluster:
         self._barrier()
         self.backend.scatter("rebalance")
 
-    def apply_fault(self, event) -> List[str]:
-        """Broadcast one scheduled :class:`~repro.server.loadtest.FaultEvent`
-        to every shard, skip semantics applied shard-side.  Returns one
+    def apply_fault(self, fault: Fault) -> List[str]:
+        """Broadcast one simulated :class:`~repro.server.faults.Fault` to
+        every shard, skip semantics applied shard-side.  Returns one
         description per shard (shard order), each tagged with its shard."""
         self._require_master()
         self.heal_dead_workers()  # same heal-before-CALL as :meth:`rebalance`
@@ -649,11 +653,11 @@ class ScaleOutCluster:
             [
                 (
                     "apply_fault",
-                    (event.kind,),
+                    (fault.kind,),
                     {
-                        "server_id": event.server_id,
-                        "crash_point": event.crash_point,
-                        "describe_prefix": f"{event.describe()} shard {shard_id} ",
+                        "server_id": fault.target,
+                        "crash_point": fault.crash_point,
+                        "describe_prefix": f"{fault.describe()} shard {shard_id} ",
                     },
                 )
                 for shard_id in range(self.num_shards)

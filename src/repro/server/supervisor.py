@@ -8,7 +8,9 @@ the exactly-once dedup window.  The supervisor is the control loop:
 *noticing* that a worker died (waitpid via ``Process.is_alive``) or hung
 (ping deadline), forking a replacement from the stored
 :class:`~repro.server.worker.ShardRecipe`, re-attaching its disk store and
-replaying recovery before the shard rejoins routing.
+replaying recovery before the shard rejoins routing.  The process faults
+of a :class:`~repro.server.faults.FaultSchedule` (SIGKILL, SIGSTOP,
+corrupted frames) are the failures the property suites make it heal.
 
 Without a supervisor — the default — the first worker failure propagates
 as :class:`~repro.errors.WorkerDiedError` and the run aborts.  A supervisor
@@ -205,7 +207,7 @@ class Supervisor:
     def metrics_snapshot(self) -> Dict[str, object]:
         """Recovery counts and duration stats (wall-clock, parent-side —
         deliberately *outside* ``to_report()``, which must stay
-        byte-identical between chaos and fault-free runs)."""
+        byte-identical between runs with and without process faults)."""
         durations = [record.duration_s for record in self.recoveries]
         return {
             "policy": self.policy,

@@ -1,7 +1,7 @@
 """Process-level chaos: supervised runs heal losslessly, byte for byte.
 
-The headline property: a seeded :class:`ChaosPlan` that SIGKILLs every
-worker at least once mid-workload — or freezes them with SIGSTOP, or
+The headline property: a seeded :class:`FaultSchedule` whose process
+faults SIGKILL every worker at least once mid-workload — or freezes them with SIGSTOP, or
 corrupts their frames — completes with a ``to_report()`` rendering
 byte-identical to the fault-free run's.  The disk backend's journal + the
 accounting checkpoints + the exactly-once retry protocol together make a
@@ -25,13 +25,7 @@ from repro.geometry.point import Point
 from repro.geometry.vector import Vector
 from repro.model import UpdateMessage, format_object_id
 from repro.server import rpc
-from repro.server.chaos import (
-    CORRUPT_BITFLIP,
-    KILL_WORKER,
-    STOP_WORKER,
-    ChaosEvent,
-    ChaosPlan,
-)
+from repro.server.faults import KILL_WORKER, Fault, FaultSchedule
 from repro.server.loadtest import LoadTest
 from repro.server.scaleout import ScaleOutCluster
 from repro.server.worker import ShardRecipe, dispatch_request
@@ -85,10 +79,8 @@ def _cluster(backend, workers, policy=None, retry=None, breaker=5, **kwargs):
     )
 
 
-def _run(cluster, chaos_plan=None):
-    test = LoadTest(
-        cluster, failure_probability=0.01, seed=404, chaos_plan=chaos_plan
-    )
+def _run(cluster, faults=None):
+    test = LoadTest(cluster, failure_probability=0.01, seed=404, faults=faults)
     return test.run_mixed_batches(MESSAGES, QUERIES, batch_size=128)
 
 
@@ -124,10 +116,10 @@ class TestChaosLossless:
     def test_sigkill_every_worker_is_byte_invisible(
         self, workers, reference_report
     ):
-        plan = ChaosPlan.seeded(
-            29, num_batches=NUM_ROUNDS, num_workers=workers, kills=workers
+        faults = FaultSchedule.seeded(
+            29, NUM_ROUNDS, num_workers=workers, kills=workers
         )
-        assert {event.worker_index for event in plan.events} == set(range(workers))
+        assert {fault.target for fault in faults} == set(range(workers))
         cluster = _cluster(
             "disk",
             workers,
@@ -135,7 +127,7 @@ class TestChaosLossless:
             retry=rpc.RetryPolicy(call_deadline_s=15.0),
         )
         try:
-            result = _run(cluster, chaos_plan=plan)
+            result = _run(cluster, faults=faults)
             assert result.to_report() == reference_report
             snapshot = cluster.supervisor.metrics_snapshot()
             assert snapshot["policy"] == "respawn"
@@ -152,7 +144,7 @@ class TestChaosLossless:
     def test_sigkill_inside_the_durability_barrier_is_byte_invisible(
         self, reference_report, tmp_path, monkeypatch
     ):
-        # Chaos plans fire between rounds, when the victim is idle.  This
+        # Scheduled faults fire between rounds, when the victim is idle.  This
         # kill lands *inside* a request: the first worker to reach the
         # second commit point of an update batch — barrier open, the batch
         # half applied, none of it in a journal — SIGKILLs itself, once.
@@ -192,12 +184,12 @@ class TestChaosLossless:
     def test_sigstop_hung_workers_are_byte_invisible(self, reference_report):
         # Frozen workers are alive by waitpid; only the ping/response
         # deadline can catch them.  Keep it short so the test stays fast.
-        plan = ChaosPlan.seeded(31, num_batches=NUM_ROUNDS, num_workers=2, stops=2)
+        faults = FaultSchedule.seeded(31, NUM_ROUNDS, num_workers=2, stops=2)
         cluster = _cluster(
             "disk", 2, policy="respawn", retry=rpc.RetryPolicy(call_deadline_s=1.25)
         )
         try:
-            result = _run(cluster, chaos_plan=plan)
+            result = _run(cluster, faults=faults)
             assert result.to_report() == reference_report
             snapshot = cluster.supervisor.metrics_snapshot()
             assert snapshot["recoveries"] >= 1
@@ -208,14 +200,14 @@ class TestChaosLossless:
     def test_corrupted_frames_are_byte_invisible(self, reference_report):
         # One bitflipped frame (worker exits on the crc mismatch) and one
         # truncated frame (worker blocks mid-frame until the deadline).
-        plan = ChaosPlan.seeded(
-            37, num_batches=NUM_ROUNDS, num_workers=2, corruptions=2
+        faults = FaultSchedule.seeded(
+            37, NUM_ROUNDS, num_workers=2, corruptions=2
         )
         cluster = _cluster(
             "disk", 2, policy="respawn", retry=rpc.RetryPolicy(call_deadline_s=5.0)
         )
         try:
-            result = _run(cluster, chaos_plan=plan)
+            result = _run(cluster, faults=faults)
             assert result.to_report() == reference_report
             snapshot = cluster.supervisor.metrics_snapshot()
             assert snapshot["recoveries"] == 2
@@ -229,7 +221,7 @@ class TestChaosLossless:
 # --------------------------------------------------------------------------
 class TestLossyAndFailFast:
     def test_respawn_lossy_counts_the_updates_it_forfeits(self):
-        plan = ChaosPlan([ChaosEvent(2, 0, KILL_WORKER)])
+        faults = FaultSchedule([Fault(2, KILL_WORKER, 0)])
         cluster = _cluster(
             "process",
             2,
@@ -237,7 +229,7 @@ class TestLossyAndFailFast:
             retry=rpc.RetryPolicy(call_deadline_s=15.0),
         )
         try:
-            result = _run(cluster, chaos_plan=plan)
+            result = _run(cluster, faults=faults)
             assert result.total_requests > 0
             snapshot = cluster.supervisor.metrics_snapshot()
             assert snapshot["policy"] == "respawn_lossy"
@@ -324,57 +316,13 @@ class TestSupervisionGuards:
         with pytest.raises(ConfigurationError, match="policy"):
             _cluster("process", 1, policy="reboot")
 
-    def test_chaos_plan_needs_a_supervised_cluster(self):
+    def test_process_faults_need_a_supervised_cluster(self):
         cluster = _cluster("inprocess", 1)
         try:
             with pytest.raises(ConfigurationError, match="supervised"):
-                LoadTest(
-                    cluster, chaos_plan=ChaosPlan([ChaosEvent(1, 0, KILL_WORKER)])
-                )
+                LoadTest(cluster, faults=FaultSchedule([Fault(1, KILL_WORKER, 0)]))
         finally:
             cluster.close()
-
-
-# --------------------------------------------------------------------------
-# ChaosPlan mechanics
-# --------------------------------------------------------------------------
-class TestChaosPlan:
-    def test_seeded_plans_are_reproducible(self):
-        first = ChaosPlan.seeded(5, 10, 3, kills=4, stops=2, corruptions=2)
-        second = ChaosPlan.seeded(5, 10, 3, kills=4, stops=2, corruptions=2)
-        assert first.describe() == second.describe()
-        assert len(first) == 8
-
-    def test_kill_every_worker_guarantee(self):
-        for seed in range(10):
-            plan = ChaosPlan.seeded(seed, 6, 4, kills=4)
-            assert {event.worker_index for event in plan.events} == {0, 1, 2, 3}
-
-    def test_events_never_fire_at_batch_zero(self):
-        plan = ChaosPlan.seeded(11, 5, 2, kills=3, stops=3, corruptions=3)
-        assert all(event.at_batch >= 1 for event in plan.events)
-
-    def test_events_at_groups_by_batch(self):
-        plan = ChaosPlan(
-            [
-                ChaosEvent(2, 1, KILL_WORKER),
-                ChaosEvent(2, 0, STOP_WORKER),
-                ChaosEvent(4, 0, CORRUPT_BITFLIP),
-            ]
-        )
-        assert [event.worker_index for event in plan.events_at(2)] == [0, 1]
-        assert plan.events_at(3) == []
-        assert len(plan.events_at(4)) == 1
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            ChaosPlan([ChaosEvent(1, 0, "meteor")])
-        with pytest.raises(ConfigurationError):
-            ChaosPlan([ChaosEvent(-1, 0, KILL_WORKER)])
-        with pytest.raises(ConfigurationError):
-            ChaosPlan.seeded(1, num_batches=1, num_workers=2, kills=1)
-        with pytest.raises(ConfigurationError):
-            ChaosPlan.seeded(1, num_batches=4, num_workers=0)
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Determinism guard: identical seeded fault-plan load tests render
+"""Determinism guard: identical seeded fault-schedule load tests render
 byte-identical reports.
 
 The whole simulator is meant to be deterministic — simulated time, routing,
@@ -8,71 +8,24 @@ creep (set iteration, wall-clock leakage, unordered dict hashing of
 non-string keys) shows up here as a report diff.
 """
 
-import pytest
-
-from repro.errors import ConfigurationError
 from repro.experiments.rebalance import hot_school_streams, rebalance_harness
-from repro.server.loadtest import (
-    CRASH_SERVER,
-    MIGRATION_CRASH,
-    REVIVE_SERVER,
-    FaultEvent,
-    FaultPlan,
-)
+from repro.server.faults import FaultSchedule
 
 
 def run_faulted_load_test(seed=31):
-    """One full seeded run: skewed workload, fault plan, master control."""
+    """One full seeded run: skewed workload, fault schedule, master control."""
+    faults = FaultSchedule.seeded(
+        seed, 8, num_servers=4, server_crashes=1, migration_crashes=1
+    )
     _, _, _, load_test = rebalance_harness(
-        800, 4, balanced=True, seed=seed,
-        fault_plan=FaultPlan.seeded(seed, num_batches=8, num_servers=4),
+        800, 4, balanced=True, seed=seed, faults=faults
     )
     messages, queries = hot_school_streams(800, 2000, 0.8, seed=seed)
     return load_test.run_mixed_batches(messages, queries, batch_size=128)
 
 
-class TestFaultPlan:
-    def test_seeded_plans_are_reproducible(self):
-        first = FaultPlan.seeded(7, num_batches=20, num_servers=5, crashes=2)
-        second = FaultPlan.seeded(7, num_batches=20, num_servers=5, crashes=2)
-        assert first.describe() == second.describe()
-        assert [e for e in first.events] == [e for e in second.events]
-
-    def test_events_validate(self):
-        with pytest.raises(ConfigurationError):
-            FaultEvent(at_batch=0, kind="meteor_strike")
-        with pytest.raises(ConfigurationError):
-            FaultEvent(at_batch=-1, kind=MIGRATION_CRASH)
-        with pytest.raises(ConfigurationError):
-            FaultEvent(at_batch=0, kind=CRASH_SERVER)  # needs a server
-        event = FaultEvent(at_batch=3, kind=REVIVE_SERVER, server_id=1)
-        assert "batch 3" in event.describe()
-
-    def test_events_sorted_by_batch(self):
-        plan = FaultPlan(
-            [
-                FaultEvent(at_batch=5, kind=CRASH_SERVER, server_id=0),
-                FaultEvent(at_batch=1, kind=MIGRATION_CRASH),
-            ]
-        )
-        assert [event.at_batch for event in plan.events] == [1, 5]
-        assert len(plan.events_at(1)) == 1
-        assert plan.events_at(2) == []
-
-    def test_plan_requires_master(self):
-        from repro.experiments.common import uniform_leader_indexer
-        from repro.server.cluster import ServerCluster
-        from repro.server.loadtest import LoadTest
-
-        cluster = ServerCluster(uniform_leader_indexer(50, seed=1), num_servers=2)
-        with pytest.raises(ConfigurationError):
-            LoadTest(cluster, fault_plan=FaultPlan())
-        with pytest.raises(ConfigurationError):
-            LoadTest(cluster, rebalance_every=4)
-
-
 class TestDeterminism:
-    def test_identical_fault_plans_render_identical_reports(self):
+    def test_identical_fault_schedules_render_identical_reports(self):
         first = run_faulted_load_test().to_report()
         second = run_faulted_load_test().to_report()
         assert first == second
@@ -84,7 +37,7 @@ class TestDeterminism:
         assert "control plane:" in report
         assert "faults applied:" in report
         assert "timeline:" in report
-        # The seeded plan fired something on this workload.
+        # The seeded schedule fired something on this workload.
         assert result.faults_applied
 
     def test_different_seeds_render_different_reports(self):

@@ -1,19 +1,19 @@
 """Supervised masters: control-plane state survives SIGKILL, byte for byte.
 
-PR 10's headline property: a seeded :class:`ChaosPlan` that folds simulated
+The headline property: a seeded :class:`FaultSchedule` that puts simulated
 control-plane faults (a migration aborted mid-flight, a server crash and
-revival) into the same timeline as real SIGKILLs — including a kill at the
+revival) on the same timeline as real SIGKILLs — including a kill at the
 *same batch boundary* as the migration crash, i.e. the worker dies right
 after checkpointing the aborted hand-off — completes with a ``to_report()``
-rendering byte-identical to the chaos-free run's, at every worker count and
-window size.  The accounting checkpoint now carries the tablet master's
+rendering byte-identical to the run of its simulated half alone, at every
+worker count and window size.  The accounting checkpoint now carries the tablet master's
 decision history (migration/replication/failover records) alongside the
 routing overrides, so a respawned shard's master continues exactly where
 the dead one stopped.
 
-The folded fault plan is drawn *before* the chaos draws, so it depends only
-on the seed and the fault knobs — never on the worker count — which is what
-lets one fault-only in-process reference serve every matrix point.
+The simulated half is drawn *before* the process faults, so it depends only
+on the seed and its own counts — never on the worker count — which is what
+lets one simulated-only in-process reference serve every matrix point.
 """
 
 import dataclasses
@@ -26,8 +26,14 @@ from repro.geometry.point import Point
 from repro.geometry.vector import Vector
 from repro.model import UpdateMessage, format_object_id
 from repro.server import rpc
-from repro.server.chaos import ChaosPlan
-from repro.server.loadtest import MIGRATION_CRASH, FaultEvent, LoadTest
+from repro.server.faults import (
+    CRASH_AFTER_FLUSH,
+    KILL_WORKER,
+    MIGRATION_CRASH,
+    Fault,
+    FaultSchedule,
+)
+from repro.server.loadtest import LoadTest
 from repro.server.master import MasterOptions
 from repro.server.scaleout import ScaleOutCluster
 from repro.bigtable.process_backend import make_scaleout_backend
@@ -68,13 +74,13 @@ MESSAGES = make_messages(400, NUM_OBJECTS)
 QUERIES = make_queries(80)
 
 
-def _plan(workers):
+def _schedule(workers):
     """The acceptance-criteria schedule: every worker SIGKILLed at least
     once, one migration aborted mid-flight with a paired same-batch kill,
-    one server crashed and revived."""
-    return ChaosPlan.seeded(
+    one server crashed and revived.  ``_schedule(0)`` is its simulated half."""
+    return FaultSchedule.seeded(
         PLAN_SEED,
-        num_batches=NUM_ROUNDS,
+        NUM_ROUNDS,
         num_workers=workers,
         kills=workers,
         migration_crashes=1,
@@ -100,27 +106,26 @@ def _cluster(backend, workers, policy=None, retry=None, window=1, **kwargs):
     )
 
 
-def _run(cluster, chaos_plan=None, fault_plan=None):
+def _run(cluster, faults):
     test = LoadTest(
         cluster,
         failure_probability=0.01,
         seed=404,
         rebalance_every=2,
-        chaos_plan=chaos_plan,
-        fault_plan=fault_plan,
+        faults=faults,
     )
     return test.run_mixed_batches(MESSAGES, QUERIES, batch_size=128)
 
 
 @pytest.fixture(scope="module")
 def reference_report():
-    """The chaos-free in-process rendering every supervised run must
-    reproduce byte for byte.  The folded *simulated* faults are part of
-    the deterministic workload, so the reference runs them too — as a
-    plain ``fault_plan``, without any process-level chaos."""
+    """The in-process rendering every supervised run must reproduce byte
+    for byte.  The *simulated* faults are part of the deterministic
+    workload, so the reference runs them too — the schedule's simulated
+    half, without any process fault."""
     cluster = _cluster("inprocess", 1)
     try:
-        return _run(cluster, fault_plan=_plan(1).fault_plan).to_report()
+        return _run(cluster, _schedule(0)).to_report()
     finally:
         cluster.close()
 
@@ -129,24 +134,26 @@ def reference_report():
 # The acceptance property
 # --------------------------------------------------------------------------
 class TestMasterSupervisionLossless:
-    def test_folded_fault_plan_is_worker_count_independent(self):
-        # One reference serves every matrix point only because the fault
-        # half of the schedule never depends on the worker count.
-        baseline = _plan(1).fault_plan.describe()
-        assert baseline  # the composition actually folded faults in
-        for workers in (2, 4):
-            assert _plan(workers).fault_plan.describe() == baseline
+    def test_simulated_half_is_worker_count_independent(self):
+        # One reference serves every matrix point only because the
+        # simulated half of the schedule never depends on the worker count.
+        baseline = _schedule(0)
+        assert baseline  # the schedule actually holds simulated faults
+        assert {fault.plane for fault in baseline} == {"simulated"}
+        for workers in (1, 2, 4):
+            simulated = [f for f in _schedule(workers) if f.plane == "simulated"]
+            assert tuple(simulated) == baseline
 
     def test_kill_lands_on_the_migration_batch(self):
         # The pairing under test: some SIGKILL shares a batch boundary
         # with the migration crash, so the worker dies mid-migration.
-        plan = _plan(2)
+        faults = _schedule(2)
         migration_batches = {
-            event.at_batch
-            for event in plan.fault_plan.events
-            if event.kind == "migration_crash"
+            fault.at_batch for fault in faults if fault.kind == MIGRATION_CRASH
         }
-        kill_batches = {event.at_batch for event in plan.events}
+        kill_batches = {
+            fault.at_batch for fault in faults if fault.kind == KILL_WORKER
+        }
         assert migration_batches
         assert migration_batches & kill_batches
 
@@ -155,7 +162,6 @@ class TestMasterSupervisionLossless:
     def test_sigkill_mid_migration_is_byte_invisible(
         self, workers, window, reference_report
     ):
-        plan = _plan(workers)
         cluster = _cluster(
             "disk",
             workers,
@@ -164,7 +170,7 @@ class TestMasterSupervisionLossless:
             window=window,
         )
         try:
-            result = _run(cluster, chaos_plan=plan)
+            result = _run(cluster, _schedule(workers))
             assert result.to_report() == reference_report
             snapshot = cluster.supervisor.metrics_snapshot()
             assert snapshot["policy"] == "respawn"
@@ -186,7 +192,7 @@ class TestMasterSupervisionLossless:
             retry=rpc.RetryPolicy(call_deadline_s=30.0),
         )
         try:
-            report = _run(cluster, fault_plan=_plan(1).fault_plan).to_report()
+            report = _run(cluster, _schedule(0)).to_report()
             assert report == reference_report
             assert cluster.supervisor.metrics_snapshot()["recoveries"] == 0
         finally:
@@ -210,7 +216,7 @@ class TestMasterStateSurvivesRespawn:
             # Force a recorded control-plane decision on every shard: the
             # aborted migration appends a MigrationRecord.
             cluster.apply_fault(
-                FaultEvent(0, MIGRATION_CRASH, crash_point="after_flush")
+                Fault(0, MIGRATION_CRASH, crash_point=CRASH_AFTER_FLUSH)
             )
             cluster.rebalance()
             before = cluster.master_action_counts()
@@ -280,7 +286,7 @@ class TestServiceTimePercentile:
     def p99_reference(self):
         cluster = _cluster("inprocess", 1, record_service_times=True)
         try:
-            result = _run(cluster, fault_plan=_plan(1).fault_plan)
+            result = _run(cluster, _schedule(0))
             return result.p99_service_time_s, result.to_report()
         finally:
             cluster.close()
@@ -300,7 +306,7 @@ class TestServiceTimePercentile:
             window=8,
         )
         try:
-            result = _run(cluster, chaos_plan=_plan(workers))
+            result = _run(cluster, _schedule(workers))
             assert result.p99_service_time_s == reference_p99
             assert result.to_report() == reference_report
         finally:
@@ -326,33 +332,13 @@ class TestServiceTimePercentile:
 
 
 # --------------------------------------------------------------------------
-# Composition guards
+# Seeded-schedule guards
 # --------------------------------------------------------------------------
-class TestFaultFoldingGuards:
-    def test_folded_and_explicit_fault_plans_conflict(self):
-        plan = _plan(1)
-        cluster = _cluster(
-            "disk",
-            1,
-            policy="respawn",
-            retry=rpc.RetryPolicy(call_deadline_s=15.0),
-        )
-        try:
-            with pytest.raises(ConfigurationError, match="not both"):
-                LoadTest(
-                    cluster,
-                    chaos_plan=plan,
-                    fault_plan=plan.fault_plan,
-                )
-        finally:
-            cluster.close()
-
+class TestSeededGuards:
     def test_server_crashes_need_num_servers(self):
         with pytest.raises(ConfigurationError, match="num_servers"):
-            ChaosPlan.seeded(
-                1, num_batches=4, num_workers=2, server_crashes=1
-            )
+            FaultSchedule.seeded(1, 4, num_workers=2, server_crashes=1)
 
-    def test_plain_seeded_plans_carry_no_fault_plan(self):
-        plan = ChaosPlan.seeded(29, num_batches=4, num_workers=2, kills=2)
-        assert plan.fault_plan is None
+    def test_plain_seeded_schedules_hold_only_process_faults(self):
+        faults = FaultSchedule.seeded(29, 4, num_workers=2, kills=2)
+        assert {fault.plane for fault in faults} == {"process"}

@@ -22,12 +22,8 @@ from repro.geometry.point import Point
 from repro.geometry.vector import Vector
 from repro.model import UpdateMessage, format_object_id
 from repro.server.cluster import ServerCluster
-from repro.server.master import (
-    CRASH_AFTER_FLUSH,
-    CRASH_AFTER_HANDOFF,
-    MasterOptions,
-    TabletMaster,
-)
+from repro.server.faults import CRASH_AFTER_FLUSH, CRASH_AFTER_HANDOFF
+from repro.server.master import MasterOptions, TabletMaster
 from repro.workload.queries import NNQueryWorkload
 
 

@@ -34,7 +34,8 @@ from repro.errors import ConfigurationError, RpcError, WorkerDiedError
 from repro.geometry.point import Point
 from repro.geometry.vector import Vector
 from repro.model import UpdateMessage, format_object_id
-from repro.server.loadtest import FaultPlan, LoadTest
+from repro.server.faults import FaultSchedule
+from repro.server.loadtest import LoadTest
 from repro.server.scaleout import ScaleOutCluster
 from repro.workload.queries import NNQuery
 
@@ -373,13 +374,15 @@ class TestScaleOutReportDeterminism:
             num_servers=3,
             with_master=True,
         )
-        plan = FaultPlan.seeded(5, num_batches=6, num_servers=3)
+        faults = FaultSchedule.seeded(
+            5, 6, num_servers=3, server_crashes=1, migration_crashes=1
+        )
         test = LoadTest(
             cluster,
             failure_probability=0.01,
             seed=404,
             rebalance_every=2,
-            fault_plan=plan,
+            faults=faults,
         )
         result = test.run_mixed_batches(
             make_messages(500, 400), make_queries(100), batch_size=128
@@ -406,7 +409,9 @@ class TestScaleOutReportDeterminism:
             test = LoadTest(
                 cluster,
                 failure_probability=0.0,
-                fault_plan=FaultPlan.seeded(1, num_batches=2, num_servers=2),
+                faults=FaultSchedule.seeded(
+                    1, 2, num_servers=2, server_crashes=1, migration_crashes=1
+                ),
             )
             result = test.run_update_batches(make_messages(300, 200), batch_size=128)
             assert result.faults_applied
@@ -424,7 +429,10 @@ class TestScaleOutReportDeterminism:
                 LoadTest(cluster, rebalance_every=2)
             with pytest.raises(ConfigurationError):
                 LoadTest(
-                    cluster, fault_plan=FaultPlan.seeded(1, 2, 2)
+                    cluster,
+                    faults=FaultSchedule.seeded(
+                        1, 2, num_servers=2, server_crashes=1
+                    ),
                 )
         finally:
             cluster.close()

@@ -8,12 +8,8 @@ from repro.errors import ConfigurationError
 from repro.experiments.common import uniform_leader_indexer
 from repro.server.cluster import ServerCluster, TabletRoutingTable
 from repro.server.loadtest import LoadTest
-from repro.server.master import (
-    CRASH_AFTER_FLUSH,
-    CRASH_AFTER_HANDOFF,
-    MasterOptions,
-    TabletMaster,
-)
+from repro.server.faults import CRASH_AFTER_FLUSH, CRASH_AFTER_HANDOFF
+from repro.server.master import MasterOptions, TabletMaster
 
 from helpers import make_update
 

@@ -18,7 +18,7 @@ from repro.geometry.point import Point
 from repro.geometry.vector import Vector
 from repro.model import UpdateMessage, format_object_id
 from repro.server import rpc
-from repro.server.chaos import ChaosPlan
+from repro.server.faults import FaultSchedule
 from repro.server.loadtest import LoadTest
 from repro.server.scaleout import ScaleOutCluster
 from repro.server.worker import ShardRecipe, dispatch_request
@@ -73,17 +73,13 @@ def _cluster(backend, workers, window=1, policy=None, retry=None, **kwargs):
     )
 
 
-def _run_updates(cluster, chaos_plan=None):
-    test = LoadTest(
-        cluster, failure_probability=0.0, seed=404, chaos_plan=chaos_plan
-    )
+def _run_updates(cluster, faults=None):
+    test = LoadTest(cluster, failure_probability=0.0, seed=404, faults=faults)
     return test.run_update_batches(MESSAGES, batch_size=BATCH_SIZE)
 
 
-def _run_mixed(cluster, chaos_plan=None):
-    test = LoadTest(
-        cluster, failure_probability=0.01, seed=404, chaos_plan=chaos_plan
-    )
+def _run_mixed(cluster, faults=None):
+    test = LoadTest(cluster, failure_probability=0.01, seed=404, faults=faults)
     return test.run_mixed_batches(MESSAGES, QUERIES, batch_size=BATCH_SIZE)
 
 
@@ -212,8 +208,8 @@ class TestWindowChaos:
         num_batches = max(
             -(-len(MESSAGES) // BATCH_SIZE), -(-len(QUERIES) // BATCH_SIZE), 2
         )
-        plan = ChaosPlan.seeded(
-            29, num_batches=num_batches, num_workers=workers, kills=workers
+        faults = FaultSchedule.seeded(
+            29, num_batches, num_workers=workers, kills=workers
         )
         cluster = _cluster(
             "disk",
@@ -223,7 +219,7 @@ class TestWindowChaos:
             retry=rpc.RetryPolicy(call_deadline_s=15.0),
         )
         try:
-            result = _run_mixed(cluster, chaos_plan=plan)
+            result = _run_mixed(cluster, faults=faults)
             assert result.to_report() == mixed_reference
             snapshot = cluster.supervisor.metrics_snapshot()
             assert snapshot["recoveries"] == workers
