@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, Optional
 
-from repro.bigtable.backend import StorageBackend
 from repro.bigtable.cost import CostModel
 from repro.bigtable.tablet import TabletOptions
 from repro.core.config import MoistConfig
@@ -21,7 +20,6 @@ from repro.core.moist import MoistIndexer
 
 def build_no_school_indexer(
     config: Optional[MoistConfig] = None,
-    emulator: Optional[StorageBackend] = None,
     cost_model: Optional[CostModel] = None,
     enable_flag: bool = True,
     tablet_options: Optional[TabletOptions] = None,
@@ -33,7 +31,6 @@ def build_no_school_indexer(
     worst_case = replace(base, enable_schools=False, deviation_threshold=0.0)
     return MoistIndexer(
         config=worst_case,
-        emulator=emulator,
         cost_model=cost_model,
         enable_flag=enable_flag,
         tablet_options=tablet_options,

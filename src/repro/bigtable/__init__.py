@@ -25,9 +25,11 @@ collection, and **crash recovery** that replays each tablet's log tail over
 its runs to bit-identical state.  Durability work is charged to a separate
 ledger so paper-facing service times stay calibrated.
 
-The backend protocols have several implementations: besides the
-in-process emulator, :mod:`repro.bigtable.process_backend` federates
-shard groups running in-process (:class:`LocalShardedBackend`) or in
-forked worker processes (:class:`ProcessShardedBackend`) behind batched
-RPC framing, with bit-identical merged accounting at every worker count.
+:class:`~repro.bigtable.emulator.BigtableEmulator` is the one storage
+backend: the MOIST tables and the server layer call it directly.  To scale
+out, :mod:`repro.bigtable.process_backend` runs several complete stacks —
+each on its own emulator — as shard groups, in-process
+(:class:`LocalShardedBackend`) or in forked worker processes
+(:class:`ProcessShardedBackend`) behind batched RPC framing, and merges
+their accounting bit-identically at every worker count.
 """

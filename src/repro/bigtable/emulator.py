@@ -4,24 +4,76 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.bigtable.backend import TabletSkew
 from repro.bigtable.cost import CostModel, OpCounter
 from repro.bigtable.lsm import RecoveryReport
 from repro.bigtable.scan import BlockCacheOptions, TabletCacheStats
 from repro.bigtable.table import ColumnFamily, Table
-from repro.bigtable.tablet import TabletOptions, TabletStats
+from repro.bigtable.tablet import TabletOptions, TabletStats, hot_share
 from repro.errors import StorageError, TableNotFoundError, UnrecoverableShardError
+
+
+@dataclass(frozen=True)
+class TabletSkew:
+    """How concentrated the cluster's load is, split by request class.
+
+    ``read_share`` (``write_share``) is the fraction of total read (write)
+    storage time served by the single hottest tablet *of that class* — the
+    two hottest tablets need not be the same one.  The blend weighs each
+    class's skew by its share of traffic, so a read-heavy workload whose
+    queries pile onto one spatial-index tablet inflates contention exactly
+    as the equivalent write skew would.
+    """
+
+    read_share: float
+    write_share: float
+    read_seconds: float
+    write_seconds: float
+    #: Identity of the hottest read / write tablet (``None`` when no load of
+    #: that class exists yet).  The control plane uses these to discount the
+    #: read skew of tablets it has replicated for query fan-out.
+    hot_read_tablet: Optional[str] = None
+    hot_write_tablet: Optional[str] = None
+
+    @property
+    def blended_share(self) -> float:
+        """Traffic-weighted hot-tablet share across both request classes
+        (1.0 — the monolithic worst case — before any load exists)."""
+        total = self.read_seconds + self.write_seconds
+        if total <= 0.0:
+            return 1.0
+        return (
+            self.read_share * self.read_seconds
+            + self.write_share * self.write_seconds
+        ) / total
+
+    def replica_adjusted_share(self, replica_counts: Mapping[str, int]) -> float:
+        """Blended share with the hot *read* tablet's skew divided by its
+        replica count: a tablet replicated for query fan-out spreads its
+        read load over every replica, so it no longer concentrates
+        contention the way a single-copy hot tablet does.  Write skew is
+        never discounted — writes always go to the primary."""
+        total = self.read_seconds + self.write_seconds
+        if total <= 0.0:
+            return 1.0
+        read_share = self.read_share
+        if self.hot_read_tablet is not None:
+            read_share /= max(replica_counts.get(self.hot_read_tablet, 1), 1)
+        return (
+            read_share * self.read_seconds
+            + self.write_share * self.write_seconds
+        ) / total
 
 
 class BigtableEmulator:
     """A named collection of :class:`~repro.bigtable.table.Table` objects.
 
     One emulator instance plays the role of the single BigTable cluster that
-    all of MOIST's front-end servers share (Section 4.3.3); it implements the
-    :class:`~repro.bigtable.backend.StorageBackend` protocol (and its
-    ``ShardedBackend`` extension).  Every table created through the emulator
+    all of MOIST's front-end servers share (Section 4.3.3), and the only
+    storage backend: the MOIST tables, the server layer and the shard
+    workers all call it directly.  Every table created through the emulator
     shares the emulator's :class:`OpCounter`, so experiments get one
     consolidated view of storage work regardless of which table it hit;
     additionally each table shards into row-range tablets whose private
@@ -139,18 +191,6 @@ class BigtableEmulator:
         except KeyError:
             raise TableNotFoundError(f"table {name!r} does not exist") from None
 
-    def has_table(self, name: str) -> bool:
-        """True when a table with that name exists."""
-        return name in self._tables
-
-    def drop_table(self, name: str) -> None:
-        """Delete a table and its contents (including its on-disk store)."""
-        if name not in self._tables:
-            raise TableNotFoundError(f"table {name!r} does not exist")
-        table = self._tables.pop(name)
-        if table._store is not None:
-            table._store.destroy()
-
     def table_names(self) -> List[str]:
         """Names of every table, sorted."""
         return sorted(self._tables)
@@ -235,23 +275,9 @@ class BigtableEmulator:
         return sum(table.tablet_count() for table in self._tables.values())
 
     def hot_tablet_share(self) -> float:
-        """Fraction of total storage time served by the hottest tablet.
-
-        1.0 means all load landed on a single tablet (the monolithic
-        worst case — also the conservative answer before any operation has
-        been recorded); ``1 / tablet_count`` is the perfectly balanced floor.
-        """
-        hottest = 0.0
-        total = 0.0
-        for table in self._tables.values():
-            for tablet in table.tablets():
-                seconds = tablet.counter.simulated_seconds
-                total += seconds
-                if seconds > hottest:
-                    hottest = seconds
-        if total <= 0.0:
-            return 1.0
-        return hottest / total
+        """Fraction of total storage time served by the hottest tablet
+        (:func:`~repro.bigtable.tablet.hot_share` over :meth:`tablet_stats`)."""
+        return hot_share(self.tablet_stats())
 
     def tablet_skew(self) -> TabletSkew:
         """Hot-tablet concentration split by request class.

@@ -10,11 +10,12 @@ match bit for bit.  The scatter-gather engine
 (:class:`repro.server.scaleout.ScatterGatherEngine`) and the control-plane
 CALL rounds below drive either one through the same three methods.
 
-:class:`ProcessShardedBackend` / :class:`LocalShardedBackend` satisfy the
-existing :class:`~repro.bigtable.backend.ShardedBackend` /
-:class:`~repro.bigtable.backend.CacheAwareBackend` protocols by federating
-a fixed set of shard groups — each a complete MOIST stack — over one
-transport.
+:class:`ProcessShardedBackend` / :class:`LocalShardedBackend` federate a
+fixed set of shard groups — each a complete MOIST stack over its own
+:class:`~repro.bigtable.emulator.BigtableEmulator` — over one transport.
+The federation is not a storage backend: it holds no tables, it drives the
+shards' verbs and merges the accounting that result assembly, the
+supervisor and the benchmark read.
 
 Determinism model: the shard count is the unit of determinism, the worker
 count is the unit of parallelism.  Shard contents and every per-shard
@@ -46,11 +47,10 @@ from collections import defaultdict
 from contextlib import ExitStack, contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.bigtable.backend import TabletSkew
 from repro.bigtable.cost import CostModel, OpCounter, OpCounterSnapshot
-from repro.bigtable.lsm import RecoveryReport
+from repro.bigtable.tablet import hot_share
 from repro.codec.wire import NeighborStreamDecoder
-from repro.errors import ConfigurationError, TableNotFoundError, WorkerDiedError
+from repro.errors import ConfigurationError, WorkerDiedError
 from repro.server import rpc
 from repro.server.worker import ShardRecipe, ShardService, worker_main
 
@@ -438,37 +438,14 @@ class ShardClient:
         return self._request(rpc.OP_QUERY_BATCH, list(queries))
 
 
-class FederatedTable:
-    """Lightweight cross-shard table handle.
-
-    The federation's :meth:`FederatedShardedBackend.table` returns these;
-    they answer the aggregate questions callers ask of a table without
-    proxying the whole data-plane API (per-row access belongs to the shard
-    that owns the row, through its own stack).
-    """
-
-    def __init__(self, backend: "FederatedShardedBackend", name: str) -> None:
-        self.backend = backend
-        self.name = name
-
-    def all_keys(self) -> List[str]:
-        merged: List[str] = []
-        for keys in self.backend.scatter("table_keys", self.name):
-            merged.extend(keys)
-        merged.sort()
-        return merged
-
-    def row_count(self) -> int:
-        return sum(self.backend.scatter("table_row_count", self.name))
-
-
 class FederatedShardedBackend:
-    """``ShardedBackend``/``CacheAwareBackend`` over one shard transport.
+    """A fixed set of shard groups over one shard transport.
 
     Every aggregate is merged in fixed shard order (ledger absorption,
-    tablet-stat concatenation, strict-``>`` hottest scans), mirroring the
-    single-emulator semantics — the reason merged accounting is
-    bit-identical between backends and across worker counts.
+    tablet-stat concatenation, the emulator's hot-share rule over the
+    concatenated stats), mirroring the single-emulator semantics — the
+    reason merged accounting is bit-identical between backends and across
+    worker counts.
     """
 
     def __init__(self, transport: object, recipes: Sequence[ShardRecipe]) -> None:
@@ -511,7 +488,8 @@ class FederatedShardedBackend:
         )
 
     # ------------------------------------------------------------------
-    # StorageBackend protocol
+    # Merged storage accounting (what result assembly and the benchmark
+    # read)
     # ------------------------------------------------------------------
     @property
     def counter(self) -> OpCounter:
@@ -524,61 +502,12 @@ class FederatedShardedBackend:
     def counter_snapshots(self) -> List[OpCounterSnapshot]:
         return self.scatter("counter_snapshot")
 
-    def create_table(self, name: str, families) -> FederatedTable:
-        self.scatter("create_table", name, families)
-        return FederatedTable(self, name)
-
-    def table(self, name: str) -> FederatedTable:
-        if not self.has_table(name):
-            raise TableNotFoundError(f"table {name!r} does not exist")
-        return FederatedTable(self, name)
-
-    def has_table(self, name: str) -> bool:
-        return self.clients[0].call("has_table", name)
-
-    def drop_table(self, name: str) -> None:
-        self.scatter("drop_table", name)
-
-    def table_names(self) -> List[str]:
-        return self.clients[0].call("table_names")
-
-    def reset_counters(self) -> None:
-        self.scatter("reset_counters")
-
-    @property
-    def simulated_seconds(self) -> float:
-        return sum(self.scatter("simulated_seconds"))
-
-    @property
-    def durability_seconds(self) -> float:
-        return sum(
-            snapshot.durability_seconds for snapshot in self.counter_snapshots()
-        )
-
-    def flush(self) -> int:
-        return sum(self.scatter("flush"))
-
-    def compact(self, major: bool = False) -> int:
-        return sum(self.scatter("compact", major=major))
-
-    def recover(self) -> RecoveryReport:
-        tables: List[Any] = []
-        for report in self.scatter("recover"):
-            tables.extend(report.tables)
-        return RecoveryReport(tables=tuple(tables))
-
     def run_count(self) -> int:
         return sum(self.scatter("run_count"))
-
-    def log_record_count(self) -> int:
-        return sum(self.scatter("log_record_count"))
 
     def write_amplification(self) -> float:
         return self.counter.write_amplification()
 
-    # ------------------------------------------------------------------
-    # ShardedBackend protocol
-    # ------------------------------------------------------------------
     def tablet_stats(self) -> list:
         stats: List[Any] = []
         for shard_stats in self.scatter("tablet_stats"):
@@ -589,52 +518,7 @@ class FederatedShardedBackend:
         return sum(self.scatter("tablet_count"))
 
     def hot_tablet_share(self) -> float:
-        hottest = 0.0
-        total = 0.0
-        for entry in self.tablet_stats():
-            seconds = entry.simulated_seconds
-            total += seconds
-            if seconds > hottest:
-                hottest = seconds
-        if total <= 0.0:
-            return 1.0
-        return hottest / total
-
-    # ------------------------------------------------------------------
-    # CacheAwareBackend protocol
-    # ------------------------------------------------------------------
-    def tablet_skew(self) -> TabletSkew:
-        hot_read = 0.0
-        hot_write = 0.0
-        read_total = 0.0
-        write_total = 0.0
-        hot_read_tablet: Optional[str] = None
-        hot_write_tablet: Optional[str] = None
-        for entry in self.tablet_stats():
-            read = entry.read_seconds
-            write = entry.write_seconds
-            read_total += read
-            write_total += write
-            if read > hot_read:
-                hot_read = read
-                hot_read_tablet = entry.tablet_id
-            if write > hot_write:
-                hot_write = write
-                hot_write_tablet = entry.tablet_id
-        return TabletSkew(
-            read_share=hot_read / read_total if read_total > 0.0 else 1.0,
-            write_share=hot_write / write_total if write_total > 0.0 else 1.0,
-            read_seconds=read_total,
-            write_seconds=write_total,
-            hot_read_tablet=hot_read_tablet,
-            hot_write_tablet=hot_write_tablet,
-        )
-
-    def block_cache_stats(self) -> list:
-        stats: List[Any] = []
-        for shard_stats in self.scatter("block_cache_stats"):
-            stats.extend(shard_stats)
-        return stats
+        return hot_share(self.tablet_stats())
 
     def cache_hit_rate(self) -> float:
         hits = 0

@@ -14,7 +14,8 @@ sorted map; this module restores the tablet layer:
   performs threshold-driven splits and merges;
 * :class:`TabletOptions` — the split/merge/group-commit knobs;
 * :class:`TabletStats` — the frozen per-tablet accounting row surfaced by
-  cluster reports and the scale-out experiment.
+  cluster reports and the scale-out experiment, and :func:`hot_share`, the
+  one hot-tablet rule over a list of them.
 
 Tablet boundaries are metadata: splitting or merging never changes what a
 scan returns, only how load is attributed and where contention concentrates.
@@ -25,7 +26,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from heapq import merge as heap_merge
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.bigtable.cost import CostModel, OpCounter
 from repro.bigtable.lsm import (
@@ -115,6 +116,26 @@ class TabletStats:
     log_records: int = 0
     durability_seconds: float = 0.0
     write_amplification: float = 1.0
+
+
+def hot_share(stats: Sequence[TabletStats]) -> float:
+    """Fraction of total storage time served by the hottest tablet of
+    ``stats`` (summed in the order given).
+
+    1.0 means all load landed on a single tablet (the monolithic worst
+    case — also the conservative answer before any operation has been
+    recorded); ``1 / len(stats)`` is the perfectly balanced floor.
+    """
+    hottest = 0.0
+    total = 0.0
+    for entry in stats:
+        seconds = entry.simulated_seconds
+        total += seconds
+        if seconds > hottest:
+            hottest = seconds
+    if total <= 0.0:
+        return 1.0
+    return hottest / total
 
 
 class Tablet:

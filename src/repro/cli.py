@@ -58,8 +58,8 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     print(f"updates        : {indexer.update_stats.total}")
     print(f"shed ratio     : {indexer.shed_ratio():.1%}")
     print(f"simulated time : {indexer.simulated_seconds * 1e3:.1f} ms of storage work")
-    print(f"tablets        : {indexer.tablet_count()} across the three tables")
-    print(f"hot tablet     : {indexer.hot_tablet_share():.1%} of storage time")
+    print(f"tablets        : {indexer.emulator.tablet_count()} across the three tables")
+    print(f"hot tablet     : {indexer.emulator.hot_tablet_share():.1%} of storage time")
     nearest = indexer.nearest_neighbors(Point(map_size / 2, map_size / 2), k=3)
     print("3 nearest objects to the map centre:")
     for neighbor in nearest:

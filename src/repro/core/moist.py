@@ -15,16 +15,14 @@ archiver, and exposes the operations an LBS front-end server needs:
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.archive.ppp import PPPArchiver
-from repro.bigtable.backend import ShardedBackend, StorageBackend
 from repro.bigtable.cost import CostModel
 from repro.bigtable.emulator import BigtableEmulator
-from repro.bigtable.scan import BlockCacheOptions, TabletCacheStats
-from repro.bigtable.tablet import TabletOptions, TabletStats
+from repro.bigtable.scan import BlockCacheOptions
+from repro.bigtable.tablet import TabletOptions
 from repro.core.clustering import ClusteringReport, SchoolClusterer
 from repro.core.config import MoistConfig
 from repro.core.flag import FlagTuner
@@ -64,7 +62,6 @@ class MoistIndexer:
     def __init__(
         self,
         config: Optional[MoistConfig] = None,
-        emulator: Optional[StorageBackend] = None,
         cost_model: Optional[CostModel] = None,
         archiver: Optional[PPPArchiver] = None,
         table_prefix: str = "",
@@ -75,7 +72,7 @@ class MoistIndexer:
         restore_seq_bounds: Optional[Dict[str, int]] = None,
     ) -> None:
         self.config = config or MoistConfig()
-        self.emulator: StorageBackend = emulator or BigtableEmulator(
+        self.emulator = BigtableEmulator(
             cost_model=cost_model,
             tablet_options=tablet_options,
             cache_options=cache_options,
@@ -83,7 +80,7 @@ class MoistIndexer:
             restore_seq_bounds=restore_seq_bounds,
         )
         #: Request-scoped journal-fsync barrier of a disk-backed emulator.
-        self._barrier = getattr(self.emulator, "durability_barrier", nullcontext)
+        self._barrier = self.emulator.durability_barrier
         self.location_table = LocationTable(
             self.emulator,
             name=f"{table_prefix}location",
@@ -439,50 +436,3 @@ class MoistIndexer:
     def shed_ratio(self) -> float:
         """Fraction of updates shed by object schooling so far."""
         return self.update_stats.shed_ratio
-
-    def tablet_stats(self) -> List[TabletStats]:
-        """Per-tablet accounting of the backend (empty for backends that do
-        not shard)."""
-        if isinstance(self.emulator, ShardedBackend):
-            return self.emulator.tablet_stats()
-        return []
-
-    def tablet_count(self) -> int:
-        """Total tablets across the three MOIST tables (0 when the backend
-        does not shard)."""
-        if isinstance(self.emulator, ShardedBackend):
-            return self.emulator.tablet_count()
-        return 0
-
-    def hot_tablet_share(self) -> float:
-        """Fraction of storage time served by the hottest tablet (1.0 for
-        non-sharding backends: all load on one shard by definition)."""
-        if isinstance(self.emulator, ShardedBackend):
-            return self.emulator.hot_tablet_share()
-        return 1.0
-
-    def cache_stats(self) -> List[TabletCacheStats]:
-        """Per-tablet block-cache hit/miss accounting (empty for backends
-        without a block cache)."""
-        stats = getattr(self.emulator, "block_cache_stats", None)
-        return stats() if callable(stats) else []
-
-    def cache_hit_rate(self) -> float:
-        """Overall block-cache hit rate of the backend's scans (0.0 for
-        backends without a block cache)."""
-        rate = getattr(self.emulator, "cache_hit_rate", None)
-        return rate() if callable(rate) else 0.0
-
-    # ------------------------------------------------------------------
-    # Storage durability (the LSM plane)
-    # ------------------------------------------------------------------
-    def durability_seconds(self) -> float:
-        """Simulated durability time (log fsyncs, flushes, compactions)
-        accumulated by the backend, additive to :attr:`simulated_seconds`."""
-        counter = getattr(self.emulator, "counter", None)
-        return getattr(counter, "durability_seconds", 0.0)
-
-    def write_amplification(self) -> float:
-        """Physical rows written per logical row across the backend."""
-        amp = getattr(self.emulator, "write_amplification", None)
-        return amp() if callable(amp) else 1.0

@@ -129,7 +129,7 @@ def run_mixed_sweep(
             or abs(fraction - 0.5) < abs(report_fraction - 0.5)
         ):
             report_fraction = fraction
-            report = cache_hit_report(indexer.cache_stats())
+            report = cache_hit_report(indexer.emulator.block_cache_stats())
     fractions = list(query_fractions)
     result.add_series("mixed QPS", fractions, qps_values)
     result.add_series("cache hit rate", fractions, hit_rates)

@@ -133,7 +133,7 @@ def run_recovery(
         if _nn_signature(indexer, queries) != nn_before:
             raise ReproError("recovery changed NN results")  # pragma: no cover
         tablet_amplifications = [
-            stats.write_amplification for stats in indexer.tablet_stats()
+            stats.write_amplification for stats in indexer.emulator.tablet_stats()
         ]
         xs.append(float(size) if size is not None else float(num_updates))
         recovery_ms.append(report.simulated_seconds * 1e3)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from zlib import crc32
 
-from repro.bigtable.backend import ShardedBackend
+from repro.bigtable.emulator import BigtableEmulator
 from repro.bigtable.lsm import RecoveryReport, TableRecovery
 from repro.core.moist import MoistIndexer
 from repro.core.nn_search import NNQueryStats
@@ -316,15 +316,12 @@ class ServerCluster:
 
         Messages are partitioned by the Location Table tablet that owns
         their row key; each partition is handled by that tablet's primary
-        server through the group-commit path.  Falls back to one round-robin
-        batch when the backend does not shard.  Returns the number of
+        server through the group-commit path.  Returns the number of
         messages processed.
         """
         if not messages:
             return 0
-        location_table = getattr(self.indexer.location_table, "table", None)
-        if location_table is None or not hasattr(location_table, "tablet_for_key"):
-            return self._pick_server().handle_update_batch(messages)
+        location_table = self.indexer.location_table.table
         groups: Dict[str, List[UpdateMessage]] = {}
         for message in messages:
             tablet = location_table.tablet_for_key(message.object_id)
@@ -349,8 +346,7 @@ class ServerCluster:
         serving server(s) through :meth:`FrontendServer.handle_query_batch`.
         A tablet the master replicated splits its partition stride-wise
         over every alive replica — the query fan-out that divides a
-        read-hot tablet's load.  Falls back to one round-robin batch when
-        the backend does not shard.  Results are returned in request order
+        read-hot tablet's load.  Results are returned in request order
         and are identical to sequential :meth:`submit_nn_query` calls.
         ``queries`` carry ``location``, ``k`` and ``range_limit``
         attributes (:class:`repro.workload.queries.NNQuery` fits).
@@ -358,14 +354,6 @@ class ServerCluster:
         if not queries:
             return []
         spatial = self.indexer.spatial_table
-        backing = getattr(spatial, "table", None)
-        if backing is None or not hasattr(backing, "tablet_for_key"):
-            return self._pick_server().handle_query_batch(
-                queries,
-                at_time=at_time,
-                use_flag=use_flag,
-                include_followers=include_followers,
-            )
         groups: Dict[str, List[int]] = {}
         for index, query in enumerate(queries):
             tablet = spatial.tablet_for_location(query.location)
@@ -422,13 +410,7 @@ class ServerCluster:
         contention model is invalidated because tablet load concentrations
         were re-read from a cold start.
         """
-        backend = self.indexer.emulator
-        recover = getattr(backend, "recover", None)
-        if not callable(recover):
-            raise ConfigurationError(
-                "the storage backend does not support crash recovery"
-            )
-        report = recover()
+        report = self.indexer.emulator.recover()
         self.contention.invalidate()
         return report
 
@@ -454,10 +436,6 @@ class ServerCluster:
         if len(self.alive_server_indices()) <= 1:
             raise ConfigurationError("cannot fail the last alive server")
         backend = self.indexer.emulator
-        if not isinstance(backend, ShardedBackend):
-            raise ConfigurationError(
-                "per-server failover needs a sharded backend with tablets"
-            )
         # Resolve ownership before marking the server dead: the fallback
         # resolution must see the pre-crash routing.
         owned: List[Tuple[str, object]] = []
@@ -620,7 +598,7 @@ class ServerCluster:
         ]
 
     @property
-    def storage_stats(self) -> MoistIndexer:
+    def storage_stats(self) -> BigtableEmulator:
         """Answers ``tablet_count`` / ``hot_tablet_share`` /
         ``cache_hit_rate`` for result assembly."""
-        return self.indexer
+        return self.indexer.emulator

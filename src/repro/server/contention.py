@@ -17,8 +17,8 @@ is exactly the scale-out story the paper's Section 4.3.3 tells ("MOIST has
 very little communication overhead with the increase in the number of
 machines").
 
-Reads and writes contribute symmetrically: backends exposing
-:meth:`~repro.bigtable.backend.ShardedBackend.tablet_skew` report the
+Reads and writes contribute symmetrically:
+:meth:`~repro.bigtable.emulator.BigtableEmulator.tablet_skew` reports the
 hottest *read* tablet's share of read time and the hottest *write*
 tablet's share of write time separately, blended by each class's share of
 traffic.  A query storm piling onto one spatial-index tablet therefore
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import Callable, Mapping, Optional
 
-from repro.bigtable.backend import ShardedBackend
+from repro.bigtable.emulator import BigtableEmulator
 from repro.errors import ConfigurationError
 
 #: Requests between two re-samples of the backend's tablet skew.
@@ -49,7 +49,7 @@ class TabletContentionModel:
 
     def __init__(
         self,
-        backend,
+        backend: BigtableEmulator,
         num_servers: int,
         alpha: float = 0.025,
     ) -> None:
@@ -57,27 +57,7 @@ class TabletContentionModel:
             raise ConfigurationError("num_servers must be >= 1")
         if alpha < 0:
             raise ConfigurationError("alpha must be non-negative")
-        if not isinstance(backend, ShardedBackend):
-            raise ConfigurationError(
-                "tablet-aware contention needs a backend with per-tablet "
-                "accounting (the ShardedBackend protocol)"
-            )
-        skew = getattr(backend, "tablet_skew", None)
-        if callable(skew):
-            # Symmetric read/write skew: hottest read tablet and hottest
-            # write tablet each weighted by their class's traffic share.
-            # A control plane that replicates read-hot tablets registers a
-            # replica-count provider; the hot read tablet's skew is then
-            # divided by its fan-out (reads spread over every replica).
-            def hot_share() -> float:
-                current = skew()
-                if self.replica_counts is not None:
-                    return current.replica_adjusted_share(self.replica_counts())
-                return current.blended_share
-
-            self._hot_share = hot_share
-        else:
-            self._hot_share = backend.hot_tablet_share
+        self.backend = backend
         #: Optional callable returning ``tablet_id -> replica count``
         #: (primary included), set by the tablet master when it replicates
         #: read-hot tablets for query fan-out.
@@ -101,6 +81,17 @@ class TabletContentionModel:
             self._requests_since_refresh = 0
         self._requests_since_refresh += 1
         return self._cached_factor
+
+    def _hot_share(self) -> float:
+        """Symmetric read/write skew: the hottest read tablet and the
+        hottest write tablet, each weighted by its class's traffic share.
+        A control plane that replicates read-hot tablets registers
+        :attr:`replica_counts`; the hot read tablet's skew is then divided
+        by its fan-out (reads spread over every replica)."""
+        skew = self.backend.tablet_skew()
+        if self.replica_counts is not None:
+            return skew.replica_adjusted_share(self.replica_counts())
+        return skew.blended_share
 
     def invalidate(self) -> None:
         """Force a re-sample on the next request (e.g. after counter resets)."""

@@ -49,15 +49,13 @@ class LoadTestResult:
     qps: float
     per_server_qps: List[float] = field(default_factory=list)
     timeline: List[TimelinePoint] = field(default_factory=list)
-    #: Tablets across the backend's tables when the test ended (0 when the
-    #: backend does not shard).
+    #: Tablets across the backend's tables when the test ended.
     tablet_count: int = 0
-    #: Fraction of storage time served by the hottest tablet (1.0 for
-    #: non-sharding backends).
+    #: Fraction of storage time served by the hottest tablet
+    #: (:func:`~repro.bigtable.tablet.hot_share`).
     hot_tablet_share: float = 1.0
     #: Block-cache hit rate of the backend's scans over the test (0.0 for
-    #: backends without a block cache, and for write-only tests that never
-    #: scanned).
+    #: write-only tests that never scanned).
     cache_hit_rate: float = 0.0
     #: Simulated p99 per-request service time (0.0 unless the cluster was
     #: built with ``record_service_times``).

@@ -9,7 +9,7 @@ affinity.  This module is that master:
 
 * :class:`TabletMaster` watches the per-tablet
   :class:`~repro.bigtable.cost.OpCounter` ledgers and the cluster's
-  :class:`~repro.bigtable.backend.TabletSkew` and **rebalances live**:
+  :class:`~repro.bigtable.emulator.TabletSkew` and **rebalances live**:
 
   - *migration* — a hot tablet moves to a colder server through the LSM
     machinery: freeze the memtable → flush it into an SSTable run → hand
@@ -38,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.bigtable.backend import ShardedBackend
 from repro.bigtable.cost import OpKind
 from repro.bigtable.tablet import TabletStats
 from repro.errors import ConfigurationError
@@ -132,14 +131,8 @@ class TabletMaster:
     def __init__(
         self, cluster: ServerCluster, options: Optional[MasterOptions] = None
     ) -> None:
-        backend = cluster.indexer.emulator
-        if not isinstance(backend, ShardedBackend):
-            raise ConfigurationError(
-                "the tablet master needs a sharded backend with per-tablet "
-                "accounting"
-            )
         self.cluster = cluster
-        self.backend = backend
+        self.backend = cluster.indexer.emulator
         self.options = options or MasterOptions()
         self.migrations: List[MigrationRecord] = []
         self.replications: List[ReplicationRecord] = []

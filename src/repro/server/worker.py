@@ -19,13 +19,12 @@ the determinism the acceptance criteria demand.  The same
 ``ShardService`` holds one shard's state; :data:`VERBS` is the complete,
 declared worker-side verb set (name → callable, read-only flag): the data
 plane (batched updates/queries via the compact opcodes), the control plane
-(migration, replication, failover, rebalance, fault injection), storage
-durability (flush/compact/recover), ledger and metrics extraction, the
-state/NN signatures the losslessness property suites compare, and a bare
-:class:`~repro.bigtable.table.Table` scenario used by the cross-process
-crash-recovery property tests.  Reachability, mutability and the
-accounting-checkpoint trigger all derive from that one table, on both
-transports.
+(migration, replication, failover, rebalance, fault injection), ledger and
+metrics extraction, the state/NN signatures the losslessness property
+suites compare, and a bare :class:`~repro.bigtable.table.Table` scenario
+used by the cross-process crash-recovery property tests.  Reachability,
+mutability and the accounting-checkpoint trigger all derive from that one
+table, on both transports.
 
 The checkpoint itself is a fixed-order walk (``accounting_state`` /
 ``_install_accounting``) over the owners of simulated-but-not-durable
@@ -380,7 +379,7 @@ class ShardService:
         self._state_blob_path = state_blob_path
         if accounting is not None:
             self._install_accounting(accounting)
-        return {"objects_loaded": loaded, "tablets": indexer.tablet_count()}
+        return {"objects_loaded": loaded, "tablets": indexer.emulator.tablet_count()}
 
     def _require_cluster(self) -> ServerCluster:
         if self.cluster is None:
@@ -539,20 +538,8 @@ class ShardService:
         )
 
     # ------------------------------------------------------------------
-    # Table management, ledgers & metrics
+    # Ledgers & metrics
     # ------------------------------------------------------------------
-    @_verb()
-    def create_table(self, name: str, families) -> None:
-        _emulator(self).create_table(name, families)  # the handle stays here
-
-    @_verb(read_only=True)
-    def table_keys(self, name: str) -> List[str]:
-        return list(_emulator(self).table(name).all_keys())
-
-    @_verb(read_only=True)
-    def table_row_count(self, name: str) -> int:
-        return len(_emulator(self).table(name).all_keys())
-
     @_verb(read_only=True)
     def counter_snapshot(self):
         return _emulator(self).counter.snapshot()
@@ -706,13 +693,8 @@ class ShardService:
 
 
 _forward(
-    _emulator, False,
-    "flush", "compact", "recover", "drop_table", "reset_counters",
-)
-_forward(
     _emulator, True,
-    "has_table", "table_names", "run_count", "log_record_count",
-    "tablet_stats", "tablet_count", "block_cache_stats",
+    "run_count", "log_record_count", "tablet_stats", "tablet_count",
 )
 _forward(
     ShardService._require_cluster, False,

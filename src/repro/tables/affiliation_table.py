@@ -33,7 +33,7 @@ import enum
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.bigtable.backend import StorageBackend
+from repro.bigtable.emulator import BigtableEmulator
 from repro.bigtable.table import ColumnFamily, Table
 from repro.errors import RowNotFoundError, SchemaError
 from repro.geometry.vector import Vector
@@ -108,7 +108,7 @@ class LFRecord(tuple):
 class AffiliationTable:
     """Wrapper around the BigTable table that tracks schools."""
 
-    def __init__(self, emulator: StorageBackend, name: str = "affiliation") -> None:
+    def __init__(self, emulator: BigtableEmulator, name: str = "affiliation") -> None:
         families = [
             ColumnFamily(LF_FAMILY, in_memory=True, max_versions=1),
             ColumnFamily(LF_AGED_FAMILY, in_memory=False, max_versions=16),

@@ -25,8 +25,8 @@ from __future__ import annotations
 from sys import intern as _intern
 from typing import Dict, List, Optional, Sequence
 
-from repro.bigtable.backend import StorageBackend
 from repro.bigtable.cost import OpKind
+from repro.bigtable.emulator import BigtableEmulator
 from repro.bigtable.table import ColumnFamily, Table
 from repro.errors import RowNotFoundError, SchemaError
 from repro.model import LocationRecord, ObjectId
@@ -44,7 +44,7 @@ class LocationTable:
 
     def __init__(
         self,
-        emulator: StorageBackend,
+        emulator: BigtableEmulator,
         name: str = "location",
         memory_records: int = 8,
         disk_columns: int = 2,

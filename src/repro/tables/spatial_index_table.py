@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from repro.bigtable.backend import StorageBackend
+from repro.bigtable.emulator import BigtableEmulator
 from repro.bigtable.table import ColumnFamily, Table
 from repro.bigtable.tablet import Tablet
 from repro.errors import SchemaError
@@ -47,7 +47,7 @@ class SpatialIndexTable:
 
     def __init__(
         self,
-        emulator: StorageBackend,
+        emulator: BigtableEmulator,
         name: str = "spatial_index",
         storage_level: int = 16,
         world: BoundingBox = WORLD_UNIT_BOX,

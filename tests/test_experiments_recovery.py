@@ -79,16 +79,16 @@ class TestClusterCrashAndRecover:
     def test_write_amplification_stays_within_budget(self):
         indexer, cluster = build(flush_rows=256)
         cluster.submit_update_batch(update_stream(600, 1200, seed=13))
-        for stats in indexer.tablet_stats():
+        for stats in indexer.emulator.tablet_stats():
             assert stats.write_amplification <= 3.0
-        assert indexer.write_amplification() <= 3.0
+        assert indexer.emulator.write_amplification() <= 3.0
 
     def test_default_knobs_are_log_only(self):
         indexer = uniform_leader_indexer(300, seed=5)
         cluster = ServerCluster(indexer, num_servers=2)
         cluster.submit_update_batch(update_stream(300, 300, seed=5))
         assert indexer.emulator.run_count() == 0
-        assert indexer.write_amplification() == pytest.approx(1.0)
+        assert indexer.emulator.write_amplification() == pytest.approx(1.0)
         counter = indexer.emulator.counter
         assert counter.durability_rows.get(OpKind.LOG_APPEND, 0) > 0
         # Durability is additive: the paper-facing ledgers never see it.

@@ -57,7 +57,7 @@ class TestTabletLoadReport:
                 for index in range(400)
             ]
         )
-        report = tablet_load_report(indexer.tablet_stats())
+        report = tablet_load_report(indexer.emulator.tablet_stats())
         assert "per-tablet storage accounting" in report
         assert "skew: hottest tablet serves" in report
         assert "location" in report

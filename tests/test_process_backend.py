@@ -16,11 +16,6 @@ import tempfile
 
 import pytest
 
-from repro.bigtable.backend import (
-    CacheAwareBackend,
-    ShardedBackend,
-    StorageBackend,
-)
 from repro.bigtable.process_backend import (
     LocalShardedBackend,
     ProcessShardedBackend,
@@ -213,7 +208,7 @@ class TestVerbTable:
         recipe = ShardRecipe(num_objects=30, num_servers=2, with_master=True)
         with single_shard_client(backend, recipe=recipe) as client:
             assert client.call("ping") == "pong"
-            assert client.call("has_table", "location")  # emulator forward
+            assert client.call("run_count") >= 0  # emulator forward
             assert client.call("alive_server_indices") == [0, 1]  # cluster
             client.call("rebalance")  # master forward
             assert client.call("tablet_count") >= 1
@@ -240,26 +235,18 @@ class TestVerbTable:
             "ping", "accounting_state", "metrics",
             "counter_snapshot", "simulated_seconds", "run_count",
             "log_record_count", "tablet_stats", "tablet_count",
-            "block_cache_stats", "cache_totals", "server_index_for_tablet",
+            "cache_totals", "server_index_for_tablet",
             "alive_server_indices", "service_time_samples", "state_signature",
-            "full_row_signature", "has_table", "table_names", "table_keys",
-            "table_row_count", "table_state",
+            "full_row_signature", "table_state",
         }
         assert not any(name.startswith("_") for name in VERBS)
         assert {"update_batch", "query_batch", "build_indexer"} <= set(VERBS)
 
 
 # --------------------------------------------------------------------------
-# Protocol conformance and federation semantics
+# Federation semantics
 # --------------------------------------------------------------------------
 class TestFederationProtocol:
-    def test_backends_satisfy_the_storage_protocols(self):
-        for backend_kind in ("inprocess", "process"):
-            with make_scaleout_backend(backend_kind, 2, num_objects=40) as backend:
-                assert isinstance(backend, StorageBackend)
-                assert isinstance(backend, ShardedBackend)
-                assert isinstance(backend, CacheAwareBackend)
-
     def test_unknown_backend_kind_is_rejected(self):
         with pytest.raises(ConfigurationError):
             make_scaleout_backend("threads", 2, num_objects=10)
@@ -285,6 +272,33 @@ class TestFederationProtocol:
             assert sum(owned) == 120
             for client in backend.clients:
                 assert client.call("state_signature")  # every shard holds state
+
+    def test_hot_share_matches_the_single_stack_it_mirrors(self):
+        """A one-shard federation and the plain stack it mirrors report the
+        same tablets, so one hot-share rule over one tablet order gives the
+        same share to the last bit.  Summing the single stack's tablets in
+        table-creation order instead of ``tablet_stats()`` order made this
+        seed differ in the last bit."""
+        from repro.experiments.common import uniform_leader_indexer
+        from repro.server.cluster import ServerCluster
+
+        seed = 2
+        indexer = uniform_leader_indexer(2000, seed=seed)
+        indexer.emulator.reset_counters()
+        single = ServerCluster(indexer, num_servers=2)
+        federated = ScaleOutCluster.build(
+            1, backend="inprocess", num_objects=2000, seed=seed, num_servers=2
+        )
+        messages = make_messages(1500, 2000, seed=seed)
+        queries = make_queries(50, seed=seed)
+        for cluster in (single, federated):
+            for start in range(0, len(messages), 256):
+                cluster.submit_update_batch(messages[start : start + 256])
+            cluster.submit_query_batch(queries)
+        ours, theirs = single.storage_stats, federated.storage_stats
+        assert ours.tablet_stats() == theirs.tablet_stats()
+        assert ours.hot_tablet_share() == theirs.hot_tablet_share()
+        federated.close()
 
 
 # --------------------------------------------------------------------------
@@ -321,9 +335,9 @@ class TestLedgerMergeDeterminism:
         fingerprint = (
             snapshot.storage_rpc_count(),
             snapshot.simulated_seconds,
-            cluster.backend.simulated_seconds,
+            sum(cluster.backend.scatter("simulated_seconds")),
             cluster.backend.run_count(),
-            cluster.backend.log_record_count(),
+            sum(cluster.backend.scatter("log_record_count")),
             cluster.makespan_seconds(),
         )
         wire = (

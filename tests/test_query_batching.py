@@ -166,14 +166,14 @@ class TestCacheWarmup:
         rates = []
         for _ in range(4):
             cluster.submit_query_batch(queries)
-            rates.append(cluster.indexer.cache_hit_rate())
+            rates.append(cluster.indexer.emulator.cache_hit_rate())
         assert rates == sorted(rates)
         assert rates[-1] > 0.0
 
     def test_cache_stats_exposed_per_tablet(self):
         cluster = ServerCluster(seeded_indexer(), num_servers=2)
         cluster.submit_query_batch(overlapping_queries(count=10))
-        stats = cluster.indexer.cache_stats()
+        stats = cluster.indexer.emulator.block_cache_stats()
         assert stats
         assert all(entry.lookups == entry.hits + entry.misses for entry in stats)
 

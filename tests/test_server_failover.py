@@ -61,7 +61,7 @@ class TestSingleServerFailover:
         victim = 2
         owned = [
             stats.tablet_id
-            for stats in indexer.tablet_stats()
+            for stats in indexer.emulator.tablet_stats()
             if cluster.server_index_for_tablet(stats.tablet_id) == victim
         ]
         report = cluster.fail_server(victim)

@@ -80,7 +80,7 @@ class TestMigration:
     def test_committed_migration_repoints_routing(self):
         indexer, cluster, master = build_cluster()
         drive_updates(cluster)
-        stats = max(indexer.tablet_stats(), key=lambda s: s.simulated_seconds)
+        stats = max(indexer.emulator.tablet_stats(), key=lambda s: s.simulated_seconds)
         source = cluster.server_index_for_tablet(stats.tablet_id)
         target = (source + 1) % cluster.num_servers
         record = master.migrate_tablet(stats.table, stats.tablet_id, target)
@@ -97,7 +97,7 @@ class TestMigration:
     def test_migration_ships_runs_and_log_tail(self):
         indexer, cluster, master = build_cluster()
         drive_updates(cluster)
-        stats = max(indexer.tablet_stats(), key=lambda s: s.row_count)
+        stats = max(indexer.emulator.tablet_stats(), key=lambda s: s.row_count)
         target = (cluster.server_index_for_tablet(stats.tablet_id) + 1) % 4
         record = master.migrate_tablet(stats.table, stats.tablet_id, target)
         # freeze+flush moved the memtable into a run before the hand-off.
@@ -111,7 +111,7 @@ class TestMigration:
     def test_mid_flight_crash_aborts_without_moving(self, crash_point):
         indexer, cluster, master = build_cluster()
         drive_updates(cluster)
-        stats = max(indexer.tablet_stats(), key=lambda s: s.simulated_seconds)
+        stats = max(indexer.emulator.tablet_stats(), key=lambda s: s.simulated_seconds)
         source = cluster.server_index_for_tablet(stats.tablet_id)
         target = (source + 1) % cluster.num_servers
         record = master.migrate_tablet(
@@ -127,7 +127,7 @@ class TestMigration:
     def test_invalid_migrations_rejected(self):
         indexer, cluster, master = build_cluster()
         drive_updates(cluster)
-        stats = indexer.tablet_stats()[0]
+        stats = indexer.emulator.tablet_stats()[0]
         source = cluster.server_index_for_tablet(stats.tablet_id)
         with pytest.raises(ConfigurationError):
             master.migrate_tablet(stats.table, stats.tablet_id, source)
@@ -182,13 +182,13 @@ class TestRebalance:
         # Pin every tablet onto one server to fabricate the worst case.
         indexer, cluster, master = build_cluster(num_servers=4)
         drive_updates(cluster)
-        for stats in indexer.tablet_stats():
+        for stats in indexer.emulator.tablet_stats():
             cluster.routing.assign(stats.tablet_id, 0)
-        before = master._imbalance(master._server_loads(indexer.tablet_stats()))
+        before = master._imbalance(master._server_loads(indexer.emulator.tablet_stats()))
         report = master.rebalance()
         assert report.migrations  # it acted
         assert report.imbalance_after < report.imbalance_before
-        assert master._imbalance(master._server_loads(indexer.tablet_stats())) < before
+        assert master._imbalance(master._server_loads(indexer.emulator.tablet_stats())) < before
 
     def test_rebalance_is_idempotent_when_balanced(self):
         indexer, cluster, master = build_cluster()
@@ -213,18 +213,6 @@ class TestRebalance:
         assert report.replications
         counts = master.replica_counts()
         assert counts and max(counts.values()) <= 3
-
-    def test_master_requires_sharded_backend(self):
-        class Flat:
-            pass
-
-        indexer = uniform_leader_indexer(50, seed=3)
-        cluster = ServerCluster(indexer, num_servers=2)
-        cluster.indexer = type(
-            "Facade", (), {"emulator": Flat(), "indexer": None}
-        )()
-        with pytest.raises(ConfigurationError):
-            TabletMaster(cluster)
 
     def test_master_options_validation(self):
         with pytest.raises(ConfigurationError):

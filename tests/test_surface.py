@@ -7,7 +7,9 @@ the same thing one level up.  Both fail here unless allow-listed below,
 each entry with the reason it stays.  The scan is a word count, not a call
 graph: a name mentioned anywhere outside its definition (a call, an
 attribute, a verb string, a docstring) counts as named.  Each name also has
-one import path: sub-package ``__init__`` files are docstring-only.
+one import path: sub-package ``__init__`` files are docstring-only.  A
+registered worker verb is the same case over the wire: one that no file
+outside ``server/worker.py`` names as a string is sent by nothing.
 """
 
 from __future__ import annotations
@@ -149,6 +151,31 @@ def test_no_module_defines_a_lazy_import_shim():
         if isinstance(node, ast.FunctionDef) and node.name in ("__getattr__", "__dir__")
     ]
     assert shims == []
+
+
+#: Verbs the compact data-plane opcodes send without naming them.
+OPCODE_VERBS = {"update_batch", "query_batch"}
+
+
+def unsent_verbs() -> List[str]:
+    """Registered worker verbs that no file but ``server/worker.py`` names
+    as a string constant: a verb nothing sends is dead."""
+    from repro.server.worker import VERBS
+
+    worker = PACKAGE / "server" / "worker.py"
+    sent: Set[str] = set()
+    for directory in CALLER_DIRS + ("tests",):
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            if path == worker:
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    sent.add(node.value)
+    return sorted(set(VERBS) - sent - OPCODE_VERBS)
+
+
+def test_every_registered_verb_has_a_sender():
+    assert unsent_verbs() == []
 
 
 def test_allow_list_entries_still_exist():
