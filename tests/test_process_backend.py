@@ -247,6 +247,35 @@ class TestVerbTable:
 # Federation semantics
 # --------------------------------------------------------------------------
 class TestFederationProtocol:
+    @pytest.mark.parametrize("backend_kind", ["inprocess", "process"])
+    def test_backends_answer_every_read_their_callers_make(self, backend_kind):
+        """The federation keeps exactly the reads that load-test result
+        assembly and the benchmark's counter collection make; each answers
+        with a number on either backend kind, never an ``AttributeError``
+        that the benchmark would report as a null counter."""
+        from repro.bigtable.cost import OpKind
+
+        with make_scaleout_backend(backend_kind, 2, num_objects=40) as backend:
+            counter = backend.counter
+            reads = {
+                "storage_rpcs": counter.storage_rpc_count(),
+                "sim_storage_s": counter.simulated_seconds,
+                "durability_s": counter.durability_seconds,
+                "log_fsyncs": counter.durability_count(OpKind.LOG_APPEND),
+                "runs": backend.run_count(),
+                "write_amplification": backend.write_amplification(),
+                "cache_hit_rate": backend.cache_hit_rate(),
+                "tablet_count": backend.tablet_count(),
+                "hot_share": backend.hot_tablet_share(),
+                "rpc_frames": backend.rpc_frame_count(),
+                "rpc_bytes": backend.serialized_bytes(),
+            }
+            for name, value in reads.items():
+                assert isinstance(value, (int, float)), name
+            assert reads["tablet_count"] == len(backend.tablet_stats()) >= 2
+            assert 0.0 < reads["hot_share"] <= 1.0
+            assert 0.0 <= reads["cache_hit_rate"] <= 1.0
+
     def test_unknown_backend_kind_is_rejected(self):
         with pytest.raises(ConfigurationError):
             make_scaleout_backend("threads", 2, num_objects=10)
