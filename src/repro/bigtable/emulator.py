@@ -191,6 +191,18 @@ class BigtableEmulator:
         except KeyError:
             raise TableNotFoundError(f"table {name!r} does not exist") from None
 
+    def has_table(self, name: str) -> bool:
+        """True when a table with that name exists."""
+        return name in self._tables
+
+    def drop_table(self, name: str) -> None:
+        """Delete a table and its contents (including its on-disk store)."""
+        if name not in self._tables:
+            raise TableNotFoundError(f"table {name!r} does not exist")
+        table = self._tables.pop(name)
+        if table._store is not None:
+            table._store.destroy()
+
     def table_names(self) -> List[str]:
         """Names of every table, sorted."""
         return sorted(self._tables)

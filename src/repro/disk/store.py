@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import shutil
 import struct
 import zlib
 from time import perf_counter
@@ -275,6 +276,10 @@ class DiskTableStore:
         if not self._journal.closed:
             self._write_pending()
             self._journal.close()
+
+    def destroy(self) -> None:
+        self.close()
+        shutil.rmtree(self.root, ignore_errors=True)
 
 
 def restore_table(

@@ -315,19 +315,18 @@ class TestFederationProtocol:
         indexer = uniform_leader_indexer(2000, seed=seed)
         indexer.emulator.reset_counters()
         single = ServerCluster(indexer, num_servers=2)
-        federated = ScaleOutCluster.build(
-            1, backend="inprocess", num_objects=2000, seed=seed, num_servers=2
-        )
         messages = make_messages(1500, 2000, seed=seed)
         queries = make_queries(50, seed=seed)
-        for cluster in (single, federated):
-            for start in range(0, len(messages), 256):
-                cluster.submit_update_batch(messages[start : start + 256])
-            cluster.submit_query_batch(queries)
-        ours, theirs = single.storage_stats, federated.storage_stats
-        assert ours.tablet_stats() == theirs.tablet_stats()
-        assert ours.hot_tablet_share() == theirs.hot_tablet_share()
-        federated.close()
+        with ScaleOutCluster.build(
+            1, backend="inprocess", num_objects=2000, seed=seed, num_servers=2
+        ) as federated:
+            for cluster in (single, federated):
+                for start in range(0, len(messages), 256):
+                    cluster.submit_update_batch(messages[start : start + 256])
+                cluster.submit_query_batch(queries)
+            ours, theirs = single.storage_stats, federated.storage_stats
+            assert ours.tablet_stats() == theirs.tablet_stats()
+            assert ours.hot_tablet_share() == theirs.hot_tablet_share()
 
 
 # --------------------------------------------------------------------------

@@ -9,7 +9,7 @@ graph: a name mentioned anywhere outside its definition (a call, an
 attribute, a verb string, a docstring) counts as named.  Each name also has
 one import path: sub-package ``__init__`` files are docstring-only.  A
 registered worker verb is the same case over the wire: one that no file
-outside ``server/worker.py`` names as a string is sent by nothing.
+outside ``server/worker.py`` passes to a send call is sent by nothing.
 """
 
 from __future__ import annotations
@@ -31,7 +31,9 @@ ALLOWED_NAMES = {
     "MoistIndexer.objects_near": "the paper's library facade (Section 3)",
     "MoistIndexer.predict_location": "the paper's library facade (Section 3)",
     "MoistIndexer.smoothed_trajectory": "the paper's library facade (Section 3)",
-    "ShardService.state_signature": "cross-backend property-suite harness verb",
+    "BigtableEmulator.has_table": "BigTable's table-management API, run by its tests",
+    "BigtableEmulator.drop_table": "BigTable's table-management API, run by its tests",
+    "ShardService.state_signature":"cross-backend property-suite harness verb",
     "ShardService.nn_signature": "cross-backend property-suite harness verb",
     "ShardService.table_apply": "cross-backend property-suite harness verb",
     "ShardService.table_recover": "cross-backend property-suite harness verb",
@@ -153,29 +155,84 @@ def test_no_module_defines_a_lazy_import_shim():
     assert shims == []
 
 
-#: Verbs the compact data-plane opcodes send without naming them.
-OPCODE_VERBS = {"update_batch", "query_batch"}
+#: Registered verbs that pass without a named send, each with the reason.
+UNSENT_VERBS = {
+    "update_batch": "sent by the compact data-plane opcode, not by name",
+    "query_batch": "sent by the compact data-plane opcode, not by name",
+    "accounting_state": "called in-process only (checkpoint writer, state tests)",
+}
+
+#: Calls whose first argument names the verb they send.
+SEND_CALLS = {"call", "scatter", "encode_call"}
+
+
+def _callee(node: ast.Call) -> str:
+    func = node.func
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return func.id if isinstance(func, ast.Name) else ""
+
+
+def _verb_constant(node: ast.AST) -> Set[str]:
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return {node.value}
+    return set()
+
+
+def sent_verbs(tree: ast.AST) -> Set[str]:
+    """Verb strings a module sends: the first argument of ``.call`` /
+    ``scatter`` / ``rpc.encode_call``, or the head of a ``(verb, args,
+    kwargs)`` tuple handed to ``call_round``.  A verb string anywhere else
+    (a set of names, an op tag) is not a send."""
+    sent: Set[str] = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        callee = _callee(node)
+        if callee in SEND_CALLS and node.args:
+            sent |= _verb_constant(node.args[0])
+        elif callee == "call_round":
+            for arg in node.args:
+                for item in ast.walk(arg):
+                    if isinstance(item, ast.Tuple) and item.elts:
+                        sent |= _verb_constant(item.elts[0])
+    return sent
 
 
 def unsent_verbs() -> List[str]:
-    """Registered worker verbs that no file but ``server/worker.py`` names
-    as a string constant: a verb nothing sends is dead."""
+    """Registered worker verbs that no file but ``server/worker.py`` sends:
+    a verb nothing sends is dead."""
     from repro.server.worker import VERBS
 
     worker = PACKAGE / "server" / "worker.py"
     sent: Set[str] = set()
     for directory in CALLER_DIRS + ("tests",):
         for path in sorted((ROOT / directory).rglob("*.py")):
-            if path == worker:
-                continue
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    sent.add(node.value)
-    return sorted(set(VERBS) - sent - OPCODE_VERBS)
+            if path != worker:
+                sent |= sent_verbs(ast.parse(path.read_text()))
+    return sorted(set(VERBS) - sent - set(UNSENT_VERBS))
 
 
 def test_every_registered_verb_has_a_sender():
     assert unsent_verbs() == []
+
+
+def test_verb_sends_are_read_from_call_sites_only():
+    tree = ast.parse(
+        "client.call('a', 1)\n"
+        "backend.scatter('b')\n"
+        "rpc.encode_call('c', (), {})\n"
+        "backend.call_round([('d', (), {}) for _ in range(2)])\n"
+        "names = {'e', 'f'}\n"
+        "client.call(method, 'g')\n"
+    )
+    assert sent_verbs(tree) == {"a", "b", "c", "d"}
+
+
+def test_unsent_verb_exemptions_are_registered_verbs():
+    from repro.server.worker import VERBS
+
+    assert set(UNSENT_VERBS) <= set(VERBS)
 
 
 def test_allow_list_entries_still_exist():
