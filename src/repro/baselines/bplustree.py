@@ -104,19 +104,6 @@ class BPlusTree:
     # ------------------------------------------------------------------
     # Lookups
     # ------------------------------------------------------------------
-    def search(self, key) -> List:
-        """Values stored under ``key`` (empty when absent)."""
-        node = self._root
-        while not node.is_leaf:
-            self.stats.node_reads += 1
-            index = bisect_right(node.keys, key)
-            node = node.children[index]
-        self.stats.node_reads += 1
-        index = bisect_left(node.keys, key)
-        if index < len(node.keys) and node.keys[index] == key:
-            return list(node.values[index])
-        return []
-
     def range(self, low, high) -> Iterator[Tuple[object, object]]:
         """Yield ``(key, value)`` for keys in ``[low, high]`` in order."""
         node = self._root

@@ -148,7 +148,7 @@ class CostModel:
         )
         # Durability kinds live in their own table: recording one through the
         # standard ledger is a bug (it would perturb the calibrated service
-        # times), so ``record``/``cost_of`` refuse them.
+        # times), so ``record`` refuses them.
         object.__setattr__(
             self,
             "_durability_cost_table",
@@ -159,14 +159,6 @@ class CostModel:
                 OpKind.MIGRATION: (self.migration_rpc, self.migration_row, 1.0),
             },
         )
-
-    def cost_of(self, kind: OpKind, rows: int = 1) -> float:
-        """Simulated time for one call of ``kind`` touching ``rows`` rows."""
-        entry = self._cost_table.get(kind)
-        if entry is None:
-            raise ConfigurationError(f"no standalone cost defined for {kind}")
-        fixed, per_row, post_factor = entry
-        return (fixed + per_row * rows) * post_factor
 
 
 #: Kinds whose simulated time accrues to the read ledger; everything else is
@@ -211,9 +203,9 @@ class OpCounter:
     def record(self, kind: OpKind, rows: int = 1) -> float:
         """Record one operation and return its simulated cost.
 
-        Duplicates :meth:`record_many` for ``calls=1`` rather than call it
-        (or :meth:`CostModel.cost_of`): every scan and batch lands here, and
-        the extra call frames would cost more than the arithmetic.
+        Duplicates :meth:`record_many` for ``calls=1`` rather than call it:
+        every scan and batch lands here, and the extra call frame would cost
+        more than the arithmetic.
         """
         entry = self.model._cost_table.get(kind)
         if entry is None:
@@ -377,10 +369,6 @@ class OpCounter:
         self.durability_seconds += other.durability_seconds
         self.logical_write_rows += other.logical_write_rows
 
-    def count(self, kind: OpKind) -> int:
-        """Number of calls of the given kind recorded so far."""
-        return self.counts.get(kind, 0)
-
     def total_calls(self) -> int:
         """Total number of storage calls of any kind."""
         return sum(self.counts.values())
@@ -447,15 +435,6 @@ class OpCounterSnapshot:
     durability_rows: Dict[OpKind, int] = field(default_factory=dict)
     durability_seconds: float = 0.0
     logical_write_rows: int = 0
-
-    def storage_rpc_count(self) -> int:
-        """Storage RPC round trips in this snapshot (``CACHE_READ``
-        excluded, exactly like :meth:`OpCounter.storage_rpc_count`)."""
-        return sum(
-            count
-            for kind, count in self.counts.items()
-            if kind is not OpKind.CACHE_READ
-        )
 
     def delta(self, earlier: "OpCounterSnapshot") -> "OpCounterSnapshot":
         """Difference between this snapshot and an ``earlier`` one."""

@@ -191,18 +191,6 @@ class BigtableEmulator:
         except KeyError:
             raise TableNotFoundError(f"table {name!r} does not exist") from None
 
-    def has_table(self, name: str) -> bool:
-        """True when a table with that name exists."""
-        return name in self._tables
-
-    def drop_table(self, name: str) -> None:
-        """Delete a table and its contents (including its on-disk store)."""
-        if name not in self._tables:
-            raise TableNotFoundError(f"table {name!r} does not exist")
-        table = self._tables.pop(name)
-        if table._store is not None:
-            table._store.destroy()
-
     def table_names(self) -> List[str]:
         """Names of every table, sorted."""
         return sorted(self._tables)
@@ -227,20 +215,8 @@ class BigtableEmulator:
         return self.counter.durability_seconds
 
     # ------------------------------------------------------------------
-    # LSM durability: flush, compaction, crash recovery
+    # LSM durability: crash recovery
     # ------------------------------------------------------------------
-    def flush(self) -> int:
-        """Flush every table's memtables into SSTable runs (minor
-        compactions); returns the total rows written."""
-        return sum(table.flush_memtables() for table in self._tables.values())
-
-    def compact(self, major: bool = False) -> int:
-        """Compact every table's runs (``major`` merges each tablet's whole
-        run set and garbage-collects all tombstones); returns rows written."""
-        return sum(
-            table.compact_runs(major=major) for table in self._tables.values()
-        )
-
     def recover(self) -> RecoveryReport:
         """Simulate a cluster-wide tablet-server crash and recover.
 

@@ -26,11 +26,12 @@ reports are identical at every worker count — and identical between the
 process and in-process backends.
 
 Worker lifecycle: :class:`WorkerPool` spawns forked daemon workers over
-``socket.socketpair``, health-checks them (ping + liveness), drains
-pipelined work and shuts down gracefully (shutdown frame → join →
-terminate).  Pools are context managers and register an ``atexit`` hook,
-and a build that fails after forking closes what it built, so pytest and
-moistbench never leak zombie workers.
+``socket.socketpair``, signals and respawns them, and shuts them down
+gracefully (shutdown frame → join → terminate); the liveness probe is
+:meth:`~repro.server.supervisor.Supervisor.check_worker`.  Pools are
+context managers and register an ``atexit`` hook, and a build that fails
+after forking closes what it built, so pytest and moistbench never leak
+zombie workers.
 """
 
 from __future__ import annotations
@@ -166,42 +167,6 @@ class WorkerPool:
         self.shutdown()
 
     # ------------------------------------------------------------------
-    # Health / drain
-    # ------------------------------------------------------------------
-    def health_check(self) -> None:
-        """Ping every worker; raises :class:`WorkerDiedError` on dead or
-        unresponsive ones.
-
-        All dead workers are reported in **one** exception — correlated
-        failures (an OOM killer sweeping the pool, a crashing shared
-        library) would otherwise surface one worker at a time, each
-        discovery costing the caller another failed recovery round."""
-        if self._closed:
-            raise ConfigurationError("the worker pool is shut down")
-        dead = [
-            index
-            for index, process in enumerate(self.processes)
-            if not process.is_alive()
-        ]
-        if dead:
-            noun = "worker" if len(dead) == 1 else "workers"
-            raise WorkerDiedError(
-                f"{noun} {', '.join(str(index) for index in dead)} "
-                "not running"
-            )
-        for connection in self.connections:
-            request_id = connection.send_request(0, rpc.OP_PING, b"")
-            connection.wait(request_id)
-
-    def drain(self) -> None:
-        """Wait until every worker has processed all pipelined requests.
-
-        Workers serve frames FIFO, so a ping answered means everything
-        sent before it was already executed.
-        """
-        self.health_check()
-
-    # ------------------------------------------------------------------
     # Shutdown
     # ------------------------------------------------------------------
     def shutdown(self) -> None:
@@ -233,10 +198,6 @@ class WorkerPool:
                 process.join(timeout=_JOIN_TIMEOUT_S)
         for connection in self.connections:
             connection.close()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
 
     # ------------------------------------------------------------------
     # Transport accounting (the bench's serialized-bytes column)
@@ -592,12 +553,6 @@ class ProcessShardedBackend(FederatedShardedBackend):
 
     def rpc_frame_count(self) -> int:
         return self.pool.frames_sent()
-
-    def health_check(self) -> None:
-        self.pool.health_check()
-
-    def drain(self) -> None:
-        self.pool.drain()
 
     def shards_of_worker(self, index: int) -> List[int]:
         """Shard ids hosted by one worker, in shard order."""

@@ -4,7 +4,7 @@ The write path is tablet-routed and batched; this module gives the read path
 the same machinery.  A range read is routed to the tablets whose key ranges
 intersect the requested interval and executed by a :class:`Scanner`, which
 charges every scanned tablet's ledger (empty probes included, so cold
-tablets show up in ``tablet_load_report``) and prices each tablet's rows
+tablets show up in ``tablet_stats()``) and prices each tablet's rows
 through the table's :class:`BlockCache` one slice per source, in one call.
 
 The block cache models BigTable's tablet-server block cache (the SSTable
@@ -193,14 +193,6 @@ class BlockCache:
             for tablet_id in tablet_ids
         ]
 
-    def hit_rate(self) -> float:
-        """Overall fraction of block lookups that hit (0.0 before any)."""
-        hits = sum(self._hits.values())
-        lookups = hits + sum(self._misses.values())
-        if lookups == 0:
-            return 0.0
-        return hits / lookups
-
     def reset_stats(self) -> None:
         """Zero the hit/miss tallies; resident blocks stay warm."""
         self._hits.clear()
@@ -351,7 +343,7 @@ class Scanner:
         model consumes must not fade as the cache warms).  Tablets that
         contributed no rows at all are charged one scan row, so empty
         probes — e.g. an NN search visiting a cell nobody occupies — still
-        appear in ``tablet_load_report``.
+        appear in ``tablet_stats()``.
         """
         for tablet, cold, warm in charges:
             tablet.counter.record(OpKind.SCAN, rows=cold if cold + warm > 0 else 1)

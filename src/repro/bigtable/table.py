@@ -1155,10 +1155,6 @@ class Table:
         """Unflushed commit-log records across every tablet."""
         return sum(len(tablet.log) for tablet in self._tablets.tablets())
 
-    def write_amplification(self) -> float:
-        """Physical rows written per logical row across the whole table."""
-        return self.counter.write_amplification()
-
     # ------------------------------------------------------------------
     # Tablet introspection (not charged: administrative)
     # ------------------------------------------------------------------
@@ -1190,10 +1186,6 @@ class Table:
         """Per-tablet block-cache hit/miss accounting."""
         return self.cache.stats(self.name)
 
-    def cache_hit_rate(self) -> float:
-        """Overall block-cache hit rate of this table's scans."""
-        return self.cache.hit_rate()
-
     def reset_cache_stats(self) -> None:
         """Zero the hit/miss tallies (resident blocks stay warm)."""
         self.cache.reset_stats()
@@ -1217,8 +1209,3 @@ class Table:
             for tablet in self._tablets.tablets()
             for key in tablet.iter_live_keys()
         ]
-
-    def clear(self) -> None:
-        """Drop every row (test helper, not charged)."""
-        self._tablets.clear()
-        self.cache.clear()

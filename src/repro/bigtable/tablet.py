@@ -746,8 +746,3 @@ class TabletLocator:
         """Zero every tablet's counter (split/merge tallies survive)."""
         for tablet in self._tablets:
             tablet.counter.reset()
-
-    def clear(self) -> None:
-        """Drop every row and collapse back to a single empty tablet."""
-        self._tablets = [self._new_tablet(OPEN_START)]
-        self._starts = [OPEN_START]

@@ -71,8 +71,6 @@ class RegionSearcher:
         ``at_time`` is not discovered (callers who need that expand the
         region by the maximum expected displacement first).
         """
-        if region.area < 0:
-            raise QueryError("region must be a valid bounding box")
         level = self._cover_level(region, cover_level)
         cells = cover_box(region, level, self.config.world)
         return self._collect(cells, region, None, at_time, include_followers, stats)

@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 from typing import List, Sequence
 
 from repro.bigtable.scan import TabletCacheStats
-from repro.bigtable.tablet import TabletStats
 from repro.errors import ReproError
 
 
@@ -80,10 +79,6 @@ class FigureResult:
             lines.append(f"note: {note}")
         return "\n".join(lines) + "\n"
 
-    def print(self) -> None:  # pragma: no cover - console convenience
-        """Print the table to stdout."""
-        print(self.to_table())
-
 
 def _render_aligned(header: Sequence[str], rows: Sequence[Sequence[str]]) -> List[str]:
     """Render a header, separator and rows as width-aligned text lines."""
@@ -98,75 +93,11 @@ def _render_aligned(header: Sequence[str], rows: Sequence[Sequence[str]]) -> Lis
     return lines
 
 
-def tablet_load_report(stats: Sequence[TabletStats]) -> str:
-    """Render per-tablet cost accounting as an aligned plain-text table.
-
-    One row per tablet (table, key range, rows, storage calls, simulated
-    milliseconds, share of total time) followed by a skew summary: the
-    hottest tablet's share and the max/mean imbalance ratio.  This is the
-    cluster-level view the scale-out experiment reports alongside QPS.
-    """
-    if not stats:
-        return "(no tablets)\n"
-    total_seconds = sum(entry.simulated_seconds for entry in stats)
-    header = [
-        "table",
-        "tablet",
-        "start",
-        "end",
-        "rows",
-        "calls",
-        "ms",
-        "share",
-        "runs",
-        "log",
-        "wamp",
-    ]
-    rows: List[List[str]] = []
-    for entry in stats:
-        share = entry.simulated_seconds / total_seconds if total_seconds > 0 else 0.0
-        rows.append(
-            [
-                entry.table,
-                entry.tablet_id.rsplit("/", 1)[-1],
-                entry.start_key or "-inf",
-                entry.end_key if entry.end_key is not None else "+inf",
-                str(entry.row_count),
-                str(entry.op_calls),
-                f"{entry.simulated_seconds * 1e3:.3f}",
-                f"{share:.1%}",
-                str(entry.run_count),
-                str(entry.log_records),
-                f"{entry.write_amplification:.2f}x",
-            ]
-        )
-    lines = ["per-tablet storage accounting"]
-    lines.extend(_render_aligned(header, rows))
-    seconds = [entry.simulated_seconds for entry in stats]
-    hottest = max(seconds)
-    mean_seconds = total_seconds / len(stats)
-    hot_share = hottest / total_seconds if total_seconds > 0 else 1.0
-    imbalance = hottest / mean_seconds if mean_seconds > 0 else 1.0
-    lines.append(
-        f"skew: hottest tablet serves {hot_share:.1%} of storage time "
-        f"({len(stats)} tablets, max/mean imbalance {imbalance:.2f}x)"
-    )
-    durability_ms = sum(entry.durability_seconds for entry in stats) * 1e3
-    worst_amplification = max(entry.write_amplification for entry in stats)
-    lines.append(
-        f"durability: {durability_ms:.3f} ms of log/flush/compaction work "
-        f"(additive); worst tablet write amplification "
-        f"{worst_amplification:.2f}x"
-    )
-    return "\n".join(lines) + "\n"
-
-
 def cache_hit_report(stats: Sequence[TabletCacheStats]) -> str:
     """Render per-tablet block-cache accounting as an aligned text table.
 
     One row per tablet ever probed (table, tablet, block lookups, hits,
-    misses, hit rate) plus an overall summary line — the read-path
-    companion of :func:`tablet_load_report`, reported by the mixed
+    misses, hit rate) plus an overall summary line, reported by the mixed
     read/write experiment.
     """
     if not stats:

@@ -55,10 +55,6 @@ class BoundingBox:
     def height(self) -> float:
         return self.max_y - self.min_y
 
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
     def center(self) -> Point:
         """Centre point of the box."""
         return Point((self.min_x + self.max_x) / 2.0, (self.min_y + self.max_y) / 2.0)
@@ -77,20 +73,6 @@ class BoundingBox:
             or other.max_x < self.min_x
             or other.min_y > self.max_y
             or other.max_y < self.min_y
-        )
-
-    def intersection(self, other: "BoundingBox") -> "BoundingBox":
-        """The overlapping region of the two boxes.
-
-        Raises :class:`SpatialError` when the boxes do not intersect.
-        """
-        if not self.intersects(other):
-            raise SpatialError("bounding boxes do not intersect")
-        return BoundingBox(
-            max(self.min_x, other.min_x),
-            max(self.min_y, other.min_y),
-            min(self.max_x, other.max_x),
-            min(self.max_y, other.max_y),
         )
 
     def clamp_point(self, point: Point) -> Point:

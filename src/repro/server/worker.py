@@ -281,10 +281,6 @@ class ShardService:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    @_verb(read_only=True)
-    def ping(self) -> str:
-        return "pong"
-
     @_verb()
     def build_indexer(self, recipe: ShardRecipe) -> Dict[str, int]:
         """Build this shard's stack from a recipe (idempotence guard)."""
@@ -400,7 +396,6 @@ class ShardService:
             "master": self.master,
         }
 
-    @_verb(read_only=True)
     def accounting_state(self) -> Dict[str, Any]:
         """Everything simulated-but-not-durable: one named section per
         owner, each that owner's ``export_state()``.  The LSM state already

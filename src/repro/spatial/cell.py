@@ -151,17 +151,14 @@ class CellId:
     # ------------------------------------------------------------------
     # Row keys
     # ------------------------------------------------------------------
-    def key(self) -> str:
-        """Fixed-width hexadecimal row-key token (memoized and interned).
-
-        Lexicographic order of tokens equals numeric order of curve
-        positions, so a BigTable range scan over ``[key(), key_range()[1])``
-        returns exactly the rows of this cell's descendants.
-        """
-        return _key_codec(self.level, self.pos)[0]
-
     def key_range(self) -> Tuple[str, str]:
-        """Half-open row-key interval ``[start, end)`` covering this cell."""
+        """Half-open row-key interval ``[start, end)`` covering this cell.
+
+        ``start`` is the cell's fixed-width hexadecimal row-key token
+        (memoized and interned).  Lexicographic order of tokens equals
+        numeric order of curve positions, so a BigTable range scan over the
+        interval returns exactly the rows of this cell's descendants.
+        """
         return _key_codec(self.level, self.pos)
 
     # ------------------------------------------------------------------
@@ -297,8 +294,8 @@ def _xy_encoder(
     ``2^level x 2^level`` grid and walks the Hilbert automaton of
     :mod:`repro.spatial.hilbert` four levels per table lookup.  It returns
     the level-``level`` curve position, or with ``as_key`` the interned
-    row-key token of that cell — ``CellId(level, position).key()`` without
-    the cell.  The level and the world are validated here, once.
+    row-key token of that cell — ``CellId(level, position).key_range()[0]``
+    without the cell.  The level and the world are validated here, once.
     """
     if not 0 <= level <= MAX_LEVEL:
         raise SpatialError(f"cell level {level} outside [0, {MAX_LEVEL}]")
@@ -371,7 +368,7 @@ def row_key_encoder(
 ) -> Callable[[float, float], str]:
     """``encode(x, y)`` returning the interned row key of the level-``level``
     cell containing ``(x, y)`` — equal to, and the same string object as,
-    ``CellId.from_xy(x, y, level, world).key()``.  Raises
+    ``CellId.from_xy(x, y, level, world).key_range()[0]``.  Raises
     :class:`SpatialError` for a level outside ``[0, MAX_LEVEL]`` or a world
     without extent."""
     return _xy_encoder(level, world, True)

@@ -69,13 +69,9 @@ class SpatialIndexTable:
     # ------------------------------------------------------------------
     # Key helpers
     # ------------------------------------------------------------------
-    def cell_for(self, location: Point) -> CellId:
-        """Storage-level cell containing ``location``."""
-        return CellId.from_xy(location.x, location.y, self.storage_level, self.world)
-
     def row_key_for(self, location: Point) -> str:
         """Row key of the storage-level cell containing ``location`` (the
-        interned token ``cell_for(location).key()`` returns)."""
+        interned token that cell's ``key_range()[0]`` returns)."""
         return self._row_key(location.x, location.y)
 
     def tablet_for_location(self, location: Point) -> Tablet:
@@ -180,7 +176,3 @@ class SpatialIndexTable:
         """Total number of indexed objects (administrative helper)."""
         rows = self._table.scan(None, None, family=ID_FAMILY)
         return sum(len(objects) for _, objects in rows)
-
-    def row_count(self) -> int:
-        """Number of non-empty storage cells."""
-        return self._table.row_count()

@@ -2,9 +2,9 @@
 
 "Updates and queries applied to a population of 400k to 1m objects with
 randomly chosen positions and velocities in a space size of 1 km² were
-carried out."  Objects move linearly and bounce off the region border; the
-generator can also produce static placements (Figure 12 runs NN queries on a
-map with no moving objects).
+carried out."  The generator loads every object at its initial placement
+(Figure 12 runs NN queries on a map with no moving objects) and then moves
+one random object at a time to a fresh random position.
 """
 
 from __future__ import annotations
@@ -59,12 +59,6 @@ class UniformWorkload:
             raise WorkloadError(f"object index {index} out of range")
         return format_object_id(index)
 
-    def position(self, index: int) -> Point:
-        """Current position of the ``index``-th object."""
-        if not 0 <= index < self.num_objects:
-            raise WorkloadError(f"object index {index} out of range")
-        return self._positions[index]
-
     def random_location(self) -> Point:
         """A uniformly random point inside the region (query centres)."""
         return Point(
@@ -86,39 +80,6 @@ class UniformWorkload:
             )
             for index in range(self.num_objects)
         ]
-
-    def step(self, dt: float, timestamp: float) -> List[UpdateMessage]:
-        """Advance every object by ``dt`` seconds and emit its update.
-
-        Objects bounce off the region border so the population density stays
-        uniform over time.
-        """
-        if dt < 0:
-            raise WorkloadError("dt must be non-negative")
-        messages: List[UpdateMessage] = []
-        for index in range(self.num_objects):
-            position = self._positions[index]
-            velocity = self._velocities[index]
-            x = position.x + velocity.dx * dt
-            y = position.y + velocity.dy * dt
-            dx, dy = velocity.dx, velocity.dy
-            if x < self.region.min_x or x > self.region.max_x:
-                dx = -dx
-                x = min(max(x, self.region.min_x), self.region.max_x)
-            if y < self.region.min_y or y > self.region.max_y:
-                dy = -dy
-                y = min(max(y, self.region.min_y), self.region.max_y)
-            self._positions[index] = Point(x, y)
-            self._velocities[index] = Vector(dx, dy)
-            messages.append(
-                UpdateMessage(
-                    object_id=self.object_id(index),
-                    location=self._positions[index],
-                    velocity=self._velocities[index],
-                    timestamp=timestamp,
-                )
-            )
-        return messages
 
     def random_update(self, timestamp: float) -> UpdateMessage:
         """An update for a uniformly random object at a fresh random position.

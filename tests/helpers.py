@@ -11,6 +11,7 @@ from __future__ import annotations
 from repro.geometry.point import Point
 from repro.geometry.vector import Vector
 from repro.model import UpdateMessage, format_object_id
+from repro.spatial.cell import CellId
 
 
 def make_update(
@@ -27,4 +28,12 @@ def make_update(
         location=Point(x, y),
         velocity=Vector(vx, vy),
         timestamp=t,
+    )
+
+
+def cell_for(spatial_table, location: Point) -> CellId:
+    """The storage-level cell of a spatial index table containing
+    ``location`` (the cell whose key range holds its row)."""
+    return CellId.from_xy(
+        location.x, location.y, spatial_table.storage_level, spatial_table.world
     )

@@ -7,6 +7,12 @@ from repro.bigtable.cost import CostModel, OpCounter, OpKind
 from repro.errors import ConfigurationError
 
 
+def cost_of(model, kind, rows=1):
+    """What one call of ``kind`` over ``rows`` rows costs: the simulated
+    seconds a fresh ledger on ``model`` charges for it."""
+    return OpCounter(model).record(kind, rows)
+
+
 class TestCostModel:
     def test_negative_cost_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -18,14 +24,14 @@ class TestCostModel:
 
     def test_point_costs(self):
         model = CostModel()
-        assert model.cost_of(OpKind.READ) == model.read_rpc
-        assert model.cost_of(OpKind.WRITE) == model.write_rpc
-        assert model.cost_of(OpKind.DELETE) == model.delete_rpc
+        assert cost_of(model, OpKind.READ) == model.read_rpc
+        assert cost_of(model, OpKind.WRITE) == model.write_rpc
+        assert cost_of(model, OpKind.DELETE) == model.delete_rpc
 
     def test_scan_cost_scales_with_rows(self):
         model = CostModel()
-        assert model.cost_of(OpKind.SCAN, rows=10) > model.cost_of(OpKind.SCAN, rows=1)
-        assert model.cost_of(OpKind.SCAN, rows=10) == pytest.approx(
+        assert cost_of(model, OpKind.SCAN, rows=10) > cost_of(model, OpKind.SCAN, rows=1)
+        assert cost_of(model, OpKind.SCAN, rows=10) == pytest.approx(
             model.scan_rpc + 10 * model.scan_row
         )
 
@@ -34,18 +40,18 @@ class TestCostModel:
         point reads — the property that makes the clustering pass viable."""
         model = CostModel()
         n = 50
-        assert model.cost_of(OpKind.BATCH_READ, rows=n) < n * model.cost_of(OpKind.READ)
-        assert model.cost_of(OpKind.BATCH_WRITE, rows=n) < n * model.cost_of(OpKind.WRITE)
+        assert cost_of(model, OpKind.BATCH_READ, rows=n) < n * cost_of(model, OpKind.READ)
+        assert cost_of(model, OpKind.BATCH_WRITE, rows=n) < n * cost_of(model, OpKind.WRITE)
 
     def test_write_contention_scales_writes_only(self):
         plain = CostModel()
         contended = CostModel(write_contention_factor=2.0)
-        assert contended.cost_of(OpKind.WRITE) == pytest.approx(2 * plain.cost_of(OpKind.WRITE))
-        assert contended.cost_of(OpKind.READ) == plain.cost_of(OpKind.READ)
+        assert cost_of(contended, OpKind.WRITE) == pytest.approx(2 * cost_of(plain, OpKind.WRITE))
+        assert cost_of(contended, OpKind.READ) == cost_of(plain, OpKind.READ)
 
     def test_unknown_per_row_kind_rejected(self):
         with pytest.raises(ConfigurationError):
-            CostModel().cost_of(OpKind.SCAN_ROW)
+            cost_of(CostModel(), OpKind.SCAN_ROW)
 
 
 class TestOpCounter:
@@ -53,7 +59,7 @@ class TestOpCounter:
         counter = OpCounter()
         cost = counter.record(OpKind.READ)
         assert cost > 0
-        assert counter.count(OpKind.READ) == 1
+        assert counter.counts[OpKind.READ] == 1
         assert counter.simulated_seconds == pytest.approx(cost)
 
     def test_read_and_write_seconds_split(self):
@@ -73,7 +79,7 @@ class TestOpCounter:
         counter.record(OpKind.SCAN, rows=7)
         counter.record(OpKind.SCAN, rows=3)
         assert counter.rows.get(OpKind.SCAN, 0) == 10
-        assert counter.count(OpKind.SCAN) == 2
+        assert counter.counts[OpKind.SCAN] == 2
 
     def test_total_calls(self):
         counter = OpCounter()

@@ -13,7 +13,6 @@ class TestTableManagement:
         emulator = BigtableEmulator()
         table = emulator.create_table("t1", [ColumnFamily("f")])
         assert emulator.table("t1") is table
-        assert emulator.has_table("t1")
         assert emulator.table_names() == ["t1"]
 
     def test_duplicate_table_rejected(self):
@@ -26,14 +25,6 @@ class TestTableManagement:
         emulator = BigtableEmulator()
         with pytest.raises(TableNotFoundError):
             emulator.table("missing")
-
-    def test_drop_table(self):
-        emulator = BigtableEmulator()
-        emulator.create_table("t1", [ColumnFamily("f")])
-        emulator.drop_table("t1")
-        assert not emulator.has_table("t1")
-        with pytest.raises(TableNotFoundError):
-            emulator.drop_table("t1")
 
     def test_table_names_sorted(self):
         emulator = BigtableEmulator()

@@ -295,9 +295,9 @@ class TestDurabilityLedger:
     def test_write_amplification_tracks_flush_and_compaction(self):
         table = make_table(TabletOptions())
         fill(table, 20)
-        assert table.write_amplification() == pytest.approx(1.0)  # log only
+        assert table.counter.write_amplification() == pytest.approx(1.0)  # log only
         table.flush_memtables()
-        assert table.write_amplification() == pytest.approx(2.0)  # log + flush
+        assert table.counter.write_amplification() == pytest.approx(2.0)  # log + flush
         stats = table.tablet_stats()
         assert all(entry.write_amplification >= 1.0 for entry in stats)
 

@@ -27,6 +27,12 @@ def fill(table, count, width=4):
         table.write(f"{index:0{width}d}", "mem", "q", index, 0.0)
 
 
+def hit_rate(stats):
+    """Overall fraction of block lookups that hit, over cache-stat rows."""
+    lookups = sum(entry.lookups for entry in stats)
+    return sum(entry.hits for entry in stats) / lookups if lookups else 0.0
+
+
 class TestBlockCache:
     def test_invalid_options(self):
         with pytest.raises(ConfigurationError):
@@ -38,7 +44,7 @@ class TestBlockCache:
         cache = BlockCache(BlockCacheOptions(block_prefix_len=2))
         assert cache.price("t1", MEMTABLE_SOURCE, ["ab"]) == 0
         assert cache.price("t1", MEMTABLE_SOURCE, ["ab"]) == 1
-        assert cache.hit_rate() == 0.5
+        assert hit_rate(cache.stats("t")) == 0.5
 
     def test_price_counts_rows_and_looks_each_block_up_once(self):
         cache = BlockCache(BlockCacheOptions(block_prefix_len=2))
@@ -158,7 +164,7 @@ class TestScannerCharging:
         rates = []
         for _ in range(4):
             table.scan()
-            rates.append(table.cache_hit_rate())
+            rates.append(hit_rate(table.cache_stats()))
         assert rates == sorted(rates)
         assert rates[-1] > 0.5
 
@@ -169,7 +175,7 @@ class TestScannerCharging:
         table.scan()
         table.scan()
         assert table.counter.storage_rpc_count() == writes + 2
-        assert table.counter.count(OpKind.CACHE_READ) >= 1
+        assert table.counter.counts.get(OpKind.CACHE_READ, 0) >= 1
         assert table.counter.total_calls() > table.counter.storage_rpc_count()
 
     def test_range_scan_spans_tablets_and_charges_only_those_it_touches(self):
@@ -179,7 +185,7 @@ class TestScannerCharging:
         table.reset_tablet_counters()
         rows = table.scan("0005", "0015")
         assert [key for key, _ in rows] == [f"{i:04d}" for i in range(5, 15)]
-        charged = [t for t in table.tablets() if t.counter.count(OpKind.SCAN)]
+        charged = [t for t in table.tablets() if t.counter.counts.get(OpKind.SCAN, 0)]
         owners = {table.tablet_for_key(f"{i:04d}").tablet_id for i in range(5, 15)}
         assert len(owners) > 1
         assert {t.tablet_id for t in charged} == owners
@@ -187,8 +193,8 @@ class TestScannerCharging:
         # A range inside one tablet is served, and charged, by that one.
         table.reset_tablet_counters()
         table.scan("0000", "0002")
-        assert [t.counter.count(OpKind.SCAN) for t in table.tablets()][0] == 1
-        assert sum(t.counter.count(OpKind.SCAN) for t in table.tablets()) == 1
+        assert [t.counter.counts.get(OpKind.SCAN, 0) for t in table.tablets()][0] == 1
+        assert sum(t.counter.counts.get(OpKind.SCAN, 0) for t in table.tablets()) == 1
 
     def test_empty_scan_attributes_to_owning_tablet(self):
         table = make_table(split_threshold=8)
@@ -212,7 +218,7 @@ class TestScannerCharging:
         # The tablet served the scan RPC even though the cache covered every
         # row — its ledger must keep growing or read skew fades as the
         # cache warms.
-        assert tablet.counter.count(OpKind.SCAN) == 1
+        assert tablet.counter.counts.get(OpKind.SCAN, 0) == 1
         assert tablet.counter.rows.get(OpKind.CACHE_READ, 0) == 16
         assert tablet.counter.read_seconds > 0
 
@@ -233,12 +239,12 @@ class TestScannerCharging:
         fill(table, 16)
         table.scan()
         table.reset_cache_stats()
-        assert table.cache_hit_rate() == 0.0
+        assert hit_rate(table.cache_stats()) == 0.0
         before = table.counter.snapshot()
         table.scan()
         delta = table.counter.snapshot().delta(before)
         assert delta.rows.get(OpKind.CACHE_READ) == 16
-        assert table.cache_hit_rate() == 1.0
+        assert hit_rate(table.cache_stats()) == 1.0
 
 
 # ----------------------------------------------------------------------

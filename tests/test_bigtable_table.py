@@ -115,9 +115,9 @@ class TestReadLatestContract:
 
     def charged_read(self, table, row_key, family="mem"):
         (tablet,) = table.tablets()
-        before = table.counter.count(OpKind.READ), tablet.counter.count(OpKind.READ)
+        before = table.counter.counts.get(OpKind.READ, 0), tablet.counter.counts.get(OpKind.READ, 0)
         value = table.read_latest(row_key, family, "q")
-        after = table.counter.count(OpKind.READ), tablet.counter.count(OpKind.READ)
+        after = table.counter.counts.get(OpKind.READ, 0), tablet.counter.counts.get(OpKind.READ, 0)
         assert after == (before[0] + 1, before[1] + 1)
         return value
 
@@ -221,9 +221,9 @@ class TestCostAccounting:
         table.write("a", "mem", "q", 1, 0.0)
         table.read_latest("a", "mem", "q")
         table.delete_cell("a", "mem", "q")
-        assert table.counter.count(OpKind.WRITE) == 1
-        assert table.counter.count(OpKind.READ) == 1
-        assert table.counter.count(OpKind.DELETE) == 1
+        assert table.counter.counts.get(OpKind.WRITE, 0) == 1
+        assert table.counter.counts.get(OpKind.READ, 0) == 1
+        assert table.counter.counts.get(OpKind.DELETE, 0) == 1
 
     def test_scan_charged_per_row(self):
         table = make_table()

@@ -207,10 +207,10 @@ class TestPerTabletAccounting:
         first = table.tablet_for_key("k0000")
         last = table.tablet_for_key("k0019")
         assert first.tablet_id != last.tablet_id
-        before = last.counter.count(OpKind.READ)
+        before = last.counter.counts.get(OpKind.READ, 0)
         table.read_latest("k0019", "f", "q")
-        assert last.counter.count(OpKind.READ) == before + 1
-        assert first.counter.count(OpKind.READ) == 0 or first is not last
+        assert last.counter.counts.get(OpKind.READ, 0) == before + 1
+        assert first.counter.counts.get(OpKind.READ, 0) == 0 or first is not last
 
     def test_shared_counter_unchanged_by_sharding(self):
         sharded = make_table()
@@ -255,8 +255,8 @@ class TestGroupCommit:
             for index in range(5):
                 table.write(f"k{index}", "f", "q", index, 0.0)
             # Only the reads charged so far; writes flush at exit.
-            assert table.counter.count(OpKind.WRITE) == 0
-        assert table.counter.count(OpKind.WRITE) == 5
+            assert table.counter.counts.get(OpKind.WRITE, 0) == 0
+        assert table.counter.counts.get(OpKind.WRITE, 0) == 5
 
     def test_cost_matches_sequential(self):
         batched = make_table()
@@ -292,8 +292,8 @@ class TestGroupCommit:
             with table.group_commit():
                 table.write("row", "f", "q", 1, 0.0)
             # Inner exit must not flush yet.
-            assert table.counter.count(OpKind.WRITE) == 0
-        assert table.counter.count(OpKind.WRITE) == 1
+            assert table.counter.counts.get(OpKind.WRITE, 0) == 0
+        assert table.counter.counts.get(OpKind.WRITE, 0) == 1
 
 
 class TestStructuralChecksThatCannotFire:

@@ -322,8 +322,8 @@ def test_batch_read_charges_each_routed_tablet_once_with_its_key_count():
     charged = {
         t.tablet_id: t.counter.rows[OpKind.BATCH_READ]
         for t in table.tablets()
-        if t.counter.count(OpKind.BATCH_READ)
+        if t.counter.counts.get(OpKind.BATCH_READ, 0)
     }
     assert charged == expected._rows
-    assert all(t.counter.count(OpKind.BATCH_READ) <= 1 for t in table.tablets())
+    assert all(t.counter.counts.get(OpKind.BATCH_READ, 0) <= 1 for t in table.tablets())
     assert sum(charged.values()) == len(keys)

@@ -21,6 +21,8 @@ from repro.errors import SpatialError
 from repro.bigtable.emulator import BigtableEmulator
 from repro.tables.spatial_index_table import SpatialIndexTable
 
+from helpers import cell_for
+
 
 def hilbert_cache_clear():
     hilbert_index.cache_clear()
@@ -75,11 +77,11 @@ class TestHilbertMemo:
 class TestCellCodecMemo:
     def test_key_codecs_stable_across_cache_clear(self):
         cells = [CellId(5, pos) for pos in range(0, 1024, 37)]
-        keys = [cell.key() for cell in cells]
+        keys = [cell.key_range()[0] for cell in cells]
         ranges = [cell.key_range() for cell in cells]
         boxes = [cell.to_box() for cell in cells]
         cell_codec_cache_clear()
-        assert keys == [cell.key() for cell in cells]
+        assert keys == [cell.key_range()[0] for cell in cells]
         assert ranges == [cell.key_range() for cell in cells]
         assert boxes == [cell.to_box() for cell in cells]
 
@@ -142,9 +144,9 @@ class TestSpatialIndexRowKey:
         # still be the very string object the query side's codec interns.
         table = SpatialIndexTable(BigtableEmulator(), storage_level=8)
         for point in [Point(0.31, 0.64)] + [Point(i / 16.0, i / 16.0) for i in range(17)]:
-            cell = table.cell_for(point)
+            cell = cell_for(table, point)
             assert cell == CellId.from_point(point, 8)
-            assert cell.key() is table.row_key_for(point)
+            assert cell.key_range()[0] is table.row_key_for(point)
 
     def test_update_path_leaves_the_codec_caches_alone(self):
         # The 65 536-entry key codec and the Hilbert LRU belong to the query

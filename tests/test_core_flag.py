@@ -155,7 +155,7 @@ class TestCacheCoverInvariants:
     def test_covers_includes_the_exclusive_range_end(self):
         level, left, right, _ = cached_record(3, 5)
         record = LevelCacheRecord(level, left, right, 0.0)
-        assert right == CellId(3, 6).key()
+        assert right == CellId(3, 6).key_range()[0]
         assert record.covers(right)
 
     def test_lookup_hits_on_first_storage_cell_of_next_same_level_cell(self, indexer):
@@ -240,7 +240,7 @@ class LinearFlagTuner(FlagTuner):
         self.stats.lookups += 1
         key = CellId.from_point(
             location, self.config.storage_level, self.config.world
-        ).key()
+        ).key_range()[0]
         ttl = self.config.flag_cache_ttl_s
         found = None
         for record in self._records:

@@ -8,7 +8,7 @@ from repro.geometry.vector import Vector
 from repro.model import UpdateMessage
 from repro.tables.affiliation_table import Role
 
-from helpers import make_update
+from helpers import cell_for, make_update
 
 
 class TestNewObjects:
@@ -21,7 +21,7 @@ class TestNewObjects:
     def test_new_leader_is_spatially_indexed(self, indexer):
         message = make_update(1, 10.0, 10.0)
         indexer.update(message)
-        cell = indexer.spatial_table.cell_for(message.location)
+        cell = cell_for(indexer.spatial_table, message.location)
         assert message.object_id in indexer.spatial_table.objects_in_cell(cell)
 
     def test_object_and_school_counters(self, indexer):
@@ -36,8 +36,8 @@ class TestLeaderUpdates:
         indexer.update(make_update(1, 10.0, 10.0, t=0.0))
         result = indexer.update(make_update(1, 90.0, 90.0, t=1.0))
         assert result.outcome is UpdateOutcome.LEADER_UPDATED
-        old_cell = indexer.spatial_table.cell_for(Point(10.0, 10.0))
-        new_cell = indexer.spatial_table.cell_for(Point(90.0, 90.0))
+        old_cell = cell_for(indexer.spatial_table, Point(10.0, 10.0))
+        new_cell = cell_for(indexer.spatial_table, Point(90.0, 90.0))
         assert "obj0000000001" not in indexer.spatial_table.objects_in_cell(old_cell)
         assert "obj0000000001" in indexer.spatial_table.objects_in_cell(new_cell)
 
@@ -124,7 +124,7 @@ class TestFollowerUpdates:
         follower_role = indexer.affiliation_table.role_of("obj0000000002")
         follower_id = "obj0000000002" if follower_role.role is Role.FOLLOWER else "obj0000000001"
         indexer.update(UpdateMessage(follower_id, Point(80.0, 80.0), Vector(0.0, 0.0), 2.0))
-        cell = indexer.spatial_table.cell_for(Point(80.0, 80.0))
+        cell = cell_for(indexer.spatial_table, Point(80.0, 80.0))
         assert follower_id in indexer.spatial_table.objects_in_cell(cell)
 
     def test_schools_disabled_never_sheds(self, small_config):

@@ -1,6 +1,5 @@
-"""Tests for the tablet scale-out experiment and per-tablet reporting."""
+"""Tests for the tablet scale-out experiment."""
 
-from repro.experiments.report import tablet_load_report
 from repro.experiments.scaleout import measure_batched_update_qps, run_scaleout
 
 
@@ -35,33 +34,3 @@ class TestRunScaleout:
         tablets = result.get_series("tablets").ys
         assert all(value >= 2 for value in tablets)
         assert result.notes
-
-
-class TestTabletLoadReport:
-    def test_renders_per_tablet_rows(self):
-        from repro.experiments.common import uniform_leader_indexer
-        from repro.geometry.point import Point
-        from repro.geometry.vector import Vector
-        from repro.model import UpdateMessage, format_object_id
-
-        indexer = uniform_leader_indexer(1500, seed=7)
-        # Drive some load so shares are meaningful.
-        indexer.update_many(
-            [
-                UpdateMessage(
-                    format_object_id(index),
-                    Point(float(index % 900) + 1.0, 500.0),
-                    Vector(1.0, 0.0),
-                    1.0,
-                )
-                for index in range(400)
-            ]
-        )
-        report = tablet_load_report(indexer.emulator.tablet_stats())
-        assert "per-tablet storage accounting" in report
-        assert "skew: hottest tablet serves" in report
-        assert "location" in report
-        assert "tablet-0000" in report
-
-    def test_empty_stats(self):
-        assert tablet_load_report([]) == "(no tablets)\n"

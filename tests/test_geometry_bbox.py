@@ -26,7 +26,7 @@ class TestConstruction:
 
     def test_zero_area_box_is_allowed(self):
         box = BoundingBox(1.0, 2.0, 1.0, 2.0)
-        assert box.area == 0.0
+        assert box.width == box.height == 0.0
 
     def test_from_center(self):
         box = BoundingBox.from_center(Point(5.0, 5.0), 2.0, 3.0)
@@ -36,7 +36,6 @@ class TestConstruction:
         box = BoundingBox(0.0, 0.0, 4.0, 2.0)
         assert box.width == 4.0
         assert box.height == 2.0
-        assert box.area == 8.0
         assert box.center() == Point(2.0, 1.0)
 
 
@@ -57,32 +56,22 @@ class TestIntersection:
         a = BoundingBox(0.0, 0.0, 5.0, 5.0)
         b = BoundingBox(4.0, 4.0, 10.0, 10.0)
         assert a.intersects(b)
-        assert a.intersection(b) == BoundingBox(4.0, 4.0, 5.0, 5.0)
 
     def test_disjoint_boxes_do_not_intersect(self):
         a = BoundingBox(0.0, 0.0, 1.0, 1.0)
         b = BoundingBox(2.0, 2.0, 3.0, 3.0)
         assert not a.intersects(b)
-        with pytest.raises(SpatialError):
-            a.intersection(b)
 
-    def test_boxes_sharing_only_an_edge_intersect_in_a_segment(self):
+    def test_boxes_sharing_only_an_edge_intersect(self):
         a = BoundingBox(0.0, 0.0, 1.0, 1.0)
         b = BoundingBox(1.0, 0.5, 2.0, 3.0)
         assert a.intersects(b) and b.intersects(a)
-        assert a.intersection(b) == BoundingBox(1.0, 0.5, 1.0, 1.0)
 
     @given(boxes(), boxes())
-    def test_intersection_is_symmetric_and_inside_both(self, a, b):
-        assert a.intersects(b) == b.intersects(a)
-        if a.intersects(b):
-            overlap = a.intersection(b)
-            assert overlap == b.intersection(a)
-            for corner in (
-                Point(overlap.min_x, overlap.min_y),
-                Point(overlap.max_x, overlap.max_y),
-            ):
-                assert a.contains_point(corner) and b.contains_point(corner)
+    def test_intersects_is_symmetric_and_means_a_common_point(self, a, b):
+        common = Point(max(a.min_x, b.min_x), max(a.min_y, b.min_y))
+        shared = a.contains_point(common) and b.contains_point(common)
+        assert a.intersects(b) == b.intersects(a) == shared
 
 
 class TestClamp:

@@ -167,12 +167,17 @@ class TestNeverResurrectThroughNN:
                 )
             }
 
+        emulator = indexer.emulator
+        tables = [emulator.table(name) for name in emulator.table_names()]
         assert victim.object_id not in ids()
-        indexer.emulator.flush()
+        for table in tables:
+            table.flush_memtables()
         assert victim.object_id not in ids()
-        indexer.emulator.compact()
+        for table in tables:
+            table.compact_runs()
         assert victim.object_id not in ids()
-        indexer.emulator.compact(major=True)
+        for table in tables:
+            table.compact_runs(major=True)
         assert victim.object_id not in ids()
         report = indexer.emulator.recover()
         assert report.tables  # the LSM plane actually ran

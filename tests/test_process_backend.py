@@ -31,7 +31,9 @@ from repro.geometry.vector import Vector
 from repro.model import UpdateMessage, format_object_id
 from repro.server.faults import FaultSchedule
 from repro.server.loadtest import LoadTest
+from repro.server import rpc
 from repro.server.scaleout import ScaleOutCluster
+from repro.server.supervisor import Supervisor
 from repro.workload.queries import NNQuery
 
 
@@ -62,43 +64,53 @@ def make_queries(count, seed=7, k=5):
 # --------------------------------------------------------------------------
 # Worker lifecycle
 # --------------------------------------------------------------------------
+def ping(connection):
+    """One ``OP_PING`` round trip: answered means everything pipelined
+    before it has run."""
+    connection.wait(connection.send_request(0, rpc.OP_PING, b""))
+
+
+def stopped(pool):
+    return not any(process.is_alive() for process in pool.processes)
+
+
 class TestWorkerPoolLifecycle:
-    def test_spawn_health_check_drain_shutdown(self):
+    def test_spawn_ping_shutdown(self):
         pool = WorkerPool(2)
         assert [process.is_alive() for process in pool.processes] == [True, True]
-        pool.health_check()
-        pool.drain()
+        for connection in pool.connections:
+            ping(connection)
         pool.shutdown()
-        assert pool.closed
-        assert [process.is_alive() for process in pool.processes] == [False, False]
+        assert stopped(pool)
 
     def test_shutdown_is_idempotent(self):
         pool = WorkerPool(1)
         pool.shutdown()
         pool.shutdown()  # second call must be a quiet no-op
-        assert pool.closed
+        assert stopped(pool)
 
     def test_context_manager_shuts_the_pool_down(self):
         with WorkerPool(2) as pool:
-            pool.health_check()
-        assert pool.closed
-        assert [process.is_alive() for process in pool.processes] == [False, False]
+            ping(pool.connections[0])
+        assert stopped(pool)
 
-    def test_health_check_raises_after_shutdown(self):
+    def test_respawn_is_refused_after_shutdown(self):
         pool = WorkerPool(1)
         pool.shutdown()
-        with pytest.raises(ConfigurationError):
-            pool.health_check()
+        with pytest.raises(ConfigurationError, match="shut down"):
+            pool.respawn_worker(0)
 
-    def test_health_check_detects_a_killed_worker(self):
-        pool = WorkerPool(2)
-        try:
-            pool.processes[1].terminate()
-            pool.processes[1].join(timeout=5.0)
-            with pytest.raises(WorkerDiedError):
-                pool.health_check()
-        finally:
-            pool.shutdown()
+    def test_supervisor_probe_detects_a_killed_worker(self):
+        with ProcessShardedBackend(
+            build_recipes(2, num_objects=20), num_workers=2
+        ) as backend:
+            supervisor = Supervisor(backend, policy="respawn_lossy")
+            backend.pool.kill_worker(1)
+            backend.pool.processes[1].join(timeout=5.0)
+            assert not backend.pool.processes[1].is_alive()
+            supervisor.check_worker(0)
+            with pytest.raises(WorkerDiedError, match="worker 1 is not running"):
+                supervisor.check_worker(1)
 
     def test_pool_requires_at_least_one_worker(self):
         with pytest.raises(ConfigurationError):
@@ -143,9 +155,9 @@ class TestWorkerPoolLifecycle:
         with ProcessShardedBackend(
             build_recipes(2, num_objects=40), num_workers=2
         ) as backend:
-            backend.health_check()
+            ping(backend.pool.connections[1])
         backend.close()  # after __exit__ already closed it
-        assert backend.pool.closed
+        assert stopped(backend.pool)
 
 
 class TestRejectedBuildsLeaveNothingBehind:
@@ -207,7 +219,6 @@ class TestVerbTable:
 
         recipe = ShardRecipe(num_objects=30, num_servers=2, with_master=True)
         with single_shard_client(backend, recipe=recipe) as client:
-            assert client.call("ping") == "pong"
             assert client.call("run_count") >= 0  # emulator forward
             assert client.call("alive_server_indices") == [0, 1]  # cluster
             client.call("rebalance")  # master forward
@@ -232,8 +243,7 @@ class TestVerbTable:
 
         read_only = {name for name, (_verb, flag) in VERBS.items() if flag}
         assert read_only == {
-            "ping", "accounting_state", "metrics",
-            "counter_snapshot", "simulated_seconds", "run_count",
+            "metrics", "counter_snapshot", "simulated_seconds", "run_count",
             "log_record_count", "tablet_stats", "tablet_count",
             "cache_totals", "server_index_for_tablet",
             "alive_server_indices", "service_time_samples", "state_signature",
@@ -359,10 +369,10 @@ class TestLedgerMergeDeterminism:
         for start in range(0, len(messages), 128):
             cluster.submit_update_batch(messages[start : start + 128])
         cluster.submit_query_batch(queries)
-        snapshot = cluster.backend.counter.snapshot()
+        counter = cluster.backend.counter
         fingerprint = (
-            snapshot.storage_rpc_count(),
-            snapshot.simulated_seconds,
+            counter.storage_rpc_count(),
+            counter.simulated_seconds,
             sum(cluster.backend.scatter("simulated_seconds")),
             cluster.backend.run_count(),
             sum(cluster.backend.scatter("log_record_count")),

@@ -62,13 +62,13 @@ class TestConstruction:
 
     def test_from_token_round_trip(self):
         cell = CellId.from_point(Point(42.0, 17.0), 6, WORLD)
-        assert CellId.from_token(cell.key(), 6) == cell
+        assert CellId.from_token(cell.key_range()[0], 6) == cell
 
     def test_from_token_misaligned_rejected(self):
         cell = CellId.from_point(Point(42.0, 17.0), 6, WORLD)
         child = cell.children()[1]
         with pytest.raises(SpatialError):
-            CellId.from_token(child.key(), 5)
+            CellId.from_token(child.key_range()[0], 5)
 
 
 def _reference_grid(value, low, high, side):
@@ -121,9 +121,9 @@ class TestEncoder:
         assert cell == CellId(level, hilbert_index(level, gx, gy))
         encode = row_key_encoder(level, world)
         key = encode(x, y)
-        assert key == cell.key()
+        assert key == cell.key_range()[0]
         # Interned: the same string object from either route, every time.
-        assert key is cell.key()
+        assert key is cell.key_range()[0]
         assert encode(x, y) is key
         assert row_key_encoder(level, world)(x, y) is key
 
@@ -161,7 +161,7 @@ class TestHierarchy:
 
 class TestKeys:
     def test_key_is_fixed_width_hex(self):
-        key = CellId(4, 7).key()
+        key = CellId(4, 7).key_range()[0]
         assert len(key) == 12
         int(key, 16)  # must parse as hexadecimal
 
@@ -169,13 +169,13 @@ class TestKeys:
         cell = CellId.from_point(Point(50.0, 50.0), 4, WORLD)
         start, end = cell.key_range()
         for child in cell.children():
-            assert start <= child.key() < end
+            assert start <= child.key_range()[0] < end
 
     def test_key_range_excludes_siblings(self):
         cell = CellId(4, 7)
         sibling = CellId(4, 8)
         start, end = cell.key_range()
-        assert not (start <= sibling.key() < end)
+        assert not (start <= sibling.key_range()[0] < end)
 
     def test_last_cell_key_range_uses_sentinel(self):
         last = CellId(1, 3)
@@ -183,10 +183,10 @@ class TestKeys:
         assert start < end
         # Every key of its descendants still sorts below the end bound.
         deepest = CellId(3, 4**3 - 1)
-        assert deepest.key() < end
+        assert deepest.key_range()[0] < end
 
     def test_same_level_keys_are_ordered_by_position(self):
-        keys = [CellId(5, pos).key() for pos in range(32)]
+        keys = [CellId(5, pos).key_range()[0] for pos in range(32)]
         assert keys == sorted(keys)
 
     @pytest.mark.parametrize("level", range(0, 6))
@@ -206,15 +206,15 @@ class TestKeys:
     def test_from_token_round_trip_at_every_level(self, level):
         for point in (Point(0.0, 0.0), Point(37.5, 81.25), Point(100.0, 100.0)):
             cell = CellId.from_point(point, level, WORLD)
-            assert CellId.from_token(cell.key(), level) == cell
+            assert CellId.from_token(cell.key_range()[0], level) == cell
 
 
 class TestGeometry:
     def test_to_box_tiles_the_world(self):
         level = 3
         boxes = [CellId(level, pos).to_box(WORLD) for pos in range(4**level)]
-        total_area = sum(box.area for box in boxes)
-        assert total_area == pytest.approx(WORLD.area)
+        total_area = sum(box.width * box.height for box in boxes)
+        assert total_area == pytest.approx(WORLD.width * WORLD.height)
 
     def test_center_is_inside_cell_box(self):
         cell = CellId.from_point(Point(33.0, 66.0), 5, WORLD)

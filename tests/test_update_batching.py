@@ -393,7 +393,7 @@ class TestCommitHelper:
             assert journal.events == expected.events
             assert journal.records()
         # The matrix exercised what it claims to.
-        assert table.counter.count(OpKind.DELETE) > 0
+        assert table.counter.counts.get(OpKind.DELETE, 0) > 0
         assert table.counter.logical_write_rows == table._seq
         assert table._tablets.merges > 0 and table._tablets.splits > 4
         assert (table.run_count() > 0) == (flush_rows is not None)

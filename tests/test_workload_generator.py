@@ -105,13 +105,6 @@ class TestUniformWorkload:
         for update in workload.initial_updates():
             assert region.contains_point(update.location)
 
-    def test_step_keeps_objects_inside_region(self):
-        region = BoundingBox(0.0, 0.0, 10.0, 10.0)
-        workload = UniformWorkload(num_objects=30, region=region, max_speed=5.0, seed=3)
-        for step in range(20):
-            for update in workload.step(dt=1.0, timestamp=float(step)):
-                assert region.contains_point(update.location)
-
     def test_random_update_targets_known_object(self):
         workload = UniformWorkload(num_objects=10, seed=3)
         update = workload.random_update(timestamp=1.0)
@@ -122,4 +115,4 @@ class TestUniformWorkload:
         with pytest.raises(WorkloadError):
             workload.object_id(5)
         with pytest.raises(WorkloadError):
-            workload.position(-1)
+            workload.object_id(-1)
