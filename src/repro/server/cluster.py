@@ -111,35 +111,6 @@ class TabletRoutingTable:
         self._primary, self._replicas = map(dict, state)
 
 
-class RoundMakespans:
-    """The cluster makespan *as of* each load-test round.
-
-    A running max indexed by round: valid because makespans never decrease,
-    so the max over everything recorded at or before a round is what a
-    lockstep run would have read right after it.  This is what lets the
-    load test defer its timeline arithmetic until in-flight rounds settle.
-    """
-
-    def __init__(self) -> None:
-        self._best: List[float] = []
-
-    def record(self, round_index: int, makespan: float) -> None:
-        best = self._best
-        while len(best) <= round_index:
-            best.append(best[-1] if best else 0.0)
-        # One step when rounds arrive in order (the load tests' case).
-        for index in range(round_index, len(best)):
-            if makespan <= best[index]:
-                break
-            best[index] = makespan
-
-    def at(self, round_index: int) -> float:
-        best = self._best
-        if not best:
-            return 0.0
-        return best[min(round_index, len(best) - 1)]
-
-
 def percentile_of(
     sample_groups: Iterable[Sequence[float]], quantile: float
 ) -> float:
@@ -255,10 +226,6 @@ class ServerCluster:
         #: The control plane; a :class:`~repro.server.master.TabletMaster`
         #: registers itself here (``None`` = static hash affinity).
         self.master = None
-        #: Messages applied through :meth:`enqueue_update_batch` since the
-        #: last metrics reset.
-        self.pipeline_processed = 0
-        self._round_makespans = RoundMakespans()
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -537,29 +504,12 @@ class ServerCluster:
         for server in self.servers:
             server.reset_metrics()
         self.contention.invalidate()
-        self.pipeline_processed = 0
-        self._round_makespans = RoundMakespans()
 
     # ------------------------------------------------------------------
-    # Load-test protocol (shared with ScaleOutCluster; a single cluster
-    # completes every round synchronously, so nothing is ever in flight)
+    # Load-test protocol (shared with ScaleOutCluster)
     # ------------------------------------------------------------------
-    def enqueue_update_batch(
-        self, messages: Sequence[UpdateMessage], round_index: Optional[int] = None
-    ) -> None:
-        """Apply one update round, tagging the makespan it produced."""
-        self.pipeline_processed += self.submit_update_batch(messages)
-        if round_index is not None:
-            self.record_round_makespan(round_index)
-
-    def record_round_makespan(self, round_index: int) -> None:
-        self._round_makespans.record(round_index, self.makespan_seconds())
-
-    def makespan_at_round(self, round_index: int) -> float:
-        return self._round_makespans.at(round_index)
-
     def settle(self) -> None:
-        """Nothing is in flight and no worker can be dead."""
+        """A single cluster has no worker to heal."""
 
     @property
     def has_master(self) -> bool:

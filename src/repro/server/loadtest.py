@@ -10,12 +10,12 @@ renderings — the determinism guard the test suite enforces.
 
 One :class:`LoadTest` drives any cluster that satisfies the small protocol
 both :class:`~repro.server.cluster.ServerCluster` and
-:class:`~repro.server.scaleout.ScaleOutCluster` implement: put an update
-round in flight, broadcast queries, settle, read the makespan now and as of
-a past round, fire a fault or a rebalance tick, and answer the
-result-assembly reads.  The admit RNG, the timeline buckets and the
-control-step cadence therefore consume state in exactly the same order on
-every backend, which is why reports are byte-comparable across them.
+:class:`~repro.server.scaleout.ScaleOutCluster` implement: submit an update
+batch, broadcast queries, settle, read the makespan, fire a fault or a
+rebalance tick, and answer the result-assembly reads.  The admit RNG, the
+timeline buckets and the control-step cadence therefore consume state in
+exactly the same order on every backend, which is why reports are
+byte-comparable across them.
 """
 
 from __future__ import annotations
@@ -124,71 +124,59 @@ class _TimelineBucket:
     Shared by every load-test loop: callers report completed/failed
     requests as they happen and count *units* (requests, batches or mixed
     rounds — whatever the loop's bucket resolution is) toward the flush
-    threshold.  A cluster with rounds in flight cannot know a makespan
-    without a barrier, so the flush *decision* is taken eagerly while the
-    makespan lookup is parked behind a round marker; :meth:`resolve` turns
-    each parked flush into a :class:`TimelinePoint` using the simulated
-    makespan growth since the previous one.  A loop over a synchronous
-    cluster simply resolves at once.
+    threshold.  Every round has settled when its call returns, so a full
+    bucket emits its :class:`TimelinePoint` at once, from the simulated
+    makespan growth since the previous point.
     """
 
     __slots__ = (
         "threshold",
         "points",
+        "_makespan",
         "_start_makespan",
         "_completed",
         "_failed",
         "_units",
-        "_pending",
     )
 
-    def __init__(self, threshold: int) -> None:
+    def __init__(self, threshold: int, makespan: Callable[[], float]) -> None:
         self.threshold = threshold
         self.points: List[TimelinePoint] = []
+        self._makespan = makespan
         self._start_makespan = 0.0
         self._completed = 0
         self._failed = 0
         self._units = 0
-        self._pending: List[Tuple[int, int, int]] = []
 
     def add(self, completed: int, failed: int) -> None:
         self._completed += completed
         self._failed += failed
 
-    def defer(self, marker: int) -> None:
-        """Count one unit; at the threshold, park a flush at ``marker``."""
+    def tick(self) -> None:
+        """Count one unit; at the threshold, emit a point."""
         self._units += 1
         if self._units >= self.threshold:
-            self._park(marker)
+            self._flush()
 
-    def finish(self, marker: int) -> None:
-        """Park the trailing partial bucket (if it completed anything)."""
+    def finish(self) -> None:
+        """Emit the trailing partial bucket (if it completed anything)."""
         if self._completed > 0:
-            self._park(marker)
+            self._flush()
 
-    def _park(self, marker: int) -> None:
-        self._pending.append((self._completed, self._failed, marker))
+    def _flush(self) -> None:
+        makespan = self._makespan()
+        elapsed = max(makespan - self._start_makespan, 1e-12)
+        self.points.append(
+            TimelinePoint(
+                time_s=makespan,
+                qps=self._completed / elapsed,
+                failed_qps=self._failed / elapsed,
+            )
+        )
+        self._start_makespan = makespan
         self._completed = 0
         self._failed = 0
         self._units = 0
-
-    def resolve(self, makespan_of: Callable[[int], float]) -> None:
-        """Turn every parked flush into a timeline point, in order, using
-        ``makespan_of(marker)`` — the cluster makespan *as of* that round."""
-        if not self._pending:
-            return
-        pending, self._pending = self._pending, []
-        for completed, failed, marker in pending:
-            makespan = makespan_of(marker)
-            elapsed = max(makespan - self._start_makespan, 1e-12)
-            self.points.append(
-                TimelinePoint(
-                    time_s=makespan,
-                    qps=completed / elapsed,
-                    failed_qps=failed / elapsed,
-                )
-            )
-            self._start_makespan = makespan
 
 
 class LoadTest:
@@ -308,11 +296,7 @@ class LoadTest:
                 "only; use the batched runs"
             )
         self._begin_run()
-        bucket = _TimelineBucket(bucket_requests)
-
-        def makespan_now(_marker: int) -> float:
-            return cluster.makespan_seconds()
-
+        bucket = _TimelineBucket(bucket_requests, cluster.makespan_seconds)
         failed = 0
         completed = 0
         # On the single-request path one control round == one timeline
@@ -333,19 +317,16 @@ class LoadTest:
             cluster.submit_update(message)
             completed += 1
             bucket.add(1, 0)
-            bucket.defer(round_index)
-            bucket.resolve(makespan_now)
-        makespan = cluster.makespan_seconds()
-        bucket.finish(control_round)
-        bucket.resolve(makespan_now)
-        return self._build_result(completed, failed, makespan, bucket.points)
+            bucket.tick()
+        bucket.finish()
+        return self._build_result(
+            completed, failed, cluster.makespan_seconds(), bucket.points
+        )
 
-    # The batched loops put update rounds in flight through
-    # ``enqueue_update_batch`` and park timeline flushes behind round
-    # markers, resolved from the cluster's per-round makespan record after
-    # the final settle.  A single cluster — or a scale-out window of 1 —
-    # completes each round before the next, which is why reports stay
-    # byte-identical across backends and window sizes.
+    # The batched loops submit one round at a time and every round has
+    # settled when its call returns — on a single cluster and on a
+    # federation alike — which is why reports stay byte-identical across
+    # backends.
 
     def run_update_batches(
         self,
@@ -364,24 +345,20 @@ class LoadTest:
             raise ConfigurationError("batch_size must be positive")
         self._begin_run()
         cluster = self.cluster
-        bucket = _TimelineBucket(BUCKET_BATCHES)
+        bucket = _TimelineBucket(BUCKET_BATCHES, cluster.makespan_seconds)
+        completed = 0
         failed = 0
-        last_index = 0
         for batch_index, start in enumerate(range(0, len(messages), batch_size)):
-            last_index = batch_index
-            # Control-plane and process-fault ticks barrier internally, so
-            # every fault still observes fully settled shards.
             self._control_step(batch_index)
             batch, dropped = self._admit(messages[start : start + batch_size])
             failed += dropped
-            cluster.enqueue_update_batch(batch, round_index=batch_index)
+            completed += cluster.submit_update_batch(batch)
             bucket.add(len(batch), dropped)
-            bucket.defer(batch_index)
+            bucket.tick()
         cluster.settle()
-        bucket.finish(last_index)
-        bucket.resolve(cluster.makespan_at_round)
+        bucket.finish()
         return self._build_result(
-            cluster.pipeline_processed,
+            completed,
             failed,
             cluster.makespan_seconds(),
             bucket.points,
@@ -407,9 +384,9 @@ class LoadTest:
             raise ConfigurationError("batch_size must be positive")
         self._begin_run()
         cluster = self.cluster
-        bucket = _TimelineBucket(BUCKET_BATCHES)
+        bucket = _TimelineBucket(BUCKET_BATCHES, cluster.makespan_seconds)
         failed = 0
-        completed_queries = 0
+        completed = 0
         update_offset = 0
         query_offset = 0
         batch_index = 0
@@ -424,24 +401,19 @@ class LoadTest:
             )
             query_offset += batch_size
             failed += dropped_updates + dropped_queries
-            cluster.enqueue_update_batch(update_batch, round_index=batch_index)
+            completed += cluster.submit_update_batch(update_batch)
             if query_batch:
-                # The broadcast settles the round (an explicit barrier on
-                # a federation), then the makespan — update *and* query
-                # growth — is pinned to this round for the timeline.
-                completed_queries += len(cluster.submit_query_batch(query_batch))
-                cluster.record_round_makespan(batch_index)
+                completed += len(cluster.submit_query_batch(query_batch))
             bucket.add(
                 len(update_batch) + len(query_batch),
                 dropped_updates + dropped_queries,
             )
-            bucket.defer(batch_index)
+            bucket.tick()
             batch_index += 1
         cluster.settle()
-        bucket.finish(max(batch_index - 1, 0))
-        bucket.resolve(cluster.makespan_at_round)
+        bucket.finish()
         return self._build_result(
-            completed_queries + cluster.pipeline_processed,
+            completed,
             failed,
             cluster.makespan_seconds(),
             bucket.points,

@@ -192,8 +192,7 @@ class RetryPolicy:
     """Parent-side retry schedule for supervised scatter-gather.
 
     Each attempt gets ``call_deadline_s`` of wall-clock to produce a
-    response (replacing the old blanket 120 s socket timeout); failed
-    attempts back off exponentially before the supervisor respawns the
+    response; failed attempts back off exponentially before the supervisor respawns the
     worker and the request is re-sent *with its original request id* so the
     worker-side dedup window can suppress double application.
     """

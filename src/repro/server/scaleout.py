@@ -11,11 +11,11 @@ fixed shard order, so its outputs are bit-identical for every worker count
 
 One decision lives here and nowhere else: *how one round of per-shard
 requests is sent, collected in send order, healed and re-sent with its
-pinned request ids* — :class:`ScatterGatherEngine`.  An update window is
-``W`` rounds in flight, lockstep is ``W = 1``, a query broadcast is one
-round behind a barrier, an unsupervised cluster is the same loop with no
-supervisor (the first failed sweep raises), and the in-process federation
-is a transport whose sends complete synchronously.
+pinned request ids* — :class:`ScatterGatherEngine`.  Rounds run in
+lockstep: an update batch and a query broadcast are each one round that
+has settled when its call returns, an unsupervised cluster is the same
+loop with no supervisor (the first failed sweep raises), and the
+in-process federation is a transport whose sends complete synchronously.
 
 Determinism model: the *shard count* is the unit of determinism (it decides
 object placement and per-shard RNG consumption); the *worker count* is the
@@ -41,7 +41,7 @@ from repro.errors import (
 )
 from repro.model import NeighborResult, UpdateMessage
 from repro.server import rpc
-from repro.server.cluster import RoundMakespans, percentile_of
+from repro.server.cluster import percentile_of
 from repro.server.faults import (
     CORRUPT_BITFLIP,
     KILL_WORKER,
@@ -53,17 +53,17 @@ from repro.server.worker import WORKER_PHASES, shard_of
 
 
 class ScatterGatherEngine:
-    """Rounds of per-shard requests in flight over one shard transport.
+    """One round of per-shard requests over one shard transport.
 
-    :meth:`enqueue` puts a round on its way without waiting; :meth:`drain`
-    collects everything in flight **in send order**, so what the caller
+    :meth:`round` puts every request on the wire before reading the first
+    reply and returns the results **in send order**, so what the caller
     commits never depends on arrival order.  A collect that raises
     :class:`WorkerDiedError` / :class:`FrameCorruptionError` — dead worker,
     failed send, expired per-call deadline, corrupt frame — marks the
     owning worker and the sweep moves on.  After each sweep every marked
     worker is healed through the supervisor (sorted worker order, bounded
-    by ``retry_policy`` with backoff between attempts) and its *entire*
-    uncollected in-flight set is re-sent in the original order under the
+    by ``retry_policy`` with backoff between attempts) and its uncollected
+    requests of the round are re-sent in the original order under the
     original request ids, which the worker-side dedup window uses to replay
     what the dead worker had already applied and apply the rest exactly
     once.  Without a supervisor the first failed sweep raises.
@@ -78,34 +78,19 @@ class ScatterGatherEngine:
         self.transport = transport
         self.retry_policy = retry_policy
         self.supervisor = supervisor
-        #: ``(shard_id, token, round_index)`` per outstanding request.
-        self._inflight: List[Tuple[int, Any, Optional[int]]] = []
-        self.inflight_rounds = 0
 
-    def enqueue(
-        self,
-        requests: Sequence[Tuple[int, int, Any]],
-        round_index: Optional[int] = None,
-    ) -> None:
-        """Send one round of ``(shard_id, opcode, payload)`` requests."""
-        tokens = self.transport.send(requests)
-        for request, token in zip(requests, tokens):
-            self._inflight.append((request[0], token, round_index))
-        self.inflight_rounds += 1
-
-    def drain(self) -> List[Tuple[int, Any, Optional[int]]]:
-        """Collect every in-flight request -> ``(shard_id, result,
-        round_index)`` triples in send order."""
-        entries, self._inflight = self._inflight, []
-        self.inflight_rounds = 0
+    def round(self, requests: Sequence[Tuple[int, int, Any]]) -> List[Any]:
+        """Send one round of ``(shard_id, opcode, payload)`` requests and
+        return their results in send order."""
         transport = self.transport
         policy = self.retry_policy
-        owners = [transport.worker_of(shard_id) for shard_id, _, _ in entries]
+        tokens = transport.send(requests)
+        owners = [transport.worker_of(request[0]) for request in requests]
         results: Dict[int, Any] = {}
         failed: Dict[int, str] = {}
         attempts = 1
         while True:
-            for index, (shard_id, token, _round) in enumerate(entries):
+            for index, token in enumerate(tokens):
                 if index in results or owners[index] in failed:
                     continue
                 try:
@@ -113,7 +98,7 @@ class ScatterGatherEngine:
                         token, policy.call_deadline_s
                     )
                 except (WorkerDiedError, FrameCorruptionError) as exc:
-                    failed[owners[index]] = f"shard {shard_id}: {exc}"
+                    failed[owners[index]] = f"shard {requests[index][0]}: {exc}"
             if not failed:
                 break
             if self.supervisor is None or attempts >= policy.max_attempts:
@@ -131,7 +116,7 @@ class ScatterGatherEngine:
                 transport.transmit(
                     worker,
                     [
-                        entries[index][1]
+                        tokens[index]
                         for index, owner in enumerate(owners)
                         if owner == worker and index not in results
                     ],
@@ -140,15 +125,7 @@ class ScatterGatherEngine:
         if self.supervisor is not None:
             for worker in set(owners):
                 self.supervisor.notify_success(worker)
-        return [
-            (shard_id, results[index], round_index)
-            for index, (shard_id, _token, round_index) in enumerate(entries)
-        ]
-
-    def discard(self) -> None:
-        """Forget everything in flight without waiting for it."""
-        self._inflight = []
-        self.inflight_rounds = 0
+        return [results[index] for index in range(len(tokens))]
 
 
 class ScaleOutCluster:
@@ -157,21 +134,10 @@ class ScaleOutCluster:
     Satisfies the load-test cluster protocol of
     :class:`repro.server.cluster.ServerCluster`, plus the process-level
     hooks (:meth:`apply_chaos_event`, :meth:`heal_dead_workers`).  Every
-    round is pipelined: every shard's request is on the wire before the
-    first response is read, so one round costs one round-trip regardless
-    of shard count.
-
-    The parent may keep up to ``window`` whole update rounds in flight
-    before blocking (:meth:`enqueue_update_batch` /
-    :meth:`drain_update_window`), overlapping parent-side columnar encode
-    of round *k+1* and decode of round *k−1* with worker-side apply of
-    round *k*.  Per-connection FIFO order is untouched — a worker applies
-    its frames in send order — so every shard sees exactly the batch
-    stream it would have seen at ``window=1`` and the simulated results
-    stay byte-identical for every window size.  Query broadcasts,
-    control-plane verbs, process faults and metric reads all drain the
-    window first (an explicit barrier), so nothing can observe a shard
-    mid-window.
+    shard's request of a round is on the wire before the first response is
+    read, so one round costs one round-trip regardless of shard count, and
+    every round has settled when its call returns: nothing is ever in
+    flight between calls.
     """
 
     def __init__(
@@ -180,7 +146,6 @@ class ScaleOutCluster:
         supervision_policy: Optional[str] = None,
         retry_policy: Optional[rpc.RetryPolicy] = None,
         max_consecutive_failures: int = 5,
-        window: int = 1,
     ) -> None:
         self.backend = backend
         self.clients = backend.clients
@@ -197,7 +162,6 @@ class ScaleOutCluster:
                 "num_servers",
                 "record_service_times",
                 "durable_accounting",
-                "dedup_window",
             ):
                 if getattr(recipe, field_name) != getattr(base, field_name):
                     raise ConfigurationError(
@@ -214,7 +178,6 @@ class ScaleOutCluster:
         #: makespan is their max (shards run concurrently in wall-clock
         #: but their simulated clocks are independent).
         self._makespans = [0.0] * self.num_shards
-        self._round_makespans = RoundMakespans()
         self.retry_policy = retry_policy or rpc.RetryPolicy()
         self.supervisor: Optional[Supervisor] = None
         if supervision_policy is not None:
@@ -232,11 +195,9 @@ class ScaleOutCluster:
         self._engine = ScatterGatherEngine(
             backend.transport, self.retry_policy, self.supervisor
         )
-        self.window = 1
         #: See :meth:`metrics_snapshot`.
         self._worker_phase: Optional[Dict[str, float]] = None
-        self._zero_pipeline_metrics()  # the build's frames are not rounds
-        self.set_window(window)
+        backend.transport.phase = zero_phase()  # the build's frames are not rounds
 
     @classmethod
     def build(
@@ -248,7 +209,6 @@ class ScaleOutCluster:
         supervision_policy: Optional[str] = None,
         retry_policy: Optional[rpc.RetryPolicy] = None,
         max_consecutive_failures: int = 5,
-        window: int = 1,
         **recipe_kwargs,
     ) -> "ScaleOutCluster":
         """Build a fully loaded cluster from recipe knobs.
@@ -258,14 +218,10 @@ class ScaleOutCluster:
         :class:`repro.server.worker.ShardRecipe`.  A ``supervision_policy``
         enables self-healing; ``"respawn"`` (lossless) additionally turns
         on durable accounting checkpoints so a respawned shard restores its
-        simulated tallies and dedup window.  ``window`` bounds the
-        in-flight update rounds per worker; the worker-side dedup window is
-        sized to at least ``window`` so a heal-then-resend of the whole
-        in-flight window stays exactly-once.
+        simulated tallies and dedup window.
         """
         if supervision_policy == "respawn":
             recipe_kwargs.setdefault("durable_accounting", True)
-        recipe_kwargs.setdefault("dedup_window", max(8, window))
         built = make_scaleout_backend(
             backend,
             num_shards,
@@ -279,7 +235,6 @@ class ScaleOutCluster:
                 supervision_policy=supervision_policy,
                 retry_policy=retry_policy,
                 max_consecutive_failures=max_consecutive_failures,
-                window=window,
             )
         except BaseException:
             built.close()  # a rejected build must not strand its workers
@@ -289,159 +244,28 @@ class ScaleOutCluster:
     # Request routing
     # ------------------------------------------------------------------
     def submit_update_batch(self, messages: Sequence[UpdateMessage]) -> int:
-        """Partition a batch by owning shard, dispatch, and wait for it.
-
-        The synchronous surface: one call is one enqueued round followed by
-        a full window drain, so callers that never touch the windowed API
-        get exact ``window=1`` semantics.  Returns the number of messages
-        processed across everything the drain collected.
-        """
+        """Partition a batch by owning shard, run it as one round, and
+        commit the results in send order.  Returns the number of messages
+        processed."""
         if not messages:
             return 0
-        before = self._pipeline_processed
-        self.enqueue_update_batch(messages)
-        self.drain_update_window()
-        return self._pipeline_processed - before
-
-    # ------------------------------------------------------------------
-    # Update windows
-    # ------------------------------------------------------------------
-    def _zero_pipeline_metrics(self) -> None:
-        self._pipeline_processed = 0
-        self._counters = {
-            "blocking_waits": 0,
-            "barrier_drains": 0,
-            "rounds_enqueued": 0,
-            "drains": 0,
-        }
-        self.backend.transport.phase = zero_phase()
-
-    def set_window(self, window: int) -> None:
-        """Bound the in-flight update rounds per worker.
-
-        The window cannot exceed the worker-side dedup depth: a heal must
-        be able to resend the *whole* in-flight window with original ids
-        and have every already-applied batch replayed, not re-applied.
-        """
-        if window < 1:
-            raise ConfigurationError("window must be >= 1")
-        dedup_depth = self.recipes[0].dedup_window
-        if window > dedup_depth:
-            raise ConfigurationError(
-                f"window {window} exceeds the worker-side dedup depth "
-                f"{dedup_depth}; rebuild with dedup_window >= window"
-            )
-        self.drain_update_window()
-        self.window = window
-
-    @property
-    def pipeline_processed(self) -> int:
-        """Messages processed through update windows since the last
-        metrics reset (committed at drain time, in send order)."""
-        return self._pipeline_processed
-
-    def enqueue_update_batch(
-        self,
-        messages: Sequence[UpdateMessage],
-        round_index: Optional[int] = None,
-    ) -> None:
-        """Put one update round in flight without waiting for it.
-
-        Parent-side encode happens here — while workers are still applying
-        previously enqueued rounds.  When the window is full the call
-        drains it first, so at most ``self.window`` rounds are ever
-        outstanding.  ``round_index`` tags the round for
-        :meth:`makespan_at_round` (the load test's deferred timeline).
-        """
-        if not messages:
-            return
-        if self._engine.inflight_rounds >= self.window:
-            self.drain_update_window()
         buckets: List[List[UpdateMessage]] = [[] for _ in range(self.num_shards)]
         for message in messages:
             buckets[shard_of(message.object_id, self.num_shards)].append(message)
-        self._engine.enqueue(
-            [
-                (shard_id, rpc.OP_UPDATE_BATCH, batch)
-                for shard_id, batch in enumerate(buckets)
-                if batch
-            ],
-            round_index,
-        )
-        self._counters["rounds_enqueued"] += 1
-
-    def drain_update_window(self) -> int:
-        """Collect every in-flight update round (the explicit barrier).
-
-        Responses are committed in send order, so makespans, ack
-        accounting and the per-round makespan record are independent of
-        arrival order.  Returns the messages processed by this drain.
-        """
-        if not self._engine.inflight_rounds:
-            return 0
-        self._counters["drains"] += 1
-        self._counters["blocking_waits"] += 1
+        requests = [
+            (shard_id, rpc.OP_UPDATE_BATCH, batch)
+            for shard_id, batch in enumerate(buckets)
+            if batch
+        ]
         processed = 0
-        for shard_id, (count, makespan), round_index in self._engine.drain():
+        for (shard_id, _opcode, _batch), (count, makespan) in zip(
+            requests, self._engine.round(requests)
+        ):
             processed += count
             self._makespans[shard_id] = makespan
-            if round_index is not None:
-                self._round_makespans.record(round_index, makespan)
             if self.supervisor is not None:
                 self.supervisor.note_acked_updates(shard_id, count)
-        self._pipeline_processed += processed
         return processed
-
-    def _barrier(self) -> int:
-        """Drain before anything that must observe settled shards (query
-        broadcasts, control-plane verbs, process faults, metric reads)."""
-        if self._engine.inflight_rounds:
-            self._counters["barrier_drains"] += 1
-        return self.drain_update_window()
-
-    def settle(self) -> None:
-        """End of a load-test run: drain the window, then sweep-and-heal so
-        a failure injected with no round left to detect it cannot crash the
-        fail-fast result-assembly scatters."""
-        self.drain_update_window()
-        self.heal_dead_workers()
-
-    def record_round_makespan(self, round_index: int) -> None:
-        """Pin the current *settled* makespan to a round marker.
-
-        The mixed load-test loop calls this right after a barriered query
-        broadcast: queries advance shard clocks outside the update
-        windows, and the deferred timeline still needs
-        :meth:`makespan_at_round` to see that growth."""
-        self._round_makespans.record(round_index, self.makespan_seconds())
-
-    def makespan_at_round(self, round_index: int) -> float:
-        """The cluster-wide simulated makespan *as of* a past round — what
-        a ``window=1`` engine would have reported right after it."""
-        return self._round_makespans.at(round_index)
-
-    def metrics_snapshot(self) -> Dict[str, object]:
-        """Pipeline counters and the transport's phase timing breakdown.
-
-        Phase seconds are wall-clock (parent-side, every frame moved since
-        the last metrics reset) and deliberately live *outside*
-        ``to_report()``; the counter fields (``blocking_waits``,
-        ``rounds_enqueued``, ...) count update windows and are
-        machine-independent — functions of the batch schedule only — which
-        is what the CI overlap guard pins.
-
-        ``worker_phase`` is the other side of ``blocked_wait_seconds``:
-        the workers' own wall seconds per
-        :data:`~repro.server.worker.WORKER_PHASES` step, summed in shard
-        order *as of the last* :meth:`metrics` *round* (``None`` before
-        one).  The snapshot itself never moves a frame — it stays callable
-        with a window in flight and leaves pinned frame counts alone."""
-        snapshot: Dict[str, object] = dict(self.backend.transport.phase)
-        snapshot.update(self._counters)
-        snapshot["window"] = self.window
-        snapshot["inflight_rounds"] = self._engine.inflight_rounds
-        snapshot["worker_phase"] = self._worker_phase
-        return snapshot
 
     def submit_query_batch(
         self, queries: Sequence[object]
@@ -449,23 +273,21 @@ class ScaleOutCluster:
         """Broadcast a query batch to every shard and merge top-k results.
 
         Objects are spread across shards, so each NN query must probe all
-        of them — one round behind the barrier; per query the shard answers
-        are concatenated, sorted by ``(distance, object_id)`` and truncated
-        to the query's ``k`` — exactly the order a single-shard indexer
-        produces.
+        of them in one round; per query the shard answers are concatenated,
+        sorted by ``(distance, object_id)`` and truncated to the query's
+        ``k`` — exactly the order a single-shard indexer produces.
         """
         queries = list(queries)
         if not queries:
             return []
-        self._barrier()
-        self._engine.enqueue(
+        replies = self._engine.round(
             [
                 (shard_id, rpc.OP_QUERY_BATCH, queries)
                 for shard_id in range(self.num_shards)
             ]
         )
         per_shard: List[List[List[NeighborResult]]] = []
-        for shard_id, (results, makespan), _round in self._engine.drain():
+        for shard_id, (results, makespan) in enumerate(replies):
             self._makespans[shard_id] = makespan
             per_shard.append(results)
         merged: List[List[NeighborResult]] = []
@@ -500,7 +322,6 @@ class ScaleOutCluster:
         stream is unusable until the worker is replaced.
         """
         supervisor = self._require_supervision()
-        self._barrier()
         pool = self.backend.pool
         worker = fault.target
         if worker >= pool.num_workers:
@@ -527,6 +348,12 @@ class ScaleOutCluster:
         )
         return f"{fault.describe()} [healed in {record.duration_s:.3f}s]"
 
+    def settle(self) -> None:
+        """End of a load-test run: sweep-and-heal so a failure injected
+        with no round left to detect it cannot crash the fail-fast
+        result-assembly scatters."""
+        self.heal_dead_workers()
+
     def heal_dead_workers(self) -> int:
         """Sweep-and-heal: probe every worker and respawn the failed ones.
 
@@ -538,7 +365,6 @@ class ScaleOutCluster:
         """
         if self.supervisor is None:
             return 0
-        self._barrier()
         healed = 0
         for worker in range(self.backend.pool.num_workers):
             try:
@@ -555,18 +381,32 @@ class ScaleOutCluster:
         """Cluster-wide simulated makespan: the slowest shard's clock."""
         return max(self._makespans)
 
+    def metrics_snapshot(self) -> Dict[str, object]:
+        """The transport's phase timing breakdown.
+
+        Phase seconds are wall-clock (parent-side, every frame moved since
+        the last metrics reset) and deliberately live *outside*
+        ``to_report()``.
+
+        ``worker_phase`` is the other side of ``blocked_wait_seconds``:
+        the workers' own wall seconds per
+        :data:`~repro.server.worker.WORKER_PHASES` step, summed in shard
+        order *as of the last* :meth:`metrics` *round* (``None`` before
+        one).  The snapshot itself never moves a frame, so it leaves pinned
+        frame counts alone."""
+        snapshot: Dict[str, object] = dict(self.backend.transport.phase)
+        snapshot["worker_phase"] = self._worker_phase
+        return snapshot
+
     def reset_metrics(self) -> None:
         """Zero every shard's server accounting, the local makespans and
-        the pipeline counters (draining any leftover window first)."""
-        self._barrier()
+        the transport's phase timers."""
         self.backend.scatter("reset_metrics")
         self._makespans = [0.0] * self.num_shards
-        self._round_makespans = RoundMakespans()
-        self._zero_pipeline_metrics()
+        self.backend.transport.phase = zero_phase()
 
     def metrics(self) -> List[Dict[str, object]]:
         """Per-shard metrics dicts, in shard order."""
-        self._barrier()
         per_shard = self.backend.scatter("metrics")
         total = dict.fromkeys(WORKER_PHASES, 0.0)
         for entry in per_shard:
@@ -582,14 +422,13 @@ class ScaleOutCluster:
         server order worker-side); the parent concatenates them in fixed
         shard order through :func:`repro.server.cluster.percentile_of` (the
         rule the single cluster uses), so the result is identical for every
-        worker count, backend and window size — and 0.0 unless the recipes
-        set ``record_service_times``, matching the single-cluster build.
+        worker count and backend — and 0.0 unless the recipes set
+        ``record_service_times``, matching the single-cluster build.
         """
         if not self.recipes[0].record_service_times:
-            # No shard has samples; skip the scatter so non-recording runs
-            # keep their exact pre-p99 wire-frame counts.
+            # No shard has samples: skip the scatter, so a run that records
+            # none sends no frame for it.
             return percentile_of((), quantile)
-        self._barrier()
         return percentile_of(
             self.backend.scatter("service_time_samples"), quantile
         )
@@ -639,7 +478,6 @@ class ScaleOutCluster:
         # detect it — meets a healthy pool with its master state restored
         # from the checkpoint.
         self.heal_dead_workers()
-        self._barrier()
         self.backend.scatter("rebalance")
 
     def apply_fault(self, fault: Fault) -> List[str]:
@@ -648,7 +486,6 @@ class ScaleOutCluster:
         description per shard (shard order), each tagged with its shard."""
         self._require_master()
         self.heal_dead_workers()  # same heal-before-CALL as :meth:`rebalance`
-        self._barrier()
         return self.backend.call_round(
             [
                 (
@@ -668,9 +505,6 @@ class ScaleOutCluster:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        # Discard (never drain) the in-flight window: close must not block
-        # on workers that may already be gone.
-        self._engine.discard()
         self.backend.close()
 
     def __enter__(self) -> "ScaleOutCluster":

@@ -22,12 +22,11 @@ runs one of two policies:
     master's decision history — migration/replication/failover records —
     alongside the routing overrides and replica placement, so a respawned
     shard's master continues byte-identically): the replacement restores
-    to the last *acked* batch boundary and the
-    retry layer re-sends anything in flight — under the pipelined engine
-    that is the dead worker's **whole in-flight window**, in its original
-    send order with its original pinned request ids — so no acked write
+    to the last *acked* batch boundary and the retry layer re-sends the
+    dead worker's uncollected requests of the round, in their original
+    send order with their original pinned request ids — so no acked write
     is lost and no update is double-applied (the worker-side dedup window
-    is sized to at least the in-flight window for exactly this replay).
+    replays what the dead worker had already applied).
 
 ``respawn_lossy``
     For in-memory backends, which have nothing to restore from: the

@@ -69,6 +69,12 @@ from repro.server.master import MasterOptions, TabletMaster
 #: Accounting-checkpoint filename inside a shard's storage directory.
 STATE_BLOB_NAME = "SHARD_STATE.bin"
 
+#: Applied data-plane requests the exactly-once dedup window remembers per
+#: shard.  A round has at most one request per shard on the wire, so a
+#: resend after a heal needs only the newest entry; the deeper window also
+#: fixes how many entries ``SHARD_STATE.bin`` carries.
+DEDUP_DEPTH = 8
+
 #: Where a worker's wall time goes, per shard: the steps of
 #: :func:`dispatch_request`, then the disk store's share of ``apply`` (the
 #: barrier closes' ``journal_sync``; ``run_encode`` is part of ``checkpoint``).
@@ -172,11 +178,6 @@ class ShardRecipe:
     #: a supervised respawn also restores every simulated tally, so a
     #: killed-and-healed run reports byte-identically to a fault-free one.
     durable_accounting: bool = False
-    #: Depth of the exactly-once dedup window.  The pipelined engine may
-    #: have up to ``W`` update batches in flight per worker; a heal-then-
-    #: resend replays the *whole* window with original pinned ids, so the
-    #: window must remember at least ``W`` applied requests per shard.
-    dedup_window: int = 8
 
     def __post_init__(self) -> None:
         if self.num_objects < 0:
@@ -189,8 +190,6 @@ class ShardRecipe:
             )
         if self.num_servers < 1:
             raise ConfigurationError("num_servers must be >= 1")
-        if self.dedup_window < 1:
-            raise ConfigurationError("dedup_window must be >= 1")
 
     def sibling(self, shard_id: int) -> "ShardRecipe":
         """The same recipe for another shard id."""
@@ -258,15 +257,14 @@ class ShardService:
         #: bytes invariant across worker counts.
         self.neighbor_encoder = NeighborStreamEncoder()
         #: Exactly-once dedup window: ``request_id -> (opcode, recorded
-        #: result, encoded entry)`` for the most recent applied data-plane
-        #: requests, in application order.  The pipelined parent keeps up
-        #: to ``W`` batches in flight per worker and a heal-then-resend
-        #: replays the *whole* window with original pinned ids, so the
-        #: window holds ``recipe.dedup_window >= W`` entries — a replayed id
-        #: anywhere in the window returns its recorded result without
-        #: touching state.  The encoded entry is the tagged-value bytes of
-        #: ``(request_id, opcode, result)``, filled in by the first
-        #: :meth:`accounting_state` that includes it (``None`` until then).
+        #: result, encoded entry)`` for the :data:`DEDUP_DEPTH` most recent
+        #: applied data-plane requests, in application order.  A heal
+        #: resends a round's uncollected requests with their original
+        #: pinned ids, and a replayed id anywhere in the window returns its
+        #: recorded result without touching state.  The encoded entry is
+        #: the tagged-value bytes of ``(request_id, opcode, result)``,
+        #: filled in by the first :meth:`accounting_state` that includes it
+        #: (``None`` until then).
         self._applied_window: (
             "OrderedDict[int, Tuple[int, tuple, Optional[bytes]]]"
         ) = OrderedDict()
@@ -476,7 +474,7 @@ class ShardService:
         """Remember one applied request, evicting beyond the window depth."""
         window = self._applied_window
         window[request_id] = (opcode, result, None)
-        while len(window) > self.recipe.dedup_window:
+        while len(window) > DEDUP_DEPTH:
             window.popitem(last=False)
 
     def _reject_stale(self, request_id: int) -> None:
@@ -736,8 +734,8 @@ def dispatch_request(
 
     Data-plane opcodes flow through the shard's exactly-once dedup window:
     a request id still inside the window replays its recorded result
-    without touching state (the parent resent a whole in-flight window
-    after a respawn), an id older than the newest applied request that has
+    without touching state (the parent resent a round's uncollected
+    requests after a respawn), an id older than the newest applied request that has
     fallen out of the window is rejected with :class:`StaleRequestError`,
     and a fresh id applies under the verb's durability barrier (journal
     bytes reach the disk as it returns), records its result, then

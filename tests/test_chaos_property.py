@@ -28,7 +28,7 @@ from repro.server import rpc
 from repro.server.faults import KILL_WORKER, Fault, FaultSchedule
 from repro.server.loadtest import LoadTest
 from repro.server.scaleout import ScaleOutCluster
-from repro.server.worker import ShardRecipe, dispatch_request
+from repro.server.worker import DEDUP_DEPTH, ShardRecipe, dispatch_request
 from repro.workload.queries import NNQuery
 
 NUM_SHARDS = 4
@@ -79,9 +79,9 @@ def _cluster(backend, workers, policy=None, retry=None, breaker=5, **kwargs):
     )
 
 
-def _run(cluster, faults=None):
+def _run(cluster, faults=None, messages=MESSAGES, queries=QUERIES, batch_size=128):
     test = LoadTest(cluster, failure_probability=0.01, seed=404, faults=faults)
-    return test.run_mixed_batches(MESSAGES, QUERIES, batch_size=128)
+    return test.run_mixed_batches(messages, queries, batch_size=batch_size)
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +138,34 @@ class TestChaosLossless:
             assert snapshot["recovery_seconds_max"] >= (
                 snapshot["recovery_seconds_mean"]
             )
+        finally:
+            cluster.close()
+
+    def test_sigkill_on_a_finer_stream_is_byte_invisible(self):
+        # Nine 64-message rounds, so the kills land on other batch
+        # boundaries than the four-round schedule above allows.
+        stream = dict(
+            messages=make_messages(576, NUM_OBJECTS), queries=QUERIES[:60], batch_size=64
+        )
+        reference = _cluster("inprocess", 1)
+        try:
+            expected = _run(reference, **stream).to_report()
+        finally:
+            reference.close()
+        faults = FaultSchedule.seeded(29, 9, num_workers=2, kills=2)
+        cluster = _cluster(
+            "disk", 2, policy="respawn", retry=rpc.RetryPolicy(call_deadline_s=15.0)
+        )
+        try:
+            assert _run(cluster, faults=faults, **stream).to_report() == expected
+            snapshot = cluster.supervisor.metrics_snapshot()
+            assert snapshot["recoveries"] == 2
+            assert snapshot["lost_updates"] == 0
+            # Regression: the raise site wraps OS errors once; recovery
+            # reasons must never read "send failed: send failed: ...".
+            for reason in snapshot["reasons"]:
+                assert "send failed: send failed" not in reason
+                assert "receive failed: receive failed" not in reason
         finally:
             cluster.close()
 
@@ -392,3 +420,37 @@ class TestDedupWindow:
         decoded_first = decoder.decode(memoryview(first)[makespan_size:], queries)
         decoded_replay = decoder.decode(memoryview(replay)[makespan_size:], queries)
         assert decoded_first == decoded_replay
+
+    def test_replay_anywhere_in_the_window_returns_recorded_results(self):
+        # Apply a full window of batches, then replay every one of them —
+        # each must come back recorded, none re-applied.
+        services = _built_service()
+        bodies = [
+            rpc.encode_update_batch(make_messages(10, 50, seed=index))
+            for index in range(DEDUP_DEPTH)
+        ]
+        firsts = [
+            dispatch_request(services, 0, rpc.OP_UPDATE_BATCH, body, 10 + index)
+            for index, body in enumerate(bodies)
+        ]
+        charged = services[0].call("simulated_seconds")
+        for index, body in enumerate(bodies):
+            replay = dispatch_request(
+                services, 0, rpc.OP_UPDATE_BATCH, body, 10 + index
+            )
+            assert replay == firsts[index]
+        assert services[0].call("simulated_seconds") == charged
+
+    def test_requests_fall_out_of_the_bounded_window(self):
+        services = _built_service()
+        bodies = [
+            rpc.encode_update_batch(make_messages(5, 50, seed=index))
+            for index in range(DEDUP_DEPTH + 2)
+        ]
+        for index, body in enumerate(bodies):
+            dispatch_request(services, 0, rpc.OP_UPDATE_BATCH, body, 10 + index)
+        # Ids 12 .. 12 + DEDUP_DEPTH - 1 are still in the window; 10 and 11
+        # fell out.
+        dispatch_request(services, 0, rpc.OP_UPDATE_BATCH, bodies[2], 12)
+        with pytest.raises(StaleRequestError):
+            dispatch_request(services, 0, rpc.OP_UPDATE_BATCH, bodies[1], 11)

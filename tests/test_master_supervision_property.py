@@ -6,7 +6,7 @@ revival) on the same timeline as real SIGKILLs — including a kill at the
 *same batch boundary* as the migration crash, i.e. the worker dies right
 after checkpointing the aborted hand-off — completes with a ``to_report()``
 rendering byte-identical to the run of its simulated half alone, at every
-worker count and window size.  The accounting checkpoint now carries the tablet master's
+worker count.  The accounting checkpoint carries the tablet master's
 decision history (migration/replication/failover records) alongside the
 routing overrides, so a respawned shard's master continues exactly where
 the dead one stopped.
@@ -89,7 +89,7 @@ def _schedule(workers):
     )
 
 
-def _cluster(backend, workers, policy=None, retry=None, window=1, **kwargs):
+def _cluster(backend, workers, policy=None, retry=None, **kwargs):
     kwargs.setdefault("with_master", True)
     kwargs.setdefault("master_options", MASTER_OPTIONS)
     return ScaleOutCluster.build(
@@ -98,7 +98,6 @@ def _cluster(backend, workers, policy=None, retry=None, window=1, **kwargs):
         num_workers=workers,
         supervision_policy=policy,
         retry_policy=retry,
-        window=window,
         num_objects=NUM_OBJECTS,
         seed=17,
         num_servers=2,
@@ -158,16 +157,14 @@ class TestMasterSupervisionLossless:
         assert migration_batches & kill_batches
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    @pytest.mark.parametrize("window", [1, 8])
     def test_sigkill_mid_migration_is_byte_invisible(
-        self, workers, window, reference_report
+        self, workers, reference_report
     ):
         cluster = _cluster(
             "disk",
             workers,
             policy="respawn",
             retry=rpc.RetryPolicy(call_deadline_s=15.0),
-            window=window,
         )
         try:
             result = _run(cluster, _schedule(workers))
@@ -303,7 +300,6 @@ class TestServiceTimePercentile:
             policy="respawn",
             retry=rpc.RetryPolicy(call_deadline_s=15.0),
             record_service_times=True,
-            window=8,
         )
         try:
             result = _run(cluster, _schedule(workers))

@@ -178,8 +178,6 @@ class TestRejectedBuildsLeaveNothingBehind:
         [
             # lossless respawn without durable disk state
             dict(backend="process", num_workers=2, supervision_policy="respawn"),
-            # window deeper than the worker-side dedup depth
-            dict(backend="disk", num_workers=2, window=64, dedup_window=8),
             # supervision policy typo, checked after the backend exists
             dict(backend="disk", num_workers=2, supervision_policy="reboot"),
         ],
@@ -353,7 +351,7 @@ class TestLedgerMergeDeterminism:
     #: Every byte of those frames, both directions (67 B per request over
     #: the 460).  An equality: every body is a deterministic codec's output,
     #: so nothing on the wire depends on the interpreter or the machine.
-    EXPECTED_WIRE_BYTES = 30836
+    EXPECTED_WIRE_BYTES = 30828
 
     def _drive(self, backend_kind, num_workers):
         cluster = ScaleOutCluster.build(

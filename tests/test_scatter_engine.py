@@ -4,9 +4,9 @@ No fork, no socket: :class:`ScriptedTransport` plays the shard transport
 (`send` / `collect` / `transmit` / `worker_of`) and fails exactly where the
 script says — this send, that collect, that frame, on attempt *n* — so the
 engine's contract can be pinned in milliseconds for *both* round kinds it
-serves: an update window (several partial rounds in flight) and a query
-round (one broadcast behind the barrier).  The process-level chaos suites
-prove the same loop against real SIGKILLs on top of this.
+serves: a shard-partitioned update round and a query broadcast, each with
+several shards on every worker.  The process-level chaos suites prove the
+same loop against real SIGKILLs on top of this.
 """
 
 import pytest
@@ -96,23 +96,24 @@ class RecordingSupervisor:
         self.successes.append(worker)
 
 
-def update_window(num_shards):
-    """Three partial rounds, like shard-partitioned update batches."""
+def update_round(num_shards):
+    """A shard-partitioned update batch: several shards on every worker,
+    shard 1 left out (its bucket came up empty)."""
     return [
-        ([(shard, rpc.OP_UPDATE_BATCH, [f"u{shard}"]) for shard in range(num_shards)], 0),
-        ([(shard, rpc.OP_UPDATE_BATCH, [f"v{shard}"]) for shard in range(1, num_shards)], 1),
-        ([(shard, rpc.OP_UPDATE_BATCH, [f"w{shard}"]) for shard in range(num_shards)], 2),
+        (shard, rpc.OP_UPDATE_BATCH, [f"u{shard}"])
+        for shard in range(num_shards)
+        if shard != 1
     ]
 
 
 def query_round(num_shards):
     """One broadcast: the same probe set to every shard."""
     queries = ["q0", "q1"]
-    return [([(shard, rpc.OP_QUERY_BATCH, queries) for shard in range(num_shards)], None)]
+    return [(shard, rpc.OP_QUERY_BATCH, queries) for shard in range(num_shards)]
 
 
 ROUND_KINDS = pytest.mark.parametrize(
-    "make_rounds", [update_window, query_round], ids=["update-window", "query-round"]
+    "make_round", [update_round, query_round], ids=["update-round", "query-round"]
 )
 
 
@@ -122,39 +123,38 @@ def _engine(num_workers, supervised=True, policy=NO_BACKOFF):
     return ScatterGatherEngine(transport, policy, supervisor), transport, supervisor
 
 
-def _enqueue_all(engine, rounds):
-    for requests, round_index in rounds:
-        engine.enqueue(requests, round_index)
-    return [
-        (shard_id, round_index)
-        for requests, round_index in rounds
-        for shard_id, _opcode, _payload in requests
-    ]
+def _shards(requests):
+    return [shard_id for shard_id, _opcode, _payload in requests]
 
 
 def _sendalls(transport, worker):
     return [tokens for kind, w, tokens in transport.log if kind == "sendall" and w == worker]
 
 
+def _fail(transport, requests, worker, position, fault, attempts=(1,)):
+    """Fail the collect of the ``position``-th request the round sends to
+    ``worker`` on each of ``attempts`` (its id is the one
+    :class:`ScriptedTransport` allocates)."""
+    shards = [s for s in _shards(requests) if transport.worker_of(s) == worker]
+    request_id = 100 * (worker + 1) + position
+    for attempt in attempts:
+        transport.fail_collects[(shards[position], request_id, attempt)] = fault
+
+
 @ROUND_KINDS
-def test_fault_free_drain_commits_in_send_order(make_rounds):
+def test_fault_free_round_returns_results_in_send_order(make_round):
     engine, transport, supervisor = _engine(num_workers=2)
-    rounds = make_rounds(4)
-    expected = _enqueue_all(engine, rounds)
-    assert engine.inflight_rounds == len(rounds)
-    drained = engine.drain()
-    assert [(shard_id, round_index) for shard_id, _result, round_index in drained] == expected
-    assert all(result[1] == shard_id for shard_id, result, _round in drained)
-    assert engine.inflight_rounds == 0
-    # One sendall per worker per round, nothing re-sent, ids ascending.
+    requests = make_round(8)
+    results = engine.round(requests)
+    assert [result[1] for result in results] == _shards(requests)
+    # One sendall per worker, nothing re-sent, ids ascending.
     for worker in (0, 1):
-        sendalls = _sendalls(transport, worker)
-        assert len(sendalls) == len(rounds)
-        ids = [token[2] for group in sendalls for token in group]
+        (sendall,) = _sendalls(transport, worker)
+        assert len(sendall) > 1  # several shards share the worker
+        ids = [token[2] for token in sendall]
         assert ids == sorted(ids) and len(set(ids)) == len(ids)
     assert supervisor.heals == []
     assert sorted(supervisor.successes) == [0, 1]
-    assert engine.drain() == []
 
 
 @ROUND_KINDS
@@ -163,92 +163,76 @@ def test_fault_free_drain_commits_in_send_order(make_rounds):
     ids=["dropped-collect", "corrupt-frame"],
 )
 def test_failed_collect_resends_the_whole_uncollected_set_with_original_ids(
-    make_rounds, fault
+    make_round, fault
 ):
     engine, transport, supervisor = _engine(num_workers=2)
-    rounds = make_rounds(4)
-    expected = _enqueue_all(engine, rounds)
-    first_sends = [token for group in _sendalls(transport, 1) for token in group]
+    requests = make_round(8)
     # Worker 1's *second* token fails on its first transmission: the first
     # was already collected, everything after it is still uncollected.
-    failing = first_sends[1]
-    transport.fail_collects[(failing[0], failing[2], 1)] = fault
-    drained = engine.drain()
-    assert [(shard_id, round_index) for shard_id, _result, round_index in drained] == expected
+    _fail(transport, requests, 1, 1, fault)
+    results = engine.round(requests)
+    assert [result[1] for result in results] == _shards(requests)
+    first_sends = _sendalls(transport, 1)[0]
+    assert len(first_sends) >= 3
     assert [worker for worker, _reason in supervisor.heals] == [1]
-    assert f"shard {failing[0]}" in supervisor.heals[0][1]
+    assert f"shard {first_sends[1][0]}" in supervisor.heals[0][1]
     # Exactly one extra sendall, to worker 1 only: every uncollected token,
     # original ids, original order.
-    assert _sendalls(transport, 1)[-1] == first_sends[1:]
-    assert len(_sendalls(transport, 1)) == len(rounds) + 1
-    assert len(_sendalls(transport, 0)) == len(rounds)
+    assert _sendalls(transport, 1) == [first_sends, first_sends[1:]]
+    assert len(_sendalls(transport, 0)) == 1
     # Results carry the original request ids, so the resend was not re-keyed.
-    by_shard_round = {(s, r): result[2] for s, result, r in drained}
-    assert sorted(by_shard_round.values()) == sorted(
-        token[2]
-        for worker in (0, 1)
-        for group in _sendalls(transport, worker)[: len(rounds)]
-        for token in group
+    assert sorted(result[2] for result in results) == sorted(
+        token[2] for worker in (0, 1) for token in _sendalls(transport, worker)[0]
     )
 
 
 @ROUND_KINDS
-def test_failed_send_defers_to_the_drain_and_heals_there(make_rounds):
+def test_failed_send_surfaces_at_collect_and_heals_there(make_round):
     engine, transport, supervisor = _engine(num_workers=2)
     transport.fail_sends.add((0, 1))  # the very first send to worker 0
-    rounds = make_rounds(4)
-    expected = _enqueue_all(engine, rounds)  # enqueue never raises
-    # Known-dead worker: later rounds allocate ids but stay off the wire.
-    assert _sendalls(transport, 0) == []
-    drained = engine.drain()
-    assert [(shard_id, round_index) for shard_id, _result, round_index in drained] == expected
+    requests = make_round(8)
+    results = engine.round(requests)  # the send never raises
+    assert [result[1] for result in results] == _shards(requests)
     assert supervisor.heals == [(0, "shard 0: send failed: scripted")]
     (resend,) = _sendalls(transport, 0)
     assert [token[0] for token in resend] == [
-        shard_id for shard_id, _round in expected if shard_id % 2 == 0
+        shard_id for shard_id in _shards(requests) if shard_id % 2 == 0
     ]
     assert [token[2] for token in resend] == sorted(token[2] for token in resend)
 
 
 @ROUND_KINDS
-def test_attempts_are_bounded_by_the_retry_policy(make_rounds):
+def test_attempts_are_bounded_by_the_retry_policy(make_round):
     engine, transport, supervisor = _engine(num_workers=2)
-    _enqueue_all(engine, make_rounds(4))
-    first = _sendalls(transport, 1)[0][0]
-    for attempt in (1, 2, 3, 4):
-        transport.fail_collects[(first[0], first[2], attempt)] = WorkerDiedError("hung")
-    with pytest.raises(WorkerDiedError, match="after 3 attempts .*worker 1: shard 1: hung"):
-        engine.drain()
+    requests = make_round(8)
+    _fail(transport, requests, 1, 0, WorkerDiedError("hung"), (1, 2, 3, 4))
+    with pytest.raises(WorkerDiedError, match=r"after 3 attempts .*worker 1: shard \d+: hung"):
+        engine.round(requests)
     assert [worker for worker, _reason in supervisor.heals] == [1, 1]
     assert supervisor.successes == []
-    assert engine.inflight_rounds == 0  # a failed drain leaves nothing behind
 
 
 @ROUND_KINDS
-def test_without_a_supervisor_the_first_failed_sweep_raises(make_rounds):
+def test_without_a_supervisor_the_first_failed_sweep_raises(make_round):
     engine, transport, _none = _engine(num_workers=2, supervised=False)
-    rounds = make_rounds(4)
-    _enqueue_all(engine, rounds)
-    first = _sendalls(transport, 1)[0][0]
-    transport.fail_collects[(first[0], first[2], 1)] = WorkerDiedError("gone")
-    with pytest.raises(WorkerDiedError, match="after 1 attempts .*worker 1: shard 1: gone"):
-        engine.drain()
+    requests = make_round(8)
+    _fail(transport, requests, 1, 0, WorkerDiedError("gone"))
+    with pytest.raises(WorkerDiedError, match=r"after 1 attempts .*worker 1: shard \d+: gone"):
+        engine.round(requests)
     # Nothing was re-sent: no healer, no retry.
-    assert len(_sendalls(transport, 1)) == len(rounds)
+    assert len(_sendalls(transport, 1)) == 1
 
 
 @ROUND_KINDS
-def test_two_failed_workers_heal_in_sorted_worker_order(make_rounds):
+def test_two_failed_workers_heal_in_sorted_worker_order(make_round):
     engine, transport, supervisor = _engine(num_workers=3)
-    rounds = make_rounds(6)
-    expected = _enqueue_all(engine, rounds)
-    # Shard 2 (worker 2) fails before shard 3 (worker 0) in the sweep, so
+    requests = make_round(9)
+    # Shard 2 (worker 2) is collected before shard 6 (worker 0), so
     # discovery order is 2, 0 — healing must still go 0, 2.
-    for worker, position in ((2, 0), (0, 1)):
-        token = _sendalls(transport, worker)[0][position]
-        transport.fail_collects[(token[0], token[2], 1)] = WorkerDiedError("killed")
-    drained = engine.drain()
-    assert [(shard_id, round_index) for shard_id, _result, round_index in drained] == expected
+    _fail(transport, requests, 2, 0, WorkerDiedError("killed"))
+    _fail(transport, requests, 0, 2, WorkerDiedError("killed"))
+    results = engine.round(requests)
+    assert [result[1] for result in results] == _shards(requests)
     assert [worker for worker, _reason in supervisor.heals] == [0, 2]
     assert supervisor.heals[1][1] == "shard 2: killed"
     resend_order = [
@@ -260,18 +244,8 @@ def test_two_failed_workers_heal_in_sorted_worker_order(make_rounds):
 
 def test_worker_side_errors_are_not_transport_failures():
     engine, transport, supervisor = _engine(num_workers=1)
-    _enqueue_all(engine, query_round(2))
-    token = _sendalls(transport, 0)[0][0]
-    transport.fail_collects[(token[0], token[2], 1)] = ConfigurationError("guard")
+    requests = query_round(2)
+    _fail(transport, requests, 0, 0, ConfigurationError("guard"))
     with pytest.raises(ConfigurationError, match="guard"):
-        engine.drain()
+        engine.round(requests)
     assert supervisor.heals == []
-
-
-def test_discard_forgets_the_window_without_collecting():
-    engine, transport, _supervisor = _engine(num_workers=2)
-    _enqueue_all(engine, update_window(4))
-    engine.discard()
-    assert engine.inflight_rounds == 0
-    assert engine.drain() == []
-    assert not any(kind == "collect" for kind, _worker, _tokens in transport.log)
