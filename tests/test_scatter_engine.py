@@ -249,3 +249,58 @@ def test_worker_side_errors_are_not_transport_failures():
     with pytest.raises(ConfigurationError, match="guard"):
         engine.round(requests)
     assert supervisor.heals == []
+
+
+def test_an_empty_round_sends_nothing_and_returns_nothing():
+    engine, transport, supervisor = _engine(num_workers=2)
+    assert engine.round([]) == []
+    assert transport.log == []
+    assert supervisor.heals == [] and supervisor.successes == []
+
+
+@ROUND_KINDS
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_a_failed_collect_resends_exactly_the_uncollected_suffix(make_round, where):
+    engine, transport, supervisor = _engine(num_workers=2)
+    requests = make_round(8)
+    owned = [s for s in _shards(requests) if transport.worker_of(s) == 1]
+    position = 0 if where == "first" else len(owned) - 1
+    _fail(transport, requests, 1, position, WorkerDiedError("killed"))
+    results = engine.round(requests)
+    assert [result[1] for result in results] == _shards(requests)
+    first_sends = _sendalls(transport, 1)[0]
+    # A failure on the first token resends all of them; on the last, only it.
+    assert _sendalls(transport, 1) == [first_sends, first_sends[position:]]
+    assert supervisor.heals == [(1, f"shard {owned[position]}: killed")]
+
+
+@ROUND_KINDS
+def test_a_worker_failing_twice_in_one_round_resends_a_shrinking_suffix(make_round):
+    engine, transport, supervisor = _engine(num_workers=2)
+    requests = make_round(8)
+    # The first token fails on its first transmission, the third on its
+    # second: each heal resends only what is still uncollected.
+    _fail(transport, requests, 1, 0, WorkerDiedError("killed"), (1,))
+    _fail(transport, requests, 1, 2, WorkerDiedError("killed again"), (2,))
+    results = engine.round(requests)
+    assert [result[1] for result in results] == _shards(requests)
+    first_sends = _sendalls(transport, 1)[0]
+    assert _sendalls(transport, 1) == [first_sends, first_sends, first_sends[2:]]
+    assert [worker for worker, _reason in supervisor.heals] == [1, 1]
+    assert len(_sendalls(transport, 0)) == 1
+
+
+def test_heals_wait_the_policy_backoff_between_sweeps(monkeypatch):
+    from repro.server import scaleout
+
+    slept = []
+    monkeypatch.setattr(scaleout.time, "sleep", slept.append)
+    policy = rpc.RetryPolicy(
+        max_attempts=3, base_backoff_s=0.25, backoff_multiplier=2.0, call_deadline_s=1.0
+    )
+    engine, transport, supervisor = _engine(num_workers=2, policy=policy)
+    requests = update_round(8)
+    _fail(transport, requests, 0, 0, WorkerDiedError("killed"), (1, 2))
+    engine.round(requests)
+    assert slept == [policy.backoff_s(1), policy.backoff_s(2)] == [0.25, 0.5]
+    assert [worker for worker, _reason in supervisor.heals] == [0, 0]
