@@ -6,9 +6,9 @@ shard services: :class:`PipeTransport` frames them onto a
 ``sendall`` per worker per round, per-shard stream decoders, phase
 timers); :class:`InProcessTransport` calls the services directly and
 completes synchronously — the zero-RPC baseline every scale-out run must
-match bit for bit.  The scatter-gather engine
-(:class:`repro.server.scaleout.ScatterGatherEngine`) and the control-plane
-CALL rounds below drive either one through the same three methods.
+match bit for bit.  :class:`ScatterGatherEngine` drives either one
+through the same three methods (``transmit`` only on a heal), and every
+round goes through it: data-plane batches and control-plane CALLs alike.
 
 :class:`ProcessShardedBackend` / :class:`LocalShardedBackend` federate a
 fixed set of shard groups — each a complete MOIST stack over its own
@@ -27,9 +27,9 @@ process and in-process backends.
 
 Worker lifecycle: :class:`WorkerPool` spawns forked daemon workers over
 ``socket.socketpair``, signals and respawns them, and shuts them down
-gracefully (shutdown frame → join → terminate); the liveness probe is
-:meth:`~repro.server.supervisor.Supervisor.check_worker`.  Pools are
-context managers and register an ``atexit`` hook, and a build that fails
+gracefully (shutdown frame → join → terminate); a dead or hung worker
+shows up as a failed collect in the engine's round.  Pools are context
+managers and register an ``atexit`` hook, and a build that fails
 after forking closes what it built, so pytest and moistbench never leak
 zombie workers.
 """
@@ -51,7 +51,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.bigtable.cost import CostModel, OpCounter, OpCounterSnapshot
 from repro.bigtable.tablet import hot_share
 from repro.codec.wire import NeighborStreamDecoder
-from repro.errors import ConfigurationError, WorkerDiedError
+from repro.errors import ConfigurationError, FrameCorruptionError, WorkerDiedError
 from repro.server import rpc
 from repro.server.worker import ShardRecipe, ShardService, worker_main
 
@@ -141,8 +141,8 @@ class WorkerPool:
         The old process is SIGKILLed first (SIGKILL also fells SIGSTOPped
         workers, which would shrug off SIGTERM) and the replacement's
         connection *continues the old request-id counter*, so retried
-        requests keep their original ids for the worker-side dedup window
-        and fresh ids never collide with one it already recorded.
+        requests keep their original ids for the worker-side exactly-once
+        slot and fresh ids are always newer than the one it recorded.
         """
         if self._closed:
             raise ConfigurationError("the worker pool is shut down")
@@ -237,7 +237,7 @@ def zero_phase() -> Dict[str, float]:
 class InProcessTransport:
     """Every shard's service runs right here and a send completes
     synchronously — the zero-transport baseline: no codec, no request ids,
-    no dedup window, identical shard computations."""
+    no exactly-once slot, identical shard computations."""
 
     def __init__(self, num_shards: int) -> None:
         self.services = [ShardService() for _ in range(num_shards)]
@@ -276,7 +276,7 @@ class PipeTransport:
 
     Owns everything wire-shaped: the codecs, request-id allocation *before*
     the send (ids must survive a send-time failure — they pin the resend
-    for the worker-side dedup window), one ``sendall`` per worker per
+    for the worker-side exactly-once slot), one ``sendall`` per worker per
     round, the per-shard neighbour-stream decoders, and the phase timers.
     ``shard → worker`` is ``shard_id % num_workers``.
 
@@ -377,9 +377,94 @@ class PipeTransport:
             del self._decoders[shard_id]
 
 
+class ScatterGatherEngine:
+    """One round of per-shard requests over one shard transport — the one
+    send path, for data-plane batches and control-plane CALLs alike.
+
+    :meth:`round` puts every request on the wire before reading the first
+    reply and returns the results **in send order**, so what the caller
+    commits never depends on arrival order.  A collect that raises
+    :class:`WorkerDiedError` / :class:`FrameCorruptionError` — dead worker,
+    failed send, expired per-call deadline, corrupt frame — marks the
+    owning worker and the sweep moves on.  After each sweep every marked
+    worker is healed through the supervisor (sorted worker order, bounded
+    by ``retry_policy`` with backoff between attempts) and its uncollected
+    requests of the round are re-sent in the original order under the
+    original request ids, which the worker-side exactly-once slot uses to
+    replay what the dead worker had already applied and apply the rest
+    exactly once.  Without a supervisor the first failed sweep raises;
+    without a retry policy each collect waits out the connection's own
+    timeout.
+    """
+
+    def __init__(
+        self,
+        transport: object,
+        retry_policy: Optional[rpc.RetryPolicy] = None,
+        supervisor: Optional[object] = None,
+    ) -> None:
+        self.transport = transport
+        self.retry_policy = retry_policy
+        self.supervisor = supervisor
+
+    def round(self, requests: Sequence[Tuple[int, int, Any]]) -> List[Any]:
+        """Send one round of ``(shard_id, opcode, payload)`` requests and
+        return their results in send order.  A round names each shard at
+        most once: the worker keeps one exactly-once slot per shard."""
+        shard_ids = [request[0] for request in requests]
+        if len(set(shard_ids)) != len(shard_ids):
+            raise ConfigurationError(
+                f"a round names a shard more than once: {shard_ids}"
+            )
+        transport = self.transport
+        policy = self.retry_policy
+        deadline_s = None if policy is None else policy.call_deadline_s
+        tokens = transport.send(requests)
+        owners = [transport.worker_of(shard_id) for shard_id in shard_ids]
+        results: Dict[int, Any] = {}
+        failed: Dict[int, str] = {}
+        attempts = 1
+        while True:
+            for index, token in enumerate(tokens):
+                if index in results or owners[index] in failed:
+                    continue
+                try:
+                    results[index] = transport.collect(token, deadline_s)
+                except (WorkerDiedError, FrameCorruptionError) as exc:
+                    failed[owners[index]] = f"shard {shard_ids[index]}: {exc}"
+            if not failed:
+                break
+            if self.supervisor is None or attempts >= policy.max_attempts:
+                reasons = "; ".join(
+                    f"worker {worker}: {reason}"
+                    for worker, reason in sorted(failed.items())
+                )
+                raise WorkerDiedError(
+                    f"scatter round failed after {attempts} attempts ({reasons})"
+                )
+            time.sleep(policy.backoff_s(attempts))
+            attempts += 1
+            for worker in sorted(failed):
+                self.supervisor.handle_worker_failure(worker, failed[worker])
+                transport.transmit(
+                    worker,
+                    [
+                        tokens[index]
+                        for index, owner in enumerate(owners)
+                        if owner == worker and index not in results
+                    ],
+                )
+            failed.clear()
+        if self.supervisor is not None:
+            for worker in set(owners):
+                self.supervisor.notify_success(worker)
+        return [results[index] for index in range(len(tokens))]
+
+
 class ShardClient:
-    """One shard's synchronous view of a transport (control-plane verbs,
-    supervisor rebuilds, the single-shard property suites)."""
+    """One shard's synchronous view of a transport: the supervisor's
+    rebuild, which must not heal recursively, and the single-shard
+    property suites."""
 
     def __init__(self, transport: object, shard_id: int) -> None:
         self.transport = transport
@@ -400,9 +485,13 @@ class ShardClient:
 
 
 class FederatedShardedBackend:
-    """A fixed set of shard groups over one shard transport.
+    """A fixed set of shard groups over one shard transport, driven by
+    one :class:`ScatterGatherEngine`.
 
-    Every aggregate is merged in fixed shard order (ledger absorption,
+    The engine starts fail-fast, with no supervisor and no retry policy —
+    the build round runs before either exists;
+    :class:`~repro.server.scaleout.ScaleOutCluster` hands it both.  Every
+    aggregate is merged in fixed shard order (ledger absorption,
     tablet-stat concatenation, the emulator's hot-share rule over the
     concatenated stats), mirroring the single-emulator semantics — the
     reason merged accounting is bit-identical between backends and across
@@ -413,6 +502,7 @@ class FederatedShardedBackend:
         if not recipes:
             raise ConfigurationError("a federation needs at least one shard")
         self.transport = transport
+        self.engine = ScatterGatherEngine(transport)
         self.recipes = list(recipes)
         self.clients = [
             ShardClient(transport, shard_id) for shard_id in range(len(recipes))
@@ -426,16 +516,11 @@ class FederatedShardedBackend:
     # Control-plane rounds
     # ------------------------------------------------------------------
     def call_round(self, calls: Sequence[Tuple[str, tuple, dict]]) -> List[Any]:
-        """One ``(method, args, kwargs)`` CALL per shard, all on the wire
-        before the first result is read; results in shard order.
-
-        Fail-fast by design: mutating CALL verbs are not dedup-protected,
-        so nothing here retries — the first failure raises, and supervised
-        callers sweep-and-heal *before* the round."""
-        tokens = self.transport.send(
+        """One ``(method, args, kwargs)`` CALL per shard as one engine
+        round; results in shard order."""
+        return self.engine.round(
             [(shard_id, rpc.OP_CALL, call) for shard_id, call in enumerate(calls)]
         )
-        return [self.transport.collect(token) for token in tokens]
 
     def scatter(self, method: str, *args, **kwargs) -> List[Any]:
         """Broadcast one call to every shard; results in shard order."""

@@ -392,9 +392,8 @@ _STATE_HEADER = struct.Struct("<III")  # format, body length, crc32(body)
 def write_state_blob(path: str, payload: dict) -> int:
     """Atomically persist an accounting snapshot (tmp + os.replace).
 
-    The snapshot's big member — the dedup window — arrives as ``bytes`` the
-    shard encoded once per applied request, so encoding it is a copy, not
-    a re-serialisation.  No fsync: the blob only needs to survive
+    The ``dedup`` section — the shard's exactly-once slot — arrives as
+    zero or one encoded entry, so encoding it is a copy.  No fsync: the blob only needs to survive
     *process* death, not power loss — the durable LSM state underneath
     carries its own fsync protocol.  Returns the byte count written (for
     accounting)."""
@@ -411,8 +410,8 @@ def read_state_blob(path: str) -> Optional[dict]:
     """Load a snapshot written by :func:`write_state_blob`; ``None`` when
     the file is absent.  A file that is present but torn, corrupt, of
     another format or not the section dict raises
-    :class:`UnrecoverableShardError`: its ledgers and dedup window are gone,
-    and restoring without them would silently zero the accounting and
+    :class:`UnrecoverableShardError`: its ledgers and exactly-once slot are
+    gone, and restoring without them would silently zero the accounting and
     re-apply an unacked batch."""
     try:
         with open(path, "rb") as handle:

@@ -80,9 +80,10 @@ class FrameCorruptionError(RpcError):
 class StaleRequestError(RpcError):
     """A worker received a request id it has already moved past.
 
-    Raised by the worker-side exactly-once dedup window when a request id is
-    *older* than the last applied one — a retry protocol bug, since the
-    parent collects every data-plane response before sending the next batch.
+    Raised by the worker-side exactly-once slot when a mutating request's id
+    is *older* than the last applied one, or repeats it under another opcode
+    — a retry protocol bug, since the parent collects every response of a
+    round before sending the next.
     """
 
 

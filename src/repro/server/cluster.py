@@ -508,9 +508,6 @@ class ServerCluster:
     # ------------------------------------------------------------------
     # Load-test protocol (shared with ScaleOutCluster)
     # ------------------------------------------------------------------
-    def settle(self) -> None:
-        """A single cluster has no worker to heal."""
-
     @property
     def has_master(self) -> bool:
         return self.master is not None

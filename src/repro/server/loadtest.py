@@ -11,7 +11,7 @@ renderings — the determinism guard the test suite enforces.
 One :class:`LoadTest` drives any cluster that satisfies the small protocol
 both :class:`~repro.server.cluster.ServerCluster` and
 :class:`~repro.server.scaleout.ScaleOutCluster` implement: submit an update
-batch, broadcast queries, settle, read the makespan, fire a fault or a
+batch, broadcast queries, read the makespan, fire a fault or a
 rebalance tick, and answer the result-assembly reads.  The admit RNG, the
 timeline buckets and the control-step cadence therefore consume state in
 exactly the same order on every backend, which is why reports are
@@ -355,7 +355,6 @@ class LoadTest:
             completed += cluster.submit_update_batch(batch)
             bucket.add(len(batch), dropped)
             bucket.tick()
-        cluster.settle()
         bucket.finish()
         return self._build_result(
             completed,
@@ -410,7 +409,6 @@ class LoadTest:
             )
             bucket.tick()
             batch_index += 1
-        cluster.settle()
         bucket.finish()
         return self._build_result(
             completed,

@@ -192,9 +192,11 @@ class RetryPolicy:
     """Parent-side retry schedule for supervised scatter-gather.
 
     Each attempt gets ``call_deadline_s`` of wall-clock to produce a
-    response; failed attempts back off exponentially before the supervisor respawns the
-    worker and the request is re-sent *with its original request id* so the
-    worker-side dedup window can suppress double application.
+    response; failed attempts back off exponentially before the supervisor
+    respawns the worker and the round's uncollected requests — data-plane
+    batches and CALLs alike — are re-sent *with their original request
+    ids*, so the worker-side exactly-once slot can suppress double
+    application.
     """
 
     #: Total tries per request (first send included).
@@ -242,7 +244,7 @@ class RpcConnection:
         self.timeout_s = timeout_s
         # A respawned worker's replacement connection continues the old
         # counter so retried requests keep their original ids and fresh
-        # requests never collide with an id the dedup window already saw.
+        # requests are always newer than the one the exactly-once slot holds.
         self._next_request_id = initial_request_id & 0xFFFFFFFF
         self._parked: Dict[int, Tuple[int, int, bytes]] = {}
         self._closed = False
@@ -286,7 +288,7 @@ class RpcConnection:
 
         The pipe transport allocates before the batched send so the ids
         survive a send-time failure — they pin the retry frames for
-        the worker-side dedup window."""
+        the worker-side exactly-once slot."""
         return [self._allocate_id() for _ in range(count)]
 
     def send_requests(
@@ -405,7 +407,7 @@ def serve(sock: socket.socket, dispatch) -> None:
     """Worker main loop: read request frames until shutdown or EOF.
 
     ``dispatch(shard_id, opcode, body, request_id) -> bytes`` runs the
-    request (the id feeds the worker-side exactly-once dedup window);
+    request (the id feeds the worker-side exactly-once slot);
     exceptions become error frames naming the exception's class and message.
     """
     sock.settimeout(None)

@@ -9,13 +9,14 @@ batches by owning shard, broadcasts query batches, and merges results in
 fixed shard order, so its outputs are bit-identical for every worker count
 — including the degenerate one-shard in-process case.
 
-One decision lives here and nowhere else: *how one round of per-shard
-requests is sent, collected in send order, healed and re-sent with its
-pinned request ids* — :class:`ScatterGatherEngine`.  Rounds run in
-lockstep: an update batch and a query broadcast are each one round that
-has settled when its call returns, an unsupervised cluster is the same
-loop with no supervisor (the first failed sweep raises), and the
-in-process federation is a transport whose sends complete synchronously.
+Every round — an update batch, a query broadcast, a control-plane CALL
+broadcast — goes through the federation's one
+:class:`~repro.bigtable.process_backend.ScatterGatherEngine`, which sends,
+collects in send order, heals and re-sends with pinned request ids.  Rounds
+run in lockstep: each has settled when its call returns, an unsupervised
+cluster is the same loop with no supervisor (the first failed sweep
+raises), and the in-process federation is a transport whose sends complete
+synchronously.
 
 Determinism model: the *shard count* is the unit of determinism (it decides
 object placement and per-shard RNG consumption); the *worker count* is the
@@ -25,8 +26,7 @@ Nothing the parent merges depends on worker count.
 
 from __future__ import annotations
 
-import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bigtable.process_backend import (
     FederatedShardedBackend,
@@ -52,92 +52,17 @@ from repro.server.supervisor import Supervisor
 from repro.server.worker import WORKER_PHASES, shard_of
 
 
-class ScatterGatherEngine:
-    """One round of per-shard requests over one shard transport.
-
-    :meth:`round` puts every request on the wire before reading the first
-    reply and returns the results **in send order**, so what the caller
-    commits never depends on arrival order.  A collect that raises
-    :class:`WorkerDiedError` / :class:`FrameCorruptionError` — dead worker,
-    failed send, expired per-call deadline, corrupt frame — marks the
-    owning worker and the sweep moves on.  After each sweep every marked
-    worker is healed through the supervisor (sorted worker order, bounded
-    by ``retry_policy`` with backoff between attempts) and its uncollected
-    requests of the round are re-sent in the original order under the
-    original request ids, which the worker-side dedup window uses to replay
-    what the dead worker had already applied and apply the rest exactly
-    once.  Without a supervisor the first failed sweep raises.
-    """
-
-    def __init__(
-        self,
-        transport: object,
-        retry_policy: rpc.RetryPolicy,
-        supervisor: Optional[Supervisor] = None,
-    ) -> None:
-        self.transport = transport
-        self.retry_policy = retry_policy
-        self.supervisor = supervisor
-
-    def round(self, requests: Sequence[Tuple[int, int, Any]]) -> List[Any]:
-        """Send one round of ``(shard_id, opcode, payload)`` requests and
-        return their results in send order."""
-        transport = self.transport
-        policy = self.retry_policy
-        tokens = transport.send(requests)
-        owners = [transport.worker_of(request[0]) for request in requests]
-        results: Dict[int, Any] = {}
-        failed: Dict[int, str] = {}
-        attempts = 1
-        while True:
-            for index, token in enumerate(tokens):
-                if index in results or owners[index] in failed:
-                    continue
-                try:
-                    results[index] = transport.collect(
-                        token, policy.call_deadline_s
-                    )
-                except (WorkerDiedError, FrameCorruptionError) as exc:
-                    failed[owners[index]] = f"shard {requests[index][0]}: {exc}"
-            if not failed:
-                break
-            if self.supervisor is None or attempts >= policy.max_attempts:
-                reasons = "; ".join(
-                    f"worker {worker}: {reason}"
-                    for worker, reason in sorted(failed.items())
-                )
-                raise WorkerDiedError(
-                    f"scatter round failed after {attempts} attempts ({reasons})"
-                )
-            time.sleep(policy.backoff_s(attempts))
-            attempts += 1
-            for worker in sorted(failed):
-                self.supervisor.handle_worker_failure(worker, failed[worker])
-                transport.transmit(
-                    worker,
-                    [
-                        tokens[index]
-                        for index, owner in enumerate(owners)
-                        if owner == worker and index not in results
-                    ],
-                )
-            failed.clear()
-        if self.supervisor is not None:
-            for worker in set(owners):
-                self.supervisor.notify_success(worker)
-        return [results[index] for index in range(len(tokens))]
-
-
 class ScaleOutCluster:
     """Scatter/gather request router over a federation of shard groups.
 
     Satisfies the load-test cluster protocol of
     :class:`repro.server.cluster.ServerCluster`, plus the process-level
-    hooks (:meth:`apply_chaos_event`, :meth:`heal_dead_workers`).  Every
-    shard's request of a round is on the wire before the first response is
-    read, so one round costs one round-trip regardless of shard count, and
-    every round has settled when its call returns: nothing is ever in
-    flight between calls.
+    hook :meth:`apply_chaos_event`.  Every shard's request of a round is on
+    the wire before the first response is read, so one round costs one
+    round-trip regardless of shard count, and every round has settled when
+    its call returns: nothing is ever in flight between calls.  A worker
+    killed or stopped between rounds is healed by whichever round meets it
+    next, a CALL round included.
     """
 
     def __init__(
@@ -189,12 +114,10 @@ class ScaleOutCluster:
             self.supervisor = Supervisor(
                 backend,
                 policy=supervision_policy,
-                retry_policy=self.retry_policy,
                 max_consecutive_failures=max_consecutive_failures,
             )
-        self._engine = ScatterGatherEngine(
-            backend.transport, self.retry_policy, self.supervisor
-        )
+        backend.engine.retry_policy = self.retry_policy
+        backend.engine.supervisor = self.supervisor
         #: See :meth:`metrics_snapshot`.
         self._worker_phase: Optional[Dict[str, float]] = None
         backend.transport.phase = zero_phase()  # the build's frames are not rounds
@@ -218,7 +141,7 @@ class ScaleOutCluster:
         :class:`repro.server.worker.ShardRecipe`.  A ``supervision_policy``
         enables self-healing; ``"respawn"`` (lossless) additionally turns
         on durable accounting checkpoints so a respawned shard restores its
-        simulated tallies and dedup window.
+        simulated tallies and exactly-once slot.
         """
         if supervision_policy == "respawn":
             recipe_kwargs.setdefault("durable_accounting", True)
@@ -259,7 +182,7 @@ class ScaleOutCluster:
         ]
         processed = 0
         for (shard_id, _opcode, _batch), (count, makespan) in zip(
-            requests, self._engine.round(requests)
+            requests, self.backend.engine.round(requests)
         ):
             processed += count
             self._makespans[shard_id] = makespan
@@ -280,7 +203,7 @@ class ScaleOutCluster:
         queries = list(queries)
         if not queries:
             return []
-        replies = self._engine.round(
+        replies = self.backend.engine.round(
             [
                 (shard_id, rpc.OP_QUERY_BATCH, queries)
                 for shard_id in range(self.num_shards)
@@ -314,9 +237,9 @@ class ScaleOutCluster:
         """Apply one process :class:`~repro.server.faults.Fault`; returns a
         description.
 
-        Kills and stops are left for the next dispatch round's detection
-        path (send failure, EOF, ping deadline) — that is the machinery
-        under test.  Frame corruption is burned on a ping and healed on the
+        Kills and stops are left for the next round's detection path (send
+        failure, EOF, response deadline) — that is the machinery under
+        test.  Frame corruption is burned on a ping and healed on the
         spot: the worker either exits on the crc mismatch (bitflip → EOF)
         or blocks mid-frame (truncate → deadline), and either way the
         stream is unusable until the worker is replaced.
@@ -347,32 +270,6 @@ class ScaleOutCluster:
             worker, f"injected {mode} frame"
         )
         return f"{fault.describe()} [healed in {record.duration_s:.3f}s]"
-
-    def settle(self) -> None:
-        """End of a load-test run: sweep-and-heal so a failure injected
-        with no round left to detect it cannot crash the fail-fast
-        result-assembly scatters."""
-        self.heal_dead_workers()
-
-    def heal_dead_workers(self) -> int:
-        """Sweep-and-heal: probe every worker and respawn the failed ones.
-
-        Failures injected near the end of a run may have no dispatch round
-        left to detect them; :meth:`settle` and the mutating control-plane
-        verbs call this so their fail-fast CALL rounds (``metrics``,
-        ``rebalance``, ``apply_fault``) meet a healthy pool.  Returns the
-        number of workers healed (0 when unsupervised).
-        """
-        if self.supervisor is None:
-            return 0
-        healed = 0
-        for worker in range(self.backend.pool.num_workers):
-            try:
-                self.supervisor.check_worker(worker)
-            except (WorkerDiedError, FrameCorruptionError) as exc:
-                self.supervisor.handle_worker_failure(worker, f"sweep: {exc}")
-                healed += 1
-        return healed
 
     # ------------------------------------------------------------------
     # Metrics
@@ -472,12 +369,6 @@ class ScaleOutCluster:
     def rebalance(self) -> None:
         """Give every shard's master one rebalance tick."""
         self._require_master()
-        # CALL rounds are fail-fast (mutating verbs are not
-        # dedup-protected); sweep-and-heal first so a worker killed at an
-        # earlier boundary — possibly without any intervening dispatch to
-        # detect it — meets a healthy pool with its master state restored
-        # from the checkpoint.
-        self.heal_dead_workers()
         self.backend.scatter("rebalance")
 
     def apply_fault(self, fault: Fault) -> List[str]:
@@ -485,7 +376,6 @@ class ScaleOutCluster:
         every shard, skip semantics applied shard-side.  Returns one
         description per shard (shard order), each tagged with its shard."""
         self._require_master()
-        self.heal_dead_workers()  # same heal-before-CALL as :meth:`rebalance`
         return self.backend.call_round(
             [
                 (
@@ -505,6 +395,10 @@ class ScaleOutCluster:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
+        # The supervisor holds the backend, whose engine holds the
+        # supervisor: cut that cycle so the pool's process handles (and
+        # their descriptors) go as soon as the cluster does.
+        self.backend.engine.supervisor = None
         self.backend.close()
 
     def __enter__(self) -> "ScaleOutCluster":

@@ -4,9 +4,9 @@ The supervisor is the parent-side half of the self-healing runtime.  The
 worker-side half is the disk store, which rebuilds a shard's LSM state
 bit-identically from manifest + runs + journal tail, and the accounting
 checkpoint (``SHARD_STATE.bin``), which restores every simulated tally plus
-the exactly-once dedup window.  The supervisor is the control loop:
-*noticing* that a worker died (waitpid via ``Process.is_alive``) or hung
-(ping deadline), forking a replacement from the stored
+the exactly-once slot.  The supervisor is the control loop: told by the
+scatter-gather engine that a worker died (EOF, failed send) or hung
+(response deadline), it forks a replacement from the stored
 :class:`~repro.server.worker.ShardRecipe`, re-attaching its disk store and
 replaying recovery before the shard rejoins routing.  The process faults
 of a :class:`~repro.server.faults.FaultSchedule` (SIGKILL, SIGSTOP,
@@ -25,8 +25,10 @@ runs one of two policies:
     to the last *acked* batch boundary and the retry layer re-sends the
     dead worker's uncollected requests of the round, in their original
     send order with their original pinned request ids — so no acked write
-    is lost and no update is double-applied (the worker-side dedup window
-    replays what the dead worker had already applied).
+    is lost and no request is applied twice (the worker-side exactly-once
+    slot replays what the dead worker had already applied).  Control-plane
+    CALLs ride the same rounds, so a mutating verb is healed and resent
+    like a data-plane batch.
 
 ``respawn_lossy``
     For in-memory backends, which have nothing to restore from: the
@@ -45,15 +47,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.bigtable.process_backend import ProcessShardedBackend
-from repro.errors import (
-    ConfigurationError,
-    WorkerCircuitOpenError,
-    WorkerDiedError,
-)
-from repro.server import rpc
+from repro.errors import ConfigurationError, WorkerCircuitOpenError
 
 SUPERVISION_POLICIES = ("respawn", "respawn_lossy")
 
@@ -82,10 +79,9 @@ class Supervisor:
     """Failure detection and healing for one :class:`ProcessShardedBackend`.
 
     Detection is *on-demand*: the scatter-gather engine calls
-    :meth:`handle_worker_failure` when a send or collect raises
-    :class:`WorkerDiedError`, and the cluster's dead-worker sweep probes
-    each worker with :meth:`check_worker`.  There is no watcher thread —
-    batch boundaries are frequent enough, and keeping supervision
+    :meth:`handle_worker_failure` when a send or collect of any round
+    raises :class:`~repro.errors.WorkerDiedError`.  There is no watcher
+    thread — batch boundaries are frequent enough, and keeping supervision
     synchronous keeps recovery deterministic (a property the chaos suite
     asserts byte-for-byte).
     """
@@ -94,7 +90,6 @@ class Supervisor:
         self,
         backend: ProcessShardedBackend,
         policy: str = "respawn",
-        retry_policy: Optional[rpc.RetryPolicy] = None,
         max_consecutive_failures: int = 5,
     ) -> None:
         if policy not in SUPERVISION_POLICIES:
@@ -115,7 +110,6 @@ class Supervisor:
                     )
         self.backend = backend
         self.policy = policy
-        self.retry_policy = retry_policy or rpc.RetryPolicy()
         self.max_consecutive_failures = max_consecutive_failures
         self.recoveries: List[RecoveryRecord] = []
         self._health: Dict[int, _WorkerHealth] = {}
@@ -137,19 +131,6 @@ class Supervisor:
         health = self._health.get(worker_index)
         if health is not None:
             health.consecutive_failures = 0
-
-    # ------------------------------------------------------------------
-    # Detection
-    # ------------------------------------------------------------------
-    def check_worker(self, index: int) -> None:
-        """Liveness probe for one worker: waitpid, then a ping bounded by
-        the retry policy's call deadline, so a SIGSTOPped worker — alive by
-        waitpid — fails the probe too."""
-        if not self.backend.pool.processes[index].is_alive():
-            raise WorkerDiedError(f"worker {index} is not running")
-        connection = self.backend.pool.connections[index]
-        request_id = connection.send_request(0, rpc.OP_PING, b"")
-        connection.wait(request_id, deadline_s=self.retry_policy.call_deadline_s)
 
     # ------------------------------------------------------------------
     # Healing

@@ -28,9 +28,9 @@ table, on both transports.
 
 The checkpoint itself is a fixed-order walk (``accounting_state`` /
 ``_install_accounting``) over the owners of simulated-but-not-durable
-state — this service's dedup window, the emulator, the FLAG tuner, the
-cluster, the master — each exporting and installing its own section; this
-module names the sections and reads nobody's private attributes.
+state — this service's exactly-once slot, the emulator, the FLAG tuner,
+the cluster, the master — each exporting and installing its own section;
+this module names the sections and reads nobody's private attributes.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from __future__ import annotations
 import os
 import shutil
 import socket
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import wraps
 from random import Random
@@ -68,12 +67,6 @@ from repro.server.master import MasterOptions, TabletMaster
 
 #: Accounting-checkpoint filename inside a shard's storage directory.
 STATE_BLOB_NAME = "SHARD_STATE.bin"
-
-#: Applied data-plane requests the exactly-once dedup window remembers per
-#: shard.  A round has at most one request per shard on the wire, so a
-#: resend after a heal needs only the newest entry; the deeper window also
-#: fixes how many entries ``SHARD_STATE.bin`` carries.
-DEDUP_DEPTH = 8
 
 #: Where a worker's wall time goes, per shard: the steps of
 #: :func:`dispatch_request`, then the disk store's share of ``apply`` (the
@@ -172,7 +165,7 @@ class ShardRecipe:
     #: the shard instead of preloading it.
     storage_dir: Optional[str] = None
     #: Checkpoint the shard's *accounting* soft state (ledgers, caches,
-    #: server metrics, the exactly-once dedup window) to
+    #: server metrics, the exactly-once slot) to
     #: ``SHARD_STATE.bin`` after every mutating verb.  The durable LSM
     #: state already survives SIGKILL bit-identically; with this on,
     #: a supervised respawn also restores every simulated tally, so a
@@ -256,18 +249,12 @@ class ShardService:
         #: *shard* — never per connection or worker — is what makes wire
         #: bytes invariant across worker counts.
         self.neighbor_encoder = NeighborStreamEncoder()
-        #: Exactly-once dedup window: ``request_id -> (opcode, recorded
-        #: result, encoded entry)`` for the :data:`DEDUP_DEPTH` most recent
-        #: applied data-plane requests, in application order.  A heal
-        #: resends a round's uncollected requests with their original
-        #: pinned ids, and a replayed id anywhere in the window returns its
-        #: recorded result without touching state.  The encoded entry is
-        #: the tagged-value bytes of ``(request_id, opcode, result)``,
-        #: filled in by the first :meth:`accounting_state` that includes it
-        #: (``None`` until then).
-        self._applied_window: (
-            "OrderedDict[int, Tuple[int, tuple, Optional[bytes]]]"
-        ) = OrderedDict()
+        #: Exactly-once slot: ``(request_id, opcode, result)`` of the last
+        #: applied mutating request, or ``None``.  A round carries at most
+        #: one request per shard and a heal resends only the round's
+        #: uncollected requests under their pinned ids, so the newest
+        #: request is the only one a resend can name.
+        self._slot: Optional[Tuple[int, int, Any]] = None
         #: Wall seconds per :func:`dispatch_request` step since this
         #: process first served the shard (observability only).
         self.phase: Dict[str, float] = dict.fromkeys(DISPATCH_PHASES, 0.0)
@@ -301,7 +288,7 @@ class ShardService:
             from repro.disk.store import read_state_blob
 
             # An unreadable blob raises: restoring without its ledgers and
-            # dedup window would not be the lossless respawn it claims.
+            # exactly-once slot would not be the lossless respawn it claims.
             accounting = read_state_blob(state_blob_path)
             if accounting is None:
                 # The first build writes the blob before anything is acked,
@@ -399,8 +386,8 @@ class ShardService:
         owner, each that owner's ``export_state()``.  The LSM state already
         survives SIGKILL exactly (manifest + runs + journal tail); this is
         the rest of what :meth:`metrics`/``to_report`` can observe, plus the
-        exactly-once dedup window and the per-table acked journal
-        watermarks that bound the restore."""
+        exactly-once slot and the per-table acked journal watermarks that
+        bound the restore."""
         return {
             name: None if owner is None else owner.export_state()
             for name, owner in self._state_owners().items()
@@ -425,21 +412,16 @@ class ShardService:
             ) from exc
 
     def export_state(self) -> Tuple[bytes, ...]:
-        """The dedup window, oldest first, as each entry's encoded bytes.
-        The window is most of a snapshot, so an entry is serialised once —
-        by the first export that includes it — and copied after."""
-        window = self._applied_window
-        for request_id, (opcode, result, encoded) in window.items():
-            if encoded is None:
-                encoded = pack_value((request_id, opcode, result))
-                window[request_id] = (opcode, result, encoded)
-        return tuple(entry[2] for entry in window.values())
+        """The slot as a tuple of zero or one encoded entries."""
+        return () if self._slot is None else (pack_value(self._slot),)
 
     def install_state(self, state: Tuple[bytes, ...]) -> None:
-        self._applied_window = OrderedDict()
+        if len(state) > 1:
+            raise ValueError(f"{len(state)} exactly-once entries, at most 1")
+        self._slot = None
         for encoded in state:
             request_id, opcode, result = unpack_value(encoded)
-            self._applied_window[request_id] = (opcode, result, encoded)
+            self._slot = (request_id, opcode, result)
 
     def _write_accounting_checkpoint(self) -> None:
         """Persist :meth:`accounting_state` atomically (when the recipe asks
@@ -451,40 +433,34 @@ class ShardService:
 
         write_state_blob(self._state_blob_path, self.accounting_state())
 
-    def _recall_applied(self, request_id: int, opcode: int) -> Optional[tuple]:
-        """The recorded result when ``request_id`` was already applied.
+    def _apply_once(
+        self, request_id: int, opcode: int, lap: "_Laps", apply: Callable[[], Any]
+    ) -> Any:
+        """Run one mutating request exactly once under its pinned id.
 
-        ``None`` means fresh; a window hit with a *different* opcode is a
-        protocol violation (the parent never reuses ids across opcodes) and
-        raises :class:`StaleRequestError` rather than replaying the wrong
-        result shape."""
-        entry = self._applied_window.get(request_id)
-        if entry is None:
-            return None
-        if entry[0] != opcode:
-            raise StaleRequestError(
-                f"request id {request_id} was applied with opcode "
-                f"{entry[0]}, retried as {opcode}"
-            )
-        return entry[1]
-
-    def _record_applied(
-        self, request_id: int, opcode: int, result: tuple
-    ) -> None:
-        """Remember one applied request, evicting beyond the window depth."""
-        window = self._applied_window
-        window[request_id] = (opcode, result, None)
-        while len(window) > DEDUP_DEPTH:
-            window.popitem(last=False)
-
-    def _reject_stale(self, request_id: int) -> None:
-        window = self._applied_window
-        if window and request_id < next(reversed(window)):
-            raise StaleRequestError(
-                f"request id {request_id} is older than the newest applied "
-                f"data-plane request {next(reversed(window))} and has "
-                f"fallen out of the dedup window"
-            )
+        The slot's own id is a resend: its recorded result comes back and
+        nothing runs.  A lower id, or the slot's id with another opcode, is
+        a protocol violation (:class:`StaleRequestError`).  A higher id
+        applies, is recorded, then checkpointed — before the response goes
+        out, so a kill at any point leaves the shard either unaware of the
+        request (the resend applies it) or able to replay its result."""
+        slot = self._slot
+        if slot is not None and request_id <= slot[0]:
+            if request_id < slot[0] or opcode != slot[1]:
+                raise StaleRequestError(
+                    f"request id {request_id} (opcode {opcode}) is not newer "
+                    f"than the last applied request {slot[0]} (opcode "
+                    f"{slot[1]})"
+                )
+            lap.mark("dedup")
+            return slot[2]
+        lap.mark("dedup")
+        result = apply()
+        lap.mark("apply")
+        self._slot = (request_id, opcode, result)
+        self._write_accounting_checkpoint()
+        lap.mark("state_blob")
+        return result
 
     def _require_master(self) -> TabletMaster:
         if self.master is None:
@@ -732,17 +708,16 @@ def dispatch_request(
 ) -> bytes:
     """Decode one request frame, run it, encode the response body.
 
-    Data-plane opcodes flow through the shard's exactly-once dedup window:
-    a request id still inside the window replays its recorded result
-    without touching state (the parent resent a round's uncollected
-    requests after a respawn), an id older than the newest applied request that has
-    fallen out of the window is rejected with :class:`StaleRequestError`,
-    and a fresh id applies under the verb's durability barrier (journal
-    bytes reach the disk as it returns), records its result, then
-    re-checkpoints the accounting soft state — *before* the response frame
-    goes out, so a kill at any point leaves the shard either unaware of the
-    batch (the resend applies it) or able to replay the ack (the resend is
-    suppressed).
+    Every mutating request — a data-plane batch or a CALL to a verb not
+    flagged read-only — runs through the shard's exactly-once slot
+    (:meth:`ShardService._apply_once`): a resend of the last applied
+    request replays its recorded result, and a fresh one applies under the
+    verb's durability barrier (journal bytes reach the disk as it returns),
+    is recorded, then re-checkpoints the accounting soft state.  A
+    read-only verb neither records nor is checked: a resend runs it again.
+    ``build_indexer`` bypasses the slot too — it is the verb that installs
+    the slot on a restore, and the supervisor's rebuild carries a newer id
+    than the round it heals, whose resend must still replay.
     """
     service = services.get(shard_id)
     if service is None:
@@ -752,39 +727,24 @@ def dispatch_request(
         return b""
     lap = _Laps(service.phase)
     if opcode == rpc.OP_UPDATE_BATCH:
-        recorded = service._recall_applied(request_id, opcode)
-        if recorded is None:
-            service._reject_stale(request_id)
-            lap.mark("dedup")
-            messages = rpc.decode_update_batch(body)
-            lap.mark("decode")
-            recorded = service.update_batch(messages)
-            lap.mark("apply")
-            service._record_applied(request_id, opcode, recorded)
-            lap.mark("dedup")
-            service._write_accounting_checkpoint()
-            lap.mark("state_blob")
+        messages = rpc.decode_update_batch(body)
+        lap.mark("decode")
+        recorded = service._apply_once(
+            request_id, opcode, lap, lambda: service.update_batch(messages)
+        )
         response = rpc.UPDATE_RESULT.pack(*recorded)
     elif opcode == rpc.OP_QUERY_BATCH:
         queries = rpc.decode_query_batch(body)
         lap.mark("decode")
-        recorded = service._recall_applied(request_id, opcode)
-        if recorded is None:
-            service._reject_stale(request_id)
-            lap.mark("dedup")
-            recorded = service.query_batch(queries)
-            lap.mark("apply")
-            service._record_applied(request_id, opcode, recorded)
-            lap.mark("dedup")
-            service._write_accounting_checkpoint()
-            lap.mark("state_blob")
+        results, makespan = service._apply_once(
+            request_id, opcode, lap, lambda: service.query_batch(queries)
+        )
         # Stateful per-shard stream encoding: only what changed since this
         # shard's previous response frame actually rides the wire.  A
         # replay re-encodes the recorded *results* with the current stream
         # encoder: a respawned worker starts a fresh encoder and the parent
         # resets its decoder twin, so recorded raw bytes from the previous
         # process would not decode.
-        results, makespan = recorded
         response = rpc.MAKESPAN.pack(makespan) + service.neighbor_encoder.encode(
             results, queries
         )
@@ -792,11 +752,16 @@ def dispatch_request(
         method, args, kwargs = rpc.decode_call(body)
         verb, read_only = lookup_verb(method)
         lap.mark("decode")
-        result = verb(service, *args, **kwargs)
-        lap.mark("apply")
-        if not read_only:
-            service._write_accounting_checkpoint()
-            lap.mark("state_blob")
+        if read_only or method == "build_indexer":
+            result = verb(service, *args, **kwargs)
+            lap.mark("apply")
+            if not read_only:
+                service._write_accounting_checkpoint()
+                lap.mark("state_blob")
+        else:
+            result = service._apply_once(
+                request_id, opcode, lap, lambda: verb(service, *args, **kwargs)
+            )
         response = rpc.encode_result(result)
     else:
         raise RpcError(f"unknown opcode {opcode}")

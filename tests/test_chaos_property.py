@@ -28,8 +28,10 @@ from repro.server import rpc
 from repro.server.faults import KILL_WORKER, Fault, FaultSchedule
 from repro.server.loadtest import LoadTest
 from repro.server.scaleout import ScaleOutCluster
-from repro.server.worker import DEDUP_DEPTH, ShardRecipe, dispatch_request
+from repro.server.worker import ShardRecipe, dispatch_request
 from repro.workload.queries import NNQuery
+
+from helpers import KillBeforeAck
 
 NUM_SHARDS = 4
 NUM_OBJECTS = 200
@@ -85,14 +87,21 @@ def _run(cluster, faults=None, messages=MESSAGES, queries=QUERIES, batch_size=12
 
 
 @pytest.fixture(scope="module")
-def reference_report():
-    """The fault-free, unsupervised in-process rendering every chaos run
-    must reproduce byte for byte."""
+def reference():
+    """The fault-free, unsupervised in-process run every chaos run must
+    reproduce: its report and each shard's simulated seconds."""
     cluster = _cluster("inprocess", 1)
     try:
-        return _run(cluster).to_report()
+        report = _run(cluster).to_report()
+        return report, cluster.backend.scatter("simulated_seconds")
     finally:
         cluster.close()
+
+
+@pytest.fixture(scope="module")
+def reference_report(reference):
+    """The rendering every chaos run must reproduce byte for byte."""
+    return reference[0]
 
 
 # --------------------------------------------------------------------------
@@ -354,7 +363,7 @@ class TestSupervisionGuards:
 
 
 # --------------------------------------------------------------------------
-# The worker-side dedup window, driven directly through dispatch_request
+# The worker-side exactly-once slot, driven directly through dispatch_request
 # --------------------------------------------------------------------------
 def _built_service():
     services = {}
@@ -367,7 +376,7 @@ def _built_service():
     return services
 
 
-class TestDedupWindow:
+class TestExactlyOnceSlot:
     def test_update_replay_returns_recorded_result_without_reapplying(self):
         services = _built_service()
         body = rpc.encode_update_batch(make_messages(20, 50))
@@ -421,36 +430,85 @@ class TestDedupWindow:
         decoded_replay = decoder.decode(memoryview(replay)[makespan_size:], queries)
         assert decoded_first == decoded_replay
 
-    def test_replay_anywhere_in_the_window_returns_recorded_results(self):
-        # Apply a full window of batches, then replay every one of them —
-        # each must come back recorded, none re-applied.
+    def test_the_slot_replays_the_newest_of_several_requests(self):
         services = _built_service()
         bodies = [
             rpc.encode_update_batch(make_messages(10, 50, seed=index))
-            for index in range(DEDUP_DEPTH)
+            for index in range(3)
         ]
         firsts = [
             dispatch_request(services, 0, rpc.OP_UPDATE_BATCH, body, 10 + index)
             for index, body in enumerate(bodies)
         ]
         charged = services[0].call("simulated_seconds")
-        for index, body in enumerate(bodies):
-            replay = dispatch_request(
-                services, 0, rpc.OP_UPDATE_BATCH, body, 10 + index
-            )
-            assert replay == firsts[index]
+        replay = dispatch_request(services, 0, rpc.OP_UPDATE_BATCH, bodies[2], 12)
+        assert replay == firsts[2]
         assert services[0].call("simulated_seconds") == charged
 
-    def test_requests_fall_out_of_the_bounded_window(self):
+    def test_every_id_older_than_the_slot_is_stale(self):
         services = _built_service()
         bodies = [
             rpc.encode_update_batch(make_messages(5, 50, seed=index))
-            for index in range(DEDUP_DEPTH + 2)
+            for index in range(3)
         ]
         for index, body in enumerate(bodies):
             dispatch_request(services, 0, rpc.OP_UPDATE_BATCH, body, 10 + index)
-        # Ids 12 .. 12 + DEDUP_DEPTH - 1 are still in the window; 10 and 11
-        # fell out.
-        dispatch_request(services, 0, rpc.OP_UPDATE_BATCH, bodies[2], 12)
+        charged = services[0].call("simulated_seconds")
+        for index in (1, 0):  # right behind the slot, and further back
+            with pytest.raises(StaleRequestError):
+                dispatch_request(
+                    services, 0, rpc.OP_UPDATE_BATCH, bodies[index], 10 + index
+                )
+        assert services[0].call("simulated_seconds") == charged
+        dispatch_request(services, 0, rpc.OP_UPDATE_BATCH, bodies[2], 12)  # slot intact
+
+    def test_a_mutating_call_replays_from_the_slot(self):
+        services = _built_service()
+        body = rpc.encode_call("nn_signature", (make_queries(4),), {})
+        first = dispatch_request(services, 0, rpc.OP_CALL, body, 10)
+        charged = services[0].call("simulated_seconds")
+        assert dispatch_request(services, 0, rpc.OP_CALL, body, 10) == first
+        assert services[0].call("simulated_seconds") == charged  # not re-run
         with pytest.raises(StaleRequestError):
-            dispatch_request(services, 0, rpc.OP_UPDATE_BATCH, bodies[1], 11)
+            dispatch_request(services, 0, rpc.OP_CALL, body, 9)
+
+    def test_a_read_only_call_neither_records_nor_is_stale_checked(self):
+        services = _built_service()
+        update = rpc.encode_update_batch(make_messages(10, 50))
+        first = dispatch_request(services, 0, rpc.OP_UPDATE_BATCH, update, 10)
+        slot = services[0]._slot
+        read = rpc.encode_call("tablet_count", (), {})
+        # An id older than the slot runs; the same id resent runs again.
+        answers = [dispatch_request(services, 0, rpc.OP_CALL, read, 5) for _ in range(2)]
+        assert answers[0] == answers[1] == rpc.encode_result(
+            services[0].call("tablet_count")
+        )
+        assert services[0]._slot is slot
+        assert dispatch_request(services, 0, rpc.OP_UPDATE_BATCH, update, 10) == first
+
+
+# --------------------------------------------------------------------------
+# Kill after apply, before the ack: the resend replays the recorded result
+# --------------------------------------------------------------------------
+class TestKillBeforeAck:
+    @pytest.mark.parametrize(
+        "opcode", [rpc.OP_UPDATE_BATCH, rpc.OP_QUERY_BATCH], ids=["update", "query"]
+    )
+    def test_the_resend_replays_and_charges_nothing_twice(
+        self, reference, tmp_path, monkeypatch, opcode
+    ):
+        kill = KillBeforeAck(monkeypatch, str(tmp_path), opcode)
+        cluster = _cluster(
+            "disk", 2, policy="respawn", retry=rpc.RetryPolicy(call_deadline_s=15.0)
+        )
+        try:
+            kill.arm()  # the preload is over
+            result = _run(cluster)
+            assert kill.killed().endswith(f" {opcode}\n")
+            assert kill.replayed() == kill.killed()
+            assert result.to_report() == reference[0]
+            assert cluster.backend.scatter("simulated_seconds") == reference[1]
+            snapshot = cluster.supervisor.metrics_snapshot()
+            assert snapshot["recoveries"] == snapshot["lossless_recoveries"] == 1
+        finally:
+            cluster.close()

@@ -824,10 +824,8 @@ def _state_body() -> bytes:
     service.build_indexer(
         ShardRecipe(num_objects=24, num_servers=2, with_master=True, seed=3)
     )
-    service._record_applied(
-        7, rpc.OP_UPDATE_BATCH, service.update_batch(_seeded_updates(24, 8, ids="numeric"))
-    )
-    service._record_applied(8, rpc.OP_QUERY_BATCH, service.query_batch(_FUZZ_QUERIES))
+    service.update_batch(_seeded_updates(24, 8, ids="numeric"))
+    service._slot = (8, rpc.OP_QUERY_BATCH, service.query_batch(_FUZZ_QUERIES))
     return values.pack_value(service.accounting_state())
 
 

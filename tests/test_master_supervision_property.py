@@ -39,6 +39,8 @@ from repro.server.scaleout import ScaleOutCluster
 from repro.bigtable.process_backend import make_scaleout_backend
 from repro.workload.queries import NNQuery
 
+from helpers import KillBeforeAck
+
 NUM_SHARDS = 4
 NUM_OBJECTS = 200
 NUM_ROUNDS = 4  # 400 messages / batch_size 128
@@ -117,16 +119,27 @@ def _run(cluster, faults):
 
 
 @pytest.fixture(scope="module")
-def reference_report():
-    """The in-process rendering every supervised run must reproduce byte
-    for byte.  The *simulated* faults are part of the deterministic
-    workload, so the reference runs them too — the schedule's simulated
-    half, without any process fault."""
+def reference():
+    """The in-process run every supervised run must reproduce: its report,
+    master action counts and per-shard simulated seconds.  The *simulated*
+    faults are part of the deterministic workload, so the reference runs
+    them too — the schedule's simulated half, without any process fault."""
     cluster = _cluster("inprocess", 1)
     try:
-        return _run(cluster, _schedule(0)).to_report()
+        report = _run(cluster, _schedule(0)).to_report()
+        return (
+            report,
+            cluster.master_action_counts(),
+            cluster.backend.scatter("simulated_seconds"),
+        )
     finally:
         cluster.close()
+
+
+@pytest.fixture(scope="module")
+def reference_report(reference):
+    """The rendering every supervised run must reproduce byte for byte."""
+    return reference[0]
 
 
 # --------------------------------------------------------------------------
@@ -219,7 +232,8 @@ class TestMasterStateSurvivesRespawn:
             before = cluster.master_action_counts()
             assert sum(before) > 0
             cluster.backend.pool.kill_worker(0)
-            cluster.heal_dead_workers()
+            # The next round — here the read-only ``metrics`` CALL behind
+            # the counts — meets the dead worker and heals it.
             assert cluster.master_action_counts() == before
             snapshot = cluster.supervisor.metrics_snapshot()
             assert snapshot["recoveries"] == 1
@@ -238,9 +252,37 @@ class TestMasterStateSurvivesRespawn:
         )
         try:
             cluster.backend.pool.kill_worker(0)
-            cluster.heal_dead_workers()
             assert cluster.master_action_counts() == (0, 0, 0)
             assert cluster.submit_update_batch(MESSAGES[:32]) > 0
+        finally:
+            cluster.close()
+
+
+    def test_kill_before_the_ack_of_a_mutating_call_replays_it(
+        self, reference, tmp_path, monkeypatch
+    ):
+        # The worker applies the scheduled MIGRATION_CRASH, records and
+        # checkpoints it, and dies before its ack: the resend must come back
+        # from the slot, not abort a second migration.
+        kill = KillBeforeAck(
+            monkeypatch,
+            str(tmp_path),
+            rpc.OP_CALL,
+            lambda result: isinstance(result, str) and MIGRATION_CRASH in result,
+        )
+        cluster = _cluster(
+            "disk", 2, policy="respawn", retry=rpc.RetryPolicy(call_deadline_s=15.0)
+        )
+        try:
+            kill.arm()  # the preload is over
+            result = _run(cluster, _schedule(0))
+            assert kill.killed().endswith(f" {rpc.OP_CALL}\n")
+            assert kill.replayed() == kill.killed()
+            assert result.to_report() == reference[0]
+            assert cluster.master_action_counts() == reference[1]
+            assert cluster.backend.scatter("simulated_seconds") == reference[2]
+            snapshot = cluster.supervisor.metrics_snapshot()
+            assert snapshot["recoveries"] == snapshot["lossless_recoveries"] == 1
         finally:
             cluster.close()
 

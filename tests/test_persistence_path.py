@@ -41,7 +41,7 @@ from repro.disk.store import (
     restore_table,
     write_state_blob,
 )
-from repro.errors import CodecError, UnrecoverableShardError
+from repro.errors import CodecError, StaleRequestError, UnrecoverableShardError
 from repro.geometry.point import Point
 from repro.geometry.vector import Vector
 from repro.model import LocationRecord, UpdateMessage, format_object_id
@@ -411,50 +411,87 @@ class TestRespawn:
         update_body = rpc.encode_update_batch(_messages(1))
         query_body = rpc.encode_query_batch(_queries(2))
         first = _build(recipe)
-        update_ack = dispatch_request(first, 0, rpc.OP_UPDATE_BATCH, update_body, 10)
+        dispatch_request(first, 0, rpc.OP_UPDATE_BATCH, update_body, 10)
         query_ack = dispatch_request(first, 0, rpc.OP_QUERY_BATCH, query_body, 11)
-        recorded = [first[0]._recall_applied(10, rpc.OP_UPDATE_BATCH),
-                    first[0]._recall_applied(11, rpc.OP_QUERY_BATCH)]
-        assert sum(len(answer) for answer in recorded[1][0]) == 30
+        slot = first[0]._slot
+        assert slot[:2] == (11, rpc.OP_QUERY_BATCH)
+        assert sum(len(answer) for answer in slot[2][0]) == 30
         charged = first[0].call("simulated_seconds")
         rows = first[0].call("full_row_signature")
         _close_stores(first)  # the process dies; its files stay
 
         second = _build(recipe)  # the respawned worker restores
-        assert second[0]._recall_applied(10, rpc.OP_UPDATE_BATCH) == recorded[0]
-        assert second[0]._recall_applied(11, rpc.OP_QUERY_BATCH) == recorded[1]
-        # Replays answer from the window — same ack bytes (the query rides
+        assert second[0]._slot == slot
+        # The replay answers from the slot — same ack bytes (the query rides
         # a fresh stream encoder, as the first process's first query did) —
-        # and touch nothing.
+        # and touches nothing; the update before it is stale.
         assert dispatch_request(
             second, 0, rpc.OP_QUERY_BATCH, query_body, 11
         ) == query_ack
-        assert dispatch_request(
-            second, 0, rpc.OP_UPDATE_BATCH, update_body, 10
-        ) == update_ack
+        with pytest.raises(StaleRequestError):
+            dispatch_request(second, 0, rpc.OP_UPDATE_BATCH, update_body, 10)
         assert second[0].call("simulated_seconds") == charged
         assert second[0].call("full_row_signature") == rows
         _close_stores(second)
 
-    def test_window_entries_are_encoded_once_and_spliced(self, tmp_path):
+    def test_build_indexer_after_a_restore_leaves_the_slot_intact(self, tmp_path):
+        # The rebuild is not recorded: its id (1 here, newer than the round
+        # in a real heal) must not displace the slot the resend replays.
+        recipe = _recipe(tmp_path)
+        update_body = rpc.encode_update_batch(_messages(1))
+        first = _build(recipe)
+        update_ack = dispatch_request(first, 0, rpc.OP_UPDATE_BATCH, update_body, 10)
+        blob_path = os.path.join(recipe.shard_storage_dir, STATE_BLOB_NAME)
+        written = read_state_blob(blob_path)["dedup"]
+        _close_stores(first)
+        second = _build(recipe)
+        assert read_state_blob(blob_path)["dedup"] == written
+        assert dispatch_request(
+            second, 0, rpc.OP_UPDATE_BATCH, update_body, 10
+        ) == update_ack
+        _close_stores(second)
+
+    def test_the_blob_carries_the_slot_as_one_encoded_entry(self, tmp_path):
         services = _build(_recipe(tmp_path))
-        dispatch_request(
-            services, 0, rpc.OP_QUERY_BATCH, rpc.encode_query_batch(_queries(3)), 20
-        )
-        entry = services[0]._applied_window[20]
-        assert entry[2] is services[0].accounting_state()["dedup"][-1]
-        decoded, end = values.decode_value(entry[2], 0)
-        assert decoded == (20, rpc.OP_QUERY_BATCH, entry[1]) and end == len(entry[2])
+        for request_id in (20, 21):
+            dispatch_request(
+                services, 0, rpc.OP_QUERY_BATCH,
+                rpc.encode_query_batch(_queries(request_id)), request_id,
+            )
+        (entry,) = services[0].accounting_state()["dedup"]
+        decoded, end = values.decode_value(entry, 0)
+        assert decoded == services[0]._slot and end == len(entry)
+        assert decoded[:2] == (21, rpc.OP_QUERY_BATCH)
         blob = read_state_blob(os.path.join(str(tmp_path), "shard-00", STATE_BLOB_NAME))
-        assert blob["dedup"] == (entry[2],)
+        assert blob["dedup"] == (entry,)
         _close_stores(services)
 
-    def test_shards_without_a_checkpoint_do_not_encode_results(self):
+    def test_a_blob_with_more_than_one_exactly_once_entry_refuses_to_restore(
+        self, tmp_path
+    ):
+        recipe = _recipe(tmp_path)
+        first = _build(recipe)
+        dispatch_request(
+            first, 0, rpc.OP_UPDATE_BATCH, rpc.encode_update_batch(_messages(1)), 10
+        )
+        state = first[0].accounting_state()
+        _close_stores(first)
+        state["dedup"] = state["dedup"] * 2
+        write_state_blob(os.path.join(recipe.shard_storage_dir, STATE_BLOB_NAME), state)
+        with pytest.raises(UnrecoverableShardError, match="at most 1"):
+            _build(recipe)
+
+    def test_shards_without_a_checkpoint_do_not_encode_results(self, monkeypatch):
         services = _build(ShardRecipe(num_objects=NUM_OBJECTS, seed=5))
+        encoded = []
+        monkeypatch.setattr(
+            "repro.server.worker.pack_value",
+            lambda value: encoded.append(value) or values.pack_value(value),
+        )
         dispatch_request(
             services, 0, rpc.OP_UPDATE_BATCH, rpc.encode_update_batch(_messages(1)), 10
         )
-        assert services[0]._applied_window[10][2] is None
+        assert services[0]._slot[0] == 10 and encoded == []
 
     def test_unreadable_blob_refuses_to_restore(self, tmp_path):
         recipe = _recipe(tmp_path)

@@ -25,7 +25,7 @@ from repro.bigtable.process_backend import (
     single_shard_client,
 )
 from repro.codec.columns import write_str
-from repro.errors import ConfigurationError, RpcError, WorkerDiedError
+from repro.errors import ConfigurationError, RpcError
 from repro.geometry.point import Point
 from repro.geometry.vector import Vector
 from repro.model import UpdateMessage, format_object_id
@@ -33,7 +33,6 @@ from repro.server.faults import FaultSchedule
 from repro.server.loadtest import LoadTest
 from repro.server import rpc
 from repro.server.scaleout import ScaleOutCluster
-from repro.server.supervisor import Supervisor
 from repro.workload.queries import NNQuery
 
 
@@ -100,17 +99,19 @@ class TestWorkerPoolLifecycle:
         with pytest.raises(ConfigurationError, match="shut down"):
             pool.respawn_worker(0)
 
-    def test_supervisor_probe_detects_a_killed_worker(self):
-        with ProcessShardedBackend(
-            build_recipes(2, num_objects=20), num_workers=2
-        ) as backend:
-            supervisor = Supervisor(backend, policy="respawn_lossy")
-            backend.pool.kill_worker(1)
-            backend.pool.processes[1].join(timeout=5.0)
-            assert not backend.pool.processes[1].is_alive()
-            supervisor.check_worker(0)
-            with pytest.raises(WorkerDiedError, match="worker 1 is not running"):
-                supervisor.check_worker(1)
+    def test_a_call_round_detects_and_heals_a_killed_worker(self):
+        # The next round of any kind meets the dead worker and heals it, a
+        # read-only CALL broadcast included.
+        with ScaleOutCluster.build(
+            2, backend="process", num_workers=2, num_objects=20,
+            supervision_policy="respawn_lossy",
+        ) as cluster:
+            tablets = cluster.backend.scatter("tablet_count")
+            cluster.backend.pool.kill_worker(1)
+            cluster.backend.pool.processes[1].join(timeout=5.0)
+            assert cluster.backend.scatter("tablet_count") == tablets
+            (record,) = cluster.supervisor.recoveries
+            assert record.worker_index == 1 and record.shard_ids == (1,)
 
     def test_pool_requires_at_least_one_worker(self):
         with pytest.raises(ConfigurationError):

@@ -13,7 +13,7 @@ import pytest
 
 from repro.errors import ConfigurationError, FrameCorruptionError, WorkerDiedError
 from repro.server import rpc
-from repro.server.scaleout import ScatterGatherEngine
+from repro.bigtable.process_backend import ScatterGatherEngine
 
 NO_BACKOFF = rpc.RetryPolicy(max_attempts=3, base_backoff_s=0.0, call_deadline_s=1.0)
 
@@ -35,6 +35,8 @@ class ScriptedTransport:
         #: ``(shard_id, request_id, attempt) -> exception`` raised by the
         #: collect of that token's ``attempt``-th transmission.
         self.fail_collects = {}
+        #: The deadline every collect was given, in collect order.
+        self.deadlines = []
 
     def worker_of(self, shard_id):
         return shard_id % self.num_workers
@@ -66,6 +68,7 @@ class ScriptedTransport:
             self._transmissions[token] = self._transmissions.get(token, 0) + 1
 
     def collect(self, token, deadline_s=None):
+        self.deadlines.append(deadline_s)
         shard_id, opcode, request_id = token
         worker = self.worker_of(shard_id)
         if worker in self._send_failed:
@@ -291,10 +294,10 @@ def test_a_worker_failing_twice_in_one_round_resends_a_shrinking_suffix(make_rou
 
 
 def test_heals_wait_the_policy_backoff_between_sweeps(monkeypatch):
-    from repro.server import scaleout
+    from repro.bigtable import process_backend
 
     slept = []
-    monkeypatch.setattr(scaleout.time, "sleep", slept.append)
+    monkeypatch.setattr(process_backend.time, "sleep", slept.append)
     policy = rpc.RetryPolicy(
         max_attempts=3, base_backoff_s=0.25, backoff_multiplier=2.0, call_deadline_s=1.0
     )
@@ -304,3 +307,26 @@ def test_heals_wait_the_policy_backoff_between_sweeps(monkeypatch):
     engine.round(requests)
     assert slept == [policy.backoff_s(1), policy.backoff_s(2)] == [0.25, 0.5]
     assert [worker for worker, _reason in supervisor.heals] == [0, 0]
+
+
+@ROUND_KINDS
+def test_a_round_naming_a_shard_twice_is_refused_before_any_send(make_round):
+    # One exactly-once slot per shard is correct only if a round carries at
+    # most one request per shard.
+    engine, transport, supervisor = _engine(num_workers=2)
+    requests = make_round(8)
+    with pytest.raises(ConfigurationError, match="more than once"):
+        engine.round(requests + requests[-1:])
+    assert transport.log == [] and supervisor.heals == []
+
+
+def test_without_a_retry_policy_collects_wait_the_connections_own_timeout():
+    # The federation's build round runs before a cluster hands the engine
+    # its policy: fail-fast, on the connection's deadline.
+    transport = ScriptedTransport(2)
+    engine = ScatterGatherEngine(transport)
+    engine.round(query_round(4))
+    assert transport.deadlines == [None] * 4
+    engine.retry_policy = NO_BACKOFF
+    engine.round(query_round(4))
+    assert transport.deadlines[4:] == [NO_BACKOFF.call_deadline_s] * 4

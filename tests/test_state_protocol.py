@@ -3,7 +3,7 @@
 ``SHARD_STATE.bin`` is a fixed-order walk over these owners, so two things
 must hold for each of them, on states a real run produces (a master that
 migrated, replicated and failed a server over, ``record_service_times`` on,
-tablets that split and flushed, a warm block cache, a dedup window):
+tablets that split and flushed, a warm block cache, an exactly-once slot):
 
 * ``export_state()`` is plain tagged-encodable data — it survives the value
   codec type-exactly (a ``tuple`` stays a tuple, an ``int`` an int);
