@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.bigtable.lsm import TOMBSTONE
 from repro.bigtable.table import _Row
@@ -66,7 +66,8 @@ def encode_journal_record(record: tuple) -> bytes:
 
     The known opcodes get a one-byte tag; anything else (a future opcode)
     ships its string.  Fields ride the tagged value codec: a field it has
-    no tag for is a :class:`~repro.errors.CodecError` here, at the append."""
+    no tag for is a :class:`~repro.errors.CodecError` here, when the store
+    frames the record on its way to the file."""
     seq, opcode = record[0], record[1]
     body = bytearray()
     write_uvarint(body, seq)
@@ -118,7 +119,12 @@ def iter_journal_records(data) -> Iterator[tuple]:
 # --------------------------------------------------------------------------
 
 
-def _encode_row(out: bytearray, row: _Row) -> None:
+def encode_row(row: _Row) -> bytes:
+    """One row as it sits in a run block, its marker byte included.  The
+    bytes depend on the row's contents alone, so a frozen row — one that
+    compaction carries from run to run unchanged — always encodes the same
+    (what lets the store encode it once)."""
+    out = bytearray((_VALUE_ROW,))
     write_uvarint(out, len(row))
     for family, qualifiers in row.items():
         write_str(out, family)
@@ -129,6 +135,7 @@ def _encode_row(out: bytearray, row: _Row) -> None:
             write_f64_delta_column(out, chain[0::2])
             for value in chain[1::2]:
                 encode_value(out, value)
+    return bytes(out)
 
 
 def _decode_row(buf, pos: int) -> Tuple[_Row, int]:
@@ -152,22 +159,26 @@ def _decode_row(buf, pos: int) -> Tuple[_Row, int]:
 
 
 def encode_run_block(
-    keys: Sequence[str], values: Sequence[object], max_seqno: int
+    keys: Sequence[str],
+    values: Sequence[object],
+    max_seqno: int,
+    row_bytes: Callable[[_Row], bytes] = encode_row,
 ) -> bytes:
     """One immutable run file: sorted keys front-coded, each value either a
-    tombstone marker or a full row."""
-    body = bytearray()
-    write_uvarint(body, len(keys))
-    write_uvarint(body, max_seqno)
-    write_key_column(body, keys)
+    tombstone marker or a full row.  ``row_bytes`` is :func:`encode_row` or
+    a memo of it."""
+    out = bytearray(RUN_MAGIC)
+    write_uvarint(out, len(keys))
+    write_uvarint(out, max_seqno)
+    write_key_column(out, keys)
     for value in values:
         if value is TOMBSTONE:
-            body.append(_VALUE_TOMBSTONE)
+            out.append(_VALUE_TOMBSTONE)
         else:
-            body.append(_VALUE_ROW)
-            _encode_row(body, value)
-    payload = bytes(body)
-    return RUN_MAGIC + payload + _U32.pack(zlib.crc32(payload))
+            out += row_bytes(value)
+    crc = zlib.crc32(memoryview(out)[len(RUN_MAGIC):])
+    out += _U32.pack(crc)
+    return bytes(out)
 
 
 def decode_run_block(data) -> Tuple[List[str], List[object], int]:

@@ -50,6 +50,7 @@ from repro.bigtable.tablet import TabletOptions
 from repro.codec.values import pack_value, unpack_value
 from repro.codec.wire import NeighborStreamEncoder
 from repro.core.config import MoistConfig
+from repro.disk.store import STORE_STEPS, StateBlob
 from repro.errors import (
     CodecError,
     ConfigurationError,
@@ -69,10 +70,14 @@ from repro.server.master import MasterOptions, TabletMaster
 STATE_BLOB_NAME = "SHARD_STATE.bin"
 
 #: Where a worker's wall time goes, per shard: the steps of
-#: :func:`dispatch_request`, then the disk store's share of ``apply`` (the
-#: barrier closes' ``journal_sync``; ``run_encode`` is part of ``checkpoint``).
+#: :func:`dispatch_request`; the parts of ``state_blob`` (export the
+#: sections, pack them, write the slot); then the disk store's share of
+#: ``apply`` (:data:`~repro.disk.store.STORE_STEPS`: the barrier closes'
+#: ``journal_sync``, and ``checkpoint`` with its parts ``run_encode``,
+#: ``run_write``, ``manifest_write`` and ``run_gc``).
 DISPATCH_PHASES = ("decode", "dedup", "apply", "state_blob", "encode")
-WORKER_PHASES = DISPATCH_PHASES + ("journal_sync", "checkpoint", "run_encode")
+STATE_BLOB_STEPS = ("state_export", "state_pack", "state_write")
+WORKER_PHASES = DISPATCH_PHASES + STATE_BLOB_STEPS + STORE_STEPS
 
 #: The worker-side verb table: ``name -> (callable taking the service
 #: first, read-only flag)``.  The one answer to "which verbs exist and
@@ -242,7 +247,7 @@ class ShardService:
         self.master: Optional[TabletMaster] = None
         #: Where the built recipe checkpoints its accounting soft state
         #: (``None``: no indexer yet, or the recipe keeps no checkpoint).
-        self._state_blob_path: Optional[str] = None
+        self._state_blob: Optional[StateBlob] = None
         self._bare_table = None
         #: Per-shard stateful neighbour stream encoder (its decoder twin
         #: lives in the parent's pipe transport).  Keeping the state per
@@ -255,9 +260,12 @@ class ShardService:
         #: uncollected requests under their pinned ids, so the newest
         #: request is the only one a resend can name.
         self._slot: Optional[Tuple[int, int, Any]] = None
-        #: Wall seconds per :func:`dispatch_request` step since this
-        #: process first served the shard (observability only).
-        self.phase: Dict[str, float] = dict.fromkeys(DISPATCH_PHASES, 0.0)
+        #: Wall seconds per :func:`dispatch_request` step and per part of
+        #: ``state_blob`` since this process first served the shard
+        #: (observability only).
+        self.phase: Dict[str, float] = dict.fromkeys(
+            DISPATCH_PHASES + STATE_BLOB_STEPS, 0.0
+        )
 
     def call(self, method: str, *args, **kwargs) -> Any:
         """Run one verb by name (the in-process ``CALL``)."""
@@ -279,17 +287,15 @@ class ShardService:
         )
         storage_dir = recipe.shard_storage_dir
         restoring = storage_dir is not None and _has_disk_checkpoint(storage_dir)
-        state_blob_path = None
+        state_blob = None
         if storage_dir is not None and recipe.durable_accounting:
-            state_blob_path = os.path.join(storage_dir, STATE_BLOB_NAME)
+            state_blob = StateBlob(os.path.join(storage_dir, STATE_BLOB_NAME))
         accounting = None
         restore_seq_bounds = None
-        if restoring and state_blob_path is not None:
-            from repro.disk.store import read_state_blob
-
+        if restoring and state_blob is not None:
             # An unreadable blob raises: restoring without its ledgers and
             # exactly-once slot would not be the lossless respawn it claims.
-            accounting = read_state_blob(state_blob_path)
+            accounting = state_blob.read()
             if accounting is None:
                 # The first build writes the blob before anything is acked,
                 # so a manifest without one is that build, killed: nothing
@@ -357,7 +363,7 @@ class ShardService:
         self.indexer = indexer
         self.cluster = cluster
         self.master = master
-        self._state_blob_path = state_blob_path
+        self._state_blob = state_blob
         if accounting is not None:
             self._install_accounting(accounting)
         return {"objects_loaded": loaded, "tablets": indexer.emulator.tablet_count()}
@@ -424,14 +430,22 @@ class ShardService:
             self._slot = (request_id, opcode, result)
 
     def _write_accounting_checkpoint(self) -> None:
-        """Persist :meth:`accounting_state` atomically (when the recipe asks
-        for it) — called after every state-changing verb, so the blob on
+        """Persist :meth:`accounting_state` (when the recipe asks for it) —
+        called after every state-changing verb, so the newest valid blob on
         disk always describes the last *completed* request."""
-        if self._state_blob_path is None:
+        blob = self._state_blob
+        if blob is None:
             return
-        from repro.disk.store import write_state_blob
-
-        write_state_blob(self._state_blob_path, self.accounting_state())
+        started = perf_counter()
+        state = self.accounting_state()
+        exported = perf_counter()
+        body = pack_value(state)
+        packed = perf_counter()
+        blob.write(body)
+        phase = self.phase
+        phase["state_export"] += exported - started
+        phase["state_pack"] += packed - exported
+        phase["state_write"] += perf_counter() - packed
 
     def _apply_once(
         self, request_id: int, opcode: int, lap: "_Laps", apply: Callable[[], Any]

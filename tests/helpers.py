@@ -109,3 +109,47 @@ class KillBeforeAck:
             return ""
         with open(self._replays) as log:
             return log.read()
+
+
+class TearCheckpoint:
+    """Once armed, the first worker to overwrite a blob slot in place for a
+    request of one kind writes half of the slot and SIGKILLs itself —
+    applied, its checkpoint torn, its ack never sent — once, across workers
+    and respawns (an ``O_EXCL`` flag file).  Workers are forked: they and
+    their respawns inherit the patches.
+    """
+
+    def __init__(self, monkeypatch, folder: str, opcode: int) -> None:
+        self._armed = os.path.join(folder, "armed")
+        self._fired = os.path.join(folder, "fired")
+        checkpoint = ShardService._write_accounting_checkpoint
+        pwrite = os.pwrite
+        #: The slot's opcode while a checkpoint runs in this process.
+        writing = []
+
+        def tracked_checkpoint(service):
+            writing.append(None if service._slot is None else service._slot[1])
+            try:
+                checkpoint(service)
+            finally:
+                writing.pop()
+
+        def tearing_pwrite(fd, data, offset):
+            if writing and writing[-1] == opcode and os.path.exists(self._armed):
+                try:
+                    flag = os.open(self._fired, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                except FileExistsError:
+                    return pwrite(fd, data, offset)
+                os.close(flag)
+                pwrite(fd, data[: len(data) // 2], offset)
+                os.kill(os.getpid(), signal.SIGKILL)
+            return pwrite(fd, data, offset)
+
+        monkeypatch.setattr(ShardService, "_write_accounting_checkpoint", tracked_checkpoint)
+        monkeypatch.setattr(os, "pwrite", tearing_pwrite)
+
+    def arm(self) -> None:
+        open(self._armed, "w").close()
+
+    def fired(self) -> bool:
+        return os.path.exists(self._fired)

@@ -31,7 +31,7 @@ from repro.server.scaleout import ScaleOutCluster
 from repro.server.worker import ShardRecipe, dispatch_request
 from repro.workload.queries import NNQuery
 
-from helpers import KillBeforeAck
+from helpers import KillBeforeAck, TearCheckpoint
 
 NUM_SHARDS = 4
 NUM_OBJECTS = 200
@@ -512,3 +512,28 @@ class TestKillBeforeAck:
             assert snapshot["recoveries"] == snapshot["lossless_recoveries"] == 1
         finally:
             cluster.close()
+
+
+# --------------------------------------------------------------------------
+# Kill mid-checkpoint: a torn slot restores the older one, the resend applies
+# --------------------------------------------------------------------------
+def test_a_checkpoint_torn_by_a_kill_restores_the_older_slot(
+    reference, tmp_path, monkeypatch
+):
+    # The torn slot is an update's: the older slot is the shard after its
+    # last acknowledged request, and its watermark drops the update's
+    # journal records, so the resend applies the update afresh.
+    tear = TearCheckpoint(monkeypatch, str(tmp_path), rpc.OP_UPDATE_BATCH)
+    cluster = _cluster(
+        "disk", 2, policy="respawn", retry=rpc.RetryPolicy(call_deadline_s=15.0)
+    )
+    try:
+        tear.arm()
+        result = _run(cluster)
+        assert tear.fired()
+        assert result.to_report() == reference[0]
+        assert cluster.backend.scatter("simulated_seconds") == reference[1]
+        snapshot = cluster.supervisor.metrics_snapshot()
+        assert snapshot["recoveries"] == snapshot["lossless_recoveries"] == 1
+    finally:
+        cluster.close()

@@ -42,7 +42,7 @@ from repro.bigtable.table import ColumnFamily, Table
 from repro.bigtable.tablet import TabletOptions, TabletStats
 from repro.codec import values, wire
 from repro.codec.columns import write_uvarint
-from repro.disk.store import read_state_blob
+from repro.disk.store import StateBlob
 from repro.errors import CodecError, ReproError, RpcError, UnrecoverableShardError
 from repro.geometry.point import Point
 from repro.geometry.vector import Vector
@@ -52,7 +52,6 @@ from repro.server.worker import ShardRecipe, ShardService
 from repro.tables.affiliation_table import LFRecord, Role
 from repro.workload.queries import NNQuery
 
-from test_persistence_path import framed
 
 _F64 = struct.Struct("<d")
 
@@ -809,13 +808,33 @@ def _read_frame(data):
 
 def _read_state_body(body: bytes):
     """The accounting blob's body decoder, reached the way a restore reaches
-    it: length and crc recomputed around the damaged body, so the damage
-    gets past the header checks and into the decoder."""
+    it: the damaged body written as a slot, so its length and crc are valid
+    and the damage gets past the slot checks and into the decoder."""
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "SHARD_STATE.bin")
+        StateBlob(path).write(body)
+        return StateBlob(path).read()
+
+
+def _read_state_file(data: bytes):
+    """A whole accounting file — header, both slots — read by a restore."""
     with tempfile.TemporaryDirectory() as folder:
         path = os.path.join(folder, "SHARD_STATE.bin")
         with open(path, "wb") as handle:
-            handle.write(framed(body))
-        return read_state_blob(path)
+            handle.write(data)
+        return StateBlob(path).read()
+
+
+def _state_file() -> bytes:
+    """The file after two writes: both slots valid, the second newer."""
+    body = values.unpack_value(_STATE_BODY)
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "SHARD_STATE.bin")
+        blob = StateBlob(path)
+        blob.write(_STATE_BODY)
+        blob.write(values.pack_value(dict(body, dedup=())))
+        with open(path, "rb") as handle:
+            return handle.read()
 
 
 def _state_body() -> bytes:
@@ -918,11 +937,13 @@ def _fuzz_cases() -> dict:
             _read_frame,
             rpc.encode_frame(rpc.KIND_RESPONSE, 7, 3, rpc.OP_CALL, rpc.encode_result("pong")),
         ),
-        "state_blob": (_read_state_body, _state_body()),
+        "state_blob": (_read_state_body, _STATE_BODY),
+        "state_file": (_read_state_file, _state_file()),
         "block_cache_state": (_install_block_cache, _block_cache_body()),
     }
 
 
+_STATE_BODY = _state_body()
 _FUZZ_CASES = _fuzz_cases()
 #: The first byte of the snapshot's ``block_len`` column (a tag byte and a
 #: one-byte length follow the key).
@@ -979,6 +1000,9 @@ def _mutate(good: bytes, mutation) -> bytes:
 @example("state_blob", ("tag", (0, 9)))  # a list where the section dict goes
 @example("state_blob", ("inflate", 1))  # the section count
 @example("state_blob", ("truncate", 4000))
+@example("state_file", ("flip", [(4, 0)]))  # the slot capacity
+@example("state_file", ("flip", [(12, 0)]))  # slot 0's sequence number
+@example("state_file", ("inflate", 20))  # slot 0's body length
 @example("frame", ("flip", [(0, 5)]))  # a length prefix of half a gigabyte
 # Block lengths that no longer sum to the blocks column: one too many, two
 # too few (a crc-valid snapshot that used to install the wrong keys).

@@ -21,11 +21,12 @@ import pickle
 import random
 import signal
 import struct
+import tempfile
 import types
-import zlib
 from array import array
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bigtable.cost import OpCounter, OpKind
 from repro.bigtable.table import ColumnFamily, Table
@@ -37,9 +38,8 @@ from repro.disk.store import (
     STATE_FORMAT,
     STATE_SECTIONS,
     DiskTableStore,
-    read_state_blob,
+    StateBlob,
     restore_table,
-    write_state_blob,
 )
 from repro.errors import CodecError, StaleRequestError, UnrecoverableShardError
 from repro.geometry.point import Point
@@ -50,6 +50,7 @@ from repro.server.scaleout import ScaleOutCluster
 from repro.server.worker import (
     DISPATCH_PHASES,
     STATE_BLOB_NAME,
+    STATE_BLOB_STEPS,
     WORKER_PHASES,
     ShardRecipe,
     dispatch_request,
@@ -291,15 +292,160 @@ class TestBufferedJournal:
 
 
 # --------------------------------------------------------------------------
-# Accounting blob: versioned, typed failure
+# Run files: trusted only when named, each frozen row encoded once
 # --------------------------------------------------------------------------
-def framed(body: bytes) -> bytes:
-    """A format-valid, crc-valid blob around any body bytes."""
-    return struct.pack("<III", STATE_FORMAT, len(body), zlib.crc32(body)) + body
+class TestRunFiles:
+    @staticmethod
+    def _restore(root: str) -> Table:
+        return restore_table(DiskTableStore(root), "t", FAMILIES, OpCounter())
+
+    @pytest.mark.parametrize("rows", [0, 1], ids=["shorter", "same-length"])
+    def test_a_run_file_no_manifest_names_is_deleted_not_adopted(
+        self, tmp_path, rows
+    ):
+        root = str(tmp_path)
+        table = Table("t", FAMILIES, store=DiskTableStore(root))
+        table.write("k1", "mem", "q", "a", 1.0)
+        table.flush_memtables()  # run-0000, named by the manifest
+        table._store.close()
+        # The next flush's file, written by a checkpoint killed before its
+        # manifest rename — complete, checksummed, and stale.
+        runs = os.path.join(root, "runs")
+        orphan = os.path.join(runs, "t__tablet-0000__run-0001.run")
+        stale = blocks._Row({"mem": {"q": (9.0, "stale")}})
+        with open(orphan, "wb") as handle:
+            handle.write(blocks.encode_run_block(["k0"] * rows, [stale] * rows, 7))
+        for leftover in (orphan + ".tmp", os.path.join(root, "MANIFEST.bin.tmp")):
+            with open(leftover, "wb") as handle:
+                handle.write(b"half a file")
+        restored = self._restore(root)
+        assert sorted(os.listdir(runs)) == ["t__tablet-0000__run-0000.run"]
+        assert not os.path.exists(os.path.join(root, "MANIFEST.bin.tmp"))
+        restored.write("k2", "mem", "q", "b", 2.0)
+        restored.flush_memtables()  # run-0001 again: written afresh
+        restored._store.close()
+        again = self._restore(root)
+        assert [key for key, _ in again.scan()] == ["k1", "k2"]
+        assert again.scan() == restored.scan()
+        again._store.close()
+
+    def test_the_unacked_journal_tail_does_not_outlive_its_restore(self, tmp_path):
+        root = str(tmp_path)
+        table = Table("t", FAMILIES, store=DiskTableStore(root))
+        for index in range(5):  # sequence numbers 1-5, each synced
+            table.write(f"k{index}", "mem", "q", f"old{index}", float(index))
+        table._store.close()
+        # Only 1-3 were acknowledged: the restore drops 4 and 5 ...
+        first = restore_table(DiskTableStore(root), "t", FAMILIES, OpCounter(), max_seq=3)
+        assert [key for key, _ in first.scan()] == ["k0", "k1", "k2"]
+        # ... and the retry journals its own 4 and 5.
+        first.write("k3", "mem", "q", "new3", 9.0)
+        first.write("k9", "mem", "q", "new9", 9.0)
+        first._store.close()
+        again = restore_table(DiskTableStore(root), "t", FAMILIES, OpCounter(), max_seq=5)
+        assert again.scan() == first.scan()
+        again._store.close()
+
+    @staticmethod
+    def _check_files(table: Table, store: DiskTableStore) -> None:
+        """Every live run's file is a fresh encoding of the run; the memo
+        holds exactly the rows of the runs this store wrote, each counted
+        once per such run beyond the first."""
+        store.checkpoint(table)
+        holders: dict = {}
+        for tablet in table.tablets():
+            for run in tablet.runs:
+                path = os.path.join(store.root, "runs", run.run_id.replace("/", "__") + ".run")
+                with open(path, "rb") as handle:
+                    assert handle.read() == blocks.encode_run_block(
+                        run._keys, run._values, run.max_seqno
+                    )
+        live = {run.run_id for tablet in table.tablets() for run in tablet.runs}
+        assert set(store._run_rows) <= live
+        for values_ in store._run_rows.values():
+            for row in values_:
+                if type(row) is blocks._Row:
+                    holders[id(row)] = holders.get(id(row), 0) + 1
+        assert set(store._row_memo) == set(holders)
+        assert store._row_shares == {
+            key: count - 1 for key, count in holders.items() if count > 1
+        }
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_memoised_run_files_equal_a_fresh_encoding(self, seed):
+        rng = random.Random(seed)
+        options = TabletOptions(
+            split_threshold=rng.choice([8, 16, 64]),
+            merge_threshold=4,
+            group_commit_size=rng.choice([4, 16, 256]),
+            memtable_flush_rows=rng.choice([4, 16]),
+            compaction_max_runs=rng.choice([2, 3]),
+        )
+        with tempfile.TemporaryDirectory() as root:
+            store = DiskTableStore(root)
+            table = Table("t", FAMILIES, options=options, store=store)
+            for step, op in enumerate(random_ops(rng, 160)):
+                apply_op(table, op)
+                if step % 20 == 19:
+                    self._check_files(table, store)
+            table.compact_runs(major=True)
+            self._check_files(table, store)
+            memoised = {
+                id(row)
+                for tablet in table.tablets()
+                for run in tablet.runs
+                for row in run._values
+            }
+            assert set(store._row_memo) <= memoised
+            store.close()
 
 
-def _blob(body_value) -> bytes:
-    return framed(values.pack_value(body_value))
+# --------------------------------------------------------------------------
+# Accounting blob: two slots, versioned, typed failure
+# --------------------------------------------------------------------------
+def read_state_blob(path: str):
+    """What a respawned worker restores from ``path``."""
+    return StateBlob(path).read()
+
+
+def write_state_blob(path: str, payload) -> int:
+    """``payload`` as the whole file, the way a fresh process writes it."""
+    return StateBlob(path).write(values.pack_value(payload))
+
+
+_FILE_HEADER = 8  # format, slot capacity
+_SLOT_HEADER = 16  # crc32, sequence number, body length
+
+
+def _slot_at(data: bytes, index: int) -> int:
+    """Offset of slot ``index`` in a state file."""
+    (capacity,) = struct.unpack_from("<I", data, 4)
+    return _FILE_HEADER + index * capacity
+
+
+def _slot_seqs(path: str) -> list:
+    """The sequence number each slot's header names (valid or not)."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    return [struct.unpack_from("<Q", data, _slot_at(data, index) + 4)[0] for index in (0, 1)]
+
+
+def _tear(path: str, index: int) -> None:
+    """A write to slot ``index`` killed halfway: the second half of its
+    header and body is zeros."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    start = _slot_at(data, index)
+    (length,) = struct.unpack_from("<I", data, start + 12)
+    half = (_SLOT_HEADER + length) // 2
+    with open(path, "r+b") as handle:
+        handle.seek(start + half)
+        handle.write(bytes(_SLOT_HEADER + length - half))
+
+
+def _payload(request_id: int) -> dict:
+    return dict.fromkeys(STATE_SECTIONS) | {"dedup": (bytes([request_id]),)}
 
 
 class TestStateBlob:
@@ -309,7 +455,10 @@ class TestStateBlob:
         path = str(tmp_path / STATE_BLOB_NAME)
         assert read_state_blob(path) is None
         written = write_state_blob(path, self.PAYLOAD)
-        assert written == os.path.getsize(path)
+        assert written == _SLOT_HEADER + len(values.pack_value(self.PAYLOAD))
+        with open(path, "rb") as handle:
+            data = handle.read()
+        assert len(data) == _slot_at(data, 2) and written <= _slot_at(data, 1)
         assert read_state_blob(path) == self.PAYLOAD
         assert not os.path.exists(path + ".tmp")
 
@@ -322,26 +471,117 @@ class TestStateBlob:
             handle.write(damage(data))
         return path
 
+    @staticmethod
+    def _flip(data: bytearray, offset: int) -> bytearray:
+        """Flip one bit ``offset`` bytes into the one written slot."""
+        data[_slot_at(data, 1) + offset] ^= 0x10
+        return data
+
     @pytest.mark.parametrize(
         "damage",
         [
             lambda data: data[:-3],  # torn tail
             lambda data: data[:5],  # torn header
             lambda data: b"",  # created, never written
-            lambda data: data[:20] + bytes([data[20] ^ 0x10]) + data[21:],
+            lambda data: data[:4] + bytes([data[4] ^ 0x10]) + data[5:],  # capacity
+            lambda data: TestStateBlob._flip(data, 0),  # the crc
+            lambda data: TestStateBlob._flip(data, 4),  # the sequence number
+            lambda data: TestStateBlob._flip(data, 12),  # the body length
+            lambda data: TestStateBlob._flip(data, 20),  # the body
             lambda data: data + b"x",  # trailing garbage
-            lambda data: _blob(["not", "a", "section", "dict"]),
-            lambda data: _blob(TestStateBlob.PAYLOAD | {"extra": None}),
-            lambda data: _blob(
-                {name: None for name in STATE_SECTIONS if name != "flag"}
-            ),
-            lambda data: _blob(dict.fromkeys(reversed(STATE_SECTIONS))),
         ],
     )
     def test_damaged_blob_is_a_typed_error(self, tmp_path, damage):
         path = self._damaged(tmp_path, damage)
         with pytest.raises(UnrecoverableShardError):
             read_state_blob(path)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            ["not", "a", "section", "dict"],
+            PAYLOAD | {"extra": None},
+            {name: None for name in STATE_SECTIONS if name != "flag"},
+            dict.fromkeys(reversed(STATE_SECTIONS)),
+        ],
+    )
+    def test_a_crc_valid_slot_that_is_not_the_section_dict_is_a_typed_error(
+        self, tmp_path, body
+    ):
+        path = str(tmp_path / STATE_BLOB_NAME)
+        write_state_blob(path, body)
+        with pytest.raises(UnrecoverableShardError):
+            read_state_blob(path)
+
+    def test_each_write_overwrites_the_older_slot_in_place(self, tmp_path):
+        path = str(tmp_path / STATE_BLOB_NAME)
+        blob = StateBlob(path)
+        blob.write(values.pack_value(_payload(1)))
+        inode, size = os.stat(path).st_ino, os.path.getsize(path)
+        for request_id in (2, 3, 4):
+            blob.write(values.pack_value(_payload(request_id)))
+            assert read_state_blob(path) == _payload(request_id)
+        assert _slot_seqs(path) == [4, 3]
+        assert (os.stat(path).st_ino, os.path.getsize(path)) == (inode, size)
+
+    def test_a_torn_newest_slot_restores_the_older_slot(self, tmp_path):
+        path = str(tmp_path / STATE_BLOB_NAME)
+        blob = StateBlob(path)
+        for request_id in (1, 2, 3):
+            blob.write(values.pack_value(_payload(request_id)))
+        _tear(path, 1)  # the write of request 3, killed halfway
+        assert read_state_blob(path) == _payload(2)
+
+    def test_both_slots_torn_is_a_typed_error(self, tmp_path):
+        path = str(tmp_path / STATE_BLOB_NAME)
+        blob = StateBlob(path)
+        for request_id in (1, 2):
+            blob.write(values.pack_value(_payload(request_id)))
+        _tear(path, 0)
+        _tear(path, 1)
+        with pytest.raises(UnrecoverableShardError, match="no valid"):
+            read_state_blob(path)
+
+    @pytest.mark.parametrize("torn", [False, True])
+    def test_after_a_restore_the_next_write_takes_the_other_slot(
+        self, tmp_path, torn
+    ):
+        path = str(tmp_path / STATE_BLOB_NAME)
+        first = StateBlob(path)
+        for request_id in (1, 2):
+            first.write(values.pack_value(_payload(request_id)))
+        if torn:
+            _tear(path, 0)  # request 2's write never finished
+        restored = StateBlob(path)
+        newest = restored.read()
+        assert newest == _payload(1 if torn else 2)
+        with open(path, "rb") as handle:
+            before = handle.read()
+        newest_slot = 1 if torn else 0
+        keep = slice(_slot_at(before, newest_slot), _slot_at(before, newest_slot + 1))
+        # The next request's write is killed halfway: the newest valid blob
+        # is in the slot it did not touch.
+        restored.write(values.pack_value(_payload(9)))
+        _tear(path, 1 - newest_slot)
+        with open(path, "rb") as handle:
+            assert handle.read()[keep] == before[keep]
+        assert read_state_blob(path) == newest
+
+    def test_a_blob_that_outgrows_its_slot_regrows_the_file(self, tmp_path):
+        path = str(tmp_path / STATE_BLOB_NAME)
+        blob = StateBlob(path)
+        blob.write(values.pack_value(_payload(1)))
+        size = os.path.getsize(path)
+        big = dict(_payload(2), emulator=bytes(3 * size))
+        blob.write(values.pack_value(big))
+        assert os.path.getsize(path) > 6 * size
+        assert read_state_blob(path) == big
+        assert not os.path.exists(path + ".tmp")
+        grown = os.stat(path).st_ino
+        blob.write(values.pack_value(_payload(3)))  # fits again: in place
+        assert os.stat(path).st_ino == grown
+        assert read_state_blob(path) == _payload(3)
+        assert _slot_seqs(path) == [2, 3]
 
     @pytest.mark.parametrize("shift", [1, -1])
     def test_block_lengths_that_miss_the_blocks_column_refuse_to_install(
@@ -657,19 +897,23 @@ class TestRespawn:
 # Worker-side time split
 # --------------------------------------------------------------------------
 class TestWorkerPhase:
-    def test_dispatch_accumulates_its_five_steps(self, tmp_path):
+    def test_dispatch_accumulates_its_steps_and_their_parts(self, tmp_path):
         services = _build(_recipe(tmp_path))
         before = dict(services[0].phase)
         dispatch_request(
             services, 0, rpc.OP_UPDATE_BATCH, rpc.encode_update_batch(_messages(1)), 10
         )
         after = services[0].phase
-        assert tuple(after) == DISPATCH_PHASES
+        assert tuple(after) == DISPATCH_PHASES + STATE_BLOB_STEPS
         assert all(after[step] > before[step] for step in after)
         phase = services[0].call("metrics")["worker_phase"]
         assert tuple(phase) == WORKER_PHASES
         assert phase["journal_sync"] > 0.0 and phase["checkpoint"] > 0.0
-        assert phase["run_encode"] <= phase["checkpoint"] <= phase["apply"]
+        assert phase["checkpoint"] <= phase["apply"]
+        parts = ("run_encode", "run_write", "manifest_write", "run_gc")
+        assert all(phase[part] > 0.0 for part in parts)
+        assert sum(phase[part] for part in parts) <= phase["checkpoint"]
+        assert sum(phase[part] for part in STATE_BLOB_STEPS) <= phase["state_blob"]
         _close_stores(services)
 
     def test_cluster_sums_shards_without_moving_a_frame(self, tmp_path):
