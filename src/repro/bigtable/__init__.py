@@ -18,10 +18,11 @@ reflects the *operation mix* of each algorithm rather than Python's
 interpreter speed (README *Storage engine*).
 
 Every tablet is a full LSM engine: a sequence-numbered **commit log** with
-group-commit fsync batching, a **memtable**, immutable **SSTable runs** with
-key-range/Bloom metadata produced by minor compactions (memtable flushes)
-and consolidated by size-tiered/major compactions with tombstone garbage
-collection, and **crash recovery** that replays each tablet's log tail over
+group-commit fsync batching, a **memtable**, immutable sorted **SSTable
+runs** produced by minor compactions (memtable flushes) and consolidated by
+size-tiered/major compactions with tombstone garbage collection, one merged
+**run view** per tablet that point and range reads consult instead of each
+run, and **crash recovery** that replays each tablet's log tail over
 its runs to bit-identical state.  Durability work is charged to a separate
 ledger so paper-facing service times stay calibrated.
 

@@ -14,10 +14,13 @@ This module provides the durable half of that triple for the emulator:
 by key so tablet splits can hand each child exactly its history; stored as
 columns — two typed arrays and three flat lists per log, not a tuple per
 record, see its docstring for why),
-:class:`SSTable` (an immutable sorted run with key-range and Bloom-filter
-metadata, sliceable in O(1) for tablet splits) and the frozen recovery
-reports.  The live tablet machinery (memtable, merged reads, flush and
-compaction scheduling) lives in :mod:`repro.bigtable.tablet`; the charging
+:class:`SSTable` (an immutable sorted run with key-range metadata,
+sliceable in O(1) for tablet splits, read whole through
+:meth:`~SSTable.columns`) and the frozen recovery reports.  Runs keep no
+per-run Bloom filter: they live in memory, where a filter saves no disk
+seek, and a tablet serves point and range reads from one merged *run view*
+instead.  The live tablet machinery (memtable, run view, merged reads, flush
+and compaction scheduling) lives in :mod:`repro.bigtable.tablet`; the charging
 of durability work to the cost ledgers lives in
 :mod:`repro.bigtable.table`.
 
@@ -33,8 +36,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
-from zlib import crc32
+from typing import Dict, List, Optional, Sequence, Tuple
 
 #: Cache/source identifier of rows served straight from a tablet's memtable
 #: (as opposed to an SSTable run's ``run_id``).
@@ -66,52 +68,6 @@ class _Tombstone:
 TOMBSTONE = _Tombstone()
 
 
-class BloomFilter:
-    """A tiny Bloom filter over row keys (two CRC-derived probes).
-
-    SSTable point lookups consult the filter before binary-searching the
-    run, mirroring BigTable's per-SSTable Bloom filters ("allow us to ask
-    whether an SSTable might contain any data for a specified row").  CRC32
-    keeps membership deterministic across processes (``hash(str)`` is
-    salted), so recovery sees the same filter behaviour as the original run.
-    The bits live in a ``bytearray`` so probes index one byte — O(1)
-    regardless of filter size (a big-int representation would copy the
-    whole filter per shift).
-    """
-
-    __slots__ = ("bits", "mask")
-
-    #: Filter size per key, rounded up to a power of two in total.
-    BITS_PER_KEY = 8
-
-    def __init__(self, keys: Sequence[str]) -> None:
-        size = 64
-        target = max(len(keys), 1) * self.BITS_PER_KEY
-        while size < target:
-            size <<= 1
-        self.mask = size - 1
-        bits = bytearray(size >> 3)
-        for key in keys:
-            h1 = crc32(key.encode("utf-8"))
-            h2 = (h1 * 0x9E3779B1) >> 7
-            b1 = h1 & self.mask
-            b2 = h2 & self.mask
-            bits[b1 >> 3] |= 1 << (b1 & 7)
-            bits[b2 >> 3] |= 1 << (b2 & 7)
-        self.bits = bits
-
-    def might_contain(self, key: str) -> bool:
-        """False means definitely absent; True means "probably present"."""
-        h1 = crc32(key.encode("utf-8"))
-        h2 = (h1 * 0x9E3779B1) >> 7
-        bits = self.bits
-        b1 = h1 & self.mask
-        if not bits[b1 >> 3] & (1 << (b1 & 7)):
-            return False
-        b2 = h2 & self.mask
-        return bool(bits[b2 >> 3] & (1 << (b2 & 7)))
-
-
 class SSTable:
     """One immutable sorted run of ``(row_key, row-or-TOMBSTONE)`` entries.
 
@@ -123,7 +79,7 @@ class SSTable:
     entries by ``(tablet, run, block)`` so shared slices never collide.
     """
 
-    __slots__ = ("run_id", "max_seqno", "_keys", "_values", "_lo", "_hi", "bloom")
+    __slots__ = ("run_id", "max_seqno", "_keys", "_values", "_lo", "_hi")
 
     def __init__(
         self,
@@ -133,7 +89,6 @@ class SSTable:
         max_seqno: int,
         lo: int = 0,
         hi: Optional[int] = None,
-        bloom: Optional[BloomFilter] = None,
     ) -> None:
         self.run_id = run_id
         self.max_seqno = max_seqno
@@ -141,7 +96,6 @@ class SSTable:
         self._values = values
         self._lo = lo
         self._hi = len(keys) if hi is None else hi
-        self.bloom = bloom if bloom is not None else BloomFilter(keys)
 
     # ------------------------------------------------------------------
     # Metadata
@@ -166,33 +120,10 @@ class SSTable:
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
-    def get(self, key: str) -> Optional[object]:
-        """The run's version of ``key`` (row or TOMBSTONE), or ``None``.
-
-        The Bloom filter rejects most absent keys without touching the
-        sorted array; a false positive just costs the bisect.
-        """
-        if not self.bloom.might_contain(key):
-            return None
-        index = bisect_left(self._keys, key, self._lo, self._hi)
-        if index < self._hi and self._keys[index] == key:
-            return self._values[index]
-        return None
-
-    def scan(
-        self, start: Optional[str] = None, end: Optional[str] = None
-    ) -> Iterator[Tuple[str, object]]:
-        """Yield ``(key, value)`` over ``[start, end)`` within the slice."""
-        keys = self._keys
-        values = self._values
-        lo = self._lo if start is None else bisect_left(keys, start, self._lo, self._hi)
-        hi = self._hi if end is None else bisect_left(keys, end, self._lo, self._hi)
-        for index in range(lo, hi):
-            yield keys[index], values[index]
-
-    def items(self) -> Iterator[Tuple[str, object]]:
-        """Every entry of the slice in key order."""
-        return self.scan(None, None)
+    def columns(self) -> Tuple[List[str], List[object]]:
+        """The slice's keys and their values (row or TOMBSTONE), in key
+        order, as two fresh lists."""
+        return self._keys[self._lo : self._hi], self._values[self._lo : self._hi]
 
     # ------------------------------------------------------------------
     # Split / merge support
@@ -201,9 +132,7 @@ class SSTable:
         """A view of this run restricted to ``[start, end)`` (shares arrays)."""
         lo = self._lo if start is None else bisect_left(self._keys, start, self._lo, self._hi)
         hi = self._hi if end is None else bisect_left(self._keys, end, self._lo, self._hi)
-        return SSTable(
-            self.run_id, self._keys, self._values, self.max_seqno, lo, hi, self.bloom
-        )
+        return SSTable(self.run_id, self._keys, self._values, self.max_seqno, lo, hi)
 
     def try_coalesce(self, other: "SSTable") -> Optional["SSTable"]:
         """Rejoin two adjacent slices of the same underlying run.
@@ -225,7 +154,6 @@ class SSTable:
             self.max_seqno,
             first._lo,
             second._hi,
-            self.bloom,
         )
 
 
@@ -393,7 +321,7 @@ def merge_runs(
     """
     merged: Dict[str, object] = {}
     for run in reversed(selected):  # oldest -> newest so newest wins
-        merged.update(run.items())
+        merged.update(zip(*run.columns()))
     keys: List[str] = []
     values: List[object] = []
     for key in sorted(merged):

@@ -32,7 +32,6 @@ from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import groupby
-from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.bigtable.cost import OpCounter, OpKind
@@ -313,12 +312,15 @@ class Scanner:
                 keys, rows = tablet.rows.scan_columns(start_key, end_key, remaining)
                 warm = price(tablet_id, MEMTABLE_SOURCE, keys)
             else:
-                scanned = list(tablet.merged_scan(start_key, end_key, remaining))
-                keys = [entry[0] for entry in scanned]
-                rows = [entry[1] for entry in scanned]
+                keys, rows, sources = tablet.merged_columns(
+                    start_key, end_key, remaining
+                )
                 warm = 0
-                for source, run in groupby(scanned, itemgetter(2)):
-                    warm += price(tablet_id, source, [entry[0] for entry in run])
+                at = 0
+                for source, run in groupby(sources):
+                    width = len(list(run))
+                    warm += price(tablet_id, source, keys[at : at + width])
+                    at += width
             charges.append((tablet, len(keys) - warm, warm))
             if remaining is not None:
                 remaining -= len(keys)

@@ -23,10 +23,9 @@ scan returns, only how load is attributed and where contention concentrates.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from heapq import merge as heap_merge
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.bigtable.cost import CostModel, OpCounter
 from repro.bigtable.lsm import (
@@ -138,6 +137,33 @@ def hot_share(stats: Sequence[TabletStats]) -> float:
     return hottest / total
 
 
+class _RunView:
+    """A tablet's runs merged into one view: the newest run version of every
+    key.
+
+    ``index`` maps each key to that version, tombstones included (a point
+    read must see a tombstone shadow an older run's row); ``keys``,
+    ``values`` and ``sources`` are the *live* entries as sorted columns, the
+    source being the run id the block cache prices a row by.  A range read
+    slices the columns, so a tombstone-shadowed key simply has no entry.
+    """
+
+    __slots__ = ("index", "keys", "values", "sources")
+
+    def __init__(self, runs: Sequence[SSTable]) -> None:
+        index: Dict[str, object] = {}
+        source_of: Dict[str, str] = {}
+        for run in reversed(runs):  # oldest first: newer versions overwrite
+            keys, values = run.columns()
+            index.update(zip(keys, values))
+            source_of.update(dict.fromkeys(keys, run.run_id))
+        live = sorted(key for key, value in index.items() if value is not TOMBSTONE)
+        self.index = index
+        self.keys = live
+        self.values = list(map(index.__getitem__, live))
+        self.sources = list(map(source_of.__getitem__, live))
+
+
 class Tablet:
     """One contiguous row-key range ``[start_key, end_key)`` of a table,
     served LSM-style.
@@ -151,6 +177,12 @@ class Tablet:
     first *pulls it back* into the memtable (copy-on-write), so runs are
     never modified in place and a flushed row's newest version always lives
     in exactly one place.
+
+    Reads see the runs through one :class:`_RunView`, built on the first
+    read after the run list changed.  ``runs`` is a tuple replaced only by
+    :meth:`install_runs` (flush, compaction, split, merge, disk restore),
+    which drops the view; memtable writes leave it valid, because every read
+    merges the memtable in on top of it.
 
     The end key is owned by the locator (it is simply the next tablet's
     start); the tablet only knows where it begins, its rows, and the
@@ -167,13 +199,14 @@ class Tablet:
         "_tombstones",
         "_run_extra",
         "_next_run",
+        "_view",
     )
 
     def __init__(self, tablet_id: str, start_key: str, model: CostModel) -> None:
         self.tablet_id = tablet_id
         self.start_key = start_key
         self.rows = SortedMap()
-        self.runs: List[SSTable] = []
+        self.runs: Tuple[SSTable, ...] = ()
         self.log = CommitLog()
         self.counter = OpCounter(model=model)
         #: TOMBSTONE entries currently in the memtable.
@@ -182,6 +215,7 @@ class Tablet:
         #: any memtable entry).  ``row_count`` = memtable live + this.
         self._run_extra = 0
         self._next_run = 0
+        self._view: Optional[_RunView] = None
 
     @property
     def row_count(self) -> int:
@@ -194,19 +228,22 @@ class Tablet:
         )
 
     # ------------------------------------------------------------------
-    # Merged (LSM) reads
+    # The run view and merged (LSM) reads
     # ------------------------------------------------------------------
-    def run_lookup(self, key: str) -> Optional[object]:
-        """Newest run version of ``key`` (row or TOMBSTONE), or ``None``.
+    def install_runs(self, runs: Iterable[SSTable]) -> None:
+        """Replace the run list (newest first) and drop the run view — the
+        one way the list changes, so the view never outlives it."""
+        self.runs = tuple(runs)
+        self._view = None
 
-        Runs are consulted newest-first; each run's Bloom filter rejects
-        most absent keys before the binary search.
-        """
-        for run in self.runs:
-            value = run.get(key)
-            if value is not None:
-                return value
-        return None
+    def run_lookup(self, key: str) -> Optional[object]:
+        """Newest run version of ``key`` (row or TOMBSTONE), or ``None``:
+        one dict probe into the run view, whatever the number of runs."""
+        return (self._view or self._build_view()).index.get(key)
+
+    def _build_view(self) -> _RunView:
+        self._view = _RunView(self.runs)
+        return self._view
 
     def live_row(self, key: str) -> Optional[object]:
         """The current row of ``key`` across memtable and runs, or ``None``
@@ -300,36 +337,53 @@ class Tablet:
             for key, row in self.rows.scan(start, end, limit):
                 yield key, row, MEMTABLE_SOURCE
             return
-        yield from self._merged_scan_runs(start, end, limit)
+        yield from zip(*self.merged_columns(start, end, limit))
 
-    def _merged_scan_runs(
+    def merged_columns(
         self, start: Optional[str], end: Optional[str], limit: Optional[int]
-    ) -> Iterator[Tuple[str, object, str]]:
-        # Decorate each stream with its shadowing rank (memtable = 0, then
-        # runs newest-first) so the heap merge yields the newest version of
-        # every key first; older duplicates are skipped.  The helper binds
-        # ``rank`` per stream (a bare genexp would close over the loop
-        # variable and give every stream the final rank).
-        def decorate(rank: int, stream: Iterator[Tuple[str, object]]):
-            return ((key, rank, value) for key, value in stream)
+    ) -> Tuple[List[str], List[object], List[str]]:
+        """The live rows of ``[start, end)`` over memtable and runs as three
+        columns — keys, rows, sources — cut to the first ``limit`` rows.
 
-        streams = [
-            decorate(rank, source.scan(start, end))
-            for rank, source in enumerate([self.rows] + self.runs)
-        ]
-        sources = [MEMTABLE_SOURCE] + [run.run_id for run in self.runs]
-        yielded = 0
-        last_key: Optional[str] = None
-        for key, rank, value in heap_merge(*streams):
-            if key == last_key:
-                continue
-            last_key = key
-            if value is TOMBSTONE:
-                continue
-            yield key, value, sources[rank]
-            yielded += 1
-            if limit is not None and yielded >= limit:
-                return
+        The run view's slice of the range is copied in chunks between the
+        memtable's keys; each memtable entry replaces the view's version of
+        its key (a memtable tombstone drops it).
+        """
+        view = self._view or self._build_view()
+        view_keys = view.keys
+        lo = 0 if start is None else bisect_left(view_keys, start)
+        hi = len(view_keys) if end is None else bisect_left(view_keys, end)
+        mem_keys, mem_rows = self.rows.scan_columns(start, end)
+        if limit is not None:
+            # Each memtable entry shadows at most one view row.
+            hi = min(hi, lo + limit + len(mem_keys))
+        if not mem_keys:
+            keys = view_keys[lo:hi]
+            rows = view.values[lo:hi]
+            sources = view.sources[lo:hi]
+        else:
+            view_values = view.values
+            view_sources = view.sources
+            keys = []
+            rows = []
+            sources = []
+            at = lo
+            for key, row in zip(mem_keys, mem_rows):
+                cut = bisect_left(view_keys, key, at, hi)
+                keys += view_keys[at:cut]
+                rows += view_values[at:cut]
+                sources += view_sources[at:cut]
+                if row is not TOMBSTONE:
+                    keys.append(key)
+                    rows.append(row)
+                    sources.append(MEMTABLE_SOURCE)
+                at = cut + 1 if cut < hi and view_keys[cut] == key else cut
+            keys += view_keys[at:hi]
+            rows += view_values[at:hi]
+            sources += view_sources[at:hi]
+        if limit is not None and len(keys) > limit:
+            del keys[limit:], rows[limit:], sources[limit:]
+        return keys, rows, sources
 
     def iter_live_keys(
         self, start: Optional[str] = None, end: Optional[str] = None
@@ -337,7 +391,7 @@ class Tablet:
         """Every live row key in ``[start, end)`` across memtable and runs."""
         if not self.runs:
             return self.rows.iter_keys(start, end)
-        return (key for key, _, _ in self._merged_scan_runs(start, end, None))
+        return iter(self.merged_columns(start, end, None)[0])
 
     def merged_count_range(
         self, start: Optional[str] = None, end: Optional[str] = None
@@ -345,7 +399,7 @@ class Tablet:
         """Number of live rows in ``[start, end)``."""
         if not self.runs:
             return self.rows.count_range(start, end)
-        return sum(1 for _ in self._merged_scan_runs(start, end, None))
+        return len(self.merged_columns(start, end, None)[0])
 
     def median_key(self) -> str:
         """The middle live key (the tablet-split point)."""
@@ -353,7 +407,7 @@ class Tablet:
             # key_at merges the memtable buffer and indexes the sorted run
             # in place — no full key-list copy per split check.
             return self.rows.key_at(len(self.rows) // 2)
-        keys = list(self.iter_live_keys())
+        keys = self.merged_columns(None, None, None)[0]
         return keys[len(keys) // 2]
 
     # ------------------------------------------------------------------
@@ -391,7 +445,8 @@ class Tablet:
             keys.append(key)
             values.append(value)
         if keys:
-            self.runs.insert(0, SSTable(self._make_run_id(), keys, values, max_seqno))
+            run = SSTable(self._make_run_id(), keys, values, max_seqno)
+            self.install_runs((run,) + self.runs)
         self.rows.clear()
         self._tombstones = 0
         self._run_extra += live_moved
@@ -421,7 +476,7 @@ class Tablet:
             if window_cost < best_cost:
                 best_cost = window_cost
                 best_start = start
-        return self.runs[best_start : best_start + width]
+        return list(self.runs[best_start : best_start + width])
 
     def compact(
         self, selected: List[SSTable], drop_all_tombstones: bool
@@ -440,13 +495,14 @@ class Tablet:
         keys, values = merge_runs(
             selected, drop_tombstones=drop_all_tombstones or includes_oldest
         )
-        replacement: List[SSTable] = []
+        replacement: Tuple[SSTable, ...] = ()
         if keys:
-            run = SSTable(
-                self._make_run_id(), keys, values, selected[0].max_seqno
+            replacement = (
+                SSTable(self._make_run_id(), keys, values, selected[0].max_seqno),
             )
-            replacement.append(run)
-        self.runs[first : first + len(selected)] = replacement
+        self.install_runs(
+            self.runs[:first] + replacement + self.runs[first + len(selected) :]
+        )
         if not self.runs and self._tombstones:
             # Every run is gone: memtable tombstones shadow nothing anymore.
             for key in [k for k, v in list(self.rows.items()) if v is TOMBSTONE]:
@@ -468,12 +524,7 @@ class Tablet:
         """Live keys across runs alone (newest version is not a tombstone)."""
         if not self.runs:
             return 0
-        seen: dict = {}
-        for run in self.runs:  # newest first: first sighting wins
-            for key, value in run.items():
-                if key not in seen:
-                    seen[key] = value is not TOMBSTONE
-        return sum(1 for live in seen.values() if live)
+        return len((self._view or self._build_view()).keys)
 
     def recompute_counts(self) -> None:
         """Rebuild the tombstone / run-extra tallies from scratch (used
@@ -632,16 +683,16 @@ class TabletLocator:
                 # sliced views (empty slices are dropped); the commit log is
                 # partitioned by key so each child owns exactly the
                 # unflushed history of its range.
-                sibling.runs = [
+                sibling.install_runs(
                     piece
                     for run in candidate.runs
                     if len(piece := run.slice(mid_key, None))
-                ]
-                candidate.runs = [
+                )
+                candidate.install_runs(
                     piece
                     for run in candidate.runs
                     if len(piece := run.slice(None, mid_key))
-                ]
+                )
             sibling.log = candidate.log.split_off(mid_key)
             candidate.recompute_counts()
             sibling.recompute_counts()
@@ -704,7 +755,7 @@ class TabletLocator:
                             merged_runs[-1] = rejoined
                             continue
                     merged_runs.append(run)
-                left.runs = merged_runs
+                left.install_runs(merged_runs)
                 left._run_extra += right._run_extra
                 left._tombstones += right._tombstones
             left.log.absorb(right.log)

@@ -57,9 +57,9 @@ file nor an ``os.replace`` is followed by a directory fsync — all of it
 survives process death, not power loss.
 
 Restore rebuilds the locator surgically — each distinct run file is loaded
-once and its key/value arrays (and Bloom filter) are shared across every
-tablet slice referencing it, preserving the ``try_coalesce`` identity
-checks — then replays the journal tail into the per-tablet logs and runs
+once and its key/value arrays are shared across every tablet slice
+referencing it, preserving the ``try_coalesce`` identity checks; each
+tablet takes its runs through ``Tablet.install_runs`` — then replays the journal tail into the per-tablet logs and runs
 the engine's own (uncharged) crash recovery, which reconstructs the exact
 pre-kill memtables (the engine's recovery invariant).
 """
@@ -75,7 +75,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import CodecError, UnrecoverableShardError
 
-from repro.bigtable.lsm import BloomFilter, SSTable
+from repro.bigtable.lsm import SSTable
 from repro.bigtable.scan import BlockCacheOptions
 from repro.bigtable.table import ColumnFamily, Table
 from repro.bigtable.tablet import Tablet, TabletOptions
@@ -429,23 +429,19 @@ def restore_table(
     locator = table._tablets
     model = counter.model
     # Load each distinct run file once: slices of the same run must share
-    # their backing arrays (coalesce checks use identity) and their Bloom
-    # filter (built over the full key set regardless of slice).
-    loaded: Dict[str, Tuple[List[str], List[object], int, BloomFilter]] = {}
+    # their backing arrays (coalesce checks use identity).
+    loaded: Dict[str, Tuple[List[str], List[object], int]] = {}
     tablets: List[Tablet] = []
     for entry in manifest["tablets"]:
         tablet = Tablet(entry["id"], entry["start"], model)
         tablet._next_run = entry["next_run"]
+        runs = []
         for run_id, lo, hi, max_seqno in entry["runs"]:
-            cached = loaded.get(run_id)
-            if cached is None:
-                keys, values, file_seqno = store.read_run(run_id)
-                cached = (keys, values, file_seqno, BloomFilter(keys))
-                loaded[run_id] = cached
-            keys, values, _, bloom = cached
-            tablet.runs.append(
-                SSTable(run_id, keys, values, max_seqno, lo, hi, bloom=bloom)
-            )
+            if run_id not in loaded:
+                loaded[run_id] = store.read_run(run_id)
+            keys, values, _ = loaded[run_id]
+            runs.append(SSTable(run_id, keys, values, max_seqno, lo, hi))
+        tablet.install_runs(runs)
         for record in entry["log"]:
             tablet.log.append(tuple(record))
         tablets.append(tablet)

@@ -384,4 +384,4 @@ def test_mutating_a_pulled_back_row_never_changes_the_runs_copy(max_versions):
     table.delete_cell("k", "new", "q")
     assert len(tablet.rows) == 1  # the mutations all landed on the copy
     assert encode_run_block(run._keys, run._values, run.max_seqno) == frozen
-    assert run.get("k")["new"]["q"][1] == "v2"
+    assert run.columns()[1][0]["new"]["q"][1] == "v2"

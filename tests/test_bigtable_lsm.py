@@ -15,7 +15,6 @@ from repro.bigtable.lsm import (
     LOG_WRITE,
     MEMTABLE_SOURCE,
     TOMBSTONE,
-    BloomFilter,
     CommitLog,
     SSTable,
 )
@@ -44,50 +43,17 @@ def fill(table, count, prefix="k", base=0):
         table.write(f"{prefix}{index:04d}", "f", "q", base + index, float(index))
 
 
+def run_version(run, key):
+    """The run's own version of ``key`` (row or TOMBSTONE), or ``None``."""
+    return dict(zip(*run.columns())).get(key)
+
+
 def latest_values(table):
     return {
         key: row["f"]["q"][0].value
         for key, row in table.scan()
         if row.get("f", {}).get("q")
     }
-
-
-class TestBloomFilter:
-    def test_no_false_negatives(self):
-        keys = [f"key-{i}" for i in range(500)]
-        bloom = BloomFilter(keys)
-        assert all(bloom.might_contain(key) for key in keys)
-
-    def test_mostly_rejects_absent_keys(self):
-        bloom = BloomFilter([f"key-{i}" for i in range(500)])
-        false_positives = sum(
-            1 for i in range(500) if bloom.might_contain(f"other-{i}")
-        )
-        assert false_positives < 100  # ~2 probes over 8 bits/key: well under 20%
-
-    def test_empty_filter(self):
-        bloom = BloomFilter([])
-        assert not bloom.might_contain("anything")
-
-    @pytest.mark.parametrize(
-        "count, bits", [(0, 64), (1, 64), (8, 64), (9, 128), (100, 1024), (1000, 8192)]
-    )
-    def test_size_is_a_power_of_two_of_eight_bits_per_key(self, count, bits):
-        keys = [f"row-{i:05d}" for i in range(count)]
-        bloom = BloomFilter(keys)
-        assert bloom.mask == bits - 1
-        assert len(bloom.bits) == bits // 8
-        assert all(bloom.might_contain(key) for key in keys)
-
-    def test_membership_is_deterministic_across_instances(self):
-        keys = [f"row-{i:05d}" for i in range(200)]
-        probes = [f"probe-{i}" for i in range(500)]
-        first = BloomFilter(keys)
-        second = BloomFilter(list(reversed(keys)))
-        assert first.bits == second.bits
-        assert [first.might_contain(p) for p in probes] == [
-            second.might_contain(p) for p in probes
-        ]
 
 
 class TestSSTable:
@@ -99,12 +65,13 @@ class TestSSTable:
         run = self.run()
         assert len(run) == 10
         assert run.min_key == "k00" and run.max_key == "k09"
-        assert run.get("k03") == 3
-        assert run.get("absent") is None
+        assert run_version(run, "k03") == 3
+        assert run_version(run, "absent") is None
 
-    def test_scan_bounds(self):
+    def test_columns_cover_the_slice_only(self):
         run = self.run()
-        assert [k for k, _ in run.scan("k02", "k05")] == ["k02", "k03", "k04"]
+        assert run.slice("k02", "k05").columns() == (["k02", "k03", "k04"], [2, 3, 4])
+        assert run.columns() == ([f"k{i:02d}" for i in range(10)], list(range(10)))
 
     def test_slice_shares_arrays_and_id(self):
         run = self.run()
@@ -112,8 +79,8 @@ class TestSSTable:
         right = run.slice("k05", None)
         assert len(left) == 5 and len(right) == 5
         assert left.run_id == right.run_id == run.run_id
-        assert left.get("k04") == 4 and left.get("k07") is None
-        assert right.get("k07") == 7 and right.get("k04") is None
+        assert run_version(left, "k04") == 4 and run_version(left, "k07") is None
+        assert run_version(right, "k07") == 7 and run_version(right, "k04") is None
 
     def test_coalesce_rejoins_adjacent_slices(self):
         run = self.run()
@@ -121,7 +88,7 @@ class TestSSTable:
         right = run.slice("k05", None)
         rejoined = left.try_coalesce(right)
         assert rejoined is not None and len(rejoined) == 10
-        assert rejoined.get("k00") == 0 and rejoined.get("k09") == 9
+        assert run_version(rejoined, "k00") == 0 and run_version(rejoined, "k09") == 9
 
     def test_coalesce_refuses_disjoint_or_foreign(self):
         run = self.run()
@@ -221,7 +188,7 @@ class TestFlushAndMergedReads:
         assert table.row_count() == 5
         # The run's frozen copy is shadowed, not modified: read through the
         # run alone it still holds the flushed value ...
-        assert tablet.runs[0].get("k0002")["f"]["q"][1] == 2
+        assert run_version(tablet.runs[0], "k0002")["f"]["q"][1] == 2
         # ... and with the memtable and its log tail gone, so does the table.
         tablet.log.clear()
         table.recover()
