@@ -234,10 +234,6 @@ class BigtableEmulator:
         """SSTable runs across every table."""
         return sum(table.run_count() for table in self._tables.values())
 
-    def log_record_count(self) -> int:
-        """Unflushed commit-log records across every table."""
-        return sum(table.log_record_count() for table in self._tables.values())
-
     def write_amplification(self) -> float:
         """Physical rows written per logical row, cluster-wide."""
         return self.counter.write_amplification()

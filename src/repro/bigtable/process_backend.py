@@ -37,7 +37,6 @@ zombie workers.
 from __future__ import annotations
 
 import atexit
-import dataclasses
 import multiprocessing
 import os
 import signal
@@ -45,8 +44,7 @@ import socket
 import tempfile
 import time
 from collections import defaultdict
-from contextlib import ExitStack, contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.bigtable.cost import CostModel, OpCounter, OpCounterSnapshot
 from repro.bigtable.tablet import hot_share
@@ -601,10 +599,9 @@ class FederatedShardedBackend:
 class LocalShardedBackend(FederatedShardedBackend):
     """The same shard federation executed in-process with zero RPC."""
 
-    def __init__(self, recipes: Sequence[ShardRecipe], build: bool = True) -> None:
+    def __init__(self, recipes: Sequence[ShardRecipe]) -> None:
         super().__init__(InProcessTransport(len(recipes)), recipes)
-        if build:
-            self.build_all()
+        self.build_all()
 
 
 class ProcessShardedBackend(FederatedShardedBackend):
@@ -615,19 +612,17 @@ class ProcessShardedBackend(FederatedShardedBackend):
         recipes: Sequence[ShardRecipe],
         num_workers: int = 1,
         timeout_s: float = 120.0,
-        build: bool = True,
     ) -> None:
         #: Temporary storage root owned by this backend (the ``disk``
         #: flavour with no caller-provided directory); cleaned on close.
         self._owned_tmpdir: Optional[tempfile.TemporaryDirectory] = None
         self.pool = WorkerPool(min(num_workers, len(recipes)), timeout_s=timeout_s)
         super().__init__(PipeTransport(self.pool), recipes)
-        if build:
-            try:
-                self.build_all()
-            except BaseException:
-                self.close()  # a rejected build must not strand its workers
-                raise
+        try:
+            self.build_all()
+        except BaseException:
+            self.close()  # a rejected build must not strand its workers
+            raise
 
     @property
     def num_workers(self) -> int:
@@ -714,50 +709,3 @@ def make_scaleout_backend(
         f"unknown backend {backend!r} "
         "(expected 'inprocess', 'process' or 'disk')"
     )
-
-
-@contextmanager
-def single_shard_client(
-    backend: str,
-    recipe: Optional[ShardRecipe] = None,
-    table_knobs: Optional[Dict[str, Any]] = None,
-    timeout_s: float = 120.0,
-) -> Iterator[ShardClient]:
-    """One shard client for the cross-backend property suites.
-
-    The client sits on an :class:`InProcessTransport`, or on a
-    :class:`PipeTransport` over a freshly spawned (and reliably shut down)
-    single worker; ``backend="disk"`` additionally points the shard at a
-    temporary storage directory so it persists real bytes.  When ``recipe``
-    is given the shard's indexer is built before yielding; ``table_knobs``
-    builds the bare-table scenario instead.
-    """
-    with ExitStack() as stack:
-        storage_dir = None
-        if backend == "inprocess":
-            transport: object = InProcessTransport(1)
-        elif backend in ("process", "disk"):
-            if backend == "disk":
-                storage_dir = stack.enter_context(
-                    tempfile.TemporaryDirectory(prefix="moist-disk-")
-                )
-            transport = PipeTransport(
-                stack.enter_context(WorkerPool(1, timeout_s=timeout_s))
-            )
-        else:
-            raise ConfigurationError(
-                f"unknown backend {backend!r} "
-                "(expected 'inprocess', 'process' or 'disk')"
-            )
-        client = ShardClient(transport, 0)
-        if recipe is not None:
-            if storage_dir is not None and recipe.storage_dir is None:
-                recipe = dataclasses.replace(recipe, storage_dir=storage_dir)
-            client.call("build_indexer", recipe)
-        if table_knobs is not None:
-            table_dir = (
-                None if storage_dir is None
-                else os.path.join(storage_dir, "bare-table")
-            )
-            client.call("build_table", table_knobs, storage_dir=table_dir)
-        yield client

@@ -1151,10 +1151,6 @@ class Table:
         """SSTable runs currently held across every tablet."""
         return sum(len(tablet.runs) for tablet in self._tablets.tablets())
 
-    def log_record_count(self) -> int:
-        """Unflushed commit-log records across every tablet."""
-        return sum(len(tablet.log) for tablet in self._tablets.tablets())
-
     # ------------------------------------------------------------------
     # Tablet introspection (not charged: administrative)
     # ------------------------------------------------------------------

@@ -16,15 +16,13 @@ worker ran it, so results are worker-count-independent by construction —
 the determinism the acceptance criteria demand.  The same
 :class:`ShardService` runs in-process (zero RPC) for the baseline backend.
 
-``ShardService`` holds one shard's state; :data:`VERBS` is the complete,
-declared worker-side verb set (name → callable, read-only flag): the data
-plane (batched updates/queries via the compact opcodes), the control plane
-(migration, replication, failover, rebalance, fault injection), ledger and
-metrics extraction, the state/NN signatures the losslessness property
-suites compare, and a bare :class:`~repro.bigtable.table.Table` scenario
-used by the cross-process crash-recovery property tests.  Reachability,
-mutability and the accounting-checkpoint trigger all derive from that one
-table, on both transports.
+``ShardService`` holds one shard's state; :data:`VERBS` is the declared
+worker-side verb set (name → callable, read-only flag), and it holds what
+production sends: the data plane (batched updates/queries via the compact
+opcodes), the build, the master's rebalance and fault injection, and the
+ledger and metrics reads the federation merges.  Reachability, mutability
+and the accounting-checkpoint trigger all derive from that one table, on
+both transports.
 
 The checkpoint itself is a fixed-order walk (``accounting_state`` /
 ``_install_accounting``) over the owners of simulated-but-not-durable
@@ -87,10 +85,17 @@ WORKER_PHASES = DISPATCH_PHASES + STATE_BLOB_STEPS + STORE_STEPS
 #: read-only (like every data-plane batch) re-checkpoints the accounting
 #: soft state when the recipe asks for durable accounting — once the
 #: durability barrier it ran under has paid the journal fsyncs it owed.
+#: Only production's verbs are registered here; a test harness adds its
+#: own through :func:`_register` before any worker forks.
 VERBS: Dict[str, Tuple[Callable[..., Any], bool]] = {}
 
 
 def _register(name: str, function: Callable[..., Any], read_only: bool):
+    """Add one verb; a name already in :data:`VERBS` is refused, so no
+    later registration can shadow a verb in every forked worker."""
+    if name in VERBS:
+        raise ConfigurationError(f"worker verb {name!r} is already registered")
+
     @wraps(function)
     def barriered(service, *args, **kwargs):
         if service.indexer is None:  # nothing built yet: no store to hold
@@ -104,7 +109,8 @@ def _register(name: str, function: Callable[..., Any], read_only: bool):
 
 
 def _verb(read_only: bool = False):
-    """Register (and replace) a :class:`ShardService` method as a callable verb."""
+    """Register a :class:`ShardService` method (or any function taking the
+    service first) as a callable verb under its own name."""
     return lambda function: _register(function.__name__, function, read_only)
 
 
@@ -212,19 +218,6 @@ def _has_disk_checkpoint(storage_dir: str) -> bool:
     return False
 
 
-def full_row_signature(indexer) -> tuple:
-    """State fingerprint down to full row contents — the strongest
-    comparator the losslessness suites use (canonical definition; the
-    property tests import this one)."""
-    emulator = indexer.emulator
-    out = []
-    for name in emulator.table_names():
-        table = emulator.table(name)
-        for key in table.all_keys():
-            out.append((name, key, repr(table.read_row(key, _charge=False))))
-    return tuple(out)
-
-
 def _emulator(service: "ShardService"):
     return service._require_cluster().indexer.emulator
 
@@ -237,7 +230,8 @@ class ShardService:
     additionally serve the compact binary opcodes.  One instance runs per
     shard id, inside a worker process (RPC) or inside the parent (the
     in-process baseline) — same code either way, which is what makes the
-    two backends bit-identical.
+    two backends bit-identical.  It holds no test-only state: a verb a
+    test harness registers keeps its own state outside the service.
     """
 
     def __init__(self) -> None:
@@ -248,7 +242,6 @@ class ShardService:
         #: Where the built recipe checkpoints its accounting soft state
         #: (``None``: no indexer yet, or the recipe keeps no checkpoint).
         self._state_blob: Optional[StateBlob] = None
-        self._bare_table = None
         #: Per-shard stateful neighbour stream encoder (its decoder twin
         #: lives in the parent's pipe transport).  Keeping the state per
         #: *shard* — never per connection or worker — is what makes wire
@@ -528,10 +521,6 @@ class ShardService:
         return _emulator(self).counter.snapshot()
 
     @_verb(read_only=True)
-    def simulated_seconds(self) -> float:
-        return _emulator(self).simulated_seconds
-
-    @_verb(read_only=True)
     def cache_totals(self) -> Tuple[int, int]:
         """(hits, lookups) over every table's block cache."""
         hits = 0
@@ -574,123 +563,10 @@ class ShardService:
             samples.extend(server.service_time_samples)
         return samples
 
-    # ------------------------------------------------------------------
-    # Losslessness signatures
-    # ------------------------------------------------------------------
-    @_verb(read_only=True)
-    def state_signature(self):
-        from repro.experiments.recovery import _state_signature
 
-        return _state_signature(self._require_cluster().indexer)
-
-    @_verb(read_only=True)
-    def full_row_signature(self):
-        return full_row_signature(self._require_cluster().indexer)
-
-    @_verb()
-    def nn_signature(self, queries):
-        from repro.experiments.recovery import _nn_signature
-
-        return _nn_signature(self._require_cluster().indexer, queries)
-
-    # ------------------------------------------------------------------
-    # Bare-table scenario (cross-process crash-recovery property tests)
-    # ------------------------------------------------------------------
-    @_verb()
-    def build_table(
-        self, knobs: Dict[str, Any], storage_dir: Optional[str] = None
-    ) -> None:
-        from repro.bigtable.cost import OpCounter
-        from repro.bigtable.table import ColumnFamily, Table
-
-        if self._bare_table is not None:
-            raise ConfigurationError("this shard already built its bare table")
-        families = [
-            ColumnFamily("mem", max_versions=3),
-            ColumnFamily("disk", max_versions=5),
-        ]
-        if storage_dir is not None:
-            from repro.disk.store import DiskTableStore, restore_table
-
-            store = DiskTableStore(storage_dir)
-            restored = restore_table(store, "t", families, OpCounter())
-            if restored is not None:
-                self._bare_table = restored
-                return
-            self._bare_table = Table(
-                "t", families, options=TabletOptions(**knobs), store=store
-            )
-            return
-        self._bare_table = Table("t", families, options=TabletOptions(**knobs))
-
-    def _require_table(self):
-        if self._bare_table is None:
-            raise ConfigurationError("this shard has no bare table (build_table)")
-        return self._bare_table
-
-    @_verb()
-    def table_apply(self, ops: Sequence[tuple]) -> int:
-        """Apply a mutation program (the property-test op vocabulary)."""
-        table = self._require_table()
-        for op in ops:
-            kind = op[0]
-            if kind == "write":
-                _, key, value, ts = op
-                table.write(key, "mem", "q", value, ts)
-            elif kind == "delete_cell":
-                table.delete_cell(op[1], "mem", "q")
-            elif kind == "delete_row":
-                table.delete_row(op[1])
-            elif kind == "batch_write":
-                table.batch_write(
-                    [(key, "mem", "q", value, ts) for key, value, ts in op[1]]
-                )
-            elif kind == "group_commit":
-                with table.group_commit():
-                    for key, value, ts in op[1]:
-                        table.write(key, "mem", "q", value, ts)
-            elif kind == "age_out":
-                table.age_out("mem", "disk", op[1])
-            elif kind == "flush":
-                table.flush_memtables()
-            elif kind == "compact":
-                table.compact_runs(major=op[1])
-            else:
-                raise ConfigurationError(f"unknown table op {kind!r}")
-        return len(ops)
-
-    @_verb()
-    def table_recover(self) -> float:
-        return self._require_table().recover().simulated_seconds
-
-    @_verb(read_only=True)
-    def table_state(self):
-        table = self._require_table()
-        boundaries = tuple(
-            (tablet.tablet_id, tablet.start_key, tablet.row_count)
-            for tablet in table.tablets()
-        )
-        keys = tuple(table.all_keys())
-        rows = tuple(repr(table.read_row(key, _charge=False)) for key in keys)
-        return boundaries, keys, rows
-
-
-_forward(
-    _emulator, True,
-    "run_count", "log_record_count", "tablet_stats", "tablet_count",
-)
-_forward(
-    ShardService._require_cluster, False,
-    "fail_server", "revive_server", "reset_metrics",
-)
-_forward(
-    ShardService._require_cluster, True,
-    "server_index_for_tablet", "alive_server_indices",
-)
-_forward(
-    ShardService._require_master, False,
-    "migrate_tablet", "replicate_tablet", "fail_over", "rebalance",
-)
+_forward(_emulator, True, "run_count", "tablet_stats", "tablet_count")
+_forward(ShardService._require_cluster, False, "reset_metrics")
+_forward(ShardService._require_master, False, "rebalance")
 
 
 # --------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from repro.core.moist import MoistIndexer
 from repro.geometry.bbox import BoundingBox
 
 from helpers import make_update
+import shard_harness  # noqa: F401  (registers the test-only worker verbs)
 
 
 SMALL_WORLD = BoundingBox(0.0, 0.0, 100.0, 100.0)

@@ -9,6 +9,7 @@ module keeps the import unambiguous.
 from __future__ import annotations
 
 import os
+import random
 import signal
 from typing import Any, Callable
 
@@ -17,6 +18,7 @@ from repro.geometry.vector import Vector
 from repro.model import UpdateMessage, format_object_id
 from repro.server.worker import ShardService
 from repro.spatial.cell import CellId
+from repro.workload.queries import NNQuery
 
 
 def make_update(
@@ -34,6 +36,38 @@ def make_update(
         velocity=Vector(vx, vy),
         timestamp=t,
     )
+
+
+def make_messages(count, num_objects, seed=99):
+    """A seeded update stream over ``num_objects`` objects on the
+    1000 x 1000 world, one timestamp step per message."""
+    rng = random.Random(seed)
+    return [
+        UpdateMessage(
+            object_id=format_object_id(rng.randrange(num_objects)),
+            location=Point(rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)),
+            velocity=Vector(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)),
+            timestamp=float(index),
+        )
+        for index in range(count)
+    ]
+
+
+def make_queries(count, seed=7, k=5):
+    """A seeded NN probe set on the same world."""
+    rng = random.Random(seed)
+    return [
+        NNQuery(
+            location=Point(rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)),
+            k=k,
+        )
+        for _ in range(count)
+    ]
+
+
+def log_record_count(*tables) -> int:
+    """Unflushed commit-log records across every tablet of ``tables``."""
+    return sum(len(tablet.log) for table in tables for tablet in table.tablets())
 
 
 def cell_for(spatial_table, location: Point) -> CellId:

@@ -9,7 +9,6 @@ worker death invisible to every simulated number.
 """
 
 import os
-import random
 import signal
 
 import pytest
@@ -21,46 +20,17 @@ from repro.errors import (
 )
 from repro.codec.wire import NeighborStreamDecoder
 from repro.disk.store import DiskTableStore
-from repro.geometry.point import Point
-from repro.geometry.vector import Vector
-from repro.model import UpdateMessage, format_object_id
 from repro.server import rpc
 from repro.server.faults import KILL_WORKER, Fault, FaultSchedule
 from repro.server.loadtest import LoadTest
 from repro.server.scaleout import ScaleOutCluster
 from repro.server.worker import ShardRecipe, dispatch_request
-from repro.workload.queries import NNQuery
 
-from helpers import KillBeforeAck, TearCheckpoint
+from helpers import KillBeforeAck, TearCheckpoint, make_messages, make_queries
 
 NUM_SHARDS = 4
 NUM_OBJECTS = 200
 NUM_ROUNDS = 4  # 400 messages / batch_size 128
-
-
-def make_messages(count, num_objects, seed=99):
-    rng = random.Random(seed)
-    return [
-        UpdateMessage(
-            object_id=format_object_id(rng.randrange(num_objects)),
-            location=Point(rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)),
-            velocity=Vector(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)),
-            timestamp=float(index),
-        )
-        for index in range(count)
-    ]
-
-
-def make_queries(count, seed=7, k=5):
-    rng = random.Random(seed)
-    return [
-        NNQuery(
-            location=Point(rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)),
-            k=k,
-        )
-        for _ in range(count)
-    ]
-
 
 MESSAGES = make_messages(400, NUM_OBJECTS)
 QUERIES = make_queries(80)

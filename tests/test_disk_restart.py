@@ -24,8 +24,6 @@ import random
 import pytest
 
 from repro.bigtable.process_backend import PipeTransport, ShardClient, WorkerPool
-from repro.bigtable.table import ColumnFamily, Table
-from repro.bigtable.tablet import TabletOptions
 from repro.experiments.common import uniform_leader_indexer
 from repro.geometry.point import Point
 from repro.geometry.vector import Vector
@@ -33,12 +31,8 @@ from repro.model import UpdateMessage, format_object_id
 from repro.server.worker import ShardRecipe
 from repro.workload.queries import NNQueryWorkload
 
-from test_lsm_recovery_property import (
-    apply_op,
-    knob_dict,
-    random_ops,
-    state_of,
-)
+from shard_harness import apply_op, bare_table, state_of
+from test_lsm_recovery_property import knob_dict, random_ops
 
 
 def _update_stream(rng, num_objects, count):
@@ -115,11 +109,7 @@ def test_killed_worker_resumes_mutation_program_losslessly(tmp_path, seed):
     knobs = knob_dict(random.Random(2000 + seed))
     storage_dir = str(tmp_path / "bare-table")
 
-    reference = Table(
-        "t",
-        [ColumnFamily("mem", max_versions=3), ColumnFamily("disk", max_versions=5)],
-        options=TabletOptions(**knobs),
-    )
+    reference = bare_table(knobs)
     for op in ops:
         apply_op(reference, op)
 

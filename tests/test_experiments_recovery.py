@@ -18,6 +18,8 @@ from repro.model import UpdateMessage, format_object_id
 from repro.server.cluster import ServerCluster
 from repro.workload.queries import NNQueryWorkload
 
+from helpers import log_record_count
+
 
 def update_stream(num_objects, count, seed):
     rng = random.Random(seed)
@@ -67,7 +69,8 @@ class TestClusterCrashAndRecover:
         indexer, cluster = build(flush_rows=64)
         cluster.submit_update_batch(update_stream(600, 600, seed=11))
         runs_before = indexer.emulator.run_count()
-        log_before = indexer.emulator.log_record_count()
+        emulator = indexer.emulator
+        log_before = log_record_count(*map(emulator.table, emulator.table_names()))
         report = cluster.crash_and_recover()
         assert report.runs_opened == runs_before
         assert report.log_records_replayed == log_before

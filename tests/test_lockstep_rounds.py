@@ -10,48 +10,19 @@ and whole ``to_report()`` renderings on a nine-round stream whose last
 timeline bucket is partial — across backends and worker counts.
 """
 
-import random
-
 import pytest
 
 from repro.bigtable.process_backend import zero_phase
-from repro.geometry.point import Point
-from repro.geometry.vector import Vector
-from repro.model import UpdateMessage, format_object_id
 from repro.server.loadtest import BUCKET_BATCHES, LoadTest, _TimelineBucket
 from repro.server.scaleout import ScaleOutCluster
 from repro.server.worker import WORKER_PHASES, shard_of
-from repro.workload.queries import NNQuery
+
+from helpers import make_messages, make_queries
 
 NUM_SHARDS = 4
 NUM_OBJECTS = 200
 BATCH_SIZE = 64
 NUM_ROUNDS = 9  # two full timeline buckets of four rounds and a 1-round tail
-
-
-def make_messages(count, num_objects, seed=99):
-    rng = random.Random(seed)
-    return [
-        UpdateMessage(
-            object_id=format_object_id(rng.randrange(num_objects)),
-            location=Point(rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)),
-            velocity=Vector(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)),
-            timestamp=float(index),
-        )
-        for index in range(count)
-    ]
-
-
-def make_queries(count, seed=7, k=5):
-    rng = random.Random(seed)
-    return [
-        NNQuery(
-            location=Point(rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)),
-            k=k,
-        )
-        for _ in range(count)
-    ]
-
 
 MESSAGES = make_messages(NUM_ROUNDS * BATCH_SIZE, NUM_OBJECTS)
 QUERIES = make_queries(60)

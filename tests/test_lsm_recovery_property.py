@@ -15,23 +15,13 @@ import random
 
 import pytest
 
-from repro.bigtable.table import ColumnFamily, Table
-from repro.bigtable.tablet import TabletOptions
+from repro.bigtable.table import Table
+
+from shard_harness import apply_op, bare_table, single_shard_client, state_of
 
 
 def build_table(rng: random.Random) -> Table:
-    options = TabletOptions(
-        split_threshold=rng.choice([8, 16, 64]),
-        merge_threshold=4,
-        group_commit_size=rng.choice([4, 16, 256]),
-        memtable_flush_rows=rng.choice([None, 4, 16, 64]),
-        compaction_max_runs=rng.choice([2, 3, 8]),
-    )
-    return Table(
-        "t",
-        [ColumnFamily("mem", max_versions=3), ColumnFamily("disk", max_versions=5)],
-        options=options,
-    )
+    return bare_table(knob_dict(rng))
 
 
 def random_ops(rng: random.Random, length: int):
@@ -68,40 +58,6 @@ def random_ops(rng: random.Random, length: int):
     return ops
 
 
-def apply_op(table: Table, op) -> None:
-    kind = op[0]
-    if kind == "write":
-        _, key, value, ts = op
-        table.write(key, "mem", "q", value, ts)
-    elif kind == "delete_cell":
-        table.delete_cell(op[1], "mem", "q")
-    elif kind == "delete_row":
-        table.delete_row(op[1])
-    elif kind == "batch_write":
-        table.batch_write([(key, "mem", "q", value, ts) for key, value, ts in op[1]])
-    elif kind == "group_commit":
-        with table.group_commit():
-            for key, value, ts in op[1]:
-                table.write(key, "mem", "q", value, ts)
-    elif kind == "age_out":
-        table.age_out("mem", "disk", op[1])
-    elif kind == "flush":
-        table.flush_memtables()
-    elif kind == "compact":
-        table.compact_runs(major=op[1])
-
-
-def state_of(table: Table):
-    """Everything observable about a table's contents and sharding."""
-    boundaries = tuple(
-        (tablet.tablet_id, tablet.start_key, tablet.row_count)
-        for tablet in table.tablets()
-    )
-    keys = tuple(table.all_keys())
-    rows = tuple(repr(table.read_row(key, _charge=False)) for key in keys)
-    return boundaries, keys, rows
-
-
 @pytest.mark.parametrize("seed", range(12))
 def test_crash_recovery_equals_uncrashed_reference(seed):
     rng = random.Random(1000 + seed)
@@ -127,9 +83,8 @@ def test_crash_recovery_equals_uncrashed_reference(seed):
 
 
 def knob_dict(rng: random.Random) -> dict:
-    """The same knob draws as :func:`build_table`, as a plain dict the
-    cross-process variant can ship over the RPC wire (dict literals
-    evaluate in order, so the rng consumption matches draw for draw)."""
+    """Random engine knobs, as a plain dict the cross-process variant can
+    ship over the RPC wire."""
     return {
         "split_threshold": rng.choice([8, 16, 64]),
         "merge_threshold": 4,
@@ -147,18 +102,12 @@ def test_crash_recovery_property_holds_across_process_boundary(backend, seed):
     table's recovered state must equal the local uncrashed reference.
     The ``disk`` backend runs the same program with the remote table
     additionally persisting every mutation to real files."""
-    from repro.bigtable.process_backend import single_shard_client
-
     rng = random.Random(1000 + seed)
     ops = random_ops(rng, length=120)
     crash_at = rng.randrange(len(ops) + 1)
     knobs = knob_dict(random.Random(2000 + seed))
 
-    reference = Table(
-        "t",
-        [ColumnFamily("mem", max_versions=3), ColumnFamily("disk", max_versions=5)],
-        options=TabletOptions(**knobs),
-    )
+    reference = bare_table(knobs)
     for op in ops:
         apply_op(reference, op)
 

@@ -26,6 +26,8 @@ from repro.server.faults import CRASH_AFTER_FLUSH, CRASH_AFTER_HANDOFF
 from repro.server.master import MasterOptions, TabletMaster
 from repro.workload.queries import NNQueryWorkload
 
+from shard_harness import full_row_signature, single_shard_client
+
 
 def update_batches(rng, num_objects, num_batches, batch_size):
     """A reproducible batched update stream over known objects."""
@@ -47,13 +49,6 @@ def update_batches(rng, num_objects, num_batches, batch_size):
             step += 1
         batches.append(batch)
     return batches
-
-
-# State fingerprint down to full row contents (stronger than the
-# boundary/key signature the recovery experiment uses).  The canonical
-# definition moved next to the shard service so the remote side computes
-# exactly the same tuple.
-from repro.server.worker import full_row_signature  # noqa: E402
 
 
 def control_actions(rng, master, cluster):
@@ -214,7 +209,6 @@ def test_control_plane_is_lossless_across_the_rpc_boundary(backend, seed):
     the final state must still equal the quiet in-process reference.  The
     ``disk`` backend additionally persists the faulted shard's tables to
     real files while the control plane churns."""
-    from repro.bigtable.process_backend import single_shard_client
     from repro.server.worker import ShardRecipe
 
     rng = random.Random(3000 + seed)

@@ -58,7 +58,8 @@ from repro.server.worker import (
 from repro.tables.affiliation_table import LFRecord, Role
 from repro.workload.queries import NNQuery
 
-from test_lsm_recovery_property import apply_op, random_ops
+from shard_harness import apply_op
+from test_lsm_recovery_property import random_ops
 
 FAMILIES = [ColumnFamily("mem", max_versions=3), ColumnFamily("disk", max_versions=5)]
 NUM_OBJECTS = 120

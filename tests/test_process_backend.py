@@ -11,53 +11,26 @@ import errno
 import glob
 import multiprocessing
 import os
-import random
 import tempfile
 
 import pytest
 
 from repro.bigtable.process_backend import (
-    LocalShardedBackend,
     ProcessShardedBackend,
     WorkerPool,
     build_recipes,
     make_scaleout_backend,
-    single_shard_client,
 )
 from repro.codec.columns import write_str
 from repro.errors import ConfigurationError, RpcError
-from repro.geometry.point import Point
-from repro.geometry.vector import Vector
-from repro.model import UpdateMessage, format_object_id
+from repro.model import format_object_id
 from repro.server.faults import FaultSchedule
 from repro.server.loadtest import LoadTest
 from repro.server import rpc
 from repro.server.scaleout import ScaleOutCluster
-from repro.workload.queries import NNQuery
 
-
-def make_messages(count, num_objects, seed=99):
-    rng = random.Random(seed)
-    return [
-        UpdateMessage(
-            object_id=format_object_id(rng.randrange(num_objects)),
-            location=Point(rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)),
-            velocity=Vector(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)),
-            timestamp=float(index),
-        )
-        for index, _ in enumerate(range(count))
-    ]
-
-
-def make_queries(count, seed=7, k=5):
-    rng = random.Random(seed)
-    return [
-        NNQuery(
-            location=Point(rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)),
-            k=k,
-        )
-        for _ in range(count)
-    ]
+from helpers import make_messages, make_queries
+from shard_harness import HARNESS_VERBS, single_shard_client
 
 
 # --------------------------------------------------------------------------
@@ -240,16 +213,59 @@ class TestVerbTable:
     def test_read_only_flags_cover_exactly_the_non_mutating_verbs(self):
         from repro.server.worker import VERBS
 
-        read_only = {name for name, (_verb, flag) in VERBS.items() if flag}
+        read_only = {
+            name for name, (_verb, flag) in VERBS.items()
+            if flag and name not in HARNESS_VERBS
+        }
         assert read_only == {
-            "metrics", "counter_snapshot", "simulated_seconds", "run_count",
-            "log_record_count", "tablet_stats", "tablet_count",
-            "cache_totals", "server_index_for_tablet",
-            "alive_server_indices", "service_time_samples", "state_signature",
-            "full_row_signature", "table_state",
+            "metrics", "counter_snapshot", "run_count", "tablet_stats",
+            "tablet_count", "cache_totals", "service_time_samples",
         }
         assert not any(name.startswith("_") for name in VERBS)
         assert {"update_batch", "query_batch", "build_indexer"} <= set(VERBS)
+
+    def test_read_only_flags_cover_exactly_the_non_mutating_harness_verbs(self):
+        from repro.server.worker import VERBS
+
+        read_only = {name for name in HARNESS_VERBS if VERBS[name][1]}
+        assert read_only == {
+            "simulated_seconds", "log_record_count", "server_index_for_tablet",
+            "alive_server_indices", "state_signature", "full_row_signature",
+            "table_state",
+        }
+        # Mutating harness verbs run under the barrier and the exactly-once
+        # slot like any production verb (the chaos suite replays one).
+        assert "nn_signature" in HARNESS_VERBS - read_only
+
+    def test_production_verb_table_is_what_production_sends(self):
+        """Without ``tests/`` on the path, the table holds exactly the
+        verbs the federation, its supervisor and the master send."""
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        listed = subprocess.run(
+            [
+                sys.executable, "-c",
+                "from repro.server.worker import VERBS; print(' '.join(sorted(VERBS)))",
+            ],
+            cwd=src, env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        ).stdout.split()
+        assert listed == [
+            "apply_fault", "build_indexer", "cache_totals", "counter_snapshot",
+            "metrics", "query_batch", "rebalance", "reset_metrics", "run_count",
+            "service_time_samples", "tablet_count", "tablet_stats",
+            "update_batch",
+        ]
+
+    def test_a_verb_name_registers_once(self):
+        from repro.server import worker
+
+        metrics = worker.VERBS["metrics"]
+        with pytest.raises(ConfigurationError, match="'metrics' is already"):
+            worker._register("metrics", lambda service: {}, read_only=True)
+        assert worker.VERBS["metrics"] is metrics
 
 
 # --------------------------------------------------------------------------
@@ -296,20 +312,20 @@ class TestFederationProtocol:
             assert backend.num_workers == 2
 
     def test_shard_preload_partitions_every_object_exactly_once(self):
-        from repro.server.worker import shard_of
+        from repro.server.worker import ShardService, shard_of
 
-        backend = LocalShardedBackend(
-            build_recipes(3, num_objects=120), build=False
-        )
-        with backend:
-            builds = backend.build_all()
-            owned = [0, 0, 0]
-            for index in range(120):
-                owned[shard_of(format_object_id(index), 3)] += 1
-            assert [entry["objects_loaded"] for entry in builds] == owned
-            assert sum(owned) == 120
-            for client in backend.clients:
-                assert client.call("state_signature")  # every shard holds state
+        services = [ShardService() for _ in range(3)]
+        builds = [
+            service.build_indexer(recipe)
+            for service, recipe in zip(services, build_recipes(3, num_objects=120))
+        ]
+        owned = [0, 0, 0]
+        for index in range(120):
+            owned[shard_of(format_object_id(index), 3)] += 1
+        assert [entry["objects_loaded"] for entry in builds] == owned
+        assert sum(owned) == 120
+        for service in services:
+            assert service.call("state_signature")  # every shard holds state
 
     def test_hot_share_matches_the_single_stack_it_mirrors(self):
         """A one-shard federation and the plain stack it mirrors report the

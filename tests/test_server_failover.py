@@ -12,6 +12,7 @@ from repro.server.master import TabletMaster
 from repro.workload.queries import NNQuery, NNQueryWorkload
 
 from helpers import make_update
+from shard_harness import single_shard_client
 
 
 def build(num_objects=600, num_servers=4, seed=23):
@@ -132,8 +133,6 @@ class TestFailoverAcrossRpcBoundary:
     @pytest.mark.parametrize("backend", ["inprocess", "process"])
     @pytest.mark.parametrize("crash_after_batch", [0, 3])
     def test_crash_mid_stream_is_lossless(self, backend, crash_after_batch):
-        from repro.bigtable.process_backend import single_shard_client
-
         batches = update_batches(600)
         ref_indexer, ref_cluster = build()
         queries = NNQueryWorkload(ref_indexer.config.world, k=8, seed=3).batch(20)
@@ -154,8 +153,6 @@ class TestFailoverAcrossRpcBoundary:
     def test_crash_guards_raise_through_the_wire(self, backend):
         """Guard exceptions survive the RPC boundary with their original
         type, so callers keep their ``except ConfigurationError`` paths."""
-        from repro.bigtable.process_backend import single_shard_client
-
         recipe = self._recipe(num_objects=150, num_servers=2, with_master=False)
         with single_shard_client(backend, recipe=recipe) as client:
             client.call("fail_server", 0)

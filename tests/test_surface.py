@@ -22,8 +22,10 @@ unless allow-listed below, each entry with the reason it stays.  A module
 nothing outside ``tests/`` imports is the same thing one level up.  Each
 name also has one import path: sub-package ``__init__`` files are
 docstring-only.  A registered worker verb is the same case over the wire:
-one that no file outside ``server/worker.py`` passes to a send call is sent
-by nothing.
+one that no file under ``src/``, ``moistbench/``, ``benchmarks/`` or
+``examples/`` (``server/worker.py`` aside) passes to a send call is sent by
+nothing.  The test-only verbs ``tests/shard_harness.py`` registers are the
+mirror case: tests send each of them, and nothing else does.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import pytest
+
+from shard_harness import HARNESS_VERBS
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repro"
@@ -48,14 +52,8 @@ ALLOWED_NAMES = {
     "MoistIndexer.predict_location": "the paper's library facade (Section 3)",
     "MoistIndexer.smoothed_trajectory": "the paper's library facade (Section 3)",
     "MoistIndexer.run_clustering": "the forced clustering pass the clustering suites drive",
-    "ShardService.state_signature": "cross-backend property-suite harness verb",
-    "ShardService.nn_signature": "cross-backend property-suite harness verb",
-    "ShardService.table_apply": "cross-backend property-suite harness verb",
-    "ShardService.table_recover": "cross-backend property-suite harness verb",
-    "ShardService.table_state": "cross-backend property-suite harness verb",
-    "ShardService.full_row_signature": "cross-backend property-suite harness verb",
-    "full_row_signature": "what the cross-backend property suites compare shards by",
-    "single_shard_client": "builds one shard behind either backend for the cross-backend suites",
+    "Table.flush_memtables": "the explicit table-wide minor / major compaction the LSM suites force",
+    "Table.compact_runs": "the explicit table-wide minor / major compaction the LSM suites force",
     "LevelCacheRecord.covers": "the cover rule FLAG's inlined lookup is compared against",
     "ServerCluster.submit_nn_query": "the one-query path the batched query path is compared against",
     "FrontendServer.handle_nn_query": "the one-query path the batched query path is compared against",
@@ -475,22 +473,35 @@ def sent_verbs(tree: ast.AST) -> Set[str]:
     return sent
 
 
-def unsent_verbs() -> List[str]:
-    """Registered worker verbs that no file but ``server/worker.py`` sends:
-    a verb nothing sends is dead."""
-    from repro.server.worker import VERBS
-
+def _sent_from(directories: Iterable[str]) -> Set[str]:
+    """Verbs some file under ``directories`` (``server/worker.py`` aside)
+    sends."""
     worker = PACKAGE / "server" / "worker.py"
     sent: Set[str] = set()
-    for directory in CALLER_DIRS + ("tests",):
+    for directory in directories:
         for path in sorted((ROOT / directory).rglob("*.py")):
             if path != worker:
                 sent |= sent_verbs(ast.parse(path.read_text()))
-    return sorted(set(VERBS) - sent - set(UNSENT_VERBS))
+    return sent
+
+
+def unsent_verbs() -> List[str]:
+    """Production worker verbs that no non-test file sends: a verb only
+    tests send is dead."""
+    from repro.server.worker import VERBS
+
+    production = set(VERBS) - HARNESS_VERBS
+    return sorted(production - _sent_from(CALLER_DIRS) - set(UNSENT_VERBS))
 
 
 def test_every_registered_verb_has_a_sender():
     assert unsent_verbs() == []
+
+
+def test_harness_verbs_are_sent_by_tests_only():
+    assert HARNESS_VERBS
+    assert sorted(HARNESS_VERBS - _sent_from(["tests"])) == []
+    assert sorted(HARNESS_VERBS & _sent_from(CALLER_DIRS)) == []
 
 
 def test_verb_sends_are_read_from_call_sites_only():

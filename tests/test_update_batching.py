@@ -20,7 +20,7 @@ from repro.tables.affiliation_table import AffiliationTable
 from repro.tables.location_table import LocationTable
 from repro.tables.spatial_index_table import SpatialIndexTable
 
-from helpers import make_update
+from helpers import log_record_count, make_update
 
 CONFIG = MoistConfig(
     world=BoundingBox(0.0, 0.0, 100.0, 100.0),
@@ -398,7 +398,7 @@ class TestCommitHelper:
         assert table._tablets.merges > 0 and table._tablets.splits > 4
         assert (table.run_count() > 0) == (flush_rows is not None)
         if flush_rows is None:
-            assert table.log_record_count()
+            assert log_record_count(table)
 
     @pytest.mark.parametrize("store", [False, True])
     @pytest.mark.parametrize("mode", ["group", "small_group"])
