@@ -10,7 +10,7 @@ available.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.bigtable.cost import CostModel
 from repro.bigtable.tablet import TabletOptions
@@ -23,8 +23,7 @@ def build_no_school_indexer(
     cost_model: Optional[CostModel] = None,
     enable_flag: bool = True,
     tablet_options: Optional[TabletOptions] = None,
-    storage_dir: Optional[str] = None,
-    restore_seq_bounds: Optional[Dict[str, int]] = None,
+    snapshot: Optional[object] = None,
 ) -> MoistIndexer:
     """A MOIST indexer with schooling turned off (every object is a leader)."""
     base = config or MoistConfig()
@@ -34,6 +33,5 @@ def build_no_school_indexer(
         cost_model=cost_model,
         enable_flag=enable_flag,
         tablet_options=tablet_options,
-        storage_dir=storage_dir,
-        restore_seq_bounds=restore_seq_bounds,
+        snapshot=snapshot,
     )

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
@@ -85,82 +83,37 @@ class BigtableEmulator:
         cost_model: Optional[CostModel] = None,
         tablet_options: Optional[TabletOptions] = None,
         cache_options: Optional[BlockCacheOptions] = None,
-        storage_dir: Optional[str] = None,
-        restore_seq_bounds: Optional[Dict[str, int]] = None,
+        snapshot: Optional[object] = None,
     ) -> None:
         self.counter = OpCounter(model=cost_model or CostModel())
         self.tablet_options = tablet_options or TabletOptions()
         self.cache_options = cache_options or BlockCacheOptions()
-        #: When set, every table persists to real files under this directory
-        #: (one subdirectory per table) through a write-through
-        #: :class:`repro.disk.store.DiskTableStore`, and ``create_table``
-        #: restores any table a previous process left behind there.
-        self.storage_dir = storage_dir
-        #: table name -> last *acked* journal seq; a supervised restore caps
-        #: journal replay here so writes the parent never saw acknowledged
-        #: are dropped (the retry path re-sends them exactly once).
-        self.restore_seq_bounds = restore_seq_bounds
+        #: A loaded :class:`repro.disk.store.Snapshot` (a shard's restart):
+        #: ``create_table`` restores the tables it holds.
+        self.snapshot = snapshot
         self._tables: Dict[str, Table] = {}
-        #: True inside :meth:`durability_barrier`; the stores read it.
-        self.barrier_open = False
 
     def create_table(self, name: str, families: Sequence[ColumnFamily]) -> Table:
-        """Create a table; fails if the name is already taken.
-
-        With :attr:`storage_dir` set, a table whose directory holds a
-        checkpoint from a previous process is *restored* from its files
-        (tablet options come from its manifest) instead of created empty.
-        """
+        """Create a table; fails if the name is already taken.  A table the
+        :attr:`snapshot` holds is *restored* from it (tablet options come
+        from its manifest) instead of created empty."""
         if name in self._tables:
             raise StorageError(f"table {name!r} already exists")
-        store = None
-        if self.storage_dir is not None:
-            from repro.disk.store import DiskTableStore, restore_table
-
-            store = DiskTableStore(
-                os.path.join(self.storage_dir, name.replace("/", "__")), self
+        table = None
+        if self.snapshot is not None:
+            table = self.snapshot.restore_table(
+                name, families, self.counter, self.cache_options
             )
-            max_seq = None
-            if self.restore_seq_bounds is not None:
-                max_seq = self.restore_seq_bounds.get(name)
-            restored = restore_table(
-                store,
+        if table is None:
+            table = Table(
                 name,
                 families,
-                self.counter,
-                self.cache_options,
-                max_seq=max_seq,
+                counter=self.counter,
+                options=self.tablet_options,
+                cache_options=self.cache_options,
             )
-            if restored is not None:
-                self._tables[name] = restored
-                return restored
-        table = Table(
-            name,
-            families,
-            counter=self.counter,
-            options=self.tablet_options,
-            cache_options=self.cache_options,
-            store=store,
-        )
         self._tables[name] = table
         return table
-
-    @contextmanager
-    def durability_barrier(self):
-        """One request's journal fsyncs, paid together (re-entrant): commits
-        inside the block only mark their store as owing durability, and
-        leaving the outermost block pays one ``write`` + ``fsync`` per store
-        still in debt (see :mod:`repro.disk.store`).  No ledger moves."""
-        if self.barrier_open or self.storage_dir is None:
-            yield
-            return
-        self.barrier_open = True
-        try:
-            yield
-        finally:
-            self.barrier_open = False
-            for table in self._tables.values():
-                table._store.settle()
 
     def export_state(self) -> dict:
         """Plain-data snapshot of the shared ledger and every table's soft
@@ -169,7 +122,8 @@ class BigtableEmulator:
         return {"counter": self.counter.snapshot(), "tables": tables}
 
     def install_state(self, state: dict) -> None:
-        """Apply :meth:`export_state` to an emulator restored from disk."""
+        """Apply :meth:`export_state` to an emulator restored from a
+        snapshot."""
         if set(state["tables"]) != set(self._tables):
             raise UnrecoverableShardError(
                 f"snapshot has tables {sorted(state['tables'])}, not {sorted(self._tables)}"
@@ -177,12 +131,6 @@ class BigtableEmulator:
         self.counter.install_state(state["counter"])
         for name, table_state in state["tables"].items():
             self._tables[name].install_state(table_state)
-
-    @staticmethod
-    def acked_seqs(state: dict) -> Dict[str, int]:
-        """``table -> acked journal seq`` of an :meth:`export_state`: the
-        ``restore_seq_bounds`` to rebuild the emulator it came from with."""
-        return {name: table["seq"] for name, table in state["tables"].items()}
 
     def table(self, name: str) -> Table:
         """Look up an existing table."""

@@ -235,7 +235,8 @@ def zero_phase() -> Dict[str, float]:
 class InProcessTransport:
     """Every shard's service runs right here and a send completes
     synchronously — the zero-transport baseline: no codec, no request ids,
-    no exactly-once slot, identical shard computations."""
+    identical shard computations (a shard that persists still logs its
+    mutating requests: :meth:`ShardService.serve_in_process`)."""
 
     def __init__(self, num_shards: int) -> None:
         self.services = [ShardService() for _ in range(num_shards)]
@@ -246,27 +247,13 @@ class InProcessTransport:
 
     def send(self, requests: Sequence[Tuple[int, int, Any]]) -> List[Any]:
         """Apply every request now; each token *is* its result."""
-        tokens = []
-        for shard_id, opcode, payload in requests:
-            service = self.services[shard_id]
-            if opcode == rpc.OP_UPDATE_BATCH:
-                tokens.append(service.update_batch(payload))
-            elif opcode == rpc.OP_QUERY_BATCH:
-                tokens.append(service.query_batch(payload))
-            else:
-                method, args, kwargs = payload
-                tokens.append(service.call(method, *args, **kwargs))
-        return tokens
+        return [
+            self.services[shard_id].serve_in_process(opcode, payload)
+            for shard_id, opcode, payload in requests
+        ]
 
     def collect(self, token: Any, deadline_s: Optional[float] = None) -> Any:
         return token
-
-
-_ENCODERS = {
-    rpc.OP_UPDATE_BATCH: rpc.encode_update_batch,
-    rpc.OP_QUERY_BATCH: rpc.encode_query_batch,
-    rpc.OP_CALL: lambda call: rpc.encode_call(*call),
-}
 
 
 class PipeTransport:
@@ -303,7 +290,7 @@ class PipeTransport:
         bodies: Dict[int, bytes] = {}  # a broadcast payload encodes once
         for _shard_id, opcode, payload in requests:
             if id(payload) not in bodies:
-                bodies[id(payload)] = _ENCODERS[opcode](payload)
+                bodies[id(payload)] = rpc.REQUEST_ENCODERS[opcode](payload)
         encoded = clock()
         self.phase["encode_seconds"] += encoded - started
         by_worker: Dict[int, List[int]] = {}

@@ -242,7 +242,6 @@ class Table:
         counter: Optional[OpCounter] = None,
         options: Optional[TabletOptions] = None,
         cache_options: Optional[BlockCacheOptions] = None,
-        store: Optional[object] = None,
     ) -> None:
         if not families:
             raise ColumnFamilyError(f"table {name!r} declared without column families")
@@ -259,11 +258,6 @@ class Table:
         self._tablets = TabletLocator(name, self.options, model=self.counter.model)
         self.cache = BlockCache(cache_options)
         self._tablets.on_tablet_changed = self._on_tablet_changed
-        #: Optional write-through :class:`repro.disk.store.DiskTableStore`.
-        #: Strictly write-only while the table is alive, so attaching one
-        #: changes no simulated ledger, split decision or query result.
-        self._store = None
-        self._store_dirty = False
         self._scanner = Scanner(self.counter, self._tablets, self.cache)
         self._group: Optional[_GroupCommit] = None
         self._group_depth = 0
@@ -274,46 +268,18 @@ class Table:
         #: Active :meth:`deferred_log_syncs` tally (tablet ledger -> records),
         #: or ``None`` when point mutations sync their log individually.
         self._log_sync_tally: Optional[Dict[OpCounter, int]] = None
-        if store is not None:
-            self.attach_store(store)
-
-    # ------------------------------------------------------------------
-    # Persistence (optional write-through disk store)
-    # ------------------------------------------------------------------
-    def attach_store(self, store: object) -> None:
-        """Attach a write-through persistent store.  Commit-log records are
-        journalled at append time and committed (see the store) where the
-        simulation charges LOG_APPEND; structural events (split, merge, flush,
-        compaction, family addition) checkpoint the full durable skeleton.
-        A fresh store is checkpointed immediately so a zero-mutation table
-        already survives a restart."""
-        self._store = store
-        self._store_dirty = False
-        if not store.has_checkpoint():
-            store.checkpoint(self)
 
     def _on_tablet_changed(self, tablet_id: str) -> None:
-        # Split/merge: the block cache's idea of residency is stale, and the
-        # on-disk manifest no longer matches the tablet boundaries.
-        self._store_dirty = True
+        # Split/merge: the block cache's idea of residency is stale.
         self.cache.invalidate_tablet(tablet_id)
 
-    def _maybe_checkpoint(self) -> None:
-        store = self._store
-        if store is not None and self._store_dirty:
-            self._store_dirty = False
-            store.checkpoint(self)
-
-    def store_seconds(self) -> Dict[str, float]:
-        """Wall seconds the disk store spent per step (empty without one)."""
-        return {} if self._store is None else self._store.seconds
-
+    # ------------------------------------------------------------------
+    # Accounting soft state
+    # ------------------------------------------------------------------
     def export_state(self) -> dict:
-        """What the store's files do not hold: the journal sequence reached
-        (the *acked* watermark, in a snapshot taken after the request is
-        answered), block-cache residency and every tablet's ledger."""
+        """What a snapshot's manifest does not hold: block-cache residency
+        and every tablet's ledger."""
         return {
-            "seq": self._seq,
             "cache": self.cache.export_state(),
             "tablets": {
                 tablet.tablet_id: tablet.counter.snapshot()
@@ -322,9 +288,8 @@ class Table:
         }
 
     def install_state(self, state: dict) -> None:
-        """Apply :meth:`export_state` to this table as restored from its
-        store.  ``seq`` is not applied: it bounded the restore's journal
-        replay (:meth:`BigtableEmulator.acked_seqs`) before this existed."""
+        """Apply :meth:`export_state` to this table as restored from a
+        snapshot."""
         tablets = {tablet.tablet_id: tablet for tablet in self._tablets.tablets()}
         if set(state["tablets"]) != set(tablets):
             raise UnrecoverableShardError(
@@ -354,11 +319,6 @@ class Table:
                 f"column family {family.name!r} already exists in {self.name!r}"
             )
         self._families[family.name] = family
-        # A checkpoint records the family in the manifest before any journal
-        # record can reference it (the archiver adds aged families and ages
-        # rows into them in the same breath).
-        self._store_dirty = True
-        self._maybe_checkpoint()
 
     # ------------------------------------------------------------------
     # Accounting helpers
@@ -393,8 +353,6 @@ class Table:
             self.counter.logical_write_rows += 1
             tablet.counter.logical_write_rows += 1
             tablet.log.write(seqno, opcode, row_key, payload)
-            if self._store is not None:
-                self._store.journal_append((seqno, opcode, row_key) + payload)
         group = self._group
         if group is not None:
             ledger = tablet.counter
@@ -416,15 +374,12 @@ class Table:
                 self._tally_log_sync(self._log_sync_tally, tablet)
             else:
                 self.counter.record_syncs({tablet.counter: 1})
-                if self._store is not None:
-                    self._store.journal_commit()
         if charge:
             self.counter.record_point(tablet.counter, kind)
             if structural:
                 self._tablets.maybe_split(tablet)
                 self._tablets.maybe_merge(tablet)
             self._maybe_flush(tablet)
-            self._maybe_checkpoint()
         elif structural and kind is OpKind.DELETE:
             self._tablets.maybe_merge(tablet)
 
@@ -471,15 +426,11 @@ class Table:
         self.counter.logical_write_rows += 1
         tablet.counter.logical_write_rows += 1
         tablet.log.write(self._seq, opcode, row_key, payload)
-        if self._store is not None:
-            self._store.journal_append((self._seq, opcode, row_key) + payload)
         self._tally_log_sync(appended, tablet)
 
     def _charge_log_syncs(self, appended: Dict[OpCounter, int]) -> None:
         """Charge one group fsync per tablet for deferred log appends."""
         self.counter.record_syncs(appended)
-        if appended and self._store is not None:
-            self._store.journal_commit()
 
     def _maybe_flush(self, tablet: Tablet) -> None:
         """Flush the memtable once it outgrew the configured threshold.
@@ -546,8 +497,6 @@ class Table:
             self.counter.record_group(group.pending)
         if group.log_appends:
             self.counter.record_syncs(group.log_appends)
-            if self._store is not None:
-                self._store.journal_commit()
         for tablet in group.dirty.values():
             self._tablets.maybe_split(tablet)
             while self._tablets.maybe_merge(tablet):
@@ -555,7 +504,6 @@ class Table:
         if self.options.memtable_flush_rows is not None:
             for tablet in group.tablets.values():
                 self._maybe_flush(tablet)
-        self._maybe_checkpoint()
         # Re-arm the buffer: the block may still be open (early flush).
         self._group = _GroupCommit() if self._group_depth > 0 else None
 
@@ -990,9 +938,6 @@ class Table:
         """Flush one memtable into a new run (minor compaction), charging
         the durability ledgers and keeping the run count tiered."""
         flushed = tablet.flush(self._seq)
-        # Even a zero-row flush truncates the commit log, so the durable
-        # skeleton changed either way.
-        self._store_dirty = True
         if flushed:
             # The flushed rows now live in the (cold) new run; their
             # memtable blocks are gone.
@@ -1001,7 +946,6 @@ class Table:
             tablet.counter.record_durability(OpKind.COMPACTION_WRITE, rows=flushed)
             if len(tablet.runs) > self.options.compaction_max_runs:
                 self._compact_tablet(tablet)
-        self._maybe_checkpoint()
         return flushed
 
     def _compact_tablet(self, tablet: Tablet, major: bool = False) -> int:
@@ -1017,7 +961,6 @@ class Table:
                 return 0
         consumed = {run.run_id for run in window}
         rows_read, rows_written = tablet.compact(window, drop_all_tombstones=major)
-        self._store_dirty = True
         for run_id in consumed:
             self.cache.invalidate_source(tablet.tablet_id, run_id)
         # One COMPACTION_READ call per compaction (its rows are the rows of
@@ -1030,7 +973,6 @@ class Table:
             tablet.counter.record_durability(
                 OpKind.COMPACTION_WRITE, rows=rows_written
             )
-        self._maybe_checkpoint()
         return rows_written
 
     def flush_memtables(self) -> int:

@@ -8,9 +8,9 @@ encoding — shared by the two consumers that used to each invent their own:
   update/query/neighbour bodies plus a per-shard *stateful* neighbour
   stream codec (dictionary-encoded object ids, positions re-sent only when
   they changed, distances reconstructed from the query location);
-* on-disk SSTable blocks and commit-log journals
-  (:mod:`repro.codec.blocks`): real block files and append-only journal
-  records behind the :mod:`repro.disk.store` backend.
+* on-disk SSTable blocks, request-log frames and snapshots
+  (:mod:`repro.codec.blocks`): the real files behind the
+  :mod:`repro.disk.store` backend.
 
 Everything is pure ``struct``/``array``/``memoryview`` Python — no new
 dependencies.  The tagged value encoding (:mod:`repro.codec.values`, with

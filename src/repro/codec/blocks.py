@@ -1,20 +1,20 @@
-"""On-disk block formats: journal records, run blocks, manifest blobs.
+"""On-disk block formats: request frames, run blocks, snapshot blobs.
 
 Three self-describing artifacts, all built from the same columnar
 vocabulary as the wire (:mod:`repro.codec.columns` /
 :mod:`repro.codec.values`) and all checksummed:
 
-* **journal records** — one framed record per logical commit-log entry
-  (``length | crc32 | payload``).  The journal is append-only and synced
-  by the caller; :func:`iter_journal_records` replays a file and stops
-  cleanly at the first truncated or corrupt frame, which is exactly the
-  crash-consistency contract an fsynced append log provides.
+* **request frames** — one frame per logged request (request id, opcode,
+  body length, crc32, then the body: the wire bytes the request arrived
+  in).  The log is append-only and synced by the caller;
+  :func:`read_request_frames` stops cleanly at a torn final frame, which is
+  exactly the crash-consistency contract an fsynced append log provides.
 * **run blocks** — one immutable block file per flushed SSTable run:
   front-coded sorted row keys, delta-encoded cell timestamps and tagged
   cell values, with tombstones as a one-byte marker.
-* **manifest blobs** — a tagged-value dictionary (table metadata, tablet
-  boundaries, run references, journal watermark) behind a magic number and
-  a checksum, atomically replaced at every checkpoint.
+* **snapshot blobs** — a tagged-value dictionary (every table's manifest
+  and the shard's accounting sections) behind a magic number and a
+  checksum, atomically replaced at every snapshot.
 
 Nothing here knows about file descriptors or fsync ordering — that policy
 lives in :mod:`repro.disk.store`.  This module is pure bytes-in/bytes-out,
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from repro.bigtable.lsm import TOMBSTONE
 from repro.bigtable.table import _Row
@@ -43,75 +43,53 @@ from repro.codec.values import decode_value, encode_value
 
 _U32 = struct.Struct("<I")
 
-_JOURNAL_HEADER = struct.Struct("<II")  # payload length, crc32(payload)
+_FRAME_FIELDS = struct.Struct("<QBI")  # request id, opcode, body length
+_FRAME = struct.Struct("<QBII")  # the fields, then their crc32 with the body's
 
 RUN_MAGIC = b"MOR1"
-MANIFEST_MAGIC = b"MOM1"
-
-_OPCODES = ("w", "dc", "dr", "age")
-_OPCODE_INDEX = {opcode: index for index, opcode in enumerate(_OPCODES)}
-_OP_OTHER = 255
+SNAPSHOT_MAGIC = b"MOS1"
 
 _VALUE_TOMBSTONE = 0
 _VALUE_ROW = 1
 
 
 # --------------------------------------------------------------------------
-# Journal records
+# Request frames
 # --------------------------------------------------------------------------
 
 
-def encode_journal_record(record: tuple) -> bytes:
-    """Frame one commit-log record ``(seq, opcode, *fields)``.
-
-    The known opcodes get a one-byte tag; anything else (a future opcode)
-    ships its string.  Fields ride the tagged value codec: a field it has
-    no tag for is a :class:`~repro.errors.CodecError` here, when the store
-    frames the record on its way to the file."""
-    seq, opcode = record[0], record[1]
-    body = bytearray()
-    write_uvarint(body, seq)
-    index = _OPCODE_INDEX.get(opcode, _OP_OTHER)
-    body.append(index)
-    if index == _OP_OTHER:
-        write_str(body, opcode)
-    write_uvarint(body, len(record) - 2)
-    for field in record[2:]:
-        encode_value(body, field)
-    return _JOURNAL_HEADER.pack(len(body), zlib.crc32(body)) + body
+def encode_request_frame(request_id: int, opcode: int, body: bytes) -> bytes:
+    """Frame one logged request: ``<QBII`` (request id, opcode, body length,
+    crc32 of those fields and the body), then the body."""
+    crc = zlib.crc32(body, zlib.crc32(_FRAME_FIELDS.pack(request_id, opcode, len(body))))
+    return _FRAME.pack(request_id, opcode, len(body), crc) + body
 
 
-def iter_journal_records(data) -> Iterator[tuple]:
-    """Replay a journal byte string, stopping at the first truncated or
-    corrupt frame (a torn tail write after a crash is expected, not an
-    error)."""
+def read_request_frames(data) -> Tuple[List[Tuple[int, int, bytes]], int]:
+    """``(frames, end)``: every whole frame of a log's bytes as ``(request
+    id, opcode, body)``, and the offset where they end.  A torn final frame
+    — its header or body cut short, or a bad crc on the frame that reaches
+    the end — stops the read: it is the write a kill interrupted.  A bad
+    frame with bytes after it is damage (:class:`ValueError`)."""
     view = memoryview(data)
+    frames: List[Tuple[int, int, bytes]] = []
     pos = 0
     total = len(view)
-    header_size = _JOURNAL_HEADER.size
-    while pos + header_size <= total:
-        length, crc = _JOURNAL_HEADER.unpack_from(view, pos)
-        start = pos + header_size
+    while pos + _FRAME.size <= total:
+        request_id, opcode, length, crc = _FRAME.unpack_from(view, pos)
+        start = pos + _FRAME.size
         end = start + length
         if end > total:
-            return
-        payload = bytes(view[start:end])
-        if zlib.crc32(payload) != crc:
-            return
-        seq, body_pos = read_uvarint(payload, 0)
-        index = payload[body_pos]
-        body_pos += 1
-        if index == _OP_OTHER:
-            opcode, body_pos = read_str(payload, body_pos)
-        else:
-            opcode = _OPCODES[index]
-        nfields, body_pos = read_uvarint(payload, body_pos)
-        fields = []
-        for _ in range(nfields):
-            field, body_pos = decode_value(payload, body_pos)
-            fields.append(field)
-        yield (seq, opcode, *fields)
+            break
+        body = bytes(view[start:end])
+        fields = _FRAME_FIELDS.pack(request_id, opcode, length)
+        if zlib.crc32(body, zlib.crc32(fields)) != crc:
+            if end < total:
+                raise ValueError(f"request frame at offset {pos} fails its crc")
+            break
+        frames.append((request_id, opcode, body))
         pos = end
+    return frames, pos
 
 
 # --------------------------------------------------------------------------
@@ -205,25 +183,28 @@ def decode_run_block(data) -> Tuple[List[str], List[object], int]:
 
 
 # --------------------------------------------------------------------------
-# Manifest blobs
+# Snapshot blobs
 # --------------------------------------------------------------------------
 
 
-def encode_manifest(manifest: dict) -> bytes:
+def encode_snapshot(snapshot: dict) -> bytes:
     body = bytearray()
-    encode_value(body, manifest)
+    encode_value(body, snapshot)
     payload = bytes(body)
-    return MANIFEST_MAGIC + payload + _U32.pack(zlib.crc32(payload))
+    return SNAPSHOT_MAGIC + payload + _U32.pack(zlib.crc32(payload))
 
 
-def decode_manifest(data) -> Optional[dict]:
-    """The manifest dictionary, or ``None`` when the blob is missing,
-    foreign, or torn (the caller treats all three as "no checkpoint")."""
-    if len(data) < 8 or bytes(data[:4]) != MANIFEST_MAGIC:
-        return None
+def decode_snapshot(data) -> dict:
+    """The snapshot dictionary; a foreign, torn or corrupt blob is a
+    :class:`ValueError` (a snapshot is replaced whole, so never torn by a
+    kill: any damage is real)."""
+    if len(data) < 8 or bytes(data[:4]) != SNAPSHOT_MAGIC:
+        raise ValueError("not a snapshot blob")
     payload = bytes(data[4:-4])
     (crc,) = _U32.unpack_from(data, len(data) - 4)
     if zlib.crc32(payload) != crc:
-        return None
-    manifest, _ = decode_value(payload, 0)
-    return manifest if type(manifest) is dict else None
+        raise ValueError("snapshot checksum mismatch")
+    snapshot, _ = decode_value(payload, 0)
+    if type(snapshot) is not dict:
+        raise ValueError("a snapshot is one tagged dict")
+    return snapshot

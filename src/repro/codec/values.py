@@ -1,6 +1,6 @@
 """The one self-describing value encoding: a tag byte, then a compact body.
 
-Cell values, commit-log payloads, manifest metadata, dedup-window entries
+Cell values, commit-log payloads, snapshot metadata, dedup-window entries
 and every generic RPC body (CALL arguments and results, the general update /
 query / neighbour frames) are this codec and nothing else.  What it cannot
 tag it refuses: there is no fallback encoding.

@@ -68,19 +68,15 @@ class MoistIndexer:
         enable_flag: bool = True,
         tablet_options: Optional[TabletOptions] = None,
         cache_options: Optional[BlockCacheOptions] = None,
-        storage_dir: Optional[str] = None,
-        restore_seq_bounds: Optional[Dict[str, int]] = None,
+        snapshot: Optional[object] = None,
     ) -> None:
         self.config = config or MoistConfig()
         self.emulator = BigtableEmulator(
             cost_model=cost_model,
             tablet_options=tablet_options,
             cache_options=cache_options,
-            storage_dir=storage_dir,
-            restore_seq_bounds=restore_seq_bounds,
+            snapshot=snapshot,
         )
-        #: Request-scoped journal-fsync barrier of a disk-backed emulator.
-        self._barrier = self.emulator.durability_barrier
         self.location_table = LocationTable(
             self.emulator,
             name=f"{table_prefix}location",
@@ -147,7 +143,7 @@ class MoistIndexer:
 
     def restore_facade_state(self) -> int:
         """Rebuild the in-memory facade tallies after the emulator restored
-        its tables from a disk store (a real process restart).
+        its tables from a snapshot (a real process restart).
 
         The tables themselves came back bit-identical; what a new process
         lacks is the state that never lived in a table: the known-object and
@@ -189,8 +185,7 @@ class MoistIndexer:
         message, but the Python-level accounting work is amortised across
         the whole batch.
         """
-        with self._barrier():
-            results = self._processor.process_batch(messages)
+        results = self._processor.process_batch(messages)
         for message, result in zip(messages, results):
             self._absorb_outcome(message, result)
         if self.flag is not None and messages:
@@ -379,8 +374,7 @@ class MoistIndexer:
 
     def run_due_clustering(self, now: float) -> ClusteringReport:
         """Cluster only the cells whose interval Tc has elapsed."""
-        with self._barrier():
-            report = self.clusterer.cluster_due(now)
+        report = self.clusterer.cluster_due(now)
         self._absorb_clustering(report)
         return report
 
@@ -400,9 +394,8 @@ class MoistIndexer:
         movements.
         """
         interval = self.config.aging_interval_s
-        with self._barrier():
-            aged_to_disk = self.location_table.age_out(now - interval)
-            drained = self.location_table.drain_aged(0, now - 2 * interval)
+        aged_to_disk = self.location_table.age_out(now - interval)
+        drained = self.location_table.drain_aged(0, now - 2 * interval)
         for object_id, record in drained:
             self.archiver.archive(
                 HistoryRecord(

@@ -8,12 +8,12 @@ a flush of a per-disk buffer of size ``sB/nd`` costs
 ``Ud = sB / (nd * Rdisk * (Trot + Tseek))`` and the read-side resolution
 is ``Rd = k * nd / no``.
 
-:mod:`repro.disk.store` is the *physical* side: one directory per table
-holding an fsynced append-only commit-log journal, immutable SSTable run
-block files and an atomically-replaced manifest, all serialized through
-the shared columnar codec (:mod:`repro.codec.blocks`).  The in-memory LSM
-engine stays the source of truth during normal operation (the store is
-write-through and write-only); after a hard process kill,
-:func:`repro.disk.store.restore_table` rebuilds a bit-identical table from
-the files alone.
+:mod:`repro.disk.store` is the *physical* side: one directory per shard
+holding an atomically-replaced snapshot (every table's manifest and the
+shard's accounting), an fsynced append-only log of the requests applied
+since, and immutable SSTable run block files, all serialized through the
+shared columnar codec (:mod:`repro.codec.blocks`).  The in-memory LSM
+engine stays the source of truth during normal operation (nothing reads
+the files); after a hard process kill the shard installs the snapshot and
+re-runs the logged requests, rebuilding bit-identical state.
 """

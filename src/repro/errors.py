@@ -98,7 +98,6 @@ class WorkerCircuitOpenError(RpcError):
 class UnrecoverableShardError(RpcError):
     """A shard's durable state cannot be restored to a consistent point.
 
-    Raised when the on-disk structural checkpoint has advanced *past* the
-    accounting watermark the parent can vouch for — the shard was
-    checkpointed mid-batch and the acked boundary can no longer be
-    reconstructed."""
+    Raised when its snapshot is damaged or does not fit the shard, or when
+    its request log is damaged anywhere but its final frame (the one frame
+    a kill can tear)."""

@@ -10,7 +10,7 @@ One frame on the wire is::
              4 bytes  crc32 over the four header fields + body
              N bytes  body
 
-The crc protects the wire as the journal and run-block crcs protect the
+The crc protects the wire as the request-log and run-block crcs protect the
 disk: a flipped bit or a truncated pipelined frame surfaces as a typed
 :class:`~repro.errors.FrameCorruptionError` at the framing layer instead of
 a decode crash deep inside a codec.
@@ -163,6 +163,19 @@ def decode_call(body: bytes) -> Tuple[str, tuple, dict]:
 #: Generic CALL result: one tagged value filling the body.
 encode_result = pack_value
 decode_result = unpack_value
+
+#: ``opcode -> request body codec``; a CALL's payload is the tuple
+#: ``(method, args, kwargs)``.
+REQUEST_ENCODERS = {
+    OP_UPDATE_BATCH: encode_update_batch,
+    OP_QUERY_BATCH: encode_query_batch,
+    OP_CALL: lambda call: encode_call(*call),
+}
+REQUEST_DECODERS = {
+    OP_UPDATE_BATCH: decode_update_batch,
+    OP_QUERY_BATCH: decode_query_batch,
+    OP_CALL: decode_call,
+}
 
 
 def encode_error(error: BaseException) -> bytes:

@@ -86,7 +86,6 @@ class ScaleOutCluster:
                 "with_master",
                 "num_servers",
                 "record_service_times",
-                "durable_accounting",
             ):
                 if getattr(recipe, field_name) != getattr(base, field_name):
                     raise ConfigurationError(
@@ -139,12 +138,8 @@ class ScaleOutCluster:
         ``backend`` selects the execution vehicle (``"inprocess"``,
         ``"process"`` or ``"disk"``); every other knob feeds the per-shard
         :class:`repro.server.worker.ShardRecipe`.  A ``supervision_policy``
-        enables self-healing; ``"respawn"`` (lossless) additionally turns
-        on durable accounting checkpoints so a respawned shard restores its
-        simulated tallies and exactly-once slot.
+        enables self-healing.
         """
-        if supervision_policy == "respawn":
-            recipe_kwargs.setdefault("durable_accounting", True)
         built = make_scaleout_backend(
             backend,
             num_shards,

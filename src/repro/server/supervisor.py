@@ -1,10 +1,10 @@
 """Worker supervision: detect dead/hung workers, respawn, readmit.
 
 The supervisor is the parent-side half of the self-healing runtime.  The
-worker-side half is the disk store, which rebuilds a shard's LSM state
-bit-identically from manifest + runs + journal tail, and the accounting
-checkpoint (``SHARD_STATE.bin``), which restores every simulated tally plus
-the exactly-once slot.  The supervisor is the control loop: told by the
+worker-side half is the shard's snapshot and request log
+(:mod:`repro.disk.store`), which restore its tables, every simulated tally
+and the exactly-once slot bit-identically.  The supervisor is the control
+loop: told by the
 scatter-gather engine that a worker died (EOF, failed send) or hung
 (response deadline), it forks a replacement from the stored
 :class:`~repro.server.worker.ShardRecipe`, re-attaching its disk store and
@@ -17,16 +17,16 @@ as :class:`~repro.errors.WorkerDiedError` and the run aborts.  A supervisor
 runs one of two policies:
 
 ``respawn``
-    Lossless healing.  Requires the disk backend with durable accounting
-    (tablet masters included: the accounting checkpoint carries the
-    master's decision history — migration/replication/failover records —
-    alongside the routing overrides and replica placement, so a respawned
-    shard's master continues byte-identically): the replacement restores
-    to the last *acked* batch boundary and the retry layer re-sends the
-    dead worker's uncollected requests of the round, in their original
-    send order with their original pinned request ids — so no acked write
-    is lost and no request is applied twice (the worker-side exactly-once
-    slot replays what the dead worker had already applied).  Control-plane
+    Lossless healing.  Requires the disk backend (tablet masters included:
+    the snapshot carries the master's decision history —
+    migration/replication/failover records — alongside the routing
+    overrides and replica placement, so a respawned shard's master
+    continues byte-identically): the replacement restores every request it
+    logged and the retry layer re-sends the dead worker's uncollected
+    requests of the round, in their original send order with their
+    original pinned request ids — so no acked write is lost and no request
+    is applied twice (the worker-side exactly-once slot replays what the
+    dead worker had already logged).  Control-plane
     CALLs ride the same rounds, so a mutating verb is healed and resent
     like a data-plane batch.
 
@@ -101,11 +101,10 @@ class Supervisor:
             raise ConfigurationError("max_consecutive_failures must be >= 1")
         if policy == "respawn":
             for recipe in backend.recipes:
-                if recipe.storage_dir is None or not recipe.durable_accounting:
+                if recipe.storage_dir is None:
                     raise ConfigurationError(
-                        "lossless respawn needs the disk backend with "
-                        "durable accounting (storage_dir + "
-                        "durable_accounting on every recipe); use "
+                        "lossless respawn needs the disk backend (a "
+                        "storage_dir on every recipe); use "
                         "'respawn_lossy' for in-memory backends"
                     )
         self.backend = backend
@@ -143,11 +142,10 @@ class Supervisor:
         Both policies kill the remains, fork a replacement on a connection
         that continues the request-id counter, rebind the transport (fresh
         stream decoders for its shards) and re-issue ``build_indexer`` per
-        shard — which for the disk backend re-attaches the store, replays
-        the journal tail through ``recover()`` and installs the accounting
-        checkpoint — including the tablet master's decision history and
-        routing overrides on master-bearing recipes — before the shard is
-        readmitted to routing.
+        shard — which for the disk backend installs the snapshot — tables,
+        accounting, the tablet master's decision history and routing
+        overrides on master-bearing recipes — and re-runs the logged
+        requests before the shard is readmitted to routing.
         """
         health = self._health.setdefault(worker_index, _WorkerHealth())
         health.consecutive_failures += 1

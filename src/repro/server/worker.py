@@ -21,10 +21,16 @@ worker-side verb set (name → callable, read-only flag), and it holds what
 production sends: the data plane (batched updates/queries via the compact
 opcodes), the build, the master's rebalance and fault injection, and the
 ledger and metrics reads the federation merges.  Reachability, mutability
-and the accounting-checkpoint trigger all derive from that one table, on
-both transports.
+and what reaches the request log all derive from that one table, on both
+transports.
 
-The checkpoint itself is a fixed-order walk (``accounting_state`` /
+A shard with a storage directory persists its inputs
+(:mod:`repro.disk.store`): every mutating request that passes the
+exactly-once slot is logged — its wire bytes, fsynced — before it applies,
+and the shard snapshots after its build and after every
+:data:`SNAPSHOT_EVERY`-th logged request.  A restart installs the snapshot
+and re-runs the logged requests through the same dispatch.  The snapshot's
+accounting half is a fixed-order walk (``accounting_state`` /
 ``_install_accounting``) over the owners of simulated-but-not-durable
 state — this service's exactly-once slot, the emulator, the FLAG tuner,
 the cluster, the master — each exporting and installing its own section;
@@ -34,21 +40,19 @@ this module names the sections and reads nobody's private attributes.
 from __future__ import annotations
 
 import os
-import shutil
 import socket
 from dataclasses import dataclass, replace
-from functools import wraps
+from functools import partial
 from random import Random
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from zlib import crc32
 
-from repro.bigtable.emulator import BigtableEmulator
 from repro.bigtable.tablet import TabletOptions
 from repro.codec.values import pack_value, unpack_value
 from repro.codec.wire import NeighborStreamEncoder
 from repro.core.config import MoistConfig
-from repro.disk.store import STORE_STEPS, StateBlob
+from repro.disk.store import STORE_STEPS, ShardStore
 from repro.errors import (
     CodecError,
     ConfigurationError,
@@ -64,29 +68,26 @@ from repro.server import rpc
 from repro.server.cluster import ServerCluster
 from repro.server.master import MasterOptions, TabletMaster
 
-#: Accounting-checkpoint filename inside a shard's storage directory.
-STATE_BLOB_NAME = "SHARD_STATE.bin"
+#: A shard with a storage directory snapshots after this many logged
+#: requests (and after its build), at the request boundary.
+SNAPSHOT_EVERY = 32
 
 #: Where a worker's wall time goes, per shard: the steps of
-#: :func:`dispatch_request`; the parts of ``state_blob`` (export the
-#: sections, pack them, write the slot); then the disk store's share of
-#: ``apply`` (:data:`~repro.disk.store.STORE_STEPS`: the barrier closes'
-#: ``journal_sync``, and ``checkpoint`` with its parts ``run_encode``,
-#: ``run_write``, ``manifest_write`` and ``run_gc``).
-DISPATCH_PHASES = ("decode", "dedup", "apply", "state_blob", "encode")
-STATE_BLOB_STEPS = ("state_export", "state_pack", "state_write")
-WORKER_PHASES = DISPATCH_PHASES + STATE_BLOB_STEPS + STORE_STEPS
+#: :func:`dispatch_request`, then the disk store's share of ``apply``
+#: (:data:`~repro.disk.store.STORE_STEPS`: ``snapshot`` with its parts
+#: ``run_encode``, ``run_write``, ``snapshot_write`` and ``run_gc``).
+DISPATCH_PHASES = ("decode", "dedup", "log_append", "apply", "encode")
+WORKER_PHASES = DISPATCH_PHASES + STORE_STEPS
 
 #: The worker-side verb table: ``name -> (callable taking the service
 #: first, read-only flag)``.  The one answer to "which verbs exist and
 #: which can change shard state": ``CALL`` dispatch on both transports
 #: resolves names through :func:`lookup_verb` — anything absent, private
 #: names included, is an :class:`RpcError` — and every verb not flagged
-#: read-only (like every data-plane batch) re-checkpoints the accounting
-#: soft state when the recipe asks for durable accounting — once the
-#: durability barrier it ran under has paid the journal fsyncs it owed.
-#: Only production's verbs are registered here; a test harness adds its
-#: own through :func:`_register` before any worker forks.
+#: read-only (like every data-plane batch) runs under the exactly-once
+#: slot and, on a shard with a storage directory, is logged before it
+#: applies.  Only production's verbs are registered here; a test harness
+#: adds its own through :func:`_register` before any worker forks.
 VERBS: Dict[str, Tuple[Callable[..., Any], bool]] = {}
 
 
@@ -95,17 +96,8 @@ def _register(name: str, function: Callable[..., Any], read_only: bool):
     later registration can shadow a verb in every forked worker."""
     if name in VERBS:
         raise ConfigurationError(f"worker verb {name!r} is already registered")
-
-    @wraps(function)
-    def barriered(service, *args, **kwargs):
-        if service.indexer is None:  # nothing built yet: no store to hold
-            return function(service, *args, **kwargs)
-        with service.indexer.emulator.durability_barrier():
-            return function(service, *args, **kwargs)
-
-    verb = function if read_only else barriered
-    VERBS[name] = (verb, read_only)
-    return verb
+    VERBS[name] = (function, read_only)
+    return function
 
 
 def _verb(read_only: bool = False):
@@ -170,18 +162,12 @@ class ShardRecipe:
     with_master: bool = False
     master_options: Optional[MasterOptions] = None
     tablet_options: Optional[TabletOptions] = None
-    #: Base directory for real-bytes persistence; each shard stores its
-    #: tables under ``<storage_dir>/shard-<id>``.  When the directory holds
-    #: a checkpoint from a previous process, ``build_indexer`` *restores*
-    #: the shard instead of preloading it.
+    #: Base directory for real-bytes persistence; each shard keeps its
+    #: snapshot and request log under ``<storage_dir>/shard-<id>``.  When
+    #: the directory holds a snapshot from a previous process,
+    #: ``build_indexer`` *restores* the shard — every table and simulated
+    #: tally, and the exactly-once slot — instead of preloading it.
     storage_dir: Optional[str] = None
-    #: Checkpoint the shard's *accounting* soft state (ledgers, caches,
-    #: server metrics, the exactly-once slot) to
-    #: ``SHARD_STATE.bin`` after every mutating verb.  The durable LSM
-    #: state already survives SIGKILL bit-identically; with this on,
-    #: a supervised respawn also restores every simulated tally, so a
-    #: killed-and-healed run reports byte-identically to a fault-free one.
-    durable_accounting: bool = False
 
     def __post_init__(self) -> None:
         if self.num_objects < 0:
@@ -207,17 +193,6 @@ class ShardRecipe:
         return os.path.join(self.storage_dir, f"shard-{self.shard_id:02d}")
 
 
-def _has_disk_checkpoint(storage_dir: str) -> bool:
-    """True when a previous process left at least one table checkpoint
-    under this shard directory (restore instead of preload)."""
-    if not os.path.isdir(storage_dir):
-        return False
-    for entry in os.listdir(storage_dir):
-        if os.path.exists(os.path.join(storage_dir, entry, "MANIFEST.bin")):
-            return True
-    return False
-
-
 def _emulator(service: "ShardService"):
     return service._require_cluster().indexer.emulator
 
@@ -239,9 +214,11 @@ class ShardService:
         self.indexer = None
         self.cluster: Optional[ServerCluster] = None
         self.master: Optional[TabletMaster] = None
-        #: Where the built recipe checkpoints its accounting soft state
-        #: (``None``: no indexer yet, or the recipe keeps no checkpoint).
-        self._state_blob: Optional[StateBlob] = None
+        #: The built recipe's snapshot and request log (``None``: no
+        #: indexer yet, or the recipe has no storage directory).
+        self._store: Optional[ShardStore] = None
+        #: Requests logged since the last snapshot.
+        self._logged = 0
         #: Per-shard stateful neighbour stream encoder (its decoder twin
         #: lives in the parent's pipe transport).  Keeping the state per
         #: *shard* — never per connection or worker — is what makes wire
@@ -253,23 +230,19 @@ class ShardService:
         #: uncollected requests under their pinned ids, so the newest
         #: request is the only one a resend can name.
         self._slot: Optional[Tuple[int, int, Any]] = None
-        #: Wall seconds per :func:`dispatch_request` step and per part of
-        #: ``state_blob`` since this process first served the shard
-        #: (observability only).
-        self.phase: Dict[str, float] = dict.fromkeys(
-            DISPATCH_PHASES + STATE_BLOB_STEPS, 0.0
-        )
-
-    def call(self, method: str, *args, **kwargs) -> Any:
-        """Run one verb by name (the in-process ``CALL``)."""
-        return lookup_verb(method)[0](self, *args, **kwargs)
+        #: Wall seconds per :func:`dispatch_request` step since this
+        #: process first served the shard (observability only).
+        self.phase: Dict[str, float] = dict.fromkeys(DISPATCH_PHASES, 0.0)
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     @_verb()
     def build_indexer(self, recipe: ShardRecipe) -> Dict[str, int]:
-        """Build this shard's stack from a recipe (idempotence guard)."""
+        """Build this shard's stack from a recipe (idempotence guard).  A
+        storage directory that holds a snapshot restores the shard: the
+        snapshot's tables and accounting, then its logged requests re-run;
+        otherwise the shard preloads and writes its first snapshot."""
         if self.indexer is not None:
             raise ConfigurationError("this shard already built its indexer")
         from repro.baselines.no_school import build_no_school_indexer
@@ -279,66 +252,39 @@ class ShardService:
             storage_level=recipe.storage_level,
         )
         storage_dir = recipe.shard_storage_dir
-        restoring = storage_dir is not None and _has_disk_checkpoint(storage_dir)
-        state_blob = None
-        if storage_dir is not None and recipe.durable_accounting:
-            state_blob = StateBlob(os.path.join(storage_dir, STATE_BLOB_NAME))
-        accounting = None
-        restore_seq_bounds = None
-        if restoring and state_blob is not None:
-            # An unreadable blob raises: restoring without its ledgers and
-            # exactly-once slot would not be the lossless respawn it claims.
-            accounting = state_blob.read()
-            if accounting is None:
-                # The first build writes the blob before anything is acked,
-                # so a manifest without one is that build, killed: nothing
-                # to lose — start it over from the recipe.
-                shutil.rmtree(storage_dir)
-                restoring = False
-            else:
-                # Cap journal replay at the last *acked* sequence per table:
-                # anything past it was never acknowledged to the parent, so
-                # the supervisor's retry re-sends it exactly once.
-                restore_seq_bounds = BigtableEmulator.acked_seqs(
-                    accounting["emulator"]
-                )
+        store = None if storage_dir is None else ShardStore(storage_dir)
+        snapshot = None if store is None else store.load()
         indexer = build_no_school_indexer(
-            config,
-            tablet_options=recipe.tablet_options,
-            storage_dir=storage_dir,
-            restore_seq_bounds=restore_seq_bounds,
+            config, tablet_options=recipe.tablet_options, snapshot=snapshot
         )
-        if restoring:
-            # The emulator already restored every table bit-identically from
-            # its disk store; rebuild the facade tallies instead of
-            # re-preloading (which would double-apply every update).
+        if snapshot is not None:
+            # The snapshot already restored every table bit-identically;
+            # rebuild the facade tallies instead of re-preloading (which
+            # would double-apply every update).
             loaded = indexer.restore_facade_state()
         else:
             rng = Random(recipe.seed)
             loaded = 0
-            # Nothing is acknowledged before this verb returns and a killed
-            # first build starts over (above): one barrier, one fsync a store.
-            with indexer.emulator.durability_barrier():
-                for index in range(recipe.num_objects):
-                    # Consume the rng for every index — owned or not — so
-                    # shard contents are independent of how many shards exist.
-                    location = Point(
-                        rng.uniform(0.0, recipe.region_size),
-                        rng.uniform(0.0, recipe.region_size),
+            for index in range(recipe.num_objects):
+                # Consume the rng for every index — owned or not — so
+                # shard contents are independent of how many shards exist.
+                location = Point(
+                    rng.uniform(0.0, recipe.region_size),
+                    rng.uniform(0.0, recipe.region_size),
+                )
+                velocity = Vector(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+                object_id = format_object_id(index)
+                if shard_of(object_id, recipe.num_shards) != recipe.shard_id:
+                    continue
+                indexer.update(
+                    UpdateMessage(
+                        object_id=object_id,
+                        location=location,
+                        velocity=velocity,
+                        timestamp=0.0,
                     )
-                    velocity = Vector(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
-                    object_id = format_object_id(index)
-                    if shard_of(object_id, recipe.num_shards) != recipe.shard_id:
-                        continue
-                    indexer.update(
-                        UpdateMessage(
-                            object_id=object_id,
-                            location=location,
-                            velocity=velocity,
-                            timestamp=0.0,
-                        )
-                    )
-                    loaded += 1
+                )
+                loaded += 1
         indexer.emulator.reset_counters()
         cluster = ServerCluster(
             indexer,
@@ -356,9 +302,20 @@ class ShardService:
         self.indexer = indexer
         self.cluster = cluster
         self.master = master
-        self._state_blob = state_blob
-        if accounting is not None:
-            self._install_accounting(accounting)
+        self._store = store
+        if snapshot is None:
+            if store is not None:
+                self._snapshot()
+        else:
+            self._install_accounting(snapshot.state)
+            for request_id, opcode, body in snapshot.frames:
+                try:
+                    self.serve(opcode, body, request_id, replaying=True)
+                except Exception:
+                    # It raised when first applied, too, and the parent got
+                    # that error: the replay goes on past it, as the shard
+                    # went on serving.
+                    continue
         return {"objects_loaded": loaded, "tablets": indexer.emulator.tablet_count()}
 
     def _require_cluster(self) -> ServerCluster:
@@ -370,7 +327,7 @@ class ShardService:
     # Accounting soft state (supervised respawn)
     # ------------------------------------------------------------------
     def _state_owners(self) -> Dict[str, object]:
-        """``section -> its owner`` in blob order (``STATE_SECTIONS`` in
+        """``section -> its owner`` in snapshot order (``STATE_SECTIONS`` in
         :mod:`repro.disk.store`); ``None`` where the recipe builds none."""
         return {
             "dedup": self,
@@ -382,11 +339,10 @@ class ShardService:
 
     def accounting_state(self) -> Dict[str, Any]:
         """Everything simulated-but-not-durable: one named section per
-        owner, each that owner's ``export_state()``.  The LSM state already
-        survives SIGKILL exactly (manifest + runs + journal tail); this is
-        the rest of what :meth:`metrics`/``to_report`` can observe, plus the
-        exactly-once slot and the per-table acked journal watermarks that
-        bound the restore."""
+        owner, each that owner's ``export_state()``.  A snapshot's manifests
+        carry the tables; this is the rest of what
+        :meth:`metrics`/``to_report`` can observe, plus the exactly-once
+        slot."""
         return {
             name: None if owner is None else owner.export_state()
             for name, owner in self._state_owners().items()
@@ -422,52 +378,133 @@ class ShardService:
             request_id, opcode, result = unpack_value(encoded)
             self._slot = (request_id, opcode, result)
 
-    def _write_accounting_checkpoint(self) -> None:
-        """Persist :meth:`accounting_state` (when the recipe asks for it) —
-        called after every state-changing verb, so the newest valid blob on
-        disk always describes the last *completed* request."""
-        blob = self._state_blob
-        if blob is None:
-            return
-        started = perf_counter()
-        state = self.accounting_state()
-        exported = perf_counter()
-        body = pack_value(state)
-        packed = perf_counter()
-        blob.write(body)
-        phase = self.phase
-        phase["state_export"] += exported - started
-        phase["state_pack"] += packed - exported
-        phase["state_write"] += perf_counter() - packed
+    def _snapshot(self) -> None:
+        """Persist every table and :meth:`accounting_state`; the request
+        log starts over."""
+        emulator = self.indexer.emulator
+        self._store.snapshot(
+            {name: emulator.table(name) for name in emulator.table_names()},
+            self.accounting_state(),
+        )
+        self._logged = 0
 
     def _apply_once(
-        self, request_id: int, opcode: int, lap: "_Laps", apply: Callable[[], Any]
+        self,
+        request_id: int,
+        opcode: int,
+        body: bytes,
+        lap: "_Laps",
+        apply: Callable[[], Any],
+        replaying: bool = False,
     ) -> Any:
         """Run one mutating request exactly once under its pinned id.
 
         The slot's own id is a resend: its recorded result comes back and
         nothing runs.  A lower id, or the slot's id with another opcode, is
-        a protocol violation (:class:`StaleRequestError`).  A higher id
-        applies, is recorded, then checkpointed — before the response goes
-        out, so a kill at any point leaves the shard either unaware of the
-        request (the resend applies it) or able to replay its result."""
-        slot = self._slot
-        if slot is not None and request_id <= slot[0]:
-            if request_id < slot[0] or opcode != slot[1]:
-                raise StaleRequestError(
-                    f"request id {request_id} (opcode {opcode}) is not newer "
-                    f"than the last applied request {slot[0]} (opcode "
-                    f"{slot[1]})"
-                )
+        a protocol violation (:class:`StaleRequestError`).  A higher id is
+        logged (``body``, fsynced) when the shard persists, then applies and
+        is recorded — so a kill at any point leaves the shard either
+        unaware of the request (the resend applies it) or able to re-run it
+        from the log and replay its result.  Every :data:`SNAPSHOT_EVERY`-th
+        logged request ends in a snapshot.  A ``replaying`` restore runs a
+        logged request again: no check, no second frame."""
+        if not replaying:
+            slot = self._slot
+            if slot is not None and request_id <= slot[0]:
+                if request_id < slot[0] or opcode != slot[1]:
+                    raise StaleRequestError(
+                        f"request id {request_id} (opcode {opcode}) is not "
+                        f"newer than the last applied request {slot[0]} "
+                        f"(opcode {slot[1]})"
+                    )
+                lap.mark("dedup")
+                return slot[2]
             lap.mark("dedup")
-            return slot[2]
-        lap.mark("dedup")
+            if self._store is not None:
+                self._store.append(request_id, opcode, body)
+                lap.mark("log_append")
+        if self._store is not None:
+            self._logged += 1
         result = apply()
-        lap.mark("apply")
         self._slot = (request_id, opcode, result)
-        self._write_accounting_checkpoint()
-        lap.mark("state_blob")
+        if self._logged >= SNAPSHOT_EVERY:
+            self._snapshot()
+        lap.mark("apply")
         return result
+
+    def _request(self, opcode: int, payload: Any) -> Tuple[Callable[[], Any], bool]:
+        """``(run it, logged)`` of one decoded request: every mutating
+        request is logged but ``build_indexer``, which no log can hold."""
+        if opcode == rpc.OP_UPDATE_BATCH:
+            return partial(self.update_batch, payload), True
+        if opcode == rpc.OP_QUERY_BATCH:
+            return partial(self.query_batch, payload), True
+        method, args, kwargs = payload
+        verb, read_only = lookup_verb(method)
+        logged = not read_only and method != "build_indexer"
+        return partial(verb, self, *args, **kwargs), logged
+
+    def serve(
+        self, opcode: int, body: bytes, request_id: int, replaying: bool = False
+    ) -> bytes:
+        """Decode one request, run it, encode the response body.
+
+        Every mutating request — a data-plane batch or a CALL to a verb not
+        flagged read-only — runs through the exactly-once slot
+        (:meth:`_apply_once`), which logs it on a shard that persists.  A
+        read-only verb neither records nor is checked: a resend runs it
+        again.  ``build_indexer`` bypasses the slot too — it is the verb
+        that installs the slot on a restore, and the supervisor's rebuild
+        carries a newer id than the round it heals, whose resend must still
+        replay; a build whose own id is not newer comes from a new parent,
+        whose ids the restored slot cannot name, so the slot goes.  A
+        ``replaying`` restore re-runs a logged frame and encodes nothing.
+        """
+        lap = _Laps(dict.fromkeys(DISPATCH_PHASES, 0.0) if replaying else self.phase)
+        decode = rpc.REQUEST_DECODERS.get(opcode)
+        if decode is None:
+            raise RpcError(f"unknown opcode {opcode}")
+        payload = decode(body)
+        apply, logged = self._request(opcode, payload)
+        lap.mark("decode")
+        if logged:
+            result = self._apply_once(request_id, opcode, body, lap, apply, replaying)
+        else:
+            result = apply()
+            slot = self._slot
+            if payload[0] == "build_indexer" and slot and slot[0] >= request_id:
+                self._slot = None
+            lap.mark("apply")
+        if replaying:
+            return b""
+        if opcode == rpc.OP_UPDATE_BATCH:
+            response = rpc.UPDATE_RESULT.pack(*result)
+        elif opcode == rpc.OP_QUERY_BATCH:
+            # Stateful per-shard stream encoding: only what changed since
+            # this shard's previous response frame rides the wire.  A replay
+            # re-encodes the recorded *results* with the current stream
+            # encoder: a respawned worker starts a fresh encoder and the
+            # parent resets its decoder twin.
+            results, makespan = result
+            response = rpc.MAKESPAN.pack(makespan) + self.neighbor_encoder.encode(
+                results, payload
+            )
+        else:
+            response = rpc.encode_result(result)
+        lap.mark("encode")
+        return response
+
+    def serve_in_process(self, opcode: int, payload: Any) -> Any:
+        """One request of the in-process transport: the verb runs right
+        here and its result is the token — no codec, no request ids.  A
+        shard that persists logs a mutating request as :meth:`serve` does,
+        with the body the wire would carry, under the id after its slot's."""
+        apply, logged = self._request(opcode, payload)
+        if not logged or self._store is None:
+            return apply()
+        request_id = 1 if self._slot is None else self._slot[0] + 1
+        body = rpc.REQUEST_ENCODERS[opcode](payload)
+        return self._apply_once(request_id, opcode, body, _Laps(self.phase), apply)
 
     def _require_master(self) -> TabletMaster:
         if self.master is None:
@@ -542,14 +579,12 @@ class ShardService:
 
     def worker_phase(self) -> Dict[str, float]:
         """Wall seconds per :data:`WORKER_PHASES` entry: this shard's
-        dispatch steps plus its tables' disk-store timers (zero without a
-        store).  Wall-clock, so never part of a report."""
+        dispatch steps plus its store's timers (zero without a store).
+        Wall-clock, so never part of a report."""
         phase = dict.fromkeys(WORKER_PHASES, 0.0)
         phase.update(self.phase)
-        emulator = self.indexer.emulator
-        for name in emulator.table_names():
-            for step, seconds in emulator.table(name).store_seconds().items():
-                phase[step] += seconds
+        if self._store is not None:
+            phase.update(self._store.seconds)
         return phase
 
     @_verb(read_only=True)
@@ -596,67 +631,15 @@ def dispatch_request(
     body: bytes,
     request_id: int = 0,
 ) -> bytes:
-    """Decode one request frame, run it, encode the response body.
-
-    Every mutating request — a data-plane batch or a CALL to a verb not
-    flagged read-only — runs through the shard's exactly-once slot
-    (:meth:`ShardService._apply_once`): a resend of the last applied
-    request replays its recorded result, and a fresh one applies under the
-    verb's durability barrier (journal bytes reach the disk as it returns),
-    is recorded, then re-checkpoints the accounting soft state.  A
-    read-only verb neither records nor is checked: a resend runs it again.
-    ``build_indexer`` bypasses the slot too — it is the verb that installs
-    the slot on a restore, and the supervisor's rebuild carries a newer id
-    than the round it heals, whose resend must still replay.
-    """
+    """Run one request frame on its shard (:meth:`ShardService.serve`),
+    creating the shard's service on its first frame."""
     service = services.get(shard_id)
     if service is None:
         service = ShardService()
         services[shard_id] = service
     if opcode == rpc.OP_PING:
         return b""
-    lap = _Laps(service.phase)
-    if opcode == rpc.OP_UPDATE_BATCH:
-        messages = rpc.decode_update_batch(body)
-        lap.mark("decode")
-        recorded = service._apply_once(
-            request_id, opcode, lap, lambda: service.update_batch(messages)
-        )
-        response = rpc.UPDATE_RESULT.pack(*recorded)
-    elif opcode == rpc.OP_QUERY_BATCH:
-        queries = rpc.decode_query_batch(body)
-        lap.mark("decode")
-        results, makespan = service._apply_once(
-            request_id, opcode, lap, lambda: service.query_batch(queries)
-        )
-        # Stateful per-shard stream encoding: only what changed since this
-        # shard's previous response frame actually rides the wire.  A
-        # replay re-encodes the recorded *results* with the current stream
-        # encoder: a respawned worker starts a fresh encoder and the parent
-        # resets its decoder twin, so recorded raw bytes from the previous
-        # process would not decode.
-        response = rpc.MAKESPAN.pack(makespan) + service.neighbor_encoder.encode(
-            results, queries
-        )
-    elif opcode == rpc.OP_CALL:
-        method, args, kwargs = rpc.decode_call(body)
-        verb, read_only = lookup_verb(method)
-        lap.mark("decode")
-        if read_only or method == "build_indexer":
-            result = verb(service, *args, **kwargs)
-            lap.mark("apply")
-            if not read_only:
-                service._write_accounting_checkpoint()
-                lap.mark("state_blob")
-        else:
-            result = service._apply_once(
-                request_id, opcode, lap, lambda: verb(service, *args, **kwargs)
-            )
-        response = rpc.encode_result(result)
-    else:
-        raise RpcError(f"unknown opcode {opcode}")
-    lap.mark("encode")
-    return response
+    return service.serve(opcode, body, request_id)
 
 
 def worker_main(sock: socket.socket) -> None:

@@ -13,6 +13,9 @@ import random
 import signal
 from typing import Any, Callable
 
+from repro.bigtable.table import Table
+from repro.codec.blocks import encode_request_frame
+from repro.disk.store import ShardStore
 from repro.geometry.point import Point
 from repro.geometry.vector import Vector
 from repro.model import UpdateMessage, format_object_id
@@ -78,14 +81,25 @@ def cell_for(spatial_table, location: Point) -> CellId:
     )
 
 
+def _fire_once(flag_path: str, note: str = "") -> bool:
+    """Create the ``O_EXCL`` flag file; ``False`` when it already exists —
+    the fault fired already, in this process, another worker or a respawn."""
+    try:
+        flag = os.open(flag_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    except FileExistsError:
+        return False
+    os.write(flag, note.encode())
+    os.close(flag)
+    return True
+
+
 class KillBeforeAck:
-    """Once armed, the first worker to checkpoint a request of one kind
-    SIGKILLs itself right after the checkpoint — applied, recorded and on
-    disk, its ack never sent — once, across workers and respawns (an
-    ``O_EXCL`` flag file).  Every resend the exactly-once slot replays is
-    logged, so a test can check that the killed request, and only it, came
-    back from the slot.  Workers are forked: they and their respawns
-    inherit the patches.
+    """Once armed, the first worker to apply a request of one kind
+    SIGKILLs itself right after — logged and fsynced, applied and recorded,
+    its ack never sent — once, across workers and respawns (an ``O_EXCL``
+    flag file).  Every resend the exactly-once slot replays is logged, so a
+    test can check that the killed request, and only it, came back from the
+    slot.  Workers are forked: they and their respawns inherit the patch.
     """
 
     def __init__(
@@ -98,36 +112,29 @@ class KillBeforeAck:
         self._armed = os.path.join(folder, "armed")
         self._fired = os.path.join(folder, "fired")
         self._replays = os.path.join(folder, "replays")
-        checkpoint = ShardService._write_accounting_checkpoint
         apply_once = ShardService._apply_once
 
-        def dying_checkpoint(service):
-            checkpoint(service)
+        def dying_apply_once(
+            service, request_id, kind, body, lap, apply, replaying=False
+        ):
             slot = service._slot
-            if (
-                os.path.exists(self._armed)
-                and slot is not None
-                and slot[1] == opcode
-                and matches(slot[2])
-            ):
-                try:
-                    flag = os.open(self._fired, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                except FileExistsError:
-                    return  # fired already: a respawn's rebuild, or a later one
-                os.write(flag, f"{slot[0]} {slot[1]}\n".encode())
-                os.close(flag)
-                os.kill(os.getpid(), signal.SIGKILL)
-
-        def logging_apply_once(service, request_id, kind, lap, apply):
-            replay = service._slot is not None and service._slot[0] == request_id
-            result = apply_once(service, request_id, kind, lap, apply)
+            replay = slot is not None and slot[0] == request_id
+            result = apply_once(service, request_id, kind, body, lap, apply, replaying)
+            if replaying:
+                return result  # a restore re-running the log
             if replay:
                 with open(self._replays, "a") as log:
                     log.write(f"{request_id} {kind}\n")
+            elif (
+                kind == opcode
+                and os.path.exists(self._armed)
+                and matches(result)
+                and _fire_once(self._fired, f"{request_id} {kind}\n")
+            ):
+                os.kill(os.getpid(), signal.SIGKILL)
             return result
 
-        monkeypatch.setattr(ShardService, "_write_accounting_checkpoint", dying_checkpoint)
-        monkeypatch.setattr(ShardService, "_apply_once", logging_apply_once)
+        monkeypatch.setattr(ShardService, "_apply_once", dying_apply_once)
 
     def arm(self) -> None:
         open(self._armed, "w").close()
@@ -145,42 +152,71 @@ class KillBeforeAck:
             return log.read()
 
 
-class TearCheckpoint:
-    """Once armed, the first worker to overwrite a blob slot in place for a
-    request of one kind writes half of the slot and SIGKILLs itself —
-    applied, its checkpoint torn, its ack never sent — once, across workers
-    and respawns (an ``O_EXCL`` flag file).  Workers are forked: they and
-    their respawns inherit the patches.
+class TearLogFrame:
+    """Once armed, the first worker to log a request of one kind writes
+    half of its frame and SIGKILLs itself — not applied, its frame torn,
+    its ack never sent — once, across workers and respawns (an ``O_EXCL``
+    flag file).  Workers are forked: they and their respawns inherit the
+    patch.
     """
 
     def __init__(self, monkeypatch, folder: str, opcode: int) -> None:
         self._armed = os.path.join(folder, "armed")
         self._fired = os.path.join(folder, "fired")
-        checkpoint = ShardService._write_accounting_checkpoint
-        pwrite = os.pwrite
-        #: The slot's opcode while a checkpoint runs in this process.
-        writing = []
+        append = ShardStore.append
 
-        def tracked_checkpoint(service):
-            writing.append(None if service._slot is None else service._slot[1])
-            try:
-                checkpoint(service)
-            finally:
-                writing.pop()
-
-        def tearing_pwrite(fd, data, offset):
-            if writing and writing[-1] == opcode and os.path.exists(self._armed):
-                try:
-                    flag = os.open(self._fired, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                except FileExistsError:
-                    return pwrite(fd, data, offset)
-                os.close(flag)
-                pwrite(fd, data[: len(data) // 2], offset)
+        def tearing_append(store, request_id, kind, body):
+            if (
+                kind == opcode
+                and os.path.exists(self._armed)
+                and _fire_once(self._fired)
+            ):
+                frame = encode_request_frame(request_id, kind, body)
+                with open(os.path.join(store.root, "requests.log"), "ab") as log:
+                    log.write(frame[: len(frame) // 2])
                 os.kill(os.getpid(), signal.SIGKILL)
-            return pwrite(fd, data, offset)
+            return append(store, request_id, kind, body)
 
-        monkeypatch.setattr(ShardService, "_write_accounting_checkpoint", tracked_checkpoint)
-        monkeypatch.setattr(os, "pwrite", tearing_pwrite)
+        monkeypatch.setattr(ShardStore, "append", tearing_append)
+
+    def arm(self) -> None:
+        open(self._armed, "w").close()
+
+    def fired(self) -> bool:
+        return os.path.exists(self._fired)
+
+
+class KillAfterFlush:
+    """Once armed, the first worker to flush a memtable inside an update
+    request SIGKILLs itself right after the flush — the request half
+    applied, its ack never sent — once, across workers and respawns (an
+    ``O_EXCL`` flag file).  Workers are forked: they and their respawns
+    inherit the patches.
+    """
+
+    def __init__(self, monkeypatch, folder: str) -> None:
+        self._armed = os.path.join(folder, "armed")
+        self._fired = os.path.join(folder, "fired")
+        flush_tablet = Table._flush_tablet
+        update_batch = ShardService.update_batch
+        #: Non-empty while an update request applies in this process.
+        updating = []
+
+        def tracked_update_batch(service, messages):
+            updating.append(None)
+            try:
+                return update_batch(service, messages)
+            finally:
+                updating.pop()
+
+        def dying_flush_tablet(table, tablet):
+            flushed = flush_tablet(table, tablet)
+            if updating and os.path.exists(self._armed) and _fire_once(self._fired):
+                os.kill(os.getpid(), signal.SIGKILL)
+            return flushed
+
+        monkeypatch.setattr(ShardService, "update_batch", tracked_update_batch)
+        monkeypatch.setattr(Table, "_flush_tablet", dying_flush_tablet)
 
     def arm(self) -> None:
         open(self._armed, "w").close()

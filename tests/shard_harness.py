@@ -5,13 +5,14 @@ federation's data plane and merged reads, the master's rebalance and fault
 injection.  The property suites also drive one shard behind either
 transport: they compare its state and NN answers with an in-process
 reference, run a bare :class:`~repro.bigtable.table.Table` program across a
-crash, and fail, revive and migrate servers by hand.  This module registers
+crash (the table snapshotted at the end of each ``table_apply``), and fail,
+revive and migrate servers by hand.  This module registers
 those verbs (:data:`HARNESS_VERBS`) into the same table through
 ``worker._register`` / ``worker._forward`` when ``tests/conftest.py``
 imports it.  Workers are forked (``WorkerPool`` refuses to start without
 ``fork``), so every pool a test starts inherits them.  Each verb keeps the
-read-only flag it had as a production verb, and with it the durability
-barrier and exactly-once-slot treatment: ``nn_signature`` is mutating.
+read-only flag it had as a production verb, and with it the request-log and
+exactly-once-slot treatment: ``nn_signature`` is mutating.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import os
 import tempfile
 import weakref
 from contextlib import ExitStack, contextmanager
-from typing import Any, Dict, Iterator, Optional, Sequence
+from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.bigtable.cost import OpCounter
 from repro.bigtable.process_backend import (
@@ -32,7 +33,7 @@ from repro.bigtable.process_backend import (
 )
 from repro.bigtable.table import ColumnFamily, Table
 from repro.bigtable.tablet import TabletOptions
-from repro.disk.store import DiskTableStore, restore_table
+from repro.disk.store import ShardStore
 from repro.errors import ConfigurationError
 from repro.experiments.recovery import _nn_signature, _state_signature
 from repro.server import worker
@@ -46,14 +47,21 @@ _PRODUCTION_VERBS = frozenset(worker.VERBS)
 #: into ``disk``.
 FAMILIES = (ColumnFamily("mem", max_versions=3), ColumnFamily("disk", max_versions=5))
 
-#: Each service's bare table (``build_table``); an entry goes with its service.
-_bare_tables: "weakref.WeakKeyDictionary[ShardService, Table]" = (
+#: Each service's bare table and its store, if any (``build_table``); an
+#: entry goes with its service.
+_bare_tables: "weakref.WeakKeyDictionary[ShardService, Tuple[Table, Optional[ShardStore]]]" = (
     weakref.WeakKeyDictionary()
 )
 
 
 def _indexer(service: ShardService):
     return service._require_cluster().indexer
+
+
+def call(service: ShardService, method: str, *args, **kwargs) -> Any:
+    """Run one verb on a service by name, as a test reads a shard: no
+    codec, no request id, nothing logged."""
+    return worker.lookup_verb(method)[0](service, *args, **kwargs)
 
 
 def full_row_signature(indexer) -> tuple:
@@ -68,9 +76,9 @@ def full_row_signature(indexer) -> tuple:
     return tuple(out)
 
 
-def bare_table(knobs: Dict[str, Any], store: Optional[DiskTableStore] = None) -> Table:
+def bare_table(knobs: Dict[str, Any]) -> Table:
     """The bare-table scenario's table, ``knobs`` its tablet options."""
-    return Table("t", list(FAMILIES), options=TabletOptions(**knobs), store=store)
+    return Table("t", list(FAMILIES), options=TabletOptions(**knobs))
 
 
 def apply_op(table: Table, op) -> None:
@@ -151,28 +159,35 @@ def build_table(
 ) -> None:
     if service in _bare_tables:
         raise ConfigurationError("this shard already built its bare table")
-    store = None if storage_dir is None else DiskTableStore(storage_dir)
+    store = None if storage_dir is None else ShardStore(storage_dir)
+    snapshot = None if store is None else store.load()
     table = None
-    if store is not None:
-        table = restore_table(store, "t", list(FAMILIES), OpCounter())
+    if snapshot is not None:
+        table = snapshot.restore_table("t", list(FAMILIES), OpCounter())
     if table is None:
-        table = bare_table(knobs, store)
-    _bare_tables[service] = table
+        table = bare_table(knobs)
+        if store is not None:
+            store.snapshot({"t": table}, None)
+    _bare_tables[service] = (table, store)
 
 
 def _table(service) -> Table:
-    table = _bare_tables.get(service)
-    if table is None:
+    entry = _bare_tables.get(service)
+    if entry is None:
         raise ConfigurationError("this shard has no bare table (build_table)")
-    return table
+    return entry[0]
 
 
 @worker._verb()
 def table_apply(service, ops: Sequence[tuple]) -> int:
-    """Apply a mutation program (the property-test op vocabulary)."""
+    """Apply a mutation program (the property-test op vocabulary), then
+    snapshot the table when it persists."""
     table = _table(service)
     for op in ops:
         apply_op(table, op)
+    store = _bare_tables[service][1]
+    if store is not None:
+        store.snapshot({"t": table}, None)
     return len(ops)
 
 

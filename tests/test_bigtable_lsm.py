@@ -4,6 +4,8 @@ merged reads and the durability ledger."""
 import hashlib
 import os
 import random
+import struct
+import zlib
 
 import pytest
 
@@ -20,8 +22,9 @@ from repro.bigtable.lsm import (
 )
 from repro.bigtable.table import Cell, ColumnFamily, Table
 from repro.bigtable.tablet import TabletOptions
-from repro.codec.blocks import decode_manifest, encode_manifest
-from repro.disk.store import MANIFEST_FORMAT, DiskTableStore, restore_table
+from repro.codec.blocks import decode_snapshot
+from repro.codec.values import pack_value
+from repro.disk.store import ShardStore
 from repro.errors import ConfigurationError
 from repro.geometry.point import Point
 
@@ -446,24 +449,27 @@ class TestLogReplayAndDiskBytes:
 
     @staticmethod
     def digests(root):
+        """sha256 per file; the snapshot stands in for its one table's
+        manifest as the parent commit framed it (``MOM1``, the value, a
+        crc), with the fields the snapshot moved out of it put back: the
+        format number (1), the table name and the options'
+        ``commit_log_enabled`` (always on since format 3)."""
         found = {}
         for folder, _, names in os.walk(root):
             for name in names:
                 path = os.path.join(folder, name)
                 with open(path, "rb") as handle:
                     data = handle.read()
-                if name == "MANIFEST.bin":
-                    # The format number moved on purpose (2: cell values are
-                    # rows at rest; 3: the options lost ``commit_log_enabled``,
-                    # always on); with both put back, every other byte must
-                    # still be the golden one.
-                    manifest = decode_manifest(data)
-                    assert manifest["format"] == MANIFEST_FORMAT == 3
+                if name == "SNAPSHOT.bin":
+                    (table_name, manifest), = decode_snapshot(data)["tables"].items()
                     assert "commit_log_enabled" not in manifest["options"]
-                    manifest["format"] = 1
                     manifest["options"]["commit_log_enabled"] = True
-                    data = encode_manifest(manifest)
-                found[os.path.relpath(path, root)] = hashlib.sha256(data).hexdigest()
+                    payload = pack_value({"format": 1, "name": table_name, **manifest})
+                    data = b"MOM1" + payload + struct.pack("<I", zlib.crc32(payload))
+                    name = "MANIFEST.bin"
+                found[os.path.relpath(os.path.join(folder, name), root)] = (
+                    hashlib.sha256(data).hexdigest()
+                )
         return found
 
     #: sha256 of the files the parent commit (list-of-Cell rows, tuple log)
@@ -472,42 +478,25 @@ class TestLogReplayAndDiskBytes:
         "runs/golden__tablet-0000__run-0000.run": "6641535fe2042fa6a98480ce8ae5167e2da5c2b435c7e65089edf422d4c7e6bb",
         "runs/golden__tablet-0001__run-0000.run": "66f4391ce70224a33f1f0af7d62d15476d43efef7f4335141f12e876ab32076f",
     }
-    JOURNAL_TAIL = "f7367404317c17715aa8914d951ed66553612fd4632ba51638047b38f091a58b"
-    MANIFEST_AFTER_FLUSH = "534e0bc447fa706c236b567e87883974df493d91012f16cff3756c739918085b"
     MANIFEST_WITH_LOG = "2f0976d59d03fe8e17d5d3cb91b6c837b20933b56875cda1e4acae9730450782"
-    JOURNAL_AFTER_RESTORE = "d5e7a5cf3cbe072dedbaf07baf35a92e878f3e2bbc7b17684f0d8b951d4f8392"
-    EMPTY = hashlib.sha256(b"").hexdigest()
 
     def test_store_files_match_the_parent_commits_bytes(self, tmp_path):
         root = str(tmp_path)
-        store = DiskTableStore(root)
+        store = ShardStore(root)
         options = TabletOptions(split_threshold=8, merge_threshold=2)
-        table = Table("golden", self.FAMILIES, options=options, store=store)
+        table = Table("golden", self.FAMILIES, options=options)
         self.program(table)
-        # Flushed runs on disk, the unflushed tail in the journal.
-        assert self.digests(root) == {
-            **self.RUNS,
-            "journal.bin": self.JOURNAL_TAIL,
-            "MANIFEST.bin": self.MANIFEST_AFTER_FLUSH,
-        }
-        # A checkpoint moves the tail into the manifest's per-tablet logs.
-        store.checkpoint(table)
-        assert self.digests(root) == {
-            **self.RUNS,
-            "journal.bin": self.EMPTY,
-            "MANIFEST.bin": self.MANIFEST_WITH_LOG,
-        }
-        table.write("k10", "f", "q", "tail", 30.0)
-        store.close()
-        restored = restore_table(
-            DiskTableStore(root), "golden", self.FAMILIES, OpCounter()
-        )
+        # Flushed runs on disk, the unflushed tail in the manifest's logs.
+        store.snapshot({"golden": table}, None)
+        digests = self.digests(root)
+        assert digests.pop("requests.log") == hashlib.sha256(
+            struct.pack("<Q", 1)
+        ).hexdigest()
+        assert digests == {**self.RUNS, "MANIFEST.bin": self.MANIFEST_WITH_LOG}
+        snapshot = ShardStore(root).load()
+        assert snapshot.frames == [] and snapshot.state is None
+        restored = snapshot.restore_table("golden", self.FAMILIES, OpCounter())
         assert restored.scan() == table.scan()
         assert [t.log.records for t in restored.tablets()] == [
             t.log.records for t in table.tablets()
         ]
-        assert self.digests(root) == {
-            **self.RUNS,
-            "journal.bin": self.JOURNAL_AFTER_RESTORE,
-            "MANIFEST.bin": self.MANIFEST_WITH_LOG,
-        }

@@ -3,9 +3,9 @@
 The headline property: a seeded :class:`FaultSchedule` whose process
 faults SIGKILL every worker at least once mid-workload — or freezes them with SIGSTOP, or
 corrupts their frames — completes with a ``to_report()`` rendering
-byte-identical to the fault-free run's.  The disk backend's journal + the
-accounting checkpoints + the exactly-once retry protocol together make a
-worker death invisible to every simulated number.
+byte-identical to the fault-free run's.  The disk backend's request log +
+snapshots + the exactly-once retry protocol together make a worker death
+invisible to every simulated number.
 """
 
 import os
@@ -18,15 +18,23 @@ from repro.errors import (
     StaleRequestError,
     WorkerCircuitOpenError,
 )
+from repro.bigtable.table import Table
+from repro.bigtable.tablet import TabletOptions
 from repro.codec.wire import NeighborStreamDecoder
-from repro.disk.store import DiskTableStore
 from repro.server import rpc
 from repro.server.faults import KILL_WORKER, Fault, FaultSchedule
 from repro.server.loadtest import LoadTest
 from repro.server.scaleout import ScaleOutCluster
 from repro.server.worker import ShardRecipe, dispatch_request
 
-from helpers import KillBeforeAck, TearCheckpoint, make_messages, make_queries
+from shard_harness import call
+from helpers import (
+    KillAfterFlush,
+    KillBeforeAck,
+    TearLogFrame,
+    make_messages,
+    make_queries,
+)
 
 NUM_SHARDS = 4
 NUM_OBJECTS = 200
@@ -148,32 +156,31 @@ class TestChaosLossless:
         finally:
             cluster.close()
 
-    def test_sigkill_inside_the_durability_barrier_is_byte_invisible(
+    def test_sigkill_halfway_through_a_request_is_byte_invisible(
         self, reference_report, tmp_path, monkeypatch
     ):
         # Scheduled faults fire between rounds, when the victim is idle.  This
         # kill lands *inside* a request: the first worker to reach the
-        # second commit point of an update batch — barrier open, the batch
-        # half applied, none of it in a journal — SIGKILLs itself, once.
+        # second group-commit flush of an armed run — the batch logged and
+        # half applied — SIGKILLs itself, once.
         armed, fired = str(tmp_path / "armed"), str(tmp_path / "fired")
-        real_commit = DiskTableStore.journal_commit
-        commits = []
+        real_flush_group = Table._flush_group
+        flushes = []
 
-        def dying_commit(store):
-            assert store._barrier.barrier_open  # no worker commits outside one
+        def dying_flush_group(table):
+            real_flush_group(table)
             if os.path.exists(armed):
-                commits.append(store.root)
-                if len(commits) == 2:
+                flushes.append(table.name)
+                if len(flushes) == 2:
                     try:
                         os.close(os.open(fired, os.O_CREAT | os.O_EXCL))
                     except FileExistsError:
                         pass  # a respawned worker, or the other one won
                     else:
                         os.kill(os.getpid(), signal.SIGKILL)
-            real_commit(store)
 
         # Workers are forked, so they (and their respawns) inherit the patch.
-        monkeypatch.setattr(DiskTableStore, "journal_commit", dying_commit)
+        monkeypatch.setattr(Table, "_flush_group", dying_flush_group)
         cluster = _cluster(
             "disk", 2, policy="respawn", retry=rpc.RetryPolicy(call_deadline_s=15.0)
         )
@@ -351,10 +358,10 @@ class TestExactlyOnceSlot:
         services = _built_service()
         body = rpc.encode_update_batch(make_messages(20, 50))
         first = dispatch_request(services, 0, rpc.OP_UPDATE_BATCH, body, 10)
-        charged = services[0].call("simulated_seconds")
+        charged = call(services[0], "simulated_seconds")
         replay = dispatch_request(services, 0, rpc.OP_UPDATE_BATCH, body, 10)
         assert replay == first
-        assert services[0].call("simulated_seconds") == charged  # no double charge
+        assert call(services[0], "simulated_seconds") == charged  # no double charge
 
     def test_stale_request_ids_are_rejected(self):
         services = _built_service()
@@ -386,9 +393,9 @@ class TestExactlyOnceSlot:
         queries = make_queries(6)
         body = rpc.encode_query_batch(queries)
         first = dispatch_request(services, 0, rpc.OP_QUERY_BATCH, body, 20)
-        charged = services[0].call("simulated_seconds")
+        charged = call(services[0], "simulated_seconds")
         replay = dispatch_request(services, 0, rpc.OP_QUERY_BATCH, body, 20)
-        assert services[0].call("simulated_seconds") == charged
+        assert call(services[0], "simulated_seconds") == charged
         # The replay is re-encoded through the stateful stream encoder, so
         # the bytes differ — but a decoder tracking the stream recovers the
         # exact same results.
@@ -410,10 +417,10 @@ class TestExactlyOnceSlot:
             dispatch_request(services, 0, rpc.OP_UPDATE_BATCH, body, 10 + index)
             for index, body in enumerate(bodies)
         ]
-        charged = services[0].call("simulated_seconds")
+        charged = call(services[0], "simulated_seconds")
         replay = dispatch_request(services, 0, rpc.OP_UPDATE_BATCH, bodies[2], 12)
         assert replay == firsts[2]
-        assert services[0].call("simulated_seconds") == charged
+        assert call(services[0], "simulated_seconds") == charged
 
     def test_every_id_older_than_the_slot_is_stale(self):
         services = _built_service()
@@ -423,22 +430,22 @@ class TestExactlyOnceSlot:
         ]
         for index, body in enumerate(bodies):
             dispatch_request(services, 0, rpc.OP_UPDATE_BATCH, body, 10 + index)
-        charged = services[0].call("simulated_seconds")
+        charged = call(services[0], "simulated_seconds")
         for index in (1, 0):  # right behind the slot, and further back
             with pytest.raises(StaleRequestError):
                 dispatch_request(
                     services, 0, rpc.OP_UPDATE_BATCH, bodies[index], 10 + index
                 )
-        assert services[0].call("simulated_seconds") == charged
+        assert call(services[0], "simulated_seconds") == charged
         dispatch_request(services, 0, rpc.OP_UPDATE_BATCH, bodies[2], 12)  # slot intact
 
     def test_a_mutating_call_replays_from_the_slot(self):
         services = _built_service()
         body = rpc.encode_call("nn_signature", (make_queries(4),), {})
         first = dispatch_request(services, 0, rpc.OP_CALL, body, 10)
-        charged = services[0].call("simulated_seconds")
+        charged = call(services[0], "simulated_seconds")
         assert dispatch_request(services, 0, rpc.OP_CALL, body, 10) == first
-        assert services[0].call("simulated_seconds") == charged  # not re-run
+        assert call(services[0], "simulated_seconds") == charged  # not re-run
         with pytest.raises(StaleRequestError):
             dispatch_request(services, 0, rpc.OP_CALL, body, 9)
 
@@ -451,7 +458,7 @@ class TestExactlyOnceSlot:
         # An id older than the slot runs; the same id resent runs again.
         answers = [dispatch_request(services, 0, rpc.OP_CALL, read, 5) for _ in range(2)]
         assert answers[0] == answers[1] == rpc.encode_result(
-            services[0].call("tablet_count")
+            call(services[0], "tablet_count")
         )
         assert services[0]._slot is slot
         assert dispatch_request(services, 0, rpc.OP_UPDATE_BATCH, update, 10) == first
@@ -485,15 +492,18 @@ class TestKillBeforeAck:
 
 
 # --------------------------------------------------------------------------
-# Kill mid-checkpoint: a torn slot restores the older one, the resend applies
+# Kill mid-append: the torn frame is dropped, the resend applies afresh
 # --------------------------------------------------------------------------
-def test_a_checkpoint_torn_by_a_kill_restores_the_older_slot(
-    reference, tmp_path, monkeypatch
+@pytest.mark.parametrize(
+    "opcode", [rpc.OP_UPDATE_BATCH, rpc.OP_QUERY_BATCH], ids=["update", "query"]
+)
+def test_a_log_frame_torn_by_a_kill_is_dropped_and_the_resend_applies(
+    reference, tmp_path, monkeypatch, opcode
 ):
-    # The torn slot is an update's: the older slot is the shard after its
-    # last acknowledged request, and its watermark drops the update's
-    # journal records, so the resend applies the update afresh.
-    tear = TearCheckpoint(monkeypatch, str(tmp_path), rpc.OP_UPDATE_BATCH)
+    # The restore drops the torn frame (its request never applied), so the
+    # shard is as its last acknowledged request left it and the resend
+    # applies the request afresh.
+    tear = TearLogFrame(monkeypatch, str(tmp_path), opcode)
     cluster = _cluster(
         "disk", 2, policy="respawn", retry=rpc.RetryPolicy(call_deadline_s=15.0)
     )
@@ -503,6 +513,41 @@ def test_a_checkpoint_torn_by_a_kill_restores_the_older_slot(
         assert tear.fired()
         assert result.to_report() == reference[0]
         assert cluster.backend.scatter("simulated_seconds") == reference[1]
+        snapshot = cluster.supervisor.metrics_snapshot()
+        assert snapshot["recoveries"] == snapshot["lossless_recoveries"] == 1
+    finally:
+        cluster.close()
+
+
+# --------------------------------------------------------------------------
+# Kill right after a memtable flush, mid-update: the request re-runs whole
+# --------------------------------------------------------------------------
+def test_a_kill_after_a_flush_mid_update_is_byte_invisible(tmp_path, monkeypatch):
+    # A flush inside an update must leave nothing on disk that a restore
+    # cannot roll back to the last acknowledged request.  Only the log and
+    # the snapshot reach the disk: the restore re-runs the logged update
+    # from the last snapshot, flush included.
+    options = dict(tablet_options=TabletOptions(memtable_flush_rows=64))
+    reference = _cluster("inprocess", 1, **options)
+    try:
+        expected = _run(reference).to_report()
+        expected_seconds = reference.backend.scatter("simulated_seconds")
+    finally:
+        reference.close()
+    kill = KillAfterFlush(monkeypatch, str(tmp_path))
+    cluster = _cluster(
+        "disk",
+        2,
+        policy="respawn",
+        retry=rpc.RetryPolicy(call_deadline_s=15.0),
+        **options,
+    )
+    try:
+        kill.arm()  # the preload is over
+        result = _run(cluster)
+        assert kill.fired()
+        assert result.to_report() == expected
+        assert cluster.backend.scatter("simulated_seconds") == expected_seconds
         snapshot = cluster.supervisor.metrics_snapshot()
         assert snapshot["recoveries"] == snapshot["lossless_recoveries"] == 1
     finally:

@@ -31,6 +31,7 @@ import random
 import socket
 import struct
 import tempfile
+import zlib
 from array import array
 
 import pytest
@@ -42,7 +43,8 @@ from repro.bigtable.table import ColumnFamily, Table
 from repro.bigtable.tablet import TabletOptions, TabletStats
 from repro.codec import values, wire
 from repro.codec.columns import write_uvarint
-from repro.disk.store import StateBlob
+from repro.codec.blocks import encode_request_frame
+from repro.disk.store import ShardStore
 from repro.errors import CodecError, ReproError, RpcError, UnrecoverableShardError
 from repro.geometry.point import Point
 from repro.geometry.vector import Vector
@@ -529,7 +531,6 @@ def _record_samples() -> list:
             master_options=MasterOptions(max_replicas=2),
             tablet_options=TabletOptions(memtable_flush_rows=16),
             storage_dir="/tmp/moist-disk-x",
-            durable_accounting=True,
         ),
         MasterOptions(),
         TabletOptions(),
@@ -806,46 +807,48 @@ def _read_frame(data):
         right.close()
 
 
-def _read_state_body(body: bytes):
-    """The accounting blob's body decoder, reached the way a restore reaches
-    it: the damaged body written as a slot, so its length and crc are valid
-    and the damage gets past the slot checks and into the decoder."""
+def _load(snapshot: bytes, log: bytes = b""):
+    """What a restore loads from a shard directory holding these two files:
+    the accounting sections and the logged frames."""
     with tempfile.TemporaryDirectory() as folder:
-        path = os.path.join(folder, "SHARD_STATE.bin")
-        StateBlob(path).write(body)
-        return StateBlob(path).read()
+        for name, data in (("SNAPSHOT.bin", snapshot), ("requests.log", log)):
+            with open(os.path.join(folder, name), "wb") as handle:
+                handle.write(data)
+        loaded = ShardStore(folder).load()
+        return loaded.state, loaded.frames
 
 
-def _read_state_file(data: bytes):
-    """A whole accounting file — header, both slots — read by a restore."""
+def _load_snapshot_body(body: bytes):
+    """The snapshot's value decoder, reached the way a restore reaches it:
+    the damaged value framed with a valid magic and crc, so the damage gets
+    past the checksum and into the decoder and the load's shape checks."""
+    return _load(b"MOS1" + body + struct.pack("<I", zlib.crc32(body)))
+
+
+def _shard_files():
+    """``(snapshot value, snapshot file, request log)`` of a small shard with
+    a master after one round, and two requests logged after its snapshot."""
     with tempfile.TemporaryDirectory() as folder:
-        path = os.path.join(folder, "SHARD_STATE.bin")
-        with open(path, "wb") as handle:
-            handle.write(data)
-        return StateBlob(path).read()
-
-
-def _state_file() -> bytes:
-    """The file after two writes: both slots valid, the second newer."""
-    body = values.unpack_value(_STATE_BODY)
-    with tempfile.TemporaryDirectory() as folder:
-        path = os.path.join(folder, "SHARD_STATE.bin")
-        blob = StateBlob(path)
-        blob.write(_STATE_BODY)
-        blob.write(values.pack_value(dict(body, dedup=())))
-        with open(path, "rb") as handle:
-            return handle.read()
-
-
-def _state_body() -> bytes:
-    """What a small shard with a master checkpoints after one round."""
-    service = ShardService()
-    service.build_indexer(
-        ShardRecipe(num_objects=24, num_servers=2, with_master=True, seed=3)
-    )
-    service.update_batch(_seeded_updates(24, 8, ids="numeric"))
-    service._slot = (8, rpc.OP_QUERY_BATCH, service.query_batch(_FUZZ_QUERIES))
-    return values.pack_value(service.accounting_state())
+        service = ShardService()
+        service.build_indexer(
+            ShardRecipe(
+                num_objects=24, num_servers=2, with_master=True, seed=3,
+                storage_dir=folder,
+            )
+        )
+        updates = _seeded_updates(24, 8, ids="numeric")
+        service.serve_in_process(rpc.OP_UPDATE_BATCH, updates)
+        service.serve_in_process(rpc.OP_QUERY_BATCH, _FUZZ_QUERIES)
+        service._snapshot()
+        shard_dir = os.path.join(folder, "shard-00")
+        with open(os.path.join(shard_dir, "SNAPSHOT.bin"), "rb") as handle:
+            snapshot = handle.read()
+        log = (
+            struct.pack("<Q", 2)
+            + encode_request_frame(9, rpc.OP_UPDATE_BATCH, rpc.encode_update_batch(updates))
+            + encode_request_frame(10, rpc.OP_CALL, rpc.encode_call("rebalance", (), {}))
+        )
+        return snapshot[4:-4], snapshot, log
 
 
 def _block_cache_body() -> bytes:
@@ -937,13 +940,14 @@ def _fuzz_cases() -> dict:
             _read_frame,
             rpc.encode_frame(rpc.KIND_RESPONSE, 7, 3, rpc.OP_CALL, rpc.encode_result("pong")),
         ),
-        "state_blob": (_read_state_body, _STATE_BODY),
-        "state_file": (_read_state_file, _state_file()),
+        "snapshot_body": (_load_snapshot_body, _SNAPSHOT_BODY),
+        "snapshot_file": (_load, _SNAPSHOT_FILE),
+        "request_log": (lambda data: _load(_SNAPSHOT_FILE, data), _REQUEST_LOG),
         "block_cache_state": (_install_block_cache, _block_cache_body()),
     }
 
 
-_STATE_BODY = _state_body()
+_SNAPSHOT_BODY, _SNAPSHOT_FILE, _REQUEST_LOG = _shard_files()
 _FUZZ_CASES = _fuzz_cases()
 #: The first byte of the snapshot's ``block_len`` column (a tag byte and a
 #: one-byte length follow the key).
@@ -996,13 +1000,15 @@ def _mutate(good: bytes, mutation) -> bytes:
 @example("neighbor_columnar", ("inflate", 2))  # the batch count
 @example("neighbor_columnar", ("inflate", 3))  # a batch's record count
 @example("frame", ("inflate", 0))
-@example("state_blob", ("tag", (0, 0)))
-@example("state_blob", ("tag", (0, 9)))  # a list where the section dict goes
-@example("state_blob", ("inflate", 1))  # the section count
-@example("state_blob", ("truncate", 4000))
-@example("state_file", ("flip", [(4, 0)]))  # the slot capacity
-@example("state_file", ("flip", [(12, 0)]))  # slot 0's sequence number
-@example("state_file", ("inflate", 20))  # slot 0's body length
+@example("snapshot_body", ("tag", (0, 0)))
+@example("snapshot_body", ("tag", (0, 9)))  # a list where the dict goes
+@example("snapshot_body", ("inflate", 1))  # the key count
+@example("snapshot_body", ("truncate", 4000))
+@example("snapshot_file", ("flip", [(0, 0)]))  # the magic
+@example("request_log", ("flip", [(0, 0)]))  # the header's generation
+@example("request_log", ("flip", [(8, 0)]))  # the first frame's request id
+@example("request_log", ("inflate", 17))  # the first frame's body length
+@example("request_log", ("truncate", 40))  # a torn final frame
 @example("frame", ("flip", [(0, 5)]))  # a length prefix of half a gigabyte
 # Block lengths that no longer sum to the blocks column: one too many, two
 # too few (a crc-valid snapshot that used to install the wrong keys).

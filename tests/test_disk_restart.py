@@ -5,15 +5,15 @@ crashes (memtables dropped, logs replayed, same process).  This suite
 proves the real thing: a shard worker persisting to real files in a tmp
 directory is killed with SIGKILL mid-workload — no atexit handlers, no
 graceful shutdown frame, no flush — and a freshly forked worker pointed at
-the same directory must rebuild bit-identical state from the manifest,
-run files and journal tail alone:
+the same directory must rebuild bit-identical state from the snapshot, run
+files and request log alone:
 
 * same tablet boundaries and keys (``state_signature``);
 * same full row contents (``full_row_signature``);
 * same NN results for a fixed probe set (``nn_signature``);
 * a bare :class:`~repro.bigtable.table.Table` killed mid-mutation-program
-  and restarted finishes the program with exactly the state of an
-  uncrashed in-process reference.
+  (snapshotted at the end of each ``table_apply``) and restarted finishes
+  the program with exactly the state of an uncrashed in-process reference.
 """
 
 from __future__ import annotations
@@ -80,13 +80,11 @@ def test_killed_worker_restarts_bit_identical_indexer(tmp_path):
     before_nn = client.call("nn_signature", queries)
     _kill_hard(pool)
 
-    # The shard directory now holds real bytes written by the dead process.
+    # The shard directory now holds real bytes written by the dead process:
+    # the build's snapshot and the three mutating requests since.
     shard_dir = recipe.shard_storage_dir
-    assert os.path.isdir(shard_dir)
-    assert any(
-        os.path.exists(os.path.join(shard_dir, entry, "MANIFEST.bin"))
-        for entry in os.listdir(shard_dir)
-    )
+    assert os.path.exists(os.path.join(shard_dir, "SNAPSHOT.bin"))
+    assert os.path.getsize(os.path.join(shard_dir, "requests.log")) > 8
 
     pool = WorkerPool(1)
     try:
@@ -123,7 +121,7 @@ def test_killed_worker_resumes_mutation_program_losslessly(tmp_path, seed):
     try:
         client = ShardClient(PipeTransport(pool), 0)
         # The knobs ride along but are ignored on restore: a restored
-        # table takes its options from its own manifest.
+        # table takes its options from its snapshot.
         client.call("build_table", knobs, storage_dir=storage_dir)
         client.call("table_apply", ops[kill_at:])
         assert client.call("table_state") == state_of(reference), (
@@ -136,7 +134,7 @@ def test_killed_worker_resumes_mutation_program_losslessly(tmp_path, seed):
 
 def test_restart_after_graceful_close_also_restores(tmp_path):
     """Restore is not kill-specific: a cleanly closed worker's files
-    restore the same way (the checkpoint/journal pair is always current)."""
+    restore the same way (the snapshot/log pair is always current)."""
     recipe = ShardRecipe(
         num_objects=120, seed=5, num_servers=1, storage_dir=str(tmp_path)
     )

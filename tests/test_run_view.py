@@ -35,7 +35,7 @@ from repro.bigtable.scan import BlockCacheOptions, Scanner
 from repro.bigtable.table import ColumnFamily, Table
 from repro.bigtable.tablet import Tablet, TabletOptions
 from repro.codec.values import pack_value
-from repro.disk.store import DiskTableStore, restore_table
+from repro.disk.store import ShardStore
 from repro.geometry.point import Point
 from repro.geometry.vector import Vector
 from repro.model import UpdateMessage, format_object_id
@@ -272,23 +272,16 @@ class Program:
             make_twin(self.table)
 
     def restore(self):
-        """A kill and respawn: checkpoint, close, rebuild from the files."""
+        """A kill and respawn: snapshot, rebuild from the files."""
         table = self.table
-        store = table._store
-        if store is None:
-            store = DiskTableStore(f"{self.root}/{self.restores}")
-            self.restores += 1
-        store.checkpoint(table)
-        store.close()
-        self.table = restore_table(
-            DiskTableStore(store.root), "t", FAMILIES, table.counter, cache_options=CACHE
+        root = f"{self.root}/{self.restores}"
+        self.restores += 1
+        ShardStore(root).snapshot({"t": table}, None)
+        self.table = ShardStore(root).load().restore_table(
+            "t", FAMILIES, table.counter, cache_options=CACHE
         )
         if self.twin:
             make_twin(self.table)
-
-    def close(self):
-        if self.table._store is not None:
-            self.table._store.close()
 
     def apply(self, op, step):
         table = self.table
@@ -400,19 +393,15 @@ def run_program(options, ops):
     with tempfile.TemporaryDirectory() as root:
         subject = Program(options, f"{root}/subject", twin=False)
         twin = Program(options, f"{root}/twin", twin=True)
-        try:
-            for step, op in enumerate(ops):
-                assert subject.apply(op, step) == twin.apply(op, step), (step, op)
-                assert observe(subject.table) == observe(twin.table), (step, op)
-                reached |= check_views(subject.table)
-            locator = subject.table._tablets
-            if locator.splits:
-                reached.add("split")
-            if locator.merges:
-                reached.add("merge")
-        finally:
-            subject.close()
-            twin.close()
+        for step, op in enumerate(ops):
+            assert subject.apply(op, step) == twin.apply(op, step), (step, op)
+            assert observe(subject.table) == observe(twin.table), (step, op)
+            reached |= check_views(subject.table)
+        locator = subject.table._tablets
+        if locator.splits:
+            reached.add("split")
+        if locator.merges:
+            reached.add("merge")
     return reached
 
 

@@ -1,6 +1,6 @@
 """One state protocol: every owner of soft state exports and installs it.
 
-``SHARD_STATE.bin`` is a fixed-order walk over these owners, so two things
+A snapshot's accounting half is a fixed-order walk over these owners, so two things
 must hold for each of them, on states a real run produces (a master that
 migrated, replicated and failed a server over, ``record_service_times`` on,
 tablets that split and flushed, a warm block cache, an exactly-once slot):
@@ -21,9 +21,15 @@ from repro.bigtable.tablet import TabletOptions
 from repro.codec.values import pack_value, unpack_value
 from repro.disk.store import STATE_SECTIONS
 from repro.server import rpc
-from repro.server.worker import ShardRecipe, dispatch_request
+from repro.server.worker import ShardRecipe, ShardService, dispatch_request
 
-from test_persistence_path import _build, _close_stores, _messages, _queries
+from test_persistence_path import (
+    RESPAWN_ID,
+    _build,
+    _messages,
+    _queries,
+    _write_snapshot,
+)
 
 SPATIAL = "spatial_index"
 
@@ -51,7 +57,6 @@ def _recipe(storage_dir, **overrides) -> ShardRecipe:
         with_master=True,
         record_service_times=True,
         storage_dir=str(storage_dir),
-        durable_accounting=True,
         tablet_options=TabletOptions(
             split_threshold=32, merge_threshold=8, memtable_flush_rows=16,
             compaction_max_runs=2,
@@ -91,16 +96,16 @@ def harvested(tmp_path_factory):
     _call(services, 24, "fail_over", owner)
     data_round(30, 9)
     yield services[0], storage_dir
-    _close_stores(services)
 
 
 @pytest.fixture
-def twin(harvested, tmp_path):
-    """The same durable files restored with cold accounting (no blob read)."""
-    shutil.copytree(harvested[1], tmp_path / "twin")
-    services = _build(_recipe(tmp_path / "twin", durable_accounting=False))
-    yield services[0]
-    _close_stores(services)
+def twin(harvested, tmp_path, monkeypatch):
+    """The harvested shard's tables, snapshotted into a directory of their
+    own and restored with cold accounting: the walk's install is skipped."""
+    recipe = _recipe(tmp_path / "twin")
+    _write_snapshot(recipe, {0: harvested[0]}, harvested[0].accounting_state())
+    monkeypatch.setattr(ShardService, "_install_accounting", lambda service, state: None)
+    return _build(recipe, RESPAWN_ID)[0]
 
 
 def _exactly(left, right) -> bool:
@@ -134,8 +139,8 @@ def test_export_survives_the_value_codec_and_installs_on_a_twin(
 
 
 def test_a_restored_shard_exports_what_the_dead_one_wrote(harvested, tmp_path):
-    """The whole walk, through the blob: build, die, restore, same state."""
+    """The whole walk, through the snapshot and the requests logged after
+    it: build, die, restore, same state."""
     shutil.copytree(harvested[1], tmp_path / "respawn")
-    services = _build(_recipe(tmp_path / "respawn"))
+    services = _build(_recipe(tmp_path / "respawn"), RESPAWN_ID)
     assert _exactly(services[0].accounting_state(), harvested[0].accounting_state())
-    _close_stores(services)

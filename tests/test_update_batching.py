@@ -186,15 +186,12 @@ class _SixFrameTable(Table):
             self._tablets.maybe_split(tablet)
             self._tablets.maybe_merge(tablet)
         self._maybe_flush(tablet)
-        self._maybe_checkpoint()
 
     def _log_append(self, tablet, opcode, row_key, payload):
         self._seq += 1
         self.counter.logical_write_rows += 1
         tablet.counter.logical_write_rows += 1
         tablet.log.write(self._seq, opcode, row_key, payload)
-        if self._store is not None:
-            self._store.journal_append((self._seq, opcode, row_key) + payload)
 
     def _log_mutation(self, tablet, opcode, row_key, *payload):
         self._log_append(tablet, opcode, row_key, payload)
@@ -208,8 +205,6 @@ class _SixFrameTable(Table):
         else:
             self.counter.record_durability(OpKind.LOG_APPEND, rows=1)
             tablet.counter.record_durability(OpKind.LOG_APPEND, rows=1)
-            if self._store is not None:
-                self._store.journal_commit()
         return True
 
     def _note_uncharged_structural(self, tablet, merge):
@@ -255,28 +250,6 @@ class _SixFrameTable(Table):
         elif removed:
             self._note_uncharged_structural(tablet, merge=True)
         return removed
-
-
-class _RecordingStore:
-    """A write-through store that only remembers what it was told, in order."""
-
-    def __init__(self):
-        self.events = []
-
-    def has_checkpoint(self):
-        return False
-
-    def checkpoint(self, table):
-        self.events.append(("checkpoint", table.tablet_count(), table._seq))
-
-    def journal_append(self, record):
-        self.events.append(("append", record))
-
-    def journal_commit(self):
-        self.events.append(("sync",))
-
-    def records(self):
-        return [event[1] for event in self.events if event[0] == "append"]
 
 
 def _key(index):
@@ -332,10 +305,9 @@ def _apply(table, operations):
         getattr(table, name)(*arguments, _charge=charge)
 
 
-def _run(table_class, mode, store, flush_rows=None, structural=True):
+def _run(table_class, mode, flush_rows=None, structural=True):
     """Preload one mutation at a time, then apply :func:`_mutations` in
-    ``mode``; returns the table and its recording store (or ``None``)."""
-    recorder = _RecordingStore() if store else None
+    ``mode``; returns the table."""
     table = table_class(
         "commit_matrix",
         [ColumnFamily("mem", in_memory=True, max_versions=2)],
@@ -345,7 +317,6 @@ def _run(table_class, mode, store, flush_rows=None, structural=True):
             group_commit_size=3 if mode == "small_group" else 256,
             memtable_flush_rows=flush_rows,
         ),
-        store=recorder,
     )
     _apply(table, _preload())
     assert table.tablet_count() > 3
@@ -358,7 +329,7 @@ def _run(table_class, mode, store, flush_rows=None, structural=True):
     else:
         with table.group_commit():
             _apply(table, operations)
-    return table, recorder
+    return table
 
 
 def _tablet_view(table):
@@ -374,14 +345,13 @@ MODES = ("plain", "deferred_syncs", "group", "small_group")
 
 class TestCommitHelper:
     @pytest.mark.parametrize("flush_rows", [None, 6])
-    @pytest.mark.parametrize("store", [False, True])
     @pytest.mark.parametrize("mode", MODES)
-    def test_one_frame_is_the_six_frames(self, mode, store, flush_rows):
+    def test_one_frame_is_the_six_frames(self, mode, flush_rows):
         # Same construction, same mutations, same mode: everything the two
         # paths leave behind is equal, float ledgers included (``==`` on
         # the snapshots: the additions happen in the same order).
-        table, journal = _run(Table, mode, store, flush_rows)
-        reference, expected = _run(_SixFrameTable, mode, store, flush_rows)
+        table = _run(Table, mode, flush_rows)
+        reference = _run(_SixFrameTable, mode, flush_rows)
         assert table.counter.snapshot() == reference.counter.snapshot()
         assert _tablet_view(table) == _tablet_view(reference)
         assert table._seq == reference._seq > 0
@@ -389,9 +359,6 @@ class TestCommitHelper:
             reference._tablets.splits, reference._tablets.merges
         )
         assert table.scan() == reference.scan()
-        if store:
-            assert journal.events == expected.events
-            assert journal.records()
         # The matrix exercised what it claims to.
         assert table.counter.counts.get(OpKind.DELETE, 0) > 0
         assert table.counter.logical_write_rows == table._seq
@@ -400,9 +367,8 @@ class TestCommitHelper:
         if flush_rows is None:
             assert log_record_count(table)
 
-    @pytest.mark.parametrize("store", [False, True])
     @pytest.mark.parametrize("mode", ["group", "small_group"])
-    def test_group_commit_is_the_sequential_run(self, mode, store):
+    def test_group_commit_is_the_sequential_run(self, mode):
         # Against the unbatched run, by this file's rule: exact for counts,
         # rows, records and sequence numbers, a tolerance where
         # ``record_many`` re-associates a float sum.  No row is added or
@@ -410,8 +376,8 @@ class TestCommitHelper:
         # ledgers are comparable one by one.  What a group commit batches on
         # purpose — one fsync per tablet per flush instead of one per
         # record — shows only in the durability call count and seconds.
-        batched, batched_journal = _run(Table, mode, store, structural=False)
-        plain, plain_journal = _run(Table, "plain", store, structural=False)
+        batched = _run(Table, mode, structural=False)
+        plain = _run(Table, "plain", structural=False)
         assert [t.start_key for t in batched.tablets()] == [
             t.start_key for t in plain.tablets()
         ]
@@ -434,9 +400,6 @@ class TestCommitHelper:
             t.log.records for t in plain.tablets()
         ]
         assert batched.scan() == plain.scan()
-        if store:
-            assert batched_journal.records() == plain_journal.records()
-            assert batched_journal.records()
 
 
 class TestTraceVisibility:
