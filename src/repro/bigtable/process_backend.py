@@ -3,10 +3,10 @@
 A *shard transport* is how one round of per-shard requests reaches the
 shard services: :class:`PipeTransport` frames them onto a
 :class:`WorkerPool`'s connections (codecs, pinned request ids, one
-``sendall`` per worker per round, per-shard stream decoders, phase
-timers); :class:`InProcessTransport` calls the services directly and
-completes synchronously — the zero-RPC baseline every scale-out run must
-match bit for bit.  :class:`ScatterGatherEngine` drives either one
+``sendall`` per worker per round, phase timers);
+:class:`InProcessTransport` calls the services directly and completes
+synchronously — the zero-RPC baseline every scale-out run must match bit
+for bit.  :class:`ScatterGatherEngine` drives either one
 through the same three methods (``transmit`` only on a heal), and every
 round goes through it: data-plane batches and control-plane CALLs alike.
 
@@ -43,12 +43,11 @@ import signal
 import socket
 import tempfile
 import time
-from collections import defaultdict
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.bigtable.cost import CostModel, OpCounter, OpCounterSnapshot
 from repro.bigtable.tablet import hot_share
-from repro.codec.wire import NeighborStreamDecoder
+from repro.codec.wire import decode_neighbor_batches
 from repro.errors import ConfigurationError, FrameCorruptionError, WorkerDiedError
 from repro.server import rpc
 from repro.server.worker import ShardRecipe, ShardService, worker_main
@@ -262,8 +261,8 @@ class PipeTransport:
     Owns everything wire-shaped: the codecs, request-id allocation *before*
     the send (ids must survive a send-time failure — they pin the resend
     for the worker-side exactly-once slot), one ``sendall`` per worker per
-    round, the per-shard neighbour-stream decoders, and the phase timers.
-    ``shard → worker`` is ``shard_id % num_workers``.
+    round, and the phase timers.  ``shard → worker`` is
+    ``shard_id % num_workers``.
 
     A token is ``(shard_id, opcode, request_id, body, payload)``.  A failed
     send is not raised but remembered per worker and surfaces from
@@ -273,12 +272,6 @@ class PipeTransport:
     def __init__(self, pool: WorkerPool) -> None:
         self.pool = pool
         self.phase = zero_phase()
-        #: Client-side twins of the shard services' stateful neighbour
-        #: stream encoders, per *shard* — so stream state, and therefore
-        #: wire bytes, is invariant across worker counts.
-        self._decoders: Dict[int, NeighborStreamDecoder] = defaultdict(
-            NeighborStreamDecoder
-        )
         self._send_failed: Dict[int, str] = {}
 
     def worker_of(self, shard_id: int) -> int:
@@ -339,14 +332,11 @@ class PipeTransport:
         if opcode == rpc.OP_UPDATE_BATCH:
             result = rpc.UPDATE_RESULT.unpack(body)
         elif opcode == rpc.OP_QUERY_BATCH:
-            # The stream never transmits distances — the decoder recomputes
-            # them from the probe set — and it is looked up now, not at
-            # send time: a heal in between rebinds it.
+            # Distances never ride the wire: the decoder recomputes them
+            # from the probe set.
             (makespan,) = rpc.MAKESPAN.unpack_from(body)
             result = (
-                self._decoders[shard_id].decode(
-                    memoryview(body)[rpc.MAKESPAN.size:], payload
-                ),
+                decode_neighbor_batches(memoryview(body)[rpc.MAKESPAN.size:], payload),
                 makespan,
             )
         else:
@@ -355,11 +345,9 @@ class PipeTransport:
         return result
 
     def rebind(self, worker: int) -> None:
-        """Forget a replaced worker's stream state: its fresh services
-        start fresh encoders, and its connection can be sent to again."""
+        """Forget a replaced worker's failed send: its new connection can
+        be sent to again."""
         self._send_failed.pop(worker, None)
-        for shard_id in [s for s in self._decoders if self.worker_of(s) == worker]:
-            del self._decoders[shard_id]
 
 
 class ScatterGatherEngine:
@@ -631,9 +619,9 @@ class ProcessShardedBackend(FederatedShardedBackend):
 
     def respawn_worker(self, index: int) -> None:
         """Replace one worker process and reset the transport's state for
-        it (fresh connection, fresh stream decoders).  The caller re-issues
-        ``build_indexer`` per shard to restore state — that is the
-        supervisor's job, not the transport's."""
+        it (a fresh connection, no remembered send failure).  The caller
+        re-issues ``build_indexer`` per shard to restore state — that is
+        the supervisor's job, not the transport's."""
         self.pool.respawn_worker(index)
         self.transport.rebind(index)
 

@@ -4,10 +4,10 @@ One binary vocabulary — varints, fixed-width float columns, XOR-delta
 float columns, bitmaps, front-coded sorted key columns and a tagged value
 encoding — shared by the two consumers that used to each invent their own:
 
-* the RPC wire (:mod:`repro.codec.wire`): columnar batch frames for
-  update/query/neighbour bodies plus a per-shard *stateful* neighbour
-  stream codec (dictionary-encoded object ids, positions re-sent only when
-  they changed, distances reconstructed from the query location);
+* the RPC wire (:mod:`repro.codec.wire`): stateless columnar batch frames
+  for update, query and neighbour bodies (a neighbour frame carries its
+  own object table, and its distances are reconstructed from the query
+  location);
 * on-disk SSTable blocks, request-log frames and snapshots
   (:mod:`repro.codec.blocks`): the real files behind the
   :mod:`repro.disk.store` backend.

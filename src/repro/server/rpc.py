@@ -17,17 +17,18 @@ a decode crash deep inside a codec.
 
 Bodies for the hot opcodes (update batches, query batches, neighbour
 results) ride the shared columnar codec layer (:mod:`repro.codec.wire`):
-varint-dictionary object ids, fixed-width float columns and delta-encoded
-timestamps that *reconstruct* the library's frozen dataclasses on the far
-side.  Neighbour results use a per-shard *stateful* stream codec (held by
-the shard service and the parent's pipe transport, not here) that resends
-only what changed since the last frame.  Batches the columnar layout cannot carry — non-conforming
-object ids, a negative ``k``, NaN distances — ride the *general* frame
-(flag byte 0): the same list as one tagged value
-(:mod:`repro.codec.values`).  Control-plane verbs ride the generic ``CALL``
-opcode: the body is the tagged tuple ``(method, args, kwargs)``, the result
-one tagged value.  There is no other encoding: a value the tagged codec has
-no tag for is a :class:`~repro.errors.CodecError` at the sender.
+varint object ids, fixed-width float columns and delta-encoded timestamps
+that *reconstruct* the library's records on the far side.  Every body is
+self-contained — a neighbour frame carries its own object table and
+recomputes distances from the probe set it answers — so neither end of a
+connection keeps codec state.  Batches the columnar layout cannot carry —
+non-conforming object ids, a negative ``k``, a distance the probe set does
+not reproduce — ride the *general* frame (flag byte 0): the same list as
+one tagged value (:mod:`repro.codec.values`).  Control-plane verbs ride
+the generic ``CALL`` opcode: the body is the tagged tuple
+``(method, args, kwargs)``, the result one tagged value.  There is no
+other encoding: a value the tagged codec has no tag for is a
+:class:`~repro.errors.CodecError` at the sender.
 
 An error raised inside a worker crosses as ``(class name, message)``.  The
 name is resolved against :mod:`repro.errors` **only** — a library error
@@ -133,7 +134,7 @@ def read_frame(sock: socket.socket) -> Tuple[int, int, int, int, bytes]:
 #: Response body of ``OP_UPDATE_BATCH``: (processed, shard makespan).
 UPDATE_RESULT = struct.Struct("!Id")
 #: Prefix of an ``OP_QUERY_BATCH`` response body: the shard makespan, then
-#: the shard's neighbour-stream frame.
+#: the neighbour frame (:func:`repro.codec.wire.encode_neighbor_batches`).
 MAKESPAN = struct.Struct("!d")
 
 
@@ -433,7 +434,7 @@ def serve(sock: socket.socket, dispatch) -> None:
             # it to WorkerDiedError and lets the supervisor respawn us.
             return
         except (WorkerDiedError, RpcError, OSError):
-            return  # parent went away (or stream desynced): exit quietly
+            return  # parent went away: exit quietly
         if kind != KIND_REQUEST:
             continue
         if opcode == OP_SHUTDOWN:

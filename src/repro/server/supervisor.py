@@ -140,8 +140,8 @@ class Supervisor:
         """Heal one failed worker according to the policy.
 
         Both policies kill the remains, fork a replacement on a connection
-        that continues the request-id counter, rebind the transport (fresh
-        stream decoders for its shards) and re-issue ``build_indexer`` per
+        that continues the request-id counter, rebind the transport (forget
+        the dead worker's failed send) and re-issue ``build_indexer`` per
         shard — which for the disk backend installs the snapshot — tables,
         accounting, the tablet master's decision history and routing
         overrides on master-bearing recipes — and re-runs the logged

@@ -50,7 +50,7 @@ from zlib import crc32
 
 from repro.bigtable.tablet import TabletOptions
 from repro.codec.values import pack_value, unpack_value
-from repro.codec.wire import NeighborStreamEncoder
+from repro.codec.wire import encode_neighbor_batches
 from repro.core.config import MoistConfig
 from repro.disk.store import STORE_STEPS, ShardStore
 from repro.errors import (
@@ -201,7 +201,7 @@ class ShardService:
     """The worker-side state and verbs of one shard group.
 
     Every entry of :data:`VERBS` is callable through the generic ``CALL``
-    opcode (:meth:`call` in-process); ``update_batch``/``query_batch``
+    opcode (:meth:`serve_in_process`); ``update_batch``/``query_batch``
     additionally serve the compact binary opcodes.  One instance runs per
     shard id, inside a worker process (RPC) or inside the parent (the
     in-process baseline) — same code either way, which is what makes the
@@ -219,11 +219,6 @@ class ShardService:
         self._store: Optional[ShardStore] = None
         #: Requests logged since the last snapshot.
         self._logged = 0
-        #: Per-shard stateful neighbour stream encoder (its decoder twin
-        #: lives in the parent's pipe transport).  Keeping the state per
-        #: *shard* — never per connection or worker — is what makes wire
-        #: bytes invariant across worker counts.
-        self.neighbor_encoder = NeighborStreamEncoder()
         #: Exactly-once slot: ``(request_id, opcode, result)`` of the last
         #: applied mutating request, or ``None``.  A round carries at most
         #: one request per shard and a heal resends only the round's
@@ -480,13 +475,8 @@ class ShardService:
         if opcode == rpc.OP_UPDATE_BATCH:
             response = rpc.UPDATE_RESULT.pack(*result)
         elif opcode == rpc.OP_QUERY_BATCH:
-            # Stateful per-shard stream encoding: only what changed since
-            # this shard's previous response frame rides the wire.  A replay
-            # re-encodes the recorded *results* with the current stream
-            # encoder: a respawned worker starts a fresh encoder and the
-            # parent resets its decoder twin.
             results, makespan = result
-            response = rpc.MAKESPAN.pack(makespan) + self.neighbor_encoder.encode(
+            response = rpc.MAKESPAN.pack(makespan) + encode_neighbor_batches(
                 results, payload
             )
         else:

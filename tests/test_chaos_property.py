@@ -20,7 +20,6 @@ from repro.errors import (
 )
 from repro.bigtable.table import Table
 from repro.bigtable.tablet import TabletOptions
-from repro.codec.wire import NeighborStreamDecoder
 from repro.server import rpc
 from repro.server.faults import KILL_WORKER, Fault, FaultSchedule
 from repro.server.loadtest import LoadTest
@@ -396,16 +395,9 @@ class TestExactlyOnceSlot:
         charged = call(services[0], "simulated_seconds")
         replay = dispatch_request(services, 0, rpc.OP_QUERY_BATCH, body, 20)
         assert call(services[0], "simulated_seconds") == charged
-        # The replay is re-encoded through the stateful stream encoder, so
-        # the bytes differ — but a decoder tracking the stream recovers the
-        # exact same results.
-        decoder = NeighborStreamDecoder()
-        import struct
-
-        makespan_size = struct.calcsize("!d")
-        decoded_first = decoder.decode(memoryview(first)[makespan_size:], queries)
-        decoded_replay = decoder.decode(memoryview(replay)[makespan_size:], queries)
-        assert decoded_first == decoded_replay
+        # A reply frame depends on no earlier frame, so the slot's recorded
+        # results re-encode to the very bytes the first answer carried.
+        assert replay == first
 
     def test_the_slot_replays_the_newest_of_several_requests(self):
         services = _built_service()

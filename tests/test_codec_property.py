@@ -12,9 +12,9 @@ batches) and assert:
 * **general-frame correctness** — inputs the columnar layout cannot carry
   still round-trip exactly, and a value with no tag at all is a
   ``CodecError`` where it is encoded;
-* **byte determinism** — encoding the same seeded input twice, or through
-  two fresh encoder instances, yields byte-identical output (the property
-  the exact wire-bytes assertion and the worker-count invariance rest on);
+* **byte determinism** — encoding the same seeded input twice yields
+  byte-identical output (the property the exact wire-bytes assertion and
+  the worker-count invariance rest on);
 * **hostile bytes** — truncated, bit-flipped, length-inflated, wrong-tag
   and tag-0 input yields the original value or a typed ``repro.errors``
   exception, never anything else.
@@ -35,7 +35,7 @@ import zlib
 from array import array
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.bigtable.cost import CostModel, OpCounter
 from repro.bigtable.scan import BlockCache
@@ -145,6 +145,19 @@ ADVERSARIAL_UPDATES = [
             timestamp=1e300,
         )
     ],
+    # Ten digits that are not ASCII: the columns would rewrite the first
+    # as "obj1111111111", and int() refuses the second.
+    *(
+        [
+            UpdateMessage(
+                object_id=object_id,
+                location=Point(1.0, 2.0),
+                velocity=Vector(0.0, 0.0),
+                timestamp=0.0,
+            )
+        ]
+        for object_id in ("obj" + "١" * 10, "obj" + "²" * 10)
+    ),
 ]
 
 
@@ -241,7 +254,7 @@ def test_query_batch_encoding_is_deterministic():
 
 
 # --------------------------------------------------------------------------
-# The stateful neighbour stream
+# Neighbour result frames
 # --------------------------------------------------------------------------
 
 
@@ -264,15 +277,12 @@ def _results_for(queries, objects):
     return batches
 
 
-def _stream_pair():
-    return wire.NeighborStreamEncoder(), wire.NeighborStreamDecoder()
-
-
 def _assert_batches_equal(decoded, expected):
     assert len(decoded) == len(expected)
     for da, ea in zip(decoded, expected):
         assert len(da) == len(ea)
         for d, e in zip(da, ea):
+            assert type(d) is NeighborResult
             assert d.object_id == e.object_id
             assert _bits(d.location.x) == _bits(e.location.x)
             assert _bits(d.location.y) == _bits(e.location.y)
@@ -281,69 +291,41 @@ def _assert_batches_equal(decoded, expected):
             assert d.leader_id == e.leader_id
 
 
-def test_neighbor_stream_round_trips_and_shrinks_repeats():
-    encoder, decoder = _stream_pair()
-    queries = [NNQuery(location=Point(10.0, 20.0), k=5)]
+def test_neighbor_frame_round_trips_with_one_table_row_per_object():
+    queries = [NNQuery(location=Point(10.0, 20.0), k=5), NNQuery(Point(-3.0, 7.5), 5)]
     objects = [
         (format_object_id(i), Point(i * 3.0, i * 5.0), None) for i in range(5)
     ]
     batches = _results_for(queries, objects)
-
-    first = encoder.encode(batches, queries)
-    _assert_batches_equal(decoder.decode(first, queries), batches)
-    second = encoder.encode(batches, queries)
-    _assert_batches_equal(decoder.decode(second, queries), batches)
-    # Unchanged records cost a couple of bytes each on the repeat frame.
-    assert len(second) < len(first) / 3
+    frame = wire.encode_neighbor_batches(batches, queries)
+    assert frame[:3] == bytes([wire.FLAG_COLUMNAR, 2, 5])  # 2 batches, 5 rows
+    _assert_batches_equal(wire.decode_neighbor_batches(frame, queries), batches)
 
 
-def test_neighbor_stream_ships_non_numeric_ids_general_and_resyncs():
-    encoder, decoder = _stream_pair()
+@pytest.mark.parametrize("object_id", ["bus-17", "obj" + "١" * 10, "obj" + "²" * 10])
+def test_neighbor_frame_ships_non_numeric_ids_general(object_id):
     queries = [NNQuery(location=Point(0.0, 0.0), k=3)]
-    good = _results_for(queries, [(format_object_id(1), Point(3.0, 4.0), None)])
-    weird = _results_for(queries, [("bus-17", Point(1.0, 1.0), None)])
-
-    frame = encoder.encode(good, queries)
-    assert frame[0] == wire.FLAG_COLUMNAR
-    _assert_batches_equal(decoder.decode(frame, queries), good)
-
-    general = encoder.encode(weird, queries)
+    weird = _results_for(queries, [(object_id, Point(1.0, 1.0), None)])
+    general = wire.encode_neighbor_batches(weird, queries)
     assert general[0] == wire.FLAG_GENERAL
-    _assert_batches_equal(decoder.decode(general, queries), weird)
-
-    # The general frame left both dictionaries untouched: the stream
-    # carries on columnar with the tokens it already assigned.
-    resumed = encoder.encode(good, queries)
-    assert resumed[0] == wire.FLAG_COLUMNAR
-    _assert_batches_equal(decoder.decode(resumed, queries), good)
+    _assert_batches_equal(wire.decode_neighbor_batches(general, queries), weird)
 
 
-def test_neighbor_stream_carries_nan_distances_columnar():
+def test_neighbor_frame_carries_nan_distances_columnar():
     """Same-bit NaN distances pass the bitwise identity check and ride the
     columnar path — reconstructed bit-exactly on the far side."""
-    encoder, decoder = _stream_pair()
     queries = [NNQuery(location=Point(float("nan"), 0.0), k=1)]
     batches = _results_for(
         queries, [(format_object_id(2), Point(1.0, 2.0), None)]
     )
     assert math.isnan(batches[0][0].distance)
-    frame = encoder.encode(batches, queries)
+    frame = wire.encode_neighbor_batches(batches, queries)
     assert frame[0] == wire.FLAG_COLUMNAR
-    decoded = decoder.decode(frame, queries)
+    decoded = wire.decode_neighbor_batches(frame, queries)
     assert _bits(decoded[0][0].distance) == _bits(batches[0][0].distance)
 
 
-def test_neighbor_stream_rejects_out_of_order_frames():
-    encoder, decoder = _stream_pair()
-    queries = [NNQuery(location=Point(0.0, 0.0), k=1)]
-    batches = _results_for(queries, [(format_object_id(1), Point(1.0, 0.0), None)])
-    first = encoder.encode(batches, queries)
-    decoder.decode(first, queries)
-    with pytest.raises(RpcError):
-        decoder.decode(first, queries)  # replayed frame
-
-
-def test_neighbor_stream_bytes_are_deterministic_across_fresh_pairs():
+def test_neighbor_frame_bytes_are_deterministic():
     queries = [NNQuery(location=Point(50.0, 50.0), k=8)]
     rng = random.Random(13)
     objects = [
@@ -354,27 +336,91 @@ def test_neighbor_stream_bytes_are_deterministic_across_fresh_pairs():
         )
         for i in range(8)
     ]
-    batches = _results_for(queries, objects)
-    frames_a = []
-    frames_b = []
-    for frames in (frames_a, frames_b):
-        encoder = wire.NeighborStreamEncoder()
-        frames.append(encoder.encode(batches, queries))
-        frames.append(encoder.encode(batches, queries))
-    assert frames_a == frames_b
+    first = wire.encode_neighbor_batches(_results_for(queries, objects), queries)
+    again = wire.encode_neighbor_batches(_results_for(queries, objects), queries)
+    assert first == again
 
 
-def test_neighbor_stream_refuses_a_subclassed_result_without_losing_sync():
+def test_neighbor_frame_refuses_a_subclassed_result():
     class Decorated(NeighborResult):
         pass
 
-    encoder, decoder = _stream_pair()
     queries = [NNQuery(location=Point(0.0, 0.0), k=1)]
-    good = _results_for(queries, [(format_object_id(1), Point(3.0, 4.0), None)])
     with pytest.raises(CodecError, match="no value tag"):
-        encoder.encode([[Decorated("obj0000000001", Point(3.0, 4.0), 5.0, True)]], queries)
-    # The refused frame was never counted: the next one is still frame 0.
-    _assert_batches_equal(decoder.decode(encoder.encode(good, queries), queries), good)
+        wire.encode_neighbor_batches(
+            [[Decorated("obj0000000001", Point(3.0, 4.0), 5.0, True)]], queries
+        )
+
+
+_numeric_ids = st.integers(0, 10**10 - 1).map(format_object_id)
+_any_points = st.builds(Point, st.floats(), st.floats())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    objects=st.lists(
+        st.tuples(_numeric_ids, _any_points, st.one_of(st.none(), _numeric_ids)),
+        min_size=1,
+        max_size=6,
+    ),
+    moved=_any_points,
+    probes=st.lists(_any_points, min_size=1, max_size=4),
+)
+@example(
+    objects=[(format_object_id(1), Point(-0.0, 0.0), None)],
+    moved=Point(0.0, -0.0),
+    probes=[Point(0.0, 0.0), Point(1.0, 1.0)],
+)
+def test_neighbor_frame_round_trips_repeats_and_a_moved_id_bit_exactly(
+    objects, moved, probes
+):
+    """Every object appears in every batch, and the first id appears a
+    second time at another position (``-0.0`` and ``0.0`` count as two):
+    the frame-local table keys rows by bit pattern, never by ``==``."""
+    first_id, first_point, _ = objects[0]
+    assume(
+        (_bits(moved.x), _bits(moved.y)) != (_bits(first_point.x), _bits(first_point.y))
+    )
+    queries = [NNQuery(location=probe, k=10) for probe in probes]
+    batches = _results_for(queries, objects + [(first_id, moved, None)])
+    frame = wire.encode_neighbor_batches(batches, queries)
+    assert frame[0] == wire.FLAG_COLUMNAR
+    _assert_batches_equal(wire.decode_neighbor_batches(frame, queries), batches)
+    # The frame decodes again from its own bytes: no state was consumed.
+    _assert_batches_equal(wire.decode_neighbor_batches(frame, queries), batches)
+
+
+#: Offset of the flags column in ``_FUZZ_NEIGHBOR_FRAME``: flag, batch
+#: count, row count, two one-byte ids, then the two x and two y doubles.
+_FLAGS_AT = 5 + 32
+
+
+@pytest.mark.parametrize(
+    "position, byte, match",
+    [
+        (0, 2, "unknown neighbour frame flag"),
+        (1, 3, "3 result batches for 2 queries"),
+        (2, 100, "bytes remain"),  # a row count the frame cannot hold
+        (_FLAGS_AT, 1 | 4, "unknown neighbour flag bits"),
+        (_FLAGS_AT + 3, 50, "bytes remain"),  # a batch's record count
+        (-1, 2, "reference 2 past a 2-row object table"),
+    ],
+)
+def test_the_neighbour_decoder_refuses_a_malformed_columnar_frame(
+    position, byte, match
+):
+    frame = bytearray(_FUZZ_NEIGHBOR_FRAME)
+    # flags 1 (leader) and 2 (has a leader), leader id 1, then two
+    # batches of two references each.
+    assert frame[_FLAGS_AT:] == bytes([1, 2, 1, 2, 0, 1, 2, 0, 1])
+    frame[position] = byte
+    with pytest.raises(CodecError, match=match):
+        wire.decode_neighbor_batches(bytes(frame), _FUZZ_QUERIES)
+
+
+def test_the_neighbour_decoder_refuses_stray_bytes_after_the_batches():
+    with pytest.raises(CodecError, match="stray"):
+        wire.decode_neighbor_batches(_FUZZ_NEIGHBOR_FRAME + b"\x00", _FUZZ_QUERIES)
 
 
 # --------------------------------------------------------------------------
@@ -785,6 +831,9 @@ _FUZZ_OBJECTS = [
     (format_object_id(1), Point(3.0, 4.0), None),
     (format_object_id(2), Point(-1.5, 0.25), format_object_id(1)),
 ]
+_FUZZ_NEIGHBOR_FRAME = wire.encode_neighbor_batches(
+    _results_for(_FUZZ_QUERIES, _FUZZ_OBJECTS), _FUZZ_QUERIES
+)
 _INFLATED_COUNT = bytearray()
 write_uvarint(_INFLATED_COUNT, 2**60)
 
@@ -919,14 +968,12 @@ def _fuzz_cases() -> dict:
             rpc.encode_query_batch([NNQuery(Point(1.0, 1.0), -1, 4.5)]),
         ),
         "neighbor_columnar": (
-            lambda data: wire.NeighborStreamDecoder().decode(data, _FUZZ_QUERIES),
-            wire.NeighborStreamEncoder().encode(
-                _results_for(_FUZZ_QUERIES, _FUZZ_OBJECTS), _FUZZ_QUERIES
-            ),
+            lambda data: wire.decode_neighbor_batches(data, _FUZZ_QUERIES),
+            _FUZZ_NEIGHBOR_FRAME,
         ),
         "neighbor_general": (
-            lambda data: wire.NeighborStreamDecoder().decode(data, _FUZZ_QUERIES),
-            wire.NeighborStreamEncoder().encode(
+            lambda data: wire.decode_neighbor_batches(data, _FUZZ_QUERIES),
+            wire.encode_neighbor_batches(
                 _results_for(_FUZZ_QUERIES, weird), _FUZZ_QUERIES
             ),
         ),
@@ -992,13 +1039,17 @@ def _mutate(good: bytes, mutation) -> bytes:
 @example("call", ("tag", (0, 0)))
 @example("error", ("tag", (0, 0)))
 @example("update_general", ("tag", (1, 0)))
-@example("neighbor_general", ("tag", (2, 0)))
+@example("neighbor_general", ("tag", (1, 0)))
 @example("value", ("tag", (0, 19)))  # the first unassigned tag
 @example("value", ("inflate", 1))  # the outer tuple's count
 @example("update_columnar", ("inflate", 1))
 @example("query_columnar", ("inflate", 1))
-@example("neighbor_columnar", ("inflate", 2))  # the batch count
-@example("neighbor_columnar", ("inflate", 3))  # a batch's record count
+@example("neighbor_columnar", ("inflate", 1))  # the batch count
+@example("neighbor_columnar", ("inflate", 2))  # the object table's row count
+@example("neighbor_columnar", ("inflate", _FLAGS_AT + 3))  # a batch's record count
+@example("neighbor_columnar", ("tag", (1, 3)))  # batches != queries
+@example("neighbor_columnar", ("tag", (_FLAGS_AT, 5)))  # an unknown flag bit
+@example("neighbor_columnar", ("tag", (-1, 2)))  # a reference past the table
 @example("frame", ("inflate", 0))
 @example("snapshot_body", ("tag", (0, 0)))
 @example("snapshot_body", ("tag", (0, 9)))  # a list where the dict goes

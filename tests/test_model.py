@@ -145,7 +145,7 @@ class TestNeighborResult:
         for clone in (pickle.loads(pickle.dumps(result)), copy.deepcopy(result)):
             assert clone == result and type(clone) is NeighborResult
 
-    def test_round_trips_tag_15_and_the_neighbour_stream(self):
+    def test_round_trips_tag_15_and_the_neighbour_frame(self):
         query = NNQuery(Point(0.0, 0.0), 2)
         results = [
             NeighborResult(format_object_id(1), Point(3.0, 4.0), 5.0, True),
@@ -157,11 +157,10 @@ class TestNeighborResult:
         decoded, _ = values.decode_value(bytes(out), 0)
         assert decoded == results[1] and type(decoded) is NeighborResult
         odd = [NeighborResult("bus-17", Point(1.0, 1.0), 2 ** 0.5, True)]
-        encoder, decoder = wire.NeighborStreamEncoder(), wire.NeighborStreamDecoder()
         for batch, flag in ((results, wire.FLAG_COLUMNAR), (odd, wire.FLAG_GENERAL)):
-            frame = encoder.encode([batch], [query])
+            frame = wire.encode_neighbor_batches([batch], [query])
             assert frame[0] == flag
-            (got,) = decoder.decode(frame, [query])
+            (got,) = wire.decode_neighbor_batches(frame, [query])
             assert got == batch
             assert all(type(item) is NeighborResult for item in got)
 

@@ -634,9 +634,8 @@ class TestRespawn:
 
         second = _build(recipe, RESPAWN_ID)  # the respawned worker restores
         assert second[0]._slot == slot
-        # The replay answers from the slot — same ack bytes (the query rides
-        # a fresh stream encoder, as the first process's first query did) —
-        # and touches nothing; the update before it is stale.
+        # The replay answers from the slot — same ack bytes — and touches
+        # nothing; the update before it is stale.
         assert dispatch_request(
             second, 0, rpc.OP_QUERY_BATCH, query_body, 11
         ) == query_ack
@@ -827,16 +826,14 @@ class TestReplay:
             "full_row_signature"
         )
 
-    def test_a_replayed_query_leaves_the_neighbour_stream_fresh(self, tmp_path):
-        # The parent resets its decoder twin when it respawns a worker: the
-        # replay must not advance the shard's encoder past a fresh one.
+    def test_a_replayed_query_answers_with_the_first_reply_bytes(self, tmp_path):
+        # The restore re-runs the logged query; the resend then replays the
+        # slot, whose results encode to the bytes the first process sent.
         recipe = _recipe(tmp_path)
         first = _build(recipe)
         query = rpc.encode_query_batch(_queries(5))
         ack = dispatch_request(first, 0, rpc.OP_QUERY_BATCH, query, 10)
         second = _build(recipe, RESPAWN_ID)
-        encoder = second[0].neighbor_encoder
-        assert (encoder._tokens, encoder._state, encoder._seq) == ({}, [], 0)
         assert dispatch_request(second, 0, rpc.OP_QUERY_BATCH, query, 10) == ack
 
     def test_the_restore_keeps_counting_toward_the_next_snapshot(self, tmp_path):
