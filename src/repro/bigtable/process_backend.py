@@ -45,7 +45,7 @@ import tempfile
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.bigtable.cost import CostModel, OpCounter, OpCounterSnapshot
+from repro.bigtable.cost import CostModel, OpCounter
 from repro.bigtable.tablet import hot_share
 from repro.codec.wire import decode_neighbor_batches
 from repro.errors import ConfigurationError, FrameCorruptionError, WorkerDiedError
@@ -464,9 +464,12 @@ class FederatedShardedBackend:
     The engine starts fail-fast, with no supervisor and no retry policy —
     the build round runs before either exists;
     :class:`~repro.server.scaleout.ScaleOutCluster` hands it both.  Every
-    aggregate is merged in fixed shard order (ledger absorption,
-    tablet-stat concatenation, the emulator's hot-share rule over the
-    concatenated stats), mirroring the single-emulator semantics — the
+    merged read is derived from one round of the shards' ``metrics``
+    records (the worker's only read-only verb), merged in fixed shard
+    order: ledger absorption, tablet-row concatenation (whose length is
+    the tablet count and whose ``run_count`` sum the run count), the
+    emulator's hot-share rule over the concatenated rows, the summed
+    cache tallies.  That mirrors the single-emulator semantics — the
     reason merged accounting is bit-identical between backends and across
     worker counts.
     """
@@ -508,33 +511,33 @@ class FederatedShardedBackend:
 
     # ------------------------------------------------------------------
     # Merged storage accounting (what result assembly and the benchmark
-    # read)
+    # read), each derived from one round of the shards' ``metrics`` records
     # ------------------------------------------------------------------
+    def _metrics(self) -> List[Dict[str, Any]]:
+        return self.scatter("metrics")
+
     @property
     def counter(self) -> OpCounter:
         """Merged cluster-wide ledger (snapshot merge in shard order)."""
         merged = OpCounter(model=CostModel())
-        for snapshot in self.counter_snapshots():
-            merged.absorb(snapshot)
+        for record in self._metrics():
+            merged.absorb(record["ledger"])
         return merged
 
-    def counter_snapshots(self) -> List[OpCounterSnapshot]:
-        return self.scatter("counter_snapshot")
-
     def run_count(self) -> int:
-        return sum(self.scatter("run_count"))
+        return sum(stats.run_count for stats in self.tablet_stats())
 
     def write_amplification(self) -> float:
         return self.counter.write_amplification()
 
     def tablet_stats(self) -> list:
         stats: List[Any] = []
-        for shard_stats in self.scatter("tablet_stats"):
-            stats.extend(shard_stats)
+        for record in self._metrics():
+            stats.extend(record["tablets"])
         return stats
 
     def tablet_count(self) -> int:
-        return sum(self.scatter("tablet_count"))
+        return len(self.tablet_stats())
 
     def hot_tablet_share(self) -> float:
         return hot_share(self.tablet_stats())
@@ -542,7 +545,8 @@ class FederatedShardedBackend:
     def cache_hit_rate(self) -> float:
         hits = 0
         lookups = 0
-        for shard_hits, shard_lookups in self.scatter("cache_totals"):
+        for record in self._metrics():
+            shard_hits, shard_lookups = record["cache"]
             hits += shard_hits
             lookups += shard_lookups
         if lookups == 0:

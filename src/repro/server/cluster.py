@@ -465,15 +465,6 @@ class ServerCluster:
             (server.service_time_samples for server in self.servers), quantile
         )
 
-    def metrics_snapshot(self) -> Dict[str, object]:
-        """Plain-data accounting view (makespan plus the five metrics
-        fields of each :meth:`FrontendServer.export_state` row), shippable
-        over the multiprocess RPC boundary for the per-shard merge."""
-        return {
-            "makespan": self.makespan_seconds(),
-            "servers": [server.export_state()[:5] for server in self.servers],
-        }
-
     def export_state(self) -> dict:
         """Plain-data snapshot of everything simulated the cluster holds:
         one row per server, the round-robin cursor, the routing table, the

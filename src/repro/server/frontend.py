@@ -179,8 +179,8 @@ class FrontendServer:
         return self.updates_handled + self.queries_handled
 
     def export_state(self) -> tuple:
-        """This server's accounting as one plain-data row; its first five
-        fields are the metrics row the per-shard merge ships over RPC."""
+        """This server's accounting as one plain-data row — also the row a
+        shard's ``metrics`` record ships per server."""
         return (
             self.updates_handled,
             self.queries_handled,

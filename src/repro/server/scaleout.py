@@ -282,23 +282,27 @@ class ScaleOutCluster:
 
         ``worker_phase`` is the other side of ``blocked_wait_seconds``:
         the workers' own wall seconds per
-        :data:`~repro.server.worker.WORKER_PHASES` step, summed in shard
-        order *as of the last* :meth:`metrics` *round* (``None`` before
-        one).  The snapshot itself never moves a frame, so it leaves pinned
-        frame counts alone."""
+        :data:`~repro.server.worker.WORKER_PHASES` step since the last
+        reset, summed in shard order *as of the last* :meth:`metrics`
+        *round* (``None`` before one, and again after a reset).  The
+        snapshot itself never moves a frame, so it leaves pinned frame
+        counts alone."""
         snapshot: Dict[str, object] = dict(self.backend.transport.phase)
         snapshot["worker_phase"] = self._worker_phase
         return snapshot
 
     def reset_metrics(self) -> None:
-        """Zero every shard's server accounting, the local makespans and
-        the transport's phase timers."""
+        """Zero every shard's server accounting and worker wall timers,
+        the local makespans, the transport's phase timers and the cached
+        ``worker_phase`` sum."""
         self.backend.scatter("reset_metrics")
         self._makespans = [0.0] * self.num_shards
         self.backend.transport.phase = zero_phase()
+        self._worker_phase = None
 
     def metrics(self) -> List[Dict[str, object]]:
-        """Per-shard metrics dicts, in shard order."""
+        """Every shard's ``metrics`` record, in shard order; also caches
+        their ``worker_phase`` sum for :meth:`metrics_snapshot`."""
         per_shard = self.backend.scatter("metrics")
         total = dict.fromkeys(WORKER_PHASES, 0.0)
         for entry in per_shard:
@@ -310,19 +314,21 @@ class ScaleOutCluster:
     def service_time_percentile(self, quantile: float) -> float:
         """Simulated per-request service-time percentile over every shard.
 
-        One read-only scatter collects each shard's samples (flattened in
-        server order worker-side); the parent concatenates them in fixed
-        shard order through :func:`repro.server.cluster.percentile_of` (the
-        rule the single cluster uses), so the result is identical for every
-        worker count and backend — and 0.0 unless the recipes set
+        One :meth:`metrics` round collects each server's row; the parent
+        concatenates the rows' samples (their sixth field) in fixed
+        ``(shard, server)`` order through
+        :func:`repro.server.cluster.percentile_of` (the rule the single
+        cluster uses), so the result is identical for every worker count
+        and backend — and 0.0 unless the recipes set
         ``record_service_times``, matching the single-cluster build.
         """
         if not self.recipes[0].record_service_times:
-            # No shard has samples: skip the scatter, so a run that records
+            # No shard has samples: skip the round, so a run that records
             # none sends no frame for it.
             return percentile_of((), quantile)
         return percentile_of(
-            self.backend.scatter("service_time_samples"), quantile
+            (row[5] for entry in self.metrics() for row in entry["servers"]),
+            quantile,
         )
 
     def master_action_counts(self) -> Tuple[int, int, int]:
@@ -341,7 +347,7 @@ class ScaleOutCluster:
         order."""
         per_server: List[float] = []
         for entry in self.metrics():
-            for updates, queries, update_busy, query_busy, _alive in entry["servers"]:
+            for updates, queries, update_busy, query_busy, *_ in entry["servers"]:
                 busy = update_busy + query_busy
                 per_server.append((updates + queries) / busy if busy > 0 else 0.0)
         return per_server

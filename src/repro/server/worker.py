@@ -19,10 +19,11 @@ the determinism the acceptance criteria demand.  The same
 ``ShardService`` holds one shard's state; :data:`VERBS` is the declared
 worker-side verb set (name → callable, read-only flag), and it holds what
 production sends: the data plane (batched updates/queries via the compact
-opcodes), the build, the master's rebalance and fault injection, and the
-ledger and metrics reads the federation merges.  Reachability, mutability
-and what reaches the request log all derive from that one table, on both
-transports.
+opcodes), the build, the master's rebalance and fault injection, the
+metrics reset, and ``metrics`` — the shard's one accounting record, the
+only read-only verb, from which the federation derives every merged read.
+Reachability, mutability and what reaches the request log all derive from
+that one table, on both transports.
 
 A shard with a storage directory persists its inputs
 (:mod:`repro.disk.store`): every mutating request that passes the
@@ -45,7 +46,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from random import Random
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 from zlib import crc32
 
 from repro.bigtable.tablet import TabletOptions
@@ -104,21 +105,6 @@ def _verb(read_only: bool = False):
     """Register a :class:`ShardService` method (or any function taking the
     service first) as a callable verb under its own name."""
     return lambda function: _register(function.__name__, function, read_only)
-
-
-def _forward(
-    target: Callable[["ShardService"], object], read_only: bool, *names: str
-) -> None:
-    """Register verbs that are ``target(service).<same name>(...)``."""
-
-    def forwarder(name: str):
-        def verb(service, *args, **kwargs):
-            return getattr(target(service), name)(*args, **kwargs)
-
-        return verb
-
-    for name in names:
-        _register(name, forwarder(name), read_only)
 
 
 def lookup_verb(method: str) -> Tuple[Callable[..., Any], bool]:
@@ -193,8 +179,12 @@ class ShardRecipe:
         return os.path.join(self.storage_dir, f"shard-{self.shard_id:02d}")
 
 
-def _emulator(service: "ShardService"):
-    return service._require_cluster().indexer.emulator
+def _master(service: "ShardService") -> TabletMaster:
+    """The shard's tablet master, reached through its cluster."""
+    master = service._require_cluster().master
+    if master is None:
+        raise ConfigurationError("this shard was built without a tablet master")
+    return master
 
 
 class ShardService:
@@ -211,9 +201,7 @@ class ShardService:
 
     def __init__(self) -> None:
         self.recipe: Optional[ShardRecipe] = None
-        self.indexer = None
         self.cluster: Optional[ServerCluster] = None
-        self.master: Optional[TabletMaster] = None
         #: The built recipe's snapshot and request log (``None``: no
         #: indexer yet, or the recipe has no storage directory).
         self._store: Optional[ShardStore] = None
@@ -226,7 +214,8 @@ class ShardService:
         #: request is the only one a resend can name.
         self._slot: Optional[Tuple[int, int, Any]] = None
         #: Wall seconds per :func:`dispatch_request` step since this
-        #: process first served the shard (observability only).
+        #: process first served the shard or the last ``reset_metrics``
+        #: (observability only).
         self.phase: Dict[str, float] = dict.fromkeys(DISPATCH_PHASES, 0.0)
 
     # ------------------------------------------------------------------
@@ -238,7 +227,7 @@ class ShardService:
         storage directory that holds a snapshot restores the shard: the
         snapshot's tables and accounting, then its logged requests re-run;
         otherwise the shard preloads and writes its first snapshot."""
-        if self.indexer is not None:
+        if self.cluster is not None:
             raise ConfigurationError("this shard already built its indexer")
         from repro.baselines.no_school import build_no_school_indexer
 
@@ -288,15 +277,10 @@ class ShardService:
             contention_alpha=recipe.contention_alpha,
             record_service_times=recipe.record_service_times,
         )
-        master = (
+        if recipe.with_master:  # the master installs itself as cluster.master
             TabletMaster(cluster, recipe.master_options)
-            if recipe.with_master
-            else None
-        )
         self.recipe = recipe
-        self.indexer = indexer
         self.cluster = cluster
-        self.master = master
         self._store = store
         if snapshot is None:
             if store is not None:
@@ -324,12 +308,13 @@ class ShardService:
     def _state_owners(self) -> Dict[str, object]:
         """``section -> its owner`` in snapshot order (``STATE_SECTIONS`` in
         :mod:`repro.disk.store`); ``None`` where the recipe builds none."""
+        cluster = self._require_cluster()
         return {
             "dedup": self,
-            "emulator": self._require_cluster().indexer.emulator,
-            "flag": self.indexer.flag,
-            "cluster": self.cluster,
-            "master": self.master,
+            "emulator": cluster.indexer.emulator,
+            "flag": cluster.indexer.flag,
+            "cluster": cluster,
+            "master": cluster.master,
         }
 
     def accounting_state(self) -> Dict[str, Any]:
@@ -376,7 +361,7 @@ class ShardService:
     def _snapshot(self) -> None:
         """Persist every table and :meth:`accounting_state`; the request
         log starts over."""
-        emulator = self.indexer.emulator
+        emulator = self.cluster.indexer.emulator
         self._store.snapshot(
             {name: emulator.table(name) for name in emulator.table_names()},
             self.accounting_state(),
@@ -496,11 +481,6 @@ class ShardService:
         body = rpc.REQUEST_ENCODERS[opcode](payload)
         return self._apply_once(request_id, opcode, body, _Laps(self.phase), apply)
 
-    def _require_master(self) -> TabletMaster:
-        if self.master is None:
-            raise ConfigurationError("this shard was built without a tablet master")
-        return self.master
-
     # ------------------------------------------------------------------
     # Data plane (compact opcodes ride these)
     # ------------------------------------------------------------------
@@ -523,8 +503,7 @@ class ShardService:
         return results, cluster.makespan_seconds()
 
     # ------------------------------------------------------------------
-    # Control plane (the plain master / cluster / emulator forwards are
-    # registered below the class, one rule each)
+    # Control plane
     # ------------------------------------------------------------------
     @_verb()
     def apply_fault(
@@ -536,62 +515,55 @@ class ShardService:
     ) -> str:
         """One scheduled fault with the master's skip semantics: unfireable
         events are reported as skipped, never raised."""
-        return describe_prefix + self._require_master().apply_fault(
+        return describe_prefix + _master(self).apply_fault(
             kind, server_id, crash_point
         )
 
-    # ------------------------------------------------------------------
-    # Ledgers & metrics
-    # ------------------------------------------------------------------
-    @_verb(read_only=True)
-    def counter_snapshot(self):
-        return _emulator(self).counter.snapshot()
+    @_verb()
+    def rebalance(self) -> None:
+        """One tick of the shard's tablet master."""
+        _master(self).rebalance()
 
-    @_verb(read_only=True)
-    def cache_totals(self) -> Tuple[int, int]:
-        """(hits, lookups) over every table's block cache."""
-        hits = 0
-        lookups = 0
-        for entry in _emulator(self).block_cache_stats():
-            hits += entry.hits
-            lookups += entry.lookups
-        return hits, lookups
-
+    # ------------------------------------------------------------------
+    # Accounting
+    # ------------------------------------------------------------------
     @_verb(read_only=True)
     def metrics(self) -> Dict[str, Any]:
-        """Everything the parent needs to merge per-shard accounting."""
+        """This shard's one accounting record, in plain data: the ledger
+        snapshot, the tablet rows, ``(hits, lookups)`` over the block
+        caches, each server's full ``export_state()`` row (its sixth field
+        the service-time samples), the master's action counts and the
+        worker's wall seconds per :data:`WORKER_PHASES` step (zero for the
+        store's steps without a store; wall-clock, so never part of a
+        report).  The federation derives every merged read from it."""
         cluster = self._require_cluster()
-        snapshot = cluster.metrics_snapshot()
-        snapshot["master_actions"] = cluster.master_action_counts()
-        snapshot["has_master"] = cluster.has_master
-        snapshot["worker_phase"] = self.worker_phase()
-        return snapshot
-
-    def worker_phase(self) -> Dict[str, float]:
-        """Wall seconds per :data:`WORKER_PHASES` entry: this shard's
-        dispatch steps plus its store's timers (zero without a store).
-        Wall-clock, so never part of a report."""
+        emulator = cluster.indexer.emulator
+        hits = lookups = 0
+        for entry in emulator.block_cache_stats():
+            hits += entry.hits
+            lookups += entry.lookups
         phase = dict.fromkeys(WORKER_PHASES, 0.0)
         phase.update(self.phase)
         if self._store is not None:
             phase.update(self._store.seconds)
-        return phase
+        return {
+            "ledger": emulator.counter.snapshot(),
+            "tablets": emulator.tablet_stats(),
+            "cache": (hits, lookups),
+            "servers": [server.export_state() for server in cluster.servers],
+            "master_actions": cluster.master_action_counts(),
+            "worker_phase": phase,
+        }
 
-    @_verb(read_only=True)
-    def service_time_samples(self) -> List[float]:
-        """Per-request simulated service-time samples, flattened in server
-        order (empty unless the recipe set ``record_service_times``).  The
-        parent merges every shard's samples in fixed shard order and sorts,
-        so the scale-out percentile is identical for every worker count."""
-        samples: List[float] = []
-        for server in self._require_cluster().servers:
-            samples.extend(server.service_time_samples)
-        return samples
-
-
-_forward(_emulator, True, "run_count", "tablet_stats", "tablet_count")
-_forward(ShardService._require_cluster, False, "reset_metrics")
-_forward(ShardService._require_master, False, "rebalance")
+    @_verb()
+    def reset_metrics(self) -> None:
+        """Zero the servers' accounting and this worker's wall timers —
+        the dispatch steps and the store's — so the next :meth:`metrics`
+        covers only what ran since."""
+        self._require_cluster().reset_metrics()
+        self.phase.update(dict.fromkeys(DISPATCH_PHASES, 0.0))
+        if self._store is not None:
+            self._store.seconds.update(dict.fromkeys(STORE_STEPS, 0.0))
 
 
 # --------------------------------------------------------------------------

@@ -1,15 +1,15 @@
 """The cross-backend property suites' shard harness: test-only worker verbs.
 
 :data:`repro.server.worker.VERBS` holds only what production sends — the
-federation's data plane and merged reads, the master's rebalance and fault
-injection.  The property suites also drive one shard behind either
+federation's data plane, its one accounting read (``metrics``) and the
+metrics reset, the master's rebalance and fault injection.  The property suites also drive one shard behind either
 transport: they compare its state and NN answers with an in-process
 reference, run a bare :class:`~repro.bigtable.table.Table` program across a
 crash (the table snapshotted at the end of each ``table_apply``), and fail,
 revive and migrate servers by hand.  This module registers
 those verbs (:data:`HARNESS_VERBS`) into the same table through
-``worker._register`` / ``worker._forward`` when ``tests/conftest.py``
-imports it.  Workers are forked (``WorkerPool`` refuses to start without
+``worker._register`` (directly, or by :func:`_forward`) when
+``tests/conftest.py`` imports it.  Workers are forked (``WorkerPool`` refuses to start without
 ``fork``), so every pool a test starts inherits them.  Each verb keeps the
 read-only flag it had as a production verb, and with it the request-log and
 exactly-once-slot treatment: ``nn_signature`` is mutating.
@@ -22,7 +22,7 @@ import os
 import tempfile
 import weakref
 from contextlib import ExitStack, contextmanager
-from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.bigtable.cost import OpCounter
 from repro.bigtable.process_backend import (
@@ -62,6 +62,29 @@ def call(service: ShardService, method: str, *args, **kwargs) -> Any:
     """Run one verb on a service by name, as a test reads a shard: no
     codec, no request id, nothing logged."""
     return worker.lookup_verb(method)[0](service, *args, **kwargs)
+
+
+def accounting(service: ShardService) -> Dict[str, Any]:
+    """The shard's ``metrics`` record without its wall-clock
+    ``worker_phase``: what a restored shard must reproduce exactly."""
+    record = call(service, "metrics")
+    del record["worker_phase"]
+    return record
+
+
+def _forward(
+    target: Callable[[ShardService], object], read_only: bool, *names: str
+) -> None:
+    """Register verbs that are ``target(service).<same name>(...)``."""
+
+    def forwarder(name: str):
+        def verb(service, *args, **kwargs):
+            return getattr(target(service), name)(*args, **kwargs)
+
+        return verb
+
+    for name in names:
+        worker._register(name, forwarder(name), read_only)
 
 
 def full_row_signature(indexer) -> tuple:
@@ -204,17 +227,12 @@ def table_state(service):
 # --------------------------------------------------------------------------
 # Control plane by hand
 # --------------------------------------------------------------------------
-worker._forward(
-    ShardService._require_cluster, False, "fail_server", "revive_server"
-)
-worker._forward(
+_forward(ShardService._require_cluster, False, "fail_server", "revive_server")
+_forward(
     ShardService._require_cluster, True,
     "server_index_for_tablet", "alive_server_indices",
 )
-worker._forward(
-    ShardService._require_master, False,
-    "migrate_tablet", "replicate_tablet", "fail_over",
-)
+_forward(worker._master, False, "migrate_tablet", "replicate_tablet", "fail_over")
 
 #: Every verb this module registered.
 HARNESS_VERBS = frozenset(worker.VERBS) - _PRODUCTION_VERBS

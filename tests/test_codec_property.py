@@ -480,18 +480,23 @@ RESULT_VALUES = [
     "tøg-ünïcode",
     "",
     (1, 2, 3),
-    {
-        "makespan": 1.5,
+    {  # a shard's ``metrics`` record
+        "ledger": _counter_snapshot(),
+        "tablets": [],
+        "cache": (0, 0),
         "servers": [],
         "master_actions": (0, 0, 0),
-        "has_master": False,
         "worker_phase": {},
     },
     {
-        "makespan": 0.25,
-        "servers": [(3, 4, 0.1, 0.2, True), (0, 0, 0.0, 0.0, False)],
+        "ledger": _counter_snapshot(),
+        "tablets": _TABLET_STATS,
+        "cache": (7, 9),
+        "servers": [
+            (3, 4, 0.1, 0.2, True, (0.025, 0.05)),
+            (0, 0, 0.0, 0.0, False, ()),
+        ],
         "master_actions": (1, 2, 3),
-        "has_master": True,
         "worker_phase": {"decode": 0.5, "apply": 1.25},
     },
     [],

@@ -100,7 +100,7 @@ REQUESTS = _requests()
 
 def _outcome(services) -> tuple:
     service = services[0]
-    return repr(service.accounting_state()), full_row_signature(service.indexer)
+    return repr(service.accounting_state()), full_row_signature(service.cluster.indexer)
 
 
 def _run(storage_dir, monkeypatch, kind: str, fail_at: int):

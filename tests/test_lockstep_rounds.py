@@ -244,6 +244,7 @@ class TestRoundSettlesOnReturn:
             cluster.reset_metrics()
             snapshot = cluster.metrics_snapshot()
             assert all(snapshot[name] == 0.0 for name in timers)
+            assert snapshot["worker_phase"] is None  # until the next round
         finally:
             cluster.close()
 

@@ -152,7 +152,7 @@ def control_actions_via_client(rng, client, num_servers):
     """
     roll = rng.random()
     if roll < 0.35:
-        stats = client.call("tablet_stats")
+        stats = client.call("metrics")["tablets"]
         if not stats:
             return
         entry = stats[rng.randrange(len(stats))]
@@ -175,7 +175,7 @@ def control_actions_via_client(rng, client, num_servers):
             crash_point=crash_point,
         )
     elif roll < 0.5:
-        stats = client.call("tablet_stats")
+        stats = client.call("metrics")["tablets"]
         if not stats:
             return
         entry = stats[rng.randrange(len(stats))]

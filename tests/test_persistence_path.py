@@ -53,7 +53,7 @@ from repro.server.worker import (
 from repro.tables.affiliation_table import LFRecord, Role
 from repro.workload.queries import NNQuery
 
-from shard_harness import apply_op, call
+from shard_harness import accounting, apply_op, call
 from test_lsm_recovery_property import random_ops
 
 FAMILIES = [ColumnFamily("mem", max_versions=3), ColumnFamily("disk", max_versions=5)]
@@ -124,7 +124,7 @@ def _read_snapshot(recipe: ShardRecipe) -> dict:
 def _write_snapshot(recipe: ShardRecipe, services: dict, state: dict) -> None:
     """Replace the shard's snapshot with its tables as ``services`` hold
     them and ``state`` as the accounting sections."""
-    emulator = services[0].indexer.emulator
+    emulator = services[0].cluster.indexer.emulator
     ShardStore(recipe.shard_storage_dir).snapshot(
         {name: emulator.table(name) for name in emulator.table_names()}, state
     )
@@ -364,7 +364,7 @@ class TestRequestLog:
         query = rpc.encode_query_batch(_queries(1))
         _update(services, 10)
         dispatch_request(services, 0, rpc.OP_QUERY_BATCH, query, 11)
-        read = rpc.encode_call("tablet_count", (), {})
+        read = rpc.encode_call("metrics", (), {})
         dispatch_request(services, 0, rpc.OP_CALL, read, 12)
         rebalance = rpc.encode_call("rebalance", (), {})
         dispatch_request(services, 0, rpc.OP_CALL, rebalance, 13)
@@ -559,8 +559,10 @@ class TestSnapshot:
             "affiliation", "location", "spatial_index"
         ]
         restored = _build(recipe, RESPAWN_ID)
-        for verb in ("full_row_signature", "counter_snapshot", "tablet_count"):
-            assert call(restored[0], verb) == call(services[0], verb)
+        assert call(restored[0], "full_row_signature") == call(
+            services[0], "full_row_signature"
+        )
+        assert accounting(restored[0]) == accounting(services[0])
 
     @pytest.mark.parametrize(
         "damage",
@@ -731,11 +733,7 @@ class TestRespawn:
     def test_a_directory_without_a_snapshot_rebuilds_cold(self, tmp_path):
         recipe = _recipe(tmp_path)
         first = _build(recipe)
-        reference = (
-            call(first[0], "full_row_signature"),
-            call(first[0], "counter_snapshot"),
-            call(first[0], "tablet_count"),
-        )
+        reference = (call(first[0], "full_row_signature"), accounting(first[0]))
         # A first build killed before its snapshot: whatever it left is not
         # to be trusted.
         os.remove(_shard_file(recipe, "SNAPSHOT.bin"))
@@ -743,9 +741,7 @@ class TestRespawn:
             handle.write(b"\x00" * 7)
         second = _build(recipe)
         assert (
-            call(second[0], "full_row_signature"),
-            call(second[0], "counter_snapshot"),
-            call(second[0], "tablet_count"),
+            call(second[0], "full_row_signature"), accounting(second[0])
         ) == reference
         assert _read_snapshot(recipe)["generation"] == 1
         with open(_shard_file(recipe, "requests.log"), "rb") as handle:
@@ -777,8 +773,10 @@ class TestRespawn:
         assert not os.path.exists(os.path.join(shard_dir, "SNAPSHOT.bin"))
         second = _build(recipe)  # starts over from the recipe
         fresh = _build(_recipe(tmp_path / "fresh"))
-        for verb in ("full_row_signature", "counter_snapshot", "tablet_count"):
-            assert call(second[0], verb) == call(fresh[0], verb)
+        assert call(second[0], "full_row_signature") == call(
+            fresh[0], "full_row_signature"
+        )
+        assert accounting(second[0]) == accounting(fresh[0])
         listings = [
             sorted(os.listdir(os.path.join(root, "shard-00", "runs")))
             for root in (str(tmp_path / "killed"), str(tmp_path / "fresh"))
@@ -797,8 +795,9 @@ class TestRespawn:
         _update(first, 12, seed=2)
         second = _build(recipe, RESPAWN_ID)
         assert second[0]._slot == first[0]._slot
-        for verb in ("full_row_signature", "counter_snapshot", "simulated_seconds"):
+        for verb in ("full_row_signature", "simulated_seconds"):
             assert call(second[0], verb) == call(first[0], verb)
+        assert accounting(second[0]) == accounting(first[0])
 
 
 # --------------------------------------------------------------------------
@@ -923,7 +922,7 @@ class TestFileTraffic:
         service.build_indexer(recipe)
         messages = _messages(1)
         service.serve_in_process(rpc.OP_UPDATE_BATCH, messages)
-        service.serve_in_process(rpc.OP_CALL, ("tablet_count", (), {}))
+        service.serve_in_process(rpc.OP_CALL, ("metrics", (), {}))
         service.serve_in_process(rpc.OP_CALL, ("reset_metrics", (), {}))
         with open(_shard_file(recipe, "requests.log"), "rb") as handle:
             frames, _ = blocks.read_request_frames(handle.read()[8:])
@@ -942,11 +941,11 @@ class TestFileTraffic:
         first.submit_update_batch(_messages(1))
         first.submit_query_batch(_queries(2))
         before = first.backend.scatter("full_row_signature")
-        ledgers = first.backend.scatter("counter_snapshot")
+        ledgers = [record["ledger"] for record in first.metrics()]
         first.close()
         second = ScaleOutCluster.build(2, **options)
         assert second.backend.scatter("full_row_signature") == before
-        assert second.backend.scatter("counter_snapshot") == ledgers
+        assert [record["ledger"] for record in second.metrics()] == ledgers
         second.close()
 
 
@@ -985,8 +984,9 @@ class TestSnapshotSteps:
         _update(reference, last, seed=last)
         second = _build(recipe, RESPAWN_ID)
         assert second[0]._slot[0] == last
-        for verb in ("full_row_signature", "counter_snapshot", "simulated_seconds"):
+        for verb in ("full_row_signature", "simulated_seconds"):
             assert call(second[0], verb) == call(reference[0], verb)
+        assert accounting(second[0]) == accounting(reference[0])
 
 
     def test_a_shard_serving_on_after_a_failed_log_reset_logs_afresh(
@@ -1024,8 +1024,9 @@ class TestSnapshotSteps:
         assert len(calls) == 3
         second = _build(recipe, RESPAWN_ID)
         assert second[0]._slot[0] == last + 2
-        for verb in ("full_row_signature", "counter_snapshot", "simulated_seconds"):
+        for verb in ("full_row_signature", "simulated_seconds"):
             assert call(second[0], verb) == call(reference[0], verb)
+        assert accounting(second[0]) == accounting(reference[0])
 
 
 # --------------------------------------------------------------------------
@@ -1082,3 +1083,22 @@ class TestWorkerPhase:
             assert total["apply"] > 0.0 and total["log_append"] > 0.0
         finally:
             cluster.close()
+
+    def test_a_metrics_reset_restarts_the_worker_timers(self, tmp_path):
+        # The transport's timers and the workers' restart together, so
+        # ``worker_phase`` stays the other side of ``blocked_wait_seconds``.
+        with ScaleOutCluster.build(
+            2, backend="disk", num_workers=2, num_objects=NUM_OBJECTS,
+            storage_dir=str(tmp_path),
+        ) as cluster:
+            for seed in range(1, 4):
+                cluster.submit_update_batch(_messages(seed))
+            cluster.metrics()
+            before = cluster.metrics_snapshot()["worker_phase"]
+            assert before["snapshot"] > 0.0  # the build's snapshots
+            cluster.reset_metrics()
+            assert cluster.metrics_snapshot()["worker_phase"] is None
+            cluster.metrics()
+            after = cluster.metrics_snapshot()["worker_phase"]
+            assert after["apply"] < before["apply"]
+            assert after["snapshot"] < before["snapshot"]

@@ -79,10 +79,10 @@ class TestWorkerPoolLifecycle:
             2, backend="process", num_workers=2, num_objects=20,
             supervision_policy="respawn_lossy",
         ) as cluster:
-            tablets = cluster.backend.scatter("tablet_count")
+            tablets = cluster.backend.tablet_stats()
             cluster.backend.pool.kill_worker(1)
             cluster.backend.pool.processes[1].join(timeout=5.0)
-            assert cluster.backend.scatter("tablet_count") == tablets
+            assert cluster.backend.tablet_stats() == tablets
             (record,) = cluster.supervisor.recoveries
             assert record.worker_index == 1 and record.shard_ids == (1,)
 
@@ -191,10 +191,11 @@ class TestVerbTable:
 
         recipe = ShardRecipe(num_objects=30, num_servers=2, with_master=True)
         with single_shard_client(backend, recipe=recipe) as client:
-            assert client.call("run_count") >= 0  # emulator forward
+            assert client.call("metrics")["tablets"]  # declared
             assert client.call("alive_server_indices") == [0, 1]  # cluster
-            client.call("rebalance")  # master forward
-            assert client.call("tablet_count") >= 1
+            client.call("rebalance")  # declared, through the cluster's master
+            client.call("fail_over", 1)  # master forward
+            assert client.call("alive_server_indices") == [0]
             assert client.call("simulated_seconds") >= 0.0
 
     def test_worker_errors_cross_as_library_types_or_named_rpc_errors(self):
@@ -217,10 +218,7 @@ class TestVerbTable:
             name for name, (_verb, flag) in VERBS.items()
             if flag and name not in HARNESS_VERBS
         }
-        assert read_only == {
-            "metrics", "counter_snapshot", "run_count", "tablet_stats",
-            "tablet_count", "cache_totals", "service_time_samples",
-        }
+        assert read_only == {"metrics"}
         assert not any(name.startswith("_") for name in VERBS)
         assert {"update_batch", "query_batch", "build_indexer"} <= set(VERBS)
 
@@ -253,10 +251,8 @@ class TestVerbTable:
             capture_output=True, text=True, check=True,
         ).stdout.split()
         assert listed == [
-            "apply_fault", "build_indexer", "cache_totals", "counter_snapshot",
-            "metrics", "query_batch", "rebalance", "reset_metrics", "run_count",
-            "service_time_samples", "tablet_count", "tablet_stats",
-            "update_batch",
+            "apply_fault", "build_indexer", "metrics", "query_batch",
+            "rebalance", "reset_metrics", "update_batch",
         ]
 
     def test_a_verb_name_registers_once(self):
@@ -300,6 +296,59 @@ class TestFederationProtocol:
             assert reads["tablet_count"] == len(backend.tablet_stats()) >= 2
             assert 0.0 < reads["hot_share"] <= 1.0
             assert 0.0 <= reads["cache_hit_rate"] <= 1.0
+
+    def test_every_merged_read_equals_the_shards_own_stacks(self):
+        """Each read the federation derives from the shards' ``metrics``
+        records equals the same read assembled by hand from the shards' own
+        stacks in shard order — the coverage the per-read verbs had."""
+        from repro.bigtable.cost import CostModel, OpCounter
+        from repro.bigtable.tablet import TabletOptions
+        from repro.server.cluster import percentile_of
+
+        with ScaleOutCluster.build(
+            3, backend="inprocess", num_objects=300, seed=17, num_servers=2,
+            with_master=True, record_service_times=True,
+            tablet_options=TabletOptions(memtable_flush_rows=32),
+        ) as cluster:
+            faults = FaultSchedule.seeded(
+                5, 6, num_servers=2, server_crashes=1, migration_crashes=1
+            )
+            LoadTest(cluster, seed=404, rebalance_every=2, faults=faults).run_mixed_batches(
+                make_messages(400, 300), make_queries(60), batch_size=64
+            )
+            stacks = [service.cluster for service in cluster.backend.transport.services]
+            emulators = [stack.indexer.emulator for stack in stacks]
+            backend = cluster.backend
+            ledger = OpCounter(model=CostModel())
+            for emulator in emulators:
+                ledger.absorb(emulator.counter.snapshot())
+            caches = [
+                entry for emulator in emulators for entry in emulator.block_cache_stats()
+            ]
+            lookups = sum(entry.lookups for entry in caches)
+            samples = [
+                server.service_time_samples for stack in stacks for server in stack.servers
+            ]
+            actions = [stack.master_action_counts() for stack in stacks]
+
+            assert backend.run_count() == sum(e.run_count() for e in emulators) > 0
+            assert backend.tablet_count() == sum(e.tablet_count() for e in emulators)
+            assert backend.tablet_stats() == [
+                row for emulator in emulators for row in emulator.tablet_stats()
+            ]
+            assert lookups > 0
+            assert backend.cache_hit_rate() == sum(e.hits for e in caches) / lookups
+            assert backend.counter.snapshot() == ledger.snapshot()
+            assert (
+                cluster.service_time_percentile(0.99)
+                == percentile_of(samples, 0.99)
+                > 0.0
+            )
+            assert cluster.per_server_qps() == [
+                qps for stack in stacks for qps in stack.per_server_qps()
+            ]
+            assert cluster.master_action_counts() == tuple(map(sum, zip(*actions)))
+            assert any(map(any, actions))
 
     def test_unknown_backend_kind_is_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -365,16 +414,22 @@ class TestLedgerMergeDeterminism:
     #: scatters behind the fingerprint).  A batching regression that
     #: splinters scatters moves this on every machine.
     EXPECTED_FRAMES = 40
-    #: Every byte of those frames, both directions (66 B per request over
-    #: the 460).  An equality: every body is a deterministic codec's output,
-    #: so nothing on the wire depends on the interpreter or the machine.
+    #: Every byte of those frames, both directions.  An equality: every
+    #: body is a deterministic codec's output, so nothing on the wire
+    #: depends on the interpreter or the machine.
     #: (30 828 until the recipe lost its one-byte ``durable_accounting``
     #: field: four build frames, four bytes.  30 824 until neighbour replies
     #: became stateless frames: each of the four query replies still ships
     #: its ~70 distinct objects once, but a repeat is now a one-byte
     #: reference into the frame's table where a stream token with its two
-    #: mode bits took two, and the frame sequence number is gone.)
-    EXPECTED_WIRE_BYTES = 30264
+    #: mode bits took two, and the frame sequence number is gone.  30 264
+    #: until the read-only verbs became the one ``metrics`` record: the
+    #: fingerprint's ``counter`` and ``run_count`` reads now each carry a
+    #: shard's whole ~755-byte record — tablet rows, cache pair, server
+    #: rows, master actions and ten fixed-width wall-clock floats besides the
+    #: ledger — where they carried a ~129-byte ledger and a 2-byte count:
+    #: +5 513 B of replies over those 8 frames, -44 B of shorter verb names.)
+    EXPECTED_WIRE_BYTES = 35733
 
     def _drive(self, backend_kind, num_workers):
         cluster = ScaleOutCluster.build(

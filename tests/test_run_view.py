@@ -484,7 +484,7 @@ def _views_match_their_runs(services):
     built = 0
     for service in services.values():
         assert len(service.export_state()) == 1  # the exactly-once slot
-        emulator = service.indexer.emulator
+        emulator = service.cluster.indexer.emulator
         for name in emulator.table_names():
             for tablet in emulator.table(name).tablets():
                 view = tablet._view

@@ -35,16 +35,16 @@ SPATIAL = "spatial_index"
 
 #: Every class with the two methods, and where one lives in a shard's stack.
 OWNERS = {
-    "OpCounter": lambda service: service.indexer.emulator.counter,
-    "BlockCache": lambda service: service.indexer.emulator.table(SPATIAL).cache,
-    "Table": lambda service: service.indexer.emulator.table(SPATIAL),
-    "BigtableEmulator": lambda service: service.indexer.emulator,
-    "FlagTuner": lambda service: service.indexer.flag,
+    "OpCounter": lambda service: service.cluster.indexer.emulator.counter,
+    "BlockCache": lambda service: service.cluster.indexer.emulator.table(SPATIAL).cache,
+    "Table": lambda service: service.cluster.indexer.emulator.table(SPATIAL),
+    "BigtableEmulator": lambda service: service.cluster.indexer.emulator,
+    "FlagTuner": lambda service: service.cluster.indexer.flag,
     "TabletRoutingTable": lambda service: service.cluster.routing,
     "TabletContentionModel": lambda service: service.cluster.contention,
     "FrontendServer": lambda service: service.cluster.servers[1],
     "ServerCluster": lambda service: service.cluster,
-    "TabletMaster": lambda service: service.master,
+    "TabletMaster": lambda service: service.cluster.master,
     "ShardService": lambda service: service,
 }
 
@@ -89,7 +89,7 @@ def harvested(tmp_path_factory):
 
     for round_index in range(4):
         data_round(10 + 2 * round_index, round_index)
-    hot = _call(services, 20, "tablet_stats")[0]
+    hot = _call(services, 20, "metrics")["tablets"][0]
     owner = _call(services, 21, "server_index_for_tablet", hot.tablet_id)
     _call(services, 22, "migrate_tablet", hot.table, hot.tablet_id, (owner + 1) % 3)
     _call(services, 23, "replicate_tablet", hot.table, hot.tablet_id, (owner + 2) % 3)
@@ -116,12 +116,12 @@ def _exactly(left, right) -> bool:
 
 def test_the_harvest_reaches_every_owner(harvested):
     service, _ = harvested
-    master = service.master
+    master = service.cluster.master
     assert master.migrations and master.replications and master.failovers
     assert service.cluster.routing.export_state()[1]  # a replica survives
     assert not all(server.alive for server in service.cluster.servers)
     assert any(server.service_time_samples for server in service.cluster.servers)
-    spatial = service.indexer.emulator.table(SPATIAL)
+    spatial = service.cluster.indexer.emulator.table(SPATIAL)
     assert spatial.tablet_count() > 1 and spatial.run_count() > 0 and len(spatial.cache)
     assert tuple(service.accounting_state()) == STATE_SECTIONS
 

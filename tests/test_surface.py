@@ -26,14 +26,19 @@ one that no file under ``src/``, ``moistbench/``, ``benchmarks/`` or
 ``examples/`` (``server/worker.py`` aside) passes to a send call is sent by
 nothing.  The test-only verbs ``tests/shard_harness.py`` registers are the
 mirror case: tests send each of them, and nothing else does.
+
+An unused-import pass (pyflakes' F401, which CI's ruff runs) covers every
+tree ruff lints, tests included, so a deletion that strands an import fails
+in tier-1 too.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from collections import defaultdict
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import pytest
 
@@ -531,3 +536,65 @@ def test_allow_list_entries_still_exist():
     assert set(ALLOWED_MODULES) <= set(_package_modules())
     reached = {key.split(":")[1] for key in graph.reach(roots)}
     assert sorted(set(ALLOWED_NAMES) & reached) == []
+
+
+#: Directories the unused-import pass reads: what ``ruff check .`` lints.
+IMPORT_DIRS = ("src", "tests", "benchmarks", "examples", "moistbench")
+
+_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def unused_imports(tree: ast.Module, lines: Sequence[str]) -> List[Tuple[int, str]]:
+    """``(line, name)`` of every name an import binds and the module never
+    loads.  ``__future__`` imports and lines marked ``# noqa: F401`` are
+    exempt, and a name that appears in any string constant counts as used —
+    which covers ``__all__``, quoted annotations and ``getattr`` names."""
+    bound: List[Tuple[int, str]] = []
+    used: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.update(_WORD.findall(node.value))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            text = lines[node.lineno - 1 : node.end_lineno]
+            if any("# noqa: F401" in line for line in text):
+                continue
+            for alias in node.names:
+                if alias.name != "*":
+                    name = alias.asname or alias.name.split(".")[0]
+                    bound.append((node.lineno, name))
+    return [(line, name) for line, name in bound if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    found = []
+    for directory in IMPORT_DIRS:
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            text = path.read_text()
+            for line, name in unused_imports(ast.parse(text), text.splitlines()):
+                found.append(f"{path.relative_to(ROOT)}:{line} {name}")
+    assert found == []
+
+
+def test_pass_finds_a_planted_unused_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import sys\n"
+        "import xml.dom as dom\n"
+        "import json.decoder\n"
+        "from typing import Dict, List\n"
+        "from m import kept  # noqa: F401\n"
+        "from m import (\n"
+        "    exported,\n"
+        "    stranded,\n"
+        ")\n"
+        "__all__ = ['exported']\n"
+        "def f() -> 'Dict[str, int]':\n"
+        "    return json.decoder, sys.argv\n"
+    )
+    found = unused_imports(ast.parse(source), source.splitlines())
+    assert found == [(2, "os"), (4, "dom"), (6, "List"), (8, "stranded")]
