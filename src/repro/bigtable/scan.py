@@ -278,6 +278,7 @@ class Scanner:
         end_key: Optional[str] = None,
         limit: Optional[int] = None,
         project: Optional[Callable[[List[object]], List[object]]] = None,
+        trace: Optional[List[tuple]] = None,
     ) -> List[Tuple[str, object]]:
         """Scan ``[start_key, end_key)``, returning ``(row_key, row)`` in
         key order.  The rows are the stored ones, not copies; with
@@ -298,33 +299,57 @@ class Scanner:
         where the source is the run holding the winning version.  A
         run-free tablet's memtable is that view, so its rows are one slice
         of the sorted keys from one source; otherwise each run of
-        consecutive rows from one source is priced as a slice.
+        consecutive rows from one source is priced as a slice.  A ``trace``
+        list gets each scanned tablet's row keys and their sources, all that
+        :meth:`replay` needs to charge the scan again.
         """
         results: List[Tuple[str, object]] = []
         remaining = limit
-        charges: List[Tuple["Tablet", int, int]] = []
-        price = self.cache.price
+        scanned = []
         for tablet in self.locator.tablets_in_range(start_key, end_key):
             if remaining is not None and remaining <= 0:
                 break
-            tablet_id = tablet.tablet_id
+            sources = None  # every row from the memtable
             if not tablet.runs:
                 keys, rows = tablet.rows.scan_columns(start_key, end_key, remaining)
-                warm = price(tablet_id, MEMTABLE_SOURCE, keys)
             else:
                 keys, rows, sources = tablet.merged_columns(
                     start_key, end_key, remaining
                 )
-                warm = 0
-                at = 0
+            scanned.append((tablet, keys, sources))
+            if remaining is not None:
+                remaining -= len(keys)
+            results.extend(zip(keys, rows if project is None else project(rows)))
+        if trace is not None:
+            for _, keys, sources in scanned:
+                trace.append((tuple(keys), None if sources is None else tuple(sources)))
+        self._charge(scanned)
+        return results
+
+    def replay(self, start_key: str, end_key: Optional[str], trace: Sequence) -> None:
+        """Charge the scan of ``[start_key, end_key)`` that filled ``trace``
+        again, reading no row — valid while no tablet's rows, runs or
+        bounds have moved, so the range routes to the same tablets."""
+        tablets = self.locator.tablets_in_range(start_key, end_key)
+        self._charge([(tablet, *rows) for tablet, rows in zip(tablets, trace)])
+
+    def _charge(self, scanned: List[tuple]) -> None:
+        """Price each scanned ``(tablet, row keys, sources)`` through the
+        block cache, one slice per run of rows from one source, then record
+        the scan on the shared ledger and each tablet's."""
+        price = self.cache.price
+        charges: List[Tuple["Tablet", int, int]] = []
+        for tablet, keys, sources in scanned:
+            tablet_id = tablet.tablet_id
+            if sources is None:
+                warm = price(tablet_id, MEMTABLE_SOURCE, keys)
+            else:
+                warm = at = 0
                 for source, run in groupby(sources):
                     width = len(list(run))
                     warm += price(tablet_id, source, keys[at : at + width])
                     at += width
             charges.append((tablet, len(keys) - warm, warm))
-            if remaining is not None:
-                remaining -= len(keys)
-            results.extend(zip(keys, rows if project is None else project(rows)))
         cold_total = sum(cold for _, cold, _ in charges)
         warm_total = sum(warm for _, _, warm in charges)
         self.counter.record(
@@ -333,7 +358,6 @@ class Scanner:
         if warm_total > 0:
             self.counter.record(OpKind.CACHE_READ, rows=warm_total)
         self._attribute_scan(charges)
-        return results
 
     def _attribute_scan(self, charges: List[Tuple["Tablet", int, int]]) -> None:
         """Mirror one scan onto the scanned tablets' ledgers.

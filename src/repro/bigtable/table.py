@@ -268,9 +268,12 @@ class Table:
         #: Active :meth:`deferred_log_syncs` tally (tablet ledger -> records),
         #: or ``None`` when point mutations sync their log individually.
         self._log_sync_tally: Optional[Dict[OpCounter, int]] = None
+        #: Bumped by each change to rows, run lists or tablet bounds.
+        self.version = 0
 
     def _on_tablet_changed(self, tablet_id: str) -> None:
         # Split/merge: the block cache's idea of residency is stale.
+        self.version += 1
         self.cache.invalidate_tablet(tablet_id)
 
     # ------------------------------------------------------------------
@@ -295,6 +298,7 @@ class Table:
             raise UnrecoverableShardError(
                 f"{self.name!r} snapshot has tablets {sorted(state['tablets'])}, not {sorted(tablets)}"
             )
+        self.version += 1
         self.cache.install_state(state["cache"])
         for tablet_id, snapshot in state["tablets"].items():
             tablets[tablet_id].counter.install_state(snapshot)
@@ -377,10 +381,12 @@ class Table:
         if charge:
             self.counter.record_point(tablet.counter, kind)
             if structural:
+                self.version += 1
                 self._tablets.maybe_split(tablet)
                 self._tablets.maybe_merge(tablet)
             self._maybe_flush(tablet)
         elif structural and kind is OpKind.DELETE:
+            self.version += 1
             self._tablets.maybe_merge(tablet)
 
     @staticmethod
@@ -497,6 +503,7 @@ class Table:
             self.counter.record_group(group.pending)
         if group.log_appends:
             self.counter.record_syncs(group.log_appends)
+        self.version += 1
         for tablet in group.dirty.values():
             self._tablets.maybe_split(tablet)
             while self._tablets.maybe_merge(tablet):
@@ -523,6 +530,7 @@ class Table:
         the row is new.  Pure state transition: commit logging and charging
         are the caller's business (recovery replays through here)."""
         declared = self._families.get(family) or self.family(family)
+        self.version += 1
         if self.cache.lru:
             self.cache.invalidate_row(tablet.tablet_id, row_key)
         row = tablet.ensure_writable(row_key)
@@ -566,6 +574,7 @@ class Table:
         """
         if family not in self._families:
             self.family(family)
+        self.version += 1
         if self.cache.lru:
             self.cache.invalidate_row(tablet.tablet_id, row_key)
         row = tablet.rows.get(row_key)
@@ -629,6 +638,7 @@ class Table:
         """Delete an entire row (a tombstone shadows any run-resident
         versions until compaction garbage-collects them)."""
         tablet = self._tablets.locate(row_key)
+        self.version += 1
         self.cache.invalidate_row(tablet.tablet_id, row_key)
         removed = tablet.drop_row(row_key)
         self._commit(
@@ -697,6 +707,7 @@ class Table:
         limit: Optional[int] = None,
         family: Optional[str] = None,
         versions: bool = False,
+        trace: Optional[List[tuple]] = None,
     ) -> List[Tuple[str, Dict[str, object]]]:
         """Range scan over ``[start_key, end_key)``, charged per row returned.
 
@@ -713,18 +724,25 @@ class Table:
         instead (``{qualifier: [Cell, ...]}``), which the aging drain needs.
         Without ``family`` every row is a full structural copy, ``family ->
         qualifier -> cells``, for dumps and tests.  The charging, and
-        ``len()`` of the result, are the same in all three.
+        ``len()`` of the result, are the same in all three.  ``trace``
+        collects what :meth:`replay_scan` needs.
         """
         if family is not None:
             self.family(family)
             if not versions:
                 return self._scanner.execute_range(
-                    start_key, end_key, limit, lambda rows: _newest_values(rows, family)
+                    start_key, end_key, limit,
+                    lambda rows: _newest_values(rows, family), trace,
                 )
-        scanned = self._scanner.execute_range(start_key, end_key, limit)
+        scanned = self._scanner.execute_range(start_key, end_key, limit, None, trace)
         if family is None:
             return [(row_key, row.cells()) for row_key, row in scanned]
         return [(row_key, row.version_cells(family)) for row_key, row in scanned]
+
+    def replay_scan(self, start_key: str, end_key: Optional[str], trace) -> None:
+        """Charge the scan that filled ``trace`` again (block lookups and
+        ledgers); valid while :attr:`version` has not moved since."""
+        self._scanner.replay(start_key, end_key, trace)
 
     def scan_keys(
         self, start_key: Optional[str] = None, end_key: Optional[str] = None
@@ -764,23 +782,28 @@ class Table:
         """
         if family is not None:
             self.family(family)
-        counts: Dict[Tablet, int] = {}
         found_keys: List[str] = []
         found_rows: List[_Row] = []
-        locate = self._tablets.locate
-        for row_key in row_keys:
-            tablet = locate(row_key)
-            counts[tablet] = counts.get(tablet, 0) + 1
+        for row_key, tablet in zip(row_keys, self.charge_batch_read(row_keys)):
             row = tablet.live_row(row_key)
             if row is not None:
                 found_keys.append(row_key)
                 found_rows.append(row)
-        self.counter.record(OpKind.BATCH_READ, rows=max(len(row_keys), 1))
-        for tablet, rows in counts.items():
-            tablet.counter.record(OpKind.BATCH_READ, rows=rows)
         if family is None:
             return {key: row.cells() for key, row in zip(found_keys, found_rows)}
         return dict(zip(found_keys, _newest_values(found_rows, family)))
+
+    def charge_batch_read(self, row_keys: Sequence[str]) -> List[Tablet]:
+        """The RPC half of :meth:`batch_read`: charge it and return each
+        key's tablet, reading no row."""
+        tablets = list(map(self._tablets.locate, row_keys))
+        self.counter.record(OpKind.BATCH_READ, rows=max(len(row_keys), 1))
+        counts: Dict[Tablet, int] = {}
+        for tablet in tablets:
+            counts[tablet] = counts.get(tablet, 0) + 1
+        for tablet, rows in counts.items():
+            tablet.counter.record(OpKind.BATCH_READ, rows=rows)
+        return tablets
 
     def batch_write(
         self, mutations: Sequence[Tuple[str, str, str, object, float]]
@@ -802,6 +825,7 @@ class Table:
         self.counter.record(OpKind.BATCH_WRITE, rows=max(len(mutations), 1))
         tally.charge(self._tablets, OpKind.BATCH_WRITE)
         self._charge_log_syncs(appended)
+        self.version += 1
         for tablet in tally.tablets():
             self._tablets.maybe_split(tablet)
             self._maybe_flush(tablet)
@@ -821,6 +845,7 @@ class Table:
         self.counter.record(OpKind.BATCH_WRITE, rows=max(len(deletes), 1))
         tally.charge(self._tablets, OpKind.BATCH_WRITE)
         self._charge_log_syncs(appended)
+        self.version += 1
         for tablet in tally.tablets():
             self._tablets.maybe_merge(tablet)
             self._maybe_flush(tablet)
@@ -928,6 +953,7 @@ class Table:
             targets[qualifier] = destination[:limit] if limit > 0 else destination
             moved += len(aged) // 2
         if moved:
+            self.version += 1
             self.cache.invalidate_row(tablet.tablet_id, row_key)
         return moved
 
@@ -941,6 +967,7 @@ class Table:
         if flushed:
             # The flushed rows now live in the (cold) new run; their
             # memtable blocks are gone.
+            self.version += 1
             self.cache.invalidate_source(tablet.tablet_id, MEMTABLE_SOURCE)
             self.counter.record_durability(OpKind.COMPACTION_WRITE, rows=flushed)
             tablet.counter.record_durability(OpKind.COMPACTION_WRITE, rows=flushed)
@@ -961,6 +988,7 @@ class Table:
                 return 0
         consumed = {run.run_id for run in window}
         rows_read, rows_written = tablet.compact(window, drop_all_tombstones=major)
+        self.version += 1
         for run_id in consumed:
             self.cache.invalidate_source(tablet.tablet_id, run_id)
         # One COMPACTION_READ call per compaction (its rows are the rows of
@@ -1000,6 +1028,7 @@ class Table:
         reconstructs the exact pre-crash memtable: the log holds precisely
         the mutations since that tablet's last flush, in commit order.
         """
+        self.version += 1
         self.cache.clear()
         model = self.counter.model
         runs_opened = 0
@@ -1039,6 +1068,7 @@ class Table:
         same invariant :meth:`recover` provides table-wide, scoped to the
         tablets one crashed front-end actually served.
         """
+        self.version += 1
         self.cache.invalidate_tablet(tablet.tablet_id)
         tablet.crash()
         for record in tablet.log.records:
@@ -1081,6 +1111,7 @@ class Table:
             _, _, _, family, qualifier = record
             self._delete_cell_from(tablet, row_key, family, qualifier)
         elif opcode == LOG_DELETE_ROW:
+            self.version += 1
             self.cache.invalidate_row(tablet.tablet_id, row_key)
             tablet.drop_row(row_key)
         elif opcode == LOG_AGE_ROW:

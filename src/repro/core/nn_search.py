@@ -13,12 +13,12 @@ is set, the Affiliation Table is batch-read for the candidate leaders and
 follower locations are derived from the leader location plus the stored
 displacement (Section 3.4, step iii-iv).
 
-A cell's candidates are ranked from a :class:`CandidateBlock` — parallel
-columns of ids, x / y coordinates and leader ids.  No per-candidate object
-exists: a follower is ``leader x + dx, leader y + dy`` in the coordinate
-columns, a candidate strictly farther than the current ``k``-th neighbour
-never touches the heap, and ``Point`` / ``NeighborResult`` objects are
-built for the ``k`` survivors only.
+A cell's candidates are ranked from a :class:`CandidateBlock` — a column of
+ids, one of interleaved x / y coordinates and the followers' leader ids.  No
+per-candidate object exists: a follower is ``leader x + dx, leader y + dy``
+in the coordinate columns, a candidate strictly farther than the current
+``k``-th neighbour never touches the heap, and ``Point`` /
+``NeighborResult`` objects are built for the ``k`` survivors only.
 
 Queries executed together can share their reads: a
 :class:`QueryBatchContext` memoises cell scans, Follower Info batch reads,
@@ -28,17 +28,21 @@ changes a result — it only removes the repeat RPCs (and the repeat block
 building) two overlapping queries would otherwise both pay for, which is
 what makes the server's ``handle_query_batch`` strictly cheaper than
 sequential execution on overlapping workloads.
+
+Across batches the searcher memoises each non-predictive block with how it
+was charged, while neither table's ``version`` moves: a hit reads no row but
+pays every charge the live path would (:meth:`NearestNeighborSearcher._replay`).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from array import array
+from itertools import chain
 from dataclasses import dataclass, field
 from math import hypot
 from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.core.config import MoistConfig
 from repro.core.flag import FlagTuner
@@ -64,22 +68,20 @@ class NNQueryStats:
     nn_level: int = 0
 
 
-class CandidateBlock:
-    """The candidates of one NN cell as parallel columns.
+class CandidateBlock(NamedTuple):
+    """The candidates of one NN cell as columns.
 
-    Row ``i`` is the object ``ids[i]`` at ``(xs[i], ys[i])``; the first
-    ``n_leaders`` rows are the cell's leaders (``leader_ids[i]`` is
-    ``None``), the rest their followers, grouped by leader in leader order.
+    Row ``i`` is the object ``ids[i]`` at ``(xy[2 * i], xy[2 * i + 1])``; the
+    first ``n_leaders`` rows are the cell's leaders, the rest their
+    followers, grouped by leader in leader order — follower row ``i``
+    follows ``leader_ids[i - n_leaders]``.  The columns are tuples of atoms,
+    which the collector stops tracking.
     """
 
-    __slots__ = ("ids", "xs", "ys", "leader_ids", "n_leaders")
-
-    def __init__(self, leader_object_ids: List[ObjectId]) -> None:
-        self.ids = leader_object_ids
-        self.n_leaders = len(leader_object_ids)
-        self.xs = array("d")
-        self.ys = array("d")
-        self.leader_ids: List[Optional[ObjectId]] = [None] * self.n_leaders
+    ids: Tuple[ObjectId, ...]
+    xy: Tuple[float, ...]
+    leader_ids: Tuple[ObjectId, ...]
+    n_leaders: int
 
 
 @dataclass
@@ -131,6 +133,10 @@ class NearestNeighborSearcher:
         self.affiliation_table = affiliation_table
         self.location_table = location_table
         self.flag_tuner = flag_tuner
+        #: ``(cell level, cell pos, include_followers)`` -> ``(block, scan
+        #: trace, non-empty Follower Info or None)`` at ``_memo_versions``.
+        self._memo: Dict[Tuple[int, int, bool], tuple] = {}
+        self._memo_versions: Optional[Tuple[int, int]] = None
 
     def query(
         self,
@@ -193,8 +199,8 @@ class NearestNeighborSearcher:
             block = self._candidate_block(
                 cell, at_time, include_followers, stats, context
             )
-            xs = block.xs
-            for row, x, y in zip(range(len(xs)), xs, block.ys):
+            coordinates = iter(block.xy)
+            for row, x, y in zip(itertools.count(), coordinates, coordinates):
                 distance = hypot(x - query_x, y - query_y)
                 # Strictly farther only: at equal distance the newer entry
                 # displaces the older one (the tiebreak grows).
@@ -220,8 +226,9 @@ class NearestNeighborSearcher:
         new = tuple.__new__
         results = []
         for neg_distance, _, block, row in best:
-            leader_id = block.leader_ids[row]
-            point = Point(block.xs[row], block.ys[row])
+            n_leaders = block.n_leaders
+            leader_id = block.leader_ids[row - n_leaders] if row >= n_leaders else None
+            point = Point(block.xy[2 * row], block.xy[2 * row + 1])
             results.append(
                 new(
                     NeighborResult,
@@ -290,16 +297,17 @@ class NearestNeighborSearcher:
         return self.config.default_nn_level
 
     def _scan_cell(
-        self, cell: CellId, context: Optional[QueryBatchContext]
+        self, cell: CellId, context: Optional[QueryBatchContext], trace=None
     ) -> Dict[ObjectId, Tuple[float, float]]:
         """Key-range scan of one NN cell's spatial-index rows, shared
-        across the batch when a context is present."""
+        across the batch when a context is present (``trace``: see
+        :meth:`Table.scan`)."""
         if context is not None:
             cached = context.cell_objects.get(cell)
             if cached is not None:
                 context.scans_shared += 1
                 return cached
-        leaders = self.spatial_table.objects_in_cell(cell)
+        leaders = self.spatial_table.objects_in_cell(cell, trace)
         if context is not None:
             context.cell_objects[cell] = leaders
         return leaders
@@ -343,16 +351,17 @@ class NearestNeighborSearcher:
 
     def _followers_of(
         self,
-        leader_ids: List[ObjectId],
+        leader_ids: Sequence[ObjectId],
         context: Optional[QueryBatchContext],
+        fetch=None,
     ) -> Dict[ObjectId, Dict[ObjectId, Tuple[float, float]]]:
         """Follower Info of ``leader_ids``, batch-read once per batch
         (``.get`` of a leader without an affiliation row is ``None`` or an
         empty dict; the shared empty default is never mutated by
-        readers)."""
+        readers).  A memo hit passes its own ``fetch``."""
         return self._shared_batch_read(
             leader_ids,
-            self.affiliation_table.batch_followers,
+            fetch or self.affiliation_table.batch_followers,
             context,
             context.followers if context is not None else None,
             {},
@@ -374,7 +383,8 @@ class NearestNeighborSearcher:
         itself, per ``(cell, include_followers, at_time)``.  A block hit
         tallies the same ``scans_shared``/``rows_shared`` the underlying
         scan / latest-record / follower memo hits would have recorded,
-        keeping the sharing report independent of this shortcut.
+        keeping the sharing report independent of this shortcut.  A
+        non-predictive block also goes through the cross-batch memo.
         """
         if context is not None:
             cache_key = (cell, include_followers, at_time)
@@ -389,51 +399,99 @@ class NearestNeighborSearcher:
                 if include_followers:
                     context.rows_shared += n_leaders
                 return block
+        trace = None
+        if at_time is None:
+            memo = self._memo
+            spatial, affiliation = self.spatial_table.table, self.affiliation_table.table
+            versions = (spatial.version, affiliation.version)
+            if versions != self._memo_versions:
+                memo.clear()  # a table it read has changed
+                self._memo_versions = versions
+            memo_key = (cell.level, cell.pos, include_followers)
+            entry = memo.get(memo_key)
+            if entry is not None:
+                return self._replay(entry, cell, include_followers, stats, context)
+            trace = []
 
-        leaders = self._scan_cell(cell, context)
-        block = CandidateBlock(list(leaders))
-        ids = block.ids
-        n_leaders = block.n_leaders
+        leaders = self._scan_cell(cell, context, trace)
+        ids = list(leaders)
+        n_leaders = len(ids)
         stats.leaders_scanned += n_leaders
-        xs = block.xs
-        ys = block.ys
         if at_time is not None and leaders:
             # Predictive variant: dead-reckon each leader to the query time
             # from its latest Location record (LocationRecord.extrapolated,
             # inlined so no Point is built).
             records = self._latest_records(ids, context)
+            xy = []
             for object_id, stored in leaders.items():
                 record = records.get(object_id)
                 if record is None:
-                    xs.append(stored[0])
-                    ys.append(stored[1])
+                    xy.extend(stored)
                 else:
                     x, y, dx, dy, timestamp = record
                     elapsed = at_time - timestamp
-                    xs.append(x + dx * elapsed)
-                    ys.append(y + dy * elapsed)
+                    xy.append(x + dx * elapsed)
+                    xy.append(y + dy * elapsed)
         else:
-            for x, y in leaders.values():
-                xs.append(x)
-                ys.append(y)
+            xy = list(chain.from_iterable(leaders.values()))
+        leader_ids: List[ObjectId] = []
+        known = {}  # the block's non-empty Follower Info
         if include_followers and leaders:
             # Followers are appended behind the leaders, grouped by leader
             # in leader row order.
             follower_info = self._followers_of(ids, context).get
-            leader_ids = block.leader_ids
             for row in range(n_leaders):
                 leader_id = ids[row]
                 followers = follower_info(leader_id)
                 if not followers:
                     continue
-                leader_x = xs[row]
-                leader_y = ys[row]
+                known[leader_id] = followers
+                leader_x = xy[2 * row]
+                leader_y = xy[2 * row + 1]
                 for follower_id, (dx, dy) in followers.items():
                     ids.append(follower_id)
-                    xs.append(leader_x + dx)
-                    ys.append(leader_y + dy)
+                    xy.append(leader_x + dx)
+                    xy.append(leader_y + dy)
                     leader_ids.append(leader_id)
             stats.followers_considered += len(ids) - n_leaders
+        block = CandidateBlock(tuple(ids), tuple(xy), tuple(leader_ids), n_leaders)
         if context is not None:
             context.cell_blocks[cache_key] = block
+        if trace:  # empty when the batch had scanned the cell already
+            memo[memo_key] = (block, tuple(trace), known or None)
+        return block
+
+    def _replay(
+        self,
+        entry: tuple,
+        cell: CellId,
+        include_followers: bool,
+        stats: NNQueryStats,
+        context: Optional[QueryBatchContext],
+    ) -> CandidateBlock:
+        """Serve a memoised block, paying what building it would have paid:
+        its scan (unless the batch shares it) and its Follower Info read,
+        answered from the memo; the context learns both, as after a build."""
+        block, trace, known = entry
+        ids = block.ids
+        n_leaders = block.n_leaders
+        stats.leaders_scanned += n_leaders
+        if context is not None and cell in context.cell_objects:
+            context.scans_shared += 1
+        else:
+            self.spatial_table.table.replay_scan(*cell.key_range(), trace)
+            if context is not None:  # what the scan would have returned
+                xy = block.xy[: 2 * n_leaders]
+                context.cell_objects[cell] = dict(zip(ids, zip(xy[0::2], xy[1::2])))
+        if include_followers and n_leaders:
+            charge = self.affiliation_table.table.charge_batch_read
+
+            def fetch(leader_ids: List[ObjectId]) -> dict:
+                charge(leader_ids)
+                return known or {}
+
+            self._followers_of(ids[:n_leaders], context, fetch)
+            stats.followers_considered += len(ids) - n_leaders
+        if context is not None:
+            context.cell_blocks[(cell, include_followers, None)] = block
         return block

@@ -137,7 +137,7 @@ class SpatialIndexTable:
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
-    def objects_in_cell(self, cell: CellId) -> Dict[ObjectId, Tuple[float, float]]:
+    def objects_in_cell(self, cell: CellId, trace=None) -> Dict[ObjectId, Tuple[float, float]]:
         """Objects stored under any storage-level row inside ``cell``, as
         ``object id -> (x, y)``.
 
@@ -145,11 +145,12 @@ class SpatialIndexTable:
         scan over the cell's contiguous key range) — the access path behind
         both NN cells (Section 3.4.1) and clustering cells (Section 3.3.2).
         The key-range scan executes through the tablet scanner, so repeated
-        probes of a quiet cell are priced through the block cache.
+        probes of a quiet cell are priced through the block cache; ``trace``
+        collects the scan's charges (:meth:`Table.replay_scan`).
         """
         start, end = cell.key_range()
         results: Dict[ObjectId, Tuple[float, float]] = {}
-        for _, objects in self._table.scan(start, end, family=ID_FAMILY):
+        for _, objects in self._table.scan(start, end, family=ID_FAMILY, trace=trace):
             results.update(objects)
         return results
 

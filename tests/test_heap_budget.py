@@ -21,9 +21,16 @@ no value, no chain and no cache entry (the write path keeps none).  Per
 update it covers nothing: the new row, the new chain and the commit log's
 record of the write (never truncated by default) are all invisible to the
 collector.
+
+The NN searcher's cross-batch memo is held to the same rule: a memoised cell
+keeps its block and charge trace as tuples of atoms — ids, coordinates, the
+scanned row keys — so what the collector sees per cell is its entry and its
+block, whatever the cell holds.  And the memo grows with the distinct cells
+the queries visit, not with the number of rounds.
 """
 
 import gc
+import random
 
 from repro import (
     BoundingBox,
@@ -34,6 +41,7 @@ from repro import (
     Vector,
     format_object_id,
 )
+from repro.workload.queries import NNQuery
 
 LEADERS = 2000
 #: Measured 24.1 and 6.0 with a ``Cell`` per version and a tuple per log
@@ -68,13 +76,16 @@ def report_all(indexer, timestamp):
         indexer.update_many(batch)
 
 
+CONFIG = MoistConfig(
+    world=BoundingBox(0.0, 0.0, 1000.0, 1000.0),
+    storage_level=12,
+    enable_schools=False,
+    deviation_threshold=0.0,
+)
+
+
 def test_tracked_objects_per_leader_and_per_update():
-    config = MoistConfig(
-        world=BoundingBox(0.0, 0.0, 1000.0, 1000.0),
-        storage_level=12,
-        enable_schools=False,
-        deviation_threshold=0.0,
-    )
+    config = CONFIG
     indexer = MoistIndexer(config)
     report_all(indexer, 0.0)  # warm every lazily built table and cache
     indexer = MoistIndexer(config)
@@ -93,3 +104,62 @@ def test_tracked_objects_per_leader_and_per_update():
     assert indexer.object_count == LEADERS
     assert per_leader <= MAX_TRACKED_PER_LEADER
     assert per_update <= MAX_TRACKED_PER_UPDATE
+
+
+#: Measured 2.04 per memoised cell (its entry tuple and its block; 7.30 while
+#: the trace held arrays and tuples naming tablets); the budget is that plus
+#: 0.5.
+MAX_TRACKED_PER_MEMOISED_CELL = 2.54
+
+
+def query_pool(count, seed=3):
+    rng = random.Random(seed)
+    return [
+        NNQuery(Point(rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)), 10)
+        for _ in range(count)
+    ]
+
+
+def test_tracked_objects_per_memoised_cell():
+    indexer = MoistIndexer(CONFIG)
+    report_all(indexer, 0.0)
+    pool = query_pool(96)
+    for _ in range(4):  # a read-only stretch: every pass after the first hits
+        indexer.nearest_neighbors_batch(pool)
+    memo = indexer.searcher._memo
+    held = len(memo)
+    with_memo = tracked_objects()
+    memo.clear()
+    per_cell = (with_memo - tracked_objects()) / held
+    print(
+        f"\ntracked objects: {per_cell:.2f} per memoised cell over {held} cells "
+        f"(budget {MAX_TRACKED_PER_MEMOISED_CELL})"
+    )
+    assert per_cell <= MAX_TRACKED_PER_MEMOISED_CELL
+
+
+def test_memo_grows_with_the_cells_visited_not_the_rounds(monkeypatch):
+    indexer = MoistIndexer(CONFIG)
+    report_all(indexer, 0.0)
+    searcher = indexer.searcher
+    visited = set()
+    build = searcher._candidate_block
+
+    def recording(cell, *args, **kwargs):
+        visited.add(cell)
+        return build(cell, *args, **kwargs)
+
+    monkeypatch.setattr(searcher, "_candidate_block", recording)
+    pool = query_pool(48, seed=11)
+    rng = random.Random(5)
+    sizes = []
+    for rounds in (4, 12):  # N rounds, then 3N more
+        for _ in range(rounds):
+            indexer.nearest_neighbors_batch(rng.sample(pool, 12))
+        sizes.append(len(searcher._memo))
+        # Read-only: every cell visited so far is memoised, once.
+        assert sizes[-1] == len(visited)
+    print(f"\nmemo after N and 4N read-only rounds: {sizes} cells")
+    # Three times the rounds add less than the first N did: the pool's
+    # cells are all seen, and seen cells add nothing.
+    assert sizes[1] - sizes[0] < sizes[0]

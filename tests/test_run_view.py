@@ -174,7 +174,11 @@ class TwinScanner(Scanner):
     """The scanner pricing the heap-merged triples, one slice per
     consecutive source."""
 
-    def execute_range(self, start_key=None, end_key=None, limit=None, project=None):
+    def execute_range(
+        self, start_key=None, end_key=None, limit=None, project=None, trace=None
+    ):
+        # No trace is recorded: a reader memoising on it finds none and
+        # reads live every time, which is all the twin is compared on.
         results = []
         remaining = limit
         charges = []
