@@ -9,11 +9,16 @@ same tablet boundaries, same keys, same full row contents, same subsequent
 read results.  The engine knobs are randomized per seed too, so the space
 covered includes tiny memtables (flush/compaction-heavy), tight split
 thresholds (runs sliced across tablets) and the default no-flush engine
-(pure log replay)."""
+(pure log replay).
+
+``test_recovery_keeps_every_memtable`` pins the invariant the rest lean on:
+at every step of a random program, ``recover()`` and ``recover_tablet()``
+leave each tablet's memtable, tallies and log count exactly as they were."""
 
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bigtable.table import Table
 
@@ -133,3 +138,73 @@ def test_double_crash_recovery_is_idempotent(seed):
     assert state_of(table) == before
     table.recover()  # crashing immediately again replays the same tail
     assert state_of(table) == before
+
+
+_KEY = st.integers(0, 39).map(lambda i: f"k{i:03d}")
+_ENTRIES = st.lists(st.tuples(_KEY, st.integers(0, 999)), min_size=1, max_size=7)
+#: ``random_ops``' vocabulary, drawn directly so a failure shrinks; times
+#: are filled in from the step index by :func:`_materialise`.
+_OPS = st.one_of(
+    st.tuples(st.just("write"), _KEY, st.integers(0, 999)),
+    st.tuples(st.just("delete_cell"), _KEY),
+    st.tuples(st.just("delete_row"), _KEY),
+    st.tuples(st.just("batch_write"), _ENTRIES),
+    st.tuples(st.just("group_commit"), _ENTRIES),
+    st.just(("age_out",)),
+    st.just(("flush",)),
+    st.tuples(st.just("compact"), st.booleans()),
+)
+_KNOBS = st.fixed_dictionaries(
+    {
+        "split_threshold": st.sampled_from([8, 16, 64]),
+        "merge_threshold": st.just(4),
+        "group_commit_size": st.sampled_from([4, 16, 256]),
+        "memtable_flush_rows": st.sampled_from([None, 4, 16, 64]),
+        "compaction_max_runs": st.sampled_from([2, 3, 8]),
+    }
+)
+
+
+def _materialise(op, step: int):
+    kind = op[0]
+    if kind == "write":
+        return ("write", op[1], op[2], float(step))
+    if kind in ("batch_write", "group_commit"):
+        return (kind, [(key, value, step + i / 10.0) for i, (key, value) in enumerate(op[1])])
+    if kind == "age_out":
+        return ("age_out", step * 0.5)
+    return op
+
+
+def _memtables(table: Table):
+    """Each tablet's bounds, runs, memtable rows, tallies and log count."""
+    return [
+        (
+            tablet.tablet_id,
+            tablet.start_key,
+            tuple(run.run_id for run in tablet.runs),
+            repr(list(tablet.rows.items())),
+            tablet._tombstones,
+            tablet._run_extra,
+            len(tablet.log),
+        )
+        for tablet in table.tablets()
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    knobs=_KNOBS,
+    program=st.lists(_OPS, min_size=1, max_size=60),
+    picks=st.lists(st.integers(0, 127), min_size=60, max_size=60),
+)
+def test_recovery_keeps_every_memtable(knobs, program, picks):
+    table = bare_table(knobs)
+    for step, op in enumerate(program):
+        apply_op(table, _materialise(op, step))
+        before = _memtables(table)
+        table.recover()
+        assert _memtables(table) == before, f"recover() after step {step}"
+        tablets = table.tablets()
+        table.recover_tablet(tablets[picks[step] % len(tablets)])
+        assert _memtables(table) == before, f"recover_tablet() after step {step}"
