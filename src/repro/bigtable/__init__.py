@@ -17,14 +17,16 @@ so experiments can report simulated service time (and therefore QPS) that
 reflects the *operation mix* of each algorithm rather than Python's
 interpreter speed (README *Storage engine*).
 
-Every tablet is a full LSM engine: a sequence-numbered **commit log** with
-group-commit fsync batching, a **memtable**, immutable sorted **SSTable
-runs** produced by minor compactions (memtable flushes) and consolidated by
-size-tiered/major compactions with tombstone garbage collection, one merged
-**run view** per tablet that point and range reads consult instead of each
-run, and **crash recovery** that replays each tablet's log tail over
-its runs to bit-identical state.  Durability work is charged to a separate
-ledger so paper-facing service times stay calibrated.
+Every tablet is a full LSM engine: a **commit log** with group-commit
+fsync batching (kept as a record count per row key), a **memtable**,
+immutable sorted **SSTable runs** produced by minor compactions (memtable
+flushes) and consolidated by size-tiered/major compactions with tombstone
+garbage collection, one merged **run view** per tablet that point and range
+reads consult instead of each run, and priced **crash recovery**: re-opening
+the runs and replaying the log tail would rebuild the memtable exactly, so
+the emulator keeps the memtable and charges the replay by its record count.
+Durability work is charged to a separate ledger so paper-facing service
+times stay calibrated.
 
 :class:`~repro.bigtable.emulator.BigtableEmulator` is the one storage
 backend: the MOIST tables and the server layer call it directly.  To scale

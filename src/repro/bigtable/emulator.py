@@ -169,8 +169,9 @@ class BigtableEmulator:
         """Simulate a cluster-wide tablet-server crash and recover.
 
         Memtables and block caches are lost; commit logs, SSTable runs and
-        tablet boundaries are durable.  Each table replays its tablets' log
-        tails over their runs, reconstructing bit-identical contents.
+        tablet boundaries are durable.  Each table prices the replay of its
+        tablets' log tails over their runs, which would rebuild
+        bit-identical contents (:meth:`Table.recover`).
         """
         return RecoveryReport(
             tables=tuple(

@@ -1,4 +1,4 @@
-"""LSM primitives of the tablet engine: commit log, SSTable runs, recovery.
+"""LSM primitives of the tablet engine: SSTable runs and recovery reports.
 
 A real BigTable tablet is served from three structures (Section 5.3 of the
 original BigTable paper, which MOIST inherits wholesale):
@@ -9,13 +9,8 @@ original BigTable paper, which MOIST inherits wholesale):
 * immutable *SSTables* on GFS — sorted runs produced by *minor compactions*
   (memtable flushes) and consolidated by *merging/major compactions*.
 
-This module provides the durable half of that triple for the emulator:
-:class:`CommitLog` (sequence-numbered logical mutation records, partitionable
-by key so tablet splits can hand each child exactly its history; stored as
-columns — two typed arrays and three flat lists per log, not a tuple per
-record, see its docstring for why),
-:class:`SSTable` (an immutable sorted run with key-range metadata,
-sliceable in O(1) for tablet splits, read whole through
+This module provides :class:`SSTable` (an immutable sorted run with
+key-range metadata, sliceable in O(1) for tablet splits, read whole through
 :meth:`~SSTable.columns`) and the frozen recovery reports.  Runs keep no
 per-run Bloom filter: they live in memory, where a filter saves no disk
 seek, and a tablet serves point and range reads from one merged *run view*
@@ -24,32 +19,22 @@ and compaction scheduling) lives in :mod:`repro.bigtable.tablet`; the charging
 of durability work to the cost ledgers lives in
 :mod:`repro.bigtable.table`.
 
-Everything here survives a simulated tablet-server crash: a crash destroys
-memtables (and the block cache), while commit logs, SSTable runs and tablet
-boundary metadata (BigTable's METADATA table, itself durable) persist and
-recovery replays each tablet's log tail over its runs.
+The commit log is modelled, not stored.  A crash loses the memtable and a
+replay of the log tail over the runs rebuilds it exactly, so the emulator,
+which never actually loses its memtable, keeps only what the model prices:
+how many records each tablet's log gathered per row key since its last
+flush (``Tablet.log_counts``).  Recovery charges re-opening every run plus
+replaying that many records, and keeps the memtable it already holds.
 """
-
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 #: Cache/source identifier of rows served straight from a tablet's memtable
 #: (as opposed to an SSTable run's ``run_id``).
 MEMTABLE_SOURCE = "mem"
-
-#: Commit-log record opcodes.  A record reads as the tuple
-#: ``(seqno, opcode, row_key, *payload)``; :class:`CommitLog` stores it as
-#: columns.
-LOG_WRITE = "w"        # (seq, "w", row_key, family, qualifier, value, ts)
-LOG_DELETE_CELL = "dc"  # (seq, "dc", row_key, family, qualifier)
-LOG_DELETE_ROW = "dr"   # (seq, "dr", row_key)
-LOG_AGE_ROW = "age"     # (seq, "age", row_key, source_family, target_family, cutoff)
-
 
 class _Tombstone:
     """Singleton marker for a deleted row awaiting compaction GC.
@@ -155,126 +140,6 @@ class SSTable:
             first._lo,
             second._hi,
         )
-
-
-class CommitLog:
-    """The sequence-numbered mutation log of one tablet.
-
-    Records are logical mutations (see the ``LOG_*`` opcodes) appended in
-    commit order; group commit batches the fsyncs, not the records.  The log
-    is truncated whole at every memtable flush — by then every record's
-    effect lives in the flushed run — and partitioned by row key when the
-    tablet splits, so each child's log is exactly the unflushed history of
-    the keys it owns.
-
-    Storage is columnar: record ``i`` is ``_seqnos[i]``, ``_opcodes[i]``,
-    ``_keys[i]`` and the next ``_widths[i]`` payload fields of the flat
-    ``_fields`` list.  The hot write path appends one record per mutation
-    and, with the default ``memtable_flush_rows=None``, nothing ever
-    truncates the log — so a tuple per record is a garbage-collector-tracked
-    object per update that every full collection walks for the rest of the
-    run.  The two integer columns are ``array('q')``: typed arrays hold
-    values, not object pointers, and the collector neither tracks nor
-    traverses them.  :attr:`records` rebuilds the tuples for the callers
-    that want them (replay, checkpoint); splits and merges reorder the
-    columns wholesale (:meth:`_take`) without visiting records one by one.
-    No record is ever dropped or compacted.
-    """
-
-    __slots__ = ("_seqnos", "_widths", "_opcodes", "_keys", "_fields")
-
-    def __init__(self) -> None:
-        self._seqnos = array("q")
-        self._widths = array("q")
-        self._opcodes: List[str] = []
-        self._keys: List[str] = []
-        self._fields: List[object] = []
-
-    def __len__(self) -> int:
-        return len(self._seqnos)
-
-    def write(
-        self, seqno: int, opcode: str, row_key: str, payload: Sequence[object]
-    ) -> None:
-        """Append one record, given as its columns."""
-        self._seqnos.append(seqno)
-        self._widths.append(len(payload))
-        self._opcodes.append(opcode)
-        self._keys.append(row_key)
-        self._fields.extend(payload)
-
-    def append(self, record: tuple) -> None:
-        """Append one ``(seqno, opcode, row_key, *payload)`` record tuple."""
-        self.write(record[0], record[1], record[2], record[3:])
-
-    @property
-    def records(self) -> List[tuple]:
-        """Every record as a ``(seqno, opcode, row_key, *payload)`` tuple, in
-        commit order (a fresh list: mutate the log through its methods)."""
-        fields = self._fields
-        records: List[tuple] = []
-        start = 0
-        for seqno, opcode, row_key, end in zip(
-            self._seqnos, self._opcodes, self._keys, accumulate(self._widths)
-        ):
-            records.append((seqno, opcode, row_key, *fields[start:end]))
-            start = end
-        return records
-
-    def clear(self) -> None:
-        """Truncate the log (a flush made every record redundant)."""
-        self._adopt(CommitLog())
-
-    def _adopt(self, other: "CommitLog") -> None:
-        """Take over another log's columns."""
-        for column in self.__slots__:
-            setattr(self, column, getattr(other, column))
-
-    def _take(self, picks: Sequence[int]) -> "CommitLog":
-        """A new log of this log's records ``picks`` (indices), in that
-        order.  Whole-column gathers: a tablet whose log was never flushed
-        splits and merges with tens of thousands of records in it."""
-        taken = CommitLog()
-        taken._seqnos = array("q", map(self._seqnos.__getitem__, picks))
-        taken._widths = array("q", map(self._widths.__getitem__, picks))
-        taken._opcodes = list(map(self._opcodes.__getitem__, picks))
-        taken._keys = list(map(self._keys.__getitem__, picks))
-        ends = list(accumulate(self._widths))
-        starts = [0] + ends
-        spans = map(
-            slice, map(starts.__getitem__, picks), map(ends.__getitem__, picks)
-        )
-        taken._fields = list(
-            chain.from_iterable(map(self._fields.__getitem__, spans))
-        )
-        return taken
-
-    def split_off(self, key: str) -> "CommitLog":
-        """Move every record whose row key is ``>= key`` into a new log.
-
-        Record order (== seqno order) is preserved on both sides; this is
-        the tablet-split primitive, mirroring how SSTable runs are sliced.
-        """
-        keys = self._keys
-        moved = self._take([i for i, row_key in enumerate(keys) if row_key >= key])
-        self._adopt(self._take([i for i, row_key in enumerate(keys) if row_key < key]))
-        return moved
-
-    def absorb(self, other: "CommitLog") -> None:
-        """Fold another tablet's log in, restoring global seqno order
-        (the tablet-merge primitive; ``other`` is emptied)."""
-        if len(other):
-            seqnos = self._seqnos
-            interleaved = len(seqnos) and seqnos[-1] > other._seqnos[0]
-            for column in self.__slots__:
-                getattr(self, column).extend(getattr(other, column))
-            if interleaved:
-                # Stable, like the commit order it restores; two sorted runs
-                # cost the sort one merge pass.
-                self._adopt(
-                    self._take(sorted(range(len(seqnos)), key=seqnos.__getitem__))
-                )
-            other.clear()
 
 
 @dataclass(frozen=True)

@@ -26,13 +26,13 @@ instead of copying them.  :class:`Cell` objects are built on demand, only
 where a caller asked for timestamps — :meth:`Table.read_versions`,
 :meth:`Table.read_row`, family-less ``scan``/``batch_read`` and
 ``scan(versions=True)`` — and belong to that caller (:meth:`Table.read_latest`
-returns a bare value).  The same goes for the commit log, which keeps
-columns, not record tuples (:class:`~repro.bigtable.lsm.CommitLog`).
+returns a bare value).  The commit log keeps no records at all, only a count
+per row key (``Tablet.log_counts``; see :mod:`repro.bigtable.lsm`).
 
 The reason is the garbage collector: every container it tracks is walked by
 every full collection, and with the default engine nothing a tablet stores
-or logs is ever dropped, so an object per version and per log record made
-collection time grow with the length of the run.  CPython stops tracking an
+is ever dropped, so an object per version made collection time grow with
+the length of the run.  CPython stops tracking an
 exact ``tuple`` at the first collection that finds only untracked items in
 it — strings, numbers, ``None``, tuples already untracked — so the schema
 classes in :mod:`repro.tables` store exact tuples of atoms, and the value,
@@ -59,15 +59,7 @@ from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.bigtable.cost import OpCounter, OpKind
-from repro.bigtable.lsm import (
-    LOG_AGE_ROW,
-    LOG_DELETE_CELL,
-    LOG_DELETE_ROW,
-    LOG_WRITE,
-    MEMTABLE_SOURCE,
-    TOMBSTONE,
-    TableRecovery,
-)
+from repro.bigtable.lsm import MEMTABLE_SOURCE, TOMBSTONE, TableRecovery
 from repro.bigtable.scan import (
     BlockCache,
     BlockCacheOptions,
@@ -262,7 +254,7 @@ class Table:
         self._group: Optional[_GroupCommit] = None
         self._group_depth = 0
         self._group_context = Table._GroupCommitContext(self)
-        #: Monotonic per-table mutation sequence: stamps commit-log records
+        #: Monotonic per-table mutation sequence: counts commit-log records
         #: and orders SSTable runs.
         self._seq = 0
         #: Active :meth:`deferred_log_syncs` tally (tablet ledger -> records),
@@ -333,16 +325,15 @@ class Table:
         kind: OpKind,
         structural: bool,
         charge: bool,
-        opcode: Optional[str],
+        logged: bool,
         row_key: str,
-        payload: tuple = (),
     ) -> None:
         """Log and charge one point mutation already applied to ``tablet`` —
         one frame for both, because every update message issues several.
 
-        ``(opcode, row_key, *payload)`` is the mutation's log record; with
-        ``opcode`` ``None`` nothing changed and nothing is logged (a delete
-        of an absent cell is still charged).  The record's fsync is charged
+        ``logged`` counts one commit-log record of ``row_key``; without it
+        nothing changed and nothing is logged (a delete of an absent cell is
+        still charged).  The record's fsync is charged
         to the durability ledger at once, or per tablet when the open
         :meth:`deferred_log_syncs` block or group commit ends.
         ``structural`` marks a mutation that changed the tablet's row count
@@ -352,19 +343,19 @@ class Table:
         commit and the merge check after a delete — aging drains delete rows
         outside any batch, and without it emptied tablets accumulate.
         """
-        if opcode is not None:
-            seqno = self._seq = self._seq + 1
+        if logged:
+            self._seq += 1
             self.counter.logical_write_rows += 1
             tablet.counter.logical_write_rows += 1
-            tablet.log.write(seqno, opcode, row_key, payload)
+            tablet.log_record(row_key)
         group = self._group
         if group is not None:
             ledger = tablet.counter
             if structural:
                 group.dirty[tablet.tablet_id] = tablet
-            if opcode is not None or charge:
+            if logged or charge:
                 group.tablets[tablet.tablet_id] = tablet
-            if opcode is not None:
+            if logged:
                 group.log_appends[ledger] = group.log_appends.get(ledger, 0) + 1
             if charge:
                 key = (ledger, kind)
@@ -373,7 +364,7 @@ class Table:
                 if group.calls >= self.options.group_commit_size:
                     self._flush_group()
             return
-        if opcode is not None:
+        if logged:
             if self._log_sync_tally is not None:
                 self._tally_log_sync(self._log_sync_tally, tablet)
             else:
@@ -419,19 +410,17 @@ class Table:
         self,
         tablet: Tablet,
         appended: Dict[OpCounter, int],
-        opcode: str,
         row_key: str,
-        *payload: object,
     ) -> None:
-        """Stamp and append a log record whose fsync the caller batches (the
+        """Count a log record whose fsync the caller batches (the
         batch-RPC paths' group commit, whatever block is open around them):
         the record is tallied into ``appended`` (tablet ledger -> records) and
         :meth:`_charge_log_syncs` later charges one group fsync per tablet.
-        (The stamp is :meth:`_commit`'s, repeated so that stays one frame.)"""
+        (The count is :meth:`_commit`'s, repeated so that stays one frame.)"""
         self._seq += 1
         self.counter.logical_write_rows += 1
         tablet.counter.logical_write_rows += 1
-        tablet.log.write(self._seq, opcode, row_key, payload)
+        tablet.log_record(row_key)
         self._tally_log_sync(appended, tablet)
 
     def _charge_log_syncs(self, appended: Dict[OpCounter, int]) -> None:
@@ -449,7 +438,7 @@ class Table:
         threshold = self.options.memtable_flush_rows
         if threshold is None:
             return
-        if len(tablet.rows) >= threshold or len(tablet.log) >= threshold:
+        if len(tablet.rows) >= threshold or tablet.log_records >= threshold:
             self._flush_tablet(tablet)
 
     # ------------------------------------------------------------------
@@ -528,7 +517,7 @@ class Table:
     ) -> bool:
         """Apply one cell write to an already-located tablet; returns whether
         the row is new.  Pure state transition: commit logging and charging
-        are the caller's business (recovery replays through here)."""
+        are the caller's business."""
         declared = self._families.get(family) or self.family(family)
         self.version += 1
         if self.cache.lru:
@@ -615,10 +604,7 @@ class Table:
         added_row = self._write_into(
             tablet, row_key, family, qualifier, value, timestamp
         )
-        self._commit(
-            tablet, OpKind.WRITE, added_row, _charge,
-            LOG_WRITE, row_key, (family, qualifier, value, timestamp),
-        )
+        self._commit(tablet, OpKind.WRITE, added_row, _charge, True, row_key)
 
     def delete_cell(
         self, row_key: str, family: str, qualifier: str, _charge: bool = True
@@ -628,10 +614,7 @@ class Table:
         existed, removed_row = self._delete_cell_from(
             tablet, row_key, family, qualifier
         )
-        self._commit(
-            tablet, OpKind.DELETE, removed_row, _charge,
-            LOG_DELETE_CELL if existed else None, row_key, (family, qualifier),
-        )
+        self._commit(tablet, OpKind.DELETE, removed_row, _charge, existed, row_key)
         return existed
 
     def delete_row(self, row_key: str, _charge: bool = True) -> bool:
@@ -641,10 +624,7 @@ class Table:
         self.version += 1
         self.cache.invalidate_row(tablet.tablet_id, row_key)
         removed = tablet.drop_row(row_key)
-        self._commit(
-            tablet, OpKind.DELETE, removed, _charge,
-            LOG_DELETE_ROW if removed else None, row_key,
-        )
+        self._commit(tablet, OpKind.DELETE, removed, _charge, removed, row_key)
         return removed
 
     # ------------------------------------------------------------------
@@ -818,10 +798,7 @@ class Table:
             tablet = self._tablets.locate(row_key)
             self._write_into(tablet, row_key, family, qualifier, value, timestamp)
             tally.add(tablet)
-            self._log_batch_record(
-                tablet, appended, LOG_WRITE, row_key, family, qualifier, value,
-                timestamp,
-            )
+            self._log_batch_record(tablet, appended, row_key)
         self.counter.record(OpKind.BATCH_WRITE, rows=max(len(mutations), 1))
         tally.charge(self._tablets, OpKind.BATCH_WRITE)
         self._charge_log_syncs(appended)
@@ -839,9 +816,7 @@ class Table:
             existed, _ = self._delete_cell_from(tablet, row_key, family, qualifier)
             tally.add(tablet)
             if existed:
-                self._log_batch_record(
-                    tablet, appended, LOG_DELETE_CELL, row_key, family, qualifier
-                )
+                self._log_batch_record(tablet, appended, row_key)
         self.counter.record(OpKind.BATCH_WRITE, rows=max(len(deletes), 1))
         tally.charge(self._tablets, OpKind.BATCH_WRITE)
         self._charge_log_syncs(appended)
@@ -888,15 +863,7 @@ class Table:
             moved += row_moved
             touched_rows += 1
             tally.add(tablet)
-            self._log_batch_record(
-                tablet,
-                appended,
-                LOG_AGE_ROW,
-                row_key,
-                source_family,
-                target_family,
-                cutoff_timestamp,
-            )
+            self._log_batch_record(tablet, appended, row_key)
         self.counter.record(OpKind.BATCH_WRITE, rows=max(touched_rows, 1))
         tally.charge(self._tablets, OpKind.BATCH_WRITE)
         self._charge_log_syncs(appended)
@@ -922,8 +889,8 @@ class Table:
         target_family: str,
         cutoff_timestamp: float,
     ) -> int:
-        """Apply the per-row aging transform (also the AGE log replay path);
-        returns the number of cells moved."""
+        """Apply the per-row aging transform; returns the number of cells
+        moved."""
         target = self.family(target_family)
         row = tablet.ensure_writable(row_key)
         if row is None:
@@ -1021,12 +988,13 @@ class Table:
     def recover(self) -> TableRecovery:
         """Simulate a tablet-server crash and recover from durable state.
 
-        Every memtable (and the block cache — it lived in the crashed
-        server's memory) is discarded; tablet boundaries, SSTable runs and
-        commit logs are durable.  Each tablet re-opens its runs and replays
-        its log tail through the regular (uncharged) apply path, which
-        reconstructs the exact pre-crash memtable: the log holds precisely
-        the mutations since that tablet's last flush, in commit order.
+        A crash loses every memtable and the block cache (both lived in the
+        crashed server's memory); tablet boundaries, SSTable runs and commit
+        logs are durable.  Each tablet re-opens its runs and replays its log
+        tail, which rebuilds exactly the pre-crash memtable: the log holds
+        precisely the mutations since that tablet's last flush, in commit
+        order.  The emulator never lost the memtable, so it keeps it and
+        charges the replay by its record count; the cache is dropped.
         """
         self.version += 1
         self.cache.clear()
@@ -1035,12 +1003,9 @@ class Table:
         run_rows = 0
         replayed = 0
         for tablet in self._tablets.tablets():
-            tablet.crash()
             runs_opened += len(tablet.runs)
             run_rows += sum(len(run) for run in tablet.runs)
-            for record in tablet.log.records:
-                self._apply_log_record(tablet, record)
-            replayed += len(tablet.log)
+            replayed += tablet.log_records
         # Recovery time = per-run open overhead (index + Bloom metadata, not
         # the data blocks — those fault in lazily afterwards) plus the log
         # replay.  It is reported through the RecoveryReport; the durability
@@ -1063,18 +1028,15 @@ class Table:
 
         The tablet's memtable and its resident cache blocks are lost (they
         lived in the crashed tablet server's memory); its SSTable runs,
-        commit log and boundary metadata are durable.  Replaying the log
-        tail over the runs reconstructs the exact pre-crash memtable — the
-        same invariant :meth:`recover` provides table-wide, scoped to the
-        tablets one crashed front-end actually served.
+        commit log and boundary metadata are durable.  The same invariant as
+        :meth:`recover`, scoped to the tablets one crashed front-end
+        actually served: the tablet's blocks are evicted, its memtable is
+        kept, and its run opens and log replay are charged.
         """
         self.version += 1
         self.cache.invalidate_tablet(tablet.tablet_id)
-        tablet.crash()
-        for record in tablet.log.records:
-            self._apply_log_record(tablet, record)
         model = self.counter.model
-        replayed = len(tablet.log)
+        replayed = tablet.log_records
         simulated = (
             len(tablet.runs) * model.run_open_rpc + replayed * model.log_replay_row
         )
@@ -1098,27 +1060,6 @@ class Table:
             if tablet.tablet_id == tablet_id:
                 return tablet
         return None
-
-    def _apply_log_record(self, tablet: Tablet, record: tuple) -> None:
-        """Re-apply one commit-log record during recovery (no charging, no
-        re-logging — the record is already durable)."""
-        opcode = record[1]
-        row_key = record[2]
-        if opcode == LOG_WRITE:
-            _, _, _, family, qualifier, value, timestamp = record
-            self._write_into(tablet, row_key, family, qualifier, value, timestamp)
-        elif opcode == LOG_DELETE_CELL:
-            _, _, _, family, qualifier = record
-            self._delete_cell_from(tablet, row_key, family, qualifier)
-        elif opcode == LOG_DELETE_ROW:
-            self.version += 1
-            self.cache.invalidate_row(tablet.tablet_id, row_key)
-            tablet.drop_row(row_key)
-        elif opcode == LOG_AGE_ROW:
-            _, _, _, source_family, target_family, cutoff = record
-            self._age_row(tablet, row_key, source_family, target_family, cutoff)
-        else:  # pragma: no cover - corrupt log guard
-            raise ColumnFamilyError(f"unknown commit-log opcode {opcode!r}")
 
     def run_count(self) -> int:
         """SSTable runs currently held across every tablet."""

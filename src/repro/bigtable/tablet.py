@@ -31,7 +31,6 @@ from repro.bigtable.cost import CostModel, OpCounter
 from repro.bigtable.lsm import (
     MEMTABLE_SOURCE,
     TOMBSTONE,
-    CommitLog,
     SSTable,
     merge_runs,
 )
@@ -171,12 +170,15 @@ class Tablet:
     The tablet's state is the classic BigTable triple: ``rows`` is the
     *memtable* (recently committed rows, or :data:`TOMBSTONE` markers
     shadowing deleted run rows), ``runs`` the immutable SSTables produced
-    by flushes and compactions (newest first), and ``log`` the commit log
-    holding every mutation since the last flush.  Reads merge the triple
-    with newest-version-wins semantics; a mutation of a run-resident row
-    first *pulls it back* into the memtable (copy-on-write), so runs are
-    never modified in place and a flushed row's newest version always lives
-    in exactly one place.
+    by flushes and compactions (newest first), and the commit log of every
+    mutation since the last flush — kept as counts only: ``log_counts``
+    maps each row key to its records since the flush and ``log_records``
+    is their total, which is all that recovery and hand-off pricing read
+    (the records themselves would only rebuild the memtable the tablet
+    still holds).  Reads merge memtable and runs with newest-version-wins
+    semantics; a mutation of a run-resident row first *pulls it back* into
+    the memtable (copy-on-write), so runs are never modified in place and a
+    flushed row's newest version always lives in exactly one place.
 
     Reads see the runs through one :class:`_RunView`, built on the first
     read after the run list changed.  ``runs`` is a tuple replaced only by
@@ -194,7 +196,8 @@ class Tablet:
         "start_key",
         "rows",
         "runs",
-        "log",
+        "log_counts",
+        "log_records",
         "counter",
         "_tombstones",
         "_run_extra",
@@ -207,7 +210,8 @@ class Tablet:
         self.start_key = start_key
         self.rows = SortedMap()
         self.runs: Tuple[SSTable, ...] = ()
-        self.log = CommitLog()
+        self.log_counts: Dict[str, int] = {}
+        self.log_records = 0
         self.counter = OpCounter(model=model)
         #: TOMBSTONE entries currently in the memtable.
         self._tombstones = 0
@@ -224,8 +228,18 @@ class Tablet:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Tablet({self.tablet_id!r}, start={self.start_key!r}, "
-            f"rows={self.row_count}, runs={len(self.runs)}, log={len(self.log)})"
+            f"rows={self.row_count}, runs={len(self.runs)}, log={self.log_records})"
         )
+
+    def log_record(self, key: str) -> None:
+        """Count one commit-log record of ``key``."""
+        counts = self.log_counts
+        counts[key] = counts.get(key, 0) + 1
+        self.log_records += 1
+
+    def _truncate_log(self) -> None:
+        self.log_counts = {}
+        self.log_records = 0
 
     # ------------------------------------------------------------------
     # The run view and merged (LSM) reads
@@ -433,7 +447,7 @@ class Tablet:
             # reproduces exactly this empty memtable.  Without this, a
             # write/delete cycle grows the log past the flush threshold
             # that exists to bound it.
-            self.log.clear()
+            self._truncate_log()
             return 0
         keys: List[str] = []
         values: List[object] = []
@@ -450,7 +464,7 @@ class Tablet:
         self.rows.clear()
         self._tombstones = 0
         self._run_extra += live_moved
-        self.log.clear()
+        self._truncate_log()
         return len(keys)
 
     def compaction_window(self, max_runs: int) -> List[SSTable]:
@@ -511,15 +525,8 @@ class Tablet:
         return rows_read, len(keys)
 
     # ------------------------------------------------------------------
-    # Crash / recovery
+    # Tallies
     # ------------------------------------------------------------------
-    def crash(self) -> None:
-        """Lose the memtable (a tablet-server crash).  Runs, commit log and
-        boundary metadata are durable and survive."""
-        self.rows.clear()
-        self._tombstones = 0
-        self._run_extra = self._count_run_live()
-
     def _count_run_live(self) -> int:
         """Live keys across runs alone (newest version is not a tombstone)."""
         if not self.runs:
@@ -528,7 +535,8 @@ class Tablet:
 
     def recompute_counts(self) -> None:
         """Rebuild the tombstone / run-extra tallies from scratch (used
-        after a split repartitioned all three structures)."""
+        after a split repartitioned memtable and runs, and after a disk
+        restore installed them)."""
         self._tombstones = sum(
             1 for _, value in self.rows.items() if value is TOMBSTONE
         )
@@ -680,9 +688,7 @@ class TabletLocator:
             sibling.rows = candidate.rows.split_off(mid_key)
             if candidate.runs:
                 # Children initially share the parent's SSTables as O(1)
-                # sliced views (empty slices are dropped); the commit log is
-                # partitioned by key so each child owns exactly the
-                # unflushed history of its range.
+                # sliced views (empty slices are dropped).
                 sibling.install_runs(
                     piece
                     for run in candidate.runs
@@ -693,7 +699,17 @@ class TabletLocator:
                     for run in candidate.runs
                     if len(piece := run.slice(None, mid_key))
                 )
-            sibling.log = candidate.log.split_off(mid_key)
+            # The log counts are partitioned by key, so each child owns
+            # exactly the unflushed history of its range.
+            counts = candidate.log_counts
+            upper = {key: n for key, n in counts.items() if key >= mid_key}
+            if upper:
+                candidate.log_counts = {
+                    key: n for key, n in counts.items() if key < mid_key
+                }
+                sibling.log_counts = upper
+                sibling.log_records = sum(upper.values())
+                candidate.log_records -= sibling.log_records
             candidate.recompute_counts()
             sibling.recompute_counts()
             index = self._index_for(candidate.start_key)
@@ -758,7 +774,9 @@ class TabletLocator:
                 left.install_runs(merged_runs)
                 left._run_extra += right._run_extra
                 left._tombstones += right._tombstones
-            left.log.absorb(right.log)
+            # Disjoint ranges, so the two logs' keys are disjoint too.
+            left.log_counts.update(right.log_counts)
+            left.log_records += right.log_records
             left.counter.absorb(right.counter)
             del self._tablets[right_index]
             del self._starts[right_index]
@@ -786,7 +804,7 @@ class TabletLocator:
                 read_seconds=tablet.counter.read_seconds,
                 write_seconds=tablet.counter.write_seconds,
                 run_count=len(tablet.runs),
-                log_records=len(tablet.log),
+                log_records=tablet.log_records,
                 durability_seconds=tablet.counter.durability_seconds,
                 write_amplification=tablet.write_amplification(),
             )

@@ -11,7 +11,9 @@ vocabulary as the wire (:mod:`repro.codec.columns` /
   exactly the crash-consistency contract an fsynced append log provides.
 * **run blocks** — one immutable block file per flushed SSTable run:
   front-coded sorted row keys, delta-encoded cell timestamps and tagged
-  cell values, with tombstones as a one-byte marker.
+  cell values, with tombstones as a one-byte marker.  A snapshot stores
+  each tablet's memtable in the same shape, and its commit-log counts as
+  a *count block*: the same key column, then one uvarint per key.
 * **snapshot blobs** — a tagged-value dictionary (every table's manifest
   and the shard's accounting sections) behind a magic number and a
   checksum, atomically replaced at every snapshot.
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from repro.bigtable.lsm import TOMBSTONE
 from repro.bigtable.table import _Row
@@ -180,6 +182,29 @@ def decode_run_block(data) -> Tuple[List[str], List[object], int]:
             row, pos = _decode_row(payload, pos)
             values.append(row)
     return keys, values, max_seqno
+
+
+def encode_count_block(counts: Mapping[str, int]) -> bytes:
+    """A ``row key -> count`` map in key order: the count, the front-coded
+    key column, then each key's count as a uvarint."""
+    keys = sorted(counts)
+    out = bytearray()
+    write_uvarint(out, len(keys))
+    write_key_column(out, keys)
+    for key in keys:
+        write_uvarint(out, counts[key])
+    return bytes(out)
+
+
+def decode_count_block(data) -> Dict[str, int]:
+    count, pos = read_uvarint(data, 0)
+    keys, pos = read_key_column(data, pos, count)
+    counts: Dict[str, int] = {}
+    for key in keys:
+        counts[key], pos = read_uvarint(data, pos)
+    if pos != len(data):
+        raise ValueError(f"{len(data) - pos} stray bytes after a count block")
+    return counts
 
 
 # --------------------------------------------------------------------------

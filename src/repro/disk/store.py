@@ -4,8 +4,9 @@ Layout of a shard's directory::
 
     <root>/
       SNAPSHOT.bin    one checksummed tagged value: every table's manifest
-                      (tablet boundaries, run references, tablet logs,
-                      seq, families, options) and the shard's accounting
+                      (tablet boundaries, run references, each tablet's
+                      memtable and commit-log counts, seq, families,
+                      options) and the shard's accounting
                       sections (:data:`STATE_SECTIONS`); replaced whole
                       (tmp + fsync + ``os.replace``) at every snapshot
       requests.log    the generation of the snapshot it follows, then one
@@ -65,8 +66,10 @@ from repro.bigtable.scan import BlockCacheOptions
 from repro.bigtable.table import ColumnFamily, Table
 from repro.bigtable.tablet import Tablet, TabletOptions
 from repro.codec.blocks import (
+    decode_count_block,
     decode_run_block,
     decode_snapshot,
+    encode_count_block,
     encode_request_frame,
     encode_row,
     encode_run_block,
@@ -77,7 +80,7 @@ from repro.codec.blocks import (
 #: Bumped when what the snapshot *means* changes; a snapshot of another
 #: format is damage, not something to migrate (a snapshot never outlives
 #: the run that wrote it).
-SNAPSHOT_FORMAT = 1
+SNAPSHOT_FORMAT = 2
 
 #: The snapshot's accounting sections, in order: one per owner of soft
 #: state, each that owner's ``export_state()`` (``ShardService`` walks them).
@@ -130,9 +133,8 @@ class Snapshot:
         table of that name.  Tablet options come from the manifest and
         families are the union of the caller's and the manifest's
         (archiving adds aged families at runtime).  Each tablet takes its
-        runs through ``Tablet.install_runs`` and its log as recorded; the
-        engine's own (uncharged) crash recovery then rebuilds the exact
-        memtables (the engine's recovery invariant)."""
+        runs through ``Tablet.install_runs``, its memtable and commit-log
+        counts as recorded, and recomputes its tallies from them."""
         manifest = self._tables.pop(name, None)
         if manifest is None:
             return None
@@ -158,8 +160,11 @@ class Snapshot:
                 keys, values, _ = self._runs[run_id]
                 runs.append(SSTable(run_id, keys, values, max_seqno, lo, hi))
             tablet.install_runs(runs)
-            for record in entry["log"]:
-                tablet.log.append(tuple(record))
+            for key, value in zip(*entry["memtable"]):
+                tablet.rows.set(key, value)
+            tablet.log_counts = entry["counts"]
+            tablet.log_records = sum(tablet.log_counts.values())
+            tablet.recompute_counts()
             tablets.append(tablet)
         locator._tablets = tablets
         locator._starts = [tablet.start_key for tablet in tablets]
@@ -167,7 +172,6 @@ class Snapshot:
         locator.splits = manifest["splits"]
         locator.merges = manifest["merges"]
         table._seq = manifest["seq"]
-        table.recover()
         if not self._tables:
             self._runs.clear()  # every table restored: their tablets hold the runs
         return table
@@ -213,7 +217,8 @@ class ShardStore:
         the directory holds no snapshot — a first build, or one killed
         before its snapshot: every file it left is deleted.  Run files the
         snapshot does not name, a leftover snapshot ``.tmp`` and a torn
-        final frame are deleted too."""
+        final frame are deleted too.  Each tablet's memtable and count
+        blocks are decoded here, so their damage is the snapshot's."""
         value = None
         named: Dict[str, str] = {}
         try:
@@ -227,6 +232,8 @@ class ShardStore:
                 for entry in manifest["tablets"]:
                     for run in entry["runs"]:
                         named[_run_filename(run[0])] = run[0]
+                    entry["memtable"] = decode_run_block(entry["memtable"])[:2]
+                    entry["counts"] = decode_count_block(entry["counts"])
             generation = int(value["generation"])
         except FileNotFoundError:
             pass
@@ -352,7 +359,9 @@ class ShardStore:
         seconds["snapshot"] += finished - started
 
     def _manifest(self, table: Table) -> dict:
-        """One table's durable skeleton, its run files written first."""
+        """One table's durable skeleton, its run files written first.  A
+        memtable row is mutated in place, so it is encoded afresh, never
+        through the run rows' memo (keyed by ``id``, it would go stale)."""
         locator = table._tablets
         tablets = []
         for tablet in locator._tablets:
@@ -366,7 +375,8 @@ class ShardStore:
                     "start": tablet.start_key,
                     "next_run": tablet._next_run,
                     "runs": runs,
-                    "log": tablet.log.records,
+                    "memtable": encode_run_block(*tablet.rows.scan_columns(), 0),
+                    "counts": encode_count_block(tablet.log_counts),
                 }
             )
         return {

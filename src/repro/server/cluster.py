@@ -370,7 +370,8 @@ class ServerCluster:
 
         Memtables and block caches are lost; commit logs, SSTable runs and
         tablet boundaries survive.  Recovery replays each tablet's log tail
-        over its runs, after which table contents, tablet boundaries and
+        over its runs (priced, see :meth:`Table.recover`), after which table
+        contents, tablet boundaries and
         every subsequent query result are bit-identical to the uncrashed
         run.  The front-end servers themselves are stateless (Section
         4.3.3), so their counters and the indexer facade carry over; the

@@ -270,7 +270,7 @@ class TabletMaster:
             self.migrations.append(record)
             return record
         # 2. Hand off: ship every run row and the log tail to the target.
-        rows_shipped = sum(len(run) for run in tablet.runs) + len(tablet.log)
+        rows_shipped = sum(len(run) for run in tablet.runs) + tablet.log_records
         self.backend.counter.record_durability(OpKind.MIGRATION, rows=rows_shipped)
         tablet.counter.record_durability(OpKind.MIGRATION, rows=rows_shipped)
         # 3. Replay: the serving copy re-opens from durable state (run
@@ -319,7 +319,7 @@ class TabletMaster:
             raise ConfigurationError(f"server {replica_server} is down")
         if not self.cluster.routing.add_replica(tablet_id, replica_server):
             return None
-        rows_shipped = sum(len(run) for run in tablet.runs) + len(tablet.log)
+        rows_shipped = sum(len(run) for run in tablet.runs) + tablet.log_records
         self.backend.counter.record_durability(OpKind.MIGRATION, rows=rows_shipped)
         tablet.counter.record_durability(OpKind.MIGRATION, rows=rows_shipped)
         self.cluster.contention.invalidate()

@@ -70,7 +70,7 @@ def make_queries(count, seed=7, k=5):
 
 def log_record_count(*tables) -> int:
     """Unflushed commit-log records across every tablet of ``tables``."""
-    return sum(len(tablet.log) for table in tables for tablet in table.tablets())
+    return sum(tablet.log_records for table in tables for tablet in table.tablets())
 
 
 def cell_for(spatial_table, location: Point) -> CellId:

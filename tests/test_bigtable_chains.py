@@ -303,8 +303,8 @@ def observe(table, run_block):
         "chains": table.scan("b", "e", family="old", versions=True),
         "batch": table.batch_read(KEYS, family="new"),
         "batch_full": table.batch_read(KEYS[:3]),
-        "tablets": [(t.start_key, t.row_count, len(t.log)) for t in table.tablets()],
-        "log": [t.log.records for t in table.tablets()],
+        "tablets": [(t.start_key, t.row_count, t.log_records) for t in table.tablets()],
+        "log": [t.log_counts for t in table.tablets()],
         "runs": [
             run_block(run._keys, run._values, run.max_seqno)
             for tablet in table.tablets()

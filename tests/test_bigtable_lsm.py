@@ -1,26 +1,16 @@
-"""Tests for the LSM primitives: commit log, SSTables, flush, compaction,
-merged reads and the durability ledger."""
+"""Tests for the LSM primitives: commit-log counts, SSTables, flush,
+compaction, merged reads and the durability ledger."""
 
 import hashlib
 import os
 import random
 import struct
-import zlib
 
 import pytest
 
 from repro.bigtable.cost import CostModel, OpCounter, OpKind
-from repro.bigtable.lsm import (
-    LOG_AGE_ROW,
-    LOG_DELETE_CELL,
-    LOG_DELETE_ROW,
-    LOG_WRITE,
-    MEMTABLE_SOURCE,
-    TOMBSTONE,
-    CommitLog,
-    SSTable,
-)
-from repro.bigtable.table import Cell, ColumnFamily, Table
+from repro.bigtable.lsm import MEMTABLE_SOURCE, TOMBSTONE, SSTable
+from repro.bigtable.table import ColumnFamily, Table
 from repro.bigtable.tablet import TabletOptions
 from repro.codec.blocks import decode_snapshot
 from repro.codec.values import pack_value
@@ -102,69 +92,74 @@ class TestSSTable:
         assert run.try_coalesce(other) is None
 
 
-class TestCommitLog:
-    def test_split_preserves_order(self):
-        log = CommitLog()
-        for seq, key in enumerate(["b", "d", "a", "c", "b"]):
-            log.append((seq, "w", key, "f", "q", seq, 0.0))
-        upper = log.split_off("c")
-        assert [record[2] for record in log.records] == ["b", "a", "b"]
-        assert [record[2] for record in upper.records] == ["d", "c"]
-        assert [record[0] for record in upper.records] == [1, 3]
+def tablet_ranges(table):
+    """``(tablet, end key or None)`` in key order."""
+    tablets = table.tablets()
+    ends = [tablet.start_key for tablet in tablets[1:]] + [None]
+    return list(zip(tablets, ends))
 
-    def test_absorb_restores_seqno_order(self):
-        left, right = CommitLog(), CommitLog()
-        left.append((0, "w", "a", "f", "q", 0, 0.0))
-        right.append((1, "w", "z", "f", "q", 1, 0.0))
-        left.append((2, "w", "b", "f", "q", 2, 0.0))
-        left.absorb(right)
-        assert [record[0] for record in left.records] == [0, 1, 2]
-        assert len(right) == 0
 
-    #: One record per opcode — payloads of four, two, zero and three fields.
-    FOUR_OPCODES = [
-        (1, LOG_WRITE, "k1", "f", "q", ("any", 1.5, None), 10.0),
-        (2, LOG_DELETE_CELL, "k2", "f", "q"),
-        (3, LOG_DELETE_ROW, "k1"),
-        (4, LOG_AGE_ROW, "k3", "f", "g", 5.0),
-    ]
+def assert_counts_partitioned(table, expected):
+    """Each tablet counts only keys of its own range, its total is the sum
+    of its counts, and together they are ``expected``."""
+    joined = {}
+    for tablet, end in tablet_ranges(table):
+        for key in tablet.log_counts:
+            assert key >= tablet.start_key and (end is None or key < end)
+        assert tablet.log_records == sum(tablet.log_counts.values())
+        joined.update(tablet.log_counts)
+    assert joined == {key: n for key, n in expected.items() if n}
 
-    def test_records_round_trip_every_opcode(self):
-        log = CommitLog()
-        for record in self.FOUR_OPCODES[:2]:
-            log.append(record)
-        for seqno, opcode, row_key, *payload in self.FOUR_OPCODES[2:]:
-            log.write(seqno, opcode, row_key, tuple(payload))
-        assert log.records == self.FOUR_OPCODES
-        assert len(log) == 4
-        assert log.records is not log.records  # rebuilt, never the storage
-        log.clear()
-        assert log.records == [] and len(log) == 0
-        log.append(self.FOUR_OPCODES[0])  # usable after truncation
-        assert log.records == self.FOUR_OPCODES[:1]
+
+class TestCommitLogCounts:
+    """The commit log is a ``row key -> records since flush`` map per tablet
+    plus its total; splits partition it by key and merges join it."""
+
+    OPTIONS = TabletOptions(split_threshold=8, merge_threshold=4)
+
+    def test_every_logged_mutation_counts_one_record(self):
+        table = make_table(self.OPTIONS)
+        table.write("a", "f", "q", 1, 1.0)
+        table.write("a", "f", "q", 2, 2.0)
+        assert table.delete_cell("b", "f", "q") is False  # absent: not logged
+        assert table.delete_row("b") is False
+        table.write("b", "f", "q", 3, 3.0)
+        assert table.delete_cell("b", "f", "q") is True
+        table.write("c", "f", "q", 4, 4.0)
+        assert table.delete_row("c") is True
+        table.batch_write([("d", "f", "q", 5, 5.0), ("a", "f", "q", 6, 6.0)])
+        table.batch_delete([("d", "f", "q"), ("e", "f", "q")])
+        table.add_family(ColumnFamily("g"))
+        assert table.age_out("f", "g", 6.0) == 1  # a's older version
+        assert_counts_partitioned(table, {"a": 4, "b": 2, "c": 2, "d": 2})
+        assert table.counter.logical_write_rows == 10
+
+    def test_flush_truncates_the_counts_even_when_nothing_is_written(self):
+        table = make_table(self.OPTIONS)
+        table.write("a", "f", "q", 1, 1.0)
+        table.delete_row("a")  # the memtable is empty again
+        assert log_record_count(table) == 2
+        assert table.flush_memtables() == 0
+        assert log_record_count(table) == 0
+        (tablet,) = table.tablets()
+        assert tablet.log_counts == {}
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_split_and_absorb_partition_by_key_in_seqno_order(self, seed):
+    def test_splits_and_merges_partition_the_counts_by_key(self, seed):
         rng = random.Random(seed)
-        records = []
-        for seqno in range(1, rng.randrange(2, 60)):
-            template = rng.choice(self.FOUR_OPCODES)
-            records.append((seqno, template[1], f"k{rng.randrange(9)}", *template[3:]))
-        log = CommitLog()
-        for record in records:
-            log.append(record)
-        split_key = f"k{rng.randrange(10)}"
-        upper = log.split_off(split_key)
-        assert log.records == [r for r in records if r[2] < split_key]
-        assert upper.records == [r for r in records if r[2] >= split_key]
-        # Both halves keep taking appends, and the merge undoes the split.
-        tail = [(100, LOG_DELETE_ROW, "k0"), (101, LOG_WRITE, "k9", "f", "q", 1, 1.0)]
-        log.append(tail[0])
-        upper.append(tail[1])
-        survivor, other = (log, upper) if rng.random() < 0.5 else (upper, log)
-        survivor.absorb(other)
-        assert survivor.records == records + tail
-        assert len(other) == 0
+        table = make_table(self.OPTIONS)
+        expected = {}
+        for step in range(rng.randrange(40, 160)):
+            key = f"k{rng.randrange(30):02d}"
+            if rng.random() < 0.7:
+                table.write(key, "f", "q", step, float(step))
+                logged = True
+            else:
+                logged = table.delete_row(key)
+            expected[key] = expected.get(key, 0) + logged
+            assert_counts_partitioned(table, expected)
+        assert table._tablets.splits >= 1
+        assert log_record_count(table) == sum(expected.values())
 
 
 class TestFlushAndMergedReads:
@@ -192,12 +187,9 @@ class TestFlushAndMergedReads:
         assert table.read_latest("k0002", "f", "q") == 99
         assert table.row_count() == 5
         # The run's frozen copy is shadowed, not modified: read through the
-        # run alone it still holds the flushed value ...
-        assert run_version(tablet.runs[0], "k0002")["f"]["q"][1] == 2
-        # ... and with the memtable and its log tail gone, so does the table.
-        tablet.log.clear()
-        table.recover()
-        assert table.read_versions("k0002", "f", "q") == [Cell(timestamp=2.0, value=2)]
+        # run alone it still holds the flushed value.
+        assert run_version(tablet.runs[0], "k0002")["f"]["q"] == (2.0, 2)
+        assert tablet.rows.get("k0002") is not run_version(tablet.runs[0], "k0002")
 
     def test_auto_flush_and_compaction_keep_run_count_tiered(self):
         table = make_table()
@@ -305,17 +297,8 @@ class TestSplitMergeWithRuns:
         )
         assert total_run_rows == 10  # sliced, not copied or lost
         assert latest_values(table) == {f"k{i:04d}": 1000 + i for i in range(30)}
-        # Per-tablet logs hold exactly their own key ranges.
-        for tablet in table.tablets():
-            end = None
-            tablets = table.tablets()
-            position = tablets.index(tablet)
-            if position + 1 < len(tablets):
-                end = tablets[position + 1].start_key
-            for record in tablet.log.records:
-                assert record[2] >= tablet.start_key
-                if end is not None:
-                    assert record[2] < end
+        # Per-tablet log counts hold exactly their own key ranges.
+        assert_counts_partitioned(table, dict.fromkeys(table.all_keys(), 1))
 
     def test_merge_reunites_run_slices(self):
         options = TabletOptions(
@@ -401,8 +384,17 @@ class TestOptionsValidation:
         assert MEMTABLE_SOURCE == "mem"
 
 
+def memtables(table):
+    """Each tablet's memtable rows and commit-log counts."""
+    return [
+        (repr(list(tablet.rows.items())), dict(tablet.log_counts))
+        for tablet in table.tablets()
+    ]
+
+
 class TestLogReplayAndDiskBytes:
-    """What the columnar log must leave untouched: replay and disk bytes."""
+    """What counting the log instead of storing it must leave untouched:
+    the recovered rows, the replay charge and the run files' bytes."""
 
     FAMILIES = [
         ColumnFamily("f", max_versions=3),
@@ -434,26 +426,21 @@ class TestLogReplayAndDiskBytes:
         table = Table("t", self.FAMILIES, options=options)
         self.program(table)
         before = table.scan()
-        tail = [tablet.log.records for tablet in table.tablets()]
-        assert {record[1] for records in tail for record in records} == {
-            LOG_WRITE,
-            LOG_DELETE_CELL,
-            LOG_DELETE_ROW,
-            LOG_AGE_ROW,
+        kept = memtables(table)
+        # The tail after the flush: a write, a cell delete, a row delete,
+        # then aging three rows (k04 was written twice).
+        assert {key: n for _, counts in kept for key, n in counts.items()} == {
+            "k00": 1, "k03": 1, "k04": 2, "k06": 1, "k09": 1,
         }
         report = table.recover()
-        assert report.log_records_replayed == sum(len(records) for records in tail)
-        assert report.log_records_replayed == log_record_count(table)
+        assert report.log_records_replayed == 6 == log_record_count(table)
         assert table.scan() == before
-        assert [tablet.log.records for tablet in table.tablets()] == tail
+        assert memtables(table) == kept
 
     @staticmethod
     def digests(root):
-        """sha256 per file; the snapshot stands in for its one table's
-        manifest as the parent commit framed it (``MOM1``, the value, a
-        crc), with the fields the snapshot moved out of it put back: the
-        format number (1), the table name and the options'
-        ``commit_log_enabled`` (always on since format 3)."""
+        """sha256 per file; the snapshot stands in for its tables section
+        (its generation and accounting sections are not the layout)."""
         found = {}
         for folder, _, names in os.walk(root):
             for name in names:
@@ -461,24 +448,21 @@ class TestLogReplayAndDiskBytes:
                 with open(path, "rb") as handle:
                     data = handle.read()
                 if name == "SNAPSHOT.bin":
-                    (table_name, manifest), = decode_snapshot(data)["tables"].items()
-                    assert "commit_log_enabled" not in manifest["options"]
-                    manifest["options"]["commit_log_enabled"] = True
-                    payload = pack_value({"format": 1, "name": table_name, **manifest})
-                    data = b"MOM1" + payload + struct.pack("<I", zlib.crc32(payload))
-                    name = "MANIFEST.bin"
+                    data = pack_value(decode_snapshot(data)["tables"])
                 found[os.path.relpath(os.path.join(folder, name), root)] = (
                     hashlib.sha256(data).hexdigest()
                 )
         return found
 
-    #: sha256 of the files the parent commit (list-of-Cell rows, tuple log)
-    #: wrote for :meth:`program`: the storage refactor must not move a byte.
+    #: sha256 of the run files the list-of-Cell rows wrote for
+    #: :meth:`program`: no storage refactor since has moved a byte of them.
+    #: ``MANIFEST`` moved once, when each tablet's commit-log records gave
+    #: way to its memtable block and count block (snapshot format 2).
     RUNS = {
         "runs/golden__tablet-0000__run-0000.run": "6641535fe2042fa6a98480ce8ae5167e2da5c2b435c7e65089edf422d4c7e6bb",
         "runs/golden__tablet-0001__run-0000.run": "66f4391ce70224a33f1f0af7d62d15476d43efef7f4335141f12e876ab32076f",
     }
-    MANIFEST_WITH_LOG = "2f0976d59d03fe8e17d5d3cb91b6c837b20933b56875cda1e4acae9730450782"
+    TABLES = "243153953bbb3a3ac16b2e356b09d2aced125030e823d22bdc5a71ce57681ad4"
 
     def test_store_files_match_the_parent_commits_bytes(self, tmp_path):
         root = str(tmp_path)
@@ -486,17 +470,16 @@ class TestLogReplayAndDiskBytes:
         options = TabletOptions(split_threshold=8, merge_threshold=2)
         table = Table("golden", self.FAMILIES, options=options)
         self.program(table)
-        # Flushed runs on disk, the unflushed tail in the manifest's logs.
+        # Flushed runs on disk, the unflushed tail in the snapshot's
+        # memtable blocks.
         store.snapshot({"golden": table}, None)
         digests = self.digests(root)
         assert digests.pop("requests.log") == hashlib.sha256(
             struct.pack("<Q", 1)
         ).hexdigest()
-        assert digests == {**self.RUNS, "MANIFEST.bin": self.MANIFEST_WITH_LOG}
+        assert digests == {**self.RUNS, "SNAPSHOT.bin": self.TABLES}
         snapshot = ShardStore(root).load()
         assert snapshot.frames == [] and snapshot.state is None
         restored = snapshot.restore_table("golden", self.FAMILIES, OpCounter())
         assert restored.scan() == table.scan()
-        assert [t.log.records for t in restored.tablets()] == [
-            t.log.records for t in table.tablets()
-        ]
+        assert memtables(restored) == memtables(table)

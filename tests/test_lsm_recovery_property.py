@@ -177,7 +177,7 @@ def _materialise(op, step: int):
 
 
 def _memtables(table: Table):
-    """Each tablet's bounds, runs, memtable rows, tallies and log count."""
+    """Each tablet's bounds, runs, memtable rows, tallies and log counts."""
     return [
         (
             tablet.tablet_id,
@@ -186,7 +186,8 @@ def _memtables(table: Table):
             repr(list(tablet.rows.items())),
             tablet._tombstones,
             tablet._run_extra,
-            len(tablet.log),
+            dict(tablet.log_counts),
+            tablet.log_records,
         )
         for tablet in table.tablets()
     ]

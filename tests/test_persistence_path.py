@@ -35,7 +35,7 @@ from repro.bigtable.table import ColumnFamily, Table
 from repro.bigtable.tablet import TabletOptions
 from repro.codec import blocks, values
 from repro.codec.columns import write_uvarint
-from repro.disk.store import STATE_SECTIONS, STORE_STEPS, ShardStore
+from repro.disk.store import SNAPSHOT_FORMAT, STATE_SECTIONS, STORE_STEPS, ShardStore
 from repro.errors import CodecError, StaleRequestError, UnrecoverableShardError
 from repro.geometry.point import Point
 from repro.geometry.vector import Vector
@@ -180,6 +180,16 @@ def _file_bytes(root: str) -> bytes:
     return found
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.text(max_size=12), st.integers(1, 2**40), max_size=30))
+def test_count_blocks_round_trip_in_key_order(counts):
+    data = blocks.encode_count_block(counts)
+    decoded = blocks.decode_count_block(data)
+    assert decoded == counts and list(decoded) == sorted(counts)
+    with pytest.raises(ValueError, match="stray"):
+        blocks.decode_count_block(data + b"\x00")
+
+
 class TestTagZeroIsRefusedOnRestore:
     """Each artifact on its own (the crc is valid — the bytes are exactly
     what an old writer produced), then a whole snapshot directory."""
@@ -210,9 +220,9 @@ class TestTagZeroIsRefusedOnRestore:
         new = Table("t", FAMILIES, options=options)
         _record_program(new)
         ShardStore(new_root).snapshot({"t": new}, None)
-        assert any(tablet.log.records for tablet in new.tablets())
+        assert any(len(tablet.rows) for tablet in new.tablets())
         # The fixture really is the old format (pickle names the class it
-        # rebuilds), runs and tablet logs alike; today's files never do.
+        # rebuilds), runs and memtable blocks alike; today's files never do.
         assert b"LocationRecord" in _file_bytes(os.path.join(old_root, "runs"))
         with open(os.path.join(old_root, "SNAPSHOT.bin"), "rb") as handle:
             assert b"LFRecord" in handle.read()
@@ -595,6 +605,45 @@ class TestSnapshot:
         with pytest.raises(UnrecoverableShardError, match="damaged"):
             _build(recipe, RESPAWN_ID)
 
+    def test_a_snapshot_of_the_log_format_is_refused(self, tmp_path):
+        # Format 1 held each tablet's commit-log records where format 2
+        # holds its memtable block and count block: refused, not migrated.
+        recipe = _recipe(tmp_path)
+        _build(recipe)
+        value = _read_snapshot(recipe)
+        assert value["format"] == SNAPSHOT_FORMAT == 2
+        for manifest in value["tables"].values():
+            for entry in manifest["tablets"]:
+                del entry["memtable"], entry["counts"]
+                entry["log"] = []
+        with open(_shard_file(recipe, "SNAPSHOT.bin"), "wb") as handle:
+            handle.write(blocks.encode_snapshot(dict(value, format=1)))
+        with pytest.raises(UnrecoverableShardError, match="format 1"):
+            ShardStore(recipe.shard_storage_dir).load()
+
+    def test_the_tables_grow_with_the_memtable_not_the_mutations(self, tmp_path):
+        # Without flushes every mutation stays unflushed.  The snapshot holds
+        # each memtable (bounded by the rows) and a count per key logged
+        # since the flush (the keys, not the records), so four times the
+        # rounds must add well under four times the bytes.  A snapshot that
+        # stored each record grew 3.5x here.
+        def table_bytes(rounds: int, root) -> int:
+            recipe = _recipe(root, tablet_options=TabletOptions())
+            service = ShardService()
+            service.build_indexer(recipe)
+            for round_ in range(rounds):
+                service.serve_in_process(
+                    rpc.OP_UPDATE_BATCH, _messages(round_, timestamp=round_ + 1.0)
+                )
+            service._snapshot()
+            emulator = service.cluster.indexer.emulator
+            assert emulator.run_count() == 0
+            return len(values.pack_value(_read_snapshot(recipe)["tables"]))
+
+        short, long = table_bytes(16, tmp_path / "n"), table_bytes(64, tmp_path / "4n")
+        print(f"\nsnapshot tables after N and 4N rounds: {short} B, {long} B")
+        assert long < 2 * short
+
     @pytest.mark.parametrize("shift", [1, -1])
     def test_block_lengths_that_miss_the_blocks_column_refuse_to_install(
         self, tmp_path, shift
@@ -879,8 +928,12 @@ class TestFileTraffic:
             "t", FAMILIES, OpCounter()
         )
         assert restored.scan() == table.scan()
-        assert [t.log.records for t in restored.tablets()] == [
-            t.log.records for t in table.tablets()
+        assert [
+            (t.log_counts, t.log_records, repr(list(t.rows.items())))
+            for t in restored.tablets()
+        ] == [
+            (t.log_counts, t.log_records, repr(list(t.rows.items())))
+            for t in table.tablets()
         ]
 
     def test_federation_disk_build_pays_run_files_and_one_snapshot_per_shard(

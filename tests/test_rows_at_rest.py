@@ -1,7 +1,7 @@
 """Rows at rest, records at the edge.
 
-Everything a tablet retains per version — memtable rows, frozen runs, the
-commit log's fields — must be an exact ``tuple`` of atoms, which CPython
+Everything a tablet retains per version — memtable rows and frozen runs —
+must be an exact ``tuple`` of atoms, which CPython
 drops from the cycle collector's lists at the first collection that sees it;
 named records exist only where a read method hands them out.  Three things
 are pinned here:
@@ -118,7 +118,7 @@ def test_everything_a_tablet_retains_is_an_untracked_tuple_of_atoms():
     _mixed_program(indexer)
     emulator = indexer.emulator
     for name in emulator.table_names():
-        # Leave some rows in runs and some in the memtable, with a log tail.
+        # Leave some rows in runs and some in the memtable.
         emulator.table(name).flush_memtables()
         emulator.table(name).compact_runs()
     indexer.update_many([make_update(n, 30.0 + n, 45.0, t=15.0) for n in range(40, 52)])
@@ -131,7 +131,7 @@ def test_everything_a_tablet_retains_is_an_untracked_tuple_of_atoms():
     gc.collect()
     gc.collect()
 
-    seen = {"memtable": 0, "run": 0, "log": 0}
+    seen = {"memtable": 0, "run": 0}
     shapes = set()
     for name in emulator.table_names():
         for tablet in emulator.table(name).tablets():
@@ -149,10 +149,7 @@ def test_everything_a_tablet_retains_is_an_untracked_tuple_of_atoms():
                             for chain in qualifiers.values()
                             for value in chain[1::2]
                         )
-            for field in tablet.log._fields:
-                _assert_plain(field, f"{name}/log")
-                seen["log"] += 1
-    # The program really left state in all three places, in every row shape:
+    # The program really left state in both places, in every row shape:
     # (x, y) / (dx, dy) pairs and five-field location and L/F rows.
     assert all(seen.values()), seen
     assert shapes == {2, 5}

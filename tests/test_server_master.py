@@ -105,7 +105,7 @@ class TestMigration:
         table = indexer.emulator.table(stats.table)
         tablet = table.find_tablet(stats.tablet_id)
         assert len(tablet.runs) >= 1
-        assert len(tablet.log) == 0
+        assert tablet.log_records == 0 and tablet.log_counts == {}
 
     @pytest.mark.parametrize("crash_point", [CRASH_AFTER_FLUSH, CRASH_AFTER_HANDOFF])
     def test_mid_flight_crash_aborts_without_moving(self, crash_point):

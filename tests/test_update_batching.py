@@ -10,7 +10,6 @@ a time.
 import pytest
 
 from repro.bigtable.cost import OpKind
-from repro.bigtable.lsm import LOG_DELETE_CELL, LOG_DELETE_ROW, LOG_WRITE
 from repro.bigtable.table import ColumnFamily, Table
 from repro.bigtable.tablet import TabletOptions
 from repro.core.config import MoistConfig
@@ -164,8 +163,10 @@ class TestUpdateManyBehaviour:
 class _SixFrameTable(Table):
     """The point-mutation path as it was before ``Table._commit`` folded it
     into one frame — ``write`` → ``_log_mutation`` → ``_log_append`` →
-    ``CommitLog.write``, then ``_charge_write`` — kept verbatim as the
-    reference the one-frame helper must reproduce bit for bit."""
+    ``Tablet.log_record``, then ``_charge_write`` — kept as the reference
+    the one-frame helper must reproduce bit for bit (the log now counts its
+    records instead of storing them, so the mutation's fields are no longer
+    passed along)."""
 
     def _charge_write(self, kind, tablet, structural):
         group = self._group
@@ -187,14 +188,14 @@ class _SixFrameTable(Table):
             self._tablets.maybe_merge(tablet)
         self._maybe_flush(tablet)
 
-    def _log_append(self, tablet, opcode, row_key, payload):
+    def _log_append(self, tablet, row_key):
         self._seq += 1
         self.counter.logical_write_rows += 1
         tablet.counter.logical_write_rows += 1
-        tablet.log.write(self._seq, opcode, row_key, payload)
+        tablet.log_record(row_key)
 
-    def _log_mutation(self, tablet, opcode, row_key, *payload):
-        self._log_append(tablet, opcode, row_key, payload)
+    def _log_mutation(self, tablet, row_key):
+        self._log_append(tablet, row_key)
         group = self._group
         if group is not None:
             ledger = tablet.counter
@@ -218,9 +219,7 @@ class _SixFrameTable(Table):
         added_row = self._write_into(
             tablet, row_key, family, qualifier, value, timestamp
         )
-        self._log_mutation(
-            tablet, LOG_WRITE, row_key, family, qualifier, value, timestamp
-        )
+        self._log_mutation(tablet, row_key)
         if _charge:
             self._charge_write(OpKind.WRITE, tablet, structural=added_row)
         elif added_row:
@@ -232,7 +231,7 @@ class _SixFrameTable(Table):
             tablet, row_key, family, qualifier
         )
         if existed:
-            self._log_mutation(tablet, LOG_DELETE_CELL, row_key, family, qualifier)
+            self._log_mutation(tablet, row_key)
         if _charge:
             self._charge_write(OpKind.DELETE, tablet, structural=removed_row)
         elif removed_row:
@@ -244,7 +243,7 @@ class _SixFrameTable(Table):
         self.cache.invalidate_row(tablet.tablet_id, row_key)
         removed = tablet.drop_row(row_key)
         if removed:
-            self._log_mutation(tablet, LOG_DELETE_ROW, row_key)
+            self._log_mutation(tablet, row_key)
         if _charge:
             self._charge_write(OpKind.DELETE, tablet, structural=removed)
         elif removed:
@@ -335,7 +334,8 @@ def _run(table_class, mode, flush_rows=None, structural=True):
 def _tablet_view(table):
     return [
         (tablet.tablet_id, tablet.start_key, tablet.counter.snapshot(),
-         tablet.log.records, len(tablet.runs))
+         dict(tablet.log_counts), tablet.log_records,
+         repr(list(tablet.rows.items())), len(tablet.runs))
         for tablet in table.tablets()
     ]
 
@@ -396,8 +396,8 @@ class TestCommitHelper:
                 )
             assert ours.durability_seconds <= theirs.durability_seconds
         assert batched._seq == plain._seq
-        assert [t.log.records for t in batched.tablets()] == [
-            t.log.records for t in plain.tablets()
+        assert [(t.log_counts, repr(list(t.rows.items()))) for t in batched.tablets()] == [
+            (t.log_counts, repr(list(t.rows.items()))) for t in plain.tablets()
         ]
         assert batched.scan() == plain.scan()
 

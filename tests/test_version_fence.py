@@ -3,8 +3,8 @@
 The NN searcher keeps built candidate blocks only while the versions of the
 tables it read are unchanged, so a change that forgets to bump would serve a
 stale block.  Each def of ``bigtable/table.py`` that evicts from the block
-cache (its rows or runs changed), crashes a tablet or splits / merges one
-must therefore also run ``self.version += 1``.  The fence is a table of
+cache (its rows or runs changed, or a crash lost it) or splits / merges a
+tablet must therefore also run ``self.version += 1``.  The fence is a table of
 call shapes, read off the AST; each shape has a planted-violation self-test,
 so a rename cannot make the fence silently stop matching.
 """
@@ -32,7 +32,6 @@ RULES: Tuple[Tuple[str, Callable[[Sequence[str]], bool]], ...] = (
         "self.cache.install_state",
         lambda name: tuple(name) == ("self", "cache", "install_state"),
     ),
-    ("tablet.crash()", lambda name: len(name) == 2 and name[1] == "crash"),
     (
         "locator maybe_split",
         lambda name: tuple(name) == ("self", "_tablets", "maybe_split"),
@@ -48,7 +47,6 @@ PLANTED = {
     "self.cache.invalidate_*": "self.cache.invalidate_source(tablet.tablet_id, 'r1')",
     "self.cache.clear": "self.cache.clear()",
     "self.cache.install_state": "self.cache.install_state(state)",
-    "tablet.crash()": "tablet.crash()",
     "locator maybe_split": "self._tablets.maybe_split(tablet)",
     "locator maybe_merge": "self._tablets.maybe_merge(tablet)",
 }
@@ -125,8 +123,7 @@ def test_the_fence_still_matches_the_mutation_paths():
         ("Table._flush_tablet", "self.cache.invalidate_*"),
         ("Table._compact_tablet", "self.cache.invalidate_*"),
         ("Table.recover", "self.cache.clear"),
-        ("Table.recover", "tablet.crash()"),
-        ("Table.recover_tablet", "tablet.crash()"),
+        ("Table.recover_tablet", "self.cache.invalidate_*"),
         ("Table._commit", "locator maybe_split"),
         ("Table._flush_group", "locator maybe_merge"),
         ("Table.batch_write", "locator maybe_split"),
