@@ -32,11 +32,11 @@ per row key (``Tablet.log_counts``; see :mod:`repro.bigtable.lsm`).
 The reason is the garbage collector: every container it tracks is walked by
 every full collection, and with the default engine nothing a tablet stores
 is ever dropped, so an object per version made collection time grow with
-the length of the run.  CPython stops tracking an
-exact ``tuple`` at the first collection that finds only untracked items in
-it — strings, numbers, ``None``, tuples already untracked — so the schema
-classes in :mod:`repro.tables` store exact tuples of atoms, and the value,
-then the chain around it, leave the collector's lists for good.  Any other
+the length of the run.  CPython stops tracking an exact ``tuple`` at the
+first collection that finds only untracked items in it — strings, numbers,
+``None``, tuples already untracked — so the schema classes in
+:mod:`repro.tables` store exact tuples of atoms, and the value, then the
+chain around it, leave the collector's lists for good.  Any other
 item keeps a tuple tracked for life: a ``list``, a ``dict``, any class
 instance (``Enum`` members and ``tuple`` *subclasses* included).
 ``tests/test_heap_budget.py`` and ``tests/test_rows_at_rest.py`` hold the line.
@@ -333,8 +333,8 @@ class Table:
 
         ``logged`` counts one commit-log record of ``row_key``; without it
         nothing changed and nothing is logged (a delete of an absent cell is
-        still charged).  The record's fsync is charged
-        to the durability ledger at once, or per tablet when the open
+        still charged).  The record's fsync is charged to the durability
+        ledger at once, or per tablet when the open
         :meth:`deferred_log_syncs` block or group commit ends.
         ``structural`` marks a mutation that changed the tablet's row count
         and so needs a split/merge check.  Without ``charge`` the caller owns

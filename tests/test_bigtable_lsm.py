@@ -456,8 +456,8 @@ class TestLogReplayAndDiskBytes:
 
     #: sha256 of the run files the list-of-Cell rows wrote for
     #: :meth:`program`: no storage refactor since has moved a byte of them.
-    #: ``MANIFEST`` moved once, when each tablet's commit-log records gave
-    #: way to its memtable block and count block (snapshot format 2).
+    #: ``TABLES`` pins the snapshot's tables section as format 2 writes it:
+    #: each tablet's memtable block and count block.
     RUNS = {
         "runs/golden__tablet-0000__run-0000.run": "6641535fe2042fa6a98480ce8ae5167e2da5c2b435c7e65089edf422d4c7e6bb",
         "runs/golden__tablet-0001__run-0000.run": "66f4391ce70224a33f1f0af7d62d15476d43efef7f4335141f12e876ab32076f",

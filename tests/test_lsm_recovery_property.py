@@ -9,7 +9,7 @@ same tablet boundaries, same keys, same full row contents, same subsequent
 read results.  The engine knobs are randomized per seed too, so the space
 covered includes tiny memtables (flush/compaction-heavy), tight split
 thresholds (runs sliced across tablets) and the default no-flush engine
-(pure log replay).
+(the whole log tail priced on every recovery).
 
 ``test_recovery_keeps_every_memtable`` pins the invariant the rest lean on:
 at every step of a random program, ``recover()`` and ``recover_tablet()``
