@@ -36,7 +36,9 @@ the length of the run.  CPython stops tracking an exact ``tuple`` at the
 first collection that finds only untracked items in it — strings, numbers,
 ``None``, tuples already untracked — so the schema classes in
 :mod:`repro.tables` store exact tuples of atoms, and the value, then the
-chain around it, leave the collector's lists for good.  Any other
+chain around it, leave the collector's lists for good — in the first
+collection, because the write path holds each new value in a slot of
+``_RECENT_VALUES`` until then.  Any other
 item keeps a tuple tracked for life: a ``list``, a ``dict``, any class
 instance (``Enum`` members and ``tuple`` *subclasses* included).
 ``tests/test_heap_budget.py`` and ``tests/test_rows_at_rest.py`` hold the line.
@@ -55,6 +57,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import count
 from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -106,6 +109,19 @@ class Cell(NamedTuple):
 def _cells(chain: tuple) -> List[Cell]:
     """The public shape of one stored chain: newest-first cells."""
     return list(map(Cell, chain[0::2], chain[1::2]))
+
+
+#: The values written last, one slot each, reused in turn.  A collection
+#: untracks the tuples of its young generation in list order, and a chain only
+#: if every item was untracked before it; a value referenced by nothing but
+#: its new chain is moved behind that chain while the collector finds what is
+#: reachable, so the chain would survive one collection tracked.  A slot here
+#: is an outside reference: the value keeps its place in front of its chain and
+#: both leave the collector's lists in the first collection.  The slots need
+#: only outnumber the writes between two collections.
+_RECENT_VALUES: List[object] = [None] * 4096
+_RECENT_MASK = len(_RECENT_VALUES) - 1
+_recent_slot = count()
 
 
 class _Row(dict):
@@ -547,6 +563,7 @@ class Table:
             if limit > 0:
                 chain = chain[:limit]
         qualifiers[qualifier] = chain
+        _RECENT_VALUES[next(_recent_slot) & _RECENT_MASK] = value
         return added_row
 
     def _delete_cell_from(

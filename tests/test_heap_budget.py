@@ -7,8 +7,8 @@ the heap, not the allocation rate.  The engine keeps every value as an exact
 tuple of atoms (a location row is five floats, a spatial-index entry a pair,
 an L/F row a code, a timestamp and three ``None``) inside version chains that
 are themselves tuples — precisely so that a stored version costs the
-collector nothing: CPython drops a tuple from its
-lists once it holds only strings, numbers, ``None`` and other such tuples.
+collector nothing: CPython drops a tuple from its lists once it holds only
+strings, numbers, ``None`` and other such tuples.
 This test fails the next change that stores an object again (a ``Point``, a
 record instance, an ``Enum`` member, a list), instead of leaving it to a
 benchmark to notice.  Run with ``-s`` to see the numbers (CI does, on every
@@ -53,13 +53,6 @@ MAX_TRACKED_PER_UPDATE = 0.25
 
 
 def tracked_objects():
-    """Tracked objects once every tuple of atoms is untracked.  That takes
-    two collections when a chain is traversed before its new value: the
-    collection moves a value that only its chain refers to behind the chain
-    in its list, so the chain still sees a tracked item when it is checked,
-    and is untracked by the next collection (``tests/test_rows_at_rest.py``
-    allows the same two)."""
-    gc.collect()
     gc.collect()
     return len(gc.get_objects())
 
