@@ -393,8 +393,8 @@ def memtables(table):
 
 
 class TestLogReplayAndDiskBytes:
-    """What counting the log instead of storing it must leave untouched:
-    the recovered rows, the replay charge and the run files' bytes."""
+    """What recovery and the disk store must keep exact: the recovered
+    rows, the replay charge and the run files' bytes."""
 
     FAMILIES = [
         ColumnFamily("f", max_versions=3),

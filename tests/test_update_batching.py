@@ -164,9 +164,7 @@ class _SixFrameTable(Table):
     """The point-mutation path as it was before ``Table._commit`` folded it
     into one frame — ``write`` → ``_log_mutation`` → ``_log_append`` →
     ``Tablet.log_record``, then ``_charge_write`` — kept as the reference
-    the one-frame helper must reproduce bit for bit (the log now counts its
-    records instead of storing them, so the mutation's fields are no longer
-    passed along)."""
+    the one-frame helper must reproduce bit for bit."""
 
     def _charge_write(self, kind, tablet, structural):
         group = self._group
