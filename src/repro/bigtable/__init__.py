@@ -31,8 +31,7 @@ times stay calibrated.
 :class:`~repro.bigtable.emulator.BigtableEmulator` is the one storage
 backend: the MOIST tables and the server layer call it directly.  To scale
 out, :mod:`repro.bigtable.process_backend` runs several complete stacks —
-each on its own emulator — as shard groups, in-process
-(:class:`LocalShardedBackend`) or in forked worker processes
-(:class:`ProcessShardedBackend`) behind batched RPC framing, and merges
-their accounting bit-identically at every worker count.
+each on its own emulator — as shard groups on forked or in-process
+(loopback) workers behind the same batched RPC framing, and merges their
+accounting bit-identically at every worker count.
 """

@@ -1,37 +1,35 @@
-"""Shared-nothing multiprocess storage backends and their shard transports.
+"""Shared-nothing shard federations over one of two worker pools.
 
-A *shard transport* is how one round of per-shard requests reaches the
-shard services: :class:`PipeTransport` frames them onto a
-:class:`WorkerPool`'s connections (codecs, pinned request ids, one
-``sendall`` per worker per round, phase timers);
-:class:`InProcessTransport` calls the services directly and completes
-synchronously — the zero-RPC baseline every scale-out run must match bit
-for bit.  :class:`ScatterGatherEngine` drives either one
-through the same three methods (``transmit`` only on a heal), and every
-round goes through it: data-plane batches and control-plane CALLs alike.
+A pool hosts the shard services and hands out one framed
+:class:`~repro.server.rpc.RpcConnection` per worker: :class:`WorkerPool`
+forks its workers, :class:`LoopbackPool` keeps them in this process behind
+in-memory sockets — the zero-transport baseline every scale-out run must
+match bit for bit.  Both expose one surface (connections, kill, pause,
+respawn, shutdown), so supervision and chaos run unchanged on either, and
+the same :class:`PipeTransport` (codecs, pinned request ids, one
+``sendall`` per worker per round, phase timers) carries every round of
+the :class:`ScatterGatherEngine`: data-plane batches and control-plane
+CALLs alike.
 
-:class:`ProcessShardedBackend` / :class:`LocalShardedBackend` federate a
-fixed set of shard groups — each a complete MOIST stack over its own
-:class:`~repro.bigtable.emulator.BigtableEmulator` — over one transport.
-The federation is not a storage backend: it holds no tables, it drives the
-shards' verbs and merges the accounting that result assembly, the
-supervisor and the benchmark read.
+:class:`FederatedShardedBackend` federates a fixed set of shard groups —
+each a complete MOIST stack over its own
+:class:`~repro.bigtable.emulator.BigtableEmulator` — over one pool.  It
+holds no tables: it drives the shards' verbs and merges the accounting that
+result assembly, the supervisor and the benchmark read.
 
 Determinism model: the shard count is the unit of determinism, the worker
 count is the unit of parallelism.  Shard contents and every per-shard
 computation depend only on the :class:`~repro.server.worker.ShardRecipe`;
 the parent merges per-shard ledgers, tablet stats and cache tallies in
 fixed shard order, so merged simulated seconds, RPC counts and skew
-reports are identical at every worker count — and identical between the
-process and in-process backends.
+reports are identical at every worker count and on either pool.
 
-Worker lifecycle: :class:`WorkerPool` spawns forked daemon workers over
-``socket.socketpair``, signals and respawns them, and shuts them down
-gracefully (shutdown frame → join → terminate); a dead or hung worker
-shows up as a failed collect in the engine's round.  Pools are context
-managers and register an ``atexit`` hook, and a build that fails
-after forking closes what it built, so pytest and moistbench never leak
-zombie workers.
+Worker lifecycle: :class:`WorkerPool` spawns forked daemon workers, signals
+and respawns them, and shuts them down gracefully (shutdown frame → join →
+terminate); a dead or hung worker shows up as a failed collect in the
+engine's round.  Pools are context managers, :class:`WorkerPool` registers
+an ``atexit`` hook, and a build that fails closes what it built, so pytest
+and moistbench never leak zombie workers.
 """
 
 from __future__ import annotations
@@ -43,6 +41,7 @@ import signal
 import socket
 import tempfile
 import time
+from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.bigtable.cost import CostModel, OpCounter
@@ -50,7 +49,12 @@ from repro.bigtable.tablet import hot_share
 from repro.codec.wire import decode_neighbor_batches
 from repro.errors import ConfigurationError, FrameCorruptionError, WorkerDiedError
 from repro.server import rpc
-from repro.server.worker import ShardRecipe, ShardService, worker_main
+from repro.server.worker import (
+    ShardRecipe,
+    ShardService,
+    dispatch_request,
+    worker_main,
+)
 
 
 #: Seconds each shutdown stage (frame, SIGTERM, SIGKILL) waits per worker.
@@ -64,7 +68,37 @@ def _child_main(child_sock: socket.socket, parent_sock: socket.socket) -> None:
     worker_main(child_sock)
 
 
-class WorkerPool:
+class _Pool:
+    """What both pools share: a framed connection per worker, the respawn
+    handoff; each adds kill, pause, shutdown and ``_replace``."""
+
+    connections: List[rpc.RpcConnection]
+    _closed = False
+
+    @property
+    def num_workers(self) -> int:
+        return len(self.connections)
+
+    def respawn_worker(self, index: int) -> rpc.RpcConnection:
+        """Replace a dead or hung worker.  The replacement's connection
+        *continues the old request-id counter*, so retried requests keep
+        their original ids for the worker-side exactly-once slot and fresh
+        ids are always newer than the one it recorded."""
+        if self._closed:
+            raise ConfigurationError("the worker pool is shut down")
+        old_connection = self.connections[index]
+        old_connection.close()
+        self._replace(index, old_connection.next_request_id)
+        return self.connections[index]
+
+    def __enter__(self) -> "_Pool":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.shutdown()
+
+
+class WorkerPool(_Pool):
     """A fixed set of forked worker processes with framed connections.
 
     Workers are daemons (the OS reaps them if the parent dies hard), and
@@ -82,9 +116,8 @@ class WorkerPool:
             )
         self._context = multiprocessing.get_context("fork")
         self.timeout_s = timeout_s
-        self.connections: List[rpc.RpcConnection] = []
+        self.connections = []
         self.processes: List[multiprocessing.process.BaseProcess] = []
-        self._closed = False
         try:
             for _ in range(num_workers):
                 process, connection = self._spawn_worker()
@@ -111,10 +144,6 @@ class WorkerPool:
         )
         return process, connection
 
-    @property
-    def num_workers(self) -> int:
-        return len(self.processes)
-
     # ------------------------------------------------------------------
     # Supervision hooks
     # ------------------------------------------------------------------
@@ -132,36 +161,15 @@ class WorkerPool:
         failure mode a ping deadline (not waitpid) has to catch."""
         self.kill_worker(index, signal.SIGSTOP)
 
-    def respawn_worker(self, index: int) -> rpc.RpcConnection:
-        """Replace a dead/hung worker with a fresh fork.
-
-        The old process is SIGKILLed first (SIGKILL also fells SIGSTOPped
-        workers, which would shrug off SIGTERM) and the replacement's
-        connection *continues the old request-id counter*, so retried
-        requests keep their original ids for the worker-side exactly-once
-        slot and fresh ids are always newer than the one it recorded.
-        """
-        if self._closed:
-            raise ConfigurationError("the worker pool is shut down")
+    def _replace(self, index: int, next_request_id: int) -> None:
+        """SIGKILL the old process (it also fells a SIGSTOPped worker,
+        which would shrug off SIGTERM), then fork its replacement."""
         old_process = self.processes[index]
-        old_connection = self.connections[index]
         if old_process.is_alive():
             old_process.kill()
         old_process.join(timeout=5.0)
-        next_request_id = old_connection.next_request_id
-        old_connection.close()
-        process, connection = self._spawn_worker(
-            initial_request_id=next_request_id
-        )
-        self.processes[index] = process
-        self.connections[index] = connection
-        return connection
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
+        worker = self._spawn_worker(next_request_id)
+        self.processes[index], self.connections[index] = worker
 
     # ------------------------------------------------------------------
     # Shutdown
@@ -196,29 +204,49 @@ class WorkerPool:
         for connection in self.connections:
             connection.close()
 
-    # ------------------------------------------------------------------
-    # Transport accounting (the bench's serialized-bytes column)
-    # ------------------------------------------------------------------
-    def bytes_sent(self) -> int:
-        return sum(connection.bytes_sent for connection in self.connections)
+class LoopbackPool(_Pool):
+    """:class:`WorkerPool`'s surface with every worker in this process: an
+    :class:`~repro.server.rpc.RpcConnection` over a
+    :class:`~repro.server.rpc.LoopbackSocket` that serves ``services[index]``
+    through :func:`~repro.server.worker.dispatch_request` — a forked
+    worker's frames, ids and error frames, without the fork or the pipe."""
 
-    def bytes_received(self) -> int:
-        return sum(connection.bytes_received for connection in self.connections)
+    def __init__(self, num_workers: int, timeout_s: float = 120.0) -> None:
+        if num_workers < 1:
+            raise ConfigurationError("a worker pool needs at least one worker")
+        self.timeout_s = timeout_s
+        workers = [self._spawn_worker() for _ in range(num_workers)]
+        self.services, self.sockets, self.connections = map(list, zip(*workers))
 
-    def frames_sent(self) -> int:
-        return sum(connection.frames_sent for connection in self.connections)
+    def _spawn_worker(self, initial_request_id: int = 0) -> tuple:
+        services: Dict[int, ShardService] = {}
+        sock = rpc.LoopbackSocket(partial(dispatch_request, services))
+        connection = rpc.RpcConnection(sock, self.timeout_s, initial_request_id)
+        return services, sock, connection
+
+    def kill_worker(self, index: int) -> None:
+        """Drop the worker's shards; its connection reads EOF."""
+        self.sockets[index].close()
+        self.services[index] = {}
+
+    def pause_worker(self, index: int) -> None:
+        """The worker stops answering until it is respawned."""
+        self.sockets[index].paused = True
+
+    def _replace(self, index: int, next_request_id: int) -> None:
+        worker = self._spawn_worker(next_request_id)
+        self.services[index], self.sockets[index], self.connections[index] = worker
+
+    def shutdown(self) -> None:
+        """Every worker exits, for good (idempotent)."""
+        self._closed = True
+        for index in range(self.num_workers):
+            self.kill_worker(index)
 
 
 # --------------------------------------------------------------------------
-# Shard transports: how a round of per-shard requests reaches the services
+# The shard transport: how a round of per-shard requests reaches the workers
 # --------------------------------------------------------------------------
-#
-# A request is ``(shard_id, opcode, payload)`` with the payload still
-# typed — a message list, a query list or a ``(method, args, kwargs)`` CALL
-# triple.  ``send(requests)`` puts one round on its way and returns a token
-# per request; ``collect(token)`` returns that request's decoded result or
-# raises :class:`WorkerDiedError` / :class:`FrameCorruptionError`;
-# ``worker_of(shard_id)`` names the failure domain a token belongs to.
 
 
 def zero_phase() -> Dict[str, float]:
@@ -231,45 +259,26 @@ def zero_phase() -> Dict[str, float]:
     }
 
 
-class InProcessTransport:
-    """Every shard's service runs right here and a send completes
-    synchronously — the zero-transport baseline: no codec, no request ids,
-    identical shard computations (a shard that persists still logs its
-    mutating requests: :meth:`ShardService.serve_in_process`)."""
-
-    def __init__(self, num_shards: int) -> None:
-        self.services = [ShardService() for _ in range(num_shards)]
-        self.phase = zero_phase()  # nothing to time: stays zero
-
-    def worker_of(self, shard_id: int) -> int:
-        return 0
-
-    def send(self, requests: Sequence[Tuple[int, int, Any]]) -> List[Any]:
-        """Apply every request now; each token *is* its result."""
-        return [
-            self.services[shard_id].serve_in_process(opcode, payload)
-            for shard_id, opcode, payload in requests
-        ]
-
-    def collect(self, token: Any, deadline_s: Optional[float] = None) -> Any:
-        return token
-
-
 class PipeTransport:
-    """Requests frame onto the :class:`WorkerPool`'s connections.
+    """Requests frame onto a pool's connections, forked or loopback.
+
+    A request is ``(shard_id, opcode, payload)`` with the payload still
+    typed — a message list, a query list or a ``(method, args, kwargs)``
+    CALL triple.  :meth:`send` puts one round on its way and returns one
+    token ``(shard_id, opcode, request_id, body, payload)`` per request;
+    :meth:`collect` returns a token's decoded result or raises
+    :class:`WorkerDiedError` / :class:`FrameCorruptionError`;
+    :meth:`worker_of` (``shard_id % num_workers``) names its failure domain.
 
     Owns everything wire-shaped: the codecs, request-id allocation *before*
     the send (ids must survive a send-time failure — they pin the resend
     for the worker-side exactly-once slot), one ``sendall`` per worker per
-    round, and the phase timers.  ``shard → worker`` is
-    ``shard_id % num_workers``.
-
-    A token is ``(shard_id, opcode, request_id, body, payload)``.  A failed
-    send is not raised but remembered per worker and surfaces from
-    :meth:`collect`, so a round's failures all arrive through one door.
+    round, and the phase timers.  A failed send is not raised but
+    remembered per worker and surfaces from :meth:`collect`, so a round's
+    failures all arrive through one door.
     """
 
-    def __init__(self, pool: WorkerPool) -> None:
+    def __init__(self, pool: "WorkerPool | LoopbackPool") -> None:
         self.pool = pool
         self.phase = zero_phase()
         self._send_failed: Dict[int, str] = {}
@@ -450,16 +459,12 @@ class ShardClient:
     def call(self, method: str, *args, **kwargs) -> Any:
         return self._request(rpc.OP_CALL, (method, args, kwargs))
 
-    def update_batch(self, messages) -> Tuple[int, float]:
-        return self._request(rpc.OP_UPDATE_BATCH, messages)
-
-    def query_batch(self, queries) -> Tuple[list, float]:
-        return self._request(rpc.OP_QUERY_BATCH, list(queries))
-
 
 class FederatedShardedBackend:
-    """A fixed set of shard groups over one shard transport, driven by
-    one :class:`ScatterGatherEngine`.
+    """A fixed set of shard groups over one pool (:class:`WorkerPool` or
+    :class:`LoopbackPool`) and its :class:`PipeTransport`, driven by one
+    :class:`ScatterGatherEngine`; built on construction (a failed build
+    closes the pool).
 
     The engine starts fail-fast, with no supervisor and no retry policy —
     the build round runs before either exists;
@@ -470,19 +475,29 @@ class FederatedShardedBackend:
     the tablet count and whose ``run_count`` sum the run count), the
     emulator's hot-share rule over the concatenated rows, the summed
     cache tallies.  That mirrors the single-emulator semantics — the
-    reason merged accounting is bit-identical between backends and across
+    reason merged accounting is bit-identical between pools and across
     worker counts.
     """
 
-    def __init__(self, transport: object, recipes: Sequence[ShardRecipe]) -> None:
+    def __init__(
+        self, pool: "WorkerPool | LoopbackPool", recipes: Sequence[ShardRecipe]
+    ) -> None:
         if not recipes:
+            pool.shutdown()
             raise ConfigurationError("a federation needs at least one shard")
-        self.transport = transport
-        self.engine = ScatterGatherEngine(transport)
+        self.pool = pool
+        self.transport = PipeTransport(pool)
+        self.engine = ScatterGatherEngine(self.transport)
         self.recipes = list(recipes)
-        self.clients = [
-            ShardClient(transport, shard_id) for shard_id in range(len(recipes))
-        ]
+        self.clients = [ShardClient(self.transport, i) for i in range(len(recipes))]
+        #: Temporary storage root owned by this backend (the ``disk``
+        #: flavour with no caller-provided directory); cleaned on close.
+        self._owned_tmpdir: Optional[tempfile.TemporaryDirectory] = None
+        try:
+            self.build_all()
+        except BaseException:
+            self.close()  # a rejected build must not strand its workers
+            raise
 
     @property
     def num_shards(self) -> int:
@@ -554,65 +569,8 @@ class FederatedShardedBackend:
         return hits / lookups
 
     # ------------------------------------------------------------------
-    # Lifecycle / transport
+    # Supervision hooks, wire counters, lifecycle
     # ------------------------------------------------------------------
-    def serialized_bytes(self) -> int:
-        """Bytes moved over the RPC transport (0 for the in-process
-        federation — there is no transport)."""
-        return 0
-
-    def rpc_frame_count(self) -> int:
-        """Request frames sent over the transport (0 in-process)."""
-        return 0
-
-    def close(self) -> None:
-        pass
-
-    def __enter__(self) -> "FederatedShardedBackend":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-class LocalShardedBackend(FederatedShardedBackend):
-    """The same shard federation executed in-process with zero RPC."""
-
-    def __init__(self, recipes: Sequence[ShardRecipe]) -> None:
-        super().__init__(InProcessTransport(len(recipes)), recipes)
-        self.build_all()
-
-
-class ProcessShardedBackend(FederatedShardedBackend):
-    """The shard federation with each shard in a forked worker process."""
-
-    def __init__(
-        self,
-        recipes: Sequence[ShardRecipe],
-        num_workers: int = 1,
-        timeout_s: float = 120.0,
-    ) -> None:
-        #: Temporary storage root owned by this backend (the ``disk``
-        #: flavour with no caller-provided directory); cleaned on close.
-        self._owned_tmpdir: Optional[tempfile.TemporaryDirectory] = None
-        self.pool = WorkerPool(min(num_workers, len(recipes)), timeout_s=timeout_s)
-        super().__init__(PipeTransport(self.pool), recipes)
-        try:
-            self.build_all()
-        except BaseException:
-            self.close()  # a rejected build must not strand its workers
-            raise
-
-    @property
-    def num_workers(self) -> int:
-        return self.pool.num_workers
-
-    def serialized_bytes(self) -> int:
-        return self.pool.bytes_sent() + self.pool.bytes_received()
-
-    def rpc_frame_count(self) -> int:
-        return self.pool.frames_sent()
-
     def shards_of_worker(self, index: int) -> List[int]:
         """Shard ids hosted by one worker, in shard order."""
         return [
@@ -622,12 +580,23 @@ class ProcessShardedBackend(FederatedShardedBackend):
         ]
 
     def respawn_worker(self, index: int) -> None:
-        """Replace one worker process and reset the transport's state for
-        it (a fresh connection, no remembered send failure).  The caller
+        """Replace one worker and reset the transport's state for it (a
+        fresh connection, no remembered send failure).  The caller
         re-issues ``build_indexer`` per shard to restore state — that is
         the supervisor's job, not the transport's."""
         self.pool.respawn_worker(index)
         self.transport.rebind(index)
+
+    def serialized_bytes(self) -> int:
+        """Bytes moved over the pool's live connections, both ways."""
+        return sum(
+            connection.bytes_sent + connection.bytes_received
+            for connection in self.pool.connections
+        )
+
+    def rpc_frame_count(self) -> int:
+        """Request frames sent over the pool's live connections."""
+        return sum(connection.frames_sent for connection in self.pool.connections)
 
     def close(self) -> None:
         self.pool.shutdown()
@@ -635,10 +604,20 @@ class ProcessShardedBackend(FederatedShardedBackend):
             self._owned_tmpdir.cleanup()
             self._owned_tmpdir = None
 
+    def __enter__(self) -> "FederatedShardedBackend":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
 
 # --------------------------------------------------------------------------
 # Builders
 # --------------------------------------------------------------------------
+
+
+#: ``backend`` name -> the pool its workers run on (``disk`` also persists).
+POOLS = {"inprocess": LoopbackPool, "process": WorkerPool, "disk": WorkerPool}
 
 
 def build_recipes(num_shards: int, **recipe_kwargs) -> List[ShardRecipe]:
@@ -656,35 +635,31 @@ def make_scaleout_backend(
     timeout_s: float = 120.0,
     **recipe_kwargs,
 ) -> FederatedShardedBackend:
-    """Build a preloaded shard federation.
+    """A preloaded shard federation on ``min(num_workers, num_shards)`` workers.
 
-    ``backend="inprocess"`` runs every shard in the parent (zero RPC);
-    ``backend="process"`` spreads the shards over ``num_workers`` forked
-    workers; ``backend="disk"`` is the process backend with every shard
-    additionally persisting its tables to real files (under
+    ``backend="inprocess"`` keeps every worker in the parent
+    (:class:`LoopbackPool`); ``backend="process"`` forks them
+    (:class:`WorkerPool`); ``backend="disk"`` is the process backend with
+    every shard additionally persisting its tables to real files (under
     ``recipe_kwargs["storage_dir"]``, or a temporary directory owned and
-    cleaned up by the backend when none is given).  Same recipes every
-    way, so simulated results match bit for bit.
+    cleaned up by the backend when none is given).  Same recipes and the
+    same frames every way, so simulated results match bit for bit.
     """
+    if backend not in POOLS:
+        raise ConfigurationError(
+            f"unknown backend {backend!r} (expected one of {sorted(POOLS)})"
+        )
     owned_tmpdir: Optional[tempfile.TemporaryDirectory] = None
     if backend == "disk" and recipe_kwargs.get("storage_dir") is None:
         owned_tmpdir = tempfile.TemporaryDirectory(prefix="moist-disk-")
         recipe_kwargs["storage_dir"] = owned_tmpdir.name
-    recipes = build_recipes(num_shards, **recipe_kwargs)
-    if backend == "inprocess":
-        return LocalShardedBackend(recipes)
-    if backend in ("process", "disk"):
-        try:
-            built = ProcessShardedBackend(
-                recipes, num_workers=num_workers, timeout_s=timeout_s
-            )
-        except BaseException:
-            if owned_tmpdir is not None:
-                owned_tmpdir.cleanup()
-            raise
-        built._owned_tmpdir = owned_tmpdir
-        return built
-    raise ConfigurationError(
-        f"unknown backend {backend!r} "
-        "(expected 'inprocess', 'process' or 'disk')"
-    )
+    try:
+        recipes = build_recipes(num_shards, **recipe_kwargs)
+        pool = POOLS[backend](min(num_workers, num_shards), timeout_s=timeout_s)
+        built = FederatedShardedBackend(pool, recipes)
+    except BaseException:
+        if owned_tmpdir is not None:
+            owned_tmpdir.cleanup()
+        raise
+    built._owned_tmpdir = owned_tmpdir
+    return built

@@ -43,8 +43,8 @@ steps, each safe to die after:
 
 :meth:`ShardStore.load` returns the snapshot and the frames logged after
 it; ``build_indexer`` installs the one and re-runs the other.  A damaged
-snapshot, or a log whose damage is not confined to its final frame,
-raises :class:`~repro.errors.UnrecoverableShardError`.
+snapshot or run file, a missing run file, or a log whose damage is not
+confined to its final frame raises :class:`~repro.errors.UnrecoverableShardError`.
 
 Not promised: neither a new file nor an ``os.replace`` is followed by a
 directory fsync, and the log's header is written without one — all of it
@@ -235,6 +235,8 @@ class ShardStore:
                     entry["memtable"] = decode_run_block(entry["memtable"])[:2]
                     entry["counts"] = decode_count_block(entry["counts"])
             generation = int(value["generation"])
+            if not 0 <= generation < 1 << (8 * _LOG_HEADER.size):
+                raise ValueError(f"snapshot generation {generation}")
         except FileNotFoundError:
             pass
         except (CodecError, LookupError, TypeError, ValueError, AttributeError) as exc:
@@ -285,9 +287,14 @@ class ShardStore:
         return frames
 
     def read_run(self, run_id: str) -> Tuple[List[str], List[object], int]:
+        """One run file the snapshot names; a missing or damaged one raises
+        :class:`~repro.errors.UnrecoverableShardError` naming the file."""
         path = os.path.join(self._runs_dir, _run_filename(run_id))
-        with open(path, "rb") as handle:
-            return decode_run_block(handle.read())
+        try:
+            with open(path, "rb") as handle:
+                return decode_run_block(handle.read())
+        except (OSError, CodecError, LookupError, ValueError, struct.error) as exc:
+            raise UnrecoverableShardError(f"run file {path!r}: {exc!r}") from exc
 
     # ------------------------------------------------------------------
     # The request log

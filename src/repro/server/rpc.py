@@ -266,7 +266,6 @@ class RpcConnection:
         self.bytes_sent = 0
         self.bytes_received = 0
         self.frames_sent = 0
-        self.frames_received = 0
 
     # -- sending -----------------------------------------------------------
 
@@ -400,7 +399,6 @@ class RpcConnection:
         except OSError as exc:
             raise WorkerDiedError(f"receive failed: {exc}") from exc
         self.bytes_received += _LENGTH.size + _HEADER.size + len(frame[4])
-        self.frames_received += 1
         return frame
 
     def close(self) -> None:
@@ -417,42 +415,101 @@ class RpcConnection:
 # --------------------------------------------------------------------------
 
 
-def serve(sock: socket.socket, dispatch) -> None:
-    """Worker main loop: read request frames until shutdown or EOF.
+def serve_one(sock, dispatch) -> bool:
+    """Read one request frame, run it and send the reply; ``False`` once
+    the worker should exit: after a shutdown frame, on EOF, or on a frame
+    that fails its crc (its header leaves no request id to address an error
+    frame to; the parent sees EOF and the supervisor respawns the worker).
 
     ``dispatch(shard_id, opcode, body, request_id) -> bytes`` runs the
-    request (the id feeds the worker-side exactly-once slot);
-    exceptions become error frames naming the exception's class and message.
+    request (the id feeds the worker-side exactly-once slot); an exception
+    becomes an error frame naming its class and message.
     """
-    sock.settimeout(None)
-    while True:
-        try:
-            kind, request_id, shard_id, opcode, body = read_frame(sock)
-        except FrameCorruptionError:
-            # The header itself is untrustworthy, so there is no request id
-            # to address an error frame to.  Exit; the parent sees EOF, maps
-            # it to WorkerDiedError and lets the supervisor respawn us.
-            return
-        except (WorkerDiedError, RpcError, OSError):
-            return  # parent went away: exit quietly
-        if kind != KIND_REQUEST:
-            continue
-        if opcode == OP_SHUTDOWN:
-            try:
-                sock.sendall(
-                    encode_frame(KIND_RESPONSE, request_id, shard_id, opcode, b"")
-                )
-            except OSError:
-                pass
-            return
+    try:
+        kind, request_id, shard_id, opcode, body = read_frame(sock)
+    except (FrameCorruptionError, WorkerDiedError, RpcError, OSError):
+        return False
+    if kind != KIND_REQUEST:
+        return True
+    if opcode == OP_SHUTDOWN:
+        frame = encode_frame(KIND_RESPONSE, request_id, shard_id, opcode, b"")
+    else:
         try:
             result = dispatch(shard_id, opcode, body, request_id)
             frame = encode_frame(KIND_RESPONSE, request_id, shard_id, opcode, result)
-        except BaseException as exc:  # noqa: BLE001 - forwarded to the client
+        except Exception as exc:  # noqa: BLE001 - forwarded to the client
             frame = encode_frame(
                 KIND_ERROR, request_id, shard_id, opcode, encode_error(exc)
             )
-        try:
-            sock.sendall(frame)
-        except OSError:
-            return
+    try:
+        sock.sendall(frame)
+    except OSError:
+        return False
+    return opcode != OP_SHUTDOWN
+
+
+def serve(sock: socket.socket, dispatch) -> None:
+    """Worker main loop: :func:`serve_one` until shutdown or EOF."""
+    sock.settimeout(None)
+    while serve_one(sock, dispatch):
+        pass
+
+
+class _Buffer:
+    """A :class:`LoopbackSocket`'s far end: reads requests, writes replies."""
+
+    def __init__(self) -> None:
+        self.requests = bytearray()
+        self.replies = bytearray()
+
+    def recv(self, count: int) -> bytes:
+        chunk = bytes(self.requests[:count])
+        del self.requests[:count]
+        return chunk
+
+    def sendall(self, data: bytes) -> None:
+        self.replies += data
+
+
+class LoopbackSocket:
+    """An in-memory socket whose far end is a worker served in this process:
+    :meth:`sendall` runs each request frame it completes through
+    :func:`serve_one`, and :meth:`recv` returns the buffered replies.
+    Nothing blocks: a far end that is ``paused`` or left mid-frame by a
+    truncated send never answers, so a read raises ``socket.timeout`` at
+    once (the caller's deadline path).  Once the far end has exited
+    (:meth:`close`, a shutdown frame, a frame that fails its crc) a send
+    breaks the pipe and a read past the buffered replies is EOF.
+    """
+
+    def __init__(self, dispatch) -> None:
+        self._dispatch = dispatch
+        self._far = _Buffer()
+        self.paused = False
+
+    def settimeout(self, timeout: Optional[float]) -> None:
+        pass
+
+    def sendall(self, data: bytes) -> None:
+        if self._dispatch is None:
+            raise BrokenPipeError("the loopback worker has exited")
+        requests = self._far.requests
+        requests += data
+        while not self.paused and len(requests) >= _LENGTH.size:
+            if len(requests) < _LENGTH.size + _LENGTH.unpack_from(requests)[0]:
+                return  # a truncated frame: the worker waits for the rest
+            if not serve_one(self._far, self._dispatch):
+                self.close()
+                return
+
+    def recv(self, count: int) -> bytes:
+        replies = self._far.replies
+        if not replies and self._dispatch is not None:
+            raise socket.timeout("the loopback worker has not answered")
+        chunk = bytes(replies[:count])
+        del replies[:count]
+        return chunk
+
+    def close(self) -> None:
+        """The far end exits: its dispatch (and what it holds) goes."""
+        self._dispatch = None

@@ -2,10 +2,9 @@
 
 :class:`ScaleOutCluster` is the parent-side view of a sharded MOIST
 deployment.  Each shard hosts a complete, unmodified stack (emulator,
-indexer, server cluster, optional tablet master) behind a shard transport
-(:mod:`repro.bigtable.process_backend`) — in-process, or worker processes
-reached over the batched RPC framing.  The cluster partitions update
-batches by owning shard, broadcasts query batches, and merges results in
+indexer, server cluster, optional tablet master) on a forked or loopback
+worker (:mod:`repro.bigtable.process_backend`), reached over the batched
+RPC framing.  The cluster partitions update batches by owning shard, broadcasts query batches, and merges results in
 fixed shard order, so its outputs are bit-identical for every worker count
 — including the degenerate one-shard in-process case.
 
@@ -13,10 +12,9 @@ Every round — an update batch, a query broadcast, a control-plane CALL
 broadcast — goes through the federation's one
 :class:`~repro.bigtable.process_backend.ScatterGatherEngine`, which sends,
 collects in send order, heals and re-sends with pinned request ids.  Rounds
-run in lockstep: each has settled when its call returns, an unsupervised
-cluster is the same loop with no supervisor (the first failed sweep
-raises), and the in-process federation is a transport whose sends complete
-synchronously.
+run in lockstep: each has settled when its call returns, and an
+unsupervised cluster is the same loop with no supervisor (the first failed
+sweep raises).  The in-process federation differs only in the pipe.
 
 Determinism model: the *shard count* is the unit of determinism (it decides
 object placement and per-shard RNG consumption); the *worker count* is the
@@ -30,7 +28,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bigtable.process_backend import (
     FederatedShardedBackend,
-    ProcessShardedBackend,
     make_scaleout_backend,
     zero_phase,
 )
@@ -73,7 +70,6 @@ class ScaleOutCluster:
         max_consecutive_failures: int = 5,
     ) -> None:
         self.backend = backend
-        self.clients = backend.clients
         self.recipes = backend.recipes
         self.num_shards = backend.num_shards
         # Shard 0 speaks for the federation's shape below, so a mixed
@@ -105,11 +101,6 @@ class ScaleOutCluster:
         self.retry_policy = retry_policy or rpc.RetryPolicy()
         self.supervisor: Optional[Supervisor] = None
         if supervision_policy is not None:
-            if not isinstance(backend, ProcessShardedBackend):
-                raise ConfigurationError(
-                    "supervision needs the process backend — the in-process "
-                    "federation has no worker processes to supervise"
-                )
             self.supervisor = Supervisor(
                 backend,
                 policy=supervision_policy,
@@ -220,14 +211,6 @@ class ScaleOutCluster:
     # ------------------------------------------------------------------
     # Chaos and recovery
     # ------------------------------------------------------------------
-    def _require_supervision(self) -> Supervisor:
-        if self.supervisor is None:
-            raise ConfigurationError(
-                "this scale-out cluster was built without a supervision "
-                "policy"
-            )
-        return self.supervisor
-
     def apply_chaos_event(self, fault: Fault) -> str:
         """Apply one process :class:`~repro.server.faults.Fault`; returns a
         description.
@@ -239,7 +222,11 @@ class ScaleOutCluster:
         or blocks mid-frame (truncate → deadline), and either way the
         stream is unusable until the worker is replaced.
         """
-        supervisor = self._require_supervision()
+        supervisor = self.supervisor
+        if supervisor is None:
+            raise ConfigurationError(
+                "this scale-out cluster was built without a supervision policy"
+            )
         pool = self.backend.pool
         worker = fault.target
         if worker >= pool.num_workers:
@@ -278,7 +265,9 @@ class ScaleOutCluster:
 
         Phase seconds are wall-clock (parent-side, every frame moved since
         the last metrics reset) and deliberately live *outside*
-        ``to_report()``.
+        ``to_report()``.  On the loopback pool a shard runs its request
+        inside the send: its work lands in ``send_seconds`` and
+        ``blocked_wait_seconds`` reads ≈ 0.
 
         ``worker_phase`` is the other side of ``blocked_wait_seconds``:
         the workers' own wall seconds per

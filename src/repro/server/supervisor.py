@@ -6,8 +6,9 @@ worker-side half is the shard's snapshot and request log
 and the exactly-once slot bit-identically.  The supervisor is the control
 loop: told by the
 scatter-gather engine that a worker died (EOF, failed send) or hung
-(response deadline), it forks a replacement from the stored
-:class:`~repro.server.worker.ShardRecipe`, re-attaching its disk store and
+(response deadline), it has the pool replace the worker (forked or
+loopback) and rebuilds its shards from their
+:class:`~repro.server.worker.ShardRecipe`, re-attaching the disk store and
 replaying recovery before the shard rejoins routing.  The process faults
 of a :class:`~repro.server.faults.FaultSchedule` (SIGKILL, SIGSTOP,
 corrupted frames) are the failures the property suites make it heal.
@@ -17,8 +18,8 @@ as :class:`~repro.errors.WorkerDiedError` and the run aborts.  A supervisor
 runs one of two policies:
 
 ``respawn``
-    Lossless healing.  Requires the disk backend (tablet masters included:
-    the snapshot carries the master's decision history —
+    Lossless healing.  Requires a ``storage_dir`` on every recipe (tablet
+    masters included: the snapshot carries the master's decision history —
     migration/replication/failover records — alongside the routing
     overrides and replica placement, so a respawned shard's master
     continues byte-identically): the replacement restores every request it
@@ -31,7 +32,7 @@ runs one of two policies:
     like a data-plane batch.
 
 ``respawn_lossy``
-    For in-memory backends, which have nothing to restore from: the
+    For in-memory shards, which have nothing to restore from: the
     replacement re-preloads from the recipe, silently losing every update
     acked since build — so the loss is *not* silent: the supervisor counts
     acked updates per shard and reports them as ``lost_updates``.
@@ -49,7 +50,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.bigtable.process_backend import ProcessShardedBackend
+from repro.bigtable.process_backend import FederatedShardedBackend
 from repro.errors import ConfigurationError, WorkerCircuitOpenError
 
 SUPERVISION_POLICIES = ("respawn", "respawn_lossy")
@@ -76,7 +77,7 @@ class _WorkerHealth:
 
 
 class Supervisor:
-    """Failure detection and healing for one :class:`ProcessShardedBackend`.
+    """Failure detection and healing for one :class:`FederatedShardedBackend`.
 
     Detection is *on-demand*: the scatter-gather engine calls
     :meth:`handle_worker_failure` when a send or collect of any round
@@ -88,7 +89,7 @@ class Supervisor:
 
     def __init__(
         self,
-        backend: ProcessShardedBackend,
+        backend: FederatedShardedBackend,
         policy: str = "respawn",
         max_consecutive_failures: int = 5,
     ) -> None:
@@ -103,9 +104,8 @@ class Supervisor:
             for recipe in backend.recipes:
                 if recipe.storage_dir is None:
                     raise ConfigurationError(
-                        "lossless respawn needs the disk backend (a "
-                        "storage_dir on every recipe); use "
-                        "'respawn_lossy' for in-memory backends"
+                        "lossless respawn needs a storage_dir on every "
+                        "recipe; use 'respawn_lossy' for in-memory shards"
                     )
         self.backend = backend
         self.policy = policy
@@ -139,7 +139,7 @@ class Supervisor:
     ) -> RecoveryRecord:
         """Heal one failed worker according to the policy.
 
-        Both policies kill the remains, fork a replacement on a connection
+        Both policies kill the remains, start a replacement on a connection
         that continues the request-id counter, rebind the transport (forget
         the dead worker's failed send) and re-issue ``build_indexer`` per
         shard — which for the disk backend installs the snapshot — tables,

@@ -13,8 +13,8 @@ the client side.
 Worker *processes* are mere execution vehicles: ``shard → worker`` is
 ``shard_id % num_workers``, and no per-shard computation depends on which
 worker ran it, so results are worker-count-independent by construction —
-the determinism the acceptance criteria demand.  The same
-:class:`ShardService` runs in-process (zero RPC) for the baseline backend.
+the determinism the acceptance criteria demand.  The in-process baseline
+serves the same frames with the same :class:`ShardService`, unforked.
 
 ``ShardService`` holds one shard's state; :data:`VERBS` is the declared
 worker-side verb set (name → callable, read-only flag), and it holds what
@@ -23,7 +23,7 @@ opcodes), the build, the master's rebalance and fault injection, the
 metrics reset, and ``metrics`` — the shard's one accounting record, the
 only read-only verb, from which the federation derives every merged read.
 Reachability, mutability and what reaches the request log all derive from
-that one table, on both transports.
+that one table, in a forked worker or a loopback one.
 
 A shard with a storage directory persists its inputs
 (:mod:`repro.disk.store`): every mutating request that passes the
@@ -82,12 +82,11 @@ WORKER_PHASES = DISPATCH_PHASES + STORE_STEPS
 
 #: The worker-side verb table: ``name -> (callable taking the service
 #: first, read-only flag)``.  The one answer to "which verbs exist and
-#: which can change shard state": ``CALL`` dispatch on both transports
-#: resolves names through :func:`lookup_verb` — anything absent, private
-#: names included, is an :class:`RpcError` — and every verb not flagged
-#: read-only (like every data-plane batch) runs under the exactly-once
-#: slot and, on a shard with a storage directory, is logged before it
-#: applies.  Only production's verbs are registered here; a test harness
+#: which can change shard state": ``CALL`` dispatch resolves names through
+#: :func:`lookup_verb` — anything absent, private names included, is an
+#: :class:`RpcError` — and every verb not flagged read-only (like every
+#: data-plane batch) runs under the exactly-once slot and, on a shard with
+#: a storage directory, is logged before it applies.  Only production's verbs are registered here; a test harness
 #: adds its own through :func:`_register` before any worker forks.
 VERBS: Dict[str, Tuple[Callable[..., Any], bool]] = {}
 
@@ -191,12 +190,11 @@ class ShardService:
     """The worker-side state and verbs of one shard group.
 
     Every entry of :data:`VERBS` is callable through the generic ``CALL``
-    opcode (:meth:`serve_in_process`); ``update_batch``/``query_batch``
-    additionally serve the compact binary opcodes.  One instance runs per
-    shard id, inside a worker process (RPC) or inside the parent (the
-    in-process baseline) — same code either way, which is what makes the
-    two backends bit-identical.  It holds no test-only state: a verb a
-    test harness registers keeps its own state outside the service.
+    opcode (:meth:`serve`, the one request entry point);
+    ``update_batch``/``query_batch`` additionally serve the compact binary
+    opcodes.  One instance runs per shard id on a forked or a loopback
+    worker; the same frames reach it either way.  It holds no test-only
+    state: a verb a test harness registers keeps its own outside.
     """
 
     def __init__(self) -> None:
@@ -412,18 +410,6 @@ class ShardService:
         lap.mark("apply")
         return result
 
-    def _request(self, opcode: int, payload: Any) -> Tuple[Callable[[], Any], bool]:
-        """``(run it, logged)`` of one decoded request: every mutating
-        request is logged but ``build_indexer``, which no log can hold."""
-        if opcode == rpc.OP_UPDATE_BATCH:
-            return partial(self.update_batch, payload), True
-        if opcode == rpc.OP_QUERY_BATCH:
-            return partial(self.query_batch, payload), True
-        method, args, kwargs = payload
-        verb, read_only = lookup_verb(method)
-        logged = not read_only and method != "build_indexer"
-        return partial(verb, self, *args, **kwargs), logged
-
     def serve(
         self, opcode: int, body: bytes, request_id: int, replaying: bool = False
     ) -> bytes:
@@ -445,7 +431,15 @@ class ShardService:
         if decode is None:
             raise RpcError(f"unknown opcode {opcode}")
         payload = decode(body)
-        apply, logged = self._request(opcode, payload)
+        if opcode == rpc.OP_UPDATE_BATCH:
+            apply, logged = partial(self.update_batch, payload), True
+        elif opcode == rpc.OP_QUERY_BATCH:
+            apply, logged = partial(self.query_batch, payload), True
+        else:
+            method, args, kwargs = payload
+            verb, read_only = lookup_verb(method)
+            logged = not read_only and method != "build_indexer"
+            apply = partial(verb, self, *args, **kwargs)
         lap.mark("decode")
         if logged:
             result = self._apply_once(request_id, opcode, body, lap, apply, replaying)
@@ -468,18 +462,6 @@ class ShardService:
             response = rpc.encode_result(result)
         lap.mark("encode")
         return response
-
-    def serve_in_process(self, opcode: int, payload: Any) -> Any:
-        """One request of the in-process transport: the verb runs right
-        here and its result is the token — no codec, no request ids.  A
-        shard that persists logs a mutating request as :meth:`serve` does,
-        with the body the wire would carry, under the id after its slot's."""
-        apply, logged = self._request(opcode, payload)
-        if not logged or self._store is None:
-            return apply()
-        request_id = 1 if self._slot is None else self._slot[0] + 1
-        body = rpc.REQUEST_ENCODERS[opcode](payload)
-        return self._apply_once(request_id, opcode, body, _Laps(self.phase), apply)
 
     # ------------------------------------------------------------------
     # Data plane (compact opcodes ride these)
@@ -610,14 +592,7 @@ def worker_main(sock: socket.socket) -> None:
     A worker hosts every shard whose id maps to it; services are created
     lazily on the first frame addressed to their shard id.
     """
-    services: Dict[int, ShardService] = {}
-
-    def _dispatch(
-        shard_id: int, opcode: int, body: bytes, request_id: int
-    ) -> bytes:
-        return dispatch_request(services, shard_id, opcode, body, request_id)
-
     try:
-        rpc.serve(sock, _dispatch)
+        rpc.serve(sock, partial(dispatch_request, {}))
     finally:
         sock.close()

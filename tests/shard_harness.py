@@ -26,17 +26,16 @@ from typing import Any, Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.bigtable.cost import OpCounter
 from repro.bigtable.process_backend import (
-    InProcessTransport,
+    POOLS,
     PipeTransport,
     ShardClient,
-    WorkerPool,
 )
 from repro.bigtable.table import ColumnFamily, Table
 from repro.bigtable.tablet import TabletOptions
 from repro.disk.store import ShardStore
 from repro.errors import ConfigurationError
 from repro.experiments.recovery import _nn_signature, _state_signature
-from repro.server import worker
+from repro.server import rpc, worker
 from repro.server.worker import ShardRecipe, ShardService
 
 import helpers
@@ -238,40 +237,44 @@ _forward(worker._master, False, "migrate_tablet", "replicate_tablet", "fail_over
 HARNESS_VERBS = frozenset(worker.VERBS) - _PRODUCTION_VERBS
 
 
+class HarnessClient(ShardClient):
+    """A shard client that also sends the data-plane opcodes by hand."""
+
+    def update_batch(self, messages) -> Tuple[int, float]:
+        return self._request(rpc.OP_UPDATE_BATCH, messages)
+
+    def query_batch(self, queries) -> Tuple[list, float]:
+        return self._request(rpc.OP_QUERY_BATCH, list(queries))
+
+
 @contextmanager
 def single_shard_client(
     backend: str,
     recipe: Optional[ShardRecipe] = None,
     table_knobs: Optional[Dict[str, Any]] = None,
     timeout_s: float = 120.0,
-) -> Iterator[ShardClient]:
+) -> Iterator[HarnessClient]:
     """One shard client for the cross-backend property suites.
 
-    The client sits on an :class:`InProcessTransport`, or on a
-    :class:`PipeTransport` over a freshly spawned (and reliably shut down)
-    single worker; ``backend="disk"`` additionally points the shard at a
+    The client sits on a :class:`PipeTransport` over one loopback worker,
+    or over a freshly spawned (and reliably shut down) forked one;
+    ``backend="disk"`` additionally points the shard at a
     temporary storage directory so it persists real bytes.  When ``recipe``
     is given the shard's indexer is built before yielding; ``table_knobs``
     builds the bare-table scenario instead.
     """
     with ExitStack() as stack:
-        storage_dir = None
-        if backend == "inprocess":
-            transport: object = InProcessTransport(1)
-        elif backend in ("process", "disk"):
-            if backend == "disk":
-                storage_dir = stack.enter_context(
-                    tempfile.TemporaryDirectory(prefix="moist-disk-")
-                )
-            transport = PipeTransport(
-                stack.enter_context(WorkerPool(1, timeout_s=timeout_s))
-            )
-        else:
+        if backend not in POOLS:
             raise ConfigurationError(
-                f"unknown backend {backend!r} "
-                "(expected 'inprocess', 'process' or 'disk')"
+                f"unknown backend {backend!r} (expected one of {sorted(POOLS)})"
             )
-        client = ShardClient(transport, 0)
+        storage_dir = None
+        if backend == "disk":
+            storage_dir = stack.enter_context(
+                tempfile.TemporaryDirectory(prefix="moist-disk-")
+            )
+        pool = stack.enter_context(POOLS[backend](1, timeout_s=timeout_s))
+        client = HarnessClient(PipeTransport(pool), 0)
         if recipe is not None:
             if storage_dir is not None and recipe.storage_dir is None:
                 recipe = dataclasses.replace(recipe, storage_dir=storage_dir)

@@ -5,7 +5,8 @@ faults SIGKILL every worker at least once mid-workload — or freezes them with 
 corrupts their frames — completes with a ``to_report()`` rendering
 byte-identical to the fault-free run's.  The disk backend's request log +
 snapshots + the exactly-once retry protocol together make a worker death
-invisible to every simulated number.
+invisible to every simulated number.  The in-process rows put the same
+faults on loopback workers, without a fork.
 """
 
 import os
@@ -18,6 +19,7 @@ from repro.errors import (
     StaleRequestError,
     WorkerCircuitOpenError,
 )
+from repro.bigtable.process_backend import WorkerPool
 from repro.bigtable.table import Table
 from repro.bigtable.tablet import TabletOptions
 from repro.server import rpc
@@ -56,6 +58,20 @@ def _cluster(backend, workers, policy=None, retry=None, breaker=5, **kwargs):
         num_servers=2,
         **kwargs,
     )
+
+
+def _chaos_cluster(backend, workers, tmp_path, monkeypatch, policy="respawn", **kwargs):
+    """A supervised cluster for a chaos row.  An in-process row persists to
+    ``tmp_path`` and must never fork: its loopback workers are killed,
+    paused and respawned in this process."""
+    if backend == "inprocess":
+        def no_fork(*args, **kwargs):
+            raise AssertionError("an in-process chaos row forked a worker")
+
+        monkeypatch.setattr(WorkerPool, "_spawn_worker", no_fork)
+        if policy == "respawn":
+            kwargs["storage_dir"] = str(tmp_path)
+    return _cluster(backend, workers, policy=policy, **kwargs)
 
 
 def _run(cluster, faults=None, messages=MESSAGES, queries=QUERIES, batch_size=128):
@@ -98,18 +114,20 @@ class TestChaosLossless:
         finally:
             cluster.close()
 
-    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize(
+        "backend, workers",
+        [("disk", 1), ("disk", 2), ("disk", 4), ("inprocess", 2)],
+        ids=["1", "2", "4", "inprocess-2"],
+    )
     def test_sigkill_every_worker_is_byte_invisible(
-        self, workers, reference_report
+        self, backend, workers, reference_report, tmp_path, monkeypatch
     ):
         faults = FaultSchedule.seeded(
             29, NUM_ROUNDS, num_workers=workers, kills=workers
         )
         assert {fault.target for fault in faults} == set(range(workers))
-        cluster = _cluster(
-            "disk",
-            workers,
-            policy="respawn",
+        cluster = _chaos_cluster(
+            backend, workers, tmp_path, monkeypatch,
             retry=rpc.RetryPolicy(call_deadline_s=15.0),
         )
         try:
@@ -194,12 +212,16 @@ class TestChaosLossless:
         finally:
             cluster.close()
 
-    def test_sigstop_hung_workers_are_byte_invisible(self, reference_report):
+    @pytest.mark.parametrize("backend", ["disk", "inprocess"])
+    def test_sigstop_hung_workers_are_byte_invisible(
+        self, backend, reference_report, tmp_path, monkeypatch
+    ):
         # Frozen workers are alive by waitpid; only the ping/response
         # deadline can catch them.  Keep it short so the test stays fast.
         faults = FaultSchedule.seeded(31, NUM_ROUNDS, num_workers=2, stops=2)
-        cluster = _cluster(
-            "disk", 2, policy="respawn", retry=rpc.RetryPolicy(call_deadline_s=1.25)
+        cluster = _chaos_cluster(
+            backend, 2, tmp_path, monkeypatch,
+            retry=rpc.RetryPolicy(call_deadline_s=1.25),
         )
         try:
             result = _run(cluster, faults=faults)
@@ -210,14 +232,18 @@ class TestChaosLossless:
         finally:
             cluster.close()
 
-    def test_corrupted_frames_are_byte_invisible(self, reference_report):
+    @pytest.mark.parametrize("backend", ["disk", "inprocess"])
+    def test_corrupted_frames_are_byte_invisible(
+        self, backend, reference_report, tmp_path, monkeypatch
+    ):
         # One bitflipped frame (worker exits on the crc mismatch) and one
         # truncated frame (worker blocks mid-frame until the deadline).
         faults = FaultSchedule.seeded(
             37, NUM_ROUNDS, num_workers=2, corruptions=2
         )
-        cluster = _cluster(
-            "disk", 2, policy="respawn", retry=rpc.RetryPolicy(call_deadline_s=5.0)
+        cluster = _chaos_cluster(
+            backend, 2, tmp_path, monkeypatch,
+            retry=rpc.RetryPolicy(call_deadline_s=5.0),
         )
         try:
             result = _run(cluster, faults=faults)
@@ -233,11 +259,13 @@ class TestChaosLossless:
 # Policies short of lossless
 # --------------------------------------------------------------------------
 class TestLossyAndFailFast:
-    def test_respawn_lossy_counts_the_updates_it_forfeits(self):
+    @pytest.mark.parametrize("backend", ["process", "inprocess"])
+    def test_respawn_lossy_counts_the_updates_it_forfeits(
+        self, backend, tmp_path, monkeypatch
+    ):
         faults = FaultSchedule([Fault(2, KILL_WORKER, 0)])
-        cluster = _cluster(
-            "process",
-            2,
+        cluster = _chaos_cluster(
+            backend, 2, tmp_path, monkeypatch,
             policy="respawn_lossy",
             retry=rpc.RetryPolicy(call_deadline_s=15.0),
         )
@@ -304,10 +332,6 @@ class TestLossyAndFailFast:
 # Configuration guards
 # --------------------------------------------------------------------------
 class TestSupervisionGuards:
-    def test_supervision_requires_the_process_backend(self):
-        with pytest.raises(ConfigurationError, match="process backend"):
-            _cluster("inprocess", 1, policy="respawn_lossy")
-
     def test_lossless_respawn_requires_durable_disk_state(self):
         with pytest.raises(ConfigurationError, match="respawn_lossy"):
             _cluster("process", 1, policy="respawn")

@@ -891,8 +891,8 @@ def _shard_files():
             )
         )
         updates = _seeded_updates(24, 8, ids="numeric")
-        service.serve_in_process(rpc.OP_UPDATE_BATCH, updates)
-        service.serve_in_process(rpc.OP_QUERY_BATCH, _FUZZ_QUERIES)
+        service.serve(rpc.OP_UPDATE_BATCH, rpc.encode_update_batch(updates), 1)
+        service.serve(rpc.OP_QUERY_BATCH, rpc.encode_query_batch(_FUZZ_QUERIES), 2)
         service._snapshot()
         shard_dir = os.path.join(folder, "shard-00")
         with open(os.path.join(shard_dir, "SNAPSHOT.bin"), "rb") as handle:

@@ -23,7 +23,7 @@ import random
 
 import pytest
 
-from repro.bigtable.process_backend import PipeTransport, ShardClient, WorkerPool
+from repro.bigtable.process_backend import PipeTransport, WorkerPool
 from repro.experiments.common import uniform_leader_indexer
 from repro.geometry.point import Point
 from repro.geometry.vector import Vector
@@ -31,7 +31,7 @@ from repro.model import UpdateMessage, format_object_id
 from repro.server.worker import ShardRecipe
 from repro.workload.queries import NNQueryWorkload
 
-from shard_harness import apply_op, bare_table, state_of
+from shard_harness import HarnessClient, apply_op, bare_table, state_of
 from test_lsm_recovery_property import knob_dict, random_ops
 
 
@@ -71,7 +71,7 @@ def test_killed_worker_restarts_bit_identical_indexer(tmp_path):
     ).batch(20)
 
     pool = WorkerPool(1)
-    client = ShardClient(PipeTransport(pool), 0)
+    client = HarnessClient(PipeTransport(pool), 0)
     client.call("build_indexer", recipe)
     client.update_batch(messages)
     client.query_batch(queries)
@@ -88,7 +88,7 @@ def test_killed_worker_restarts_bit_identical_indexer(tmp_path):
 
     pool = WorkerPool(1)
     try:
-        client = ShardClient(PipeTransport(pool), 0)
+        client = HarnessClient(PipeTransport(pool), 0)
         client.call("build_indexer", recipe)
         assert client.call("state_signature") == before_state
         assert client.call("full_row_signature") == before_rows
@@ -112,14 +112,14 @@ def test_killed_worker_resumes_mutation_program_losslessly(tmp_path, seed):
         apply_op(reference, op)
 
     pool = WorkerPool(1)
-    client = ShardClient(PipeTransport(pool), 0)
+    client = HarnessClient(PipeTransport(pool), 0)
     client.call("build_table", knobs, storage_dir=storage_dir)
     client.call("table_apply", ops[:kill_at])
     _kill_hard(pool)
 
     pool = WorkerPool(1)
     try:
-        client = ShardClient(PipeTransport(pool), 0)
+        client = HarnessClient(PipeTransport(pool), 0)
         # The knobs ride along but are ignored on restore: a restored
         # table takes its options from its snapshot.
         client.call("build_table", knobs, storage_dir=storage_dir)
@@ -142,12 +142,12 @@ def test_restart_after_graceful_close_also_restores(tmp_path):
     messages = _update_stream(rng, 120, 150)
 
     with WorkerPool(1) as pool:
-        client = ShardClient(PipeTransport(pool), 0)
+        client = HarnessClient(PipeTransport(pool), 0)
         client.call("build_indexer", recipe)
         client.update_batch(messages)
         before = client.call("full_row_signature")
 
     with WorkerPool(1) as pool:
-        client = ShardClient(PipeTransport(pool), 0)
+        client = HarnessClient(PipeTransport(pool), 0)
         client.call("build_indexer", recipe)
         assert client.call("full_row_signature") == before

@@ -238,9 +238,10 @@ class TestRoundSettlesOnReturn:
             cluster.metrics()
             snapshot = cluster.metrics_snapshot()
             assert set(snapshot["worker_phase"]) == set(WORKER_PHASES)
-            spent = sum(snapshot[name] for name in timers)
-            # The in-process transport has nothing to time.
-            assert spent > 0.0 if backend == "process" else spent == 0.0
+            assert all(snapshot[name] > 0.0 for name in timers)
+            if backend == "inprocess":
+                # A loopback worker runs the request inside the send.
+                assert snapshot["send_seconds"] > snapshot["blocked_wait_seconds"]
             cluster.reset_metrics()
             snapshot = cluster.metrics_snapshot()
             assert all(snapshot[name] == 0.0 for name in timers)

@@ -287,7 +287,7 @@ def test_control_plane_survives_supervised_worker_death(seed):
         master_options=MasterOptions(replicate_read_share=0.10),
     )
     try:
-        client = cluster.clients[0]
+        client = cluster.backend.clients[0]
         for round_index, batch in enumerate(batches):
             control_actions_via_client(rng, client, num_servers)
             if round_index in (2, 5):

@@ -53,7 +53,7 @@ from repro.server.worker import (
 from repro.tables.affiliation_table import LFRecord, Role
 from repro.workload.queries import NNQuery
 
-from shard_harness import accounting, apply_op, call
+from shard_harness import accounting, apply_op, call, single_shard_client
 from test_lsm_recovery_property import random_ops
 
 FAMILIES = [ColumnFamily("mem", max_versions=3), ColumnFamily("disk", max_versions=5)]
@@ -238,17 +238,17 @@ class TestTagZeroIsRefusedOnRestore:
 def test_an_unencodable_value_is_a_codec_error_at_the_sender(tmp_path):
     with pytest.raises(CodecError, match="no value tag"):
         values.encode_value(bytearray(), object())
-    # ... and an in-process shard that persists refuses a request carrying
+    # ... and a client of a shard that persists refuses a request carrying
     # one as it encodes the request's body — before a frame could hold it
     # or the request could apply.
     recipe = _recipe(tmp_path)
-    service = ShardService()
-    service.build_indexer(recipe)
-    log = _shard_file(recipe, "requests.log")
-    size = os.path.getsize(log)
-    with pytest.raises(CodecError, match="no value tag"):
-        service.serve_in_process(rpc.OP_CALL, ("reset_metrics", ({1, 2},), {}))
-    assert os.path.getsize(log) == size and service._slot is None
+    with single_shard_client("inprocess", recipe) as client:
+        (service,) = client.transport.pool.services[0].values()
+        log = _shard_file(recipe, "requests.log")
+        size = os.path.getsize(log)
+        with pytest.raises(CodecError, match="no value tag"):
+            client.call("reset_metrics", {1, 2})
+        assert os.path.getsize(log) == size and service._slot is None
 
 
 # --------------------------------------------------------------------------
@@ -492,6 +492,31 @@ class TestRunFiles:
             store._persisted.values()
         )
 
+    @pytest.mark.parametrize("backend", ["inprocess", "disk"])
+    @pytest.mark.parametrize("damage", ["magic", "crc", "missing"])
+    def test_a_damaged_or_missing_run_file_fails_the_rebuild_typed(
+        self, tmp_path, backend, damage
+    ):
+        # Like a damaged snapshot, a run file the snapshot names that is
+        # missing, or fails its magic or crc, stops the restore with the
+        # library's error naming the file — the same error from a forked
+        # worker and from a loopback one.
+        options = dict(
+            backend=backend, num_objects=800, num_servers=1, seed=17,
+            storage_dir=str(tmp_path),
+            tablet_options=TabletOptions(memtable_flush_rows=64),
+        )
+        ScaleOutCluster.build(1, **options).close()
+        victim = sorted((tmp_path / "shard-00" / "runs").iterdir())[-1]
+        if damage == "missing":
+            victim.unlink()
+        else:
+            data = bytearray(victim.read_bytes())
+            data[0 if damage == "magic" else len(data) // 2] ^= 0xFF
+            victim.write_bytes(bytes(data))
+        with pytest.raises(UnrecoverableShardError, match=victim.name):
+            ScaleOutCluster.build(1, **options)
+
     @staticmethod
     def _check_files(table: Table, store: ShardStore) -> None:
         """Every live run's file is a fresh encoding of the run; the memo
@@ -632,9 +657,8 @@ class TestSnapshot:
             service = ShardService()
             service.build_indexer(recipe)
             for round_ in range(rounds):
-                service.serve_in_process(
-                    rpc.OP_UPDATE_BATCH, _messages(round_, timestamp=round_ + 1.0)
-                )
+                body = rpc.encode_update_batch(_messages(round_, timestamp=round_ + 1.0))
+                service.serve(rpc.OP_UPDATE_BATCH, body, round_ + 1)
             service._snapshot()
             emulator = service.cluster.indexer.emulator
             assert emulator.run_count() == 0
@@ -967,22 +991,31 @@ class TestFileTraffic:
         assert fsyncs.count("_ensure_run_file") == runs == 48
         assert len(fsyncs) == 56
 
-    def test_an_in_process_shard_that_persists_logs_like_a_worker(self, tmp_path):
-        # No wire and no request ids in-process, yet the same frames reach
-        # the log: the body the wire would carry, under the next id.
-        recipe = _recipe(tmp_path)
-        service = ShardService()
-        service.build_indexer(recipe)
-        messages = _messages(1)
-        service.serve_in_process(rpc.OP_UPDATE_BATCH, messages)
-        service.serve_in_process(rpc.OP_CALL, ("metrics", (), {}))
-        service.serve_in_process(rpc.OP_CALL, ("reset_metrics", (), {}))
-        with open(_shard_file(recipe, "requests.log"), "rb") as handle:
-            frames, _ = blocks.read_request_frames(handle.read()[8:])
-        assert frames == [
-            (1, rpc.OP_UPDATE_BATCH, rpc.encode_update_batch(messages)),
-            (2, rpc.OP_CALL, rpc.encode_call("reset_metrics", (), {})),
-        ]
+    def test_an_in_process_federation_logs_byte_identically_to_the_disk_backend(
+        self, tmp_path
+    ):
+        # The loopback carries the forked workers' frames under the same
+        # request ids, so every shard's log holds the same bytes.
+        def logs(backend: str) -> list:
+            root = tmp_path / backend
+            options = dict(
+                backend=backend, num_workers=2, num_servers=2,
+                num_objects=NUM_OBJECTS, storage_dir=str(root),
+            )
+            with ScaleOutCluster.build(3, **options) as cluster:
+                for seed in range(3):
+                    cluster.submit_update_batch(_messages(seed, timestamp=seed + 1.0))
+                    cluster.submit_query_batch(_queries(seed))
+                cluster.reset_metrics()
+            shard_logs = []
+            for shard in range(3):
+                path = root / f"shard-{shard:02d}" / "requests.log"
+                shard_logs.append(path.read_bytes())
+            return shard_logs
+
+        in_process = logs("inprocess")
+        assert all(len(log) > 8 for log in in_process)  # more than the header
+        assert in_process == logs("disk")
 
     def test_an_in_process_federation_restarts_from_its_files(self, tmp_path):
         options = dict(

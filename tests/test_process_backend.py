@@ -16,7 +16,7 @@ import tempfile
 import pytest
 
 from repro.bigtable.process_backend import (
-    ProcessShardedBackend,
+    FederatedShardedBackend,
     WorkerPool,
     build_recipes,
     make_scaleout_backend,
@@ -126,8 +126,8 @@ class TestWorkerPoolLifecycle:
         assert hooks == []
 
     def test_backend_close_is_reentrant_via_context_manager(self):
-        with ProcessShardedBackend(
-            build_recipes(2, num_objects=40), num_workers=2
+        with FederatedShardedBackend(
+            WorkerPool(2), build_recipes(2, num_objects=40)
         ) as backend:
             ping(backend.pool.connections[1])
         backend.close()  # after __exit__ already closed it
@@ -316,7 +316,8 @@ class TestFederationProtocol:
             LoadTest(cluster, seed=404, rebalance_every=2, faults=faults).run_mixed_batches(
                 make_messages(400, 300), make_queries(60), batch_size=64
             )
-            stacks = [service.cluster for service in cluster.backend.transport.services]
+            services = cluster.backend.pool.services[0]  # the one loopback worker
+            stacks = [services[shard_id].cluster for shard_id in range(3)]
             emulators = [stack.indexer.emulator for stack in stacks]
             backend = cluster.backend
             ledger = OpCounter(model=CostModel())
@@ -355,10 +356,10 @@ class TestFederationProtocol:
             make_scaleout_backend("threads", 2, num_objects=10)
 
     def test_workers_cap_at_shard_count(self):
-        with ProcessShardedBackend(
-            build_recipes(2, num_objects=20), num_workers=8
+        with make_scaleout_backend(
+            "process", 2, num_workers=8, num_objects=20
         ) as backend:
-            assert backend.num_workers == 2
+            assert backend.pool.num_workers == 2
 
     def test_shard_preload_partitions_every_object_exactly_once(self):
         from repro.server.worker import ShardService, shard_of
@@ -468,12 +469,17 @@ class TestLedgerMergeDeterminism:
     def test_ledgers_and_results_bit_identical_across_worker_counts(self):
         reference, _, _ = self._drive("inprocess", 1)
         wires = {}
-        for variant in (("process", 1), ("process", 2), ("process", 4), ("disk", 2)):
+        variants = (
+            ("inprocess", 1), ("inprocess", 2),
+            ("process", 1), ("process", 2), ("process", 4), ("disk", 2),
+        )
+        for variant in variants:
             simulated, wires[variant], recipes = self._drive(*variant)
             assert simulated == reference, f"{variant} diverged from in-process"
-        # Which OS process executes a shard never shows on the wire.
-        assert wires["process", 1] == wires["process", 2] == wires["process", 4]
-        assert wires["process", 1] == (self.EXPECTED_WIRE_BYTES, self.EXPECTED_FRAMES)
+        # Neither the pool nor which worker executes a shard shows on the
+        # wire: the loopback carries the forked workers' frames.
+        for variant in variants[:-1]:
+            assert wires[variant] == (self.EXPECTED_WIRE_BYTES, self.EXPECTED_FRAMES)
         # Disk sends the same frames; its bytes differ by exactly the
         # storage path in each build recipe — a length-prefixed string
         # where the process recipes say ``None`` in one byte.
