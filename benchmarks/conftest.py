@@ -9,7 +9,8 @@ Benchmarks are run with ``benchmark.pedantic(rounds=1, iterations=1)``: the
 interesting measurements are the *simulated* costs computed inside each
 experiment, not the wall-clock time of the harness itself, so repeating the
 harness many times would only slow the suite down.  Nothing here reads the
-wall clock (CI greps for it); wall-clock performance is ``moistbench/``'s job.
+wall clock (the ``wall-clock`` row of ``tests/test_fences.py``);
+wall-clock performance is ``moistbench/``'s job.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import os
 import shutil
 import sys
@@ -80,6 +81,13 @@ def no_leaks(tmp_path_factory):
         del os.environ["TMPDIR"]
     else:
         os.environ["TMPDIR"] = saved[1]
+    # pytest keeps the last failure's traceback for post-mortem debugging;
+    # its frames would hold a failed test's pool and that pool's process
+    # sentinels open, so a red test would also read as a leak.
+    for name in ("last_type", "last_value", "last_traceback", "last_exc"):
+        if hasattr(sys, name):
+            delattr(sys, name)
+    gc.collect()
     leaked = {
         "worker pids": sorted(_child_pids() - children),
         "open fds": sorted(

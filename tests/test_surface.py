@@ -19,28 +19,23 @@ callees.  Its edges:
 
 A def no root reaches is code only its tests keep alive; it fails here
 unless allow-listed below, each entry with the reason it stays.  A module
-nothing outside ``tests/`` imports is the same thing one level up.  Each
-name also has one import path: sub-package ``__init__`` files are
-docstring-only.  A registered worker verb is the same case over the wire:
-one that no file under ``src/``, ``moistbench/``, ``benchmarks/`` or
-``examples/`` (``server/worker.py`` aside) passes to a send call is sent by
-nothing.  The test-only verbs ``tests/shard_harness.py`` registers are the
-mirror case: tests send each of them, and nothing else does.
+nothing outside ``tests/`` imports is the same thing one level up.  A
+registered worker verb is the same case over the wire: one that no file
+under ``src/``, ``moistbench/``, ``benchmarks/`` or ``examples/``
+(``server/worker.py`` aside) passes to a send call is sent by nothing.  The
+test-only verbs ``tests/shard_harness.py`` registers are the mirror case:
+tests send each of them, and nothing else does.
 
-An unused-import pass (pyflakes' F401, which CI's ruff runs) covers every
-tree ruff lints, tests included, so a deletion that strands an import fails
-in tier-1 too.
+The import-shape rules (docstring-only sub-package ``__init__`` files, no
+lazy import shim, no unused import) are rows of ``tests/test_fences.py``.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from collections import defaultdict
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
-
-import pytest
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from shard_harness import HARNESS_VERBS
 
@@ -413,28 +408,6 @@ def test_every_module_is_imported_outside_tests():
     assert unimported_modules() == []
 
 
-@pytest.mark.parametrize(
-    "init", sorted(PACKAGE.glob("*/__init__.py")), ids=lambda p: p.parent.name
-)
-def test_sub_package_init_is_its_docstring(init):
-    """One import path per name: a sub-package re-exports nothing, so it
-    needs no import shim; ``repro/__init__.py`` is the one facade."""
-    body = ast.parse(init.read_text()).body
-    assert len(body) == 1
-    assert isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant)
-    assert isinstance(body[0].value.value, str)
-
-
-def test_no_module_defines_a_lazy_import_shim():
-    shims = [
-        _module_name(path)
-        for path in PACKAGE.rglob("*.py")
-        for node in ast.parse(path.read_text()).body
-        if isinstance(node, ast.FunctionDef) and node.name in ("__getattr__", "__dir__")
-    ]
-    assert shims == []
-
-
 #: Registered verbs that pass without a named send, each with the reason.
 UNSENT_VERBS = {
     "update_batch": "sent by the compact data-plane opcode, not by name",
@@ -536,65 +509,3 @@ def test_allow_list_entries_still_exist():
     assert set(ALLOWED_MODULES) <= set(_package_modules())
     reached = {key.split(":")[1] for key in graph.reach(roots)}
     assert sorted(set(ALLOWED_NAMES) & reached) == []
-
-
-#: Directories the unused-import pass reads: what ``ruff check .`` lints.
-IMPORT_DIRS = ("src", "tests", "benchmarks", "examples", "moistbench")
-
-_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
-
-def unused_imports(tree: ast.Module, lines: Sequence[str]) -> List[Tuple[int, str]]:
-    """``(line, name)`` of every name an import binds and the module never
-    loads.  ``__future__`` imports and lines marked ``# noqa: F401`` are
-    exempt, and a name that appears in any string constant counts as used —
-    which covers ``__all__``, quoted annotations and ``getattr`` names."""
-    bound: List[Tuple[int, str]] = []
-    used: Set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            used.add(node.id)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            used.update(_WORD.findall(node.value))
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-                continue
-            text = lines[node.lineno - 1 : node.end_lineno]
-            if any("# noqa: F401" in line for line in text):
-                continue
-            for alias in node.names:
-                if alias.name != "*":
-                    name = alias.asname or alias.name.split(".")[0]
-                    bound.append((node.lineno, name))
-    return [(line, name) for line, name in bound if name not in used]
-
-
-def test_no_module_imports_a_name_it_never_uses():
-    found = []
-    for directory in IMPORT_DIRS:
-        for path in sorted((ROOT / directory).rglob("*.py")):
-            text = path.read_text()
-            for line, name in unused_imports(ast.parse(text), text.splitlines()):
-                found.append(f"{path.relative_to(ROOT)}:{line} {name}")
-    assert found == []
-
-
-def test_pass_finds_a_planted_unused_import():
-    source = (
-        "from __future__ import annotations\n"
-        "import os\n"
-        "import sys\n"
-        "import xml.dom as dom\n"
-        "import json.decoder\n"
-        "from typing import Dict, List\n"
-        "from m import kept  # noqa: F401\n"
-        "from m import (\n"
-        "    exported,\n"
-        "    stranded,\n"
-        ")\n"
-        "__all__ = ['exported']\n"
-        "def f() -> 'Dict[str, int]':\n"
-        "    return json.decoder, sys.argv\n"
-    )
-    found = unused_imports(ast.parse(source), source.splitlines())
-    assert found == [(2, "os"), (4, "dom"), (6, "List"), (8, "stranded")]
