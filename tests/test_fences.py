@@ -63,8 +63,8 @@ def source_files(root: Path) -> Dict[str, str]:
 
 
 #: Parses, node indexes and each row's hits, keyed by source text, so each
-#: file is parsed once however many rows read it; emptied once the module's
-#: tests are done.
+#: file is parsed once however many rows read it, and a planted case re-reads
+#: only the file it changed; emptied once the module's tests are done.
 _MEMO: Dict[tuple, object] = {}
 
 
@@ -87,8 +87,9 @@ def tree() -> Dict[str, str]:
 
 def _parse(source: str) -> ast.Module:
     def build() -> ast.Module:
-        # An AST is a great many fresh objects, none of them garbage; a
-        # collection they trigger would also walk every tree already kept.
+        # The memo keeps every tree, so a full collection that the parse's
+        # fresh nodes trigger re-walks all of them; none of it is garbage.
+        # This is test code: the collector-tuning row guards src/ only.
         enabled = gc.isenabled()
         gc.disable()
         try:
@@ -106,16 +107,8 @@ class _Index:
 
     def __init__(self, source: str) -> None:
         self.by_type: Dict[type, List[ast.AST]] = {}
-        stack: List[ast.AST] = [_parse(source)]
-        while stack:  # ast.walk, minus its generators: twice as fast
-            node = stack.pop()
+        for node in ast.walk(_parse(source)):
             self.by_type.setdefault(type(node), []).append(node)
-            for field in node._fields:
-                value = getattr(node, field, None)
-                if isinstance(value, list):
-                    stack.extend(item for item in value if isinstance(item, ast.AST))
-                elif isinstance(value, ast.AST):
-                    stack.append(value)
         scopes = [
             node
             for kind in DEFS + (ast.ClassDef,)
@@ -179,13 +172,11 @@ def _is_docstring(node: ast.AST) -> bool:
 def text(pattern: str) -> Finder:
     """Every line the regular expression matches somewhere in."""
     regex = re.compile(pattern)
-    anywhere = re.compile(pattern, re.MULTILINE)  # one pass per file first
 
     def find(source: str) -> Iterator[Hit]:
-        if anywhere.search(source):
-            for number, line in enumerate(source.split("\n"), 1):
-                if regex.search(line):
-                    yield number, "", None
+        for number, line in enumerate(source.split("\n"), 1):
+            if regex.search(line):
+                yield number, "", None
 
     return find
 
@@ -485,6 +476,28 @@ def retired(rule: str, reason: str, names: Sequence[str], scope=SRC, where="src/
     )
 
 
+#: One stranded name of each import shape (plain, ``as`` alias, one of
+#: several, the first line of a multi-line import) beside every exemption: a
+#: ``__future__`` import, ``# noqa: F401``, ``__all__``, a quoted annotation
+#: and a dotted import used through its root.
+STRANDED_IMPORTS = (
+    "from __future__ import annotations\n"
+    "import os  # planted\n"
+    "import sys\n"
+    "import xml.dom as dom  # planted\n"
+    "import json.decoder\n"
+    "from typing import Dict, List  # planted\n"
+    "from m import kept  # noqa: F401\n"
+    "from m import (  # planted\n"
+    "    exported,\n"
+    "    stranded,\n"
+    ")\n"
+    "__all__ = ['exported']\n"
+    "def f() -> 'Dict[str, int]':\n"
+    "    return json.decoder, sys.argv\n"
+)
+
+
 def planted(*lines: str, args: str = "x") -> str:
     """A ``planted`` def whose every line is marked."""
     return f"def planted({args}):\n" + "".join(f"    {line}  # planted\n" for line in lines)
@@ -753,7 +766,7 @@ FENCES: Tuple[Fence, ...] = (
         "ruff runs in CI; ruff is not installed on every host).",
         EVERYWHERE,
         _unused_imports,
-        plant=("src/repro/cli.py", "import colorsys  # planted\n"),
+        plant=("src/repro/planted.py", STRANDED_IMPORTS),
     ),
     Fence(
         "version-bump",
@@ -865,6 +878,14 @@ def test_a_nested_def_is_reported_under_its_own_name():
         f"{STORE}:ShardStore.append._sync_again"
     ]
     assert fence.unmatched(files) == []
+
+
+def test_an_unused_import_is_reported_under_the_stranded_name():
+    path, source = FENCE["unused-import"].plant
+    reported = FENCE["unused-import"].violations(_with(tree(), path, source))
+    assert [(site.line, site.qualname) for site in reported] == [
+        (2, "os"), (4, "dom"), (6, "List"), (8, "stranded"),
+    ]
 
 
 def test_every_eviction_site_must_bump_the_version():
