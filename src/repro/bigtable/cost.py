@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -176,10 +176,11 @@ class OpCounter:
     One counter is typically shared by every table of an emulator instance;
     experiments snapshot/reset it around the measured section so read,
     compute and write time can be reported separately (Figure 10).
-    ``record_point``, ``record_group`` and ``record_syncs`` charge several
-    ledgers in one call, bit-identical (dict key order included) to the calls
-    each one names.  Tablet ledgers share their table's cost model; a ledger
-    hashes by identity, so a group commit keys its charges by it.
+    ``record_point``, ``record_scan``, ``record_batch_read``,
+    ``record_group`` and ``record_syncs`` charge several ledgers in one call,
+    bit-identical (dict key order included) to the calls each one names.
+    Tablet ledgers share their table's cost model; a ledger hashes by
+    identity, so a group commit keys its charges by it.
     """
 
     model: CostModel = field(default_factory=CostModel)
@@ -269,6 +270,60 @@ class OpCounter:
                 ledger.read_seconds += cost
             else:
                 ledger.write_seconds += cost
+
+    def record_scan(self, charges: Sequence[Tuple["OpCounter", int, int]]) -> None:
+        """One range scan on the shared ledger and on each scanned tablet's,
+        in one call.  ``charges`` lists ``(tablet ledger, cold rows, warm
+        rows)``.  The shared ledger is charged first with the totals, then
+        each tablet in order; each ledger gets ``record(SCAN, rows=cold)``
+        and, when any row was warm, ``record(CACHE_READ, rows=warm)``.  A
+        ledger with no row at all is charged one scan row: it served the
+        probe, so an empty cell still shows in ``tablet_stats()``.  A tablet
+        whose rows were all warm still pays the scan RPC, so its read time
+        keeps growing as the shared ledger's does, and the skew the
+        contention model reads does not fade as the cache warms."""
+        table = self.model._cost_table
+        scan = OpKind.SCAN
+        cached = OpKind.CACHE_READ
+        fixed, per_row, post_factor = table[scan]
+        cache_fixed, cache_row, cache_factor = table[cached]
+        cold_total = warm_total = 0
+        for _, cold, warm in charges:
+            cold_total += cold
+            warm_total += warm
+        for ledger, cold, warm in [(self, cold_total, warm_total), *charges]:
+            rows = cold if cold + warm > 0 else 1
+            cost = (fixed + per_row * rows) * post_factor
+            counts = ledger.counts
+            totals = ledger.rows
+            counts[scan] = counts.get(scan, 0) + 1
+            totals[scan] = totals.get(scan, 0) + rows
+            ledger.simulated_seconds += cost
+            ledger.read_seconds += cost
+            if warm > 0:
+                cost = (cache_fixed + cache_row * warm) * cache_factor
+                counts[cached] = counts.get(cached, 0) + 1
+                totals[cached] = totals.get(cached, 0) + warm
+                ledger.simulated_seconds += cost
+                ledger.read_seconds += cost
+
+    def record_batch_read(
+        self, total: int, ledgers: Sequence["OpCounter"], rows: Sequence[int]
+    ) -> None:
+        """One batch read in one call: ``self.record(BATCH_READ,
+        rows=total)``, then ``ledger.record(BATCH_READ, rows=n)`` for each
+        tablet ledger and its row count, in the order the tablets were
+        first seen."""
+        kind = OpKind.BATCH_READ
+        fixed, per_row, post_factor = self.model._cost_table[kind]
+        for ledger, count in [(self, total), *zip(ledgers, rows)]:
+            cost = (fixed + per_row * count) * post_factor
+            counts = ledger.counts
+            counts[kind] = counts.get(kind, 0) + 1
+            totals = ledger.rows
+            totals[kind] = totals.get(kind, 0) + count
+            ledger.simulated_seconds += cost
+            ledger.read_seconds += cost
 
     def record_group(self, pending: Dict[Tuple["OpCounter", OpKind], int]) -> None:
         """A group commit's charges, ``(tablet ledger, kind) -> calls``, in

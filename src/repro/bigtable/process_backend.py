@@ -68,6 +68,15 @@ def _child_main(child_sock: socket.socket, parent_sock: socket.socket) -> None:
     worker_main(child_sock)
 
 
+def _close_if_reaped(process: multiprocessing.process.BaseProcess) -> bool:
+    """Close a joined worker, releasing its sentinel pipe; ``False`` (and
+    nothing done) while it still runs."""
+    if process.exitcode is None:
+        return False
+    process.close()
+    return True
+
+
 class _Pool:
     """What both pools share: a framed connection per worker, the respawn
     handoff; each adds kill, pause, shutdown and ``_replace``."""
@@ -168,6 +177,7 @@ class WorkerPool(_Pool):
         if old_process.is_alive():
             old_process.kill()
         old_process.join(timeout=5.0)
+        _close_if_reaped(old_process)
         worker = self._spawn_worker(next_request_id)
         self.processes[index], self.connections[index] = worker
 
@@ -181,7 +191,9 @@ class WorkerPool(_Pool):
         both call it; the first run flips ``_closed`` and unregisters the
         atexit hook, the second returns immediately).  The final SIGKILL
         pass reaps SIGSTOPped workers, which ignore both the shutdown
-        frame and SIGTERM."""
+        frame and SIGTERM.  Each reaped worker is closed, which releases
+        its sentinel pipe, and leaves :attr:`processes`: what stays there
+        outlived even SIGKILL."""
         if self._closed:
             return
         self._closed = True
@@ -201,6 +213,9 @@ class WorkerPool(_Pool):
             if process.is_alive():
                 process.kill()
                 process.join(timeout=_JOIN_TIMEOUT_S)
+        self.processes = [
+            process for process in self.processes if not _close_if_reaped(process)
+        ]
         for connection in self.connections:
             connection.close()
 

@@ -34,12 +34,12 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from repro.bigtable.cost import OpCounter, OpKind
+from repro.bigtable.cost import OpCounter
 from repro.bigtable.lsm import MEMTABLE_SOURCE
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.bigtable.tablet import Tablet, TabletLocator
+    from repro.bigtable.tablet import TabletLocator
 
 
 @dataclass(frozen=True)
@@ -336,9 +336,10 @@ class Scanner:
     def _charge(self, scanned: List[tuple]) -> None:
         """Price each scanned ``(tablet, row keys, sources)`` through the
         block cache, one slice per run of rows from one source, then record
-        the scan on the shared ledger and each tablet's."""
+        the scan on the shared ledger and each tablet's
+        (:meth:`~repro.bigtable.cost.OpCounter.record_scan`)."""
         price = self.cache.price
-        charges: List[Tuple["Tablet", int, int]] = []
+        charges: List[Tuple[OpCounter, int, int]] = []
         for tablet, keys, sources in scanned:
             tablet_id = tablet.tablet_id
             if sources is None:
@@ -349,29 +350,5 @@ class Scanner:
                     width = len(list(run))
                     warm += price(tablet_id, source, keys[at : at + width])
                     at += width
-            charges.append((tablet, len(keys) - warm, warm))
-        cold_total = sum(cold for _, cold, _ in charges)
-        warm_total = sum(warm for _, _, warm in charges)
-        self.counter.record(
-            OpKind.SCAN, rows=cold_total if cold_total + warm_total > 0 else 1
-        )
-        if warm_total > 0:
-            self.counter.record(OpKind.CACHE_READ, rows=warm_total)
-        self._attribute_scan(charges)
-
-    def _attribute_scan(self, charges: List[Tuple["Tablet", int, int]]) -> None:
-        """Mirror one scan onto the scanned tablets' ledgers.
-
-        Every scanned tablet is charged the scan RPC it served — with its
-        cold rows, or zero rows when the block cache covered everything —
-        so a cache-hot tablet keeps accumulating read time on its ledger
-        exactly as the shared ledger does (the skew signal the contention
-        model consumes must not fade as the cache warms).  Tablets that
-        contributed no rows at all are charged one scan row, so empty
-        probes — e.g. an NN search visiting a cell nobody occupies — still
-        appear in ``tablet_stats()``.
-        """
-        for tablet, cold, warm in charges:
-            tablet.counter.record(OpKind.SCAN, rows=cold if cold + warm > 0 else 1)
-            if warm > 0:
-                tablet.counter.record(OpKind.CACHE_READ, rows=warm)
+            charges.append((tablet.counter, len(keys) - warm, warm))
+        self.counter.record_scan(charges)

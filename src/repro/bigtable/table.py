@@ -794,13 +794,38 @@ class Table:
         """The RPC half of :meth:`batch_read`: charge it and return each
         key's tablet, reading no row."""
         tablets = list(map(self._tablets.locate, row_keys))
-        self.counter.record(OpKind.BATCH_READ, rows=max(len(row_keys), 1))
         counts: Dict[Tablet, int] = {}
         for tablet in tablets:
             counts[tablet] = counts.get(tablet, 0) + 1
-        for tablet, rows in counts.items():
-            tablet.counter.record(OpKind.BATCH_READ, rows=rows)
+        self.counter.record_batch_read(
+            max(len(row_keys), 1),
+            [tablet.counter for tablet in counts],
+            list(counts.values()),
+        )
         return tablets
+
+    def compile_batch_read(self, row_keys: Sequence[str]) -> tuple:
+        """What :meth:`charge_batch_read` of ``row_keys`` charges, as a plan
+        of atoms: the row count, the positions of the tablets the keys route
+        to (:meth:`TabletLocator.index_for`, first seen first) and each one's
+        row count.  :meth:`charge_batch_plan` charges it again without
+        routing a key; valid while :attr:`version` has not moved, since
+        every split and merge bumps it."""
+        index_for = self._tablets.index_for
+        counts: Dict[int, int] = {}
+        for row_key in row_keys:
+            index = index_for(row_key)
+            counts[index] = counts.get(index, 0) + 1
+        return max(len(row_keys), 1), tuple(counts), tuple(counts.values())
+
+    def charge_batch_plan(self, plan: tuple) -> None:
+        """Charge a :meth:`compile_batch_read` plan: the same ledgers, rows
+        and order as the :meth:`charge_batch_read` it was compiled from."""
+        total, indices, rows = plan
+        tablet_at = self._tablets.tablet_at
+        self.counter.record_batch_read(
+            total, [tablet_at(index).counter for index in indices], rows
+        )
 
     def batch_write(
         self, mutations: Sequence[Tuple[str, str, str, object, float]]

@@ -600,19 +600,24 @@ class TabletLocator:
         """Every tablet in key order (copy)."""
         return list(self._tablets)
 
-    def _index_for(self, key: str) -> int:
-        # bisect_right on the start keys: the owning tablet is the last one
-        # whose start key is <= key.  The first start is "" so index >= 0.
+    def index_for(self, key: str) -> int:
+        """Position of the tablet owning ``key`` in key order: the last one
+        whose start key is <= ``key`` (the first start is "", so >= 0).  It
+        names the same tablet until the next split or merge."""
         return bisect_right(self._starts, key) - 1
 
+    def tablet_at(self, index: int) -> Tablet:
+        """The tablet at position ``index`` of :meth:`index_for`."""
+        return self._tablets[index]
+
     def locate(self, key: str) -> Tablet:
-        """The tablet whose key range contains ``key`` (:meth:`_index_for`
+        """The tablet whose key range contains ``key`` (:meth:`index_for`
         inlined: every point operation routes through here)."""
         return self._tablets[bisect_right(self._starts, key) - 1]
 
     def end_key_of(self, tablet: Tablet) -> Optional[str]:
         """Exclusive upper bound of a tablet's range (``None`` = open)."""
-        index = self._index_for(tablet.start_key)
+        index = self.index_for(tablet.start_key)
         if index + 1 < len(self._tablets):
             return self._tablets[index + 1].start_key
         return None
@@ -621,7 +626,7 @@ class TabletLocator:
         self, start: Optional[str] = None, end: Optional[str] = None
     ) -> List[Tablet]:
         """Tablets whose ranges intersect ``[start, end)``, in key order."""
-        first = 0 if start is None else self._index_for(start)
+        first = 0 if start is None else self.index_for(start)
         selected: List[Tablet] = []
         for index in range(first, len(self._tablets)):
             tablet = self._tablets[index]
@@ -712,7 +717,7 @@ class TabletLocator:
                 candidate.log_records -= sibling.log_records
             candidate.recompute_counts()
             sibling.recompute_counts()
-            index = self._index_for(candidate.start_key)
+            index = self.index_for(candidate.start_key)
             self._tablets.insert(index + 1, sibling)
             self._starts.insert(index + 1, mid_key)
             self.splits += 1
@@ -741,7 +746,7 @@ class TabletLocator:
             or tablet.row_count > self.options.merge_threshold
         ):
             return False
-        index = self._index_for(tablet.start_key)
+        index = self.index_for(tablet.start_key)
         for left_index in (index, index - 1):
             right_index = left_index + 1
             if left_index < 0 or right_index >= len(self._tablets):

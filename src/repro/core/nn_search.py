@@ -32,6 +32,16 @@ sequential execution on overlapping workloads.
 Across batches the searcher memoises each non-predictive block with how it
 was charged, while neither table's ``version`` moves: a hit reads no row but
 pays every charge the live path would (:meth:`NearestNeighborSearcher._replay`).
+The scan is replayed from its trace, the row keys each tablet returned,
+priced through the block cache again.  The Follower Info read is compiled
+into a plan on the block's first hit (:meth:`Table.compile_batch_read`): the
+key count, the positions of the Affiliation tablets the leaders route to and
+each one's row count, all atoms, so the plan costs the collector nothing and
+a later hit routes no key.  Positions stay valid because every split and
+merge bumps ``version``.  Every scan and batch read, live or replayed,
+charges the shared ledger and the tablets' in one
+:meth:`~repro.bigtable.cost.OpCounter.record_scan` or
+:meth:`~repro.bigtable.cost.OpCounter.record_batch_read` call.
 """
 
 from __future__ import annotations
@@ -42,14 +52,19 @@ from itertools import chain
 from dataclasses import dataclass, field
 from math import hypot
 from operator import itemgetter
-from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.config import MoistConfig
 from repro.core.flag import FlagTuner
 from repro.errors import QueryError
 from repro.geometry.point import Point
 from repro.model import LocationRecord, NeighborResult, ObjectId
-from repro.spatial.cell import CellId
+from repro.spatial.cell import (
+    CellId,
+    box_distance,
+    cell_box_lookup,
+    edge_neighbor_positions,
+)
 from repro.tables.affiliation_table import AffiliationTable
 from repro.tables.location_table import LocationTable
 from repro.tables.spatial_index_table import SpatialIndexTable
@@ -99,11 +114,16 @@ class QueryBatchContext:
     The second query probing the same cell skips rebuilding the block while
     tallying exactly the ``scans_shared``/``rows_shared`` the underlying
     memo hits would have produced.
+
+    ``cell_objects`` holds a scanned cell's leaders as a dict, or the
+    :class:`CandidateBlock` of a cross-batch memo hit, whose leader rows
+    are the scan's result; the dict is built from it only when another
+    variant of the cell needs it.
     """
 
-    cell_objects: Dict[CellId, Dict[ObjectId, Tuple[float, float]]] = field(
-        default_factory=dict
-    )
+    cell_objects: Dict[
+        CellId, Union[Dict[ObjectId, Tuple[float, float]], CandidateBlock]
+    ] = field(default_factory=dict)
     followers: Dict[ObjectId, Dict[ObjectId, Tuple[float, float]]] = field(
         default_factory=dict
     )
@@ -134,7 +154,9 @@ class NearestNeighborSearcher:
         self.location_table = location_table
         self.flag_tuner = flag_tuner
         #: ``(cell level, cell pos, include_followers)`` -> ``(block, scan
-        #: trace, non-empty Follower Info or None)`` at ``_memo_versions``.
+        #: trace, non-empty Follower Info or None)`` at ``_memo_versions``;
+        #: the first hit appends the compiled Follower Info read plan (or
+        #: ``None`` when the block reads none).
         self._memo: Dict[Tuple[int, int, bool], tuple] = {}
         self._memo_versions: Optional[Tuple[int, int]] = None
 
@@ -171,16 +193,22 @@ class NearestNeighborSearcher:
         stats.nn_level = level
 
         world = self.config.world
-        start_cell = CellId.from_point(location, level, world)
+        # Cells are expanded by curve position at this level: neighbours and
+        # boxes are looked up by an int, and a CellId is built only for the
+        # cells actually visited.
+        start = CellId.from_point(location, level, world).pos
+        box_at = cell_box_lookup(level, world)
         counter = itertools.count()
         tiebreak = counter.__next__
         heappush = heapq.heappush
         heappop = heapq.heappop
         heappushpop = heapq.heappushpop
-        cell_queue: List[Tuple[float, int, CellId]] = [
-            (start_cell.distance_to_point(location, world), tiebreak(), start_cell)
+        query_x = location.x
+        query_y = location.y
+        cell_queue: List[Tuple[float, int, int]] = [
+            (box_distance(box_at(start), query_x, query_y), tiebreak(), start)
         ]
-        seen_cells: Set[CellId] = {start_cell}
+        seen_cells: Set[int] = {start}
         # Max-heap of the best k candidates as (-distance, tiebreak, block,
         # row); the tiebreak is unique, so blocks are never compared.
         best: List[Tuple[float, int, CandidateBlock, int]] = []
@@ -188,16 +216,14 @@ class NearestNeighborSearcher:
         # limit until k candidates are held, then also the k-th distance.
         dist_max = range_limit if range_limit is not None else float("inf")
         max_cells = self.config.max_nn_cells_per_query
-        query_x = location.x
-        query_y = location.y
 
         while cell_queue and stats.cells_visited < max_cells:
-            cell_distance, _, cell = heappop(cell_queue)
+            cell_distance, _, pos = heappop(cell_queue)
             if cell_distance > dist_max:
                 break
             stats.cells_visited += 1
             block = self._candidate_block(
-                cell, at_time, include_followers, stats, context
+                CellId(level, pos), at_time, include_followers, stats, context
             )
             coordinates = iter(block.xy)
             for row, x, y in zip(itertools.count(), coordinates, coordinates):
@@ -215,11 +241,11 @@ class NearestNeighborSearcher:
                 dist_max = -best[0][0]
                 if range_limit is not None and range_limit < dist_max:
                     dist_max = range_limit
-            for neighbor in cell.edge_neighbors():
+            for neighbor in edge_neighbor_positions(level, pos):
                 if neighbor in seen_cells:
                     continue
                 seen_cells.add(neighbor)
-                neighbor_distance = neighbor.distance_to_point(location, world)
+                neighbor_distance = box_distance(box_at(neighbor), query_x, query_y)
                 if neighbor_distance <= dist_max:
                     heappush(cell_queue, (neighbor_distance, tiebreak(), neighbor))
 
@@ -301,11 +327,22 @@ class NearestNeighborSearcher:
     ) -> Dict[ObjectId, Tuple[float, float]]:
         """Key-range scan of one NN cell's spatial-index rows, shared
         across the batch when a context is present (``trace``: see
-        :meth:`Table.scan`)."""
+        :meth:`Table.scan`).  A memo hit leaves its block in the context
+        instead of the scan's dict; the dict is rebuilt from the block's
+        leader rows here, the first time another variant of the cell asks."""
         if context is not None:
             cached = context.cell_objects.get(cell)
             if cached is not None:
                 context.scans_shared += 1
+                if type(cached) is CandidateBlock:
+                    n_leaders = cached.n_leaders
+                    xy = cached.xy
+                    cached = context.cell_objects[cell] = dict(
+                        zip(
+                            cached.ids[:n_leaders],
+                            zip(xy[0 : 2 * n_leaders : 2], xy[1 : 2 * n_leaders : 2]),
+                        )
+                    )
                 return cached
         leaders = self.spatial_table.objects_in_cell(cell, trace)
         if context is not None:
@@ -350,18 +387,15 @@ class NearestNeighborSearcher:
         )
 
     def _followers_of(
-        self,
-        leader_ids: Sequence[ObjectId],
-        context: Optional[QueryBatchContext],
-        fetch=None,
+        self, leader_ids: Sequence[ObjectId], context: Optional[QueryBatchContext]
     ) -> Dict[ObjectId, Dict[ObjectId, Tuple[float, float]]]:
         """Follower Info of ``leader_ids``, batch-read once per batch
         (``.get`` of a leader without an affiliation row is ``None`` or an
         empty dict; the shared empty default is never mutated by
-        readers).  A memo hit passes its own ``fetch``."""
+        readers)."""
         return self._shared_batch_read(
             leader_ids,
-            fetch or self.affiliation_table.batch_followers,
+            self.affiliation_table.batch_followers,
             context,
             context.followers if context is not None else None,
             {},
@@ -410,7 +444,7 @@ class NearestNeighborSearcher:
             memo_key = (cell.level, cell.pos, include_followers)
             entry = memo.get(memo_key)
             if entry is not None:
-                return self._replay(entry, cell, include_followers, stats, context)
+                return self._replay(memo_key, entry, cell, stats, context)
             trace = []
 
         leaders = self._scan_cell(cell, context, trace)
@@ -463,16 +497,32 @@ class NearestNeighborSearcher:
 
     def _replay(
         self,
+        memo_key: Tuple[int, int, bool],
         entry: tuple,
         cell: CellId,
-        include_followers: bool,
         stats: NNQueryStats,
         context: Optional[QueryBatchContext],
     ) -> CandidateBlock:
         """Serve a memoised block, paying what building it would have paid:
-        its scan (unless the batch shares it) and its Follower Info read,
-        answered from the memo; the context learns both, as after a build."""
-        block, trace, known = entry
+        its scan (unless the batch shares it) and its Follower Info read
+        over the leaders the batch has not fetched; the context learns both,
+        as after a build.
+
+        The first hit compiles the read into a plan of atoms
+        (:meth:`Table.compile_batch_read`) and stores it as the entry's
+        fourth field.  The read is charged from the plan when no leader was
+        fetched yet, live over the missing ones when some were."""
+        include_followers = memo_key[2]
+        if len(entry) == 3:
+            block, trace, known = entry
+            plan = None
+            if include_followers and block.n_leaders:
+                plan = self.affiliation_table.table.compile_batch_read(
+                    block.ids[: block.n_leaders]
+                )
+            self._memo[memo_key] = block, trace, known, plan
+        else:
+            block, trace, known, plan = entry
         ids = block.ids
         n_leaders = block.n_leaders
         stats.leaders_scanned += n_leaders
@@ -480,17 +530,24 @@ class NearestNeighborSearcher:
             context.scans_shared += 1
         else:
             self.spatial_table.table.replay_scan(*cell.key_range(), trace)
-            if context is not None:  # what the scan would have returned
-                xy = block.xy[: 2 * n_leaders]
-                context.cell_objects[cell] = dict(zip(ids, zip(xy[0::2], xy[1::2])))
-        if include_followers and n_leaders:
-            charge = self.affiliation_table.table.charge_batch_read
-
-            def fetch(leader_ids: List[ObjectId]) -> dict:
-                charge(leader_ids)
-                return known or {}
-
-            self._followers_of(ids[:n_leaders], context, fetch)
+            if context is not None:  # _scan_cell reads the leaders off it
+                context.cell_objects[cell] = block
+        if plan is not None:
+            table = self.affiliation_table.table
+            if context is None:
+                table.charge_batch_plan(plan)
+            else:
+                followers = context.followers
+                missing = [leader for leader in ids[:n_leaders] if leader not in followers]
+                if len(missing) == n_leaders:
+                    table.charge_batch_plan(plan)
+                elif missing:
+                    table.charge_batch_read(missing)
+                found = known or {}
+                absent: dict = {}
+                for leader in missing:
+                    followers[leader] = found.get(leader, absent)
+                context.rows_shared += n_leaders - len(missing)
             stats.followers_considered += len(ids) - n_leaders
         if context is not None:
             context.cell_blocks[(cell, include_followers, None)] = block

@@ -18,7 +18,9 @@ The conversions between cells, row-key tokens, world boxes and neighbour
 sets are pure functions of ``(level, pos)`` and are **memoized** at module
 level: one NN query touches the same cells through its priority queue many
 times (key range for the scan, box for the distance bound, neighbours for
-expansion), and the caches turn each re-derivation into a dict hit.  Key
+expansion), and the caches turn each re-derivation into a dict hit.  Boxes
+are memoized per ``(level, world)`` and then per position, and neighbours
+are curve positions, so the NN search's inner loop hashes ints only.  Key
 tokens are additionally ``sys.intern``-ed so the row-key dictionaries of the
 storage layer compare them by pointer.
 
@@ -166,7 +168,7 @@ class CellId:
     # ------------------------------------------------------------------
     def to_box(self, world: BoundingBox = WORLD_UNIT_BOX) -> BoundingBox:
         """The rectangle this cell occupies in world coordinates."""
-        return _box_codec(self.level, self.pos, world)
+        return cell_box_lookup(self.level, world)(self.pos)
 
     def center(self, world: BoundingBox = WORLD_UNIT_BOX) -> Point:
         """Centre point of the cell in world coordinates."""
@@ -180,32 +182,8 @@ class CellId:
         Lower-bounds the distance of every object indexed under this cell,
         which is the pruning rule of the NN search (Algorithm 2, line 7).
         """
-        box = _box_codec(self.level, self.pos, world)
-        x = point.x
-        y = point.y
-        # Clamp-and-measure without the intermediate Point: |clamped - p|
-        # componentwise equals the distance to the nearest box edge.
-        if x < box.min_x:
-            dx = box.min_x - x
-        elif x > box.max_x:
-            dx = box.max_x - x
-        else:
-            dx = 0.0
-        if y < box.min_y:
-            dy = box.min_y - y
-        elif y > box.max_y:
-            dy = box.max_y - y
-        else:
-            dy = 0.0
-        return math.hypot(dx, dy)
-
-    def edge_neighbors(self) -> List["CellId"]:
-        """Same-level cells sharing an edge with this cell.
-
-        Cells on the world border have fewer than four neighbours; the NN
-        search pushes whatever neighbours exist (Algorithm 2, line 19).
-        """
-        return list(_edge_neighbors_codec(self.level, self.pos))
+        box = cell_box_lookup(self.level, world)(self.pos)
+        return box_distance(box, point.x, point.y)
 
     def all_neighbors(self) -> List["CellId"]:
         """Same-level cells sharing an edge or a corner (8-neighbourhood)."""
@@ -233,24 +211,59 @@ def _key_codec(level: int, pos: int) -> Tuple[str, str]:
     return start, end
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _box_codec(level: int, pos: int, world: BoundingBox) -> BoundingBox:
-    """World-coordinate rectangle of one cell."""
+@lru_cache(maxsize=256)
+def cell_box_lookup(
+    level: int, world: BoundingBox
+) -> Callable[[int], BoundingBox]:
+    """``box(pos)``: the world-coordinate rectangle of the level-``level``
+    cell at curve position ``pos``, memoized per position.  Kept per
+    ``(level, world)``, like :func:`_position_encoder`, so a lookup hashes
+    one int and never the world box."""
     side = 1 << level
-    gx, gy = (0, 0) if level == 0 else hilbert_point(level, pos)
     cell_w = world.width / side
     cell_h = world.height / side
-    return BoundingBox(
-        world.min_x + gx * cell_w,
-        world.min_y + gy * cell_h,
-        world.min_x + (gx + 1) * cell_w,
-        world.min_y + (gy + 1) * cell_h,
-    )
+    min_x = world.min_x
+    min_y = world.min_y
+
+    @lru_cache(maxsize=_CACHE_SIZE)
+    def box(pos: int) -> BoundingBox:
+        gx, gy = (0, 0) if level == 0 else hilbert_point(level, pos)
+        return BoundingBox(
+            min_x + gx * cell_w,
+            min_y + gy * cell_h,
+            min_x + (gx + 1) * cell_w,
+            min_y + (gy + 1) * cell_h,
+        )
+
+    return box
+
+
+def box_distance(box: BoundingBox, x: float, y: float) -> float:
+    """Shortest distance from ``box`` to ``(x, y)``, 0 inside it.
+
+    Clamp-and-measure without the intermediate Point: |clamped - p|
+    componentwise equals the distance to the nearest box edge."""
+    if x < box.min_x:
+        dx = box.min_x - x
+    elif x > box.max_x:
+        dx = box.max_x - x
+    else:
+        dx = 0.0
+    if y < box.min_y:
+        dy = box.min_y - y
+    elif y > box.max_y:
+        dy = box.max_y - y
+    else:
+        dy = 0.0
+    return math.hypot(dx, dy)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _edge_neighbors_codec(level: int, pos: int) -> Tuple[CellId, ...]:
-    """4-neighbourhood of one cell (same construction order as the seed)."""
+def edge_neighbor_positions(level: int, pos: int) -> Tuple[int, ...]:
+    """Curve positions of the same-level cells sharing an edge with the
+    cell at ``pos`` (same construction order as the seed).  Cells on the
+    world border have fewer than four; the NN search expands whatever
+    exist (Algorithm 2, line 19)."""
     if level == 0:
         return ()
     side = 1 << level
@@ -260,7 +273,7 @@ def _edge_neighbors_codec(level: int, pos: int) -> Tuple[CellId, ...]:
         nx = gx + dx
         ny = gy + dy
         if 0 <= nx < side and 0 <= ny < side:
-            neighbors.append(CellId(level, hilbert_index(level, nx, ny)))
+            neighbors.append(hilbert_index(level, nx, ny))
     return tuple(neighbors)
 
 

@@ -1,5 +1,7 @@
 """Tests for the cost model and operation counter."""
 
+from dataclasses import fields
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -142,17 +144,60 @@ def reference_syncs(shared, appended):
         tablet.record_durability(OpKind.LOG_APPEND, rows=rows)
 
 
+def reference_scan(shared, charges):
+    """A scan as the scanner charged it before ``record_scan``: the shared
+    ledger's totals, then each tablet's ``(ledger, cold, warm)`` share."""
+    cold_total = sum(cold for _, cold, _ in charges)
+    warm_total = sum(warm for _, _, warm in charges)
+    shared.record(OpKind.SCAN, rows=cold_total if cold_total + warm_total > 0 else 1)
+    if warm_total > 0:
+        shared.record(OpKind.CACHE_READ, rows=warm_total)
+    for ledger, cold, warm in charges:
+        ledger.record(OpKind.SCAN, rows=cold if cold + warm > 0 else 1)
+        if warm > 0:
+            ledger.record(OpKind.CACHE_READ, rows=warm)
+
+
+def reference_batch_read(shared, total, ledgers, rows):
+    shared.record(OpKind.BATCH_READ, rows=total)
+    for ledger, count in zip(ledgers, rows):
+        ledger.record(OpKind.BATCH_READ, rows=count)
+
+
 def ledger_view(counter):
-    """Every field, dicts with their key order: ``==`` on floats is exact."""
-    return {
-        name: list(value.items()) if isinstance(value, dict) else value
-        for name, value in vars(counter).items()
-    }
+    """Every field, dicts with their key order, floats by their bits."""
+    view = {}
+    for name in (spec.name for spec in fields(counter)):
+        value = getattr(counter, name)
+        if isinstance(value, dict):
+            value = list(value.items())
+        elif isinstance(value, float):
+            value = value.hex()
+        view[name] = value
+    return view
+
+
+class LoggedCounter(OpCounter):
+    """A ledger that appends ``(its number, new value)`` to ``log`` at
+    every assignment of its simulated seconds: one log for all the ledgers
+    of a program is the order they were charged in, across ledgers."""
+
+    def __init__(self, model, log, number):
+        self.log, self.number = None, number
+        super().__init__(model=model)
+        self.log = log
+
+    def __setattr__(self, name, value):
+        if name == "simulated_seconds" and self.log is not None:
+            self.log.append((self.number, value.hex()))
+        super().__setattr__(name, value)
 
 
 def run_program(program, model, tablets, one_call):
-    shared = OpCounter(model=model)
-    ledgers = [OpCounter(model=model) for _ in range(tablets)]
+    """Each ledger's view, shared first, then the log of charge order."""
+    log = []
+    shared = LoggedCounter(model, log, "shared")
+    ledgers = [LoggedCounter(model, log, index) for index in range(tablets)]
     for op, arguments in program:
         if op == "point":
             index, kind = arguments
@@ -170,6 +215,23 @@ def run_program(program, model, tablets, one_call):
                 shared.record_group(pending)
             else:
                 reference_group(shared, pending)
+        elif op == "scan":
+            charges = [(ledgers[index], cold, warm) for index, cold, warm in arguments]
+            if one_call:
+                shared.record_scan(charges)
+            else:
+                reference_scan(shared, charges)
+        elif op == "batch_read":
+            # The tablets a batch read routes to, first seen first, each once.
+            total, shares = arguments
+            counts = {}
+            for index, rows in shares:
+                counts[ledgers[index]] = counts.get(ledgers[index], 0) + rows
+            tablet_ledgers, rows = list(counts), list(counts.values())
+            if one_call:
+                shared.record_batch_read(total, tablet_ledgers, rows)
+            else:
+                reference_batch_read(shared, total, tablet_ledgers, rows)
         else:
             appended = {}
             for index, rows in arguments:
@@ -178,7 +240,7 @@ def run_program(program, model, tablets, one_call):
                 shared.record_syncs(appended)
             else:
                 reference_syncs(shared, appended)
-    return [ledger_view(ledger) for ledger in [shared] + ledgers]
+    return [ledger_view(ledger) for ledger in [shared] + ledgers] + [log]
 
 
 TABLETS = 4
@@ -195,10 +257,38 @@ PROGRAMS = st.lists(
             st.just("syncs"),
             st.lists(st.tuples(_tablet, st.integers(1, 300)), max_size=6),
         ),
+        # A tablet's (cold, warm) rows: zero-row probes and warm-only
+        # tablets included.
+        st.tuples(
+            st.just("scan"),
+            st.lists(
+                st.tuples(
+                    _tablet,
+                    st.one_of(st.just(0), st.integers(1, 300)),
+                    st.one_of(st.just(0), st.integers(1, 300)),
+                ),
+                max_size=6,
+            ),
+        ),
+        st.tuples(
+            st.just("batch_read"),
+            st.tuples(
+                st.integers(1, 600),
+                st.lists(st.tuples(_tablet, st.integers(1, 300)), max_size=6),
+            ),
+        ),
     ),
     max_size=25,
 )
 
+#: Tablet 0 all cold, 1 warm-only, 2 a zero-row probe, 3 both; a scan
+#: nothing answered; a batch read over three tablets.
+SCAN_SHAPES = [
+    ("scan", [(0, 4, 0), (1, 0, 9), (2, 0, 0), (3, 5, 6)]),
+    ("scan", [(2, 0, 0)]),
+    ("scan", [(1, 0, 3)]),
+    ("batch_read", (7, [(3, 2), (0, 4), (3, 1)])),
+]
 READ_THEN_WRITE = [("group", [(0, OpKind.READ, 3), (0, OpKind.WRITE, 7), (1, OpKind.READ, 2)])]
 WRITE_THEN_READ = [("group", [(0, OpKind.WRITE, 7), (0, OpKind.READ, 3), (1, OpKind.READ, 2)])]
 
@@ -208,6 +298,7 @@ class TestOneCallEntryPoints:
     @given(program=PROGRAMS, factor=st.sampled_from([1.0, 1.7]))
     @example(program=READ_THEN_WRITE, factor=1.0)
     @example(program=WRITE_THEN_READ, factor=1.0)
+    @example(program=SCAN_SHAPES, factor=1.0)
     def test_bit_identical_to_the_call_sequence(self, program, factor):
         model = CostModel(write_contention_factor=factor)
         assert run_program(program, model, TABLETS, True) == run_program(

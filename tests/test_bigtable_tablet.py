@@ -314,7 +314,7 @@ class TestStructuralChecksThatCannotFire:
             # A tablet merged away earlier in the same flush still gets
             # checked: its start key resolves to whoever absorbed it.
             tablets = locator.tablets()
-            index = locator._index_for(tablet.start_key)
+            index = locator.index_for(tablet.start_key)
             return any(
                 tablets[left].row_count + tablets[left + 1].row_count
                 <= options.merge_threshold

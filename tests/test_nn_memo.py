@@ -9,6 +9,14 @@ whole-table and a one-tablet recovery, aging and an in-place restore of the
 tables' soft state — with NN batches, and runs it against a twin whose memo
 is emptied before every batch.  Results, tallies, both tables' ledgers, the
 block caches and the shared ledger must be equal after every step.
+
+A block's first hit compiles its Follower Info read into a plan; a hit
+charges the plan when the batch has fetched none of the block's leaders
+and reads the missing ones live when it has fetched some.  So the batches
+mix NN levels around the schools (a coarse cell replayed after one of its
+children finds some leaders fetched), some steps run their queries without
+a batch context, and every batch runs five times: each entry is hit at
+least three times after the hit that compiled it.
 """
 
 import os
@@ -23,6 +31,7 @@ from repro.core.nn_search import NNQueryStats, QueryBatchContext
 from repro.geometry.point import Point
 from repro.server import rpc
 from repro.server.worker import dispatch_request
+from repro.spatial.cell import CellId
 from repro.tables.affiliation_table import LF_AGED_FAMILY, LF_FAMILY
 from repro.workload.queries import NNQuery
 
@@ -104,13 +113,26 @@ def apply(indexer, op, step: int) -> None:
         raise AssertionError(op)
 
 
-def run_batch(indexer, queries, include_followers: bool):
+def run_batch(indexer, queries, include_followers: bool, batched: bool = True):
+    """``(query, nn_level)`` pairs through :meth:`query` — sharing one batch
+    context, as ``query_many`` does, or each on its own without one."""
+    searcher = indexer.searcher
     stats = [NNQueryStats() for _ in queries]
-    context = QueryBatchContext()
-    results = indexer.searcher.query_many(
-        queries, include_followers=include_followers, stats_list=stats, context=context
-    )
-    return results, stats, (context.scans_shared, context.rows_shared)
+    context = QueryBatchContext() if batched else None
+    results = [
+        searcher.query(
+            query.location,
+            query.k,
+            nn_level=level,
+            range_limit=query.range_limit,
+            include_followers=include_followers,
+            stats=query_stats,
+            context=context,
+        )
+        for (query, level), query_stats in zip(queries, stats)
+    ]
+    shared = None if context is None else (context.scans_shared, context.rows_shared)
+    return results, stats, shared
 
 
 _COORD = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
@@ -125,35 +147,86 @@ _CHANGES = st.one_of(
     st.tuples(st.just("age_out"), _TABLE, st.floats(0.0, 3.0)),
     st.tuples(st.just("restore"),),
 )
-_QUERIES = st.lists(
+#: Centres of four of :func:`school_indexer`'s schools.  Queries near them
+#: at different NN levels visit nested cells: a coarse cell replayed after
+#: one of its children was scanned finds some leaders' Follower Info
+#: fetched.
+_ANCHORS = [(10.0 + 6.5 * (school % 12), 12.0 + 7.0 * (school % 7)) for school in (1, 3, 5, 9)]
+_JITTER = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
+_LOCATION = st.one_of(
+    st.builds(Point, _COORD, _COORD),
     st.builds(
-        NNQuery,
-        location=st.builds(Point, _COORD, _COORD),
-        k=st.integers(1, 8),
-        range_limit=st.one_of(st.none(), st.floats(min_value=0.0, max_value=40.0)),
+        lambda anchor, dx, dy: Point(anchor[0] + dx, anchor[1] + dy),
+        st.sampled_from(_ANCHORS), _JITTER, _JITTER,
+    ),
+)
+#: ``None`` lets FLAG (or the default level) choose.
+_LEVEL = st.one_of(st.none(), st.integers(1, 5))
+_QUERIES = st.lists(
+    st.tuples(
+        st.builds(
+            NNQuery,
+            location=_LOCATION,
+            k=st.integers(1, 8),
+            range_limit=st.one_of(st.none(), st.floats(min_value=0.0, max_value=40.0)),
+        ),
+        _LEVEL,
     ),
     min_size=1,
     max_size=6,
 )
-_BATCH = st.tuples(_QUERIES, st.booleans())
+#: ``(queries, include_followers, batched)``.
+_BATCH = st.tuples(_QUERIES, st.booleans(), st.booleans())
+#: The first pass finds the memo as the step's change left it; the second
+#: compiles each entry's charge plan on its first hit, if the first did
+#: not; the last three replay compiled plans.
+PASSES = 5
 
 
 @settings(max_examples=60, deadline=None)
 @given(program=st.lists(st.tuples(_CHANGES, _BATCH), min_size=1, max_size=12))
 def test_memo_hits_equal_live_builds_under_every_table_change(program):
     """Each step applies one change to both indexers, then runs one NN batch
-    twice — the first pass finds the memo as the change left it, the second
-    is all hits."""
+    (or the same queries without a context) :data:`PASSES` times against
+    the twin, whose memo is emptied before each."""
     subject, twin = school_indexer(), school_indexer()
-    for step, (change, (queries, include_followers)) in enumerate(program):
+    for step, (change, (queries, include_followers, batched)) in enumerate(program):
         apply(subject, change, step)
         apply(twin, change, step)
-        for _ in range(2):
+        for _ in range(PASSES):
             twin.searcher._memo.clear()
-            assert run_batch(subject, queries, include_followers) == run_batch(
-                twin, queries, include_followers
+            assert run_batch(subject, queries, include_followers, batched) == run_batch(
+                twin, queries, include_followers, batched
             ), (step, change)
             assert observe(subject) == observe(twin), (step, change)
+
+
+def test_a_replayed_coarse_cell_charges_only_the_leaders_the_batch_lacks():
+    """A fine cell scanned first leaves its leaders' Follower Info in the
+    batch context; the coarse cell around it, replayed next, reads only the
+    rest, live, and not from its compiled plan."""
+    location = Point(*_ANCHORS[1])
+    batch = [(NNQuery(location, 1), 5), (NNQuery(location, 1), 2)]
+    subject, twin = school_indexer(), school_indexer()
+    table = subject.affiliation_table.table
+    live_reads = []
+    charge = table.charge_batch_read
+
+    def recording(row_keys):
+        live_reads.append(list(row_keys))
+        return charge(row_keys)
+
+    table.charge_batch_read = recording
+    for _ in range(PASSES):
+        live_reads.clear()
+        twin.searcher._memo.clear()
+        assert run_batch(subject, batch, True) == run_batch(twin, batch, True)
+        assert observe(subject) == observe(twin)
+    coarse = CellId.from_point(location, 2, SCHOOL_CONFIG.world)
+    block = subject.searcher._memo[(2, coarse.pos, True)][0]
+    (partial,) = live_reads  # a hit pass reads the coarse cell's rest only
+    assert 0 < len(partial) < block.n_leaders
+    assert set(partial) < set(block.ids[: block.n_leaders])
 
 
 def test_one_write_to_either_table_empties_the_memo():

@@ -120,10 +120,40 @@ class TestWorkerPoolLifecycle:
         with pytest.raises(OSError, match="Too many open files"):
             WorkerPool(2)
         (process, connection), = spawned
-        process.join(timeout=10.0)
-        assert not process.is_alive()
+        # The pool closed the process object, which only a reaped worker
+        # allows.
+        with pytest.raises(ValueError, match="closed"):
+            process.is_alive()
         assert connection._sock.fileno() == -1
         assert hooks == []
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="reads /proc")
+    def test_a_held_pool_keeps_no_pipe_of_a_reaped_worker(self):
+        """A worker's sentinel pipe closes when the pool reaps it, not when
+        the pool object is collected: a pool held after shutdown, or after
+        one respawn, keeps only its live workers' pipes (two ends each)."""
+
+        def pipes():
+            fds = set()
+            for entry in os.listdir("/proc/self/fd"):
+                try:
+                    if os.readlink(f"/proc/self/fd/{entry}").startswith("pipe:"):
+                        fds.add(int(entry))
+                except OSError:  # the listing's own descriptor
+                    continue
+            return fds
+
+        before = pipes()
+        shut = WorkerPool(2)
+        shut.shutdown()
+        assert pipes() == before
+        respawned = WorkerPool(1)
+        live = pipes() - before
+        respawned.respawn_worker(0)
+        assert len(pipes() - before) == len(live) == 2
+        respawned.shutdown()
+        assert pipes() == before
+        assert shut.processes == respawned.processes == []
 
     def test_backend_close_is_reentrant_via_context_manager(self):
         with FederatedShardedBackend(

@@ -208,7 +208,12 @@ class TwinScanner(Scanner):
         )
         if warm_total > 0:
             self.counter.record(OpKind.CACHE_READ, rows=warm_total)
-        self._attribute_scan(charges)
+        # Each tablet's share, record by record, as the scanner charged
+        # it before one ledger call took the whole scan.
+        for tablet, cold, warm in charges:
+            tablet.counter.record(OpKind.SCAN, rows=cold if cold + warm > 0 else 1)
+            if warm > 0:
+                tablet.counter.record(OpKind.CACHE_READ, rows=warm)
         return results
 
 

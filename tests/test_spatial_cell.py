@@ -6,7 +6,12 @@ from hypothesis import assume, given, settings, strategies as st
 from repro.errors import SpatialError
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import Point
-from repro.spatial.cell import CellId, MAX_LEVEL, row_key_encoder
+from repro.spatial.cell import (
+    CellId,
+    MAX_LEVEL,
+    edge_neighbor_positions,
+    row_key_encoder,
+)
 from repro.spatial.hilbert import hilbert_index, hilbert_point
 
 WORLD = BoundingBox(0.0, 0.0, 100.0, 100.0)
@@ -260,19 +265,24 @@ class TestGeometry:
         )
 
 
+def edge_neighbors(cell):
+    """The cells :func:`edge_neighbor_positions` names around ``cell``."""
+    return [CellId(cell.level, pos) for pos in edge_neighbor_positions(cell.level, cell.pos)]
+
+
 class TestNeighbors:
     def test_interior_cell_has_four_edge_neighbors(self):
         cell = CellId.from_point(Point(50.0, 50.0), 5, WORLD)
-        assert len(cell.edge_neighbors()) == 4
+        assert len(edge_neighbors(cell)) == 4
 
     def test_corner_cell_has_two_edge_neighbors(self):
         corner = CellId.from_point(Point(0.0, 0.0), 5, WORLD)
-        assert len(corner.edge_neighbors()) == 2
+        assert len(edge_neighbors(corner)) == 2
 
     def test_edge_neighbors_share_an_edge(self):
         cell = CellId.from_point(Point(50.0, 50.0), 5, WORLD)
         gx, gy = hilbert_point(cell.level, cell.pos)
-        for neighbor in cell.edge_neighbors():
+        for neighbor in edge_neighbors(cell):
             nx, ny = hilbert_point(neighbor.level, neighbor.pos)
             assert abs(gx - nx) + abs(gy - ny) == 1
 
@@ -298,17 +308,17 @@ class TestNeighbors:
         """Corner, border and interior cells of a level-3 grid have the
         4- and 8-neighbourhoods the world border leaves them."""
         cell = CellId(3, hilbert_index(3, gx, gy))
-        assert len(cell.edge_neighbors()) == edge
+        assert len(edge_neighbors(cell)) == edge
         assert len(cell.all_neighbors()) == every
-        assert set(cell.edge_neighbors()) <= set(cell.all_neighbors())
+        assert set(edge_neighbors(cell)) <= set(cell.all_neighbors())
         for neighbor in cell.all_neighbors():
             nx, ny = hilbert_point(3, neighbor.pos)
             assert max(abs(gx - nx), abs(gy - ny)) == 1
 
     def test_root_cell_has_no_neighbors(self):
-        assert CellId(0, 0).edge_neighbors() == []
+        assert edge_neighbors(CellId(0, 0)) == []
 
     def test_neighbor_relation_is_symmetric(self):
         cell = CellId.from_point(Point(23.0, 71.0), 6, WORLD)
-        for neighbor in cell.edge_neighbors():
-            assert cell in neighbor.edge_neighbors()
+        for neighbor in edge_neighbors(cell):
+            assert cell in edge_neighbors(neighbor)
